@@ -257,7 +257,15 @@ def distributed_attention(
 
 
 class DistributedCausalSelfAttention(CausalSelfAttention):
-    """Drop-in attention module whose inner product runs on the cluster."""
+    """Drop-in attention module whose inner product runs on the cluster.
+
+    Every kernel call made here — the sharded path, the sequence-level
+    front recompute and the irregular-length local fallback — tiles at
+    ``method.block_size`` (default 128).  ``block_size`` (the model's
+    ``attn_block_size``) is stored for interface parity with
+    :class:`~repro.nn.modules.CausalSelfAttention` but is not read by
+    :meth:`forward`.
+    """
 
     def __init__(
         self,

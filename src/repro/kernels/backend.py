@@ -20,8 +20,9 @@ the hot path is a runtime choice:
     sequential loop (IEEE addition is commutative but not associative;
     preserving the per-slice fold order is what buys bit equality).
     Each worker owns a persistent :class:`~repro.kernels.tileplan
-    .KernelWorkspace` and tallies tile counters into a thread-local
-    buffer merged on task exit.
+    .KernelWorkspace`; the plan's sub-tile counts are tallied once by the
+    calling thread, and the bias-tile counters workers still touch go to
+    a thread-local buffer merged on task exit.
 
 Selection::
 
@@ -295,6 +296,8 @@ class ThreadedBackend(KernelBackend):
             return _forward_tiles(
                 q, k, v, mask, scale, block_q, block_k, bias, plan, workspace
             )
+        if plan is not None:
+            plan.tally()
         o = np.zeros(q.shape[:-1] + (v.shape[-1],), dtype=np.float64)
         lse = np.full(q.shape[:-1], NEG_INF, dtype=np.float64)
 
@@ -368,6 +371,8 @@ class ThreadedBackend(KernelBackend):
                 q, k, v, lse, d_stat, do, mask, scale, block_q, block_k,
                 bias, plan, workspace,
             )
+        if plan is not None:
+            plan.tally()
         dq = np.zeros_like(q)
         dk = np.zeros_like(k)
         dv = np.zeros_like(v)

@@ -1,46 +1,62 @@
 """Blockwise (FlashAttention-style) exact attention in numpy.
 
 The computation is tiled over query and key blocks and never materialises
-the full ``Sq x Sk`` score matrix: the forward pass keeps a running
-``(O, lse)`` state per query block merged with the online-softmax rule, and
-the backward pass re-forms each score tile from the saved ``lse`` (plus the
-``D = rowsum(dO * O)`` row statistics), exactly as FlashAttention-2 does on
-a GPU.  These tiled kernels are what every distributed attention method in
-:mod:`repro.attention` runs locally on each simulated device.
+the full ``Sq x Sk`` score matrix.  Both directions follow FlashAttention-2,
+done with in-place arithmetic on one score tile ``S`` (the GEMM's output
+buffer) per sub-tile:
+
+* **forward** — the query block is scaled once (``Q~ = Q * scale``) and
+  carries a running row max ``m``, row sum ``l`` and *unnormalised* output
+  ``O``.  Per key tile: ``S = Q~ K^T``; ``m' = max(m, rowmax S)``;
+  ``P = exp(S - m')``; ``l = l*a + rowsum P`` and ``O = O*a + P V`` with
+  ``a = exp(m - m')``.  ``O /= l`` and ``lse = m + log l`` are formed once
+  per query block, after the key loop.  That is one ``exp`` and 4 full-tile
+  passes per tile (max, subtract, exp, sum; 5 on a masked tile), where the
+  earlier running-``(O, lse)`` merge took two ``exp`` and 8 (10 masked),
+  most of them allocating a tile-sized temporary.
+* **backward** — each probability tile is re-formed from the saved ``lse``
+  as ``P = exp(Q~ K^T - lse)`` and ``dS = P * (dO V^T - D)`` with
+  ``D = rowsum(dO * O)``; ``dK += dS^T Q~`` needs no rescale and ``dQ`` is
+  scaled once per query block.  4 full-tile passes per tile (5 masked),
+  down from 6 (8 masked).
+
+Masked scores are never exponentiated (``exp(..., where=mask)``, then
+zeroed), so no ``-inf`` enters the tile arithmetic.  A query row with no
+visible key is handled on row-sized vectors only: its ``m`` stays ``-inf``
+(shifted by 0 instead), its ``l`` stays 0, and it leaves the kernel as
+``O = 0``, ``lse = -inf``, the identity of
+:func:`~repro.kernels.softmax.merge_states`.  These tiled kernels are what
+every distributed attention method in :mod:`repro.attention` runs locally
+on each simulated device.
 
 Masking comes in two forms:
 
 * a :class:`~repro.kernels.tileplan.TilePlan` (``plan=``) — the fast path.
   Sub-tiles the plan classified ``empty`` are skipped before any compute,
   ``full`` sub-tiles run without mask handling, and a boolean tile is
-  materialised only for ``partial`` sub-tiles.  A
-  :class:`~repro.kernels.tileplan.KernelWorkspace` (``workspace=``)
-  additionally reuses the per-tile score/probability/grad scratch across
-  invocations.  Executed/skipped sub-tiles are tallied in
-  :data:`repro.kernels.tileplan.counters`.
+  materialised only for ``partial`` sub-tiles.  Executed/skipped sub-tiles
+  are tallied in :data:`repro.kernels.tileplan.counters`, once per
+  invocation from the plan's static classification.
 * a dense boolean array (``mask=``) broadcastable to ``(..., Sq, Sk)`` —
   the legacy baseline, kept for references, fuzzers and the bench
-  harness's dense-vs-planned comparison.
+  harness's dense-vs-planned comparison.  All-``False`` tiles are skipped
+  before their GEMM.
 
-Both paths are algebraically exact and produce identical results to
-float64 precision; the plan path performs the same floating-point
-operations on non-empty tiles (a full tile's ``where`` over an all-``True``
-mask is the identity), so outputs are bitwise equal.  Peak temporary
-memory is ``O(block_q * block_k)`` instead of ``O(Sq * Sk)``.
+Both paths are algebraically exact and perform the same floating-point
+operations on every visible score (an all-``True`` mask tile selects
+everything), so their outputs are bitwise equal.  A
+:class:`~repro.kernels.tileplan.KernelWorkspace` (``workspace=``) only
+changes where the GEMM outputs live: reused scratch instead of fresh
+arrays.  Peak temporary memory is ``O(block_q * block_k)`` instead of
+``O(Sq * Sk)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.softmax import NEG_INF, logsumexp, merge_lse
-from repro.kernels.tileplan import (
-    EMPTY,
-    PARTIAL,
-    KernelWorkspace,
-    TilePlan,
-    counters,
-)
+from repro.kernels.softmax import NEG_INF
+from repro.kernels.tileplan import EMPTY, PARTIAL, KernelWorkspace, TilePlan
 from repro.obs.tracer import NOOP_SPAN, trace_span
 
 
@@ -72,23 +88,51 @@ def _validate_plan(
     plan.check_geometry(sq, sk)
 
 
-def _resolve_subtile(plan: TilePlan, i: int, j: int, area: int):
-    """Plan lookup for one sub-tile: ``(skip, mask_tile, bias_tile)``,
-    with the execution counters updated (thread-safe via
-    :meth:`~repro.kernels.tileplan.TileCounters.add`)."""
-    state = plan.states[i, j]
-    if state == EMPTY:
-        counters.add("skipped_empty")
-        counters.add("skipped_pairs", area)
-        return True, None, None
-    if state == PARTIAL:
-        counters.add("computed_partial")
-        m = plan.mask_tile(i, j)
+def _resolve_tile(
+    plan: TilePlan | None,
+    mask: np.ndarray | None,
+    bias: np.ndarray | None,
+    qi: int,
+    ki: int,
+    q0: int,
+    q1: int,
+    k0: int,
+    k1: int,
+):
+    """``(skip, mask_tile, bias_tile)`` for one sub-tile, from the plan's
+    classification or — on the dense path — from slices of the
+    broadcastable ``mask``/``bias`` (an all-``False`` tile is skipped)."""
+    if plan is not None:
+        state = plan.states[qi, ki]
+        if state == EMPTY:
+            return True, None, None
+        m = plan.mask_tile(qi, ki) if state == PARTIAL else None
+        return False, m, plan.bias_tile(qi, ki)
+    m = _mask_tile(mask, q0, q1, k0, k1)
+    if m is not None:
+        if not m.any():
+            return True, None, None
+        m = m.astype(bool, copy=False)
+    return False, m, _mask_tile(bias, q0, q1, k0, k1)
+
+
+def _matmul(
+    ws: KernelWorkspace | None, a: np.ndarray, b: np.ndarray, name: str
+) -> np.ndarray:
+    """``a @ b``, into the workspace's ``name`` scratch when there is one."""
+    return np.matmul(a, b) if ws is None else ws.matmul(a, b, name)
+
+
+def _exp_visible(x: np.ndarray, m: np.ndarray | None) -> None:
+    """In place: ``exp(x)`` where ``m`` (everywhere without one), exactly 0
+    elsewhere.  Masked scores are never exponentiated — no ``-inf`` is
+    written and none reaches ``exp``, whose special-value path costs about
+    three times the plain one per element."""
+    if m is None:
+        np.exp(x, out=x)
     else:
-        counters.add("computed_full")
-        m = None
-    counters.add("computed_pairs", area)
-    return False, m, plan.bias_tile(i, j)
+        np.exp(x, out=x, where=m)
+        np.copyto(x, 0.0, where=np.logical_not(m))
 
 
 def flash_attention_forward(
@@ -149,57 +193,40 @@ def _forward_q_block(
     so any scheduling of blocks produces bitwise-identical results.
     """
     sk = k.shape[-2]
-    q_blk = q[..., q0:q1, :]
+    q_blk = q[..., q0:q1, :] * scale
     o_blk = np.zeros(q_blk.shape[:-1] + (v.shape[-1],), dtype=np.float64)
-    lse_blk = np.full(q_blk.shape[:-1], NEG_INF, dtype=np.float64)
+    m_run = np.full(q_blk.shape[:-1] + (1,), NEG_INF, dtype=np.float64)
+    l_run = np.zeros_like(m_run)
     for ki, k0 in enumerate(range(0, sk, block_k)):
         k1 = min(k0 + block_k, sk)
-        if plan is not None:
-            skip, m, b = _resolve_subtile(
-                plan, qi, ki, (q1 - q0) * (k1 - k0)
-            )
-            if skip:
-                continue
-        else:
-            m = _mask_tile(mask, q0, q1, k0, k1)
-            b = _mask_tile(bias, q0, q1, k0, k1)
+        skip, m, b = _resolve_tile(plan, mask, bias, qi, ki, q0, q1, k0, k1)
+        if skip:
+            continue
         k_t = np.swapaxes(k[..., k0:k1, :], -1, -2)
-        # Scratch reuse is safe only while the score tile keeps the
-        # kernel's own batch shape; an additive bias may broadcast it
-        # wider, so biased tiles take the allocating path.
-        reuse = ws is not None and b is None
-        if reuse:
-            s = ws.matmul(q_blk, k_t, "fwd-s")
-            s *= scale
-        else:
-            s = np.matmul(q_blk, k_t) * scale
+        s = _matmul(ws, q_blk, k_t, "fwd-s")
         if b is not None:
-            s = s + b
-        if m is not None:
-            if plan is None and not m.any():
-                continue  # tile contributes nothing; skip (sparse speedup)
-            s = np.where(m, s, NEG_INF)
-        tile_lse = logsumexp(s, axis=-1)
-        new_lse = merge_lse(lse_blk, tile_lse)
-        new_safe = np.where(np.isneginf(new_lse), 0.0, new_lse)
-        # Rescale the running accumulator and add this tile's weighted
-        # values; unnormalised tile weights are exp(s - new_lse).
-        w_old = np.where(
-            np.isneginf(lse_blk), 0.0, np.exp(lse_blk - new_safe)
-        )[..., None]
-        p = np.exp(s - new_safe[..., None])
-        if m is not None:
-            p = np.where(m, p, 0.0)
-        p = np.where(np.isneginf(new_lse)[..., None], 0.0, p)
-        v_blk = v[..., k0:k1, :]
-        if reuse and p.shape[:-1] + (v_blk.shape[-1],) == o_blk.shape:
-            pv = ws.matmul(p, v_blk, "fwd-pv")
-            o_blk *= w_old
-            o_blk += pv
-        else:
-            o_blk = w_old * o_blk + np.matmul(p, v_blk)
-        lse_blk = new_lse
-    return o_blk, lse_blk
+            s += b
+        tile_max = s.max(
+            axis=-1, keepdims=True, initial=NEG_INF,
+            where=True if m is None else m,
+        )
+        m_new = np.maximum(m_run, tile_max)
+        # Rows with no visible key so far keep m = -inf; shift them by 0
+        # instead, so that no inf - inf is ever formed.
+        m_safe = np.where(m_new == NEG_INF, 0.0, m_new)
+        alpha = np.exp(m_run - m_safe)
+        s -= m_safe
+        _exp_visible(s, m)
+        l_run *= alpha
+        l_run += s.sum(axis=-1, keepdims=True)
+        o_blk *= alpha
+        o_blk += _matmul(ws, s, v[..., k0:k1, :], "fwd-pv")
+        m_run = m_new
+    # Normalise once per q block.  A row that saw no key has l = 0 and
+    # m = -inf: dividing by 1 leaves o = 0 and lse = -inf + log 1 = -inf.
+    l_run[l_run == 0.0] = 1.0
+    o_blk /= l_run
+    return o_blk, (m_run + np.log(l_run))[..., 0]
 
 
 def _forward_tiles(
@@ -220,6 +247,7 @@ def _forward_tiles(
     _validate_plan(plan, sq, sk, mask, bias)
     if plan is not None:
         block_q, block_k = plan.block_q, plan.block_k
+        plan.tally()
     o = np.zeros(q.shape[:-1] + (v.shape[-1],), dtype=np.float64)
     lse = np.full(q.shape[:-1], NEG_INF, dtype=np.float64)
 
@@ -329,79 +357,49 @@ def _backward_q_block(
     them on one thread in ascending ``qi`` order — reproducing the
     sequential accumulation order on every ``dk``/``dv`` slice exactly,
     which is what keeps the threaded backend bitwise-identical.
-    Returned tiles are copies when they alias workspace scratch.
+    Returned tiles are copies: the GEMM outputs they come from are
+    workspace scratch that the next tile overwrites.
     """
     sk = k.shape[-2]
     collect = dk is None
     tiles: list = []
-    q_blk = q[..., q0:q1, :]
+    q_blk = q[..., q0:q1, :] * scale
     do_blk = do[..., q0:q1, :]
-    lse_blk = lse[..., q0:q1]
-    d_blk = d_stat[..., q0:q1]
-    lse_safe = np.where(np.isneginf(lse_blk), 0.0, lse_blk)[..., None]
-    dead = np.isneginf(lse_blk)[..., None]
+    d_blk = d_stat[..., q0:q1, None]
+    # Rows with lse = -inf saw no key and get p = 0.  The mask already
+    # zeroes them when it is what hid the keys, so the explicit zeroing is
+    # decided once per q block and costs nothing when no row is dead.
+    dead = np.isneginf(lse[..., q0:q1, None])
+    zero_dead = dead.any()
+    lse_safe = np.where(dead, 0.0, lse[..., q0:q1, None])
     dq_blk = np.zeros_like(q_blk)
     for ki, k0 in enumerate(range(0, sk, block_k)):
         k1 = min(k0 + block_k, sk)
-        if plan is not None:
-            skip, m, b = _resolve_subtile(
-                plan, qi, ki, (q1 - q0) * (k1 - k0)
-            )
-            if skip:
-                continue
-        else:
-            m = _mask_tile(mask, q0, q1, k0, k1)
-            if m is not None and not m.any():
-                continue
-            b = _mask_tile(bias, q0, q1, k0, k1)
+        skip, m, b = _resolve_tile(plan, mask, bias, qi, ki, q0, q1, k0, k1)
+        if skip:
+            continue
         k_blk = k[..., k0:k1, :]
-        v_blk = v[..., k0:k1, :]
-        reuse = ws is not None and b is None
-        if reuse:
-            s = ws.matmul(q_blk, np.swapaxes(k_blk, -1, -2), "bwd-s")
-            s *= scale
-        else:
-            s = np.matmul(q_blk, np.swapaxes(k_blk, -1, -2)) * scale
+        v_t = np.swapaxes(v[..., k0:k1, :], -1, -2)
+        p = _matmul(ws, q_blk, np.swapaxes(k_blk, -1, -2), "bwd-s")
         if b is not None:
-            s = s + b
-        if m is not None:
-            s = np.where(m, s, NEG_INF)
-        p = np.exp(s - lse_safe)
-        p = np.where(dead, 0.0, p)
-        if m is not None:
-            p = np.where(m, p, 0.0)
-        p_t = np.swapaxes(p, -1, -2)
-        if reuse:
-            dv_tile = ws.matmul(p_t, do_blk, "bwd-dv")
-            if collect:
-                dv_tile = dv_tile.copy()
-            else:
-                dv[..., k0:k1, :] += dv_tile
-            dp = ws.matmul(do_blk, np.swapaxes(v_blk, -1, -2), "bwd-dp")
-            np.subtract(dp, d_blk[..., None], out=dp)
-            dp *= p
-            ds = dp
-            dq_tile = ws.matmul(ds, k_blk, "bwd-dq")
-            dq_tile *= scale
-            dq_blk += dq_tile
-            dk_tile = ws.matmul(np.swapaxes(ds, -1, -2), q_blk, "bwd-dk")
-            dk_tile *= scale
-            if collect:
-                tiles.append((k0, k1, dk_tile.copy(), dv_tile))
-            else:
-                dk[..., k0:k1, :] += dk_tile
+            p += b
+        p -= lse_safe
+        _exp_visible(p, m)
+        if zero_dead:
+            np.copyto(p, 0.0, where=dead)
+        dv_tile = _matmul(ws, np.swapaxes(p, -1, -2), do_blk, "bwd-dv")
+        ds = _matmul(ws, do_blk, v_t, "bwd-dp")
+        ds -= d_blk
+        ds *= p
+        dq_blk += _matmul(ws, ds, k_blk, "bwd-dq")
+        # q_blk carries the softmax scale, so dk needs no per-tile rescale.
+        dk_tile = _matmul(ws, np.swapaxes(ds, -1, -2), q_blk, "bwd-dk")
+        if collect:
+            tiles.append((k0, k1, dk_tile.copy(), dv_tile.copy()))
         else:
-            dv_tile = np.matmul(p_t, do_blk)
-            if not collect:
-                dv[..., k0:k1, :] += dv_tile
-            dp = np.matmul(do_blk, np.swapaxes(v_blk, -1, -2))
-            ds = p * (dp - d_blk[..., None])
-            dq_blk += np.matmul(ds, k_blk) * scale
-            dk_tile = np.matmul(np.swapaxes(ds, -1, -2), q_blk) * scale
-            if collect:
-                tiles.append((k0, k1, dk_tile, dv_tile))
-            else:
-                dk[..., k0:k1, :] += dk_tile
+            dv[..., k0:k1, :] += dv_tile
+            dk[..., k0:k1, :] += dk_tile
+    dq_blk *= scale
     return dq_blk, tiles
 
 
@@ -426,6 +424,7 @@ def _backward_tiles(
     _validate_plan(plan, sq, sk, mask, bias)
     if plan is not None:
         block_q, block_k = plan.block_q, plan.block_k
+        plan.tally()
     dq = np.zeros_like(q)
     dk = np.zeros_like(k)
     dv = np.zeros_like(v)

@@ -79,13 +79,17 @@ class TileCounters:
     one for the module singleton), so ``counters.computed_full += n``
     keeps working verbatim while ``repro.obs`` sees the same numbers.
 
-    Thread safety: the kernels account their work through :meth:`add`,
-    which writes straight to the backing counter on the main thread but
-    into a *thread-local* buffer inside a :meth:`deferred` scope.  The
-    threaded backend wraps each worker task in ``deferred()``, so
-    concurrent sub-tile tallies never race on ``Counter._value``; the
-    buffered deltas are merged under a lock when the scope exits.  The
-    ``counters.field += n`` property idiom remains main-thread-only.
+    The sub-tile and pair fields are tallied once per kernel invocation,
+    on the invoking thread, from the plan's static classification
+    (:meth:`TilePlan.tally`) — never inside the kernels' tile loops.
+
+    Thread safety: :meth:`add` writes straight to the backing counter on
+    the main thread but into a *thread-local* buffer inside a
+    :meth:`deferred` scope.  The threaded backend wraps each worker task
+    in ``deferred()``, so the bias-tile tallies its workers still make
+    never race on ``Counter._value``; the buffered deltas are merged under
+    a lock when the scope exits.  The ``counters.field += n`` property
+    idiom remains main-thread-only.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None):
@@ -300,6 +304,21 @@ class TilePlan:
     _k_bounds: list[tuple[int, int]] = field(default_factory=list, repr=False)
     _mask_tiles: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        # The classification is static, so one kernel invocation's tile
+        # accounting is known here: (full, partial, empty, computed pairs,
+        # skipped pairs), in the order of ``_TILE_FIELDS[:5]``.
+        empty = self.states == EMPTY
+        n_empty = int(np.count_nonzero(empty))
+        n_partial = int(np.count_nonzero(self.states == PARTIAL))
+        q_len = [q1 - q0 for q0, q1 in self._q_bounds]
+        k_len = [k1 - k0 for k0, k1 in self._k_bounds]
+        skipped = int(np.dot(np.dot(q_len, empty), k_len))
+        self._tally = (
+            self.states.size - n_empty - n_partial, n_partial, n_empty,
+            len(self.q_idx) * len(self.k_idx) - skipped, skipped,
+        )
+
     @classmethod
     def build(
         cls,
@@ -426,15 +445,15 @@ class TilePlan:
 
     @property
     def num_empty(self) -> int:
-        return int((self.states == EMPTY).sum())
+        return self._tally[2]
 
     @property
     def num_full(self) -> int:
-        return int((self.states == FULL).sum())
+        return self._tally[0]
 
     @property
     def num_partial(self) -> int:
-        return int((self.states == PARTIAL).sum())
+        return self._tally[1]
 
     @property
     def skip_fraction(self) -> float:
@@ -442,15 +461,14 @@ class TilePlan:
 
     def pair_counts(self) -> tuple[int, int]:
         """``(computed_pairs, skipped_pairs)`` summed over sub-tiles."""
-        computed = skipped = 0
-        for i, (q0, q1) in enumerate(self._q_bounds):
-            for j, (k0, k1) in enumerate(self._k_bounds):
-                area = (q1 - q0) * (k1 - k0)
-                if self.states[i, j] == EMPTY:
-                    skipped += area
-                else:
-                    computed += area
-        return computed, skipped
+        return self._tally[3:]
+
+    def tally(self) -> None:
+        """Account one kernel invocation over this plan in
+        :data:`counters` — once, on the invoking thread, instead of per
+        sub-tile inside the kernels' hot loops."""
+        for name, n in zip(_TILE_FIELDS, self._tally):
+            counters.add(name, n)
 
 
 def record_shard_skip(n_q: int, n_k: int, block_q: int, block_k: int) -> None:
@@ -494,9 +512,12 @@ class KernelWorkspace:
 
     def matmul(self, a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
         """``a @ b`` into a reused buffer of the broadcast result shape."""
-        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (
-            a.shape[-2], b.shape[-1]
-        )
+        if a.shape[:-2] == b.shape[:-2]:
+            shape = a.shape[:-1] + (b.shape[-1],)
+        else:
+            shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (
+                a.shape[-2], b.shape[-1]
+            )
         return np.matmul(a, b, out=self.buf(name, shape))
 
     @property

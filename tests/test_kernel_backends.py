@@ -104,6 +104,8 @@ class TestBitwiseIdentity:
         {"name": "planned-causal", "seq": 128, "heads": 2, "dim": 16,
          "plan": "causal"},
         {"name": "ragged-tail", "seq": 70, "heads": 2, "dim": 8},
+        {"name": "planned-window-ragged", "seq": 70, "heads": 2, "dim": 8,
+         "plan": "window"},
     ], ids=lambda c: c["name"])
     def test_flash_matches_reference(self, case):
         rng = np.random.default_rng(11)
@@ -117,9 +119,13 @@ class TestBitwiseIdentity:
         if case.get("bias"):
             idx = np.arange(s)
             kw["bias"] = ALiBiMask(n_heads=h).bias_block(idx, idx)
-        if case.get("plan") == "causal":
+        if case.get("plan"):
             idx = np.arange(s)
-            kw = {"plan": TilePlan.build(CausalMask(), idx, idx, 32, 32)}
+            pattern = (
+                CausalMask() if case["plan"] == "causal"
+                else SlidingWindowMask(window=s // 4)
+            )
+            kw = {"plan": TilePlan.build(pattern, idx, idx, 32, 32)}
         ref = _run_flash(get_backend("reference"), q, k, v, do, **kw)
         thr = _run_flash(get_backend("threaded"), q, k, v, do, **kw)
         for name, a, b in zip(("o", "lse", "dq", "dk", "dv"), ref, thr):
