@@ -7,13 +7,14 @@ deadline, a missed deadline marks the silent rank suspected-dead, and the
 survivors abort the operation with a structured error instead of waiting.
 
 :class:`FailureDetector` reproduces that protocol deterministically.  It
-wraps any communicator (typically a rank-fault injector from
-:mod:`repro.resilience.rank_faults`) and guards every multi-rank operation:
+is the ``lease`` stage of a communicator's chain (see
+:meth:`repro.comm.SimCommunicator._deliver`) and guards every collective:
 
-1. the inner communicator executes the op and — when it is a fault
-   injector — reports each participant's simulated response delay
-   (:class:`OpTiming`); a plain communicator reports nothing and every
-   rank is assumed to answer in :data:`NOMINAL_OP_S`;
+1. the stages below execute the op and — when one of them is a rank-fault
+   injector from :mod:`repro.resilience.rank_faults` — report each
+   participant's simulated response delay on the call record
+   (:class:`OpTiming`); otherwise nothing is reported and every rank is
+   assumed to answer in :data:`NOMINAL_OP_S`;
 2. ranks that answer within the current lease advance the
    :class:`SimClock` and the op completes;
 3. a rank that reports *no* response (``inf`` delay) is declared dead:
@@ -41,12 +42,11 @@ make up, so chaos runs are bit-for-bit reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable
 
-from repro.comm.traffic import TrafficLog
+from repro.comm.communicator import CollectiveCall, SimCommunicator
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import trace_span
-from repro.topology import ClusterTopology
 
 __all__ = [
     "NOMINAL_OP_S",
@@ -164,25 +164,28 @@ class RankFailure(RuntimeError):
         )
 
 
-class FailureDetector:
-    """Lease-guarded communicator wrapper; raises instead of deadlocking.
+class FailureDetector(SimCommunicator):
+    """The lease stage: raises instead of deadlocking on a dead rank.
 
-    Duck-types the full :class:`~repro.comm.SimCommunicator` API.  Every
-    multi-rank op is guarded; attribute access not intercepted here
-    (``log``, helpers, …) passes through to the wrapped ``inner``
-    communicator.  Compose freely: a
-    :class:`~repro.resilience.comm.ResilientCommunicator` can wrap a
-    detector that wraps a fault injector, layering message-level and
-    rank-level recovery.
+    ``FailureDetector(inner)`` attaches itself to ``inner``'s stage chain
+    and shares its topology, traffic log and chain, so the two objects are
+    the same communicator; ``inner`` stays reachable for its own
+    attributes (a fault injector's ``injections``, …).  The chain order is
+    fixed — a :class:`~repro.resilience.comm.ResilientCommunicator` stage
+    always runs above the lease, a fault injector always below — which
+    layers message-level and rank-level recovery however they were built.
     """
+
+    stage_kind = "lease"
 
     def __init__(
         self,
-        inner,
+        inner: SimCommunicator,
         *,
         lease: LeaseConfig | None = None,
         clock: SimClock | None = None,
     ):
+        super().__init__(inner.topology, log=inner.log)
         self.inner = inner
         self.lease = lease if lease is not None else LeaseConfig()
         self.clock = clock if clock is not None else SimClock()
@@ -192,37 +195,17 @@ class FailureDetector:
         self.extensions: dict[int, int] = {}
         #: tolerated-straggler events ``(rank, op, extensions_now)``
         self.tolerated: list[tuple[int, str, int]] = []
+        self._join(inner)
 
-    @property
-    def topology(self) -> ClusterTopology:
-        return self.inner.topology
-
-    @property
-    def log(self) -> TrafficLog:
-        return self.inner.log
-
-    @property
-    def world_size(self) -> int:
-        return self.inner.world_size
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)
-
-    # --- step bookkeeping ---------------------------------------------------
-
-    def on_step_start(self, step: int) -> None:
-        """Trainer hook: label subsequent failures with the step number."""
+    def _on_step(self, step: int) -> None:
         self.step = step
-        forward = getattr(self.inner, "on_step_start", None)
-        if forward is not None:
-            forward(step)
 
     # --- the lease guard ----------------------------------------------------
 
     def _declare_dead(
-        self, rank: int, op: str, phase: str, kind: str, deadline: float,
-        channel: str = "fwd",
+        self, rank: int, call: CollectiveCall, kind: str, deadline: float
     ) -> None:
+        op, phase, channel = call.op, call.phase, call.channel
         self.clock.advance(deadline)
         reg = get_registry()
         reg.counter("resilience.rank_failures").inc(kind=kind, op=op)
@@ -251,19 +234,16 @@ class FailureDetector:
             call_index=self.call_index,
         )
 
-    def _guard(
-        self, op: str, phase: str, participants: Sequence[int], issue,
-        channel: str = "fwd",
-    ):
+    def _stage(self, call: CollectiveCall, proceed: Callable[[], list]) -> list:
         """Issue the op, then apply the lease protocol to its timing."""
         self.call_index += 1
-        out = issue()
-        taker = getattr(self.inner, "pop_op_timing", None)
-        timing: OpTiming | None = taker() if taker is not None else None
+        out = proceed()
+        timing = call.timing
         if timing is None:
             self.clock.advance(NOMINAL_OP_S)
             return out
-        members = set(participants)
+        op, phase, channel = call.op, call.phase, call.channel
+        members = set(call.participants)
         completion = NOMINAL_OP_S
         slowest: int | None = None
         for rank, delay in sorted(timing.delays.items()):
@@ -277,14 +257,13 @@ class FailureDetector:
                     self.lease.crash_notice_s if kind == "crash"
                     else self.lease.op_deadline_s
                 )
-                self._declare_dead(rank, op, phase, kind, deadline, channel)
+                self._declare_dead(rank, call, kind, deadline)
             # Straggler: extend the lease while extensions remain.
             used = self.extensions.get(rank, 0)
             while delay > self.lease.lease_at(used):
                 if used >= self.lease.max_extensions:
                     self._declare_dead(
-                        rank, op, phase, kind, self.lease.lease_at(used),
-                        channel,
+                        rank, call, kind, self.lease.lease_at(used)
                     )
                 used += 1
                 self.extensions[rank] = used
@@ -313,72 +292,3 @@ class FailureDetector:
                 pass
         self.clock.advance(completion)
         return out
-
-    # --- guarded communicator API -------------------------------------------
-
-    def ring_shift(self, bufs, ring, *, phase, tag="", reverse=False):
-        return self._guard(
-            "ring_shift", phase, list(ring),
-            lambda: self.inner.ring_shift(
-                bufs, ring, phase=phase, tag=tag, reverse=reverse
-            ),
-            "rev" if reverse else "fwd",
-        )
-
-    def exchange(self, bufs, dest_of, *, phase, tag="", channel="fwd"):
-        return self._guard(
-            "exchange", phase, range(self.world_size),
-            lambda: self.inner.exchange(
-                bufs, dest_of, phase=phase, tag=tag, channel=channel
-            ),
-            channel,
-        )
-
-    def all_to_all(self, chunks, *, phase, tag=""):
-        return self._guard(
-            "all_to_all", phase, range(self.world_size),
-            lambda: self.inner.all_to_all(chunks, phase=phase, tag=tag),
-        )
-
-    def group_all_to_all(self, chunks, groups, *, phase, tag=""):
-        members = [r for grp in groups for r in grp]
-        return self._guard(
-            "group_all_to_all", phase, members,
-            lambda: self.inner.group_all_to_all(
-                chunks, groups, phase=phase, tag=tag
-            ),
-        )
-
-    def send(self, src, dst, payload, *, phase, tag=""):
-        return self._guard(
-            "send", phase, (src, dst),
-            lambda: self.inner.send(src, dst, payload, phase=phase, tag=tag),
-        )
-
-    def all_gather(self, shards, *, axis=0, phase, tag=""):
-        return self._guard(
-            "all_gather", phase, range(self.world_size),
-            lambda: self.inner.all_gather(
-                shards, axis=axis, phase=phase, tag=tag
-            ),
-        )
-
-    def reduce_scatter(self, contributions, *, phase, tag=""):
-        return self._guard(
-            "reduce_scatter", phase, range(self.world_size),
-            lambda: self.inner.reduce_scatter(
-                contributions, phase=phase, tag=tag
-            ),
-        )
-
-    def all_reduce(self, bufs, *, phase, tag=""):
-        return self._guard(
-            "all_reduce", phase, range(self.world_size),
-            lambda: self.inner.all_reduce(bufs, phase=phase, tag=tag),
-        )
-
-    def broadcast(self, buf, root, *, phase, tag=""):
-        return self._guard(
-            "broadcast", phase, range(self.world_size),
-            lambda: self.inner.broadcast(buf, root, phase=phase, tag=tag),
-        )

@@ -142,14 +142,11 @@ class Trainer:
         if resume_from is not None:
             start_step = self.load_state(resume_from)
         engine = self.engine
-        # Step-boundary notification for communicators that track training
-        # progress (rank-fault injectors, failure detectors): lets faults
-        # target "step s" and failures be attributed to the step they
-        # aborted.
-        notify_step = getattr(engine.comm, "on_step_start", None)
         for step in range(start_step, steps):
-            if notify_step is not None:
-                notify_step(step)
+            # Step-boundary notification for the communicator's stages
+            # (rank-fault injectors, failure detectors): lets faults target
+            # "step s" and failures be attributed to the step they aborted.
+            engine.comm.on_step_start(step)
             comm_mark = len(engine.comm.log.records)
             tiles_mark = self._tile_snapshot()
             with trace_span("train.step", phase="step", step=step), \

@@ -1,6 +1,6 @@
 """Producer→consumer flow edges over communicator spans.
 
-Every traced communicator op (:func:`repro.comm.communicator._traced_op`)
+Every traced communicator op (:meth:`repro.comm.SimCommunicator._deliver`)
 stamps its ``comm.<op>`` span with a causal key — the logical phase, the
 message tag, and the ``channel`` (``fwd`` for the base ring direction,
 ``rev`` for the counter-rotating stream) — plus a process-wide ``call``

@@ -5,8 +5,9 @@ a run *survives to completion*: one flipped payload or lost hop wastes
 hours of wall-clock.  This package makes the stack survive exactly the
 fault classes :mod:`repro.testing.faults` knows how to inject:
 
-* :mod:`repro.resilience.comm` — :class:`ResilientCommunicator` wraps any
-  :class:`~repro.comm.SimCommunicator`, checksums every delivery
+* :mod:`repro.resilience.comm` — :class:`ResilientCommunicator` is the
+  checksum stage of any :class:`~repro.comm.SimCommunicator`: it
+  checksums every delivery
   (``ring_shift`` / ``exchange`` / ``all_to_all`` / ``group_all_to_all`` /
   ``send``), detects corrupt / dropped / misrouted / stale / duplicate
   deliveries, and recovers via bounded retransmission with deterministic

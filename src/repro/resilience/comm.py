@@ -1,14 +1,15 @@
 """Self-healing communication: checksum-verified delivery with bounded retry.
 
-:class:`ResilientCommunicator` wraps any :class:`~repro.comm.SimCommunicator`
-(including the fault-injecting wrappers of :mod:`repro.testing.faults`) and
-guards every *delivery* op — ``ring_shift`` / ``exchange`` / ``all_to_all`` /
-``group_all_to_all`` / ``send`` — with an end-to-end integrity check:
+:class:`ResilientCommunicator` is the ``checksum`` stage — the outermost —
+of a communicator's chain (see :meth:`repro.comm.SimCommunicator._deliver`)
+and guards every *delivery* op — ``ring_shift`` / ``exchange`` /
+``all_to_all`` / ``group_all_to_all`` / ``send`` — with an end-to-end
+integrity check:
 
 1. before issuing the op, the sender-side checksum of every payload is
    computed (in a real deployment this digest rides along with the data,
    exactly like the CRC a NIC or a NCCL debug build attaches per message);
-2. after the inner communicator delivers, each rank's received buffers are
+2. after the stages below deliver, each rank's received buffers are
    re-hashed and compared against what the matching sender advertised;
 3. any mismatch — a corrupted payload, a silently dropped message, a hop
    routed to the wrong rank, a stale double-buffer, a duplicated packet,
@@ -27,7 +28,7 @@ large-run practice.
 
 Collectives that the fault injectors never touch (``all_gather``,
 ``all_reduce``, ``reduce_scatter``, ``broadcast``) pass straight through
-to the inner communicator.
+to the stages below.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.comm import SimCommunicator, TrafficLog
+from repro.comm import SimCommunicator
+from repro.comm.communicator import CollectiveCall
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import trace_span
-from repro.topology import ClusterTopology
 
 __all__ = [
     "CommFailure",
@@ -270,16 +271,19 @@ class FaultMonitor:
         )
 
 
-class ResilientCommunicator:
-    """Checksum-verify-and-retry wrapper around a :class:`SimCommunicator`.
+class ResilientCommunicator(SimCommunicator):
+    """The checksum stage: verify every delivery, retransmit on damage.
 
-    Duck-types the full communicator API: the five delivery ops the fault
-    injectors can sabotage are guarded; everything else (``all_gather``,
-    ``all_reduce``, ``reduce_scatter``, ``broadcast``, ``log`` …) delegates
-    to the wrapped ``inner`` communicator.  Retransmissions go through the
-    inner communicator again, so retried traffic is logged exactly like a
-    real retransmit would appear on the wire.
+    ``ResilientCommunicator(inner)`` attaches itself to ``inner``'s stage
+    chain and shares its topology, traffic log and chain, so the two
+    objects are the same communicator; ``inner`` stays reachable for its
+    own attributes (a fault injector's ``injections``, …).  A
+    retransmission re-enters every stage below this one, so retried
+    traffic is lease-guarded, exposed to the fault injector and logged
+    exactly like a real retransmit would appear on the wire.
     """
+
+    stage_kind = "checksum"
 
     def __init__(
         self,
@@ -288,49 +292,28 @@ class ResilientCommunicator:
         retry: RetryPolicy | None = None,
         monitor: FaultMonitor | None = None,
     ):
+        super().__init__(inner.topology, log=inner.log)
         self.inner = inner
         self.retry = retry if retry is not None else RetryPolicy()
         self.monitor = monitor if monitor is not None else FaultMonitor()
         self.call_index = 0
+        self._join(inner)
 
-    @property
-    def topology(self) -> ClusterTopology:
-        return self.inner.topology
-
-    @property
-    def log(self) -> TrafficLog:
-        return self.inner.log
-
-    @property
-    def world_size(self) -> int:
-        return self.inner.world_size
-
-    def __getattr__(self, name: str):
-        # Unguarded collectives and helpers pass straight through.
-        return getattr(self.inner, name)
-
-    # --- the guard ---------------------------------------------------------
-
-    def _guarded(
-        self,
-        op: str,
-        phase: str,
-        tag: str,
-        expected: list[object],
-        issue: Callable[[], list[object]],
-        channel: str = "fwd",
-    ) -> list[object]:
-        """Issue a delivery op, verify per-rank checksums, retry on damage."""
+    def _stage(self, call: CollectiveCall, proceed: Callable[[], list]) -> list:
+        """Issue a delivery op, verify per-slot checksums, retry on damage."""
+        if call.arrivals is None:
+            return proceed()
         self.call_index += 1
         idx = self.call_index
+        op, phase, tag, channel = call.op, call.phase, call.tag, call.channel
         with trace_span(f"resilient.{op}", phase="comm",
                         logical=phase, tag=tag, call=idx) as sp:
-            advertised = [tree_checksum(e) for e in expected]
+            advertised = [tree_checksum(ref) for ref in call.arrivals]
             bad: list[int] = []
             for attempt in range(self.retry.max_retries + 1):
-                out = issue()
+                out = proceed()
                 bad = [
-                    i for i, digest in enumerate(advertised)
+                    call.dests[i] for i, digest in enumerate(advertised)
                     if tree_checksum(out[i]) != digest
                 ]
                 if not bad:
@@ -354,84 +337,4 @@ class ResilientCommunicator:
             raise CommFailure(
                 op=op, phase=phase, tag=tag, call_index=idx, ranks=bad,
                 attempts=self.retry.max_retries + 1, channel=channel,
-            )
-
-    # --- guarded delivery ops ----------------------------------------------
-
-    def ring_shift(self, bufs, ring, *, phase, tag="", reverse=False):
-        expected = list(bufs)
-        k = len(ring)
-        step = -1 if reverse else 1
-        for pos in range(k):
-            expected[ring[(pos + step) % k]] = bufs[ring[pos]]
-        return self._guarded(
-            "ring_shift", phase, tag, expected,
-            lambda: self.inner.ring_shift(
-                bufs, ring, phase=phase, tag=tag, reverse=reverse
-            ),
-            channel="rev" if reverse else "fwd",
-        )
-
-    def exchange(self, bufs, dest_of, *, phase, tag="", channel="fwd"):
-        expected: list[object] = [None] * len(bufs)
-        for src, dst in enumerate(dest_of):
-            expected[dst] = bufs[src]
-        return self._guarded(
-            "exchange", phase, tag, expected,
-            lambda: self.inner.exchange(
-                bufs, dest_of, phase=phase, tag=tag, channel=channel
-            ),
-            channel=channel,
-        )
-
-    def all_to_all(self, chunks, *, phase, tag=""):
-        g = len(chunks)
-        expected = [[chunks[src][dst] for src in range(g)] for dst in range(g)]
-        return self._guarded(
-            "all_to_all", phase, tag, expected,
-            lambda: self.inner.all_to_all(chunks, phase=phase, tag=tag),
-        )
-
-    def group_all_to_all(self, chunks, groups, *, phase, tag=""):
-        expected: list[object] = [None] * self.world_size
-        for grp in groups:
-            for dst_pos, dst in enumerate(grp):
-                expected[dst] = [chunks[src][dst_pos] for src in grp]
-        return self._guarded(
-            "group_all_to_all", phase, tag, expected,
-            lambda: self.inner.group_all_to_all(
-                chunks, groups, phase=phase, tag=tag
-            ),
-        )
-
-    def send(self, src, dst, payload, *, phase, tag=""):
-        # Single delivery: wrap it as a one-entry list so the same guard
-        # machinery applies; a mismatch blames the destination rank.
-        self.call_index += 1
-        idx = self.call_index
-        with trace_span("resilient.send", phase="comm",
-                        logical=phase, tag=tag, call=idx) as sp:
-            advertised = tree_checksum(payload)
-            for attempt in range(self.retry.max_retries + 1):
-                out = self.inner.send(src, dst, payload, phase=phase, tag=tag)
-                if tree_checksum(out) == advertised:
-                    if attempt:
-                        self.monitor.record_recovery("send", idx, attempt + 1)
-                    if sp:
-                        sp["attempts"] = attempt + 1
-                    return out
-                self.monitor.record_fault(
-                    op="send", phase=phase, tag=tag, call_index=idx, ranks=[dst],
-                    backoff_s=self.retry.delay(attempt), attempt=attempt,
-                )
-            from repro.obs.flightrec import notify_failure
-
-            notify_failure({
-                "kind": "delivery", "type": "CommFailure", "op": "send",
-                "logical": phase, "tag": tag, "call_index": idx,
-                "ranks": [dst], "channel": "fwd",
-            })
-            raise CommFailure(
-                op="send", phase=phase, tag=tag, call_index=idx, ranks=[dst],
-                attempts=self.retry.max_retries + 1,
             )

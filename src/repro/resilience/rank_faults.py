@@ -2,13 +2,14 @@
 
 The PR-1 injectors (:mod:`repro.testing.faults`) damage *messages*; the
 classes here kill or slow down *ranks* — the dominant availability risk of
-month-long multi-node runs.  Each wraps :class:`~repro.comm.SimCommunicator`
-and shares the PR-1 targeting model (``op`` / ``phase`` / ``tag`` substring
-filters, 1-based ``at_call``, plus a rank-level ``at_step`` trigger fed by
-the trainer's ``on_step_start`` notification).  Once triggered the victim
+month-long multi-node runs.  Each is a :class:`~repro.comm.SimCommunicator`
+with itself as the ``fault`` stage of its chain, and shares the PR-1
+targeting model (exact ``op``, ``phase`` / ``tag`` substring filters,
+1-based ``at_call``, plus a rank-level ``at_step`` trigger fed by the
+trainer's ``on_step_start`` notification).  Once triggered the victim
 ``rank`` is failed *permanently* — a crashed process does not come back —
-and every subsequent operation it participates in reports the failure
-through an :class:`~repro.comm.OpTiming` record:
+and every subsequent operation reports the failure through an
+:class:`~repro.comm.OpTiming` on its call record:
 
 ===========================  =================================================
 :class:`CrashRankComm`       the rank's process dies: no response, ever
@@ -23,7 +24,7 @@ through an :class:`~repro.comm.OpTiming` record:
                              extreme ones get the rank declared dead
 ===========================  =================================================
 
-Numerics are untouched: a :class:`~repro.comm.FailureDetector` wrapping the
+Numerics are untouched: a :class:`~repro.comm.FailureDetector` built on the
 injector raises :class:`~repro.comm.RankFailure` before a dead rank's data
 is ever consumed, exactly as survivors abort a collective in a real
 elastic runtime.  Without a detector the injected failures are invisible —
@@ -32,7 +33,14 @@ which is the deadlock these classes exist to prove the detector prevents.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.comm import NOMINAL_OP_S, OpTiming, SimCommunicator
+from repro.comm.communicator import (
+    COLLECTIVE_OPS,
+    CollectiveCall,
+    check_op_filter,
+)
 from repro.topology import ClusterTopology
 
 __all__ = [
@@ -52,16 +60,20 @@ class RankFaultComm(SimCommunicator):
     ----------
     rank:
         The global rank to fail.
-    phase, tag, op:
+    op:
+        Exact name of the collective to match — any of the nine; an
+        unknown name is rejected (``None`` = match all).
+    phase, tag:
         Substring filters on the operation labels (``None`` = match all).
     at_call:
         1-based index of the matching call that triggers the failure;
         ``None`` triggers on the first match.
     at_step:
         Training step the failure is confined to (requires the caller to
-        forward ``on_step_start``); ``None`` means any step.
+        call ``on_step_start``); ``None`` means any step.
     """
 
+    stage_kind = "fault"
     fault_name = "rank-base"
     kind = "crash"
 
@@ -82,6 +94,7 @@ class RankFaultComm(SimCommunicator):
             raise ValueError(
                 f"victim rank {rank} out of range [0, {topology.world_size})"
             )
+        check_op_filter(op, COLLECTIVE_OPS)
         self.rank = rank
         self.target_phase = phase
         self.target_tag = tag
@@ -92,7 +105,7 @@ class RankFaultComm(SimCommunicator):
         self.calls_matched = 0
         self.injections = 0
         self.failed = False
-        self._timing: OpTiming | None = None
+        self._join(self)
 
     def describe(self) -> str:
         filters = ", ".join(
@@ -104,21 +117,18 @@ class RankFaultComm(SimCommunicator):
         )
         return f"{self.fault_name}({filters})"
 
-    # --- trainer hook -------------------------------------------------------
-
-    def on_step_start(self, step: int) -> None:
+    def _on_step(self, step: int) -> None:
         self.current_step = step
 
     # --- targeting ----------------------------------------------------------
 
-    def _maybe_trigger(self, op: str, phase: str, tag: str) -> None:
+    def _maybe_trigger(self, call: CollectiveCall) -> None:
+        """Fail the victim, for good, at the ``at_call``-th matching call."""
         if self.failed:
             return
-        if self.target_op is not None and self.target_op != op:
-            return
-        if self.target_phase is not None and self.target_phase not in phase:
-            return
-        if self.target_tag is not None and self.target_tag not in tag:
+        if not call.matches(
+            op=self.target_op, phase=self.target_phase, tag=self.target_tag
+        ):
             return
         if self.at_step is not None and self.current_step != self.at_step:
             return
@@ -131,68 +141,19 @@ class RankFaultComm(SimCommunicator):
         """Response delay of the failed rank (``inf`` = never answers)."""
         return float("inf")
 
-    def _after_op(self, op: str, phase: str, tag: str) -> None:
-        self._maybe_trigger(op, phase, tag)
-        if self.failed:
-            self._timing = OpTiming(
-                delays={self.rank: self._victim_delay()},
-                kinds={self.rank: self.kind},
-            )
-        else:
-            self._timing = OpTiming(delays={}, kinds={})
+    def op_timing(self) -> OpTiming:
+        """What an op issued now reports: the victim's delay once failed."""
+        if not self.failed:
+            return OpTiming(delays={}, kinds={})
+        return OpTiming(
+            delays={self.rank: self._victim_delay()},
+            kinds={self.rank: self.kind},
+        )
 
-    def pop_op_timing(self) -> OpTiming | None:
-        """Detector hook: timing of the most recent op (consumed once)."""
-        timing, self._timing = self._timing, None
-        return timing
-
-    # --- instrumented ops ---------------------------------------------------
-
-    def ring_shift(self, bufs, ring, *, phase, tag="", reverse=False):
-        out = super().ring_shift(bufs, ring, phase=phase, tag=tag,
-                                 reverse=reverse)
-        self._after_op("ring_shift", phase, tag)
-        return out
-
-    def exchange(self, bufs, dest_of, *, phase, tag="", channel="fwd"):
-        out = super().exchange(bufs, dest_of, phase=phase, tag=tag,
-                               channel=channel)
-        self._after_op("exchange", phase, tag)
-        return out
-
-    def all_to_all(self, chunks, *, phase, tag=""):
-        out = super().all_to_all(chunks, phase=phase, tag=tag)
-        self._after_op("all_to_all", phase, tag)
-        return out
-
-    def group_all_to_all(self, chunks, groups, *, phase, tag=""):
-        out = super().group_all_to_all(chunks, groups, phase=phase, tag=tag)
-        self._after_op("group_all_to_all", phase, tag)
-        return out
-
-    def send(self, src, dst, payload, *, phase, tag=""):
-        out = super().send(src, dst, payload, phase=phase, tag=tag)
-        self._after_op("send", phase, tag)
-        return out
-
-    def all_gather(self, shards, *, axis=0, phase, tag=""):
-        out = super().all_gather(shards, axis=axis, phase=phase, tag=tag)
-        self._after_op("all_gather", phase, tag)
-        return out
-
-    def reduce_scatter(self, contributions, *, phase, tag=""):
-        out = super().reduce_scatter(contributions, phase=phase, tag=tag)
-        self._after_op("reduce_scatter", phase, tag)
-        return out
-
-    def all_reduce(self, bufs, *, phase, tag=""):
-        out = super().all_reduce(bufs, phase=phase, tag=tag)
-        self._after_op("all_reduce", phase, tag)
-        return out
-
-    def broadcast(self, buf, root, *, phase, tag=""):
-        out = super().broadcast(buf, root, phase=phase, tag=tag)
-        self._after_op("broadcast", phase, tag)
+    def _stage(self, call: CollectiveCall, proceed: Callable[[], list]) -> list:
+        out = proceed()
+        self._maybe_trigger(call)
+        call.timing = self.op_timing()
         return out
 
 

@@ -7,8 +7,8 @@ must agree with the dense reference bit-for-nearly-bit.  This package
 makes those claims *defensible under refactoring*:
 
 * :mod:`repro.testing.faults` — configurable fault-injecting
-  :class:`~repro.comm.SimCommunicator` wrappers (corrupt / drop /
-  misroute / stale / duplicate), targetable at any collective of any
+  :class:`~repro.comm.SimCommunicator` stages (corrupt / drop /
+  misroute / stale / duplicate), targetable at any delivery op of any
   method by phase, tag, op, and call index.
 * :mod:`repro.testing.differential` — a seeded differential fuzzer that
   sweeps method × mask × topology × dtype configurations against the

@@ -1,8 +1,9 @@
 """Fault-injecting communicators: realistic distributed-systems bugs on tap.
 
 A reproduction's tests are only as good as their ability to *fail*.  Each
-class here wraps :class:`~repro.comm.SimCommunicator` and sabotages the
-delivery of one (or every) matching transfer; the meta-tests then assert
+class here is a :class:`~repro.comm.SimCommunicator` with itself as the
+``fault`` stage of its chain, sabotaging the delivery of one (or every)
+matching transfer; the meta-tests then assert
 that :func:`repro.attention.verify.verify_method` catches the damage for
 every method in the registry, and the differential fuzzer uses the same
 classes to prove it reports (and shrinks) injected failures.
@@ -11,9 +12,10 @@ Targeting
 ---------
 All faults share one targeting model: a delivery op is *matched* when its
 ``op`` name (``ring_shift`` / ``exchange`` / ``all_to_all`` /
-``group_all_to_all`` / ``send``), ``phase`` and ``tag`` each contain the
-configured filter (``None`` matches anything), and the fault fires on the
-``at_call``-th matching call (1-based; ``None`` fires on every match).  So
+``group_all_to_all`` / ``send``) equals the configured filter and its
+``phase`` and ``tag`` each contain theirs (``None`` matches anything), and
+the fault fires on the ``at_call``-th matching call (1-based; ``None``
+fires on every match).  So
 
 * ``CorruptPayloadComm(topo)`` — corrupt the very first transfer of the run;
 * ``CorruptPayloadComm(topo, phase="attn-bwd", at_call=1)`` — corrupt the
@@ -36,11 +38,16 @@ The fault models
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
 from repro.comm import SimCommunicator
+from repro.comm.communicator import (
+    DELIVERY_OPS,
+    CollectiveCall,
+    check_op_filter,
+)
 from repro.topology import ClusterTopology
 from repro.utils.pytree import tree_map
 
@@ -58,13 +65,24 @@ def _copy_tree(tree: object) -> object:
     return tree_map(np.copy, tree)
 
 
+def _previous_message(out: list, prev: list | None) -> list:
+    """What lands when the expected message does not: the previous one on
+    the wire, zeros when there was none."""
+    if prev is not None:
+        return [_copy_tree(b) for b in prev]
+    return [tree_map(np.zeros_like, b) for b in out]
+
+
 class FaultInjectingCommunicator(SimCommunicator):
     """Base class: intercepts every delivery op and lets a subclass damage
     the received buffers when the targeting filters match.
 
     Parameters
     ----------
-    phase, tag, op:
+    op:
+        Exact name of the delivery op to match; a name outside the five
+        delivery ops is rejected (``None`` = match all).
+    phase, tag:
         Substring filters on the transfer labels (``None`` = match all).
     channel:
         Exact-match filter on the ring direction (``"fwd"`` / ``"rev"``);
@@ -78,6 +96,7 @@ class FaultInjectingCommunicator(SimCommunicator):
         deliveries): index of the delivered entry to damage.
     """
 
+    stage_kind = "fault"
     fault_name = "base"
 
     def __init__(
@@ -93,6 +112,7 @@ class FaultInjectingCommunicator(SimCommunicator):
         log=None,
     ):
         super().__init__(topology, log=log)
+        check_op_filter(op, DELIVERY_OPS)
         self.target_phase = phase
         self.target_tag = tag
         self.target_op = op
@@ -102,7 +122,8 @@ class FaultInjectingCommunicator(SimCommunicator):
         self.calls_matched = 0
         self.injections = 0
         # Last *clean* delivery per op — what a stale double-buffer holds.
-        self._history: dict[str, object] = {}
+        self._history: dict[str, list] = {}
+        self._join(self)
 
     def describe(self) -> str:
         filters = ", ".join(
@@ -116,14 +137,12 @@ class FaultInjectingCommunicator(SimCommunicator):
 
     # --- targeting ---------------------------------------------------------
 
-    def _triggered(self, op: str, phase: str, tag: str, channel: str = "fwd") -> bool:
-        if self.target_op is not None and self.target_op != op:
-            return False
-        if self.target_phase is not None and self.target_phase not in phase:
-            return False
-        if self.target_tag is not None and self.target_tag not in tag:
-            return False
-        if self.target_channel is not None and self.target_channel != channel:
+    def _triggered(self, call: CollectiveCall) -> bool:
+        """Count a matching call; fire on exactly the ``at_call``-th."""
+        if not call.matches(
+            op=self.target_op, phase=self.target_phase, tag=self.target_tag,
+            channel=self.target_channel,
+        ):
             return False
         self.calls_matched += 1
         hit = self.at_call is None or self.calls_matched == self.at_call
@@ -131,58 +150,22 @@ class FaultInjectingCommunicator(SimCommunicator):
             self.injections += 1
         return hit
 
-    # --- subclass hooks ----------------------------------------------------
+    # --- interception ------------------------------------------------------
 
-    def _fault_list(
-        self, op: str, operands: list, out: list, prev: list | None
-    ) -> list:
-        """Damage a per-rank list delivery; ``prev`` is the previous clean
+    def _damage(self, call: CollectiveCall, out: list, prev: list | None) -> list:
+        """Subclass hook: damage the delivered slots ``out`` (one per rank;
+        a ``send`` has a single slot).  ``prev`` is the previous clean
         delivery of the same op (or ``None``)."""
         return out
 
-    def _fault_payload(
-        self, op: str, payload: object, received: object, prev: object | None
-    ) -> object:
-        """Damage a single point-to-point delivery."""
-        return received
-
-    # --- interception ------------------------------------------------------
-
-    def _deliver_list(
-        self, op: str, operands: Sequence[object], out: list, phase: str,
-        tag: str, channel: str = "fwd",
-    ) -> list:
-        prev = self._history.get(op)
-        self._history[op] = [_copy_tree(b) for b in out]
-        if self._triggered(op, phase, tag, channel):
-            return self._fault_list(op, list(operands), list(out), prev)
-        return out
-
-    def ring_shift(self, bufs, ring, *, phase, tag="", reverse=False):
-        out = super().ring_shift(bufs, ring, phase=phase, tag=tag,
-                                 reverse=reverse)
-        channel = "rev" if reverse else "fwd"
-        return self._deliver_list("ring_shift", bufs, out, phase, tag, channel)
-
-    def exchange(self, bufs, dest_of, *, phase, tag="", channel="fwd"):
-        out = super().exchange(bufs, dest_of, phase=phase, tag=tag,
-                               channel=channel)
-        return self._deliver_list("exchange", bufs, out, phase, tag, channel)
-
-    def all_to_all(self, chunks, *, phase, tag=""):
-        out = super().all_to_all(chunks, phase=phase, tag=tag)
-        return self._deliver_list("all_to_all", chunks, out, phase, tag)
-
-    def group_all_to_all(self, chunks, groups, *, phase, tag=""):
-        out = super().group_all_to_all(chunks, groups, phase=phase, tag=tag)
-        return self._deliver_list("group_all_to_all", chunks, out, phase, tag)
-
-    def send(self, src, dst, payload, *, phase, tag=""):
-        out = super().send(src, dst, payload, phase=phase, tag=tag)
-        prev = self._history.get("send")
-        self._history["send"] = _copy_tree(out)
-        if self._triggered("send", phase, tag):
-            return self._fault_payload("send", payload, out, prev)
+    def _stage(self, call: CollectiveCall, proceed: Callable[[], list]) -> list:
+        out = proceed()
+        if call.arrivals is None:
+            return out
+        prev = self._history.get(call.op)
+        self._history[call.op] = [_copy_tree(b) for b in out]
+        if self._triggered(call):
+            return self._damage(call, list(out), prev)
         return out
 
 
@@ -196,13 +179,10 @@ class CorruptPayloadComm(FaultInjectingCommunicator):
         super().__init__(topology, **kw)
         self.noise = noise
 
-    def _fault_list(self, op, operands, out, prev):
+    def _damage(self, call, out, prev):
         v = self.victim % len(out)
         out[v] = _perturb_floats(out[v], lambda a: a + self.noise)
         return out
-
-    def _fault_payload(self, op, payload, received, prev):
-        return _perturb_floats(received, lambda a: a + self.noise)
 
 
 class DropTransferComm(FaultInjectingCommunicator):
@@ -210,13 +190,10 @@ class DropTransferComm(FaultInjectingCommunicator):
 
     fault_name = "drop"
 
-    def _fault_list(self, op, operands, out, prev):
+    def _damage(self, call, out, prev):
         v = self.victim % len(out)
         out[v] = tree_map(np.zeros_like, out[v])
         return out
-
-    def _fault_payload(self, op, payload, received, prev):
-        return tree_map(np.zeros_like, received)
 
 
 class MisrouteHopComm(FaultInjectingCommunicator):
@@ -226,14 +203,11 @@ class MisrouteHopComm(FaultInjectingCommunicator):
 
     fault_name = "misroute"
 
-    def _fault_list(self, op, operands, out, prev):
+    def _damage(self, call, out, prev):
         g = len(out)
+        if g == 1:
+            return _previous_message(out, prev)
         return [out[(i + 1) % g] for i in range(g)]
-
-    def _fault_payload(self, op, payload, received, prev):
-        if prev is not None:
-            return _copy_tree(prev)
-        return tree_map(np.zeros_like, received)
 
 
 class StaleBufferComm(FaultInjectingCommunicator):
@@ -244,15 +218,10 @@ class StaleBufferComm(FaultInjectingCommunicator):
 
     fault_name = "stale"
 
-    def _fault_list(self, op, operands, out, prev):
-        if prev is not None:
-            return [_copy_tree(b) for b in prev]
-        return [_copy_tree(b) for b in operands]
-
-    def _fault_payload(self, op, payload, received, prev):
-        if prev is not None:
-            return _copy_tree(prev)
-        return tree_map(np.zeros_like, received)
+    def _damage(self, call, out, prev):
+        if prev is None and len(out) > 1:
+            return [_copy_tree(b) for b in call.operands]
+        return _previous_message(out, prev)
 
 
 class DuplicateDeliveryComm(FaultInjectingCommunicator):
@@ -261,13 +230,10 @@ class DuplicateDeliveryComm(FaultInjectingCommunicator):
 
     fault_name = "duplicate"
 
-    def _fault_list(self, op, operands, out, prev):
+    def _damage(self, call, out, prev):
         v = self.victim % len(out)
         out[v] = _perturb_floats(out[v], lambda a: a + a)
         return out
-
-    def _fault_payload(self, op, payload, received, prev):
-        return _perturb_floats(received, lambda a: a + a)
 
 
 FAULT_REGISTRY: dict[str, type[FaultInjectingCommunicator]] = {

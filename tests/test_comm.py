@@ -130,6 +130,84 @@ class TestCollectives:
             comm.exchange([np.zeros(1), np.zeros(1)], [0, 0], phase="x")
 
 
+def _nine_ops(comm, g=4):
+    """Issue every collective once on fresh inputs: ``(inputs, outputs)``,
+    each a list of pytrees in issue order."""
+    rng = np.random.default_rng(0)
+    bufs = [rng.standard_normal(3) for _ in range(g)]
+    trees = [(rng.standard_normal(2), {"d": rng.standard_normal(1)}) for _ in range(g)]
+    grid = [[rng.standard_normal(2) for _ in range(g)] for _ in range(g)]
+    pairs = [[rng.standard_normal(2) for _ in range(2)] for _ in range(g)]
+    inputs = [bufs, trees, grid, pairs]
+    outputs = [
+        comm.send(0, 2, trees[0], phase="p", tag="t"),
+        comm.exchange(trees, [1, 0, 3, 2], phase="p", channel="rev"),
+        comm.ring_shift(trees, [0, 2, 1], phase="p", reverse=True),
+        comm.all_gather(bufs, phase="p"),
+        comm.reduce_scatter(grid, phase="p"),
+        comm.all_reduce(bufs, phase="p", tag="grads"),
+        comm.all_to_all(grid, phase="p"),
+        comm.group_all_to_all(pairs, [[0, 1], [3, 2]], phase="p"),
+        comm.broadcast(bufs[1], 1, phase="p"),
+    ]
+    return inputs, outputs
+
+
+def _leaves(tree):
+    from repro.utils.pytree import tree_flatten
+
+    return tree_flatten(tree)[0]
+
+
+def _staged_comm(stage: str) -> SimCommunicator:
+    """A clean 4-rank communicator, bare or with one recovery stage."""
+    from repro.comm import FailureDetector
+    from repro.resilience import ResilientCommunicator
+
+    attach = {"plain": lambda comm: comm, "checksum": ResilientCommunicator,
+              "lease": FailureDetector}[stage]
+    return attach(comm_for(4))
+
+
+class TestOneInterceptionPoint:
+    """Every collective goes through ``SimCommunicator._deliver``; a stage
+    that finds nothing wrong changes neither results nor the traffic log."""
+
+    @pytest.mark.parametrize("stage", ["plain", "checksum", "lease"])
+    def test_clean_stage_is_transparent(self, stage):
+        plain = comm_for(4)
+        _, want = _nine_ops(plain)
+        comm = _staged_comm(stage)
+        inputs, got = _nine_ops(comm)
+        assert isinstance(comm, SimCommunicator)
+        assert comm.log.records == plain.log.records
+        for a, b in zip(_leaves(got), _leaves(want)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # Deliveries are copies: no result leaf is a sender's buffer
+        # (ring_shift's rank 3 sat outside the ring and keeps its own).
+        sent = {id(leaf) for leaf in _leaves(inputs)}
+        kept = {id(leaf) for leaf in _leaves(inputs[1][3])}
+        assert kept <= {id(leaf) for leaf in _leaves(got[2][3])}
+        assert not (sent - kept) & {id(leaf) for leaf in _leaves(got)}
+
+    @pytest.mark.parametrize("issue, message", [
+        (lambda c, b: c.ring_shift(b, [0, 1, 7], phase="p"), "rank 7 out of range"),
+        (lambda c, b: c.exchange(b[:2], [1, 0, 2, 3], phase="p"), "one buffer per rank"),
+        (lambda c, b: c.exchange(b, [0, 0, 1, 2], phase="p"), "permutation"),
+        (lambda c, b: c.broadcast(b[0], 9, phase="p"), "rank 9 out of range"),
+        (lambda c, b: c.send(0, 4, b[0], phase="p"), "rank 4 out of range"),
+        (lambda c, b: c.group_all_to_all([[x] for x in b], [[0], [5]], phase="p"),
+         "rank 5 out of range"),
+    ])
+    @pytest.mark.parametrize("stage", ["plain", "checksum", "lease"])
+    def test_invalid_call_rejected_before_any_stage(self, stage, issue, message):
+        comm = _staged_comm(stage)
+        with pytest.raises(ValueError, match=message):
+            issue(comm, [np.zeros(2) for _ in range(4)])
+        assert getattr(comm, "call_index", 0) == 0
+        assert comm.log.records == []
+
+
 class TestRingSchedules:
     @pytest.mark.parametrize("num_gpus,gpn", [(4, 4), (8, 4), (8, 2), (16, 4)])
     def test_global_schedule_valid(self, num_gpus, gpn):

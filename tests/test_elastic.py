@@ -149,15 +149,15 @@ class TestRankFaultInjectors:
         with pytest.raises(ValueError):
             CrashRankComm(topo4(), rank=4)
 
-    def test_failure_is_permanent_and_timing_consumed_once(self):
+    def test_failure_is_permanent(self):
         comm = HangRankComm(topo4(), rank=1, at_call=1)
+        assert comm.op_timing() == OpTiming(delays={}, kinds={})  # healthy
         comm.all_reduce(bufs4(), phase="p")
-        timing = comm.pop_op_timing()
+        timing = comm.op_timing()
         assert timing.delays == {1: float("inf")}
         assert timing.kinds == {1: "hang"}
-        assert comm.pop_op_timing() is None  # consumed
         comm.all_reduce(bufs4(), phase="p")  # still failed on later ops
-        assert comm.pop_op_timing().kinds == {1: "hang"}
+        assert comm.op_timing().kinds == {1: "hang"}
         assert comm.injections == 1
 
     def test_at_step_targeting(self):
@@ -172,7 +172,7 @@ class TestRankFaultInjectors:
     def test_straggler_delay_and_describe(self):
         comm = StragglerRankComm(topo4(), slowdown_factor=6.0, rank=3)
         comm.all_reduce(bufs4(), phase="p")
-        assert comm.pop_op_timing().delays == {3: 6.0 * NOMINAL_OP_S}
+        assert comm.op_timing().delays == {3: 6.0 * NOMINAL_OP_S}
         assert "slowdown=6" in comm.describe()
         with pytest.raises(ValueError):
             StragglerRankComm(topo4(), slowdown_factor=1.0)
@@ -275,6 +275,39 @@ class TestFailureDetector:
         assert det.topology is inner.topology
         assert det.log is inner.log
         assert det.world_size == 4
+
+
+class TestLayeredRecovery:
+    """The composition docs/robustness.md promises: checksum stage + lease
+    stage + a rank fault on one communicator."""
+
+    def test_rank_failure_surfaces_through_the_checksum_stage(self):
+        from repro.resilience import CommFailure, ResilientCommunicator
+
+        fault = CrashRankComm(topo4(), rank=2, at_step=3, at_call=2)
+        detector = FailureDetector(fault)
+        comm = ResilientCommunicator(detector)
+        assert isinstance(comm, SimCommunicator)
+        # Built inside-out, run outside-in: checksum, lease, fault.
+        assert comm._stages == [comm, detector, fault]
+        comm.on_step_start(3)  # reaches every stage
+        assert (detector.step, fault.current_step) == (3, 3)
+        comm.ring_shift(bufs4(), [0, 1, 2, 3], phase="p")
+        with pytest.raises(RankFailure) as exc_info:
+            comm.ring_shift(bufs4(), [0, 1, 2, 3], phase="p")
+        assert not isinstance(exc_info.value, CommFailure)
+        assert (exc_info.value.rank, exc_info.value.step) == (2, 3)
+        assert exc_info.value.call_index == detector.call_index == 2
+        assert comm.call_index == 2 and comm.monitor.total_faults == 0
+
+    def test_chain_order_is_fixed_not_construction_order(self):
+        from repro.resilience import ResilientCommunicator
+
+        plain = SimCommunicator(topo4())
+        checksum = ResilientCommunicator(plain)
+        detector = FailureDetector(checksum)
+        assert detector._stages == [checksum, detector]
+        assert plain._stages is detector._stages
 
 
 # --- snapshot integrity -------------------------------------------------------

@@ -320,6 +320,45 @@ class TestStragglerAttribution:
         assert "attribution: FAIL" in proc.stdout
 
 
+    def test_comm_and_lease_spans_carry_what_flow_and_critical_read(
+        self, straggler_payload
+    ):
+        events = [
+            e for e in straggler_payload["traceEvents"] if e.get("ph") == "X"
+        ]
+        assert {"lease.extend", "lease.wait"} <= {e["name"] for e in events}
+        comm = [e for e in events if e["name"].startswith("comm.")]
+        assert comm
+        for e in comm:
+            assert {"logical", "tag", "op", "channel", "call", "transfers",
+                    "nbytes"} <= set(e["args"])
+            assert e["name"] == "comm." + e["args"]["op"]
+        calls = [e["args"]["call"] for e in sorted(comm, key=lambda e: e["ts"])]
+        assert calls == sorted(calls) and len(set(calls)) == len(calls)
+
+    def test_stage_spans_nest_in_chain_order(self):
+        from repro.comm import RankFailure
+        from repro.resilience import CrashRankComm, ResilientCommunicator
+
+        topo = make_cluster(4, node=a800_node(gpus_per_node=4))
+        comm = ResilientCommunicator(
+            FailureDetector(CrashRankComm(topo, rank=1, at_call=2))
+        )
+        bufs = [np.zeros(2) for _ in range(4)]
+        with use_tracing() as tracer:
+            comm.ring_shift(bufs, [0, 1, 2, 3], phase="p", reverse=True)
+            with pytest.raises(RankFailure):
+                comm.exchange(bufs, [1, 0, 3, 2], phase="p")
+        spans = sorted(tracer.spans(), key=lambda s: (s.ts, s.depth))
+        assert [(s.name, s.depth) for s in spans] == [
+            ("resilient.ring_shift", 0), ("comm.ring_shift", 1),
+            ("resilient.exchange", 0), ("comm.exchange", 1),
+            ("failure.detect", 1),
+        ]
+        assert spans[1].attrs["channel"] == "rev"
+        assert spans[4].rank == 1 and spans[4].attrs["call"] == 2
+
+
 class TestHistogramPercentiles:
     def test_pinned_percentiles_1_to_100(self):
         h = Histogram("lat")

@@ -120,3 +120,23 @@ class TestRemainingAccessors:
         timeline = sim.timeline()
         assert [t.name for t in timeline] == ["b", "a"]
         assert timeline[0].start <= timeline[1].start
+
+
+class TestOneDefinitionPerCollective:
+    def test_each_collective_is_defined_once_in_the_communicator(self):
+        """ROADMAP aim 2, "one way to intercept a collective": the nine ops
+        exist as ``def``s only on ``SimCommunicator``; every other layer is
+        a stage of ``_deliver``, not a re-declaration."""
+        import ast
+        from pathlib import Path
+
+        from repro.comm.communicator import COLLECTIVE_OPS
+
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        found: dict[str, list[str]] = {op: [] for op in COLLECTIVE_OPS}
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and node.name in found:
+                    found[node.name].append(path.relative_to(src).as_posix())
+        assert len(found) == 9
+        assert found == {op: ["comm/communicator.py"] for op in found}

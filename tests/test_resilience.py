@@ -20,6 +20,7 @@ from repro.resilience import (
     RetryPolicy,
     tree_checksum,
 )
+from repro.resilience import make_rank_fault
 from repro.resilience.chaos import SimulatedCrash, run_chaos
 from repro.testing.faults import FAULT_REGISTRY, make_fault
 from repro.topology import a800_node, make_cluster
@@ -219,6 +220,35 @@ class TestResilientPassthrough:
         np.testing.assert_allclose(out[1], bufs[0])
         assert comm.monitor.total_faults == 0
         assert comm.monitor.total_recoveries == 0
+
+
+class TestRetryReentersLowerStages:
+    def test_retransmit_is_recounted_and_logged(self):
+        """A retry runs the fault and log stages again: the injector sees
+        two calls (damaging only the first) and the hops are logged twice."""
+        fault = make_fault("corrupt", topo4(), at_call=1)
+        comm = ResilientCommunicator(fault)
+        bufs = [np.full(2, float(r)) for r in range(4)]
+        out = comm.ring_shift(bufs, [0, 1, 2, 3], phase="p")
+        np.testing.assert_array_equal(out[1], bufs[0])
+        assert (fault.injections, fault.calls_matched) == (1, 2)
+        assert comm.monitor.recoveries == [("ring_shift", 1, 2)]
+        assert comm.call_index == 1
+        assert len(comm.log.records) == 2 * 4
+        assert comm.log.records[:4] == comm.log.records[4:]
+
+    @pytest.mark.parametrize("make, name, valid", [
+        (make_fault, "corrupt", "ring_shift"),
+        (make_rank_fault, "crash", "all_gather"),
+    ])
+    def test_unmatchable_op_filter_rejected(self, make, name, valid):
+        assert make(name, topo4(), op=valid).target_op == valid
+        with pytest.raises(ValueError, match="valid ops.*ring_shift"):
+            make(name, topo4(), op="ringshift")
+
+    def test_message_fault_cannot_target_a_reduction(self):
+        with pytest.raises(ValueError, match="can never match"):
+            make_fault("corrupt", topo4(), op="all_gather", at_call=None)
 
 
 def tiny_engine(comm=None):
