@@ -17,9 +17,8 @@ pass under both ring modes and records:
 * ``uni_s`` / ``bidir_s`` — host wall clock (informational only; numpy
   time on the runner says nothing about link occupancy).
 
-Writes ``BENCH_bidir_ring.json`` next to the other ``BENCH_*.json``
-baselines; ``--check`` fails on any gate violation against the committed
-file.  Mirrors the ``python -m repro.perf.bench`` harness idiom.
+Writes ``BENCH_bidir_ring.json`` at the repo root; ``--check`` fails on
+any gate violation against the committed file.
 """
 
 from __future__ import annotations

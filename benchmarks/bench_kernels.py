@@ -2,10 +2,11 @@
 guard): blockwise flash attention fwd/bwd, online-softmax merge, and the
 end-to-end simulated training step.
 
-Alongside pytest-benchmark's text table, the run writes
-``benchmarks/results/kernels.json`` with per-test timing stats so the
-numbers are machine-readable (same spirit as the ``BENCH_*.json`` files
-that ``python -m repro.perf.bench`` maintains at the repo root)."""
+This is the repository's kernel micro-timer: it looks at one kernel in
+isolation and never supports a claim about a training step — that is
+``python3 -m benchmarks.step``.  Alongside pytest-benchmark's text table,
+the run writes ``benchmarks/results/kernels.json`` with per-test timing
+stats so the numbers are machine-readable."""
 
 import json
 import os

@@ -49,11 +49,9 @@ def _tile_backward_qgrad(
     do_j: np.ndarray,
     d_j: np.ndarray,
     lse_j: np.ndarray,
-    tile: np.ndarray | None,
     scale: float,
     block_q: int,
     block_k: int,
-    bias: np.ndarray | None = None,
     plan: TilePlan | None = None,
     workspace: KernelWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -71,8 +69,8 @@ def _tile_backward_qgrad(
     """
     return get_backend().flash_backward_tiles(
         q_j, k_i, v_i, lse_j, d_j, do_j,
-        mask=tile, scale=scale, block_q=block_q, block_k=block_k,
-        bias=bias, plan=plan, workspace=workspace,
+        scale=scale, block_q=block_q, block_k=block_k,
+        plan=plan, workspace=workspace,
     )
 
 
@@ -151,15 +149,14 @@ def burst_attention_backward(
                 q_j, do_j, d_j, lse_j = ro[r]
                 (dq_j,) = bufs[r]
             # Queries are shard j, keys/values are pinned shard r.
-            skip, plan, tile, bias = _resolve_tiles(
+            skip, plan = _resolve_tiles(
                 mask, idxs[j], idxs[r], block_size, bias_cache
             )
             if skip:
                 continue
             dq_part, dk_part, dv_part = _tile_backward_qgrad(
-                q_j, ks[r], vs[r], do_j, d_j, lse_j, tile, scale,
-                block_size, block_size,
-                bias=bias, plan=plan, workspace=workspace,
+                q_j, ks[r], vs[r], do_j, d_j, lse_j, scale,
+                block_size, block_size, plan=plan, workspace=workspace,
             )
             dks[r] += dk_part
             dvs[r] += dv_part

@@ -192,16 +192,16 @@ def gqa_ring_backward_kv(
             j = origins[t][r]
             k_j, v_j = ro[r] if ro is not None else bufs[r][:2]
             dk_j, dv_j = bufs[r][-2], bufs[r][-1]
-            skip, plan, tile, bias = _resolve_tiles(
+            skip, plan = _resolve_tiles(
                 mask, idxs[r], idxs[j], block_size, bias_cache
             )
             if skip:
                 continue
             dq_part, dk_part, dv_part = get_backend().flash_backward(
                 qs[r], repeat_kv(k_j, groups), repeat_kv(v_j, groups),
-                os[r], lses[r], dos[r], mask=tile, scale=scale,
+                os[r], lses[r], dos[r], scale=scale,
                 block_q=block_size, block_k=block_size,
-                bias=bias, plan=plan, workspace=workspace,
+                plan=plan, workspace=workspace,
             )
             dqs[r] += dq_part
             dk_j = dk_j + fold_kv_grad(dk_part, groups)
@@ -273,15 +273,15 @@ def gqa_ring_forward(
         for r in range(g):
             j = origins[t][r]
             k_j, v_j = cur[r]
-            skip, plan, tile, bias = _resolve_tiles(
+            skip, plan = _resolve_tiles(
                 mask, idxs[r], idxs[j], block_size, bias_cache
             )
             if skip:
                 continue
             o_part, lse_part = get_backend().flash_forward(
                 qs[r], repeat_kv(k_j, groups), repeat_kv(v_j, groups),
-                mask=tile, scale=scale, block_q=block_size, block_k=block_size,
-                bias=bias, plan=plan, workspace=workspace,
+                scale=scale, block_q=block_size, block_k=block_size,
+                plan=plan, workspace=workspace,
             )
             os[r], lses[r] = merge_states(os[r], lses[r], o_part, lse_part)
         if t < steps - 1:

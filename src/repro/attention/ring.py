@@ -34,42 +34,11 @@ from repro.kernels import (
     KernelWorkspace,
     TilePlan,
     get_backend,
-    planning_enabled,
     record_shard_skip,
 )
 from repro.kernels.softmax import NEG_INF, merge_states
 from repro.masks import MaskPattern
 from repro.obs.tracer import traced
-
-
-def _tile_mask(
-    mask: MaskPattern | None, q_idx: np.ndarray, k_idx: np.ndarray
-) -> tuple[np.ndarray | None, bool]:
-    """Resolve the dense mask tile between two shards (legacy baseline).
-
-    Returns ``(tile_or_None, skip)`` — ``skip`` means the tile is entirely
-    masked and contributes nothing; a ``None`` tile with ``skip=False``
-    means unmasked (full) attention, letting the kernel skip mask handling.
-    Materialises the shard-pair mask for partial tiles; the plan-driven
-    path (:func:`_resolve_tiles`) never does.
-    """
-    if mask is None:
-        return None, False
-    state = mask.tile_state(q_idx, k_idx)
-    if state == "empty":
-        return None, True
-    if state == "full":
-        return None, False
-    return mask.block(q_idx, k_idx), False
-
-
-def _tile_bias(
-    mask: MaskPattern | None, q_idx: np.ndarray, k_idx: np.ndarray
-) -> np.ndarray | None:
-    """Resolve the additive score bias (ALiBi etc.) for a shard pair."""
-    if mask is None:
-        return None
-    return mask.bias_block(q_idx, k_idx)
 
 
 def _resolve_tiles(
@@ -78,35 +47,27 @@ def _resolve_tiles(
     k_idx: np.ndarray,
     block_size: int,
     bias_cache: BiasTileCache | None = None,
-    *,
-    include_bias: bool = True,
-) -> tuple[bool, TilePlan | None, np.ndarray | None, np.ndarray | None]:
+) -> tuple[bool, TilePlan | None]:
     """Resolve how the kernel should see one (query-shard, key-shard) pair.
 
-    Returns ``(skip, plan, dense_tile, dense_bias)``.  With planning
-    enabled (the default) partial shard pairs come back as a
-    :class:`~repro.kernels.TilePlan` — sub-tiles classified per block,
-    dense mask never materialised; with ``use_planning(False)`` the legacy
-    ``(dense_tile, dense_bias)`` arrays are returned instead, which is the
-    baseline the bench harness measures against.
+    Returns ``(skip, plan)``.  An ``empty`` shard pair is skipped outright
+    (and accounted as skipped tiles); any other pair comes back as a
+    :class:`~repro.kernels.TilePlan` — sub-tiles classified per block, the
+    pattern's additive bias resolved per tile through ``bias_cache``, the
+    dense shard-pair mask never materialised.  ``plan`` is ``None`` only
+    when there is no mask at all.
     """
     if mask is None:
-        return False, None, None, None
+        return False, None
     state = mask.tile_state(q_idx, k_idx)
     if state == "empty":
-        if planning_enabled():
-            record_shard_skip(len(q_idx), len(k_idx), block_size, block_size)
-        return True, None, None, None
-    if planning_enabled():
-        plan = TilePlan.build(
-            mask, q_idx, k_idx, block_size, block_size,
-            bias_cache=bias_cache, include_bias=include_bias,
-            assume_full=(state == "full"),
-        )
-        return False, plan, None, None
-    tile = mask.block(q_idx, k_idx) if state == "partial" else None
-    bias = mask.bias_block(q_idx, k_idx) if include_bias else None
-    return False, None, tile, bias
+        record_shard_skip(len(q_idx), len(k_idx), block_size, block_size)
+        return True, None
+    plan = TilePlan.build(
+        mask, q_idx, k_idx, block_size, block_size,
+        bias_cache=bias_cache, assume_full=(state == "full"),
+    )
+    return False, plan
 
 
 @traced("attn.pass", "attn", algorithm="ring", direction="fwd")
@@ -178,15 +139,15 @@ def ring_attention_forward(
         for r in range(g):
             j = origins[t][r]
             k_j, v_j = cur[r]
-            skip, plan, tile, bias = _resolve_tiles(
+            skip, plan = _resolve_tiles(
                 mask, idxs[r], idxs[j], block_size, bias_cache
             )
             if skip:
                 continue
             o_part, lse_part = get_backend().flash_forward(
-                qs[r], k_j, v_j, mask=tile, scale=scale,
+                qs[r], k_j, v_j, scale=scale,
                 block_q=block_size, block_k=block_size,
-                bias=bias, plan=plan, workspace=workspace,
+                plan=plan, workspace=workspace,
             )
             os[r], lses[r] = merge_states(os[r], lses[r], o_part, lse_part)
         if t < steps - 1:
@@ -267,7 +228,7 @@ def ring_attention_backward_kv(
             j = origins[t][r]
             k_j, v_j = ro[r] if ro is not None else bufs[r][:2]
             dk_j, dv_j = bufs[r][-2], bufs[r][-1]
-            skip, plan, tile, bias = _resolve_tiles(
+            skip, plan = _resolve_tiles(
                 mask, idxs[r], idxs[j], block_size, bias_cache
             )
             if skip:
@@ -276,10 +237,9 @@ def ring_attention_backward_kv(
             # round on the device — the flash kernel below does exactly
             # that, which is the extra compute Algorithm 2 eliminates.
             dq_part, dk_part, dv_part = get_backend().flash_backward(
-                qs[r], k_j, v_j, os[r], lses[r], dos[r],
-                mask=tile, scale=scale,
+                qs[r], k_j, v_j, os[r], lses[r], dos[r], scale=scale,
                 block_q=block_size, block_k=block_size,
-                bias=bias, plan=plan, workspace=workspace,
+                plan=plan, workspace=workspace,
             )
             dqs[r] += dq_part
             if len(bufs[r]) == 4:

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.attention.ring import _resolve_tiles
 from repro.comm import SimCommunicator
-from repro.kernels import KernelWorkspace, get_backend
+from repro.kernels import BiasTileCache, KernelWorkspace, get_backend
 from repro.kernels.softmax import NEG_INF, merge_states
 from repro.masks import MaskPattern
 from repro.obs.tracer import traced
@@ -86,6 +86,7 @@ def selective_attention_forward(
         for i, q in enumerate(qs)
     ]
     lses = [np.full(q.shape[:-1], NEG_INF, dtype=np.float64) for q in qs]
+    bias_cache = BiasTileCache()
     workspace = KernelWorkspace()
     for i in range(g):
         for j in range(g):
@@ -96,15 +97,13 @@ def selective_attention_forward(
                 if i == j
                 else comm.send(j, i, (ks[j], vs[j]), phase=phase, tag="sel-kv")
             )
-            # This path has never forwarded the pattern's bias (selective
-            # fetch is mask-structure only), so the plan omits it too.
-            skip, plan, tile, _ = _resolve_tiles(
-                mask, idxs[i], idxs[j], block_size, include_bias=False
+            skip, plan = _resolve_tiles(
+                mask, idxs[i], idxs[j], block_size, bias_cache
             )
             if skip:
                 continue
             o_part, lse_part = get_backend().flash_forward(
-                qs[i], k_j, v_j, mask=tile, scale=scale,
+                qs[i], k_j, v_j, scale=scale,
                 block_q=block_size, block_k=block_size,
                 plan=plan, workspace=workspace,
             )
@@ -147,13 +146,14 @@ def selective_attention_backward(
     dks = [np.zeros_like(k) for k in ks]
     dvs = [np.zeros_like(v) for v in vs]
 
+    bias_cache = BiasTileCache()
     workspace = KernelWorkspace()
     for i in range(g):
         for j in range(g):
             if not need[i, j]:
                 continue
-            skip, plan, tile, _ = _resolve_tiles(
-                mask, idxs[i], idxs[j], block_size, include_bias=False
+            skip, plan = _resolve_tiles(
+                mask, idxs[i], idxs[j], block_size, bias_cache
             )
             if skip:
                 continue
@@ -165,9 +165,8 @@ def selective_attention_backward(
                     phase=phase, tag="sel-qbundle",
                 )
             dq_part, dk_part, dv_part = _tile_backward_qgrad(
-                q_i, ks[j], vs[j], do_i, d_i, lse_i, tile, scale,
-                block_size, block_size,
-                plan=plan, workspace=workspace,
+                q_i, ks[j], vs[j], do_i, d_i, lse_i, scale,
+                block_size, block_size, plan=plan, workspace=workspace,
             )
             dks[j] += dk_part
             dvs[j] += dv_part

@@ -27,7 +27,6 @@ from repro.kernels import (
     KernelWorkspace,
     TilePlan,
     get_backend,
-    planning_enabled,
 )
 from repro.masks import MaskPattern
 from repro.obs.tracer import traced
@@ -59,10 +58,8 @@ class UlyssesContext:
     lse_h: list[np.ndarray]
     seq_sizes: list[int]
     heads_per_rank: int
-    mask_dense: np.ndarray | None
     scale: float
     block_size: int
-    bias_slices: list | None = None  # per-rank head slice of the ALiBi bias
     plans: list[TilePlan] | None = None  # per-rank full-sequence tile plans
 
 
@@ -126,44 +123,33 @@ def ulysses_attention_forward(
         k_h.append(np.concatenate([received[r][s][1] for s in range(g)], axis=-2))
         v_h.append(np.concatenate([received[r][s][2] for s in range(g)], axis=-2))
 
-    mask_dense = None
-    bias_slices = None
     plans = None
     hh = h // g
     if mask is not None:
         idx = np.arange(n)
         # Validate per-head bias geometry from a 1x1 probe tile — the full
-        # (H, N, N) bias is never materialised on the plan path.
+        # (H, N, N) bias is never materialised.
         probe = mask.bias_block(idx[:1], idx[:1])
         if probe is not None and (probe.ndim != 3 or probe.shape[0] != h):
             raise ValueError(
                 "Ulysses needs a per-head bias matching the head count"
             )
-        if planning_enabled():
-            # All ranks see the same full-sequence tile grid and bias
-            # cache; each views its own head group of the bias tiles.
-            base = TilePlan.build(
-                mask, idx, idx, block_size, block_size,
-                bias_cache=BiasTileCache(),
-            )
-            plans = [
-                base.with_head_slice(slice(r * hh, (r + 1) * hh))
-                for r in range(g)
-            ]
-        else:
-            mask_dense = mask.dense(n)
-            bias_full = mask.bias_block(idx, idx)
-            if bias_full is not None:
-                bias_slices = [
-                    bias_full[r * hh : (r + 1) * hh] for r in range(g)
-                ]
+        # All ranks see the same full-sequence tile grid and bias cache;
+        # each views its own head group of the bias tiles.
+        base = TilePlan.build(
+            mask, idx, idx, block_size, block_size,
+            bias_cache=BiasTileCache(),
+        )
+        plans = [
+            base.with_head_slice(slice(r * hh, (r + 1) * hh))
+            for r in range(g)
+        ]
     workspace = KernelWorkspace()
     o_h, lse_h = [], []
     for r in range(g):
         o, lse = get_backend().flash_forward(
-            q_h[r], k_h[r], v_h[r], mask=mask_dense, scale=scale,
+            q_h[r], k_h[r], v_h[r], scale=scale,
             block_q=block_size, block_k=block_size,
-            bias=None if bias_slices is None else bias_slices[r],
             plan=None if plans is None else plans[r],
             workspace=workspace,
         )
@@ -188,8 +174,7 @@ def ulysses_attention_forward(
     ctx = UlyssesContext(
         q_h=q_h, k_h=k_h, v_h=v_h, o_h=o_h, lse_h=lse_h,
         seq_sizes=seq_sizes, heads_per_rank=h // g,
-        mask_dense=mask_dense, scale=scale, block_size=block_size,
-        bias_slices=bias_slices, plans=plans,
+        scale=scale, block_size=block_size, plans=plans,
     )
     return os_out, lses_out, ctx
 
@@ -215,9 +200,8 @@ def ulysses_attention_backward(
     for r in range(g):
         dq, dk, dv = get_backend().flash_backward(
             ctx.q_h[r], ctx.k_h[r], ctx.v_h[r], ctx.o_h[r], ctx.lse_h[r],
-            do_h[r], mask=ctx.mask_dense, scale=ctx.scale,
+            do_h[r], scale=ctx.scale,
             block_q=ctx.block_size, block_k=ctx.block_size,
-            bias=None if ctx.bias_slices is None else ctx.bias_slices[r],
             plan=None if ctx.plans is None else ctx.plans[r],
             workspace=workspace,
         )

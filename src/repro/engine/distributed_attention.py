@@ -22,9 +22,9 @@ import numpy as np
 
 from repro.attention.methods import DistributedAttention
 from repro.comm import SimCommunicator
-from repro.kernels import TilePlan, get_backend, planning_enabled
+from repro.kernels import get_backend
 from repro.masks import MaskPattern
-from repro.nn.attention_fn import _attention_flops, _mask_pairs
+from repro.nn.attention_fn import _attention_flops, _local_plan, _mask_pairs
 from repro.nn.checkpoint import (
     AttentionOutputCache,
     CheckpointMode,
@@ -36,22 +36,6 @@ from repro.nn.memory import get_tracker
 from repro.nn.modules import CausalSelfAttention
 from repro.nn.tensor import Tensor, is_grad_enabled
 from repro.obs.tracer import trace_span
-
-
-def _local_mask(
-    mask: MaskPattern | None, s: int, block_size: int
-) -> tuple[np.ndarray | None, TilePlan | None]:
-    """Resolve a full-sequence local mask as ``(dense, plan)`` — exactly
-    one is non-``None`` when a mask exists.  These local paths have never
-    forwarded the pattern's bias, so neither does the plan."""
-    if mask is None:
-        return None, None
-    if planning_enabled():
-        idx = np.arange(s)
-        return None, TilePlan.build(
-            mask, idx, idx, block_size, block_size, include_bias=False
-        )
-    return mask.dense(s), None
 
 
 class DistributedAttentionFn(Function):
@@ -93,9 +77,9 @@ class DistributedAttentionFn(Function):
             from repro.attention.gqa import repeat_kv
 
             groups = (q.shape[0] // k.shape[0]) if q.ndim == 3 else 1
-            dense, plan = _local_mask(mask, s, method.block_size)
+            plan = _local_plan(mask, s, s, method.block_size)
             o, lse = get_backend().flash_forward(
-                q, repeat_kv(k, groups), repeat_kv(v, groups), mask=dense,
+                q, repeat_kv(k, groups), repeat_kv(v, groups),
                 scale=scale, block_q=method.block_size,
                 block_k=method.block_size, plan=plan,
             )
@@ -119,22 +103,13 @@ class DistributedAttentionFn(Function):
 
             split = int(round(s * policy.split_fraction))
             o_back, lse_back = cached
-            if mask is not None and planning_enabled():
-                dense = None
-                plan = TilePlan.build(
-                    mask, np.arange(split), np.arange(s),
-                    method.block_size, method.block_size,
-                    include_bias=False,
-                )
-            else:
-                plan = None
-                dense = mask.dense(s)[:split, :] if mask is not None else None
+            plan = _local_plan(mask, split, s, method.block_size)
             groups = (q.shape[0] // k.shape[0]) if q.ndim == 3 else 1
             with trace_span("ckpt.recompute-front", phase="ckpt-recompute",
                             split=split, seq=s):
                 o_front, lse_front = get_backend().flash_forward(
                     q[..., :split, :], repeat_kv(k, groups), repeat_kv(v, groups),
-                    mask=dense, scale=scale,
+                    scale=scale,
                     block_q=method.block_size, block_k=method.block_size,
                     plan=plan,
                 )
@@ -191,16 +166,9 @@ class DistributedAttentionFn(Function):
         if self.local_fallback:
             from repro.attention.gqa import fold_kv_grad, repeat_kv
 
-            if self.fallback_plan is not None:
-                dense = None
-            else:
-                dense = (
-                    self.mask.dense(q.shape[-2])
-                    if self.mask is not None else None
-                )
             dq, dk, dv = get_backend().flash_backward(
                 q, repeat_kv(k, self.groups), repeat_kv(v, self.groups),
-                o, lse, grad_out, mask=dense, scale=self.scale,
+                o, lse, grad_out, scale=self.scale,
                 block_q=self.method.block_size, block_k=self.method.block_size,
                 plan=self.fallback_plan,
             )

@@ -32,9 +32,7 @@ from repro.kernels.tileplan import (
     TileCounters,
     TilePlan,
     counters,
-    planning_enabled,
     record_shard_skip,
-    use_planning,
 )
 from repro.kernels.mlp import (
     MIN_FULL_GEMM_OUT,
@@ -50,12 +48,10 @@ from repro.kernels.mlp import (
 from repro.kernels.backend import (
     KernelBackend,
     ReferenceBackend,
-    ThreadedBackend,
     available_backends,
     current_backend_name,
     get_backend,
     register_backend,
-    set_backend,
     use_backend,
 )
 
@@ -77,9 +73,7 @@ __all__ = [
     "TileCounters",
     "TilePlan",
     "counters",
-    "planning_enabled",
     "record_shard_skip",
-    "use_planning",
     "MIN_FULL_GEMM_OUT",
     "MIN_GEMM_ROWS",
     "chunk_bounds",
@@ -91,11 +85,9 @@ __all__ = [
     "uses_chunking",
     "KernelBackend",
     "ReferenceBackend",
-    "ThreadedBackend",
     "available_backends",
     "current_backend_name",
     "get_backend",
     "register_backend",
-    "set_backend",
     "use_backend",
 ]

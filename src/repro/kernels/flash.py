@@ -31,16 +31,18 @@ on each simulated device.
 
 Masking comes in two forms:
 
-* a :class:`~repro.kernels.tileplan.TilePlan` (``plan=``) — the fast path.
-  Sub-tiles the plan classified ``empty`` are skipped before any compute,
-  ``full`` sub-tiles run without mask handling, and a boolean tile is
-  materialised only for ``partial`` sub-tiles.  Executed/skipped sub-tiles
-  are tallied in :data:`repro.kernels.tileplan.counters`, once per
-  invocation from the plan's static classification.
-* a dense boolean array (``mask=``) broadcastable to ``(..., Sq, Sk)`` —
-  the legacy baseline, kept for references, fuzzers and the bench
-  harness's dense-vs-planned comparison.  All-``False`` tiles are skipped
-  before their GEMM.
+* a :class:`~repro.kernels.tileplan.TilePlan` (``plan=``) — what every
+  call site in the repo passes.  Sub-tiles the plan classified ``empty``
+  are skipped before any compute, ``full`` sub-tiles run without mask
+  handling, and a boolean tile is materialised only for ``partial``
+  sub-tiles.  Executed/skipped sub-tiles are tallied in
+  :data:`repro.kernels.tileplan.counters`, once per invocation from the
+  plan's static classification.
+* a dense boolean array (``mask=``, with an optional dense ``bias=``)
+  broadcastable to ``(..., Sq, Sk)`` — the oracle form the kernel tests
+  and the planned-equals-dense properties compare against; no call site
+  outside the tests uses it.  All-``False`` tiles are skipped before their
+  GEMM.
 
 Both paths are algebraically exact and perform the same floating-point
 operations on every visible score (an all-``True`` mask tile selects
@@ -186,12 +188,8 @@ def _forward_q_block(
     plan: TilePlan | None,
     ws: KernelWorkspace | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inner key loop of the forward pass for one query block.
-
-    This is the unit the threaded backend fans out across workers: each
-    query block touches only its own ``(o_blk, lse_blk)`` running state,
-    so any scheduling of blocks produces bitwise-identical results.
-    """
+    """Inner key loop of the forward pass for one query block, which
+    touches only its own ``(o_blk, lse_blk)`` running state."""
     sk = k.shape[-2]
     q_blk = q[..., q0:q1, :] * scale
     o_blk = np.zeros(q_blk.shape[:-1] + (v.shape[-1],), dtype=np.float64)
@@ -346,23 +344,13 @@ def _backward_q_block(
     bias: np.ndarray | None,
     plan: TilePlan | None,
     ws: KernelWorkspace | None,
-    dk: np.ndarray | None = None,
-    dv: np.ndarray | None = None,
-) -> tuple[np.ndarray, list]:
-    """Inner key loop of the backward pass for one query block.
-
-    With ``dk``/``dv`` given, per-tile key/value gradients accumulate in
-    place (the sequential path).  Without them, the tiles are returned as
-    ``[(k0, k1, dk_tile, dv_tile), ...]`` so a threaded caller can merge
-    them on one thread in ascending ``qi`` order — reproducing the
-    sequential accumulation order on every ``dk``/``dv`` slice exactly,
-    which is what keeps the threaded backend bitwise-identical.
-    Returned tiles are copies: the GEMM outputs they come from are
-    workspace scratch that the next tile overwrites.
-    """
+    dk: np.ndarray,
+    dv: np.ndarray,
+) -> np.ndarray:
+    """Inner key loop of the backward pass for one query block: returns
+    its ``dq`` and accumulates the per-tile key/value gradients into
+    ``dk``/``dv`` in place."""
     sk = k.shape[-2]
-    collect = dk is None
-    tiles: list = []
     q_blk = q[..., q0:q1, :] * scale
     do_blk = do[..., q0:q1, :]
     d_blk = d_stat[..., q0:q1, None]
@@ -394,13 +382,10 @@ def _backward_q_block(
         dq_blk += _matmul(ws, ds, k_blk, "bwd-dq")
         # q_blk carries the softmax scale, so dk needs no per-tile rescale.
         dk_tile = _matmul(ws, np.swapaxes(ds, -1, -2), q_blk, "bwd-dk")
-        if collect:
-            tiles.append((k0, k1, dk_tile.copy(), dv_tile.copy()))
-        else:
-            dv[..., k0:k1, :] += dv_tile
-            dk[..., k0:k1, :] += dk_tile
+        dv[..., k0:k1, :] += dv_tile
+        dk[..., k0:k1, :] += dk_tile
     dq_blk *= scale
-    return dq_blk, tiles
+    return dq_blk
 
 
 def _backward_tiles(
@@ -431,9 +416,8 @@ def _backward_tiles(
 
     for qi, q0 in enumerate(range(0, sq, block_q)):
         q1 = min(q0 + block_q, sq)
-        dq_blk, _ = _backward_q_block(
+        dq[..., q0:q1, :] = _backward_q_block(
             qi, q0, q1, q, k, v, lse, d_stat, do, mask, scale, block_k,
-            bias, plan, workspace, dk=dk, dv=dv,
+            bias, plan, workspace, dk, dv,
         )
-        dq[..., q0:q1, :] = dq_blk
     return dq, dk, dv

@@ -182,9 +182,7 @@ def forward_chunk(
     """One forward chunk: rows ``[c0, c1)`` of ``y``, written in place.
 
     ``wg_t``/``wu_t``/``wd_t`` are the contiguous transposed weights from
-    :func:`transposed_weights`.  Touches only its own output rows, so
-    chunks may run on any thread in any order (the threaded backend fans
-    them out).
+    :func:`transposed_weights`.  Touches only its own output rows.
     """
     xc = x[c0:c1]
     g = _rows_matmul(xc, wg_t)

@@ -22,22 +22,21 @@ the mask structure *into* the kernel:
   with the same ``q0 - k0`` offset and shape share one tile no matter
   which shard pair asked for it.
 * :data:`counters` tallies computed/skipped sub-tiles and (query, key)
-  pairs — the machine-readable numbers the bench harness
-  (``python -m repro.perf.bench``) and the tile-count invariants in
+  pairs — the machine-readable numbers the step benchmark
+  (``python3 -m benchmarks.step``) and the tile-count invariants in
   :mod:`repro.testing.invariants` consume.
 
-The plan-driven kernels are numerically identical to the dense-mask
-kernels (full tiles drop the ``where`` that a dense all-``True`` tile
-would no-op through; empty tiles contribute nothing either way), which the
-golden fixtures and the property tests assert.  ``use_planning(False)``
-restores the legacy dense-tile resolution — the bench harness times it as
-the baseline.
+A plan is the only way a :class:`~repro.masks.MaskPattern` reaches a
+kernel: every attention call site builds one, none materialises a
+shard-pair mask.  The plan-driven kernels are numerically identical to
+the same kernels fed a dense ``mask=``/``bias=`` array (full tiles drop
+the ``where`` that a dense all-``True`` tile would no-op through; empty
+tiles contribute nothing either way); the dense-array form is kept as the
+oracle the golden fixtures and the property tests compare against.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,17 +78,10 @@ class TileCounters:
     one for the module singleton), so ``counters.computed_full += n``
     keeps working verbatim while ``repro.obs`` sees the same numbers.
 
-    The sub-tile and pair fields are tallied once per kernel invocation,
-    on the invoking thread, from the plan's static classification
-    (:meth:`TilePlan.tally`) — never inside the kernels' tile loops.
-
-    Thread safety: :meth:`add` writes straight to the backing counter on
-    the main thread but into a *thread-local* buffer inside a
-    :meth:`deferred` scope.  The threaded backend wraps each worker task
-    in ``deferred()``, so the bias-tile tallies its workers still make
-    never race on ``Counter._value``; the buffered deltas are merged under
-    a lock when the scope exits.  The ``counters.field += n`` property
-    idiom remains main-thread-only.
+    The sub-tile and pair fields are tallied once per kernel invocation
+    from the plan's static classification (:meth:`TilePlan.tally`) —
+    never inside the kernels' tile loops.  Not thread-safe: the kernels
+    run on the calling thread.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None):
@@ -98,59 +90,10 @@ class TileCounters:
         self._backing = {
             name: registry.counter(f"tileplan.{name}") for name in _TILE_FIELDS
         }
-        self._merge_lock = threading.Lock()
-        self._local = threading.local()
 
     def add(self, name: str, n: int = 1) -> None:
-        """Account ``n`` into field ``name`` (thread-safe inside
-        ``deferred()`` scopes; direct counter write otherwise)."""
-        buf = getattr(self._local, "buf", None)
-        if buf is not None:
-            buf[name] += n
-        else:
-            self._backing[name]._value += n
-
-    @contextmanager
-    def deferred(self):
-        """Buffer this thread's increments; merge under a lock on exit.
-
-        Worker threads of the threaded kernel backend run their whole
-        task inside one ``deferred()`` scope — per-thread accumulation
-        merged on scope exit, so totals are exact regardless of how the
-        q-blocks were scheduled.
-        """
-        prev = getattr(self._local, "buf", None)
-        buf = dict.fromkeys(_TILE_FIELDS, 0)
-        self._local.buf = buf
-        try:
-            yield
-        finally:
-            self._local.buf = prev
-            with self._merge_lock:
-                for name, delta in buf.items():
-                    if delta:
-                        self._backing[name]._value += delta
-
-    @contextmanager
-    def backend_scope(self, backend: str):
-        """Attribute the tile work of the enclosed kernel invocation to
-        ``backend`` as labeled ``tileplan.*`` counter values.
-
-        Reads the unlabeled totals before/after and adds the delta under
-        a ``backend=<name>`` label, so ``repro.obs`` can break tile
-        counts down per backend while the unlabeled fast path stays a
-        single attribute add.  Only the invoking (main) thread may hold
-        a backend scope; worker threads merge into the totals before the
-        invocation returns, so their work is attributed correctly.
-        """
-        before = [self._backing[f]._value for f in _TILE_FIELDS]
-        try:
-            yield
-        finally:
-            for fname, prev in zip(_TILE_FIELDS, before):
-                delta = self._backing[fname]._value - prev
-                if delta:
-                    self._backing[fname].inc(delta, backend=backend)
+        """Account ``n`` into field ``name``."""
+        self._backing[name]._value += n
 
     @property
     def computed(self) -> int:
@@ -198,42 +141,7 @@ del _fname
 counters = TileCounters(registry=get_registry())
 
 
-# --- planning on/off switch ---------------------------------------------------
-
-_PLANNING_ENABLED = True
-
-
-def planning_enabled() -> bool:
-    """Whether call sites should build tile plans (default) or fall back
-    to legacy dense shard-mask resolution."""
-    return _PLANNING_ENABLED
-
-
-@contextmanager
-def use_planning(enabled: bool = True):
-    """Temporarily force tile planning on or off.
-
-    ``use_planning(False)`` is the dense-mask baseline the bench harness
-    measures speedups against; tests use it to assert the two paths agree.
-    """
-    global _PLANNING_ENABLED
-    previous = _PLANNING_ENABLED
-    _PLANNING_ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _PLANNING_ENABLED = previous
-
-
 # --- bias tile cache ----------------------------------------------------------
-
-
-def _is_contiguous(idx: np.ndarray) -> bool:
-    if len(idx) == 0:
-        return False
-    if int(idx[-1]) - int(idx[0]) != len(idx) - 1:
-        return False
-    return len(idx) == 1 or bool((np.diff(idx) == 1).all())
 
 
 class BiasTileCache:
@@ -247,10 +155,6 @@ class BiasTileCache:
 
     def __init__(self):
         self._tiles: dict = {}
-        # Serialises concurrent lookups from threaded-backend workers so
-        # built/reused tallies stay deterministic (first miss builds,
-        # everyone else reuses) and the dict is never mutated mid-read.
-        self._lock = threading.Lock()
 
     def get(
         self, mask: MaskPattern, q_idx: np.ndarray, k_idx: np.ndarray
@@ -259,14 +163,13 @@ class BiasTileCache:
         if key is None:
             counters.add("bias_tiles_built")
             return mask.bias_block(q_idx, k_idx)
-        with self._lock:
-            tile = self._tiles.get(key)
-            if tile is None:
-                tile = mask.bias_block(q_idx, k_idx)
-                self._tiles[key] = tile
-                counters.add("bias_tiles_built")
-            else:
-                counters.add("bias_tiles_reused")
+        tile = self._tiles.get(key)
+        if tile is None:
+            tile = mask.bias_block(q_idx, k_idx)
+            self._tiles[key] = tile
+            counters.add("bias_tiles_built")
+        else:
+            counters.add("bias_tiles_reused")
         return tile
 
     def __len__(self) -> int:
@@ -329,7 +232,6 @@ class TilePlan:
         block_k: int,
         *,
         bias_cache: BiasTileCache | None = None,
-        include_bias: bool = True,
         assume_full: bool = False,
         head_slice: slice | None = None,
     ) -> "TilePlan":
@@ -337,9 +239,10 @@ class TilePlan:
 
         ``assume_full`` short-circuits classification when the caller
         already knows the whole shard pair is ``full`` (the shard-level
-        fast path); ``include_bias=False`` reproduces call sites that
-        never forwarded the pattern's bias (TP, selective, the engine's
-        local fallback).  The dense mask is never materialised.
+        fast path).  A pattern that carries an additive bias (ALiBi) has
+        it resolved per sub-tile by :meth:`bias_tile`, through
+        ``bias_cache`` when one is given.  The dense mask is never
+        materialised.
         """
         q_idx = np.asarray(q_idx)
         k_idx = np.asarray(k_idx)
@@ -354,8 +257,7 @@ class TilePlan:
                         mask.tile_state(q_sub, k_idx[k0:k1])
                     ]
         has_bias = (
-            include_bias
-            and mask is not None
+            mask is not None
             and mask.bias_block(q_idx[:1], k_idx[:1]) is not None
         )
         return cls(
@@ -399,9 +301,7 @@ class TilePlan:
         """Boolean tile for a ``PARTIAL`` sub-tile (the only kind that
         ever materialises one).  Memoised so the backward pass (and any
         repeated traversal) reuses the forward's tiles instead of
-        re-evaluating the pattern.  Safe under concurrent workers: a
-        duplicated miss builds the same deterministic tile twice and the
-        last dict write wins."""
+        re-evaluating the pattern."""
         tile = self._mask_tiles.get((i, j))
         if tile is None:
             q0, q1 = self._q_bounds[i]
@@ -465,8 +365,8 @@ class TilePlan:
 
     def tally(self) -> None:
         """Account one kernel invocation over this plan in
-        :data:`counters` — once, on the invoking thread, instead of per
-        sub-tile inside the kernels' hot loops."""
+        :data:`counters` — once, instead of per sub-tile inside the
+        kernels' hot loops."""
         for name, n in zip(_TILE_FIELDS, self._tally):
             counters.add(name, n)
 

@@ -24,7 +24,6 @@ from repro.kernels import (
     KernelWorkspace,
     TilePlan,
     get_backend,
-    planning_enabled,
 )
 from repro.masks import MaskPattern
 from repro.nn.checkpoint import (
@@ -48,6 +47,27 @@ def _mask_pairs(mask: MaskPattern | None, sq: int, sk: int, q_off: int = 0) -> i
     if mask is None:
         return sq * sk
     return mask.num_allowed(np.arange(q_off, q_off + sq), np.arange(sk))
+
+
+def _local_plan(
+    mask: MaskPattern | None,
+    n_q: int,
+    n_k: int,
+    block_size: int,
+    bias_cache: BiasTileCache | None = None,
+) -> TilePlan | None:
+    """Tile plan for an unsharded kernel call of the first ``n_q`` query
+    rows against all ``n_k`` keys (``None`` without a mask).  Sub-tiles
+    are classified from the pattern and its bias resolved per tile — the
+    dense ``n_q x n_k`` mask never exists."""
+    if mask is None:
+        return None
+    if bias_cache is None:
+        bias_cache = BiasTileCache()
+    return TilePlan.build(
+        mask, np.arange(n_q), np.arange(n_k), block_size, block_size,
+        bias_cache=bias_cache,
+    )
 
 
 class FlashAttentionFn(Function):
@@ -86,28 +106,8 @@ class FlashAttentionFn(Function):
         s = q.shape[-2]
         heads = q.shape[0] if q.ndim == 3 else 1
         head_dim = q.shape[-1]
-        positions = np.arange(s)
-        planned = planning_enabled() and mask is not None
-        if planned:
-            # Plan mode: classify sub-tiles from the pattern and resolve
-            # bias per tile — the dense s x s mask never exists.
-            dense = dense_bias = None
-            bias_cache = BiasTileCache()
-            plan = TilePlan.build(
-                mask, positions, positions, block_size, block_size,
-                bias_cache=bias_cache,
-            )
-        else:
-            dense = mask.dense(s) if mask is not None else None
-            dense_bias = (
-                mask.bias_block(positions, positions)
-                if mask is not None else None
-            )
-            bias_cache = None
-            plan = None
-        self.mask_dense = dense
-        self.bias_dense = dense_bias
-        self.plan = plan
+        bias_cache = BiasTileCache()
+        self.plan = _local_plan(mask, s, s, block_size, bias_cache)
         self.workspace = KernelWorkspace()
         self.scale = scale
         self.block_size = block_size
@@ -120,24 +120,12 @@ class FlashAttentionFn(Function):
         elif cached is not None and policy.mode is CheckpointMode.SEQUENCE_LEVEL:
             split = int(round(s * policy.split_fraction))
             o_back, lse_back = cached
-            if planned:
-                front_mask = front_bias = None
-                front_plan = TilePlan.build(
-                    mask, positions[:split], positions,
-                    block_size, block_size, bias_cache=bias_cache,
-                )
-            else:
-                front_plan = None
-                front_mask = dense[:split, :] if dense is not None else None
-                front_bias = (
-                    dense_bias[..., :split, :]
-                    if dense_bias is not None else None
-                )
+            front_plan = _local_plan(mask, split, s, block_size, bias_cache)
             with trace_span("ckpt.recompute-front", phase="ckpt-recompute",
                             split=split, seq=s):
                 o_front, lse_front = get_backend().flash_forward(
-                    q[..., :split, :], k, v, mask=front_mask, scale=scale,
-                    block_q=block_size, block_k=block_size, bias=front_bias,
+                    q[..., :split, :], k, v, scale=scale,
+                    block_q=block_size, block_k=block_size,
                     plan=front_plan, workspace=self.workspace,
                 )
             get_tracker().add_recompute_flops(
@@ -147,9 +135,9 @@ class FlashAttentionFn(Function):
             lse = np.concatenate([lse_front, lse_back], axis=-1)
         else:
             o, lse = get_backend().flash_forward(
-                q, k, v, mask=dense, scale=scale,
-                block_q=block_size, block_k=block_size, bias=dense_bias,
-                plan=plan, workspace=self.workspace,
+                q, k, v, scale=scale,
+                block_q=block_size, block_k=block_size,
+                plan=self.plan, workspace=self.workspace,
             )
             if in_recompute():
                 get_tracker().add_recompute_flops(
@@ -178,10 +166,8 @@ class FlashAttentionFn(Function):
 
         q, k, v, o, lse = self.saved
         dq, dk, dv = get_backend().flash_backward(
-            q, k, v, o, lse, grad_out,
-            mask=self.mask_dense, scale=self.scale,
+            q, k, v, o, lse, grad_out, scale=self.scale,
             block_q=self.block_size, block_k=self.block_size,
-            bias=self.bias_dense,
             plan=self.plan, workspace=self.workspace,
         )
         if self.groups > 1:

@@ -20,9 +20,8 @@ while a :class:`repro.obs.mem.MemoryTimeline` is installed, every
 to the enclosing span and :func:`~repro.obs.mem.memory_scope` (layer,
 phase, method), and an installed :class:`~repro.obs.mem.MemoryBudget`
 sees every watermark advance.  All mutation happens under the tracker's
-lock through the public gauge API, so concurrent graph construction (the
-threaded kernel backend's callbacks, multi-rank tests) cannot tear the
-watermark.
+lock through the public gauge API, so graphs built concurrently from
+several threads cannot tear the watermark.
 
 Release misuse is no longer silent: releasing a handle that is not live
 (double release, or a handle the tracker never issued) counts the

@@ -17,7 +17,7 @@ into an *observable* signal:
   the span rows in Perfetto.
 * **Two series.**  ``saved`` is the autograd persistent set (what
   checkpointing trades against recomputation); ``transient`` is kernel
-  scratch — per-worker :class:`~repro.kernels.tileplan.KernelWorkspace`
+  scratch — :class:`~repro.kernels.tileplan.KernelWorkspace`
   buffers and the chunked SwiGLU backward's working set — so observed
   transients can be pinned against
   :func:`repro.perf.memory.swiglu_chunked_transient_bytes`.
@@ -335,8 +335,7 @@ def transient_alloc(nbytes: int, site: str = "kernel") -> int:
 
     Backed by the ``memory.transient_bytes`` / ``memory.peak_transient_bytes``
     gauges and recorded on the active timeline as the ``transient``
-    series.  Thread-safe (worker threads of the threaded backend allocate
-    their workspaces concurrently).
+    series.  Thread-safe, like the tracker it mirrors.
     """
     global _TRANSIENT_NEXT
     current_g, peak_g = _transient_gauges()

@@ -3,9 +3,9 @@
 Design constraints, in order:
 
 1. **Disabled cost ~ zero.**  Instrumentation sits inside kernel and
-   communicator hot loops that the perf bench gates (``BENCH_kernels.json``
-   tolerances), so :func:`trace_span` must bail out before allocating
-   anything: one module-global flag check, then return a shared no-op
+   communicator hot loops that the step benchmark times
+   (``python3 -m benchmarks.step``), so :func:`trace_span` must bail out
+   before allocating anything: one module-global flag check, then return a shared no-op
    context manager.
 2. **Nesting per thread.**  Spans form a stack per thread; each finished
    span records its ``depth`` and a stable ``tid`` so the Chrome-trace

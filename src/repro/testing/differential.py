@@ -25,7 +25,6 @@ import numpy as np
 from repro.attention import METHOD_REGISTRY
 from repro.attention.verify import MASKS, verify_method
 from repro.comm import FailureDetector, RankFailure
-from repro.kernels import use_backend as kernel_backend
 from repro.resilience.rank_faults import RANK_FAULT_REGISTRY, make_rank_fault
 from repro.testing.faults import make_fault
 from repro.topology import a800_node, make_cluster
@@ -68,9 +67,6 @@ class FuzzCase:
     #: deadlock); ``straggler`` cases pass iff the run is tolerated and
     #: still verifies.  ``None`` = healthy run.
     rank_failure: str | None = None
-    #: kernel backend the case runs under (every registered backend must
-    #: be bitwise-indistinguishable from ``reference`` to the verifier).
-    backend: str = "reference"
 
     @property
     def world_size(self) -> int:
@@ -106,8 +102,6 @@ class FuzzCase:
             parts.append(f"ring_mode={self.ring_mode}")
         if self.rank_failure is not None:
             parts.append(f"rank_failure={self.rank_failure}")
-        if self.backend != "reference":
-            parts.append(f"backend={self.backend}")
         return ",".join(parts)
 
     def repro_command(self, fault: str | None = None) -> str:
@@ -130,7 +124,7 @@ class FuzzCase:
             key = key.strip()
             value = value.strip()
             if key in ("method", "mask", "dtype", "ring_mode",
-                       "rank_failure", "backend"):
+                       "rank_failure"):
                 kw[key] = value
             elif key in ("nodes", "gpn", "seq_len", "head_dim", "n_heads",
                          "n_kv_heads", "ulysses_degree", "block_size", "seed"):
@@ -175,13 +169,6 @@ class FuzzCase:
             raise ValueError(
                 f"unknown rank_failure {self.rank_failure!r}; expected one "
                 f"of {', '.join(sorted(RANK_FAULT_REGISTRY))}"
-            )
-        from repro.kernels import available_backends
-
-        if self.backend not in available_backends():
-            raise ValueError(
-                f"unknown backend {self.backend!r}; registered: "
-                f"{', '.join(available_backends())}"
             )
 
 
@@ -268,22 +255,21 @@ def check_case(
         )
     expect_detection = case.rank_failure in ("crash", "hang")
     try:
-        with kernel_backend(case.backend):
-            report = verify_method(
-                case.method,
-                num_gpus=case.world_size,
-                gpus_per_node=case.gpn,
-                seq_len=case.seq_len,
-                head_dim=case.head_dim,
-                n_heads=case.n_heads,
-                n_kv_heads=case.n_kv_heads,
-                mask=case.mask,
-                seed=case.seed,
-                dtype=case.dtype,
-                comm=comm,
-                block_size=case.block_size,
-                **case.method_kwargs(),
-            )
+        report = verify_method(
+            case.method,
+            num_gpus=case.world_size,
+            gpus_per_node=case.gpn,
+            seq_len=case.seq_len,
+            head_dim=case.head_dim,
+            n_heads=case.n_heads,
+            n_kv_heads=case.n_kv_heads,
+            mask=case.mask,
+            seed=case.seed,
+            dtype=case.dtype,
+            comm=comm,
+            block_size=case.block_size,
+            **case.method_kwargs(),
+        )
     except RankFailure as exc:
         if expect_detection:
             return True, f"detected: {exc}"
@@ -304,10 +290,6 @@ def shrink_case(case: FuzzCase, fails, max_evals: int = 60) -> FuzzCase:
 
     def candidates(c: FuzzCase):
         g = c.world_size
-        # backend first: shrinking back to "reference" separates real
-        # method bugs from backend-divergence bugs before anything else
-        if c.backend != "reference":
-            yield replace(c, backend="reference")
         # smaller topology (re-fit dependent fields to stay valid)
         for nodes, gpn in [(1, 2), (1, 3), (2, 2), (1, 4)]:
             if (nodes, gpn) == (c.nodes, c.gpn) or nodes * gpn >= g:
@@ -411,17 +393,12 @@ def fuzz(
     max_failures: int = 3,
     on_case=None,
     rank_fault: str | None = None,
-    backend: str | None = None,
 ) -> FuzzResult:
     """Run up to ``budget`` random cases; shrink and record failures.
 
     ``fault`` injects the named fault into *every* case — the expected
     outcome is then a failure with a minimal repro, which is how the
-    harness proves the fuzzer actually detects sabotage.  ``backend``
-    forces every case onto the named kernel backend — differential-testing
-    that backend against the dense oracle across random configurations
-    (failures shrink back to ``reference`` first, isolating backend
-    divergence from method bugs).  ``rank_fault``
+    harness proves the fuzzer actually detects sabotage.  ``rank_fault``
     similarly forces ``rank_failure`` onto every case — crash / hang runs
     must then *detect* (pass), so an all-green run is a detector smoke
     across random configurations.  The two axes are mutually exclusive;
@@ -435,8 +412,6 @@ def fuzz(
     result = FuzzResult()
     for i in range(budget):
         case = sample_case(rng, smoke=smoke)
-        if backend is not None:
-            case = replace(case, backend=backend)
         if rank_fault is not None:
             case = replace(case, rank_failure=rank_fault)
         elif fault is not None and case.rank_failure is not None:

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
-from repro.kernels import available_backends
 from repro.resilience.rank_faults import RANK_FAULT_REGISTRY
 from repro.testing.differential import FuzzCase, check_case, fuzz
 from repro.testing.faults import FAULT_REGISTRY
@@ -44,10 +42,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="inject this rank-scoped fault (under a "
                              "FailureDetector) into every case; crash/hang "
                              "must be detected for the run to pass")
-    parser.add_argument("--backend", choices=available_backends(),
-                        help="run every case on this kernel backend "
-                             "(differential test vs the dense reference; "
-                             "failures shrink back to 'reference' first)")
     parser.add_argument("--case", metavar="SPEC",
                         help="run exactly one 'key=value,...' case instead "
                              "of sweeping")
@@ -57,8 +51,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.case is not None:
         case = FuzzCase.parse(args.case)
-        if args.backend is not None:
-            case = replace(case, backend=args.backend)
         passed, detail = check_case(case, fault=args.fault)
         print(detail)
         return 0 if passed else 1
@@ -70,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
 
     result = fuzz(seed=args.seed, budget=args.budget, fault=args.fault,
                   smoke=args.smoke, on_case=progress,
-                  rank_fault=args.rank_fault, backend=args.backend)
+                  rank_fault=args.rank_fault)
     print(result.summary())
     return 0 if result.passed else 1
 

@@ -19,13 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm import SimCommunicator
-from repro.kernels import (
-    KernelWorkspace,
-    TilePlan,
-    get_backend,
-    planning_enabled,
-)
+from repro.kernels import KernelWorkspace, get_backend
 from repro.masks import MaskPattern
+from repro.nn.attention_fn import _local_plan
 from repro.nn.function import Function
 from repro.nn.tensor import Tensor
 
@@ -132,22 +128,17 @@ class TPAttentionFn(Function):
         hh = n_heads // g
         if scale is None:
             scale = 1.0 / np.sqrt(hd)
-        # TP ranks all see the full sequence, so one plan (built without
-        # bias — this path has never forwarded one) serves every head
-        # group; with planning off, fall back to the dense mask.
-        if mask is not None and planning_enabled():
-            dense = None
-            plan = TilePlan.build(
-                mask, np.arange(s), np.arange(s), block_size, block_size,
-                include_bias=False,
-            )
-        else:
-            dense = mask.dense(s) if mask is not None else None
-            plan = None
+        # TP ranks all see the full sequence, so one tile grid and bias
+        # cache serve every rank; each views its own head group of the
+        # pattern's bias tiles (as Ulysses ranks do).
+        base = _local_plan(mask, s, s, block_size)
+        self.plans = [
+            None if base is None
+            else base.with_head_slice(slice(r * hh, (r + 1) * hh))
+            for r in range(g)
+        ]
         self.comm, self.phase, self.g = comm, phase, g
         self.geom = (s, d, n_heads, hd, hh, scale, block_size)
-        self.mask_dense = dense
-        self.plan = plan
         self.workspace = KernelWorkspace()
 
         wq_s, wk_s, wv_s = shard_rows(wq, g), shard_rows(wk, g), shard_rows(wv, g)
@@ -158,9 +149,9 @@ class TPAttentionFn(Function):
             k_r = (x @ wk_s[r].T).reshape(s, hh, hd).swapaxes(0, 1)
             v_r = (x @ wv_s[r].T).reshape(s, hh, hd).swapaxes(0, 1)
             o_r, lse_r = get_backend().flash_forward(
-                q_r, k_r, v_r, mask=dense, scale=scale,
+                q_r, k_r, v_r, scale=scale,
                 block_q=block_size, block_k=block_size,
-                plan=plan, workspace=self.workspace,
+                plan=self.plans[r], workspace=self.workspace,
             )
             o_flat = o_r.swapaxes(0, 1).reshape(s, hh * hd)
             qs.append(q_r); ks.append(k_r); vs.append(v_r)
@@ -185,10 +176,9 @@ class TPAttentionFn(Function):
             dwo.append(dy.T @ oflats[r])
             do_r = do_flat.reshape(s, hh, hd).swapaxes(0, 1)
             dq_r, dk_r, dv_r = get_backend().flash_backward(
-                qs[r], ks[r], vs[r], os_[r], lses[r], do_r,
-                mask=self.mask_dense, scale=scale,
+                qs[r], ks[r], vs[r], os_[r], lses[r], do_r, scale=scale,
                 block_q=block_size, block_k=block_size,
-                plan=self.plan, workspace=self.workspace,
+                plan=self.plans[r], workspace=self.workspace,
             )
             dq_f = dq_r.swapaxes(0, 1).reshape(s, hh * hd)
             dk_f = dk_r.swapaxes(0, 1).reshape(s, hh * hd)

@@ -24,7 +24,6 @@ from repro.kernels import (
     swiglu_dense_forward,
     swiglu_mlp_backward,
     swiglu_mlp_forward,
-    use_backend,
     uses_chunking,
 )
 from repro.nn.checkpoint import CheckpointMode, CheckpointPolicy
@@ -100,13 +99,12 @@ class TestKernelBitwise:
             assert np.array_equal(a, b)
 
 
-def _run_module(seq, dim, hidden, chunk, x_data, dy, backend="reference"):
+def _run_module(seq, dim, hidden, chunk, x_data, dy):
     module = SwiGLU(dim, hidden, np.random.default_rng(9),
                     mlp_chunk_size=chunk)
     x = Tensor(x_data.copy(), requires_grad=True)
-    with use_backend(backend):
-        y = module(x)
-        y.backward(dy)
+    y = module(x)
+    y.backward(dy)
     return (
         y.data, x.grad, module.gate.weight.grad, module.up.weight.grad,
         module.down.weight.grad,
@@ -129,12 +127,9 @@ class TestModuleBitwise:
         dy = rng.normal(size=(seq, dim))
         ref = _run_module(seq, dim, hidden, None, x_data, dy)
         fused = _run_module(seq, dim, hidden, chunk, x_data, dy)
-        threaded = _run_module(seq, dim, hidden, chunk, x_data, dy,
-                               backend="threaded")
         names = ("y", "dx", "dwg", "dwu", "dwd")
-        for name, a, b, c in zip(names, ref, fused, threaded):
+        for name, a, b in zip(names, ref, fused):
             assert np.array_equal(a, b), f"reference fused: {name} diverged"
-            assert np.array_equal(a, c), f"threaded fused: {name} diverged"
 
     def test_checkpoint_replay_matches_eager(self):
         # FULL checkpointing (layer re-run in backward) composed with the

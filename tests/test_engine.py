@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.engine import BurstEngine, EngineConfig, fsdp_step_traffic
+from repro.masks import ALiBiMask, CausalMask
 from repro.nn import CheckpointPolicy, TransformerConfig, TransformerLM, Adam
 from repro.nn.checkpoint import CheckpointMode
 from repro.topology import a800_node, make_cluster
@@ -88,6 +89,50 @@ class TestDistributedEqualsLocal:
         engine = BurstEngine(EngineConfig(model=model_cfg(), lr=3e-3), topology=TOPO)
         losses = engine.train(ids, targets, steps=15)
         assert losses[-1] < losses[0] * 0.8
+
+
+@pytest.mark.parametrize(
+    "mask", [CausalMask(), ALiBiMask(4)], ids=["causal", "alibi"]
+)
+class TestMaskReachesEveryKernelCall:
+    """The sharded ring, the sequence-level front recompute and the
+    irregular-length local fallback all see the same pattern, additive
+    bias included."""
+
+    TOPO4 = make_cluster(4, node=a800_node(gpus_per_node=4))
+
+    def test_checkpoint_policies_agree(self, mask):
+        ids, targets = batch(s=64)
+        losses = {}
+        for policy in (
+            CheckpointPolicy(CheckpointMode.NONE),
+            CheckpointPolicy(CheckpointMode.FULL),
+            CheckpointPolicy(CheckpointMode.SELECTIVE_PP),
+            CheckpointPolicy(CheckpointMode.SEQUENCE_LEVEL, 0.5),
+        ):
+            engine = BurstEngine(
+                EngineConfig(model=model_cfg(mask=mask), checkpoint=policy),
+                topology=self.TOPO4,
+            )
+            losses[policy.mode] = [
+                engine.train_step(ids, targets).loss for _ in range(3)
+            ]
+        for mode, got in losses.items():
+            np.testing.assert_allclose(
+                got, losses[CheckpointMode.NONE], rtol=0, atol=1e-12,
+                err_msg=mode.name,
+            )
+
+    def test_irregular_length_matches_single_rank(self, mask):
+        ids, _ = batch(s=30)  # 30 % 4 != 0: the local-kernel fallback
+        hidden = [
+            BurstEngine(
+                EngineConfig(model=model_cfg(mask=mask)),
+                topology=make_cluster(g, node=a800_node(gpus_per_node=g)),
+            ).model.hidden_states(ids).data
+            for g in (4, 1)
+        ]
+        assert np.abs(hidden[0] - hidden[1]).max() <= 1e-12
 
 
 class TestEngineAccounting:

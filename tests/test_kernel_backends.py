@@ -1,16 +1,17 @@
-"""Kernel backend registry: selection API, bitwise identity, spans.
+"""Kernel backend registry: the seam between call sites and kernels.
 
-The registry contract is that a backend is an *implementation* choice,
+One backend ships (``reference``); the registry exists so that tests can
+substitute a fake and so that another implementation can be registered
+later.  Its contract is that a backend is an *implementation* choice,
 never a *semantics* choice: every registered backend must be
-bitwise-indistinguishable from ``reference`` on every input the kernels
+bitwise-indistinguishable from the kernel functions on every input they
 accept (dense masks, additive bias, tile plans, ragged block edges).
-These tests pin that contract for the ``threaded`` worker-pool backend,
-plus the selection plumbing (env var, ``set_backend``, nested
-``use_backend``) and the observability satellite (``backend``-labelled
-kernel spans feeding the per-backend report breakdown).
+These tests pin the selection plumbing (registration, named lookup, nested
+``use_backend``), that a substituted backend is what call sites actually
+invoke, that conformance contract for whatever is registered, and the
+``backend``-labelled kernel spans feeding the per-backend report
+breakdown.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,29 +20,54 @@ import repro.kernels.backend as backend_mod
 from repro.kernels import (
     KernelWorkspace,
     ReferenceBackend,
-    ThreadedBackend,
     TilePlan,
     available_backends,
     counters,
     current_backend_name,
+    flash_attention_backward,
+    flash_attention_forward,
     get_backend,
     register_backend,
-    set_backend,
     use_backend,
 )
-from repro.kernels.backend import BACKEND_ENV_VAR, WORKERS_ENV_VAR
 from repro.masks import ALiBiMask, CausalMask
 from repro.masks.patterns import SlidingWindowMask
 from repro.obs import spans_to_chrome_json, use_tracing
 from repro.obs.report import kernel_time_by_backend
-from repro.testing.differential import FuzzCase, check_case, fuzz, shrink_case
+
+
+class RecordingBackend(ReferenceBackend):
+    """A fake: the reference kernels, plus a log of which entry points
+    were called."""
+
+    name = "fake"
+
+    def __init__(self):
+        self.calls = []
+
+    def flash_forward(self, *args, **kw):
+        self.calls.append("flash_forward")
+        return super().flash_forward(*args, **kw)
+
+    def flash_backward(self, *args, **kw):
+        self.calls.append("flash_backward")
+        return super().flash_backward(*args, **kw)
+
+
+@pytest.fixture
+def fake(monkeypatch):
+    """``RecordingBackend`` registered as ``fake`` for one test (the
+    registry's tables are restored afterwards)."""
+    monkeypatch.setattr(backend_mod, "_factories", dict(backend_mod._factories))
+    monkeypatch.setattr(backend_mod, "_instances", dict(backend_mod._instances))
+    register_backend("fake", RecordingBackend)
+    return get_backend("fake")
 
 
 class TestRegistry:
-    def test_reference_is_first_and_threaded_registered(self):
-        names = available_backends()
-        assert names[0] == "reference"
-        assert "threaded" in names
+    def test_reference_is_first_and_the_default(self, fake):
+        assert available_backends() == ["reference", "fake"]
+        assert current_backend_name() == "reference"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
@@ -53,34 +79,63 @@ class TestRegistry:
         register_backend("reference", ReferenceBackend, replace=True)
         assert get_backend("reference").name == "reference"
 
-    def test_named_lookup_does_not_change_active(self):
-        set_backend("reference")
-        assert get_backend("threaded").name == "threaded"
+    def test_named_lookup_does_not_change_active(self, fake):
+        assert get_backend("fake") is fake
         assert current_backend_name() == "reference"
 
-    def test_use_backend_nests_and_restores(self):
-        set_backend("reference")
-        with use_backend("threaded"):
-            assert current_backend_name() == "threaded"
+    def test_use_backend_nests_and_restores(self, fake):
+        with use_backend("fake"):
+            assert current_backend_name() == "fake"
             with use_backend("reference"):
                 assert current_backend_name() == "reference"
-            assert current_backend_name() == "threaded"
+            assert current_backend_name() == "fake"
         assert current_backend_name() == "reference"
 
-    def test_env_var_selects_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "threaded")
-        monkeypatch.setattr(backend_mod, "_active", None)
-        assert get_backend().name == "threaded"
+    def test_substituted_backend_is_what_call_sites_invoke(self, fake):
+        """``use_backend`` takes a name or an instance, and a distributed
+        pass resolves its kernels through whatever is active."""
+        from repro.attention.ring import ring_attention_forward
+        from repro.comm import SimCommunicator
+        from repro.comm.ring import global_ring_schedule
+        from repro.topology import make_cluster
 
-    def test_workers_env_var_and_validation(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-        assert ThreadedBackend().workers == 2
-        with pytest.raises(ValueError, match="workers"):
-            ThreadedBackend(workers=0)
+        topo = make_cluster(2, gpus_per_node=2)
+        rng = np.random.default_rng(0)
+        qs, ks, vs = (
+            [rng.normal(size=(2, 8, 4)) for _ in range(2)] for _ in range(3)
+        )
+        idxs = [np.arange(8), np.arange(8, 16)]
+
+        def ring_pass():
+            return ring_attention_forward(
+                SimCommunicator(topo), global_ring_schedule(topo),
+                qs, ks, vs, idxs, mask=CausalMask(), block_size=4,
+            )
+
+        expected = ring_pass()
+        assert fake.calls == []
+        own = RecordingBackend()
+        for backend, log in (("fake", fake.calls), (own, own.calls)):
+            with use_backend(backend) as active:
+                assert get_backend() is active
+                got = ring_pass()
+            # causal on 2 ranks: 3 of the 4 shard pairs are non-empty
+            assert log == ["flash_forward"] * 3
+            for a_parts, b_parts in zip(expected, got):
+                for a, b in zip(a_parts, b_parts):
+                    assert np.array_equal(a, b)
+        assert get_backend().name == "reference"
 
 
 def _qkvdo(rng, heads, seq, dim):
     return (rng.normal(size=(heads, seq, dim)) for _ in range(4))
+
+
+class _KernelFunctions:
+    """The kernel functions themselves, shaped like a backend."""
+
+    flash_forward = staticmethod(flash_attention_forward)
+    flash_backward = staticmethod(flash_attention_backward)
 
 
 def _run_flash(backend, q, k, v, do, **kw):
@@ -91,7 +146,8 @@ def _run_flash(backend, q, k, v, do, **kw):
 
 
 class TestBitwiseIdentity:
-    """threaded must reproduce reference bit for bit, not approximately."""
+    """Every registered backend must reproduce the kernel functions bit
+    for bit, not approximately."""
 
     @pytest.mark.parametrize("case", [
         {"name": "plain", "seq": 100, "heads": 3, "dim": 16},
@@ -126,24 +182,13 @@ class TestBitwiseIdentity:
                 else SlidingWindowMask(window=s // 4)
             )
             kw = {"plan": TilePlan.build(pattern, idx, idx, 32, 32)}
-        ref = _run_flash(get_backend("reference"), q, k, v, do, **kw)
-        thr = _run_flash(get_backend("threaded"), q, k, v, do, **kw)
-        for name, a, b in zip(("o", "lse", "dq", "dk", "dv"), ref, thr):
-            assert np.array_equal(a, b), f"{case['name']}: {name} diverged"
-
-    def test_single_block_and_single_worker_fallbacks(self):
-        rng = np.random.default_rng(5)
-        q, k, v, do = _qkvdo(rng, 2, 24, 8)  # one 32-row q block
-        ref = _run_flash(get_backend("reference"), q, k, v, do)
-        thr = _run_flash(get_backend("threaded"), q, k, v, do)
-        solo = ThreadedBackend(workers=1)
-        try:
-            one = _run_flash(solo, q, k, v, do)
-        finally:
-            solo.close()
-        for a, b, c in zip(ref, thr, one):
-            assert np.array_equal(a, b)
-            assert np.array_equal(a, c)
+        ref = _run_flash(_KernelFunctions, q, k, v, do, **kw)
+        for backend in available_backends():
+            got = _run_flash(get_backend(backend), q, k, v, do, **kw)
+            for name, a, b in zip(("o", "lse", "dq", "dk", "dv"), ref, got):
+                assert np.array_equal(a, b), (
+                    f"{case['name']}: {backend} {name} diverged"
+                )
 
     def test_tile_counters_match_reference(self):
         rng = np.random.default_rng(7)
@@ -159,8 +204,10 @@ class TestBitwiseIdentity:
                 "tiles_computed", "tiles_skipped", "computed_pairs",
             )}
 
-        assert counted(get_backend("reference")) == \
-            counted(get_backend("threaded"))
+        expected = counted(_KernelFunctions)
+        assert expected["tiles_computed"] > 0
+        for backend in available_backends():
+            assert counted(get_backend(backend)) == expected, backend
 
 
 class TestSpanLabels:
@@ -172,10 +219,9 @@ class TestSpanLabels:
         wu = rng.normal(size=(48, 16))
         wd = rng.normal(size=(16, 48))
         with use_tracing() as tracer:
-            _run_flash(get_backend("reference"), q, k, v, do)
-            _run_flash(get_backend("threaded"), q, k, v, do)
-            get_backend("reference").mlp_forward(x, wg, wu, wd)
-            get_backend("threaded").mlp_forward(x, wg, wu, wd, chunk_size=16)
+            _run_flash(get_backend(), q, k, v, do)
+            get_backend().mlp_forward(x, wg, wu, wd)
+            get_backend().mlp_forward(x, wg, wu, wd, chunk_size=16)
         spans = tracer.spans()
         kernel = [s for s in spans
                   if s.name.startswith(("flash.", "mlp."))]
@@ -183,42 +229,7 @@ class TestSpanLabels:
         assert all("backend" in s.attrs for s in kernel)
         payload = spans_to_chrome_json(spans)
         by_backend = kernel_time_by_backend(payload)
-        assert set(by_backend) == {"reference", "threaded"}
-        for per in by_backend.values():
-            assert per["total"] > 0.0
-        assert "flash.fwd" in by_backend["threaded"]
+        assert set(by_backend) == {"reference"}
+        assert by_backend["reference"]["total"] > 0.0
+        assert "flash.fwd" in by_backend["reference"]
         assert "mlp.fwd" in by_backend["reference"]
-
-
-class TestFuzzBackendAxis:
-    BASE = FuzzCase(
-        method="burst", mask="causal", nodes=1, gpn=2,
-        seq_len=16, head_dim=4, n_heads=2,
-    )
-
-    def test_spec_roundtrip_keeps_backend(self):
-        case = replace(self.BASE, backend="threaded")
-        assert "backend=threaded" in case.spec()
-        assert FuzzCase.parse(case.spec()) == case
-        # default backend stays out of the spec (stable repro strings)
-        assert "backend" not in self.BASE.spec()
-
-    def test_check_case_runs_under_requested_backend(self):
-        passed, detail = check_case(replace(self.BASE, backend="threaded"))
-        assert passed, detail
-
-    def test_shrinker_tries_reference_backend_first(self):
-        seen = []
-
-        def fails(c):
-            seen.append(c)
-            return False
-
-        case = replace(self.BASE, backend="threaded")
-        assert shrink_case(case, fails) == case  # nothing simpler fails
-        assert seen[0].backend == "reference"
-
-    def test_fuzz_smoke_forced_onto_threaded(self):
-        result = fuzz(seed=3, budget=4, smoke=True, backend="threaded")
-        assert result.cases_run == 4
-        assert not result.failures, result.summary()

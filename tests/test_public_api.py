@@ -140,3 +140,35 @@ class TestOneDefinitionPerCollective:
                     found[node.name].append(path.relative_to(src).as_posix())
         assert len(found) == 9
         assert found == {op: ["comm/communicator.py"] for op in found}
+
+
+class TestOneKernelExecutionPath:
+    def test_no_dense_mask_twin_and_no_second_backend(self):
+        """ROADMAP aim 2, "no fast path that keeps its slow twin alive":
+        a mask reaches a kernel only as a ``TilePlan`` and the kernels run
+        on one orchestration, so the switches that selected the twins, the
+        harness that compared them and every dense shard-mask
+        materialisation outside the kernels' own oracle are gone."""
+        import ast
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        removed = (
+            "use_planning", "planning_enabled", "ThreadedBackend",
+            "REPRO_KERNEL_BACKEND", "REPRO_KERNEL_WORKERS", "include_bias",
+        )
+        may_materialise = ("kernels/", "masks/", "attention/verify.py")
+        assert not (src / "perf" / "bench.py").exists()
+        for path in sorted(src.rglob("*.py")):
+            rel = path.relative_to(src).as_posix()
+            text = path.read_text()
+            assert [n for n in removed if n in text] == [], rel
+            if rel.startswith(may_materialise):
+                continue
+            dense_calls = [
+                node.lineno for node in ast.walk(ast.parse(text))
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("dense", "block")
+            ]
+            assert dense_calls == [], f"{rel}: lines {dense_calls}"

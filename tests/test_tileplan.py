@@ -7,17 +7,13 @@ must not change a single bit of the numerics.  These tests pin that:
 * property tests draw random ``BlockSparseMask`` configurations and
   zigzag/striped shard pairs — including uneven block edges and GQA-shaped
   batches — and require exact agreement with the dense-mask kernels;
-* the causal acceptance floor (>= 40 % of sub-tiles skipped) is asserted;
-* the bench harness's smoke mode and its regression gate are exercised.
+* the causal acceptance floor (>= 40 % of sub-tiles skipped) is asserted.
 """
-
-import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.attention.ring import _resolve_tiles
 from repro.kernels import (
     EMPTY,
     FULL,
@@ -28,7 +24,6 @@ from repro.kernels import (
     counters,
     flash_attention_backward,
     flash_attention_forward,
-    use_planning,
 )
 from repro.masks import (
     ALiBiMask,
@@ -257,93 +252,6 @@ class TestSkipAccounting:
         assert counters.bias_tiles_reused > 0
         # Distinct relative offsets are far fewer than resolved tiles.
         assert counters.bias_tiles_built < counters.bias_tiles_reused
-
-    def test_use_planning_toggle_restores_dense_resolution(self):
-        mask = CausalMask()
-        idx_q = np.arange(32)
-        idx_k = np.arange(16)
-        with use_planning(False):
-            skip, plan, tile, bias = _resolve_tiles(mask, idx_q, idx_k, 8)
-            assert plan is None and tile is not None
-        skip, plan, tile, bias = _resolve_tiles(mask, idx_q, idx_k, 8)
-        assert plan is not None and tile is None
-
-
-class TestDistributedPathsPlanned:
-    def test_ring_planned_equals_ring_dense(self):
-        """End-to-end: a full distributed forward/backward is bit-identical
-        with planning on and off."""
-        from repro.attention.methods import get_method
-        from repro.comm import SimCommunicator
-        from repro.topology import make_cluster
-
-        g, n, h, d = 4, 64, 2, 8
-        rng = np.random.default_rng(1)
-        q, k, v, do = (rng.normal(size=(h, n, d)) for _ in range(4))
-        mask = CausalMask()
-        outs = {}
-        for planned in (False, True):
-            method = get_method("megatron-cp", block_size=8)
-            comm = SimCommunicator(make_cluster(g, gpus_per_node=g))
-            idxs = method.indices(n, g)
-            qs, ks, vs = (method.shard(x, g) for x in (q, k, v))
-            with use_planning(planned):
-                os_, lses, ctx = method.forward_shards(
-                    comm, qs, ks, vs, idxs, mask, None
-                )
-                grads = method.backward_shards(comm, ctx, method.shard(do, g))
-            outs[planned] = (os_, lses, *grads)
-        for a_parts, b_parts in zip(outs[False], outs[True]):
-            for a, b in zip(a_parts, b_parts):
-                np.testing.assert_array_equal(a, b)
-
-
-class TestBenchHarness:
-    def test_kernel_smoke_suite_records_skips_and_identity(self):
-        from repro.perf.bench import run_kernel_suite
-
-        results = run_kernel_suite(smoke=True, repeats=1)
-        by_name = {r["name"]: r for r in results}
-        assert by_name["causal"]["skip_fraction"] >= 0.4
-        for rec in results:
-            assert rec["max_abs_diff"] <= 1e-12
-            assert rec["tiles_skipped"] > 0
-
-    def test_check_mode_flags_regressions(self):
-        from repro.perf.bench import check_results
-
-        rec = {
-            "name": "causal", "params": {"seq": 1},
-            "dense_s": 1.0, "planned_s": 1.0, "speedup": 1.2,
-            "tiles_computed": 10, "tiles_skipped": 10,
-            "skip_fraction": 0.5, "max_abs_diff": 0.0,
-        }
-        base = dict(rec, speedup=2.0)
-        problems = check_results([rec], [base], tolerance=1.2, suite="kernels")
-        assert any("regressed" in p for p in problems)
-        # Tile-count drift is flagged even when speed is fine.
-        drift = dict(rec, tiles_skipped=9, speedup=2.0)
-        problems = check_results([drift], [base], tolerance=1.2,
-                                 suite="kernels")
-        assert any("tiles_skipped" in p for p in problems)
-        # Numeric deviation always fails.
-        bad = dict(rec, max_abs_diff=1e-9, speedup=2.0)
-        problems = check_results([bad], [base], tolerance=1.2, suite="kernels")
-        assert any("deviates" in p for p in problems)
-
-    def test_cli_writes_json(self, tmp_path):
-        from repro.perf.bench import main
-
-        rc = main([
-            "--suite", "kernels", "--smoke", "--repeats", "1",
-            "--out", str(tmp_path),
-        ])
-        assert rc == 0
-        payload = json.loads((tmp_path / "BENCH_kernels.json").read_text())
-        assert payload["suite"] == "kernels"
-        assert {"dense_s", "planned_s", "speedup", "tiles_computed",
-                "tiles_skipped", "skip_fraction", "max_abs_diff"} <= set(
-                    payload["results"][0])
 
 
 class TestTilePlanInvariants:

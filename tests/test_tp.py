@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.comm import SimCommunicator
-from repro.masks import CausalMask, SlidingWindowMask
+from repro.masks import ALiBiMask, CausalMask, SlidingWindowMask
 from repro.models import LLAMA_14B
 from repro.nn import Adam, Tensor, TransformerConfig, TransformerLM
 from repro.topology import a800_node, make_cluster
@@ -95,8 +95,8 @@ class TestTPLayersNumerics:
         # note: the module defaults mask=None to causal, so pass FullMask
         # explicitly for the unmasked comparison
         [__import__("repro.masks", fromlist=["FullMask"]).FullMask(),
-         CausalMask(), SlidingWindowMask(8)],
-        ids=["full", "causal", "swa"],
+         CausalMask(), SlidingWindowMask(8), ALiBiMask(4)],
+        ids=["full", "causal", "swa", "alibi"],
     )
     def test_tp_attention_matches_plain_module(self, mask):
         from repro.nn.modules import CausalSelfAttention
