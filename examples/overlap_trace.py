@@ -2,11 +2,12 @@
 
 Builds the DES task graphs behind the attention timing model for
 BurstAttention's delayed-gradient scheme vs LoongTrain's serialized
-gradient drain, prints the timelines, and exports Chrome traces you can
-open at chrome://tracing or https://ui.perfetto.dev — plus an *observed*
-trace of a real burst backward pass on the simulated cluster, so the
-predicted and executed ring schedules sit side by side in the viewer
-(the DES rows load as pid 1, the observed rows as pid 2).
+gradient drain — the same graphs ``attention_pass_time`` prices — prints
+the timelines, and exports Chrome traces you can open at chrome://tracing
+or https://ui.perfetto.dev — plus an *observed* trace of a real burst
+backward pass on the simulated cluster, so the predicted and executed ring
+schedules sit side by side in the viewer (the DES rows load as pid 1, the
+observed rows as pid 2).
 
 Run:  python examples/overlap_trace.py
 """
@@ -18,40 +19,28 @@ import numpy as np
 from repro.attention import get_method
 from repro.comm import SimCommunicator
 from repro.obs import spans_to_chrome_json, use_tracing
-from repro.perf.cost import link_time
+from repro.obs.export import sims_to_chrome_json
+from repro.perf import attention_pass_sim
 from repro.perf.des import Simulator
-from repro.perf.schedules.attention import _pipelined_ring, _transition_durations
-from repro.perf.trace import trace_to_chrome_json
+from repro.perf.schedules.attention import AttentionWorkload
 from repro.topology import a800_node, make_cluster
 
 
-def build(grad_overlapped: bool) -> Simulator:
+def build(method: str) -> Simulator:
+    """One backward pass of ``method`` at a size where comm and compute
+    are comparable (64K tokens, hidden 4096, 2 x 4 GPUs)."""
     topology = make_cluster(8, node=a800_node(gpus_per_node=4))
-    payload = 64e6  # one circulating gradient bundle, bytes
-    step_compute = 6e-3
-    transitions = _transition_durations(topology, payload, flat=False)
-    sim = Simulator()
-    if grad_overlapped:
-        _pipelined_ring(sim, "b", transitions, step_compute, grad_dependent=True)
-    else:
-        # LoongTrain: compute first, then drain the gradient ring serially.
-        _pipelined_ring(sim, "b", transitions, step_compute, grad_dependent=False)
-        prev = f"bc{len(transitions)}"
-        for i, (res, dur) in enumerate(transitions):
-            sim.add(f"drain{i}", dur, resources=(res,), deps=[prev])
-            prev = f"drain{i}"
-    sim.run()
-    return sim
+    workload = AttentionWorkload(seq_len=65536, hidden=4096, n_heads=32)
+    return attention_pass_sim(method, topology, workload, backward=True)
 
 
 def show(label: str, sim: Simulator) -> None:
-    makespan = max(t.end for t in sim.timeline())
-    print(f"\n{label}: makespan {makespan * 1e3:.2f} ms")
+    print(f"\n{label}: makespan {sim.makespan * 1e3:.2f} ms")
     for task in sim.timeline():
         res = task.resources[0] if task.resources else "-"
         bar_start = int(task.start * 4e3)
         bar_len = max(1, int(task.duration * 4e3))
-        print(f"  {task.name:10s} [{res:7s}] "
+        print(f"  {task.name:16s} [{res:7s}] "
               + " " * bar_start + "#" * bar_len)
 
 
@@ -72,8 +61,8 @@ def observed(out_dir: str) -> None:
 
 
 def main() -> None:
-    overlapped = build(grad_overlapped=True)
-    serialized = build(grad_overlapped=False)
+    overlapped = build("burst")
+    serialized = build("loongtrain-double")
     show("BurstAttention (delayed double buffer)", overlapped)
     show("DoubleRing (serialized gradient drain)", serialized)
 
@@ -81,7 +70,7 @@ def main() -> None:
     os.makedirs(out_dir, exist_ok=True)
     for name, sim in (("burst", overlapped), ("doublering", serialized)):
         path = os.path.join(out_dir, f"{name}.json")
-        trace_to_chrome_json(sim, path)
+        sims_to_chrome_json(sim, path)
         print(f"\nwrote {path} (open in chrome://tracing)")
     observed(out_dir)
 

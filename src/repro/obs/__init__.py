@@ -15,10 +15,12 @@ to compare the two:
   in ``repro.kernels.tileplan``, ``repro.nn.memory`` and
   ``repro.resilience`` are backed by (or mirrored into) the global
   registry, giving one ``snapshot()`` / ``reset()`` API over all of them.
-* :mod:`repro.obs.export` — exporters: Chrome trace JSON in the *same
-  schema* as the DES exporter (:func:`repro.perf.trace.trace_to_chrome_json`)
-  so Perfetto shows predicted and observed timelines side by side, and
-  per-step JSONL metrics lines from the :class:`~repro.engine.Trainer`.
+* :mod:`repro.obs.export` — exporters: one Chrome-trace event writer
+  that both the tracer's spans (``pid`` 2) and the DES timelines
+  (``pid`` 1) go through, so Perfetto shows predicted and observed
+  timelines side by side; per-step JSONL metrics lines from the
+  :class:`~repro.engine.Trainer`; and the schema-table preamble shared
+  by every ``validate_*`` function of this package.
 * :mod:`repro.obs.flow` — producer→consumer flow events derived from
   communicator spans, exported as Chrome-trace ``s``/``f`` pairs so
   Perfetto draws the cross-rank causal arrows.

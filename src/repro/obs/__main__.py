@@ -11,7 +11,7 @@
   non-zero on malformed or zero-span traces.
 * ``diff`` — structurally compare an observed trace against the
   DES-predicted schedule (see :func:`repro.obs.report.diff_traces`);
-  exits non-zero when the ring structure deviates beyond tolerance.
+  exits non-zero when the ring structure deviates.
 * ``attribute`` — run the critical-path engine
   (:func:`repro.obs.critical.attribute_trace`): per-step per-rank
   compute / exposed-comm / overlapped / idle attribution with a
@@ -27,27 +27,73 @@
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
 
-def _cmd_trace_step(args: argparse.Namespace) -> int:
+def _quickstart(
+    method: str,
+    ring_mode: str,
+    seq: int,
+    *,
+    policy: str = "sequence_level",
+    chunk: int | None = None,
+    gpus: int = 8,
+    gpus_per_node: int = 4,
+):
+    """The tiny 2-layer engine every subcommand traces, and its one batch.
+
+    Predictions and trace metadata read the sizes back from
+    ``engine.config``, so they are stated here only.
+    """
     import numpy as np
 
     from repro.engine import BurstEngine, EngineConfig
-    from repro.engine.trainer import Trainer
     from repro.nn.checkpoint import CheckpointMode, CheckpointPolicy
     from repro.nn.modules import TransformerConfig
-    from repro.obs.export import spans_to_chrome_json, validate_chrome_trace
-    from repro.obs.mem import (
-        timeline_json,
-        use_memory_timeline,
-        validate_memory_timeline,
-    )
-    from repro.obs.report import build_predicted_trace
-    from repro.obs.tracer import use_tracing
-    from repro.perf.schedules.attention import AttentionWorkload
     from repro.topology import a800_node, make_cluster
+
+    config = EngineConfig(
+        model=TransformerConfig(
+            vocab_size=128, dim=32, n_layers=2, n_heads=4, ffn_hidden=64,
+            max_seq_len=seq, attn_block_size=32, mlp_chunk_size=chunk,
+        ),
+        method=method,
+        method_kwargs=(
+            {"ring_mode": ring_mode} if ring_mode != "unidirectional" else {}
+        ),
+        checkpoint=CheckpointPolicy(CheckpointMode(policy), 0.5),
+        head_impl="fused",
+    )
+    engine = BurstEngine(
+        config,
+        topology=make_cluster(gpus, node=a800_node(gpus_per_node=gpus_per_node)),
+    )
+    rng = np.random.default_rng(0)
+    vocab = config.model.vocab_size
+    return engine, (rng.integers(0, vocab, seq), rng.integers(0, vocab, seq))
+
+
+def _traced_fit(engine, batch, steps: int = 1, **trainer_kwargs):
+    """Train under the tracer and a memory timeline; returns
+    ``(spans, timeline, memory events)``."""
+    from repro.engine.trainer import Trainer
+    from repro.obs.mem import use_memory_timeline
+    from repro.obs.tracer import use_tracing
+
+    with use_tracing() as tracer:
+        with use_memory_timeline() as timeline:
+            Trainer(engine=engine, **trainer_kwargs).fit([batch], steps=steps)
+            events = timeline.events()
+    return tracer.spans(), timeline, events
+
+
+def _cmd_trace_step(args: argparse.Namespace) -> int:
+    from repro.obs.export import spans_to_chrome_json, validate_chrome_trace
+    from repro.obs.mem import timeline_json, validate_memory_timeline
+    from repro.obs.report import build_predicted_trace
+    from repro.perf.schedules.attention import AttentionWorkload
 
     os.makedirs(args.out_dir, exist_ok=True)
     trace_path = os.path.join(args.out_dir, "trace.json")
@@ -57,34 +103,14 @@ def _cmd_trace_step(args: argparse.Namespace) -> int:
     if os.path.exists(metrics_path):
         os.remove(metrics_path)
 
-    topology = make_cluster(
-        args.gpus, node=a800_node(gpus_per_node=args.gpus_per_node)
+    engine, batch = _quickstart(
+        args.method, args.ring_mode, args.seq,
+        gpus=args.gpus, gpus_per_node=args.gpus_per_node,
     )
-    method_kwargs = (
-        {"ring_mode": args.ring_mode}
-        if args.ring_mode != "unidirectional"
-        else {}
+    model, topology = engine.config.model, engine.topology
+    spans, timeline, mem_events = _traced_fit(
+        engine, batch, args.steps, metrics_path=metrics_path
     )
-    config = EngineConfig(
-        model=TransformerConfig(
-            vocab_size=128, dim=32, n_layers=2, n_heads=4, ffn_hidden=64,
-            max_seq_len=args.seq, attn_block_size=32,
-        ),
-        method=args.method,
-        method_kwargs=method_kwargs,
-        checkpoint=CheckpointPolicy(CheckpointMode.SEQUENCE_LEVEL, 0.5),
-        head_impl="fused",
-    )
-    engine = BurstEngine(config, topology)
-    rng = np.random.default_rng(0)
-    ids = rng.integers(0, 128, args.seq)
-    targets = rng.integers(0, 128, args.seq)
-    trainer = Trainer(engine=engine, metrics_path=metrics_path)
-    with use_tracing() as tracer:
-        with use_memory_timeline() as timeline:
-            trainer.fit([(ids, targets)], steps=args.steps)
-            mem_events = timeline.events()
-    spans = tracer.spans()
     payload = spans_to_chrome_json(
         spans, trace_path,
         memory_events=mem_events,
@@ -93,9 +119,9 @@ def _cmd_trace_step(args: argparse.Namespace) -> int:
             "world_size": topology.world_size,
             "gpus_per_node": topology.gpus_per_node,
             "seq_len": args.seq,
-            "hidden": 32,
-            "n_heads": 4,
-            "n_layers": 2,
+            "hidden": model.dim,
+            "n_heads": model.n_heads,
+            "n_layers": model.n_layers,
             "steps": args.steps,
             "ring_mode": args.ring_mode,
         },
@@ -112,7 +138,7 @@ def _cmd_trace_step(args: argparse.Namespace) -> int:
     print(f"wrote {timeline_path} ({len(mem_events)} memory events)")
     try:
         workload = AttentionWorkload(
-            seq_len=args.seq, hidden=32, n_heads=4
+            seq_len=args.seq, hidden=model.dim, n_heads=model.n_heads
         )
         build_predicted_trace(
             args.method, topology, workload, predicted_path,
@@ -125,55 +151,29 @@ def _cmd_trace_step(args: argparse.Namespace) -> int:
 
 
 def _memdiff_cell(method, policy_mode, ring_mode, seq, chunk=None):
-    """Run one traced step and return (observed, predicted, analysis)."""
-    import numpy as np
-
-    from repro.engine import BurstEngine, EngineConfig
-    from repro.engine.trainer import Trainer
-    from repro.nn.checkpoint import CheckpointMode, CheckpointPolicy
+    """Run one traced step; observed and predicted peak saved bytes plus
+    the timeline analysis."""
     from repro.nn.memory import get_tracker
-    from repro.nn.modules import TransformerConfig
-    from repro.obs.mem import (
-        leak_report,
-        peak_attribution,
-        use_memory_timeline,
-    )
-    from repro.obs.tracer import use_tracing
+    from repro.obs.mem import leak_report, peak_attribution
     from repro.perf.memory import predict_step_peak_saved_bytes
-    from repro.topology import a800_node, make_cluster
 
     # The quickstart model has 4 heads; Ulysses needs heads % world == 0,
     # so its cells run on a 4-GPU cluster (saved bytes are world-
     # independent: the simulation registers full-sequence tensors).
-    world = 4 if method == "ulysses" else 8
-    topology = make_cluster(world, node=a800_node(gpus_per_node=4))
-    method_kwargs = (
-        {"ring_mode": ring_mode}
-        if method == "burst" and ring_mode != "unidirectional"
-        else {}
+    # Only the burst cells take the ring mode.
+    engine, batch = _quickstart(
+        method, ring_mode if method == "burst" else "unidirectional", seq,
+        policy=policy_mode, chunk=chunk, gpus=4 if method == "ulysses" else 8,
     )
-    config = EngineConfig(
-        model=TransformerConfig(
-            vocab_size=128, dim=32, n_layers=2, n_heads=4, ffn_hidden=64,
-            max_seq_len=seq, attn_block_size=32, mlp_chunk_size=chunk,
-        ),
-        method=method,
-        method_kwargs=method_kwargs,
-        checkpoint=CheckpointPolicy(CheckpointMode(policy_mode), 0.5),
-        head_impl="fused",
-    )
-    engine = BurstEngine(config, topology=topology)
-    rng = np.random.default_rng(0)
-    batch = (rng.integers(0, 128, seq), rng.integers(0, 128, seq))
-    with use_tracing() as tracer:
-        with use_memory_timeline() as timeline:
-            Trainer(engine=engine).fit([batch], steps=1)
-            events = timeline.events()
+    spans, timeline, events = _traced_fit(engine, batch)
     observed = get_tracker().peak_saved_bytes
+    config = engine.config
     predicted = predict_step_peak_saved_bytes(
-        seq_len=seq, dim=32, n_layers=2, n_heads=4, ffn_hidden=64,
-        vocab=128, checkpoint=policy_mode, split_fraction=0.5,
-        head_impl="fused", fused_mlp=(chunk is not None),
+        seq_len=seq, dim=config.model.dim, n_layers=config.model.n_layers,
+        n_heads=config.model.n_heads, ffn_hidden=config.model.ffn_hidden,
+        vocab=config.model.vocab_size, checkpoint=policy_mode,
+        split_fraction=config.checkpoint.split_fraction,
+        head_impl=config.head_impl, fused_mlp=(chunk is not None),
         rebuilds_context=(method != "ulysses"),
     )
     return {
@@ -183,7 +183,8 @@ def _memdiff_cell(method, policy_mode, ring_mode, seq, chunk=None):
         "leaks": leak_report(events),
         "events": events,
         "timeline": timeline,
-        "spans": tracer.spans(),
+        "spans": spans,
+        "model": config.model,
     }
 
 
@@ -200,8 +201,6 @@ def _site_peak(events, prefix: str) -> int:
 
 
 def _cmd_memdiff(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs.mem import (
         MEMDIFF_SCHEMA,
         timeline_json,
@@ -227,7 +226,8 @@ def _cmd_memdiff(args: argparse.Namespace) -> int:
             cell = _memdiff_cell(method, policy, args.ring_mode, seq)
             if first_cell is None:
                 first_cell = cell
-            match = cell["observed"] == cell["predicted"]["peak_saved_bytes"]
+            predicted = cell["predicted"]["peak_saved_bytes"]
+            match = cell["observed"] == predicted
             clean = not cell["leaks"]
             failed = failed or not match or not clean
             attr = cell["attribution"]
@@ -243,14 +243,14 @@ def _cmd_memdiff(args: argparse.Namespace) -> int:
             label = f"{method}/{policy}"
             print(
                 f"{label:<34} {cell['observed']:>10} "
-                f"{cell['predicted']['peak_saved_bytes']:>10}  {where}{status}"
+                f"{predicted:>10}  {where}{status}"
             )
             cells.append({
                 "method": method,
                 "policy": policy,
                 "ring_mode": args.ring_mode if method == "burst" else None,
                 "observed_peak_bytes": cell["observed"],
-                "predicted_peak_bytes": cell["predicted"]["peak_saved_bytes"],
+                "predicted_peak_bytes": predicted,
                 "match": match,
                 "peak_span": attr.get("span"),
                 "peak_owner": owner,
@@ -266,9 +266,7 @@ def _cmd_memdiff(args: argparse.Namespace) -> int:
             "observed": cell["observed"],
             "predicted": cell["predicted"]["peak_saved_bytes"],
         }
-        failed = failed or (
-            cell["observed"] != cell["predicted"]["peak_saved_bytes"]
-        )
+        failed = failed or curve[policy]["observed"] != curve[policy]["predicted"]
     print("checkpoint curve (observed bytes): " + ", ".join(
         f"{p}={c['observed']}" for p, c in curve.items()
     ))
@@ -278,7 +276,9 @@ def _cmd_memdiff(args: argparse.Namespace) -> int:
     tcell = _memdiff_cell("burst", "sequence_level", args.ring_mode, seq,
                           chunk=chunk)
     t_observed = _site_peak(tcell["events"], "mlp.chunked_bwd")
-    t_predicted = swiglu_chunked_transient_bytes(seq, 32, 64, chunk)
+    t_predicted = swiglu_chunked_transient_bytes(
+        seq, tcell["model"].dim, tcell["model"].ffn_hidden, chunk
+    )
     t_match = t_observed == t_predicted
     failed = failed or not t_match
     print(
@@ -332,13 +332,8 @@ def _cmd_memdiff(args: argparse.Namespace) -> int:
 
 def _memdiff_inject(args: argparse.Namespace, seq: int) -> int:
     """Seeded failure scenarios: must exit non-zero with an oom/v1 bundle."""
-    import numpy as np
-
-    from repro.engine import BurstEngine, EngineConfig
     from repro.engine.trainer import Trainer
-    from repro.nn.checkpoint import CheckpointMode, CheckpointPolicy
     from repro.nn.memory import get_tracker
-    from repro.nn.modules import TransformerConfig
     from repro.obs.flightrec import FlightRecorder
     from repro.obs.mem import (
         MemoryBudget,
@@ -349,21 +344,8 @@ def _memdiff_inject(args: argparse.Namespace, seq: int) -> int:
         validate_oom_postmortem,
     )
     from repro.obs.tracer import use_tracing
-    from repro.topology import a800_node, make_cluster
 
-    topology = make_cluster(8, node=a800_node(gpus_per_node=4))
-    config = EngineConfig(
-        model=TransformerConfig(
-            vocab_size=128, dim=32, n_layers=2, n_heads=4, ffn_hidden=64,
-            max_seq_len=seq, attn_block_size=32,
-        ),
-        method="burst",
-        checkpoint=CheckpointPolicy(CheckpointMode.SEQUENCE_LEVEL, 0.5),
-        head_impl="fused",
-    )
-    engine = BurstEngine(config, topology=topology)
-    rng = np.random.default_rng(0)
-    batch = (rng.integers(0, 128, seq), rng.integers(0, 128, seq))
+    engine, batch = _quickstart("burst", "unidirectional", seq)
     recorder = FlightRecorder(out_dir=args.out_dir, prefix="oom-")
     bundle_path = None
     with recorder, use_tracing():
@@ -386,14 +368,9 @@ def _memdiff_inject(args: argparse.Namespace, seq: int) -> int:
                 trainer = Trainer(engine=engine)
                 # Seed the leak *inside* the step so it is attributed:
                 # one register with no matching release.
-                leaked = {}
-
-                def leak_hook(tr, record):
-                    leaked["handle"] = get_tracker().register(
-                        4096, site="injected.leak"
-                    )
-
-                trainer.on_step_end = leak_hook
+                trainer.on_step_end = lambda tr, record: get_tracker().register(
+                    4096, site="injected.leak"
+                )
                 trainer.fit([batch], steps=1)
                 leaks = leak_report(timeline.events())
                 if not leaks:
@@ -421,8 +398,6 @@ def _memdiff_inject(args: argparse.Namespace, seq: int) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs.report import (
         load_metrics,
         load_trace,
@@ -460,8 +435,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs.report import (
         diff_json,
         diff_traces,
@@ -470,16 +443,14 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     )
 
     try:
-        observed = load_trace(args.trace)
-        predicted = load_trace(args.predicted, validate=False)
         ok, lines = diff_traces(
-            observed, predicted, tolerance=args.tolerance
+            load_trace(args.trace), load_trace(args.predicted)
         )
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        doc = diff_json(ok, lines, tolerance=args.tolerance)
+        doc = diff_json(ok, lines)
         validate_diff_json(doc)
         print(json.dumps(doc, indent=2))
     else:
@@ -488,8 +459,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_attribute(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs.critical import (
         attribute_trace,
         render_attribution,
@@ -555,7 +524,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument("trace")
     p.add_argument("--predicted", required=True)
-    p.add_argument("--tolerance", type=float, default=0.05)
     p.add_argument(
         "--json", action="store_true",
         help="emit a validated obs-diff/v1 JSON document",

@@ -13,9 +13,10 @@ plus the flow edges of :mod:`repro.obs.flow`) and answers three questions:
 
 2. **Does the observed overlap match the model?**  :func:`attribute_trace`
    replays the first observed attention pass through the *same* DES graph
-   that prices the prediction (:func:`repro.perf.criticalpath
-   .attention_pass_sim`), substituting transition durations priced from
-   the bytes each observed ring transition actually carried, and pins the
+   that prices the prediction (:func:`repro.perf.schedules.attention
+   .attention_pass_sim`), substituting hop durations priced from the bytes
+   each observed ring transition — and, on a backward pass, the
+   return-to-owner exchange — actually carried, and pins the
    resulting exposed-communication fraction against the modeled one — and,
    under the unidirectional mode, the replayed comm-busy seconds against
    the closed forms of :func:`repro.perf.cost.attention_step_sizes`.
@@ -29,11 +30,12 @@ plus the flow edges of :mod:`repro.obs.flow`) and answers three questions:
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from typing import Any
 
-from repro.obs.report import _as_payload, _x_events
+from repro.obs.export import load_artifact
+from repro.obs.flow import ROUNDING_SLACK_US
+from repro.obs.report import as_payload, merged_intervals, x_events
 
 __all__ = [
     "ATTRIBUTION_SCHEMA",
@@ -61,22 +63,8 @@ CONSERVATION_RTOL = 1e-9
 
 ATTRIBUTION_SCHEMA = "obs-attribution/v1"
 
-#: keys every attribution document must carry
-ATTRIBUTION_KEYS = (
-    "schema",
-    "metadata",
-    "steps",
-    "conservation",
-    "stragglers",
-    "critical_spans",
-    "pins",
-    "ok",
-)
-
 #: Span names carrying simulated stall seconds (``args.sim_wait_s``).
 _STALL_SPANS = ("lease.wait", "failure.detect")
-
-_EPS_US = 0.002  # absorbs the exporter's 3-decimal rounding
 
 
 # --------------------------------------------------------------------------
@@ -86,23 +74,13 @@ _EPS_US = 0.002  # absorbs the exporter's 3-decimal rounding
 def step_windows(payload: dict | str) -> list[tuple[int, float, float]]:
     """``(step, start_us, end_us)`` of every ``train.step`` span, by time."""
     windows = []
-    for e in _x_events(payload):
+    for e in x_events(payload):
         if e.get("name") != "train.step":
             continue
         step = e.get("args", {}).get("step", len(windows))
         windows.append((step, e["ts"], e["ts"] + e["dur"]))
     windows.sort(key=lambda w: w[1])
     return windows
-
-
-def _merged(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    out: list[tuple[float, float]] = []
-    for s, e in sorted(intervals):
-        if out and s <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], e))
-        else:
-            out.append((s, e))
-    return out
 
 
 def _covered(merged: list[tuple[float, float]], x: float) -> bool:
@@ -131,8 +109,8 @@ def attribute_steps(payload: dict | str) -> list[dict[str, Any]]:
     the window's wall time by construction (an elementary-interval sweep:
     every boundary is a span edge, membership decided at midpoints).
     """
-    payload = _as_payload(payload)
-    events = _x_events(payload)
+    payload = as_payload(payload)
+    events = x_events(payload)
     ranks = _trace_ranks(payload, events)
     out: list[dict[str, Any]] = []
     for step, t0, t1 in step_windows(payload):
@@ -156,7 +134,7 @@ def attribute_steps(payload: dict | str) -> list[dict[str, Any]]:
                 end = min(e["ts"] + e["dur"], t1)
                 if end > s:
                     bucket.append((s, end))
-            mc, mm = _merged(compute), _merged(comm)
+            mc, mm = merged_intervals(compute), merged_intervals(comm)
             bounds = sorted(
                 {t0, t1}
                 | {b for iv in mc for b in iv}
@@ -224,7 +202,7 @@ def straggler_ranking(payload: dict | str) -> list[dict[str, Any]]:
     empty list means no rank ever exceeded the nominal op time.
     """
     stats: dict[Any, dict[str, Any]] = {}
-    for e in _x_events(payload):
+    for e in x_events(payload):
         name = e.get("name")
         if name not in _STALL_SPANS and name != "lease.extend":
             continue
@@ -253,7 +231,7 @@ def critical_spans(payload: dict | str, k: int = 5) -> list[dict[str, Any]]:
     excluded so the ranking points at actual leaves.
     """
     entries = []
-    for e in _x_events(payload):
+    for e in x_events(payload):
         name = e.get("name", "")
         args = e.get("args", {})
         if (
@@ -284,26 +262,26 @@ def critical_spans(payload: dict | str, k: int = 5) -> list[dict[str, Any]]:
 # --------------------------------------------------------------------------
 
 def _observed_hop_bytes(
-    transition: dict, events: list[dict], logical: str, channel: str
+    transition: dict, events: list[dict], channel: str
 ) -> float:
-    """Per-hop payload bytes of one observed ring transition.
+    """Per-hop payload bytes of one observed ring hop.
 
-    The transition span wraps one ``comm.ring_shift`` per concurrent ring
-    (or one ``comm.exchange`` for the reverse seed); each logs the summed
-    bytes over its hops, so bytes-per-transfer of any contained comm span
-    is the circulating bundle size.
+    A ``ring.transition`` span wraps one ``comm.ring_shift`` per concurrent
+    ring (or one ``comm.exchange`` for the reverse seed) and the return hop
+    *is* a ``comm.exchange`` span; each logs the summed bytes over its
+    hops, so bytes-per-transfer of any comm span inside the window is the
+    circulating bundle size.  ``events`` are the pass's logical phase only.
     """
-    t0, t1 = transition["ts"], transition["ts"] + transition["dur"]
+    t0 = transition["ts"] - ROUNDING_SLACK_US
+    t1 = transition["ts"] + transition["dur"] + ROUNDING_SLACK_US
     best = 0.0
     for e in events:
         if e.get("name") not in ("comm.ring_shift", "comm.exchange"):
             continue
-        args = e.get("args", {})
-        if args.get("logical") != logical:
-            continue
+        args = e["args"]
         if args.get("channel", "fwd") != channel:
             continue
-        if e["ts"] < t0 - _EPS_US or e["ts"] + e["dur"] > t1 + _EPS_US:
+        if e["ts"] < t0 or e["ts"] + e["dur"] > t1:
             continue
         transfers = max(int(args.get("transfers", 1)), 1)
         best = max(best, float(args.get("nbytes", 0.0)) / transfers)
@@ -318,16 +296,17 @@ def _price_transitions(
     logical: str,
     channel: str,
     *,
-    lenient_first: bool = False,
+    mixed: int | None = None,
 ) -> tuple[list[tuple[str, float]], list[str]]:
-    """Price observed transitions at their logged bytes on modeled links.
+    """Price observed hops at their logged bytes on modeled links.
 
     Returns the ``(resource, duration)`` list to substitute into the DES
     replay, plus any structural mismatches (observed link row disagreeing
-    with the schedule's modeled link class, or a transition containing no
-    byte-carrying comm span).  ``lenient_first`` skips the row check for
-    the reverse stream's seeding exchange, whose mixed permutation the
-    model prices at the last transition's class by convention.
+    with the schedule's modeled link class, or a hop containing no
+    byte-carrying comm span).  ``mixed`` is the position whose row check
+    is skipped: the reverse stream's seeding exchange or the forward
+    stream's return hop, mixed permutations the model prices at the last
+    transition's class by convention.
     """
     from repro.topology import LinkClass
 
@@ -336,28 +315,25 @@ def _price_transitions(
     for i, (tr, (res, _)) in enumerate(zip(observed, modeled)):
         row = tr.get("args", {}).get("phase", "")
         kind = "inter" if row == "inter-ring" else "intra"
-        if kind != res and not (lenient_first and i == 0):
+        if kind != res and i != mixed:
             problems.append(
                 f"{logical}/{channel} transition {i}: observed {kind} "
                 f"link, schedule models {res}"
             )
-        hop = _observed_hop_bytes(tr, events, logical, channel)
+        hop = _observed_hop_bytes(tr, events, channel)
         if hop <= 0:
             problems.append(
                 f"{logical}/{channel} transition {i}: no byte-carrying "
                 "comm span inside the transition window"
             )
-        cls = LinkClass.INTRA if res == "intra" else LinkClass.INTER
-        priced.append((res, topology.transfer_time(hop, cls)))
+        priced.append((res, topology.transfer_time(hop, LinkClass(res))))
     return priced, problems
 
 
-def _pass_stall_s(events: list[dict], logical: str) -> float:
+def _pass_stall_s(events: list[dict]) -> float:
     return sum(
-        float(e.get("args", {}).get("sim_wait_s", 0.0))
-        for e in events
-        if e.get("name") in _STALL_SPANS
-        and e.get("args", {}).get("logical") == logical
+        float(e["args"].get("sim_wait_s", 0.0))
+        for e in events if e.get("name") in _STALL_SPANS
     )
 
 
@@ -375,58 +351,63 @@ def _pin_pass(
     """Pin one observed attention pass against its DES prediction.
 
     Replays the first observed pass through the method's own task graph
-    with transition durations priced from observed bytes, then compares
+    with hop durations priced from observed bytes, then compares
     (a) the exposed-communication fraction — stall-adjusted, so detector
     waits count as exposed — against the modeled fraction, and (b) under
     the unidirectional mode, the replayed comm-busy seconds against the
     Table-1 closed forms.
     """
-    from repro.perf.criticalpath import (
-        _pass_transition_lists,
+    from repro.perf.criticalpath import closed_form_pass_comm, summarize_sim
+    from repro.perf.schedules.attention import (
         attention_pass_sim,
-        closed_form_pass_comm,
-        summarize_sim,
+        attention_pass_transitions,
     )
 
     pin: dict[str, Any] = {"logical": logical, "ok": False}
-    fwd_model, rev_model = _pass_transition_lists(
+    fwd_model, rev_model = attention_pass_transitions(
         method, topology, workload, backward=backward, ring_mode=ring_mode
     )
-    events = _x_events(payload)
-    trans = sorted(
-        (
-            e for e in events
-            if e.get("name") == "ring.transition"
-            and e.get("args", {}).get("logical") == logical
-        ),
+    events = sorted(
+        (e for e in x_events(payload)
+         if e.get("args", {}).get("logical") == logical),
         key=lambda e: e["ts"],
     )
+    trans = [e for e in events if e.get("name") == "ring.transition"]
     fwd_ev = [e for e in trans if e["args"].get("direction", "fwd") != "rev"]
     rev_ev = [e for e in trans if e["args"].get("direction") == "rev"]
-    n_f, n_r = len(fwd_model), len(rev_model or [])
+    ret_ev = [
+        e for e in events
+        if e.get("name") == "comm.exchange"
+        and str(e["args"].get("tag", "")).endswith("-return")
+    ]
+    # a backward pass ends its forward stream with the return hop
+    n_ret = 1 if backward and fwd_model else 0
+    n_f, n_r = len(fwd_model) - n_ret, len(rev_model)
     if n_f == 0:
         pin["error"] = f"{method} models no transitions for {logical}"
         return pin
+    passes = len(fwd_ev) // n_f
     if (
         not fwd_ev
-        or len(fwd_ev) % n_f
-        or (n_r and (len(rev_ev) % n_r or len(rev_ev) // n_r != len(fwd_ev) // n_f))
-        or (not n_r and rev_ev)
+        or len(fwd_ev) != passes * n_f
+        or len(rev_ev) != passes * n_r
+        or len(ret_ev) != passes * n_ret
     ):
         pin["error"] = (
-            f"observed {len(fwd_ev)} fwd / {len(rev_ev)} rev transitions "
-            f"for {logical}; expected equal multiples of {n_f} / {n_r} per pass"
+            f"observed {len(fwd_ev)} fwd / {len(rev_ev)} rev transitions and "
+            f"{len(ret_ev)} return hop(s) for {logical}; expected equal "
+            f"multiples of {n_f} / {n_r} / {n_ret} per pass"
         )
         return pin
-    passes = len(fwd_ev) // n_f
     fwd_obs, problems = _price_transitions(
-        fwd_ev[:n_f], fwd_model, events, topology, logical, "fwd"
+        fwd_ev[:n_f] + ret_ev[:n_ret], fwd_model, events, topology, logical,
+        "fwd", mixed=n_f if n_ret else None,
     )
     rev_obs = None
     if n_r:
         rev_obs, rev_problems = _price_transitions(
             rev_ev[:n_r], rev_model, events, topology, logical, "rev",
-            lenient_first=True,
+            mixed=0,
         )
         problems += rev_problems
     if problems:
@@ -439,7 +420,7 @@ def _pin_pass(
     pred_sim = summarize_sim(attention_pass_sim(
         method, topology, workload, backward=backward, ring_mode=ring_mode,
     ))
-    stall_pp = _pass_stall_s(events, logical) / passes
+    stall_pp = _pass_stall_s(events) / passes
     denom = obs_sim["makespan_s"] + stall_pp
     obs_frac = (obs_sim["exposed_comm_s"] + stall_pp) / denom if denom else 0.0
     pred_frac = pred_sim["exposed_comm_frac"]
@@ -484,7 +465,7 @@ def attribute_trace(
     closed forms.  The document's ``ok`` is the overall gate: buckets
     conserve, every pin holds, and no rank stalled the detector clock.
     """
-    payload = _as_payload(payload)
+    payload = as_payload(payload)
     meta = dict(payload.get("metadata", {}))
     steps = attribute_steps(payload)
     cons_ok, max_err = check_conservation(steps)
@@ -502,7 +483,7 @@ def attribute_trace(
         "pin_skipped": None,
         "tolerance": tolerance,
     }
-    from repro.perf.criticalpath import METHOD_DES_FLAGS
+    from repro.perf.schedules.attention import METHOD_DES_FLAGS
 
     method = meta.get("method")
     needed = ("world_size", "gpus_per_node", "seq_len", "hidden", "n_heads")
@@ -550,21 +531,7 @@ def attribute_trace(
 
 def validate_attribution_json(doc: str | dict) -> dict:
     """Schema-check an attribution document; raise ``ValueError``."""
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"attribution JSON is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise ValueError("attribution JSON is not an object")
-    missing = [k for k in ATTRIBUTION_KEYS if k not in doc]
-    if missing:
-        raise ValueError(f"attribution JSON missing keys: {missing}")
-    if doc["schema"] != ATTRIBUTION_SCHEMA:
-        raise ValueError(
-            f"attribution JSON has schema {doc['schema']!r}, "
-            f"expected {ATTRIBUTION_SCHEMA!r}"
-        )
+    doc = load_artifact(doc, ATTRIBUTION_SCHEMA)
     if not isinstance(doc["ok"], bool):
         raise ValueError("attribution JSON 'ok' is not a bool")
     for key in ("steps", "stragglers", "critical_spans"):

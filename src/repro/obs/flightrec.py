@@ -29,7 +29,11 @@ import os
 from collections import deque
 from typing import Any
 
-from repro.obs.export import spans_to_chrome_json, validate_chrome_trace
+from repro.obs.export import (
+    load_artifact,
+    spans_to_chrome_json,
+    validate_chrome_trace,
+)
 from repro.obs.tracer import Span, get_tracer
 
 __all__ = [
@@ -41,18 +45,6 @@ __all__ = [
 ]
 
 POSTMORTEM_SCHEMA = "postmortem/v1"
-
-#: keys every post-mortem bundle must carry
-POSTMORTEM_KEYS = (
-    "schema",
-    "reason",
-    "trace",
-    "metrics",
-    "lease",
-    "critical_path",
-    "n_spans",
-    "capacity",
-)
 
 #: innermost-last stack of installed recorders
 _ACTIVE: list["FlightRecorder"] = []
@@ -235,23 +227,7 @@ def validate_postmortem(
     captured — runs the full Chrome-trace validation over the embedded
     trace.
     """
-    if isinstance(payload, str):
-        try:
-            doc = json.loads(payload)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"post-mortem bundle is truncated or corrupt: {exc}")
-    else:
-        doc = payload
-    if not isinstance(doc, dict):
-        raise ValueError("post-mortem bundle is not a JSON object")
-    missing = [k for k in POSTMORTEM_KEYS if k not in doc]
-    if missing:
-        raise ValueError(f"post-mortem bundle missing keys: {missing}")
-    if doc["schema"] != schema:
-        raise ValueError(
-            f"post-mortem bundle has schema {doc['schema']!r}, "
-            f"expected {schema!r}"
-        )
+    doc = load_artifact(payload, schema)
     reason = doc["reason"]
     if not isinstance(reason, dict) or not reason.get("kind"):
         raise ValueError("post-mortem reason must be an object with a 'kind'")

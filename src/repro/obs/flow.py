@@ -25,12 +25,18 @@ from typing import Any, Sequence
 from repro.obs.tracer import Span
 
 __all__ = [
+    "ROUNDING_SLACK_US",
     "FlowEdge",
     "derive_flows",
     "flow_chrome_events",
     "flow_key",
     "validate_flow_events",
 ]
+
+
+#: Exported timestamps are rounded to 3 decimals of a microsecond; every
+#: ordering or containment check on them allows this much slack.
+ROUNDING_SLACK_US = 0.002
 
 
 def flow_key(logical: str, tag: str, channel: str) -> str:
@@ -122,7 +128,6 @@ def validate_flow_events(
     ``pid``/``tid``, and the finish may not precede its start (flows point
     forward in time).  Returns ``{id: (s_event, f_event)}``.
     """
-    eps = 0.002  # us; absorbs the exporter's 3-decimal rounding
     starts: dict[Any, dict] = {}
     finishes: dict[Any, dict] = {}
     for i, ev in enumerate(events):
@@ -142,7 +147,7 @@ def validate_flow_events(
     pairs: dict[Any, tuple[dict, dict]] = {}
     for fid, s_ev in starts.items():
         f_ev = finishes[fid]
-        if f_ev["ts"] < s_ev["ts"] - eps:
+        if f_ev["ts"] < s_ev["ts"] - ROUNDING_SLACK_US:
             raise ValueError(
                 f"flow id {fid!r} travels backwards in time: "
                 f"f at {f_ev['ts']} before s at {s_ev['ts']}"

@@ -548,21 +548,10 @@ def validate_memory_timeline(payload: str | dict) -> dict[str, Any]:
     that each series' watermark replays exactly (``current`` equals the
     running sum of ``delta``) — a truncated or reordered timeline fails.
     """
-    if isinstance(payload, str):
-        try:
-            doc = json.loads(payload)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"memory timeline is truncated or corrupt: {exc}")
-    else:
-        doc = payload
-    if not isinstance(doc, dict):
-        raise ValueError("memory timeline is not a JSON object")
-    if doc.get("schema") != MEMORY_TIMELINE_SCHEMA:
-        raise ValueError(
-            f"memory timeline has schema {doc.get('schema')!r}, "
-            f"expected {MEMORY_TIMELINE_SCHEMA!r}"
-        )
-    events = doc.get("events")
+    from repro.obs.export import load_artifact
+
+    doc = load_artifact(payload, MEMORY_TIMELINE_SCHEMA)
+    events = doc["events"]
     if not isinstance(events, list):
         raise ValueError("memory timeline carries no 'events' list")
     running: dict[str, int] = {}
@@ -717,14 +706,10 @@ MEMDIFF_CELL_KEYS = (
 
 def validate_memdiff_json(doc: dict) -> dict:
     """Validate an ``obs-memdiff/v1`` document; raise ``ValueError``."""
-    if not isinstance(doc, dict):
-        raise ValueError("memdiff document is not a JSON object")
-    if doc.get("schema") != MEMDIFF_SCHEMA:
-        raise ValueError(
-            f"memdiff document has schema {doc.get('schema')!r}, "
-            f"expected {MEMDIFF_SCHEMA!r}"
-        )
-    cells = doc.get("cells")
+    from repro.obs.export import load_artifact
+
+    doc = load_artifact(doc, MEMDIFF_SCHEMA)
+    cells = doc["cells"]
     if not isinstance(cells, list) or not cells:
         raise ValueError("memdiff document carries no cells")
     for i, cell in enumerate(cells):
@@ -739,9 +724,6 @@ def validate_memdiff_json(doc: dict) -> dict:
                 f"{cell['observed_peak_bytes']} != "
                 f"{cell['predicted_peak_bytes']}"
             )
-    for key in ("curve", "transient", "ok"):
-        if key not in doc:
-            raise ValueError(f"memdiff document missing {key!r}")
     return doc
 
 

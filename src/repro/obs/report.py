@@ -10,16 +10,17 @@ Two consumers sit on top of the exporters in :mod:`repro.obs.export`:
 * :func:`diff_traces` — a *structural*, deterministic comparison of an
   observed trace against the DES-predicted schedule for the same config.
   Wall-clock seconds are not comparable (numpy on the host vs the modeled
-  A800 cluster), but the ring *structure* is: the schedule builders fix
-  how many intra-node and inter-node transitions one attention pass
-  performs, and the observed ``ring.transition`` spans must replicate
-  that pattern an integer number of times per logical phase.  The check
-  flags any phase whose intra/inter split (the overlap structure of
-  Fig. 5) deviates from the prediction beyond a tolerance.
+  A800 cluster), but the ring *structure* is: the method's
+  :class:`~repro.comm.RingSchedule` fixes how many intra-node and
+  inter-node transitions each stream of one attention pass performs
+  (:func:`predicted_ring_cells`), and the observed ``ring.transition``
+  spans (:func:`observed_ring_cells`) must replicate that pattern an
+  integer number of times per logical phase — the overlap structure of
+  Fig. 5, in either ring mode.
 
-:func:`build_predicted_trace` renders the DES timeline for the same
-attention passes as a Chrome trace (``pid`` 1, the convention of
-:func:`repro.perf.trace.trace_to_chrome_json`) so Perfetto shows the
+:func:`build_predicted_trace` renders the DES graphs of the same attention
+passes (:func:`repro.perf.schedules.attention.attention_pass_sim`) through
+:func:`repro.obs.export.sims_to_chrome_json` so Perfetto shows the
 predicted and observed schedules side by side, and embeds the per-pass
 transition counts as metadata for :func:`diff_traces`.
 """
@@ -28,7 +29,13 @@ from __future__ import annotations
 
 import json
 
-from repro.obs.export import validate_chrome_trace, validate_metrics_jsonl
+from repro.obs.export import (
+    load_artifact,
+    sims_to_chrome_json,
+    validate_chrome_trace,
+    validate_metrics_jsonl,
+)
+from repro.utils.format import format_bytes
 
 #: Logical phases whose ring structure the diff gate understands.
 RING_PHASES = ("attn-fwd", "attn-bwd")
@@ -41,46 +48,50 @@ _RING_ROWS = {"intra": "intra-ring", "inter": "inter-ring"}
 # trace loading and interval arithmetic
 # --------------------------------------------------------------------------
 
-def load_trace(path: str, *, validate: bool = True) -> dict:
-    """Read a Chrome trace JSON file, optionally schema-validating it."""
+def load_trace(path: str) -> dict:
+    """Read and schema-validate a Chrome trace JSON file."""
     with open(path) as fh:
-        payload = json.load(fh)
-    if validate:
-        validate_chrome_trace(payload)
-    return payload
+        return validate_chrome_trace(json.load(fh))
 
 
-def _as_payload(payload: dict | str) -> dict:
+def as_payload(payload: dict | str) -> dict:
     """Accept either a parsed trace dict or the exporters' JSON string."""
     if isinstance(payload, str):
         return json.loads(payload)
     return payload
 
 
-def _x_events(payload: dict | str) -> list[dict]:
-    payload = _as_payload(payload)
+def x_events(payload: dict | str) -> list[dict]:
+    """The duration (``"ph": "X"``) events of a trace."""
+    payload = as_payload(payload)
     return [e for e in payload.get("traceEvents", []) if e.get("ph") == "X"]
 
 
 def _row_names(payload: dict | str) -> dict[tuple[int, int], str]:
     """``(pid, tid) -> row name`` from the trace's thread_name metadata."""
     rows = {}
-    for e in _as_payload(payload).get("traceEvents", []):
+    for e in as_payload(payload).get("traceEvents", []):
         if e.get("ph") == "M" and e.get("name") == "thread_name":
             rows[(e.get("pid"), e["tid"])] = e["args"]["name"]
     return rows
 
 
+def merged_intervals(
+    intervals: list[tuple[float, float]],
+) -> list[tuple[float, float]]:
+    """``[start, end)`` intervals sorted, with overlapping ones merged."""
+    out: list[tuple[float, float]] = []
+    for s, e in sorted(intervals):
+        if out and s <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], e))
+        else:
+            out.append((s, e))
+    return out
+
+
 def interval_union(intervals: list[tuple[float, float]]) -> float:
     """Total length covered by ``[start, end)`` intervals (overlaps merged)."""
-    total = 0.0
-    end = float("-inf")
-    for s, e in sorted(intervals):
-        if e <= end:
-            continue
-        total += e - max(s, end)
-        end = e
-    return total
+    return sum(e - s for s, e in merged_intervals(intervals))
 
 
 def time_by_phase(payload: dict | str) -> dict[str, float]:
@@ -92,10 +103,10 @@ def time_by_phase(payload: dict | str) -> dict[str, float]:
     to its row name, so multi-threaded rows ("comm (t2)") still aggregate
     under their base phase.
     """
-    payload = _as_payload(payload)
+    payload = as_payload(payload)
     rows = _row_names(payload)
     by_phase: dict[str, list[tuple[float, float]]] = {}
-    for e in _x_events(payload):
+    for e in x_events(payload):
         phase = e.get("args", {}).get("phase") or rows.get(
             (e.get("pid"), e.get("tid")), "?"
         )
@@ -118,9 +129,9 @@ def kernel_time_by_backend(
     where each backend spent its time.  Returns ``{backend: {name: us,
     ..., "total": us}}``.
     """
-    payload = _as_payload(payload)
+    payload = as_payload(payload)
     grouped: dict[str, dict[str, list[tuple[float, float]]]] = {}
-    for e in _x_events(payload):
+    for e in x_events(payload):
         name = e.get("name", "")
         if not name.startswith(KERNEL_SPAN_PREFIXES):
             continue
@@ -135,138 +146,86 @@ def kernel_time_by_backend(
     }
 
 
-def observed_ring_counts(payload: dict | str) -> dict[str, dict[str, int]]:
-    """Count ``ring.transition`` spans per logical phase and link kind.
-
-    Returns ``{logical_phase: {"intra": n, "inter": n}}`` where the
-    logical phase is the communicator phase the transition served
-    (``attn-fwd`` / ``attn-bwd``) and the link kind comes from the span's
-    trace row.
-    """
-    counts: dict[str, dict[str, int]] = {}
-    for e in _x_events(payload):
-        if e.get("name") != "ring.transition":
-            continue
-        args = e.get("args", {})
-        logical = args.get("logical", "?")
-        row = args.get("phase", "")
-        kind = "inter" if row == _RING_ROWS["inter"] else "intra"
-        d = counts.setdefault(logical, {"intra": 0, "inter": 0})
-        d[kind] += 1
-    return counts
+def _zero_cells() -> dict[str, dict[str, int]]:
+    return {d: {"intra": 0, "inter": 0} for d in ("fwd", "rev")}
 
 
-def observed_ring_counts_by_direction(
+def observed_ring_cells(
     payload: dict | str,
 ) -> dict[str, dict[str, dict[str, int]]]:
-    """Count ``ring.transition`` spans per logical phase, stream direction,
-    and link kind.
+    """Count ``ring.transition`` spans per logical phase, stream direction
+    and link kind: ``{logical: {"fwd" | "rev": {"intra": n, "inter": n}}}``.
 
-    Returns ``{logical: {"fwd": {"intra": n, "inter": n}, "rev": {...}}}``.
-    Spans emitted by :meth:`RingSchedule.apply_reverse` carry
-    ``direction="rev"``; everything else is the forward stream (which is
-    all of a unidirectional trace).
+    The logical phase is the communicator phase the transition served
+    (``attn-fwd`` / ``attn-bwd``), the link kind comes from the span's
+    trace row, and spans emitted by :meth:`RingSchedule.apply_reverse`
+    carry ``direction="rev"``; everything else is the forward stream
+    (which is all of a unidirectional trace).
     """
     counts: dict[str, dict[str, dict[str, int]]] = {}
-    for e in _x_events(payload):
+    for e in x_events(payload):
         if e.get("name") != "ring.transition":
             continue
         args = e.get("args", {})
-        logical = args.get("logical", "?")
-        direction = args.get("direction", "fwd")
-        row = args.get("phase", "")
-        kind = "inter" if row == _RING_ROWS["inter"] else "intra"
-        d = counts.setdefault(logical, {
-            "fwd": {"intra": 0, "inter": 0},
-            "rev": {"intra": 0, "inter": 0},
-        })
-        d[direction][kind] += 1
+        kind = "inter" if args.get("phase") == _RING_ROWS["inter"] else "intra"
+        cells = counts.setdefault(args.get("logical", "?"), _zero_cells())
+        cells[args.get("direction", "fwd")][kind] += 1
     return counts
+
+
+def observed_ring_counts(payload: dict | str) -> dict[str, dict[str, int]]:
+    """:func:`observed_ring_cells` summed over the two directions:
+    ``{logical_phase: {"intra": n, "inter": n}}``."""
+    return {
+        logical: {k: cells["fwd"][k] + cells["rev"][k] for k in _RING_ROWS}
+        for logical, cells in observed_ring_cells(payload).items()
+    }
 
 
 # --------------------------------------------------------------------------
 # predicted schedule structure
 # --------------------------------------------------------------------------
 
-def schedule_pass_counts(schedule) -> dict[str, int]:
-    """Intra/inter transition counts of one full circulation of a
-    :class:`~repro.comm.RingSchedule`."""
-    from repro.topology import LinkClass
-
-    counts = {"intra": 0, "inter": 0}
-    for t in range(len(schedule.transitions)):
-        cls = schedule.transition_link_class(t)
-        if cls is LinkClass.INTER:
-            counts["inter"] += 1
-        elif cls is LinkClass.INTRA:
-            counts["intra"] += 1
-    return counts
-
-
-def predicted_pass_counts(method_name: str, topology) -> dict[str, int]:
-    """Per-pass transition counts the method's own schedule builder fixes.
-
-    All-to-all methods (Ulysses) have no ring schedule and predict zero
-    transitions; USP's ring runs through grouped schedules its method
-    builds internally, which the structural gate does not model.
-    """
-    from repro.attention import get_method
-
-    method = get_method(method_name)
-    sched_fn = getattr(method, "_schedule", None)
-    if sched_fn is None:
-        return {"intra": 0, "inter": 0}
-    return schedule_pass_counts(sched_fn(topology))
-
-
-def predicted_bidirectional_pass_counts(
-    method_name: str, topology
+def predicted_ring_cells(
+    method_name: str, topology, ring_mode: str = "unidirectional"
 ) -> dict[str, dict[str, dict[str, int]]]:
-    """Per-pass transition counts of the bidirectional ring, split by
-    logical phase and stream direction.
+    """Per-pass transition counts the method's own schedule builder fixes,
+    in the shape of :func:`observed_ring_cells`.
 
-    The forward pass applies only the first ``T_f = S // 2`` base
-    transitions on the forward stream; the backward passes apply all
-    ``S - 1`` (the gradient accumulators keep circulating).  The reverse
-    stream always runs ``R = (S - 1) // 2`` moves: a seeding exchange
-    (priced at :meth:`RingSchedule.reverse_link_class`) followed by
-    retraced tail transitions.
+    Unidirectional passes apply all ``S - 1`` transitions on the forward
+    stream and none on the reverse.  Under the bidirectional mode the
+    forward pass applies only the first ``T_f = S // 2`` on the forward
+    stream while the backward pass still applies all of them (the gradient
+    accumulators keep circulating), and the reverse stream runs
+    ``R = (S - 1) // 2`` moves in both: a seeding exchange (priced at
+    :meth:`RingSchedule.reverse_link_class`) followed by retraced tail
+    transitions.  All-to-all methods (Ulysses) have no ring schedule and
+    predict zero everywhere; USP's ring runs through grouped schedules its
+    method builds internally, which the structural gate does not model.
     """
     from repro.attention import get_method
     from repro.comm.ring import bidirectional_split
     from repro.topology import LinkClass
 
-    zero = {"intra": 0, "inter": 0}
-    method = get_method(method_name)
-    sched_fn = getattr(method, "_schedule", None)
+    cells = {logical: _zero_cells() for logical in RING_PHASES}
+    sched_fn = getattr(get_method(method_name), "_schedule", None)
     if sched_fn is None:
-        return {
-            ph: {"fwd": dict(zero), "rev": dict(zero)} for ph in RING_PHASES
-        }
+        return cells
     sched = sched_fn(topology)
-    t_f, rev = bidirectional_split(sched.num_steps)
-
-    def _count(classes) -> dict[str, int]:
-        c = dict(zero)
-        for cls in classes:
-            if cls is LinkClass.INTER:
-                c["inter"] += 1
-            elif cls is LinkClass.INTRA:
-                c["intra"] += 1
-        return c
-
-    fwd_classes = [
-        sched.transition_link_class(t) for t in range(len(sched.transitions))
-    ]
-    rev_classes = [sched.reverse_link_class(s) for s in range(1, rev + 1)]
-    return {
-        "attn-fwd": {
-            "fwd": _count(fwd_classes[:t_f]), "rev": _count(rev_classes),
-        },
-        "attn-bwd": {
-            "fwd": _count(fwd_classes), "rev": _count(rev_classes),
-        },
-    }
+    n = len(sched.transitions)
+    t_f, rev = n, 0
+    if ring_mode == "bidirectional":
+        t_f, rev = bidirectional_split(sched.num_steps)
+    for logical, n_fwd in zip(RING_PHASES, (t_f, n)):
+        streams = (
+            ("fwd", map(sched.transition_link_class, range(n_fwd))),
+            ("rev", map(sched.reverse_link_class, range(1, rev + 1))),
+        )
+        for direction, classes in streams:
+            for cls in classes:
+                if cls is not LinkClass.LOCAL:
+                    cells[logical][direction][cls.value] += 1
+    return cells
 
 
 def build_predicted_trace(
@@ -280,87 +239,36 @@ def build_predicted_trace(
 ) -> dict:
     """DES-predicted Chrome trace for one fwd + one bwd attention pass.
 
-    Renders the same task graphs :func:`attention_pass_time` times onto
-    ``pid`` 1 (the DES exporter's process), backward offset to start at
-    the forward makespan, and embeds ``metadata.per_pass`` — the
-    schedule's intra/inter transition counts — for :func:`diff_traces`.
-    Under ``ring_mode="bidirectional"`` the reverse stream gets its own
-    ``intra-rev`` / ``inter-rev`` rows and the metadata additionally
-    carries ``per_pass_by_phase`` — the per-direction counts the
-    bidirectional diff gate checks.  Only the ring-family methods have a
-    DES pass graph here (built by
-    :func:`repro.perf.criticalpath.attention_pass_sim`).
+    Renders the task graphs :func:`attention_pass_time` times (so
+    ``metadata.modeled_makespan_s`` is exactly its fwd + bwd sum), backward
+    offset to start at the forward makespan, and embeds
+    ``metadata.per_pass_cells`` — :func:`predicted_ring_cells` — for
+    :func:`diff_traces`.  Under ``ring_mode="bidirectional"`` the reverse
+    stream gets its own ``intra-rev`` / ``inter-rev`` rows.  Only the
+    ring-family methods have a DES pass graph.
     """
-    from repro.perf.criticalpath import attention_pass_sim
+    from repro.perf.schedules.attention import attention_pass_sim
 
-    g = topology.world_size
-    bidirectional = ring_mode == "bidirectional"
     sims = [
-        (prefix, attention_pass_sim(
-            method, topology, workload,
-            backward=backward, ring_mode=ring_mode,
-            ring_window=ring_window, prefix=prefix,
-        ))
-        for prefix, backward in (("attn-fwd/", False), ("attn-bwd/", True))
+        attention_pass_sim(
+            method, topology, workload, backward=backward,
+            ring_mode=ring_mode, ring_window=ring_window,
+        )
+        for backward in (False, True)
     ]
-    events: list[dict] = []
-    rows: dict[str, int] = {}
-    offset = 0.0
-    for _, sim in sims:
-        makespan = 0.0
-        for task in sim.timeline():
-            row = task.resources[0] if task.resources else "free"
-            tid = rows.setdefault(row, len(rows) + 1)
-            events.append({
-                "name": task.name,
-                "ph": "X",
-                "ts": round((offset + task.start) * 1e6, 3),
-                "dur": round(task.duration * 1e6, 3),
-                "pid": 1,
-                "tid": tid,
-                "args": {"resource": row},
-            })
-            makespan = max(makespan, task.end)
-        offset += makespan
-    for row, tid in rows.items():
-        events.append({
-            "name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
-            "args": {"name": row},
-        })
-    events.append({
-        "name": "process_name", "ph": "M", "pid": 1, "tid": 0,
-        "args": {"name": "predicted (DES)"},
-    })
-    metadata = {
+    return json.loads(sims_to_chrome_json(sims, path, metadata={
         "method": method,
-        "world_size": g,
+        "world_size": topology.world_size,
         "gpus_per_node": topology.gpus_per_node,
         "ring_mode": ring_mode,
-        "per_pass": predicted_pass_counts(method, topology),
-        "modeled_makespan_s": offset,
-    }
-    if bidirectional:
-        metadata["per_pass_by_phase"] = predicted_bidirectional_pass_counts(
-            method, topology
-        )
-    payload = {"traceEvents": events, "metadata": metadata}
-    if path is not None:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-    return payload
+        "per_pass_cells": predicted_ring_cells(method, topology, ring_mode),
+        "modeled_makespan_s": sum(sim.makespan for sim in sims),
+    }))
 
 
 # --------------------------------------------------------------------------
 # report rendering
 # --------------------------------------------------------------------------
-
-def _fmt_bytes(n: float) -> str:
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(n) < 1024 or unit == "GiB":
-            return f"{n:.1f} {unit}" if unit != "B" else f"{int(n)} B"
-        n /= 1024
-    return f"{n:.1f} GiB"
-
 
 def summarize_metrics(records: list[dict]) -> dict:
     """Aggregate step-metrics JSONL records into run totals."""
@@ -387,9 +295,9 @@ def summarize_metrics(records: list[dict]) -> dict:
 
 def render_report(payload: dict | str, metrics_records: list[dict] | None = None) -> str:
     """Plain-text report over one observed trace (+ optional metrics)."""
-    payload = _as_payload(payload)
+    payload = as_payload(payload)
     lines: list[str] = []
-    events = _x_events(payload)
+    events = x_events(payload)
     phases = time_by_phase(payload)
     total = sum(phases.values())
     meta = payload.get("metadata", {})
@@ -446,19 +354,19 @@ def render_report(payload: dict | str, metrics_records: list[dict] | None = None
         lines.append("")
         lines.append(
             f"comm volume over {s['steps']} step(s): "
-            f"{s['comm_elems']} elems, {_fmt_bytes(s['comm_bytes'])}"
+            f"{s['comm_elems']} elems, {format_bytes(s['comm_bytes'])}"
         )
         lines.append("  by link class:")
         for link in sorted(s["by_link"]):
             d = s["by_link"][link]
             lines.append(
-                f"    {link:<8} {d['elems']:>12} elems  {_fmt_bytes(d['bytes'])}"
+                f"    {link:<8} {d['elems']:>12} elems  {format_bytes(d['bytes'])}"
             )
         lines.append("  by logical phase:")
         for phase in sorted(s["by_phase"]):
             d = s["by_phase"][phase]
             lines.append(
-                f"    {phase:<10} {d['elems']:>12} elems  {_fmt_bytes(d['bytes'])}"
+                f"    {phase:<10} {d['elems']:>12} elems  {format_bytes(d['bytes'])}"
             )
         tiles = s["tiles_computed"] + s["tiles_skipped"]
         if tiles:
@@ -483,18 +391,6 @@ def load_metrics(path: str) -> list[dict]:
 # machine-readable (JSON) summaries
 # --------------------------------------------------------------------------
 
-#: keys every ``report --json`` document must carry
-REPORT_JSON_KEYS = (
-    "schema",
-    "metadata",
-    "spans",
-    "time_by_phase_us",
-    "ring_transitions",
-)
-
-#: keys every ``diff --json`` document must carry
-DIFF_JSON_KEYS = ("schema", "ok", "tolerance", "lines")
-
 REPORT_JSON_SCHEMA = "obs-report/v1"
 DIFF_JSON_SCHEMA = "obs-diff/v1"
 
@@ -511,11 +407,11 @@ def report_json(
     per-step/per-rank attribution, straggler ranking and top-K critical
     spans from :mod:`repro.obs.critical`.
     """
-    payload = _as_payload(payload)
+    payload = as_payload(payload)
     doc = {
         "schema": REPORT_JSON_SCHEMA,
         "metadata": dict(payload.get("metadata", {})),
-        "spans": len(_x_events(payload)),
+        "spans": len(x_events(payload)),
         "time_by_phase_us": time_by_phase(payload),
         "kernel_time_by_backend_us": kernel_time_by_backend(payload),
         "ring_transitions": observed_ring_counts(payload),
@@ -538,21 +434,7 @@ def report_json(
 
 def validate_report_json(doc: str | dict) -> dict:
     """Schema-check a ``report --json`` document; raise ``ValueError``."""
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"report JSON is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise ValueError("report JSON is not an object")
-    missing = [k for k in REPORT_JSON_KEYS if k not in doc]
-    if missing:
-        raise ValueError(f"report JSON missing keys: {missing}")
-    if doc["schema"] != REPORT_JSON_SCHEMA:
-        raise ValueError(
-            f"report JSON has schema {doc['schema']!r}, "
-            f"expected {REPORT_JSON_SCHEMA!r}"
-        )
+    doc = load_artifact(doc, REPORT_JSON_SCHEMA)
     if not isinstance(doc["spans"], int) or doc["spans"] < 1:
         raise ValueError("report JSON has no spans")
     for key in ("time_by_phase_us", "ring_transitions"):
@@ -561,35 +443,14 @@ def validate_report_json(doc: str | dict) -> dict:
     return doc
 
 
-def diff_json(
-    ok: bool, lines: list[str], *, tolerance: float
-) -> dict:
+def diff_json(ok: bool, lines: list[str]) -> dict:
     """Machine-readable counterpart of :func:`diff_traces` output."""
-    return {
-        "schema": DIFF_JSON_SCHEMA,
-        "ok": bool(ok),
-        "tolerance": tolerance,
-        "lines": list(lines),
-    }
+    return {"schema": DIFF_JSON_SCHEMA, "ok": bool(ok), "lines": list(lines)}
 
 
 def validate_diff_json(doc: str | dict) -> dict:
     """Schema-check a ``diff --json`` document; raise ``ValueError``."""
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"diff JSON is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise ValueError("diff JSON is not an object")
-    missing = [k for k in DIFF_JSON_KEYS if k not in doc]
-    if missing:
-        raise ValueError(f"diff JSON missing keys: {missing}")
-    if doc["schema"] != DIFF_JSON_SCHEMA:
-        raise ValueError(
-            f"diff JSON has schema {doc['schema']!r}, "
-            f"expected {DIFF_JSON_SCHEMA!r}"
-        )
+    doc = load_artifact(doc, DIFF_JSON_SCHEMA)
     if not isinstance(doc["ok"], bool) or not isinstance(doc["lines"], list):
         raise ValueError("diff JSON ok/lines have wrong types")
     return doc
@@ -599,75 +460,77 @@ def validate_diff_json(doc: str | dict) -> dict:
 # observed-vs-predicted diff
 # --------------------------------------------------------------------------
 
+def _fmt_cells(cells: dict[str, dict[str, int]]) -> str:
+    return ", ".join(
+        f"{d} intra={cells[d]['intra']} inter={cells[d]['inter']}"
+        for d in ("fwd", "rev")
+    )
+
+
 def diff_traces(
-    observed: dict | str, predicted: dict | str, *, tolerance: float = 0.05
+    observed: dict | str, predicted: dict | str
 ) -> tuple[bool, list[str]]:
     """Structurally compare an observed trace with a DES prediction.
 
-    For each logical ring phase the observed intra (``I``) / inter
-    (``E``) transition counts must be an integer multiple of the
-    schedule's per-pass counts (``I_p``, ``E_p``) — same multiple for
-    both, one per attention pass executed — and the observed inter-link
-    share ``E/(I+E)`` must sit within ``tolerance`` of the predicted
-    ``E_p/(I_p+E_p)``.  Modeled-vs-observed time shares are reported but
-    never gate: numpy wall time on the host says nothing about A800 link
-    occupancy.
+    For each logical ring phase, every observed (direction, link-kind)
+    transition count must be the *same* integer multiple of the predicted
+    per-pass cell — one multiple per attention pass executed.  The split
+    is exact (set by the schedule and, bidirectionally, ``S // 2``), so no
+    fractional tolerance applies; a unidirectional prediction is the case
+    whose reverse cells are zero, and a method without a ring schedule the
+    case whose cells are all zero.  Modeled-vs-observed link-time shares
+    are reported but never gate: numpy wall time on the host says nothing
+    about A800 link occupancy.
 
     Returns ``(ok, report_lines)``.
     """
-    observed = _as_payload(observed)
-    predicted = _as_payload(predicted)
+    observed = as_payload(observed)
+    predicted = as_payload(predicted)
     meta = predicted.get("metadata", {})
-    if meta.get("ring_mode") == "bidirectional":
-        return _diff_bidirectional(observed, meta)
-    per_pass = meta.get("per_pass")
-    if per_pass is None:
+    per_pass = meta.get("per_pass_cells")
+    if not isinstance(per_pass, dict):
         raise ValueError(
-            "predicted trace has no metadata.per_pass; build it with "
+            "predicted trace has no metadata.per_pass_cells; build it with "
             "build_predicted_trace (or `python -m repro.obs trace-step`)"
         )
-    i_p, e_p = int(per_pass.get("intra", 0)), int(per_pass.get("inter", 0))
-    counts = observed_ring_counts(observed)
+    counts = observed_ring_cells(observed)
     lines = [
-        f"predicted per-pass transitions: intra={i_p} inter={e_p}"
-        + (f"  (method={meta.get('method')})" if meta.get("method") else "")
+        "predicted per-pass transitions"
+        + (f" (method={meta.get('method')})" if meta.get("method") else "")
+        + ":"
     ]
+    lines += [
+        f"  {logical:<10} {_fmt_cells(per_pass[logical])}"
+        for logical in sorted(per_pass)
+    ]
+    lines.append("observed:")
     ok = True
-    logicals = sorted(set(counts) | set(RING_PHASES)) if (i_p or e_p) else sorted(counts)
-    for logical in logicals:
-        d = counts.get(logical, {"intra": 0, "inter": 0})
-        i_o, e_o = d["intra"], d["inter"]
-        if i_p == 0 and e_p == 0:
-            good = i_o == 0 and e_o == 0
+    for logical in sorted(set(counts) | set(per_pass)):
+        obs = counts.get(logical, _zero_cells())
+        exp = per_pass.get(logical, _zero_cells())
+        obs_total = sum(n for cells in obs.values() for n in cells.values())
+        exp_total = sum(n for cells in exp.values() for n in cells.values())
+        passes = obs_total // exp_total if exp_total else 0
+        if exp_total == 0:
+            good = obs_total == 0
             verdict = "OK" if good else "MISMATCH (expected no ring transitions)"
-            ok &= good
-            lines.append(f"  {logical:<10} intra={i_o} inter={e_o}  {verdict}")
-            continue
-        passes = e_o // e_p if e_p else i_o // i_p if i_p else 0
-        structural = i_o == passes * i_p and e_o == passes * e_p and passes >= 1
-        pred_frac = e_p / (i_p + e_p)
-        obs_frac = e_o / (i_o + e_o) if (i_o + e_o) else 0.0
-        within = abs(obs_frac - pred_frac) <= tolerance
-        good = structural and within
+        else:
+            good = passes >= 1 and all(
+                obs[d][k] == passes * exp[d][k] for d in exp for k in exp[d]
+            )
+            verdict = "OK" if good else (
+                "MISMATCH (cells not an integer number of passes)"
+            )
         ok &= good
-        verdict = "OK" if good else (
-            "MISMATCH (not an integer number of passes)"
-            if not structural
-            else f"MISMATCH (inter share off by {abs(obs_frac - pred_frac):.3f})"
-        )
         lines.append(
-            f"  {logical:<10} intra={i_o:<4} inter={e_o:<3} "
-            f"-> {passes} pass(es), inter share {obs_frac:.3f} "
-            f"vs predicted {pred_frac:.3f}  {verdict}"
+            f"  {logical:<10} {_fmt_cells(obs)} -> {passes} pass(es)  {verdict}"
         )
     obs_phases = time_by_phase(observed)
     pred_phases = time_by_phase(predicted)
-    ring_obs = {
-        k: obs_phases.get(v, 0.0) for k, v in _RING_ROWS.items()
-    }
+    ring_obs = {k: obs_phases.get(row, 0.0) for k, row in _RING_ROWS.items()}
     ring_pred = {
-        "intra": pred_phases.get("intra", 0.0),
-        "inter": pred_phases.get("inter", 0.0),
+        k: pred_phases.get(k, 0.0) + pred_phases.get(f"{k}-rev", 0.0)
+        for k in _RING_ROWS
     }
     tot_o, tot_p = sum(ring_obs.values()), sum(ring_pred.values())
     if tot_o and tot_p:
@@ -677,65 +540,6 @@ def diff_traces(
             f"inter={ring_obs['inter'] / tot_o:.1%} | modeled "
             f"intra={ring_pred['intra'] / tot_p:.1%} "
             f"inter={ring_pred['inter'] / tot_p:.1%}"
-        )
-    lines.append("schedule diff: " + ("OK" if ok else "MISMATCH"))
-    return ok, lines
-
-
-def _diff_bidirectional(
-    observed: dict, meta: dict
-) -> tuple[bool, list[str]]:
-    """Diff gate for bidirectional predictions: per logical phase, the
-    observed (direction, link-kind) transition counts must be the same
-    integer multiple of the predicted per-pass cells — one multiple per
-    attention pass executed.  The split is exact (set by the schedule and
-    ``S // 2``), so no fractional tolerance applies.
-    """
-    per_pass = meta.get("per_pass_by_phase")
-    if per_pass is None:
-        raise ValueError(
-            "bidirectional predicted trace has no metadata.per_pass_by_phase; "
-            "build it with build_predicted_trace(..., ring_mode='bidirectional')"
-        )
-    counts = observed_ring_counts_by_direction(observed)
-    lines = [
-        "bidirectional per-pass transitions"
-        + (f" (method={meta.get('method')})" if meta.get("method") else "")
-        + ":"
-    ]
-    for logical in sorted(per_pass):
-        exp = per_pass[logical]
-        lines.append(
-            f"  predicted {logical}: "
-            f"fwd intra={exp['fwd']['intra']} inter={exp['fwd']['inter']}, "
-            f"rev intra={exp['rev']['intra']} inter={exp['rev']['inter']}"
-        )
-    ok = True
-    for logical in sorted(set(counts) | set(per_pass)):
-        d = counts.get(logical, {
-            "fwd": {"intra": 0, "inter": 0}, "rev": {"intra": 0, "inter": 0},
-        })
-        exp = per_pass.get(logical)
-        obs_total = sum(d[s][k] for s in d for k in d[s])
-        if exp is None:
-            good = obs_total == 0
-            ok &= good
-            lines.append(
-                f"  {logical:<10} {obs_total} transition(s)  "
-                + ("OK" if good else "MISMATCH (no predicted pass)")
-            )
-            continue
-        exp_total = sum(exp[s][k] for s in exp for k in exp[s])
-        passes = obs_total // exp_total if exp_total else 0
-        good = passes >= 1 and all(
-            d[s][k] == passes * exp[s][k] for s in exp for k in exp[s]
-        )
-        ok &= good
-        lines.append(
-            f"  {logical:<10} fwd intra={d['fwd']['intra']:<4} "
-            f"inter={d['fwd']['inter']:<3} rev intra={d['rev']['intra']:<4} "
-            f"inter={d['rev']['inter']:<3} -> {passes} pass(es)  "
-            + ("OK" if good else "MISMATCH (cells not an integer number of passes)")
         )
     lines.append("schedule diff: " + ("OK" if ok else "MISMATCH"))
     return ok, lines

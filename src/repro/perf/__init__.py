@@ -13,7 +13,9 @@ in its own module:
 
 :mod:`repro.perf.schedules` builds the per-method attention task graphs and
 the end-to-end training-step model that Figures 12–14 and Tables 2, 4, 5
-are generated from.
+are generated from; :mod:`repro.perf.criticalpath` summarises those graphs
+for the observed-vs-predicted gates of :mod:`repro.obs`, which also draws
+them (:func:`repro.obs.export.sims_to_chrome_json`).
 """
 
 from repro.perf.des import Resource, Simulator, Task
@@ -34,6 +36,8 @@ from repro.perf.cost import (
 from repro.perf.memory import MemoryModel, MemoryBreakdown, TrainingSetup
 from repro.perf.schedules.attention import (
     ATTENTION_SCHEDULES,
+    METHOD_DES_FLAGS,
+    attention_pass_sim,
     attention_pass_time,
     degraded_attention_pass_time,
 )
@@ -42,10 +46,7 @@ from repro.perf.schedules.end_to_end import (
     EndToEndResult,
     end_to_end_step,
 )
-from repro.perf.trace import trace_to_chrome_json
 from repro.perf.criticalpath import (
-    METHOD_DES_FLAGS,
-    attention_pass_sim,
     closed_form_pass_comm,
     predicted_critical_path,
     summarize_sim,
@@ -81,5 +82,4 @@ __all__ = [
     "EndToEndModel",
     "EndToEndResult",
     "end_to_end_step",
-    "trace_to_chrome_json",
 ]

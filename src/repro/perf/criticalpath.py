@@ -1,16 +1,14 @@
-"""Predicted critical-path construction and summaries for attention passes.
+"""Predicted critical-path summaries for ring-family attention passes.
 
 One attention pass (forward or backward) of a ring-family method is a
 small task graph: per-step compute on the ``compute`` resource overlapped
 with ring transitions on the ``intra`` / ``inter`` link resources (plus
-their ``-rev`` twins under the bidirectional mode).  This module owns the
-graph builder — previously private to :func:`repro.obs.report
-.build_predicted_trace` — so both the predicted Chrome trace and the
-observed-trace replay in :mod:`repro.obs.critical` price the *same*
-dependency structure and differ only in transition durations.
+their ``-rev`` twins under the bidirectional mode), ending — on a backward
+pass — with the return-to-owner hop.  The graph has one builder,
+:func:`repro.perf.schedules.attention.attention_pass_sim`; this module
+reduces its runs to the quantities the attribution gate compares.
 
-:func:`summarize_sim` reduces a run simulator to the quantities the
-attribution gate compares: makespan, compute-busy and comm-busy seconds,
+:func:`summarize_sim` gives makespan, compute-busy and comm-busy seconds,
 and the *exposed* communication time (makespan minus compute busy — the
 comm seconds the overlap failed to hide, Fig. 5's whole argument).
 :func:`closed_form_pass_comm` gives the serialized comm seconds of one
@@ -20,179 +18,20 @@ unidirectional pass straight from the :func:`repro.perf.cost
 
 from __future__ import annotations
 
-from repro.perf.cost import (
-    attention_step_sizes,
-    bidirectional_step_split,
-    matmul_time,
-)
+from repro.perf.cost import attention_step_sizes, link_time
 from repro.perf.des import Simulator
 from repro.perf.schedules.attention import (
-    ATTENTION_EFFICIENCY,
-    BACKWARD_FLOPS_FACTOR,
-    _bidirectional_ring,
-    _pipelined_ring,
-    _rev_transition_list,
-    _transition_durations,
+    METHOD_DES_FLAGS,
+    attention_pass_sim,
+    attention_pass_transitions,
 )
+from repro.topology import LinkClass
 
 __all__ = [
-    "METHOD_DES_FLAGS",
-    "attention_pass_sim",
     "closed_form_pass_comm",
     "predicted_critical_path",
     "summarize_sim",
 ]
-
-#: DES pass-construction flags per ring-family method (mirrors
-#: :func:`repro.perf.schedules.attention.attention_pass_time`).
-METHOD_DES_FLAGS = {
-    "megatron-cp": dict(flat=True, serialize_gradients=True, alg2=False),
-    "loongtrain-double": dict(flat=False, serialize_gradients=True, alg2=False),
-    "burst": dict(flat=False, serialize_gradients=False, alg2=True),
-}
-
-
-def _method_flags(method: str) -> dict:
-    if method not in METHOD_DES_FLAGS:
-        raise ValueError(
-            f"no DES pass graph for method {method!r}; "
-            f"expected one of {sorted(METHOD_DES_FLAGS)}"
-        )
-    return METHOD_DES_FLAGS[method]
-
-
-def _pass_transition_lists(
-    method: str,
-    topology,
-    workload,
-    *,
-    backward: bool,
-    ring_mode: str = "unidirectional",
-    ring_window: int | None = None,
-) -> tuple[list[tuple[str, float]], list[tuple[str, float]] | None]:
-    """Modeled ``(resource, duration)`` lists of one pass's two streams.
-
-    Returns ``(fwd_list, rev_list)``; ``rev_list`` is ``None`` under the
-    unidirectional mode.  Note the unidirectional serialize-gradients
-    backward returns the *KV-only* list — the gradient drain doubles it
-    (Table 1's ``+2(I·T_i + E·T_e)``), which :func:`attention_pass_sim`
-    and :func:`closed_form_pass_comm` each apply in their own way.
-    """
-    flags = _method_flags(method)
-    g = topology.world_size
-    shard = workload.shard_bytes(g)
-    kv_shard = workload.kv_shard_bytes(g)
-    bidirectional = ring_mode == "bidirectional"
-    t_f, rev_moves = bidirectional_step_split(g)
-
-    def durations(payload: float) -> list[tuple[str, float]]:
-        return _transition_durations(topology, payload, flags["flat"], ring_window)
-
-    if not backward:
-        kv = durations(2 * kv_shard)
-        if bidirectional:
-            return kv[:t_f], _rev_transition_list(kv, rev_moves)
-        return kv, None
-    if flags["alg2"]:
-        if bidirectional:
-            full = durations(shard * (3 + 2 / workload.hidden))
-            dq = durations(shard)
-            ro = durations(shard * (2 + 2 / workload.hidden))
-            return full[:t_f] + dq[t_f:], _rev_transition_list(ro, rev_moves)
-        return durations(shard * (3 + 2 / workload.hidden)), None
-    kv = durations(2 * kv_shard)
-    if bidirectional:
-        full = durations(4 * kv_shard)
-        return full[:t_f] + kv[t_f:], _rev_transition_list(kv, rev_moves)
-    return kv, None
-
-
-def attention_pass_sim(
-    method: str,
-    topology,
-    workload,
-    *,
-    backward: bool,
-    ring_mode: str = "unidirectional",
-    ring_window: int | None = None,
-    prefix: str | None = None,
-    fwd_durations: list[tuple[str, float]] | None = None,
-    rev_durations: list[tuple[str, float]] | None = None,
-) -> Simulator:
-    """Build and run the DES task graph of one attention pass.
-
-    With the default modeled durations this is exactly the graph behind
-    :func:`repro.obs.report.build_predicted_trace`.  Passing
-    ``fwd_durations`` / ``rev_durations`` substitutes per-position
-    transition durations (e.g. priced from an *observed* trace's logged
-    bytes) while keeping the method's dependency structure — the replay
-    the exposed-comm attribution gate compares against the prediction.
-    For the unidirectional serialize-gradients backward, substituted
-    durations must price the full KV+gradient payload; the builder splits
-    each in half between the overlapped KV circulation and the serial
-    gradient drain, mirroring what the modeled graph does with the same
-    total bytes.
-    """
-    flags = _method_flags(method)
-    g = topology.world_size
-    peak = topology.node.gpu.peak_flops
-    flops = workload.fwd_flops_per_gpu(g)
-    if backward:
-        flops *= BACKWARD_FLOPS_FACTOR
-    step_compute = matmul_time(flops / g, peak, ATTENTION_EFFICIENCY)
-    if prefix is None:
-        prefix = "attn-bwd/" if backward else "attn-fwd/"
-    fwd_list, rev_list = _pass_transition_lists(
-        method, topology, workload,
-        backward=backward, ring_mode=ring_mode, ring_window=ring_window,
-    )
-    serialize_uni = (
-        backward
-        and not flags["alg2"]
-        and flags["serialize_gradients"]
-        and ring_mode != "bidirectional"
-    )
-    if fwd_durations is not None:
-        if len(fwd_durations) != len(fwd_list):
-            raise ValueError(
-                f"{method} {prefix!r}: expected {len(fwd_list)} forward "
-                f"transitions per pass, got {len(fwd_durations)}"
-            )
-        fwd_list = [
-            (res, dur / 2 if serialize_uni else dur)
-            for res, dur in fwd_durations
-        ]
-    if rev_durations is not None:
-        expected = len(rev_list or [])
-        if len(rev_durations) != expected:
-            raise ValueError(
-                f"{method} {prefix!r}: expected {expected} reverse moves "
-                f"per pass, got {len(rev_durations)}"
-            )
-        rev_list = list(rev_durations)
-
-    sim = Simulator()
-    if ring_mode == "bidirectional":
-        _bidirectional_ring(
-            sim, prefix, g, fwd_list, rev_list or [], step_compute, backward
-        )
-    elif not backward:
-        _pipelined_ring(sim, prefix, fwd_list, step_compute, False)
-    elif flags["alg2"]:
-        _pipelined_ring(sim, prefix, fwd_list, step_compute, True)
-    elif flags["serialize_gradients"]:
-        last = _pipelined_ring(sim, prefix, fwd_list, step_compute, False)
-        # LoongTrain / Megatron drain the gradient buffers serially after
-        # compute (Table 1's +2(I·T_i + E·T_e)).
-        for t, (res, dur) in enumerate(fwd_list):
-            name = f"{prefix}g{t}"
-            sim.add(name, dur, resources=(res,), deps=(last,))
-            last = name
-    else:
-        both = [(res, 2 * dur) for res, dur in fwd_list]
-        _pipelined_ring(sim, prefix, both, step_compute, True)
-    sim.run()
-    return sim
 
 
 def summarize_sim(sim: Simulator) -> dict[str, float]:
@@ -202,12 +41,10 @@ def summarize_sim(sim: Simulator) -> dict[str, float]:
     hide — makespan minus compute-busy; ``overlapped_comm_s`` is the rest
     of the comm-busy seconds.  All values are modeled (A800) seconds.
     """
-    makespan = 0.0
+    makespan = sim.makespan
     compute_busy = 0.0
     comm_busy = 0.0
     for task in sim.timeline():
-        if task.end is not None:
-            makespan = max(makespan, task.end)
         if "compute" in task.resources:
             compute_busy += task.duration
         elif task.resources:
@@ -262,22 +99,24 @@ def closed_form_pass_comm(
 ) -> float:
     """Serialized comm seconds of one *unidirectional* pass, closed-form.
 
-    Prices every transition of the method's ring at the per-hop bundle
-    size from :func:`repro.perf.cost.attention_step_sizes` (``fwd`` /
-    ``bwd_alg1`` / ``bwd_alg2``) — no DES involved, so an observed
-    trace's comm-busy seconds can be cross-checked against the paper's
-    Table-1 cost terms independently of the overlap model.
+    Prices every hop of the method's ring — the ``G - 1`` transitions and,
+    on a backward pass, the return hop — at the per-hop bundle size from
+    :func:`repro.perf.cost.attention_step_sizes` (``fwd`` / ``bwd_alg1`` /
+    ``bwd_alg2``) — no DES involved, so an observed trace's comm-busy
+    seconds can be cross-checked against the paper's Table-1 cost terms
+    independently of the overlap model.
     """
-    flags = _method_flags(method)
-    g = topology.world_size
+    hops, _ = attention_pass_transitions(
+        method, topology, workload, backward=backward, ring_window=ring_window
+    )
     sizes = attention_step_sizes(
-        workload.seq_len, workload.hidden, g, workload.bytes_per_elem
+        workload.seq_len, workload.hidden, topology.world_size,
+        workload.bytes_per_elem,
     )
     if not backward:
         payload = sizes["fwd"]
-    elif flags["alg2"]:
-        payload = sizes["bwd_alg2"]
-    else:
+    elif METHOD_DES_FLAGS[method]["alg2"] is False:
         payload = sizes["bwd_alg1"]
-    durs = _transition_durations(topology, payload, flags["flat"], ring_window)
-    return sum(dur for _, dur in durs)
+    else:  # incl. burst-adaptive: at the forms' kv_ratio of 1 it picks Alg. 2
+        payload = sizes["bwd_alg2"]
+    return sum(link_time(topology, payload, LinkClass(res)) for res, _ in hops)

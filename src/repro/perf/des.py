@@ -8,16 +8,14 @@ broken by insertion order (FIFO), which matches how a CUDA stream executes
 enqueued work.
 
 The simulator returns the makespan and a per-task timeline that
-:mod:`repro.perf.trace` can export as a Chrome trace for inspection.  This
-is the machinery that turns the paper's overlap diagrams (Fig. 5) into
-numbers: the same task durations under different dependency structures
-yield RingAttention vs DoubleRing vs BurstAttention timings.
+:func:`repro.obs.export.sims_to_chrome_json` exports as a Chrome trace for
+inspection.  This is the machinery that turns the paper's overlap diagrams
+(Fig. 5) into numbers: the same task durations under different dependency
+structures yield RingAttention vs DoubleRing vs BurstAttention timings.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
 
 
@@ -64,6 +62,7 @@ class Simulator:
 
     def __init__(self):
         self.tasks: dict[str, Task] = {}
+        self.makespan: float = 0.0  # of the last :meth:`run`
         self._order: int = 0
         self._insertion: dict[str, int] = {}
 
@@ -145,6 +144,7 @@ class Simulator:
                 cycle = sorted(pending)
                 raise ValueError(f"deadlock / dependency cycle among {cycle}")
             now = min(horizon)
+        self.makespan = makespan
         return makespan
 
     def timeline(self) -> list[Task]:

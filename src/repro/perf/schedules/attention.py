@@ -20,6 +20,13 @@ NVLink channel ``intra``, and its NIC ``inter``:
   communication with computation").
 * **usp**: Ulysses inside each node (intra-link all-to-all) + a flat ring
   of Algorithm 1 over the node-striding ring groups.
+
+The ring-family graph has one builder, :func:`attention_pass_sim`, driven
+by :data:`METHOD_DES_FLAGS`; :func:`attention_pass_time` is its makespan,
+and the predicted trace and the observed-pass replay of :mod:`repro.obs`
+draw and re-price the same graph.  A backward pass ends with the
+return-to-owner hop — a task on the last transition's link, like any
+other transfer, never a scalar added afterwards.
 """
 
 from __future__ import annotations
@@ -27,7 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.comm import double_ring_schedule
-from repro.perf.cost import flat_ring_step_time, link_time, matmul_time
+from repro.perf.cost import (
+    bidirectional_step_split,
+    flat_ring_step_time,
+    link_time,
+    matmul_time,
+)
 from repro.perf.des import Simulator
 from repro.topology import ClusterTopology, LinkClass
 
@@ -81,7 +93,7 @@ def _pipelined_ring(
     transitions: list[tuple[str, float]],
     step_compute: float,
     grad_dependent: bool,
-) -> str:
+) -> list[str]:
     """Ring circulation with double-buffered pipelining.
 
     ``transitions`` is a list of ``(resource, duration)`` per transition.
@@ -95,10 +107,10 @@ def _pipelined_ring(
       whole circulation is gated only by the warm-up and the two resource
       chains (compute and links) running concurrently.
 
-    Returns the name of the last task.
+    Returns the chain tails — the last compute task and the last transfer
+    on each link — whose latest end is the makespan so far.
     """
     steps = len(transitions) + 1
-    last = ""
     comm_prev: dict[str, str] = {}
     compute_prev = ""
     delivered: str | None = None
@@ -111,7 +123,6 @@ def _pipelined_ring(
         cname = f"{prefix}c{t}"
         sim.add(cname, step_compute, resources=("compute",), deps=deps)
         compute_prev = cname
-        last = cname
         if t < len(transitions):
             res, dur = transitions[t]
             deps_m = []
@@ -125,9 +136,7 @@ def _pipelined_ring(
             sim.add(mname, dur, resources=(res,), deps=deps_m)
             comm_prev[res] = mname
             delivered = mname
-            if t == len(transitions) - 1:
-                last = mname
-    return last
+    return [compute_prev, *comm_prev.values()]
 
 
 def _bidirectional_ring(
@@ -138,7 +147,7 @@ def _bidirectional_ring(
     rev_transitions: list[tuple[str, float]],
     step_compute: float,
     grad_dependent: bool,
-) -> str:
+) -> list[str]:
     """Ring circulation split across two counter-rotating streams.
 
     The forward stream keeps the ``intra`` / ``inter`` link resources; the
@@ -148,14 +157,14 @@ def _bidirectional_ring(
     stream's half and by reverse move ``steps - t`` afterwards, so the
     comm-bound critical path is ``max`` of the two chains rather than their
     sum.  ``grad_dependent`` keeps the delayed double-buffer semantics of
-    :func:`_pipelined_ring` (transfers wait only on the warm-up round).
+    :func:`_pipelined_ring` (transfers wait only on the warm-up round) and
+    returns the same chain tails.
     """
     rev_serves_from = steps - len(rev_transitions)
     compute_prev = ""
     comm_prev: dict[str, str] = {}
     fwd_names: list[str] = []
     rev_names: list[str] = []
-    last = ""
     for t in range(steps):
         deps = []
         if compute_prev:
@@ -169,7 +178,6 @@ def _bidirectional_ring(
         cname = f"{prefix}c{t}"
         sim.add(cname, step_compute, resources=("compute",), deps=deps)
         compute_prev = cname
-        last = cname
         if t < len(fwd_transitions):
             res, dur = fwd_transitions[t]
             deps_m = [comm_prev[res]] if res in comm_prev else []
@@ -187,7 +195,7 @@ def _bidirectional_ring(
             sim.add(rname, dur, resources=(rres,), deps=deps_r)
             comm_prev[rres] = rname
             rev_names.append(rname)
-    return last
+    return [compute_prev, *comm_prev.values()]
 
 
 def _rev_transition_list(
@@ -228,139 +236,186 @@ def _transition_durations(
     return out
 
 
-def _flat_or_double_pass(
-    topology: ClusterTopology,
-    wl: AttentionWorkload,
-    peak_flops: float,
-    *,
-    flat: bool,
-    backward: bool,
-    serialize_gradients: bool,
-    alg2_payload: bool,
-    ring_window: int | None = None,
-    ring_mode: str = "unidirectional",
-) -> float:
-    g = topology.world_size
-    flops = wl.fwd_flops_per_gpu(g)
-    if backward:
-        flops *= BACKWARD_FLOPS_FACTOR
-    step_compute = matmul_time(flops / g, peak_flops, ATTENTION_EFFICIENCY)
-    shard = wl.shard_bytes(g)
-    kv_shard = wl.kv_shard_bytes(g)
+#: Methods the engine executes; the other ring rows below are ablations.
+ATTENTION_SCHEDULES = (
+    "megatron-cp",
+    "loongtrain-double",
+    "burst",
+    "ulysses",
+    "usp",
+)
 
-    if ring_mode == "bidirectional":
-        return _bidirectional_pass(
-            topology, step_compute, shard, kv_shard, wl.hidden,
-            flat=flat, backward=backward, alg2_payload=alg2_payload,
-            ring_window=ring_window,
-        )
-
-    sim = Simulator()
-    if not backward:
-        payload = 2 * kv_shard  # K + V
-        transitions = _transition_durations(topology, payload, flat, ring_window)
-        _pipelined_ring(sim, "f", transitions, step_compute, grad_dependent=False)
-        return sim.run()
-
-    if alg2_payload:
-        payload = shard * (3 + 2 / wl.hidden)  # Q + dQ + dO + (D, Lse)
-        transitions = _transition_durations(topology, payload, flat, ring_window)
-        # Gradient circulation with the delayed double buffer (warm-up
-        # round, then steady-state compute/comm overlap).
-        _pipelined_ring(sim, "b", transitions, step_compute, True)
-        makespan = sim.run()
-        if transitions:
-            makespan += transitions[-1][1]  # return-to-owner hop
-        return makespan
-
-    # Algorithm 1: KV part (2 shards) circulates like activations; the
-    # gradient part (2 shards) either pipelines (flat ring / Megatron)
-    # or drains serially after compute (LoongTrain's DoubleRing).
-    kv_payload = 2 * kv_shard
-    gr_payload = 2 * kv_shard
-    kv_transitions = _transition_durations(topology, kv_payload, flat, ring_window)
-    gr_transitions = _transition_durations(topology, gr_payload, flat, ring_window)
-    if serialize_gradients:
-        _pipelined_ring(sim, "b", kv_transitions, step_compute, False)
-        makespan = sim.run()
-        drain = sum(d for _, d in gr_transitions)
-        if gr_transitions:
-            drain += gr_transitions[-1][1]  # return hop
-        return makespan + drain
-    # combined payload pipelined with gradient dependency
-    both = [(res, d_kv + d_gr) for (res, d_kv), (_, d_gr) in
-            zip(kv_transitions, gr_transitions)]
-    _pipelined_ring(sim, "b", both, step_compute, True)
-    makespan = sim.run()
-    if both:
-        makespan += both[-1][1]
-    return makespan
+#: How each ring-family method's pass graph is built.  ``flat``: one
+#: lockstep global ring instead of the topology-aware double ring.
+#: ``serialize_gradients``: Algorithm 1's gradient buffers drain serially
+#: after compute instead of riding the delayed double buffer.  ``alg2``:
+#: the backward circulates Algorithm 2's bundle (``None``: whichever
+#: bundle is smaller for the workload).
+METHOD_DES_FLAGS = {
+    "megatron-cp": dict(flat=True, serialize_gradients=True, alg2=False),
+    "loongtrain-double": dict(flat=False, serialize_gradients=True, alg2=False),
+    "burst": dict(flat=False, serialize_gradients=False, alg2=True),
+    # Ablations: Alg. 2 without the topology-aware ring; the topology ring
+    # with Alg. 1 overlapped; the GQA extension's adaptive bundle.
+    "burst-flat": dict(flat=True, serialize_gradients=False, alg2=True),
+    "double-alg1-overlap": dict(flat=False, serialize_gradients=False, alg2=False),
+    "burst-adaptive": dict(flat=False, serialize_gradients=False, alg2=None),
+}
 
 
-def _bidirectional_pass(
-    topology: ClusterTopology,
-    step_compute: float,
-    shard: float,
-    kv_shard: float,
-    hidden: int,
-    *,
-    flat: bool,
-    backward: bool,
-    alg2_payload: bool,
-    ring_window: int | None = None,
-) -> float:
-    """Wall-clock of one bidirectional-ring pass.
+def _ring_model(
+    method: str, workload: AttentionWorkload, ring_mode: str,
+    ring_window: int | None,
+) -> tuple[dict, bool, int | None]:
+    """``(flags, bidirectional, window)`` the method's graph is built with.
 
-    Read-only bundle parts split across the two streams (``T_f = S // 2``
-    forward transitions, ``R = (S - 1) // 2`` reverse moves); in the
-    backward passes the gradient accumulators keep riding all ``S - 1``
-    forward transitions plus a shrunken return hop, delayed-double-buffered
-    against compute.
+    ``ring_window`` is a knob of the burst schedules only, and only the
+    methods the engine executes have a bidirectional mode to model; the
+    other rows price their one configuration whatever is passed.
     """
-    from repro.perf.cost import bidirectional_step_split
+    if method not in METHOD_DES_FLAGS:
+        raise ValueError(
+            f"no DES pass graph for method {method!r}; "
+            f"expected one of {sorted(METHOD_DES_FLAGS)}"
+        )
+    flags = dict(METHOD_DES_FLAGS[method])
+    if flags["alg2"] is None:
+        # query-sized Alg. 2 vs KV-sized Alg. 1, both delayed-overlapped
+        flags["alg2"] = 3 + 2 / workload.hidden <= 4 * workload.kv_ratio
+    bidirectional = ring_mode == "bidirectional" and method in ATTENTION_SCHEDULES
+    return flags, bidirectional, ring_window if method.startswith("burst") else None
 
+
+def attention_pass_transitions(
+    method: str,
+    topology: ClusterTopology,
+    workload: AttentionWorkload,
+    *,
+    backward: bool,
+    ring_mode: str = "unidirectional",
+    ring_window: int | None = None,
+) -> tuple[list[tuple[str, float]], list[tuple[str, float]]]:
+    """Modeled ``(resource, duration)`` hops of one pass's two streams.
+
+    The forward stream lists the ring transitions in order and, on a
+    backward pass, ends with the return-to-owner hop; the reverse stream
+    is empty under the unidirectional mode.  Bidirectional passes split
+    the read-only bundle parts across the streams (``T_f = S // 2``
+    forward transitions, ``R = (S - 1) // 2`` reverse moves) while the
+    gradient accumulators ride all ``S - 1`` forward transitions and go
+    home alone.
+    """
+    flags, bidirectional, window = _ring_model(
+        method, workload, ring_mode, ring_window
+    )
     g = topology.world_size
-    num_steps = g
-    t_f, rev = bidirectional_step_split(num_steps)
+    shard = workload.shard_bytes(g)
+    kv_shard = workload.kv_shard_bytes(g)
+    hidden = workload.hidden
+    t_f, rev_moves = bidirectional_step_split(g)
 
     def durations(payload: float) -> list[tuple[str, float]]:
-        return _transition_durations(topology, payload, flat, ring_window)
+        return _transition_durations(topology, payload, flags["flat"], window)
+
+    if not backward:
+        kv = durations(2 * kv_shard)  # K + V; nothing returns
+        if bidirectional:
+            return kv[:t_f], _rev_transition_list(kv, rev_moves)
+        return kv, []
+    if flags["alg2"]:
+        full = durations(shard * (3 + 2 / hidden))  # Q + dQ + dO + (D, Lse)
+        if not bidirectional:
+            return full + full[-1:], []
+        acc = durations(shard)                      # dQ alone
+        ro = durations(shard * (2 + 2 / hidden))    # Q + dO + (D, Lse)
+    else:
+        acc = ro = durations(2 * kv_shard)          # (dK, dV) / (K, V)
+        if not bidirectional:
+            # (K, V) and (dK, dV) are separate messages per transition;
+            # when the gradients drain serially only they go home.
+            both = [(res, dur + dur) for res, dur in acc]
+            hop = acc if flags["serialize_gradients"] else both
+            return both + hop[-1:], []
+        full = durations(4 * kv_shard)              # K + V + dK + dV
+    return full[:t_f] + acc[t_f:] + acc[-1:], _rev_transition_list(ro, rev_moves)
+
+
+def attention_pass_sim(
+    method: str,
+    topology: ClusterTopology,
+    workload: AttentionWorkload,
+    *,
+    backward: bool,
+    ring_mode: str = "unidirectional",
+    ring_window: int | None = None,
+    peak_flops: float | None = None,
+    prefix: str | None = None,
+    fwd_durations: list[tuple[str, float]] | None = None,
+    rev_durations: list[tuple[str, float]] | None = None,
+) -> Simulator:
+    """Build and run the DES task graph of one ring-family attention pass.
+
+    The only builder of that graph: :func:`attention_pass_time` returns its
+    makespan, :func:`repro.obs.report.build_predicted_trace` draws it and
+    :mod:`repro.obs.critical` replays observed passes through it.  The
+    return-to-owner hop of a backward pass is the graph's last task, on
+    the link of the last transition.
+
+    ``fwd_durations`` / ``rev_durations`` substitute the hop durations of
+    :func:`attention_pass_transitions` position by position (e.g. priced
+    from the bytes an *observed* trace logged) while keeping the method's
+    dependency structure.  For the unidirectional serialize-gradients
+    backward each transition's duration prices the full KV + gradient
+    payload; the builder splits it in half between the overlapped KV
+    circulation and the serial gradient drain, and takes the return hop —
+    which nothing is left to overlap — as given.
+    """
+    flags, bidirectional, _ = _ring_model(method, workload, ring_mode, ring_window)
+    g = topology.world_size
+    peak = peak_flops if peak_flops is not None else topology.node.gpu.peak_flops
+    flops = workload.fwd_flops_per_gpu(g)
+    if backward:
+        flops *= BACKWARD_FLOPS_FACTOR
+    step_compute = matmul_time(flops / g, peak, ATTENTION_EFFICIENCY)
+    if prefix is None:
+        prefix = "attn-bwd/" if backward else "attn-fwd/"
+
+    def substituted(label, given, modeled):
+        if given is not None and len(given) != len(modeled):
+            raise ValueError(
+                f"{method} {prefix!r}: expected {len(modeled)} {label} "
+                f"per pass, got {len(given)}"
+            )
+        return list(modeled if given is None else given)
+
+    fwd_model, rev_model = attention_pass_transitions(
+        method, topology, workload,
+        backward=backward, ring_mode=ring_mode, ring_window=ring_window,
+    )
+    fwd_list = substituted("forward hops", fwd_durations, fwd_model)
+    rev_list = substituted("reverse moves", rev_durations, rev_model)
+    tail = [fwd_list.pop()] if backward and fwd_list else []  # the return hop
 
     sim = Simulator()
-    if not backward:
-        kv = durations(2 * kv_shard)
-        _bidirectional_ring(
-            sim, "f", num_steps, kv[:t_f], _rev_transition_list(kv, rev),
-            step_compute, grad_dependent=False,
+    if bidirectional:
+        ends = _bidirectional_ring(
+            sim, prefix, g, fwd_list, rev_list, step_compute, backward
         )
-        return sim.run()
-
-    if alg2_payload:
-        full = durations(shard * (3 + 2 / hidden))  # Q + dQ + dO + (D, Lse)
-        dq = durations(shard)                       # accumulator alone
-        ro = durations(shard * (2 + 2 / hidden))    # Q + dO + (D, Lse)
-        fwd_chain = full[:t_f] + dq[t_f:]
-        _bidirectional_ring(
-            sim, "b", num_steps, fwd_chain, _rev_transition_list(ro, rev),
-            step_compute, grad_dependent=True,
-        )
-        makespan = sim.run()
-        if dq:
-            makespan += dq[-1][1]  # dQ return-to-owner hop
-        return makespan
-
-    # Algorithm 1: (K, V) split across streams, (dK, dV) ride forward.
-    full = durations(4 * kv_shard)
-    grads = durations(2 * kv_shard)
-    fwd_chain = full[:t_f] + grads[t_f:]
-    _bidirectional_ring(
-        sim, "b", num_steps, fwd_chain, _rev_transition_list(grads, rev),
-        step_compute, grad_dependent=True,
-    )
-    makespan = sim.run()
-    if grads:
-        makespan += grads[-1][1]  # dK/dV return hop
-    return makespan
+    elif backward and flags["serialize_gradients"] and not flags["alg2"]:
+        # LoongTrain / Megatron: the (K, V) half of every transition
+        # overlaps compute, the (dK, dV) half drains serially after it
+        # (Table 1's +2(I·T_i + E·T_e)).
+        halves = [(res, dur / 2) for res, dur in fwd_list]
+        ends = _pipelined_ring(sim, prefix, halves, step_compute, False)
+        tail = halves + tail
+    else:
+        ends = _pipelined_ring(sim, prefix, fwd_list, step_compute, backward)
+    names = [f"{prefix}g{t}" for t in range(len(tail) - 1)] + [f"{prefix}return"]
+    for name, (res, dur) in zip(names, tail):
+        sim.add(name, dur, resources=(res,), deps=ends)
+        ends = [name]
+    sim.run()
+    return sim
 
 
 def _all_to_all_time(
@@ -474,47 +529,12 @@ def attention_pass_time(
     ring_mode: str = "unidirectional",
 ) -> float:
     """Simulated wall-clock seconds for one distributed attention pass."""
+    if method in METHOD_DES_FLAGS:
+        return attention_pass_sim(
+            method, topology, workload, backward=backward,
+            peak_flops=peak_flops, ring_window=ring_window, ring_mode=ring_mode,
+        ).makespan
     peak = peak_flops if peak_flops is not None else topology.node.gpu.peak_flops
-    if method == "megatron-cp":
-        # Flat lockstep ring; like every Algorithm-1 implementation it
-        # overlaps the KV circulation but not the gradient buffers.
-        return _flat_or_double_pass(
-            topology, workload, peak, flat=True, backward=backward,
-            serialize_gradients=True, alg2_payload=False,
-            ring_mode=ring_mode,
-        )
-    if method == "loongtrain-double":
-        return _flat_or_double_pass(
-            topology, workload, peak, flat=False, backward=backward,
-            serialize_gradients=True, alg2_payload=False,
-            ring_mode=ring_mode,
-        )
-    if method == "burst":
-        return _flat_or_double_pass(
-            topology, workload, peak, flat=False, backward=backward,
-            serialize_gradients=False, alg2_payload=True,
-            ring_window=ring_window, ring_mode=ring_mode,
-        )
-    if method == "burst-flat":  # ablation: Alg. 2 without topology-aware ring
-        return _flat_or_double_pass(
-            topology, workload, peak, flat=True, backward=backward,
-            serialize_gradients=False, alg2_payload=True,
-        )
-    if method == "double-alg1-overlap":  # ablation: topo ring, Alg. 1, overlapped
-        return _flat_or_double_pass(
-            topology, workload, peak, flat=False, backward=backward,
-            serialize_gradients=False, alg2_payload=False,
-        )
-    if method == "burst-adaptive":
-        # GQA extension: circulate whichever backward bundle is smaller
-        # (query-sized Alg. 2 vs KV-sized Alg. 1, both delayed-overlapped).
-        alg2_units = 3 + 2 / workload.hidden
-        alg1_units = 4 * workload.kv_ratio
-        return _flat_or_double_pass(
-            topology, workload, peak, flat=False, backward=backward,
-            serialize_gradients=False, alg2_payload=(alg2_units <= alg1_units),
-            ring_window=ring_window,
-        )
     if method == "ulysses":
         return _ulysses_pass(topology, workload, peak, backward=backward)
     if method == "usp":
@@ -557,11 +577,3 @@ def degraded_attention_pass_time(
         ring_mode=ring_mode,
     )
 
-
-ATTENTION_SCHEDULES = (
-    "megatron-cp",
-    "loongtrain-double",
-    "burst",
-    "ulysses",
-    "usp",
-)

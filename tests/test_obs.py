@@ -35,6 +35,7 @@ from repro.obs import (
     validate_metrics_jsonl,
 )
 from repro.obs.report import diff_traces, observed_ring_counts, time_by_phase
+from repro.obs.tracer import Span
 from repro.testing.invariants import expected_backward_elems
 from repro.topology import a800_node, make_cluster
 
@@ -52,17 +53,26 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def tiny_engine(n_layers: int = 2) -> BurstEngine:
+def tiny_engine(
+    n_layers: int = 2, method: str = "burst",
+    ring_mode: str = "unidirectional",
+) -> BurstEngine:
     """The quickstart-shaped config: 8 GPUs over 2 nodes, burst attention,
-    sequence-level selective checkpointing, fused LM head."""
-    topology = make_cluster(8, node=a800_node(gpus_per_node=4))
+    sequence-level selective checkpointing, fused LM head.  (Ulysses needs
+    ``heads % world == 0``, so it runs on 4 GPUs.)"""
+    topology = make_cluster(
+        4 if method == "ulysses" else 8, node=a800_node(gpus_per_node=4)
+    )
     return BurstEngine(
         EngineConfig(
             model=TransformerConfig(
                 vocab_size=128, dim=32, n_layers=n_layers, n_heads=4,
                 ffn_hidden=64, max_seq_len=128, attn_block_size=32,
             ),
-            method="burst",
+            method=method,
+            method_kwargs=(
+                {"ring_mode": ring_mode} if ring_mode != "unidirectional" else {}
+            ),
             checkpoint=CheckpointPolicy(CheckpointMode.SEQUENCE_LEVEL, 0.5),
             head_impl="fused",
         ),
@@ -70,8 +80,8 @@ def tiny_engine(n_layers: int = 2) -> BurstEngine:
     )
 
 
-def traced_step(tmp_path, n_layers: int = 2):
-    engine = tiny_engine(n_layers)
+def traced_step(tmp_path, n_layers: int = 2, **engine_kwargs):
+    engine = tiny_engine(n_layers, **engine_kwargs)
     rng = np.random.default_rng(0)
     ids = rng.integers(0, 128, 128)
     targets = rng.integers(0, 128, 128)
@@ -297,34 +307,117 @@ class TestStepMetricsJsonl:
             validate_metrics_jsonl("not json")
 
 
+RING_MODES = ["unidirectional", "bidirectional"]
+WORKLOAD = dict(seq_len=128, hidden=32, n_heads=4)
+
+
 class TestDiff:
-    def test_quickstart_diff_is_clean(self, tmp_path):
+    @pytest.mark.parametrize("ring_mode", RING_MODES)
+    def test_quickstart_diff_is_clean(self, tmp_path, ring_mode):
         from repro.obs.report import build_predicted_trace
         from repro.perf.schedules.attention import AttentionWorkload
 
-        engine, spans, _ = traced_step(tmp_path)
+        engine, spans, _ = traced_step(tmp_path, ring_mode=ring_mode)
         observed = spans_to_chrome_json(spans)
         predicted = build_predicted_trace(
             "burst", engine.topology,
             AttentionWorkload(seq_len=128, hidden=32, n_heads=4),
+            ring_mode=ring_mode,
         )
         ok, lines = diff_traces(observed, predicted)
         assert ok, "\n".join(lines)
 
-    def test_diff_flags_missing_inter_transitions(self, tmp_path):
+    @pytest.mark.parametrize("ring_mode", RING_MODES)
+    def test_diff_flags_missing_inter_transitions(self, tmp_path, ring_mode):
         from repro.obs.report import build_predicted_trace
         from repro.perf.schedules.attention import AttentionWorkload
 
-        engine, spans, _ = traced_step(tmp_path)
+        engine, spans, _ = traced_step(tmp_path, ring_mode=ring_mode)
         # Drop the inter-ring transitions: the structure check must fail.
         pruned = [s for s in spans if s.phase != "inter-ring"]
         observed = spans_to_chrome_json(pruned)
         predicted = build_predicted_trace(
             "burst", engine.topology,
             AttentionWorkload(seq_len=128, hidden=32, n_heads=4),
+            ring_mode=ring_mode,
         )
         ok, lines = diff_traces(observed, predicted)
         assert not ok, "\n".join(lines)
+
+    def test_diff_flags_missing_reverse_stream(self, tmp_path):
+        from repro.obs.report import build_predicted_trace
+        from repro.perf.schedules.attention import AttentionWorkload
+
+        engine, spans, _ = traced_step(tmp_path, ring_mode="bidirectional")
+        pruned = [
+            s for s in spans
+            if not (s.name == "ring.transition"
+                    and s.attrs.get("direction") == "rev")
+        ]
+        assert len(pruned) < len(spans)
+        predicted = build_predicted_trace(
+            "burst", engine.topology, AttentionWorkload(**WORKLOAD),
+            ring_mode="bidirectional",
+        )
+        ok, lines = diff_traces(spans_to_chrome_json(pruned), predicted)
+        assert not ok, "\n".join(lines)
+
+    def test_diff_flags_stray_transition_without_ring_schedule(self, tmp_path):
+        """Ulysses predicts zero in every cell: a clean trace passes, one
+        stray ``ring.transition`` fails."""
+        from repro.obs.report import predicted_ring_cells
+
+        engine, spans, _ = traced_step(tmp_path, method="ulysses")
+        cells = predicted_ring_cells("ulysses", engine.topology)
+        assert not any(
+            n for phase in cells.values() for d in phase.values()
+            for n in d.values()
+        )
+        predicted = {
+            "traceEvents": [],
+            "metadata": {"method": "ulysses", "per_pass_cells": cells},
+        }
+        ok, lines = diff_traces(spans_to_chrome_json(spans), predicted)
+        assert ok, "\n".join(lines)
+        stray = Span(
+            name="ring.transition", phase="intra-ring", ts=spans[0].ts,
+            dur=1e-6, tid=999, depth=0, rank=None,
+            attrs={"logical": "attn-fwd"},
+        )
+        ok, lines = diff_traces(spans_to_chrome_json(spans + [stray]), predicted)
+        assert not ok, "\n".join(lines)
+
+    @pytest.mark.parametrize("ring_mode", RING_MODES)
+    @pytest.mark.parametrize(
+        "method", ["burst", "megatron-cp", "loongtrain-double"]
+    )
+    def test_predicted_makespan_is_fwd_plus_bwd_pass_time(
+        self, method, ring_mode
+    ):
+        """The predicted trace and the figures price one graph, so the
+        trace's makespan is exactly the fwd + bwd ``attention_pass_time``
+        — backward return hop included."""
+        from repro.obs.report import build_predicted_trace
+        from repro.perf.schedules.attention import (
+            AttentionWorkload,
+            attention_pass_time,
+        )
+
+        topology = make_cluster(8, node=a800_node(gpus_per_node=4))
+        wl = AttentionWorkload(**WORKLOAD)
+        predicted = build_predicted_trace(
+            method, topology, wl, ring_mode=ring_mode
+        )
+        validate_chrome_trace(predicted)
+        assert predicted["metadata"]["modeled_makespan_s"] == (
+            attention_pass_time(method, topology, wl, ring_mode=ring_mode)
+            + attention_pass_time(
+                method, topology, wl, backward=True, ring_mode=ring_mode
+            )
+        )
+        assert "attn-bwd/return" in {
+            e["name"] for e in predicted["traceEvents"]
+        }
 
 
 class TestProfileGuard:
@@ -363,3 +456,19 @@ class TestObsCLI:
         proc = run_cli("repro.obs", "report", str(bad))
         assert proc.returncode == 1
         assert "invalid trace" in proc.stderr
+
+    def test_diff_rejects_garbage_predicted(self, tmp_path):
+        """The predicted file comes from outside too: a clean ``error:``
+        and exit 1, never a traceback."""
+        out = tmp_path / "obs"
+        proc = run_cli("repro.obs", "trace-step", "--out-dir", str(out))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        bad = tmp_path / "bad.json"
+        bad.write_text("[]")
+        proc = run_cli(
+            "repro.obs", "diff", str(out / "trace.json"),
+            "--predicted", str(bad),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr

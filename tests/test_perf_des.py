@@ -3,7 +3,7 @@
 import pytest
 
 from repro.perf.des import Simulator
-from repro.perf.trace import trace_to_chrome_json
+from repro.obs.export import sims_to_chrome_json as trace_to_chrome_json
 
 
 class TestSimulatorBasics:

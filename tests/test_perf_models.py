@@ -9,17 +9,20 @@ import pytest
 
 from repro.models import LLAMA_7B, LLAMA_14B, MODEL_SPECS
 from repro.perf import (
+    METHOD_DES_FLAGS,
     MemoryModel,
     TrainingSetup,
+    attention_pass_sim,
     attention_pass_time,
     end_to_end_step,
     matmul_time,
+    summarize_sim,
     table1_comm_times,
 )
 from repro.perf.cost import attention_step_sizes
 from repro.perf.memory import checkpoint_memory_curve, logits_memory_bytes, ulysses_effective_degree
 from repro.perf.schedules.attention import AttentionWorkload
-from repro.topology import make_cluster
+from repro.topology import a800_node, make_cluster
 
 
 TOPO32 = make_cluster(32)
@@ -144,6 +147,27 @@ class TestAttentionPassTimes:
             adaptive = attention_pass_time("burst-adaptive", TOPO32, wl,
                                            backward=True)
             assert adaptive <= fixed * 1.0001
+
+    @pytest.mark.parametrize("ring_mode", ["unidirectional", "bidirectional"])
+    @pytest.mark.parametrize("backward", [False, True], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("gpus,per_node", [(8, 4), (8, 8), (16, 8), (32, 8)])
+    @pytest.mark.parametrize("method", sorted(METHOD_DES_FLAGS))
+    def test_pass_time_is_the_one_graphs_makespan(
+        self, method, gpus, per_node, backward, ring_mode
+    ):
+        """Every ring-family pass time is the makespan of the graph the
+        predicted trace draws — return hop and gradient drain included."""
+        topo = make_cluster(gpus, node=a800_node(gpus_per_node=per_node))
+        wl = AttentionWorkload(seq_len=131072, hidden=4096, n_heads=32)
+        sim = attention_pass_sim(
+            method, topo, wl, backward=backward, ring_mode=ring_mode
+        )
+        assert summarize_sim(sim)["makespan_s"] == attention_pass_time(
+            method, topo, wl, backward=backward, ring_mode=ring_mode
+        )
+        hops = [t for t in sim.timeline() if t.name.endswith("/return")]
+        assert len(hops) == (1 if backward else 0)
+        assert all(t.end == sim.makespan for t in hops)
 
     def test_single_gpu_has_no_comm(self):
         topo1 = make_cluster(1)

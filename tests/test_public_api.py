@@ -172,3 +172,49 @@ class TestOneKernelExecutionPath:
                 and node.func.attr in ("dense", "block")
             ]
             assert dense_calls == [], f"{rel}: lines {dense_calls}"
+
+
+class TestOnePredictedObservedInstrument:
+    def test_one_graph_one_writer_one_diff(self):
+        """ROADMAP aim 2, "one Chrome-trace exporter, one critical-path
+        builder": the DES and the tracer reach one function that assembles
+        ``X`` / ``thread_name`` events, the ring-pass graph and the ring
+        diff have no second copy, and ``repro.perf`` / ``repro.obs`` modules
+        use each other through public names only."""
+        import ast
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        removed = (
+            "_flat_or_double_pass", "_bidirectional_pass", "_diff_bidirectional",
+            "observed_ring_counts_by_direction",
+            "predicted_bidirectional_pass_counts",
+        )
+        assert not (src / "perf" / "trace.py").exists()
+        literals = {("ph", "X"): [], ("name", "thread_name"): []}
+        for path in sorted(src.rglob("*.py")):
+            rel = path.relative_to(src).as_posix()
+            text = path.read_text()
+            assert [n for n in removed if n in text] == [], rel
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.Dict):
+                    pairs = {
+                        (k.value, v.value) for k, v in zip(node.keys, node.values)
+                        if isinstance(k, ast.Constant)
+                        and isinstance(v, ast.Constant)
+                    }
+                    for pair in literals.keys() & pairs:
+                        literals[pair].append(rel)
+                if (
+                    isinstance(node, ast.ImportFrom)
+                    and rel.startswith(("perf/", "obs/"))
+                    and (node.module or "").startswith("repro.")
+                ):
+                    private = [
+                        a.name for a in node.names if a.name.startswith("_")
+                    ]
+                    assert private == [], f"{rel} imports {private}"
+        assert literals == {
+            ("ph", "X"): ["obs/export.py"],
+            ("name", "thread_name"): ["obs/export.py"],
+        }
