@@ -9,13 +9,7 @@ engine should switch (``choose_backward_algorithm``)."""
 
 import numpy as np
 
-from repro.attention.gqa import (
-    backward_comm_elems,
-    choose_backward_algorithm,
-    gqa_burst_backward,
-    gqa_ring_backward_kv,
-    gqa_ring_forward,
-)
+from repro.attention import ring_attention_backward_kv, ring_attention_forward
 from repro.comm import SimCommunicator, double_ring_schedule
 from repro.experiments.extensions import ext_gqa_tradeoff
 from repro.partition import StripedPartitioner
@@ -44,12 +38,12 @@ def test_ext_gqa_numeric_backward(benchmark):
     comm = SimCommunicator(topo)
     sched = double_ring_schedule(topo)
     sh = lambda x: part.scatter(x, 4)
-    os, lses = gqa_ring_forward(comm, sched, sh(q), sh(k), sh(v), idxs, 4,
-                                block_size=16)
+    os, lses = ring_attention_forward(comm, sched, sh(q), sh(k), sh(v), idxs,
+                                      block_size=16)
 
     def run():
-        return gqa_ring_backward_kv(
-            comm, sched, sh(q), sh(k), sh(v), os, lses, sh(do), idxs, 4,
+        return ring_attention_backward_kv(
+            comm, sched, sh(q), sh(k), sh(v), os, lses, sh(do), idxs,
             block_size=16,
         )
 

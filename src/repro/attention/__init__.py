@@ -3,13 +3,19 @@
 All five systems compared in the paper are implemented with exact numerics
 over the simulated cluster:
 
-* :mod:`repro.attention.ring` — the shared ring forward pass (online-softmax
-  accumulation, any :class:`~repro.comm.RingSchedule`) and the
-  **Algorithm 1** backward pass that circulates ``(K, V, dK, dV)``
-  (RingAttention / Megatron-CP / LoongTrain-DoubleRing).
-* :mod:`repro.attention.burst` — the **Algorithm 2** backward pass that
-  circulates ``(Q, dQ, dO, D, Lse)`` instead, BurstAttention's
-  communication-optimised rewrite (3Nd + 2N vs 4Nd per GPU).
+* :mod:`repro.attention.ring` — :func:`ring_pass`, the one executed
+  circulation loop (any :class:`~repro.comm.RingSchedule`, either ring
+  mode), and two of its instances: the shared ring forward pass
+  (online-softmax accumulation) and the **Algorithm 1** backward pass that
+  circulates ``(K, V, dK, dV)`` (RingAttention / Megatron-CP /
+  LoongTrain-DoubleRing).
+* :mod:`repro.attention.burst` — the third instance, the **Algorithm 2**
+  backward pass that circulates ``(Q, dQ, dO, D, Lse)`` instead,
+  BurstAttention's communication-optimised rewrite (3Nd + 2N vs 4Nd per
+  GPU).
+* :mod:`repro.attention.gqa` — grouped-query attention: dense oracles,
+  ``repeat_kv`` / ``fold_kv_grad`` (what the ring passes apply when K/V
+  shards carry fewer heads) and the Alg. 1 / Alg. 2 payload trade-off.
 * :mod:`repro.attention.ulysses` — DeepSpeed-Ulysses head parallelism via
   all-to-all.
 * :mod:`repro.attention.usp` — LoongTrain's hybrid head+context (USP)
@@ -19,12 +25,11 @@ over the simulated cluster:
 """
 
 from repro.attention.ring import (
+    ring_pass,
     ring_attention_forward,
     ring_attention_backward_kv,
 )
 from repro.attention.burst import burst_attention_backward
-from repro.attention.ulysses import ulysses_attention
-from repro.attention.usp import usp_attention
 from repro.attention.methods import (
     DistributedAttention,
     BurstAttentionMethod,
@@ -37,11 +42,10 @@ from repro.attention.methods import (
 )
 
 __all__ = [
+    "ring_pass",
     "ring_attention_forward",
     "ring_attention_backward_kv",
     "burst_attention_backward",
-    "ulysses_attention",
-    "usp_attention",
     "DistributedAttention",
     "BurstAttentionMethod",
     "RingAttentionMethod",

@@ -21,6 +21,8 @@ D recomputation    every round              once, before the loop
 
 Numerically the result is identical to Algorithm 1 and to the dense
 reference — the tests assert both, along with the exact traffic volumes.
+The circulation itself is :func:`repro.attention.ring.ring_pass`; this
+module only lays out the bundle and supplies the device step.
 """
 
 from __future__ import annotations
@@ -29,49 +31,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.comm import BidirectionalFlow, RingSchedule, SimCommunicator
-from repro.comm.ring import check_ring_mode
-from repro.kernels import (
-    BiasTileCache,
-    KernelWorkspace,
-    TilePlan,
-    get_backend,
-)
+from repro.attention.gqa import _check_groups, fold_kv_grad, repeat_kv
+from repro.attention.ring import _resolve_tiles, ring_pass
+from repro.comm import RingSchedule, SimCommunicator
+from repro.kernels import BiasTileCache, KernelWorkspace, get_backend
 from repro.masks import MaskPattern
-from repro.attention.ring import _resolve_tiles
 from repro.obs.tracer import traced
-
-
-def _tile_backward_qgrad(
-    q_j: np.ndarray,
-    k_i: np.ndarray,
-    v_i: np.ndarray,
-    do_j: np.ndarray,
-    d_j: np.ndarray,
-    lse_j: np.ndarray,
-    scale: float,
-    block_q: int,
-    block_k: int,
-    plan: TilePlan | None = None,
-    workspace: KernelWorkspace | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Algorithm-2 device step: given the circulating query-side bundle
-    and the pinned ``(K_i, V_i)``, compute ``(dQ_j part, dK_i part, dV_i
-    part)``.  Tiled like the flash kernel so no full score matrix forms.
-
-    This mirrors lines 7–13 of Algorithm 2 with ``D_j``/``Lse_j`` taken
-    from the ring instead of recomputed (the paper's Algorithm 2 line 11
-    writes ``D_i``; the derivation in Eq. 7–8 shows the query-side ``D_j``
-    is the quantity required, which is what travels).  The tile loop is
-    :func:`repro.kernels.flash_backward_tiles` — the same backward core as
-    :func:`~repro.kernels.flash_attention_backward` minus the local ``D``
-    recomputation, so it consumes tile plans and workspaces natively.
-    """
-    return get_backend().flash_backward_tiles(
-        q_j, k_i, v_i, lse_j, d_j, do_j,
-        scale=scale, block_q=block_q, block_k=block_k,
-        plan=plan, workspace=workspace,
-    )
 
 
 @traced("attn.pass", "attn", algorithm="burst-alg2", direction="bwd")
@@ -98,6 +63,19 @@ def burst_attention_backward(
     of leading head slots; the paper's single-head statement is ``3Nd+2N``),
     ~25 % below Algorithm 1's ``4Nd``.  Returns per-rank ``(dqs, dks, dvs)``.
 
+    One device step (lines 7–13 of Algorithm 2) takes the circulating
+    query-side bundle and the pinned ``(K_i, V_i)`` to ``(dQ_j part, dK_i
+    part, dV_i part)``, with ``D_j``/``Lse_j`` taken from the ring instead
+    of recomputed (the paper's line 11 writes ``D_i``; the derivation in
+    Eq. 7–8 shows the query-side ``D_j`` is the quantity required, which
+    is what travels).  It is the backend's ``flash_backward_tiles`` — the
+    flash backward core minus the local ``D`` recomputation, tiled so no
+    full score matrix forms.
+
+    Under GQA the bundle is query-sized (no saving — see
+    :mod:`repro.attention.gqa`); the pinned ``K, V`` are expanded to query
+    heads once and their summed gradients folded back once at the end.
+
     Under ``ring_mode="bidirectional"`` the read-only ``(Q, dO, D, Lse)``
     parts of the bundle split across two counter-rotating streams while
     the ``dQ`` accumulator rides the full forward circulation (keeping its
@@ -105,80 +83,51 @@ def burst_attention_backward(
     the reverse stream takes over, the forward bundle and the return hop
     carry ``dQ`` alone.
     """
-    check_ring_mode(ring_mode)
-    g = comm.world_size
+    groups = _check_groups(qs[0].shape[0], ks[0].shape[0])
     if scale is None:
         scale = 1.0 / np.sqrt(qs[0].shape[-1])
-    origins = schedule.origins()
-    steps = schedule.num_steps
-
+    ks = [repeat_kv(k, groups) for k in ks]
+    vs = [repeat_kv(v, groups) for v in vs]
     dks = [np.zeros_like(k) for k in ks]
     dvs = [np.zeros_like(v) for v in vs]
-    # D_i computed once, locally, before the ring starts (Alg. 2 line 2).
-    ds = [np.sum(dos[r] * os[r], axis=-1) for r in range(g)]
-
     bias_cache = BiasTileCache()
     workspace = KernelWorkspace()
-    bufs: list[object] = [
-        (
-            qs[r].copy(),
-            np.zeros_like(qs[r]),  # dQ accumulator rides the ring
-            dos[r].copy(),
-            ds[r].copy(),
-            lses[r].copy(),
-        )
-        for r in range(g)
-    ]
-    flow = (
-        BidirectionalFlow(
-            comm, schedule,
-            [(bufs[r][0], bufs[r][2], bufs[r][3], bufs[r][4]) for r in range(g)],
-            phase=phase, tag="q+grads",
-        )
-        if ring_mode == "bidirectional"
-        else None
-    )
-    ro: list[object] | None = None
 
-    for t in range(steps):
-        for r in range(g):
-            j = origins[t][r]
-            if ro is None:
-                q_j, dq_j, do_j, d_j, lse_j = bufs[r]
-            else:
-                q_j, do_j, d_j, lse_j = ro[r]
-                (dq_j,) = bufs[r]
-            # Queries are shard j, keys/values are pinned shard r.
-            skip, plan = _resolve_tiles(
-                mask, idxs[j], idxs[r], block_size, bias_cache
-            )
-            if skip:
-                continue
-            dq_part, dk_part, dv_part = _tile_backward_qgrad(
-                q_j, ks[r], vs[r], do_j, d_j, lse_j, scale,
-                block_size, block_size, plan=plan, workspace=workspace,
-            )
-            dks[r] += dk_part
-            dvs[r] += dv_part
-            if ro is None:
-                bufs[r] = (q_j, dq_j + dq_part, do_j, d_j, lse_j)
-            else:
-                bufs[r] = (dq_j + dq_part,)
-        if t < steps - 1:
-            if flow is not None and t == flow.forward_transitions:
-                # Query-side delivery is now the reverse stream's job;
-                # only the dQ accumulator stays on the forward circulation.
-                bufs = [(b[1],) for b in bufs]
-            bufs = schedule.apply(comm, bufs, t, phase=phase, tag="q+grads")
-            if flow is not None:
-                flow.poststep(t)
-                ro = flow.delivered(t + 1)
+    def tile(r, j, bundle):
+        q_j, _, do_j, d_j, lse_j = bundle
+        # Queries are shard j, keys/values are pinned shard r.
+        skip, plan = _resolve_tiles(
+            mask, idxs[j], idxs[r], block_size, bias_cache
+        )
+        if skip:
+            return None
+        dq_part, dk_part, dv_part = get_backend().flash_backward_tiles(
+            q_j, ks[r], vs[r], lse_j, d_j, do_j, scale=scale,
+            block_q=block_size, block_k=block_size,
+            plan=plan, workspace=workspace,
+        )
+        dks[r] += dk_part
+        dvs[r] += dv_part
+        return (dq_part,)
 
-    # Final hop: dQ accumulators return to their owners.
-    if flow is not None:
-        bufs = [b if len(b) == 1 else (b[1],) for b in bufs]
-    bufs = comm.exchange(
-        bufs, schedule.return_permutation(), phase=phase, tag="q+grads-return"
+    home = ring_pass(
+        comm, schedule,
+        [
+            (
+                q.copy(),
+                np.zeros_like(q),  # dQ accumulator rides the ring
+                do.copy(),
+                # D_i computed once, locally, before the ring starts
+                # (Alg. 2 line 2).
+                np.sum(do * o, axis=-1),
+                lse.copy(),
+            )
+            for q, do, o, lse in zip(qs, dos, os, lses)
+        ],
+        (1,), tile, phase=phase, tag="q+grads", ring_mode=ring_mode,
     )
-    dqs = [bufs[r][1] if flow is None else bufs[r][0] for r in range(g)]
-    return dqs, dks, dvs
+    return (
+        [dq for (dq,) in home],
+        [fold_kv_grad(dk, groups) for dk in dks],
+        [fold_kv_grad(dv, groups) for dv in dvs],
+    )

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.attention.burst import burst_attention_backward
+from repro.attention.gqa import choose_backward_algorithm
 from repro.attention.ring import ring_attention_backward_kv, ring_attention_forward
 from repro.attention.ulysses import ulysses_attention_backward, ulysses_attention_forward
 from repro.attention.usp import USPGrid, usp_attention_backward, usp_attention_forward
@@ -83,11 +84,24 @@ class DistributedAttention(ABC):
 
     # -- full-array convenience API ------------------------------------------
 
-    def shard(self, x: np.ndarray, g: int) -> list[np.ndarray]:
-        return self.partitioner.scatter(x, g, axis=-2)
-
     def indices(self, n: int, g: int) -> list[np.ndarray]:
+        """Global token positions held by each of ``g`` ranks."""
         return self.partitioner.indices(n, g)
+
+    def shard(self, x: np.ndarray, g: int, axis: int = -2) -> list[np.ndarray]:
+        """Split ``x`` along its sequence ``axis`` by :meth:`indices`."""
+        return [
+            np.take(x, idx, axis=axis)
+            for idx in self.indices(x.shape[axis], g)
+        ]
+
+    def gather(self, parts: list[np.ndarray], axis: int = -2) -> np.ndarray:
+        """Reassemble per-rank shards into the full array (inverse of
+        :meth:`shard`)."""
+        n = sum(p.shape[axis] for p in parts)
+        inv = np.empty(n, dtype=np.int64)
+        inv[np.concatenate(self.indices(n, len(parts)))] = np.arange(n)
+        return np.take(np.concatenate(parts, axis=axis), inv, axis=axis)
 
     def run(
         self,
@@ -111,18 +125,14 @@ class DistributedAttention(ABC):
         qs, ks, vs = self.shard(q, g), self.shard(k, g), self.shard(v, g)
         os, lses, ctx = self.forward_shards(comm, qs, ks, vs, idxs, mask, scale)
         result = AttentionResult(
-            o=self.partitioner.gather(os, axis=-2),
-            lse=self.partitioner.gather(
-                [l[..., None] for l in lses], axis=-2
-            )[..., 0],
-            comm=comm,
+            o=self.gather(os), lse=self.gather(lses, axis=-1), comm=comm,
         )
         if do is not None:
             dos = self.shard(do, g)
             dqs, dks, dvs = self.backward_shards(comm, ctx, dos)
-            result.dq = self.partitioner.gather(dqs, axis=-2)
-            result.dk = self.partitioner.gather(dks, axis=-2)
-            result.dv = self.partitioner.gather(dvs, axis=-2)
+            result.dq = self.gather(dqs)
+            result.dk = self.gather(dks)
+            result.dv = self.gather(dvs)
         return result
 
 
@@ -137,7 +147,6 @@ class _RingContext:
     idxs: list
     mask: MaskPattern | None
     scale: float | None
-    groups: int = 1
 
 
 class _RingFamilyMethod(DistributedAttention):
@@ -145,7 +154,8 @@ class _RingFamilyMethod(DistributedAttention):
 
     All ring-family methods accept ``ring_mode``: ``"unidirectional"``
     (default) or ``"bidirectional"`` (counter-rotating delivery streams,
-    bitwise-identical results — see :mod:`repro.comm.ring`).
+    bitwise-identical results — see :mod:`repro.comm.ring`).  K/V shards
+    may carry fewer heads than the query shards (GQA).
     """
 
     backward_algorithm: str = "alg1"
@@ -160,67 +170,28 @@ class _RingFamilyMethod(DistributedAttention):
         return _RingContext(
             self._schedule(comm.topology), list(qs), list(ks), list(vs),
             list(os), list(lses), list(idxs), mask, scale,
-            self._groups_of(qs, ks),
         )
 
     def _schedule(self, topology: ClusterTopology):
         raise NotImplementedError
 
-    @staticmethod
-    def _groups_of(qs, ks) -> int:
-        hq = qs[0].shape[0] if qs[0].ndim == 3 else 1
-        hkv = ks[0].shape[0] if ks[0].ndim == 3 else 1
-        if hq == hkv:
-            return 1
-        if hkv == 0 or hq % hkv != 0:
-            raise ValueError(
-                f"{hq} query heads not divisible by {hkv} KV heads"
-            )
-        return hq // hkv
-
-    def _resolve_backward(self, groups: int, head_dim: int, n_q_heads: int) -> str:
-        if self.backward_algorithm != "adaptive":
-            return self.backward_algorithm
-        from repro.attention.gqa import choose_backward_algorithm
-
-        return choose_backward_algorithm(
-            head_dim, n_q_heads, n_q_heads // groups
-        )
-
     def forward_shards(self, comm, qs, ks, vs, idxs, mask, scale):
         schedule = self._schedule(comm.topology)
-        groups = self._groups_of(qs, ks)
-        if groups == 1:
-            os, lses = ring_attention_forward(
-                comm, schedule, qs, ks, vs, idxs, mask=mask, scale=scale,
-                block_size=self.block_size, ring_mode=self.ring_mode,
-            )
-        else:
-            from repro.attention.gqa import gqa_ring_forward
-
-            os, lses = gqa_ring_forward(
-                comm, schedule, qs, ks, vs, idxs, groups, mask=mask,
-                scale=scale, block_size=self.block_size,
-                ring_mode=self.ring_mode,
-            )
+        os, lses = ring_attention_forward(
+            comm, schedule, qs, ks, vs, idxs, mask=mask, scale=scale,
+            block_size=self.block_size, ring_mode=self.ring_mode,
+        )
         ctx = _RingContext(schedule, list(qs), list(ks), list(vs), os, lses,
-                           list(idxs), mask, scale, groups)
+                           list(idxs), mask, scale)
         return os, lses, ctx
 
     def backward_shards(self, comm, ctx, dos):
-        groups = ctx.groups
-        algorithm = self._resolve_backward(
-            groups, ctx.qs[0].shape[-1],
-            ctx.qs[0].shape[0] if ctx.qs[0].ndim == 3 else 1,
-        )
-        if groups > 1:
-            from repro.attention.gqa import gqa_burst_backward, gqa_ring_backward_kv
-
-            fn = gqa_burst_backward if algorithm == "alg2" else gqa_ring_backward_kv
-            return fn(
-                comm, ctx.schedule, ctx.qs, ctx.ks, ctx.vs, ctx.os, ctx.lses,
-                dos, ctx.idxs, groups, mask=ctx.mask, scale=ctx.scale,
-                block_size=self.block_size, ring_mode=self.ring_mode,
+        algorithm = self.backward_algorithm
+        if algorithm == "adaptive":
+            # Head counts decide: KV-sized Alg. 1 bundle vs query-sized Alg. 2.
+            q, k = ctx.qs[0], ctx.ks[0]
+            algorithm = choose_backward_algorithm(
+                q.shape[-1], q.shape[0], k.shape[0]
             )
         backward = (
             burst_attention_backward
@@ -361,40 +332,6 @@ class USPMethod(DistributedAttention):
             ul = grid.ulysses_index(rank)
             out.append(ring_shards[ring_idx][ul * m : (ul + 1) * m])
         return out
-
-    def shard(self, x: np.ndarray, g: int) -> list[np.ndarray]:
-        n = x.shape[-2]
-        return [np.take(x, idx, axis=-2) for idx in self.indices(n, g)]
-
-    def _gather(self, parts: list[np.ndarray], axis: int = -2) -> np.ndarray:
-        g = len(parts)
-        n = sum(p.shape[axis] for p in parts)
-        order = np.concatenate(self.indices(n, g))
-        stacked = np.concatenate(parts, axis=axis)
-        inv = np.empty(n, dtype=np.int64)
-        inv[order] = np.arange(n)
-        return np.take(stacked, inv, axis=axis)
-
-    def run(self, topology, q, k, v, mask=None, do=None, scale=None, comm=None):
-        if comm is None:
-            comm = SimCommunicator(topology)
-        g = topology.world_size
-        n = q.shape[-2]
-        idxs = self.indices(n, g)
-        qs, ks, vs = self.shard(q, g), self.shard(k, g), self.shard(v, g)
-        os, lses, ctx = self.forward_shards(comm, qs, ks, vs, idxs, mask, scale)
-        result = AttentionResult(
-            o=self._gather(os, axis=-2),
-            lse=self._gather([l[..., None] for l in lses], axis=-2)[..., 0],
-            comm=comm,
-        )
-        if do is not None:
-            dos = self.shard(do, g)
-            dqs, dks, dvs = self.backward_shards(comm, ctx, dos)
-            result.dq = self._gather(dqs, axis=-2)
-            result.dk = self._gather(dks, axis=-2)
-            result.dv = self._gather(dvs, axis=-2)
-        return result
 
     def forward_shards(self, comm, qs, ks, vs, idxs, mask, scale):
         grid = self._grid(comm.world_size)

@@ -1,4 +1,24 @@
-"""Ring attention: shared forward pass and the Algorithm 1 backward pass.
+"""Ring attention: the one circulation loop, the shared forward pass and
+the Algorithm 1 backward pass.
+
+:func:`ring_pass` is the numeric interpreter of a
+:class:`~repro.comm.RingSchedule` (the DES interpreter is
+:func:`repro.perf.schedules.attention.attention_pass_sim`): it owns the
+per-(ring step, rank) loop, the bidirectional transport and the
+return-to-owner hop.  A ring-family pass is a bundle layout plus a tile
+function handed to it:
+
+=========  =========================  =========  ==========================
+pass       bundle                     carried    tile (rank r, origin j)
+=========  =========================  =========  ==========================
+forward    ``(K, V)``                 ``()``     flash fwd ``Q_r × KV_j``,
+                                                 merge into ``(O_r, lse_r)``
+Alg. 1     ``(K, V, dK, dV)``         ``(2, 3)`` flash bwd ``Q_r × KV_j``,
+                                                 ``dQ_r +=``, ``→ dK_j, dV_j``
+Alg. 2     ``(Q, dQ, dO, D, Lse)``    ``(1,)``   flash bwd tiles
+(burst)                                          ``Q_j × KV_r``,
+                                                 ``dK_r, dV_r +=``, ``→ dQ_j``
+=========  =========================  =========  ==========================
 
 **Forward** (all ring-family methods share it): each rank keeps its query
 shard pinned and a ``(K, V)`` bundle circulates along the ring schedule.
@@ -14,7 +34,11 @@ and its own ``dQ_i``.  The bundle makes a full loop of ``G`` hops so the
 gradients return to their owners: per-rank send volume is exactly ``4Nd``
 elements.
 
-Both functions accept any :class:`~repro.comm.RingSchedule`, so the same
+GQA is a property of the shards, not a second code path: when ``ks``/``vs``
+carry fewer heads than ``qs`` the KV-head-sized shards circulate and the
+tile expands them to query heads (and folds KV gradients back) locally.
+
+The passes accept any :class:`~repro.comm.RingSchedule`, so the same
 code runs the flat global ring, the topology-aware double ring, and USP's
 grouped rings; masks are global-index predicates, so zigzag/striped/
 block-balanced partitions are all handled uniformly (empty tiles are
@@ -23,10 +47,11 @@ skipped, full tiles run unmasked — the workload-balance optimisation).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.attention.gqa import _check_groups, fold_kv_grad, repeat_kv
 from repro.comm import BidirectionalFlow, RingSchedule, SimCommunicator
 from repro.comm.ring import check_ring_mode
 from repro.kernels import (
@@ -70,6 +95,113 @@ def _resolve_tiles(
     return False, plan
 
 
+def ring_pass(
+    comm: SimCommunicator,
+    schedule: RingSchedule,
+    bundles: Sequence[tuple],
+    carried: tuple[int, ...],
+    tile: Callable[[int, int, tuple], tuple | None],
+    *,
+    phase: str,
+    tag: str,
+    ring_mode: str = "unidirectional",
+) -> list[tuple]:
+    """Circulate ``bundles`` once around ``schedule`` — the one executed
+    ring loop every ring-family pass is an instance of.
+
+    Parameters
+    ----------
+    bundles:
+        ``bundles[r]`` is the tuple of arrays that starts on rank ``r``.
+        Its slot (leaf) order is the wire order and never changes.
+    carried:
+        Slot indices of the bundle's accumulators; every other slot is
+        read-only.  ``()`` for the forward pass, ``(2, 3)`` for
+        Algorithm 1's ``(K, V, dK, dV)``, ``(1,)`` for Algorithm 2's
+        ``(Q, dQ, dO, D, Lse)``.
+    tile:
+        ``tile(r, j, bundle)`` is rank ``r``'s compute step against the
+        bundle that originated on rank ``j``; it returns one increment per
+        carried slot (added out of place, ``acc + inc``), or ``None`` for
+        an empty shard pair.  Whatever stays pinned on ``r`` is the
+        closure's own state.
+    ring_mode:
+        ``"unidirectional"`` moves the whole bundle along the schedule.
+        ``"bidirectional"`` delivers the read-only slots over two
+        counter-rotating streams (:class:`~repro.comm.BidirectionalFlow`):
+        the forward stream carries the whole bundle for its half of the
+        steps, then slims down to the carried slots — which must ride the
+        full forward circulation to keep their addition order — or, with
+        nothing carried, stops.
+
+    Returns the carried slots per rank, sent home to their owners over a
+    final ``<tag>-return`` hop (``[()] * G`` and no hop when nothing is
+    carried).  The unidirectional hop ships the whole bundle — that is the
+    ``4Nd`` / ``3Nd + 2N`` closed form — the bidirectional one only the
+    carried slots.
+    """
+    check_ring_mode(ring_mode)
+    g = comm.world_size
+    steps = schedule.num_steps
+    if steps != g and schedule.name != "grouped-ring":
+        raise ValueError(
+            f"schedule covers {steps} steps but world size is {g}"
+        )
+    origins = schedule.origins()
+    read_only = tuple(i for i in range(len(bundles[0])) if i not in carried)
+
+    def split(bufs):
+        return (
+            [tuple(b[i] for i in read_only) for b in bufs],
+            [tuple(b[i] for i in carried) for b in bufs],
+        )
+
+    def join(r):
+        bundle = [None] * (len(read_only) + len(carried))
+        for i, leaf in zip(read_only, ro[r]):
+            bundle[i] = leaf
+        for i, leaf in zip(carried, acc[r]):
+            bundle[i] = leaf
+        return tuple(bundle)
+
+    # ro[r]: the read-only slots rank r computes against at this step;
+    # acc[r]: the accumulators it currently holds.
+    ro, acc = split(bundles)
+    flow = (
+        BidirectionalFlow(comm, schedule, ro, phase=phase, tag=tag)
+        if ring_mode == "bidirectional"
+        else None
+    )
+    for t in range(steps):
+        for r in range(g):
+            incs = tile(r, origins[t][r], join(r))
+            if incs is not None:
+                acc[r] = tuple(a + inc for a, inc in zip(acc[r], incs))
+        if t == steps - 1:
+            break
+        if flow is None or t < flow.forward_transitions:
+            ro, acc = split(schedule.apply(
+                comm, [join(r) for r in range(g)], t, phase=phase, tag=tag
+            ))
+        elif carried:
+            # Read-only delivery is now the reverse stream's job; only the
+            # accumulators stay on the forward circulation.
+            acc = schedule.apply(comm, acc, t, phase=phase, tag=tag)
+        if flow is not None:
+            flow.poststep(t)
+            delivered = flow.delivered(t + 1)
+            if delivered is not None:
+                ro = delivered
+    if not carried:
+        return acc
+    # Final hop: send each circulating bundle home to its owner.
+    home = comm.exchange(
+        acc if flow is not None else [join(r) for r in range(g)],
+        schedule.return_permutation(), phase=phase, tag=f"{tag}-return",
+    )
+    return home if flow is not None else split(home)[1]
+
+
 @traced("attn.pass", "attn", algorithm="ring", direction="fwd")
 def ring_attention_forward(
     comm: SimCommunicator,
@@ -90,7 +222,9 @@ def ring_attention_forward(
     Parameters
     ----------
     qs, ks, vs:
-        Per-rank shards, each ``(..., S/G, D)``.
+        Per-rank shards, each ``(..., S/G, D)``.  ``ks``/``vs`` may carry
+        fewer heads than ``qs`` (GQA): the KV-head-sized shards circulate
+        and each rank expands them to its query heads only for the kernel.
     idxs:
         Per-rank global token indices (from the partitioner).  These are
         static metadata known to every rank, so they are *not* circulated.
@@ -107,17 +241,9 @@ def ring_attention_forward(
     (os, lses):
         Per-rank output shards and logsumexp statistics.
     """
-    check_ring_mode(ring_mode)
-    g = comm.world_size
-    if schedule.num_steps != g and schedule.name != "grouped-ring":
-        raise ValueError(
-            f"schedule covers {schedule.num_steps} steps but world size is {g}"
-        )
+    groups = _check_groups(qs[0].shape[0], ks[0].shape[0])
     if scale is None:
         scale = 1.0 / np.sqrt(qs[0].shape[-1])
-    origins = schedule.origins()
-    steps = schedule.num_steps
-
     os: list[np.ndarray] = [
         np.zeros(q.shape[:-1] + (vs[i].shape[-1],), dtype=np.float64)
         for i, q in enumerate(qs)
@@ -125,43 +251,28 @@ def ring_attention_forward(
     lses: list[np.ndarray] = [
         np.full(q.shape[:-1], NEG_INF, dtype=np.float64) for q in qs
     ]
-
     bias_cache = BiasTileCache()
     workspace = KernelWorkspace()
-    bufs: list[object] = [(ks[r].copy(), vs[r].copy()) for r in range(g)]
-    flow = (
-        BidirectionalFlow(comm, schedule, bufs, phase=phase, tag="kv")
-        if ring_mode == "bidirectional"
-        else None
+
+    def tile(r, j, bundle):
+        k_j, v_j = bundle
+        skip, plan = _resolve_tiles(
+            mask, idxs[r], idxs[j], block_size, bias_cache
+        )
+        if skip:
+            return None
+        o_part, lse_part = get_backend().flash_forward(
+            qs[r], repeat_kv(k_j, groups), repeat_kv(v_j, groups),
+            scale=scale, block_q=block_size, block_k=block_size,
+            plan=plan, workspace=workspace,
+        )
+        os[r], lses[r] = merge_states(os[r], lses[r], o_part, lse_part)
+        return ()
+
+    ring_pass(
+        comm, schedule, [(k.copy(), v.copy()) for k, v in zip(ks, vs)], (),
+        tile, phase=phase, tag="kv", ring_mode=ring_mode,
     )
-    cur = bufs
-    for t in range(steps):
-        for r in range(g):
-            j = origins[t][r]
-            k_j, v_j = cur[r]
-            skip, plan = _resolve_tiles(
-                mask, idxs[r], idxs[j], block_size, bias_cache
-            )
-            if skip:
-                continue
-            o_part, lse_part = get_backend().flash_forward(
-                qs[r], k_j, v_j, scale=scale,
-                block_q=block_size, block_k=block_size,
-                plan=plan, workspace=workspace,
-            )
-            os[r], lses[r] = merge_states(os[r], lses[r], o_part, lse_part)
-        if t < steps - 1:
-            if flow is None:
-                bufs = schedule.apply(comm, bufs, t, phase=phase, tag="kv")
-                cur = bufs
-            else:
-                # Forward stream only runs its half of the circulation;
-                # later steps are fed by the counter-rotating stream.
-                if t < flow.forward_transitions:
-                    bufs = schedule.apply(comm, bufs, t, phase=phase, tag="kv")
-                flow.poststep(t)
-                delivered = flow.delivered(t + 1)
-                cur = delivered if delivered is not None else bufs
     return os, lses
 
 
@@ -188,7 +299,9 @@ def ring_attention_backward_kv(
     The circulating bundle is 4 shard-sized arrays; with ``G`` hops
     (``G - 1`` transitions plus the final return-to-owner permutation) the
     per-rank send volume is exactly ``4Nd`` elements — the baseline cost
-    BurstAttention's Algorithm 2 improves on.
+    BurstAttention's Algorithm 2 improves on.  Under GQA the bundle stays
+    KV-head sized (``4Nd / groups``): each step's ``dK``/``dV`` part is
+    folded back to KV heads before it joins the circulating accumulator.
 
     Under ``ring_mode="bidirectional"`` the read-only ``(K, V)`` halves of
     the bundle are delivered over two counter-rotating streams while the
@@ -199,69 +312,36 @@ def ring_attention_backward_kv(
 
     Returns per-rank ``(dqs, dks, dvs)``.
     """
-    check_ring_mode(ring_mode)
-    g = comm.world_size
+    groups = _check_groups(qs[0].shape[0], ks[0].shape[0])
     if scale is None:
         scale = 1.0 / np.sqrt(qs[0].shape[-1])
-    origins = schedule.origins()
-    steps = schedule.num_steps
-
     dqs = [np.zeros_like(q) for q in qs]
     bias_cache = BiasTileCache()
     workspace = KernelWorkspace()
-    bufs: list[object] = [
-        (ks[r].copy(), vs[r].copy(), np.zeros_like(ks[r]), np.zeros_like(vs[r]))
-        for r in range(g)
-    ]
-    flow = (
-        BidirectionalFlow(
-            comm, schedule, [(bufs[r][0], bufs[r][1]) for r in range(g)],
-            phase=phase, tag="kv+grads",
+
+    def tile(r, j, bundle):
+        k_j, v_j = bundle[:2]
+        skip, plan = _resolve_tiles(
+            mask, idxs[r], idxs[j], block_size, bias_cache
         )
-        if ring_mode == "bidirectional"
-        else None
-    )
-    ro: list[object] | None = None
+        if skip:
+            return None
+        # Note: Algorithm 1 recomputes D_i = rowsum(dO_i * O_i) every
+        # round on the device — the flash kernel below does exactly
+        # that, which is the extra compute Algorithm 2 eliminates.
+        dq_part, dk_part, dv_part = get_backend().flash_backward(
+            qs[r], repeat_kv(k_j, groups), repeat_kv(v_j, groups),
+            os[r], lses[r], dos[r], scale=scale,
+            block_q=block_size, block_k=block_size,
+            plan=plan, workspace=workspace,
+        )
+        dqs[r] += dq_part
+        return fold_kv_grad(dk_part, groups), fold_kv_grad(dv_part, groups)
 
-    for t in range(steps):
-        for r in range(g):
-            j = origins[t][r]
-            k_j, v_j = ro[r] if ro is not None else bufs[r][:2]
-            dk_j, dv_j = bufs[r][-2], bufs[r][-1]
-            skip, plan = _resolve_tiles(
-                mask, idxs[r], idxs[j], block_size, bias_cache
-            )
-            if skip:
-                continue
-            # Note: Algorithm 1 recomputes D_i = rowsum(dO_i * O_i) every
-            # round on the device — the flash kernel below does exactly
-            # that, which is the extra compute Algorithm 2 eliminates.
-            dq_part, dk_part, dv_part = get_backend().flash_backward(
-                qs[r], k_j, v_j, os[r], lses[r], dos[r], scale=scale,
-                block_q=block_size, block_k=block_size,
-                plan=plan, workspace=workspace,
-            )
-            dqs[r] += dq_part
-            if len(bufs[r]) == 4:
-                bufs[r] = (k_j, v_j, dk_j + dk_part, dv_j + dv_part)
-            else:
-                bufs[r] = (dk_j + dk_part, dv_j + dv_part)
-        if t < steps - 1:
-            if flow is not None and t == flow.forward_transitions:
-                # KV delivery is now the reverse stream's job; only the
-                # gradient accumulators stay on the forward circulation.
-                bufs = [b[-2:] for b in bufs]
-            bufs = schedule.apply(comm, bufs, t, phase=phase, tag="kv+grads")
-            if flow is not None:
-                flow.poststep(t)
-                ro = flow.delivered(t + 1)
-
-    # Final hop: send each circulating bundle home to its owner.
-    if flow is not None:
-        bufs = [b[-2:] for b in bufs]
-    bufs = comm.exchange(
-        bufs, schedule.return_permutation(), phase=phase, tag="kv+grads-return"
+    home = ring_pass(
+        comm, schedule,
+        [(k.copy(), v.copy(), np.zeros_like(k), np.zeros_like(v))
+         for k, v in zip(ks, vs)],
+        (2, 3), tile, phase=phase, tag="kv+grads", ring_mode=ring_mode,
     )
-    dks = [bufs[r][-2] for r in range(g)]
-    dvs = [bufs[r][-1] for r in range(g)]
-    return dqs, dks, dvs
+    return dqs, [dk for dk, _ in home], [dv for _, dv in home]

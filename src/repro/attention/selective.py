@@ -135,8 +135,6 @@ def selective_attention_backward(
     computes the tile's gradients locally and returns ``dQ`` partials
     (``dK``/``dV`` partials accumulate on their owner, no return trip).
     """
-    from repro.attention.burst import _tile_backward_qgrad
-
     g = comm.world_size
     if scale is None:
         scale = 1.0 / np.sqrt(qs[0].shape[-1])
@@ -164,9 +162,10 @@ def selective_attention_backward(
                     i, j, (qs[i], dos[i], ds[i], lses[i]),
                     phase=phase, tag="sel-qbundle",
                 )
-            dq_part, dk_part, dv_part = _tile_backward_qgrad(
-                q_i, ks[j], vs[j], do_i, d_i, lse_i, scale,
-                block_size, block_size, plan=plan, workspace=workspace,
+            dq_part, dk_part, dv_part = get_backend().flash_backward_tiles(
+                q_i, ks[j], vs[j], lse_i, d_i, do_i, scale=scale,
+                block_q=block_size, block_k=block_size,
+                plan=plan, workspace=workspace,
             )
             dks[j] += dk_part
             dvs[j] += dv_part

@@ -228,28 +228,3 @@ def ulysses_attention_backward(
         dks.append(np.concatenate([received_g[r][s][1] for s in range(g)], axis=0))
         dvs.append(np.concatenate([received_g[r][s][2] for s in range(g)], axis=0))
     return dqs, dks, dvs
-
-
-def ulysses_attention(
-    comm: SimCommunicator,
-    qs: Sequence[np.ndarray],
-    ks: Sequence[np.ndarray],
-    vs: Sequence[np.ndarray],
-    idxs: Sequence[np.ndarray],
-    mask: MaskPattern | None = None,
-    scale: float | None = None,
-    dos: Sequence[np.ndarray] | None = None,
-    *,
-    block_size: int = 128,
-) -> dict:
-    """One-call convenience wrapper: forward, and backward when ``dos``
-    is given.  Returns a dict with ``os``, ``lses`` and (optionally)
-    ``dqs/dks/dvs``."""
-    os_out, lses_out, ctx = ulysses_attention_forward(
-        comm, qs, ks, vs, idxs, mask, scale, block_size=block_size
-    )
-    result = {"os": os_out, "lses": lses_out}
-    if dos is not None:
-        dqs, dks, dvs = ulysses_attention_backward(comm, ctx, dos)
-        result.update({"dqs": dqs, "dks": dks, "dvs": dvs})
-    return result

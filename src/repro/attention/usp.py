@@ -255,30 +255,3 @@ def usp_attention_backward(
         dks.append(np.concatenate([received_g[r][p][1] for p in range(u)], axis=0))
         dvs.append(np.concatenate([received_g[r][p][2] for p in range(u)], axis=0))
     return dqs, dks, dvs
-
-
-def usp_attention(
-    comm: SimCommunicator,
-    grid: USPGrid,
-    qs: Sequence[np.ndarray],
-    ks: Sequence[np.ndarray],
-    vs: Sequence[np.ndarray],
-    idxs: Sequence[np.ndarray],
-    mask: MaskPattern | None = None,
-    scale: float | None = None,
-    dos: Sequence[np.ndarray] | None = None,
-    *,
-    block_size: int = 128,
-    use_burst_backward: bool = False,
-) -> dict:
-    """One-call USP wrapper mirroring :func:`repro.attention.ulysses_attention`."""
-    os_out, lses_out, ctx = usp_attention_forward(
-        comm, grid, qs, ks, vs, idxs, mask, scale, block_size=block_size
-    )
-    result = {"os": os_out, "lses": lses_out}
-    if dos is not None:
-        dqs, dks, dvs = usp_attention_backward(
-            comm, ctx, dos, use_burst_backward=use_burst_backward
-        )
-        result.update({"dqs": dqs, "dks": dks, "dvs": dvs})
-    return result

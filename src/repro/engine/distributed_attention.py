@@ -1,19 +1,20 @@
 """Autograd node running distributed attention over the simulated cluster.
 
-The forward pass scatters ``(H, S, Dh)`` tensors into per-rank shards with
-the method's partitioner, runs the method's distributed forward (all ring /
-all-to-all traffic logged on the engine's communicator), and gathers the
-outputs.  The backward pass does the same for Algorithm 1 / Algorithm 2 /
-Ulysses / USP backward.
+:class:`DistributedAttentionFn` is the single-device node
+(:class:`~repro.nn.attention_fn.FlashAttentionFn`) with the whole-sequence
+pass moved onto the cluster: the forward scatters ``(H, S, Dh)`` tensors
+into per-rank shards with the method's index layout, runs the method's
+distributed forward (all ring / all-to-all traffic logged on the engine's
+communicator), and gathers the outputs; the backward does the same for
+Algorithm 1 / Algorithm 2 / Ulysses / USP backward.
 
-Checkpoint-policy integration mirrors the single-device node
-(:mod:`repro.nn.attention_fn`): on a recomputation pass with a cache hit a
-ring-family method skips the distributed forward entirely — *no
-communication happens during recompute*, which is precisely why
-selective++/sequence-level checkpointing pays off in a distributed setting
-— rebuilding the backward context from shards instead.  Methods that need
-a richer context (Ulysses, USP) recompute their full forward, collectives
-included.
+The checkpoint protocol is inherited, not mirrored: on a recomputation
+pass with a cache hit a ring-family method skips the distributed forward
+entirely — *no communication happens during recompute*, which is precisely
+why selective++/sequence-level checkpointing pays off in a distributed
+setting — and rebuilds the backward context from shards instead.  Methods
+that need a richer context (Ulysses, USP) recompute their full forward,
+collectives included, so for them the output cache is off.
 """
 
 from __future__ import annotations
@@ -22,23 +23,15 @@ import numpy as np
 
 from repro.attention.methods import DistributedAttention
 from repro.comm import SimCommunicator
-from repro.kernels import get_backend
 from repro.masks import MaskPattern
-from repro.nn.attention_fn import _attention_flops, _local_plan, _mask_pairs
-from repro.nn.checkpoint import (
-    AttentionOutputCache,
-    CheckpointMode,
-    CheckpointPolicy,
-    in_recompute,
-)
-from repro.nn.function import Function
+from repro.nn.attention_fn import FlashAttentionFn
+from repro.nn.checkpoint import AttentionOutputCache, CheckpointPolicy
 from repro.nn.memory import get_tracker
 from repro.nn.modules import CausalSelfAttention
 from repro.nn.tensor import Tensor, is_grad_enabled
-from repro.obs.tracer import trace_span
 
 
-class DistributedAttentionFn(Function):
+class DistributedAttentionFn(FlashAttentionFn):
     """``o = distributed_attention(q, k, v)`` on the simulated cluster."""
 
     def forward(
@@ -55,155 +48,66 @@ class DistributedAttentionFn(Function):
     ):
         if method is None or comm is None:
             raise ValueError("distributed attention requires method= and comm=")
-        if scale is None:
-            scale = 1.0 / np.sqrt(q.shape[-1])
-        s = q.shape[-2]
-        heads = q.shape[0] if q.ndim == 3 else 1
-        head_dim = q.shape[-1]
-        g = comm.world_size
-        policy = policy or CheckpointPolicy()
-
         self.method = method
         self.comm = comm
-        self.mask = mask
-        self.scale = scale
         self.ctx_obj = None
-        self.local_fallback = s % g != 0
+        return super().forward(
+            q, k, v, mask=mask, scale=scale, block_size=method.block_size,
+            # A cached (O, lse) only helps a method that can rebuild its
+            # backward context from shards.
+            cache=cache if method.supports_context_rebuild else None,
+            policy=policy,
+        )
 
-        if self.local_fallback:
-            # Irregular lengths (autoregressive decoding appends one token
-            # at a time) cannot be sequence-sharded evenly; run the exact
-            # local kernel instead — inference is not this repo's target.
-            from repro.attention.gqa import repeat_kv
+    def _sharded(self, s: int) -> bool:
+        """Irregular lengths (autoregressive decoding appends one token at
+        a time) cannot be sequence-sharded evenly; they run the inherited
+        exact local kernel instead — inference is not this repo's target."""
+        return s % self.comm.world_size == 0
 
-            groups = (q.shape[0] // k.shape[0]) if q.ndim == 3 else 1
-            plan = _local_plan(mask, s, s, method.block_size)
-            o, lse = get_backend().flash_forward(
-                q, repeat_kv(k, groups), repeat_kv(v, groups),
-                scale=scale, block_q=method.block_size,
-                block_k=method.block_size, plan=plan,
-            )
-            self.groups = groups
-            self.fallback_plan = plan
-            self.save_for_backward(q, k, v, o, lse)
-            return o
-
-        cached = None
-        if (
-            cache is not None
-            and in_recompute()
-            and method.supports_context_rebuild
-        ):
-            cached = cache.pop(0)
-
-        if cached is not None and policy.mode is CheckpointMode.SELECTIVE_PP:
-            o, lse = cached  # zero recompute, zero communication
-        elif cached is not None and policy.mode is CheckpointMode.SEQUENCE_LEVEL:
-            from repro.attention.gqa import repeat_kv
-
-            split = int(round(s * policy.split_fraction))
-            o_back, lse_back = cached
-            plan = _local_plan(mask, split, s, method.block_size)
-            groups = (q.shape[0] // k.shape[0]) if q.ndim == 3 else 1
-            with trace_span("ckpt.recompute-front", phase="ckpt-recompute",
-                            split=split, seq=s):
-                o_front, lse_front = get_backend().flash_forward(
-                    q[..., :split, :], repeat_kv(k, groups), repeat_kv(v, groups),
-                    scale=scale,
-                    block_q=method.block_size, block_k=method.block_size,
-                    plan=plan,
-                )
-            get_tracker().add_recompute_flops(
-                _attention_flops(_mask_pairs(mask, split, s), heads, head_dim)
-            )
-            o = np.concatenate([o_front, o_back], axis=-2)
-            lse = np.concatenate([lse_front, lse_back], axis=-1)
-        else:
-            idxs = method.indices(s, g)
-            qs = method.shard(q, g)
-            ks = method.shard(k, g)
-            vs = method.shard(v, g)
-            os_, lses, ctx = method.forward_shards(
-                comm, qs, ks, vs, idxs, mask, scale
-            )
-            o = _gather(method, os_, s)
-            lse = _gather(method, [l[..., None] for l in lses], s)[..., 0]
-            if in_recompute():
-                get_tracker().add_recompute_flops(
-                    _attention_flops(_mask_pairs(mask, s, s), heads, head_dim)
-                )
-            if not method.supports_context_rebuild and is_grad_enabled():
-                # Ulysses/USP keep their forward context (head-layout
-                # copies); account those bytes explicitly.
-                self.ctx_obj = ctx
-                nbytes = sum(
-                    arr.nbytes
-                    for attr in ("q_h", "k_h", "v_h", "o_h", "lse_h")
-                    for arr in getattr(ctx, attr)
-                )
-                self._ctx_handle = get_tracker().register(
-                    nbytes, site="attn.context"
-                )
-
-        if (
-            cache is not None
-            and policy.caches_attention_output
-            and method.supports_context_rebuild
-            and not in_recompute()
-            and not is_grad_enabled()
-        ):
-            if policy.mode is CheckpointMode.SELECTIVE_PP:
-                cache.put(0, o.copy(), lse.copy())
-            else:
-                split = int(round(s * policy.split_fraction))
-                cache.put(0, o[..., split:, :].copy(), lse[..., split:].copy())
-
-        self.save_for_backward(q, k, v, o, lse)
-        return o
-
-    def backward(self, grad_out: np.ndarray):
-        q, k, v, o, lse = self.saved
-        if self.local_fallback:
-            from repro.attention.gqa import fold_kv_grad, repeat_kv
-
-            dq, dk, dv = get_backend().flash_backward(
-                q, repeat_kv(k, self.groups), repeat_kv(v, self.groups),
-                o, lse, grad_out, scale=self.scale,
-                block_q=self.method.block_size, block_k=self.method.block_size,
-                plan=self.fallback_plan,
-            )
-            return dq, fold_kv_grad(dk, self.groups), fold_kv_grad(dv, self.groups)
+    def _attend(self, q, k, v):
         method, comm = self.method, self.comm
         g = comm.world_size
         s = q.shape[-2]
+        if not self._sharded(s):
+            return super()._attend(q, k, v)
+        os_, lses, ctx = method.forward_shards(
+            comm, method.shard(q, g), method.shard(k, g), method.shard(v, g),
+            method.indices(s, g), self.mask, self.scale,
+        )
+        if not method.supports_context_rebuild and is_grad_enabled():
+            # Ulysses/USP keep their forward context (head-layout
+            # copies); account those bytes explicitly.
+            self.ctx_obj = ctx
+            nbytes = sum(
+                arr.nbytes
+                for attr in ("q_h", "k_h", "v_h", "o_h", "lse_h")
+                for arr in getattr(ctx, attr)
+            )
+            self._ctx_handle = get_tracker().register(
+                nbytes, site="attn.context"
+            )
+        return method.gather(os_), method.gather(lses, axis=-1)
+
+    def _attend_backward(self, q, k, v, o, lse, grad_out):
+        method, comm = self.method, self.comm
+        g = comm.world_size
+        s = q.shape[-2]
+        if not self._sharded(s):
+            return super()._attend_backward(q, k, v, o, lse, grad_out)
         dos = method.shard(np.ascontiguousarray(grad_out), g)
         if self.ctx_obj is not None:
             ctx = self.ctx_obj
             get_tracker().release(self._ctx_handle)
         else:
-            idxs = method.indices(s, g)
             ctx = method.make_context(
                 comm,
                 method.shard(q, g), method.shard(k, g), method.shard(v, g),
-                method.shard(o, g),
-                [l[..., 0] for l in method.shard(lse[..., None], g)],
-                idxs, self.mask, self.scale,
+                method.shard(o, g), method.shard(lse, g, axis=-1),
+                method.indices(s, g), self.mask, self.scale,
             )
         dqs, dks, dvs = method.backward_shards(comm, ctx, dos)
-        dq = _gather(method, dqs, s)
-        dk = _gather(method, dks, s)
-        dv = _gather(method, dvs, s)
-        return dq, dk, dv
-
-
-def _gather(method: DistributedAttention, parts: list[np.ndarray], n: int) -> np.ndarray:
-    """Reassemble full arrays using the method's index layout."""
-    idxs = method.indices(n, len(parts))
-    order = np.concatenate(idxs)
-    stacked = np.concatenate(parts, axis=-2)
-    inv = np.empty(n, dtype=np.int64)
-    inv[order] = np.arange(n)
-    return np.take(stacked, inv, axis=-2)
+        return method.gather(dqs), method.gather(dks), method.gather(dvs)
 
 
 def distributed_attention(

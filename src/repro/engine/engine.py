@@ -128,10 +128,31 @@ class BurstEngine:
         g = self.topology.world_size
         s = self.config.model.max_seq_len
         heads = self.config.model.n_heads
+        kv_heads = self.config.model.n_kv_heads or heads
         if self.config.method == "ulysses" and heads % g != 0:
             raise ValueError(
                 f"DeepSpeed-Ulysses infeasible: {heads} heads on {g} GPUs"
             )
+        if self.config.method == "ulysses" and kv_heads != heads:
+            raise ValueError(
+                "Ulysses head parallelism requires equal query/KV head counts; "
+                f"got {heads} vs {kv_heads} (GQA is a ring-family feature)"
+            )
+        if self.config.method == "usp":
+            u = self.method.ulysses_degree
+            if g % u != 0:
+                raise ValueError(
+                    f"world size {g} not divisible by ulysses degree {u}"
+                )
+            if heads % u != 0:
+                raise ValueError(
+                    f"{heads} heads not divisible by ulysses degree {u}"
+                )
+            if kv_heads != heads:
+                raise ValueError(
+                    "USP's head-parallel dimension requires equal query/KV "
+                    f"head counts; got {heads} vs {kv_heads}"
+                )
         if s % g != 0:
             raise ValueError(
                 f"max_seq_len {s} must be divisible by world size {g}"

@@ -1,7 +1,9 @@
-"""Autograd Function for (single-device) flash attention with checkpoint
-policy support.
+"""Autograd Function for flash attention with checkpoint policy support.
 
-This node is where the checkpointing policies of Section 3.2 act:
+This node is where the checkpointing policies of Section 3.2 act — for
+the single-device model directly, and for the engine's distributed node
+(:class:`repro.engine.DistributedAttentionFn`) by inheritance: it moves
+the whole-sequence pass onto the cluster and keeps this protocol.
 
 * normal forward — compute ``(O, lse)``, save flash-backward state;
 * checkpointed first pass (``no_grad``) — additionally stash ``(O, lse)``
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.attention.gqa import _check_groups, fold_kv_grad, repeat_kv
 from repro.kernels import (
     BiasTileCache,
     KernelWorkspace,
@@ -76,6 +79,10 @@ class FlashAttentionFn(Function):
     Supports grouped-query attention: when ``k``/``v`` carry fewer heads
     than ``q`` (``H_q % H_kv == 0``), each KV head serves a group of query
     heads; KV gradients are summed back over the group.
+
+    The checkpoint protocol lives here once.  A subclass that runs the
+    whole-sequence pass somewhere else (the simulated cluster) overrides
+    :meth:`_attend` / :meth:`_attend_backward` and nothing else.
     """
 
     def forward(
@@ -89,28 +96,20 @@ class FlashAttentionFn(Function):
         cache: AttentionOutputCache | None = None,
         policy: CheckpointPolicy | None = None,
     ):
-        from repro.attention.gqa import repeat_kv
-
-        self.groups = 1
-        if q.ndim == 3 and k.ndim == 3 and q.shape[0] != k.shape[0]:
-            if q.shape[0] % k.shape[0] != 0:
-                raise ValueError(
-                    f"{q.shape[0]} query heads not divisible by "
-                    f"{k.shape[0]} KV heads"
-                )
-            self.groups = q.shape[0] // k.shape[0]
-            k = repeat_kv(k, self.groups)
-            v = repeat_kv(v, self.groups)
+        self.groups = _check_groups(q.shape[0], k.shape[0]) if q.ndim == 3 else 1
         if scale is None:
             scale = 1.0 / np.sqrt(q.shape[-1])
         s = q.shape[-2]
         heads = q.shape[0] if q.ndim == 3 else 1
         head_dim = q.shape[-1]
-        bias_cache = BiasTileCache()
-        self.plan = _local_plan(mask, s, s, block_size, bias_cache)
-        self.workspace = KernelWorkspace()
+        self.mask = mask
         self.scale = scale
         self.block_size = block_size
+        self.bias_cache = BiasTileCache()
+        self.workspace = KernelWorkspace()
+        #: Local tile plans by query-row count, built by the first local
+        #: kernel call that needs them (none at all on a sharded pass).
+        self.plans: dict[int, TilePlan | None] = {}
 
         policy = policy or CheckpointPolicy()
         cached = cache.pop(0) if (cache is not None and in_recompute()) else None
@@ -120,25 +119,16 @@ class FlashAttentionFn(Function):
         elif cached is not None and policy.mode is CheckpointMode.SEQUENCE_LEVEL:
             split = int(round(s * policy.split_fraction))
             o_back, lse_back = cached
-            front_plan = _local_plan(mask, split, s, block_size, bias_cache)
             with trace_span("ckpt.recompute-front", phase="ckpt-recompute",
                             split=split, seq=s):
-                o_front, lse_front = get_backend().flash_forward(
-                    q[..., :split, :], k, v, scale=scale,
-                    block_q=block_size, block_k=block_size,
-                    plan=front_plan, workspace=self.workspace,
-                )
+                o_front, lse_front = self._local_forward(q, k, v, split)
             get_tracker().add_recompute_flops(
                 _attention_flops(_mask_pairs(mask, split, s), heads, head_dim)
             )
             o = np.concatenate([o_front, o_back], axis=-2)
             lse = np.concatenate([lse_front, lse_back], axis=-1)
         else:
-            o, lse = get_backend().flash_forward(
-                q, k, v, scale=scale,
-                block_q=block_size, block_k=block_size,
-                plan=self.plan, workspace=self.workspace,
-            )
+            o, lse = self._attend(q, k, v)
             if in_recompute():
                 get_tracker().add_recompute_flops(
                     _attention_flops(_mask_pairs(mask, s, s), heads, head_dim)
@@ -162,18 +152,39 @@ class FlashAttentionFn(Function):
         return o
 
     def backward(self, grad_out: np.ndarray):
-        from repro.attention.gqa import fold_kv_grad
+        return self._attend_backward(*self.saved, grad_out)
 
-        q, k, v, o, lse = self.saved
+    # -- where the whole-sequence pass runs ------------------------------------
+
+    def _attend(self, q, k, v):
+        """Whole-sequence forward; returns ``(o, lse)``."""
+        return self._local_forward(q, k, v, q.shape[-2])
+
+    def _attend_backward(self, q, k, v, o, lse, grad_out):
+        """Whole-sequence backward; returns ``(dq, dk, dv)``."""
         dq, dk, dv = get_backend().flash_backward(
-            q, k, v, o, lse, grad_out, scale=self.scale,
+            q, repeat_kv(k, self.groups), repeat_kv(v, self.groups),
+            o, lse, grad_out, scale=self.scale,
             block_q=self.block_size, block_k=self.block_size,
-            plan=self.plan, workspace=self.workspace,
+            plan=self._plan(q.shape[-2], k.shape[-2]), workspace=self.workspace,
         )
-        if self.groups > 1:
-            dk = fold_kv_grad(dk, self.groups)
-            dv = fold_kv_grad(dv, self.groups)
-        return dq, dk, dv
+        return dq, fold_kv_grad(dk, self.groups), fold_kv_grad(dv, self.groups)
+
+    def _local_forward(self, q, k, v, n_q: int):
+        """Local kernel on the first ``n_q`` query rows against all keys —
+        the full pass (``n_q == S``) and the sequence-level front segment."""
+        return get_backend().flash_forward(
+            q[..., :n_q, :], repeat_kv(k, self.groups), repeat_kv(v, self.groups),
+            scale=self.scale, block_q=self.block_size, block_k=self.block_size,
+            plan=self._plan(n_q, k.shape[-2]), workspace=self.workspace,
+        )
+
+    def _plan(self, n_q: int, n_k: int) -> TilePlan | None:
+        if n_q not in self.plans:
+            self.plans[n_q] = _local_plan(
+                self.mask, n_q, n_k, self.block_size, self.bias_cache
+            )
+        return self.plans[n_q]
 
 
 def flash_attention(

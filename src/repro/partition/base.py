@@ -40,13 +40,9 @@ class Partitioner(ABC):
         g = len(parts)
         n = sum(p.shape[axis] for p in parts)
         idxs = self.indices(n, g)
-        out_shape = list(parts[0].shape)
-        out_shape[axis] = n
-        out = np.empty(out_shape, dtype=parts[0].dtype)
         # Build a single permutation so the write is one fancy-index op.
         order = np.concatenate(idxs)
         stacked = np.concatenate(parts, axis=axis)
         inv = np.empty(n, dtype=np.int64)
         inv[order] = np.arange(n)
-        out = np.take(stacked, inv, axis=axis)
-        return out
+        return np.take(stacked, inv, axis=axis)

@@ -47,6 +47,13 @@ GOLDEN_CASES["usp"]["method_kwargs"] = {"ulysses_degree": 2}
 GOLDEN_CASES["burst-bidir"] = dict(
     _BASE, method="burst", method_kwargs={"ring_mode": "bidirectional"}
 )
+#: An optional "n_kv_heads" draws K/V with that many heads (GQA): the ring
+#: forward + Alg. 2 on KV-head-sized shards, and Alg. 1 on two streams.
+GOLDEN_CASES["burst-gqa"] = dict(_BASE, method="burst", n_kv_heads=2)
+GOLDEN_CASES["megatron-cp-gqa-bidir"] = dict(
+    _BASE, method="megatron-cp", n_kv_heads=2,
+    method_kwargs={"ring_mode": "bidirectional"},
+)
 
 RTOL = 1e-9
 ATOL = 1e-11
@@ -67,7 +74,10 @@ def compute_golden(method_name: str) -> dict[str, np.ndarray]:
     )
     rng = np.random.default_rng(case["seed"])
     shape = (case["n_heads"], case["seq_len"], case["head_dim"])
-    q, k, v, do = (rng.normal(size=shape) for _ in range(4))
+    kv_shape = (case.get("n_kv_heads", case["n_heads"]),) + shape[1:]
+    q, k, v, do = (
+        rng.normal(size=s) for s in (shape, kv_shape, kv_shape, shape)
+    )
     method = get_method(
         case.get("method", method_name), block_size=case["block_size"],
         **case.get("method_kwargs", {}),

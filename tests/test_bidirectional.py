@@ -14,7 +14,13 @@ validation).
 import numpy as np
 import pytest
 
-from repro.attention import get_method
+from repro.attention import (
+    burst_attention_backward,
+    get_method,
+    ring_attention_backward_kv,
+    ring_pass,
+)
+from repro.attention.gqa import backward_comm_elems
 from repro.attention.verify import verify_method
 from repro.comm import SimCommunicator
 from repro.comm.ring import (
@@ -70,7 +76,7 @@ class TestBitwiseIdentity:
             assert np.array_equal(a, b), f"{name} diverged under {mask_name}"
 
     @pytest.mark.parametrize("method", RING_METHODS)
-    @pytest.mark.parametrize("heads", [(4, 2), (4, 1), (6, 3)])
+    @pytest.mark.parametrize("heads", [(4, 2), (4, 1), (6, 3), (8, 2)])
     def test_gqa_bitwise_identical(self, method, heads):
         n_heads, n_kv_heads = heads
         topology = topo(2, 2)
@@ -80,6 +86,14 @@ class TestBitwiseIdentity:
                          n_heads=n_heads, n_kv_heads=n_kv_heads)
         for name in ARRAYS:
             assert np.array_equal(getattr(uni, name), getattr(bidir, name))
+        # The one-way pass moves exactly the closed form: a KV-head-sized
+        # Alg. 1 bundle, a query-sized Alg. 2 bundle (run_mode: N = 8G, d = 4).
+        expected = backward_comm_elems(
+            "alg2" if method == "burst" else "alg1",
+            8 * topology.world_size, 4, n_heads, n_kv_heads,
+        )
+        sent = uni.comm.log.per_rank_send_elems(phase="attn-bwd")
+        assert set(sent.values()) == {expected}
 
     @pytest.mark.parametrize("method", RING_METHODS)
     def test_bidirectional_matches_dense_reference(self, method):
@@ -133,6 +147,79 @@ class TestSchedulePrimitives:
                     assert ro[r][0] == fwd[r][0]
             else:
                 assert ro is None
+
+    @pytest.mark.parametrize("carried", [(), (1,)], ids=["read-only", "carry"])
+    @pytest.mark.parametrize("mode", RING_MODES)
+    @pytest.mark.parametrize(
+        "topology", [topo(2, 4), topo(1, 8), topo(2, 3), topo(1, 1)],
+        ids=lambda t: f"{t.num_nodes}x{t.gpus_per_node}",
+    )
+    def test_ring_pass_circulation_contract(self, topology, mode, carried):
+        """``ring_pass`` with an integer tile, no kernel: every rank meets
+        every origin once in ``schedule.origins()`` order, the carried slot
+        comes home as the sum of its increments, and the transfers are the
+        schedule's — nothing empty, nothing extra."""
+        sched = double_ring_schedule(topology)
+        g = topology.world_size
+        comm = SimCommunicator(topology)
+        met = [[] for _ in range(g)]
+
+        def tile(r, j, bundle):
+            assert bundle[0][0] == j  # it really is rank j's bundle
+            met[r].append(j)
+            return (np.array([100 * r + j + 1]),) if carried else ()
+
+        bundles = [
+            (np.array([r]), np.zeros(1, dtype=np.int64)) if carried
+            else (np.array([r]),)
+            for r in range(g)
+        ]
+        home = ring_pass(comm, sched, bundles, carried, tile,
+                         phase="p", tag="t", ring_mode=mode)
+
+        origins = sched.origins()
+        for r in range(g):
+            assert met[r] == [origins[t][r] for t in range(g)]
+            assert sorted(met[r]) == list(range(g))
+        if carried:
+            for j in range(g):
+                assert home[j][0][0] == sum(100 * r + j + 1 for r in range(g))
+        else:
+            assert home == [()] * g
+
+        records = comm.log.records
+        assert all(rec.nbytes > 0 for rec in records)
+        away = sum(r != dst for r, dst in enumerate(sched.return_permutation()))
+        fwd, rev = bidirectional_split(g)
+        one_way = mode == "unidirectional"
+        count = lambda tag, channel: sum(
+            rec.tag == tag and rec.channel == channel for rec in records
+        )
+        # The forward stream runs all G-1 transitions unless the reverse
+        # stream takes over and nothing is carried; the seed move of the
+        # reverse stream and the return hop skip ranks already in place.
+        assert count("t", "fwd") == (g - 1 if one_way or carried else fwd) * g
+        assert count("t", "rev") == (
+            0 if one_way or rev == 0 else away + (rev - 1) * g
+        )
+        assert count("t-return", "fwd") == (away if carried else 0)
+        assert len(records) == (
+            count("t", "fwd") + count("t", "rev") + count("t-return", "fwd")
+        )
+
+    @pytest.mark.parametrize(
+        "backward", [ring_attention_backward_kv, burst_attention_backward]
+    )
+    def test_backward_rejects_short_schedule_before_sending(self, backward):
+        topology = topo(2, 4)
+        comm = SimCommunicator(topology)
+        sched = global_ring_schedule(topo(1, 4))  # 4 steps for 8 ranks
+        x = [np.zeros((1, 2, 2)) for _ in range(topology.world_size)]
+        lse = [np.zeros((1, 2)) for _ in x]
+        idxs = [np.arange(2 * r, 2 * r + 2) for r in range(len(x))]
+        with pytest.raises(ValueError, match="covers 4 steps but world size is 8"):
+            backward(comm, sched, x, x, x, x, lse, x, idxs)
+        assert comm.log.records == []
 
     def test_reverse_traffic_lands_on_rev_channel(self):
         topology = topo(2, 3)

@@ -4,6 +4,7 @@ training, every method trains, ablation flags behave, FSDP accounting."""
 import numpy as np
 import pytest
 
+from repro.comm import SimCommunicator
 from repro.engine import BurstEngine, EngineConfig, fsdp_step_traffic
 from repro.masks import ALiBiMask, CausalMask
 from repro.nn import CheckpointPolicy, TransformerConfig, TransformerLM, Adam
@@ -216,3 +217,29 @@ class TestEngineAccounting:
                 EngineConfig(model=model_cfg(n_heads=4), method="ulysses"),
                 topology=make_cluster(8, node=a800_node(gpus_per_node=8)),
             )
+
+    @pytest.mark.parametrize(
+        "model,method,kwargs,message",
+        [
+            (dict(n_heads=8, n_kv_heads=2), "ulysses", {}, "equal query/KV"),
+            (dict(n_kv_heads=2), "usp", {"ulysses_degree": 2}, "equal query/KV"),
+            ({}, "usp", {"ulysses_degree": 3}, "world size 8 not divisible"),
+            (dict(n_heads=2), "usp", {"ulysses_degree": 4},
+             "2 heads not divisible by ulysses degree 4"),
+        ],
+        ids=["ulysses-gqa", "usp-gqa", "usp-world", "usp-heads"],
+    )
+    def test_head_parallel_misfit_fails_before_compute(
+        self, model, method, kwargs, message
+    ):
+        """What the head-parallel methods would reject inside the first
+        ``train_step`` — after layer 0's norm and projections ran — the
+        engine rejects at construction."""
+        comm = SimCommunicator(TOPO)
+        with pytest.raises(ValueError, match=message):
+            BurstEngine(
+                EngineConfig(model=model_cfg(**model), method=method,
+                             method_kwargs=kwargs),
+                comm=comm,
+            )
+        assert comm.log.records == []

@@ -4,15 +4,17 @@ crossover it creates) and sparsity-aware selective communication."""
 import numpy as np
 import pytest
 
+from repro.attention import (
+    burst_attention_backward,
+    ring_attention_backward_kv,
+    ring_attention_forward,
+)
 from repro.attention.gqa import (
     backward_comm_elems,
     choose_backward_algorithm,
     fold_kv_grad,
     gqa_attention_reference,
     gqa_attention_reference_backward,
-    gqa_burst_backward,
-    gqa_ring_backward_kv,
-    gqa_ring_forward,
     repeat_kv,
 )
 from repro.attention.selective import (
@@ -83,6 +85,11 @@ class TestGQAPrimitives:
         assert dk[1, 3, 2] == pytest.approx(fd, rel=1e-5)
 
 
+BACKWARDS = (
+    ("alg1", ring_attention_backward_kv), ("alg2", burst_attention_backward),
+)
+
+
 class TestGQADistributed:
     def _setup(self, hq=8, hkv=2, n=64, d=8):
         q, k, v, do = gqa_inputs(n=n, d=d, hq=hq, hkv=hkv)
@@ -97,8 +104,8 @@ class TestGQADistributed:
         q, k, v, do, idxs, shards, part, g = self._setup()
         comm = SimCommunicator(TOPO)
         sched = double_ring_schedule(TOPO)
-        os, lses = gqa_ring_forward(
-            comm, sched, shards(q), shards(k), shards(v), idxs, groups=4,
+        os, lses = ring_attention_forward(
+            comm, sched, shards(q), shards(k), shards(v), idxs,
             mask=mask, block_size=16,
         )
         dense = mask.dense(64) if mask else None
@@ -111,14 +118,17 @@ class TestGQADistributed:
         mask = CausalMask()
         comm = SimCommunicator(TOPO)
         sched = double_ring_schedule(TOPO)
-        os, lses = gqa_ring_forward(
-            comm, sched, shards(q), shards(k), shards(v), idxs, groups=4,
+        os, lses = ring_attention_forward(
+            comm, sched, shards(q), shards(k), shards(v), idxs,
             mask=mask, block_size=16,
         )
-        fn = gqa_ring_backward_kv if backward == "alg1" else gqa_burst_backward
+        fn = (
+            ring_attention_backward_kv if backward == "alg1"
+            else burst_attention_backward
+        )
         dqs, dks, dvs = fn(
             comm, sched, shards(q), shards(k), shards(v), os, lses,
-            shards(do), idxs, 4, mask=mask, block_size=16,
+            shards(do), idxs, mask=mask, block_size=16,
         )
         dense = mask.dense(64)
         o_ref, lse_ref = gqa_attention_reference(q, k, v, mask=dense)
@@ -134,34 +144,34 @@ class TestGQADistributed:
         moves less backward data than BurstAttention's Algorithm 2."""
         q, k, v, do, idxs, shards, part, g = self._setup(hq=8, hkv=2)
         volumes = {}
-        for name, fn in (("alg1", gqa_ring_backward_kv), ("alg2", gqa_burst_backward)):
+        for name, fn in BACKWARDS:
             comm = SimCommunicator(TOPO)
             sched = double_ring_schedule(TOPO)
-            os, lses = gqa_ring_forward(
-                comm, sched, shards(q), shards(k), shards(v), idxs, 4,
+            os, lses = ring_attention_forward(
+                comm, sched, shards(q), shards(k), shards(v), idxs,
                 block_size=16,
             )
             comm.log.clear()
             fn(comm, sched, shards(q), shards(k), shards(v), os, lses,
-               shards(do), idxs, 4, block_size=16)
+               shards(do), idxs, block_size=16)
             volumes[name] = comm.log.total_elems(phase="attn-bwd")
         assert volumes["alg1"] < volumes["alg2"]
 
     def test_comm_formula_matches_measured(self):
         q, k, v, do, idxs, shards, part, g = self._setup(hq=8, hkv=2)
-        comm = SimCommunicator(TOPO)
-        sched = double_ring_schedule(TOPO)
-        os, lses = gqa_ring_forward(
-            comm, sched, shards(q), shards(k), shards(v), idxs, 4, block_size=16
-        )
-        comm.log.clear()
-        gqa_ring_backward_kv(
-            comm, sched, shards(q), shards(k), shards(v), os, lses,
-            shards(do), idxs, 4, block_size=16,
-        )
-        per_rank = comm.log.per_rank_send_elems(phase="attn-bwd")
-        expected = backward_comm_elems("alg1", 64, 8, 8, 2)
-        assert all(v == expected for v in per_rank.values())
+        for name, fn in BACKWARDS:
+            comm = SimCommunicator(TOPO)
+            sched = double_ring_schedule(TOPO)
+            os, lses = ring_attention_forward(
+                comm, sched, shards(q), shards(k), shards(v), idxs,
+                block_size=16,
+            )
+            comm.log.clear()
+            fn(comm, sched, shards(q), shards(k), shards(v), os, lses,
+               shards(do), idxs, block_size=16)
+            per_rank = comm.log.per_rank_send_elems(phase="attn-bwd")
+            expected = backward_comm_elems(name, 64, 8, 8, 2)
+            assert all(v == expected for v in per_rank.values()), name
 
 
 class TestAdaptiveSelection:

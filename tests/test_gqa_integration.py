@@ -12,6 +12,7 @@ from repro.masks import CausalMask
 from repro.nn import Adam, CheckpointPolicy, Tensor, TransformerConfig, TransformerLM
 from repro.nn.attention_fn import flash_attention
 from repro.nn.checkpoint import CheckpointMode
+from repro.nn.memory import get_tracker, reset_tracker
 from repro.topology import a800_node, make_cluster
 
 
@@ -88,23 +89,34 @@ class TestGQAModel:
 
 
 class TestGQADistributed:
-    def test_distributed_gqa_matches_local(self):
+    @pytest.mark.parametrize("mode", list(CheckpointMode), ids=lambda m: m.value)
+    def test_distributed_gqa_matches_local(self, mode):
+        """The single-device and the distributed node share one checkpoint
+        protocol, so they agree under every policy — on the numbers and on
+        how much attention they recompute."""
         rng = np.random.default_rng(4)
         ids = rng.integers(0, 61, size=32)
         targets = np.roll(ids, -1)
-        ckpt = CheckpointPolicy(CheckpointMode.NONE)
+        ckpt = CheckpointPolicy(mode)
 
+        reset_tracker()
         local = TransformerLM(gqa_cfg(checkpoint=ckpt))
         loss_local = local(ids, targets)
         loss_local.backward()
         local_grads = {n: p.grad.copy() for n, p in local.named_parameters()}
+        local_recompute = get_tracker().recompute_flops
 
+        reset_tracker()
         engine = BurstEngine(
             EngineConfig(model=gqa_cfg(), checkpoint=ckpt, fsdp=False),
             topology=TOPO,
         )
         loss_dist = engine.model(ids, targets)
         loss_dist.backward()
+        assert get_tracker().recompute_flops == local_recompute
+        assert (local_recompute > 0) == (
+            mode in (CheckpointMode.FULL, CheckpointMode.SEQUENCE_LEVEL)
+        )
         assert loss_dist.item() == pytest.approx(loss_local.item(), rel=1e-10)
         for name, p in engine.model.named_parameters():
             np.testing.assert_allclose(

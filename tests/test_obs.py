@@ -55,7 +55,8 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 
 def tiny_engine(
     n_layers: int = 2, method: str = "burst",
-    ring_mode: str = "unidirectional",
+    ring_mode: str = "unidirectional", n_kv_heads: int | None = None,
+    **method_kwargs,
 ) -> BurstEngine:
     """The quickstart-shaped config: 8 GPUs over 2 nodes, burst attention,
     sequence-level selective checkpointing, fused LM head.  (Ulysses needs
@@ -67,10 +68,11 @@ def tiny_engine(
         EngineConfig(
             model=TransformerConfig(
                 vocab_size=128, dim=32, n_layers=n_layers, n_heads=4,
+                n_kv_heads=n_kv_heads,
                 ffn_hidden=64, max_seq_len=128, attn_block_size=32,
             ),
             method=method,
-            method_kwargs=(
+            method_kwargs=method_kwargs | (
                 {"ring_mode": ring_mode} if ring_mode != "unidirectional" else {}
             ),
             checkpoint=CheckpointPolicy(CheckpointMode.SEQUENCE_LEVEL, 0.5),
@@ -237,6 +239,25 @@ class TestChromeTraceExport:
             assert counts[logical] == {
                 "intra": 6 * n_layers, "inter": 1 * n_layers
             }, counts
+        # ...and one `attn.pass` span per pass — with GQA shards too,
+        # whichever backward the method picks for the head counts.
+        def passes(spans):
+            return sorted(
+                (s.attrs["direction"], s.attrs["algorithm"])
+                for s in spans if s.name == "attn.pass"
+            )
+
+        def one_per_layer(backward):
+            return [("bwd", backward)] * n_layers + [("fwd", "ring")] * n_layers
+
+        assert passes(spans) == one_per_layer("burst-alg2")
+        for gqa_kwargs, backward in [
+            ({}, "burst-alg2"),
+            ({"adaptive_backward": True}, "ring-alg1"),
+            ({"method": "megatron-cp"}, "ring-alg1"),
+        ]:
+            _, spans, _ = traced_step(tmp_path, n_kv_heads=2, **gqa_kwargs)
+            assert passes(spans) == one_per_layer(backward), gqa_kwargs
 
     def test_validator_rejects_malformed(self):
         with pytest.raises(ValueError):

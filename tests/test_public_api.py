@@ -218,3 +218,67 @@ class TestOnePredictedObservedInstrument:
             ("ph", "X"): ["obs/export.py"],
             ("name", "thread_name"): ["obs/export.py"],
         }
+
+
+class TestOneRingPassLoop:
+    def test_one_loop_one_protocol_one_gather(self):
+        """ROADMAP aim 2, "one mechanism per concern", for the numeric
+        interpreter: the ring circulation (schedule transitions, the
+        bidirectional flow, the return hop) is driven from ``ring_pass``
+        alone, GQA has no ring kernels of its own, the checkpoint protocol
+        is not re-spelled by the distributed node, and the inverse
+        permutation gather has no private copies."""
+        import ast
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        circulation: dict[str, set[str]] = {}
+        functions: dict[str, list[str]] = {}
+        for package in ("attention", "engine", "nn"):
+            for path in sorted((src / package).rglob("*.py")):
+                rel = path.relative_to(src).as_posix()
+                tree = ast.parse(path.read_text())
+                functions[rel] = [
+                    n.name for n in ast.walk(tree)
+                    if isinstance(n, ast.FunctionDef)
+                ]
+                for scope in ast.walk(tree):
+                    if not isinstance(scope, ast.FunctionDef):
+                        continue
+                    for node in ast.walk(scope):
+                        if not isinstance(node, ast.Call):
+                            continue
+                        f = node.func
+                        drives_ring = (
+                            isinstance(f, ast.Name)
+                            and f.id == "BidirectionalFlow"
+                        ) or (
+                            isinstance(f, ast.Attribute)
+                            and (
+                                f.attr in ("apply_reverse", "return_permutation")
+                                or (
+                                    f.attr == "apply"
+                                    and isinstance(f.value, ast.Name)
+                                    and f.value.id == "schedule"
+                                )
+                            )
+                        )
+                        if drives_ring:
+                            circulation.setdefault(rel, set()).add(scope.name)
+        assert circulation == {"attention/ring.py": {"ring_pass"}}
+
+        assert [
+            (rel, name) for rel, names in functions.items() for name in names
+            if name == "_gather" and not rel.startswith("nn/")
+        ] == []
+        assert [
+            name for name in functions["attention/gqa.py"]
+            if name.startswith(("gqa_ring", "gqa_burst"))
+        ] == []
+        node_src = (src / "engine" / "distributed_attention.py").read_text()
+        assert "CheckpointMode" not in node_src
+
+        from repro.attention import DistributedAttention, USPMethod
+
+        assert "run" not in vars(USPMethod) and "gather" not in vars(USPMethod)
+        assert USPMethod.run is DistributedAttention.run
