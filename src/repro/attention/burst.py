@@ -22,7 +22,9 @@ D recomputation    every round              once, before the loop
 Numerically the result is identical to Algorithm 1 and to the dense
 reference — the tests assert both, along with the exact traffic volumes.
 The circulation itself is :func:`repro.attention.ring.ring_pass`; this
-module only lays out the bundle and supplies the device step.
+module fills the bundle :data:`repro.comm.ring.ALG2_BUNDLE` declares (the
+executed payload is ``3Nd + 2N·H``: one ``D`` and one ``Lse`` row per head)
+and supplies the device step.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 from repro.attention.gqa import _check_groups, fold_kv_grad, repeat_kv
 from repro.attention.ring import _resolve_tiles, ring_pass
 from repro.comm import RingSchedule, SimCommunicator
+from repro.comm.ring import ALG2_BUNDLE
 from repro.kernels import BiasTileCache, KernelWorkspace, get_backend
 from repro.masks import MaskPattern
 from repro.obs.tracer import traced
@@ -124,7 +127,8 @@ def burst_attention_backward(
             )
             for q, do, o, lse in zip(qs, dos, os, lses)
         ],
-        (1,), tile, phase=phase, tag="q+grads", ring_mode=ring_mode,
+        ALG2_BUNDLE.carried, tile, phase=phase, tag=ALG2_BUNDLE.tag,
+        ring_mode=ring_mode,
     )
     return (
         [dq for (dq,) in home],

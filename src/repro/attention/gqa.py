@@ -15,7 +15,9 @@ The crossover is at ``g = 4/3``: for any real GQA model (g >= 2), the
 "unoptimised" Algorithm 1 moves **less** data than BurstAttention's
 rewrite.  :func:`choose_backward_algorithm` implements the resulting
 adaptive selection, and :func:`backward_comm_elems` exposes the closed
-forms the extension benchmark (``bench_ext_gqa.py``) sweeps.
+forms the extension benchmark (``bench_ext_gqa.py``) sweeps — both are
+calls on the bundle layouts declared in :mod:`repro.comm.ring`, the ones
+the ring passes circulate.
 
 Numerics: :func:`gqa_attention_reference` is the dense oracle.  There is
 no GQA ring kernel: the ring-family passes (:mod:`repro.attention.ring`,
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.comm.ring import backward_bundle, cheaper_backward_bundle
 from repro.kernels import attention_reference, attention_reference_backward
 
 
@@ -101,11 +104,9 @@ def backward_comm_elems(
     * Algorithm 1: ``4 * N * h_kv * d`` (K, V, dK, dV are KV-sized).
     * Algorithm 2: ``3 * N * h_q * d + 2 * N * h_q`` (Q-sized bundle).
     """
-    if algorithm == "alg1":
-        return 4.0 * seq_len * n_kv_heads * head_dim
-    if algorithm == "alg2":
-        return seq_len * n_q_heads * (3.0 * head_dim + 2.0)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    return float(
+        backward_bundle(algorithm).elems(seq_len, n_q_heads, n_kv_heads, head_dim)
+    )
 
 
 def choose_backward_algorithm(
@@ -119,6 +120,4 @@ def choose_backward_algorithm(
     full-width query bundle.
     """
     _check_groups(n_q_heads, n_kv_heads)
-    alg1 = backward_comm_elems("alg1", 1, head_dim, n_q_heads, n_kv_heads)
-    alg2 = backward_comm_elems("alg2", 1, head_dim, n_q_heads, n_kv_heads)
-    return "alg1" if alg1 <= alg2 else "alg2"
+    return cheaper_backward_bundle(n_q_heads, n_kv_heads, head_dim).name

@@ -16,26 +16,24 @@ name                   partition     schedule        backward     heads req.
 
 (*) The paper's pilot experiments found striped integration slightly better
 for BurstEngine; zigzag is available via the ``partitioner`` argument.
+
+The schedule and backward columns of the three ring-family rows are
+:data:`repro.comm.ring.RING_METHODS` — the table the DES reads too.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.attention.burst import burst_attention_backward
-from repro.attention.gqa import choose_backward_algorithm
 from repro.attention.ring import ring_attention_backward_kv, ring_attention_forward
 from repro.attention.ulysses import ulysses_attention_backward, ulysses_attention_forward
 from repro.attention.usp import USPGrid, usp_attention_backward, usp_attention_forward
-from repro.comm import (
-    SimCommunicator,
-    double_ring_schedule,
-    global_ring_schedule,
-)
-from repro.comm.ring import check_ring_mode
+from repro.comm import RingSchedule, SimCommunicator
+from repro.comm.ring import RING_METHODS, check_ring_mode, cheaper_backward_bundle
 from repro.masks import MaskPattern
 from repro.partition import (
     ContiguousPartitioner,
@@ -149,34 +147,53 @@ class _RingContext:
     scale: float | None
 
 
+#: The executed pass of each backward bundle (by ``BundleLayout.name``).
+_BACKWARD_PASSES = {
+    "alg1": ring_attention_backward_kv,
+    "alg2": burst_attention_backward,
+}
+
+
 class _RingFamilyMethod(DistributedAttention):
     """Common scaffolding for flat-ring / double-ring methods.
 
+    Which schedule a method circulates over and which bundle its backward
+    circulates come from its :data:`~repro.comm.ring.RING_METHODS` row.
     All ring-family methods accept ``ring_mode``: ``"unidirectional"``
     (default) or ``"bidirectional"`` (counter-rotating delivery streams,
     bitwise-identical results — see :mod:`repro.comm.ring`).  K/V shards
     may carry fewer heads than the query shards (GQA).
     """
 
-    backward_algorithm: str = "alg1"
-    ring_mode: str = "unidirectional"
     #: Ring-family backward needs only (q, k, v, o, lse) shards, so a
     #: backward context can be rebuilt from full arrays — this is what lets
     #: checkpoint policies skip the distributed forward on recomputation.
     supports_context_rebuild = True
+    default_partitioner: type[Partitioner] = ZigzagPartitioner
+
+    def __init__(
+        self,
+        partitioner: Partitioner | None = None,
+        block_size: int = 128,
+        ring_mode: str = "unidirectional",
+    ):
+        super().__init__(partitioner or self.default_partitioner(), block_size)
+        self.ring_mode = check_ring_mode(ring_mode)
+        self.ring = RING_METHODS[self.name]
+
+    def schedule(self, topology: ClusterTopology) -> RingSchedule:
+        """The ring schedule this method executes on ``topology``."""
+        return self.ring.schedule(topology)
 
     def make_context(self, comm, qs, ks, vs, os, lses, idxs, mask, scale):
         """Rebuild the backward context from shards (no communication)."""
         return _RingContext(
-            self._schedule(comm.topology), list(qs), list(ks), list(vs),
+            self.schedule(comm.topology), list(qs), list(ks), list(vs),
             list(os), list(lses), list(idxs), mask, scale,
         )
 
-    def _schedule(self, topology: ClusterTopology):
-        raise NotImplementedError
-
     def forward_shards(self, comm, qs, ks, vs, idxs, mask, scale):
-        schedule = self._schedule(comm.topology)
+        schedule = self.schedule(comm.topology)
         os, lses = ring_attention_forward(
             comm, schedule, qs, ks, vs, idxs, mask=mask, scale=scale,
             block_size=self.block_size, ring_mode=self.ring_mode,
@@ -186,19 +203,11 @@ class _RingFamilyMethod(DistributedAttention):
         return os, lses, ctx
 
     def backward_shards(self, comm, ctx, dos):
-        algorithm = self.backward_algorithm
-        if algorithm == "adaptive":
-            # Head counts decide: KV-sized Alg. 1 bundle vs query-sized Alg. 2.
-            q, k = ctx.qs[0], ctx.ks[0]
-            algorithm = choose_backward_algorithm(
-                q.shape[-1], q.shape[0], k.shape[0]
-            )
-        backward = (
-            burst_attention_backward
-            if algorithm == "alg2"
-            else ring_attention_backward_kv
+        q, k = ctx.qs[0], ctx.ks[0]
+        bundle = self.ring.backward or cheaper_backward_bundle(
+            q.shape[0], k.shape[0], q.shape[-1]
         )
-        return backward(
+        return _BACKWARD_PASSES[bundle.name](
             comm, ctx.schedule, ctx.qs, ctx.ks, ctx.vs, ctx.os, ctx.lses,
             dos, ctx.idxs, mask=ctx.mask, scale=ctx.scale,
             block_size=self.block_size, ring_mode=self.ring_mode,
@@ -210,37 +219,11 @@ class RingAttentionMethod(_RingFamilyMethod):
 
     name = "megatron-cp"
 
-    def __init__(
-        self,
-        partitioner: Partitioner | None = None,
-        block_size: int = 128,
-        ring_mode: str = "unidirectional",
-    ):
-        super().__init__(partitioner or ZigzagPartitioner(), block_size)
-        check_ring_mode(ring_mode)
-        self.ring_mode = ring_mode
-
-    def _schedule(self, topology):
-        return global_ring_schedule(topology)
-
 
 class DoubleRingMethod(_RingFamilyMethod):
     """LoongTrain-DoubleRing: two-level ring, Algorithm 1, zigzag balance."""
 
     name = "loongtrain-double"
-
-    def __init__(
-        self,
-        partitioner: Partitioner | None = None,
-        block_size: int = 128,
-        ring_mode: str = "unidirectional",
-    ):
-        super().__init__(partitioner or ZigzagPartitioner(), block_size)
-        check_ring_mode(ring_mode)
-        self.ring_mode = ring_mode
-
-    def _schedule(self, topology):
-        return double_ring_schedule(topology)
 
 
 class BurstAttentionMethod(_RingFamilyMethod):
@@ -252,7 +235,7 @@ class BurstAttentionMethod(_RingFamilyMethod):
     """
 
     name = "burst"
-    backward_algorithm = "alg2"
+    default_partitioner = StripedPartitioner
 
     def __init__(
         self,
@@ -261,16 +244,11 @@ class BurstAttentionMethod(_RingFamilyMethod):
         adaptive_backward: bool = False,
         ring_mode: str = "unidirectional",
     ):
-        super().__init__(partitioner or StripedPartitioner(), block_size)
-        check_ring_mode(ring_mode)
-        self.ring_mode = ring_mode
+        super().__init__(partitioner, block_size, ring_mode)
         if adaptive_backward:
             # GQA extension: pick Alg. 1 when grouped KV heads make the
             # circulating KV bundle cheaper than the query-sized one.
-            self.backward_algorithm = "adaptive"
-
-    def _schedule(self, topology):
-        return double_ring_schedule(topology)
+            self.ring = replace(self.ring, backward=None)
 
 
 class UlyssesMethod(DistributedAttention):

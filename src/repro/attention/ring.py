@@ -5,20 +5,20 @@ the Algorithm 1 backward pass.
 :class:`~repro.comm.RingSchedule` (the DES interpreter is
 :func:`repro.perf.schedules.attention.attention_pass_sim`): it owns the
 per-(ring step, rank) loop, the bidirectional transport and the
-return-to-owner hop.  A ring-family pass is a bundle layout plus a tile
+return-to-owner hop.  A ring-family pass is a bundle layout — declared in
+:mod:`repro.comm.ring`, where the DES reads the same one — plus a tile
 function handed to it:
 
-=========  =========================  =========  ==========================
-pass       bundle                     carried    tile (rank r, origin j)
-=========  =========================  =========  ==========================
-forward    ``(K, V)``                 ``()``     flash fwd ``Q_r × KV_j``,
-                                                 merge into ``(O_r, lse_r)``
-Alg. 1     ``(K, V, dK, dV)``         ``(2, 3)`` flash bwd ``Q_r × KV_j``,
-                                                 ``dQ_r +=``, ``→ dK_j, dV_j``
-Alg. 2     ``(Q, dQ, dO, D, Lse)``    ``(1,)``   flash bwd tiles
-(burst)                                          ``Q_j × KV_r``,
-                                                 ``dK_r, dV_r +=``, ``→ dQ_j``
-=========  =========================  =========  ==========================
+=========  =====================  ==========================
+pass       layout                 tile (rank r, origin j)
+=========  =====================  ==========================
+forward    :data:`KV_BUNDLE`      flash fwd ``Q_r × KV_j``,
+                                  merge into ``(O_r, lse_r)``
+Alg. 1     :data:`ALG1_BUNDLE`    flash bwd ``Q_r × KV_j``,
+                                  ``dQ_r +=``, ``→ dK_j, dV_j``
+Alg. 2     :data:`ALG2_BUNDLE`    flash bwd tiles ``Q_j × KV_r``,
+(burst)                           ``dK_r, dV_r +=``, ``→ dQ_j``
+=========  =====================  ==========================
 
 **Forward** (all ring-family methods share it): each rank keeps its query
 shard pinned and a ``(K, V)`` bundle circulates along the ring schedule.
@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.attention.gqa import _check_groups, fold_kv_grad, repeat_kv
 from repro.comm import BidirectionalFlow, RingSchedule, SimCommunicator
-from repro.comm.ring import check_ring_mode
+from repro.comm.ring import ALG1_BUNDLE, KV_BUNDLE, check_ring_mode
 from repro.kernels import (
     BiasTileCache,
     KernelWorkspace,
@@ -116,9 +116,8 @@ def ring_pass(
         Its slot (leaf) order is the wire order and never changes.
     carried:
         Slot indices of the bundle's accumulators; every other slot is
-        read-only.  ``()`` for the forward pass, ``(2, 3)`` for
-        Algorithm 1's ``(K, V, dK, dV)``, ``(1,)`` for Algorithm 2's
-        ``(Q, dQ, dO, D, Lse)``.
+        read-only.  The passes hand in their declared
+        :class:`~repro.comm.ring.BundleLayout`'s ``carried``.
     tile:
         ``tile(r, j, bundle)`` is rank ``r``'s compute step against the
         bundle that originated on rank ``j``; it returns one increment per
@@ -270,8 +269,9 @@ def ring_attention_forward(
         return ()
 
     ring_pass(
-        comm, schedule, [(k.copy(), v.copy()) for k, v in zip(ks, vs)], (),
-        tile, phase=phase, tag="kv", ring_mode=ring_mode,
+        comm, schedule, [(k.copy(), v.copy()) for k, v in zip(ks, vs)],
+        KV_BUNDLE.carried, tile, phase=phase, tag=KV_BUNDLE.tag,
+        ring_mode=ring_mode,
     )
     return os, lses
 
@@ -342,6 +342,7 @@ def ring_attention_backward_kv(
         comm, schedule,
         [(k.copy(), v.copy(), np.zeros_like(k), np.zeros_like(v))
          for k, v in zip(ks, vs)],
-        (2, 3), tile, phase=phase, tag="kv+grads", ring_mode=ring_mode,
+        ALG1_BUNDLE.carried, tile, phase=phase, tag=ALG1_BUNDLE.tag,
+        ring_mode=ring_mode,
     )
     return dqs, [dk for dk, _ in home], [dv for _, dv in home]

@@ -20,12 +20,19 @@ steps.  Two schedules are provided:
 The schedule is purely a communication pattern; both the exact-numerics
 attention implementations and the DES performance model consume it, which
 guarantees they agree on who talks to whom at every step.
+
+*What* circulates is declared here too: one :class:`BundleLayout` per pass
+names the slots in wire order, marks the carried accumulators and sizes
+every hop, and :data:`RING_METHODS` pairs each ring-family method with its
+schedule builder and backward bundle.  ``attention.ring.ring_pass``
+executes that description, ``perf.schedules.attention`` prices it, and no
+other module multiplies shard sizes by hand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.comm.communicator import SimCommunicator
 from repro.obs.tracer import trace_span, tracing_enabled
@@ -318,6 +325,102 @@ def double_ring_schedule(
     )
     schedule.validate()
     return schedule
+
+
+# --- what circulates -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BundleLayout:
+    """The bundle one ring-family pass circulates.
+
+    ``slots`` names the tuple leaves in wire order and ``widths`` gives each
+    slot's per-token width class: ``"q"`` (query-wide, ``H_q * d``),
+    ``"kv"`` (KV-wide, ``H_kv * d`` — narrower under GQA) or ``"row"`` (one
+    row statistic per head, ``H_q``).  ``carried`` indexes the accumulator
+    slots, which ride the full forward circulation and the return hop;
+    every other slot is read-only and may be delivered over the
+    counter-rotating stream.  ``name`` is ``"fwd"`` or the backward
+    algorithm, ``tag`` the pass's :class:`~repro.comm.TrafficLog` tag.
+    """
+
+    name: str
+    tag: str
+    slots: tuple[str, ...]
+    widths: tuple[str, ...]
+    carried: tuple[int, ...]
+
+    def elems(
+        self, shard_tokens, n_q_heads, n_kv_heads, head_dim, which: str = "all"
+    ):
+        """Elements of the ``which`` slots — ``"all"``, ``"carried"`` or
+        ``"read-only"`` — of one bundle of ``shard_tokens`` tokens.  Pure
+        arithmetic: exact on integers, and the analytic models pass
+        fractional KV head counts (``n_q_heads * kv_ratio``)."""
+        every = range(len(self.slots))
+        chosen = {
+            "all": every,
+            "carried": self.carried,
+            "read-only": [i for i in every if i not in self.carried],
+        }[which]
+        per_token = {
+            "q": n_q_heads * head_dim, "kv": n_kv_heads * head_dim,
+            "row": n_q_heads,
+        }
+        return shard_tokens * sum(per_token[self.widths[i]] for i in chosen)
+
+
+#: Forward pass (every ring-family method): ``2Nd`` per rank, nothing returns.
+KV_BUNDLE = BundleLayout("fwd", "kv", ("K", "V"), ("kv", "kv"), ())
+#: Algorithm 1 backward: ``4Nd``, all KV-wide, the gradients carried.
+ALG1_BUNDLE = BundleLayout(
+    "alg1", "kv+grads", ("K", "V", "dK", "dV"), ("kv",) * 4, (2, 3)
+)
+#: Algorithm 2 backward (BurstAttention): ``3Nd + 2N·H`` — the executed
+#: bundle has one ``D`` and one ``Lse`` row *per head*; the paper's literal
+#: ``3Nd + 2N`` is ``n_q_heads = 1``.
+ALG2_BUNDLE = BundleLayout(
+    "alg2", "q+grads", ("Q", "dQ", "dO", "D", "Lse"),
+    ("q", "q", "q", "row", "row"), (1,),
+)
+
+
+def backward_bundle(algorithm: str) -> BundleLayout:
+    """The backward bundle named ``"alg1"`` / ``"alg2"``."""
+    for bundle in (ALG1_BUNDLE, ALG2_BUNDLE):
+        if bundle.name == algorithm:
+            return bundle
+    raise ValueError(f"unknown algorithm {algorithm!r}")
+
+
+def cheaper_backward_bundle(n_q_heads, n_kv_heads, head_dim) -> BundleLayout:
+    """Adaptive selection: the KV-wide Algorithm 1 bundle unless the
+    query-wide Algorithm 2 bundle is strictly smaller (it is for MHA —
+    the paper's 25 % saving — and never for a GQA group factor >= 2)."""
+    alg1, alg2 = (
+        bundle.elems(1, n_q_heads, n_kv_heads, head_dim)
+        for bundle in (ALG1_BUNDLE, ALG2_BUNDLE)
+    )
+    return ALG1_BUNDLE if alg1 <= alg2 else ALG2_BUNDLE
+
+
+@dataclass(frozen=True)
+class RingMethod:
+    """What a ring-family method is: the schedule builder it circulates
+    over and the bundle its backward pass circulates (``None``: adaptive,
+    :func:`cheaper_backward_bundle` for the head counts at hand)."""
+
+    schedule: Callable[[ClusterTopology], RingSchedule]
+    backward: BundleLayout | None
+
+
+#: The one table of ring-family methods — read by ``attention.get_method``,
+#: the DES, ``repro.testing`` and ``obs.report.predicted_ring_cells``.
+RING_METHODS = {
+    "megatron-cp": RingMethod(global_ring_schedule, ALG1_BUNDLE),
+    "loongtrain-double": RingMethod(double_ring_schedule, ALG1_BUNDLE),
+    "burst": RingMethod(double_ring_schedule, ALG2_BUNDLE),
+}
 
 
 # --- bidirectional transport ---------------------------------------------------

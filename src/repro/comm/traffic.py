@@ -101,13 +101,6 @@ class TrafficLog:
             acc[r.channel] += r.nelems
         return dict(acc)
 
-    def per_channel_bytes(self, phase: str | None = None) -> dict[str, int]:
-        """Total bytes moved on each ring direction ("fwd" / "rev")."""
-        acc: dict[str, int] = defaultdict(int)
-        for r in self._filtered(phase=phase):
-            acc[r.channel] += r.nbytes
-        return dict(acc)
-
     def per_link_bytes(self, phase: str | None = None) -> dict[LinkClass, int]:
         acc: dict[LinkClass, int] = defaultdict(int)
         for r in self._filtered(phase=phase):

@@ -8,7 +8,7 @@ simulated cluster:
   communicator;
 * a gradient checkpointing policy (sequence-level selective by default);
 * a fused LM head + loss (Algorithm 3 by default);
-* FSDP traffic accounting and an Adam optimizer (optionally "offloaded").
+* FSDP traffic accounting and an Adam optimizer.
 
 Every knob corresponds to a row of the paper's ablation (Table 2), so the
 ablation benchmark literally toggles :class:`EngineConfig` fields.
@@ -28,6 +28,7 @@ from repro.engine.fsdp import FSDPTraffic, log_fsdp_traffic
 from repro.nn import Adam, CheckpointPolicy, TransformerConfig, TransformerLM
 from repro.nn.checkpoint import CheckpointMode
 from repro.nn.memory import get_tracker, reset_tracker
+from repro.nn.schedule import clip_grad_norm
 from repro.topology import ClusterTopology, make_cluster
 
 
@@ -56,7 +57,6 @@ class EngineConfig:
     )
     head_impl: str = "fused"
     fsdp: bool = True
-    optimizer_offload: bool = False
     lr: float = 1e-3
 
     def resolved_model(self) -> TransformerConfig:
@@ -118,10 +118,7 @@ class BurstEngine:
             from repro.engine.distributed_head import install_vocab_parallel_head
 
             install_vocab_parallel_head(self.model, self.comm)
-        self.optimizer = Adam(
-            self.model.parameters(), lr=config.lr,
-            offload=config.optimizer_offload,
-        )
+        self.optimizer = Adam(self.model.parameters(), lr=config.lr)
         self.step_count = 0
 
     def _validate(self) -> None:
@@ -177,18 +174,56 @@ class BurstEngine:
                 f"sequence length {len(ids)} not divisible by world size "
                 f"{self.topology.world_size}"
             )
-        reset_tracker()
         mark = len(self.comm.log.records)
+        loss, _, fsdp = self._step(self.step_count, [(ids, targets)])
 
+        new_records = self.comm.log.records[mark:]
+        tracker = get_tracker()
+        return StepResult(
+            loss=loss,
+            step_comm_bytes=sum(r.nbytes for r in new_records),
+            step_comm_elems=sum(r.nelems for r in new_records),
+            fsdp=fsdp,
+            peak_activation_bytes=tracker.peak_saved_bytes,
+            recompute_flops=tracker.recompute_flops,
+        )
+
+    def _step(
+        self,
+        step: int,
+        micro_batches: list[tuple[np.ndarray, np.ndarray]],
+        clip_norm: float | None = None,
+    ) -> tuple[float, float, FSDPTraffic | None]:
+        """The one executed training step — :meth:`train_step` and
+        :meth:`repro.engine.Trainer.fit` both drive it.
+
+        Backpropagates every ``(ids, targets)`` micro-batch scaled by
+        ``1/k``, clips the accumulated gradients to ``clip_norm`` (global
+        norm) if given, logs the FSDP traffic and applies the optimizer
+        update.  Returns ``(mean loss, gradient norm, fsdp)``; the norm is
+        NaN without clipping.
+        """
         from repro.obs.mem import memory_scope
         from repro.obs.tracer import trace_span
 
-        with trace_span("train.step", phase="step", step=self.step_count), \
-                memory_scope(method=self.config.method, step=self.step_count):
+        # Step-boundary notification for the communicator's stages
+        # (rank-fault injectors, failure detectors): lets faults target
+        # "step s" and failures be attributed to the step they aborted.
+        self.comm.on_step_start(step)
+        reset_tracker()
+        with trace_span("train.step", phase="step", step=step), \
+                memory_scope(method=self.config.method, step=step):
             self.optimizer.zero_grad()
-            loss = self.model(ids, targets)
-            loss.backward()
-
+            loss_value = 0.0
+            for ids, targets in micro_batches:
+                loss = self.model(ids, targets)
+                loss_value += loss.item() / len(micro_batches)
+                loss.backward(np.asarray(1.0 / len(micro_batches)))
+            grad_norm = (
+                clip_grad_norm(self.model.parameters(), clip_norm)
+                if clip_norm is not None
+                else float("nan")
+            )
             fsdp = None
             if self.config.fsdp:
                 gather_passes = 2 if self.config.checkpoint.checkpoints_layer else 1
@@ -197,17 +232,7 @@ class BurstEngine:
                 )
             self.optimizer.step()
             self.step_count += 1
-
-        new_records = self.comm.log.records[mark:]
-        tracker = get_tracker()
-        return StepResult(
-            loss=loss.item(),
-            step_comm_bytes=sum(r.nbytes for r in new_records),
-            step_comm_elems=sum(r.nelems for r in new_records),
-            fsdp=fsdp,
-            peak_activation_bytes=tracker.peak_saved_bytes,
-            recompute_flops=tracker.recompute_flops,
-        )
+        return loss_value, grad_norm, fsdp
 
     def train(self, ids: np.ndarray, targets: np.ndarray, steps: int) -> list[float]:
         """Run ``steps`` updates on one batch; returns the loss curve."""

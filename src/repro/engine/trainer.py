@@ -18,11 +18,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.engine.engine import BurstEngine
-from repro.nn.schedule import ConstantLR, LRSchedule, clip_grad_norm
+from repro.nn.schedule import ConstantLR, LRSchedule
 from repro.nn.serialization import load_train_state, save_model, save_train_state
 from repro.nn.tensor import no_grad
-from repro.obs.mem import MemoryBudget, memory_scope, use_memory_budget
-from repro.obs.tracer import trace_span
+from repro.obs.mem import MemoryBudget, use_memory_budget
 
 
 @dataclass
@@ -126,8 +125,8 @@ class Trainer:
         consecutive micro-batches (scaled by ``1/k``) before stepping —
         the standard way to grow the effective batch without growing the
         activation footprint.  Gradient clipping happens between backward
-        and the optimizer step, which requires driving the engine's
-        internals directly (its ``train_step`` fuses them).
+        and the optimizer step.  The step itself is the engine's one
+        executor, the same ``train_step`` runs.
 
         With ``resume_from`` set, the trainer first restores a train-state
         snapshot (model, optimizer, RNG stream, history, best-eval, batch
@@ -143,42 +142,17 @@ class Trainer:
             start_step = self.load_state(resume_from)
         engine = self.engine
         for step in range(start_step, steps):
-            # Step-boundary notification for the communicator's stages
-            # (rank-fault injectors, failure detectors): lets faults target
-            # "step s" and failures be attributed to the step they aborted.
-            engine.comm.on_step_start(step)
             comm_mark = len(engine.comm.log.records)
             tiles_mark = self._tile_snapshot()
-            with trace_span("train.step", phase="step", step=step), \
-                    memory_scope(method=engine.config.method, step=step):
-                lr = self.schedule.apply(engine.optimizer, step)
-
-                from repro.nn.memory import reset_tracker
-
-                reset_tracker()
-                engine.optimizer.zero_grad()
-                loss_value = 0.0
-                for _ in range(self.grad_accumulation):
-                    ids, targets = batches[self.micro % len(batches)]
-                    self.micro += 1
-                    loss = engine.model(ids, targets)
-                    loss_value += loss.item() / self.grad_accumulation
-                    loss.backward(
-                        np.asarray(1.0 / self.grad_accumulation)
-                    )
-                grad_norm = (
-                    clip_grad_norm(engine.model.parameters(), self.clip_norm)
-                    if self.clip_norm is not None
-                    else float("nan")
-                )
-                if engine.config.fsdp:
-                    from repro.engine.fsdp import log_fsdp_traffic
-
-                    gather_passes = 2 if engine.config.checkpoint.checkpoints_layer else 1
-                    log_fsdp_traffic(engine.comm, engine.param_bytes,
-                                     gather_passes=gather_passes)
-                engine.optimizer.step()
-                engine.step_count += 1
+            lr = self.schedule.apply(engine.optimizer, step)
+            micro_batches = [
+                batches[(self.micro + i) % len(batches)]
+                for i in range(self.grad_accumulation)
+            ]
+            self.micro += self.grad_accumulation
+            loss_value, grad_norm, _ = engine._step(
+                step, micro_batches, self.clip_norm
+            )
 
             record = TrainRecord(
                 step=step, loss=loss_value, lr=lr, grad_norm=grad_norm

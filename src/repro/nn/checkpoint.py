@@ -55,18 +55,12 @@ class CheckpointPolicy:
 
     ``split_fraction`` only applies to ``sequence_level``: the fraction of
     the sequence (the front) that is recomputed rather than stored.
-
-    ``mlp_chunk_size`` is the FFN rematerialisation hook: when set,
-    :meth:`~repro.nn.modules.TransformerBlock.set_policy` switches the
-    block's FFN to the fused blockwise kernel with that chunk size, so the
-    ``(S, hidden)`` SwiGLU intermediates are recomputed chunk-by-chunk in
-    backward instead of being saved (orthogonal to, and composable with,
-    the layer-level modes above).
+    (FFN rematerialisation is orthogonal and set on the model:
+    ``TransformerConfig.mlp_chunk_size``.)
     """
 
     mode: CheckpointMode = CheckpointMode.NONE
     split_fraction: float = 0.5
-    mlp_chunk_size: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.split_fraction < 1.0:
@@ -74,23 +68,12 @@ class CheckpointPolicy:
                 raise ValueError(
                     f"split_fraction must be in (0, 1), got {self.split_fraction}"
                 )
-        if self.mlp_chunk_size is not None and self.mlp_chunk_size < 1:
-            raise ValueError(
-                f"mlp_chunk_size must be >= 1, got {self.mlp_chunk_size}"
-            )
 
     @classmethod
     def parse(
-        cls,
-        spec: str,
-        split_fraction: float = 0.5,
-        mlp_chunk_size: int | None = None,
+        cls, spec: str, split_fraction: float = 0.5
     ) -> "CheckpointPolicy":
-        return cls(
-            mode=CheckpointMode(spec),
-            split_fraction=split_fraction,
-            mlp_chunk_size=mlp_chunk_size,
-        )
+        return cls(mode=CheckpointMode(spec), split_fraction=split_fraction)
 
     @property
     def checkpoints_layer(self) -> bool:
@@ -170,19 +153,12 @@ class AttentionOutputCache:
 
     def __init__(self):
         self._store: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
-        self._counter = 0
 
     def put(self, key: int, o: np.ndarray, lse: np.ndarray) -> None:
         handle = get_tracker().register(
             o.nbytes + lse.nbytes, site="attn.cache"
         )
         self._store[key] = (o, lse, handle)
-
-    def get(self, key: int) -> tuple[np.ndarray, np.ndarray] | None:
-        entry = self._store.get(key)
-        if entry is None:
-            return None
-        return entry[0], entry[1]
 
     def pop(self, key: int) -> tuple[np.ndarray, np.ndarray] | None:
         entry = self._store.pop(key, None)
@@ -191,10 +167,6 @@ class AttentionOutputCache:
         o, lse, handle = entry
         get_tracker().release(handle)
         return o, lse
-
-    def next_key(self) -> int:
-        self._counter += 1
-        return self._counter
 
     def __len__(self) -> int:
         return len(self._store)

@@ -10,7 +10,7 @@ which is the Blockwise-Parallel-Transformer FFN trick.  Outputs and all
 four gradients are bitwise-identical to the composed path (pinned by
 ``tests/test_blockwise_mlp.py``).
 
-``chunk_size`` is ``mlp_chunk_size`` at the module/config/policy layer;
+``chunk_size`` is ``mlp_chunk_size`` at the module/config layer;
 ``None`` still fuses (one node, only ``x`` saved) but computes densely.
 """
 

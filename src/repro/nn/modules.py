@@ -285,8 +285,6 @@ class TransformerBlock(Module):
     def set_policy(self, policy: CheckpointPolicy) -> None:
         self.policy = policy
         self.attn.policy = policy
-        if policy.mlp_chunk_size is not None:
-            self.ffn.mlp_chunk_size = policy.mlp_chunk_size
 
     def _body(self, x: Tensor) -> Tensor:
         attn_out = self.attn(self.norm1(x))

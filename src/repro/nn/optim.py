@@ -1,9 +1,8 @@
 """Optimizers for the numpy autograd engine (SGD, Adam, AdamW).
 
-State can be "offloaded": with ``offload=True`` the moment buffers are
-tagged as host-resident, which the peak-memory model uses to mirror the
-paper's ZeRO-Offload setting (Table 5 enables it, Table 4 disables it).
-Numerically offloading changes nothing — it is a placement annotation.
+The paper's ZeRO-Offload setting (Table 5 enables it, Table 4 disables it)
+is a placement choice with no numeric effect; it is modeled analytically
+(``repro.perf.memory.TrainingSetup.optimizer_offload``), not here.
 """
 
 from __future__ import annotations
@@ -117,12 +116,10 @@ class Adam(Optimizer):
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
-        offload: bool = False,
     ):
         super().__init__(params, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.offload = offload
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]

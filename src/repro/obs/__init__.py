@@ -10,8 +10,8 @@ to compare the two:
   recompute, fused LM-head tiles, trainer steps).  Tracing is **off by
   default**; the disabled fast path is a single flag check returning a
   shared no-op, so instrumentation costs nothing when not recording.
-* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters /
-  gauges / histograms with labels.  The ad-hoc tallies that used to live
+* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters and
+  gauges with labels.  The ad-hoc tallies that used to live
   in ``repro.kernels.tileplan``, ``repro.nn.memory`` and
   ``repro.resilience`` are backed by (or mirrored into) the global
   registry, giving one ``snapshot()`` / ``reset()`` API over all of them.
@@ -57,7 +57,6 @@ from repro.obs.tracer import (
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     get_registry,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "FlightRecorder",
     "FlowEdge",
     "Gauge",
-    "Histogram",
     "MemEvent",
     "MemoryBudget",
     "MemoryBudgetExceeded",

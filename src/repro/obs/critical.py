@@ -19,7 +19,8 @@ plus the flow edges of :mod:`repro.obs.flow`) and answers three questions:
    return-to-owner exchange — actually carried, and pins the
    resulting exposed-communication fraction against the modeled one — and,
    under the unidirectional mode, the replayed comm-busy seconds against
-   the closed forms of :func:`repro.perf.cost.attention_step_sizes`.
+   the closed form of the pass's executed bundle layout
+   (:func:`repro.perf.criticalpath.closed_form_pass_comm`).
 
 3. **Who is slow?**  :func:`straggler_ranking` aggregates the simulated
    stall seconds of ``lease.wait`` / ``failure.detect`` spans per rank,

@@ -1,4 +1,4 @@
-"""A minimal metrics registry: counters, gauges, histograms, one snapshot.
+"""A minimal metrics registry: counters, gauges, one snapshot.
 
 Before this module existed the repo had three disconnected tallies —
 ``repro.kernels.tileplan.counters`` (tile planning), the
@@ -17,14 +17,12 @@ lookups, no label tuple construction — unless they actually use labels.
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Any, Callable
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "get_registry",
 ]
@@ -84,97 +82,20 @@ class Gauge(Counter):
         else:
             self._value = value
 
-    def dec(self, amount: float = 1.0, **labels: Any) -> None:
-        self.inc(-amount, **labels)
-
-
-#: Samples retained per label set for percentile estimation; once full,
-#: further observations update only the streaming stats (deterministic —
-#: no reservoir randomness).
-HISTOGRAM_SAMPLE_CAP = 2048
-
-#: Percentiles reported in histogram snapshots.
-HISTOGRAM_PERCENTILES = (50, 95, 99)
-
-
-def _nearest_rank(sorted_samples: list[float], p: float) -> float:
-    """Nearest-rank percentile (exact for pinned test inputs)."""
-    n = len(sorted_samples)
-    return sorted_samples[max(0, math.ceil(p / 100.0 * n) - 1)]
-
-
-class Histogram:
-    """Streaming summary stats per label set, with bounded percentiles.
-
-    ``count``/``total``/``min``/``max`` are exact over every observation;
-    ``p50``/``p95``/``p99`` are nearest-rank percentiles over the first
-    :data:`HISTOGRAM_SAMPLE_CAP` observations per label set.
-    """
-
-    kind = "histogram"
-    __slots__ = ("name", "help", "_stats", "_samples")
-
-    def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
-        self._stats: dict[str, dict[str, float]] = {}
-        self._samples: dict[str, list[float]] = {}
-
-    def observe(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
-        s = self._stats.get(key)
-        if s is None:
-            self._stats[key] = {
-                "count": 1, "total": float(value),
-                "min": float(value), "max": float(value),
-            }
-            self._samples[key] = [float(value)]
-        else:
-            s["count"] += 1
-            s["total"] += value
-            if value < s["min"]:
-                s["min"] = value
-            if value > s["max"]:
-                s["max"] = value
-            samples = self._samples[key]
-            if len(samples) < HISTOGRAM_SAMPLE_CAP:
-                samples.append(float(value))
-
-    def _with_percentiles(self, key: str) -> dict[str, float]:
-        out = dict(self._stats.get(key, {}))
-        samples = self._samples.get(key)
-        if samples:
-            ordered = sorted(samples)
-            for p in HISTOGRAM_PERCENTILES:
-                out[f"p{p}"] = _nearest_rank(ordered, p)
-        return out
-
-    def stats(self, **labels: Any) -> dict[str, float]:
-        return self._with_percentiles(_label_key(labels))
-
-    def reset(self) -> None:
-        self._stats.clear()
-        self._samples.clear()
-
-    def snapshot(self) -> dict[str, Any]:
-        if set(self._stats) <= {""}:
-            return self._with_percentiles("")
-        return {k: self._with_percentiles(k) for k in sorted(self._stats)}
-
 
 class MetricsRegistry:
     """Named metrics with get-or-create semantics and one snapshot/reset.
 
-    ``counter(name)`` / ``gauge(name)`` / ``histogram(name)`` return the
-    existing metric when the name is already registered (the kind must
-    match).  ``register_collector`` attaches a callable whose return
-    value is merged into :meth:`snapshot` under its name — used to pull
-    in state that lives elsewhere (e.g. a ``FaultMonitor``'s summary).
+    ``counter(name)`` / ``gauge(name)`` return the existing metric when
+    the name is already registered (the kind must match).
+    ``register_collector`` attaches a callable whose return value is
+    merged into :meth:`snapshot` under its name — used to pull in state
+    that lives elsewhere (e.g. a ``FaultMonitor``'s summary).
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._metrics: dict[str, Counter | Gauge] = {}
         self._collectors: dict[str, Callable[[], Any]] = {}
 
     def _get_or_create(self, cls, name: str, help: str):
@@ -196,9 +117,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get_or_create(Gauge, name, help)
-
-    def histogram(self, name: str, help: str = "") -> Histogram:
-        return self._get_or_create(Histogram, name, help)
 
     def register_collector(self, name: str, fn: Callable[[], Any]) -> None:
         with self._lock:

@@ -203,15 +203,13 @@ def predicted_ring_cells(
     predict zero everywhere; USP's ring runs through grouped schedules its
     method builds internally, which the structural gate does not model.
     """
-    from repro.attention import get_method
-    from repro.comm.ring import bidirectional_split
+    from repro.comm.ring import RING_METHODS, bidirectional_split
     from repro.topology import LinkClass
 
     cells = {logical: _zero_cells() for logical in RING_PHASES}
-    sched_fn = getattr(get_method(method_name), "_schedule", None)
-    if sched_fn is None:
+    if method_name not in RING_METHODS:
         return cells
-    sched = sched_fn(topology)
+    sched = RING_METHODS[method_name].schedule(topology)
     n = len(sched.transitions)
     t_f, rev = n, 0
     if ring_mode == "bidirectional":

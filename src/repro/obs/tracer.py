@@ -214,12 +214,6 @@ class Tracer:
         with self._lock:
             return list(self._spans)
 
-    def spans_by_phase(self) -> dict[str, list[Span]]:
-        out: dict[str, list[Span]] = {}
-        for sp in self.spans():
-            out.setdefault(sp.phase, []).append(sp)
-        return out
-
 
 _TRACER = Tracer()
 

@@ -35,7 +35,6 @@ from repro.perf.cost import (
 )
 from repro.perf.memory import MemoryModel, MemoryBreakdown, TrainingSetup
 from repro.perf.schedules.attention import (
-    ATTENTION_SCHEDULES,
     METHOD_DES_FLAGS,
     attention_pass_sim,
     attention_pass_time,
@@ -78,7 +77,6 @@ __all__ = [
     "TrainingSetup",
     "attention_pass_time",
     "degraded_attention_pass_time",
-    "ATTENTION_SCHEDULES",
     "EndToEndModel",
     "EndToEndResult",
     "end_to_end_step",

@@ -14,18 +14,33 @@ with ``I = G - n_nodes`` intra transitions and ``E = n_nodes`` inter
 transitions (the paper's ``N - N_inter`` and ``N_inter``).  The
 coefficients are payload rounds: forward moves 2 shard-sized buffers per
 step (K, V), Algorithm 1's backward 4 (K, V, dK, dV), Algorithm 2's 3
-(Q, dQ, dO; the D/Lse rows are a ``2/d`` relative term folded in by
-:func:`attention_step_sizes`).  The ``max`` terms are fully-overlapped
+(Q, dQ, dO) plus the D/Lse rows.  The ``max`` terms are fully-overlapped
 intra/inter phases; DoubleRing's ``+2(...)`` term is its *unoverlapped*
 gradient communication — the deficiency BurstAttention's delayed-ring
 scheme removes.
+
+Every bundle size here is read off the layouts the ring passes execute
+(:data:`repro.comm.ring.KV_BUNDLE` / ``ALG1_BUNDLE`` / ``ALG2_BUNDLE``).
+``n_heads`` counts the per-head D/Lse rows; its default of 1 is the
+paper's literal ``3Nd + 2N``, which Table 1 keeps reproducing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.comm.ring import (
+    ALG1_BUNDLE,
+    ALG2_BUNDLE,
+    KV_BUNDLE,
+    bidirectional_split,
+)
 from repro.topology import ClusterTopology, LinkClass, shrink_cluster
+
+#: Key of each pass in the per-pass size tables below -> its bundle layout.
+_PASS_BUNDLES = {
+    "fwd": KV_BUNDLE, "bwd_alg1": ALG1_BUNDLE, "bwd_alg2": ALG2_BUNDLE,
+}
 
 
 @dataclass(frozen=True)
@@ -88,7 +103,8 @@ def flat_ring_step_time(topology: ClusterTopology, payload_bytes: float) -> floa
 
 
 def attention_step_sizes(
-    seq_len: int, hidden: int, world_size: int, bytes_per_elem: int = 2
+    seq_len: int, hidden: int, world_size: int, bytes_per_elem: int = 2,
+    n_heads: int = 1, which: str = "all",
 ) -> dict[str, float]:
     """Per-step ring payload bytes for each pass and algorithm.
 
@@ -97,26 +113,18 @@ def attention_step_sizes(
 
     * ``fwd``: K + V = ``2 * (S/G) * h``
     * ``bwd_alg1``: K + V + dK + dV = ``4 * (S/G) * h``
-    * ``bwd_alg2``: Q + dQ + dO + D + Lse = ``(3h + 2) * (S/G)``
+    * ``bwd_alg2``: Q + dQ + dO + D + Lse = ``(3h + 2H) * (S/G)`` with
+      ``H = n_heads`` rows each of D and Lse per token
+
+    — or, with ``which="carried"`` / ``"read-only"``, of that part of each
+    bundle alone (the accumulators / everything else).
     """
-    shard = seq_len / world_size
     return {
-        "fwd": 2 * shard * hidden * bytes_per_elem,
-        "bwd_alg1": 4 * shard * hidden * bytes_per_elem,
-        "bwd_alg2": (3 * hidden + 2) * shard * bytes_per_elem,
+        key: bytes_per_elem * bundle.elems(
+            seq_len / world_size, n_heads, n_heads, hidden / n_heads, which
+        )
+        for key, bundle in _PASS_BUNDLES.items()
     }
-
-
-def bidirectional_step_split(num_steps: int) -> tuple[int, int]:
-    """``(forward_transitions, reverse_moves)`` of a bidirectional ring.
-
-    Mirrors :func:`repro.comm.ring.bidirectional_split` (kept free of a
-    ``repro.comm`` import so the analytic layer stays standalone): of the
-    ``S - 1`` boundary transitions, the forward stream serves the first
-    ``S // 2`` and the counter-rotating stream the remaining
-    ``(S - 1) // 2``.
-    """
-    return num_steps // 2, (num_steps - 1) // 2
 
 
 def bidirectional_direction_bytes(
@@ -134,42 +142,35 @@ def bidirectional_direction_bytes(
     gradient accumulators keep riding the full ``fwd`` circulation (their
     addition order is what makes the results bitwise-identical).  With
     ``S`` schedule steps, ``T_f = S // 2`` forward transitions and
-    ``R = (S - 1) // 2`` reverse moves, a shard of ``s = seq_len / G``
-    tokens and ``h = hidden``:
+    ``R = (S - 1) // 2`` reverse moves, every pass sends
 
-    * ``fwd`` pass — (K, V) both ways, no return hop:
-      ``fwd = T_f * 2sh``, ``rev = R * 2sh``.
-    * ``bwd_alg1`` — (K, V) reverse; (dK, dV) ride all ``S - 1`` forward
-      transitions plus the return hop:
-      ``fwd = T_f * 4sh + (R + 1) * 2sh``, ``rev = R * 2sh``.
-    * ``bwd_alg2`` — (Q, dO, D, Lse) reverse; dQ forward + return:
-      ``fwd = T_f * (3h + 2H)s + (R + 1) * sh``, ``rev = R * (2h + 2H)s``
-      where ``H = n_heads`` scales the per-head-per-token D/Lse rows (the
-      paper's single-head statement has ``H = 1``).
+    * ``fwd = T_f * all + (R + 1) * carried`` — the whole bundle for the
+      forward stream's half, then the carried slots alone over the
+      remaining ``R`` transitions and the return hop;
+    * ``rev = R * read-only``
+
+    of its :func:`attention_step_sizes`: nothing is carried on the ``fwd``
+    pass, (dK, dV) under ``bwd_alg1``, dQ under ``bwd_alg2``.
 
     The unidirectional totals (``4Nd`` / ``3Nd + 2N``) are recovered as
     ``fwd + rev`` *plus* the read-only share of the skipped long way round
     — bidirectional strictly reduces total bytes on every pass.
     """
-    if num_steps is None:
-        num_steps = world_size
-    t_f, rev = bidirectional_step_split(num_steps)
-    shard = seq_len / world_size
-    b = bytes_per_elem
-    kv = 2 * shard * hidden * b
-    grads_kv = 2 * shard * hidden * b
-    q_side = (2 * hidden + 2 * n_heads) * shard * b
-    dq = shard * hidden * b
+    t_f, rev = bidirectional_split(
+        world_size if num_steps is None else num_steps
+    )
+    size = {
+        which: attention_step_sizes(
+            seq_len, hidden, world_size, bytes_per_elem, n_heads, which
+        )
+        for which in ("all", "carried", "read-only")
+    }
     return {
-        "fwd": {"fwd": t_f * kv, "rev": rev * kv},
-        "bwd_alg1": {
-            "fwd": t_f * (kv + grads_kv) + (rev + 1) * grads_kv,
-            "rev": rev * kv,
-        },
-        "bwd_alg2": {
-            "fwd": t_f * (q_side + dq) + (rev + 1) * dq,
-            "rev": rev * q_side,
-        },
+        key: {
+            "fwd": t_f * size["all"][key] + (rev + 1) * size["carried"][key],
+            "rev": rev * size["read-only"][key],
+        }
+        for key in _PASS_BUNDLES
     }
 
 
@@ -201,8 +202,9 @@ def table1_comm_times(
     # buffers (2) are serialized (the paper's "+2(I*T_intra + E*T_inter)").
     double_ring = 4 * phase.overlapped + 2 * phase.serialized
 
-    # Burst: fwd (2) + Alg.2 backward (3 + 2/h) fully overlapped.
-    burst_payload_rounds = 2 + (3 + 2 / hidden)
+    # Burst: fwd (2) + Alg. 2 backward (Q, dQ, dO and the paper's single
+    # D and Lse row, in shard rounds) fully overlapped.
+    burst_payload_rounds = 2 + sizes["bwd_alg2"] / p_shard
     burst = burst_payload_rounds * phase.overlapped
 
     return {"ring": ring, "double_ring": double_ring, "burst": burst}

@@ -12,16 +12,17 @@ reduces its runs to the quantities the attribution gate compares.
 and the *exposed* communication time (makespan minus compute busy — the
 comm seconds the overlap failed to hide, Fig. 5's whole argument).
 :func:`closed_form_pass_comm` gives the serialized comm seconds of one
-unidirectional pass straight from the :func:`repro.perf.cost
-.attention_step_sizes` closed forms, with no simulation at all.
+unidirectional pass straight from the pass's bundle layout — the size
+:func:`repro.perf.cost.attention_step_sizes` reports at the workload's
+head count — with no simulation at all.
 """
 
 from __future__ import annotations
 
-from repro.perf.cost import attention_step_sizes, link_time
+from repro.perf.cost import link_time
 from repro.perf.des import Simulator
 from repro.perf.schedules.attention import (
-    METHOD_DES_FLAGS,
+    attention_pass_bundle,
     attention_pass_sim,
     attention_pass_transitions,
 )
@@ -100,23 +101,17 @@ def closed_form_pass_comm(
     """Serialized comm seconds of one *unidirectional* pass, closed-form.
 
     Prices every hop of the method's ring — the ``G - 1`` transitions and,
-    on a backward pass, the return hop — at the per-hop bundle size from
-    :func:`repro.perf.cost.attention_step_sizes` (``fwd`` / ``bwd_alg1`` /
-    ``bwd_alg2``) — no DES involved, so an observed trace's comm-busy
-    seconds can be cross-checked against the paper's Table-1 cost terms
-    independently of the overlap model.
+    on a backward pass, the return hop — at the whole bundle the pass
+    circulates (:func:`attention_pass_bundle`; the executed size, one D and
+    one Lse row per head) — no DES involved, so an observed trace's
+    comm-busy seconds can be cross-checked against the paper's Table-1
+    cost terms independently of the overlap model.
     """
     hops, _ = attention_pass_transitions(
         method, topology, workload, backward=backward, ring_window=ring_window
     )
-    sizes = attention_step_sizes(
-        workload.seq_len, workload.hidden, topology.world_size,
-        workload.bytes_per_elem,
+    payload = workload.bundle_bytes(
+        attention_pass_bundle(method, workload, backward=backward),
+        topology.world_size,
     )
-    if not backward:
-        payload = sizes["fwd"]
-    elif METHOD_DES_FLAGS[method]["alg2"] is False:
-        payload = sizes["bwd_alg1"]
-    else:  # incl. burst-adaptive: at the forms' kv_ratio of 1 it picks Alg. 2
-        payload = sizes["bwd_alg2"]
     return sum(link_time(topology, payload, LinkClass(res)) for res, _ in hops)

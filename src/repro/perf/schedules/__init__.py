@@ -1,7 +1,6 @@
 """DES task-graph builders for attention passes and end-to-end steps."""
 
 from repro.perf.schedules.attention import (
-    ATTENTION_SCHEDULES,
     AttentionWorkload,
     attention_pass_time,
     degraded_attention_pass_time,
@@ -13,7 +12,6 @@ from repro.perf.schedules.end_to_end import (
 )
 
 __all__ = [
-    "ATTENTION_SCHEDULES",
     "AttentionWorkload",
     "attention_pass_time",
     "degraded_attention_pass_time",

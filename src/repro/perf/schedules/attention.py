@@ -21,25 +21,37 @@ NVLink channel ``intra``, and its NIC ``inter``:
 * **usp**: Ulysses inside each node (intra-link all-to-all) + a flat ring
   of Algorithm 1 over the node-striding ring groups.
 
-The ring-family graph has one builder, :func:`attention_pass_sim`, driven
-by :data:`METHOD_DES_FLAGS`; :func:`attention_pass_time` is its makespan,
+The ring-family graph has one builder, :func:`attention_pass_sim` — the
+second interpreter of the description ``attention.ring.ring_pass``
+executes: :func:`attention_pass_transitions` walks the method's own
+:class:`~repro.comm.RingSchedule` (:data:`repro.comm.ring.RING_METHODS`)
+with the executor's calls and prices each hop off the pass's
+:class:`~repro.comm.ring.BundleLayout`; :data:`METHOD_DES_FLAGS` adds only
+what the DES alone knows.  :func:`attention_pass_time` is the makespan,
 and the predicted trace and the observed-pass replay of :mod:`repro.obs`
 draw and re-price the same graph.  A backward pass ends with the
-return-to-owner hop — a task on the last transition's link, like any
-other transfer, never a scalar added afterwards.
+return-to-owner hop — a task like any other transfer, never a scalar
+added afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.comm import double_ring_schedule
-from repro.perf.cost import (
-    bidirectional_step_split,
-    flat_ring_step_time,
-    link_time,
-    matmul_time,
+from repro.comm.ring import (
+    ALG1_BUNDLE,
+    ALG2_BUNDLE,
+    KV_BUNDLE,
+    RING_METHODS,
+    BundleLayout,
+    RingMethod,
+    RingSchedule,
+    bidirectional_split,
+    cheaper_backward_bundle,
+    double_ring_schedule,
+    global_ring_schedule,
 )
+from repro.perf.cost import link_time, matmul_time
 from repro.perf.des import Simulator
 from repro.topology import ClusterTopology, LinkClass
 
@@ -82,9 +94,19 @@ class AttentionWorkload:
         """One query-width shard-sized buffer in bytes."""
         return self.seq_len / world * self.hidden * self.bytes_per_elem
 
-    def kv_shard_bytes(self, world: int) -> float:
-        """One KV-width shard (narrower than query width under GQA)."""
-        return self.shard_bytes(world) * self.kv_ratio
+    def head_shape(self) -> tuple[float, float, float]:
+        """``(n_q_heads, n_kv_heads, head_dim)`` as a bundle layout sizes
+        them (the KV head count may be fractional)."""
+        return self.n_heads, self.n_heads * self.kv_ratio, self.hidden / self.n_heads
+
+    def bundle_bytes(
+        self, bundle: BundleLayout, world: int, which: str = "all"
+    ) -> float:
+        """Bytes of ``bundle``'s ``which`` slots for one rank's shard — the
+        executed size, ``n_heads`` D / Lse rows per token included."""
+        return self.bytes_per_elem * bundle.elems(
+            self.seq_len / world, *self.head_shape(), which
+        )
 
 
 def _pipelined_ring(
@@ -93,10 +115,15 @@ def _pipelined_ring(
     transitions: list[tuple[str, float]],
     step_compute: float,
     grad_dependent: bool,
+    rev_transitions: list[tuple[str, float]] = (),
+    steps: int | None = None,
 ) -> list[str]:
-    """Ring circulation with double-buffered pipelining.
+    """Ring circulation with double-buffered pipelining, over one stream
+    or two counter-rotating ones — the graph twin of ``ring_pass``'s loop.
 
-    ``transitions`` is a list of ``(resource, duration)`` per transition.
+    ``transitions`` / ``rev_transitions`` list ``(resource, duration)`` per
+    hop of the forward / reverse stream; ``steps`` compute rounds default
+    to one more than the forward transitions.
 
     * ``grad_dependent=False`` — activation pattern (Fig. 5 top): the
       circulating data needs no compute, so communication chains only on
@@ -107,64 +134,31 @@ def _pipelined_ring(
       whole circulation is gated only by the warm-up and the two resource
       chains (compute and links) running concurrently.
 
+    The reverse stream runs concurrently on the opposite-direction
+    channels (``intra-rev`` / ``inter-rev`` — full-duplex links).  Compute
+    step ``t`` is fed by forward delivery ``t - 1`` while ``t`` is in the
+    forward stream's half and by reverse move ``steps - t`` afterwards, so
+    the comm-bound critical path is ``max`` of the two chains rather than
+    their sum.
+
     Returns the chain tails — the last compute task and the last transfer
     on each link — whose latest end is the makespan so far.
     """
-    steps = len(transitions) + 1
-    comm_prev: dict[str, str] = {}
-    compute_prev = ""
-    delivered: str | None = None
-    for t in range(steps):
-        deps = []
-        if compute_prev:
-            deps.append(compute_prev)
-        if not grad_dependent and delivered is not None:
-            deps.append(delivered)
-        cname = f"{prefix}c{t}"
-        sim.add(cname, step_compute, resources=("compute",), deps=deps)
-        compute_prev = cname
-        if t < len(transitions):
-            res, dur = transitions[t]
-            deps_m = []
-            if res in comm_prev:
-                deps_m.append(comm_prev[res])
-            if grad_dependent:
-                # every transfer waits for the warm-up round only;
-                # sub-chunk double buffering hides the per-slot coupling
-                deps_m.append(f"{prefix}c0")
-            mname = f"{prefix}m{t}"
-            sim.add(mname, dur, resources=(res,), deps=deps_m)
-            comm_prev[res] = mname
-            delivered = mname
-    return [compute_prev, *comm_prev.values()]
-
-
-def _bidirectional_ring(
-    sim: Simulator,
-    prefix: str,
-    steps: int,
-    fwd_transitions: list[tuple[str, float]],
-    rev_transitions: list[tuple[str, float]],
-    step_compute: float,
-    grad_dependent: bool,
-) -> list[str]:
-    """Ring circulation split across two counter-rotating streams.
-
-    The forward stream keeps the ``intra`` / ``inter`` link resources; the
-    reverse stream runs concurrently on the opposite-direction channels
-    (``intra-rev`` / ``inter-rev`` — full-duplex links).  Compute step ``t``
-    is fed by forward delivery ``t - 1`` while ``t`` is in the forward
-    stream's half and by reverse move ``steps - t`` afterwards, so the
-    comm-bound critical path is ``max`` of the two chains rather than their
-    sum.  ``grad_dependent`` keeps the delayed double-buffer semantics of
-    :func:`_pipelined_ring` (transfers wait only on the warm-up round) and
-    returns the same chain tails.
-    """
+    if steps is None:
+        steps = len(transitions) + 1
     rev_serves_from = steps - len(rev_transitions)
     compute_prev = ""
     comm_prev: dict[str, str] = {}
     fwd_names: list[str] = []
     rev_names: list[str] = []
+
+    def transfer(name: str, res: str, dur: float, deps: list[str]) -> str:
+        if res in comm_prev:
+            deps = [comm_prev[res], *deps]
+        sim.add(name, dur, resources=(res,), deps=deps)
+        comm_prev[res] = name
+        return name
+
     for t in range(steps):
         deps = []
         if compute_prev:
@@ -178,112 +172,81 @@ def _bidirectional_ring(
         cname = f"{prefix}c{t}"
         sim.add(cname, step_compute, resources=("compute",), deps=deps)
         compute_prev = cname
-        if t < len(fwd_transitions):
-            res, dur = fwd_transitions[t]
-            deps_m = [comm_prev[res]] if res in comm_prev else []
-            if grad_dependent:
-                deps_m.append(f"{prefix}c0")
-            mname = f"{prefix}mf{t}"
-            sim.add(mname, dur, resources=(res,), deps=deps_m)
-            comm_prev[res] = mname
-            fwd_names.append(mname)
+        if t < len(transitions):
+            res, dur = transitions[t]
+            # every gradient transfer waits for the warm-up round only;
+            # sub-chunk double buffering hides the per-slot coupling
+            warmup = [f"{prefix}c0"] if grad_dependent else []
+            fwd_names.append(transfer(f"{prefix}m{t}", res, dur, warmup))
         if t < len(rev_transitions):
             res, dur = rev_transitions[t]
-            rres = f"{res}-rev"
-            deps_r = [comm_prev[rres]] if rres in comm_prev else []
-            rname = f"{prefix}mr{t}"
-            sim.add(rname, dur, resources=(rres,), deps=deps_r)
-            comm_prev[rres] = rname
-            rev_names.append(rname)
+            rev_names.append(transfer(f"{prefix}mr{t}", f"{res}-rev", dur, []))
     return [compute_prev, *comm_prev.values()]
 
 
-def _rev_transition_list(
-    transitions: list[tuple[str, float]], rev_moves: int
-) -> list[tuple[str, float]]:
-    """Per-move ``(resource, duration)`` of the reverse stream.
-
-    Move ``s >= 2`` retraces forward transition ``S - s`` backwards, so it
-    reuses that transition's link class; the seeding exchange (``s = 1``)
-    is priced like the return-to-owner hop it replaces (the last
-    transition's link).
-    """
-    if rev_moves == 0:
-        return []
-    num_steps = len(transitions) + 1
-    out = [transitions[-1]]
-    for s in range(2, rev_moves + 1):
-        out.append(transitions[num_steps - s])
-    return out
-
-
-def _transition_durations(
-    topology: ClusterTopology, payload: float, flat: bool,
-    window: int | None = None,
-) -> list[tuple[str, float]]:
-    """Per-transition ``(resource, duration)`` for a full circulation."""
-    g = topology.world_size
-    if flat:
-        dur = flat_ring_step_time(topology, payload)
-        res = "inter" if topology.num_nodes > 1 else "intra"
-        return [(res, dur)] * (g - 1)
-    out = []
-    sched = double_ring_schedule(topology, window=window)
-    for t in range(len(sched.transitions)):
-        cls = sched.transition_link_class(t)
-        res = "intra" if cls is LinkClass.INTRA else "inter"
-        out.append((res, link_time(topology, payload, cls)))
-    return out
-
-
-#: Methods the engine executes; the other ring rows below are ablations.
-ATTENTION_SCHEDULES = (
-    "megatron-cp",
-    "loongtrain-double",
-    "burst",
-    "ulysses",
-    "usp",
-)
-
-#: How each ring-family method's pass graph is built.  ``flat``: one
-#: lockstep global ring instead of the topology-aware double ring.
+#: What the DES alone knows about each ring-family pass graph; schedule and
+#: backward bundle come from :data:`repro.comm.ring.RING_METHODS`.
 #: ``serialize_gradients``: Algorithm 1's gradient buffers drain serially
-#: after compute instead of riding the delayed double buffer.  ``alg2``:
-#: the backward circulates Algorithm 2's bundle (``None``: whichever
-#: bundle is smaller for the workload).
+#: after compute instead of riding the delayed double buffer.  ``ring``:
+#: the schedule / bundle pairing of an ablation row no executed method has.
 METHOD_DES_FLAGS = {
-    "megatron-cp": dict(flat=True, serialize_gradients=True, alg2=False),
-    "loongtrain-double": dict(flat=False, serialize_gradients=True, alg2=False),
-    "burst": dict(flat=False, serialize_gradients=False, alg2=True),
+    "megatron-cp": dict(serialize_gradients=True),
+    "loongtrain-double": dict(serialize_gradients=True),
+    "burst": dict(serialize_gradients=False),
     # Ablations: Alg. 2 without the topology-aware ring; the topology ring
     # with Alg. 1 overlapped; the GQA extension's adaptive bundle.
-    "burst-flat": dict(flat=True, serialize_gradients=False, alg2=True),
-    "double-alg1-overlap": dict(flat=False, serialize_gradients=False, alg2=False),
-    "burst-adaptive": dict(flat=False, serialize_gradients=False, alg2=None),
+    "burst-flat": dict(
+        serialize_gradients=False,
+        ring=RingMethod(global_ring_schedule, ALG2_BUNDLE),
+    ),
+    "double-alg1-overlap": dict(
+        serialize_gradients=False,
+        ring=RingMethod(double_ring_schedule, ALG1_BUNDLE),
+    ),
+    "burst-adaptive": dict(
+        serialize_gradients=False,
+        ring=RingMethod(double_ring_schedule, None),
+    ),
 }
 
 
-def _ring_model(
-    method: str, workload: AttentionWorkload, ring_mode: str,
-    ring_window: int | None,
-) -> tuple[dict, bool, int | None]:
-    """``(flags, bidirectional, window)`` the method's graph is built with.
-
-    ``ring_window`` is a knob of the burst schedules only, and only the
-    methods the engine executes have a bidirectional mode to model; the
-    other rows price their one configuration whatever is passed.
-    """
+def _ring_row(
+    method: str, ring_mode: str = "unidirectional"
+) -> tuple[dict, RingMethod, bool]:
+    """``(flags, ring, bidirectional)``: a ring-family method's DES flags,
+    its schedule / bundle row, and whether ``ring_mode`` is modeled — only
+    the methods the engine executes have a bidirectional mode; the
+    ablation rows price their one configuration whatever is passed."""
     if method not in METHOD_DES_FLAGS:
         raise ValueError(
             f"no DES pass graph for method {method!r}; "
             f"expected one of {sorted(METHOD_DES_FLAGS)}"
         )
-    flags = dict(METHOD_DES_FLAGS[method])
-    if flags["alg2"] is None:
-        # query-sized Alg. 2 vs KV-sized Alg. 1, both delayed-overlapped
-        flags["alg2"] = 3 + 2 / workload.hidden <= 4 * workload.kv_ratio
-    bidirectional = ring_mode == "bidirectional" and method in ATTENTION_SCHEDULES
-    return flags, bidirectional, ring_window if method.startswith("burst") else None
+    flags = METHOD_DES_FLAGS[method]
+    bidirectional = ring_mode == "bidirectional" and method in RING_METHODS
+    return flags, flags.get("ring") or RING_METHODS[method], bidirectional
+
+
+def attention_pass_bundle(
+    method: str, workload: AttentionWorkload, *, backward: bool
+) -> BundleLayout:
+    """The bundle layout the method's pass circulates for ``workload``."""
+    if not backward:
+        return KV_BUNDLE
+    ring = _ring_row(method)[1]
+    return ring.backward or cheaper_backward_bundle(*workload.head_shape())
+
+
+def _mixed_link_class(schedule: RingSchedule) -> LinkClass:
+    """Link class the DES prices a *mixed* permutation on.
+
+    The return-to-owner hop and the reverse stream's seeding exchange are
+    no ring shift but a permutation that may mix inner and outer hops; by
+    convention both are priced on the last transition's link.  (The
+    executor classes them by their slowest pair,
+    ``schedule.reverse_link_class(1)`` — ROADMAP open finding.)
+    """
+    return schedule.transition_link_class(schedule.num_steps - 2)
 
 
 def attention_pass_transitions(
@@ -303,41 +266,58 @@ def attention_pass_transitions(
     the read-only bundle parts across the streams (``T_f = S // 2``
     forward transitions, ``R = (S - 1) // 2`` reverse moves) while the
     gradient accumulators ride all ``S - 1`` forward transitions and go
-    home alone.
+    home alone — the walk ``ring_pass`` and ``BidirectionalFlow`` execute.
+
+    ``ring_window`` is a knob of the burst double rings only; the other
+    rows price their one schedule whatever is passed.
     """
-    flags, bidirectional, window = _ring_model(
-        method, workload, ring_mode, ring_window
-    )
-    g = topology.world_size
-    shard = workload.shard_bytes(g)
-    kv_shard = workload.kv_shard_bytes(g)
-    hidden = workload.hidden
-    t_f, rev_moves = bidirectional_step_split(g)
-
-    def durations(payload: float) -> list[tuple[str, float]]:
-        return _transition_durations(topology, payload, flags["flat"], window)
-
-    if not backward:
-        kv = durations(2 * kv_shard)  # K + V; nothing returns
-        if bidirectional:
-            return kv[:t_f], _rev_transition_list(kv, rev_moves)
-        return kv, []
-    if flags["alg2"]:
-        full = durations(shard * (3 + 2 / hidden))  # Q + dQ + dO + (D, Lse)
-        if not bidirectional:
-            return full + full[-1:], []
-        acc = durations(shard)                      # dQ alone
-        ro = durations(shard * (2 + 2 / hidden))    # Q + dO + (D, Lse)
+    flags, ring, bidirectional = _ring_row(method, ring_mode)
+    if method.startswith("burst") and ring.schedule is double_ring_schedule:
+        schedule = double_ring_schedule(topology, window=ring_window)
     else:
-        acc = ro = durations(2 * kv_shard)          # (dK, dV) / (K, V)
-        if not bidirectional:
-            # (K, V) and (dK, dV) are separate messages per transition;
-            # when the gradients drain serially only they go home.
-            both = [(res, dur + dur) for res, dur in acc]
-            hop = acc if flags["serialize_gradients"] else both
-            return both + hop[-1:], []
-        full = durations(4 * kv_shard)              # K + V + dK + dV
-    return full[:t_f] + acc[t_f:] + acc[-1:], _rev_transition_list(ro, rev_moves)
+        schedule = ring.schedule(topology)
+    bundle = attention_pass_bundle(method, workload, backward=backward)
+    g = topology.world_size
+    n = schedule.num_steps - 1
+    t_f, rev_moves = (
+        bidirectional_split(schedule.num_steps) if bidirectional else (n, 0)
+    )
+
+    size = {
+        which: workload.bundle_bytes(bundle, g, which)
+        for which in ("all", "carried", "read-only")
+    }
+
+    def hop(cls: LinkClass, *messages: str) -> tuple[str, float]:
+        return cls.value, sum(
+            link_time(topology, size[which], cls) for which in messages
+        )
+
+    # One-way Algorithm 1 sends (K, V) and (dK, dV) as two messages per
+    # transition (the serial gradient drain takes the second on its own);
+    # every other hop is one message.
+    whole = (
+        ("read-only", "carried")
+        if bundle is ALG1_BUNDLE and not bidirectional else ("all",)
+    )
+    fwd = [
+        hop(schedule.transition_link_class(t),
+            *(whole if t < t_f else ("carried",)))
+        for t in range(n if bundle.carried else t_f)
+    ]
+    if bundle.carried and n:
+        # Only the accumulators go home once the reverse stream has taken
+        # the read-only slots, or when the gradients drain serially.
+        alone = bidirectional or flags["serialize_gradients"]
+        fwd.append(hop(
+            _mixed_link_class(schedule), *(("carried",) if alone else whole)
+        ))
+    rev = [
+        hop(_mixed_link_class(schedule) if s == 1
+            else schedule.reverse_link_class(s), "read-only")
+        for s in range(1, rev_moves + 1)
+    ]
+    return fwd, rev
 
 
 def attention_pass_sim(
@@ -370,7 +350,7 @@ def attention_pass_sim(
     circulation and the serial gradient drain, and takes the return hop —
     which nothing is left to overlap — as given.
     """
-    flags, bidirectional, _ = _ring_model(method, workload, ring_mode, ring_window)
+    flags, _, bidirectional = _ring_row(method, ring_mode)
     g = topology.world_size
     peak = peak_flops if peak_flops is not None else topology.node.gpu.peak_flops
     flops = workload.fwd_flops_per_gpu(g)
@@ -397,11 +377,7 @@ def attention_pass_sim(
     tail = [fwd_list.pop()] if backward and fwd_list else []  # the return hop
 
     sim = Simulator()
-    if bidirectional:
-        ends = _bidirectional_ring(
-            sim, prefix, g, fwd_list, rev_list, step_compute, backward
-        )
-    elif backward and flags["serialize_gradients"] and not flags["alg2"]:
+    if backward and flags["serialize_gradients"] and not bidirectional:
         # LoongTrain / Megatron: the (K, V) half of every transition
         # overlaps compute, the (dK, dV) half drains serially after it
         # (Table 1's +2(I·T_i + E·T_e)).
@@ -409,7 +385,9 @@ def attention_pass_sim(
         ends = _pipelined_ring(sim, prefix, halves, step_compute, False)
         tail = halves + tail
     else:
-        ends = _pipelined_ring(sim, prefix, fwd_list, step_compute, backward)
+        ends = _pipelined_ring(
+            sim, prefix, fwd_list, step_compute, backward, rev_list, steps=g
+        )
     names = [f"{prefix}g{t}" for t in range(len(tail) - 1)] + [f"{prefix}return"]
     for name, (res, dur) in zip(names, tail):
         sim.add(name, dur, resources=(res,), deps=ends)

@@ -25,16 +25,10 @@ import numpy as np
 from repro.attention import METHOD_REGISTRY
 from repro.attention.verify import MASKS, verify_method
 from repro.comm import FailureDetector, RankFailure
+from repro.comm.ring import RING_METHODS, check_ring_mode
 from repro.resilience.rank_faults import RANK_FAULT_REGISTRY, make_rank_fault
 from repro.testing.faults import make_fault
 from repro.topology import a800_node, make_cluster
-
-#: Ring-family methods accept grouped-query KV heads.
-GQA_METHODS = ("megatron-cp", "loongtrain-double", "burst")
-
-#: Ring-family methods also accept the ``ring_mode`` axis (the
-#: bidirectional variant must stay bitwise-identical on any legal problem).
-RING_MODE_METHODS = GQA_METHODS
 
 #: (nodes, gpus_per_node) pool — includes non-power-of-two world sizes.
 TOPO_POOL = [
@@ -152,17 +146,15 @@ class FuzzCase:
                 raise ValueError(f"usp degree {u} infeasible for G={g}, "
                                  f"H={self.n_heads}")
         if self.n_kv_heads is not None:
-            if self.method not in GQA_METHODS:
+            if self.method not in RING_METHODS:
                 raise ValueError(f"{self.method} does not support GQA")
             if self.n_heads % self.n_kv_heads != 0:
                 raise ValueError("n_heads not divisible by n_kv_heads")
-        if self.ring_mode not in ("unidirectional", "bidirectional"):
-            raise ValueError(f"unknown ring_mode {self.ring_mode!r}")
-        if (self.ring_mode != "unidirectional"
-                and self.method not in RING_MODE_METHODS):
+        if (check_ring_mode(self.ring_mode) != "unidirectional"
+                and self.method not in RING_METHODS):
             raise ValueError(
                 f"{self.method} does not take a ring_mode; only "
-                f"{', '.join(RING_MODE_METHODS)} do"
+                f"{', '.join(RING_METHODS)} do"
             )
         if (self.rank_failure is not None
                 and self.rank_failure not in RANK_FAULT_REGISTRY):
@@ -197,13 +189,13 @@ def sample_case(rng: np.random.Generator, smoke: bool = False) -> FuzzCase:
         n_heads = ulysses_degree * int(rng.integers(1, 3))
     else:
         n_heads = int(rng.choice([1, 2, 3, 4]))
-        if method in GQA_METHODS and n_heads > 1 and rng.random() < 0.5:
+        if method in RING_METHODS and n_heads > 1 and rng.random() < 0.5:
             kv_divs = [d for d in _divisors(n_heads) if d < n_heads]
             n_kv_heads = int(kv_divs[rng.integers(len(kv_divs))])
     block_size = int(rng.choice([4, 8, 16]))
     dtype = "float64" if smoke else DTYPE_POOL[rng.integers(len(DTYPE_POOL))]
     ring_mode = "unidirectional"
-    if method in RING_MODE_METHODS and rng.random() < 1 / 3:
+    if method in RING_METHODS and rng.random() < 1 / 3:
         ring_mode = "bidirectional"
     rank_failure = None
     if rng.random() < 1 / 6:

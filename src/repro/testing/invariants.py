@@ -11,7 +11,10 @@ methods through a :class:`~repro.comm.SimCommunicator`, read the
 
 * every forward hop carries exactly ``attention_step_sizes(...)["fwd"]``
   bytes and every backward hop exactly the bundle of its algorithm
-  (``4·(S/G)·h`` for Algorithm 1, ``(3h + 2H)·(S/G)`` for Algorithm 2);
+  (``4·(S/G)·h`` for Algorithm 1, ``(3h + 2H)·(S/G)`` for Algorithm 2) —
+  the sizes of the layouts declared in :mod:`repro.comm.ring`, which is
+  also where a method's backward algorithm and schedule are looked up
+  (:data:`~repro.comm.ring.RING_METHODS`);
 * per-rank totals land exactly on the paper's ``4Nd`` (flat/double ring)
   and ``3Nd + 2N`` (burst) element counts, for any topology — including
   the degenerate case where a rank's bundle is already home at the final
@@ -29,6 +32,7 @@ import numpy as np
 
 from repro.attention import get_method
 from repro.comm import SimCommunicator, TrafficLog
+from repro.comm.ring import ALG2_BUNDLE, KV_BUNDLE, RING_METHODS, backward_bundle
 from repro.masks import MaskPattern
 from repro.perf.cost import (
     attention_step_sizes,
@@ -37,13 +41,6 @@ from repro.perf.cost import (
     table1_comm_times,
 )
 from repro.topology import ClusterTopology
-
-#: Backward algorithm per ring-family method (which bundle circulates).
-RING_BACKWARDS = {
-    "megatron-cp": "alg1",
-    "loongtrain-double": "alg1",
-    "burst": "alg2",
-}
 
 _F64_BYTES = 8  # the simulator's numerics are float64
 
@@ -78,7 +75,7 @@ def expected_forward_elems(seq_len: int, head_dim: int, n_heads: int = 1) -> int
     over the ring — K and V each travel G-1 hops.  Returned as the exact
     integer for one rank (multiply of the paper's ``2Nd`` by (G-1)/G is
     applied by the caller, which knows G)."""
-    return 2 * seq_len * head_dim * n_heads
+    return KV_BUNDLE.elems(seq_len, n_heads, n_heads, head_dim)
 
 
 def expected_backward_elems(
@@ -90,11 +87,7 @@ def expected_backward_elems(
     * ``alg2``: ``3Nd + 2N`` per head slot (Q, dQ, dO + the two
       scalar-per-row statistics D and Lse).
     """
-    if algorithm == "alg1":
-        return 4 * seq_len * head_dim * n_heads
-    if algorithm == "alg2":
-        return (3 * head_dim + 2) * seq_len * n_heads
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    return backward_bundle(algorithm).elems(seq_len, n_heads, n_heads, head_dim)
 
 
 def _run_method(
@@ -118,7 +111,7 @@ def _run_method(
 def _return_fixed_points(method, topology: ClusterTopology) -> set[int]:
     """Ranks whose circulating bundle is already home before the final
     return permutation (the exchange records nothing for them)."""
-    perm = method._schedule(topology).return_permutation()
+    perm = method.schedule(topology).return_permutation()
     return {r for r, dst in enumerate(perm) if r == dst}
 
 
@@ -140,11 +133,11 @@ def check_traffic_invariants(
     head-folded generalisation; at ``n_heads == 1`` the assertions are the
     paper's literal ``2Nd`` / ``4Nd`` / ``3Nd + 2N``.
     """
-    if method_name not in RING_BACKWARDS:
+    if method_name not in RING_METHODS:
         raise ValueError(
             f"traffic invariants cover ring-family methods, got {method_name!r}"
         )
-    algorithm = RING_BACKWARDS[method_name]
+    algorithm = RING_METHODS[method_name].backward.name
     g = topology.world_size
     report = InvariantReport(
         name=f"traffic[{method_name}, G={g}, N={seq_len}, d={head_dim}, "
@@ -158,25 +151,17 @@ def check_traffic_invariants(
     # model states sizes in bytes of one circulating bundle per transition;
     # heads are folded into the hidden size.  Algorithm 2's "+2" rows (D,
     # Lse) are per-head scalars, hence the (3h + 2H) generalisation.
-    hidden = n_heads * head_dim
-    sizes = attention_step_sizes(seq_len, hidden, g, bytes_per_elem=_F64_BYTES)
-    shard = seq_len // g
+    sizes = attention_step_sizes(
+        seq_len, n_heads * head_dim, g, bytes_per_elem=_F64_BYTES,
+        n_heads=n_heads,
+    )
     fwd_hop = {r.nbytes for r in log.records if r.phase == "attn-fwd"}
     report.record(
         fwd_hop == {int(sizes["fwd"])},
         f"forward hop bytes {sorted(fwd_hop)} == attention_step_sizes fwd "
         f"{sizes['fwd']:.0f}",
     )
-    if algorithm == "alg1":
-        expected_bwd_hop = int(sizes["bwd_alg1"])
-    else:
-        expected_bwd_hop = (3 * hidden + 2 * n_heads) * shard * _F64_BYTES
-        if n_heads == 1:
-            report.record(
-                expected_bwd_hop == int(sizes["bwd_alg2"]),
-                "Alg.2 hop formula coincides with attention_step_sizes "
-                "bwd_alg2 at H=1",
-            )
+    expected_bwd_hop = int(sizes[f"bwd_{algorithm}"])
     bwd_hop = {r.nbytes for r in log.records if r.phase == "attn-bwd"}
     report.record(
         bwd_hop == {expected_bwd_hop},
@@ -235,7 +220,7 @@ def check_table1_consistency(
     analytic = table1_comm_times(topology, seq_len, hidden, bytes_per_elem=2)
 
     observed_hop = {}
-    for name in RING_BACKWARDS:
+    for name in RING_METHODS:
         _, log = _run_method(
             name, topology, seq_len, hidden, 1, mask=None, seed=seed
         )
@@ -262,9 +247,11 @@ def check_table1_consistency(
         rounds_bwd["megatron-cp"] == 4.0 and rounds_bwd["loongtrain-double"] == 4.0,
         f"Alg.1 backward rounds observed {rounds_bwd['megatron-cp']} == 4",
     )
+    paper_rounds = ALG2_BUNDLE.elems(1, 1, 1, hidden) / hidden  # H = 1
     report.record(
-        abs(rounds_bwd["burst"] - (3 + 2 / hidden)) < 1e-12,
-        f"Alg.2 backward rounds observed {rounds_bwd['burst']} == 3 + 2/h",
+        abs(rounds_bwd["burst"] - paper_rounds) < 1e-12,
+        f"Alg.2 backward rounds observed {rounds_bwd['burst']} == "
+        f"{paper_rounds} (the H = 1 bundle)",
     )
 
     rederived = {
@@ -396,7 +383,7 @@ def check_all_invariants(
     reports = []
     for topo in topologies:
         seq_len = 2 * topo.world_size * shard_mult
-        for name in RING_BACKWARDS:
+        for name in RING_METHODS:
             reports.append(
                 check_traffic_invariants(
                     name, topo, seq_len=seq_len, head_dim=head_dim

@@ -141,6 +141,7 @@ class TestModuleBitwise:
         def run(policy):
             block = TransformerBlock(
                 16, 2, 32, np.random.default_rng(4), policy=policy,
+                mlp_chunk_size=16,
             )
             x = Tensor(x_data.copy(), requires_grad=True)
             block(x).backward(dy)
@@ -149,22 +150,10 @@ class TestModuleBitwise:
                 block.ffn.up.weight.grad, block.ffn.down.weight.grad,
             )
 
-        eager = run(CheckpointPolicy(mlp_chunk_size=16))
-        ckpt = run(CheckpointPolicy(
-            mode=CheckpointMode.FULL, mlp_chunk_size=16,
-        ))
+        eager = run(CheckpointPolicy())
+        ckpt = run(CheckpointPolicy(mode=CheckpointMode.FULL))
         for a, b in zip(eager, ckpt):
             assert np.array_equal(a, b)
-
-    def test_set_policy_switches_ffn_to_blockwise(self):
-        block = TransformerBlock(16, 2, 32, np.random.default_rng(0))
-        assert block.ffn.mlp_chunk_size is None
-        block.set_policy(CheckpointPolicy.parse("full", mlp_chunk_size=8))
-        assert block.ffn.mlp_chunk_size == 8
-
-    def test_policy_validates_chunk_size(self):
-        with pytest.raises(ValueError, match="mlp_chunk_size"):
-            CheckpointPolicy(mlp_chunk_size=0)
 
 
 class TestMemoryPins:

@@ -11,11 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.attention import get_method
+from repro.comm.ring import RING_METHODS, bidirectional_split, double_ring_schedule
 from repro.engine import BurstEngine, EngineConfig
 from repro.nn import CheckpointPolicy, TransformerConfig
 from repro.nn.checkpoint import CheckpointMode
 from repro.perf.cost import link_time
-from repro.perf.schedules.attention import AttentionWorkload, attention_pass_time
+from repro.perf.schedules.attention import (
+    AttentionWorkload,
+    attention_pass_time,
+    attention_pass_transitions,
+)
 from repro.topology import LinkClass, a800_node, make_cluster
 
 
@@ -37,11 +43,13 @@ class TestDESvsClosedForms:
         assert des == pytest.approx(max(28 * t_intra, 3 * t_inter), rel=1e-9)
 
     def test_burst_backward_commbound_closed_form(self):
-        """Alg. 2 comm-bound: overlapped phases + the intra return hop."""
+        """Alg. 2 comm-bound: overlapped phases + the intra return hop.
+        The payload is the executed bundle: Q, dQ, dO shards plus one D and
+        one Lse row per head (the paper's ``3 + 2/h`` is one head)."""
         wl = AttentionWorkload(seq_len=1 << 20, hidden=5120, n_heads=40)
         des = attention_pass_time("burst", TOPO32, wl, backward=True,
                                   peak_flops=HUGE_FLOPS)
-        payload = wl.shard_bytes(32) * (3 + 2 / 5120)
+        payload = wl.shard_bytes(32) * (3 + 2 * 40 / 5120)
         t_intra = link_time(TOPO32, payload, LinkClass.INTRA)
         t_inter = link_time(TOPO32, payload, LinkClass.INTER)
         expected = max(28 * t_intra, 3 * t_inter) + t_intra
@@ -106,6 +114,56 @@ class TestDESvsClosedForms:
         for link in prof.busy_time_by_link:
             expected = max(v for (l, _), v in manual.items() if l == link)
             assert prof.busy_time_by_link[link] == pytest.approx(expected)
+
+
+#: (nodes, gpus_per_node): single GPU, single node, the paper's shapes and
+#: non-power-of-two worlds.
+WALK_SHAPES = [(1, 1), (1, 2), (1, 4), (1, 8), (2, 2), (2, 3), (2, 4),
+               (3, 3), (4, 2), (2, 8), (4, 8)]
+
+
+class TestDESWalksTheExecutedSchedule:
+    """The DES hop lists are a walk of the ``RingSchedule`` the method
+    executes — same link class at every position of both streams — with
+    the one stated exception: the two mixed permutations (return hop,
+    reverse seed) sit on the last transition's link."""
+
+    @pytest.mark.parametrize("ring_mode", ["unidirectional", "bidirectional"])
+    @pytest.mark.parametrize("shape", WALK_SHAPES,
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("method", sorted(RING_METHODS))
+    def test_stream_resources_are_the_schedules_link_classes(
+        self, method, shape, ring_mode
+    ):
+        nodes, gpn = shape
+        topo = make_cluster(nodes * gpn, node=a800_node(gpus_per_node=gpn))
+        wl = AttentionWorkload(seq_len=1 << 16, hidden=256, n_heads=4)
+        executed = get_method(method).schedule(topo)
+        windows = [None]
+        if method == "burst":  # ring_window re-sizes the burst inner ring
+            windows += [w for w in range(1, topo.world_size + 1)
+                        if topo.world_size % w == 0]
+        for window in windows:
+            sched = (executed if window is None
+                     else double_ring_schedule(topo, window=window))
+            n = sched.num_steps - 1
+            classes = [sched.transition_link_class(t).value for t in range(n)]
+            t_f, rev_moves = (
+                bidirectional_split(sched.num_steps)
+                if ring_mode == "bidirectional" else (n, 0)
+            )
+            for backward in (False, True):
+                fwd, rev = attention_pass_transitions(
+                    method, topo, wl, backward=backward, ring_mode=ring_mode,
+                    ring_window=window,
+                )
+                want_fwd = classes + classes[-1:] if backward else classes[:t_f]
+                assert [res for res, _ in fwd] == want_fwd, (window, backward)
+                want_rev = classes[-1:] * min(rev_moves, 1) + [
+                    sched.reverse_link_class(s).value
+                    for s in range(2, rev_moves + 1)
+                ]
+                assert [res for res, _ in rev] == want_rev, (window, backward)
 
 
 class TestSelectiveEqualsRing:

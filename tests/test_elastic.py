@@ -578,6 +578,25 @@ class TestElasticRecovery:
         assert result.tolerated_stragglers  # extensions were granted
         assert all(r == 2 for r, _, _ in result.tolerated_stragglers)
 
+    def test_step_targeted_fault_fires_through_train_step(self):
+        """``train_step`` and ``Trainer.fit`` run one executor, so a fault
+        aimed at "step 1" fires there on either entry point."""
+        from repro.engine import BurstEngine
+        from repro.resilience.chaos import (
+            ELASTIC_SEQ, _make_batches, _make_elastic_config, _topology,
+        )
+
+        topo = _topology()
+        comm = FailureDetector(
+            make_rank_fault("crash", topo, rank=1, at_step=1, at_call=1)
+        )
+        engine = BurstEngine(_make_elastic_config("burst"), comm=comm)
+        ids, targets = _make_batches(seed=0, seq=ELASTIC_SEQ)[0]
+        engine.train_step(ids, targets)  # step 0 is healthy
+        with pytest.raises(RankFailure) as exc_info:
+            engine.train_step(ids, targets)
+        assert (exc_info.value.rank, exc_info.value.step) == (1, 1)
+
     def test_recovery_metrics_and_summary(self):
         from repro.resilience.chaos import run_rank_fault_scenario
 

@@ -43,7 +43,6 @@ from repro.obs import (
     validate_postmortem,
 )
 from repro.obs.critical import step_windows
-from repro.obs.metrics import HISTOGRAM_SAMPLE_CAP, Histogram
 from repro.obs.tracer import Span
 from repro.resilience.rank_faults import StragglerRankComm
 from repro.topology import a800_node, make_cluster
@@ -259,12 +258,17 @@ class TestExposedCommPins:
 
     @pytest.mark.parametrize("method,ring_mode", PINNED_CELLS)
     def test_unidirectional_closed_form_is_near_exact(self, method, ring_mode):
+        """The closed form prices the bundle that ran (Alg. 2: one D and
+        one Lse row per head), so replay and closed form agree to float
+        rounding on both passes; the 5 % tolerance is for the
+        exposed-fraction pin only."""
         if ring_mode != "unidirectional":
             pytest.skip("closed forms are unidirectional-only")
         doc = attribute_trace(traced_payload(method, ring_mode))
+        assert set(doc["pins"]) == {"attn-fwd", "attn-bwd"}
         for pin in doc["pins"].values():
             assert pin["replay_comm_s"] == pytest.approx(
-                pin["closed_form_comm_s"], rel=5e-3
+                pin["closed_form_comm_s"], rel=1e-9
             )
 
     def test_ulysses_skips_pin_but_attributes(self):
@@ -357,41 +361,6 @@ class TestStragglerAttribution:
         ]
         assert spans[1].attrs["channel"] == "rev"
         assert spans[4].rank == 1 and spans[4].attrs["call"] == 2
-
-
-class TestHistogramPercentiles:
-    def test_pinned_percentiles_1_to_100(self):
-        h = Histogram("lat")
-        for v in range(1, 101):
-            h.observe(float(v))
-        stats = h.stats()
-        assert stats["p50"] == 50.0
-        assert stats["p95"] == 95.0
-        assert stats["p99"] == 99.0
-        assert stats["count"] == 100
-
-    def test_single_sample_and_labels(self):
-        h = Histogram("lat")
-        h.observe(7.0, op="send")
-        stats = h.stats(op="send")
-        assert stats["p50"] == stats["p99"] == 7.0
-
-    def test_sampling_is_bounded_but_stats_exact(self):
-        h = Histogram("lat")
-        n = HISTOGRAM_SAMPLE_CAP + 100
-        for v in range(n):
-            h.observe(float(v))
-        stats = h.stats()
-        assert stats["count"] == n
-        assert stats["max"] == float(n - 1)
-        assert len(h._samples[""]) == HISTOGRAM_SAMPLE_CAP
-        assert "p99" in stats
-
-    def test_snapshot_carries_percentiles(self):
-        h = Histogram("lat")
-        for v in (1.0, 2.0, 3.0):
-            h.observe(v)
-        assert h.snapshot()["p50"] == 2.0
 
 
 class TestFlightRecorder:

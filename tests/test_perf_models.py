@@ -136,7 +136,11 @@ class TestAttentionPassTimes:
         mha = AttentionWorkload(seq_len=SEQ_1M, hidden=8192, n_heads=64)
         gqa = AttentionWorkload(seq_len=SEQ_1M, hidden=8192, n_heads=64,
                                 kv_ratio=1 / 8)
-        assert gqa.kv_shard_bytes(32) == pytest.approx(mha.kv_shard_bytes(32) / 8)
+        from repro.comm.ring import KV_BUNDLE
+
+        assert gqa.bundle_bytes(KV_BUNDLE, 32) == pytest.approx(
+            mha.bundle_bytes(KV_BUNDLE, 32) / 8
+        )
         assert gqa.fwd_flops_per_gpu(32) == mha.fwd_flops_per_gpu(32)
 
     def test_burst_adaptive_never_slower(self):

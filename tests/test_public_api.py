@@ -282,3 +282,58 @@ class TestOneRingPassLoop:
 
         assert "run" not in vars(USPMethod) and "gather" not in vars(USPMethod)
         assert USPMethod.run is DistributedAttention.run
+
+
+class TestOneRingDescription:
+    def test_one_layout_one_table_two_interpreters(self):
+        """ROADMAP aim 2 for what circulates and when: the bundle layouts
+        and the ring-family method table are declared once, in
+        ``repro.comm.ring``; the executor hands ``ring_pass`` a declared
+        layout, the DES walks the same schedule and layout, and the
+        mirrored schedule helpers and per-module method lists are gone."""
+        import ast
+        from pathlib import Path
+
+        from repro.comm import ring
+        from repro.perf import METHOD_DES_FLAGS
+
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        removed = (
+            "bidirectional_step_split", "_rev_transition_list",
+            "_transition_durations", "RING_BACKWARDS", "GQA_METHODS",
+            "RING_MODE_METHODS",
+        )
+        ring_pass_calls = 0
+        for path in sorted(src.rglob("*.py")):
+            rel = path.relative_to(src).as_posix()
+            text = path.read_text()
+            assert [n for n in removed if n in text] == [], rel
+            for node in ast.walk(ast.parse(text)):
+                private_schedule = (
+                    isinstance(node, ast.Attribute) and node.attr == "_schedule"
+                ) or (
+                    isinstance(node, ast.Constant) and node.value == "_schedule"
+                )
+                assert not private_schedule or rel == "attention/methods.py", (
+                    f"{rel}:{node.lineno} reaches a private schedule accessor"
+                )
+                if (
+                    rel.startswith("attention/")
+                    and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "ring_pass"
+                ):
+                    ring_pass_calls += 1
+                    carried = node.args[3]
+                    tag = {kw.arg: kw.value for kw in node.keywords}["tag"]
+                    for arg, attr in ((carried, "carried"), (tag, "tag")):
+                        assert isinstance(arg, ast.Attribute), ast.dump(arg)
+                        assert arg.attr == attr
+                        assert isinstance(
+                            getattr(ring, arg.value.id), ring.BundleLayout
+                        )
+                    assert carried.value.id == tag.value.id
+        assert ring_pass_calls == 3
+        assert len(METHOD_DES_FLAGS) == 6
+        for row in METHOD_DES_FLAGS.values():
+            assert not {"flat", "alg2"} & set(row)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.attention import get_method
 from repro.comm import SimCommunicator
+from repro.comm.ring import backward_bundle
 from repro.perf.cost import attention_step_sizes, bidirectional_direction_bytes
 from repro.testing import (
     check_all_invariants,
@@ -72,9 +73,9 @@ class TestBidirectionalVolumePinned:
     same four topologies as the unidirectional ``4Nd`` / ``3Nd + 2N``
     pins."""
 
-    def _run(self, method_name, topology, n, d):
+    def _run(self, method_name, topology, n, d, n_heads=1):
         rng = np.random.default_rng(0)
-        q, k, v, do = (rng.normal(size=(1, n, d)) for _ in range(4))
+        q, k, v, do = (rng.normal(size=(n_heads, n, d)) for _ in range(4))
         method = get_method(
             method_name, block_size=max(4, n // 8), ring_mode="bidirectional"
         )
@@ -89,13 +90,16 @@ class TestBidirectionalVolumePinned:
         ("loongtrain-double", "bwd_alg1"),
         ("burst", "bwd_alg2"),
     ])
+    @pytest.mark.parametrize("n_heads", [1, 4])
     def test_per_direction_elems_match_closed_forms(
-        self, method, bwd_key, topology
+        self, n_heads, method, bwd_key, topology
     ):
         g = topology.world_size
         n, d = 8 * g, 4
-        log = self._run(method, topology, n, d)
-        pred = bidirectional_direction_bytes(n, d, g, bytes_per_elem=1)
+        log = self._run(method, topology, n, d, n_heads)
+        pred = bidirectional_direction_bytes(
+            n, n_heads * d, g, bytes_per_elem=1, n_heads=n_heads
+        )
         for phase, key in [("attn-fwd", "fwd"), ("attn-bwd", bwd_key)]:
             for channel in ("fwd", "rev"):
                 per_rank = log.per_rank_send_elems(
@@ -104,6 +108,15 @@ class TestBidirectionalVolumePinned:
                 want = pred[key][channel]
                 got = [per_rank.get(r, 0) for r in range(g)]
                 assert got == [want] * g, (phase, channel, got, want)
+        # every backward hop is the whole bundle, its carried slots or its
+        # read-only slots, as the layout sizes them
+        bundle = backward_bundle(bwd_key.removeprefix("bwd_"))
+        assert {
+            r.nelems for r in log.records if r.phase == "attn-bwd"
+        } == {
+            bundle.elems(n // g, n_heads, n_heads, d, which)
+            for which in ("all", "carried", "read-only")
+        }
 
     @pytest.mark.parametrize("topology", TOPOLOGIES,
                              ids=lambda t: f"{t.num_nodes}x{t.gpus_per_node}")
@@ -170,14 +183,19 @@ class TestTable1TiedToSimulatedBytes:
         )
         assert report.passed, report.summary()
 
-    def test_observed_hop_bytes_equal_step_sizes(self):
+    @pytest.mark.parametrize("n_heads", [1, 4])
+    def test_observed_hop_bytes_equal_step_sizes(self, n_heads):
         """The per-transition bundle sizes the cost model assumes are the
-        bundles the implementations actually send (float64 sim bytes)."""
+        bundles the implementations actually send (float64 sim bytes) —
+        with several heads too: Alg. 2 ships one D and one Lse row each."""
         topology = topo(2, 2)
         g, n, hidden = 4, 24, 8
-        sizes = attention_step_sizes(n, hidden, g, bytes_per_elem=8)
+        sizes = attention_step_sizes(
+            n, hidden, g, bytes_per_elem=8, n_heads=n_heads
+        )
         rng = np.random.default_rng(1)
-        q, k, v, do = (rng.normal(size=(1, n, hidden)) for _ in range(4))
+        shape = (n_heads, n, hidden // n_heads)
+        q, k, v, do = (rng.normal(size=shape) for _ in range(4))
         for name, key in [("megatron-cp", "bwd_alg1"), ("burst", "bwd_alg2")]:
             comm = SimCommunicator(topology)
             get_method(name, block_size=4).run(
