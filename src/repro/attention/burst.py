@@ -37,7 +37,7 @@ from repro.attention.gqa import _check_groups, fold_kv_grad, repeat_kv
 from repro.attention.ring import _resolve_tiles, ring_pass
 from repro.comm import RingSchedule, SimCommunicator
 from repro.comm.ring import ALG2_BUNDLE
-from repro.kernels import BiasTileCache, KernelWorkspace, get_backend
+from repro.kernels import KernelWorkspace, get_backend
 from repro.masks import MaskPattern
 from repro.obs.tracer import traced
 
@@ -57,7 +57,7 @@ def burst_attention_backward(
     scale: float | None = None,
     *,
     phase: str = "attn-bwd",
-    block_size: int = 128,
+    block_size: int | None = None,
     ring_mode: str = "unidirectional",
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
     """Algorithm 2: BurstAttention's communication-optimised backward pass.
@@ -93,14 +93,13 @@ def burst_attention_backward(
     vs = [repeat_kv(v, groups) for v in vs]
     dks = [np.zeros_like(k) for k in ks]
     dvs = [np.zeros_like(v) for v in vs]
-    bias_cache = BiasTileCache()
     workspace = KernelWorkspace()
 
     def tile(r, j, bundle):
         q_j, _, do_j, d_j, lse_j = bundle
         # Queries are shard j, keys/values are pinned shard r.
         skip, plan = _resolve_tiles(
-            mask, idxs[j], idxs[r], block_size, bias_cache
+            mask, q_j, idxs[j], idxs[r], block_size
         )
         if skip:
             return None

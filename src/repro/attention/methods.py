@@ -66,7 +66,9 @@ class DistributedAttention(ABC):
     name: str = "base"
     supports_context_rebuild = False
 
-    def __init__(self, partitioner: Partitioner, block_size: int = 128):
+    def __init__(
+        self, partitioner: Partitioner, block_size: int | None = None
+    ):
         self.partitioner = partitioner
         self.block_size = block_size
 
@@ -174,7 +176,7 @@ class _RingFamilyMethod(DistributedAttention):
     def __init__(
         self,
         partitioner: Partitioner | None = None,
-        block_size: int = 128,
+        block_size: int | None = None,
         ring_mode: str = "unidirectional",
     ):
         super().__init__(partitioner or self.default_partitioner(), block_size)
@@ -240,7 +242,7 @@ class BurstAttentionMethod(_RingFamilyMethod):
     def __init__(
         self,
         partitioner: Partitioner | None = None,
-        block_size: int = 128,
+        block_size: int | None = None,
         adaptive_backward: bool = False,
         ring_mode: str = "unidirectional",
     ):
@@ -256,7 +258,7 @@ class UlyssesMethod(DistributedAttention):
 
     name = "ulysses"
 
-    def __init__(self, block_size: int = 128):
+    def __init__(self, block_size: int | None = None):
         super().__init__(ContiguousPartitioner(), block_size)
 
     def forward_shards(self, comm, qs, ks, vs, idxs, mask, scale):
@@ -284,7 +286,7 @@ class USPMethod(DistributedAttention):
         self,
         ulysses_degree: int,
         ring_partitioner: Partitioner | None = None,
-        block_size: int = 128,
+        block_size: int | None = None,
         use_burst_backward: bool = False,
     ):
         super().__init__(ring_partitioner or ZigzagPartitioner(), block_size)
@@ -336,7 +338,11 @@ class SelectiveMethod(DistributedAttention):
 
     name = "selective"
 
-    def __init__(self, partitioner: Partitioner | None = None, block_size: int = 128):
+    def __init__(
+        self,
+        partitioner: Partitioner | None = None,
+        block_size: int | None = None,
+    ):
         super().__init__(partitioner or ContiguousPartitioner(), block_size)
 
     def forward_shards(self, comm, qs, ks, vs, idxs, mask, scale):

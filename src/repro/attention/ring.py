@@ -54,13 +54,7 @@ import numpy as np
 from repro.attention.gqa import _check_groups, fold_kv_grad, repeat_kv
 from repro.comm import BidirectionalFlow, RingSchedule, SimCommunicator
 from repro.comm.ring import ALG1_BUNDLE, KV_BUNDLE, check_ring_mode
-from repro.kernels import (
-    BiasTileCache,
-    KernelWorkspace,
-    TilePlan,
-    get_backend,
-    record_shard_skip,
-)
+from repro.kernels import KernelWorkspace, TilePlan, get_backend, head_batch
 from repro.kernels.softmax import NEG_INF, merge_states
 from repro.masks import MaskPattern
 from repro.obs.tracer import traced
@@ -68,30 +62,29 @@ from repro.obs.tracer import traced
 
 def _resolve_tiles(
     mask: MaskPattern | None,
+    q: np.ndarray,
     q_idx: np.ndarray,
     k_idx: np.ndarray,
-    block_size: int,
-    bias_cache: BiasTileCache | None = None,
+    block_size: int | None,
 ) -> tuple[bool, TilePlan | None]:
-    """Resolve how the kernel should see one (query-shard, key-shard) pair.
+    """Resolve how the kernel should see the (query-shard, key-shard) pair
+    it is about to be handed ``q`` for.
 
-    Returns ``(skip, plan)``.  An ``empty`` shard pair is skipped outright
-    (and accounted as skipped tiles); any other pair comes back as a
-    :class:`~repro.kernels.TilePlan` — sub-tiles classified per block, the
-    pattern's additive bias resolved per tile through ``bias_cache``, the
-    dense shard-pair mask never materialised.  ``plan`` is ``None`` only
-    when there is no mask at all.
+    Returns ``(skip, plan)``.  Any pair the mask touches comes back as its
+    (memoised) :class:`~repro.kernels.TilePlan` — sub-tiles classified per
+    block at ``block_size`` (``None``: derived from ``q``'s head batch),
+    the dense shard-pair mask never materialised.  A pair whose plan has
+    no sub-tile to compute is skipped outright, and accounted as skipped
+    tiles.  ``plan`` is ``None`` only when there is no mask at all.
     """
     if mask is None:
         return False, None
-    state = mask.tile_state(q_idx, k_idx)
-    if state == "empty":
-        record_shard_skip(len(q_idx), len(k_idx), block_size, block_size)
-        return True, None
     plan = TilePlan.build(
-        mask, q_idx, k_idx, block_size, block_size,
-        bias_cache=bias_cache, assume_full=(state == "full"),
+        mask, q_idx, k_idx, block_size, block_size, batch=head_batch(q)
     )
+    if plan.num_empty == plan.num_tiles:
+        plan.tally()
+        return True, None
     return False, plan
 
 
@@ -213,7 +206,7 @@ def ring_attention_forward(
     scale: float | None = None,
     *,
     phase: str = "attn-fwd",
-    block_size: int = 128,
+    block_size: int | None = None,
     ring_mode: str = "unidirectional",
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Distributed attention forward pass over ``schedule``.
@@ -250,13 +243,12 @@ def ring_attention_forward(
     lses: list[np.ndarray] = [
         np.full(q.shape[:-1], NEG_INF, dtype=np.float64) for q in qs
     ]
-    bias_cache = BiasTileCache()
     workspace = KernelWorkspace()
 
     def tile(r, j, bundle):
         k_j, v_j = bundle
         skip, plan = _resolve_tiles(
-            mask, idxs[r], idxs[j], block_size, bias_cache
+            mask, qs[r], idxs[r], idxs[j], block_size
         )
         if skip:
             return None
@@ -291,7 +283,7 @@ def ring_attention_backward_kv(
     scale: float | None = None,
     *,
     phase: str = "attn-bwd",
-    block_size: int = 128,
+    block_size: int | None = None,
     ring_mode: str = "unidirectional",
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
     """Algorithm 1: backward pass circulating ``(K, V, dK, dV)``.
@@ -316,13 +308,12 @@ def ring_attention_backward_kv(
     if scale is None:
         scale = 1.0 / np.sqrt(qs[0].shape[-1])
     dqs = [np.zeros_like(q) for q in qs]
-    bias_cache = BiasTileCache()
     workspace = KernelWorkspace()
 
     def tile(r, j, bundle):
         k_j, v_j = bundle[:2]
         skip, plan = _resolve_tiles(
-            mask, idxs[r], idxs[j], block_size, bias_cache
+            mask, qs[r], idxs[r], idxs[j], block_size
         )
         if skip:
             return None

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.attention.ring import _resolve_tiles
 from repro.comm import SimCommunicator
-from repro.kernels import BiasTileCache, KernelWorkspace, get_backend
+from repro.kernels import KernelWorkspace, get_backend
 from repro.kernels.softmax import NEG_INF, merge_states
 from repro.masks import MaskPattern
 from repro.obs.tracer import traced
@@ -74,7 +74,7 @@ def selective_attention_forward(
     scale: float | None = None,
     *,
     phase: str = "attn-fwd",
-    block_size: int = 128,
+    block_size: int | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Forward pass fetching only the KV shards the mask requires."""
     g = comm.world_size
@@ -86,7 +86,6 @@ def selective_attention_forward(
         for i, q in enumerate(qs)
     ]
     lses = [np.full(q.shape[:-1], NEG_INF, dtype=np.float64) for q in qs]
-    bias_cache = BiasTileCache()
     workspace = KernelWorkspace()
     for i in range(g):
         for j in range(g):
@@ -98,7 +97,7 @@ def selective_attention_forward(
                 else comm.send(j, i, (ks[j], vs[j]), phase=phase, tag="sel-kv")
             )
             skip, plan = _resolve_tiles(
-                mask, idxs[i], idxs[j], block_size, bias_cache
+                mask, qs[i], idxs[i], idxs[j], block_size
             )
             if skip:
                 continue
@@ -125,7 +124,7 @@ def selective_attention_backward(
     scale: float | None = None,
     *,
     phase: str = "attn-bwd",
-    block_size: int = 128,
+    block_size: int | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
     """Backward pass over needed tiles only.
 
@@ -144,14 +143,13 @@ def selective_attention_backward(
     dks = [np.zeros_like(k) for k in ks]
     dvs = [np.zeros_like(v) for v in vs]
 
-    bias_cache = BiasTileCache()
     workspace = KernelWorkspace()
     for i in range(g):
         for j in range(g):
             if not need[i, j]:
                 continue
             skip, plan = _resolve_tiles(
-                mask, idxs[i], idxs[j], block_size, bias_cache
+                mask, qs[i], idxs[i], idxs[j], block_size
             )
             if skip:
                 continue

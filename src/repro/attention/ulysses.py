@@ -22,12 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.comm import SimCommunicator
-from repro.kernels import (
-    BiasTileCache,
-    KernelWorkspace,
-    TilePlan,
-    get_backend,
-)
+from repro.kernels import KernelWorkspace, TilePlan, get_backend, head_batch
 from repro.masks import MaskPattern
 from repro.obs.tracer import traced
 
@@ -59,7 +54,7 @@ class UlyssesContext:
     seq_sizes: list[int]
     heads_per_rank: int
     scale: float
-    block_size: int
+    block_size: int | None
     plans: list[TilePlan] | None = None  # per-rank full-sequence tile plans
 
 
@@ -80,7 +75,7 @@ def ulysses_attention_forward(
     scale: float | None = None,
     *,
     phase: str = "attn-fwd",
-    block_size: int = 128,
+    block_size: int | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray], UlyssesContext]:
     """Ulysses forward: seq→head all-to-all, local attention, head→seq.
 
@@ -137,8 +132,7 @@ def ulysses_attention_forward(
         # All ranks see the same full-sequence tile grid and bias cache;
         # each views its own head group of the bias tiles.
         base = TilePlan.build(
-            mask, idx, idx, block_size, block_size,
-            bias_cache=BiasTileCache(),
+            mask, idx, idx, block_size, block_size, batch=head_batch(q_h[0])
         )
         plans = [
             base.with_head_slice(slice(r * hh, (r + 1) * hh))

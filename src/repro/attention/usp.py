@@ -77,7 +77,7 @@ class USPContext:
     local_sizes: list[int]
     mask: MaskPattern | None
     scale: float
-    block_size: int
+    block_size: int | None
 
 
 def _split_heads(x: np.ndarray, u: int) -> list[np.ndarray]:
@@ -116,7 +116,7 @@ def usp_attention_forward(
     scale: float | None = None,
     *,
     phase: str = "attn-fwd",
-    block_size: int = 128,
+    block_size: int | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray], USPContext]:
     """USP forward pass.
 

@@ -133,7 +133,9 @@ class DistributedCausalSelfAttention(CausalSelfAttention):
 
     Every kernel call made here — the sharded path, the sequence-level
     front recompute and the irregular-length local fallback — tiles at
-    ``method.block_size`` (default 128).  ``block_size`` (the model's
+    ``method.block_size``; left ``None`` (the default) each call derives
+    its tile from the head count of the queries it hands the kernel
+    (:func:`repro.kernels.tile_size`).  ``block_size`` (the model's
     ``attn_block_size``) is stored for interface parity with
     :class:`~repro.nn.modules.CausalSelfAttention` but is not read by
     :meth:`forward`.
@@ -147,7 +149,7 @@ class DistributedCausalSelfAttention(CausalSelfAttention):
         method: DistributedAttention,
         comm: SimCommunicator,
         mask: MaskPattern | None = None,
-        block_size: int = 64,
+        block_size: int | None = None,
         n_kv_heads: int | None = None,
     ):
         super().__init__(dim, n_heads, rng, mask=mask, block_size=block_size,

@@ -32,7 +32,8 @@ from repro.kernels.tileplan import (
     TileCounters,
     TilePlan,
     counters,
-    record_shard_skip,
+    head_batch,
+    tile_size,
 )
 from repro.kernels.mlp import (
     MIN_FULL_GEMM_OUT,
@@ -73,7 +74,8 @@ __all__ = [
     "TileCounters",
     "TilePlan",
     "counters",
-    "record_shard_skip",
+    "head_batch",
+    "tile_size",
     "MIN_FULL_GEMM_OUT",
     "MIN_GEMM_ROWS",
     "chunk_bounds",

@@ -26,7 +26,6 @@ import threading
 from contextlib import contextmanager
 
 from repro.kernels.flash import (
-    DEFAULT_BLOCK,
     flash_attention_backward,
     flash_attention_forward,
     flash_backward_tiles,
@@ -63,24 +62,22 @@ class KernelBackend:
     # -- flash attention ------------------------------------------------------
 
     def flash_forward(
-        self, q, k, v, mask=None, scale=None, block_q=DEFAULT_BLOCK,
-        block_k=DEFAULT_BLOCK, bias=None, plan=None, workspace=None,
+        self, q, k, v, mask=None, scale=None, block_q=None, block_k=None,
+        bias=None, plan=None, workspace=None,
     ):
         """Tiled attention forward; returns ``(o, lse)``."""
         raise NotImplementedError
 
     def flash_backward(
-        self, q, k, v, o, lse, do, mask=None, scale=None,
-        block_q=DEFAULT_BLOCK, block_k=DEFAULT_BLOCK, bias=None, plan=None,
-        workspace=None,
+        self, q, k, v, o, lse, do, mask=None, scale=None, block_q=None,
+        block_k=None, bias=None, plan=None, workspace=None,
     ):
         """Tiled attention backward; returns ``(dq, dk, dv)``."""
         raise NotImplementedError
 
     def flash_backward_tiles(
-        self, q, k, v, lse, d_stat, do, mask=None, scale=None,
-        block_q=DEFAULT_BLOCK, block_k=DEFAULT_BLOCK, bias=None, plan=None,
-        workspace=None,
+        self, q, k, v, lse, d_stat, do, mask=None, scale=None, block_q=None,
+        block_k=None, bias=None, plan=None, workspace=None,
     ):
         """Backward with caller-supplied row statistics (BurstAttention
         Algorithm 2's device step); returns ``(dq, dk, dv)``."""

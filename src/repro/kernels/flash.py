@@ -32,10 +32,11 @@ on each simulated device.
 Masking comes in two forms:
 
 * a :class:`~repro.kernels.tileplan.TilePlan` (``plan=``) — what every
-  call site in the repo passes.  Sub-tiles the plan classified ``empty``
-  are skipped before any compute, ``full`` sub-tiles run without mask
-  handling, and a boolean tile is materialised only for ``partial``
-  sub-tiles.  Executed/skipped sub-tiles are tallied in
+  call site in the repo passes.  The key loop walks the plan's list of
+  non-``empty`` sub-tiles per query block (work proportional to the
+  computed tiles, not to the grid), ``full`` sub-tiles run without mask
+  handling, and only ``partial`` sub-tiles carry a boolean tile.
+  Executed/skipped sub-tiles are tallied in
   :data:`repro.kernels.tileplan.counters`, once per invocation from the
   plan's static classification.
 * a dense boolean array (``mask=``, with an optional dense ``bias=``)
@@ -58,11 +59,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.softmax import NEG_INF
-from repro.kernels.tileplan import EMPTY, PARTIAL, KernelWorkspace, TilePlan
+from repro.kernels.tileplan import (
+    KernelWorkspace,
+    TilePlan,
+    head_batch,
+    tile_size,
+)
 from repro.obs.tracer import NOOP_SPAN, trace_span
-
-
-DEFAULT_BLOCK = 128
 
 
 def _mask_tile(
@@ -74,48 +77,57 @@ def _mask_tile(
     return mask[..., q0:q1, k0:k1]
 
 
-def _validate_plan(
+def _tile_geometry(
     plan: TilePlan | None,
-    sq: int,
-    sk: int,
+    q: np.ndarray,
+    k: np.ndarray,
     mask: np.ndarray | None,
     bias: np.ndarray | None,
-) -> None:
+    block_q: int | None,
+    block_k: int | None,
+) -> tuple[int, int]:
+    """``(block_q, block_k)`` of one invocation: the plan's geometry when
+    there is one (tallied here, once), else the explicit blocks or the
+    derived tile size."""
+    sq, sk = q.shape[-2], k.shape[-2]
     if plan is None:
-        return
+        batch = head_batch(q)
+        return tile_size(block_q, batch, sq), tile_size(block_k, batch, sk)
     if mask is not None or bias is not None:
         raise ValueError(
             "pass either plan= or dense mask=/bias=, not both"
         )
     plan.check_geometry(sq, sk)
+    plan.tally()
+    return plan.block_q, plan.block_k
 
 
-def _resolve_tile(
+def _key_tiles(
     plan: TilePlan | None,
     mask: np.ndarray | None,
     bias: np.ndarray | None,
     qi: int,
-    ki: int,
     q0: int,
     q1: int,
-    k0: int,
-    k1: int,
+    sk: int,
+    block_k: int,
 ):
-    """``(skip, mask_tile, bias_tile)`` for one sub-tile, from the plan's
-    classification or — on the dense path — from slices of the
-    broadcastable ``mask``/``bias`` (an all-``False`` tile is skipped)."""
+    """Yield ``(k0, k1, mask_tile, bias_tile)`` for every sub-tile of one
+    query block that has work: the plan's precomputed list of non-empty
+    sub-tiles, or — on the dense path — slices of the broadcastable
+    ``mask``/``bias`` with the all-``False`` tiles dropped."""
     if plan is not None:
-        state = plan.states[qi, ki]
-        if state == EMPTY:
-            return True, None, None
-        m = plan.mask_tile(qi, ki) if state == PARTIAL else None
-        return False, m, plan.bias_tile(qi, ki)
-    m = _mask_tile(mask, q0, q1, k0, k1)
-    if m is not None:
-        if not m.any():
-            return True, None, None
-        m = m.astype(bool, copy=False)
-    return False, m, _mask_tile(bias, q0, q1, k0, k1)
+        for ki, k0, k1, m in plan.row(qi):
+            yield k0, k1, m, plan.bias_tile(qi, ki)
+        return
+    for k0 in range(0, sk, block_k):
+        k1 = min(k0 + block_k, sk)
+        m = _mask_tile(mask, q0, q1, k0, k1)
+        if m is not None:
+            if not m.any():
+                continue
+            m = m.astype(bool, copy=False)
+        yield k0, k1, m, _mask_tile(bias, q0, q1, k0, k1)
 
 
 def _matmul(
@@ -143,8 +155,8 @@ def flash_attention_forward(
     v: np.ndarray,
     mask: np.ndarray | None = None,
     scale: float | None = None,
-    block_q: int = DEFAULT_BLOCK,
-    block_k: int = DEFAULT_BLOCK,
+    block_q: int | None = None,
+    block_k: int | None = None,
     bias: np.ndarray | None = None,
     plan: TilePlan | None = None,
     workspace: KernelWorkspace | None = None,
@@ -153,8 +165,9 @@ def flash_attention_forward(
 
     Parameters mirror :func:`repro.kernels.attention_reference`; returns
     the same ``(o, lse)`` pair.  ``block_q``/``block_k`` bound the size of
-    any temporary score tile (when ``plan`` is given, its block geometry
-    wins).  ``bias`` is an additive score term (ALiBi) broadcastable to
+    any temporary score tile: ``None`` derives them
+    (:func:`~repro.kernels.tileplan.tile_size`), and when ``plan`` is
+    given its block geometry wins.  ``bias`` is an additive score term (ALiBi) broadcastable to
     ``(..., Sq, Sk)``, tiled alongside the mask; with a plan, bias tiles
     are resolved (and cached) per sub-tile instead.
 
@@ -190,16 +203,13 @@ def _forward_q_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inner key loop of the forward pass for one query block, which
     touches only its own ``(o_blk, lse_blk)`` running state."""
-    sk = k.shape[-2]
     q_blk = q[..., q0:q1, :] * scale
     o_blk = np.zeros(q_blk.shape[:-1] + (v.shape[-1],), dtype=np.float64)
     m_run = np.full(q_blk.shape[:-1] + (1,), NEG_INF, dtype=np.float64)
     l_run = np.zeros_like(m_run)
-    for ki, k0 in enumerate(range(0, sk, block_k)):
-        k1 = min(k0 + block_k, sk)
-        skip, m, b = _resolve_tile(plan, mask, bias, qi, ki, q0, q1, k0, k1)
-        if skip:
-            continue
+    for k0, k1, m, b in _key_tiles(
+        plan, mask, bias, qi, q0, q1, k.shape[-2], block_k
+    ):
         k_t = np.swapaxes(k[..., k0:k1, :], -1, -2)
         s = _matmul(ws, q_blk, k_t, "fwd-s")
         if b is not None:
@@ -241,11 +251,8 @@ def _forward_tiles(
 ) -> tuple[np.ndarray, np.ndarray]:
     if scale is None:
         scale = 1.0 / np.sqrt(q.shape[-1])
-    sq, sk = q.shape[-2], k.shape[-2]
-    _validate_plan(plan, sq, sk, mask, bias)
-    if plan is not None:
-        block_q, block_k = plan.block_q, plan.block_k
-        plan.tally()
+    sq = q.shape[-2]
+    block_q, block_k = _tile_geometry(plan, q, k, mask, bias, block_q, block_k)
     o = np.zeros(q.shape[:-1] + (v.shape[-1],), dtype=np.float64)
     lse = np.full(q.shape[:-1], NEG_INF, dtype=np.float64)
 
@@ -268,8 +275,8 @@ def flash_attention_backward(
     do: np.ndarray,
     mask: np.ndarray | None = None,
     scale: float | None = None,
-    block_q: int = DEFAULT_BLOCK,
-    block_k: int = DEFAULT_BLOCK,
+    block_q: int | None = None,
+    block_k: int | None = None,
     bias: np.ndarray | None = None,
     plan: TilePlan | None = None,
     workspace: KernelWorkspace | None = None,
@@ -298,8 +305,8 @@ def flash_backward_tiles(
     do: np.ndarray,
     mask: np.ndarray | None = None,
     scale: float | None = None,
-    block_q: int = DEFAULT_BLOCK,
-    block_k: int = DEFAULT_BLOCK,
+    block_q: int | None = None,
+    block_k: int | None = None,
     bias: np.ndarray | None = None,
     plan: TilePlan | None = None,
     workspace: KernelWorkspace | None = None,
@@ -350,7 +357,6 @@ def _backward_q_block(
     """Inner key loop of the backward pass for one query block: returns
     its ``dq`` and accumulates the per-tile key/value gradients into
     ``dk``/``dv`` in place."""
-    sk = k.shape[-2]
     q_blk = q[..., q0:q1, :] * scale
     do_blk = do[..., q0:q1, :]
     d_blk = d_stat[..., q0:q1, None]
@@ -361,11 +367,9 @@ def _backward_q_block(
     zero_dead = dead.any()
     lse_safe = np.where(dead, 0.0, lse[..., q0:q1, None])
     dq_blk = np.zeros_like(q_blk)
-    for ki, k0 in enumerate(range(0, sk, block_k)):
-        k1 = min(k0 + block_k, sk)
-        skip, m, b = _resolve_tile(plan, mask, bias, qi, ki, q0, q1, k0, k1)
-        if skip:
-            continue
+    for k0, k1, m, b in _key_tiles(
+        plan, mask, bias, qi, q0, q1, k.shape[-2], block_k
+    ):
         k_blk = k[..., k0:k1, :]
         v_t = np.swapaxes(v[..., k0:k1, :], -1, -2)
         p = _matmul(ws, q_blk, np.swapaxes(k_blk, -1, -2), "bwd-s")
@@ -405,11 +409,8 @@ def _backward_tiles(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if scale is None:
         scale = 1.0 / np.sqrt(q.shape[-1])
-    sq, sk = q.shape[-2], k.shape[-2]
-    _validate_plan(plan, sq, sk, mask, bias)
-    if plan is not None:
-        block_q, block_k = plan.block_q, plan.block_k
-        plan.tally()
+    sq = q.shape[-2]
+    block_q, block_k = _tile_geometry(plan, q, k, mask, bias, block_q, block_k)
     dq = np.zeros_like(q)
     dk = np.zeros_like(k)
     dv = np.zeros_like(v)

@@ -11,16 +11,21 @@ the mask structure *into* the kernel:
   ``empty`` / ``full`` / ``partial`` directly from a
   :class:`~repro.masks.MaskPattern` and the global token-index arrays of
   the two shards, reusing the pattern's ``tile_state`` fast path.  The
-  dense boolean mask is never materialised; boolean tiles are built lazily
-  and only for ``partial`` sub-tiles.
+  dense boolean mask is never materialised; boolean tiles exist only for
+  ``partial`` sub-tiles.  A plan is a pure function of ``(mask, q_idx,
+  k_idx, tile size)``, so :meth:`TilePlan.build` memoises it on the mask
+  instance: every pass, step and layer that meets the same shard pair
+  gets the same plan object back.
+* :func:`tile_size` derives the tile edge from the head-batched score
+  tile the kernel will form — the one place a tile-size literal lives.
 * :class:`KernelWorkspace` preallocates the per-tile scratch buffers
   (score, probability, grad tiles) so a ring pass reuses one set of
   buffers across all of its kernel invocations instead of allocating per
   sub-tile.
-* :class:`BiasTileCache` memoises additive-bias tiles (ALiBi) across ring
-  steps: the bias depends only on relative offsets, so contiguous tiles
-  with the same ``q0 - k0`` offset and shape share one tile no matter
-  which shard pair asked for it.
+* :class:`BiasTileCache` memoises additive-bias tiles (ALiBi): the bias
+  depends only on relative offsets, so contiguous tiles with the same
+  ``q0 - k0`` offset and shape share one tile no matter which shard pair,
+  pass or step asked for it.
 * :data:`counters` tallies computed/skipped sub-tiles and (query, key)
   pairs — the machine-readable numbers the step benchmark
   (``python3 -m benchmarks.step``) and the tile-count invariants in
@@ -37,6 +42,10 @@ oracle the golden fixtures and the property tests compare against.
 
 from __future__ import annotations
 
+import copy
+import math
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,20 +150,61 @@ del _fname
 counters = TileCounters(registry=get_registry())
 
 
+# --- tile geometry -------------------------------------------------------------
+
+#: Largest derived tile edge.  A single-head call is still faster at 256,
+#: but its scratch then moves the process's peak RSS run to run; the
+#: measured curve is in docs/performance_model.md, "Tile geometry".
+MAX_TILE = 128
+#: Smallest derived tile edge; below it the per-tile Python overhead wins.
+MIN_TILE = 16
+#: Elements of the largest head-batched float64 score tile (512 KiB; the
+#: backward keeps two to three such tiles live) the host's cache holds.
+SCORE_TILE_ELEMS = 1 << 16
+
+
+def head_batch(q: np.ndarray) -> int:
+    """Product of the leading (head) axes of a ``(..., S, D)`` array — how
+    many score tiles one kernel GEMM forms at once."""
+    return math.prod(q.shape[:-2])
+
+
+def tile_size(block: int | None, batch: int, n_tokens: int) -> int:
+    """Tile edge along an axis of ``n_tokens`` tokens.
+
+    An explicit ``block`` is honoured as given.  ``None`` derives it:
+    FlashAttention's "size the tile to on-chip memory" — the largest power
+    of two ``b <= MAX_TILE`` whose head-batched score tile
+    ``batch * b * b`` fits :data:`SCORE_TILE_ELEMS`, at least
+    :data:`MIN_TILE`, clipped to the axis.
+    """
+    if block is not None:
+        return block
+    b = MAX_TILE
+    while b > MIN_TILE and batch * b * b > SCORE_TILE_ELEMS:
+        b //= 2
+    return max(1, min(b, n_tokens))
+
+
 # --- bias tile cache ----------------------------------------------------------
 
 
 class BiasTileCache:
-    """Memoises additive-bias tiles across ring steps.
+    """Memoises additive-bias tiles across shard pairs, passes and steps.
 
     A pattern opts in through :meth:`~repro.masks.MaskPattern.bias_cache_key`
     (ALiBi keys tiles by ``(q0 - k0, len_q, len_k)`` — its bias depends
     only on relative offsets).  Patterns returning ``None`` keys are
-    recomputed every time, so the cache is always sound.
+    recomputed every time, so the cache is always sound.  It lives as long
+    as its mask does, so it is bounded: past ``MAX_BYTES`` the least
+    recently used tiles go.
     """
 
+    MAX_BYTES = 32 << 20
+
     def __init__(self):
-        self._tiles: dict = {}
+        self._tiles: OrderedDict = OrderedDict()
+        self._nbytes = 0
 
     def get(
         self, mask: MaskPattern, q_idx: np.ndarray, k_idx: np.ndarray
@@ -164,12 +214,16 @@ class BiasTileCache:
             counters.add("bias_tiles_built")
             return mask.bias_block(q_idx, k_idx)
         tile = self._tiles.get(key)
-        if tile is None:
-            tile = mask.bias_block(q_idx, k_idx)
-            self._tiles[key] = tile
-            counters.add("bias_tiles_built")
-        else:
+        if tile is not None:
+            self._tiles.move_to_end(key)
             counters.add("bias_tiles_reused")
+            return tile
+        tile = mask.bias_block(q_idx, k_idx)
+        counters.add("bias_tiles_built")
+        self._tiles[key] = tile
+        self._nbytes += tile.nbytes
+        while self._nbytes > self.MAX_BYTES and len(self._tiles) > 1:
+            self._nbytes -= self._tiles.popitem(last=False)[1].nbytes
         return tile
 
     def __len__(self) -> int:
@@ -183,15 +237,49 @@ def _block_bounds(n: int, block: int) -> list[tuple[int, int]]:
     return [(start, min(start + block, n)) for start in range(0, n, block)]
 
 
-@dataclass
+class _PlanTable:
+    """Everything :meth:`TilePlan.build` has worked out for one mask
+    instance: its plans by ``(index bytes, tile geometry)``, their boolean
+    tiles interned by content (the causal diagonals of a striped or zigzag
+    partition are two distinct tiles in total) and the one
+    :class:`BiasTileCache`.  Stored on the mask, so it dies with it.
+
+    Bounded: a ring over ``G`` ranks meets ``G * G`` shard pairs, while a
+    decoding loop asks for a new geometry every token — past ``MAX_PLANS``
+    the oldest plan goes, and a tile no live plan holds goes with it.
+    """
+
+    MAX_PLANS = 1024
+
+    def __init__(self):
+        self.plans: dict[tuple, TilePlan] = {}
+        self.tiles = weakref.WeakValueDictionary()
+        self.bias = BiasTileCache()
+
+    def put(self, key: tuple, plan: "TilePlan") -> None:
+        self.plans[key] = plan
+        if len(self.plans) > self.MAX_PLANS:
+            del self.plans[next(iter(self.plans))]
+
+    def intern(self, tile: np.ndarray) -> np.ndarray:
+        key = (tile.shape, tile.tobytes())
+        shared = self.tiles.get(key)
+        if shared is None:
+            tile.flags.writeable = False
+            self.tiles[key] = shared = tile
+        return shared
+
+
+@dataclass(eq=False)
 class TilePlan:
     """Sub-tile classification of one (query-shard, key-shard) pair.
 
-    Built once per shard pair per pass; consumed by
+    Built once per ``(mask, shard pair, tile size)`` and shared by every
+    kernel invocation that meets it; consumed by
     :func:`repro.kernels.flash_attention_forward` /
-    :func:`~repro.kernels.flash_attention_backward`, which skip ``EMPTY``
-    sub-tiles, run ``FULL`` sub-tiles without any mask handling, and
-    materialise a boolean tile only for ``PARTIAL`` sub-tiles.
+    :func:`~repro.kernels.flash_attention_backward`, which visit only the
+    non-``EMPTY`` sub-tiles (:meth:`row`), run ``FULL`` sub-tiles without
+    any mask handling and ``PARTIAL`` ones under their boolean tile.
     """
 
     mask: MaskPattern | None
@@ -200,7 +288,7 @@ class TilePlan:
     block_q: int
     block_k: int
     states: np.ndarray  # (n_q_blocks, n_k_blocks) int8 of EMPTY/PARTIAL/FULL
-    has_bias: bool = False
+    #: The mask's bias-tile cache; ``None`` for a bias-free pattern.
     bias_cache: BiasTileCache | None = None
     head_slice: slice | None = None
     _q_bounds: list[tuple[int, int]] = field(default_factory=list, repr=False)
@@ -210,7 +298,7 @@ class TilePlan:
     def __post_init__(self):
         # The classification is static, so one kernel invocation's tile
         # accounting is known here: (full, partial, empty, computed pairs,
-        # skipped pairs), in the order of ``_TILE_FIELDS[:5]``.
+        # skipped pairs), in the order of ``_TILE_FIELDS[:5]`` ...
         empty = self.states == EMPTY
         n_empty = int(np.count_nonzero(empty))
         n_partial = int(np.count_nonzero(self.states == PARTIAL))
@@ -221,6 +309,15 @@ class TilePlan:
             self.states.size - n_empty - n_partial, n_partial, n_empty,
             len(self.q_idx) * len(self.k_idx) - skipped, skipped,
         )
+        # ... and so is the work list: per q-block, the sub-tiles a kernel
+        # visits, as ``(k-block, k0, k1, boolean tile or None)``.
+        self._rows = [
+            [
+                (int(j), *self._k_bounds[j], self._mask_tiles.get((i, int(j))))
+                for j in np.flatnonzero(~empty[i])
+            ]
+            for i in range(len(self._q_bounds))
+        ]
 
     @classmethod
     def build(
@@ -228,34 +325,82 @@ class TilePlan:
         mask: MaskPattern | None,
         q_idx: np.ndarray,
         k_idx: np.ndarray,
+        block_q: int | None = None,
+        block_k: int | None = None,
+        *,
+        batch: int = 1,
+    ) -> "TilePlan":
+        """The plan of ``mask`` over one shard pair — classified on the
+        first call, the same object on every later one.
+
+        ``block_q`` / ``block_k`` left ``None`` are derived by
+        :func:`tile_size` from ``batch``, the :func:`head_batch` of the
+        queries the kernel will be handed.  The memo lives on ``mask``
+        (:class:`_PlanTable`), keyed on the index arrays' bytes and the
+        tile geometry; ``mask=None`` plans (all ``FULL``) are not kept.
+        """
+        q_idx = np.asarray(q_idx, dtype=np.int64)
+        k_idx = np.asarray(k_idx, dtype=np.int64)
+        block_q = tile_size(block_q, batch, len(q_idx))
+        block_k = tile_size(block_k, batch, len(k_idx))
+        if mask is None:
+            return cls._classify(None, q_idx, k_idx, block_q, block_k, None)
+        try:
+            table = mask._tile_plans
+        except AttributeError:
+            table = mask._tile_plans = _PlanTable()
+        key = (q_idx.tobytes(), k_idx.tobytes(), block_q, block_k)
+        plan = table.plans.get(key)
+        if plan is None:
+            # The plan keeps its own read-only view of the indices (the
+            # key's bytes), so a caller reusing its arrays cannot stale it.
+            plan = cls._classify(
+                mask, np.frombuffer(key[0], dtype=np.int64),
+                np.frombuffer(key[1], dtype=np.int64),
+                block_q, block_k, table,
+            )
+            table.put(key, plan)
+        return plan
+
+    @classmethod
+    def _classify(
+        cls,
+        mask: MaskPattern | None,
+        q_idx: np.ndarray,
+        k_idx: np.ndarray,
         block_q: int,
         block_k: int,
-        *,
-        bias_cache: BiasTileCache | None = None,
-        assume_full: bool = False,
-        head_slice: slice | None = None,
+        table: _PlanTable | None,
     ) -> "TilePlan":
-        """Classify every sub-tile from the pattern's ``tile_state``.
-
-        ``assume_full`` short-circuits classification when the caller
-        already knows the whole shard pair is ``full`` (the shard-level
-        fast path).  A pattern that carries an additive bias (ALiBi) has
-        it resolved per sub-tile by :meth:`bias_tile`, through
-        ``bias_cache`` when one is given.  The dense mask is never
-        materialised.
-        """
-        q_idx = np.asarray(q_idx)
-        k_idx = np.asarray(k_idx)
+        """Classify every sub-tile from the pattern's ``tile_state``: the
+        whole shard pair first (an ``empty`` or ``full`` pair needs no
+        per-tile work), then per sub-tile.  ``tile_state`` may be
+        conservative, so every ``PARTIAL`` verdict is checked against the
+        boolean tile it would run under and downgraded when that tile is
+        all-``False`` / all-``True`` — ``PARTIAL`` means partial.  The
+        dense shard-pair mask is never materialised."""
         q_bounds = _block_bounds(len(q_idx), block_q)
         k_bounds = _block_bounds(len(k_idx), block_k)
         states = np.full((len(q_bounds), len(k_bounds)), FULL, dtype=np.int8)
-        if mask is not None and not assume_full:
+        tiles: dict = {}
+        shard = "full" if mask is None else mask.tile_state(q_idx, k_idx)
+        if shard == "empty":
+            states[:] = EMPTY
+        elif shard == "partial":
             for i, (q0, q1) in enumerate(q_bounds):
                 q_sub = q_idx[q0:q1]
                 for j, (k0, k1) in enumerate(k_bounds):
-                    states[i, j] = _STATE_CODE[
-                        mask.tile_state(q_sub, k_idx[k0:k1])
-                    ]
+                    k_sub = k_idx[k0:k1]
+                    state = _STATE_CODE[mask.tile_state(q_sub, k_sub)]
+                    if state == PARTIAL:
+                        tile = mask.block(q_sub, k_sub)
+                        if not tile.any():
+                            state = EMPTY
+                        elif tile.all():
+                            state = FULL
+                        else:
+                            tiles[(i, j)] = table.intern(tile)
+                    states[i, j] = state
         has_bias = (
             mask is not None
             and mask.bias_block(q_idx[:1], k_idx[:1]) is not None
@@ -263,10 +408,8 @@ class TilePlan:
         return cls(
             mask=mask, q_idx=q_idx, k_idx=k_idx,
             block_q=block_q, block_k=block_k, states=states,
-            has_bias=has_bias,
-            bias_cache=bias_cache if has_bias else None,
-            head_slice=head_slice,
-            _q_bounds=q_bounds, _k_bounds=k_bounds,
+            bias_cache=table.bias if has_bias else None,
+            _q_bounds=q_bounds, _k_bounds=k_bounds, _mask_tiles=tiles,
         )
 
     # -- geometry -------------------------------------------------------------
@@ -297,30 +440,26 @@ class TilePlan:
     def state(self, i: int, j: int) -> int:
         return int(self.states[i, j])
 
+    def row(self, i: int) -> list[tuple[int, int, int, np.ndarray | None]]:
+        """The non-``EMPTY`` sub-tiles of q-block ``i``, in key order:
+        ``(k-block, k0, k1, boolean tile)``, the tile ``None`` on a
+        ``FULL`` sub-tile."""
+        return self._rows[i]
+
     def mask_tile(self, i: int, j: int) -> np.ndarray:
-        """Boolean tile for a ``PARTIAL`` sub-tile (the only kind that
-        ever materialises one).  Memoised so the backward pass (and any
-        repeated traversal) reuses the forward's tiles instead of
-        re-evaluating the pattern."""
-        tile = self._mask_tiles.get((i, j))
-        if tile is None:
-            q0, q1 = self._q_bounds[i]
-            k0, k1 = self._k_bounds[j]
-            tile = self.mask.block(self.q_idx[q0:q1], self.k_idx[k0:k1])
-            self._mask_tiles[(i, j)] = tile
-        return tile
+        """Boolean tile of a ``PARTIAL`` sub-tile (the only kind that has
+        one); read-only, shared with every plan of the same mask whose
+        tile has the same content."""
+        return self._mask_tiles[(i, j)]
 
     def bias_tile(self, i: int, j: int) -> np.ndarray | None:
-        if not self.has_bias:
+        if self.bias_cache is None:
             return None
         q0, q1 = self._q_bounds[i]
         k0, k1 = self._k_bounds[j]
-        q_sub, k_sub = self.q_idx[q0:q1], self.k_idx[k0:k1]
-        if self.bias_cache is not None:
-            tile = self.bias_cache.get(self.mask, q_sub, k_sub)
-        else:
-            counters.add("bias_tiles_built")
-            tile = self.mask.bias_block(q_sub, k_sub)
+        tile = self.bias_cache.get(
+            self.mask, self.q_idx[q0:q1], self.k_idx[k0:k1]
+        )
         if tile is not None and self.head_slice is not None:
             tile = tile[self.head_slice]
         return tile
@@ -328,14 +467,9 @@ class TilePlan:
     def with_head_slice(self, head_slice: slice) -> "TilePlan":
         """Shallow copy selecting a head range of the bias (Ulysses ranks
         share one plan and bias cache but see different head groups)."""
-        return TilePlan(
-            mask=self.mask, q_idx=self.q_idx, k_idx=self.k_idx,
-            block_q=self.block_q, block_k=self.block_k, states=self.states,
-            has_bias=self.has_bias, bias_cache=self.bias_cache,
-            head_slice=head_slice,
-            _q_bounds=self._q_bounds, _k_bounds=self._k_bounds,
-            _mask_tiles=self._mask_tiles,
-        )
+        view = copy.copy(self)
+        view.head_slice = head_slice
+        return view
 
     # -- accounting -----------------------------------------------------------
 
@@ -366,18 +500,10 @@ class TilePlan:
     def tally(self) -> None:
         """Account one kernel invocation over this plan in
         :data:`counters` — once, instead of per sub-tile inside the
-        kernels' hot loops."""
+        kernels' hot loops.  A shard pair skipped outright is accounted
+        the same way: its plan classified every sub-tile empty."""
         for name, n in zip(_TILE_FIELDS, self._tally):
             counters.add(name, n)
-
-
-def record_shard_skip(n_q: int, n_k: int, block_q: int, block_k: int) -> None:
-    """Account a whole shard pair skipped at the shard-level fast path as
-    if its plan had classified every sub-tile empty."""
-    n_qb = -(-n_q // block_q)
-    n_kb = -(-n_k // block_k)
-    counters.add("skipped_empty", n_qb * n_kb)
-    counters.add("skipped_pairs", n_q * n_k)
 
 
 # --- reusable kernel scratch --------------------------------------------------

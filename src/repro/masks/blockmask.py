@@ -70,8 +70,12 @@ class BlockSparseMask(MaskPattern):
     def tile_state(self, q_idx: np.ndarray, k_idx: np.ndarray) -> str:
         """Block-level test that avoids materialising token tiles.
 
-        Exact for ``empty``; ``full`` only without intra-block causality
-        (with it, diagonal blocks are always partial at token level).
+        Conservative under intra-block causality: a tile whose allowed
+        blocks all lie above the token diagonal is reported ``partial``
+        rather than ``empty``, and strided index sets are never ``full``
+        unless the whole tile lies below the diagonal.  Exact otherwise;
+        :meth:`repro.kernels.TilePlan.build` checks every ``partial``
+        verdict against the tile, once, before a kernel sees it.
         """
         qb = np.unique(np.asarray(q_idx) // self.block_size)
         kb = np.unique(np.asarray(k_idx) // self.block_size)

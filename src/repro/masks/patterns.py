@@ -127,8 +127,10 @@ class SlidingWindowMask(MaskPattern):
         """O(1) conservative interval test.
 
         The ``full``/``empty`` verdicts below are exact; index sets whose
-        pairwise differences skip the window entirely may be classified
-        ``partial`` (safe — the kernel then discovers the empty tile).
+        pairwise differences skip the window entirely (strided shards)
+        may be classified ``partial`` — safe, and
+        :meth:`repro.kernels.TilePlan.build` checks every ``partial``
+        verdict against the tile, once, before a kernel sees it.
         """
         diff_min = q_idx.min() - k_idx.max()
         diff_max = q_idx.max() - k_idx.min()

@@ -22,12 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attention.gqa import _check_groups, fold_kv_grad, repeat_kv
-from repro.kernels import (
-    BiasTileCache,
-    KernelWorkspace,
-    TilePlan,
-    get_backend,
-)
+from repro.kernels import KernelWorkspace, TilePlan, get_backend, head_batch
 from repro.masks import MaskPattern
 from repro.nn.checkpoint import (
     AttentionOutputCache,
@@ -56,20 +51,18 @@ def _local_plan(
     mask: MaskPattern | None,
     n_q: int,
     n_k: int,
-    block_size: int,
-    bias_cache: BiasTileCache | None = None,
+    block_size: int | None,
+    batch: int,
 ) -> TilePlan | None:
     """Tile plan for an unsharded kernel call of the first ``n_q`` query
-    rows against all ``n_k`` keys (``None`` without a mask).  Sub-tiles
-    are classified from the pattern and its bias resolved per tile — the
-    dense ``n_q x n_k`` mask never exists."""
+    rows (``batch`` heads of them) against all ``n_k`` keys (``None``
+    without a mask).  Sub-tiles are classified from the pattern and its
+    bias resolved per tile — the dense ``n_q x n_k`` mask never exists."""
     if mask is None:
         return None
-    if bias_cache is None:
-        bias_cache = BiasTileCache()
     return TilePlan.build(
         mask, np.arange(n_q), np.arange(n_k), block_size, block_size,
-        bias_cache=bias_cache,
+        batch=batch,
     )
 
 
@@ -92,7 +85,7 @@ class FlashAttentionFn(Function):
         v: np.ndarray,
         mask: MaskPattern | None = None,
         scale: float | None = None,
-        block_size: int = 128,
+        block_size: int | None = None,
         cache: AttentionOutputCache | None = None,
         policy: CheckpointPolicy | None = None,
     ):
@@ -105,11 +98,7 @@ class FlashAttentionFn(Function):
         self.mask = mask
         self.scale = scale
         self.block_size = block_size
-        self.bias_cache = BiasTileCache()
         self.workspace = KernelWorkspace()
-        #: Local tile plans by query-row count, built by the first local
-        #: kernel call that needs them (none at all on a sharded pass).
-        self.plans: dict[int, TilePlan | None] = {}
 
         policy = policy or CheckpointPolicy()
         cached = cache.pop(0) if (cache is not None and in_recompute()) else None
@@ -166,7 +155,11 @@ class FlashAttentionFn(Function):
             q, repeat_kv(k, self.groups), repeat_kv(v, self.groups),
             o, lse, grad_out, scale=self.scale,
             block_q=self.block_size, block_k=self.block_size,
-            plan=self._plan(q.shape[-2], k.shape[-2]), workspace=self.workspace,
+            plan=_local_plan(
+                self.mask, q.shape[-2], k.shape[-2], self.block_size,
+                head_batch(q),
+            ),
+            workspace=self.workspace,
         )
         return dq, fold_kv_grad(dk, self.groups), fold_kv_grad(dv, self.groups)
 
@@ -176,15 +169,11 @@ class FlashAttentionFn(Function):
         return get_backend().flash_forward(
             q[..., :n_q, :], repeat_kv(k, self.groups), repeat_kv(v, self.groups),
             scale=self.scale, block_q=self.block_size, block_k=self.block_size,
-            plan=self._plan(n_q, k.shape[-2]), workspace=self.workspace,
+            plan=_local_plan(
+                self.mask, n_q, k.shape[-2], self.block_size, head_batch(q)
+            ),
+            workspace=self.workspace,
         )
-
-    def _plan(self, n_q: int, n_k: int) -> TilePlan | None:
-        if n_q not in self.plans:
-            self.plans[n_q] = _local_plan(
-                self.mask, n_q, n_k, self.block_size, self.bias_cache
-            )
-        return self.plans[n_q]
 
 
 def flash_attention(
@@ -193,7 +182,7 @@ def flash_attention(
     v: Tensor,
     mask: MaskPattern | None = None,
     scale: float | None = None,
-    block_size: int = 128,
+    block_size: int | None = None,
     cache: AttentionOutputCache | None = None,
     policy: CheckpointPolicy | None = None,
 ) -> Tensor:

@@ -177,7 +177,7 @@ class CausalSelfAttention(Module):
         n_heads: int,
         rng: np.random.Generator,
         mask: MaskPattern | None = None,
-        block_size: int = 64,
+        block_size: int | None = None,
         n_kv_heads: int | None = None,
         rope: bool = False,
         rope_theta: float = 10_000.0,
@@ -251,7 +251,7 @@ class TransformerBlock(Module):
         rng: np.random.Generator,
         mask: MaskPattern | None = None,
         policy: CheckpointPolicy | None = None,
-        attn_block_size: int = 64,
+        attn_block_size: int | None = None,
         attn_factory=None,
         n_kv_heads: int | None = None,
         rope: bool = False,
@@ -377,7 +377,9 @@ class TransformerConfig:
     #: global layers, Gemma-style).  Length must equal ``n_layers``;
     #: overrides ``mask`` when set.
     layer_masks: list | None = None
-    attn_block_size: int = 64
+    #: Tile edge of the flash kernels; ``None`` derives it from the head
+    #: count (:func:`repro.kernels.tile_size`).
+    attn_block_size: int | None = None
     #: Fused blockwise FFN: rematerialise the SwiGLU intermediates in
     #: sequence chunks of this many rows (``None`` = composed dense FFN).
     mlp_chunk_size: int | None = None
@@ -408,10 +410,14 @@ class TransformerLM(Module):
         self.tok_emb = Embedding(config.vocab_size, config.dim, rng)
         self.pos_emb = Embedding(config.max_seq_len, config.dim, rng)
 
+        # One default mask for every layer: tile plans are memoised on the
+        # mask instance, so layers that share it share their plans.
+        shared_mask = config.mask if config.mask is not None else CausalMask()
+
         def mask_for(layer: int):
             if config.layer_masks is not None:
                 return config.layer_masks[layer]
-            return config.mask
+            return shared_mask
 
         self.blocks = [
             TransformerBlock(

@@ -361,10 +361,11 @@ def sliding_window_tile_counts(
 ) -> dict[str, int]:
     """Sub-tile census for a causal sliding window of width ``window``.
 
-    Mirrors ``SlidingWindowMask.tile_state``'s conservative interval test:
-    with ``diff_min = q0 - (k1 - 1)`` and ``diff_max = (q1 - 1) - k0``,
-    a tile is full iff ``diff_min >= 0 and diff_max < window`` and empty
-    iff ``diff_max < 0 or diff_min >= window``.
+    ``SlidingWindowMask.tile_state``'s interval test, which is exact on
+    contiguous ranges (every difference in ``[diff_min, diff_max]`` is
+    attained): with ``diff_min = q0 - (k1 - 1)`` and ``diff_max = (q1 - 1)
+    - k0``, a tile is full iff ``diff_min >= 0 and diff_max < window`` and
+    empty iff ``diff_max < 0 or diff_min >= window``.
     """
     full = partial = empty = 0
     for q0, q1 in _tile_bounds(seq_len, block_q):
@@ -393,21 +394,40 @@ def block_sparse_tile_counts(
     no token tiles.
 
     For each kernel tile the spanned mask blocks are ``q0 // B .. (q1-1)
-    // B`` (likewise for keys); the tile is empty iff no spanned block
-    pair is allowed, and full iff all are allowed and (under intra-block
-    causality) the whole tile lies strictly below the token diagonal —
-    the same conservative test ``BlockSparseMask.tile_state`` applies.
+    // B`` (likewise for keys); the tile is full iff all spanned block
+    pairs are allowed and (under intra-block causality) the whole tile
+    lies on or below the token diagonal, and empty iff no allowed block
+    pair holds a visible token pair — under intra-block causality an
+    allowed pair whose part of the tile lies wholly above the diagonal
+    holds none (a kernel tile finer than the mask block, beside the
+    diagonal).  This is the census of a built plan, which checks every
+    ``partial`` verdict of ``BlockSparseMask.tile_state`` against the
+    tile.
     """
     import numpy as np
 
     block_mask = np.asarray(block_mask, dtype=bool)
+    size = mask_block_size
+
+    def visible(a: int, b: int, q1: int, k0: int) -> bool:
+        # Block pair (a, b)'s part of the tile: its latest query against
+        # its earliest key.
+        return min(q1, (a + 1) * size) - 1 >= max(k0, b * size)
+
     full = partial = empty = 0
     for q0, q1 in _tile_bounds(seq_len, block_q):
-        qb0, qb1 = q0 // mask_block_size, (q1 - 1) // mask_block_size + 1
+        qb0, qb1 = q0 // size, (q1 - 1) // size + 1
         for k0, k1 in _tile_bounds(seq_len, block_k):
-            kb0, kb1 = k0 // mask_block_size, (k1 - 1) // mask_block_size + 1
+            kb0, kb1 = k0 // size, (k1 - 1) // size + 1
             sub = block_mask[qb0:qb1, kb0:kb1]
-            if not sub.any():
+            if intra_block_causal:
+                live = any(
+                    visible(qb0 + a, kb0 + b, q1, k0)
+                    for a, b in zip(*np.nonzero(sub))
+                )
+            else:
+                live = sub.any()
+            if not live:
                 empty += 1
             elif intra_block_causal:
                 if q0 >= k1 - 1 and sub.all():

@@ -278,8 +278,8 @@ def check_table1_consistency(
 
 def check_tile_plan_invariants(
     seq_len: int = 256,
-    block_q: int = 32,
-    block_k: int = 32,
+    block_q: int | None = None,
+    block_k: int | None = None,
     head_dim: int = 8,
     n_heads: int = 2,
     window: int | None = None,
@@ -305,7 +305,7 @@ def check_tile_plan_invariants(
     from silently computing skipped tiles (or skipping computed ones)
     unless the measured counts are pinned to independent arithmetic.
     """
-    from repro.kernels import TilePlan, counters, get_backend
+    from repro.kernels import TilePlan, counters, get_backend, tile_size
     from repro.masks import CausalMask, SlidingWindowMask, sliding_window_block_mask
     from repro.perf.cost import (
         block_sparse_tile_counts,
@@ -313,6 +313,8 @@ def check_tile_plan_invariants(
         sliding_window_tile_counts,
     )
 
+    block_q = tile_size(block_q, n_heads, seq_len)
+    block_k = tile_size(block_k, n_heads, seq_len)
     window = window or seq_len // 4
     mask_block = mask_block or seq_len // 8
     report = InvariantReport(

@@ -116,7 +116,7 @@ class TPAttentionFn(Function):
 
     def forward(self, x, wq, wk, wv, wo, comm: SimCommunicator = None,
                 n_heads: int = 1, mask: MaskPattern | None = None,
-                scale: float | None = None, block_size: int = 128,
+                scale: float | None = None, block_size: int | None = None,
                 phase: str = "tp-attn"):
         if comm is None:
             raise ValueError("tp_attention requires comm=")
@@ -131,7 +131,7 @@ class TPAttentionFn(Function):
         # TP ranks all see the full sequence, so one tile grid and bias
         # cache serve every rank; each views its own head group of the
         # pattern's bias tiles (as Ulysses ranks do).
-        base = _local_plan(mask, s, s, block_size)
+        base = _local_plan(mask, s, s, block_size, batch=hh)
         self.plans = [
             None if base is None
             else base.with_head_slice(slice(r * hh, (r + 1) * hh))
@@ -207,7 +207,7 @@ def tp_mlp(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor,
 def tp_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
                  comm: SimCommunicator, n_heads: int,
                  mask: MaskPattern | None = None,
-                 block_size: int = 128) -> Tensor:
+                 block_size: int | None = None) -> Tensor:
     """Differentiable tensor-parallel attention block."""
     return TPAttentionFn.apply(
         x, wq, wk, wv, wo, comm=comm, n_heads=n_heads, mask=mask,

@@ -21,7 +21,8 @@ class TPSelfAttention(CausalSelfAttention):
     """Attention module whose projections and heads run tensor-parallel."""
 
     def __init__(self, dim, n_heads, rng, comm: SimCommunicator,
-                 mask: MaskPattern | None = None, block_size: int = 64):
+                 mask: MaskPattern | None = None,
+                 block_size: int | None = None):
         super().__init__(dim, n_heads, rng, mask=mask, block_size=block_size)
         if n_heads % comm.world_size != 0:
             raise ValueError(

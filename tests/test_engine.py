@@ -1,11 +1,14 @@
 """End-to-end engine tests: distributed training equals single-device
 training, every method trains, ablation flags behave, FSDP accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.comm import SimCommunicator
 from repro.engine import BurstEngine, EngineConfig, fsdp_step_traffic
+from repro.kernels import counters
 from repro.masks import ALiBiMask, CausalMask
 from repro.nn import CheckpointPolicy, TransformerConfig, TransformerLM, Adam
 from repro.nn.checkpoint import CheckpointMode
@@ -134,6 +137,65 @@ class TestMaskReachesEveryKernelCall:
             for g in (4, 1)
         ]
         assert np.abs(hidden[0] - hidden[1]).max() <= 1e-12
+
+
+class TestTilePlansBuiltOnce:
+    """The memo without the retile: on the step benchmark's four workloads
+    (smoke lengths) at an explicit ``block_size=128``, a step over
+    memoised plans is bit-for-bit a step that builds them, and
+    both do exactly the tile work and the traffic the pre-memo engine did
+    (integers recorded from the parent commit of the PR that added the
+    memo; its ``float.hex`` losses and gradients were compared equal
+    there too, see CHANGES.md)."""
+
+    #: name -> (TrafficLog records, their bytes, computed_partial,
+    #: computed_full, skipped_empty, computed_pairs) of one train_step.
+    PARENT = {
+        "burst_long": (408, 29807104, 258, 0, 2, 294912),
+        "wide_short": (30, 160290816, 36, 0, 0, 163840),
+        "ulysses_full": (840, 22131200, 96, 48, 48, 2359296),
+        "swa_bidir": (456, 29217280, 258, 0, 2, 294912),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PARENT))
+    def test_memo_hit_is_bitwise_a_fresh_build(self, name):
+        from benchmarks.step.workloads import WORKLOADS, make_batch
+
+        spec = WORKLOADS[name]
+        config = spec.config(spec.smoke_seq_len)
+        # One mask instance for both engines, so the second meets the
+        # first's plans; the tile every call used before it was derived.
+        mask = config.model.mask or CausalMask()
+        config = replace(
+            config, model=replace(config.model, mask=mask),
+            method_kwargs={**config.method_kwargs, "block_size": 128},
+        )
+        topo = spec.topology()
+        ids, targets = make_batch(config, seed=7)
+        steps = []
+        for _ in range(2):  # the first engine builds, the second only hits
+            engine = BurstEngine(config, topology=topo)
+            counters.reset()
+            loss = engine.train_step(ids, targets).loss
+            steps.append((
+                float(loss).hex(),
+                [p.grad.tobytes() for p in engine.model.parameters()],
+                list(engine.comm.log.records),
+                counters.snapshot(),
+                dict(mask._tile_plans.plans),
+            ))
+        cold, warm = steps
+        assert cold[0] == warm[0]
+        assert cold[1] == warm[1]
+        assert cold[2] == warm[2]
+        assert cold[3] == warm[3]
+        assert list(cold[4].items()) == list(warm[4].items())  # same objects
+        tiles = warm[3]
+        assert (
+            len(warm[2]), sum(r.nbytes for r in warm[2]),
+            tiles["computed_partial"], tiles["computed_full"],
+            tiles["skipped_empty"], tiles["computed_pairs"],
+        ) == self.PARENT[name]
 
 
 class TestEngineAccounting:

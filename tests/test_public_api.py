@@ -337,3 +337,85 @@ class TestOneRingDescription:
         assert len(METHOD_DES_FLAGS) == 6
         for row in METHOD_DES_FLAGS.values():
             assert not {"flat", "alg2"} & set(row)
+
+
+class TestTilePlansBuiltOnceSizedOnce:
+    """ROADMAP aim 1's two tile levers, each written once: the tile size
+    is derived in ``repro.kernels.tileplan`` and nowhere defaulted, and a
+    plan (with its memo, boolean tiles and bias cache) is constructed by
+    ``TilePlan.build`` and nowhere else."""
+
+    HOME = "kernels/tileplan.py"
+
+    @staticmethod
+    def _sources():
+        import ast
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        for path in sorted(src.rglob("*.py")):
+            text = path.read_text()
+            yield path.relative_to(src).as_posix(), text, ast.parse(text)
+
+    def test_no_tile_size_parameter_has_an_integer_default(self):
+        """``None`` = derived by ``tile_size``; an explicit integer comes
+        from a caller, never from a signature or a config field."""
+        import ast
+
+        tile_params = ("block_size", "block_q", "block_k", "attn_block_size")
+        offenders = []
+        for rel, _, tree in self._sources():
+            if rel == "testing/differential.py":
+                continue  # FuzzCase records the explicit size it ran with
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    a = node.args
+                    positional = a.posonlyargs + a.args
+                    defaults = list(zip(positional[::-1], a.defaults[::-1]))
+                    defaults += list(zip(a.kwonlyargs, a.kw_defaults))
+                    named = [(arg.arg, value) for arg, value in defaults]
+                elif isinstance(node, ast.AnnAssign) and isinstance(
+                    node.target, ast.Name
+                ):
+                    named = [(node.target.id, node.value)]  # a config field
+                else:
+                    continue
+                offenders += [
+                    f"{rel}:{node.lineno} {name}={value.value}"
+                    for name, value in named
+                    if name in tile_params
+                    and isinstance(value, ast.Constant)
+                    and isinstance(value.value, int)
+                ]
+        assert offenders == []
+
+    def test_the_tile_size_literals_live_in_tileplan(self):
+        from repro.kernels import tileplan
+
+        assert (tileplan.MAX_TILE, tileplan.MIN_TILE) == (128, 16)
+        assert tileplan.SCORE_TILE_ELEMS == 65536
+        names = ("MAX_TILE", "MIN_TILE", "SCORE_TILE_ELEMS", "DEFAULT_BLOCK")
+        for rel, text, _ in self._sources():
+            if rel != self.HOME:
+                assert [n for n in names if n in text] == [], rel
+
+    def test_plans_and_their_caches_are_constructed_in_tileplan_only(self):
+        import ast
+
+        constructors = ("TilePlan", "BiasTileCache", "_PlanTable")
+        # the memo's home and the plumbing it replaced
+        gone = ("_tile_plans", "_PlanTable", "bias_cache=", "assume_full",
+                "record_shard_skip")
+        for rel, text, tree in self._sources():
+            if rel == self.HOME:
+                assert "record_shard_skip" not in text
+                assert "assume_full" not in text
+                continue
+            assert [n for n in gone if n in text] == [], rel
+            built = [
+                node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in constructors
+            ]
+            assert built == [], f"{rel}: lines {built}"

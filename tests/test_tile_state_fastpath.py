@@ -78,9 +78,9 @@ class TestFastPathSoundness:
 
 
 class TestTilePlanClassification:
-    """TilePlan.build is just tile_state applied per sub-tile, so its
-    state grid must carry the same soundness guarantee: FULL/EMPTY
-    verdicts are exact against the dense tile, PARTIAL is conservative."""
+    """TilePlan.build applies tile_state per sub-tile and then checks
+    every PARTIAL verdict against the tile, so its state grid is exact
+    against the dense tile on any index sets — PARTIAL included."""
 
     @staticmethod
     def check_plan(mask, q_idx, k_idx, block_q, block_k):
@@ -97,7 +97,8 @@ class TestTilePlanClassification:
                     assert exact == "full"
                 elif state == EMPTY:
                     assert exact == "empty"
-                # PARTIAL: any exact verdict is acceptable
+                else:
+                    assert exact == "partial"
 
     @settings(deadline=None, max_examples=40)
     @given(

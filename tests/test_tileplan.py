@@ -1,14 +1,21 @@
 """Tile planning: plan-driven kernels vs the dense-mask reference.
 
 The TilePlan path changes *how* the flash kernels see the mask (per-block
-classification, lazy partial tiles, skipped empties, workspace reuse) but
+classification, partial tiles, skipped empties, workspace reuse) but
 must not change a single bit of the numerics.  These tests pin that:
 
 * property tests draw random ``BlockSparseMask`` configurations and
   zigzag/striped shard pairs — including uneven block edges and GQA-shaped
   batches — and require exact agreement with the dense-mask kernels;
-* the causal acceptance floor (>= 40 % of sub-tiles skipped) is asserted.
+* the causal acceptance floor (>= 40 % of sub-tiles skipped) is asserted;
+* a plan is built once per ``(mask, shard pair, tile size)``: the memo on
+  the mask instance, its lifetime and its bounds;
+* the derived tile size (``tile_size``) and a distributed run at it, at a
+  length where the derived tile is not the whole shard.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,21 +25,26 @@ from repro.kernels import (
     EMPTY,
     FULL,
     PARTIAL,
-    BiasTileCache,
     KernelWorkspace,
     TilePlan,
     counters,
     flash_attention_backward,
     flash_attention_forward,
+    tile_size,
 )
 from repro.masks import (
     ALiBiMask,
     BlockSparseMask,
     CausalMask,
+    DilatedMask,
     SlidingWindowMask,
     sliding_window_block_mask,
 )
-from repro.partition import StripedPartitioner, ZigzagPartitioner
+from repro.partition import (
+    BlockwisePartitioner,
+    StripedPartitioner,
+    ZigzagPartitioner,
+)
 
 
 def _dense_for(mask, q_idx, k_idx):
@@ -50,9 +62,7 @@ def _run_both(q, k, v, do, mask, q_idx, k_idx, block_q, block_k):
         q, k, v, o0, l0, do, mask=dense, bias=bias,
         block_q=block_q, block_k=block_k,
     )
-    plan = TilePlan.build(
-        mask, q_idx, k_idx, block_q, block_k, bias_cache=BiasTileCache()
-    )
+    plan = TilePlan.build(mask, q_idx, k_idx, block_q, block_k)
     ws = KernelWorkspace()
     o1, l1 = flash_attention_forward(q, k, v, plan=plan, workspace=ws)
     g1 = flash_attention_backward(
@@ -87,12 +97,23 @@ class TestPlanClassification:
         assert plan.num_full == 6
         assert plan.num_empty == 6
 
-    def test_assume_full_short_circuits(self):
-        plan = TilePlan.build(
-            CausalMask(), np.arange(64, 96), np.arange(0, 32), 8, 8,
-            assume_full=True,
-        )
-        assert plan.num_full == plan.num_tiles
+    def test_full_or_empty_shard_pair_short_circuits(self):
+        """A shard pair the pattern calls full (empty) as a whole is
+        classified without a single per-tile ``tile_state`` call."""
+        class Counting(CausalMask):
+            calls = 0
+
+            def tile_state(self, q_idx, k_idx):
+                self.calls += 1
+                return super().tile_state(q_idx, k_idx)
+
+        mask = Counting()
+        late, early = np.arange(64, 96), np.arange(0, 32)
+        plan = TilePlan.build(mask, late, early, 8, 8)
+        assert plan.num_full == plan.num_tiles == 16
+        plan = TilePlan.build(mask, early, late, 8, 8)
+        assert plan.num_empty == plan.num_tiles == 16
+        assert mask.calls == 2
 
     def test_uneven_edges_cover_all_tokens(self):
         idx = np.arange(100)  # not a multiple of the 32-block
@@ -116,6 +137,278 @@ class TestPlanClassification:
             flash_attention_forward(
                 q, q, q, mask=np.ones((32, 32), bool), plan=plan
             )
+
+
+class TestPartialMeansPartial:
+    """``tile_state`` may be conservative; a built plan is not: every
+    ``PARTIAL`` sub-tile has both a visible and a hidden pair."""
+
+    @pytest.mark.parametrize(
+        "mask,conservative",
+        [(SlidingWindowMask(2), True), (DilatedMask(2, window=1), False)],
+        ids=["sliding-window", "dilated"],
+    )
+    def test_striped_shards_census_is_the_dense_census(
+        self, mask, conservative
+    ):
+        idxs = StripedPartitioner().indices(64, 4)
+        said_partial = planned_partial = 0
+        for q_idx in idxs:
+            for k_idx in idxs:
+                plan = TilePlan.build(mask, q_idx, k_idx, 4, 4)
+                for i in range(plan.n_q_blocks):
+                    q_sub = q_idx[slice(*plan.q_range(i))]
+                    for j in range(plan.n_k_blocks):
+                        k_sub = k_idx[slice(*plan.k_range(j))]
+                        tile = mask.block(q_sub, k_sub)
+                        exact = (
+                            FULL if tile.all()
+                            else PARTIAL if tile.any() else EMPTY
+                        )
+                        assert plan.state(i, j) == exact
+                        said_partial += (
+                            mask.tile_state(q_sub, k_sub) == "partial"
+                        )
+                planned_partial += plan.num_partial
+        # The window of 2 falls between the stride-4 differences of most
+        # rank pairs: the interval test cannot see that, the plan does.
+        assert (said_partial > planned_partial) == conservative
+        if conservative:
+            assert (said_partial, planned_partial) == (67, 35)
+
+    def test_all_masked_shard_pair_is_skipped_not_computed(self):
+        """Ranks 0 and 2 of a stride-4 partition never meet inside a
+        window of 2: the pair's plan is all-empty and no kernel runs."""
+        from repro.attention.ring import _resolve_tiles
+
+        idxs = StripedPartitioner().indices(64, 4)
+        mask = SlidingWindowMask(2)
+        assert mask.tile_state(idxs[2], idxs[0]) == "partial"
+        counters.reset()
+        skip, plan = _resolve_tiles(
+            mask, np.zeros((2, 16, 4)), idxs[2], idxs[0], 4
+        )
+        assert skip and plan is None
+        assert counters.skipped_empty == 16 and counters.computed == 0
+        assert counters.skipped_pairs == 16 * 16
+
+
+class TestPlanMemo:
+    """``TilePlan.build`` is a pure function of ``(mask, q_idx, k_idx,
+    tile size)`` and is evaluated once per mask instance."""
+
+    def test_equal_inputs_return_the_same_plan_object(self):
+        mask = CausalMask()
+        idx = ZigzagPartitioner().indices(64, 4)
+        plan = TilePlan.build(mask, idx[1], idx[2], 8, 8)
+        # Equal bytes, different array objects (and a list): one plan.
+        assert TilePlan.build(mask, idx[1].copy(), idx[2].copy(), 8, 8) is plan
+        assert TilePlan.build(mask, list(idx[1]), idx[2], 8, 8) is plan
+        # The derived size that equals the explicit one is the same plan.
+        assert tile_size(None, 1024, 16) == 16
+        wide = TilePlan.build(mask, idx[1], idx[2], 16, 16)
+        assert TilePlan.build(mask, idx[1], idx[2], batch=1024) is wide
+        # Any of the four differing is a different plan.
+        others = [
+            TilePlan.build(mask, idx[2], idx[2], 8, 8),
+            TilePlan.build(mask, idx[1], idx[1], 8, 8),
+            TilePlan.build(mask, idx[1], idx[2], 4, 8),
+            TilePlan.build(mask, idx[1], idx[2], 8, 4),
+            TilePlan.build(CausalMask(), idx[1], idx[2], 8, 8),
+            wide,
+        ]
+        assert len({id(p) for p in others + [plan]}) == len(others) + 1
+
+    def test_plan_does_not_alias_the_callers_index_arrays(self):
+        mask = CausalMask()
+        q_idx, k_idx = np.arange(32, 64), np.arange(0, 32)
+        plan = TilePlan.build(mask, q_idx, k_idx, 8, 8)
+        q_idx[:] = 0  # the caller reuses its buffer
+        assert plan.q_idx[0] == 32 and not plan.q_idx.flags.writeable
+        assert TilePlan.build(mask, np.arange(32, 64), k_idx, 8, 8) is plan
+
+    def test_equal_but_distinct_masks_share_nothing(self):
+        idx = np.arange(32)
+        a, b = SlidingWindowMask(8), SlidingWindowMask(8)
+        plan_a = TilePlan.build(a, idx, idx, 8, 8)
+        plan_b = TilePlan.build(b, idx, idx, 8, 8)
+        assert plan_a is not plan_b
+        assert plan_a.mask_tile(0, 0) is not plan_b.mask_tile(0, 0)
+        np.testing.assert_array_equal(plan_a.states, plan_b.states)
+
+    def test_table_dies_with_its_mask(self):
+        mask = ALiBiMask(2)
+        idx = np.arange(32)
+        plan = TilePlan.build(mask, idx, idx, 8, 8)
+        plan.bias_tile(1, 0)
+        refs = [
+            weakref.ref(o)
+            for o in (mask, plan, plan.bias_cache, plan.mask_tile(0, 0))
+        ]
+        del mask, plan
+        gc.collect()
+        assert [r() for r in refs] == [None] * 4
+
+    def test_boolean_tiles_are_interned_by_content(self):
+        """The causal diagonals of a zigzag partition: 16 shard pairs, two
+        distinct boolean tiles in total (q ahead of k by a half-tile, or
+        level with it)."""
+        mask = CausalMask()
+        idxs = ZigzagPartitioner().indices(128, 4)
+        tiles = set()
+        n_partial = 0
+        for q_idx in idxs:
+            for k_idx in idxs:
+                plan = TilePlan.build(mask, q_idx, k_idx, 16, 16)
+                n_partial += plan.num_partial
+                tiles |= {
+                    id(m) for i in range(plan.n_q_blocks)
+                    for _, _, _, m in plan.row(i) if m is not None
+                }
+        assert n_partial > 2 and len(tiles) <= 2
+        assert not plan.mask_tile(0, 0).flags.writeable
+
+    def test_rows_list_exactly_the_non_empty_sub_tiles(self):
+        mask = sliding_window_block_mask(128, 16, 2)
+        idx = np.arange(128)
+        plan = TilePlan.build(mask, idx, idx, 16, 32)
+        for i in range(plan.n_q_blocks):
+            want = [
+                j for j in range(plan.n_k_blocks) if plan.state(i, j) != EMPTY
+            ]
+            assert [ki for ki, _, _, _ in plan.row(i)] == want
+            for ki, k0, k1, m in plan.row(i):
+                assert (k0, k1) == plan.k_range(ki)
+                assert (m is None) == (plan.state(i, ki) == FULL)
+        assert sum(len(plan.row(i)) for i in range(plan.n_q_blocks)) == (
+            plan.num_full + plan.num_partial
+        )
+
+    def test_table_stays_bounded_across_a_decoding_loop(self, monkeypatch):
+        """``generate`` asks for a new geometry every token; the table
+        keeps the newest ``MAX_PLANS`` and the tiles only they hold."""
+        from repro.kernels.tileplan import _PlanTable
+        from repro.nn import TransformerConfig, TransformerLM
+
+        monkeypatch.setattr(_PlanTable, "MAX_PLANS", 8)
+        mask = ALiBiMask(2)
+        model = TransformerLM(TransformerConfig(
+            vocab_size=17, dim=8, n_layers=2, n_heads=2, ffn_hidden=8,
+            max_seq_len=80, mask=mask, attn_block_size=4,
+        ))
+        out = model.generate(np.arange(8), max_new_tokens=64)
+        assert len(out) == 72
+        table = mask._tile_plans
+        assert len(table.plans) == 8
+        gc.collect()
+        live = {
+            id(m) for p in table.plans.values()
+            for i in range(p.n_q_blocks) for _, _, _, m in p.row(i)
+            if m is not None
+        }
+        assert {id(t) for t in table.tiles.values()} == live
+        assert table.bias._nbytes <= table.bias.MAX_BYTES
+
+    def test_bias_cache_evicts_past_its_byte_budget(self, monkeypatch):
+        from repro.kernels import BiasTileCache
+
+        mask = ALiBiMask(2)
+        # room for three (2 heads, 4, 4) float64 tiles
+        monkeypatch.setattr(BiasTileCache, "MAX_BYTES", 3 * 2 * 4 * 4 * 8)
+        cache = BiasTileCache()
+        k_idx = np.arange(4)
+        for q0 in range(0, 40, 4):
+            cache.get(mask, np.arange(q0, q0 + 4), k_idx)
+        assert len(cache) == 3
+        counters.reset()
+        cache.get(mask, np.arange(36, 40), k_idx)  # newest: still there
+        cache.get(mask, np.arange(0, 4), k_idx)  # oldest: rebuilt
+        assert (counters.bias_tiles_reused, counters.bias_tiles_built) == (1, 1)
+
+
+class TestTileSizeRule:
+    """``tile = min(128, largest power of two b with batch * b^2 <= 65536)``,
+    at least 16, clipped to the axis; an explicit size always wins."""
+
+    @pytest.mark.parametrize(
+        "batch,n_tokens,want",
+        [
+            (1, 2048, 128), (2, 2048, 128), (4, 2048, 128), (8, 2048, 64),
+            (16, 2048, 64), (64, 2048, 32), (256, 2048, 16),
+            (4096, 2048, 16),  # the floor
+            (1, 48, 48), (8, 48, 48), (64, 48, 32), (1, 1, 1),  # the clip
+        ],
+    )
+    def test_derived(self, batch, n_tokens, want):
+        assert tile_size(None, batch, n_tokens) == want
+
+    def test_explicit_size_is_honoured_as_given(self):
+        assert tile_size(8, 64, 2048) == 8
+        assert tile_size(256, 64, 48) == 256  # neither capped nor clipped
+        plan = TilePlan.build(CausalMask(), np.arange(48), np.arange(48), 128, 8)
+        assert (plan.block_q, plan.block_k) == (128, 8)
+
+    def test_kernels_and_plans_derive_from_the_head_batch(self):
+        rng = np.random.default_rng(0)
+        idx = np.arange(256)
+        for heads, want in ((2, 128), (8, 64), (64, 32)):
+            plan = TilePlan.build(CausalMask(), idx, idx, batch=heads)
+            assert (plan.block_q, plan.block_k) == (want, want)
+            q = rng.normal(size=(heads, 256, 4))
+            counters.reset()
+            o, lse = flash_attention_forward(q, q, q, plan=plan)
+            assert counters.total == (256 // want) ** 2
+            # Without a plan the kernel derives the same geometry.
+            o_dense, lse_dense = flash_attention_forward(
+                q, q, q, mask=CausalMask().block(idx, idx)
+            )
+            np.testing.assert_array_equal(o, o_dense)
+            np.testing.assert_array_equal(lse, lse_dense)
+
+
+class TestDerivedTileAtLength:
+    def test_sparse_bidirectional_ring_at_1024_tokens(self):
+        """The paper's sparse integration (block-wise sliding window +
+        blockwise partition) on 8 ranks at seq 1024 — above the suite's
+        seq <= 256 habit, where the derived tile (64 at 8 heads) is half a
+        shard: bidirectional == unidirectional bitwise, both within 1e-10
+        of the dense reference."""
+        from repro.attention import get_method
+        from repro.kernels import (
+            attention_reference,
+            attention_reference_backward,
+        )
+        from repro.topology import a800_node, make_cluster
+
+        n, heads, d, g = 1024, 8, 8, 8
+        mask = sliding_window_block_mask(n, n // 32, window_blocks=4)
+        topo = make_cluster(g, node=a800_node(gpus_per_node=4))
+        rng = np.random.default_rng(11)
+        q, k, v, do = (rng.normal(size=(heads, n, d)) for _ in range(4))
+        runs = {}
+        for mode in ("unidirectional", "bidirectional"):
+            method = get_method(
+                "burst", partitioner=BlockwisePartitioner(n // 32),
+                ring_mode=mode,
+            )
+            assert method.block_size is None
+            counters.reset()
+            res = method.run(topo, q, k, v, mask=mask, do=do)
+            runs[mode] = (res.o, res.lse, res.dq, res.dk, res.dv)
+            # 64 shard pairs x (128 / 64)^2 sub-tiles, forward + backward;
+            # a tile is 16 mask blocks of 4 tokens against a 4-block
+            # window, so only the tile above the diagonal is empty.
+            assert counters.total == 2 * 64 * 4
+            assert counters.skipped_empty == 2 * 64
+        for a, b in zip(runs["unidirectional"], runs["bidirectional"]):
+            np.testing.assert_array_equal(a, b)
+        dense = mask.dense(n)
+        o, lse = attention_reference(q, k, v, mask=dense)
+        dq, dk, dv = attention_reference_backward(
+            q, k, v, o, lse, do, mask=dense
+        )
+        for got, want in zip(runs["bidirectional"], (o, lse, dq, dk, dv)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 class TestPlanNumericsMatchDense:
