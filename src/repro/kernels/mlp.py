@@ -153,20 +153,19 @@ def swiglu_dense_backward(
 # --- chunked kernels ----------------------------------------------------------
 
 
-def transposed_weights(
-    wg: np.ndarray, wu: np.ndarray, wd: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Contiguous copies of ``(wg^T, wu^T, wd^T)`` for the chunked path.
+def transposed_weights(*weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Contiguous copies of each weight's transpose for the chunked path.
 
     Row-chunked GEMMs against a transposed *view* are not bitwise
     row-stable (the small-output kernel); against these copies they are,
     and in the large-output regime the copies produce the same bits as
-    the views the dense path uses (see module docstring).
+    the views the dense path uses (see module docstring).  Each copy is
+    one strided pass over a weight matrix, so callers name only the
+    weights their direction multiplies by: the forward all three, the
+    backward ``wg`` and ``wu`` (its ``wd`` GEMM takes the original).
     """
-    return (
-        np.ascontiguousarray(np.swapaxes(wg, 0, 1)),
-        np.ascontiguousarray(np.swapaxes(wu, 0, 1)),
-        np.ascontiguousarray(np.swapaxes(wd, 0, 1)),
+    return tuple(
+        np.ascontiguousarray(np.swapaxes(w, 0, 1)) for w in weights
     )
 
 
@@ -288,7 +287,7 @@ def swiglu_mlp_backward(
     from repro.obs.mem import transient_scope
 
     s, hidden = x.shape[0], wg.shape[0]
-    wg_t, wu_t, _ = transposed_weights(wg, wu, wd)
+    wg_t, wu_t = transposed_weights(wg, wu)
     # Accounted exactly as repro.perf.memory.swiglu_chunked_transient_bytes
     # models it: the three (S, hidden) assembly buffers for the whole
     # call, plus eight (chunk, hidden) intermediates per chunk.

@@ -26,6 +26,23 @@ Policies
 re-run-in-backward mechanics; :func:`in_recompute` lets the attention
 function know the current forward is a recomputation so it can consult its
 output cache.
+
+What a replay is for
+--------------------
+A replay exists to rebuild the *graph* (each node's saved state) that the
+first pass ran without; the values it recomputes matter only where some
+node saves them.  The replayed function's final output is dropped —
+:meth:`Checkpoint.backward` seeds ``out.backward`` with the upstream
+gradient and never reads ``out.data`` — so a node at the tail of the
+region whose backward needs nothing it computed (the fused FFN:
+:class:`~repro.nn.mlp_fn.BlockwiseMLPFn` saves ``x`` and weights only) can
+skip its forward there.  Whether a node *is* at the tail is a fact about
+the replayed function, not about the node: inside
+``checkpoint(lambda t: ffn2(ffn1(t)), x)`` the first FFN's output is saved
+by the second.  Hence the rule, guarded in ``tests/test_public_api.py``:
+``in_recompute`` is read by the attention-output cache and by
+:class:`~repro.nn.modules.TransformerBlock` (which owns both the region
+and its tail) and by nothing else — never by a node or a kernel.
 """
 
 from __future__ import annotations
@@ -99,7 +116,11 @@ _in_recompute: bool = False
 
 
 def in_recompute() -> bool:
-    """True while a :class:`Checkpoint` node is re-running its layer."""
+    """True while a :class:`Checkpoint` node is re-running its layer.
+
+    Also true for everything that replay calls, including the *first*
+    pass of a checkpoint nested inside it — whose output is real.
+    """
     return _in_recompute
 
 

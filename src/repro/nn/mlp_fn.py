@@ -12,6 +12,16 @@ four gradients are bitwise-identical to the composed path (pinned by
 
 ``chunk_size`` is ``mlp_chunk_size`` at the module/config layer;
 ``None`` still fuses (one node, only ``x`` saved) but computes densely.
+
+Because backward needs nothing the forward computed, the node can be
+applied ``graph_only``: it saves exactly what it always saves (same
+tracker registration, same bytes) and returns finite zeros without
+running the forward kernel.  That is only sound when *nobody reads the
+output's values* — a caller-side fact this module cannot know, so the
+node never decides it: it has no view of the checkpoint state, and the
+one caller that passes ``graph_only`` is
+:class:`~repro.nn.modules.TransformerBlock`, whose FFN is the tail of
+its own checkpointed region (see ``docs/algorithms.md`` §5).
 """
 
 from __future__ import annotations
@@ -33,9 +43,14 @@ class BlockwiseMLPFn(Function):
         w_up: np.ndarray,
         w_down: np.ndarray,
         chunk_size: int | None = None,
+        graph_only: bool = False,
     ) -> np.ndarray:
         self.chunk_size = chunk_size
         self.save_for_backward(x, w_gate, w_up, w_down)
+        if graph_only:
+            # Zeros, not np.empty: the caller's add / dropout still touch
+            # the placeholder and must stay finite under np.errstate.
+            return np.zeros(x.shape[:-1] + (w_down.shape[0],), dtype=x.dtype)
         return get_backend().mlp_forward(
             x, w_gate, w_up, w_down, chunk_size=chunk_size
         )
@@ -53,6 +68,13 @@ def blockwise_mlp(
     w_up: Tensor,
     w_down: Tensor,
     chunk_size: int | None = None,
+    graph_only: bool = False,
 ) -> Tensor:
-    """Functional wrapper: fused SwiGLU FFN through the kernel backend."""
-    return BlockwiseMLPFn.apply(x, w_gate, w_up, w_down, chunk_size=chunk_size)
+    """Functional wrapper: fused SwiGLU FFN through the kernel backend.
+
+    ``graph_only`` builds the node without computing its output (zeros);
+    pass it only when the output's values are provably never read.
+    """
+    return BlockwiseMLPFn.apply(
+        x, w_gate, w_up, w_down, chunk_size=chunk_size, graph_only=graph_only
+    )

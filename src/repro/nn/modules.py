@@ -26,6 +26,7 @@ from repro.nn.checkpoint import (
     AttentionOutputCache,
     CheckpointPolicy,
     checkpoint,
+    in_recompute,
 )
 from repro.nn.function import Function
 from repro.nn.memory import get_tracker
@@ -141,6 +142,11 @@ class SwiGLU(Module):
     hidden)`` intermediates are rematerialised in sequence chunks of that
     many rows (bitwise-identical to the composed path).  ``None`` keeps
     the composed five-node graph.
+
+    ``forward(x, output_unread=True)`` is the caller's guarantee that
+    nothing will read the output's values (only its place in the graph);
+    the fused node then skips its forward kernel.  The composed graph
+    ignores it: its nodes save what they compute.
     """
 
     def __init__(
@@ -155,11 +161,11 @@ class SwiGLU(Module):
         self.down = Linear(hidden, dim, rng)
         self.mlp_chunk_size = mlp_chunk_size
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, output_unread: bool = False) -> Tensor:
         if self.mlp_chunk_size is not None:
             return blockwise_mlp(
                 x, self.gate.weight, self.up.weight, self.down.weight,
-                chunk_size=self.mlp_chunk_size,
+                chunk_size=self.mlp_chunk_size, graph_only=output_unread,
             )
         return self.down(ops.mul(ops.silu(self.gate(x)), self.up(x)))
 
@@ -241,6 +247,15 @@ class TransformerBlock(Module):
     itself (storing only its input) whenever the policy requires it, with
     the attention-output cache implementing the selective++/sequence-level
     whitelists.
+
+    The FFN is the tail of the checkpointed region: its output feeds only
+    the optional dropout (which saves its mask, not its input) and the
+    residual ``add`` whose result :class:`~repro.nn.checkpoint.Checkpoint`
+    drops after a replay.  So while this block's *own* checkpoint replays
+    it, the FFN's values are read by nobody and the block tells the FFN so
+    (``output_unread``) — the replay builds the graph, the fused FFN does
+    not recompute.  Only the block can know this; see
+    ``docs/algorithms.md`` §5.
     """
 
     def __init__(
@@ -286,13 +301,13 @@ class TransformerBlock(Module):
         self.policy = policy
         self.attn.policy = policy
 
-    def _body(self, x: Tensor) -> Tensor:
+    def _body(self, x: Tensor, tail_unread: bool = False) -> Tensor:
         attn_out = self.attn(self.norm1(x))
         if self.dropout_p > 0:
             attn_out = ops.dropout(attn_out, self.dropout_p,
                                    training=self.training)
         h = ops.add(x, attn_out)
-        ffn_out = self.ffn(self.norm2(h))
+        ffn_out = self.ffn(self.norm2(h), output_unread=tail_unread)
         if self.dropout_p > 0:
             ffn_out = ops.dropout(ffn_out, self.dropout_p,
                                   training=self.training)
@@ -306,12 +321,21 @@ class TransformerBlock(Module):
         seed = draw_seed() if (self.dropout_p > 0 and self.training) else None
 
         def seeded_body(x_: Tensor) -> Tensor:
+            # True only inside this block's own Checkpoint.backward: the
+            # first pass runs under no_grad (its output is the layer's
+            # real output, also while an outer checkpoint is replaying),
+            # and an un-checkpointed body's output is always read.
+            tail_unread = (
+                self.policy.checkpoints_layer
+                and in_recompute()
+                and is_grad_enabled()
+            )
             # The scope lives in the closure so a checkpoint *replay* in
             # backward attributes its re-registered activations to this
             # layer too, not just the original forward.
             with memory_scope(layer=self.layer_index):
                 with scoped_rng(seed):
-                    return self._body(x_)
+                    return self._body(x_, tail_unread=tail_unread)
 
         if self.policy.checkpoints_layer:
             return checkpoint(seeded_body, x)

@@ -3,13 +3,68 @@
 The paper's ZeRO-Offload setting (Table 5 enables it, Table 4 disables it)
 is a placement choice with no numeric effect; it is modeled analytically
 (``repro.perf.memory.TrainingSetup.optimizer_offload``), not here.
+
+Every ``step`` updates parameters and moments **in place**: the textbook
+formulas' elementary operations run in their written order with ``out=``
+on the moment / parameter arrays and two reusable scratch buffers, one
+cache-sized piece at a time (:func:`_pieces`), so a step allocates no
+parameter-sized temporary and its results are bitwise those of the
+allocating expressions (``tests/test_optim.py`` keeps a literal
+transcription as the reference).  The scratch is working memory, not
+optimizer state: it is in neither ``state_dict()`` nor ``state_bytes()``.
+Gradients are only ever read — ``p.grad`` may be a transposed view that
+aliases a buffer autograd still owns.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.nn.tensor import Tensor
+
+#: Elements per in-place update piece.  Two float64 scratch rows of this
+#: size are 512 KiB: the piece's parameter, moments, gradient and scratch
+#: stay cache-resident across the ~14 elementwise passes of an Adam update
+#: (measured best of 4 K … 1 M on ``wide_short``'s 6.4 M parameters:
+#: 0.058 s a step against 0.073 at 4 K and 0.069 at 1 M).
+PIECE_ELEMS = 32768
+
+
+def _pieces(
+    param: np.ndarray,
+    *state: np.ndarray,
+    grad: np.ndarray,
+    scratch: np.ndarray,
+) -> Iterator[list[np.ndarray]]:
+    """Aligned same-shape views ``[param, *state, grad, a, b]`` covering
+    ``param``, ``a`` / ``b`` being scratch the caller may overwrite.
+
+    Writes through the ``param`` / ``state`` views land in the originals:
+    they are flat slices when every written array is C-contiguous, and the
+    whole (strided) arrays with fresh scratch otherwise — ``reshape(-1)``
+    of a non-contiguous array is a copy, and updating that copy would
+    silently leave the parameter untouched.  A non-contiguous ``grad``
+    (every weight-matrix gradient arrives as a transposed view) is read
+    once into a contiguous copy; it is never written.
+    """
+    written = (param, *state)
+    if not all(arr.flags.c_contiguous for arr in written):
+        yield [*written, grad, np.empty(param.shape), np.empty(param.shape)]
+        return
+    flats = [arr.reshape(-1) for arr in (*written, np.ascontiguousarray(grad))]
+    for start in range(0, param.size, PIECE_ELEMS):
+        n = min(PIECE_ELEMS, param.size - start)
+        yield [f[start:start + n] for f in flats] + [scratch[0, :n], scratch[1, :n]]
+
+
+def _descend(
+    data: np.ndarray, update: np.ndarray, rate: float, a: np.ndarray
+) -> None:
+    """``data -= rate * update`` through scratch ``a``."""
+    np.multiply(update, rate, out=a)
+    np.subtract(data, a, out=data)
 
 
 class Optimizer:
@@ -20,6 +75,8 @@ class Optimizer:
         if not self.params:
             raise ValueError("optimizer received no parameters")
         self.lr = lr
+        largest = max(p.data.size for p in self.params)
+        self._scratch = np.empty((2, min(PIECE_ELEMS, largest)))
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -39,7 +96,9 @@ class Optimizer:
 
         Returns a dict of scalars plus an ``"arrays"`` sub-dict of numpy
         buffers (moment estimates etc.), consumed by
-        :func:`repro.nn.serialization.save_train_state`.
+        :func:`repro.nn.serialization.save_train_state`.  Like
+        ``Tensor.data``, the buffers are the live ones the next ``step``
+        updates in place: write or copy them before stepping again.
         """
         return {"kind": type(self).__name__, "lr": self.lr, "arrays": {}}
 
@@ -73,12 +132,19 @@ class SGD(Optimizer):
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            if self._velocity is not None:
-                self._velocity[i] = self.momentum * self._velocity[i] + p.grad
-                update = self._velocity[i]
+            if self._velocity is None:
+                for data, g, a, _ in _pieces(
+                    p.data, grad=p.grad, scratch=self._scratch
+                ):
+                    _descend(data, g, self.lr, a)
             else:
-                update = p.grad
-            p.data -= self.lr * update
+                for data, vel, g, a, _ in _pieces(
+                    p.data, self._velocity[i],
+                    grad=p.grad, scratch=self._scratch,
+                ):
+                    np.multiply(vel, self.momentum, out=vel)
+                    np.add(vel, g, out=vel)
+                    _descend(data, vel, self.lr, a)
 
     def state_bytes(self) -> int:
         if self._velocity is None:
@@ -132,12 +198,31 @@ class Adam(Optimizer):
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            g = p.grad
-            self._m[i] = b1 * self._m[i] + (1 - b1) * g
-            self._v[i] = b2 * self._v[i] + (1 - b2) * (g * g)
-            m_hat = self._m[i] / bias1
-            v_hat = self._v[i] / bias2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            for data, m, v, g, a, b in _pieces(
+                p.data, self._m[i], self._v[i],
+                grad=p.grad, scratch=self._scratch,
+            ):
+                self._decay(data, a)
+                # m = b1 * m + (1 - b1) * g
+                np.multiply(m, b1, out=m)
+                np.multiply(g, 1 - b1, out=a)
+                np.add(m, a, out=m)
+                # v = b2 * v + (1 - b2) * (g * g)
+                np.multiply(v, b2, out=v)
+                np.multiply(g, g, out=a)
+                np.multiply(a, 1 - b2, out=a)
+                np.add(v, a, out=v)
+                # data -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+                np.divide(m, bias1, out=a)
+                np.multiply(a, self.lr, out=a)
+                np.divide(v, bias2, out=b)
+                np.sqrt(b, out=b)
+                np.add(b, self.eps, out=b)
+                np.divide(a, b, out=a)
+                np.subtract(data, a, out=data)
+
+    def _decay(self, data: np.ndarray, a: np.ndarray) -> None:
+        """Weight decay applied to a piece before its update (none here)."""
 
     def state_bytes(self) -> int:
         return sum(m.nbytes + v.nbytes for m, v in zip(self._m, self._v))
@@ -176,11 +261,8 @@ class AdamW(Adam):
         super().__init__(params, lr=lr, **kw)
         self.weight_decay = weight_decay
 
-    def step(self) -> None:
-        for p in self.params:
-            if p.grad is not None:
-                p.data -= self.lr * self.weight_decay * p.data
-        super().step()
+    def _decay(self, data: np.ndarray, a: np.ndarray) -> None:
+        _descend(data, data, self.lr * self.weight_decay, a)
 
     def state_dict(self) -> dict:
         state = super().state_dict()

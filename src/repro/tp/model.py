@@ -51,7 +51,8 @@ class TPSwiGLU(SwiGLU):
             )
         self.comm = comm
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, output_unread: bool = False) -> Tensor:
+        # Always computes: the all-reduce is part of the step's traffic.
         return tp_mlp(
             x, self.gate.weight, self.up.weight, self.down.weight, self.comm
         )

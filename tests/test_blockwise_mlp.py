@@ -26,7 +26,9 @@ from repro.kernels import (
     swiglu_mlp_forward,
     uses_chunking,
 )
-from repro.nn.checkpoint import CheckpointMode, CheckpointPolicy
+from repro.kernels import get_backend
+from repro.nn import ops
+from repro.nn.checkpoint import CheckpointMode, CheckpointPolicy, checkpoint
 from repro.nn.memory import get_tracker
 from repro.nn.modules import SwiGLU, TransformerBlock
 from repro.nn.tensor import Tensor
@@ -154,6 +156,153 @@ class TestModuleBitwise:
         ckpt = run(CheckpointPolicy(mode=CheckpointMode.FULL))
         for a, b in zip(eager, ckpt):
             assert np.array_equal(a, b)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` with a call counter; returns the counter list."""
+    calls = []
+    raw = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+_CHECKPOINTING = [
+    CheckpointMode.FULL, CheckpointMode.SELECTIVE_PP,
+    CheckpointMode.SEQUENCE_LEVEL,
+]
+
+
+class TestReplayElidesTheBlockTail:
+    """A checkpoint replay of a ``TransformerBlock`` builds the fused
+    FFN's graph node without recomputing its output — nobody reads it —
+    and only the block, which knows the FFN is its tail, may decide that.
+    """
+
+    SEQ, DIM, HID, CHUNK = 64, 32, 64, 16
+
+    def _block_grads(self, policy, chunk):
+        from repro.nn.rng import set_seed
+
+        rng = np.random.default_rng(1)
+        x_data = rng.normal(size=(self.SEQ, self.DIM))
+        dy = rng.normal(size=(self.SEQ, self.DIM))
+        set_seed(5)  # same dropout masks under every policy
+        block = TransformerBlock(
+            self.DIM, 2, self.HID, np.random.default_rng(4),
+            policy=CheckpointPolicy(mode=policy), mlp_chunk_size=chunk,
+            dropout_p=0.2,
+        )
+        x = Tensor(x_data, requires_grad=True)
+        with np.errstate(all="raise"):
+            out = block(x)
+            out.backward(dy)
+        return [out.data, x.grad] + [p.grad for p in block.parameters()]
+
+    @pytest.mark.parametrize("policy", _CHECKPOINTING, ids=lambda m: m.value)
+    def test_fused_ffn_forward_runs_once_per_layer(self, monkeypatch, policy):
+        calls = _count_calls(monkeypatch, get_backend(), "mlp_forward")
+        bwd = _count_calls(monkeypatch, get_backend(), "mlp_backward")
+        plain = self._block_grads(CheckpointMode.NONE, self.CHUNK)
+        assert (len(calls), len(bwd)) == (1, 1)
+        del calls[:], bwd[:]
+        ckpt = self._block_grads(policy, self.CHUNK)
+        assert (len(calls), len(bwd)) == (1, 1)  # forward only: no replay call
+        assert len(plain) == len(ckpt) == 11
+        for a, b in zip(plain, ckpt):
+            assert np.array_equal(a, b)
+
+    def test_composed_ffn_still_recomputes_in_replay(self, monkeypatch):
+        # Its nodes save what they compute, so nothing may be skipped.
+        calls = _count_calls(monkeypatch, get_backend(), "mlp_forward")
+        silu = _count_calls(monkeypatch, ops, "silu")
+        plain = self._block_grads(CheckpointMode.NONE, None)
+        assert len(silu) == 1
+        ckpt = self._block_grads(CheckpointMode.FULL, None)
+        assert len(silu) == 1 + 2  # forward + replay
+        assert calls == []
+        for a, b in zip(plain, ckpt):
+            assert np.array_equal(a, b)
+
+    def _two_ffns(self):
+        rng = np.random.default_rng(7)
+        return [SwiGLU(self.DIM, self.HID, rng, mlp_chunk_size=self.CHUNK)
+                for _ in range(2)]
+
+    def _chain_grads(self, wrap):
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(self.SEQ, self.DIM)), requires_grad=True)
+        dy = rng.normal(size=(self.SEQ, self.DIM))
+        ffn1, ffn2 = self._two_ffns()
+        wrap(lambda t: ffn2(ffn1(t)), x).backward(dy)
+        return [x.grad] + [p.grad for f in (ffn1, ffn2) for p in f.parameters()]
+
+    def test_a_fused_ffn_that_feeds_another_is_recomputed(self):
+        """The hazard: inside a generic checkpoint the first FFN's output
+        is *saved* by the second, so a node that skipped its forward on
+        its own whenever a replay is running would hand the second FFN a
+        placeholder and return wrong ``dx`` / ``dW`` with every other test
+        green."""
+        plain = self._chain_grads(lambda fn, x: fn(x))
+        ckpt = self._chain_grads(checkpoint)
+        assert len(plain) == len(ckpt) == 7
+        for a, b in zip(plain, ckpt):
+            assert np.array_equal(a, b)
+
+    def test_block_inside_an_outer_replay_keeps_its_output(self, monkeypatch):
+        """An outer checkpoint replaying a checkpointing block runs the
+        block's *first* pass while ``in_recompute()`` is true; that pass's
+        output is read by the next block, so it must be computed."""
+        rng = np.random.default_rng(3)
+        x_data = rng.normal(size=(self.SEQ, self.DIM))
+        dy = rng.normal(size=(self.SEQ, self.DIM))
+
+        def run(outer):
+            blocks = [
+                TransformerBlock(
+                    self.DIM, 2, self.HID, np.random.default_rng(4 + i),
+                    policy=CheckpointPolicy(mode=CheckpointMode.FULL),
+                    mlp_chunk_size=self.CHUNK,
+                )
+                for i in range(2)
+            ]
+            x = Tensor(x_data, requires_grad=True)
+            outer(lambda t: blocks[1](blocks[0](t)), x).backward(dy)
+            return [x.grad] + [p.grad for b in blocks for p in b.parameters()]
+
+        plain = run(lambda fn, x: fn(x))
+        calls = _count_calls(monkeypatch, get_backend(), "mlp_forward")
+        nested = run(checkpoint)
+        # per block: the forward and the outer replay's first pass, never
+        # the block's own replay.
+        assert len(calls) == 4
+        for a, b in zip(plain, nested):
+            assert np.array_equal(a, b)
+
+    def test_graph_only_node_saves_what_the_computing_node_saves(self):
+        from repro.nn.mlp_fn import blockwise_mlp
+
+        tracker = get_tracker()
+        ffn = self._two_ffns()[0]
+        x = Tensor(np.random.default_rng(0).normal(size=(self.SEQ, self.DIM)),
+                   requires_grad=True)
+        saved = []
+        for graph_only in (False, True):
+            base = tracker.current_saved_bytes
+            y = blockwise_mlp(x, ffn.gate.weight, ffn.up.weight,
+                              ffn.down.weight, chunk_size=self.CHUNK,
+                              graph_only=graph_only)
+            saved.append(tracker.current_saved_bytes - base)
+            assert y.shape == (self.SEQ, self.DIM)
+            assert graph_only == (not y.data.any())
+            y.backward(np.ones_like(y.data))  # drain saves
+        assert saved[0] == saved[1] == swiglu_fused_saved_bytes(
+            self.SEQ, self.DIM, self.HID
+        )
 
 
 class TestMemoryPins:

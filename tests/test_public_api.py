@@ -419,3 +419,42 @@ class TestTilePlansBuiltOnceSizedOnce:
                 and node.func.id in constructors
             ]
             assert built == [], f"{rel}: lines {built}"
+
+
+class TestOnlyTheBlockElidesItsTail:
+    """A checkpoint replay skips the fused FFN's forward because *the
+    block* knows the FFN is the tail of its own checkpointed region.  The
+    node and its kernels must stay blind to the replay state — a node-level
+    shortcut is silently wrong wherever another node saves the FFN's
+    output (``tests/test_blockwise_mlp.py`` holds that case)."""
+
+    def test_in_recompute_is_read_by_the_block_and_the_attention_cache(self):
+        import ast
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        # its definition, and the attention-output cache that consults it
+        homes = ("nn/checkpoint.py", "nn/attention_fn.py")
+        for path in sorted(src.rglob("*.py")):
+            rel = path.relative_to(src).as_posix()
+            text = path.read_text()
+            if rel in homes:
+                continue
+            if rel != "nn/modules.py":
+                # no import, no reference, not even by name: in particular
+                # nn/mlp_fn.py and kernels/mlp.py
+                assert "in_recompute" not in text, rel
+                continue
+            tree = ast.parse(text)
+            (block,) = [
+                node for node in tree.body
+                if isinstance(node, ast.ClassDef)
+                and node.name == "TransformerBlock"
+            ]
+            in_block = {id(node) for node in ast.walk(block)}
+            reads = [
+                node for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "in_recompute"
+            ]
+            assert len(reads) == 1
+            assert id(reads[0]) in in_block
