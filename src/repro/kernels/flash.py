@@ -1,30 +1,42 @@
 """Blockwise (FlashAttention-style) exact attention in numpy.
 
-The computation is tiled over query and key blocks and never materialises
-the full ``Sq x Sk`` score matrix.  Both directions follow FlashAttention-2,
-done with in-place arithmetic on one score tile ``S`` (the GEMM's output
-buffer) per sub-tile:
+The computation is tiled over query blocks and key *runs* and never
+materialises the full ``Sq x Sk`` score matrix.  One iteration of the key
+loop handles one run — a stretch of adjacent sub-tiles of one class that
+:func:`~repro.kernels.tileplan.key_runs` merged (up to
+:func:`~repro.kernels.tileplan.run_width` keys) and, under a partial
+mask, trimmed to the keys some query row sees — because an iteration's
+cost at small head dimensions is mostly fixed: a handful of NumPy calls
+whose inner loops are one score row long.  Both directions follow
+FlashAttention-2, done with in-place arithmetic on one score tile ``S``
+(the GEMM's output buffer) per run, and both let the row statistics ride
+the GEMMs as one extra column instead of a pass over the tile:
 
 * **forward** — the query block is scaled once (``Q~ = Q * scale``) and
-  carries a running row max ``m``, row sum ``l`` and *unnormalised* output
-  ``O``.  Per key tile: ``S = Q~ K^T``; ``m' = max(m, rowmax S)``;
-  ``P = exp(S - m')``; ``l = l*a + rowsum P`` and ``O = O*a + P V`` with
-  ``a = exp(m - m')``.  ``O /= l`` and ``lse = m + log l`` are formed once
-  per query block, after the key loop.  That is one ``exp`` and 4 full-tile
-  passes per tile (max, subtract, exp, sum; 5 on a masked tile), where the
-  earlier running-``(O, lse)`` merge took two ``exp`` and 8 (10 masked),
-  most of them allocating a tile-sized temporary.
+  carries a running row max ``m`` and the *unnormalised* ``[O | l]``.  Per
+  run: ``S = Q~ K^T``; ``m' = max(m, rowmax S)``; ``P = exp(S - m')``;
+  ``[O | l] = [O | l]*a + P [V | 1]`` with ``a = exp(m - m')`` — the row
+  sum ``l`` is the last column of the PV product.  ``O /= l`` and
+  ``lse = m + log l`` are formed once per query block, after the key
+  loop.  That is one ``exp`` and 3 full-tile passes per run (max,
+  subtract, exp; 4 on a masked run), where the separate ``rowsum`` made 4
+  (5) and the earlier running-``(O, lse)`` merge took two ``exp`` and 8
+  (10 masked), most of them allocating a tile-sized temporary.
 * **backward** — each probability tile is re-formed from the saved ``lse``
-  as ``P = exp(Q~ K^T - lse)`` and ``dS = P * (dO V^T - D)`` with
-  ``D = rowsum(dO * O)``; ``dK += dS^T Q~`` needs no rescale and ``dQ`` is
-  scaled once per query block.  4 full-tile passes per tile (5 masked),
-  down from 6 (8 masked).
+  as ``P = exp([Q~ | -lse] [K | 1]^T)`` and ``dS = P * ([dO | -D]
+  [V | 1]^T)`` with ``D = rowsum(dO * O)``; ``dK += dS^T Q~`` needs no
+  rescale and ``dQ`` is scaled once per query block.  2 full-tile passes
+  per run (exp, multiply; 3 masked), down from 4 (5) with the two
+  broadcast subtractions and 6 (8) before that.  ``[K | 1]`` / ``[V | 1]``
+  are built once per call, ``[Q~ | -lse]`` / ``[dO | -D]`` once per query
+  block.
 
 Masked scores are never exponentiated (``exp(..., where=mask)``, then
 zeroed), so no ``-inf`` enters the tile arithmetic.  A query row with no
 visible key is handled on row-sized vectors only: its ``m`` stays ``-inf``
-(shifted by 0 instead), its ``l`` stays 0, and it leaves the kernel as
-``O = 0``, ``lse = -inf``, the identity of
+(shifted by 0 instead), its ``l`` comes out of the GEMM as exactly 0 (and
+is divided as 1), its ``-lse`` column is 0 with ``P`` zeroed afterwards,
+and it leaves the kernel as ``O = 0``, ``lse = -inf``, the identity of
 :func:`~repro.kernels.softmax.merge_states`.  These tiled kernels are what
 every distributed attention method in :mod:`repro.attention` runs locally
 on each simulated device.
@@ -32,25 +44,25 @@ on each simulated device.
 Masking comes in two forms:
 
 * a :class:`~repro.kernels.tileplan.TilePlan` (``plan=``) — what every
-  call site in the repo passes.  The key loop walks the plan's list of
-  non-``empty`` sub-tiles per query block (work proportional to the
-  computed tiles, not to the grid), ``full`` sub-tiles run without mask
-  handling, and only ``partial`` sub-tiles carry a boolean tile.
-  Executed/skipped sub-tiles are tallied in
+  call site in the repo passes.  The key loop walks the plan's precomputed
+  runs per query block (work proportional to the computed tiles, not to
+  the grid), ``full`` runs go without mask handling, and only ``partial``
+  runs carry a boolean tile.  Sub-tiles, runs and pairs are tallied in
   :data:`repro.kernels.tileplan.counters`, once per invocation from the
-  plan's static classification.
+  plan's static lists.
 * a dense boolean array (``mask=``, with an optional dense ``bias=``)
   broadcastable to ``(..., Sq, Sk)`` — the oracle form the kernel tests
   and the planned-equals-dense properties compare against; no call site
-  outside the tests uses it.  All-``False`` tiles are skipped before their
-  GEMM.
+  outside the tests uses it.  Its runs come from the same
+  :func:`~repro.kernels.tileplan.key_runs`, fed the ``any()`` / ``all()``
+  of each sub-tile.
 
 Both paths are algebraically exact and perform the same floating-point
-operations on every visible score (an all-``True`` mask tile selects
-everything), so their outputs are bitwise equal.  A
+operations on every visible score, so their outputs are bitwise equal
+(given the same head batch, which sets the geometry).  A
 :class:`~repro.kernels.tileplan.KernelWorkspace` (``workspace=``) only
 changes where the GEMM outputs live: reused scratch instead of fresh
-arrays.  Peak temporary memory is ``O(block_q * block_k)`` instead of
+arrays.  Peak temporary memory is ``O(block_q * run_width)`` instead of
 ``O(Sq * Sk)``.
 """
 
@@ -60,24 +72,21 @@ import numpy as np
 
 from repro.kernels.softmax import NEG_INF
 from repro.kernels.tileplan import (
+    EMPTY,
+    FULL,
+    PARTIAL,
     KernelWorkspace,
     TilePlan,
+    _block_bounds,
     head_batch,
+    key_runs,
+    run_width,
     tile_size,
 )
 from repro.obs.tracer import NOOP_SPAN, trace_span
 
 
-def _mask_tile(
-    mask: np.ndarray | None, q0: int, q1: int, k0: int, k1: int
-) -> np.ndarray | None:
-    """Slice the last two axes of a broadcastable boolean mask."""
-    if mask is None:
-        return None
-    return mask[..., q0:q1, k0:k1]
-
-
-def _tile_geometry(
+def _key_loops(
     plan: TilePlan | None,
     q: np.ndarray,
     k: np.ndarray,
@@ -85,49 +94,94 @@ def _tile_geometry(
     bias: np.ndarray | None,
     block_q: int | None,
     block_k: int | None,
-) -> tuple[int, int]:
-    """``(block_q, block_k)`` of one invocation: the plan's geometry when
-    there is one (tallied here, once), else the explicit blocks or the
-    derived tile size."""
+):
+    """The work of one invocation: ``(q0, q1, runs)`` per query block,
+    ``runs`` yielding ``(k0, k1, mask_tile, bias_tile)`` per iteration of
+    its key loop.
+
+    With a plan these are its precomputed runs (tallied here, once).  On
+    the dense path the geometry is the explicit blocks or the derived tile
+    size, and the runs are what :func:`~repro.kernels.tileplan.key_runs`
+    forms from the ``any()`` / ``all()`` of each sub-tile of the
+    broadcastable ``mask``, with ``mask``/``bias`` sliced to the run —
+    the same function the plan was built by.
+    """
     sq, sk = q.shape[-2], k.shape[-2]
-    if plan is None:
-        batch = head_batch(q)
-        return tile_size(block_q, batch, sq), tile_size(block_k, batch, sk)
-    if mask is not None or bias is not None:
-        raise ValueError(
-            "pass either plan= or dense mask=/bias=, not both"
-        )
-    plan.check_geometry(sq, sk)
-    plan.tally()
-    return plan.block_q, plan.block_k
+    if plan is not None:
+        if mask is not None or bias is not None:
+            raise ValueError(
+                "pass either plan= or dense mask=/bias=, not both"
+            )
+        plan.check_geometry(sq, sk)
+        plan.tally()
+        for qi in range(plan.n_q_blocks):
+            yield *plan.q_range(qi), (
+                (k0, k1, m, plan.bias_tile(qi, k0, k1))
+                for k0, k1, m in plan.row(qi)
+            )
+        return
+    batch = head_batch(q)
+    block_q = tile_size(block_q, batch, sq)
+    block_k = tile_size(block_k, batch, sk)
+    k_bounds = _block_bounds(sk, block_k)
+    max_keys = run_width(batch, block_q, block_k, sq, sk)
+    for q0, q1 in _block_bounds(sq, block_q):
+        yield q0, q1, _dense_runs(mask, bias, q0, q1, k_bounds, max_keys)
 
 
-def _key_tiles(
-    plan: TilePlan | None,
+def _dense_runs(
     mask: np.ndarray | None,
     bias: np.ndarray | None,
-    qi: int,
     q0: int,
     q1: int,
-    sk: int,
-    block_k: int,
+    k_bounds: list[tuple[int, int]],
+    max_keys: int,
 ):
-    """Yield ``(k0, k1, mask_tile, bias_tile)`` for every sub-tile of one
-    query block that has work: the plan's precomputed list of non-empty
-    sub-tiles, or — on the dense path — slices of the broadcastable
-    ``mask``/``bias`` with the all-``False`` tiles dropped."""
-    if plan is not None:
-        for ki, k0, k1, m in plan.row(qi):
-            yield k0, k1, m, plan.bias_tile(qi, ki)
-        return
-    for k0 in range(0, sk, block_k):
-        k1 = min(k0 + block_k, sk)
-        m = _mask_tile(mask, q0, q1, k0, k1)
-        if m is not None:
-            if not m.any():
-                continue
-            m = m.astype(bool, copy=False)
-        yield k0, k1, m, _mask_tile(bias, q0, q1, k0, k1)
+    """The dense path's key loop for query rows ``[q0, q1)``: each
+    sub-tile classified by its ``any()`` / ``all()``, then merged and
+    trimmed exactly as a plan's are."""
+    if mask is None:
+        states = [FULL] * len(k_bounds)
+    else:
+        rows = mask[..., q0:q1, :]
+        states = [
+            EMPTY if not (tile := rows[..., k0:k1]).any()
+            else FULL if tile.all() else PARTIAL
+            for k0, k1 in k_bounds
+        ]
+
+    def mask_of(j0: int, j1: int) -> np.ndarray:
+        stretch = rows[..., k_bounds[j0][0]:k_bounds[j1 - 1][1]]
+        return stretch.astype(bool, copy=False)
+
+    for k0, k1, m in key_runs(states, k_bounds, max_keys, mask_of):
+        yield k0, k1, m, None if bias is None else bias[..., q0:q1, k0:k1]
+
+
+def _scratch(
+    ws: KernelWorkspace | None, name: str, shape: tuple
+) -> np.ndarray:
+    """Uninitialised float64 ``shape``: the workspace's ``name`` buffer
+    when there is one, so that no per-call array is page-faulted in."""
+    return np.empty(shape) if ws is None else ws.buf(name, shape)
+
+
+def _augment(
+    ws: KernelWorkspace | None,
+    x: np.ndarray,
+    last: np.ndarray | float,
+    name: str,
+) -> np.ndarray:
+    """``[x | last]``: ``x`` with one more column, in the workspace's
+    ``name`` scratch when there is one.  A GEMM against the augmented
+    operand carries a row statistic along — ``P [V | 1]`` ends in
+    ``rowsum P``, ``[Q~ | -lse] [K | 1]^T`` is ``S - lse`` and
+    ``[dO | -D] [V | 1]^T`` is ``dP - D`` — for one more column of a
+    product instead of a pass over the score tile."""
+    out = _scratch(ws, name, x.shape[:-1] + (x.shape[-1] + 1,))
+    out[..., :-1] = x
+    out[..., -1] = last
+    return out
 
 
 def _matmul(
@@ -167,12 +221,12 @@ def flash_attention_forward(
     the same ``(o, lse)`` pair.  ``block_q``/``block_k`` bound the size of
     any temporary score tile: ``None`` derives them
     (:func:`~repro.kernels.tileplan.tile_size`), and when ``plan`` is
-    given its block geometry wins.  ``bias`` is an additive score term (ALiBi) broadcastable to
-    ``(..., Sq, Sk)``, tiled alongside the mask; with a plan, bias tiles
-    are resolved (and cached) per sub-tile instead.
+    given its block geometry wins.  ``bias`` is an additive score term
+    (ALiBi) broadcastable to ``(..., Sq, Sk)``, sliced alongside the mask;
+    with a plan, bias tiles are resolved (and cached) per run instead.
 
     One ``flash.fwd`` span covers the whole invocation (never per
-    sub-tile — the inner loop stays bench-clean).
+    run — the inner loop stays bench-clean).
     """
     span = trace_span("flash.fwd", phase="compute", backend="reference")
     if span is NOOP_SPAN:
@@ -188,30 +242,22 @@ def flash_attention_forward(
 
 
 def _forward_q_block(
-    qi: int,
-    q0: int,
-    q1: int,
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    mask: np.ndarray | None,
-    scale: float,
-    block_k: int,
-    bias: np.ndarray | None,
-    plan: TilePlan | None,
+    q_blk: np.ndarray,
+    k_t: np.ndarray,
+    v1: np.ndarray,
+    runs,
     ws: KernelWorkspace | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inner key loop of the forward pass for one query block, which
-    touches only its own ``(o_blk, lse_blk)`` running state."""
-    q_blk = q[..., q0:q1, :] * scale
-    o_blk = np.zeros(q_blk.shape[:-1] + (v.shape[-1],), dtype=np.float64)
+    """Inner key loop of the forward pass for one (scaled) query block,
+    which touches only its own running state: ``m`` and ``[O | l]``, the
+    accumulator of ``P [V | 1]`` (``k_t`` is ``K^T``, ``v1`` is
+    ``[V | 1]``).  The returned ``o`` is a view of scratch: copy it out
+    before the next block runs."""
+    acc = _scratch(ws, "fwd-acc", q_blk.shape[:-1] + (v1.shape[-1],))
+    acc.fill(0.0)
     m_run = np.full(q_blk.shape[:-1] + (1,), NEG_INF, dtype=np.float64)
-    l_run = np.zeros_like(m_run)
-    for k0, k1, m, b in _key_tiles(
-        plan, mask, bias, qi, q0, q1, k.shape[-2], block_k
-    ):
-        k_t = np.swapaxes(k[..., k0:k1, :], -1, -2)
-        s = _matmul(ws, q_blk, k_t, "fwd-s")
+    for k0, k1, m, b in runs:
+        s = _matmul(ws, q_blk, k_t[..., k0:k1], "fwd-s")
         if b is not None:
             s += b
         tile_max = s.max(
@@ -225,13 +271,12 @@ def _forward_q_block(
         alpha = np.exp(m_run - m_safe)
         s -= m_safe
         _exp_visible(s, m)
-        l_run *= alpha
-        l_run += s.sum(axis=-1, keepdims=True)
-        o_blk *= alpha
-        o_blk += _matmul(ws, s, v[..., k0:k1, :], "fwd-pv")
+        acc *= alpha
+        acc += _matmul(ws, s, v1[..., k0:k1, :], "fwd-pv")
         m_run = m_new
     # Normalise once per q block.  A row that saw no key has l = 0 and
     # m = -inf: dividing by 1 leaves o = 0 and lse = -inf + log 1 = -inf.
+    o_blk, l_run = acc[..., :-1], acc[..., -1:]
     l_run[l_run == 0.0] = 1.0
     o_blk /= l_run
     return o_blk, (m_run + np.log(l_run))[..., 0]
@@ -243,26 +288,22 @@ def _forward_tiles(
     v: np.ndarray,
     mask: np.ndarray | None,
     scale: float | None,
-    block_q: int,
-    block_k: int,
+    block_q: int | None,
+    block_k: int | None,
     bias: np.ndarray | None,
     plan: TilePlan | None,
     workspace: KernelWorkspace | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     if scale is None:
         scale = 1.0 / np.sqrt(q.shape[-1])
-    sq = q.shape[-2]
-    block_q, block_k = _tile_geometry(plan, q, k, mask, bias, block_q, block_k)
     o = np.zeros(q.shape[:-1] + (v.shape[-1],), dtype=np.float64)
     lse = np.full(q.shape[:-1], NEG_INF, dtype=np.float64)
-
-    for qi, q0 in enumerate(range(0, sq, block_q)):
-        q1 = min(q0 + block_q, sq)
-        o_blk, lse_blk = _forward_q_block(
-            qi, q0, q1, q, k, v, mask, scale, block_k, bias, plan, workspace
+    k_t = np.swapaxes(k, -1, -2)
+    v1 = _augment(workspace, v, 1.0, "fwd-v1")
+    for q0, q1, runs in _key_loops(plan, q, k, mask, bias, block_q, block_k):
+        o[..., q0:q1, :], lse[..., q0:q1] = _forward_q_block(
+            q[..., q0:q1, :] * scale, k_t, v1, runs, workspace
         )
-        o[..., q0:q1, :] = o_blk
-        lse[..., q0:q1] = lse_blk
     return o, lse
 
 
@@ -336,59 +377,48 @@ def flash_backward_tiles(
 
 
 def _backward_q_block(
-    qi: int,
-    q0: int,
-    q1: int,
-    q: np.ndarray,
+    q_blk: np.ndarray,
+    do_blk: np.ndarray,
+    lse_blk: np.ndarray,
+    d_blk: np.ndarray,
     k: np.ndarray,
-    v: np.ndarray,
-    lse: np.ndarray,
-    d_stat: np.ndarray,
-    do: np.ndarray,
-    mask: np.ndarray | None,
-    scale: float,
-    block_k: int,
-    bias: np.ndarray | None,
-    plan: TilePlan | None,
+    k1_t: np.ndarray,
+    v1_t: np.ndarray,
+    runs,
     ws: KernelWorkspace | None,
     dk: np.ndarray,
     dv: np.ndarray,
 ) -> np.ndarray:
-    """Inner key loop of the backward pass for one query block: returns
-    its ``dq`` and accumulates the per-tile key/value gradients into
-    ``dk``/``dv`` in place."""
-    q_blk = q[..., q0:q1, :] * scale
-    do_blk = do[..., q0:q1, :]
-    d_blk = d_stat[..., q0:q1, None]
+    """Inner key loop of the backward pass for one (scaled) query block:
+    returns its still-unscaled ``dq`` and accumulates the per-run
+    key/value gradients into ``dk``/``dv`` in place (``k1_t`` is
+    ``[K | 1]^T``, ``v1_t`` is ``[V | 1]^T``)."""
     # Rows with lse = -inf saw no key and get p = 0.  The mask already
     # zeroes them when it is what hid the keys, so the explicit zeroing is
     # decided once per q block and costs nothing when no row is dead.
-    dead = np.isneginf(lse[..., q0:q1, None])
-    zero_dead = dead.any()
-    lse_safe = np.where(dead, 0.0, lse[..., q0:q1, None])
+    dead_rows = np.isneginf(lse_blk)
+    zero_dead = dead_rows.any()
+    dead = dead_rows[..., None]
+    q_lse = _augment(
+        ws, q_blk, -np.where(dead_rows, 0.0, lse_blk), "bwd-q1"
+    )
+    do_d = _augment(ws, do_blk, -d_blk, "bwd-do1")
     dq_blk = np.zeros_like(q_blk)
-    for k0, k1, m, b in _key_tiles(
-        plan, mask, bias, qi, q0, q1, k.shape[-2], block_k
-    ):
-        k_blk = k[..., k0:k1, :]
-        v_t = np.swapaxes(v[..., k0:k1, :], -1, -2)
-        p = _matmul(ws, q_blk, np.swapaxes(k_blk, -1, -2), "bwd-s")
+    for k0, k1, m, b in runs:
+        p = _matmul(ws, q_lse, k1_t[..., k0:k1], "bwd-s")
         if b is not None:
             p += b
-        p -= lse_safe
         _exp_visible(p, m)
         if zero_dead:
             np.copyto(p, 0.0, where=dead)
-        dv_tile = _matmul(ws, np.swapaxes(p, -1, -2), do_blk, "bwd-dv")
-        ds = _matmul(ws, do_blk, v_t, "bwd-dp")
-        ds -= d_blk
+        dv_run = _matmul(ws, p.swapaxes(-1, -2), do_blk, "bwd-dv")
+        ds = _matmul(ws, do_d, v1_t[..., k0:k1], "bwd-dp")
         ds *= p
-        dq_blk += _matmul(ws, ds, k_blk, "bwd-dq")
-        # q_blk carries the softmax scale, so dk needs no per-tile rescale.
-        dk_tile = _matmul(ws, np.swapaxes(ds, -1, -2), q_blk, "bwd-dk")
-        dv[..., k0:k1, :] += dv_tile
-        dk[..., k0:k1, :] += dk_tile
-    dq_blk *= scale
+        dq_blk += _matmul(ws, ds, k[..., k0:k1, :], "bwd-dq")
+        # q_blk carries the softmax scale, so dk needs no per-run rescale.
+        dk_run = _matmul(ws, ds.swapaxes(-1, -2), q_blk, "bwd-dk")
+        dv[..., k0:k1, :] += dv_run
+        dk[..., k0:k1, :] += dk_run
     return dq_blk
 
 
@@ -401,24 +431,24 @@ def _backward_tiles(
     do: np.ndarray,
     mask: np.ndarray | None,
     scale: float | None,
-    block_q: int,
-    block_k: int,
+    block_q: int | None,
+    block_k: int | None,
     bias: np.ndarray | None,
     plan: TilePlan | None,
     workspace: KernelWorkspace | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if scale is None:
         scale = 1.0 / np.sqrt(q.shape[-1])
-    sq = q.shape[-2]
-    block_q, block_k = _tile_geometry(plan, q, k, mask, bias, block_q, block_k)
     dq = np.zeros_like(q)
     dk = np.zeros_like(k)
     dv = np.zeros_like(v)
-
-    for qi, q0 in enumerate(range(0, sq, block_q)):
-        q1 = min(q0 + block_q, sq)
-        dq[..., q0:q1, :] = _backward_q_block(
-            qi, q0, q1, q, k, v, lse, d_stat, do, mask, scale, block_k,
-            bias, plan, workspace, dk, dv,
+    k1_t = np.swapaxes(_augment(workspace, k, 1.0, "bwd-k1"), -1, -2)
+    v1_t = np.swapaxes(_augment(workspace, v, 1.0, "bwd-v1"), -1, -2)
+    for q0, q1, runs in _key_loops(plan, q, k, mask, bias, block_q, block_k):
+        dq_blk = _backward_q_block(
+            q[..., q0:q1, :] * scale, do[..., q0:q1, :], lse[..., q0:q1],
+            d_stat[..., q0:q1], k, k1_t, v1_t, runs, workspace, dk, dv,
         )
+        dq_blk *= scale
+        dq[..., q0:q1, :] = dq_blk
     return dq, dk, dv

@@ -12,32 +12,42 @@ the mask structure *into* the kernel:
   :class:`~repro.masks.MaskPattern` and the global token-index arrays of
   the two shards, reusing the pattern's ``tile_state`` fast path.  The
   dense boolean mask is never materialised; boolean tiles exist only for
-  ``partial`` sub-tiles.  A plan is a pure function of ``(mask, q_idx,
-  k_idx, tile size)``, so :meth:`TilePlan.build` memoises it on the mask
-  instance: every pass, step and layer that meets the same shard pair
-  gets the same plan object back.
+  ``partial`` stretches.  A plan is a pure function of ``(mask, q_idx,
+  k_idx, tile geometry)``, so :meth:`TilePlan.build` memoises it on the
+  mask instance: every pass, step and layer that meets the same shard
+  pair gets the same plan object back.
 * :func:`tile_size` derives the tile edge from the head-batched score
-  tile the kernel will form — the one place a tile-size literal lives.
-* :class:`KernelWorkspace` preallocates the per-tile scratch buffers
+  tile the kernel will form, and :func:`run_width` the key extent of one
+  key-loop iteration — the one place a tile-size literal lives.
+* :func:`key_runs` turns a query block's classification into its key
+  loop: *runs* of adjacent sub-tiles of one class, merged up to
+  :func:`run_width` and, when ``partial``, trimmed to the key columns some
+  query row sees.  The unit of kernel work follows the mask, not a square
+  grid; a kernel iteration has a fixed cost (a few short NumPy calls) that
+  a run pays once.  The classification, and every tile counter, is
+  untouched by how its tiles are walked.
+* :class:`KernelWorkspace` keeps one grow-only scratch buffer per name
   (score, probability, grad tiles) so a ring pass reuses one set of
-  buffers across all of its kernel invocations instead of allocating per
-  sub-tile.
+  buffers across all of its kernel invocations and run widths instead of
+  allocating per iteration.
 * :class:`BiasTileCache` memoises additive-bias tiles (ALiBi): the bias
-  depends only on relative offsets, so contiguous tiles with the same
+  depends only on relative offsets, so contiguous runs with the same
   ``q0 - k0`` offset and shape share one tile no matter which shard pair,
   pass or step asked for it.
 * :data:`counters` tallies computed/skipped sub-tiles and (query, key)
-  pairs — the machine-readable numbers the step benchmark
-  (``python3 -m benchmarks.step``) and the tile-count invariants in
-  :mod:`repro.testing.invariants` consume.
+  pairs, and the runs and pairs actually executed — the machine-readable
+  numbers the step benchmark (``python3 -m benchmarks.step``) and the
+  tile-count invariants in :mod:`repro.testing.invariants` consume.
 
 A plan is the only way a :class:`~repro.masks.MaskPattern` reaches a
 kernel: every attention call site builds one, none materialises a
 shard-pair mask.  The plan-driven kernels are numerically identical to
-the same kernels fed a dense ``mask=``/``bias=`` array (full tiles drop
-the ``where`` that a dense all-``True`` tile would no-op through; empty
-tiles contribute nothing either way); the dense-array form is kept as the
-oracle the golden fixtures and the property tests compare against.
+the same kernels fed a dense ``mask=``/``bias=`` array, which forms its
+runs through the same :func:`key_runs` from each sub-tile's ``any()`` /
+``all()`` (full runs drop the ``where`` that a dense all-``True`` tile
+would no-op through; empty tiles contribute nothing either way); the
+dense-array form is kept as the oracle the golden fixtures and the
+property tests compare against.
 """
 
 from __future__ import annotations
@@ -70,6 +80,8 @@ _TILE_FIELDS = (
     "skipped_empty",
     "computed_pairs",
     "skipped_pairs",
+    "key_runs",
+    "run_pairs",
     "bias_tiles_built",
     "bias_tiles_reused",
 )
@@ -80,7 +92,11 @@ class TileCounters:
 
     ``computed_pairs``/``skipped_pairs`` count (query, key) *positions*
     inside computed/skipped sub-tiles — the unit the FLOP invariants tie
-    to the :mod:`repro.perf.cost` closed forms.
+    to the :mod:`repro.perf.cost` closed forms.  Those fields count the
+    *classification*; ``key_runs``/``run_pairs`` count the *execution*:
+    key-loop iterations (:func:`key_runs`) and the score pairs they form,
+    which column trimming puts between the mask's allowed pairs and
+    ``computed_pairs``.
 
     The fields are properties over :class:`repro.obs.metrics.Counter`
     objects (``tileplan.*`` in the given registry — the process-global
@@ -152,15 +168,21 @@ counters = TileCounters(registry=get_registry())
 
 # --- tile geometry -------------------------------------------------------------
 
-#: Largest derived tile edge.  A single-head call is still faster at 256,
-#: but its scratch then moves the process's peak RSS run to run; the
-#: measured curve is in docs/performance_model.md, "Tile geometry".
+#: Largest derived tile edge — of the *query* side of a kernel iteration
+#: and of the classification grid.  The key side grows past it by merging
+#: sub-tiles into runs (RUN_TILE_ELEMS below); the measured curves are in
+#: docs/performance_model.md, "Tile geometry".
 MAX_TILE = 128
 #: Smallest derived tile edge; below it the per-tile Python overhead wins.
 MIN_TILE = 16
 #: Elements of the largest head-batched float64 score tile (512 KiB; the
 #: backward keeps two to three such tiles live) the host's cache holds.
 SCORE_TILE_ELEMS = 1 << 16
+#: Elements of the widest head-batched score tile one key-loop iteration
+#: (a run of sub-tiles, :func:`key_runs`) forms: 512 keys for one head x
+#: 128 rows, 128 keys for 8 heads x 64 rows.  2x and 4x were measured and
+#: are no faster on the whole-sequence calls and cost peak RSS.
+RUN_TILE_ELEMS = SCORE_TILE_ELEMS
 
 
 def head_batch(q: np.ndarray) -> int:
@@ -184,6 +206,52 @@ def tile_size(block: int | None, batch: int, n_tokens: int) -> int:
     while b > MIN_TILE and batch * b * b > SCORE_TILE_ELEMS:
         b //= 2
     return max(1, min(b, n_tokens))
+
+
+def run_width(
+    batch: int, block_q: int, block_k: int, n_q: int, n_k: int
+) -> int:
+    """Most keys one key-loop iteration spans: the widest run whose
+    head-batched score tile ``batch * rows * keys`` fits
+    :data:`RUN_TILE_ELEMS` — never less than one sub-tile, clipped to the
+    axis (so every batch that lets a run span the whole axis shares a
+    plan)."""
+    rows = max(1, min(block_q, n_q))
+    return min(max(block_k, RUN_TILE_ELEMS // (batch * rows)), n_k)
+
+
+def key_runs(states, k_bounds, max_keys: int, mask_of) -> list[tuple]:
+    """The key loop of one query block: ``(k0, k1, mask)`` per iteration.
+
+    ``states[j]`` classifies the block's ``j``-th sub-tile, which spans
+    keys ``k_bounds[j]``.  A run is a maximal stretch of adjacent sub-tiles
+    of one class — ``FULL`` (``mask`` ``None``) or ``PARTIAL`` — at most
+    ``max_keys`` wide unless it is a single sub-tile; ``EMPTY`` sub-tiles
+    end a run and belong to none.  ``mask_of(j0, j1)`` is the boolean tile
+    of the ``PARTIAL`` stretch ``[j0, j1)``; the run keeps the columns
+    between the first and the last key some query row sees (a column
+    nobody sees contributes ``p = 0`` exactly).  The plan and the kernels'
+    dense-mask oracle both form their runs here, which is what keeps them
+    bitwise equal.
+    """
+    runs = []
+    j, n = 0, len(states)
+    while j < n:
+        state = states[j]
+        j0, k0 = j, k_bounds[j][0]
+        j += 1
+        if state == EMPTY:
+            continue
+        while j < n and states[j] == state and k_bounds[j][1] - k0 <= max_keys:
+            j += 1
+        if state == FULL:
+            runs.append((k0, k_bounds[j - 1][1], None))
+            continue
+        m = mask_of(j0, j)
+        seen = np.flatnonzero(m.any(axis=tuple(range(m.ndim - 1))))
+        first, stop = int(seen[0]), int(seen[-1]) + 1
+        runs.append((k0 + first, k0 + stop, m[..., first:stop]))
+    return runs
 
 
 # --- bias tile cache ----------------------------------------------------------
@@ -239,9 +307,9 @@ def _block_bounds(n: int, block: int) -> list[tuple[int, int]]:
 
 class _PlanTable:
     """Everything :meth:`TilePlan.build` has worked out for one mask
-    instance: its plans by ``(index bytes, tile geometry)``, their boolean
-    tiles interned by content (the causal diagonals of a striped or zigzag
-    partition are two distinct tiles in total) and the one
+    instance: its plans by ``(index bytes, tile geometry)``, their runs'
+    boolean tiles interned by content (the causal diagonals of a striped
+    or zigzag partition are two distinct tiles in total) and the one
     :class:`BiasTileCache`.  Stored on the mask, so it dies with it.
 
     Bounded: a ring over ``G`` ranks meets ``G * G`` shard pairs, while a
@@ -272,14 +340,15 @@ class _PlanTable:
 
 @dataclass(eq=False)
 class TilePlan:
-    """Sub-tile classification of one (query-shard, key-shard) pair.
+    """Sub-tile classification of one (query-shard, key-shard) pair, and
+    the key loop it implies.
 
-    Built once per ``(mask, shard pair, tile size)`` and shared by every
-    kernel invocation that meets it; consumed by
+    Built once per ``(mask, shard pair, tile geometry)`` and shared by
+    every kernel invocation that meets it; consumed by
     :func:`repro.kernels.flash_attention_forward` /
-    :func:`~repro.kernels.flash_attention_backward`, which visit only the
-    non-``EMPTY`` sub-tiles (:meth:`row`), run ``FULL`` sub-tiles without
-    any mask handling and ``PARTIAL`` ones under their boolean tile.
+    :func:`~repro.kernels.flash_attention_backward`, which walk each query
+    block's runs (:meth:`row`): ``FULL`` runs without any mask handling,
+    ``PARTIAL`` ones under their boolean tile, ``EMPTY`` sub-tiles never.
     """
 
     mask: MaskPattern | None
@@ -287,18 +356,22 @@ class TilePlan:
     k_idx: np.ndarray
     block_q: int
     block_k: int
+    #: Most keys one run spans (:func:`run_width`).
+    run_keys: int
     states: np.ndarray  # (n_q_blocks, n_k_blocks) int8 of EMPTY/PARTIAL/FULL
     #: The mask's bias-tile cache; ``None`` for a bias-free pattern.
     bias_cache: BiasTileCache | None = None
     head_slice: slice | None = None
     _q_bounds: list[tuple[int, int]] = field(default_factory=list, repr=False)
     _k_bounds: list[tuple[int, int]] = field(default_factory=list, repr=False)
-    _mask_tiles: dict = field(default_factory=dict, repr=False)
+    #: Per q-block, the runs a kernel walks: ``(k0, k1, mask or None)``.
+    _rows: list[list[tuple]] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        # The classification is static, so one kernel invocation's tile
-        # accounting is known here: (full, partial, empty, computed pairs,
-        # skipped pairs), in the order of ``_TILE_FIELDS[:5]`` ...
+        # The classification and the work list are static, so one kernel
+        # invocation's accounting is known here: (full, partial, empty,
+        # computed pairs, skipped pairs, runs, run pairs), in the order of
+        # ``_TILE_FIELDS[:7]``.
         empty = self.states == EMPTY
         n_empty = int(np.count_nonzero(empty))
         n_partial = int(np.count_nonzero(self.states == PARTIAL))
@@ -308,16 +381,12 @@ class TilePlan:
         self._tally = (
             self.states.size - n_empty - n_partial, n_partial, n_empty,
             len(self.q_idx) * len(self.k_idx) - skipped, skipped,
+            sum(len(row) for row in self._rows),
+            sum(
+                rows * (k1 - k0)
+                for rows, row in zip(q_len, self._rows) for k0, k1, _ in row
+            ),
         )
-        # ... and so is the work list: per q-block, the sub-tiles a kernel
-        # visits, as ``(k-block, k0, k1, boolean tile or None)``.
-        self._rows = [
-            [
-                (int(j), *self._k_bounds[j], self._mask_tiles.get((i, int(j))))
-                for j in np.flatnonzero(~empty[i])
-            ]
-            for i in range(len(self._q_bounds))
-        ]
 
     @classmethod
     def build(
@@ -335,7 +404,8 @@ class TilePlan:
 
         ``block_q`` / ``block_k`` left ``None`` are derived by
         :func:`tile_size` from ``batch``, the :func:`head_batch` of the
-        queries the kernel will be handed.  The memo lives on ``mask``
+        queries the kernel will be handed, and so is the width of a run
+        (:func:`run_width`).  The memo lives on ``mask``
         (:class:`_PlanTable`), keyed on the index arrays' bytes and the
         tile geometry; ``mask=None`` plans (all ``FULL``) are not kept.
         """
@@ -343,13 +413,17 @@ class TilePlan:
         k_idx = np.asarray(k_idx, dtype=np.int64)
         block_q = tile_size(block_q, batch, len(q_idx))
         block_k = tile_size(block_k, batch, len(k_idx))
+        geometry = (
+            block_q, block_k,
+            run_width(batch, block_q, block_k, len(q_idx), len(k_idx)),
+        )
         if mask is None:
-            return cls._classify(None, q_idx, k_idx, block_q, block_k, None)
+            return cls._classify(None, q_idx, k_idx, *geometry, None)
         try:
             table = mask._tile_plans
         except AttributeError:
             table = mask._tile_plans = _PlanTable()
-        key = (q_idx.tobytes(), k_idx.tobytes(), block_q, block_k)
+        key = (q_idx.tobytes(), k_idx.tobytes(), *geometry)
         plan = table.plans.get(key)
         if plan is None:
             # The plan keeps its own read-only view of the indices (the
@@ -357,7 +431,7 @@ class TilePlan:
             plan = cls._classify(
                 mask, np.frombuffer(key[0], dtype=np.int64),
                 np.frombuffer(key[1], dtype=np.int64),
-                block_q, block_k, table,
+                *geometry, table,
             )
             table.put(key, plan)
         return plan
@@ -370,6 +444,7 @@ class TilePlan:
         k_idx: np.ndarray,
         block_q: int,
         block_k: int,
+        run_keys: int,
         table: _PlanTable | None,
     ) -> "TilePlan":
         """Classify every sub-tile from the pattern's ``tile_state``: the
@@ -378,7 +453,9 @@ class TilePlan:
         conservative, so every ``PARTIAL`` verdict is checked against the
         boolean tile it would run under and downgraded when that tile is
         all-``False`` / all-``True`` — ``PARTIAL`` means partial.  The
-        dense shard-pair mask is never materialised."""
+        dense shard-pair mask is never materialised; the boolean tiles of
+        a ``PARTIAL`` run are joined, trimmed (:func:`key_runs`) and
+        interned by content."""
         q_bounds = _block_bounds(len(q_idx), block_q)
         k_bounds = _block_bounds(len(k_idx), block_k)
         states = np.full((len(q_bounds), len(k_bounds)), FULL, dtype=np.int8)
@@ -399,17 +476,33 @@ class TilePlan:
                         elif tile.all():
                             state = FULL
                         else:
-                            tiles[(i, j)] = table.intern(tile)
+                            tiles[(i, j)] = tile
                     states[i, j] = state
+        rows = []
+        for i, row_states in enumerate(states.tolist()):
+            def joined(j0: int, j1: int) -> np.ndarray:
+                return np.concatenate(
+                    [tiles[(i, j)] for j in range(j0, j1)], axis=-1
+                )
+
+            rows.append([
+                (k0, k1, m if m is None else table.intern(
+                    np.ascontiguousarray(m)
+                ))
+                for k0, k1, m in key_runs(
+                    row_states, k_bounds, run_keys, joined
+                )
+            ])
         has_bias = (
             mask is not None
             and mask.bias_block(q_idx[:1], k_idx[:1]) is not None
         )
         return cls(
             mask=mask, q_idx=q_idx, k_idx=k_idx,
-            block_q=block_q, block_k=block_k, states=states,
+            block_q=block_q, block_k=block_k, run_keys=run_keys,
+            states=states,
             bias_cache=table.bias if has_bias else None,
-            _q_bounds=q_bounds, _k_bounds=k_bounds, _mask_tiles=tiles,
+            _q_bounds=q_bounds, _k_bounds=k_bounds, _rows=rows,
         )
 
     # -- geometry -------------------------------------------------------------
@@ -440,23 +533,19 @@ class TilePlan:
     def state(self, i: int, j: int) -> int:
         return int(self.states[i, j])
 
-    def row(self, i: int) -> list[tuple[int, int, int, np.ndarray | None]]:
-        """The non-``EMPTY`` sub-tiles of q-block ``i``, in key order:
-        ``(k-block, k0, k1, boolean tile)``, the tile ``None`` on a
-        ``FULL`` sub-tile."""
+    def row(self, i: int) -> list[tuple[int, int, np.ndarray | None]]:
+        """The runs of q-block ``i`` (:func:`key_runs`), in key order:
+        ``(k0, k1, boolean tile)``.  The tile is ``None`` on a ``FULL``
+        run; a ``PARTIAL`` run's is read-only and shared with every plan
+        of the same mask that has a run of the same content."""
         return self._rows[i]
 
-    def mask_tile(self, i: int, j: int) -> np.ndarray:
-        """Boolean tile of a ``PARTIAL`` sub-tile (the only kind that has
-        one); read-only, shared with every plan of the same mask whose
-        tile has the same content."""
-        return self._mask_tiles[(i, j)]
-
-    def bias_tile(self, i: int, j: int) -> np.ndarray | None:
+    def bias_tile(self, i: int, k0: int, k1: int) -> np.ndarray | None:
+        """Additive bias of q-block ``i`` against keys ``[k0, k1)`` — one
+        run's worth, cached by the pattern's relative-offset key."""
         if self.bias_cache is None:
             return None
         q0, q1 = self._q_bounds[i]
-        k0, k1 = self._k_bounds[j]
         tile = self.bias_cache.get(
             self.mask, self.q_idx[q0:q1], self.k_idx[k0:k1]
         )
@@ -495,7 +584,7 @@ class TilePlan:
 
     def pair_counts(self) -> tuple[int, int]:
         """``(computed_pairs, skipped_pairs)`` summed over sub-tiles."""
-        return self._tally[3:]
+        return self._tally[3:5]
 
     def tally(self) -> None:
         """Account one kernel invocation over this plan in
@@ -510,34 +599,44 @@ class TilePlan:
 
 
 class KernelWorkspace:
-    """Preallocated scratch buffers keyed by ``(name, shape, dtype)``.
+    """Reusable kernel scratch: one grow-only flat buffer per ``name``.
 
     One workspace is created per distributed pass (or per autograd node)
     and handed to every kernel invocation, so the score/probability/grad
-    tiles are allocated once and reused across sub-tiles, ring steps and
-    ranks instead of churning ``O(tiles)`` temporaries.  All writes fully
-    overwrite a buffer before it is read, so reuse never leaks state.
+    tiles are allocated once and reused across runs, ring steps and ranks
+    instead of churning ``O(tiles)`` temporaries.  A request is served as
+    a view of the name's buffer, which only ever grows to the largest
+    request — run widths vary with the mask, and a buffer per shape would
+    multiply the scratch.  All writes fully overwrite a view before it is
+    read, so reuse never leaks state.
     """
 
     def __init__(self):
-        self._bufs: dict = {}
+        self._bufs: dict[str, np.ndarray] = {}
+        self._handles: dict[str, int] = {}
 
-    def buf(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        key = (name, tuple(shape), np.dtype(dtype).str)
-        buf = self._bufs.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            self._bufs[key] = buf
-            from repro.obs.mem import transient_alloc
+    def buf(self, name: str, shape: tuple) -> np.ndarray:
+        n = math.prod(shape)
+        flat = self._bufs.get(name)
+        if flat is None or flat.size < n:
+            from repro.obs.mem import transient_alloc, transient_free
 
-            # Account the miss on the transient watermark series; cached
-            # buffers live for the workspace's lifetime, so the handle is
-            # intentionally never freed (reset_transients() drops it).
-            transient_alloc(buf.nbytes, site=f"workspace.{name}")
-        return buf
+            # Account the growth on the transient watermark series.  The
+            # buffer lives for the workspace's lifetime, so its handle is
+            # released only once a larger buffer has replaced it
+            # (reset_transients() drops it otherwise).
+            stale = self._handles.get(name)
+            flat = self._bufs[name] = np.empty(n, dtype=np.float64)
+            self._handles[name] = transient_alloc(
+                flat.nbytes, site=f"workspace.{name}"
+            )
+            if stale is not None:
+                transient_free(stale)
+        return flat[:n].reshape(shape)
 
     def matmul(self, a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
-        """``a @ b`` into a reused buffer of the broadcast result shape."""
+        """``a @ b`` into the ``name`` buffer, shaped as the broadcast
+        result."""
         if a.shape[:-2] == b.shape[:-2]:
             shape = a.shape[:-1] + (b.shape[-1],)
         else:

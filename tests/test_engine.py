@@ -12,6 +12,7 @@ from repro.kernels import counters
 from repro.masks import ALiBiMask, CausalMask
 from repro.nn import CheckpointPolicy, TransformerConfig, TransformerLM, Adam
 from repro.nn.checkpoint import CheckpointMode
+from repro.obs.metrics import get_registry
 from repro.topology import a800_node, make_cluster
 
 
@@ -196,6 +197,60 @@ class TestTilePlansBuiltOnce:
             tiles["computed_partial"], tiles["computed_full"],
             tiles["skipped_empty"], tiles["computed_pairs"],
         ) == self.PARENT[name]
+
+
+class TestKeyRunCounters:
+    """``key_runs`` / ``run_pairs`` say what the kernels executed, next to
+    the tile fields that say what the plans classified: a run is one or
+    more computed sub-tiles, and column trimming puts the pairs it forms
+    between the mask's allowed pairs and the computed sub-tiles' pairs."""
+
+    #: name -> (key_runs, tiles computed, run_pairs, computed_pairs) of one
+    #: smoke-length train_step at the derived tile.
+    WANT = {
+        "burst_long": (262, 262, 283136, 286720),
+        "wide_short": (36, 36, 146944, 163840),
+        "ulysses_full": (144, 144, 2359296, 2359296),
+        "swa_bidir": (260, 262, 278016, 286720),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WANT))
+    def test_runs_and_pairs_of_a_smoke_step(self, name):
+        from benchmarks.step.workloads import WORKLOADS, make_batch
+
+        spec = WORKLOADS[name]
+        config = spec.config(spec.smoke_seq_len)
+        mask = config.model.mask or CausalMask()
+        config = replace(config, model=replace(config.model, mask=mask))
+        engine = BurstEngine(config, topology=spec.topology())
+        ids, targets = make_batch(config, seed=7)
+        counters.reset()
+        engine.train_step(ids, targets)
+        tiles = counters.snapshot()
+        assert (
+            tiles["key_runs"], tiles["tiles_computed"],
+            tiles["run_pairs"], tiles["computed_pairs"],
+        ) == self.WANT[name]
+        assert tiles["key_runs"] <= tiles["tiles_computed"]
+        assert tiles["run_pairs"] <= tiles["computed_pairs"]
+        registry = get_registry().snapshot()
+        assert registry["tileplan.key_runs"] == tiles["key_runs"]
+        assert registry["tileplan.run_pairs"] == tiles["run_pairs"]
+        mergeable = False
+        for plan in mask._tile_plans.plans.values():
+            full, partial, _, computed_pairs, _, runs, run_pairs = plan._tally
+            allowed = int(mask.block(plan.q_idx, plan.k_idx).sum())
+            assert allowed <= run_pairs <= computed_pairs
+            assert runs <= full + partial
+            adjacent = (
+                (plan.states[:, 1:] == plan.states[:, :-1])
+                & (plan.states[:, 1:] != 0)
+            ).any()
+            mergeable |= bool(adjacent)
+            if not adjacent:
+                assert runs == full + partial
+        # Equality exactly where no plan has two adjacent same-class tiles.
+        assert (tiles["key_runs"] < tiles["tiles_computed"]) == mergeable
 
 
 class TestEngineAccounting:

@@ -4,8 +4,10 @@ The forward carries ``(m, l, O)`` per query block and the backward re-forms
 ``P = exp(S - lse)`` in place; both treat a query row with no visible key
 on row-sized vectors only.  These tests pin exactly those rows (in one
 tile, and in the whole call), logits large enough that a naive ``exp``
-overflows, the hoisted dead-row guard of the backward, and one burst pass
-at the sequence length the step benchmark runs at.
+overflows, the hoisted dead-row guard of the backward, the row statistics
+that ride the GEMMs as an extra column (``[V | 1]``, ``[Q~ | -lse]``,
+``[dO | -D]``) on runs wider than one tile, and one burst pass at the
+sequence length the step benchmark runs at.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ from repro.kernels import (
     flash_attention_forward,
     flash_backward_tiles,
 )
-from repro.masks import CausalMask, FullMask, MaskPattern
+from repro.masks import ALiBiMask, CausalMask, FullMask, MaskPattern
 from repro.topology import a800_node, make_cluster
 
 
@@ -44,9 +46,12 @@ def _flash(q, k, v, do, **kw):
     exception armed: no ``inf - inf``, ``log 0`` or ``0 / 0`` may be formed
     on the way to a correct result."""
     with np.errstate(all="raise"):
-        o, lse = flash_attention_forward(q, k, v, **kw)
-        grads = flash_attention_backward(q, k, v, o, lse, do, **kw)
-    return (o, lse, *grads)
+        return _flash_quiet(q, k, v, do, **kw)
+
+
+def _flash_quiet(q, k, v, do, **kw):
+    o, lse = flash_attention_forward(q, k, v, **kw)
+    return (o, lse, *flash_attention_backward(q, k, v, o, lse, do, **kw))
 
 
 def _reference(q, k, v, do, dense):
@@ -147,6 +152,99 @@ def test_backward_zeroes_rows_whose_lse_is_minus_inf(planned):
     assert not dq[:, dead].any()
     for a, b in zip((dq, dk, dv), want):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+class TestFoldedRowStatistics:
+    """``l`` is the last column of ``P [V | 1]``, ``S - lse`` is
+    ``[Q~ | -lse] [K | 1]^T`` and ``dP - D`` is ``[dO | -D] [V | 1]^T``:
+    the same values as the separate passes to rounding, on runs that span
+    several sub-tiles, with every floating-point exception armed."""
+
+    N, BLOCK = 96, 16
+
+    def _plan(self, mask, **kw):
+        idx = np.arange(self.N)
+        plan = TilePlan.build(mask, idx, idx, self.BLOCK, self.BLOCK, **kw)
+        widths = [
+            k1 - k0 for i in range(plan.n_q_blocks)
+            for k0, k1, _ in plan.row(i)
+        ]
+        assert max(widths) > self.BLOCK  # a run wider than one tile
+        return plan
+
+    @pytest.mark.parametrize("d", [8, 64], ids=["K=9", "K=65"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["full", "causal"])
+    def test_wide_runs_match_reference(self, d, masked):
+        rng = np.random.default_rng(d)
+        q, k, v, do = (rng.normal(size=(2, self.N, d)) for _ in range(4))
+        mask = CausalMask() if masked else FullMask()
+        want = _reference(q, k, v, do, mask.dense(self.N))
+        got = _flash(
+            q, k, v, do, plan=self._plan(mask), workspace=KernelWorkspace()
+        )
+        _close(got, want, 1e-12)
+        dense = _flash(
+            q, k, v, do, mask=mask.dense(self.N) if masked else None,
+            block_q=self.BLOCK, block_k=self.BLOCK,
+        )
+        for a, b in zip(got, dense):
+            np.testing.assert_array_equal(a, b)
+
+    def test_dead_rows_inside_wide_runs(self):
+        """Padding rows inside merged, trimmed runs leave as ``(0, -inf)``
+        with zero ``dq`` — ``l`` = 0 comes out of the GEMM exactly."""
+        padded = np.r_[5:9, 40, 80:96]
+        mask = PaddedWindowMask(40, padded)
+        rng = np.random.default_rng(4)
+        q, k, v, do = (rng.normal(size=(2, self.N, 8)) for _ in range(4))
+        got = _flash(q, k, v, do, plan=self._plan(mask))
+        _close(got, _reference(q, k, v, do, mask.dense(self.N)), 1e-12)
+        o, lse, dq = got[:3]
+        assert np.isneginf(lse[:, padded]).all()
+        assert not o[:, padded].any() and not dq[:, padded].any()
+
+    def test_large_logits_on_wide_runs(self):
+        rng = np.random.default_rng(5)
+        q, k = (30.0 * rng.normal(size=(2, self.N, 8)) for _ in range(2))
+        v, do = (rng.normal(size=(2, self.N, 8)) for _ in range(2))
+        assert np.abs(q @ np.swapaxes(k, -1, -2)).max() / np.sqrt(8) > 1e3
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _flash_quiet(q, k, v, do, plan=self._plan(CausalMask()))
+        want = _reference(q, k, v, do, CausalMask().dense(self.N))
+        assert all(np.isfinite(a).all() for a in got)
+        _close(got, want, 1e-9)
+
+    def test_dense_bias_rides_the_run(self):
+        rng = np.random.default_rng(6)
+        q, k, v, do = (rng.normal(size=(2, self.N, 8)) for _ in range(4))
+        bias = rng.normal(size=(2, self.N, self.N))
+        dense = CausalMask().dense(self.N)
+        got = _flash(
+            q, k, v, do, mask=dense, bias=bias,
+            block_q=self.BLOCK, block_k=self.BLOCK,
+        )
+        o, lse = attention_reference(q, k, v, mask=dense, bias=bias)
+        want = (o, lse, *attention_reference_backward(
+            q, k, v, o, lse, do, mask=dense, bias=bias
+        ))
+        _close(got, want, 1e-12)
+
+    def test_alibi_through_a_head_slice_with_gqa_expanded_heads(self):
+        from repro.attention.gqa import repeat_kv
+
+        mask = ALiBiMask(4)
+        idx = np.arange(self.N)
+        rng = np.random.default_rng(7)
+        q, do = (rng.normal(size=(2, self.N, 8)) for _ in range(2))
+        k, v = (repeat_kv(rng.normal(size=(1, self.N, 8)), 2) for _ in range(2))
+        plan = self._plan(mask, batch=2).with_head_slice(slice(2, 4))
+        got = _flash(q, k, v, do, plan=plan, workspace=KernelWorkspace())
+        dense, bias = mask.dense(self.N), mask.bias_block(idx, idx)[2:4]
+        o, lse = attention_reference(q, k, v, mask=dense, bias=bias)
+        want = (o, lse, *attention_reference_backward(
+            q, k, v, o, lse, do, mask=dense, bias=bias
+        ))
+        _close(got, want, 1e-12)
 
 
 def test_burst_at_benchmark_sequence_length():

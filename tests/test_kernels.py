@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kernels import (
+    KernelWorkspace,
     attention_reference,
     attention_reference_backward,
     flash_attention_forward,
@@ -219,3 +220,68 @@ class TestFlashAttention:
         )
         np.testing.assert_allclose(o, o_ref, rtol=1e-9, atol=1e-11)
         np.testing.assert_allclose(lse, lse_ref, rtol=1e-9)
+
+
+class TestFoldedStatisticsAndScratch:
+    """The row sum, ``-lse`` and ``-D`` travel as an extra GEMM column, and
+    the scratch they land in is one flat buffer per name."""
+
+    @pytest.mark.parametrize("d", [4, 64], ids=["K=5", "K=65"])
+    @pytest.mark.parametrize("block", [7, 16])
+    def test_forward_and_backward_at_1e12(self, d, block):
+        """Ragged blocks, keys != queries, two heads: every run but the
+        last spans several sub-tiles (``run_width`` is the whole axis)."""
+        q, k, v = rand_qkv(s=45, d=d, heads=2, sk=61)
+        do = RNG.normal(size=q.shape)
+        mask = RNG.random((45, 61)) > 0.3
+        mask[:, 20:40] = True  # a FULL stretch between PARTIAL ones
+        mask[7] = False  # a row that sees no key
+        o_ref, lse_ref = attention_reference(q, k, v, mask=mask)
+        grads_ref = attention_reference_backward(
+            q, k, v, o_ref, lse_ref, do, mask=mask
+        )
+        ws = KernelWorkspace()
+        with np.errstate(all="raise"):
+            o, lse = flash_attention_forward(
+                q, k, v, mask=mask, block_q=block, block_k=block,
+                workspace=ws,
+            )
+            grads = flash_attention_backward(
+                q, k, v, o, lse, do, mask=mask, block_q=block,
+                block_k=block, workspace=ws,
+            )
+        assert np.isneginf(lse[:, 7]).all() and not o[:, 7].any()
+        assert not grads[0][:, 7].any()
+        for got, want in zip((o, lse, *grads), (o_ref, lse_ref, *grads_ref)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_workspace_keeps_one_grow_only_buffer_per_name(self):
+        ws = KernelWorkspace()
+        small = ws.buf("s", (2, 4, 8))
+        assert small.shape == (2, 4, 8) and small.flags.c_contiguous
+        assert ws.buf("s", (4, 16)).base is small.base  # same 64 floats
+        assert ws.buf("s", (3, 5)).base is small.base  # a narrower run
+        assert (len(ws), ws.nbytes) == (1, 64 * 8)
+        wide = ws.buf("s", (2, 4, 16))  # grows, once
+        assert wide.base is not small.base
+        assert ws.buf("s", (2, 4, 8)).base is wide.base
+        ws.buf("t", (3,))
+        assert (len(ws), ws.nbytes) == (2, (128 + 3) * 8)
+        a, b = RNG.normal(size=(2, 4, 3)), RNG.normal(size=(3, 16))
+        out = ws.matmul(a, b, "s")
+        assert out.base is wide.base
+        np.testing.assert_array_equal(out, a @ b)
+
+    def test_workspace_growth_is_accounted_as_transient_scratch(self):
+        from repro.obs.mem import reset_transients
+        from repro.obs.metrics import get_registry
+
+        reset_transients()
+        ws = KernelWorkspace()
+        ws.buf("s", (8, 8))
+        ws.buf("s", (4, 4))  # served from the same buffer: no event
+        ws.buf("s", (16, 8))  # replaces the 64-float buffer
+        snap = get_registry().snapshot()
+        assert snap["memory.transient_bytes"] == 128 * 8
+        assert snap["memory.peak_transient_bytes"] == (64 + 128) * 8
+        reset_transients()

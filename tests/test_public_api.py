@@ -340,10 +340,12 @@ class TestOneRingDescription:
 
 
 class TestTilePlansBuiltOnceSizedOnce:
-    """ROADMAP aim 1's two tile levers, each written once: the tile size
-    is derived in ``repro.kernels.tileplan`` and nowhere defaulted, and a
-    plan (with its memo, boolean tiles and bias cache) is constructed by
-    ``TilePlan.build`` and nowhere else."""
+    """ROADMAP aim 1's tile levers, each written once: the tile size and
+    the run budget are derived in ``repro.kernels.tileplan`` and nowhere
+    defaulted, a plan (with its memo, boolean tiles and bias cache) is
+    constructed by ``TilePlan.build`` and nowhere else, the key loop's
+    runs are formed by one function for the plan and the dense oracle
+    alike, and only the flash kernels fold a row statistic into a GEMM."""
 
     HOME = "kernels/tileplan.py"
 
@@ -394,10 +396,46 @@ class TestTilePlansBuiltOnceSizedOnce:
 
         assert (tileplan.MAX_TILE, tileplan.MIN_TILE) == (128, 16)
         assert tileplan.SCORE_TILE_ELEMS == 65536
-        names = ("MAX_TILE", "MIN_TILE", "SCORE_TILE_ELEMS", "DEFAULT_BLOCK")
+        assert tileplan.RUN_TILE_ELEMS == tileplan.SCORE_TILE_ELEMS
+        names = ("MAX_TILE", "MIN_TILE", "SCORE_TILE_ELEMS", "DEFAULT_BLOCK",
+                 "RUN_TILE_ELEMS")
         for rel, text, _ in self._sources():
             if rel != self.HOME:
                 assert [n for n in names if n in text] == [], rel
+
+    def test_runs_are_formed_by_one_function_and_folds_live_in_flash(self):
+        import ast
+
+        def referenced(tree, name):
+            return any(
+                isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.alias) and node.name == name
+                or isinstance(node, ast.FunctionDef) and node.name == name
+                for node in ast.walk(tree)
+            )
+
+        flash = "kernels/flash.py"
+        for rel, text, tree in self._sources():
+            # the plan and the dense oracle: the same run-forming function
+            assert referenced(tree, "key_runs") == (rel in (self.HOME, flash))
+            assert referenced(tree, "run_width") == (rel in (self.HOME, flash))
+            # [V | 1], [K | 1], [Q~ | -lse], [dO | -D]: one helper, one home
+            assert ("_augment" in text) == (rel == flash), rel
+            if rel != flash:
+                continue
+            definitions = [
+                node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name in ("key_runs", "_augment")
+            ]
+            assert [d.name for d in definitions] == ["_augment"]
+            # ... and flash.py widens an operand no other way
+            widening = ("concatenate", "hstack", "stack", "pad", "ones",
+                        "append", "column_stack")
+            assert [
+                node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in widening
+            ] == []
 
     def test_plans_and_their_caches_are_constructed_in_tileplan_only(self):
         import ast

@@ -71,6 +71,175 @@ def _run_both(q, k, v, do, mask, q_idx, k_idx, block_q, block_k):
     return (o0, l0, *g0), (o1, l1, *g1), plan
 
 
+def _check_row(plan, i, batch):
+    """Every property a query block's run list promises."""
+    from repro.kernels.tileplan import RUN_TILE_ELEMS
+
+    q0, q1 = plan.q_range(i)
+    q_sub = plan.q_idx[q0:q1]
+    visible = plan.mask.block(q_sub, plan.k_idx)
+    tile_of = np.empty(len(plan.k_idx), dtype=np.int64)
+    for j in range(plan.n_k_blocks):
+        tile_of[slice(*plan.k_range(j))] = j
+    covered = np.zeros(len(plan.k_idx), dtype=bool)
+    end = 0
+    for k0, k1, m in plan.row(i):
+        assert end <= k0 < k1  # in key order, disjoint, non-empty
+        end = k1
+        covered[k0:k1] = True
+        spanned = np.unique(tile_of[k0:k1])
+        want = FULL if m is None else PARTIAL
+        # never across an EMPTY tile, never mixing classes
+        assert {plan.state(i, j) for j in spanned} == {want}
+        if len(spanned) > 1:
+            width = plan.k_range(spanned[-1])[1] - plan.k_range(spanned[0])[0]
+            assert width <= plan.run_keys
+            assert batch * (q1 - q0) * width <= RUN_TILE_ELEMS
+        if m is None:
+            assert visible[:, k0:k1].all()
+        else:
+            np.testing.assert_array_equal(
+                m, plan.mask.block(q_sub, plan.k_idx[k0:k1])
+            )
+            assert m[:, 0].any() and m[:, -1].any()
+            assert m.dtype == bool and not m.flags.writeable
+    # The runs partition the non-EMPTY sub-tiles minus trimmed columns,
+    # and a trimmed column is one no query row of the block sees.
+    computed = (plan.states[i] != EMPTY)[tile_of]
+    assert not (covered & ~computed).any()
+    assert not visible[:, computed & ~covered].any()
+    assert not visible[:, ~computed].any()
+
+
+def _check_plan(plan, batch=1):
+    for i in range(plan.n_q_blocks):
+        _check_row(plan, i, batch)
+        # Maximal: two FULL runs that touch could not have been one.
+        runs = plan.row(i)
+        for (a0, a1, am), (b0, b1, bm) in zip(runs, runs[1:]):
+            if am is None and bm is None and a1 == b0:
+                first = min(
+                    plan.k_range(j)[1] for j in range(plan.n_k_blocks)
+                    if plan.k_range(j)[1] > b0
+                )
+                assert first - a0 > plan.run_keys
+
+
+class TestKeyRuns:
+    """``TilePlan.row`` lists runs: maximal stretches of adjacent computed
+    sub-tiles of one class, inside a budget on the head-batched score tile,
+    ``PARTIAL`` ones trimmed to the keys some query row sees."""
+
+    @pytest.mark.parametrize("batch", [1, 64, 256, 4096])
+    def test_random_block_sparse(self, batch):
+        rng = np.random.default_rng(batch)
+        for _ in range(6):
+            n_blocks, mask_block = rng.integers(2, 7), rng.choice([8, 12, 16])
+            mask = BlockSparseMask(
+                int(mask_block), rng.random((n_blocks, n_blocks)) > 0.4,
+                intra_block_causal=bool(rng.integers(2)),
+            )
+            idx = np.arange(n_blocks * mask_block)
+            block_q, block_k = (int(b) for b in rng.choice([8, 16, 24], 2))
+            plan = TilePlan.build(
+                mask, idx, idx, block_q, block_k, batch=batch
+            )
+            _check_plan(plan, batch)
+
+    @pytest.mark.parametrize(
+        "partitioner",
+        [ZigzagPartitioner(), StripedPartitioner(), BlockwisePartitioner(8)],
+        ids=["zigzag", "striped", "blockwise"],
+    )
+    @pytest.mark.parametrize(
+        "mask", [CausalMask(), SlidingWindowMask(24), ALiBiMask(2)],
+        ids=["causal", "sliding-window", "alibi"],
+    )
+    def test_shard_pairs(self, partitioner, mask):
+        idxs = partitioner.indices(256, 4)
+        interned = {}
+        for batch in (1, 128):  # a run spans the shard / two sub-tiles
+            for q_idx in idxs:
+                for k_idx in idxs:
+                    plan = TilePlan.build(mask, q_idx, k_idx, 16, 16,
+                                          batch=batch)
+                    assert plan.run_keys == (64 if batch == 1 else 32)
+                    _check_plan(plan, batch)
+                    for i in range(plan.n_q_blocks):
+                        for _, _, m in plan.row(i):
+                            if m is not None:
+                                key = (m.shape, m.tobytes())
+                                assert interned.setdefault(key, m) is m
+
+    def test_ragged_edges_and_a_budget_below_one_tile(self):
+        idx = np.arange(100)  # 100 = 3 * 32 + 4 = 4 * 24 + 4
+        for block_q, block_k, batch, want in (
+            (32, 24, 1, 100), (32, 24, 64, 32), (24, 32, 4096, 32),
+        ):
+            plan = TilePlan.build(
+                SlidingWindowMask(40), idx, idx, block_q, block_k,
+                batch=batch,
+            )
+            assert plan.run_keys == want
+            _check_plan(plan, batch)
+        # 4096 heads x 24 rows leave 0 keys of budget: one sub-tile a run.
+        assert sum(len(plan.row(i)) for i in range(plan.n_q_blocks)) == (
+            plan.num_full + plan.num_partial
+        )
+
+    def test_trimmed_columns_and_merged_tiles_at_the_window_edge(self):
+        """A 24-token window against 16-wide tiles: the two PARTIAL tiles
+        at the window's edges are separated by a FULL one, or adjacent and
+        merged; either way the run stops where the window does."""
+        idx = np.arange(128)
+        plan = TilePlan.build(SlidingWindowMask(24), idx, idx, 16, 16)
+        _check_plan(plan)
+        for i in range(2, plan.n_q_blocks):
+            q0, q1 = plan.q_range(i)
+            runs = plan.row(i)
+            # visible keys of the block: [q0 - 23, q1)
+            assert runs[0][0] == q0 - 23 and runs[-1][1] == q1
+            assert sum(k1 - k0 for k0, k1, _ in runs) == 16 + 23
+        counters.reset()
+        plan.tally()
+        assert counters.key_runs < plan.num_full + plan.num_partial
+        assert counters.run_pairs < counters.computed_pairs
+
+    def test_head_slice_views_and_memo_hits_share_the_runs(self):
+        mask = ALiBiMask(4)
+        idx = np.arange(64)
+        plan = TilePlan.build(mask, idx, idx, 16, 16)
+        view = plan.with_head_slice(slice(2, 4))
+        again = TilePlan.build(mask, idx.copy(), idx.copy(), 16, 16)
+        assert again is plan
+        for i in range(plan.n_q_blocks):
+            assert view.row(i) is plan.row(i)
+        k0, k1, _ = plan.row(1)[0]
+        np.testing.assert_array_equal(
+            view.bias_tile(1, k0, k1), plan.bias_tile(1, k0, k1)[2:4]
+        )
+
+    def test_run_width_is_geometry_and_part_of_the_memo_key(self):
+        from repro.kernels.tileplan import RUN_TILE_ELEMS, run_width
+
+        assert run_width(1, 128, 128, 2048, 2048) == RUN_TILE_ELEMS // 128
+        assert run_width(8, 64, 64, 256, 256) == max(
+            64, RUN_TILE_ELEMS // (8 * 64)
+        )
+        assert run_width(8, 64, 64, 256, 100) == 100  # clipped to the axis
+        assert run_width(1 << 20, 64, 64, 256, 256) == 64  # >= one sub-tile
+        mask, idx = CausalMask(), np.arange(256)
+        narrow = TilePlan.build(mask, idx, idx, 16, 16, batch=256)
+        wide = TilePlan.build(mask, idx, idx, 16, 16, batch=64)
+        assert narrow is not wide
+        assert (narrow.run_keys, wide.run_keys) == (16, 64)
+        np.testing.assert_array_equal(narrow.states, wide.states)
+        # Any batch that lets a run span the axis is the same plan.
+        assert TilePlan.build(mask, idx, idx, 16, 16, batch=2) is (
+            TilePlan.build(mask, idx, idx, 16, 16, batch=1)
+        )
+
+
 class TestPlanClassification:
     def test_states_never_contradict_dense_tiles(self):
         mask = CausalMask()
@@ -233,17 +402,17 @@ class TestPlanMemo:
         plan_a = TilePlan.build(a, idx, idx, 8, 8)
         plan_b = TilePlan.build(b, idx, idx, 8, 8)
         assert plan_a is not plan_b
-        assert plan_a.mask_tile(0, 0) is not plan_b.mask_tile(0, 0)
+        assert plan_a.row(0)[0][2] is not plan_b.row(0)[0][2]
         np.testing.assert_array_equal(plan_a.states, plan_b.states)
 
     def test_table_dies_with_its_mask(self):
         mask = ALiBiMask(2)
         idx = np.arange(32)
         plan = TilePlan.build(mask, idx, idx, 8, 8)
-        plan.bias_tile(1, 0)
+        plan.bias_tile(1, 0, 8)
         refs = [
             weakref.ref(o)
-            for o in (mask, plan, plan.bias_cache, plan.mask_tile(0, 0))
+            for o in (mask, plan, plan.bias_cache, plan.row(0)[0][2])
         ]
         del mask, plan
         gc.collect()
@@ -263,26 +432,35 @@ class TestPlanMemo:
                 n_partial += plan.num_partial
                 tiles |= {
                     id(m) for i in range(plan.n_q_blocks)
-                    for _, _, _, m in plan.row(i) if m is not None
+                    for _, _, m in plan.row(i) if m is not None
                 }
         assert n_partial > 2 and len(tiles) <= 2
-        assert not plan.mask_tile(0, 0).flags.writeable
+        assert not plan.row(0)[0][2].flags.writeable
 
     def test_rows_list_exactly_the_non_empty_sub_tiles(self):
+        """A row lists *runs* — merged, column-trimmed stretches of its
+        non-``EMPTY`` sub-tiles — not one entry per sub-tile."""
         mask = sliding_window_block_mask(128, 16, 2)
         idx = np.arange(128)
         plan = TilePlan.build(mask, idx, idx, 16, 32)
+        assert plan.run_keys == 128
+        n_runs = 0
         for i in range(plan.n_q_blocks):
-            want = [
-                j for j in range(plan.n_k_blocks) if plan.state(i, j) != EMPTY
-            ]
-            assert [ki for ki, _, _, _ in plan.row(i)] == want
-            for ki, k0, k1, m in plan.row(i):
-                assert (k0, k1) == plan.k_range(ki)
-                assert (m is None) == (plan.state(i, ki) == FULL)
-        assert sum(len(plan.row(i)) for i in range(plan.n_q_blocks)) == (
-            plan.num_full + plan.num_partial
-        )
+            _check_row(plan, i, batch=1)
+            n_runs += len(plan.row(i))
+        # A 2-block causal window over 16-row blocks and 32-key tiles: 11
+        # PARTIAL tiles, the two a window straddles merged, each run
+        # trimmed to the window's 32 keys (16 on the first row).
+        assert (plan.num_full, plan.num_partial) == (0, 11)
+        assert n_runs == 8
+        assert [(k0, k1) for k0, k1, _ in plan.row(0) + plan.row(4)] == [
+            (0, 16), (48, 80)
+        ]
+        counters.reset()
+        plan.tally()
+        assert counters.key_runs == n_runs
+        assert mask.total_allowed(128) <= counters.run_pairs
+        assert counters.run_pairs < counters.computed_pairs
 
     def test_table_stays_bounded_across_a_decoding_loop(self, monkeypatch):
         """``generate`` asks for a new geometry every token; the table
@@ -303,7 +481,7 @@ class TestPlanMemo:
         gc.collect()
         live = {
             id(m) for p in table.plans.values()
-            for i in range(p.n_q_blocks) for _, _, _, m in p.row(i)
+            for i in range(p.n_q_blocks) for _, _, m in p.row(i)
             if m is not None
         }
         assert {id(t) for t in table.tiles.values()} == live
