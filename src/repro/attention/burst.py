@@ -37,7 +37,7 @@ from repro.attention.gqa import _check_groups, fold_kv_grad, repeat_kv
 from repro.attention.ring import _resolve_tiles, ring_pass
 from repro.comm import RingSchedule, SimCommunicator
 from repro.comm.ring import ALG2_BUNDLE
-from repro.kernels import KernelWorkspace, get_backend
+from repro.kernels import KernelWorkspace, PinnedKV, get_backend
 from repro.masks import MaskPattern
 from repro.obs.tracer import traced
 
@@ -73,7 +73,11 @@ def burst_attention_backward(
     Eq. 7–8 shows the query-side ``D_j`` is the quantity required, which
     is what travels).  It is the backend's ``flash_backward_tiles`` — the
     flash backward core minus the local ``D`` recomputation, tiled so no
-    full score matrix forms.
+    full score matrix forms.  What stays pinned is set up once per pass:
+    one :class:`~repro.kernels.PinnedKV` per rank holds ``[K_i | 1]^T``,
+    ``[V_i | 1]^T`` and the ``dK_i`` / ``dV_i`` every device step adds
+    into; what was delivered this step (``Q_j``, ``dO_j``, ``D_j``,
+    ``Lse_j``) is what the kernel augments and reads, once per step.
 
     Under GQA the bundle is query-sized (no saving — see
     :mod:`repro.attention.gqa`); the pinned ``K, V`` are expanded to query
@@ -91,8 +95,9 @@ def burst_attention_backward(
         scale = 1.0 / np.sqrt(qs[0].shape[-1])
     ks = [repeat_kv(k, groups) for k in ks]
     vs = [repeat_kv(v, groups) for v in vs]
-    dks = [np.zeros_like(k) for k in ks]
-    dvs = [np.zeros_like(v) for v in vs]
+    # (K_r, V_r) never move: their augmented operands are built once per
+    # rank, and every device step adds into the same dK_r / dV_r.
+    pinned = [PinnedKV(k, v) for k, v in zip(ks, vs)]
     workspace = KernelWorkspace()
 
     def tile(r, j, bundle):
@@ -103,13 +108,11 @@ def burst_attention_backward(
         )
         if skip:
             return None
-        dq_part, dk_part, dv_part = get_backend().flash_backward_tiles(
+        dq_part, _, _ = get_backend().flash_backward_tiles(
             q_j, ks[r], vs[r], lse_j, d_j, do_j, scale=scale,
             block_q=block_size, block_k=block_size,
-            plan=plan, workspace=workspace,
+            plan=plan, workspace=workspace, pinned=pinned[r],
         )
-        dks[r] += dk_part
-        dvs[r] += dv_part
         return (dq_part,)
 
     home = ring_pass(
@@ -129,8 +132,10 @@ def burst_attention_backward(
         ALG2_BUNDLE.carried, tile, phase=phase, tag=ALG2_BUNDLE.tag,
         ring_mode=ring_mode,
     )
+    for kv in pinned:
+        kv.release()
     return (
         [dq for (dq,) in home],
-        [fold_kv_grad(dk, groups) for dk in dks],
-        [fold_kv_grad(dv, groups) for dv in dvs],
+        [fold_kv_grad(kv.dk, groups) for kv in pinned],
+        [fold_kv_grad(kv.dv, groups) for kv in pinned],
     )

@@ -84,23 +84,46 @@ class DistributedAttention(ABC):
 
     # -- full-array convenience API ------------------------------------------
 
-    def indices(self, n: int, g: int) -> list[np.ndarray]:
-        """Global token positions held by each of ``g`` ranks."""
+    def _partition(self, n: int, g: int) -> list[np.ndarray]:
+        """How this method lays ``n`` tokens out over ``g`` ranks."""
         return self.partitioner.indices(n, g)
+
+    def _layout(self, n: int, g: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """``(per-rank indices, gather's inverse permutation)`` for ``n``
+        tokens on ``g`` ranks.  A pure function of ``(n, g)`` that every
+        :meth:`shard` / :meth:`gather` of every layer and step asks for, so
+        it is worked out once per method instance; the arrays are handed
+        out read-only, so no caller can stale the memo."""
+        memo = self.__dict__.setdefault("_layouts", {})
+        layout = memo.get((n, g))
+        if layout is None:
+            idxs = tuple(
+                np.array(idx, dtype=np.int64) for idx in self._partition(n, g)
+            )
+            inv = np.empty(n, dtype=np.int64)
+            inv[np.concatenate(idxs)] = np.arange(n)
+            for arr in (*idxs, inv):
+                arr.flags.writeable = False
+            layout = memo[(n, g)] = (idxs, inv)
+        return layout
+
+    def indices(self, n: int, g: int) -> list[np.ndarray]:
+        """Global token positions held by each of ``g`` ranks (read-only
+        arrays, the same objects on every call)."""
+        return list(self._layout(n, g)[0])
 
     def shard(self, x: np.ndarray, g: int, axis: int = -2) -> list[np.ndarray]:
         """Split ``x`` along its sequence ``axis`` by :meth:`indices`."""
         return [
             np.take(x, idx, axis=axis)
-            for idx in self.indices(x.shape[axis], g)
+            for idx in self._layout(x.shape[axis], g)[0]
         ]
 
     def gather(self, parts: list[np.ndarray], axis: int = -2) -> np.ndarray:
         """Reassemble per-rank shards into the full array (inverse of
         :meth:`shard`)."""
         n = sum(p.shape[axis] for p in parts)
-        inv = np.empty(n, dtype=np.int64)
-        inv[np.concatenate(self.indices(n, len(parts)))] = np.arange(n)
+        inv = self._layout(n, len(parts))[1]
         return np.take(np.concatenate(parts, axis=axis), inv, axis=axis)
 
     def run(
@@ -301,7 +324,7 @@ class USPMethod(DistributedAttention):
             )
         return USPGrid(self.ulysses_degree, g // self.ulysses_degree)
 
-    def indices(self, n: int, g: int) -> list[np.ndarray]:
+    def _partition(self, n: int, g: int) -> list[np.ndarray]:
         grid = self._grid(g)
         u, r = grid.ulysses_degree, grid.ring_degree
         ring_shards = self.partitioner.indices(n, r)

@@ -13,7 +13,7 @@ function handed to it:
 pass       layout                 tile (rank r, origin j)
 =========  =====================  ==========================
 forward    :data:`KV_BUNDLE`      flash fwd ``Q_r × KV_j``,
-                                  merge into ``(O_r, lse_r)``
+                                  continuing ``(m_r, [O_r | l_r])``
 Alg. 1     :data:`ALG1_BUNDLE`    flash bwd ``Q_r × KV_j``,
                                   ``dQ_r +=``, ``→ dK_j, dV_j``
 Alg. 2     :data:`ALG2_BUNDLE`    flash bwd tiles ``Q_j × KV_r``,
@@ -23,8 +23,11 @@ Alg. 2     :data:`ALG2_BUNDLE`    flash bwd tiles ``Q_j × KV_r``,
 **Forward** (all ring-family methods share it): each rank keeps its query
 shard pinned and a ``(K, V)`` bundle circulates along the ring schedule.
 At each of the ``G`` compute steps a rank runs the local FlashAttention
-kernel between its queries and the currently-held KV shard, merging the
-partial ``(O, lse)`` with the online-softmax rule.  Per-rank send volume is
+kernel between its queries and the KV shard delivered this step, which
+continues the rank's one running softmax state — the row max ``m`` and the
+unnormalised ``[O | l]`` (:class:`~repro.kernels.SoftmaxState`) — and the
+state is normalised to ``(O, lse)`` once, after the last step
+(BurstAttention's global attention optimisation).  Per-rank send volume is
 ``(G-1)/G * 2Nd`` elements — the paper's ``2Nd``.
 
 **Backward, Algorithm 1** (RingAttention / Megatron-CP / LoongTrain):
@@ -54,8 +57,13 @@ import numpy as np
 from repro.attention.gqa import _check_groups, fold_kv_grad, repeat_kv
 from repro.comm import BidirectionalFlow, RingSchedule, SimCommunicator
 from repro.comm.ring import ALG1_BUNDLE, KV_BUNDLE, check_ring_mode
-from repro.kernels import KernelWorkspace, TilePlan, get_backend, head_batch
-from repro.kernels.softmax import NEG_INF, merge_states
+from repro.kernels import (
+    KernelWorkspace,
+    SoftmaxState,
+    TilePlan,
+    get_backend,
+    head_batch,
+)
 from repro.masks import MaskPattern
 from repro.obs.tracer import traced
 
@@ -226,7 +234,7 @@ def ring_attention_forward(
         ``"unidirectional"`` (default) circulates the KV bundle one way;
         ``"bidirectional"`` splits delivery across two counter-rotating
         streams (TokenRing) while keeping the compute and online-softmax
-        merge order — and hence the results, bitwise — unchanged.
+        accumulation order — and hence the results, bitwise — unchanged.
 
     Returns
     -------
@@ -234,14 +242,10 @@ def ring_attention_forward(
         Per-rank output shards and logsumexp statistics.
     """
     groups = _check_groups(qs[0].shape[0], ks[0].shape[0])
-    if scale is None:
-        scale = 1.0 / np.sqrt(qs[0].shape[-1])
-    os: list[np.ndarray] = [
-        np.zeros(q.shape[:-1] + (vs[i].shape[-1],), dtype=np.float64)
-        for i, q in enumerate(qs)
-    ]
-    lses: list[np.ndarray] = [
-        np.full(q.shape[:-1], NEG_INF, dtype=np.float64) for q in qs
+    # One running (m, [O | l]) per rank for the whole ring, normalised
+    # once after the last step.
+    states = [
+        SoftmaxState.begin(q, v.shape[-1], scale) for q, v in zip(qs, vs)
     ]
     workspace = KernelWorkspace()
 
@@ -252,12 +256,11 @@ def ring_attention_forward(
         )
         if skip:
             return None
-        o_part, lse_part = get_backend().flash_forward(
+        get_backend().flash_forward(
             qs[r], repeat_kv(k_j, groups), repeat_kv(v_j, groups),
-            scale=scale, block_q=block_size, block_k=block_size,
-            plan=plan, workspace=workspace,
+            block_q=block_size, block_k=block_size,
+            plan=plan, workspace=workspace, state=states[r],
         )
-        os[r], lses[r] = merge_states(os[r], lses[r], o_part, lse_part)
         return ()
 
     ring_pass(
@@ -265,7 +268,8 @@ def ring_attention_forward(
         KV_BUNDLE.carried, tile, phase=phase, tag=KV_BUNDLE.tag,
         ring_mode=ring_mode,
     )
-    return os, lses
+    os, lses = zip(*(state.finish() for state in states))
+    return list(os), list(lses)
 
 
 @traced("attn.pass", "attn", algorithm="ring-alg1", direction="bwd")

@@ -30,8 +30,7 @@ import numpy as np
 
 from repro.attention.ring import _resolve_tiles
 from repro.comm import SimCommunicator
-from repro.kernels import KernelWorkspace, get_backend
-from repro.kernels.softmax import NEG_INF, merge_states
+from repro.kernels import KernelWorkspace, SoftmaxState, get_backend
 from repro.masks import MaskPattern
 from repro.obs.tracer import traced
 
@@ -78,16 +77,12 @@ def selective_attention_forward(
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Forward pass fetching only the KV shards the mask requires."""
     g = comm.world_size
-    if scale is None:
-        scale = 1.0 / np.sqrt(qs[0].shape[-1])
     need = tile_dependency_matrix(mask, idxs)
-    os = [
-        np.zeros(q.shape[:-1] + (vs[i].shape[-1],), dtype=np.float64)
-        for i, q in enumerate(qs)
-    ]
-    lses = [np.full(q.shape[:-1], NEG_INF, dtype=np.float64) for q in qs]
+    os, lses = [], []
     workspace = KernelWorkspace()
     for i in range(g):
+        # Rank i's running (m, [O | l]) over the KV shards it fetches.
+        state = SoftmaxState.begin(qs[i], vs[i].shape[-1], scale)
         for j in range(g):
             if not need[i, j]:
                 continue
@@ -101,12 +96,13 @@ def selective_attention_forward(
             )
             if skip:
                 continue
-            o_part, lse_part = get_backend().flash_forward(
-                qs[i], k_j, v_j, scale=scale,
-                block_q=block_size, block_k=block_size,
-                plan=plan, workspace=workspace,
+            get_backend().flash_forward(
+                qs[i], k_j, v_j, block_q=block_size, block_k=block_size,
+                plan=plan, workspace=workspace, state=state,
             )
-            os[i], lses[i] = merge_states(os[i], lses[i], o_part, lse_part)
+        o_i, lse_i = state.finish()
+        os.append(o_i)
+        lses.append(lse_i)
     return os, lses
 
 

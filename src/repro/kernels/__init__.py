@@ -19,6 +19,8 @@ from repro.kernels.attention_ref import (
     attention_reference_backward,
 )
 from repro.kernels.flash import (
+    PinnedKV,
+    SoftmaxState,
     flash_attention_forward,
     flash_attention_backward,
     flash_backward_tiles,
@@ -31,6 +33,7 @@ from repro.kernels.tileplan import (
     KernelWorkspace,
     TileCounters,
     TilePlan,
+    allowed_pairs,
     counters,
     head_batch,
     tile_size,
@@ -66,6 +69,8 @@ __all__ = [
     "flash_attention_forward",
     "flash_attention_backward",
     "flash_backward_tiles",
+    "PinnedKV",
+    "SoftmaxState",
     "EMPTY",
     "FULL",
     "PARTIAL",
@@ -73,6 +78,7 @@ __all__ = [
     "KernelWorkspace",
     "TileCounters",
     "TilePlan",
+    "allowed_pairs",
     "counters",
     "head_batch",
     "tile_size",

@@ -12,32 +12,45 @@ FlashAttention-2, done with in-place arithmetic on one score tile ``S``
 (the GEMM's output buffer) per run, and both let the row statistics ride
 the GEMMs as one extra column instead of a pass over the tile:
 
-* **forward** — the query block is scaled once (``Q~ = Q * scale``) and
-  carries a running row max ``m`` and the *unnormalised* ``[O | l]``.  Per
-  run: ``S = Q~ K^T``; ``m' = max(m, rowmax S)``; ``P = exp(S - m')``;
+* **forward** — a recurrence in three steps over one query shard's
+  :class:`SoftmaxState`.  *Begin*: the queries are scaled once
+  (``Q~ = Q * scale``), ``m = -inf``, the *unnormalised* ``[O | l] = 0``.
+  *Accumulate*, per run of each query block: ``S = Q~ K^T``;
+  ``m' = max(m, rowmax S)``; ``P = exp(S - m')``;
   ``[O | l] = [O | l]*a + P [V | 1]`` with ``a = exp(m - m')`` — the row
-  sum ``l`` is the last column of the PV product.  ``O /= l`` and
-  ``lse = m + log l`` are formed once per query block, after the key
-  loop.  That is one ``exp`` and 3 full-tile passes per run (max,
-  subtract, exp; 4 on a masked run), where the separate ``rowsum`` made 4
-  (5) and the earlier running-``(O, lse)`` merge took two ``exp`` and 8
-  (10 masked), most of them allocating a tile-sized temporary.
+  sum ``l`` is the last column of the PV product — written into the
+  block's slices of the state in place.  *Finish*: ``O / l`` and
+  ``lse = m + log l``, once.  That is one ``exp`` and 3 full-tile passes
+  per run (max, subtract, exp; 4 on a masked run), where the separate
+  ``rowsum`` made 4 (5) and the earlier running-``(O, lse)`` merge took
+  two ``exp`` and 8 (10 masked), most of them allocating a tile-sized
+  temporary.  The state outlives a kernel call: a ring pass begins one
+  per rank, accumulates once per delivered ``(K_j, V_j)`` and finishes
+  after the last ring step (BurstAttention's global attention
+  optimisation, arXiv 2403.09347; the scan carry of BPT / RingAttention),
+  so no partial output is normalised only to be un-normalised by a merge.
+  A call without a carried state is the same three steps run once.
 * **backward** — each probability tile is re-formed from the saved ``lse``
   as ``P = exp([Q~ | -lse] [K | 1]^T)`` and ``dS = P * ([dO | -D]
   [V | 1]^T)`` with ``D = rowsum(dO * O)``; ``dK += dS^T Q~`` needs no
-  rescale and ``dQ`` is scaled once per query block.  2 full-tile passes
-  per run (exp, multiply; 3 masked), down from 4 (5) with the two
-  broadcast subtractions and 6 (8) before that.  ``[K | 1]`` / ``[V | 1]``
-  are built once per call, ``[Q~ | -lse]`` / ``[dO | -D]`` once per query
-  block.
+  rescale and ``dQ`` is scaled once per call.  2 full-tile passes per run
+  (exp, multiply; 3 masked), down from 4 (5) with the two broadcast
+  subtractions and 6 (8) before that.  ``[Q~ | -lse]`` / ``[dO | -D]``
+  are built once per call from the arrays it was handed; ``[K | 1]`` /
+  ``[V | 1]`` and the ``dK`` / ``dV`` accumulators are a
+  :class:`PinnedKV`, built per call or — where the key shard stays put for
+  a whole pass (BurstAttention's Algorithm 2) — once per pass, every call
+  adding into the same accumulators in place.
 
 Masked scores are never exponentiated (``exp(..., where=mask)``, then
 zeroed), so no ``-inf`` enters the tile arithmetic.  A query row with no
 visible key is handled on row-sized vectors only: its ``m`` stays ``-inf``
 (shifted by 0 instead), its ``l`` comes out of the GEMM as exactly 0 (and
 is divided as 1), its ``-lse`` column is 0 with ``P`` zeroed afterwards,
-and it leaves the kernel as ``O = 0``, ``lse = -inf``, the identity of
-:func:`~repro.kernels.softmax.merge_states`.  These tiled kernels are what
+and it leaves a finished state as ``O = 0``, ``lse = -inf``, the identity
+of :func:`~repro.kernels.softmax.merge_states` — whether it met no key in
+one delivered shard (its ``m`` and ``[O | l]`` just stay put) or in none.
+These tiled kernels are what
 every distributed attention method in :mod:`repro.attention` runs locally
 on each simulated device.
 
@@ -83,6 +96,7 @@ from repro.kernels.tileplan import (
     run_width,
     tile_size,
 )
+from repro.obs.mem import transient_alloc, transient_free
 from repro.obs.tracer import NOOP_SPAN, trace_span
 
 
@@ -203,6 +217,59 @@ def _exp_visible(x: np.ndarray, m: np.ndarray | None) -> None:
         np.copyto(x, 0.0, where=np.logical_not(m))
 
 
+class SoftmaxState:
+    """One query shard's running softmax state: the scaled queries
+    ``Q~ = Q * scale``, the row max ``m`` and the *unnormalised*
+    ``[O | l]``, over every key the shard has met so far.
+
+    The forward recurrence is begin → accumulate → finish, and the state
+    is what lets it span kernel calls: a ring pass begins one state per
+    rank, hands it to :func:`flash_attention_forward` (``state=``) once
+    per delivered ``(K_j, V_j)`` — each call advances ``m`` and ``[O | l]``
+    in place, per query block — and finishes it once, after the last ring
+    step (BurstAttention's global attention optimisation; the BPT /
+    RingAttention scan carry).  A call without a state begins and finishes
+    its own: the same recurrence run for one step.
+
+    The three arrays live from :meth:`begin` to :meth:`finish` and are
+    accounted on the transient watermark (site ``flash.fwd-state``).
+    """
+
+    __slots__ = ("q", "m", "acc", "_handle")
+
+    def __init__(self, q: np.ndarray, m: np.ndarray, acc: np.ndarray):
+        self.q, self.m, self.acc = q, m, acc
+        self._handle = transient_alloc(
+            q.nbytes + m.nbytes + acc.nbytes, site="flash.fwd-state"
+        )
+
+    @classmethod
+    def begin(
+        cls, q: np.ndarray, v_dim: int, scale: float | None = None
+    ) -> "SoftmaxState":
+        """The state of ``q`` before any key: ``m = -inf``, ``[O | l] = 0``
+        (``v_dim`` is the value head dimension)."""
+        if scale is None:
+            scale = 1.0 / np.sqrt(q.shape[-1])
+        rows = q.shape[:-1]
+        return cls(
+            q * scale,
+            np.full(rows + (1,), NEG_INF, dtype=np.float64),
+            np.zeros(rows + (v_dim + 1,), dtype=np.float64),
+        )
+
+    def finish(self) -> tuple[np.ndarray, np.ndarray]:
+        """Normalise, once: ``(O / l, m + log l)``.  A row that never saw
+        a key has ``l = 0`` and ``m = -inf``: dividing by 1 leaves
+        ``o = 0`` and ``lse = -inf + log 1 = -inf``.  Consumes the state."""
+        l_run = self.acc[..., -1:]
+        l_run[l_run == 0.0] = 1.0
+        o = self.acc[..., :-1] / l_run
+        lse = (self.m + np.log(l_run))[..., 0]
+        transient_free(self._handle)
+        return o, lse
+
+
 def flash_attention_forward(
     q: np.ndarray,
     k: np.ndarray,
@@ -214,7 +281,8 @@ def flash_attention_forward(
     bias: np.ndarray | None = None,
     plan: TilePlan | None = None,
     workspace: KernelWorkspace | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    state: SoftmaxState | None = None,
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Tiled exact attention forward.
 
     Parameters mirror :func:`repro.kernels.attention_reference`; returns
@@ -225,86 +293,74 @@ def flash_attention_forward(
     (ALiBi) broadcastable to ``(..., Sq, Sk)``, sliced alongside the mask;
     with a plan, bias tiles are resolved (and cached) per run instead.
 
+    With ``state`` (a :class:`SoftmaxState` begun for these queries, which
+    carries their scale) the call *continues* the recurrence over the keys
+    ``k`` — disjoint from every key the state has met — and returns
+    ``None``; the caller finishes the state after its last call.
+
     One ``flash.fwd`` span covers the whole invocation (never per
     run — the inner loop stays bench-clean).
     """
+    carried = state is not None
+    if not carried:
+        state = SoftmaxState.begin(q, v.shape[-1], scale)
+    elif scale is not None:
+        raise ValueError("a carried state already holds the softmax scale")
     span = trace_span("flash.fwd", phase="compute", backend="reference")
     if span is NOOP_SPAN:
-        return _forward_tiles(
-            q, k, v, mask, scale, block_q, block_k, bias, plan, workspace
+        _forward_accumulate(
+            state, k, v, mask, block_q, block_k, bias, plan, workspace
         )
-    with span:
-        span["sq"], span["sk"] = int(q.shape[-2]), int(k.shape[-2])
-        span["planned"] = plan is not None
-        return _forward_tiles(
-            q, k, v, mask, scale, block_q, block_k, bias, plan, workspace
-        )
+    else:
+        with span:
+            span["sq"], span["sk"] = int(q.shape[-2]), int(k.shape[-2])
+            span["planned"] = plan is not None
+            _forward_accumulate(
+                state, k, v, mask, block_q, block_k, bias, plan, workspace
+            )
+    return None if carried else state.finish()
 
 
-def _forward_q_block(
-    q_blk: np.ndarray,
-    k_t: np.ndarray,
-    v1: np.ndarray,
-    runs,
-    ws: KernelWorkspace | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inner key loop of the forward pass for one (scaled) query block,
-    which touches only its own running state: ``m`` and ``[O | l]``, the
-    accumulator of ``P [V | 1]`` (``k_t`` is ``K^T``, ``v1`` is
-    ``[V | 1]``).  The returned ``o`` is a view of scratch: copy it out
-    before the next block runs."""
-    acc = _scratch(ws, "fwd-acc", q_blk.shape[:-1] + (v1.shape[-1],))
-    acc.fill(0.0)
-    m_run = np.full(q_blk.shape[:-1] + (1,), NEG_INF, dtype=np.float64)
-    for k0, k1, m, b in runs:
-        s = _matmul(ws, q_blk, k_t[..., k0:k1], "fwd-s")
-        if b is not None:
-            s += b
-        tile_max = s.max(
-            axis=-1, keepdims=True, initial=NEG_INF,
-            where=True if m is None else m,
-        )
-        m_new = np.maximum(m_run, tile_max)
-        # Rows with no visible key so far keep m = -inf; shift them by 0
-        # instead, so that no inf - inf is ever formed.
-        m_safe = np.where(m_new == NEG_INF, 0.0, m_new)
-        alpha = np.exp(m_run - m_safe)
-        s -= m_safe
-        _exp_visible(s, m)
-        acc *= alpha
-        acc += _matmul(ws, s, v1[..., k0:k1, :], "fwd-pv")
-        m_run = m_new
-    # Normalise once per q block.  A row that saw no key has l = 0 and
-    # m = -inf: dividing by 1 leaves o = 0 and lse = -inf + log 1 = -inf.
-    o_blk, l_run = acc[..., :-1], acc[..., -1:]
-    l_run[l_run == 0.0] = 1.0
-    o_blk /= l_run
-    return o_blk, (m_run + np.log(l_run))[..., 0]
-
-
-def _forward_tiles(
-    q: np.ndarray,
+def _forward_accumulate(
+    state: SoftmaxState,
     k: np.ndarray,
     v: np.ndarray,
     mask: np.ndarray | None,
-    scale: float | None,
     block_q: int | None,
     block_k: int | None,
     bias: np.ndarray | None,
     plan: TilePlan | None,
-    workspace: KernelWorkspace | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    if scale is None:
-        scale = 1.0 / np.sqrt(q.shape[-1])
-    o = np.zeros(q.shape[:-1] + (v.shape[-1],), dtype=np.float64)
-    lse = np.full(q.shape[:-1], NEG_INF, dtype=np.float64)
+    ws: KernelWorkspace | None,
+) -> None:
+    """Advance ``state`` over the keys ``(k, v)``: per query block, the
+    key loop updates that block's slices of ``m`` and ``[O | l]`` in
+    place.  ``[V | 1]`` is built from the ``v`` this call was handed."""
     k_t = np.swapaxes(k, -1, -2)
-    v1 = _augment(workspace, v, 1.0, "fwd-v1")
-    for q0, q1, runs in _key_loops(plan, q, k, mask, bias, block_q, block_k):
-        o[..., q0:q1, :], lse[..., q0:q1] = _forward_q_block(
-            q[..., q0:q1, :] * scale, k_t, v1, runs, workspace
-        )
-    return o, lse
+    v1 = _augment(ws, v, 1.0, "fwd-v1")
+    for q0, q1, runs in _key_loops(
+        plan, state.q, k, mask, bias, block_q, block_k
+    ):
+        q_blk = state.q[..., q0:q1, :]
+        m_run = state.m[..., q0:q1, :]
+        acc = state.acc[..., q0:q1, :]
+        for k0, k1, m, b in runs:
+            s = _matmul(ws, q_blk, k_t[..., k0:k1], "fwd-s")
+            if b is not None:
+                s += b
+            tile_max = s.max(
+                axis=-1, keepdims=True, initial=NEG_INF,
+                where=True if m is None else m,
+            )
+            m_new = np.maximum(m_run, tile_max)
+            # Rows with no visible key so far keep m = -inf; shift them by
+            # 0 instead, so that no inf - inf is ever formed.
+            m_safe = np.where(m_new == NEG_INF, 0.0, m_new)
+            alpha = np.exp(m_run - m_safe)
+            s -= m_safe
+            _exp_visible(s, m)
+            acc *= alpha
+            acc += _matmul(ws, s, v1[..., k0:k1, :], "fwd-pv")
+            m_run[...] = m_new
 
 
 def flash_attention_backward(
@@ -327,14 +383,51 @@ def flash_attention_backward(
     Uses the saved global ``lse`` to re-form each probability tile and the
     FlashAttention identity ``dS = P * (dP - D)``.  Returns ``(dq, dk, dv)``.
     """
-    if scale is None:
-        scale = 1.0 / np.sqrt(q.shape[-1])
     d_stat = np.sum(do * o, axis=-1)  # (..., Sq)
     return flash_backward_tiles(
         q, k, v, lse, d_stat, do, mask=mask, scale=scale,
         block_q=block_q, block_k=block_k, bias=bias,
         plan=plan, workspace=workspace,
     )
+
+
+class PinnedKV:
+    """One key shard's backward operands: ``[K | 1]^T`` and ``[V | 1]^T``
+    (the augmented GEMM operands every run of every call reads) and the
+    ``dK`` / ``dV`` accumulators the runs add into.
+
+    BurstAttention's backward pins ``(K_r, V_r)`` on their owner for the
+    whole ring, so its pass builds one of these per rank and hands it to
+    every :func:`flash_backward_tiles` call on that rank (``pinned=``); a
+    call without one builds its own from workspace scratch.  Outside a
+    workspace the augmented operands are accounted on the transient
+    watermark (site ``flash.pinned-kv``) until :meth:`release`.
+    """
+
+    __slots__ = ("k1_t", "v1_t", "dk", "dv", "_handle")
+
+    def __init__(
+        self,
+        k: np.ndarray,
+        v: np.ndarray,
+        workspace: KernelWorkspace | None = None,
+    ):
+        k1 = _augment(workspace, k, 1.0, "bwd-k1")
+        v1 = _augment(workspace, v, 1.0, "bwd-v1")
+        self.k1_t = np.swapaxes(k1, -1, -2)
+        self.v1_t = np.swapaxes(v1, -1, -2)
+        self.dk = np.zeros_like(k)
+        self.dv = np.zeros_like(v)
+        self._handle = (
+            transient_alloc(k1.nbytes + v1.nbytes, site="flash.pinned-kv")
+            if workspace is None else None
+        )
+
+    def release(self) -> None:
+        """End of the pass: the augmented operands leave the watermark."""
+        if self._handle is not None:
+            transient_free(self._handle)
+            self._handle = None
 
 
 def flash_backward_tiles(
@@ -351,6 +444,7 @@ def flash_backward_tiles(
     bias: np.ndarray | None = None,
     plan: TilePlan | None = None,
     workspace: KernelWorkspace | None = None,
+    pinned: PinnedKV | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward tile loop with caller-supplied row statistics.
 
@@ -359,96 +453,83 @@ def flash_backward_tiles(
     Algorithm 2 device step (whose ``D``/``Lse`` arrive over the ring
     instead of being recomputed — the saving the paper measures).
 
+    With ``pinned`` (a :class:`PinnedKV` built from these ``k``/``v``) the
+    call reads its augmented operands and adds into its ``dk``/``dv`` in
+    place; the returned ``dk``/``dv`` are then those running accumulators.
+
     One ``flash.bwd`` span covers the whole invocation.
     """
+    if scale is None:
+        scale = 1.0 / np.sqrt(q.shape[-1])
+    if pinned is None:
+        pinned = PinnedKV(k, v, workspace)
     span = trace_span("flash.bwd", phase="compute", backend="reference")
     if span is NOOP_SPAN:
-        return _backward_tiles(
-            q, k, v, lse, d_stat, do, mask, scale, block_q, block_k,
-            bias, plan, workspace,
+        dq = _backward_tiles(
+            q, k, lse, d_stat, do, mask, scale, block_q, block_k,
+            bias, plan, workspace, pinned,
         )
-    with span:
-        span["sq"], span["sk"] = int(q.shape[-2]), int(k.shape[-2])
-        span["planned"] = plan is not None
-        return _backward_tiles(
-            q, k, v, lse, d_stat, do, mask, scale, block_q, block_k,
-            bias, plan, workspace,
-        )
-
-
-def _backward_q_block(
-    q_blk: np.ndarray,
-    do_blk: np.ndarray,
-    lse_blk: np.ndarray,
-    d_blk: np.ndarray,
-    k: np.ndarray,
-    k1_t: np.ndarray,
-    v1_t: np.ndarray,
-    runs,
-    ws: KernelWorkspace | None,
-    dk: np.ndarray,
-    dv: np.ndarray,
-) -> np.ndarray:
-    """Inner key loop of the backward pass for one (scaled) query block:
-    returns its still-unscaled ``dq`` and accumulates the per-run
-    key/value gradients into ``dk``/``dv`` in place (``k1_t`` is
-    ``[K | 1]^T``, ``v1_t`` is ``[V | 1]^T``)."""
-    # Rows with lse = -inf saw no key and get p = 0.  The mask already
-    # zeroes them when it is what hid the keys, so the explicit zeroing is
-    # decided once per q block and costs nothing when no row is dead.
-    dead_rows = np.isneginf(lse_blk)
-    zero_dead = dead_rows.any()
-    dead = dead_rows[..., None]
-    q_lse = _augment(
-        ws, q_blk, -np.where(dead_rows, 0.0, lse_blk), "bwd-q1"
-    )
-    do_d = _augment(ws, do_blk, -d_blk, "bwd-do1")
-    dq_blk = np.zeros_like(q_blk)
-    for k0, k1, m, b in runs:
-        p = _matmul(ws, q_lse, k1_t[..., k0:k1], "bwd-s")
-        if b is not None:
-            p += b
-        _exp_visible(p, m)
-        if zero_dead:
-            np.copyto(p, 0.0, where=dead)
-        dv_run = _matmul(ws, p.swapaxes(-1, -2), do_blk, "bwd-dv")
-        ds = _matmul(ws, do_d, v1_t[..., k0:k1], "bwd-dp")
-        ds *= p
-        dq_blk += _matmul(ws, ds, k[..., k0:k1, :], "bwd-dq")
-        # q_blk carries the softmax scale, so dk needs no per-run rescale.
-        dk_run = _matmul(ws, ds.swapaxes(-1, -2), q_blk, "bwd-dk")
-        dv[..., k0:k1, :] += dv_run
-        dk[..., k0:k1, :] += dk_run
-    return dq_blk
+    else:
+        with span:
+            span["sq"], span["sk"] = int(q.shape[-2]), int(k.shape[-2])
+            span["planned"] = plan is not None
+            dq = _backward_tiles(
+                q, k, lse, d_stat, do, mask, scale, block_q, block_k,
+                bias, plan, workspace, pinned,
+            )
+    return dq, pinned.dk, pinned.dv
 
 
 def _backward_tiles(
     q: np.ndarray,
     k: np.ndarray,
-    v: np.ndarray,
     lse: np.ndarray,
     d_stat: np.ndarray,
     do: np.ndarray,
     mask: np.ndarray | None,
-    scale: float | None,
+    scale: float,
     block_q: int | None,
     block_k: int | None,
     bias: np.ndarray | None,
     plan: TilePlan | None,
-    workspace: KernelWorkspace | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if scale is None:
-        scale = 1.0 / np.sqrt(q.shape[-1])
+    ws: KernelWorkspace | None,
+    pinned: PinnedKV,
+) -> np.ndarray:
+    """The backward of one call: returns ``dq`` and adds the per-run
+    key/value gradients into ``pinned.dk`` / ``pinned.dv`` in place.
+
+    ``[Q~ | -lse]`` and ``[dO | -D]`` are built here, once, from the
+    arrays this call was handed; a query block reads its rows of them."""
+    # Rows with lse = -inf saw no key and get p = 0.  The mask already
+    # zeroes them when it is what hid the keys, so the explicit zeroing is
+    # decided once per call and costs nothing when no row is dead.
+    dead_rows = np.isneginf(lse)
+    zero_dead = dead_rows.any()
+    q_lse = _augment(ws, q, -np.where(dead_rows, 0.0, lse), "bwd-q1")
+    q_s = q_lse[..., :-1]
+    q_s *= scale
+    do_d = _augment(ws, do, -d_stat, "bwd-do1")
+    k1_t, v1_t, dk, dv = pinned.k1_t, pinned.v1_t, pinned.dk, pinned.dv
     dq = np.zeros_like(q)
-    dk = np.zeros_like(k)
-    dv = np.zeros_like(v)
-    k1_t = np.swapaxes(_augment(workspace, k, 1.0, "bwd-k1"), -1, -2)
-    v1_t = np.swapaxes(_augment(workspace, v, 1.0, "bwd-v1"), -1, -2)
     for q0, q1, runs in _key_loops(plan, q, k, mask, bias, block_q, block_k):
-        dq_blk = _backward_q_block(
-            q[..., q0:q1, :] * scale, do[..., q0:q1, :], lse[..., q0:q1],
-            d_stat[..., q0:q1], k, k1_t, v1_t, runs, workspace, dk, dv,
-        )
-        dq_blk *= scale
-        dq[..., q0:q1, :] = dq_blk
-    return dq, dk, dv
+        q_blk, q_lse_blk = q_s[..., q0:q1, :], q_lse[..., q0:q1, :]
+        do_blk, do_d_blk = do[..., q0:q1, :], do_d[..., q0:q1, :]
+        dq_blk = dq[..., q0:q1, :]
+        dead = dead_rows[..., q0:q1, None]
+        for k0, k1, m, b in runs:
+            p = _matmul(ws, q_lse_blk, k1_t[..., k0:k1], "bwd-s")
+            if b is not None:
+                p += b
+            _exp_visible(p, m)
+            if zero_dead:
+                np.copyto(p, 0.0, where=dead)
+            dv_run = _matmul(ws, p.swapaxes(-1, -2), do_blk, "bwd-dv")
+            ds = _matmul(ws, do_d_blk, v1_t[..., k0:k1], "bwd-dp")
+            ds *= p
+            dq_blk += _matmul(ws, ds, k[..., k0:k1, :], "bwd-dq")
+            # Q~ carries the softmax scale, so dk needs no per-run rescale.
+            dk_run = _matmul(ws, ds.swapaxes(-1, -2), q_blk, "bwd-dk")
+            dv[..., k0:k1, :] += dv_run
+            dk[..., k0:k1, :] += dk_run
+    dq *= scale
+    return dq

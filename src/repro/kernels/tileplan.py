@@ -34,6 +34,10 @@ the mask structure *into* the kernel:
   depends only on relative offsets, so contiguous runs with the same
   ``q0 - k0`` offset and shape share one tile no matter which shard pair,
   pass or step asked for it.
+* :func:`allowed_pairs` counts the (query, key) pairs a mask allows over
+  a rectangle from a classification of it (full sub-tiles' areas plus the
+  popcount of the partial ones) — the recompute-FLOP tally's unit, without
+  the dense mask.
 * :data:`counters` tallies computed/skipped sub-tiles and (query, key)
   pairs, and the runs and pairs actually executed — the machine-readable
   numbers the step benchmark (``python3 -m benchmarks.step``) and the
@@ -323,6 +327,8 @@ class _PlanTable:
         self.plans: dict[tuple, TilePlan] = {}
         self.tiles = weakref.WeakValueDictionary()
         self.bias = BiasTileCache()
+        #: :func:`allowed_pairs` by ``(n_q, n_k)``.
+        self.allowed: dict[tuple[int, int], int] = {}
 
     def put(self, key: tuple, plan: "TilePlan") -> None:
         self.plans[key] = plan
@@ -336,6 +342,36 @@ class _PlanTable:
             tile.flags.writeable = False
             self.tiles[key] = shared = tile
         return shared
+
+
+def _plan_table(mask: MaskPattern) -> _PlanTable:
+    """``mask``'s table, created on first use and stored on the instance."""
+    try:
+        return mask._tile_plans
+    except AttributeError:
+        table = mask._tile_plans = _PlanTable()
+        return table
+
+
+def allowed_pairs(mask: MaskPattern | None, n_q: int, n_k: int) -> int:
+    """(query, key) pairs ``mask`` allows between the first ``n_q`` queries
+    and the first ``n_k`` keys — the unit of the recompute-FLOP tally.
+
+    Read off a classification of that rectangle at :data:`MAX_TILE`
+    (:attr:`TilePlan.allowed_pairs`), so the count costs one boolean tile
+    per *partial* sub-tile and never a dense ``n_q x n_k`` mask; memoised
+    on the mask instance.
+    """
+    if mask is None:
+        return n_q * n_k
+    table = _plan_table(mask)
+    count = table.allowed.get((n_q, n_k))
+    if count is None:
+        count = table.allowed[(n_q, n_k)] = TilePlan._classify(
+            mask, np.arange(n_q), np.arange(n_k),
+            MAX_TILE, MAX_TILE, MAX_TILE, table,
+        ).allowed_pairs
+    return count
 
 
 @dataclass(eq=False)
@@ -387,6 +423,13 @@ class TilePlan:
                 for rows, row in zip(q_len, self._rows) for k0, k1, _ in row
             ),
         )
+        #: (query, key) pairs the mask allows over this shard pair: the
+        #: area of every ``FULL`` run plus the popcount of every
+        #: ``PARTIAL`` run's boolean tile (trimmed columns allow nothing).
+        self.allowed_pairs = sum(
+            rows * (k1 - k0) if m is None else int(np.count_nonzero(m))
+            for rows, row in zip(q_len, self._rows) for k0, k1, m in row
+        )
 
     @classmethod
     def build(
@@ -419,10 +462,7 @@ class TilePlan:
         )
         if mask is None:
             return cls._classify(None, q_idx, k_idx, *geometry, None)
-        try:
-            table = mask._tile_plans
-        except AttributeError:
-            table = mask._tile_plans = _PlanTable()
+        table = _plan_table(mask)
         key = (q_idx.tobytes(), k_idx.tobytes(), *geometry)
         plan = table.plans.get(key)
         if plan is None:

@@ -22,7 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attention.gqa import _check_groups, fold_kv_grad, repeat_kv
-from repro.kernels import KernelWorkspace, TilePlan, get_backend, head_batch
+from repro.kernels import (
+    KernelWorkspace,
+    TilePlan,
+    allowed_pairs,
+    get_backend,
+    head_batch,
+)
 from repro.masks import MaskPattern
 from repro.nn.checkpoint import (
     AttentionOutputCache,
@@ -39,12 +45,6 @@ from repro.obs.tracer import trace_span
 def _attention_flops(pairs: int, heads: int, head_dim: int) -> float:
     """Matmul FLOPs for ``pairs`` allowed (q, k) pairs: QK^T plus PV."""
     return 4.0 * pairs * heads * head_dim
-
-
-def _mask_pairs(mask: MaskPattern | None, sq: int, sk: int, q_off: int = 0) -> int:
-    if mask is None:
-        return sq * sk
-    return mask.num_allowed(np.arange(q_off, q_off + sq), np.arange(sk))
 
 
 def _local_plan(
@@ -112,7 +112,7 @@ class FlashAttentionFn(Function):
                             split=split, seq=s):
                 o_front, lse_front = self._local_forward(q, k, v, split)
             get_tracker().add_recompute_flops(
-                _attention_flops(_mask_pairs(mask, split, s), heads, head_dim)
+                _attention_flops(allowed_pairs(mask, split, s), heads, head_dim)
             )
             o = np.concatenate([o_front, o_back], axis=-2)
             lse = np.concatenate([lse_front, lse_back], axis=-1)
@@ -120,7 +120,7 @@ class FlashAttentionFn(Function):
             o, lse = self._attend(q, k, v)
             if in_recompute():
                 get_tracker().add_recompute_flops(
-                    _attention_flops(_mask_pairs(mask, s, s), heads, head_dim)
+                    _attention_flops(allowed_pairs(mask, s, s), heads, head_dim)
                 )
 
         if (

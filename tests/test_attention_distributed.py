@@ -234,3 +234,86 @@ class TestScheduleEquivalence:
                 mask=CausalMask(), block_size=16)
             outs.append(np.concatenate(os, axis=-2))
         np.testing.assert_allclose(outs[0], outs[1], rtol=1e-12)
+
+
+class TestCarriedForwardState:
+    """The ring forward keeps one unnormalised ``(m, [O | l])`` per rank
+    and normalises once; :func:`repro.kernels.merge_states` over per-pair
+    kernel calls stays the definition it is compared against."""
+
+    @staticmethod
+    def _merged_pairwise(qs, ks, vs, idxs, mask, block):
+        from repro.kernels import (
+            TilePlan, flash_attention_forward, head_batch, merge_states,
+        )
+        from repro.kernels.softmax import empty_state
+
+        out = []
+        for r, q in enumerate(qs):
+            o, lse = empty_state(q.shape)
+            for j in range(len(qs)):
+                plan = TilePlan.build(
+                    mask, idxs[r], idxs[j], block, block, batch=head_batch(q)
+                )
+                o, lse = merge_states(o, lse, *flash_attention_forward(
+                    q, ks[j], vs[j], plan=plan
+                ))
+            out.append((o, lse))
+        return out
+
+    @pytest.mark.parametrize("name", ["burst", "megatron-cp", "selective"])
+    def test_forward_matches_the_merge_definition(self, name):
+        method = get_method(name, block_size=8)
+        g = TOPO_2x4.world_size
+        q, k, v, _ = make_inputs(n=64)
+        # A window narrower than a contiguous shard pair's distance: some
+        # (rank, origin) pairs are skipped and some rows meet no key in a
+        # delivered shard.
+        mask = SlidingWindowMask(window=12)
+        idxs = method.indices(64, g)
+        qs, ks, vs = method.shard(q, g), method.shard(k, g), method.shard(v, g)
+        os, lses, _ = method.forward_shards(
+            SimCommunicator(TOPO_2x4), qs, ks, vs, idxs, mask, None
+        )
+        want = self._merged_pairwise(qs, ks, vs, idxs, mask, 8)
+        for o, lse, (o_ref, lse_ref) in zip(os, lses, want):
+            np.testing.assert_allclose(o, o_ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(lse, lse_ref, rtol=1e-12, atol=1e-12)
+            assert o.flags.c_contiguous and o.base is None
+
+
+class TestShardLayoutMemo:
+    """``indices`` / ``shard`` / ``gather`` share one memoised layout per
+    ``(n, g)``, handed out read-only."""
+
+    PARTITIONERS = [
+        ("megatron-cp", {"partitioner": ZigzagPartitioner()}),
+        ("burst", {"partitioner": StripedPartitioner()}),
+        ("burst", {"partitioner": BlockwisePartitioner(8)}),
+        ("selective", {}),  # contiguous
+        ("usp", {"ulysses_degree": 2}),
+    ]
+
+    @pytest.mark.parametrize(
+        "name,kwargs", PARTITIONERS,
+        ids=["zigzag", "striped", "blockwise", "contiguous", "usp-grid"],
+    )
+    def test_round_trip_same_objects_read_only(self, name, kwargs):
+        method = get_method(name, **kwargs)
+        first, second = method.indices(64, 8), method.indices(64, 8)
+        assert all(a is b for a, b in zip(first, second))
+        assert first is not second  # the list is the caller's own
+        assert np.array_equal(np.sort(np.concatenate(first)), np.arange(64))
+        with pytest.raises(ValueError, match="read-only"):
+            first[0][0] = 63
+        x = RNG.normal(size=(2, 64, 4))
+        np.testing.assert_array_equal(method.gather(method.shard(x, 8)), x)
+        row = RNG.normal(size=(2, 64))
+        np.testing.assert_array_equal(
+            method.gather(method.shard(row, 8, axis=-1), axis=-1), row
+        )
+        # Another (n, g) is its own layout.
+        assert len(method.indices(32, 4)) == 4
+        np.testing.assert_array_equal(
+            method.gather(method.shard(x[:, :32], 4)), x[:, :32]
+        )

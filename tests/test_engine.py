@@ -240,6 +240,7 @@ class TestKeyRunCounters:
         for plan in mask._tile_plans.plans.values():
             full, partial, _, computed_pairs, _, runs, run_pairs = plan._tally
             allowed = int(mask.block(plan.q_idx, plan.k_idx).sum())
+            assert plan.allowed_pairs == allowed
             assert allowed <= run_pairs <= computed_pairs
             assert runs <= full + partial
             adjacent = (
@@ -251,6 +252,63 @@ class TestKeyRunCounters:
                 assert runs == full + partial
         # Equality exactly where no plan has two adjacent same-class tiles.
         assert (tiles["key_runs"] < tiles["tiles_computed"]) == mergeable
+
+
+def _smoke_engine(name):
+    """A step-benchmark workload at its smoke length, stepped once so
+    every memo (plans, layouts, allowed pairs) is warm."""
+    from benchmarks.step.workloads import WORKLOADS, make_batch
+
+    spec = WORKLOADS[name]
+    config = spec.config(spec.smoke_seq_len)
+    engine = BurstEngine(config, topology=spec.topology())
+    ids, targets = make_batch(config, seed=7)
+    engine.train_step(ids, targets)
+    return engine, ids, targets
+
+
+SMOKE_WORKLOADS = ["burst_long", "swa_bidir", "ulysses_full", "wide_short"]
+
+
+@pytest.mark.parametrize("name", SMOKE_WORKLOADS)
+def test_train_step_leaves_nothing_to_the_cyclic_gc(name):
+    """Every object a step creates dies by reference count — a delivered
+    bundle pinned by a reference cycle (``tree_flatten``'s old recursive
+    closure: 3 600 objects per ``burst_long`` step) is host memory that
+    grows until a generation-2 collection."""
+    import gc
+
+    engine, ids, targets = _smoke_engine(name)
+    gc.collect()
+    gc.disable()
+    try:
+        engine.train_step(ids, targets)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", SMOKE_WORKLOADS)
+def test_train_step_never_forms_a_mask_wider_than_a_tile(name, monkeypatch):
+    """No caller — the recompute-FLOP tally included — asks a pattern for
+    a boolean tile beyond one tile edge: masks reach the step as plans."""
+    from repro.kernels.tileplan import MAX_TILE
+    from repro.masks import BlockSparseMask
+
+    seen = []
+    for cls in (CausalMask, BlockSparseMask):
+        original = cls.block
+
+        def spy(self, q_idx, k_idx, _original=original):
+            seen.append(max(len(q_idx), len(k_idx)))
+            return _original(self, q_idx, k_idx)
+
+        monkeypatch.setattr(cls, "block", spy)
+    # The cold step builds every plan and every count; the warm one only
+    # reads them.
+    engine, ids, targets = _smoke_engine(name)
+    engine.train_step(ids, targets)
+    assert seen and max(seen) <= MAX_TILE
 
 
 class TestEngineAccounting:

@@ -48,6 +48,22 @@ class TestFaultsAreDetected:
         res, ref = run_with_comm(comm)
         assert not np.allclose(res.o, ref.o, rtol=1e-9)
 
+    def test_corrupt_last_kv_hop_reaches_only_its_receiver(self):
+        """The forward kernel computes against the bundle *delivered* this
+        ring step: noise on the last ``kv`` hop (nothing forwards it on)
+        changes the rows of the rank that received it, and only those."""
+        victim = 2
+        comm = CorruptPayloadComm(
+            TOPO, phase="attn-fwd", tag="kv", at_call=TOPO.world_size - 1,
+            victim=victim,
+        )
+        res, ref = run_with_comm(comm)
+        assert comm.injections == 1
+        mine = get_method("burst").indices(32, TOPO.world_size)[victim]
+        others = np.setdiff1d(np.arange(32), mine)
+        assert not np.allclose(res.o[:, mine], ref.o[:, mine], rtol=1e-9)
+        np.testing.assert_array_equal(res.o[:, others], ref.o[:, others])
+
     def test_late_corruption_only_hits_backward(self):
         """Corrupting the first backward transfer leaves the output intact
         but poisons gradients."""

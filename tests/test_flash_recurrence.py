@@ -8,6 +8,12 @@ overflows, the hoisted dead-row guard of the backward, the row statistics
 that ride the GEMMs as an extra column (``[V | 1]``, ``[Q~ | -lse]``,
 ``[dO | -D]``) on runs wider than one tile, and one burst pass at the
 sequence length the step benchmark runs at.
+
+A ring pass carries one :class:`~repro.kernels.SoftmaxState` per query
+shard across its kernel calls and one :class:`~repro.kernels.PinnedKV` per
+pinned key shard; ``TestCarriedState`` pins that continuing a state over
+key shards is the single-call recurrence, including rows that meet their
+first key late or never.
 """
 
 import numpy as np
@@ -16,6 +22,8 @@ import pytest
 from repro.attention import get_method
 from repro.kernels import (
     KernelWorkspace,
+    PinnedKV,
+    SoftmaxState,
     TilePlan,
     attention_reference,
     attention_reference_backward,
@@ -245,6 +253,189 @@ class TestFoldedRowStatistics:
             q, k, v, o, lse, do, mask=dense, bias=bias
         ))
         _close(got, want, 1e-12)
+
+
+class TestCarriedState:
+    """One ``(m, [O | l])`` continued over key shards, normalised once."""
+
+    N, SHARDS, BLOCK = 96, 4, 16
+
+    def _inputs(self, seed=0, heads=2, kv_heads=None, q_gain=1.0):
+        rng = np.random.default_rng(seed)
+        q = q_gain * rng.normal(size=(heads, self.N, 8))
+        k = q_gain * rng.normal(size=(kv_heads or heads, self.N, 8))
+        v = rng.normal(size=(kv_heads or heads, self.N, 8))
+        return q, k, v
+
+    def _ring_order(self, start=1):
+        """Key shards as a ring delivers them to rank ``start``."""
+        size = self.N // self.SHARDS
+        return [
+            np.arange(j * size, (j + 1) * size)
+            for j in np.roll(np.arange(self.SHARDS), -start)
+        ]
+
+    def _continued(self, q, k, v, mask, shards, ws=None, **begin):
+        """``(o, lse)`` of one state carried over ``shards``, armed."""
+        q_idx = np.arange(self.N)
+        with np.errstate(all="raise"):
+            state = SoftmaxState.begin(q, v.shape[-1], **begin)
+            for idx in shards:
+                plan = (
+                    None if mask is None else TilePlan.build(
+                        mask, q_idx, idx, self.BLOCK, self.BLOCK,
+                        batch=q.shape[0],
+                    )
+                )
+                assert flash_attention_forward(
+                    q, k[:, idx], v[:, idx], plan=plan, state=state,
+                    block_q=self.BLOCK, block_k=self.BLOCK, workspace=ws,
+                ) is None
+            return state.finish()
+
+    @pytest.mark.parametrize("mask", [None, CausalMask()], ids=["full", "causal"])
+    def test_ring_order_matches_reference_and_one_call(self, mask):
+        q, k, v = self._inputs()
+        shards = self._ring_order()
+        o, lse = self._continued(q, k, v, mask, shards, ws=KernelWorkspace())
+        dense = None if mask is None else mask.dense(self.N)
+        o_ref, lse_ref = attention_reference(q, k, v, mask=dense)
+        np.testing.assert_allclose(o, o_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(lse, lse_ref, rtol=1e-12, atol=1e-12)
+        # One call over the keys concatenated in the same order.
+        order = np.concatenate(shards)
+        o_one, lse_one = flash_attention_forward(
+            q, k[:, order], v[:, order], block_q=self.BLOCK, block_k=self.BLOCK,
+            mask=None if dense is None else dense[:, order],
+        )
+        np.testing.assert_allclose(o, o_one, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(lse, lse_one, rtol=1e-13, atol=1e-13)
+
+    def test_call_without_a_state_is_one_step_of_the_same_recurrence(self):
+        q, k, v = self._inputs(seed=1)
+        dense = CausalMask().dense(self.N)
+        kw = {"mask": dense, "block_q": self.BLOCK, "block_k": self.BLOCK}
+        state = SoftmaxState.begin(q, v.shape[-1])
+        flash_attention_forward(q, k, v, state=state, **kw)
+        for a, b in zip(state.finish(), flash_attention_forward(q, k, v, **kw)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_late_and_never_seen_rows(self):
+        """Under a causal mask delivered last-shard-first, the early rows
+        see nothing for the first ring steps; padded rows never do."""
+        padded = np.r_[3, 50:54]
+        mask = PaddedWindowMask(self.N, padded)  # causal + padding
+        q, k, v = self._inputs(seed=2)
+        shards = self._ring_order(start=self.SHARDS - 1)
+        first = mask.block(np.arange(self.N), shards[0])
+        assert not first[: self.N // 2].any()  # no key at ring step 0
+        o, lse = self._continued(q, k, v, mask, shards)
+        o_ref, lse_ref = attention_reference(q, k, v, mask=mask.dense(self.N))
+        np.testing.assert_allclose(o, o_ref, rtol=1e-12, atol=1e-12)
+        live = np.setdiff1d(np.arange(self.N), padded)
+        np.testing.assert_allclose(lse[:, live], lse_ref[:, live], rtol=1e-12)
+        assert np.isneginf(lse[:, padded]).all()
+        assert not o[:, padded].any()
+
+    def test_large_logits_across_shards(self):
+        q, k, v = self._inputs(seed=3, q_gain=30.0)
+        assert np.abs(q @ np.swapaxes(k, -1, -2)).max() / np.sqrt(8) > 1e3
+        q_idx = np.arange(self.N)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            state = SoftmaxState.begin(q, 8)
+            for idx in self._ring_order():
+                flash_attention_forward(
+                    q, k[:, idx], v[:, idx], state=state,
+                    plan=TilePlan.build(
+                        CausalMask(), q_idx, idx, self.BLOCK, self.BLOCK,
+                        batch=2,
+                    ),
+                )
+            o, lse = state.finish()
+        o_ref, lse_ref = attention_reference(
+            q, k, v, mask=CausalMask().dense(self.N)
+        )
+        assert np.isfinite(o).all() and np.isfinite(lse).all()
+        np.testing.assert_allclose(o, o_ref, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(lse, lse_ref, rtol=1e-9, atol=1e-9)
+
+    def test_gqa_expanded_kv_and_explicit_scale(self):
+        from repro.attention.gqa import repeat_kv
+
+        q, k, v = self._inputs(seed=4, heads=4, kv_heads=2)
+        k, v = repeat_kv(k, 2), repeat_kv(v, 2)
+        o, lse = self._continued(
+            q, k, v, CausalMask(), self._ring_order(2), scale=0.25
+        )
+        o_ref, lse_ref = attention_reference(
+            q, k, v, mask=CausalMask().dense(self.N), scale=0.25
+        )
+        np.testing.assert_allclose(o, o_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(lse, lse_ref, rtol=1e-12, atol=1e-12)
+        state = SoftmaxState.begin(q, 8, scale=0.25)
+        with pytest.raises(ValueError, match="already holds the softmax scale"):
+            flash_attention_forward(q, k, v, scale=0.25, state=state)
+
+    def test_alibi_bias_through_the_plans(self):
+        mask = ALiBiMask(2)
+        q, k, v = self._inputs(seed=5)
+        idx = np.arange(self.N)
+        o, lse = self._continued(q, k, v, mask, self._ring_order())
+        o_ref, lse_ref = attention_reference(
+            q, k, v, mask=mask.dense(self.N), bias=mask.bias_block(idx, idx)
+        )
+        np.testing.assert_allclose(o, o_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(lse, lse_ref, rtol=1e-12, atol=1e-12)
+
+    def test_state_is_accounted_until_finished(self):
+        from repro.obs.metrics import get_registry
+        from repro.obs.mem import reset_transients
+
+        reset_transients()
+        gauge = get_registry().gauge("memory.transient_bytes")
+        q = np.zeros((2, 32, 8))
+        state = SoftmaxState.begin(q, 8)
+        assert gauge.value() == 2 * 32 * (8 + 1 + 9) * 8
+        state.finish()
+        assert gauge.value() == 0
+        pinned = PinnedKV(q, q)
+        assert gauge.value() == 2 * (2 * 32 * 9) * 8
+        pinned.release()
+        assert gauge.value() == 0
+        reset_transients()
+
+    def test_pinned_kv_accumulates_in_place(self):
+        """``dK``/``dV`` summed run by run into one pinned accumulator vs
+        the per-call parts added out of place; ``dQ`` is untouched."""
+        q, k, v = self._inputs(seed=6)
+        rng = np.random.default_rng(7)
+        do = rng.normal(size=q.shape)
+        dense = CausalMask().dense(self.N)
+        o, lse = attention_reference(q, k, v, mask=dense)
+        d_stat = np.sum(do * o, axis=-1)
+        keys = np.arange(self.N // 2)  # the pinned key shard
+        pinned = PinnedKV(k[:, keys], v[:, keys])
+        dk_sum = dv_sum = 0.0
+        for rows in np.split(np.arange(self.N), self.SHARDS):  # delivered Q_j
+            args = (q[:, rows], k[:, keys], v[:, keys], lse[:, rows],
+                    d_stat[:, rows], do[:, rows])
+            kw = {"mask": dense[np.ix_(rows, keys)], "block_q": self.BLOCK,
+                  "block_k": self.BLOCK, "workspace": KernelWorkspace()}
+            dq_part, dk_part, dv_part = flash_backward_tiles(*args, **kw)
+            dk_sum, dv_sum = dk_sum + dk_part, dv_sum + dv_part
+            dq_pin, dk_pin, dv_pin = flash_backward_tiles(
+                *args, pinned=pinned, **kw
+            )
+            assert dk_pin is pinned.dk and dv_pin is pinned.dv
+            np.testing.assert_array_equal(dq_pin, dq_part)
+        pinned.release()
+        np.testing.assert_allclose(pinned.dk, dk_sum, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(pinned.dv, dv_sum, rtol=1e-13, atol=1e-13)
+        _, dk_ref, dv_ref = attention_reference_backward(
+            q, k, v, o, lse, do, mask=dense
+        )
+        np.testing.assert_allclose(pinned.dk, dk_ref[:, keys], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(pinned.dv, dv_ref[:, keys], rtol=1e-12, atol=1e-12)
 
 
 def test_burst_at_benchmark_sequence_length():

@@ -459,6 +459,76 @@ class TestTilePlansBuiltOnceSizedOnce:
             assert built == [], f"{rel}: lines {built}"
 
 
+class TestOneForwardRecurrence:
+    """The forward softmax state is written once, as begin / accumulate /
+    finish in ``kernels/flash.py``: a ring pass carries it across kernel
+    calls, a lone call runs the same three steps, and nothing under
+    ``repro.attention`` re-normalises partial outputs to merge them."""
+
+    @staticmethod
+    def _functions_with(tree, predicate):
+        import ast
+
+        return sorted({
+            scope.name for scope in ast.walk(tree)
+            if isinstance(scope, ast.FunctionDef)
+            and any(predicate(node) for node in ast.walk(scope))
+        })
+
+    def test_begin_accumulate_finish_each_appear_once(self):
+        import ast
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        for path in sorted((src / "attention").rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            assert not any(
+                isinstance(n, ast.Name) and n.id == "merge_states"
+                or isinstance(n, ast.alias) and n.name == "merge_states"
+                or isinstance(n, ast.Attribute) and n.attr == "merge_states"
+                for n in ast.walk(tree)
+            ), path.name
+
+        tree = ast.parse((src / "kernels" / "flash.py").read_text())
+
+        def calls(attr):
+            return lambda n: (
+                isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute) and n.func.attr == attr
+            )
+
+        def divides(n):
+            return isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(
+                n.op, ast.Div
+            )
+
+        # finish: the only log, and the only division besides the default
+        # softmax scale 1 / sqrt(d)
+        assert self._functions_with(tree, calls("log")) == ["finish"]
+        assert self._functions_with(tree, divides) == [
+            "begin", "finish", "flash_backward_tiles",
+        ]
+        # accumulate: the only running-max update
+        assert self._functions_with(tree, calls("maximum")) == [
+            "_forward_accumulate"
+        ]
+        # begin: the only -inf fill
+        assert self._functions_with(tree, calls("full")) == ["begin"]
+        # ... and one entry point drives all three, state or no state
+        drivers = self._functions_with(
+            tree,
+            lambda n: isinstance(n, ast.Name) and n.id == "_forward_accumulate",
+        )
+        assert drivers == ["flash_attention_forward"]
+        forward = next(
+            n for n in ast.walk(tree)
+            if isinstance(n, ast.FunctionDef)
+            and n.name == "flash_attention_forward"
+        )
+        names = {n.attr for n in ast.walk(forward) if isinstance(n, ast.Attribute)}
+        assert {"begin", "finish"} <= names
+
+
 class TestOnlyTheBlockElidesItsTail:
     """A checkpoint replay skips the fused FFN's forward because *the
     block* knows the FFN is the tail of its own checkpointed region.  The

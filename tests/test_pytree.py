@@ -73,3 +73,26 @@ def test_roundtrip_property(shapes):
     rebuilt = tree_unflatten(spec, leaves)
     for orig, new in zip(tree, rebuilt):
         np.testing.assert_array_equal(orig, new)
+
+
+def test_flatten_and_unflatten_leave_no_reference_cycle():
+    """A recursive *closure* over the leaf list is a function <-> cell
+    cycle that pins every payload array until the cyclic GC runs; the
+    recursion takes its state as arguments instead, so a delivered bundle
+    dies with its last reference."""
+    import gc
+    import weakref
+
+    gc.collect()
+    gc.disable()
+    try:
+        payload = np.zeros(8)
+        alive = weakref.ref(payload)
+        leaves, spec = tree_flatten({"kv": (payload, [np.ones(2)])})
+        rebuilt = tree_unflatten(spec, leaves)
+        tree_map(np.copy, rebuilt)
+        del payload, leaves, rebuilt
+        assert alive() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
