@@ -19,6 +19,7 @@ from repro.kernels.attention_ref import (
     attention_reference_backward,
 )
 from repro.kernels.flash import (
+    EXP_BUDGET,
     PinnedKV,
     SoftmaxState,
     flash_attention_forward,
@@ -69,6 +70,7 @@ __all__ = [
     "flash_attention_forward",
     "flash_attention_backward",
     "flash_backward_tiles",
+    "EXP_BUDGET",
     "PinnedKV",
     "SoftmaxState",
     "EMPTY",

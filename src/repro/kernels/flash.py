@@ -14,17 +14,23 @@ the GEMMs as one extra column instead of a pass over the tile:
 
 * **forward** — a recurrence in three steps over one query shard's
   :class:`SoftmaxState`.  *Begin*: the queries are scaled once
-  (``Q~ = Q * scale``), ``m = -inf``, the *unnormalised* ``[O | l] = 0``.
-  *Accumulate*, per run of each query block: ``S = Q~ K^T``;
-  ``m' = max(m, rowmax S)``; ``P = exp(S - m')``;
-  ``[O | l] = [O | l]*a + P [V | 1]`` with ``a = exp(m - m')`` — the row
-  sum ``l`` is the last column of the PV product — written into the
-  block's slices of the state in place.  *Finish*: ``O / l`` and
-  ``lse = m + log l``, once.  That is one ``exp`` and 3 full-tile passes
-  per run (max, subtract, exp; 4 on a masked run), where the separate
-  ``rowsum`` made 4 (5) and the earlier running-``(O, lse)`` merge took
-  two ``exp`` and 8 (10 masked), most of them allocating a tile-sized
-  temporary.  The state outlives a kernel call: a ring pass begins one
+  (``Q~ = Q * scale``) and their largest row norm taken, the shift
+  ``m = 0``, the *unnormalised* ``[O | l] = 0``.  *Accumulate*, per run of
+  each query block: ``S = Q~ K^T``; ``P = exp(S - m)``;
+  ``[O | l] += P [V | 1]`` — the row sum ``l`` is the last column of the
+  PV product — written into the block's slices of the state in place.
+  *Finish*: ``O / l`` and ``lse = m + log l``, once.  Softmax is
+  shift-invariant, so the shift only has to keep ``exp`` in range: while
+  every call's Cauchy–Schwarz bound ``max ||Q~_i|| * max ||K_j||`` on its
+  logits is within :data:`EXP_BUDGET` the shift stays 0 and a run is one
+  ``exp`` between two GEMMs (*bounded*: 1 full-tile pass, 2 on a masked
+  run).  The first call past the budget, or with a bias, switches the
+  state to the FlashAttention-2 running max for good:
+  ``m' = max(m, rowmax S)``, ``P = exp(S - m')``,
+  ``[O | l] = [O | l]*a + P [V | 1]`` with ``a = exp(m - m')`` — 3 passes
+  (max, subtract, exp; 4 masked), where the separate ``rowsum`` made 4
+  (5) and the earlier running-``(O, lse)`` merge took two ``exp`` and 8
+  (10 masked).  The state outlives a kernel call: a ring pass begins one
   per rank, accumulates once per delivered ``(K_j, V_j)`` and finishes
   after the last ring step (BurstAttention's global attention
   optimisation, arXiv 2403.09347; the scan carry of BPT / RingAttention),
@@ -36,20 +42,28 @@ the GEMMs as one extra column instead of a pass over the tile:
   rescale and ``dQ`` is scaled once per call.  2 full-tile passes per run
   (exp, multiply; 3 masked), down from 4 (5) with the two broadcast
   subtractions and 6 (8) before that.  ``[Q~ | -lse]`` / ``[dO | -D]``
-  are built once per call from the arrays it was handed; ``[K | 1]`` /
-  ``[V | 1]`` and the ``dK`` / ``dV`` accumulators are a
+  are built once per call from the arrays it was handed; ``[K | 1]^T`` /
+  ``[V | 1]^T`` and the ``dK`` / ``dV`` accumulators are a
   :class:`PinnedKV`, built per call or — where the key shard stays put for
   a whole pass (BurstAttention's Algorithm 2) — once per pass, every call
   adding into the same accumulators in place.
 
+Every key operand reaches BLAS C-contiguous: the forward writes ``K^T``
+once per call and :class:`PinnedKV` writes ``[K | 1]^T`` / ``[V | 1]^T``,
+so a run's operand is a column slice of a row-major matrix (a plain NN
+product) instead of a transposed view, which OpenBLAS multiplies 1.3–2x
+slower at head dim 8.
+
 Masked scores are never exponentiated (``exp(..., where=mask)``, then
 zeroed), so no ``-inf`` enters the tile arithmetic.  A query row with no
-visible key is handled on row-sized vectors only: its ``m`` stays ``-inf``
-(shifted by 0 instead), its ``l`` comes out of the GEMM as exactly 0 (and
-is divided as 1), its ``-lse`` column is 0 with ``P`` zeroed afterwards,
-and it leaves a finished state as ``O = 0``, ``lse = -inf``, the identity
-of :func:`~repro.kernels.softmax.merge_states` — whether it met no key in
-one delivered shard (its ``m`` and ``[O | l]`` just stay put) or in none.
+visible key is handled on row-sized vectors only: its ``l`` comes out of
+the GEMM as exactly 0 — every visible key's weight is a normal number, so
+``l == 0`` is what decides a dead row — and is divided as 1, its ``-lse``
+column is 0 with ``P`` zeroed afterwards, and it leaves a finished state
+as ``O = 0``, ``lse = -inf``, the identity of
+:func:`~repro.kernels.softmax.merge_states` — whether it met no key in
+one delivered shard (its ``[O | l]`` just stays put) or in none.  Under
+the running max its ``m`` is ``-inf`` (shifted by 0 instead).
 These tiled kernels are what
 every distributed attention method in :mod:`repro.attention` runs locally
 on each simulated device.
@@ -97,7 +111,25 @@ from repro.kernels.tileplan import (
     tile_size,
 )
 from repro.obs.mem import transient_alloc, transient_free
+from repro.obs.metrics import get_registry
 from repro.obs.tracer import NOOP_SPAN, trace_span
+
+#: Largest Cauchy–Schwarz bound ``B = max ||Q~_i|| * max ||K_j||`` on the
+#: logits of a forward call that runs *bounded* (shift 0, no running max).
+#: Every logit of such a call lies in ``[-B, B]``.  With ``B <= 512``,
+#: ``exp(S) <= e^512 ~ 2.3e222``, so ``[O | l] <= e^512 * N * max|v|``
+#: stays below float64's 1.8e308 for any ``N * max|v| < 7e85``; and
+#: ``exp(S) >= e^-512 ~ 4.4e-223`` stays above the subnormal floor
+#: (2.2e-308), so every visible key's weight is a normal number and
+#: ``l == 0`` holds exactly on the rows that met no key.
+EXP_BUDGET = 512.0
+
+#: Forward calls that ran bounded (:data:`EXP_BUDGET`), in the registry
+#: snapshot beside the ``tileplan.*`` counters.
+_bounded_calls = get_registry().counter(
+    "kernels.flash_fwd_bounded_calls",
+    "flash forward calls that ran without a running max",
+)
 
 
 def _key_loops(
@@ -185,17 +217,28 @@ def _augment(
     x: np.ndarray,
     last: np.ndarray | float,
     name: str,
+    transposed: bool = False,
 ) -> np.ndarray:
-    """``[x | last]``: ``x`` with one more column, in the workspace's
-    ``name`` scratch when there is one.  A GEMM against the augmented
-    operand carries a row statistic along — ``P [V | 1]`` ends in
-    ``rowsum P``, ``[Q~ | -lse] [K | 1]^T`` is ``S - lse`` and
-    ``[dO | -D] [V | 1]^T`` is ``dP - D`` — for one more column of a
-    product instead of a pass over the score tile."""
-    out = _scratch(ws, name, x.shape[:-1] + (x.shape[-1] + 1,))
-    out[..., :-1] = x
-    out[..., -1] = last
+    """``[x | last]``: ``x`` with one more column — or, ``transposed``,
+    ``[x | last]^T`` written C-contiguous, the right-hand operand a run
+    slices columns of — in the workspace's ``name`` scratch when there is
+    one.  A GEMM against the augmented operand carries a row statistic
+    along — ``P [V | 1]`` ends in ``rowsum P``, ``[Q~ | -lse] [K | 1]^T``
+    is ``S - lse`` and ``[dO | -D] [V | 1]^T`` is ``dP - D`` — for one
+    more column of a product instead of a pass over the score tile."""
+    rows, cols = x.shape[-2], x.shape[-1] + 1
+    out = _scratch(
+        ws, name, x.shape[:-2] + ((cols, rows) if transposed else (rows, cols))
+    )
+    wide = np.swapaxes(out, -1, -2) if transposed else out
+    wide[..., :-1] = x
+    wide[..., -1] = last
     return out
+
+
+def _max_row_norm(x: np.ndarray) -> float:
+    """``max_i ||x_i||`` over the rows of ``x`` (0 when it has none)."""
+    return float(np.sqrt(np.einsum("...i,...i->...", x, x).max(initial=0.0)))
 
 
 def _matmul(
@@ -219,26 +262,34 @@ def _exp_visible(x: np.ndarray, m: np.ndarray | None) -> None:
 
 class SoftmaxState:
     """One query shard's running softmax state: the scaled queries
-    ``Q~ = Q * scale``, the row max ``m`` and the *unnormalised*
-    ``[O | l]``, over every key the shard has met so far.
+    ``Q~ = Q * scale`` and their largest row norm, the shift ``m`` and the
+    *unnormalised* ``[O | l] = sum exp(S - m) [V | 1]``, over every key the
+    shard has met so far.
 
     The forward recurrence is begin → accumulate → finish, and the state
     is what lets it span kernel calls: a ring pass begins one state per
     rank, hands it to :func:`flash_attention_forward` (``state=``) once
-    per delivered ``(K_j, V_j)`` — each call advances ``m`` and ``[O | l]``
-    in place, per query block — and finishes it once, after the last ring
-    step (BurstAttention's global attention optimisation; the BPT /
-    RingAttention scan carry).  A call without a state begins and finishes
-    its own: the same recurrence run for one step.
+    per delivered ``(K_j, V_j)`` — each call advances ``[O | l]`` (and
+    ``m``) in place, per query block — and finishes it once, after the
+    last ring step (BurstAttention's global attention optimisation; the
+    BPT / RingAttention scan carry).  A call without a state begins and
+    finishes its own: the same recurrence run for one step.
+
+    A state begins *bounded*, ``m = 0`` on every row: a call whose logits
+    :data:`EXP_BUDGET` bounds exponentiates them unshifted.  The first
+    call that is not bounded (:meth:`stays_bounded`) switches the state to
+    a running max for good.
 
     The three arrays live from :meth:`begin` to :meth:`finish` and are
     accounted on the transient watermark (site ``flash.fwd-state``).
     """
 
-    __slots__ = ("q", "m", "acc", "_handle")
+    __slots__ = ("q", "q_norm", "m", "acc", "bounded", "_handle")
 
     def __init__(self, q: np.ndarray, m: np.ndarray, acc: np.ndarray):
         self.q, self.m, self.acc = q, m, acc
+        self.q_norm = _max_row_norm(q)
+        self.bounded = True
         self._handle = transient_alloc(
             q.nbytes + m.nbytes + acc.nbytes, site="flash.fwd-state"
         )
@@ -247,27 +298,43 @@ class SoftmaxState:
     def begin(
         cls, q: np.ndarray, v_dim: int, scale: float | None = None
     ) -> "SoftmaxState":
-        """The state of ``q`` before any key: ``m = -inf``, ``[O | l] = 0``
+        """The state of ``q`` before any key: ``m = 0``, ``[O | l] = 0``
         (``v_dim`` is the value head dimension)."""
         if scale is None:
             scale = 1.0 / np.sqrt(q.shape[-1])
         rows = q.shape[:-1]
         return cls(
             q * scale,
-            np.full(rows + (1,), NEG_INF, dtype=np.float64),
+            np.zeros(rows + (1,), dtype=np.float64),
             np.zeros(rows + (v_dim + 1,), dtype=np.float64),
         )
 
+    def stays_bounded(self, k: np.ndarray, biased: bool) -> bool:
+        """Whether a call over the keys ``k`` runs bounded: the state is,
+        the call adds no bias, and ``max ||Q~_i|| * max ||K_j||`` is within
+        :data:`EXP_BUDGET`.  The first call that is not switches the state
+        to the running max: a row that met a key keeps the shift 0 its
+        ``[O | l]`` is relative to, the rest get ``m = -inf`` (no key yet)."""
+        if self.bounded and (
+            biased or self.q_norm * _max_row_norm(k) > EXP_BUDGET
+        ):
+            self.bounded = False
+            self.m[self.acc[..., -1:] == 0.0] = NEG_INF
+        return self.bounded
+
     def finish(self) -> tuple[np.ndarray, np.ndarray]:
         """Normalise, once: ``(O / l, m + log l)``.  A row that never saw
-        a key has ``l = 0`` and ``m = -inf``: dividing by 1 leaves
-        ``o = 0`` and ``lse = -inf + log 1 = -inf``.  Consumes the state."""
+        a key has ``l = 0`` — exactly, and only such a row (see
+        :data:`EXP_BUDGET`) — whatever its ``m``; it is divided by 1 and
+        leaves as ``o = 0``, ``lse = -inf``.  Consumes the state."""
         l_run = self.acc[..., -1:]
-        l_run[l_run == 0.0] = 1.0
+        dead = l_run == 0.0
+        l_run[dead] = 1.0
         o = self.acc[..., :-1] / l_run
-        lse = (self.m + np.log(l_run))[..., 0]
+        lse = self.m + np.log(l_run)
+        lse[dead] = NEG_INF
         transient_free(self._handle)
-        return o, lse
+        return o, lse[..., 0]
 
 
 def flash_attention_forward(
@@ -333,9 +400,18 @@ def _forward_accumulate(
     ws: KernelWorkspace | None,
 ) -> None:
     """Advance ``state`` over the keys ``(k, v)``: per query block, the
-    key loop updates that block's slices of ``m`` and ``[O | l]`` in
-    place.  ``[V | 1]`` is built from the ``v`` this call was handed."""
-    k_t = np.swapaxes(k, -1, -2)
+    key loop updates that block's slices of ``[O | l]`` — and, once the
+    state tracks a running max, of ``m`` — in place.  ``K^T`` and
+    ``[V | 1]`` are written once, from the ``k`` / ``v`` this call was
+    handed; a run reads a slice of each."""
+    biased = bias is not None or (
+        plan is not None and plan.bias_cache is not None
+    )
+    bounded = state.stays_bounded(k, biased)
+    if bounded:
+        _bounded_calls.inc()
+    k_t = _scratch(ws, "fwd-kt", k.shape[:-2] + (k.shape[-1], k.shape[-2]))
+    k_t[...] = np.swapaxes(k, -1, -2)
     v1 = _augment(ws, v, 1.0, "fwd-v1")
     for q0, q1, runs in _key_loops(
         plan, state.q, k, mask, bias, block_q, block_k
@@ -345,22 +421,22 @@ def _forward_accumulate(
         acc = state.acc[..., q0:q1, :]
         for k0, k1, m, b in runs:
             s = _matmul(ws, q_blk, k_t[..., k0:k1], "fwd-s")
-            if b is not None:
-                s += b
-            tile_max = s.max(
-                axis=-1, keepdims=True, initial=NEG_INF,
-                where=True if m is None else m,
-            )
-            m_new = np.maximum(m_run, tile_max)
-            # Rows with no visible key so far keep m = -inf; shift them by
-            # 0 instead, so that no inf - inf is ever formed.
-            m_safe = np.where(m_new == NEG_INF, 0.0, m_new)
-            alpha = np.exp(m_run - m_safe)
-            s -= m_safe
+            if not bounded:
+                if b is not None:
+                    s += b
+                tile_max = s.max(
+                    axis=-1, keepdims=True, initial=NEG_INF,
+                    where=True if m is None else m,
+                )
+                m_new = np.maximum(m_run, tile_max)
+                # Rows with no visible key so far keep m = -inf; shift
+                # them by 0 instead, so that no inf - inf is ever formed.
+                m_safe = np.where(m_new == NEG_INF, 0.0, m_new)
+                s -= m_safe
+                acc *= np.exp(m_run - m_safe)
+                m_run[...] = m_new
             _exp_visible(s, m)
-            acc *= alpha
             acc += _matmul(ws, s, v1[..., k0:k1, :], "fwd-pv")
-            m_run[...] = m_new
 
 
 def flash_attention_backward(
@@ -393,7 +469,8 @@ def flash_attention_backward(
 
 class PinnedKV:
     """One key shard's backward operands: ``[K | 1]^T`` and ``[V | 1]^T``
-    (the augmented GEMM operands every run of every call reads) and the
+    (the augmented GEMM operands every run of every call reads, written
+    C-contiguous so that a run's slice is a plain NN operand) and the
     ``dK`` / ``dV`` accumulators the runs add into.
 
     BurstAttention's backward pins ``(K_r, V_r)`` on their owner for the
@@ -412,14 +489,14 @@ class PinnedKV:
         v: np.ndarray,
         workspace: KernelWorkspace | None = None,
     ):
-        k1 = _augment(workspace, k, 1.0, "bwd-k1")
-        v1 = _augment(workspace, v, 1.0, "bwd-v1")
-        self.k1_t = np.swapaxes(k1, -1, -2)
-        self.v1_t = np.swapaxes(v1, -1, -2)
+        self.k1_t = _augment(workspace, k, 1.0, "bwd-k1", transposed=True)
+        self.v1_t = _augment(workspace, v, 1.0, "bwd-v1", transposed=True)
         self.dk = np.zeros_like(k)
         self.dv = np.zeros_like(v)
         self._handle = (
-            transient_alloc(k1.nbytes + v1.nbytes, site="flash.pinned-kv")
+            transient_alloc(
+                self.k1_t.nbytes + self.v1_t.nbytes, site="flash.pinned-kv"
+            )
             if workspace is None else None
         )
 

@@ -289,6 +289,25 @@ def test_train_step_leaves_nothing_to_the_cyclic_gc(name):
 
 
 @pytest.mark.parametrize("name", SMOKE_WORKLOADS)
+def test_every_forward_call_of_a_step_runs_bounded(name):
+    """The workloads' logits sit far inside the flash forward's
+    ``EXP_BUDGET``: every kernel call of a step — ring shard pairs,
+    whole-sequence Ulysses calls, the sequence-level front, the
+    checkpoint replay — runs without a running max, and the registry
+    counter says so."""
+    from repro.obs import use_tracing
+
+    engine, ids, targets = _smoke_engine(name)
+    bounded = get_registry().counter("kernels.flash_fwd_bounded_calls")
+    before = bounded.value()
+    with use_tracing() as tracer:
+        engine.train_step(ids, targets)
+    calls = sum(span.name == "flash.fwd" for span in tracer.spans())
+    assert calls > 0
+    assert bounded.value() - before == calls
+
+
+@pytest.mark.parametrize("name", SMOKE_WORKLOADS)
 def test_train_step_never_forms_a_mask_wider_than_a_tile(name, monkeypatch):
     """No caller — the recompute-FLOP tally included — asks a pattern for
     a boolean tile beyond one tile edge: masks reach the step as plans."""

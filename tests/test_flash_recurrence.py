@@ -14,6 +14,12 @@ shard across its kernel calls and one :class:`~repro.kernels.PinnedKV` per
 pinned key shard; ``TestCarriedState`` pins that continuing a state over
 key shards is the single-call recurrence, including rows that meet their
 first key late or never.
+
+A state runs *bounded* — shift 0, no running max — while the
+Cauchy–Schwarz bound ``max ||Q~_i|| * max ||K_j||`` of every call stays
+within :data:`~repro.kernels.EXP_BUDGET`; ``TestBoundedForward`` pins the
+budget's edge, the switch to the running max in the middle of a ring and
+the rows it must not lose.
 """
 
 import numpy as np
@@ -21,6 +27,7 @@ import pytest
 
 from repro.attention import get_method
 from repro.kernels import (
+    EXP_BUDGET,
     KernelWorkspace,
     PinnedKV,
     SoftmaxState,
@@ -32,6 +39,7 @@ from repro.kernels import (
     flash_backward_tiles,
 )
 from repro.masks import ALiBiMask, CausalMask, FullMask, MaskPattern
+from repro.obs.metrics import get_registry
 from repro.topology import a800_node, make_cluster
 
 
@@ -436,6 +444,246 @@ class TestCarriedState:
         )
         np.testing.assert_allclose(pinned.dk, dk_ref[:, keys], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(pinned.dv, dv_ref[:, keys], rtol=1e-12, atol=1e-12)
+
+
+def _bounded_calls() -> float:
+    return get_registry().counter("kernels.flash_fwd_bounded_calls").value()
+
+
+class TestBoundedForward:
+    """Shift 0 while every call's Cauchy–Schwarz bound is within
+    ``EXP_BUDGET``, the running max from the first call that is not — each
+    case against ``attention_reference`` at 1e-12 with every
+    floating-point exception armed, counting the calls that ran bounded."""
+
+    N, SHARDS, BLOCK, D = 96, 4, 16, 8
+
+    def _shards(self, start=1):
+        """Key shards in the order a ring delivers them to rank ``start``."""
+        size = self.N // self.SHARDS
+        return [
+            np.arange(j * size, (j + 1) * size)
+            for j in np.roll(np.arange(self.SHARDS), -start)
+        ]
+
+    def _aligned(self, rng, gain, n=None):
+        """Rows ``gain * (e_0 + 0.01 * noise in the other axes)``: nearly
+        parallel, so their logits sit within 0.1 % of the bound."""
+        x = 0.01 * rng.normal(size=(2, n or self.N, self.D))
+        x[..., 0] = 1.0
+        return gain * x
+
+    def _carried(self, q, k, v, calls, scale=None, armed="all"):
+        """``(o, lse)`` of one state carried over ``calls`` — ``(keys,
+        kernel kwargs)`` each — and how many of them ran bounded.
+        ``armed="all"`` raises on every floating-point exception, otherwise
+        on all but underflow."""
+        errs = {"all": "raise"} if armed == "all" else {
+            "over": "raise", "invalid": "raise", "divide": "raise"
+        }
+        before = _bounded_calls()
+        with np.errstate(**errs):
+            state = SoftmaxState.begin(q, v.shape[-1], scale)
+            for idx, kw in calls:
+                assert flash_attention_forward(
+                    q, k[:, idx], v[:, idx], state=state, **kw
+                ) is None
+            out = state.finish()
+        return out, _bounded_calls() - before
+
+    def _plan(self, mask, idx):
+        q_idx = np.arange(self.N)
+        return TilePlan.build(mask, q_idx, idx, self.BLOCK, self.BLOCK, batch=2)
+
+    @staticmethod
+    def _check(got, q, k, v, mask=None, scale=None, bias=None):
+        o_ref, lse_ref = attention_reference(
+            q, k, v, mask=mask, scale=scale, bias=bias
+        )
+        np.testing.assert_allclose(got[0], o_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got[1], lse_ref, rtol=1e-12, atol=1e-12)
+
+    def test_switch_mid_ring_keeps_what_the_bounded_shards_met(self):
+        """The third shard's keys carry a component no query has: their
+        bound is ~10^3 while their logits are as small as the others', so
+        the two bounded shards' ``[O | l]`` weighs as much as the rest —
+        and the queries that see only the last shard (causal, ring order
+        1, 2, 3, 0) meet their first key after the switch."""
+        rng = np.random.default_rng(10)
+        q, k, v = (rng.normal(size=(2, self.N, self.D)) for _ in range(3))
+        q[..., -1] = 0.0
+        shards = self._shards()
+        k[:, shards[2], -1] += 1000.0
+        mask = CausalMask()
+        calls = [(idx, {"plan": self._plan(mask, idx)}) for idx in shards]
+        got, bounded = self._carried(q, k, v, calls)
+        assert bounded == 2
+        self._check(got, q, k, v, mask=mask.dense(self.N))
+
+    def test_switch_mid_ring_to_logits_of_1e3(self):
+        """The last shard's logits are ~10^3: the first three shards' weights
+        fall to e^-990 of the new maximum and underflow to exactly 0,
+        which is the right answer — underflow is the one exception not
+        armed here."""
+        rng = np.random.default_rng(11)
+        q = self._aligned(rng, 8.0)
+        k, v = (rng.normal(size=(2, self.N, self.D)) for _ in range(2))
+        shards = self._shards()
+        k[:, shards[-1]] = self._aligned(rng, 500.0, n=len(shards[-1]))
+        s = 0.25 * q @ np.swapaxes(k, -1, -2)
+        assert 990.0 < s[:, :, shards[-1]].min() and s.max() < 1010.0
+        calls = [(idx, {"block_q": self.BLOCK, "block_k": self.BLOCK})
+                 for idx in shards]
+        got, bounded = self._carried(q, k, v, calls, scale=0.25, armed="under")
+        assert bounded == 3
+        self._check(got, q, k, v, scale=0.25)
+
+    def test_a_lone_call_at_1e3_tracks_the_max(self):
+        rng = np.random.default_rng(12)
+        q, k = self._aligned(rng, 8.0), self._aligned(rng, 500.0)
+        v = rng.normal(size=(2, self.N, self.D))
+        dense = CausalMask().dense(self.N)
+        idx = np.arange(self.N)
+        before = _bounded_calls()
+        with np.errstate(all="raise"):
+            o, lse = flash_attention_forward(
+                q, k, v, mask=dense, scale=0.25,
+                block_q=self.BLOCK, block_k=self.BLOCK,
+            )
+            planned = flash_attention_forward(
+                q, k, v, scale=0.25, plan=self._plan(CausalMask(), idx),
+                workspace=KernelWorkspace(),
+            )
+        assert _bounded_calls() == before
+        assert (0.25 * q @ np.swapaxes(k, -1, -2)).min() > 990.0
+        self._check((o, lse), q, k, v, mask=dense, scale=0.25)
+        for a, b in zip((o, lse), planned):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("over", [False, True], ids=["at", "just-over"])
+    def test_a_call_at_the_budget_and_just_over_it(self, over):
+        """Rows along one axis with exact norms: ``max ||Q~_i|| = 2`` and
+        ``max ||K_j|| = 256`` make the bound exactly ``EXP_BUDGET`` and
+        the largest logit 512, which runs bounded without overflow; keys
+        one part in 2^40 longer do not run bounded."""
+        assert EXP_BUDGET == 512.0
+        rng = np.random.default_rng(13)
+        q, k = np.zeros((2, 2, self.N, self.D))
+        q[..., 0] = 8.0 * rng.uniform(0.5, 1.0, size=(2, self.N))
+        k[..., 0] = 256.0 * rng.uniform(0.5, 1.0, size=(2, self.N))
+        q[0, 0, 0], k[0, 0, 0] = 8.0, 256.0 * (1.0 + 2.0 ** -40 * over)
+        v = rng.normal(size=(2, self.N, self.D))
+        before = _bounded_calls()
+        with np.errstate(all="raise"):
+            got = flash_attention_forward(
+                q, k, v, scale=0.25, block_q=self.BLOCK, block_k=self.BLOCK
+            )
+        assert _bounded_calls() - before == (0 if over else 1)
+        self._check(got, q, k, v, scale=0.25)
+
+    @pytest.mark.parametrize("switch", [None, 2], ids=["bounded", "switched"])
+    def test_rows_dead_in_every_shard(self, switch):
+        padded = np.r_[3, 50:54]
+        mask = PaddedWindowMask(self.N, padded)
+        rng = np.random.default_rng(14)
+        q, k, v = (rng.normal(size=(2, self.N, self.D)) for _ in range(3))
+        q[..., -1] = 0.0
+        shards = self._shards(start=self.SHARDS - 1)
+        if switch is not None:
+            k[:, shards[switch], -1] += 1000.0
+        calls = [(idx, {"plan": self._plan(mask, idx)}) for idx in shards]
+        (o, lse), bounded = self._carried(q, k, v, calls)
+        assert bounded == (self.SHARDS if switch is None else switch)
+        assert np.isneginf(lse[:, padded]).all() and not o[:, padded].any()
+        live = np.setdiff1d(np.arange(self.N), padded)
+        o_ref, lse_ref = attention_reference(q, k, v, mask=mask.dense(self.N))
+        np.testing.assert_allclose(o, o_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            lse[:, live], lse_ref[:, live], rtol=1e-12, atol=1e-12
+        )
+
+    def test_rows_dead_until_the_switch_get_no_shift(self):
+        """A row that met no key before the switch gets ``m = -inf``, not
+        the shift 0: its first logits are ~-800, and ``exp(-800 - 0)``
+        would underflow it into a row that looks dead."""
+        rng = np.random.default_rng(15)
+        q = self._aligned(rng, 8.0)
+        k = rng.normal(size=(2, self.N, self.D))
+        v = rng.normal(size=(2, self.N, self.D))
+        early, late = self._shards(start=0)[:2], self._shards(start=0)[2:]
+        late = np.concatenate(late)
+        k[:, late] = -self._aligned(rng, 400.0, n=len(late))
+        rows = np.arange(self.N)
+        dense = np.zeros((self.N, self.N), dtype=bool)
+        dense[np.ix_(rows < 48, np.concatenate(early))] = True
+        dense[np.ix_(rows >= 48, late)] = True
+        calls = [
+            (idx, {"mask": dense[:, idx], "block_q": self.BLOCK,
+                   "block_k": self.BLOCK})
+            for idx in (*early, late)
+        ]
+        got, bounded = self._carried(q, k, v, calls, scale=0.25)
+        assert bounded == 2
+        assert got[1][:, 48:].max() < -790.0
+        self._check(got, q, k, v, mask=dense, scale=0.25)
+
+    @pytest.mark.parametrize("bound", [1.0, 1000.0], ids=["bounded", "max"])
+    def test_planned_equals_dense_on_partial_runs(self, bound):
+        """Causal runs — full ones wider than one sub-tile, partial ones
+        on the diagonal — in either mode: planned == dense bitwise, both
+        at 1e-12."""
+        rng = np.random.default_rng(16)
+        q, k, v = (rng.normal(size=(2, self.N, self.D)) for _ in range(3))
+        q[..., -1] = 0.0
+        k[..., -1] += bound
+        dense = CausalMask().dense(self.N)
+        plan = self._plan(CausalMask(), np.arange(self.N))
+        runs = [run for i in range(plan.n_q_blocks) for run in plan.row(i)]
+        assert any(m is not None for _, _, m in runs)
+        assert any(k1 - k0 > self.BLOCK for k0, k1, _ in runs)
+        before = _bounded_calls()
+        with np.errstate(all="raise"):
+            planned = flash_attention_forward(
+                q, k, v, plan=plan, workspace=KernelWorkspace()
+            )
+            got = flash_attention_forward(
+                q, k, v, mask=dense, block_q=self.BLOCK, block_k=self.BLOCK
+            )
+        assert _bounded_calls() - before == (2 if bound == 1.0 else 0)
+        self._check(got, q, k, v, mask=dense)
+        for a, b in zip(got, planned):
+            np.testing.assert_array_equal(a, b)
+
+    def test_gqa_expanded_kv_runs_bounded(self):
+        from repro.attention.gqa import repeat_kv
+
+        rng = np.random.default_rng(17)
+        q = rng.normal(size=(4, self.N, self.D))
+        k, v = (
+            repeat_kv(rng.normal(size=(2, self.N, self.D)), 2) for _ in range(2)
+        )
+        calls = [(idx, {"plan": TilePlan.build(
+            CausalMask(), np.arange(self.N), idx, self.BLOCK, self.BLOCK,
+            batch=4,
+        )}) for idx in self._shards(start=2)]
+        got, bounded = self._carried(q, k, v, calls)
+        assert bounded == self.SHARDS
+        self._check(got, q, k, v, mask=CausalMask().dense(self.N))
+
+    def test_alibi_tracks_the_max_at_any_bound(self):
+        """A bias is outside the bound, so a plan that carries one takes
+        the running max however small the logits."""
+        mask = ALiBiMask(2)
+        rng = np.random.default_rng(18)
+        q, k, v = (0.1 * rng.normal(size=(2, self.N, self.D)) for _ in range(3))
+        calls = [(idx, {"plan": self._plan(mask, idx)}) for idx in self._shards()]
+        got, bounded = self._carried(q, k, v, calls)
+        assert bounded == 0
+        idx = np.arange(self.N)
+        self._check(
+            got, q, k, v, mask=mask.dense(self.N),
+            bias=mask.bias_block(idx, idx),
+        )
 
 
 def test_burst_at_benchmark_sequence_length():

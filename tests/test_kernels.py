@@ -285,3 +285,69 @@ class TestFoldedStatisticsAndScratch:
         assert snap["memory.transient_bytes"] == 128 * 8
         assert snap["memory.peak_transient_bytes"] == (64 + 128) * 8
         reset_transients()
+
+
+class TestKeyOperandLayout:
+    """Every key operand reaches BLAS C-contiguous: a run multiplies by a
+    column slice of a row-major ``K^T`` / ``[K | 1]^T`` / ``[V | 1]^T``
+    (an NN product) where a transposed view took BLAS's NT path, 1.3–2x
+    slower at head dim 8.  The two paths round alike at the kernel shapes
+    probed here, so the layout changes no bits there; at head dim >= 16
+    they can differ in the last bit on small or ragged products."""
+
+    # (heads, rows, keys): ring shard pairs at the step benchmark's 8 heads
+    # (64-row blocks, runs of up to 128 keys, trimmed ones ragged), whole-
+    # sequence Ulysses calls (1 head, 128 rows, runs of up to 512 keys).
+    SHAPES = [(8, 64, 128), (8, 64, 64), (8, 64, 37), (1, 128, 512),
+              (1, 128, 200), (1, 128, 128)]
+
+    @pytest.mark.parametrize("k_dim", [8, 9], ids=["QK", "folded"])
+    @pytest.mark.parametrize("heads,rows,keys", SHAPES)
+    def test_nn_and_nt_products_are_bitwise_equal(self, heads, rows, keys, k_dim):
+        a = RNG.normal(size=(heads, rows, k_dim))
+        keys_t = np.swapaxes(RNG.normal(size=(heads, keys + 16, k_dim)), -1, -2)
+        view = keys_t[..., 16:]  # a run's columns of the transposed view
+        row_major = np.ascontiguousarray(keys_t)[..., 16:]
+        assert np.array_equal(np.matmul(a, view), np.matmul(a, row_major))
+
+    @pytest.mark.parametrize("k_dim", [64, 65], ids=["QK", "folded"])
+    def test_nn_and_nt_agree_on_a_head_dim_64_full_tile(self, k_dim):
+        """The wide workload's full run: 4 heads x 128 rows x 128 keys."""
+        a = RNG.normal(size=(4, 128, k_dim))
+        keys_t = np.swapaxes(RNG.normal(size=(4, 128, k_dim)), -1, -2)
+        assert np.array_equal(
+            np.matmul(a, keys_t), np.matmul(a, np.ascontiguousarray(keys_t))
+        )
+
+    def test_the_kernels_hand_blas_row_major_key_operands(self, monkeypatch):
+        from repro.kernels import PinnedKV, flash
+
+        seen = []
+
+        def spy(ws, a, b, name):
+            seen.append((name, b.strides[-1] == b.itemsize))
+            return np.matmul(a, b)
+
+        monkeypatch.setattr(flash, "_matmul", spy)
+        q, k, v = rand_qkv(s=40, d=8, heads=2)
+        do = RNG.normal(size=q.shape)
+        o, lse = flash_attention_forward(q, k, v, block_q=16, block_k=16)
+        flash_attention_backward(q, k, v, o, lse, do, block_q=16, block_k=16)
+        # QK^T, [Q~ | -lse] [K | 1]^T and [dO | -D] [V | 1]^T among them;
+        # every right-hand operand is read along unit-stride rows
+        assert {name for name, _ in seen} >= {"fwd-s", "bwd-s", "bwd-dp"}
+        assert all(unit for _, unit in seen)
+
+        ws = KernelWorkspace()
+        flash_attention_forward(q, k, v, workspace=ws)
+        k_t = ws.buf("fwd-kt", (2, 8, 40))  # what the call wrote
+        assert k_t.flags.c_contiguous
+        np.testing.assert_array_equal(k_t, np.swapaxes(k, -1, -2))
+        for pinned in (PinnedKV(k, v), PinnedKV(k, v, ws)):
+            for op, x in ((pinned.k1_t, k), (pinned.v1_t, v)):
+                assert op.flags.c_contiguous and op.shape == (2, 9, 40)
+                np.testing.assert_array_equal(
+                    op[..., :-1, :], np.swapaxes(x, -1, -2)
+                )
+                assert (op[..., -1, :] == 1.0).all()
+            pinned.release()

@@ -508,12 +508,35 @@ class TestOneForwardRecurrence:
         assert self._functions_with(tree, divides) == [
             "begin", "finish", "flash_backward_tiles",
         ]
-        # accumulate: the only running-max update
+        # accumulate: the only running-max update, and it sits inside the
+        # one run loop — the bounded forward is a per-call condition in that
+        # loop, not a second driver
         assert self._functions_with(tree, calls("maximum")) == [
             "_forward_accumulate"
         ]
-        # begin: the only -inf fill
-        assert self._functions_with(tree, calls("full")) == ["begin"]
+        accumulate = next(
+            n for n in ast.walk(tree)
+            if isinstance(n, ast.FunctionDef) and n.name == "_forward_accumulate"
+        )
+        loops = [n for n in ast.walk(accumulate) if isinstance(n, ast.For)]
+        run_loops = [
+            n for n in loops
+            if isinstance(n.iter, ast.Name) and n.iter.id == "runs"
+        ]
+        assert len(loops) == 2 and len(run_loops) == 1  # q blocks, runs
+        in_run_loop = {id(n) for n in ast.walk(run_loops[0])}
+        assert all(
+            id(n) in in_run_loop
+            for n in ast.walk(accumulate) if calls("maximum")(n)
+        )
+        # begin: m = 0; the switch to the running max and finish are the
+        # only places a -inf is stored
+        assert self._functions_with(tree, calls("full")) == []
+        assert self._functions_with(
+            tree,
+            lambda n: isinstance(n, ast.Assign)
+            and isinstance(n.value, ast.Name) and n.value.id == "NEG_INF",
+        ) == ["finish", "stays_bounded"]
         # ... and one entry point drives all three, state or no state
         drivers = self._functions_with(
             tree,
