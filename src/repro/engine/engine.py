@@ -226,9 +226,10 @@ class BurstEngine:
             )
             fsdp = None
             if self.config.fsdp:
-                gather_passes = 2 if self.config.checkpoint.checkpoints_layer else 1
+                # Forward, plus the replay's re-gather when there is one.
                 fsdp = log_fsdp_traffic(
-                    self.comm, self.param_bytes, gather_passes=gather_passes
+                    self.comm, self.param_bytes,
+                    gather_passes=1 + self.config.checkpoint.replays,
                 )
             self.optimizer.step()
             self.step_count += 1

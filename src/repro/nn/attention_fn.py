@@ -6,12 +6,15 @@ the single-device model directly, and for the engine's distributed node
 the whole-sequence pass onto the cluster and keeps this protocol.
 
 * normal forward — compute ``(O, lse)``, save flash-backward state;
-* checkpointed first pass (``no_grad``) — additionally stash ``(O, lse)``
-  (all of it for selective++, the sequence suffix for sequence-level) in
-  the layer's :class:`~repro.nn.checkpoint.AttentionOutputCache`;
-* recomputation pass — consume the cache: selective++ skips the attention
-  forward entirely, sequence-level recomputes only the front segment's
-  rows (cheap under causal masking) and concatenates the stored suffix.
+* checkpointed first pass (``no_grad``) — additionally stash the back
+  :meth:`~repro.nn.checkpoint.CheckpointPolicy.cached_rows` of ``(O, lse)``
+  (all of it for selective++, the sequence suffix for sequence-level,
+  none for full) in the layer's
+  :class:`~repro.nn.checkpoint.AttentionOutputCache`;
+* recomputation pass — consume the cache and recompute only the front
+  rows it lacks (cheap under causal masking): none for selective++, the
+  front segment for sequence-level.  With nothing cached (full) the
+  whole-sequence pass runs again.
 
 Recomputed attention work is tallied in the memory tracker's
 ``recompute_flops`` so the compute/memory trade-off of Fig. 7 is measured.
@@ -32,7 +35,6 @@ from repro.kernels import (
 from repro.masks import MaskPattern
 from repro.nn.checkpoint import (
     AttentionOutputCache,
-    CheckpointMode,
     CheckpointPolicy,
     in_recompute,
 )
@@ -100,42 +102,38 @@ class FlashAttentionFn(Function):
         self.block_size = block_size
         self.workspace = KernelWorkspace()
 
-        policy = policy or CheckpointPolicy()
+        # The replay recomputes the front ``split`` rows and reads the back
+        # ``s - split`` from the cache the first pass filled.
+        split = s - (policy or CheckpointPolicy()).cached_rows(s)
         cached = cache.pop(0) if (cache is not None and in_recompute()) else None
 
-        if cached is not None and policy.mode is CheckpointMode.SELECTIVE_PP:
-            o, lse = cached  # whole output whitelisted: zero recompute
-        elif cached is not None and policy.mode is CheckpointMode.SEQUENCE_LEVEL:
-            split = int(round(s * policy.split_fraction))
-            o_back, lse_back = cached
-            with trace_span("ckpt.recompute-front", phase="ckpt-recompute",
-                            split=split, seq=s):
-                o_front, lse_front = self._local_forward(q, k, v, split)
-            get_tracker().add_recompute_flops(
-                _attention_flops(allowed_pairs(mask, split, s), heads, head_dim)
-            )
-            o = np.concatenate([o_front, o_back], axis=-2)
-            lse = np.concatenate([lse_front, lse_back], axis=-1)
-        else:
+        if cached is None:
             o, lse = self._attend(q, k, v)
             if in_recompute():
                 get_tracker().add_recompute_flops(
                     _attention_flops(allowed_pairs(mask, s, s), heads, head_dim)
                 )
+        else:
+            o, lse = cached
+            if split:
+                with trace_span("ckpt.recompute-front", phase="ckpt-recompute",
+                                split=split, seq=s):
+                    o_front, lse_front = self._local_forward(q, k, v, split)
+                get_tracker().add_recompute_flops(
+                    _attention_flops(allowed_pairs(mask, split, s), heads, head_dim)
+                )
+                o = np.concatenate([o_front, o], axis=-2)
+                lse = np.concatenate([lse_front, lse], axis=-1)
 
         if (
             cache is not None
-            and policy.caches_attention_output
+            and split < s
             and not in_recompute()
             and not is_grad_enabled()
         ):
             # First (no-grad) pass of a checkpointed layer: whitelist the
-            # outputs the recompute pass will want.
-            if policy.mode is CheckpointMode.SELECTIVE_PP:
-                cache.put(0, o.copy(), lse.copy())
-            else:  # SEQUENCE_LEVEL: store the expensive-to-recompute suffix
-                split = int(round(s * policy.split_fraction))
-                cache.put(0, o[..., split:, :].copy(), lse[..., split:].copy())
+            # suffix the recompute pass will not recompute.
+            cache.put(0, o[..., split:, :].copy(), lse[..., split:].copy())
 
         self.save_for_backward(q, k, v, o, lse)
         return o

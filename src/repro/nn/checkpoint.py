@@ -22,6 +22,14 @@ Policies
     selective++'s whitelist while re-doing only ~25 % of the attention
     forward FLOPs.
 
+The three replaying policies are one scheme with a different front: a
+replay recomputes the attention of the first ``c`` of each layer's
+sequence and reads the back ``1 - c`` from the cache — ``full`` is
+``c = 1``, ``selective_pp`` is ``c = 0`` and ``sequence_level`` is
+``c = split_fraction``.  :attr:`CheckpointPolicy.recomputed_front` is that
+declaration; the replay, both memory models and the time model derive what
+they need from it and never branch on the mode.
+
 :class:`Checkpoint` is the Function that implements the store-inputs /
 re-run-in-backward mechanics; :func:`in_recompute` lets the attention
 function know the current forward is a recomputation so it can consult its
@@ -93,23 +101,27 @@ class CheckpointPolicy:
         return cls(mode=CheckpointMode(spec), split_fraction=split_fraction)
 
     @property
-    def checkpoints_layer(self) -> bool:
-        return self.mode is not CheckpointMode.NONE
+    def recomputed_front(self) -> float | None:
+        """The fraction ``c`` of each layer's sequence, from the front,
+        whose attention a replay recomputes; ``None`` if the layer is
+        never replayed."""
+        return {
+            CheckpointMode.NONE: None,
+            CheckpointMode.FULL: 1.0,
+            CheckpointMode.SELECTIVE_PP: 0.0,
+            CheckpointMode.SEQUENCE_LEVEL: self.split_fraction,
+        }[self.mode]
 
     @property
-    def caches_attention_output(self) -> bool:
-        return self.mode in (
-            CheckpointMode.SELECTIVE_PP,
-            CheckpointMode.SEQUENCE_LEVEL,
-        )
+    def replays(self) -> bool:
+        """True when the layer keeps only its input and re-runs in backward."""
+        return self.recomputed_front is not None
 
-    def cached_fraction(self) -> float:
-        """Fraction of the attention output persisted across fwd->bwd."""
-        if self.mode is CheckpointMode.SELECTIVE_PP:
-            return 1.0
-        if self.mode is CheckpointMode.SEQUENCE_LEVEL:
-            return 1.0 - self.split_fraction
-        return 0.0
+    def cached_rows(self, seq_len: int) -> int:
+        """Rows of ``(O, lse)`` the first pass keeps for the replay: the
+        back ``s - round(s * c)`` of the sequence (0 without a replay)."""
+        c = self.recomputed_front
+        return 0 if c is None else seq_len - int(round(seq_len * c))
 
 
 _in_recompute: bool = False

@@ -326,7 +326,7 @@ class TransformerBlock(Module):
             # real output, also while an outer checkpoint is replaying),
             # and an un-checkpointed body's output is always read.
             tail_unread = (
-                self.policy.checkpoints_layer
+                self.policy.replays
                 and in_recompute()
                 and is_grad_enabled()
             )
@@ -337,7 +337,7 @@ class TransformerBlock(Module):
                 with scoped_rng(seed):
                     return self._body(x_, tail_unread=tail_unread)
 
-        if self.policy.checkpoints_layer:
+        if self.policy.replays:
             return checkpoint(seeded_body, x)
         return seeded_body(x)
 

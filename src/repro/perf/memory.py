@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.models import ModelSpec
+from repro.nn.checkpoint import CheckpointPolicy
 
 
 #: Stored activation elements per layer per token without checkpointing,
@@ -73,6 +74,12 @@ class TrainingSetup:
     split_fraction: float = 0.5
     head_mode: str = "fused"  # naive | tiled | fused
     gpu_memory_bytes: float = 80 * GB
+    #: ``checkpoint`` / ``split_fraction``, parsed (or ``ValueError``) once.
+    policy: CheckpointPolicy = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "policy", CheckpointPolicy.parse(
+            self.checkpoint, self.split_fraction))
 
     def local_seq(self) -> float:
         """Tokens resident per GPU after sequence sharding."""
@@ -126,22 +133,13 @@ class MemoryBreakdown:
 class MemoryModel:
     """Evaluate :class:`TrainingSetup` cells into per-GPU peaks."""
 
-    def checkpoint_factor(self, setup: TrainingSetup) -> float:
-        """Stored activation elems per layer per token, in hidden units."""
-        kind = setup.checkpoint
-        if kind == "none":
-            return FULL_ACTIVATION_FACTOR
-        if kind == "full":
-            return 1.0
-        if kind == "selective_pp":
-            return 2.0  # layer input + whitelisted attention output
-        if kind == "sequence_level":
-            return 1.0 + (1.0 - setup.split_fraction)
-        raise ValueError(f"unknown checkpoint policy {setup.checkpoint!r}")
-
     def activation_bytes(self, setup: TrainingSetup) -> float:
-        s_loc = setup.local_seq()
-        per_layer = self.checkpoint_factor(setup) * s_loc * setup.model.hidden
+        """Stored activations: per layer per token, the layer input plus
+        the cached back ``1 - c`` of the attention output (in hidden units),
+        or every activation when the layer is not replayed."""
+        c = setup.policy.recomputed_front
+        factor = FULL_ACTIVATION_FACTOR if c is None else 1.0 + (1.0 - c)
+        per_layer = factor * setup.local_seq() * setup.model.hidden
         return per_layer * setup.model.n_layers * BYTES_BF16
 
     def lm_head_bytes(self, setup: TrainingSetup) -> float:
@@ -282,14 +280,13 @@ def checkpoint_memory_curve(
 ) -> list[float]:
     """Fig. 7's quantity: stored-activation GB vs sequence length."""
     mm = MemoryModel()
-    out = []
-    for s in seq_lens:
-        setup = TrainingSetup(
+    return [
+        mm.activation_bytes(TrainingSetup(
             model=model, seq_len=s, world=world, checkpoint=policy,
             split_fraction=split_fraction,
-        )
-        out.append(mm.activation_bytes(setup) / GB)
-    return out
+        )) / GB
+        for s in seq_lens
+    ]
 
 
 # --- byte-exact closed forms for the live numpy engine -----------------------
@@ -321,38 +318,12 @@ def attention_node_saved_elems(
     seq_len: int, dim: int, n_heads: int, kv_dim: int | None = None
 ) -> int:
     """Elements the distributed-attention node saves for its backward:
-    ``(q, k, v, o, lse)`` in head layout."""
+    ``(q, k, v, o, lse)`` in head layout.  Methods that cannot rebuild
+    their forward context in backward (Ulysses/USP) hold the same amount
+    again: the per-rank head-layout shards ``q_h``/``k_h``/``v_h``/
+    ``o_h``/``lse_h``."""
     kv = dim if kv_dim is None else kv_dim
     return 2 * seq_len * dim + 2 * seq_len * kv + n_heads * seq_len
-
-
-def attention_context_elems(
-    seq_len: int, dim: int, n_heads: int, kv_dim: int | None = None
-) -> int:
-    """Extra context bytes held by methods that cannot rebuild their
-    forward context in backward (Ulysses/USP keep the per-rank head-layout
-    shards ``q_h``/``k_h``/``v_h``/``o_h``/``lse_h``)."""
-    kv = dim if kv_dim is None else kv_dim
-    return 2 * seq_len * dim + 2 * seq_len * kv + n_heads * seq_len
-
-
-def attention_cache_elems(
-    seq_len: int,
-    dim: int,
-    n_heads: int,
-    checkpoint: str,
-    split_fraction: float = 0.5,
-) -> int:
-    """Elements the attention-output whitelist cache pins per layer:
-    ``(o, lse)`` rows for the cached suffix (all of them for
-    selective++, none for ``none``/``full``)."""
-    if checkpoint == "selective_pp":
-        rows = seq_len
-    elif checkpoint == "sequence_level":
-        rows = seq_len - int(round(seq_len * split_fraction))
-    else:
-        rows = 0
-    return rows * (dim + n_heads)
 
 
 def transformer_layer_saved_elems(
@@ -374,15 +345,12 @@ def transformer_layer_saved_elems(
         if fused_mlp
         else swiglu_dense_saved_bytes(seq_len, dim, ffn_hidden, bytes_per_elem=1)
     )
-    ctx = (
-        0
-        if rebuilds_context
-        else attention_context_elems(seq_len, dim, n_heads, kv_dim)
-    )
+    node = attention_node_saved_elems(seq_len, dim, n_heads, kv_dim)
+    ctx = 0 if rebuilds_context else node
     return (
         2 * rms_norm_saved_elems(seq_len, dim)
         + attention_proj_saved_elems(seq_len, dim, kv_dim)
-        + attention_node_saved_elems(seq_len, dim, n_heads, kv_dim)
+        + node
         + ctx
         + ffn
     )
@@ -432,23 +400,22 @@ def predict_step_peak_saved_bytes(
     still-live inputs and caches; the prediction takes the max of both
     candidates.  Methods that cannot rebuild context (Ulysses) neither
     cache attention outputs nor drop their forward context, which the
-    flags mirror.
+    flags mirror.  An unknown ``checkpoint`` or an out-of-range
+    ``split_fraction`` raises ``ValueError``.
     """
+    policy = CheckpointPolicy.parse(checkpoint, split_fraction)
     full_layer = transformer_layer_saved_elems(
         seq_len, dim, n_heads, ffn_hidden,
         kv_dim=kv_dim, fused_mlp=fused_mlp,
         rebuilds_context=rebuilds_context,
     )
-    cache = (
-        attention_cache_elems(
-            seq_len, dim, n_heads, checkpoint, split_fraction
-        )
-        if rebuilds_context
-        else 0  # no context rebuild -> the whitelist cache never engages
-    )
+    # The whitelist cache pins (o, lse) rows per layer; it never engages
+    # without a context rebuild.
+    rows = policy.cached_rows(seq_len) if rebuilds_context else 0
+    cache = rows * (dim + n_heads)
     norm = rms_norm_saved_elems(seq_len, dim)
     head = lm_head_saved_bytes_live(seq_len, dim, vocab, head_impl)
-    if checkpoint == "none":
+    if not policy.replays:
         forward_peak = n_layers * full_layer * BYTES_F64 + norm * BYTES_F64 + head
         backward_peak = forward_peak
     else:

@@ -26,11 +26,14 @@ than Fig. 14 alone implies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.models import ModelSpec
+from repro.nn.checkpoint import CheckpointPolicy
 from repro.perf.cost import link_time, matmul_time
-from repro.perf.memory import MemoryBreakdown, MemoryModel, TrainingSetup
+from repro.perf.memory import (
+    BYTES_BF16, MemoryBreakdown, MemoryModel, TrainingSetup,
+)
 from repro.perf.schedules.attention import AttentionWorkload, attention_pass_time
 from repro.topology import ClusterTopology, LinkClass
 
@@ -39,7 +42,6 @@ GEMM_EFFICIENCY = 0.65
 #: Backward of a linear layer: grad-input + grad-weight GEMMs.
 LINEAR_BWD_FACTOR = 2.0
 PCIE_BANDWIDTH = 16e9  # bytes/s, host <-> device for optimizer offload
-BYTES_BF16 = 2
 
 
 @dataclass
@@ -74,6 +76,11 @@ class EndToEndModel:
     causal: bool = True
     workload_balanced: bool = True
     ulysses_degree: int | None = None
+    #: ``checkpoint`` / ``split_fraction``, parsed (or ``ValueError``) once.
+    policy: CheckpointPolicy = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.policy = CheckpointPolicy.parse(self.checkpoint, self.split_fraction)
 
     # --- per-piece times -------------------------------------------------------
 
@@ -88,11 +95,6 @@ class EndToEndModel:
             # Without zigzag/striped balance the slowest device computes as
             # if the mask were dense: barriers erase the sparsity saving.
             sparsity = 2.0 if self.causal else 1.0  # causal: full pairs
-            return AttentionWorkload(
-                seq_len=seq_len, hidden=self.model.hidden,
-                n_heads=self.model.n_heads, causal=self.causal,
-                sparsity=sparsity, kv_ratio=self.model.kv_ratio,
-            )
         return AttentionWorkload(
             seq_len=seq_len, hidden=self.model.hidden,
             n_heads=self.model.n_heads, causal=self.causal, sparsity=sparsity,
@@ -111,8 +113,7 @@ class EndToEndModel:
         if not self.fsdp or self.topology.world_size == 1:
             return 0.0
         m = self.model
-        layer_params = 4 * m.hidden * m.hidden + 3 * m.hidden * m.ffn
-        layer_bytes = layer_params * BYTES_BF16
+        layer_bytes = (4 * m.hidden * m.hidden + 3 * m.hidden * m.ffn) * BYTES_BF16
         g = self.topology.world_size
         cls = LinkClass.INTER if self.topology.num_nodes > 1 else LinkClass.INTRA
         per_gather = (g - 1) * link_time(self.topology, layer_bytes / g, cls)
@@ -144,25 +145,14 @@ class EndToEndModel:
         lin_bwd = LINEAR_BWD_FACTOR * lin_fwd
         attn_fwd, attn_bwd = self._attention_times(seq_len)
 
-        # Recomputation per policy.
-        if self.checkpoint == "none":
-            recompute = 0.0
-            fsdp_passes = 2  # params gathered fwd + bwd
-        elif self.checkpoint == "full":
-            recompute = lin_fwd + attn_fwd
-            fsdp_passes = 3  # fwd + recompute + bwd gather passes
-        elif self.checkpoint == "selective_pp":
-            recompute = lin_fwd
-            fsdp_passes = 3
-        elif self.checkpoint == "sequence_level":
-            c = self.split_fraction
-            recompute = lin_fwd + c * c * attn_fwd
-            fsdp_passes = 3
-        else:
-            raise ValueError(f"unknown checkpoint {self.checkpoint!r}")
+        # A replay re-runs the linears and the attention of the recomputed
+        # front c: under causal masking c of the rows hold c² of the pairs.
+        c = self.policy.recomputed_front
+        recompute = 0.0 if c is None else lin_fwd + c * c * attn_fwd
 
         layer_compute = lin_fwd + attn_fwd + lin_bwd + attn_bwd + recompute
-        fsdp_time = self._fsdp_layer_time(fsdp_passes)
+        # Params are gathered for forward and backward, and again per replay.
+        fsdp_time = self._fsdp_layer_time(2 + self.policy.replays)
         # Block-level overlap (BMTrain): FSDP hides under compute, or the
         # reverse, per layer.
         layer_time = max(layer_compute, fsdp_time)
@@ -171,22 +161,19 @@ class EndToEndModel:
         opt = self._optimizer_time()
         step_time = m.n_layers * layer_time + head + opt
 
-        tokens_per_gpu = s_local
-        tgs = tokens_per_gpu / step_time
+        tgs = s_local / step_time
         mfu = (
             m.flops_per_token(seq_len, causal=self.causal) * seq_len
             / (step_time * g * peak)
         )
 
-        mm = MemoryModel()
-        setup = TrainingSetup(
+        memory = MemoryModel().breakdown(TrainingSetup(
             model=m, seq_len=seq_len, world=g, method=self.method,
             fsdp=self.fsdp, optimizer_offload=self.optimizer_offload,
             checkpoint=self.checkpoint, split_fraction=self.split_fraction,
             head_mode=self.head_mode,
             gpu_memory_bytes=self.topology.node.gpu.memory_bytes,
-        )
-        memory = mm.breakdown(setup)
+        ))
 
         return EndToEndResult(
             method=self.method,

@@ -1,14 +1,19 @@
-"""Checkpoint-policy pins for the analytic, byte-exact and time models.
+"""Checkpoint policies: one recomputed-front fraction per policy, and pins
+for the analytic, byte-exact and time models that read it.
 
-Every value below is exact (``float.hex`` for floats): the memory and
-time models' per-policy arithmetic may be restructured, never changed.
+Every pinned value is exact (``float.hex`` for floats): the models'
+per-policy arithmetic may be restructured, never changed.
 """
 
 import pytest
 
 from repro.models import LLAMA_7B
+from repro.nn.checkpoint import CheckpointPolicy
 from repro.perf import MemoryModel, TrainingSetup
-from repro.perf.memory import predict_checkpoint_policy_curve
+from repro.perf.memory import (
+    predict_checkpoint_policy_curve,
+    predict_step_peak_saved_bytes,
+)
 from repro.perf.schedules.end_to_end import EndToEndModel
 from repro.topology import make_cluster
 
@@ -81,3 +86,62 @@ class TestModelsArePinned:
             vocab=128, split_fraction=split, rebuilds_context=rebuilds_context,
         )
         assert curve == CURVE_PINS[(split, rebuilds_context)]
+
+
+class TestOnePolicyOneFraction:
+    def test_every_policy_is_a_recomputed_front(self):
+        fronts = {
+            "none": None, "full": 1.0, "selective_pp": 0.0,
+            "sequence_level": 0.25,
+        }
+        for name, c in fronts.items():
+            policy = CheckpointPolicy.parse(name, 0.25)
+            assert policy.recomputed_front == c
+            assert policy.replays is (c is not None)
+
+    def test_cached_rows_are_the_back_of_the_sequence(self):
+        rows = {
+            "none": 0, "full": 0, "selective_pp": 66,
+            "sequence_level": 66 - round(66 * 0.25),
+        }
+        for name, n in rows.items():
+            assert CheckpointPolicy.parse(name, 0.25).cached_rows(66) == n
+
+
+SMALL = dict(seq_len=64, dim=32, n_layers=2, n_heads=4, ffn_hidden=64,
+             vocab=128)
+
+
+class TestInvalidPoliciesRaiseWhereTheyEnter:
+    """A misspelt policy or an out-of-range split used to be priced: the
+    byte-exact model fell through to ``full``'s cache, and the analytic
+    and time models accepted ``split_fraction=1.5`` (a stored factor below
+    ``full``'s)."""
+
+    def test_byte_exact_model_rejects_a_typo(self):
+        with pytest.raises(ValueError):
+            predict_step_peak_saved_bytes(checkpoint="selctive_pp", **SMALL)
+
+    @pytest.mark.parametrize("kw", [
+        dict(checkpoint="selctive_pp"),
+        dict(checkpoint="sequence_level", split_fraction=1.5),
+    ], ids=["typo", "split"])
+    def test_training_setup_rejects_on_construction(self, kw):
+        with pytest.raises(ValueError):
+            TrainingSetup(model=LLAMA_7B, seq_len=65536, world=8, **kw)
+
+    @pytest.mark.parametrize("kw", [
+        dict(checkpoint="selctive_pp"),
+        dict(checkpoint="sequence_level", split_fraction=1.5),
+    ], ids=["typo", "split"])
+    def test_end_to_end_model_rejects_on_construction(self, kw):
+        with pytest.raises(ValueError):
+            EndToEndModel(model=LLAMA_7B, topology=make_cluster(8), **kw)
+
+    def test_setup_resolves_its_policy_once(self):
+        setup = TrainingSetup(model=LLAMA_7B, seq_len=65536, world=8,
+                              checkpoint="sequence_level", split_fraction=0.25)
+        assert setup.policy == CheckpointPolicy.parse("sequence_level", 0.25)
+        assert setup == TrainingSetup(model=LLAMA_7B, seq_len=65536, world=8,
+                                      checkpoint="sequence_level",
+                                      split_fraction=0.25)

@@ -589,3 +589,56 @@ class TestOnlyTheBlockElidesItsTail:
             ]
             assert len(reads) == 1
             assert id(reads[0]) in in_block
+
+
+class TestOneCheckpointPolicyDescription:
+    """ROADMAP aim 2 for checkpointing: every policy is a recomputed-front
+    fraction declared once, in ``nn/checkpoint.py``.  The replay, both
+    memory models, the time model and the FSDP pass counts read that
+    declaration; none of them branches on the mode."""
+
+    def test_no_module_compares_against_a_policy(self):
+        import ast
+        from pathlib import Path
+
+        from repro.nn.checkpoint import CheckpointMode
+
+        names = {mode.value for mode in CheckpointMode}
+        # "full" / "none" also name masks and head modes: flag those two
+        # only when the comparison reads a checkpoint policy.
+        distinct = names - {"full", "none"}
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        found = []
+        for path in sorted(src.rglob("*.py")):
+            rel = path.relative_to(src).as_posix()
+            if rel == "nn/checkpoint.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Compare):
+                    continue
+                text = ast.unparse(node)
+                about_policy = any(
+                    w in text for w in ("checkpoint", "policy", "ckpt")
+                )
+                for sub in ast.walk(node):
+                    if (
+                        isinstance(sub, ast.Attribute)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "CheckpointMode"
+                    ) or (
+                        isinstance(sub, ast.Constant)
+                        and sub.value in names
+                        and (sub.value in distinct or about_policy)
+                    ):
+                        found.append((rel, node.lineno, text))
+        assert found == []
+
+    def test_the_policy_keeps_its_two_fields(self):
+        from dataclasses import fields
+
+        from repro.nn.checkpoint import CheckpointPolicy
+
+        assert [f.name for f in fields(CheckpointPolicy)] == [
+            "mode", "split_fraction",
+        ]
+        assert not hasattr(CheckpointPolicy, "cached_fraction")
