@@ -138,15 +138,25 @@ def main(argv: list[str] | None = None) -> int:
         doc = {
             "suite": "obs_memory",
             "smoke": bool(args.smoke),
+            "gates": (
+                "every run exits 1 unless each result has observed_peak_bytes"
+                " == predicted_peak_bytes, leaks == 0 and overhead_ratio < "
+                f"{OVERHEAD_CEILING}; no other field is gated, and the "
+                "committed values are not compared against"
+            ),
             "schema": {
-                "plain_s": "best step wall, no instrumentation (s)",
-                "tracked_s": "best step wall with a MemoryTimeline (s)",
-                "budgeted_s": "best step wall with timeline + budget (s)",
+                "plain_s": "best step wall, no instrumentation (s; "
+                           "informational)",
+                "tracked_s": "best step wall with a MemoryTimeline (s; "
+                             "informational)",
+                "budgeted_s": "best step wall with timeline + budget (s; "
+                              "informational)",
                 "overhead_ratio": "tracked_s / plain_s; gated < "
                                   f"{OVERHEAD_CEILING}",
                 "observed_peak_bytes": "MemoryTracker.peak_saved_bytes",
                 "predicted_peak_bytes": "perf.memory closed form; gated ==",
-                "timeline_events": "MemEvents recorded for the step",
+                "timeline_events": "MemEvents recorded for the step "
+                                   "(informational)",
                 "leaks": "unreleased saved handles at step end; gated 0",
             },
             "results": results,

@@ -12,9 +12,18 @@ The checkpoint protocol is inherited, not mirrored: on a recomputation
 pass with a cache hit a ring-family method skips the distributed forward
 entirely — *no communication happens during recompute*, which is precisely
 why selective++/sequence-level checkpointing pays off in a distributed
-setting — and rebuilds the backward context from shards instead.  Methods
-that need a richer context (Ulysses, USP) recompute their full forward,
-collectives included, so for them the output cache is off.
+setting — and rebuilds the backward context from shards instead.
+
+What the node saves is what its backward reads, once:
+
+* a ring-family method saves the sequence-layout ``(q, k, v, o, lse)``
+  its backward re-shards into a context;
+* a method that cannot rebuild its context (Ulysses, USP) saves only the
+  head-layout context its forward built — ``q_h``, ``k_h``, ``v_h``,
+  ``o_h``, ``lse_h`` — through the node's own ``save_for_backward``, so
+  the one handle is released wherever the node's is.  Its backward never
+  reads the sequence-layout arrays.  Such a method recomputes its full
+  forward on a replay, collectives included, so its output cache is off.
 """
 
 from __future__ import annotations
@@ -26,9 +35,11 @@ from repro.comm import SimCommunicator
 from repro.masks import MaskPattern
 from repro.nn.attention_fn import FlashAttentionFn
 from repro.nn.checkpoint import AttentionOutputCache, CheckpointPolicy
-from repro.nn.memory import get_tracker
 from repro.nn.modules import CausalSelfAttention
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor
+
+#: The arrays of a Ulysses / USP context (lists, one array per rank).
+_CONTEXT_ARRAYS = ("q_h", "k_h", "v_h", "o_h", "lse_h")
 
 
 class DistributedAttentionFn(FlashAttentionFn):
@@ -50,7 +61,7 @@ class DistributedAttentionFn(FlashAttentionFn):
             raise ValueError("distributed attention requires method= and comm=")
         self.method = method
         self.comm = comm
-        self.ctx_obj = None
+        self.kept_ctx = None
         return super().forward(
             q, k, v, mask=mask, scale=scale, block_size=method.block_size,
             # A cached (O, lse) only helps a method that can rebuild its
@@ -58,6 +69,12 @@ class DistributedAttentionFn(FlashAttentionFn):
             cache=cache if method.supports_context_rebuild else None,
             policy=policy,
         )
+
+    def backward(self, grad_out: np.ndarray):
+        if self.kept_ctx is None:
+            return super().backward(grad_out)
+        ctx, self.kept_ctx = self.kept_ctx, None
+        return self._backward_shards(ctx, grad_out)
 
     def _sharded(self, s: int) -> bool:
         """Irregular lengths (autoregressive decoding appends one token at
@@ -75,19 +92,18 @@ class DistributedAttentionFn(FlashAttentionFn):
             comm, method.shard(q, g), method.shard(k, g), method.shard(v, g),
             method.indices(s, g), self.mask, self.scale,
         )
-        if not method.supports_context_rebuild and is_grad_enabled():
-            # Ulysses/USP keep their forward context (head-layout
-            # copies); account those bytes explicitly.
-            self.ctx_obj = ctx
-            nbytes = sum(
-                arr.nbytes
-                for attr in ("q_h", "k_h", "v_h", "o_h", "lse_h")
-                for arr in getattr(ctx, attr)
-            )
-            self._ctx_handle = get_tracker().register(
-                nbytes, site="attn.context"
-            )
+        if not method.supports_context_rebuild:
+            self.kept_ctx = ctx
         return method.gather(os_), method.gather(lses, axis=-1)
+
+    def _save(self, q, k, v, o, lse):
+        if self.kept_ctx is None:
+            super()._save(q, k, v, o, lse)
+        else:
+            self.save_for_backward(*(
+                arr for name in _CONTEXT_ARRAYS
+                for arr in getattr(self.kept_ctx, name)
+            ))
 
     def _attend_backward(self, q, k, v, o, lse, grad_out):
         method, comm = self.method, self.comm
@@ -95,17 +111,17 @@ class DistributedAttentionFn(FlashAttentionFn):
         s = q.shape[-2]
         if not self._sharded(s):
             return super()._attend_backward(q, k, v, o, lse, grad_out)
-        dos = method.shard(np.ascontiguousarray(grad_out), g)
-        if self.ctx_obj is not None:
-            ctx = self.ctx_obj
-            get_tracker().release(self._ctx_handle)
-        else:
-            ctx = method.make_context(
-                comm,
-                method.shard(q, g), method.shard(k, g), method.shard(v, g),
-                method.shard(o, g), method.shard(lse, g, axis=-1),
-                method.indices(s, g), self.mask, self.scale,
-            )
+        ctx = method.make_context(
+            comm,
+            method.shard(q, g), method.shard(k, g), method.shard(v, g),
+            method.shard(o, g), method.shard(lse, g, axis=-1),
+            method.indices(s, g), self.mask, self.scale,
+        )
+        return self._backward_shards(ctx, grad_out)
+
+    def _backward_shards(self, ctx, grad_out):
+        method, comm = self.method, self.comm
+        dos = method.shard(np.ascontiguousarray(grad_out), comm.world_size)
         dqs, dks, dvs = method.backward_shards(comm, ctx, dos)
         return method.gather(dqs), method.gather(dks), method.gather(dvs)
 

@@ -77,7 +77,8 @@ class FlashAttentionFn(Function):
 
     The checkpoint protocol lives here once.  A subclass that runs the
     whole-sequence pass somewhere else (the simulated cluster) overrides
-    :meth:`_attend` / :meth:`_attend_backward` and nothing else.
+    :meth:`_attend` / :meth:`_attend_backward`, and :meth:`_save` when its
+    backward reads something other than ``(q, k, v, o, lse)``.
     """
 
     def forward(
@@ -135,13 +136,18 @@ class FlashAttentionFn(Function):
             # suffix the recompute pass will not recompute.
             cache.put(0, o[..., split:, :].copy(), lse[..., split:].copy())
 
-        self.save_for_backward(q, k, v, o, lse)
+        self._save(q, k, v, o, lse)
         return o
 
     def backward(self, grad_out: np.ndarray):
         return self._attend_backward(*self.saved, grad_out)
 
     # -- where the whole-sequence pass runs ------------------------------------
+
+    def _save(self, q, k, v, o, lse):
+        """Save what :meth:`_attend_backward` reads: the kernel's inputs
+        and ``(o, lse)``, once."""
+        self.save_for_backward(q, k, v, o, lse)
 
     def _attend(self, q, k, v):
         """Whole-sequence forward; returns ``(o, lse)``."""

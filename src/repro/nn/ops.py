@@ -120,17 +120,41 @@ class Tanh(Function):
         return (g * (1.0 - out * out),)
 
 
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-a))`` in one fresh buffer: the in-place steps are
+    the expression's operations in its order, so the bits are the same,
+    without three more full-size temporaries."""
+    sig = np.negative(a)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    return np.divide(1.0, sig, out=sig)
+
+
 class SiLU(Function):
-    """x * sigmoid(x) — LLaMA's activation."""
+    """x * sigmoid(x) — LLaMA's activation.
+
+    Saves only its input: the backward recomputes the sigmoid with the
+    forward's expression, so its gradient is the same bits either way.
+    Both directions evaluate their expressions in place on one buffer
+    (every step is a commutative IEEE operation on the same operands).
+    """
 
     def forward(self, a):
-        sig = 1.0 / (1.0 + np.exp(-a))
-        self.save_for_backward(a, sig)
-        return a * sig
+        self.save_for_backward(a)
+        out = _sigmoid(a)
+        out *= a
+        return out
 
     def backward(self, g):
-        a, sig = self.saved
-        return (g * (sig * (1.0 + a * (1.0 - sig))),)
+        (a,) = self.saved
+        sig = _sigmoid(a)
+        # g * (sig * (1 + a * (1 - sig)))
+        grad = np.subtract(1.0, sig)
+        grad *= a
+        grad += 1.0
+        grad *= sig
+        grad *= g
+        return (grad,)
 
 
 class GELU(Function):
@@ -149,6 +173,53 @@ class GELU(Function):
         d_inner = self._C * (1.0 + 3 * 0.044715 * a**2)
         grad = 0.5 * (1.0 + t) + 0.5 * a * (1.0 - t * t) * d_inner
         return (g * grad,)
+
+
+class RMSNormFn(Function):
+    """LLaMA RMSNorm ``x / sqrt(mean(x²) + eps) * w`` as one node.
+
+    The forward runs the op sequence of the ``Mul`` / ``Mean`` / ``Add``
+    / ``Pow`` / ``Mul`` / ``Mul`` composite it replaces (``x*x → mean →
+    +eps → **-0.5 → x*inv → *w``), and the backward evaluates each of
+    those nodes' backward expressions in turn, so values and gradients
+    are the composite's bits.  It saves ``x`` and the ``(S, 1)`` row
+    ``ms = mean(x²) + eps`` (``S·D + S`` elements); ``inv = ms**-0.5``
+    and ``x·inv`` are recomputed from them.  (Saving ``inv`` instead
+    costs the same bytes, but the ``Pow`` backward reads ``ms``, which
+    would then cost an ``S·D`` re-reduction.)  The weight is held by
+    reference, as a parameter.
+
+    ``x`` enters three times — ``apply(x, x, x, w)`` — so the graph adds
+    its gradient in the composite's order: after any later consumer
+    (a residual ``add``), ``g·w·inv`` from ``Mul(x, inv)``, then the two
+    halves of ``Mul(x, x)``.
+    """
+
+    def forward(self, x, _x_sq_a, _x_sq_b, w, eps: float = 1e-6):
+        ms = (x * x).mean(axis=-1, keepdims=True) + eps
+        self.save_for_backward(x, ms)
+        self.weight = w
+        out = x * ms**-0.5
+        out *= w
+        return out
+
+    def backward(self, g):
+        # The composite's expressions, each in-place step a commutative
+        # IEEE operation on the same operands (same bits, fewer buffers).
+        x, ms = self.saved
+        w = self.weight
+        inv = ms**-0.5
+        g_xn = g * w  # Mul(xn, w)
+        g_w = x * inv
+        g_w *= g
+        g_w = _unbroadcast(g_w, w.shape)
+        g_x_inv = g_xn * x  # Mul(x, inv) -> inv
+        g_inv = _unbroadcast(g_x_inv, inv.shape)
+        g_ms = g_inv * -0.5 * ms**-1.5  # Pow
+        # Mean, then either half of Mul(x, x), over g_x_inv's buffer
+        half = np.multiply(x, g_ms / (x.size / ms.size), out=g_x_inv)
+        g_xn *= inv  # Mul(x, inv) -> x
+        return g_xn, half, half, g_w
 
 
 class Sum(Function):
@@ -350,7 +421,7 @@ def dropout(a, p: float = 0.1, training: bool = True, rng=None):
 
 
 def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
-    """LLaMA RMSNorm: ``x / sqrt(mean(x^2) + eps) * weight`` (composite)."""
-    variance = mean(mul(x, x), axis=-1, keepdims=True)
-    inv = pow(add(variance, eps), -0.5)
-    return mul(mul(x, inv), weight)
+    """LLaMA RMSNorm: ``x / sqrt(mean(x^2) + eps) * weight`` (one
+    :class:`RMSNormFn` node)."""
+    x = _wrap(x)
+    return RMSNormFn.apply(x, x, x, _wrap(weight), eps=eps)

@@ -229,14 +229,14 @@ def swiglu_dense_saved_bytes(
     """Bytes the composed SwiGLU graph saves for backward.
 
     The five-node graph registers: ``x`` twice (both projection matmuls),
-    the three weights once each, and five ``(S, hidden)`` intermediates —
-    ``g`` and its sigmoid (SiLU), the silu product and ``u`` (Mul), and
-    ``h`` (down matmul).  Pinned bit-for-bit against the live
-    :class:`~repro.nn.memory.MemoryTracker` by
+    the three weights once each, and four ``(S, hidden)`` intermediates —
+    ``g`` (SiLU, which recomputes its sigmoid in backward), the silu
+    product and ``u`` (Mul), and ``h`` (down matmul).  Pinned bit-for-bit
+    against the live :class:`~repro.nn.memory.MemoryTracker` by
     ``tests/test_blockwise_mlp.py``.
     """
     return (
-        2 * seq_len * dim + 3 * dim * hidden + 5 * seq_len * hidden
+        2 * seq_len * dim + 3 * dim * hidden + 4 * seq_len * hidden
     ) * bytes_per_elem
 
 
@@ -299,10 +299,11 @@ def checkpoint_memory_curve(
 
 
 def rms_norm_saved_elems(seq_len: int, dim: int) -> int:
-    """Elements one RMSNorm forward saves: ``Mul(x,x)`` (2SD), ``Pow``
-    of the variance row (S), ``Mul(x, inv)`` (SD + S) and the weight
-    scale ``Mul(., w)`` (SD + D)."""
-    return 4 * seq_len * dim + 2 * seq_len + dim
+    """Elements one RMSNorm forward saves: its one
+    :class:`~repro.nn.ops.RMSNormFn` node keeps ``x`` (SD) and the
+    ``mean(x²) + eps`` row (S); the weight is a parameter, held by
+    reference."""
+    return seq_len * dim + seq_len
 
 
 def attention_proj_saved_elems(
@@ -318,10 +319,10 @@ def attention_node_saved_elems(
     seq_len: int, dim: int, n_heads: int, kv_dim: int | None = None
 ) -> int:
     """Elements the distributed-attention node saves for its backward:
-    ``(q, k, v, o, lse)`` in head layout.  Methods that cannot rebuild
-    their forward context in backward (Ulysses/USP) hold the same amount
-    again: the per-rank head-layout shards ``q_h``/``k_h``/``v_h``/
-    ``o_h``/``lse_h``."""
+    ``(q, k, v, o, lse)``, once.  A ring-family method saves them in
+    sequence layout; Ulysses / USP save only their head-layout context
+    ``q_h``/``k_h``/``v_h``/``o_h``/``lse_h``, the same elements split
+    by heads instead of by tokens."""
     kv = dim if kv_dim is None else kv_dim
     return 2 * seq_len * dim + 2 * seq_len * kv + n_heads * seq_len
 
@@ -334,24 +335,20 @@ def transformer_layer_saved_elems(
     *,
     kv_dim: int | None = None,
     fused_mlp: bool = False,
-    rebuilds_context: bool = True,
 ) -> int:
     """Elements one un-checkpointed transformer block saves end to end:
-    two norms, the four projections, the attention node (plus kept
-    context for non-rebuilding methods), and the FFN (composed or fused
-    per the PR-8 pins)."""
+    two norms, the four projections, the attention node (the same for
+    every method) and the FFN (composed or fused, as pinned in
+    ``tests/test_blockwise_mlp.py``)."""
     ffn = (
         swiglu_fused_saved_bytes(seq_len, dim, ffn_hidden, bytes_per_elem=1)
         if fused_mlp
         else swiglu_dense_saved_bytes(seq_len, dim, ffn_hidden, bytes_per_elem=1)
     )
-    node = attention_node_saved_elems(seq_len, dim, n_heads, kv_dim)
-    ctx = 0 if rebuilds_context else node
     return (
         2 * rms_norm_saved_elems(seq_len, dim)
         + attention_proj_saved_elems(seq_len, dim, kv_dim)
-        + node
-        + ctx
+        + attention_node_saved_elems(seq_len, dim, n_heads, kv_dim)
         + ffn
     )
 
@@ -398,16 +395,15 @@ def predict_step_peak_saved_bytes(
     whitelist cache), and the peak is usually hit mid-backward while the
     *last* layer replays its full body on top of all the other layers'
     still-live inputs and caches; the prediction takes the max of both
-    candidates.  Methods that cannot rebuild context (Ulysses) neither
-    cache attention outputs nor drop their forward context, which the
-    flags mirror.  An unknown ``checkpoint`` or an out-of-range
-    ``split_fraction`` raises ``ValueError``.
+    candidates.  ``rebuilds_context=False`` (Ulysses, USP) decides only
+    the cache rows: such a method never caches attention outputs.  Its
+    attention node saves the same elements as any other method's.  An
+    unknown ``checkpoint`` or an out-of-range ``split_fraction`` raises
+    ``ValueError``.
     """
     policy = CheckpointPolicy.parse(checkpoint, split_fraction)
     full_layer = transformer_layer_saved_elems(
-        seq_len, dim, n_heads, ffn_hidden,
-        kv_dim=kv_dim, fused_mlp=fused_mlp,
-        rebuilds_context=rebuilds_context,
+        seq_len, dim, n_heads, ffn_hidden, kv_dim=kv_dim, fused_mlp=fused_mlp,
     )
     # The whitelist cache pins (o, lse) rows per layer; it never engages
     # without a context rebuild.

@@ -324,6 +324,7 @@ class TestMemoryPins:
         dense = self._saved_during_forward(None)
         fused = self._saved_during_forward(64)
         assert dense == swiglu_dense_saved_bytes(self.SEQ, self.DIM, self.HID)
+        assert dense == 746_496  # four (S, hidden) saves: SiLU keeps only g
         assert fused == swiglu_fused_saved_bytes(self.SEQ, self.DIM, self.HID)
         assert dense > fused  # the point of the exercise
 

@@ -44,16 +44,18 @@ FSDP_BOUND_PINS = {
 }
 
 #: (split, rebuilds_context) -> byte-exact step peaks at seq 66 (an odd
-#: quarter, so ``round`` is exercised), dim 32, 2 layers, 4 heads.
+#: quarter, so ``round`` is exercised), dim 32, 2 layers, 4 heads.  The
+#: flag decides only the cache rows: without a context rebuild every
+#: replaying policy is ``full``.
 CURVE_PINS = {
-    (0.25, True): {"none": 1238048, "full": 593536,
-                   "selective_pp": 612544, "sequence_level": 607936},
-    (0.25, False): {"none": 1377440, "full": 663232,
-                    "selective_pp": 663232, "sequence_level": 663232},
-    (0.5, True): {"none": 1238048, "full": 593536,
-                  "selective_pp": 612544, "sequence_level": 603040},
-    (0.5, False): {"none": 1377440, "full": 663232,
-                   "selective_pp": 663232, "sequence_level": 663232},
+    (0.25, True): {"none": 913104, "full": 456800,
+                   "selective_pp": 475808, "sequence_level": 471200},
+    (0.25, False): {"none": 913104, "full": 456800,
+                    "selective_pp": 456800, "sequence_level": 456800},
+    (0.5, True): {"none": 913104, "full": 456800,
+                  "selective_pp": 475808, "sequence_level": 466304},
+    (0.5, False): {"none": 913104, "full": 456800,
+                   "selective_pp": 456800, "sequence_level": 456800},
 }
 
 

@@ -265,19 +265,25 @@ QUICKSTART = dict(seq_len=128, dim=32, n_layers=2, n_heads=4,
                   ffn_hidden=64, vocab=128, head_impl="fused")
 
 
+#: (method, policy) -> observed == predicted peak saved bytes.  The ids
+#: name the cell only, so a declared saved-set change moves a pin without
+#: renaming its test.
+PEAK_PINS = {
+    ("burst", "none"): 1_586_176,
+    ("burst", "full"): 808_960,
+    ("burst", "selective_pp"): 845_824,
+    ("burst", "sequence_level"): 827_392,
+    ("megatron-cp", "full"): 808_960,
+    ("ulysses", "none"): 1_586_176,
+    ("ulysses", "sequence_level"): 808_960,
+}
+
+
 @pytest.mark.parametrize(
-    "method,policy,expected",
-    [
-        ("burst", "none", 2_215_168),
-        ("burst", "full", 1_073_664),
-        ("burst", "selective_pp", 1_110_528),
-        ("burst", "sequence_level", 1_092_096),
-        ("megatron-cp", "full", 1_073_664),
-        ("ulysses", "none", 2_485_504),
-        ("ulysses", "sequence_level", 1_208_832),
-    ],
+    "method,policy", list(PEAK_PINS), ids=[f"{m}-{p}" for m, p in PEAK_PINS]
 )
-def test_observed_peak_matches_closed_form(method, policy, expected):
+def test_observed_peak_matches_closed_form(method, policy):
+    expected = PEAK_PINS[(method, policy)]
     cell = _memdiff_cell(method, policy, "unidirectional", 128)
     assert cell["observed"] == expected
     assert cell["predicted"]["peak_saved_bytes"] == expected
@@ -311,7 +317,7 @@ def test_policy_curve_matches_observed():
 def test_chunked_mlp_transient_site_matches_closed_form():
     cell = _memdiff_cell("burst", "sequence_level", "unidirectional", 128,
                          chunk=32)
-    assert cell["observed"] == 731_648  # fused-MLP saved set shrinks too
+    assert cell["observed"] == 532_480  # fused-MLP saved set shrinks too
     assert cell["observed"] == cell["predicted"]["peak_saved_bytes"]
     observed = _site_peak(cell["events"], "mlp.chunked_bwd")
     assert observed == swiglu_chunked_transient_bytes(128, 32, 64, 32)

@@ -1,6 +1,8 @@
 """Public-API smoke tests: top-level exports, README snippets, and the
 remaining accessor edges."""
 
+import ast
+
 import numpy as np
 import pytest
 
@@ -589,6 +591,48 @@ class TestOnlyTheBlockElidesItsTail:
             ]
             assert len(reads) == 1
             assert id(reads[0]) in in_block
+
+
+class TestSavedActivationsRegisteredOnce:
+    """A saved activation enters the memory tracker through the node that
+    saves it — ``Function.save_for_backward``, released wherever the
+    node's state is.  Besides it only the attention-output cache, the LM
+    head's resident footprint and the memory gate's injected leak
+    register; a second handle beside a node's is not released by
+    ``Function.apply`` when the output needs no gradient."""
+
+    @staticmethod
+    def _register_calls(tree, scope=""):
+        """``(enclosing class/function path)`` of every ``*.register(...)``."""
+        for child in ast.iter_child_nodes(tree):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "register"
+            ):
+                yield scope
+            yield from TestSavedActivationsRegisteredOnce._register_calls(
+                child, inner
+            )
+
+    def test_register_is_called_from_four_places(self):
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        callers = {
+            (path.relative_to(src).as_posix(), scope)
+            for path in sorted(src.rglob("*.py"))
+            for scope in self._register_calls(ast.parse(path.read_text()))
+        }
+        assert callers == {
+            ("nn/function.py", "Function.save_for_backward"),
+            ("nn/checkpoint.py", "AttentionOutputCache.put"),
+            ("nn/modules.py", "FusedLMHeadLossFn.forward"),
+            ("obs/__main__.py", "_memdiff_inject"),
+        }
 
 
 class TestOneCheckpointPolicyDescription:

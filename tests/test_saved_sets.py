@@ -1,0 +1,213 @@
+"""Each autograd node saves what its backward reads, once.
+
+* ``ops.rms_norm`` is one :class:`~repro.nn.ops.RMSNormFn` node saving
+  ``x`` and an ``(S, 1)`` row; it is held bitwise to the literal
+  six-node composite it replaced, forward and both gradients, including
+  the residual ``add`` that also consumes ``x`` in every block.
+* :class:`~repro.nn.ops.SiLU` saves only its input and is held bitwise to
+  the sigmoid-saving node it replaced.
+* The Ulysses / USP attention node saves its head-layout context through
+  its own ``save_for_backward`` — one handle, the same elements as a
+  ring-family node, no ``attn.context`` site — so the handle is released
+  wherever the node's is, including when nothing needs a gradient.
+"""
+
+import numpy as np
+import pytest
+
+from repro.attention import get_method
+from repro.comm import SimCommunicator
+from repro.engine import distributed_attention
+from repro.nn import Tensor, ops
+from repro.nn.function import Function
+from repro.nn.memory import get_tracker, reset_tracker
+from repro.obs import use_memory_timeline
+from repro.perf.memory import (
+    attention_node_saved_elems,
+    rms_norm_saved_elems,
+    swiglu_dense_saved_bytes,
+)
+from repro.topology import make_cluster
+
+SHAPES = [(2048, 64), (512, 256)]
+
+
+def composite_rms_norm(x, w, eps=1e-6):
+    """``ops.rms_norm`` as it was: six nodes, transcribed literally."""
+    variance = ops.mean(ops.mul(x, x), axis=-1, keepdims=True)
+    inv = ops.pow(ops.add(variance, eps), -0.5)
+    return ops.mul(ops.mul(x, inv), w)
+
+
+class SigmoidSavingSiLU(Function):
+    """``ops.SiLU`` as it was: saves its input and its sigmoid."""
+
+    def forward(self, a):
+        sig = 1.0 / (1.0 + np.exp(-a))
+        self.save_for_backward(a, sig)
+        return a * sig
+
+    def backward(self, g):
+        a, sig = self.saved
+        return (g * (sig * (1.0 + a * (1.0 - sig))),)
+
+
+def _inputs(shape, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape) * 3.0
+    w = 1.0 + 0.1 * rng.normal(size=shape[-1])
+    return x, w, rng
+
+
+def _assert_bitwise(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestRMSNormMatchesTheComposite:
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_norm_alone(self, shape):
+        x_np, w_np, rng = _inputs(shape, 0)
+        g = rng.normal(size=shape)
+        results = []
+        for norm in (composite_rms_norm, ops.rms_norm):
+            x = Tensor(x_np, requires_grad=True)
+            w = Tensor(w_np, requires_grad=True)
+            out = norm(x, w)
+            out.backward(g)
+            results.append((out.data, x.grad, w.grad))
+        for want, got in zip(*results):
+            _assert_bitwise(want, got)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_residual_add_also_reads_x(self, shape):
+        """A block's ``h = x + f(norm(x))``: the residual's gradient
+        reaches ``x`` first, then the norm's three terms in the
+        composite's order.  ``x`` is an intermediate here, as in the
+        model, and the norm's output feeds a GEMM."""
+        x_np, w_np, rng = _inputs(shape, 1)
+        proj = rng.normal(size=(shape[-1], shape[-1])) / np.sqrt(shape[-1])
+        g = rng.normal(size=shape)
+        results = []
+        for norm in (composite_rms_norm, ops.rms_norm):
+            leaf = Tensor(x_np, requires_grad=True)
+            w = Tensor(w_np, requires_grad=True)
+            x = ops.mul(leaf, 1.0)
+            h = ops.add(x, ops.matmul(norm(x, w), Tensor(proj)))
+            h.backward(g)
+            results.append((h.data, leaf.grad, w.grad))
+        for want, got in zip(*results):
+            _assert_bitwise(want, got)
+
+    def test_one_node_saves_x_and_one_row(self):
+        s, d = 64, 16
+        x_np, w_np, _ = _inputs((s, d), 2)
+        reset_tracker()
+        with use_memory_timeline() as timeline:
+            out = ops.rms_norm(Tensor(x_np, requires_grad=True),
+                               Tensor(w_np, requires_grad=True))
+        allocs = [(e.site, e.delta) for e in timeline.events()
+                  if e.kind == "alloc"]
+        assert allocs == [("RMSNormFn", (s * d + s) * 8)]
+        assert rms_norm_saved_elems(s, d) == s * d + s
+        out.sum().backward()
+        assert get_tracker().current_saved_bytes == 0
+
+
+class TestSiLUSavesItsInput:
+    def test_bitwise_equal_to_the_sigmoid_saving_node(self):
+        a_np, _, rng = _inputs((512, 256), 3)
+        g = rng.normal(size=a_np.shape)
+        results = []
+        for silu in (SigmoidSavingSiLU.apply, ops.silu):
+            a = Tensor(a_np, requires_grad=True)
+            out = silu(a)
+            out.backward(g)
+            results.append((out.data, a.grad))
+        for want, got in zip(*results):
+            _assert_bitwise(want, got)
+
+    def test_registers_its_input_only(self):
+        s, hidden = 64, 32
+        reset_tracker()
+        with use_memory_timeline() as timeline:
+            ops.silu(Tensor(np.ones((s, hidden)), requires_grad=True))
+        allocs = [(e.site, e.delta) for e in timeline.events()
+                  if e.kind == "alloc"]
+        assert allocs == [("SiLU", s * hidden * 8)]
+
+    def test_composed_ffn_pin_drops_the_sigmoid(self):
+        assert swiglu_dense_saved_bytes(8, 4, 16) == (
+            2 * 8 * 4 + 3 * 4 * 16 + 4 * 8 * 16
+        ) * 8
+
+
+H, S, DH, WORLD = 4, 64, 8, 4
+METHODS = {
+    "ulysses": {},
+    "usp": {"ulysses_degree": 2},
+    "burst": {},
+}
+
+
+def _qkv(requires_grad):
+    rng = np.random.default_rng(4)
+    return [
+        Tensor(rng.normal(size=(H, S, DH)), requires_grad=requires_grad)
+        for _ in range(3)
+    ]
+
+
+class TestAttentionNodeSavesOnce:
+    @pytest.mark.parametrize("name", sorted(METHODS))
+    def test_one_handle_of_the_node_size(self, name):
+        """Every method's node registers ``(q, k, v, o, lse)``'s elements
+        once under its own site: sequence layout for a ring-family
+        method, the head-layout context for Ulysses / USP."""
+        comm = SimCommunicator(make_cluster(WORLD))
+        method = get_method(name, **METHODS[name])
+        q, k, v = _qkv(requires_grad=True)
+        reset_tracker()
+        with use_memory_timeline() as timeline:
+            o = distributed_attention(q, k, v, method=method, comm=comm)
+        allocs = [(e.site, e.delta) for e in timeline.events()
+                  if e.series == "saved" and e.kind == "alloc"]
+        assert allocs == [(
+            "DistributedAttentionFn",
+            attention_node_saved_elems(S, H * DH, H) * 8,
+        )]
+        assert get_tracker().live_handles == 1
+        o.backward(np.ones(o.shape))
+        assert get_tracker().current_saved_bytes == 0
+        assert get_tracker().live_handles == 0
+        assert all(t.grad is not None for t in (q, k, v))
+
+    @pytest.mark.parametrize("name", ["ulysses", "usp"])
+    def test_no_handle_left_when_nothing_needs_a_gradient(self, name):
+        """``Function.apply`` releases only the node's own handle when the
+        output needs no gradient, so a context registered beside it would
+        stay live (67 584 bytes for this call under Ulysses)."""
+        comm = SimCommunicator(make_cluster(WORLD))
+        method = get_method(name, **METHODS[name])
+        q, k, v = _qkv(requires_grad=False)
+        reset_tracker()
+        o = distributed_attention(q, k, v, method=method, comm=comm)
+        assert not o.requires_grad
+        assert get_tracker().current_saved_bytes == 0
+        assert get_tracker().live_handles == 0
+
+    @pytest.mark.parametrize("name", ["ulysses", "usp"])
+    def test_context_gradients_match_the_ring(self, name):
+        """The context path and a ring-family method agree on the
+        gradients (the context is read, not rebuilt)."""
+        grads = {}
+        for label in (name, "burst"):
+            comm = SimCommunicator(make_cluster(WORLD))
+            q, k, v = _qkv(requires_grad=True)
+            o = distributed_attention(
+                q, k, v, method=get_method(label, **METHODS[label]), comm=comm,
+            )
+            o.backward(np.ones(o.shape))
+            grads[label] = [t.grad for t in (q, k, v)]
+        for want, got in zip(grads["burst"], grads[name]):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
