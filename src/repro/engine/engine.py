@@ -126,6 +126,16 @@ class BurstEngine:
         s = self.config.model.max_seq_len
         heads = self.config.model.n_heads
         kv_heads = self.config.model.n_kv_heads or heads
+        if self.config.method == "selective":
+            # Its backward reads the forward's shards, but it neither
+            # rebuilds that context (supports_context_rebuild /
+            # make_context) nor keeps a head-layout one as Ulysses / USP
+            # do, so the attention node could not save it.
+            raise ValueError(
+                "method 'selective' cannot train under the engine: it "
+                "declares no backward context rebuild "
+                "(supports_context_rebuild / make_context)"
+            )
         if self.config.method == "ulysses" and heads % g != 0:
             raise ValueError(
                 f"DeepSpeed-Ulysses infeasible: {heads} heads on {g} GPUs"

@@ -42,6 +42,16 @@ the BLAS backing ``np.matmul`` (pinned by probes in
 ``chunk_size >= S`` degenerates to the literal dense code path, as do
 sequences shorter than :data:`MIN_GEMM_ROWS` and products small enough to
 hit the small-output kernel.
+
+The elementwise work between the GEMMs is one in-place core shared by
+the dense and the chunked kernels (:func:`sigmoid`, :func:`silu_grad`,
+:func:`swiglu_hidden`, :func:`swiglu_grads`): each step is the written
+expression's IEEE operation on the same operands — multiplication and
+addition are commutative, so ``t *= g`` is ``g * t`` — written into a
+buffer whose old value nothing reads again.  The bits are those of the
+allocating expressions (``tests/test_blockwise_mlp.py`` keeps a literal
+transcription of them as the oracle); the dense backward peaks at six
+``(S, hidden)`` buffers instead of ten.
 """
 
 from __future__ import annotations
@@ -106,18 +116,69 @@ def uses_chunking(
     )
 
 
-# --- dense reference (the exact op sequence of the composed autograd path) ----
+# --- the in-place elementwise core (shared by dense and chunked kernels) ------
+
+
+def sigmoid(a: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-a))`` in one fresh buffer: the in-place steps are
+    the expression's operations in its order, so the bits are the same,
+    without three more full-size temporaries."""
+    sig = np.negative(a)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    return np.divide(1.0, sig, out=sig)
+
+
+def silu_grad(
+    grad: np.ndarray, a: np.ndarray, sig: np.ndarray, out: np.ndarray | None
+) -> np.ndarray:
+    """``grad * (sig * (1 + a * (1 - sig)))`` — the SiLU derivative at
+    ``a`` (``sig = sigmoid(a)``) times ``grad`` — built in ``out`` (a
+    fresh buffer when ``None``; it may alias neither ``a`` nor ``sig``)."""
+    t = np.subtract(1.0, sig, out=out)
+    t *= a
+    t += 1.0
+    t *= sig
+    t *= grad
+    return t
+
+
+def swiglu_hidden(g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``h = silu(g) * u``, written over ``u`` (``g`` is left intact)."""
+    act = sigmoid(g)
+    act *= g
+    u *= act
+    return u
+
+
+def swiglu_grads(
+    g: np.ndarray,
+    sig: np.ndarray,
+    act: np.ndarray,
+    u: np.ndarray,
+    dh: np.ndarray,
+    dg_out: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(dg, du)`` from the rematerialised ``g``, ``sig``, ``act =
+    g·sig``, ``u`` and ``dh = dy @ wd``: ``du = dh·act`` over ``act``,
+    ``dact = dh·u`` over ``dh``, and ``dg`` built in ``dg_out`` (a free
+    ``(rows, hidden)`` buffer — the dense kernel passes ``h`` once
+    ``dwd`` has read it)."""
+    du = np.multiply(dh, act, out=act)
+    dact = np.multiply(dh, u, out=dh)
+    return silu_grad(dact, g, sig, out=dg_out), du
+
+
+# --- dense path (the exact op sequence of the composed autograd path) ---------
 
 
 def swiglu_dense_forward(
     x: np.ndarray, wg: np.ndarray, wu: np.ndarray, wd: np.ndarray
 ) -> np.ndarray:
     """Dense SwiGLU forward, op-for-op the composed ``repro.nn.ops`` path."""
-    g = np.matmul(x, np.swapaxes(wg, 0, 1))
-    sig = 1.0 / (1.0 + np.exp(-g))
-    act = g * sig
-    u = np.matmul(x, np.swapaxes(wu, 0, 1))
-    h = act * u
+    h = swiglu_hidden(
+        np.matmul(x, np.swapaxes(wg, 0, 1)), np.matmul(x, np.swapaxes(wu, 0, 1))
+    )
     return np.matmul(h, np.swapaxes(wd, 0, 1))
 
 
@@ -132,19 +193,20 @@ def swiglu_dense_backward(
 
     Mirrors the composed graph's backward expression by expression
     (``MatMul``/``Mul``/``SiLU`` in :mod:`repro.nn.ops`), so every
-    gradient is bitwise what the autograd engine produces.
+    gradient is bitwise what the autograd engine produces; the
+    elementwise steps run in place on six ``(S, hidden)`` buffers.
     """
     g = np.matmul(x, np.swapaxes(wg, 0, 1))
-    sig = 1.0 / (1.0 + np.exp(-g))
+    sig = sigmoid(g)
     act = g * sig
     u = np.matmul(x, np.swapaxes(wu, 0, 1))
     h = act * u
     dh = np.matmul(dy, wd)
     dwd = np.swapaxes(np.matmul(np.swapaxes(h, -1, -2), dy), 0, 1)
-    dact = dh * u
-    du = dh * act
-    dg = dact * (sig * (1.0 + g * (1.0 - sig)))
-    dx = np.matmul(dg, wg) + np.matmul(du, wu)
+    dg, du = swiglu_grads(g, sig, act, u, dh, dg_out=h)
+    del g, sig, u, dh  # only dg and du are read from here on
+    dx = np.matmul(dg, wg)
+    dx += np.matmul(du, wu)
     dwg = np.swapaxes(np.matmul(np.swapaxes(x, -1, -2), dg), 0, 1)
     dwu = np.swapaxes(np.matmul(np.swapaxes(x, -1, -2), du), 0, 1)
     return dx, dwg, dwu, dwd
@@ -184,11 +246,7 @@ def forward_chunk(
     :func:`transposed_weights`.  Touches only its own output rows.
     """
     xc = x[c0:c1]
-    g = _rows_matmul(xc, wg_t)
-    sig = 1.0 / (1.0 + np.exp(-g))
-    act = g * sig
-    u = _rows_matmul(xc, wu_t)
-    h = act * u
+    h = swiglu_hidden(_rows_matmul(xc, wg_t), _rows_matmul(xc, wu_t))
     y[c0:c1] = _rows_matmul(h, wd_t)
 
 
@@ -208,7 +266,8 @@ def backward_chunk(
     dx: np.ndarray,
 ) -> None:
     """One backward chunk: recompute intermediates for rows ``[c0, c1)``
-    and fill those rows of ``h``/``dg``/``du``/``dx`` in place.
+    and fill those rows of ``h``/``dg``/``du``/``dx`` in place (``h`` and
+    ``dg`` are built in their rows of the full buffers).
 
     The data-gradient GEMMs (``dy @ wd``, ``dg @ wg``, ``du @ wu``)
     multiply by the original C-contiguous weights exactly as the dense
@@ -220,19 +279,15 @@ def backward_chunk(
     ``x`` alive.
     """
     xc = x[c0:c1]
-    dyc = dy[c0:c1]
     g = _rows_matmul(xc, wg_t)
-    sig = 1.0 / (1.0 + np.exp(-g))
+    sig = sigmoid(g)
     act = g * sig
     u = _rows_matmul(xc, wu_t)
-    h_full[c0:c1] = act * u
-    dh = _rows_matmul(dyc, wd)
-    dact = dh * u
-    du_c = dh * act
-    du_full[c0:c1] = du_c
-    dg_c = dact * (sig * (1.0 + g * (1.0 - sig)))
-    dg_full[c0:c1] = dg_c
-    dx[c0:c1] = _rows_matmul(dg_c, wg) + _rows_matmul(du_c, wu)
+    np.multiply(act, u, out=h_full[c0:c1])
+    dh = _rows_matmul(dy[c0:c1], wd)
+    dg, du = swiglu_grads(g, sig, act, u, dh, dg_out=dg_full[c0:c1])
+    du_full[c0:c1] = du
+    np.add(_rows_matmul(dg, wg), _rows_matmul(du, wu), out=dx[c0:c1])
 
 
 def finalize_weight_grads(
@@ -266,7 +321,8 @@ def swiglu_mlp_forward(
     wg_t, wu_t, wd_t = transposed_weights(wg, wu, wd)
     y = np.empty((x.shape[0], wd.shape[0]), dtype=np.float64)
     for c0, c1 in chunk_bounds(x.shape[0], chunk_size):
-        # g, sig, act, u, h — the five (chunk, hidden) intermediates.
+        # Accounted as five (chunk, hidden) intermediates (g, sig, act,
+        # u, h): a bound on the in-place chunk, which holds three.
         with transient_scope((c1 - c0) * hidden * 5 * 8,
                              site="mlp.chunked_fwd.chunk"):
             forward_chunk(x, wg_t, wu_t, wd_t, c0, c1, y)
@@ -290,7 +346,8 @@ def swiglu_mlp_backward(
     wg_t, wu_t = transposed_weights(wg, wu)
     # Accounted exactly as repro.perf.memory.swiglu_chunked_transient_bytes
     # models it: the three (S, hidden) assembly buffers for the whole
-    # call, plus eight (chunk, hidden) intermediates per chunk.
+    # call, plus eight (chunk, hidden) intermediates per chunk (a bound:
+    # the in-place chunk holds five).
     with transient_scope(3 * s * hidden * 8, site="mlp.chunked_bwd.full"):
         h_full = np.empty((s, hidden), dtype=np.float64)
         dg_full = np.empty((s, hidden), dtype=np.float64)

@@ -44,7 +44,9 @@ node saves them.  The replayed function's final output is dropped —
 gradient and never reads ``out.data`` — so a node at the tail of the
 region whose backward needs nothing it computed (the fused FFN:
 :class:`~repro.nn.mlp_fn.BlockwiseMLPFn` saves ``x`` and weights only) can
-skip its forward there.  Whether a node *is* at the tail is a fact about
+skip its forward there — and a block's FFN is that node in its replay
+whatever ``mlp_chunk_size`` says, so a replayed layer's FFN saves only
+its input.  Whether a node *is* at the tail is a fact about
 the replayed function, not about the node: inside
 ``checkpoint(lambda t: ffn2(ffn1(t)), x)`` the first FFN's output is saved
 by the second.  Hence the rule, guarded in ``tests/test_public_api.py``:
@@ -80,8 +82,9 @@ class CheckpointPolicy:
 
     ``split_fraction`` only applies to ``sequence_level``: the fraction of
     the sequence (the front) that is recomputed rather than stored.
-    (FFN rematerialisation is orthogonal and set on the model:
-    ``TransformerConfig.mlp_chunk_size``.)
+    (A replayed layer's FFN is always the fused node, which rebuilds its
+    intermediates in backward; ``TransformerConfig.mlp_chunk_size`` sets
+    its chunking and whether the FFN is fused outside a replay too.)
     """
 
     mode: CheckpointMode = CheckpointMode.NONE

@@ -21,7 +21,10 @@ output's values* — a caller-side fact this module cannot know, so the
 node never decides it: it has no view of the checkpoint state, and the
 one caller that passes ``graph_only`` is
 :class:`~repro.nn.modules.TransformerBlock`, whose FFN is the tail of
-its own checkpointed region (see ``docs/algorithms.md`` §5).
+its own checkpointed region (see ``docs/algorithms.md`` §5).  There the
+FFN is this node even when ``mlp_chunk_size`` is ``None``: the dense
+kernels are bitwise the composed graph, which would save ``x`` twice and
+four ``(S, hidden)`` intermediates.
 """
 
 from __future__ import annotations

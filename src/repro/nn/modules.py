@@ -141,12 +141,17 @@ class SwiGLU(Module):
     kernel backend: only ``x`` is saved for backward and the ``(S,
     hidden)`` intermediates are rematerialised in sequence chunks of that
     many rows (bitwise-identical to the composed path).  ``None`` keeps
-    the composed five-node graph.
+    the composed five-node graph wherever the output is read: it
+    computes once and saves ``x`` twice and four ``(S, hidden)``
+    intermediates.
 
     ``forward(x, output_unread=True)`` is the caller's guarantee that
-    nothing will read the output's values (only its place in the graph);
-    the fused node then skips its forward kernel.  The composed graph
-    ignores it: its nodes save what they compute.
+    nothing will read the output's values (only its place in the graph).
+    Such an FFN is always the fused node, applied ``graph_only``: it skips
+    its forward kernel and saves only ``x`` and the weights, and its
+    backward re-runs two GEMMs (dense when ``mlp_chunk_size`` is
+    ``None``, bitwise the composed path).  The composed graph would run
+    three GEMMs there only to save what the fused backward rebuilds.
     """
 
     def __init__(
@@ -162,7 +167,7 @@ class SwiGLU(Module):
         self.mlp_chunk_size = mlp_chunk_size
 
     def forward(self, x: Tensor, output_unread: bool = False) -> Tensor:
-        if self.mlp_chunk_size is not None:
+        if self.mlp_chunk_size is not None or output_unread:
             return blockwise_mlp(
                 x, self.gate.weight, self.up.weight, self.down.weight,
                 chunk_size=self.mlp_chunk_size, graph_only=output_unread,
@@ -253,8 +258,9 @@ class TransformerBlock(Module):
     residual ``add`` whose result :class:`~repro.nn.checkpoint.Checkpoint`
     drops after a replay.  So while this block's *own* checkpoint replays
     it, the FFN's values are read by nobody and the block tells the FFN so
-    (``output_unread``) — the replay builds the graph, the fused FFN does
-    not recompute.  Only the block can know this; see
+    (``output_unread``) — the replay builds the fused node's graph without
+    computing it, composed FFN or not, so a replayed layer's FFN saves
+    only its input and the weights.  Only the block can know this; see
     ``docs/algorithms.md`` §5.
     """
 

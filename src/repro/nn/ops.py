@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels.mlp import sigmoid, silu_grad
 from repro.nn.function import Function
 from repro.nn.tensor import Tensor, _wrap
 
@@ -120,41 +121,25 @@ class Tanh(Function):
         return (g * (1.0 - out * out),)
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-a))`` in one fresh buffer: the in-place steps are
-    the expression's operations in its order, so the bits are the same,
-    without three more full-size temporaries."""
-    sig = np.negative(a)
-    np.exp(sig, out=sig)
-    sig += 1.0
-    return np.divide(1.0, sig, out=sig)
-
-
 class SiLU(Function):
     """x * sigmoid(x) — LLaMA's activation.
 
     Saves only its input: the backward recomputes the sigmoid with the
     forward's expression, so its gradient is the same bits either way.
     Both directions evaluate their expressions in place on one buffer
-    (every step is a commutative IEEE operation on the same operands).
+    (every step is a commutative IEEE operation on the same operands),
+    with the SwiGLU kernels' helpers (:mod:`repro.kernels.mlp`).
     """
 
     def forward(self, a):
         self.save_for_backward(a)
-        out = _sigmoid(a)
+        out = sigmoid(a)
         out *= a
         return out
 
     def backward(self, g):
         (a,) = self.saved
-        sig = _sigmoid(a)
-        # g * (sig * (1 + a * (1 - sig)))
-        grad = np.subtract(1.0, sig)
-        grad *= a
-        grad += 1.0
-        grad *= sig
-        grad *= g
-        return (grad,)
+        return (silu_grad(g, a, sigmoid(a), out=None),)
 
 
 class GELU(Function):

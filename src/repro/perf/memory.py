@@ -268,7 +268,10 @@ def swiglu_chunked_transient_bytes(
     chunk-height ``(chunk, hidden)`` intermediates live per chunk step
     (``g``, ``sig``, ``act``, ``u``, ``dh``, ``dact``, ``dg_c``,
     ``du_c``).  With ``chunk_size=None`` the dense backward materialises
-    those eight at full height instead.
+    those eight at full height instead.  Both are bounds on the in-place
+    kernels (:mod:`repro.kernels.mlp`), whose chunk step holds five
+    ``(chunk, hidden)`` buffers and whose dense backward holds six
+    ``(S, hidden)`` buffers.
     """
     chunk = seq_len if chunk_size is None else min(chunk_size, seq_len)
     return (3 * seq_len * hidden + 8 * chunk * hidden) * bytes_per_elem
@@ -336,9 +339,9 @@ def transformer_layer_saved_elems(
     kv_dim: int | None = None,
     fused_mlp: bool = False,
 ) -> int:
-    """Elements one un-checkpointed transformer block saves end to end:
-    two norms, the four projections, the attention node (the same for
-    every method) and the FFN (composed or fused, as pinned in
+    """Elements one transformer block's graph saves end to end: two
+    norms, the four projections, the attention node (the same for every
+    method) and the FFN (composed or fused, as pinned in
     ``tests/test_blockwise_mlp.py``)."""
     ffn = (
         swiglu_fused_saved_bytes(seq_len, dim, ffn_hidden, bytes_per_elem=1)
@@ -400,10 +403,17 @@ def predict_step_peak_saved_bytes(
     attention node saves the same elements as any other method's.  An
     unknown ``checkpoint`` or an out-of-range ``split_fraction`` raises
     ``ValueError``.
+
+    ``fused_mlp`` is whether the model sets ``mlp_chunk_size``.  A
+    replayed layer's FFN is the fused node either way
+    (:class:`~repro.nn.modules.SwiGLU` builds it whenever the block says
+    its output is unread), so only a policy without replays prices the
+    composed FFN.
     """
     policy = CheckpointPolicy.parse(checkpoint, split_fraction)
     full_layer = transformer_layer_saved_elems(
-        seq_len, dim, n_heads, ffn_hidden, kv_dim=kv_dim, fused_mlp=fused_mlp,
+        seq_len, dim, n_heads, ffn_hidden, kv_dim=kv_dim,
+        fused_mlp=fused_mlp or policy.replays,
     )
     # The whitelist cache pins (o, lse) rows per layer; it never engages
     # without a context rebuild.

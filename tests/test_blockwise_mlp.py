@@ -101,6 +101,83 @@ class TestKernelBitwise:
             assert np.array_equal(a, b)
 
 
+def allocating_dense_forward(x, wg, wu, wd):
+    """``swiglu_dense_forward`` as it was: every expression allocates."""
+    g = np.matmul(x, np.swapaxes(wg, 0, 1))
+    sig = 1.0 / (1.0 + np.exp(-g))
+    act = g * sig
+    u = np.matmul(x, np.swapaxes(wu, 0, 1))
+    h = act * u
+    return np.matmul(h, np.swapaxes(wd, 0, 1))
+
+
+def allocating_dense_backward(x, wg, wu, wd, dy):
+    """``swiglu_dense_backward`` as it was, transcribed literally."""
+    g = np.matmul(x, np.swapaxes(wg, 0, 1))
+    sig = 1.0 / (1.0 + np.exp(-g))
+    act = g * sig
+    u = np.matmul(x, np.swapaxes(wu, 0, 1))
+    h = act * u
+    dh = np.matmul(dy, wd)
+    dwd = np.swapaxes(np.matmul(np.swapaxes(h, -1, -2), dy), 0, 1)
+    dact = dh * u
+    du = dh * act
+    dg = dact * (sig * (1.0 + g * (1.0 - sig)))
+    dx = np.matmul(dg, wg) + np.matmul(du, wu)
+    dwg = np.swapaxes(np.matmul(np.swapaxes(x, -1, -2), dg), 0, 1)
+    dwu = np.swapaxes(np.matmul(np.swapaxes(x, -1, -2), du), 0, 1)
+    return dx, dwg, dwu, dwd
+
+
+#: (S, dim, hidden): ``ulysses_full``'s FFN, and ``wide_short``'s.
+ORACLE_SHAPES = [(2048, 64, 128), (512, 256, 1024)]
+
+
+class TestInPlaceCoreMatchesTheAllocatingExpressions:
+    """The kernels' elementwise steps run in place on reused buffers; each
+    is the allocating expression's IEEE operation on the same operands,
+    so every output is the oracle's bits."""
+
+    @staticmethod
+    def _assert_bitwise(got, want):
+        for name, a, b in zip(("y", "dx", "dwg", "dwu", "dwd"), got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES,
+                             ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("chunk", [None, 64], ids=["dense", "chunk64"])
+    def test_bitwise_equal_to_the_oracle(self, shape, chunk):
+        x, dy, wg, wu, wd = _kernel_case(*shape)
+        assert uses_chunking(x, wg, wd, chunk) == (chunk is not None)
+        got = (
+            swiglu_mlp_forward(x, wg, wu, wd, chunk_size=chunk),
+            *swiglu_mlp_backward(x, wg, wu, wd, dy, chunk_size=chunk),
+        )
+        want = (
+            allocating_dense_forward(x, wg, wu, wd),
+            *allocating_dense_backward(x, wg, wu, wd, dy),
+        )
+        self._assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES,
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_dense_backward_holds_six_hidden_buffers(self, shape):
+        """``g``, ``sig``, ``act``/``du``, ``u``, ``h``/``dg`` and
+        ``dh``/``dact`` plus ``dwd``; the allocating expressions peak at
+        ten and more ``(S, hidden)`` buffers."""
+        import tracemalloc
+
+        s, d, hid = shape
+        x, dy, wg, wu, wd = _kernel_case(*shape)
+        tracemalloc.start()
+        try:
+            swiglu_dense_backward(x, wg, wu, wd, dy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (6 * s * hid + d * hid) * 8 + 65536
+
+
 def _run_module(seq, dim, hidden, chunk, x_data, dy):
     module = SwiGLU(dim, hidden, np.random.default_rng(9),
                     mlp_chunk_size=chunk)
@@ -216,17 +293,54 @@ class TestReplayElidesTheBlockTail:
         for a, b in zip(plain, ckpt):
             assert np.array_equal(a, b)
 
-    def test_composed_ffn_still_recomputes_in_replay(self, monkeypatch):
-        # Its nodes save what they compute, so nothing may be skipped.
-        calls = _count_calls(monkeypatch, get_backend(), "mlp_forward")
+    def test_composed_ffn_replays_as_the_fused_node(self, monkeypatch):
+        """With ``mlp_chunk_size=None`` the first pass stays composed (one
+        ``silu``), and the replay builds the fused node graph-only: no
+        forward kernel, one dense backward, the composed gradients."""
+        fwd = _count_calls(monkeypatch, get_backend(), "mlp_forward")
+        bwd = _count_calls(monkeypatch, get_backend(), "mlp_backward")
         silu = _count_calls(monkeypatch, ops, "silu")
         plain = self._block_grads(CheckpointMode.NONE, None)
-        assert len(silu) == 1
-        ckpt = self._block_grads(CheckpointMode.FULL, None)
-        assert len(silu) == 1 + 2  # forward + replay
-        assert calls == []
-        for a, b in zip(plain, ckpt):
-            assert np.array_equal(a, b)
+        assert (len(silu), len(fwd), len(bwd)) == (1, 0, 0)
+        for policy in _CHECKPOINTING:
+            del silu[:], fwd[:], bwd[:]
+            ckpt = self._block_grads(policy, None)
+            assert (len(silu), len(fwd), len(bwd)) == (1, 0, 1), policy
+            assert len(plain) == len(ckpt) == 11
+            for a, b in zip(plain, ckpt):
+                assert a.tobytes() == b.tobytes(), policy
+
+    def test_replayed_composed_ffn_registers_only_the_fused_node(self):
+        """In the replay the FFN's saved set is ``x`` and the three
+        weights under one handle, ``(S·D + 3·D·H)·8`` bytes; no composed
+        FFN node (``SiLU``, ``Mul``, the three FFN ``MatMul`` nodes)
+        registers.  The four ``MatMul`` handles are the attention
+        projections."""
+        from repro.nn.memory import reset_tracker
+        from repro.obs import use_memory_timeline
+
+        rng = np.random.default_rng(1)
+        block = TransformerBlock(
+            self.DIM, 2, self.HID, np.random.default_rng(4),
+            policy=CheckpointPolicy(mode=CheckpointMode.FULL),
+        )
+        x = Tensor(rng.normal(size=(self.SEQ, self.DIM)), requires_grad=True)
+        reset_tracker()
+        with use_memory_timeline() as timeline:
+            block(x).backward(rng.normal(size=(self.SEQ, self.DIM)))
+        replayed = [
+            (e.site, e.delta) for e in timeline.events()
+            if e.series == "saved" and e.kind == "alloc"
+            and e.owner.get("mem_phase") == "recompute"
+        ]
+        assert [site for site, _ in replayed] == [
+            "RMSNormFn", "MatMul", "MatMul", "MatMul", "FlashAttentionFn",
+            "MatMul", "RMSNormFn", "BlockwiseMLPFn",
+        ]
+        assert replayed[-1][1] == swiglu_fused_saved_bytes(
+            self.SEQ, self.DIM, self.HID
+        ) == (self.SEQ * self.DIM + 3 * self.DIM * self.HID) * 8
+        assert get_tracker().current_saved_bytes == 0
 
     def _two_ffns(self):
         rng = np.random.default_rng(7)

@@ -46,16 +46,17 @@ FSDP_BOUND_PINS = {
 #: (split, rebuilds_context) -> byte-exact step peaks at seq 66 (an odd
 #: quarter, so ``round`` is exercised), dim 32, 2 layers, 4 heads.  The
 #: flag decides only the cache rows: without a context rebuild every
-#: replaying policy is ``full``.
+#: replaying policy is ``full``.  A replayed layer's FFN is the fused node
+#: (``x`` + weights), whatever ``mlp_chunk_size`` says.
 CURVE_PINS = {
-    (0.25, True): {"none": 913104, "full": 456800,
-                   "selective_pp": 475808, "sequence_level": 471200},
-    (0.25, False): {"none": 913104, "full": 456800,
-                    "selective_pp": 456800, "sequence_level": 456800},
-    (0.5, True): {"none": 913104, "full": 456800,
-                  "selective_pp": 475808, "sequence_level": 466304},
-    (0.5, False): {"none": 913104, "full": 456800,
-                   "selective_pp": 456800, "sequence_level": 456800},
+    (0.25, True): {"none": 913104, "full": 304736,
+                   "selective_pp": 323744, "sequence_level": 319136},
+    (0.25, False): {"none": 913104, "full": 304736,
+                    "selective_pp": 304736, "sequence_level": 304736},
+    (0.5, True): {"none": 913104, "full": 304736,
+                  "selective_pp": 323744, "sequence_level": 314240},
+    (0.5, False): {"none": 913104, "full": 304736,
+                   "selective_pp": 304736, "sequence_level": 304736},
 }
 
 

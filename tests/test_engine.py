@@ -420,15 +420,19 @@ class TestEngineAccounting:
             ({}, "usp", {"ulysses_degree": 3}, "world size 8 not divisible"),
             (dict(n_heads=2), "usp", {"ulysses_degree": 4},
              "2 heads not divisible by ulysses degree 4"),
+            ({}, "selective", {}, "no backward context rebuild"),
         ],
-        ids=["ulysses-gqa", "usp-gqa", "usp-world", "usp-heads"],
+        ids=["ulysses-gqa", "usp-gqa", "usp-world", "usp-heads",
+             "selective-context"],
     )
     def test_head_parallel_misfit_fails_before_compute(
         self, model, method, kwargs, message
     ):
         """What the head-parallel methods would reject inside the first
         ``train_step`` — after layer 0's norm and projections ran — the
-        engine rejects at construction."""
+        engine rejects at construction.  ``selective`` failed there with
+        an ``AttributeError``: the attention node took its ring context
+        for a head-layout one."""
         comm = SimCommunicator(TOPO)
         with pytest.raises(ValueError, match=message):
             BurstEngine(

@@ -270,12 +270,12 @@ QUICKSTART = dict(seq_len=128, dim=32, n_layers=2, n_heads=4,
 #: renaming its test.
 PEAK_PINS = {
     ("burst", "none"): 1_586_176,
-    ("burst", "full"): 808_960,
-    ("burst", "selective_pp"): 845_824,
-    ("burst", "sequence_level"): 827_392,
-    ("megatron-cp", "full"): 808_960,
+    ("burst", "full"): 514_048,
+    ("burst", "selective_pp"): 550_912,
+    ("burst", "sequence_level"): 532_480,
+    ("megatron-cp", "full"): 514_048,
     ("ulysses", "none"): 1_586_176,
-    ("ulysses", "sequence_level"): 808_960,
+    ("ulysses", "sequence_level"): 514_048,
 }
 
 

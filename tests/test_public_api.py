@@ -554,6 +554,17 @@ class TestOneForwardRecurrence:
         assert {"begin", "finish"} <= names
 
 
+def _scopes(tree, match, scope=""):
+    """``(enclosing class/function path)`` of every node ``match`` accepts."""
+    for child in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        if match(child):
+            yield scope
+        yield from _scopes(child, match, inner)
+
+
 class TestOnlyTheBlockElidesItsTail:
     """A checkpoint replay skips the fused FFN's forward because *the
     block* knows the FFN is the tail of its own checkpointed region.  The
@@ -592,6 +603,38 @@ class TestOnlyTheBlockElidesItsTail:
             assert len(reads) == 1
             assert id(reads[0]) in in_block
 
+    def test_one_condition_picks_the_ffn_node(self):
+        """What a replayed FFN saves is decided by one condition in
+        ``SwiGLU.forward``: it alone builds the fused node and reads
+        ``output_unread`` (``TPSwiGLU`` takes the flag and ignores it)."""
+        from pathlib import Path
+
+        def builds_node(n):
+            return isinstance(n, ast.Call) and (
+                isinstance(n.func, ast.Name) and n.func.id == "blockwise_mlp"
+                or isinstance(n.func, ast.Attribute)
+                and n.func.attr == "apply"
+                and isinstance(n.func.value, ast.Name)
+                and n.func.value.id == "BlockwiseMLPFn"
+            )
+
+        def reads_flag(n):
+            return (isinstance(n, ast.Name) and n.id == "output_unread"
+                    and isinstance(n.ctx, ast.Load))
+
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        found = {"builds": set(), "reads": set()}
+        for path in sorted(src.rglob("*.py")):
+            rel = path.relative_to(src).as_posix()
+            tree = ast.parse(path.read_text())
+            found["builds"].update((rel, s) for s in _scopes(tree, builds_node))
+            found["reads"].update((rel, s) for s in _scopes(tree, reads_flag))
+        assert found == {
+            "builds": {("nn/modules.py", "SwiGLU.forward"),
+                       ("nn/mlp_fn.py", "blockwise_mlp")},
+            "reads": {("nn/modules.py", "SwiGLU.forward")},
+        }
+
 
 class TestSavedActivationsRegisteredOnce:
     """A saved activation enters the memory tracker through the node that
@@ -601,31 +644,19 @@ class TestSavedActivationsRegisteredOnce:
     register; a second handle beside a node's is not released by
     ``Function.apply`` when the output needs no gradient."""
 
-    @staticmethod
-    def _register_calls(tree, scope=""):
-        """``(enclosing class/function path)`` of every ``*.register(...)``."""
-        for child in ast.iter_child_nodes(tree):
-            inner = scope
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                inner = f"{scope}.{child.name}" if scope else child.name
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "register"
-            ):
-                yield scope
-            yield from TestSavedActivationsRegisteredOnce._register_calls(
-                child, inner
-            )
-
     def test_register_is_called_from_four_places(self):
         from pathlib import Path
+
+        def register_call(n):
+            return (isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "register")
 
         src = Path(__file__).resolve().parents[1] / "src" / "repro"
         callers = {
             (path.relative_to(src).as_posix(), scope)
             for path in sorted(src.rglob("*.py"))
-            for scope in self._register_calls(ast.parse(path.read_text()))
+            for scope in _scopes(ast.parse(path.read_text()), register_call)
         }
         assert callers == {
             ("nn/function.py", "Function.save_for_backward"),
