@@ -5,8 +5,6 @@ One 1M-token sequence is a single microbatch; the pipeline bubble
 (DES-simulated 1F1B) quantifies why layer sharding cannot replace
 sequence sharding for the paper's workload."""
 
-import numpy as np
-
 from repro.experiments.extensions import ext_pp_bubble
 
 
@@ -19,33 +17,6 @@ def test_ext_pp_bubble(benchmark, record_table):
         eff = float(row[3].rstrip("%")) / 100
         if m == 1:
             assert eff == __import__("pytest").approx(1 / p, rel=0.05)
-
-
-def test_ext_pp_numeric_pipeline(benchmark):
-    """Real-runtime guard: one pipelined training step (4 stages)."""
-    from repro.comm import SimCommunicator
-    from repro.nn import Adam, TransformerConfig, TransformerLM
-    from repro.pp import PipelinedLM
-    from repro.topology import a800_node, make_cluster
-
-    comm = SimCommunicator(make_cluster(4, node=a800_node(gpus_per_node=4)))
-    pipe = PipelinedLM(
-        TransformerLM(TransformerConfig(
-            vocab_size=32, dim=16, n_layers=4, n_heads=2, ffn_hidden=24,
-            max_seq_len=32, attn_block_size=16)),
-        comm, num_stages=4,
-    )
-    opt = Adam(pipe.model.parameters(), lr=1e-3)
-    rng = np.random.default_rng(0)
-    micro = []
-    for i in range(2):
-        ids = rng.integers(0, 32, size=16)
-        micro.append((ids, np.roll(ids, -1)))
-
-    loss = benchmark.pedantic(
-        lambda: pipe.train_step(micro, opt), rounds=3, iterations=1
-    )
-    assert np.isfinite(loss)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
-"""Profile the communication of a real training step.
+"""Profile a real training step: where did the time and the bytes go?
 
-Runs one BurstEngine step on the simulated cluster with span tracing on,
-then turns the measured traffic log into a per-phase, per-link report
-(bytes, transfer counts, busiest-rank time on each link) — the workflow
-for answering "where does my step's communication actually go?" — and
-exports the observed execution as a Chrome trace next to the report.
+Runs one BurstEngine step on the simulated cluster through the
+:class:`~repro.engine.Trainer` with span tracing on and a step-metrics
+file, then prints the :mod:`repro.obs` report of that step — span time by
+phase, kernel time by backend, ring transitions by logical phase, and the
+communication volume by link class and by phase — and keeps the observed
+execution as a Chrome trace next to the metrics.
 
 Run:  python examples/profile_step.py
 """
@@ -13,12 +14,11 @@ import os
 
 import numpy as np
 
-from repro.engine import BurstEngine, EngineConfig
+from repro.engine import BurstEngine, EngineConfig, Trainer
 from repro.nn import TransformerConfig
 from repro.obs import spans_to_chrome_json, use_tracing
-from repro.perf.profile import profile_report, profile_traffic
+from repro.obs.report import load_metrics, render_report
 from repro.topology import a800_node, make_cluster
-from repro.utils import format_bytes
 
 
 def main() -> None:
@@ -34,32 +34,25 @@ def main() -> None:
     )
     rng = np.random.default_rng(0)
     ids = rng.integers(0, 128, size=64)
-    with use_tracing() as tracer:
-        result = engine.train_step(ids, np.roll(ids, -1))
-    print(f"cluster: {topology.describe()}")
-    print(f"one step: loss={result.loss:.4f}, "
-          f"total comm={format_bytes(result.step_comm_bytes)}\n")
-
-    print(profile_report(engine.comm.log, topology))
-
-    profiles = profile_traffic(engine.comm.log, topology)
-    if not profiles:
-        print("\n(no traffic recorded)")
-    else:
-        print("\ncommunication-bound lower bounds per phase:")
-        for phase, prof in sorted(profiles.items()):
-            print(f"  {phase:10s} {prof.bound_time * 1e3:8.3f} ms "
-                  f"({format_bytes(prof.total_bytes)})")
-        dominant = max(profiles.values(), key=lambda p: p.total_bytes)
-        print(f"\ndominant phase by volume: {dominant.phase} — at small scale "
-              "FSDP parameter movement dwarfs attention traffic, which is the "
-              "paper's end-to-end observation in miniature")
 
     out_dir = os.path.join(os.path.dirname(__file__), "traces")
     os.makedirs(out_dir, exist_ok=True)
+    metrics_path = os.path.join(out_dir, "profile_step.metrics.jsonl")
     trace_path = os.path.join(out_dir, "profile_step.observed.json")
-    spans_to_chrome_json(tracer.spans(), trace_path,
-                         metadata={"method": "burst"})
+    if os.path.exists(metrics_path):
+        os.remove(metrics_path)  # the trainer appends one line per step
+    with use_tracing() as tracer:
+        Trainer(engine=engine, metrics_path=metrics_path).fit(
+            [(ids, np.roll(ids, -1))], steps=1
+        )
+    trace = spans_to_chrome_json(
+        tracer.spans(), trace_path,
+        metadata={"method": engine.config.method,
+                  "world_size": topology.world_size,
+                  "gpus_per_node": topology.gpus_per_node},
+    )
+    print(f"cluster: {topology.describe()}\n")
+    print(render_report(trace, load_metrics(metrics_path)))
     print(f"\nwrote {trace_path} ({len(tracer.spans())} spans; open in "
           "https://ui.perfetto.dev)")
 

@@ -69,6 +69,8 @@ class DistributedAttention(ABC):
     def __init__(
         self, partitioner: Partitioner, block_size: int | None = None
     ):
+        if block_size is not None and block_size < 1:
+            raise ValueError(f"block_size must be >= 1, got {block_size}")
         self.partitioner = partitioner
         self.block_size = block_size
 

@@ -15,7 +15,8 @@ from repro.experiments.common import ExperimentResult
 from repro.masks import SlidingWindowMask
 from repro.models import LLAMA_14B, ModelSpec
 from repro.partition import ContiguousPartitioner
-from repro.tp import tp_scaling_analysis
+from repro.perf.schedules.pipeline import gpipe_bubble_fraction, pipeline_efficiency
+from repro.perf.tensor_parallel import tp_scaling_analysis
 
 
 def ext_gqa_tradeoff(
@@ -109,8 +110,6 @@ def ext_pp_bubble() -> ExperimentResult:
     """Pipeline parallelism vs long context: one 1M-token sequence is one
     microbatch, so the pipeline bubble collapses efficiency to ~1/P —
     another reason the paper shards the *sequence* dimension."""
-    from repro.pp.schedule import gpipe_bubble_fraction, pipeline_efficiency
-
     rows = []
     for p in (2, 4, 8):
         for m in (1, p, 4 * p):

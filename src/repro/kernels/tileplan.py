@@ -198,13 +198,16 @@ def head_batch(q: np.ndarray) -> int:
 def tile_size(block: int | None, batch: int, n_tokens: int) -> int:
     """Tile edge along an axis of ``n_tokens`` tokens.
 
-    An explicit ``block`` is honoured as given.  ``None`` derives it:
+    An explicit ``block`` is honoured as given; below 1 it would leave the
+    plan without blocks, so it raises.  ``None`` derives it:
     FlashAttention's "size the tile to on-chip memory" — the largest power
     of two ``b <= MAX_TILE`` whose head-batched score tile
     ``batch * b * b`` fits :data:`SCORE_TILE_ELEMS`, at least
     :data:`MIN_TILE`, clipped to the axis.
     """
     if block is not None:
+        if block < 1:
+            raise ValueError(f"tile edge must be >= 1, got {block}")
         return block
     b = MAX_TILE
     while b > MIN_TILE and batch * b * b > SCORE_TILE_ELEMS:

@@ -52,10 +52,6 @@ def set_strict_release(enabled: bool) -> bool:
     return prev
 
 
-def strict_release_enabled() -> bool:
-    return _STRICT_RELEASE
-
-
 class ReleaseError(KeyError):
     """A handle was released twice, or was never issued."""
 

@@ -197,6 +197,8 @@ class CausalSelfAttention(Module):
             raise ValueError(f"dim {dim} not divisible by heads {n_heads}")
         if rope and (dim // n_heads) % 2 != 0:
             raise ValueError("RoPE needs an even head dimension")
+        if block_size is not None and block_size < 1:
+            raise ValueError(f"block_size must be >= 1, got {block_size}")
         self.rope = rope
         self.rope_theta = rope_theta
         self.n_heads = n_heads

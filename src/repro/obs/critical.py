@@ -57,7 +57,7 @@ __all__ = [
 COMPUTE_PHASES = frozenset({"compute", "ckpt-recompute", "lmhead"})
 
 #: Span phases whose occupancy counts as communication.
-COMM_PHASES = frozenset({"comm", "intra-ring", "inter-ring", "pp"})
+COMM_PHASES = frozenset({"comm", "intra-ring", "inter-ring"})
 
 #: Relative tolerance of the bucket-conservation gate.
 CONSERVATION_RTOL = 1e-9

@@ -5,9 +5,9 @@ stamps its ``comm.<op>`` span with a causal key — the logical phase, the
 message tag, and the ``channel`` (``fwd`` for the base ring direction,
 ``rev`` for the counter-rotating stream) — plus a process-wide ``call``
 index.  Consecutive ops sharing a key move the *same* circulating payload
-(a KV bundle hopping around the ring, an activation crossing pipeline
-stages), so chaining them yields the per-step causal DAG the critical-path
-engine (:mod:`repro.obs.critical`) walks.
+(a KV bundle hopping around the ring), so chaining them yields the
+per-step causal DAG the critical-path engine (:mod:`repro.obs.critical`)
+walks.
 
 :func:`derive_flows` builds those edges from finished :class:`Span`
 records; the Chrome-trace exporter renders each edge as an ``s``/``f``

@@ -58,8 +58,6 @@ __all__ = [
     "MemoryBudget",
     "MemoryBudgetExceeded",
     "MemoryTimeline",
-    "active_budget",
-    "active_timeline",
     "current_memory_scope",
     "leak_report",
     "memory_counter_events",
@@ -234,14 +232,6 @@ _LOCK = threading.RLock()
 _TIMELINE: MemoryTimeline | None = None
 _BUDGET: "MemoryBudget | None" = None
 _CURRENT = {SAVED: 0, TRANSIENT: 0}
-
-
-def active_timeline() -> MemoryTimeline | None:
-    return _TIMELINE
-
-
-def active_budget() -> "MemoryBudget | None":
-    return _BUDGET
 
 
 @contextmanager

@@ -16,6 +16,8 @@ the end-to-end training-step model that Figures 12–14 and Tables 2, 4, 5
 are generated from; :mod:`repro.perf.criticalpath` summarises those graphs
 for the observed-vs-predicted gates of :mod:`repro.obs`, which also draws
 them (:func:`repro.obs.export.sims_to_chrome_json`).
+:mod:`repro.perf.tensor_parallel` and :mod:`repro.perf.schedules.pipeline`
+price the two axes the paper does not build on (``ext-tp`` / ``ext-pp``).
 """
 
 from repro.perf.des import Resource, Simulator, Task
@@ -47,7 +49,6 @@ from repro.perf.schedules.end_to_end import (
 )
 from repro.perf.criticalpath import (
     closed_form_pass_comm,
-    predicted_critical_path,
     summarize_sim,
 )
 
@@ -55,7 +56,6 @@ __all__ = [
     "METHOD_DES_FLAGS",
     "attention_pass_sim",
     "closed_form_pass_comm",
-    "predicted_critical_path",
     "summarize_sim",
     "Resource",
     "Simulator",

@@ -23,14 +23,12 @@ from repro.perf.cost import link_time
 from repro.perf.des import Simulator
 from repro.perf.schedules.attention import (
     attention_pass_bundle,
-    attention_pass_sim,
     attention_pass_transitions,
 )
 from repro.topology import LinkClass
 
 __all__ = [
     "closed_form_pass_comm",
-    "predicted_critical_path",
     "summarize_sim",
 ]
 
@@ -59,35 +57,6 @@ def summarize_sim(sim: Simulator) -> dict[str, float]:
         "overlapped_comm_s": max(0.0, comm_busy - exposed),
         "exposed_comm_frac": exposed / makespan if makespan else 0.0,
     }
-
-
-def predicted_critical_path(
-    method: str,
-    topology,
-    workload,
-    *,
-    ring_mode: str = "unidirectional",
-    ring_window: int | None = None,
-) -> dict[str, dict[str, float]]:
-    """Per-pass and total critical-path summaries for fwd + bwd attention."""
-    out: dict[str, dict[str, float]] = {}
-    for logical, backward in (("attn-fwd", False), ("attn-bwd", True)):
-        sim = attention_pass_sim(
-            method, topology, workload,
-            backward=backward, ring_mode=ring_mode, ring_window=ring_window,
-        )
-        out[logical] = summarize_sim(sim)
-    total = {
-        k: out["attn-fwd"][k] + out["attn-bwd"][k]
-        for k in ("makespan_s", "compute_busy_s", "comm_busy_s",
-                  "exposed_comm_s", "overlapped_comm_s")
-    }
-    total["exposed_comm_frac"] = (
-        total["exposed_comm_s"] / total["makespan_s"]
-        if total["makespan_s"] else 0.0
-    )
-    out["total"] = total
-    return out
 
 
 def closed_form_pass_comm(

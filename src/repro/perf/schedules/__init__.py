@@ -1,4 +1,5 @@
-"""DES task-graph builders for attention passes and end-to-end steps."""
+"""DES task-graph builders for attention passes, end-to-end steps and
+pipeline schedules (:mod:`repro.perf.schedules.pipeline`)."""
 
 from repro.perf.schedules.attention import (
     AttentionWorkload,

@@ -9,6 +9,11 @@ are live at once (``M`` for GPipe, ``<= P`` for 1F1B: the memory win).
 (one resource per stage, boundary transfers on explicit link resources)
 and returns the simulated makespan, so bubble arithmetic and communication
 exposure come from the same machinery as the attention overlap models.
+
+Relevance to the paper (the ``ext-pp`` experiment): pipeline
+microbatching needs many *independent* microbatches, but a 1M-token
+sequence is one sample, so long-context training cannot slice its way to
+pipeline efficiency.
 """
 
 from __future__ import annotations

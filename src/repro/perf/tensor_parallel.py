@@ -11,7 +11,7 @@ consequences, quantified here for the paper's models:
   how many TP ranks are added.
 
 This is the quantitative version of the paper's motivation for building
-on context parallelism.
+on context parallelism (the ``ext-tp`` experiment).
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ rewrites can be verified exactly.  To check that the *algorithms* are
 robust at production precision (online softmax merging, the D-statistic
 rewrite, fused-loss tiling), :func:`quantize_bf16` rounds values to the
 nearest representable bfloat16 (8-bit mantissa) while keeping float64
-storage, and :func:`with_bf16_inputs` runs a kernel under that rounding.
+storage.
 """
 
 from __future__ import annotations
@@ -34,7 +34,3 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     denom = np.maximum(np.abs(b), 1e-6)
     return float(np.max(np.abs(a - b) / denom))
 
-
-def with_bf16_inputs(fn, *arrays, **kwargs):
-    """Call ``fn`` on bf16-quantized copies of ``arrays``."""
-    return fn(*[quantize_bf16(a) for a in arrays], **kwargs)

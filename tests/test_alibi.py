@@ -107,28 +107,6 @@ class TestDistributedALiBi:
         np.testing.assert_allclose(res.dk, dk_ref, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(res.dv, dv_ref, rtol=1e-8, atol=1e-10)
 
-    def test_tp_attention_forwards_bias(self):
-        """Tensor-parallel ranks each see their own head group of the
-        bias: 4 ranks equal 1 rank, and the bias is not dropped."""
-        from repro.comm import SimCommunicator
-        from repro.tp import tp_attention
-
-        s, d, h = 32, 16, 4
-        x = RNG.normal(size=(s, d))
-        wq, wk, wv, wo = (Tensor(RNG.normal(size=(d, d))) for _ in range(4))
-
-        def run(ranks, mask):
-            comm = SimCommunicator(
-                make_cluster(ranks, node=a800_node(gpus_per_node=ranks))
-            )
-            return tp_attention(
-                Tensor(x), wq, wk, wv, wo, comm, h, mask=mask, block_size=8
-            ).data
-
-        y4 = run(4, ALiBiMask(h))
-        assert np.abs(y4 - run(1, ALiBiMask(h))).max() <= 1e-12
-        assert not np.allclose(y4, run(4, CausalMask()))
-
     def test_usp_rejects_bias(self):
         q, k, v, _ = inputs(n=64, h=8)
         m = get_method("usp", ulysses_degree=2, block_size=16)

@@ -92,29 +92,6 @@ class TestDESvsClosedForms:
         )
         assert t == pytest.approx(expected, rel=1e-6)
 
-    def test_profiler_agrees_with_link_time_model(self):
-        """profile_traffic busy times are sums of per-hop link_time —
-        the same primitive the DES uses."""
-        from repro.attention import get_method
-        from repro.masks import CausalMask
-        from repro.perf.profile import profile_traffic
-
-        topo = make_cluster(8, node=a800_node(gpus_per_node=4))
-        rng = np.random.default_rng(0)
-        q, k, v = (rng.normal(size=(1, 32, 8)) for _ in range(3))
-        method = get_method("burst", block_size=8)
-        res = method.run(topo, q, k, v, mask=CausalMask())
-        prof = profile_traffic(res.comm.log, topo)["attn-fwd"]
-        manual = {}
-        for rec in res.comm.log.records:
-            if rec.phase != "attn-fwd":
-                continue
-            manual.setdefault((rec.link, rec.src), 0.0)
-            manual[(rec.link, rec.src)] += topo.transfer_time(rec.nbytes, rec.link)
-        for link in prof.busy_time_by_link:
-            expected = max(v for (l, _), v in manual.items() if l == link)
-            assert prof.busy_time_by_link[link] == pytest.approx(expected)
-
 
 #: (nodes, gpus_per_node): single GPU, single node, the paper's shapes and
 #: non-power-of-two worlds.

@@ -96,6 +96,24 @@ class TestDistributedEqualsLocal:
         assert losses[-1] < losses[0] * 0.8
 
 
+@pytest.mark.parametrize("block", [-8, 0])
+class TestNonPositiveTileEdgeRejected:
+    """A tile edge below 1 fails at construction, before it can build a
+    plan with no blocks (a silently wrong loss) or fail mid-step (0)."""
+
+    def test_single_device_model(self, block):
+        with pytest.raises(ValueError, match="block_size"):
+            TransformerLM(model_cfg(attn_block_size=block))
+
+    def test_engine_method_block_size(self, block):
+        config = EngineConfig(
+            model=model_cfg(attn_block_size=None),
+            method_kwargs={"block_size": block},
+        )
+        with pytest.raises(ValueError, match="block_size"):
+            BurstEngine(config, topology=TOPO)
+
+
 @pytest.mark.parametrize(
     "mask", [CausalMask(), ALiBiMask(4)], ids=["causal", "alibi"]
 )

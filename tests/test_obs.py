@@ -434,17 +434,6 @@ class TestDiff:
         }
 
 
-class TestProfileGuard:
-    def test_empty_traffic_log_reports_explicitly(self):
-        from repro.comm import SimCommunicator
-        from repro.perf.profile import profile_report, profile_traffic
-
-        topology = make_cluster(4, node=a800_node(gpus_per_node=2))
-        comm = SimCommunicator(topology)
-        assert profile_traffic(comm.log, topology) == {}
-        assert profile_report(comm.log, topology) == "(no traffic recorded)"
-
-
 class TestObsCLI:
     def test_trace_report_diff_round_trip(self, tmp_path):
         out = tmp_path / "obs"

@@ -1,4 +1,5 @@
-"""Tests for cost formulas, the memory model, and end-to-end shapes.
+"""Tests for cost formulas, the memory model, end-to-end shapes, and the
+tensor- and pipeline-parallel analyses behind ``ext-tp`` / ``ext-pp``.
 
 These encode the *reproduction targets*: the orderings and rough factors
 of the paper's evaluation must come out of the models (who wins, where
@@ -22,6 +23,13 @@ from repro.perf import (
 from repro.perf.cost import attention_step_sizes
 from repro.perf.memory import checkpoint_memory_curve, logits_memory_bytes, ulysses_effective_degree
 from repro.perf.schedules.attention import AttentionWorkload
+from repro.perf.schedules.pipeline import (
+    gpipe_bubble_fraction,
+    in_flight_microbatches,
+    pipeline_efficiency,
+    pipeline_step_time,
+)
+from repro.perf.tensor_parallel import tp_layer_comm_bytes, tp_scaling_analysis
 from repro.topology import a800_node, make_cluster
 
 
@@ -354,3 +362,75 @@ class TestEndToEndShapes:
                             checkpoint="sequence_level", head_mode="fused")
         assert sum(r.breakdown.values()) <= r.step_time * 1.001
         assert r.breakdown["attention_bwd"] > r.breakdown["attention_fwd"]
+
+
+class TestScalingAnalysis:
+    def test_comm_scales_linearly_with_sequence(self):
+        assert tp_layer_comm_bytes(2 << 20, 5120) == pytest.approx(
+            2 * tp_layer_comm_bytes(1 << 20, 5120)
+        )
+
+    def test_tp_cannot_reach_1m_tokens(self):
+        """The motivational claim: pure TP OOMs long before 1M tokens."""
+        rows = tp_scaling_analysis(LLAMA_14B, [65536, 262144, 1 << 20],
+                                   tp_degree=8)
+        assert rows[0].fits_80gb            # 64K still fits
+        assert not rows[-1].fits_80gb       # 1M cannot (activations alone)
+        assert rows[-1].activation_gb_per_gpu > 150
+
+    def test_adding_tp_ranks_does_not_help_activations(self):
+        a = tp_scaling_analysis(LLAMA_14B, [1 << 20], tp_degree=8)[0]
+        b = tp_scaling_analysis(LLAMA_14B, [1 << 20], tp_degree=64)[0]
+        # stored activations dominate and are TP-degree independent
+        assert b.activation_gb_per_gpu > 0.9 * a.activation_gb_per_gpu
+
+
+class TestScheduleModels:
+    def test_bubble_formula(self):
+        assert gpipe_bubble_fraction(4, 1) == pytest.approx(3 / 4)
+        assert gpipe_bubble_fraction(4, 16) == pytest.approx(3 / 19)
+        assert gpipe_bubble_fraction(1, 8) == 0.0
+
+    def test_des_matches_bubble_formula_gpipe(self):
+        """With equal fwd/bwd chunks and no comm, the DES makespan equals
+        (M + P - 1) slots of (fwd+bwd) work spread per the formula."""
+        p, m, t = 4, 8, 1.0
+        makespan = pipeline_step_time(p, m, t, t, 0.0, schedule="gpipe")
+        ideal = m * 2 * t
+        eff = ideal / makespan
+        assert eff == pytest.approx(1 - gpipe_bubble_fraction(p, m), rel=0.01)
+
+    def test_1f1b_same_makespan_less_memory(self):
+        p, m, t = 4, 8, 1.0
+        t_gpipe = pipeline_step_time(p, m, t, t, 0.0, schedule="gpipe")
+        t_1f1b = pipeline_step_time(p, m, t, t, 0.0, schedule="1f1b")
+        assert t_1f1b <= t_gpipe * 1.01
+        assert in_flight_microbatches(p, m, "1f1b") == 4
+        assert in_flight_microbatches(p, m, "gpipe") == 8
+
+    def test_more_microbatches_higher_efficiency(self):
+        effs = [pipeline_efficiency(4, m, 1.0) for m in (1, 4, 16)]
+        assert effs == sorted(effs)
+        assert effs[0] == pytest.approx(0.25, rel=0.05)  # 1 microbatch: 1/P
+
+    def test_comm_reduces_efficiency(self):
+        fast = pipeline_efficiency(4, 8, 1.0, t_comm=0.0)
+        slow = pipeline_efficiency(4, 8, 1.0, t_comm=0.5)
+        assert slow < fast
+
+    def test_single_stage_no_bubble(self):
+        assert pipeline_efficiency(1, 4, 1.0) == pytest.approx(1.0)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            gpipe_bubble_fraction(0, 4)
+        with pytest.raises(ValueError):
+            pipeline_step_time(2, 2, 1.0, schedule="2f2b")
+        with pytest.raises(ValueError):
+            in_flight_microbatches(2, 2, "nope")
+
+    def test_long_context_implication(self):
+        """One 1M-token sequence = one microbatch: pipeline efficiency
+        collapses to ~1/P — the reason the paper shards the sequence."""
+        eff = pipeline_efficiency(8, 1, 1.0)
+        assert eff == pytest.approx(1 / 8, rel=0.05)

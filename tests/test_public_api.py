@@ -606,7 +606,7 @@ class TestOnlyTheBlockElidesItsTail:
     def test_one_condition_picks_the_ffn_node(self):
         """What a replayed FFN saves is decided by one condition in
         ``SwiGLU.forward``: it alone builds the fused node and reads
-        ``output_unread`` (``TPSwiGLU`` takes the flag and ignores it)."""
+        ``output_unread``."""
         from pathlib import Path
 
         def builds_node(n):
@@ -633,6 +633,56 @@ class TestOnlyTheBlockElidesItsTail:
             "builds": {("nn/modules.py", "SwiGLU.forward"),
                        ("nn/mlp_fn.py", "blockwise_mlp")},
             "reads": {("nn/modules.py", "SwiGLU.forward")},
+        }
+
+
+class TestOneModelImplementation:
+    """One implementation of every model layer: ``repro.nn.modules``.  The
+    engine swaps in its distributed attention through the one
+    ``attn_factory`` hook; no other module forks a layer's ``forward`` or
+    builds a model around its own attention."""
+
+    LAYERS = {"SwiGLU", "CausalSelfAttention", "TransformerBlock",
+              "TransformerLM"}
+
+    @staticmethod
+    def _trees():
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        for path in sorted(src.rglob("*.py")):
+            yield path.relative_to(src).as_posix(), ast.parse(path.read_text())
+
+    def test_only_the_distributed_attention_subclasses_a_layer(self):
+        found = {
+            (rel, node.name)
+            for rel, tree in self._trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and any(
+                (base.id if isinstance(base, ast.Name)
+                 else getattr(base, "attr", None)) in self.LAYERS
+                for base in node.bases
+            )
+        }
+        assert found == {
+            ("engine/distributed_attention.py", "DistributedCausalSelfAttention"),
+        }
+
+    def test_only_the_engine_passes_an_attention_factory(self):
+        def passes_factory(n):
+            return isinstance(n, ast.Call) and any(
+                kw.arg == "attn_factory" for kw in n.keywords
+            )
+
+        found = {
+            (rel, scope)
+            for rel, tree in self._trees()
+            for scope in _scopes(tree, passes_factory)
+        }
+        assert found == {
+            ("engine/engine.py", "BurstEngine.__init__"),
+            # the model handing the hook down to its blocks
+            ("nn/modules.py", "TransformerLM.__init__"),
         }
 
 

@@ -526,6 +526,12 @@ class TestTileSizeRule:
         plan = TilePlan.build(CausalMask(), np.arange(48), np.arange(48), 128, 8)
         assert (plan.block_q, plan.block_k) == (128, 8)
 
+    @pytest.mark.parametrize("block", [-8, 0])
+    def test_non_positive_size_is_rejected(self, block):
+        """A non-positive edge would leave the plan without blocks."""
+        with pytest.raises(ValueError, match="tile edge"):
+            tile_size(block, 8, 64)
+
     def test_kernels_and_plans_derive_from_the_head_batch(self):
         rng = np.random.default_rng(0)
         idx = np.arange(256)
