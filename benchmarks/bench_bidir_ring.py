@@ -140,6 +140,16 @@ def _run_case(case: dict, repeats: int) -> dict:
     }
 
 
+#: What ``--check`` holds a run to; the payload header repeats it.
+GATES = (
+    "only --check gates, and it exits 1 unless each result has "
+    "max_abs_diff == 0, cost_match, rev_elems > 0 and des_speedup >= 1, "
+    "and, against the committed file, equal fwd_elems / rev_elems and "
+    "des_speedup >= committed / --tolerance; the wall-clock fields are "
+    "not gated"
+)
+
+
 def check_results(
     results: list[dict], baseline: list[dict] | None, tolerance: float
 ) -> list[str]:
@@ -192,6 +202,7 @@ def _payload(results: list[dict], smoke: bool) -> dict:
     return {
         "suite": "bidir_ring",
         "smoke": smoke,
+        "gates": GATES,
         "schema": {
             "max_abs_diff": "max |uni - bidir| over o/lse/dq/dk/dv (must be 0)",
             "fwd_elems": "total forward-stream elements sent (bidirectional)",

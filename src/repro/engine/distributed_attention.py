@@ -147,14 +147,15 @@ def distributed_attention(
 class DistributedCausalSelfAttention(CausalSelfAttention):
     """Drop-in attention module whose inner product runs on the cluster.
 
-    Every kernel call made here — the sharded path, the sequence-level
-    front recompute and the irregular-length local fallback — tiles at
-    ``method.block_size``; left ``None`` (the default) each call derives
-    its tile from the head count of the queries it hands the kernel
-    (:func:`repro.kernels.tile_size`).  ``block_size`` (the model's
-    ``attn_block_size``) is stored for interface parity with
-    :class:`~repro.nn.modules.CausalSelfAttention` but is not read by
-    :meth:`forward`.
+    It inherits the one ``forward`` (projections, RoPE, ``wo``) and
+    replaces only :meth:`_attend`.  Every kernel call made there — the
+    sharded path, the sequence-level front recompute and the
+    irregular-length local fallback — tiles at ``method.block_size``; left
+    ``None`` (the default) each call derives its tile from the head count
+    of the queries it hands the kernel (:func:`repro.kernels.tile_size`).
+    ``block_size`` (the model's ``attn_block_size``) is stored for
+    interface parity with :class:`~repro.nn.modules.CausalSelfAttention`
+    but is not read by :meth:`_attend`.
     """
 
     def __init__(
@@ -173,19 +174,8 @@ class DistributedCausalSelfAttention(CausalSelfAttention):
         self.method = method
         self.comm = comm
 
-    def forward(self, x: Tensor) -> Tensor:
-        from repro.nn import ops
-
-        s = x.shape[0]
-        q = self._split_heads(self.wq(x), s)
-        k = self._split_heads(self.wk(x), s, self.n_kv_heads)
-        v = self._split_heads(self.wv(x), s, self.n_kv_heads)
-        # RoPE rotates by *global* position before sequence sharding, so
-        # the distributed ring needs no position plumbing at all.
-        q, k = self._maybe_rope(q, k, s)
-        o = distributed_attention(
+    def _attend(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+        return distributed_attention(
             q, k, v, method=self.method, comm=self.comm, mask=self.mask,
             cache=self.cache, policy=self.policy,
         )
-        merged = ops.reshape(ops.swapaxes(o, 0, 1), (s, self.n_heads * self.head_dim))
-        return self.wo(merged)

@@ -218,10 +218,6 @@ class CausalSelfAttention(Module):
         self.cache = AttentionOutputCache()
         self.policy: CheckpointPolicy = CheckpointPolicy()
 
-    def _split_heads(self, x: Tensor, s: int, n_heads: int | None = None) -> Tensor:
-        h = n_heads if n_heads is not None else self.n_heads
-        return ops.swapaxes(ops.reshape(x, (s, h, self.head_dim)), 0, 1)
-
     def _maybe_rope(self, q: Tensor, k: Tensor, s: int) -> tuple[Tensor, Tensor]:
         if not self.rope:
             return q, k
@@ -235,16 +231,23 @@ class CausalSelfAttention(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         s = x.shape[0]
-        q = self._split_heads(self.wq(x), s)
-        k = self._split_heads(self.wk(x), s, self.n_kv_heads)
-        v = self._split_heads(self.wv(x), s, self.n_kv_heads)
+        q, k, v = ops.qkv_heads(
+            x, self.wq.weight, self.wk.weight, self.wv.weight, self.head_dim
+        )
+        # RoPE rotates by *global* position before any sequence sharding,
+        # so a distributed ``_attend`` needs no position plumbing at all.
         q, k = self._maybe_rope(q, k, s)
-        o = flash_attention(
+        o = self._attend(q, k, v)
+        merged = ops.reshape(ops.swapaxes(o, 0, 1), (s, self.n_heads * self.head_dim))
+        return self.wo(merged)
+
+    def _attend(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+        """The attention product over ``(H, S, Dh)`` heads — the one step
+        the engine's distributed subclass replaces."""
+        return flash_attention(
             q, k, v, mask=self.mask, block_size=self.block_size,
             cache=self.cache, policy=self.policy,
         )
-        merged = ops.reshape(ops.swapaxes(o, 0, 1), (s, self.n_heads * self.head_dim))
-        return self.wo(merged)
 
 
 class TransformerBlock(Module):

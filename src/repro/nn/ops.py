@@ -78,6 +78,76 @@ class MatMul(Function):
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
 
+def _packed(rows: int, widths) -> list[slice]:
+    """Flat slices of ``(rows, width)`` blocks stored back to back."""
+    edges = np.cumsum([0] + [rows * n for n in widths])
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+class QKVProjectionFn(Function):
+    """``q, k, v = x·Wqᵀ, x·Wkᵀ, x·Wvᵀ`` as one node that saves ``x`` once.
+
+    As three ``MatMul`` nodes the projections saved the same normed input
+    three times.  This node saves ``x`` and the three weights (held by
+    reference): ``S·D + D·(D + 2·kv)`` elements.  Its output is one flat
+    array holding the three products back to back, each a C-contiguous
+    ``(S, n)`` block written by its own GEMM — the layout a lone
+    ``MatMul``'s output has, so the head views and every kernel after them
+    see the strides they saw before.  (One GEMM over the concatenated
+    weight is not bitwise the three: OpenBLAS picks its kernel by shape.)
+    The backward evaluates each ``MatMul``'s expressions on contiguous
+    gradient blocks and adds ``x``'s three terms in the order the graph
+    added them — q, k, then v — so values and gradients are the three
+    nodes' bits.  Grouped-query attention is just narrower ``Wk`` / ``Wv``.
+    """
+
+    def forward(self, x, wq, wk, wv):
+        self.save_for_backward(x, wq, wk, wv)
+        self.blocks = _packed(x.shape[0], [w.shape[0] for w in (wq, wk, wv)])
+        out = np.empty(self.blocks[-1].stop)
+        for w, block in zip((wq, wk, wv), self.blocks):
+            np.matmul(x, np.swapaxes(w, 0, 1),
+                      out=out[block].reshape(x.shape[0], w.shape[0]))
+        return out
+
+    def backward(self, g):
+        x, *weights = self.saved
+        gs = [g[b].reshape(x.shape[0], w.shape[0])
+              for b, w in zip(self.blocks, weights)]
+        dq, dk, dv = (np.matmul(gw, w) for gw, w in zip(gs, weights))
+        xt = np.swapaxes(x, 0, 1)
+        return (dq + dk + dv,
+                *(np.swapaxes(np.matmul(xt, gw), 0, 1) for gw in gs))
+
+
+class HeadsFn(Function):
+    """One ``(S, h·head_dim)`` block of a :class:`QKVProjectionFn` output
+    as a ``(h, S, head_dim)`` view — no copy.
+
+    The views of one output share ``shared``, an empty list: the first
+    backward to run puts one zeroed gradient of the whole output in it and
+    returns it, the others write their block into that same array and
+    return nothing.  So the projection receives one gradient, with no
+    zero-padded copies summed, and each view drops the list once it has
+    written.
+    """
+
+    def forward(self, y, block: slice = None, shape: tuple = None,
+                shared: list = None):
+        self.size, self.block, self.shape = y.size, block, shape
+        self.shared = shared
+        return np.swapaxes(y[block].reshape(shape), 0, 1)
+
+    def backward(self, g):
+        shared, self.shared = self.shared, None
+        first = not shared
+        if first:
+            shared.append(np.zeros(self.size))
+        (grad,) = shared
+        grad[self.block].reshape(self.shape)[...] = np.swapaxes(g, 0, 1)
+        return (grad if first else None,)
+
+
 class Pow(Function):
     def forward(self, a, exponent: float):
         self.exponent = exponent
@@ -333,6 +403,20 @@ def div(a, b):
 
 def matmul(a, b):
     return MatMul.apply(_wrap(a), _wrap(b))
+
+
+def qkv_heads(x, wq, wk, wv, head_dim: int) -> tuple[Tensor, Tensor, Tensor]:
+    """``(q, k, v)`` in ``(heads, S, head_dim)`` layout from ``(S, D)``
+    activations through one :class:`QKVProjectionFn` node: ``x`` is saved
+    once, not per weight."""
+    x, *weights = (_wrap(a) for a in (x, wq, wk, wv))
+    fused = QKVProjectionFn.apply(x, *weights)
+    s, widths, shared = x.shape[0], [w.shape[0] for w in weights], []
+    return tuple(
+        HeadsFn.apply(fused, block=block, shape=(s, n // head_dim, head_dim),
+                      shared=shared)
+        for block, n in zip(_packed(s, widths), widths)
+    )
 
 
 def pow(a, exponent: float):  # noqa: A001 - mirrors Tensor.__pow__

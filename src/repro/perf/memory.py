@@ -312,10 +312,13 @@ def rms_norm_saved_elems(seq_len: int, dim: int) -> int:
 def attention_proj_saved_elems(
     seq_len: int, dim: int, kv_dim: int | None = None
 ) -> int:
-    """Elements the four attention projections save: each ``MatMul``
-    keeps its input (S, D) plus the (transposed-view) weight matrix."""
+    """Elements the attention projections save: the one
+    :class:`~repro.nn.ops.QKVProjectionFn` node keeps the normed input
+    (S, D) once plus ``Wq``, ``Wk``, ``Wv``; the output projection's
+    ``MatMul`` keeps its input (S, D) plus the (transposed-view) ``Wo``."""
     kv = dim if kv_dim is None else kv_dim
-    return 2 * (seq_len * dim + dim * dim) + 2 * (seq_len * dim + dim * kv)
+    qkv = seq_len * dim + dim * (dim + 2 * kv)
+    return qkv + seq_len * dim + dim * dim
 
 
 def attention_node_saved_elems(
@@ -340,7 +343,7 @@ def transformer_layer_saved_elems(
     fused_mlp: bool = False,
 ) -> int:
     """Elements one transformer block's graph saves end to end: two
-    norms, the four projections, the attention node (the same for every
+    norms, the QKV node and ``wo``, the attention node (the same for every
     method) and the FFN (composed or fused, as pinned in
     ``tests/test_blockwise_mlp.py``)."""
     ffn = (

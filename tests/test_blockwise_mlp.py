@@ -314,8 +314,8 @@ class TestReplayElidesTheBlockTail:
         """In the replay the FFN's saved set is ``x`` and the three
         weights under one handle, ``(S·D + 3·D·H)·8`` bytes; no composed
         FFN node (``SiLU``, ``Mul``, the three FFN ``MatMul`` nodes)
-        registers.  The four ``MatMul`` handles are the attention
-        projections."""
+        registers.  ``QKVProjectionFn`` and the one ``MatMul`` are the
+        attention projections."""
         from repro.nn.memory import reset_tracker
         from repro.obs import use_memory_timeline
 
@@ -334,7 +334,7 @@ class TestReplayElidesTheBlockTail:
             and e.owner.get("mem_phase") == "recompute"
         ]
         assert [site for site, _ in replayed] == [
-            "RMSNormFn", "MatMul", "MatMul", "MatMul", "FlashAttentionFn",
+            "RMSNormFn", "QKVProjectionFn", "FlashAttentionFn",
             "MatMul", "RMSNormFn", "BlockwiseMLPFn",
         ]
         assert replayed[-1][1] == swiglu_fused_saved_bytes(

@@ -47,16 +47,17 @@ FSDP_BOUND_PINS = {
 #: quarter, so ``round`` is exercised), dim 32, 2 layers, 4 heads.  The
 #: flag decides only the cache rows: without a context rebuild every
 #: replaying policy is ``full``.  A replayed layer's FFN is the fused node
-#: (``x`` + weights), whatever ``mlp_chunk_size`` says.
+#: (``x`` + weights), whatever ``mlp_chunk_size`` says, and its q/k/v
+#: projections save the normed input once.
 CURVE_PINS = {
-    (0.25, True): {"none": 913104, "full": 304736,
-                   "selective_pp": 323744, "sequence_level": 319136},
-    (0.25, False): {"none": 913104, "full": 304736,
-                    "selective_pp": 304736, "sequence_level": 304736},
-    (0.5, True): {"none": 913104, "full": 304736,
-                  "selective_pp": 323744, "sequence_level": 314240},
-    (0.5, False): {"none": 913104, "full": 304736,
-                   "selective_pp": 304736, "sequence_level": 304736},
+    (0.25, True): {"none": 845520, "full": 270944,
+                   "selective_pp": 289952, "sequence_level": 285344},
+    (0.25, False): {"none": 845520, "full": 270944,
+                    "selective_pp": 270944, "sequence_level": 270944},
+    (0.5, True): {"none": 845520, "full": 270944,
+                  "selective_pp": 289952, "sequence_level": 280448},
+    (0.5, False): {"none": 845520, "full": 270944,
+                   "selective_pp": 270944, "sequence_level": 270944},
 }
 
 

@@ -668,6 +668,51 @@ class TestOneModelImplementation:
             ("engine/distributed_attention.py", "DistributedCausalSelfAttention"),
         }
 
+    def test_a_layer_subclass_replaces_only_the_attend_step(self):
+        """``CausalSelfAttention.forward`` is the one project → heads →
+        RoPE → attend → merge → ``wo``; a subclass overrides no
+        ``forward``, only ``_attend`` (and its own ``__init__``)."""
+        methods = {
+            (rel, node.name, item.name)
+            for rel, tree in self._trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and any(
+                (base.id if isinstance(base, ast.Name)
+                 else getattr(base, "attr", None)) in self.LAYERS
+                for base in node.bases
+            )
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name != "__init__"
+        }
+        assert methods == {
+            ("engine/distributed_attention.py",
+             "DistributedCausalSelfAttention", "_attend"),
+        }
+
+    def test_one_node_projects_q_k_and_v(self):
+        """The q/k/v projections are built in one place, as one
+        ``QKVProjectionFn`` node that saves the normed input once."""
+        def calls(name):
+            return lambda n: isinstance(n, ast.Call) and (
+                isinstance(n.func, ast.Name) and n.func.id == name
+                or isinstance(n.func, ast.Attribute) and n.func.attr == name
+            )
+
+        def applies_node(n):
+            return (isinstance(n, ast.Attribute) and n.attr == "apply"
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id == "QKVProjectionFn")
+
+        found = {"qkv_heads": set(), "apply": set()}
+        for rel, tree in self._trees():
+            found["qkv_heads"].update(
+                (rel, s) for s in _scopes(tree, calls("qkv_heads")))
+            found["apply"].update((rel, s) for s in _scopes(tree, applies_node))
+        assert found == {
+            "qkv_heads": {("nn/modules.py", "CausalSelfAttention.forward")},
+            "apply": {("nn/ops.py", "qkv_heads")},
+        }
+
     def test_only_the_engine_passes_an_attention_factory(self):
         def passes_factory(n):
             return isinstance(n, ast.Call) and any(

@@ -10,6 +10,9 @@
   its own ``save_for_backward`` — one handle, the same elements as a
   ring-family node, no ``attn.context`` site — so the handle is released
   wherever the node's is, including when nothing needs a gradient.
+* The q, k and v projections are one :class:`~repro.nn.ops.QKVProjectionFn`
+  node that saves the normed input once, held bitwise to the three
+  ``Linear`` layers and six head-split nodes it replaced.
 """
 
 import numpy as np
@@ -18,12 +21,15 @@ import pytest
 from repro.attention import get_method
 from repro.comm import SimCommunicator
 from repro.engine import distributed_attention
-from repro.nn import Tensor, ops
+from repro.nn import CausalSelfAttention, Tensor, ops
+from repro.nn.attention_fn import flash_attention
 from repro.nn.function import Function
 from repro.nn.memory import get_tracker, reset_tracker
+from repro.nn.rope import apply_rope
 from repro.obs import use_memory_timeline
 from repro.perf.memory import (
     attention_node_saved_elems,
+    attention_proj_saved_elems,
     rms_norm_saved_elems,
     swiglu_dense_saved_bytes,
 )
@@ -211,3 +217,99 @@ class TestAttentionNodeSavesOnce:
             grads[label] = [t.grad for t in (q, k, v)]
         for want, got in zip(grads["burst"], grads[name]):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+def three_linear_projections(x, wq, wk, wv, head_dim):
+    """The q, k, v projections as they were: three ``Linear`` matmuls, each
+    split into heads by a reshape and a swapaxes, transcribed literally."""
+    s = x.shape[0]
+
+    def heads(w):
+        y = ops.matmul(x, ops.swapaxes(w, 0, 1))
+        return ops.swapaxes(ops.reshape(y, (s, w.shape[0] // head_dim, head_dim)), 0, 1)
+
+    return heads(wq), heads(wk), heads(wv)
+
+
+class TestQKVProjectionSavesXOnce:
+    # (S, D, heads, KV heads): the benchmark shapes, plus grouped-query
+    CASES = [(2048, 64, 8, 8), (512, 256, 4, 4), (256, 64, 8, 2)]
+
+    @staticmethod
+    def _weights(d, kv, rng):
+        return [rng.normal(size=(n, d)) / np.sqrt(d) for n in (d, kv, kv)]
+
+    @pytest.mark.parametrize("rope", [False, True], ids=["plain", "rope"])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: "x".join(map(str, c)))
+    def test_bitwise_equal_to_the_three_linears(self, case, rope):
+        """In the model's graph — a norm before, RoPE and attention after —
+        outputs and every gradient are the old nodes' bits, so ``x``'s
+        three terms are added in the graph's order."""
+        s, d, h, h_kv = case
+        x_np, w_np, rng = _inputs((s, d), 5)
+        ws_np = self._weights(d, h_kv * (d // h), rng)
+        g = rng.normal(size=(s, h, d // h)).swapaxes(0, 1)
+        results = []
+        for project in (three_linear_projections, ops.qkv_heads):
+            leaf = Tensor(x_np, requires_grad=True)
+            w = Tensor(w_np, requires_grad=True)
+            ws = [Tensor(a, requires_grad=True) for a in ws_np]
+            q, k, v = project(ops.rms_norm(leaf, w), *ws, d // h)
+            if rope:
+                q, k = apply_rope(q), apply_rope(k)
+            o = flash_attention(q, k, v)
+            o.backward(g)
+            results.append([o.data, leaf.grad, w.grad] + [t.grad for t in ws])
+        for want, got in zip(*results):
+            _assert_bitwise(want, got)
+
+    def test_one_handle_saves_x_once(self):
+        s, d, kv = 64, 16, 8
+        x_np, _, rng = _inputs((s, d), 6)
+        ws = [Tensor(a, requires_grad=True) for a in self._weights(d, kv, rng)]
+        x = Tensor(x_np, requires_grad=True)
+        reset_tracker()
+        with use_memory_timeline() as timeline:
+            q, k, v = ops.qkv_heads(x, *ws, 4)
+        allocs = [(e.site, e.delta) for e in timeline.events()
+                  if e.kind == "alloc"]
+        assert allocs == [("QKVProjectionFn", (s * d + d * (d + 2 * kv)) * 8)]
+        assert (q.shape, k.shape, v.shape) == ((4, s, 4), (2, s, 4), (2, s, 4))
+        ops.add(ops.add(q.sum(), k.sum()), v.sum()).backward()
+        assert get_tracker().current_saved_bytes == 0
+        assert get_tracker().live_handles == 0
+
+    def test_a_view_without_a_gradient_contributes_zero(self):
+        """Only ``v`` reaches the loss: ``q`` and ``k`` never run their
+        backward, and their columns of the shared gradient stay zero."""
+        s, d = 32, 8
+        x_np, _, rng = _inputs((s, d), 7)
+        ws_np = self._weights(d, d, rng)
+        grads = []
+        for project in (three_linear_projections, ops.qkv_heads):
+            x = Tensor(x_np, requires_grad=True)
+            ws = [Tensor(a, requires_grad=True) for a in ws_np]
+            _, _, v = project(x, *ws, 4)
+            v.sum().backward()
+            grads.append(x.grad)
+            assert ws[0].grad is None or not ws[0].grad.any()
+        np.testing.assert_array_equal(grads[0], grads[1])
+
+    def test_a_layer_saves_the_closed_form(self):
+        """A whole attention layer registers ``attention_proj_saved_elems``
+        (QKV node + ``wo``) beside the attention node's own set."""
+        s, d, h, h_kv = 64, 16, 4, 2
+        attn = CausalSelfAttention(d, h, np.random.default_rng(0), n_kv_heads=h_kv)
+        x = Tensor(np.random.default_rng(1).normal(size=(s, d)), requires_grad=True)
+        kv = h_kv * (d // h)
+        reset_tracker()
+        with use_memory_timeline() as timeline:
+            attn(x)
+        allocs = [(e.site, e.delta) for e in timeline.events()
+                  if e.series == "saved" and e.kind == "alloc"]
+        assert [site for site, _ in allocs] == [
+            "QKVProjectionFn", "FlashAttentionFn", "MatMul",
+        ]
+        projections = allocs[0][1] + allocs[2][1]
+        assert projections == attention_proj_saved_elems(s, d, kv) * 8
+        assert allocs[1][1] == attention_node_saved_elems(s, d, h, kv) * 8
