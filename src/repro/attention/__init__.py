@@ -16,10 +16,9 @@ over the simulated cluster:
 * :mod:`repro.attention.gqa` — grouped-query attention: dense oracles,
   ``repeat_kv`` / ``fold_kv_grad`` (what the ring passes apply when K/V
   shards carry fewer heads) and the Alg. 1 / Alg. 2 payload trade-off.
-* :mod:`repro.attention.ulysses` — DeepSpeed-Ulysses head parallelism via
-  all-to-all.
-* :mod:`repro.attention.usp` — LoongTrain's hybrid head+context (USP)
-  parallelism on a 2-D process grid.
+* :mod:`repro.attention.usp` — the one head-parallel executor:
+  LoongTrain's hybrid head+context (USP) parallelism on a 2-D process grid,
+  whose ``u = G`` corner (a one-position ring) is DeepSpeed-Ulysses.
 * :mod:`repro.attention.methods` — a uniform :class:`DistributedAttention`
   facade and registry used by the engine, tests, and benchmarks.
 """

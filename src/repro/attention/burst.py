@@ -59,6 +59,7 @@ def burst_attention_backward(
     phase: str = "attn-bwd",
     block_size: int | None = None,
     ring_mode: str = "unidirectional",
+    head_slices: Sequence[slice] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
     """Algorithm 2: BurstAttention's communication-optimised backward pass.
 
@@ -89,6 +90,10 @@ def burst_attention_backward(
     addition order, and therefore the results, bitwise identical); once
     the reverse stream takes over, the forward bundle and the return hop
     carry ``dQ`` alone.
+
+    ``head_slices`` is as for
+    :func:`~repro.attention.ring.ring_attention_forward`: a rank's pinned
+    keys and every query shard visiting it share one head group.
     """
     groups = _check_groups(qs[0].shape[0], ks[0].shape[0])
     if scale is None:
@@ -104,7 +109,8 @@ def burst_attention_backward(
         q_j, _, do_j, d_j, lse_j = bundle
         # Queries are shard j, keys/values are pinned shard r.
         skip, plan = _resolve_tiles(
-            mask, q_j, idxs[j], idxs[r], block_size
+            mask, q_j, idxs[j], idxs[r], block_size,
+            head_slices and head_slices[r],
         )
         if skip:
             return None

@@ -10,7 +10,7 @@ name                   partition     schedule        backward     heads req.
 ``megatron-cp``        zigzag        flat ring       Alg. 1       —
 ``loongtrain-double``  zigzag        double ring     Alg. 1       —
 ``burst``              striped*      double ring     Alg. 2       —
-``ulysses``            contiguous    all-to-all      local        H % G == 0
+``ulysses``            contiguous    USP, ``u = G``  local        H % G == 0
 ``usp``                zigzag(ring)  a2a + ring      Alg. 1       H % u == 0
 =====================  ============  ==============  ===========  ==========
 
@@ -18,7 +18,9 @@ name                   partition     schedule        backward     heads req.
 for BurstEngine; zigzag is available via the ``partitioner`` argument.
 
 The schedule and backward columns of the three ring-family rows are
-:data:`repro.comm.ring.RING_METHODS` — the table the DES reads too.
+:data:`repro.comm.ring.RING_METHODS` — the table the DES reads too.  The
+two head-parallel rows are one executor: Ulysses is USP on a one-position
+ring (:mod:`repro.attention.usp`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 
 from repro.attention.burst import burst_attention_backward
 from repro.attention.ring import ring_attention_backward_kv, ring_attention_forward
-from repro.attention.ulysses import ulysses_attention_backward, ulysses_attention_forward
 from repro.attention.usp import USPGrid, usp_attention_backward, usp_attention_forward
 from repro.comm import RingSchedule, SimCommunicator
 from repro.comm.ring import RING_METHODS, check_ring_mode, cheaper_backward_bundle
@@ -278,24 +279,6 @@ class BurstAttentionMethod(_RingFamilyMethod):
             self.ring = replace(self.ring, backward=None)
 
 
-class UlyssesMethod(DistributedAttention):
-    """DeepSpeed-Ulysses head parallelism (all-to-all)."""
-
-    name = "ulysses"
-
-    def __init__(self, block_size: int | None = None):
-        super().__init__(ContiguousPartitioner(), block_size)
-
-    def forward_shards(self, comm, qs, ks, vs, idxs, mask, scale):
-        return ulysses_attention_forward(
-            comm, qs, ks, vs, idxs, mask=mask, scale=scale,
-            block_size=self.block_size,
-        )
-
-    def backward_shards(self, comm, ctx, dos):
-        return ulysses_attention_backward(comm, ctx, dos)
-
-
 class USPMethod(DistributedAttention):
     """LoongTrain-USP hybrid head+context parallelism.
 
@@ -314,11 +297,16 @@ class USPMethod(DistributedAttention):
         block_size: int | None = None,
         use_burst_backward: bool = False,
     ):
+        if ulysses_degree < 1:
+            raise ValueError(
+                f"ulysses_degree must be >= 1, got {ulysses_degree}"
+            )
         super().__init__(ring_partitioner or ZigzagPartitioner(), block_size)
         self.ulysses_degree = ulysses_degree
         self.use_burst_backward = use_burst_backward
 
-    def _grid(self, g: int) -> USPGrid:
+    def grid(self, g: int) -> USPGrid:
+        """The ``u × r`` process grid this method runs on ``g`` ranks."""
         if g % self.ulysses_degree != 0:
             raise ValueError(
                 f"world size {g} not divisible by ulysses degree "
@@ -327,9 +315,12 @@ class USPMethod(DistributedAttention):
         return USPGrid(self.ulysses_degree, g // self.ulysses_degree)
 
     def _partition(self, n: int, g: int) -> list[np.ndarray]:
-        grid = self._grid(g)
-        u, r = grid.ulysses_degree, grid.ring_degree
-        ring_shards = self.partitioner.indices(n, r)
+        grid = self.grid(g)
+        if n % g != 0:
+            raise ValueError(
+                f"sequence length {n} is not divisible by device count {g}"
+            )
+        ring_shards = self.partitioner.indices(n, grid.ring_degree)
         m = n // g
         out = []
         for rank in range(g):
@@ -339,16 +330,34 @@ class USPMethod(DistributedAttention):
         return out
 
     def forward_shards(self, comm, qs, ks, vs, idxs, mask, scale):
-        grid = self._grid(comm.world_size)
         return usp_attention_forward(
-            comm, grid, qs, ks, vs, idxs, mask=mask, scale=scale,
-            block_size=self.block_size,
+            comm, self.grid(comm.world_size), qs, ks, vs, idxs, mask=mask,
+            scale=scale, block_size=self.block_size,
         )
 
     def backward_shards(self, comm, ctx, dos):
         return usp_attention_backward(
             comm, ctx, dos, use_burst_backward=self.use_burst_backward
         )
+
+
+class UlyssesMethod(USPMethod):
+    """DeepSpeed-Ulysses head parallelism: USP with ``u = G``.
+
+    Every rank is its own ring position, so a pass is an all-to-all to
+    ``H/G`` heads over the whole (contiguously sharded) sequence, one
+    local attention kernel call and an all-to-all back.  The degree is the
+    world size, which only :meth:`grid` learns.
+    """
+
+    name = "ulysses"
+
+    def __init__(self, block_size: int | None = None):
+        DistributedAttention.__init__(self, ContiguousPartitioner(), block_size)
+        self.use_burst_backward = False
+
+    def grid(self, g: int) -> USPGrid:
+        return USPGrid(g, 1)
 
 
 class SelectiveMethod(DistributedAttention):

@@ -74,6 +74,7 @@ def _resolve_tiles(
     q_idx: np.ndarray,
     k_idx: np.ndarray,
     block_size: int | None,
+    heads: slice | None = None,
 ) -> tuple[bool, TilePlan | None]:
     """Resolve how the kernel should see the (query-shard, key-shard) pair
     it is about to be handed ``q`` for.
@@ -84,6 +85,8 @@ def _resolve_tiles(
     the dense shard-pair mask never materialised.  A pair whose plan has
     no sub-tile to compute is skipped outright, and accounted as skipped
     tiles.  ``plan`` is ``None`` only when there is no mask at all.
+    ``heads`` is the range of the mask's per-head bias that ``q``'s heads
+    are (a head-parallel rank's group); ``None``: all of them.
     """
     if mask is None:
         return False, None
@@ -93,6 +96,8 @@ def _resolve_tiles(
     if plan.num_empty == plan.num_tiles:
         plan.tally()
         return True, None
+    if heads is not None and plan.bias_cache is not None:
+        plan = plan.with_head_slice(heads)
     return False, plan
 
 
@@ -136,9 +141,10 @@ def ring_pass(
 
     Returns the carried slots per rank, sent home to their owners over a
     final ``<tag>-return`` hop (``[()] * G`` and no hop when nothing is
-    carried).  The unidirectional hop ships the whole bundle — that is the
-    ``4Nd`` / ``3Nd + 2N`` closed form — the bidirectional one only the
-    carried slots.
+    carried; no hop either on a one-position ring, whose bundles never
+    left home).  The unidirectional hop ships the whole bundle — that is
+    the ``4Nd`` / ``3Nd + 2N`` closed form — the bidirectional one only
+    the carried slots.
     """
     check_ring_mode(ring_mode)
     g = comm.world_size
@@ -192,7 +198,7 @@ def ring_pass(
             delivered = flow.delivered(t + 1)
             if delivered is not None:
                 ro = delivered
-    if not carried:
+    if not carried or steps == 1:
         return acc
     # Final hop: send each circulating bundle home to its owner.
     home = comm.exchange(
@@ -216,6 +222,7 @@ def ring_attention_forward(
     phase: str = "attn-fwd",
     block_size: int | None = None,
     ring_mode: str = "unidirectional",
+    head_slices: Sequence[slice] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Distributed attention forward pass over ``schedule``.
 
@@ -235,6 +242,9 @@ def ring_attention_forward(
         ``"bidirectional"`` splits delivery across two counter-rotating
         streams (TokenRing) while keeping the compute and online-softmax
         accumulation order — and hence the results, bitwise — unchanged.
+    head_slices:
+        Per rank, the range of the mask's per-head bias its shards' heads
+        are (USP's head groups); ``None``: every rank holds all heads.
 
     Returns
     -------
@@ -252,7 +262,8 @@ def ring_attention_forward(
     def tile(r, j, bundle):
         k_j, v_j = bundle
         skip, plan = _resolve_tiles(
-            mask, qs[r], idxs[r], idxs[j], block_size
+            mask, qs[r], idxs[r], idxs[j], block_size,
+            head_slices and head_slices[r],
         )
         if skip:
             return None
@@ -289,6 +300,7 @@ def ring_attention_backward_kv(
     phase: str = "attn-bwd",
     block_size: int | None = None,
     ring_mode: str = "unidirectional",
+    head_slices: Sequence[slice] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
     """Algorithm 1: backward pass circulating ``(K, V, dK, dV)``.
 
@@ -306,7 +318,8 @@ def ring_attention_backward_kv(
     the reverse stream takes over KV delivery, the forward bundle and the
     return hop shrink to the accumulators alone.
 
-    Returns per-rank ``(dqs, dks, dvs)``.
+    ``head_slices`` is as for :func:`ring_attention_forward`.  Returns
+    per-rank ``(dqs, dks, dvs)``.
     """
     groups = _check_groups(qs[0].shape[0], ks[0].shape[0])
     if scale is None:
@@ -317,7 +330,8 @@ def ring_attention_backward_kv(
     def tile(r, j, bundle):
         k_j, v_j = bundle[:2]
         skip, plan = _resolve_tiles(
-            mask, qs[r], idxs[r], idxs[j], block_size
+            mask, qs[r], idxs[r], idxs[j], block_size,
+            head_slices and head_slices[r],
         )
         if skip:
             return None

@@ -16,6 +16,21 @@ Compared to a pure ring over ``G`` devices, the ring is only ``r`` long and
 moves ``H/u`` of the heads, cutting ring traffic by ``u×`` at the price of
 the unoverlappable all-to-alls; compared to pure Ulysses, the head count
 only needs to be divisible by ``u``, not ``G``.
+
+**DeepSpeed-Ulysses is the ``u = G`` corner** (``ring_degree = 1``): each
+rank trades its sequence shard for *all* ``N`` tokens of ``H/G`` heads,
+runs ordinary whole-sequence attention on a one-position ring — one local
+kernel call, no ring hop — and trades the outputs back.  Communication per
+rank is ``4 · (N/G) · d · (G-1)/G`` elements per pass, asymptotically
+``G×`` cheaper than ring methods, but the all-to-all cannot be overlapped
+with attention compute (the compute cannot start until the collective
+completes), and the method is *infeasible whenever the head count is not
+divisible by the GPU count* (the paper's 14B model has 40 heads, so Ulysses
+cannot run on 64 GPUs).
+
+A per-head bias (ALiBi) is split like the heads: every rank's tile plans
+view its own head group of the shared bias tiles
+(:meth:`~repro.kernels.TilePlan.with_head_slice`).
 """
 
 from __future__ import annotations
@@ -78,30 +93,70 @@ class USPContext:
     mask: MaskPattern | None
     scale: float
     block_size: int | None
-
-
-def _split_heads(x: np.ndarray, u: int) -> list[np.ndarray]:
-    hh = x.shape[0] // u
-    return [x[i * hh : (i + 1) * hh] for i in range(u)]
+    head_slices: list[slice] | None
 
 
 def _seq_to_head(
     comm: SimCommunicator,
     grid: USPGrid,
-    arrays: Sequence[tuple[np.ndarray, ...]],
+    bundles: Sequence[tuple[np.ndarray, ...]],
     *,
     phase: str,
     tag: str,
-) -> list[list[tuple[np.ndarray, ...]]]:
-    """All-to-all bundles of arrays inside each Ulysses group."""
+) -> list[list[np.ndarray]]:
+    """All-to-all sequence-sharded bundles (one per rank) inside each
+    Ulysses group: rank ``r`` ends up with its head group over the whole
+    group's tokens.  Returns one list of per-rank arrays per bundle slot."""
     u = grid.ulysses_degree
+    hh = bundles[0][0].shape[0] // u
+    # Head group d of every slot goes to group position d.
     chunks = [
-        [tuple(_split_heads(a, u)[d] for a in arrays[r]) for d in range(u)]
+        [tuple(a[d * hh : (d + 1) * hh] for a in bundles[r]) for d in range(u)]
         for r in range(grid.world)
     ]
-    return comm.group_all_to_all(
+    received = comm.group_all_to_all(
         chunks, grid.ulysses_groups(), phase=phase, tag=tag
     )
+    return [
+        [
+            np.concatenate([received[r][p][i] for p in range(u)], axis=-2)
+            for r in range(grid.world)
+        ]
+        for i in range(len(bundles[0]))
+    ]
+
+
+def _head_to_seq(
+    comm: SimCommunicator,
+    grid: USPGrid,
+    bundles: Sequence[tuple[np.ndarray, ...]],
+    local_sizes: Sequence[int],
+    *,
+    phase: str,
+    tag: str,
+) -> list[list[np.ndarray]]:
+    """The inverse of :func:`_seq_to_head`: every rank returns each group
+    peer its sequence slice (``local_sizes`` tokens) of the head-layout
+    bundles.  Returns one list of per-rank arrays per bundle slot."""
+    u = grid.ulysses_degree
+    chunks = []
+    for r in range(grid.world):
+        group = grid.ulysses_groups()[grid.ring_index(r)]
+        bounds = np.cumsum([0] + [local_sizes[p] for p in group])
+        chunks.append([
+            tuple(a[:, bounds[p] : bounds[p + 1]] for a in bundles[r])
+            for p in range(u)
+        ])
+    received = comm.group_all_to_all(
+        chunks, grid.ulysses_groups(), phase=phase, tag=tag
+    )
+    return [
+        [
+            np.concatenate([received[r][p][i] for p in range(u)], axis=0)
+            for r in range(grid.world)
+        ]
+        for i in range(len(bundles[0]))
+    ]
 
 
 @traced("attn.pass", "attn", algorithm="usp", direction="fwd")
@@ -120,10 +175,10 @@ def usp_attention_forward(
 ) -> tuple[list[np.ndarray], list[np.ndarray], USPContext]:
     """USP forward pass.
 
-    ``qs[r]`` is ``(H, S/G, D)``; ranks of one Ulysses group must hold
-    consecutive slices of their ring group's sequence shard (the engine's
-    partitioning guarantees this).  ``idxs[r]`` are the global positions of
-    rank ``r``'s local tokens.  Returns seq-sharded ``(os, lses, ctx)``.
+    ``qs[r]`` is ``(H, S/G, D)`` and ``idxs[r]`` are the global positions
+    of rank ``r``'s local tokens; any partition works, as a rank's head
+    layout holds its group's shards in group order.  Returns seq-sharded
+    ``(os, lses, ctx)``.
     """
     u = grid.ulysses_degree
     if grid.world != comm.world_size:
@@ -132,7 +187,10 @@ def usp_attention_forward(
         )
     h = qs[0].shape[0]
     if h % u != 0:
-        raise ValueError(f"{h} heads not divisible by ulysses degree {u}")
+        raise ValueError(
+            f"head parallelism infeasible: {h} heads not divisible by "
+            f"ulysses degree {u}"
+        )
     if ks[0].shape[0] != h:
         raise ValueError(
             "USP's head-parallel dimension requires equal query/KV head "
@@ -140,61 +198,49 @@ def usp_attention_forward(
         )
     if scale is None:
         scale = 1.0 / np.sqrt(qs[0].shape[-1])
-    if mask is not None and mask.bias_block(np.array([0]), np.array([0])) is not None:
-        raise NotImplementedError(
-            "USP does not support biased masks (ALiBi) — the head-parallel "
-            "dimension would need per-slice bias plumbing; use a "
-            "ring-family method"
-        )
+    head_slices = None
+    # Validate per-head bias geometry from a 1x1 probe tile — the full
+    # (H, N, N) bias is never materialised.
+    probe = None if mask is None else mask.bias_block(idxs[0][:1], idxs[0][:1])
+    if probe is not None:
+        if probe.ndim != 3 or probe.shape[0] != h:
+            raise ValueError(
+                "USP needs a per-head bias matching the head count"
+            )
+        hh = h // u
+        head_slices = [
+            slice(ul * hh, (ul + 1) * hh)
+            for ul in map(grid.ulysses_index, range(grid.world))
+        ]
     local_sizes = [q.shape[-2] for q in qs]
 
     # (1) seq -> head inside each Ulysses group.
-    received = _seq_to_head(
-        comm, grid, [(qs[r], ks[r], vs[r]) for r in range(grid.world)],
-        phase=phase, tag="usp-qkv",
+    q_h, k_h, v_h = _seq_to_head(
+        comm, grid, list(zip(qs, ks, vs)), phase=phase, tag="usp-qkv"
     )
-    q_h, k_h, v_h, ring_idxs = [], [], [], []
-    for r in range(grid.world):
-        group = grid.ulysses_groups()[grid.ring_index(r)]
-        q_h.append(np.concatenate([received[r][p][0] for p in range(u)], axis=-2))
-        k_h.append(np.concatenate([received[r][p][1] for p in range(u)], axis=-2))
-        v_h.append(np.concatenate([received[r][p][2] for p in range(u)], axis=-2))
-        ring_idxs.append(np.concatenate([idxs[peer] for peer in group]))
+    groups = grid.ulysses_groups()
+    ring_idxs = [
+        np.concatenate([idxs[peer] for peer in groups[grid.ring_index(r)]])
+        for r in range(grid.world)
+    ]
 
     # (2) ring attention across ring groups on head-sharded data.
     schedule = grouped_ring_schedule(comm.topology, grid.ring_groups())
     o_h, lse_h = ring_attention_forward(
         comm, schedule, q_h, k_h, v_h, ring_idxs, mask=mask, scale=scale,
-        phase=phase, block_size=block_size,
+        phase=phase, block_size=block_size, head_slices=head_slices,
     )
 
     # (3) head -> seq: return each peer its sequence slice of the outputs.
-    sizes_by_rank = list(local_sizes)
-    out_chunks = []
-    for r in range(grid.world):
-        group = grid.ulysses_groups()[grid.ring_index(r)]
-        bounds = np.cumsum([0] + [sizes_by_rank[p] for p in group])
-        out_chunks.append(
-            [
-                (
-                    o_h[r][:, bounds[p] : bounds[p + 1], :],
-                    lse_h[r][:, bounds[p] : bounds[p + 1]],
-                )
-                for p in range(u)
-            ]
-        )
-    received_o = comm.group_all_to_all(
-        out_chunks, grid.ulysses_groups(), phase=phase, tag="usp-out"
+    os_out, lses_out = _head_to_seq(
+        comm, grid, list(zip(o_h, lse_h)), local_sizes,
+        phase=phase, tag="usp-out",
     )
-    os_out, lses_out = [], []
-    for r in range(grid.world):
-        os_out.append(np.concatenate([received_o[r][p][0] for p in range(u)], axis=0))
-        lses_out.append(np.concatenate([received_o[r][p][1] for p in range(u)], axis=0))
 
     ctx = USPContext(
         grid=grid, q_h=q_h, k_h=k_h, v_h=v_h, o_h=o_h, lse_h=lse_h,
         ring_idxs=ring_idxs, local_sizes=local_sizes,
-        mask=mask, scale=scale, block_size=block_size,
+        mask=mask, scale=scale, block_size=block_size, head_slices=head_slices,
     )
     return os_out, lses_out, ctx
 
@@ -214,44 +260,19 @@ def usp_attention_backward(
     the ring); ``True`` swaps in BurstAttention's Algorithm 2.
     """
     grid = ctx.grid
-    u = grid.ulysses_degree
-    received = _seq_to_head(
-        comm, grid, [(dos[r],) for r in range(grid.world)],
-        phase=phase, tag="usp-dout",
+    (do_h,) = _seq_to_head(
+        comm, grid, list(zip(dos)), phase=phase, tag="usp-dout"
     )
-    do_h = [
-        np.concatenate([received[r][p][0] for p in range(u)], axis=-2)
-        for r in range(grid.world)
-    ]
 
     schedule = grouped_ring_schedule(comm.topology, grid.ring_groups())
     backward = burst_attention_backward if use_burst_backward else ring_attention_backward_kv
     dq_h, dk_h, dv_h = backward(
         comm, schedule, ctx.q_h, ctx.k_h, ctx.v_h, ctx.o_h, ctx.lse_h, do_h,
         ctx.ring_idxs, mask=ctx.mask, scale=ctx.scale,
-        phase=phase, block_size=ctx.block_size,
+        phase=phase, block_size=ctx.block_size, head_slices=ctx.head_slices,
     )
-
-    grad_chunks = []
-    for r in range(grid.world):
-        group = grid.ulysses_groups()[grid.ring_index(r)]
-        bounds = np.cumsum([0] + [ctx.local_sizes[p] for p in group])
-        grad_chunks.append(
-            [
-                (
-                    dq_h[r][:, bounds[p] : bounds[p + 1], :],
-                    dk_h[r][:, bounds[p] : bounds[p + 1], :],
-                    dv_h[r][:, bounds[p] : bounds[p + 1], :],
-                )
-                for p in range(u)
-            ]
-        )
-    received_g = comm.group_all_to_all(
-        grad_chunks, grid.ulysses_groups(), phase=phase, tag="usp-grads"
+    dqs, dks, dvs = _head_to_seq(
+        comm, grid, list(zip(dq_h, dk_h, dv_h)), ctx.local_sizes,
+        phase=phase, tag="usp-grads",
     )
-    dqs, dks, dvs = [], [], []
-    for r in range(grid.world):
-        dqs.append(np.concatenate([received_g[r][p][0] for p in range(u)], axis=0))
-        dks.append(np.concatenate([received_g[r][p][1] for p in range(u)], axis=0))
-        dvs.append(np.concatenate([received_g[r][p][2] for p in range(u)], axis=0))
     return dqs, dks, dvs

@@ -496,9 +496,12 @@ class SimCommunicator:
             operands=chunks,
         )
         for grp in groups:
-            for dst_pos, dst in enumerate(grp):
-                for src in grp:
+            # Logged sender-major, as :meth:`all_to_all` logs: one group
+            # spanning the world is that collective, record for record.
+            for src in grp:
+                for dst_pos, dst in enumerate(grp):
                     call.hop(src, dst, chunks[src][dst_pos])
+            for dst_pos, dst in enumerate(grp):
                 call.arrivals[dst] = [chunks[src][dst_pos] for src in grp]
         return self._deliver(call)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.attention import get_method
-from repro.attention.methods import DistributedAttention
+from repro.attention.methods import DistributedAttention, USPMethod
 from repro.comm import SimCommunicator
 from repro.engine.distributed_attention import DistributedCausalSelfAttention
 from repro.engine.fsdp import FSDPTraffic, log_fsdp_traffic
@@ -136,29 +136,20 @@ class BurstEngine:
                 "declares no backward context rebuild "
                 "(supports_context_rebuild / make_context)"
             )
-        if self.config.method == "ulysses" and heads % g != 0:
-            raise ValueError(
-                f"DeepSpeed-Ulysses infeasible: {heads} heads on {g} GPUs"
-            )
-        if self.config.method == "ulysses" and kv_heads != heads:
-            raise ValueError(
-                "Ulysses head parallelism requires equal query/KV head counts; "
-                f"got {heads} vs {kv_heads} (GQA is a ring-family feature)"
-            )
-        if self.config.method == "usp":
-            u = self.method.ulysses_degree
-            if g % u != 0:
-                raise ValueError(
-                    f"world size {g} not divisible by ulysses degree {u}"
-                )
+        if isinstance(self.method, USPMethod):
+            # Head-parallel methods (Ulysses is USP with u = G): the grid
+            # must fit the world, the heads must split over its degree.
+            u = self.method.grid(g).ulysses_degree
             if heads % u != 0:
                 raise ValueError(
-                    f"{heads} heads not divisible by ulysses degree {u}"
+                    f"head parallelism infeasible: {heads} heads not "
+                    f"divisible by ulysses degree {u}"
                 )
             if kv_heads != heads:
                 raise ValueError(
-                    "USP's head-parallel dimension requires equal query/KV "
-                    f"head counts; got {heads} vs {kv_heads}"
+                    "head parallelism requires equal query/KV head counts; "
+                    f"got {heads} vs {kv_heads} (GQA is a ring-family "
+                    "feature)"
                 )
         if s % g != 0:
             raise ValueError(

@@ -174,7 +174,7 @@ def _memdiff_cell(method, policy_mode, ring_mode, seq, chunk=None):
         vocab=config.model.vocab_size, checkpoint=policy_mode,
         split_fraction=config.checkpoint.split_fraction,
         head_impl=config.head_impl, fused_mlp=(chunk is not None),
-        rebuilds_context=(method != "ulysses"),
+        rebuilds_context=engine.method.supports_context_rebuild,
     )
     return {
         "observed": observed,

@@ -199,9 +199,10 @@ def predicted_ring_cells(
     accumulators keep circulating), and the reverse stream runs
     ``R = (S - 1) // 2`` moves in both: a seeding exchange (priced at
     :meth:`RingSchedule.reverse_link_class`) followed by retraced tail
-    transitions.  All-to-all methods (Ulysses) have no ring schedule and
-    predict zero everywhere; USP's ring runs through grouped schedules its
-    method builds internally, which the structural gate does not model.
+    transitions.  Head-parallel methods predict zero everywhere: Ulysses'
+    one-position ring makes no transition, and USP's grouped rings are
+    built by its method internally, which the structural gate does not
+    model.
     """
     from repro.comm.ring import RING_METHODS, bidirectional_split
     from repro.topology import LinkClass

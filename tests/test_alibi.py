@@ -88,8 +88,11 @@ class TestDistributedALiBi:
     @pytest.mark.parametrize(
         "method,kwargs",
         [("megatron-cp", {}), ("loongtrain-double", {}), ("burst", {}),
-         ("ulysses", {}), ("selective", {})],
-        ids=lambda m: m if isinstance(m, str) else "",
+         ("ulysses", {}), ("usp", {"ulysses_degree": 2}),
+         ("usp", {"ulysses_degree": 4}), ("selective", {})],
+        ids=lambda m: m if isinstance(m, str) else "".join(
+            f"u{u}" for u in m.values()
+        ),
     )
     def test_distributed_matches_dense(self, method, kwargs):
         h = 8  # ulysses-feasible
@@ -106,12 +109,6 @@ class TestDistributedALiBi:
         np.testing.assert_allclose(res.dq, dq_ref, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(res.dk, dk_ref, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(res.dv, dv_ref, rtol=1e-8, atol=1e-10)
-
-    def test_usp_rejects_bias(self):
-        q, k, v, _ = inputs(n=64, h=8)
-        m = get_method("usp", ulysses_degree=2, block_size=16)
-        with pytest.raises(NotImplementedError):
-            m.run(TOPO, q, k, v, mask=ALiBiMask(8))
 
     def test_alibi_breaks_translation_blindness(self):
         """With ALiBi, the same token content at different distances gets

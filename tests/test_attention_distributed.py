@@ -110,6 +110,16 @@ class TestCorrectnessAllMethods:
         with pytest.raises(ValueError, match="infeasible"):
             method.run(TOPO_2x4, q, k, v)
 
+    @pytest.mark.parametrize("name,kwargs", [
+        ("ulysses", {}), ("usp", {"ulysses_degree": 8}),
+    ])
+    def test_head_parallel_rejects_indivisible_sequence(self, name, kwargs):
+        """12 tokens on 8 ranks fail to shard; USP's one-position ring
+        split used to keep 8 of them and drop the rest."""
+        method = get_method(name, **kwargs)
+        with pytest.raises(ValueError, match="not divisible by device count"):
+            method.indices(12, 8)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             get_method("nonexistent")
@@ -176,6 +186,19 @@ class TestCommunicationVolumes:
         assert all(v == expected_fwd for v in per_rank_fwd.values())
         ring_fwd = (self.G - 1) * 2 * (self.N // self.G) * self.D * 8
         assert expected_fwd < ring_fwd
+
+    def test_one_position_ring_takes_no_return_hop(self):
+        """USP at ``u = G`` — Ulysses — runs its ring leg on one position:
+        a forward + backward pass is its four group all-to-alls and no
+        identity ``exchange`` sending a bundle home it never left."""
+        from repro.obs import use_tracing
+
+        q, k, v, do = make_inputs(n=self.N, d=self.D, heads=self.G)
+        method = get_method("usp", ulysses_degree=self.G, block_size=16)
+        with use_tracing() as tracer:
+            method.run(TOPO_2x4, q, k, v, mask=CausalMask(), do=do)
+        ops = [s.name for s in tracer.spans() if s.name.startswith("comm.")]
+        assert ops == ["comm.group_all_to_all"] * 4
 
     def test_ring_neighbours_only(self):
         """Flat ring traffic flows only between ring neighbours."""

@@ -438,10 +438,12 @@ class TestEngineAccounting:
             ({}, "usp", {"ulysses_degree": 3}, "world size 8 not divisible"),
             (dict(n_heads=2), "usp", {"ulysses_degree": 4},
              "2 heads not divisible by ulysses degree 4"),
+            ({}, "usp", {"ulysses_degree": 0}, "ulysses_degree must be >= 1"),
+            ({}, "usp", {"ulysses_degree": -2}, "ulysses_degree must be >= 1"),
             ({}, "selective", {}, "no backward context rebuild"),
         ],
-        ids=["ulysses-gqa", "usp-gqa", "usp-world", "usp-heads",
-             "selective-context"],
+        ids=["ulysses-gqa", "usp-gqa", "usp-world", "usp-heads", "usp-zero",
+             "usp-negative", "selective-context"],
     )
     def test_head_parallel_misfit_fails_before_compute(
         self, model, method, kwargs, message

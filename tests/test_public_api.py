@@ -812,3 +812,43 @@ class TestOneCheckpointPolicyDescription:
             "mode", "split_fraction",
         ]
         assert not hasattr(CheckpointPolicy, "cached_fraction")
+
+
+class TestOneHeadParallelExecutor:
+    def test_ulysses_is_usp_on_a_one_position_ring(self):
+        """ROADMAP aim 2 for head parallelism: DeepSpeed-Ulysses is USP
+        with ``u = G``, so one module issues the all-to-alls, the Ulysses
+        method inherits USP's passes instead of defining its own, and the
+        engine validates both through one branch."""
+        import ast
+        from pathlib import Path
+
+        from repro.attention import METHOD_REGISTRY, USPMethod
+
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        assert not (src / "attention" / "ulysses.py").exists()
+        callers = set()
+        for path in sorted((src / "attention").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("all_to_all", "group_all_to_all")
+                ):
+                    callers.add(path.relative_to(src).as_posix())
+        assert callers == {"attention/usp.py"}
+
+        ulysses = METHOD_REGISTRY["ulysses"]
+        assert issubclass(ulysses, USPMethod)
+        assert not {"forward_shards", "backward_shards"} & set(vars(ulysses))
+
+        engine = ast.parse((src / "engine" / "engine.py").read_text())
+        assert [
+            node.lineno for node in ast.walk(engine)
+            if isinstance(node, ast.Compare)
+            and any(isinstance(op, ast.Eq) for op in node.ops)
+            and any(
+                isinstance(c, ast.Constant) and c.value == "ulysses"
+                for c in (node.left, *node.comparators)
+            )
+        ] == []
