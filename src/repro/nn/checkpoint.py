@@ -43,10 +43,12 @@ node saves them.  The replayed function's final output is dropped —
 :meth:`Checkpoint.backward` seeds ``out.backward`` with the upstream
 gradient and never reads ``out.data`` — so a node at the tail of the
 region whose backward needs nothing it computed (the fused FFN:
-:class:`~repro.nn.mlp_fn.BlockwiseMLPFn` saves ``x`` and weights only) can
-skip its forward there — and a block's FFN is that node in its replay
-whatever ``mlp_chunk_size`` says, so a replayed layer's FFN saves only
-its input.  Whether a node *is* at the tail is a fact about
+:class:`~repro.nn.mlp_fn.BlockwiseMLPFn` saves its input, a folded norm's
+row and the weights only) can skip its forward there — and a block's FFN
+is that node in its replay whatever ``mlp_chunk_size`` says, so a
+replayed layer's FFN saves only its input: the block's mid-residual
+``h``, with ``norm2`` folded into the node (one ``(S, 1)`` row, no
+normed copy).  Whether a node *is* at the tail is a fact about
 the replayed function, not about the node: inside
 ``checkpoint(lambda t: ffn2(ffn1(t)), x)`` the first FFN's output is saved
 by the second.  Hence the rule, guarded in ``tests/test_public_api.py``:

@@ -25,6 +25,11 @@ its own checkpointed region (see ``docs/algorithms.md`` §5).  There the
 FFN is this node even when ``mlp_chunk_size`` is ``None``: the dense
 kernels are bitwise the composed graph, which would save ``x`` twice and
 four ``(S, hidden)`` intermediates.
+
+Wherever the FFN is this node, the block's pre-FFN RMSNorm folds into it
+(:class:`~repro.nn.ops.PreNormFn`): the node saves the norm's input and
+one ``(S, 1)`` row, not the normed activations, and its backward rebuilds
+them with one elementwise pass before the FFN kernel's backward.
 """
 
 from __future__ import annotations
@@ -32,37 +37,38 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels import get_backend
-from repro.nn.function import Function
+from repro.nn.ops import PreNormFn, pre_norm_inputs
 from repro.nn.tensor import Tensor
 
 
-class BlockwiseMLPFn(Function):
-    """``y = silu(x @ Wg^T) * (x @ Wu^T) @ Wd^T`` as one graph node."""
+class BlockwiseMLPFn(PreNormFn):
+    """``y = silu(n @ Wg^T) * (n @ Wu^T) @ Wd^T`` as one graph node, ``n``
+    being ``x`` or, folded in, its :class:`~repro.nn.ops.PreNormFn`
+    RMSNorm (then ``x`` and the ``(S, 1)`` row are saved, not ``n``)."""
 
     def forward(
         self,
-        x: np.ndarray,
-        w_gate: np.ndarray,
-        w_up: np.ndarray,
-        w_down: np.ndarray,
+        *args: np.ndarray,
         chunk_size: int | None = None,
         graph_only: bool = False,
+        eps: float | None = None,
     ) -> np.ndarray:
         self.chunk_size = chunk_size
-        self.save_for_backward(x, w_gate, w_up, w_down)
+        x, ms, (w_gate, w_up, w_down) = self._save_inputs(args, eps)
         if graph_only:
             # Zeros, not np.empty: the caller's add / dropout still touch
             # the placeholder and must stay finite under np.errstate.
             return np.zeros(x.shape[:-1] + (w_down.shape[0],), dtype=x.dtype)
         return get_backend().mlp_forward(
-            x, w_gate, w_up, w_down, chunk_size=chunk_size
+            self._normed(x, ms), w_gate, w_up, w_down, chunk_size=chunk_size
         )
 
     def backward(self, grad_out: np.ndarray):
-        x, w_gate, w_up, w_down = self.saved
-        return get_backend().mlp_backward(
-            x, w_gate, w_up, w_down, grad_out, chunk_size=self.chunk_size
+        x, ms, *weights = self.saved
+        dn, *weight_grads = get_backend().mlp_backward(
+            self._normed(x, ms), *weights, grad_out, chunk_size=self.chunk_size
         )
+        return (*self._norm_backward(dn, x, ms), *weight_grads)
 
 
 def blockwise_mlp(
@@ -72,12 +78,16 @@ def blockwise_mlp(
     w_down: Tensor,
     chunk_size: int | None = None,
     graph_only: bool = False,
+    norm=None,
 ) -> Tensor:
-    """Functional wrapper: fused SwiGLU FFN through the kernel backend.
+    """Functional wrapper: fused SwiGLU FFN through the kernel backend,
+    reading ``norm(x)`` when ``norm`` (an ``RMSNorm``) is given.
 
     ``graph_only`` builds the node without computing its output (zeros);
     pass it only when the output's values are provably never read.
     """
+    inputs, kwargs = pre_norm_inputs(x, norm)
     return BlockwiseMLPFn.apply(
-        x, w_gate, w_up, w_down, chunk_size=chunk_size, graph_only=graph_only
+        *inputs, w_gate, w_up, w_down,
+        chunk_size=chunk_size, graph_only=graph_only, **kwargs,
     )

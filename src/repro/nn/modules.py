@@ -133,6 +133,16 @@ class RMSNorm(Module):
         return ops.rms_norm(x, self.weight, eps=self.eps)
 
 
+def _check_mlp_chunk_size(mlp_chunk_size: int | None) -> None:
+    """``ValueError`` unless ``mlp_chunk_size`` is ``None`` or >= 1: the
+    kernels take any other value for the dense path, so a typo would
+    train silently unchunked."""
+    if mlp_chunk_size is not None and mlp_chunk_size < 1:
+        raise ValueError(
+            f"mlp_chunk_size must be >= 1 or None, got {mlp_chunk_size}"
+        )
+
+
 class SwiGLU(Module):
     """LLaMA FFN: ``down(silu(gate(x)) * up(x))``.
 
@@ -152,6 +162,11 @@ class SwiGLU(Module):
     backward re-runs two GEMMs (dense when ``mlp_chunk_size`` is
     ``None``, bitwise the composed path).  The composed graph would run
     three GEMMs there only to save what the fused backward rebuilds.
+
+    ``forward(x, norm=rms_norm_module)`` computes ``ffn(norm(x))``.  The
+    fused node folds the norm in (:class:`~repro.nn.ops.PreNormFn`: it
+    saves ``x`` and one ``(S, 1)`` row instead of the normed input); the
+    composed graph applies it as its own node first.
     """
 
     def __init__(
@@ -161,17 +176,24 @@ class SwiGLU(Module):
         rng: np.random.Generator,
         mlp_chunk_size: int | None = None,
     ):
+        _check_mlp_chunk_size(mlp_chunk_size)
         self.gate = Linear(dim, hidden, rng)
         self.up = Linear(dim, hidden, rng)
         self.down = Linear(hidden, dim, rng)
         self.mlp_chunk_size = mlp_chunk_size
 
-    def forward(self, x: Tensor, output_unread: bool = False) -> Tensor:
+    def forward(
+        self, x: Tensor, output_unread: bool = False,
+        norm: RMSNorm | None = None,
+    ) -> Tensor:
         if self.mlp_chunk_size is not None or output_unread:
             return blockwise_mlp(
                 x, self.gate.weight, self.up.weight, self.down.weight,
                 chunk_size=self.mlp_chunk_size, graph_only=output_unread,
+                norm=norm,
             )
+        if norm is not None:
+            x = norm(x)
         return self.down(ops.mul(ops.silu(self.gate(x)), self.up(x)))
 
 
@@ -180,6 +202,9 @@ class CausalSelfAttention(Module):
 
     The mask defaults to causal but accepts any
     :class:`~repro.masks.MaskPattern` (the sparse-attention integration).
+    ``forward(x, norm=rms_norm_module)`` attends over ``norm(x)`` with the
+    norm folded into the q/k/v node, which then saves ``x`` and one
+    ``(S, 1)`` row rather than the normed input.
     """
 
     def __init__(
@@ -229,10 +254,11 @@ class CausalSelfAttention(Module):
             apply_rope(k, positions, theta=self.rope_theta),
         )
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, norm: RMSNorm | None = None) -> Tensor:
         s = x.shape[0]
         q, k, v = ops.qkv_heads(
-            x, self.wq.weight, self.wk.weight, self.wv.weight, self.head_dim
+            x, self.wq.weight, self.wk.weight, self.wv.weight, self.head_dim,
+            norm=norm,
         )
         # RoPE rotates by *global* position before any sequence sharding,
         # so a distributed ``_attend`` needs no position plumbing at all.
@@ -265,8 +291,16 @@ class TransformerBlock(Module):
     it, the FFN's values are read by nobody and the block tells the FFN so
     (``output_unread``) — the replay builds the fused node's graph without
     computing it, composed FFN or not, so a replayed layer's FFN saves
-    only its input and the weights.  Only the block can know this; see
+    only its input — the block's mid-residual ``h`` — one ``(S, 1)`` row
+    and the weights.  Only the block can know this; see
     ``docs/algorithms.md`` §5.
+
+    Neither norm runs as a node of its own in front of a fused reader:
+    the block hands ``norm1`` to the attention and ``norm2`` to the FFN,
+    which fold each into the node reading its output (the q/k/v node and
+    the fused FFN, :class:`~repro.nn.ops.PreNormFn`).  Those nodes keep
+    ``x`` and ``h``, which the residual ``add`` nodes need anyway, not the
+    normed copies.  Only a composed FFN applies ``norm2`` separately.
     """
 
     def __init__(
@@ -313,12 +347,12 @@ class TransformerBlock(Module):
         self.attn.policy = policy
 
     def _body(self, x: Tensor, tail_unread: bool = False) -> Tensor:
-        attn_out = self.attn(self.norm1(x))
+        attn_out = self.attn(x, norm=self.norm1)
         if self.dropout_p > 0:
             attn_out = ops.dropout(attn_out, self.dropout_p,
                                    training=self.training)
         h = ops.add(x, attn_out)
-        ffn_out = self.ffn(self.norm2(h), output_unread=tail_unread)
+        ffn_out = self.ffn(h, output_unread=tail_unread, norm=self.norm2)
         if self.dropout_p > 0:
             ffn_out = ops.dropout(ffn_out, self.dropout_p,
                                   training=self.training)
@@ -419,6 +453,9 @@ class TransformerConfig:
     #: sequence chunks of this many rows (``None`` = composed dense FFN).
     mlp_chunk_size: int | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check_mlp_chunk_size(self.mlp_chunk_size)
 
 
 class TransformerLM(Module):

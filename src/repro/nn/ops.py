@@ -84,40 +84,123 @@ def _packed(rows: int, widths) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-class QKVProjectionFn(Function):
-    """``q, k, v = x·Wqᵀ, x·Wkᵀ, x·Wvᵀ`` as one node that saves ``x`` once.
+class PreNormFn(Function):
+    """A node that may read its input through a folded LLaMA RMSNorm.
 
-    As three ``MatMul`` nodes the projections saved the same normed input
-    three times.  This node saves ``x`` and the three weights (held by
-    reference): ``S·D + D·(D + 2·kv)`` elements.  Its output is one flat
-    array holding the three products back to back, each a C-contiguous
-    ``(S, n)`` block written by its own GEMM — the layout a lone
-    ``MatMul``'s output has, so the head views and every kernel after them
-    see the strides they saw before.  (One GEMM over the concatenated
-    weight is not bitwise the three: OpenBLAS picks its kernel by shape.)
-    The backward evaluates each ``MatMul``'s expressions on contiguous
-    gradient blocks and adds ``x``'s three terms in the order the graph
-    added them — q, k, then v — so values and gradients are the three
-    nodes' bits.  Grouped-query attention is just narrower ``Wk`` / ``Wv``.
+    ``apply(x, *weights)`` runs the node on ``x``.  ``apply(x, x, x, w,
+    *weights, eps=eps)`` runs it on ``n = x / sqrt(mean(x²) + eps) * w``
+    without saving ``n``: the node saves ``x`` and the ``(S, 1)`` row
+    ``ms = mean(x²) + eps`` (``S·D + S`` elements, ``w`` held by
+    reference, as a parameter), and its backward rebuilds ``n`` with the
+    forward's expressions, runs the consumer's backward and then the
+    norm's (:meth:`_norm_backward`).  So a norm followed by its only
+    reader costs one saved ``(S, D)`` array, not two, and values and
+    gradients are the two nodes' bits.
+
+    The RMSNorm expressions are written here once: :class:`RMSNormFn`
+    is this node with nothing after the norm.  Its forward runs the op
+    sequence of the ``Mul`` / ``Mean`` / ``Add`` / ``Pow`` / ``Mul`` /
+    ``Mul`` composite it replaced (``x*x → mean → +eps → **-0.5 →
+    x*inv → *w``), and :meth:`_norm_backward` evaluates each of those
+    nodes' backward expressions in turn.  (Saving ``inv`` instead of
+    ``ms`` costs the same bytes, but the ``Pow`` backward reads ``ms``,
+    which would then cost an ``S·D`` re-reduction.)  ``x`` enters three
+    times so the graph adds its gradient in the composite's order: after
+    any later consumer (a residual ``add``), ``g·w·inv`` from ``Mul(x,
+    inv)``, then the two halves of ``Mul(x, x)``.
     """
 
-    def forward(self, x, wq, wk, wv):
-        self.save_for_backward(x, wq, wk, wv)
-        self.blocks = _packed(x.shape[0], [w.shape[0] for w in (wq, wk, wv)])
+    def _save_inputs(self, args, eps):
+        """``(x, ms, weights)`` from ``apply``'s arrays, all saved;
+        ``ms`` is ``None`` without a folded norm."""
+        if eps is None:
+            x, *weights = args
+            self.norm_weight = ms = None
+        else:
+            x, _x_sq_a, _x_sq_b, self.norm_weight, *weights = args
+            ms = (x * x).mean(axis=-1, keepdims=True) + eps
+        self.save_for_backward(x, ms, *weights)
+        return x, ms, weights
+
+    def _normed(self, x, ms):
+        """What the consumer reads: ``x``, or ``x·ms^-½·w``."""
+        if ms is None:
+            return x
+        out = x * ms**-0.5
+        out *= self.norm_weight
+        return out
+
+    def _norm_backward(self, g, x, ms) -> tuple:
+        """The gradients of ``x`` (one term, or the norm's three) and the
+        norm weight, from the consumer's input gradient ``g``."""
+        if ms is None:
+            return (g,)
+        # The composite's expressions, each in-place step a commutative
+        # IEEE operation on the same operands (same bits, fewer buffers).
+        w = self.norm_weight
+        inv = ms**-0.5
+        g_xn = g * w  # Mul(xn, w)
+        g_w = x * inv
+        g_w *= g
+        g_w = _unbroadcast(g_w, w.shape)
+        g_x_inv = g_xn * x  # Mul(x, inv) -> inv
+        g_inv = _unbroadcast(g_x_inv, inv.shape)
+        g_ms = g_inv * -0.5 * ms**-1.5  # Pow
+        # Mean, then either half of Mul(x, x), over g_x_inv's buffer
+        half = np.multiply(x, g_ms / (x.size / ms.size), out=g_x_inv)
+        g_xn *= inv  # Mul(x, inv) -> x
+        return g_xn, half, half, g_w
+
+
+def pre_norm_inputs(x, norm) -> tuple[tuple, dict]:
+    """``apply`` arguments of a :class:`PreNormFn` reading ``norm(x)``:
+    ``norm`` is an :class:`~repro.nn.modules.RMSNorm` (its ``weight`` and
+    ``eps``), or ``None`` to read ``x`` itself."""
+    x = _wrap(x)
+    if norm is None:
+        return (x,), {}
+    return (x, x, x, _wrap(norm.weight)), {"eps": norm.eps}
+
+
+class QKVProjectionFn(PreNormFn):
+    """``q, k, v = n·Wqᵀ, n·Wkᵀ, n·Wvᵀ`` as one node, ``n`` being its
+    input or the :class:`PreNormFn` RMSNorm of it.
+
+    As three ``MatMul`` nodes after a norm the projections saved the same
+    normed input three times, beside the norm's own ``x``.  This node
+    saves the input once and the three weights (held by reference):
+    ``S·D + S + D·(D + 2·kv)`` elements with the norm folded in, ``S·D +
+    D·(D + 2·kv)`` without.  Its output is one flat array holding the
+    three products back to back, each a C-contiguous ``(S, n)`` block
+    written by its own GEMM — the layout a lone ``MatMul``'s output has,
+    so the head views and every kernel after them see the strides they
+    saw before.  (One GEMM over the concatenated weight is not bitwise
+    the three: OpenBLAS picks its kernel by shape.)  The backward rebuilds
+    ``n``, evaluates each ``MatMul``'s expressions on contiguous gradient
+    blocks and adds ``n``'s three terms in the order the graph added them
+    — q, k, then v — before the norm's backward, so values and gradients
+    are the old nodes' bits.  Grouped-query attention is just narrower
+    ``Wk`` / ``Wv``.
+    """
+
+    def forward(self, *args, eps: float | None = None):
+        x, ms, weights = self._save_inputs(args, eps)
+        n = self._normed(x, ms)
+        self.blocks = _packed(x.shape[0], [w.shape[0] for w in weights])
         out = np.empty(self.blocks[-1].stop)
-        for w, block in zip((wq, wk, wv), self.blocks):
-            np.matmul(x, np.swapaxes(w, 0, 1),
+        for w, block in zip(weights, self.blocks):
+            np.matmul(n, np.swapaxes(w, 0, 1),
                       out=out[block].reshape(x.shape[0], w.shape[0]))
         return out
 
     def backward(self, g):
-        x, *weights = self.saved
+        x, ms, *weights = self.saved
         gs = [g[b].reshape(x.shape[0], w.shape[0])
               for b, w in zip(self.blocks, weights)]
         dq, dk, dv = (np.matmul(gw, w) for gw, w in zip(gs, weights))
-        xt = np.swapaxes(x, 0, 1)
-        return (dq + dk + dv,
-                *(np.swapaxes(np.matmul(xt, gw), 0, 1) for gw in gs))
+        nt = np.swapaxes(self._normed(x, ms), 0, 1)
+        return (*self._norm_backward(dq + dk + dv, x, ms),
+                *(np.swapaxes(np.matmul(nt, gw), 0, 1) for gw in gs))
 
 
 class HeadsFn(Function):
@@ -230,51 +313,25 @@ class GELU(Function):
         return (g * grad,)
 
 
-class RMSNormFn(Function):
-    """LLaMA RMSNorm ``x / sqrt(mean(x²) + eps) * w`` as one node.
+class RMSNormFn(PreNormFn):
+    """LLaMA RMSNorm ``x / sqrt(mean(x²) + eps) * w`` as one node: a
+    :class:`PreNormFn` with nothing after the norm, applied as
+    ``apply(x, x, x, w, eps=eps)``.
 
-    The forward runs the op sequence of the ``Mul`` / ``Mean`` / ``Add``
-    / ``Pow`` / ``Mul`` / ``Mul`` composite it replaces (``x*x → mean →
-    +eps → **-0.5 → x*inv → *w``), and the backward evaluates each of
-    those nodes' backward expressions in turn, so values and gradients
-    are the composite's bits.  It saves ``x`` and the ``(S, 1)`` row
-    ``ms = mean(x²) + eps`` (``S·D + S`` elements); ``inv = ms**-0.5``
-    and ``x·inv`` are recomputed from them.  (Saving ``inv`` instead
-    costs the same bytes, but the ``Pow`` backward reads ``ms``, which
-    would then cost an ``S·D`` re-reduction.)  The weight is held by
-    reference, as a parameter.
-
-    ``x`` enters three times — ``apply(x, x, x, w)`` — so the graph adds
-    its gradient in the composite's order: after any later consumer
-    (a residual ``add``), ``g·w·inv`` from ``Mul(x, inv)``, then the two
-    halves of ``Mul(x, x)``.
+    It saves ``x`` and the ``(S, 1)`` row ``ms`` (``S·D + S`` elements)
+    and is bitwise the six-node composite it replaced, forward and
+    gradients.  A model reaches it only where the norm's output has more
+    than one reader or its reader is not a :class:`PreNormFn` (the final
+    norm, a composed FFN); elsewhere the norm is folded into its reader.
     """
 
-    def forward(self, x, _x_sq_a, _x_sq_b, w, eps: float = 1e-6):
-        ms = (x * x).mean(axis=-1, keepdims=True) + eps
-        self.save_for_backward(x, ms)
-        self.weight = w
-        out = x * ms**-0.5
-        out *= w
-        return out
+    def forward(self, *args, eps: float = 1e-6):
+        x, ms, _ = self._save_inputs(args, eps)
+        return self._normed(x, ms)
 
     def backward(self, g):
-        # The composite's expressions, each in-place step a commutative
-        # IEEE operation on the same operands (same bits, fewer buffers).
         x, ms = self.saved
-        w = self.weight
-        inv = ms**-0.5
-        g_xn = g * w  # Mul(xn, w)
-        g_w = x * inv
-        g_w *= g
-        g_w = _unbroadcast(g_w, w.shape)
-        g_x_inv = g_xn * x  # Mul(x, inv) -> inv
-        g_inv = _unbroadcast(g_x_inv, inv.shape)
-        g_ms = g_inv * -0.5 * ms**-1.5  # Pow
-        # Mean, then either half of Mul(x, x), over g_x_inv's buffer
-        half = np.multiply(x, g_ms / (x.size / ms.size), out=g_x_inv)
-        g_xn *= inv  # Mul(x, inv) -> x
-        return g_xn, half, half, g_w
+        return self._norm_backward(g, x, ms)
 
 
 class Sum(Function):
@@ -405,12 +462,16 @@ def matmul(a, b):
     return MatMul.apply(_wrap(a), _wrap(b))
 
 
-def qkv_heads(x, wq, wk, wv, head_dim: int) -> tuple[Tensor, Tensor, Tensor]:
+def qkv_heads(
+    x, wq, wk, wv, head_dim: int, norm=None
+) -> tuple[Tensor, Tensor, Tensor]:
     """``(q, k, v)`` in ``(heads, S, head_dim)`` layout from ``(S, D)``
-    activations through one :class:`QKVProjectionFn` node: ``x`` is saved
-    once, not per weight."""
-    x, *weights = (_wrap(a) for a in (x, wq, wk, wv))
-    fused = QKVProjectionFn.apply(x, *weights)
+    activations — or from ``norm(x)``, ``norm`` being an ``RMSNorm`` folded
+    into the node — through one :class:`QKVProjectionFn` node: ``x`` is
+    saved once, not per weight, and a folded norm's output not at all."""
+    inputs, kwargs = pre_norm_inputs(x, norm)
+    weights = [_wrap(w) for w in (wq, wk, wv)]
+    fused = QKVProjectionFn.apply(*inputs, *weights, **kwargs)
     s, widths, shared = x.shape[0], [w.shape[0] for w in weights], []
     return tuple(
         HeadsFn.apply(fused, block=block, shape=(s, n // head_dim, head_dim),

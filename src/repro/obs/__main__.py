@@ -217,46 +217,58 @@ def _cmd_memdiff(args: argparse.Namespace) -> int:
 
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     methods = ("burst", "megatron-cp", "ulysses")
+    # The chunked FFN's cells are the only ones whose fused norm + FFN
+    # node is built outside a replay (``none``) as well as in one; the
+    # sequence-level one also feeds the transient check below.
+    chunk = 32
+    grid = [(m, p, None) for m in methods for p in policies] + [
+        ("burst", p, chunk) for p in ("none", "sequence_level")
+    ]
     failed = False
     cells = []
     first_cell = None
+    chunked = {}
     print(f"{'cell':<34} {'observed':>10} {'predicted':>10}  peak span")
-    for method in methods:
-        for policy in policies:
-            cell = _memdiff_cell(method, policy, args.ring_mode, seq)
-            if first_cell is None:
-                first_cell = cell
-            predicted = cell["predicted"]["peak_saved_bytes"]
-            match = cell["observed"] == predicted
-            clean = not cell["leaks"]
-            failed = failed or not match or not clean
-            attr = cell["attribution"]
-            span = attr.get("span") or "-"
-            owner = attr.get("owner", {})
-            where = (
-                f"{span} (layer={owner.get('layer')}, "
-                f"phase={owner.get('mem_phase')})"
-            )
-            status = "" if match else "  DRIFT"
-            if not clean:
-                status += f"  {len(cell['leaks'])} LEAKED"
-            label = f"{method}/{policy}"
-            print(
-                f"{label:<34} {cell['observed']:>10} "
-                f"{predicted:>10}  {where}{status}"
-            )
-            cells.append({
-                "method": method,
-                "policy": policy,
-                "ring_mode": args.ring_mode if method == "burst" else None,
-                "observed_peak_bytes": cell["observed"],
-                "predicted_peak_bytes": predicted,
-                "match": match,
-                "peak_span": attr.get("span"),
-                "peak_owner": owner,
-                "top": attr.get("top", []),
-                "leaks": len(cell["leaks"]),
-            })
+    for method, policy, mlp_chunk in grid:
+        cell = _memdiff_cell(method, policy, args.ring_mode, seq,
+                             chunk=mlp_chunk)
+        if first_cell is None:
+            first_cell = cell
+        if mlp_chunk is not None:
+            chunked[policy] = cell
+        predicted = cell["predicted"]["peak_saved_bytes"]
+        match = cell["observed"] == predicted
+        clean = not cell["leaks"]
+        failed = failed or not match or not clean
+        attr = cell["attribution"]
+        span = attr.get("span") or "-"
+        owner = attr.get("owner", {})
+        where = (
+            f"{span} (layer={owner.get('layer')}, "
+            f"phase={owner.get('mem_phase')})"
+        )
+        status = "" if match else "  DRIFT"
+        if not clean:
+            status += f"  {len(cell['leaks'])} LEAKED"
+        label = f"{method}/{policy}" + (
+            "" if mlp_chunk is None else f"/chunk={mlp_chunk}")
+        print(
+            f"{label:<34} {cell['observed']:>10} "
+            f"{predicted:>10}  {where}{status}"
+        )
+        cells.append({
+            "method": method,
+            "policy": policy,
+            "ring_mode": args.ring_mode if method == "burst" else None,
+            "mlp_chunk_size": mlp_chunk,
+            "observed_peak_bytes": cell["observed"],
+            "predicted_peak_bytes": predicted,
+            "match": match,
+            "peak_span": attr.get("span"),
+            "peak_owner": owner,
+            "top": attr.get("top", []),
+            "leaks": len(cell["leaks"]),
+        })
 
     # Observed checkpoint-policy curve (Fig. 7, measured not asserted).
     curve = {}
@@ -272,9 +284,7 @@ def _cmd_memdiff(args: argparse.Namespace) -> int:
     ))
 
     # Chunked-MLP transient working set vs the PR-8 closed form.
-    chunk = 32
-    tcell = _memdiff_cell("burst", "sequence_level", args.ring_mode, seq,
-                          chunk=chunk)
+    tcell = chunked["sequence_level"]
     t_observed = _site_peak(tcell["events"], "mlp.chunked_bwd")
     t_predicted = swiglu_chunked_transient_bytes(
         seq, tcell["model"].dim, tcell["model"].ffn_hidden, chunk

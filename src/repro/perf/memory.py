@@ -302,22 +302,26 @@ def checkpoint_memory_curve(
 
 
 def rms_norm_saved_elems(seq_len: int, dim: int) -> int:
-    """Elements one RMSNorm forward saves: its one
-    :class:`~repro.nn.ops.RMSNormFn` node keeps ``x`` (SD) and the
-    ``mean(x²) + eps`` row (S); the weight is a parameter, held by
-    reference."""
+    """Elements a standalone RMSNorm saves — the final norm, or a
+    composed FFN's ``norm2``: its one :class:`~repro.nn.ops.RMSNormFn`
+    node keeps ``x`` (SD) and the ``mean(x²) + eps`` row (S); the weight
+    is a parameter, held by reference.  A norm folded into the node that
+    reads it (:class:`~repro.nn.ops.PreNormFn`) adds only the row (S) to
+    that node, which keeps ``x`` instead of the normed copy."""
     return seq_len * dim + seq_len
 
 
 def attention_proj_saved_elems(
     seq_len: int, dim: int, kv_dim: int | None = None
 ) -> int:
-    """Elements the attention projections save: the one
-    :class:`~repro.nn.ops.QKVProjectionFn` node keeps the normed input
-    (S, D) once plus ``Wq``, ``Wk``, ``Wv``; the output projection's
-    ``MatMul`` keeps its input (S, D) plus the (transposed-view) ``Wo``."""
+    """Elements a block's attention projections save, ``norm1``
+    included: the one :class:`~repro.nn.ops.QKVProjectionFn` node, with
+    the norm folded in, keeps the block input (S, D) once, the norm's
+    ``mean(x²) + eps`` row (S) and ``Wq``, ``Wk``, ``Wv``; the output
+    projection's ``MatMul`` keeps its input (S, D) plus the
+    (transposed-view) ``Wo``."""
     kv = dim if kv_dim is None else kv_dim
-    qkv = seq_len * dim + dim * (dim + 2 * kv)
+    qkv = seq_len * dim + seq_len + dim * (dim + 2 * kv)
     return qkv + seq_len * dim + dim * dim
 
 
@@ -342,18 +346,20 @@ def transformer_layer_saved_elems(
     kv_dim: int | None = None,
     fused_mlp: bool = False,
 ) -> int:
-    """Elements one transformer block's graph saves end to end: two
-    norms, the QKV node and ``wo``, the attention node (the same for every
-    method) and the FFN (composed or fused, as pinned in
-    ``tests/test_blockwise_mlp.py``)."""
-    ffn = (
-        swiglu_fused_saved_bytes(seq_len, dim, ffn_hidden, bytes_per_elem=1)
-        if fused_mlp
-        else swiglu_dense_saved_bytes(seq_len, dim, ffn_hidden, bytes_per_elem=1)
-    )
+    """Elements one transformer block's graph saves end to end: the QKV
+    node with ``norm1`` folded in and ``wo``, the attention node (the same
+    for every method) and the FFN with ``norm2`` (as pinned in
+    ``tests/test_blockwise_mlp.py``).  The fused FFN folds ``norm2`` in
+    and keeps ``h`` and one row; the composed FFN reads the output of a
+    standalone ``RMSNormFn``."""
+    if fused_mlp:
+        ffn = swiglu_fused_saved_bytes(
+            seq_len, dim, ffn_hidden, bytes_per_elem=1) + seq_len
+    else:
+        ffn = rms_norm_saved_elems(seq_len, dim) + swiglu_dense_saved_bytes(
+            seq_len, dim, ffn_hidden, bytes_per_elem=1)
     return (
-        2 * rms_norm_saved_elems(seq_len, dim)
-        + attention_proj_saved_elems(seq_len, dim, kv_dim)
+        attention_proj_saved_elems(seq_len, dim, kv_dim)
         + attention_node_saved_elems(seq_len, dim, n_heads, kv_dim)
         + ffn
     )

@@ -30,7 +30,7 @@ from repro.kernels import get_backend
 from repro.nn import ops
 from repro.nn.checkpoint import CheckpointMode, CheckpointPolicy, checkpoint
 from repro.nn.memory import get_tracker
-from repro.nn.modules import SwiGLU, TransformerBlock
+from repro.nn.modules import SwiGLU, TransformerBlock, TransformerConfig, TransformerLM
 from repro.nn.tensor import Tensor
 from repro.perf.memory import (
     swiglu_chunked_transient_bytes,
@@ -311,11 +311,12 @@ class TestReplayElidesTheBlockTail:
                 assert a.tobytes() == b.tobytes(), policy
 
     def test_replayed_composed_ffn_registers_only_the_fused_node(self):
-        """In the replay the FFN's saved set is ``x`` and the three
-        weights under one handle, ``(S·D + 3·D·H)·8`` bytes; no composed
-        FFN node (``SiLU``, ``Mul``, the three FFN ``MatMul`` nodes)
-        registers.  ``QKVProjectionFn`` and the one ``MatMul`` are the
-        attention projections."""
+        """In the replay the FFN's saved set is its pre-norm input ``h``,
+        ``norm2``'s ``(S, 1)`` row and the three weights under one handle,
+        ``(S·D + S + 3·D·H)·8`` bytes; no composed FFN node (``SiLU``,
+        ``Mul``, the three FFN ``MatMul`` nodes) and no standalone norm
+        registers.  ``QKVProjectionFn`` (``norm1`` folded in) and the one
+        ``MatMul`` are the attention projections."""
         from repro.nn.memory import reset_tracker
         from repro.obs import use_memory_timeline
 
@@ -334,12 +335,13 @@ class TestReplayElidesTheBlockTail:
             and e.owner.get("mem_phase") == "recompute"
         ]
         assert [site for site, _ in replayed] == [
-            "RMSNormFn", "QKVProjectionFn", "FlashAttentionFn",
-            "MatMul", "RMSNormFn", "BlockwiseMLPFn",
+            "QKVProjectionFn", "FlashAttentionFn", "MatMul", "BlockwiseMLPFn",
         ]
         assert replayed[-1][1] == swiglu_fused_saved_bytes(
             self.SEQ, self.DIM, self.HID
-        ) == (self.SEQ * self.DIM + 3 * self.DIM * self.HID) * 8
+        ) + self.SEQ * 8 == (
+            self.SEQ * self.DIM + self.SEQ + 3 * self.DIM * self.HID
+        ) * 8
         assert get_tracker().current_saved_bytes == 0
 
     def _two_ffns(self):
@@ -417,6 +419,26 @@ class TestReplayElidesTheBlockTail:
         assert saved[0] == saved[1] == swiglu_fused_saved_bytes(
             self.SEQ, self.DIM, self.HID
         )
+
+
+class TestChunkSizeIsValidated:
+    """A non-positive ``mlp_chunk_size`` used to train on the dense path
+    without a word (the kernels take it for "do not chunk")."""
+
+    @pytest.mark.parametrize("chunk", [0, -4])
+    def test_config_rejects_a_non_positive_chunk(self, chunk):
+        with pytest.raises(ValueError, match="mlp_chunk_size"):
+            TransformerConfig(mlp_chunk_size=chunk)
+
+    @pytest.mark.parametrize("chunk", [0, -4])
+    def test_module_rejects_a_non_positive_chunk(self, chunk):
+        with pytest.raises(ValueError, match="mlp_chunk_size"):
+            SwiGLU(8, 16, np.random.default_rng(0), mlp_chunk_size=chunk)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 64])
+    def test_none_and_positive_chunks_build(self, chunk):
+        model = TransformerLM(TransformerConfig(n_layers=1, mlp_chunk_size=chunk))
+        assert model.blocks[0].ffn.mlp_chunk_size == chunk
 
 
 class TestMemoryPins:

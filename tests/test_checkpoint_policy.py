@@ -47,17 +47,18 @@ FSDP_BOUND_PINS = {
 #: quarter, so ``round`` is exercised), dim 32, 2 layers, 4 heads.  The
 #: flag decides only the cache rows: without a context rebuild every
 #: replaying policy is ``full``.  A replayed layer's FFN is the fused node
-#: (``x`` + weights), whatever ``mlp_chunk_size`` says, and its q/k/v
-#: projections save the normed input once.
+#: (``x`` + weights), whatever ``mlp_chunk_size`` says, its q/k/v
+#: projections save their input once, and each norm folds into the node
+#: reading it (only a composed FFN keeps a standalone ``norm2``).
 CURVE_PINS = {
-    (0.25, True): {"none": 845520, "full": 270944,
-                   "selective_pp": 289952, "sequence_level": 285344},
-    (0.25, False): {"none": 845520, "full": 270944,
-                    "selective_pp": 270944, "sequence_level": 270944},
-    (0.5, True): {"none": 845520, "full": 270944,
-                  "selective_pp": 289952, "sequence_level": 280448},
-    (0.5, False): {"none": 845520, "full": 270944,
-                   "selective_pp": 270944, "sequence_level": 270944},
+    (0.25, True): {"none": 811728, "full": 237152,
+                   "selective_pp": 256160, "sequence_level": 251552},
+    (0.25, False): {"none": 811728, "full": 237152,
+                    "selective_pp": 237152, "sequence_level": 237152},
+    (0.5, True): {"none": 811728, "full": 237152,
+                  "selective_pp": 256160, "sequence_level": 246656},
+    (0.5, False): {"none": 811728, "full": 237152,
+                   "selective_pp": 237152, "sequence_level": 237152},
 }
 
 

@@ -269,13 +269,13 @@ QUICKSTART = dict(seq_len=128, dim=32, n_layers=2, n_heads=4,
 #: name the cell only, so a declared saved-set change moves a pin without
 #: renaming its test.
 PEAK_PINS = {
-    ("burst", "none"): 1_455_104,
-    ("burst", "full"): 448_512,
-    ("burst", "selective_pp"): 485_376,
-    ("burst", "sequence_level"): 466_944,
-    ("megatron-cp", "full"): 448_512,
-    ("ulysses", "none"): 1_455_104,
-    ("ulysses", "sequence_level"): 448_512,
+    ("burst", "none"): 1_389_568,
+    ("burst", "full"): 382_976,
+    ("burst", "selective_pp"): 419_840,
+    ("burst", "sequence_level"): 401_408,
+    ("megatron-cp", "full"): 382_976,
+    ("ulysses", "none"): 1_389_568,
+    ("ulysses", "sequence_level"): 382_976,
 }
 
 
@@ -314,10 +314,24 @@ def test_policy_curve_matches_observed():
         assert cell["observed"] == pred, policy
 
 
+@pytest.mark.parametrize("policy,expected", [
+    ("none", 734_208), ("sequence_level", 401_408),
+])
+def test_chunked_mlp_saved_bytes_match_closed_form(policy, expected):
+    """The chunked cells build the fused norm + FFN node outside a replay
+    too: every layer's FFN keeps ``h`` and one row, not ``norm2(h)``."""
+    cell = _memdiff_cell("burst", policy, "unidirectional", 128, chunk=32)
+    assert cell["observed"] == expected
+    assert cell["predicted"]["peak_saved_bytes"] == expected
+    assert cell["predicted"] == predict_step_peak_saved_bytes(
+        checkpoint=policy, fused_mlp=True, **QUICKSTART)
+    assert not cell["leaks"]
+
+
 def test_chunked_mlp_transient_site_matches_closed_form():
     cell = _memdiff_cell("burst", "sequence_level", "unidirectional", 128,
                          chunk=32)
-    assert cell["observed"] == 466_944  # fused-MLP saved set shrinks too
+    assert cell["observed"] == 401_408  # fused-MLP saved set shrinks too
     assert cell["observed"] == cell["predicted"]["peak_saved_bytes"]
     observed = _site_peak(cell["events"], "mlp.chunked_bwd")
     assert observed == swiglu_chunked_transient_bytes(128, 32, 64, 32)
@@ -471,6 +485,9 @@ def test_cli_memdiff_gate_passes(tmp_path):
         "burst", "megatron-cp", "ulysses"
     }
     assert all(c["match"] and c["leaks"] == 0 for c in doc["cells"])
+    assert {(c["policy"], c["mlp_chunk_size"]) for c in doc["cells"]} == {
+        ("sequence_level", None), ("none", 32), ("sequence_level", 32),
+    }
     assert doc["transient"]["match"]
     with open(tmp_path / "memory-timeline.json") as fh:
         validate_memory_timeline(fh.read())

@@ -691,7 +691,7 @@ class TestOneModelImplementation:
 
     def test_one_node_projects_q_k_and_v(self):
         """The q/k/v projections are built in one place, as one
-        ``QKVProjectionFn`` node that saves the normed input once."""
+        ``QKVProjectionFn`` node that saves its input once."""
         def calls(name):
             return lambda n: isinstance(n, ast.Call) and (
                 isinstance(n.func, ast.Name) and n.func.id == name
@@ -729,6 +729,78 @@ class TestOneModelImplementation:
             # the model handing the hook down to its blocks
             ("nn/modules.py", "TransformerLM.__init__"),
         }
+
+
+class TestOneRMSNorm:
+    """The RMSNorm expressions are written once, in ``ops.PreNormFn``
+    (``RMSNormFn`` and the two nodes that fold a norm in all inherit
+    them), and a block builds no standalone norm node in front of a fused
+    reader: it hands ``norm1`` / ``norm2`` to the attention and the FFN,
+    and only a composed FFN applies its norm as a node of its own."""
+
+    @staticmethod
+    def _found(match):
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        return {
+            (path.relative_to(src).as_posix(), scope)
+            for path in sorted(src.rglob("*.py"))
+            for scope in _scopes(ast.parse(path.read_text()), match)
+        }
+
+    def test_the_norm_expressions_exist_once(self):
+        def inverse_root_power(n):  # ``a ** -0.5`` / ``a ** -1.5``
+            return (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+                    and isinstance(n.right, ast.UnaryOp)
+                    and isinstance(n.right.op, ast.USub)
+                    and isinstance(n.right.operand, ast.Constant)
+                    and n.right.operand.value % 1 == 0.5)
+
+        def row_mean(n):  # ``….mean(…, keepdims=True)``
+            return (isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "mean"
+                    and any(kw.arg == "keepdims"
+                            and isinstance(kw.value, ast.Constant)
+                            and kw.value.value is True
+                            for kw in n.keywords))
+
+        assert self._found(inverse_root_power) == {
+            ("nn/ops.py", "PreNormFn._normed"),
+            ("nn/ops.py", "PreNormFn._norm_backward"),
+            ("nn/schedule.py", "InverseSqrtLR.lr_at"),  # not a norm
+        }
+        assert self._found(row_mean) == {("nn/ops.py", "PreNormFn._save_inputs")}
+
+    def test_no_standalone_norm_before_a_fused_reader(self):
+        def calls(name):
+            return lambda n: isinstance(n, ast.Call) and (
+                isinstance(n.func, ast.Name) and n.func.id == name
+                or isinstance(n.func, ast.Attribute) and n.func.attr == name
+            )
+
+        def applies_norm_node(n):
+            return (isinstance(n, ast.Attribute) and n.attr == "apply"
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id == "RMSNormFn")
+
+        assert self._found(applies_norm_node) == {("nn/ops.py", "rms_norm")}
+        assert self._found(calls("rms_norm")) == {
+            ("nn/modules.py", "RMSNorm.forward")}
+        # a norm module is called only by the composed FFN and the model's
+        # final norm; the block only hands its two norms on
+        assert self._found(calls("norm")) == {("nn/modules.py", "SwiGLU.forward")}
+        assert self._found(calls("final_norm")) == {
+            ("nn/modules.py", "TransformerLM.hidden_states")}
+        for name in ("norm1", "norm2"):
+            assert self._found(calls(name)) == set()
+        handed_on = self._found(
+            lambda n: isinstance(n, ast.keyword) and n.arg == "norm"
+            and isinstance(n.value, ast.Attribute)
+            and n.value.attr in ("norm1", "norm2")
+        )
+        assert handed_on == {("nn/modules.py", "TransformerBlock._body")}
 
 
 class TestSavedActivationsRegisteredOnce:

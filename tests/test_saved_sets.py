@@ -11,8 +11,12 @@
   ring-family node, no ``attn.context`` site — so the handle is released
   wherever the node's is, including when nothing needs a gradient.
 * The q, k and v projections are one :class:`~repro.nn.ops.QKVProjectionFn`
-  node that saves the normed input once, held bitwise to the three
-  ``Linear`` layers and six head-split nodes it replaced.
+  node that saves its input once, held bitwise to the three ``Linear``
+  layers and six head-split nodes it replaced.
+* A block's two RMSNorms fold into the nodes reading their outputs (the
+  QKV node and the fused FFN, :class:`~repro.nn.ops.PreNormFn`): each
+  node saves the norm's input and one ``(S, 1)`` row, never the normed
+  copy, and is held bitwise to the literal ``RMSNormFn`` → node pair.
 """
 
 import numpy as np
@@ -21,10 +25,12 @@ import pytest
 from repro.attention import get_method
 from repro.comm import SimCommunicator
 from repro.engine import distributed_attention
-from repro.nn import CausalSelfAttention, Tensor, ops
+from repro.nn import CausalSelfAttention, RMSNorm, Tensor, ops
 from repro.nn.attention_fn import flash_attention
 from repro.nn.function import Function
 from repro.nn.memory import get_tracker, reset_tracker
+from repro.nn.mlp_fn import blockwise_mlp
+from repro.nn.modules import TransformerBlock, TransformerConfig, TransformerLM
 from repro.nn.rope import apply_rope
 from repro.obs import use_memory_timeline
 from repro.perf.memory import (
@@ -32,6 +38,7 @@ from repro.perf.memory import (
     attention_proj_saved_elems,
     rms_norm_saved_elems,
     swiglu_dense_saved_bytes,
+    swiglu_fused_saved_bytes,
 )
 from repro.topology import make_cluster
 
@@ -296,15 +303,16 @@ class TestQKVProjectionSavesXOnce:
         np.testing.assert_array_equal(grads[0], grads[1])
 
     def test_a_layer_saves_the_closed_form(self):
-        """A whole attention layer registers ``attention_proj_saved_elems``
-        (QKV node + ``wo``) beside the attention node's own set."""
+        """A whole attention layer behind its norm registers
+        ``attention_proj_saved_elems`` (QKV node with the norm folded in,
+        and ``wo``) beside the attention node's own set."""
         s, d, h, h_kv = 64, 16, 4, 2
         attn = CausalSelfAttention(d, h, np.random.default_rng(0), n_kv_heads=h_kv)
         x = Tensor(np.random.default_rng(1).normal(size=(s, d)), requires_grad=True)
         kv = h_kv * (d // h)
         reset_tracker()
         with use_memory_timeline() as timeline:
-            attn(x)
+            attn(x, norm=RMSNorm(d))
         allocs = [(e.site, e.delta) for e in timeline.events()
                   if e.series == "saved" and e.kind == "alloc"]
         assert [site for site, _ in allocs] == [
@@ -313,3 +321,147 @@ class TestQKVProjectionSavesXOnce:
         projections = allocs[0][1] + allocs[2][1]
         assert projections == attention_proj_saved_elems(s, d, kv) * 8
         assert allocs[1][1] == attention_node_saved_elems(s, d, h, kv) * 8
+
+
+def _timeline_allocs(timeline):
+    return [(e.site, e.delta) for e in timeline.events()
+            if e.series == "saved" and e.kind == "alloc"]
+
+
+class TestNormFoldsIntoItsReader:
+    """``norm1`` folded into the q/k/v node and ``norm2`` into the fused
+    FFN are the literal ``RMSNormFn`` → node pairs, bit for bit: values,
+    every weight's gradient and ``x``'s, whose residual term arrives
+    first and the norm's three terms after it, in the composite's order.
+    ``x`` is an intermediate, as in the model."""
+
+    # (S, D, heads, KV heads): the benchmark shapes, plus grouped-query
+    QKV_CASES = [(2048, 64, 8, 8), (512, 256, 4, 4), (256, 64, 8, 2)]
+    # (S, D, hidden): the benchmark shapes
+    FFN_CASES = [(2048, 64, 128), (512, 256, 1024)]
+
+    @staticmethod
+    def _norm(d, rng):
+        norm = RMSNorm(d)
+        norm.weight.data = 1.0 + 0.1 * rng.normal(size=d)
+        return norm
+
+    @pytest.mark.parametrize("rope", [False, True], ids=["plain", "rope"])
+    @pytest.mark.parametrize("case", QKV_CASES, ids=lambda c: "x".join(map(str, c)))
+    def test_qkv_node_is_the_norm_then_the_node(self, case, rope):
+        s, d, h, h_kv = case
+        rng = np.random.default_rng(8)
+        x_np = rng.normal(size=(s, d)) * 3.0
+        ws_np = [rng.normal(size=(n, d)) / np.sqrt(d)
+                 for n in (d, h_kv * (d // h), h_kv * (d // h))]
+        g = rng.normal(size=(s, d))
+        norm = self._norm(d, rng)
+        results = []
+        for fold in (False, True):
+            norm.weight.grad = None
+            leaf = Tensor(x_np, requires_grad=True)
+            ws = [Tensor(a, requires_grad=True) for a in ws_np]
+            x = ops.mul(leaf, 1.0)
+            if fold:
+                q, k, v = ops.qkv_heads(x, *ws, d // h, norm=norm)
+            else:
+                q, k, v = ops.qkv_heads(norm(x), *ws, d // h)
+            if rope:
+                q, k = apply_rope(q), apply_rope(k)
+            o = flash_attention(q, k, v)
+            out = ops.add(x, ops.reshape(ops.swapaxes(o, 0, 1), (s, d)))
+            out.backward(g)
+            results.append([out.data, leaf.grad, norm.weight.grad]
+                           + [t.grad for t in ws])
+        for want, got in zip(*results):
+            _assert_bitwise(want, got)
+
+    @pytest.mark.parametrize("graph_only", [False, True],
+                             ids=["computed", "graph_only"])
+    @pytest.mark.parametrize("chunk", [None, 64], ids=["dense", "chunked"])
+    @pytest.mark.parametrize("case", FFN_CASES, ids=lambda c: "x".join(map(str, c)))
+    def test_ffn_node_is_the_norm_then_the_node(self, case, chunk, graph_only):
+        s, d, hidden = case
+        rng = np.random.default_rng(9)
+        x_np = rng.normal(size=(s, d)) * 3.0
+        ws_np = [rng.normal(size=shape) / np.sqrt(shape[1])
+                 for shape in ((hidden, d), (hidden, d), (d, hidden))]
+        g = rng.normal(size=(s, d))
+        norm = self._norm(d, rng)
+        results = []
+        for fold in (False, True):
+            norm.weight.grad = None
+            leaf = Tensor(x_np, requires_grad=True)
+            ws = [Tensor(a, requires_grad=True) for a in ws_np]
+            h = ops.mul(leaf, 1.0)
+            kwargs = dict(chunk_size=chunk, graph_only=graph_only)
+            if fold:
+                y = blockwise_mlp(h, *ws, norm=norm, **kwargs)
+            else:
+                y = blockwise_mlp(norm(h), *ws, **kwargs)
+            out = ops.add(h, y)
+            out.backward(g)
+            results.append([out.data, leaf.grad, norm.weight.grad]
+                           + [t.grad for t in ws])
+        for want, got in zip(*results):
+            _assert_bitwise(want, got)
+
+    def test_each_fused_node_is_one_handle_without_the_normed_copy(self):
+        s, d, kv, hidden = 64, 16, 8, 32
+        rng = np.random.default_rng(10)
+        norm = self._norm(d, rng)
+        x = Tensor(rng.normal(size=(s, d)), requires_grad=True)
+        qkv = [Tensor(rng.normal(size=(n, d)), requires_grad=True)
+               for n in (d, kv, kv)]
+        ffn = [Tensor(rng.normal(size=shape), requires_grad=True)
+               for shape in ((hidden, d), (hidden, d), (d, hidden))]
+        reset_tracker()
+        with use_memory_timeline() as timeline:
+            q, k, v = ops.qkv_heads(x, *qkv, 4, norm=norm)
+            y = blockwise_mlp(x, *ffn, chunk_size=16, norm=norm)
+            z = blockwise_mlp(x, *ffn, graph_only=True, norm=norm)
+        fused_ffn = swiglu_fused_saved_bytes(s, d, hidden) + s * 8
+        assert _timeline_allocs(timeline) == [
+            ("QKVProjectionFn", (s * d + s + d * (d + 2 * kv)) * 8),
+            ("BlockwiseMLPFn", fused_ffn),
+            ("BlockwiseMLPFn", fused_ffn),
+        ]
+        assert get_tracker().live_handles == 3
+        loss = ops.add(ops.add(ops.add(q.sum(), k.sum()), v.sum()),
+                       ops.add(y.sum(), z.sum()))
+        loss.backward()
+        assert get_tracker().current_saved_bytes == 0
+        assert get_tracker().live_handles == 0
+
+    @pytest.mark.parametrize("chunk", [None, 16], ids=["composed", "fused"])
+    def test_a_block_registers_no_standalone_norm_before_a_fused_node(self, chunk):
+        """Un-checkpointed, the attention's norm is folded in and so is a
+        fused FFN's; only a composed FFN keeps an ``RMSNormFn``."""
+        s, d = 64, 16
+        block = TransformerBlock(d, 2, 32, np.random.default_rng(0),
+                                 mlp_chunk_size=chunk)
+        x = Tensor(np.random.default_rng(1).normal(size=(s, d)),
+                   requires_grad=True)
+        reset_tracker()
+        with use_memory_timeline() as timeline:
+            block(x)
+        sites = [site for site, _ in _timeline_allocs(timeline)]
+        assert sites[:4] == ["QKVProjectionFn", "FlashAttentionFn", "MatMul",
+                             "RMSNormFn" if chunk is None else "BlockwiseMLPFn"]
+        assert sites.count("RMSNormFn") == (chunk is None)
+
+    def test_parameter_names_and_order_are_unchanged(self):
+        """The norms stay the block's own modules, reached once each."""
+        block = [
+            "norm1.weight", "attn.wq.weight", "attn.wk.weight",
+            "attn.wv.weight", "attn.wo.weight", "norm2.weight",
+            "ffn.gate.weight", "ffn.up.weight", "ffn.down.weight",
+        ]
+        model = TransformerLM(TransformerConfig(n_layers=2))
+        assert [n for n, _ in model.named_parameters()] == [
+            "tok_emb.weight", "pos_emb.weight",
+            *(f"blocks.{i}.{n}" for i in range(2) for n in block),
+            "final_norm.weight", "lm_head.weight",
+        ]
+        params = model.parameters()
+        assert len({id(p) for p in params}) == len(params)
