@@ -116,7 +116,13 @@ class DistributedAttention(ABC):
         return list(self._layout(n, g)[0])
 
     def shard(self, x: np.ndarray, g: int, axis: int = -2) -> list[np.ndarray]:
-        """Split ``x`` along its sequence ``axis`` by :meth:`indices`."""
+        """Split ``x`` along its sequence ``axis`` by :meth:`indices`.
+
+        ``x`` is made C-contiguous once: ``np.take`` copies a strided
+        input whole on every call (a head view of a projection, ~11× the
+        take itself at ``(8, 2048, 8)`` into 8 shards).  The shards are
+        fresh C-contiguous arrays either way, with the same values."""
+        x = np.ascontiguousarray(x)
         return [
             np.take(x, idx, axis=axis)
             for idx in self._layout(x.shape[axis], g)[0]

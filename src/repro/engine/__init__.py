@@ -13,7 +13,6 @@ paper's ablation (Table 2).
 from repro.engine.distributed_attention import (
     DistributedAttentionFn,
     DistributedCausalSelfAttention,
-    distributed_attention,
 )
 from repro.engine.engine import BurstEngine, EngineConfig, StepResult
 from repro.engine.fsdp import fsdp_step_traffic, log_fsdp_traffic
@@ -22,7 +21,6 @@ from repro.engine.trainer import TrainRecord, Trainer
 __all__ = [
     "DistributedAttentionFn",
     "DistributedCausalSelfAttention",
-    "distributed_attention",
     "BurstEngine",
     "EngineConfig",
     "StepResult",

@@ -1,12 +1,17 @@
-"""Autograd Function for flash attention with checkpoint policy support.
+"""A layer's attention half as one autograd node, with checkpoint policy
+support.
 
-This node is where the checkpointing policies of Section 3.2 act — for
-the single-device model directly, and for the engine's distributed node
-(:class:`repro.engine.DistributedAttentionFn`) by inheritance: it moves
-the whole-sequence pass onto the cluster and keeps this protocol.
+:class:`AttentionFn` runs ``norm1 → q/k/v → RoPE → attend → merge → wo``
+— everything between a block's input and its first residual ``add`` —
+as one node.  It is where the checkpointing policies of Section 3.2 act:
+for the single-device model directly, and for the engine's distributed
+node (:class:`repro.engine.DistributedAttentionFn`) by inheritance — that
+subclass moves the whole-sequence attention product onto the cluster and
+keeps this protocol.
 
-* normal forward — compute ``(O, lse)``, save flash-backward state;
-* checkpointed first pass (``no_grad``) — additionally stash the back
+* normal forward — compute ``(O, lse)`` and save what the backward reads;
+* checkpointed first pass (``no_grad``, under a checkpoint whose replay
+  will run) — additionally stash the back
   :meth:`~repro.nn.checkpoint.CheckpointPolicy.cached_rows` of ``(O, lse)``
   (all of it for selective++, the sequence suffix for sequence-level,
   none for full) in the layer's
@@ -18,6 +23,19 @@ the whole-sequence pass onto the cluster and keeps this protocol.
 
 Recomputed attention work is tallied in the memory tracker's
 ``recompute_flops`` so the compute/memory trade-off of Fig. 7 is measured.
+Only the attention product counts there: the q/k/v GEMMs the node's
+backward re-runs (below) are not recomputed *attention*.
+
+What the node saves is ``x``, the folded norm's ``(S, 1)`` row, ``O``
+once in merged ``(S, D)`` layout (``wo``'s input), ``lse`` and the four
+weights (held by reference).  Its backward runs ``wo``'s expressions,
+rebuilds ``n``, ``q``, ``k``, ``v`` and their rotation with the forward's
+expressions — three ``(S×D)·(D×D)`` GEMMs — and runs the attention
+backward on them, then the projections' and the norm's.  That is
+FlashAttention's bargain one level up: ``q``, ``k``, ``v`` and a second
+copy of ``O`` are ``4·S·D`` elements that three GEMMs rebuild.  A
+product that keeps its own backward context (the engine's Ulysses / USP)
+saves that context instead of ``lse``.
 """
 
 from __future__ import annotations
@@ -33,14 +51,12 @@ from repro.kernels import (
     head_batch,
 )
 from repro.masks import MaskPattern
-from repro.nn.checkpoint import (
-    AttentionOutputCache,
-    CheckpointPolicy,
-    in_recompute,
-)
+from repro.nn.checkpoint import in_first_pass, in_recompute
 from repro.nn.function import Function
 from repro.nn.memory import get_tracker
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.ops import PreNormFn
+from repro.nn.rope import rope_angles, rotate_half_split
+from repro.nn.tensor import Tensor
 from repro.obs.tracer import trace_span
 
 
@@ -68,104 +84,44 @@ def _local_plan(
     )
 
 
+def _packed(rows: int, widths) -> list[slice]:
+    """Flat slices of ``(rows, width)`` blocks stored back to back."""
+    edges = np.cumsum([0] + [rows * n for n in widths])
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
 class FlashAttentionFn(Function):
-    """``o = attention(q, k, v)`` with mask pattern and checkpoint cache.
+    """``o = attention(q, k, v)`` over ``(H, S, Dh)`` arrays: the local
+    flash kernels as a plain op, with no checkpoint protocol.
 
     Supports grouped-query attention: when ``k``/``v`` carry fewer heads
     than ``q`` (``H_q % H_kv == 0``), each KV head serves a group of query
-    heads; KV gradients are summed back over the group.
-
-    The checkpoint protocol lives here once.  A subclass that runs the
-    whole-sequence pass somewhere else (the simulated cluster) overrides
-    :meth:`_attend` / :meth:`_attend_backward`, and :meth:`_save` when its
-    backward reads something other than ``(q, k, v, o, lse)``.
+    heads; KV gradients are summed back over the group.  The kernel calls
+    are written here once; :class:`AttentionFn` runs its local product
+    through them.
     """
 
-    def forward(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        mask: MaskPattern | None = None,
-        scale: float | None = None,
-        block_size: int | None = None,
-        cache: AttentionOutputCache | None = None,
-        policy: CheckpointPolicy | None = None,
-    ):
-        self.groups = _check_groups(q.shape[0], k.shape[0]) if q.ndim == 3 else 1
+    def forward(self, q, k, v, mask: MaskPattern | None = None,
+                scale: float | None = None, block_size: int | None = None):
         if scale is None:
             scale = 1.0 / np.sqrt(q.shape[-1])
-        s = q.shape[-2]
-        heads = q.shape[0] if q.ndim == 3 else 1
-        head_dim = q.shape[-1]
+        groups = _check_groups(q.shape[0], k.shape[0]) if q.ndim == 3 else 1
+        self._use_kernels(mask, scale, block_size, groups)
+        o, lse = self._local_forward(q, k, v, q.shape[-2])
+        self.save_for_backward(q, k, v, o, lse)
+        return o
+
+    def backward(self, grad_out: np.ndarray):
+        return self._local_backward(*self.saved, grad_out)
+
+    def _use_kernels(self, mask, scale, block_size, groups: int) -> None:
+        """What every local kernel call of this node reads; one scratch
+        workspace per node."""
+        self.groups = groups
         self.mask = mask
         self.scale = scale
         self.block_size = block_size
         self.workspace = KernelWorkspace()
-
-        # The replay recomputes the front ``split`` rows and reads the back
-        # ``s - split`` from the cache the first pass filled.
-        split = s - (policy or CheckpointPolicy()).cached_rows(s)
-        cached = cache.pop(0) if (cache is not None and in_recompute()) else None
-
-        if cached is None:
-            o, lse = self._attend(q, k, v)
-            if in_recompute():
-                get_tracker().add_recompute_flops(
-                    _attention_flops(allowed_pairs(mask, s, s), heads, head_dim)
-                )
-        else:
-            o, lse = cached
-            if split:
-                with trace_span("ckpt.recompute-front", phase="ckpt-recompute",
-                                split=split, seq=s):
-                    o_front, lse_front = self._local_forward(q, k, v, split)
-                get_tracker().add_recompute_flops(
-                    _attention_flops(allowed_pairs(mask, split, s), heads, head_dim)
-                )
-                o = np.concatenate([o_front, o], axis=-2)
-                lse = np.concatenate([lse_front, lse], axis=-1)
-
-        if (
-            cache is not None
-            and split < s
-            and not in_recompute()
-            and not is_grad_enabled()
-        ):
-            # First (no-grad) pass of a checkpointed layer: whitelist the
-            # suffix the recompute pass will not recompute.
-            cache.put(0, o[..., split:, :].copy(), lse[..., split:].copy())
-
-        self._save(q, k, v, o, lse)
-        return o
-
-    def backward(self, grad_out: np.ndarray):
-        return self._attend_backward(*self.saved, grad_out)
-
-    # -- where the whole-sequence pass runs ------------------------------------
-
-    def _save(self, q, k, v, o, lse):
-        """Save what :meth:`_attend_backward` reads: the kernel's inputs
-        and ``(o, lse)``, once."""
-        self.save_for_backward(q, k, v, o, lse)
-
-    def _attend(self, q, k, v):
-        """Whole-sequence forward; returns ``(o, lse)``."""
-        return self._local_forward(q, k, v, q.shape[-2])
-
-    def _attend_backward(self, q, k, v, o, lse, grad_out):
-        """Whole-sequence backward; returns ``(dq, dk, dv)``."""
-        dq, dk, dv = get_backend().flash_backward(
-            q, repeat_kv(k, self.groups), repeat_kv(v, self.groups),
-            o, lse, grad_out, scale=self.scale,
-            block_q=self.block_size, block_k=self.block_size,
-            plan=_local_plan(
-                self.mask, q.shape[-2], k.shape[-2], self.block_size,
-                head_batch(q),
-            ),
-            workspace=self.workspace,
-        )
-        return dq, fold_kv_grad(dk, self.groups), fold_kv_grad(dv, self.groups)
 
     def _local_forward(self, q, k, v, n_q: int):
         """Local kernel on the first ``n_q`` query rows against all keys —
@@ -179,6 +135,160 @@ class FlashAttentionFn(Function):
             workspace=self.workspace,
         )
 
+    def _local_backward(self, q, k, v, o, lse, grad_out):
+        """Local whole-sequence backward; returns ``(dq, dk, dv)``.  ``o``
+        is read C-contiguous, the layout the forward kernel wrote it in."""
+        dq, dk, dv = get_backend().flash_backward(
+            q, repeat_kv(k, self.groups), repeat_kv(v, self.groups),
+            np.ascontiguousarray(o), lse, grad_out, scale=self.scale,
+            block_q=self.block_size, block_k=self.block_size,
+            plan=_local_plan(
+                self.mask, q.shape[-2], k.shape[-2], self.block_size,
+                head_batch(q),
+            ),
+            workspace=self.workspace,
+        )
+        return dq, fold_kv_grad(dk, self.groups), fold_kv_grad(dv, self.groups)
+
+
+class AttentionFn(PreNormFn, FlashAttentionFn):
+    """``wo(attend(rope(q), rope(k), v))`` with ``q, k, v = n·Wqᵀ, n·Wkᵀ,
+    n·Wvᵀ`` as one node, ``n`` being the input or the
+    :class:`~repro.nn.ops.PreNormFn` RMSNorm of it.
+
+    Applied as ``apply(x, wq, wk, wv, wo, layer=attn)`` or, with the norm
+    folded in, ``apply(x, x, x, w, wq, wk, wv, wo, eps=eps, layer=attn)``;
+    ``layer`` is the :class:`~repro.nn.modules.CausalSelfAttention` whose
+    heads, RoPE, mask, tile edge, output cache and policy the node reads.
+
+    The checkpoint protocol lives here once (:meth:`_product`).  A
+    subclass that runs the attention product somewhere else (the
+    simulated cluster) overrides :meth:`_attend` (its forward),
+    :meth:`_attend_backward` (its backward) and :meth:`_save` (the context
+    it keeps), nothing else.
+
+    Values and gradients are the bits of the node chain this replaced —
+    a q/k/v projection node, three head views, RoPE, the attention node,
+    the merge's ``Swapaxes`` / ``Reshape`` and ``wo``'s ``MatMul``: each
+    step runs that node's expressions on operands of the same layout
+    (each projection is one GEMM into its own C-contiguous block of one
+    flat array), and ``x``'s gradient terms leave in that graph's order.
+    """
+
+    def forward(self, *args, eps: float | None = None, layer=None):
+        x, ms, weights = self._norm_inputs(args, eps)
+        wq, wk, wv, wo = weights
+        self.layer = layer
+        self._use_kernels(layer.mask, 1.0 / np.sqrt(layer.head_dim),
+                          layer.block_size, layer.n_heads // layer.n_kv_heads)
+        s = x.shape[0]
+        self.blocks = _packed(s, [w.shape[0] for w in (wq, wk, wv)])
+        self.rope = (
+            rope_angles(np.arange(s), layer.head_dim, layer.rope_theta)
+            if layer.rope else None
+        )
+        o, lse = self._product(*self._qkv(self._normed(x, ms), (wq, wk, wv)))
+        merged = np.swapaxes(o, 0, 1).reshape(s, -1)
+        self._save(x, ms, weights, merged, lse)
+        return np.matmul(merged, np.swapaxes(wo, 0, 1))
+
+    def backward(self, g):
+        x, ms, wq, wk, wv, wo, o, *context = self.saved
+        s = x.shape[0]
+        # wo's MatMul, then the merge's Reshape and Swapaxes
+        g_wo = np.swapaxes(np.matmul(np.swapaxes(o, 0, 1), g), 0, 1)
+        g_o = np.swapaxes(np.matmul(g, wo).reshape(s, self.layer.n_heads, -1), 0, 1)
+        n = self._normed(x, ms)
+        dq, dk, dv = self._attend_backward(n, (wq, wk, wv), o, context, g_o)
+        if self.rope is not None:
+            dq, dk = (rotate_half_split(d, *self.rope, inverse=True)
+                      for d in (dq, dk))
+        # the head views' gradients, each block of one flat array, then
+        # each projection's MatMul; n's terms are added q, k, then v
+        flat = np.empty(self.blocks[-1].stop)
+        gs = []
+        for d, w, block in zip((dq, dk, dv), (wq, wk, wv), self.blocks):
+            gw = flat[block].reshape(s, w.shape[0])
+            gw.reshape(s, -1, d.shape[-1])[...] = np.swapaxes(d, 0, 1)
+            gs.append(gw)
+        g_n = np.matmul(gs[0], wq) + np.matmul(gs[1], wk) + np.matmul(gs[2], wv)
+        nt = np.swapaxes(n, 0, 1)
+        return (*self._norm_backward(g_n, x, ms),
+                *(np.swapaxes(np.matmul(nt, gw), 0, 1) for gw in gs), g_wo)
+
+    def _qkv(self, n, weights):
+        """``(q, k, v)`` in ``(heads, S, head_dim)`` layout, RoPE applied:
+        the forward's expressions, which the backward re-runs."""
+        s = n.shape[0]
+        flat = np.empty(self.blocks[-1].stop)
+        heads = []
+        for w, block in zip(weights, self.blocks):
+            y = flat[block].reshape(s, w.shape[0])
+            np.matmul(n, np.swapaxes(w, 0, 1), out=y)
+            heads.append(np.swapaxes(y.reshape(s, -1, self.layer.head_dim), 0, 1))
+        q, k, v = heads
+        if self.rope is not None:
+            q, k = (rotate_half_split(t, *self.rope) for t in (q, k))
+        return q, k, v
+
+    def _product(self, q, k, v):
+        """``(o, lse)`` under the layer's checkpoint policy: the replay
+        recomputes the front ``split`` rows and reads the back ``s -
+        split`` from the cache the first pass filled."""
+        cache, s = self.layer.cache, q.shape[-2]
+        heads, head_dim = q.shape[0], q.shape[-1]
+        split = s - self.layer.policy.cached_rows(s)
+        cached = cache.pop(0) if (cache is not None and in_recompute()) else None
+
+        if cached is None:
+            o, lse = self._attend(q, k, v)
+            if in_recompute():
+                get_tracker().add_recompute_flops(
+                    _attention_flops(allowed_pairs(self.mask, s, s), heads, head_dim)
+                )
+        else:
+            o, lse = cached
+            if split:
+                with trace_span("ckpt.recompute-front", phase="ckpt-recompute",
+                                split=split, seq=s):
+                    o_front, lse_front = self._local_forward(q, k, v, split)
+                get_tracker().add_recompute_flops(
+                    _attention_flops(allowed_pairs(self.mask, split, s), heads, head_dim)
+                )
+                o = np.concatenate([o_front, o], axis=-2)
+                lse = np.concatenate([lse_front, lse], axis=-1)
+
+        if cache is not None and split < s and in_first_pass() and not in_recompute():
+            # First (no-grad) pass of a checkpointed layer: whitelist the
+            # suffix the recompute pass will not recompute.
+            cache.put(0, o[..., split:, :].copy(), lse[..., split:].copy())
+        return o, lse
+
+    # -- where the attention product runs --------------------------------------
+
+    def _save(self, x, ms, weights, o, lse):
+        """Save what :meth:`backward` reads: ``x``, the norm row, the
+        weights, the merged ``o`` and ``lse`` — ``q``, ``k``, ``v`` are
+        rebuilt."""
+        self.save_for_backward(x, ms, *weights, o, lse)
+
+    def _attend(self, q, k, v):
+        """Whole-sequence forward; returns ``(o, lse)``."""
+        return self._local_forward(q, k, v, q.shape[-2])
+
+    def _attend_backward(self, n, weights, o, context, grad_out):
+        """Whole-sequence backward from the normed input ``n``, the q/k/v
+        ``weights``, the saved merged ``o`` and what :meth:`_save` kept
+        after it (``context``); returns ``(dq, dk, dv)``."""
+        return self._local_backward(*self._rebuild(n, weights, o, context), grad_out)
+
+    def _rebuild(self, n, weights, o, context):
+        """``(q, k, v, o, lse)`` as the forward handed them to the
+        product: q/k/v re-projected, ``o`` viewed in head layout."""
+        (lse,) = context
+        heads = np.swapaxes(o.reshape(o.shape[0], self.layer.n_heads, -1), 0, 1)
+        return (*self._qkv(n, weights), heads, lse)
+
 
 def flash_attention(
     q: Tensor,
@@ -187,11 +297,8 @@ def flash_attention(
     mask: MaskPattern | None = None,
     scale: float | None = None,
     block_size: int | None = None,
-    cache: AttentionOutputCache | None = None,
-    policy: CheckpointPolicy | None = None,
 ) -> Tensor:
     """Differentiable flash attention over ``(H, S, Dh)`` tensors."""
     return FlashAttentionFn.apply(
         q, k, v, mask=mask, scale=scale, block_size=block_size,
-        cache=cache, policy=policy,
     )

@@ -32,8 +32,10 @@ they need from it and never branch on the mode.
 
 :class:`Checkpoint` is the Function that implements the store-inputs /
 re-run-in-backward mechanics; :func:`in_recompute` lets the attention
-function know the current forward is a recomputation so it can consult its
-output cache.
+node know the current forward is a recomputation so it can consult its
+output cache, and :func:`in_first_pass` that it is the first pass of a
+checkpoint whose replay will read that cache — the only pass that fills
+it (a forward under ``no_grad``, inference, never does).
 
 What a replay is for
 --------------------
@@ -52,9 +54,17 @@ normed copy).  Whether a node *is* at the tail is a fact about
 the replayed function, not about the node: inside
 ``checkpoint(lambda t: ffn2(ffn1(t)), x)`` the first FFN's output is saved
 by the second.  Hence the rule, guarded in ``tests/test_public_api.py``:
-``in_recompute`` is read by the attention-output cache and by
-:class:`~repro.nn.modules.TransformerBlock` (which owns both the region
-and its tail) and by nothing else — never by a node or a kernel.
+``in_recompute`` is read by the attention-output cache protocol
+(:class:`~repro.nn.attention_fn.AttentionFn`, which also reads
+``in_first_pass``) and by :class:`~repro.nn.modules.TransformerBlock`
+(which owns both the region and its tail) and by nothing else — never
+by another node or a kernel.
+
+The same reasoning covers the attention half from the other side: its
+node saves the block input ``x``, which the replay hands it anyway, and
+rebuilds ``q``, ``k`` and ``v`` from it in its backward rather than save
+them; only ``(O, lse)`` — or, for the cached rows, the whitelist —
+persists, because no GEMM rebuilds attention.
 """
 
 from __future__ import annotations
@@ -66,7 +76,7 @@ import numpy as np
 
 from repro.nn.function import Function
 from repro.nn.memory import get_tracker
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
 from repro.obs.mem import memory_phase
 from repro.obs.tracer import trace_span
 
@@ -130,6 +140,7 @@ class CheckpointPolicy:
 
 
 _in_recompute: bool = False
+_in_first_pass: bool = False
 
 
 def in_recompute() -> bool:
@@ -139,6 +150,15 @@ def in_recompute() -> bool:
     pass of a checkpoint nested inside it — whose output is real.
     """
     return _in_recompute
+
+
+def in_first_pass() -> bool:
+    """True while a :class:`Checkpoint` node applied with gradients
+    enabled runs its layer's first (no-grad) pass — a pass whose replay
+    will come.  Under an outer ``no_grad`` (inference, evaluation) no
+    backward follows, so nothing is stashed for one.
+    """
+    return _in_first_pass
 
 
 class Checkpoint(Function):
@@ -154,10 +174,15 @@ class Checkpoint(Function):
     def forward(self, *raw_inputs, fn=None):
         if fn is None:
             raise ValueError("Checkpoint requires fn=")
+        global _in_first_pass
         self.fn = fn
         self.save_for_backward(*raw_inputs)
-        with no_grad():
-            out = fn(*[Tensor(r) for r in raw_inputs])
+        prev, _in_first_pass = _in_first_pass, is_grad_enabled()
+        try:
+            with no_grad():
+                out = fn(*[Tensor(r) for r in raw_inputs])
+        finally:
+            _in_first_pass = prev
         return out.data
 
     def backward(self, grad_out: np.ndarray):
@@ -187,12 +212,14 @@ class AttentionOutputCache:
     the memory tracker so the extra footprint of selective++ /
     sequence-level checkpointing is measured.  Entries are consumed by the
     recompute pass; :meth:`clear` drops anything left (e.g. at step end).
+    A :meth:`put` over a live entry releases the entry it replaces.
     """
 
     def __init__(self):
         self._store: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
 
     def put(self, key: int, o: np.ndarray, lse: np.ndarray) -> None:
+        self.pop(key)
         handle = get_tracker().register(
             o.nbytes + lse.nbytes, site="attn.cache"
         )

@@ -21,7 +21,7 @@ import numpy as np
 from repro.lmhead import HEAD_IMPLEMENTATIONS
 from repro.masks import CausalMask, MaskPattern
 from repro.nn import ops
-from repro.nn.attention_fn import flash_attention
+from repro.nn.attention_fn import AttentionFn
 from repro.nn.checkpoint import (
     AttentionOutputCache,
     CheckpointPolicy,
@@ -202,10 +202,17 @@ class CausalSelfAttention(Module):
 
     The mask defaults to causal but accepts any
     :class:`~repro.masks.MaskPattern` (the sparse-attention integration).
+    The whole layer — q/k/v projections, RoPE, the attention product, the
+    head merge and ``wo`` — is one autograd node, :attr:`node`
+    (:class:`~repro.nn.attention_fn.AttentionFn`), which saves ``x``, the
+    merged output and its ``lse`` and rebuilds q, k and v in its backward.
     ``forward(x, norm=rms_norm_module)`` attends over ``norm(x)`` with the
-    norm folded into the q/k/v node, which then saves ``x`` and one
-    ``(S, 1)`` row rather than the normed input.
+    norm folded into that node, which then saves one ``(S, 1)`` row and
+    no normed copy.  The engine's subclass swaps in its own node.
     """
+
+    #: The autograd node a forward builds.
+    node = AttentionFn
 
     def __init__(
         self,
@@ -243,36 +250,13 @@ class CausalSelfAttention(Module):
         self.cache = AttentionOutputCache()
         self.policy: CheckpointPolicy = CheckpointPolicy()
 
-    def _maybe_rope(self, q: Tensor, k: Tensor, s: int) -> tuple[Tensor, Tensor]:
-        if not self.rope:
-            return q, k
-        from repro.nn.rope import apply_rope
-
-        positions = np.arange(s)
-        return (
-            apply_rope(q, positions, theta=self.rope_theta),
-            apply_rope(k, positions, theta=self.rope_theta),
-        )
-
     def forward(self, x: Tensor, norm: RMSNorm | None = None) -> Tensor:
-        s = x.shape[0]
-        q, k, v = ops.qkv_heads(
-            x, self.wq.weight, self.wk.weight, self.wv.weight, self.head_dim,
-            norm=norm,
-        )
         # RoPE rotates by *global* position before any sequence sharding,
-        # so a distributed ``_attend`` needs no position plumbing at all.
-        q, k = self._maybe_rope(q, k, s)
-        o = self._attend(q, k, v)
-        merged = ops.reshape(ops.swapaxes(o, 0, 1), (s, self.n_heads * self.head_dim))
-        return self.wo(merged)
-
-    def _attend(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        """The attention product over ``(H, S, Dh)`` heads — the one step
-        the engine's distributed subclass replaces."""
-        return flash_attention(
-            q, k, v, mask=self.mask, block_size=self.block_size,
-            cache=self.cache, policy=self.policy,
+        # so a distributed attention product needs no position plumbing.
+        inputs, kwargs = ops.pre_norm_inputs(x, norm)
+        return self.node.apply(
+            *inputs, self.wq.weight, self.wk.weight, self.wv.weight,
+            self.wo.weight, layer=self, **kwargs,
         )
 
 
@@ -297,10 +281,14 @@ class TransformerBlock(Module):
 
     Neither norm runs as a node of its own in front of a fused reader:
     the block hands ``norm1`` to the attention and ``norm2`` to the FFN,
-    which fold each into the node reading its output (the q/k/v node and
-    the fused FFN, :class:`~repro.nn.ops.PreNormFn`).  Those nodes keep
-    ``x`` and ``h``, which the residual ``add`` nodes need anyway, not the
-    normed copies.  Only a composed FFN applies ``norm2`` separately.
+    which fold each into the node reading its output (the attention node
+    and the fused FFN, :class:`~repro.nn.ops.PreNormFn`).  Those nodes
+    keep ``x`` and ``h``, which the residual ``add`` nodes need anyway,
+    not the normed copies.  Only a composed FFN applies ``norm2``
+    separately.  The attention half is one node that saves ``x``, the
+    merged attention output and its ``lse`` (a head-parallel method: its
+    head-layout context) and rebuilds q, k and v in its backward, so a
+    replayed layer keeps no q, k or v at all.
     """
 
     def __init__(

@@ -78,12 +78,6 @@ class MatMul(Function):
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
 
-def _packed(rows: int, widths) -> list[slice]:
-    """Flat slices of ``(rows, width)`` blocks stored back to back."""
-    edges = np.cumsum([0] + [rows * n for n in widths])
-    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-
-
 class PreNormFn(Function):
     """A node that may read its input through a folded LLaMA RMSNorm.
 
@@ -95,7 +89,9 @@ class PreNormFn(Function):
     forward's expressions, runs the consumer's backward and then the
     norm's (:meth:`_norm_backward`).  So a norm followed by its only
     reader costs one saved ``(S, D)`` array, not two, and values and
-    gradients are the two nodes' bits.
+    gradients are the two nodes' bits.  The folded readers are a block's
+    attention node (:class:`~repro.nn.attention_fn.AttentionFn`) and the
+    fused FFN (:class:`~repro.nn.mlp_fn.BlockwiseMLPFn`).
 
     The RMSNorm expressions are written here once: :class:`RMSNormFn`
     is this node with nothing after the norm.  Its forward runs the op
@@ -110,15 +106,21 @@ class PreNormFn(Function):
     inv)``, then the two halves of ``Mul(x, x)``.
     """
 
-    def _save_inputs(self, args, eps):
-        """``(x, ms, weights)`` from ``apply``'s arrays, all saved;
-        ``ms`` is ``None`` without a folded norm."""
+    def _norm_inputs(self, args, eps):
+        """``(x, ms, weights)`` from ``apply``'s arrays; ``ms`` is
+        ``None`` without a folded norm."""
         if eps is None:
             x, *weights = args
             self.norm_weight = ms = None
         else:
             x, _x_sq_a, _x_sq_b, self.norm_weight, *weights = args
             ms = (x * x).mean(axis=-1, keepdims=True) + eps
+        return x, ms, weights
+
+    def _save_inputs(self, args, eps):
+        """:meth:`_norm_inputs`, all three saved (a node that saves
+        more than its inputs calls ``save_for_backward`` itself)."""
+        x, ms, weights = self._norm_inputs(args, eps)
         self.save_for_backward(x, ms, *weights)
         return x, ms, weights
 
@@ -160,75 +162,6 @@ def pre_norm_inputs(x, norm) -> tuple[tuple, dict]:
     if norm is None:
         return (x,), {}
     return (x, x, x, _wrap(norm.weight)), {"eps": norm.eps}
-
-
-class QKVProjectionFn(PreNormFn):
-    """``q, k, v = n·Wqᵀ, n·Wkᵀ, n·Wvᵀ`` as one node, ``n`` being its
-    input or the :class:`PreNormFn` RMSNorm of it.
-
-    As three ``MatMul`` nodes after a norm the projections saved the same
-    normed input three times, beside the norm's own ``x``.  This node
-    saves the input once and the three weights (held by reference):
-    ``S·D + S + D·(D + 2·kv)`` elements with the norm folded in, ``S·D +
-    D·(D + 2·kv)`` without.  Its output is one flat array holding the
-    three products back to back, each a C-contiguous ``(S, n)`` block
-    written by its own GEMM — the layout a lone ``MatMul``'s output has,
-    so the head views and every kernel after them see the strides they
-    saw before.  (One GEMM over the concatenated weight is not bitwise
-    the three: OpenBLAS picks its kernel by shape.)  The backward rebuilds
-    ``n``, evaluates each ``MatMul``'s expressions on contiguous gradient
-    blocks and adds ``n``'s three terms in the order the graph added them
-    — q, k, then v — before the norm's backward, so values and gradients
-    are the old nodes' bits.  Grouped-query attention is just narrower
-    ``Wk`` / ``Wv``.
-    """
-
-    def forward(self, *args, eps: float | None = None):
-        x, ms, weights = self._save_inputs(args, eps)
-        n = self._normed(x, ms)
-        self.blocks = _packed(x.shape[0], [w.shape[0] for w in weights])
-        out = np.empty(self.blocks[-1].stop)
-        for w, block in zip(weights, self.blocks):
-            np.matmul(n, np.swapaxes(w, 0, 1),
-                      out=out[block].reshape(x.shape[0], w.shape[0]))
-        return out
-
-    def backward(self, g):
-        x, ms, *weights = self.saved
-        gs = [g[b].reshape(x.shape[0], w.shape[0])
-              for b, w in zip(self.blocks, weights)]
-        dq, dk, dv = (np.matmul(gw, w) for gw, w in zip(gs, weights))
-        nt = np.swapaxes(self._normed(x, ms), 0, 1)
-        return (*self._norm_backward(dq + dk + dv, x, ms),
-                *(np.swapaxes(np.matmul(nt, gw), 0, 1) for gw in gs))
-
-
-class HeadsFn(Function):
-    """One ``(S, h·head_dim)`` block of a :class:`QKVProjectionFn` output
-    as a ``(h, S, head_dim)`` view — no copy.
-
-    The views of one output share ``shared``, an empty list: the first
-    backward to run puts one zeroed gradient of the whole output in it and
-    returns it, the others write their block into that same array and
-    return nothing.  So the projection receives one gradient, with no
-    zero-padded copies summed, and each view drops the list once it has
-    written.
-    """
-
-    def forward(self, y, block: slice = None, shape: tuple = None,
-                shared: list = None):
-        self.size, self.block, self.shape = y.size, block, shape
-        self.shared = shared
-        return np.swapaxes(y[block].reshape(shape), 0, 1)
-
-    def backward(self, g):
-        shared, self.shared = self.shared, None
-        first = not shared
-        if first:
-            shared.append(np.zeros(self.size))
-        (grad,) = shared
-        grad[self.block].reshape(self.shape)[...] = np.swapaxes(g, 0, 1)
-        return (grad if first else None,)
 
 
 class Pow(Function):
@@ -460,24 +393,6 @@ def div(a, b):
 
 def matmul(a, b):
     return MatMul.apply(_wrap(a), _wrap(b))
-
-
-def qkv_heads(
-    x, wq, wk, wv, head_dim: int, norm=None
-) -> tuple[Tensor, Tensor, Tensor]:
-    """``(q, k, v)`` in ``(heads, S, head_dim)`` layout from ``(S, D)``
-    activations — or from ``norm(x)``, ``norm`` being an ``RMSNorm`` folded
-    into the node — through one :class:`QKVProjectionFn` node: ``x`` is
-    saved once, not per weight, and a folded norm's output not at all."""
-    inputs, kwargs = pre_norm_inputs(x, norm)
-    weights = [_wrap(w) for w in (wq, wk, wv)]
-    fused = QKVProjectionFn.apply(*inputs, *weights, **kwargs)
-    s, widths, shared = x.shape[0], [w.shape[0] for w in weights], []
-    return tuple(
-        HeadsFn.apply(fused, block=block, shape=(s, n // head_dim, head_dim),
-                      shared=shared)
-        for block, n in zip(_packed(s, widths), widths)
-    )
 
 
 def pow(a, exponent: float):  # noqa: A001 - mirrors Tensor.__pow__

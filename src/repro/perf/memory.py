@@ -314,27 +314,36 @@ def rms_norm_saved_elems(seq_len: int, dim: int) -> int:
 def attention_proj_saved_elems(
     seq_len: int, dim: int, kv_dim: int | None = None
 ) -> int:
-    """Elements a block's attention projections save, ``norm1``
-    included: the one :class:`~repro.nn.ops.QKVProjectionFn` node, with
-    the norm folded in, keeps the block input (S, D) once, the norm's
-    ``mean(x²) + eps`` row (S) and ``Wq``, ``Wk``, ``Wv``; the output
-    projection's ``MatMul`` keeps its input (S, D) plus the
-    (transposed-view) ``Wo``."""
+    """Elements a block's attention node saves around its attention
+    product, for every method: the block input (S, D) once, the folded
+    ``norm1``'s ``mean(x²) + eps`` row (S), the merged attention output
+    (S, D) that ``wo`` reads, and ``Wq``, ``Wk``, ``Wv``, ``Wo`` (held by
+    reference).  The node is one
+    :class:`~repro.nn.attention_fn.AttentionFn`; q, k and v are rebuilt
+    in its backward, never saved."""
     kv = dim if kv_dim is None else kv_dim
-    qkv = seq_len * dim + seq_len + dim * (dim + 2 * kv)
-    return qkv + seq_len * dim + dim * dim
+    return 2 * seq_len * dim + seq_len + 2 * dim * dim + 2 * dim * kv
 
 
 def attention_node_saved_elems(
-    seq_len: int, dim: int, n_heads: int, kv_dim: int | None = None
+    seq_len: int,
+    dim: int,
+    n_heads: int,
+    kv_dim: int | None = None,
+    rebuilds_context: bool = True,
 ) -> int:
-    """Elements the distributed-attention node saves for its backward:
-    ``(q, k, v, o, lse)``, once.  A ring-family method saves them in
-    sequence layout; Ulysses / USP save only their head-layout context
-    ``q_h``/``k_h``/``v_h``/``o_h``/``lse_h``, the same elements split
-    by heads instead of by tokens."""
+    """Elements the attention node saves for its attention product's
+    backward, beside :func:`attention_proj_saved_elems`.  A method that
+    rebuilds its context (the ring family, the local kernel) saves only
+    ``lse`` (H·S): its backward re-projects ``q``, ``k`` and ``v`` and
+    reads the merged output the projections already keep.  Ulysses / USP
+    (``rebuilds_context=False``) save their head-layout context
+    ``q_h``/``k_h``/``v_h``/``o_h``/``lse_h`` — ``(q, k, v, o, lse)``
+    split by heads instead of by tokens — since rebuilding it would
+    repeat an all-to-all."""
     kv = dim if kv_dim is None else kv_dim
-    return 2 * seq_len * dim + 2 * seq_len * kv + n_heads * seq_len
+    context = 2 * seq_len * dim + 2 * seq_len * kv if not rebuilds_context else 0
+    return context + n_heads * seq_len
 
 
 def transformer_layer_saved_elems(
@@ -345,13 +354,14 @@ def transformer_layer_saved_elems(
     *,
     kv_dim: int | None = None,
     fused_mlp: bool = False,
+    rebuilds_context: bool = True,
 ) -> int:
-    """Elements one transformer block's graph saves end to end: the QKV
-    node with ``norm1`` folded in and ``wo``, the attention node (the same
-    for every method) and the FFN with ``norm2`` (as pinned in
-    ``tests/test_blockwise_mlp.py``).  The fused FFN folds ``norm2`` in
-    and keeps ``h`` and one row; the composed FFN reads the output of a
-    standalone ``RMSNormFn``."""
+    """Elements one transformer block's graph saves end to end: the
+    attention node with ``norm1`` folded in (its projections' part and
+    its product's, which depends on ``rebuilds_context``) and the FFN with
+    ``norm2`` (as pinned in ``tests/test_blockwise_mlp.py``).  The fused
+    FFN folds ``norm2`` in and keeps ``h`` and one row; the composed FFN
+    reads the output of a standalone ``RMSNormFn``."""
     if fused_mlp:
         ffn = swiglu_fused_saved_bytes(
             seq_len, dim, ffn_hidden, bytes_per_elem=1) + seq_len
@@ -360,7 +370,8 @@ def transformer_layer_saved_elems(
             seq_len, dim, ffn_hidden, bytes_per_elem=1)
     return (
         attention_proj_saved_elems(seq_len, dim, kv_dim)
-        + attention_node_saved_elems(seq_len, dim, n_heads, kv_dim)
+        + attention_node_saved_elems(
+            seq_len, dim, n_heads, kv_dim, rebuilds_context=rebuilds_context)
         + ffn
     )
 
@@ -407,11 +418,13 @@ def predict_step_peak_saved_bytes(
     whitelist cache), and the peak is usually hit mid-backward while the
     *last* layer replays its full body on top of all the other layers'
     still-live inputs and caches; the prediction takes the max of both
-    candidates.  ``rebuilds_context=False`` (Ulysses, USP) decides only
-    the cache rows: such a method never caches attention outputs.  Its
-    attention node saves the same elements as any other method's.  An
-    unknown ``checkpoint`` or an out-of-range ``split_fraction`` raises
-    ``ValueError``.
+    candidates.  ``rebuilds_context=False`` (Ulysses, USP) decides the
+    cache rows — such a method never caches attention outputs — and what
+    its attention node saves: the head-layout context, where a method
+    that rebuilds its context re-projects q, k and v in the backward and
+    saves ``4·S·D`` fewer elements per saved layer (``2·S·D + 2·S·kv``
+    under grouped-query attention).  An unknown ``checkpoint`` or an
+    out-of-range ``split_fraction`` raises ``ValueError``.
 
     ``fused_mlp`` is whether the model sets ``mlp_chunk_size``.  A
     replayed layer's FFN is the fused node either way
@@ -423,6 +436,7 @@ def predict_step_peak_saved_bytes(
     full_layer = transformer_layer_saved_elems(
         seq_len, dim, n_heads, ffn_hidden, kv_dim=kv_dim,
         fused_mlp=fused_mlp or policy.replays,
+        rebuilds_context=rebuilds_context,
     )
     # The whitelist cache pins (o, lse) rows per layer; it never engages
     # without a context rebuild.

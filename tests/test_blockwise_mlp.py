@@ -315,8 +315,8 @@ class TestReplayElidesTheBlockTail:
         ``norm2``'s ``(S, 1)`` row and the three weights under one handle,
         ``(S·D + S + 3·D·H)·8`` bytes; no composed FFN node (``SiLU``,
         ``Mul``, the three FFN ``MatMul`` nodes) and no standalone norm
-        registers.  ``QKVProjectionFn`` (``norm1`` folded in) and the one
-        ``MatMul`` are the attention projections."""
+        registers.  ``AttentionFn`` (``norm1`` folded in) is the whole
+        attention half."""
         from repro.nn.memory import reset_tracker
         from repro.obs import use_memory_timeline
 
@@ -335,7 +335,7 @@ class TestReplayElidesTheBlockTail:
             and e.owner.get("mem_phase") == "recompute"
         ]
         assert [site for site, _ in replayed] == [
-            "QKVProjectionFn", "FlashAttentionFn", "MatMul", "BlockwiseMLPFn",
+            "AttentionFn", "BlockwiseMLPFn",
         ]
         assert replayed[-1][1] == swiglu_fused_saved_bytes(
             self.SEQ, self.DIM, self.HID

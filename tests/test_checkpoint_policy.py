@@ -46,17 +46,20 @@ FSDP_BOUND_PINS = {
 #: (split, rebuilds_context) -> byte-exact step peaks at seq 66 (an odd
 #: quarter, so ``round`` is exercised), dim 32, 2 layers, 4 heads.  The
 #: flag decides only the cache rows: without a context rebuild every
-#: replaying policy is ``full``.  A replayed layer's FFN is the fused node
-#: (``x`` + weights), whatever ``mlp_chunk_size`` says, its q/k/v
-#: projections save their input once, and each norm folds into the node
-#: reading it (only a composed FFN keeps a standalone ``norm2``).
+#: replaying policy is ``full`` — and what its attention node saves: the
+#: head-layout context, where a rebuilding method saves ``4·S·D`` fewer
+#: elements per saved layer (``x``, ``o`` and ``lse``, not ``q``, ``k``,
+#: ``v`` and a second ``o``).  A replayed layer's FFN is the fused node
+#: (``x`` + weights), whatever ``mlp_chunk_size`` says, its attention half
+#: saves its input once, and each norm folds into the node reading it
+#: (only a composed FFN keeps a standalone ``norm2``).
 CURVE_PINS = {
-    (0.25, True): {"none": 811728, "full": 237152,
-                   "selective_pp": 256160, "sequence_level": 251552},
+    (0.25, True): {"none": 676560, "full": 169568,
+                   "selective_pp": 188576, "sequence_level": 183968},
     (0.25, False): {"none": 811728, "full": 237152,
                     "selective_pp": 237152, "sequence_level": 237152},
-    (0.5, True): {"none": 811728, "full": 237152,
-                  "selective_pp": 256160, "sequence_level": 246656},
+    (0.5, True): {"none": 676560, "full": 169568,
+                  "selective_pp": 188576, "sequence_level": 179072},
     (0.5, False): {"none": 811728, "full": 237152,
                    "selective_pp": 237152, "sequence_level": 237152},
 }

@@ -669,11 +669,12 @@ class TestOneModelImplementation:
         }
 
     def test_a_layer_subclass_replaces_only_the_attend_step(self):
-        """``CausalSelfAttention.forward`` is the one project → heads →
-        RoPE → attend → merge → ``wo``; a subclass overrides no
-        ``forward``, only ``_attend`` (and its own ``__init__``)."""
-        methods = {
-            (rel, node.name, item.name)
+        """``CausalSelfAttention.forward`` is the one layer forward: it
+        builds the layer's one node.  A subclass overrides no method but
+        its own ``__init__``; all it replaces is the node class it builds
+        (``node = …``), whose product runs elsewhere."""
+        members = {
+            (rel, node.name, name)
             for rel, tree in self._trees()
             for node in ast.walk(tree)
             if isinstance(node, ast.ClassDef) and any(
@@ -682,36 +683,38 @@ class TestOneModelImplementation:
                 for base in node.bases
             )
             for item in node.body
-            if isinstance(item, ast.FunctionDef) and item.name != "__init__"
+            for name in (
+                [item.name] if isinstance(item, ast.FunctionDef)
+                else [t.id for t in item.targets if isinstance(t, ast.Name)]
+                if isinstance(item, ast.Assign) else []
+            )
+            if name != "__init__"
         }
-        assert methods == {
+        assert members == {
             ("engine/distributed_attention.py",
-             "DistributedCausalSelfAttention", "_attend"),
+             "DistributedCausalSelfAttention", "node"),
         }
 
     def test_one_node_projects_q_k_and_v(self):
-        """The q/k/v projections are built in one place, as one
-        ``QKVProjectionFn`` node that saves its input once."""
+        """The q/k/v projections are written once, inside the attention
+        node: ``AttentionFn._qkv`` — run by its forward and rebuilt by its
+        backward — and no projection or head-view node exists besides."""
         def calls(name):
             return lambda n: isinstance(n, ast.Call) and (
                 isinstance(n.func, ast.Name) and n.func.id == name
                 or isinstance(n.func, ast.Attribute) and n.func.attr == name
             )
 
-        def applies_node(n):
-            return (isinstance(n, ast.Attribute) and n.attr == "apply"
-                    and isinstance(n.value, ast.Name)
-                    and n.value.id == "QKVProjectionFn")
-
-        found = {"qkv_heads": set(), "apply": set()}
-        for rel, tree in self._trees():
-            found["qkv_heads"].update(
-                (rel, s) for s in _scopes(tree, calls("qkv_heads")))
-            found["apply"].update((rel, s) for s in _scopes(tree, applies_node))
-        assert found == {
-            "qkv_heads": {("nn/modules.py", "CausalSelfAttention.forward")},
-            "apply": {("nn/ops.py", "qkv_heads")},
+        found = {
+            (rel, s) for rel, tree in self._trees()
+            for s in _scopes(tree, calls("_qkv"))
         }
+        assert found == {("nn/attention_fn.py", "AttentionFn.forward"),
+                         ("nn/attention_fn.py", "AttentionFn._rebuild")}
+        for rel, tree in self._trees():
+            names = {n.name for n in ast.walk(tree)
+                     if isinstance(n, (ast.ClassDef, ast.FunctionDef))}
+            assert not names & {"QKVProjectionFn", "HeadsFn", "qkv_heads"}, rel
 
     def test_only_the_engine_passes_an_attention_factory(self):
         def passes_factory(n):
@@ -729,6 +732,118 @@ class TestOneModelImplementation:
             # the model handing the hook down to its blocks
             ("nn/modules.py", "TransformerLM.__init__"),
         }
+
+
+class TestOneAttentionNode:
+    """ROADMAP aim 2 for the attention half of a layer: one autograd node
+    (``nn.attention_fn.AttentionFn``) runs ``norm1 → q/k/v → RoPE →
+    attend → merge → wo``; the checkpoint cache protocol is written once,
+    in that node; the engine's node replaces only where the attention
+    product runs — its forward, its backward and the context it saves."""
+
+    _trees = staticmethod(TestOneModelImplementation._trees)
+
+    @pytest.mark.parametrize("engine", [False, True], ids=["local", "engine"])
+    def test_a_block_builds_one_attention_node(self, engine):
+        """The attention half's output hangs off one node whose inputs are
+        the block input and parameters only: no node sits between."""
+        from repro.engine import BurstEngine, DistributedAttentionFn, EngineConfig
+        from repro.nn import Tensor, TransformerConfig, TransformerLM
+        from repro.nn.attention_fn import AttentionFn
+        from repro.topology import make_cluster
+
+        config = TransformerConfig(n_layers=1, position_encoding="rope")
+        model = (BurstEngine(EngineConfig(model=config),
+                             topology=make_cluster(4)).model
+                 if engine else TransformerLM(config))
+        block = model.blocks[0]
+        x = Tensor(np.random.default_rng(0).normal(size=(32, config.dim)),
+                   requires_grad=True)
+        out = block.attn(x, norm=block.norm1)
+        fn, inputs = out._ctx
+        assert type(fn) is (DistributedAttentionFn if engine else AttentionFn)
+        params = {id(p) for p in (block.norm1.weight, *block.attn.parameters())}
+        assert all(t is x or id(t) in params for t in inputs)
+        assert [n for n, _ in block.named_parameters()] == [
+            "norm1.weight", "attn.wq.weight", "attn.wk.weight",
+            "attn.wv.weight", "attn.wo.weight", "norm2.weight",
+            "ffn.gate.weight", "ffn.up.weight", "ffn.down.weight",
+        ]
+
+    def test_no_standalone_wo_matmul_or_head_view_in_a_layer(self):
+        """The layer forward calls nothing but the node, the block calls
+        the attention once, and no head-view or projection node class
+        exists (``test_one_node_projects_q_k_and_v``)."""
+        for rel, tree in self._trees():
+            if rel != "nn/modules.py":
+                continue
+            (forward,) = [
+                f for c in ast.walk(tree)
+                if isinstance(c, ast.ClassDef) and c.name == "CausalSelfAttention"
+                for f in c.body
+                if isinstance(f, ast.FunctionDef) and f.name == "forward"
+            ]
+            called = {
+                ast.unparse(n.func) for n in ast.walk(forward)
+                if isinstance(n, ast.Call)
+            }
+            assert called == {"ops.pre_norm_inputs", "self.node.apply"}
+            (body,) = [
+                f for c in ast.walk(tree)
+                if isinstance(c, ast.ClassDef) and c.name == "TransformerBlock"
+                for f in c.body
+                if isinstance(f, ast.FunctionDef) and f.name == "_body"
+            ]
+            attn_calls = [n for n in ast.walk(body) if isinstance(n, ast.Call)
+                          and ast.unparse(n.func) == "self.attn"]
+            assert len(attn_calls) == 1
+        wo = [
+            (rel, scope) for rel, tree in self._trees()
+            for scope in _scopes(tree, lambda n: isinstance(n, ast.Attribute)
+                                 and n.attr == "wo")
+        ]
+        assert sorted(wo) == [
+            ("nn/modules.py", "CausalSelfAttention.__init__"),
+            ("nn/modules.py", "CausalSelfAttention.forward"),
+        ]
+
+    def test_the_cache_protocol_has_one_home(self):
+        """Popping and filling the output cache, reading the replay flags
+        and the policy's cached rows happen in ``AttentionFn._product``
+        alone (the byte-exact memory model also reads ``cached_rows``)."""
+        def protocol(n):
+            return isinstance(n, ast.Call) and (
+                isinstance(n.func, ast.Name)
+                and n.func.id in ("in_recompute", "in_first_pass")
+                or isinstance(n.func, ast.Attribute)
+                and (n.func.attr == "cached_rows"
+                     or n.func.attr in ("pop", "put")
+                     and isinstance(n.func.value, ast.Name)
+                     and n.func.value.id == "cache")
+            )
+
+        found = {
+            (rel, scope) for rel, tree in self._trees()
+            if rel not in ("nn/checkpoint.py",)
+            for scope in _scopes(tree, protocol)
+        }
+        assert found == {
+            ("nn/attention_fn.py", "AttentionFn._product"),
+            ("nn/modules.py", "TransformerBlock.forward.seeded_body"),
+            ("perf/memory.py", "predict_step_peak_saved_bytes"),
+        }
+
+    def test_the_engine_subclass_overrides_only_the_attention_product(self):
+        from repro.engine import DistributedAttentionFn
+        from repro.nn.attention_fn import AttentionFn
+
+        defined = {
+            name for name, value in vars(DistributedAttentionFn).items()
+            if callable(value)
+        }
+        assert defined == {"_attend", "_attend_backward", "_save"}
+        assert all(name in vars(AttentionFn) for name in defined)
+        assert DistributedAttentionFn.__bases__ == (AttentionFn,)
 
 
 class TestOneRMSNorm:
@@ -771,7 +886,7 @@ class TestOneRMSNorm:
             ("nn/ops.py", "PreNormFn._norm_backward"),
             ("nn/schedule.py", "InverseSqrtLR.lr_at"),  # not a norm
         }
-        assert self._found(row_mean) == {("nn/ops.py", "PreNormFn._save_inputs")}
+        assert self._found(row_mean) == {("nn/ops.py", "PreNormFn._norm_inputs")}
 
     def test_no_standalone_norm_before_a_fused_reader(self):
         def calls(name):

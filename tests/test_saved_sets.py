@@ -6,17 +6,20 @@
   the residual ``add`` that also consumes ``x`` in every block.
 * :class:`~repro.nn.ops.SiLU` saves only its input and is held bitwise to
   the sigmoid-saving node it replaced.
-* The Ulysses / USP attention node saves its head-layout context through
-  its own ``save_for_backward`` — one handle, the same elements as a
-  ring-family node, no ``attn.context`` site — so the handle is released
-  wherever the node's is, including when nothing needs a gradient.
-* The q, k and v projections are one :class:`~repro.nn.ops.QKVProjectionFn`
-  node that saves its input once, held bitwise to the three ``Linear``
-  layers and six head-split nodes it replaced.
+* A layer's attention half is one node
+  (:class:`~repro.nn.attention_fn.AttentionFn`, the engine's
+  ``DistributedAttentionFn``) registering one handle: ``x`` once, the
+  folded norm's row, the merged output ``wo`` reads and the weights, plus
+  ``lse`` for a method that rebuilds q, k and v in its backward, or the
+  head-layout context a Ulysses / USP forward built — released wherever
+  the node's handle is, including when nothing needs a gradient.  It is
+  held bitwise to the three ``Linear`` projections, head splits, RoPE,
+  attention, merge and ``wo`` it replaced.
 * A block's two RMSNorms fold into the nodes reading their outputs (the
-  QKV node and the fused FFN, :class:`~repro.nn.ops.PreNormFn`): each
-  node saves the norm's input and one ``(S, 1)`` row, never the normed
-  copy, and is held bitwise to the literal ``RMSNormFn`` → node pair.
+  attention node and the fused FFN, :class:`~repro.nn.ops.PreNormFn`):
+  each node saves the norm's input and one ``(S, 1)`` row, never the
+  normed copy, and is held bitwise to the literal ``RMSNormFn`` → node
+  pair.
 """
 
 import numpy as np
@@ -24,7 +27,7 @@ import pytest
 
 from repro.attention import get_method
 from repro.comm import SimCommunicator
-from repro.engine import distributed_attention
+from repro.engine import DistributedCausalSelfAttention
 from repro.nn import CausalSelfAttention, RMSNorm, Tensor, ops
 from repro.nn.attention_fn import flash_attention
 from repro.nn.function import Function
@@ -163,65 +166,77 @@ METHODS = {
 }
 
 
-def _qkv(requires_grad):
-    rng = np.random.default_rng(4)
-    return [
-        Tensor(rng.normal(size=(H, S, DH)), requires_grad=requires_grad)
-        for _ in range(3)
-    ]
+def _distributed_layer(name, comm):
+    return DistributedCausalSelfAttention(
+        H * DH, H, np.random.default_rng(4), get_method(name, **METHODS[name]),
+        comm,
+    )
+
+
+def _layer_input(requires_grad):
+    rng = np.random.default_rng(5)
+    return Tensor(rng.normal(size=(S, H * DH)), requires_grad=requires_grad)
+
+
+def _layer_saved_elems(s, d, h, kv=None, rebuilds_context=True):
+    """One attention node's elements, the norm folded in."""
+    return attention_proj_saved_elems(s, d, kv) + attention_node_saved_elems(
+        s, d, h, kv, rebuilds_context=rebuilds_context)
 
 
 class TestAttentionNodeSavesOnce:
     @pytest.mark.parametrize("name", sorted(METHODS))
     def test_one_handle_of_the_node_size(self, name):
-        """Every method's node registers ``(q, k, v, o, lse)``'s elements
-        once under its own site: sequence layout for a ring-family
-        method, the head-layout context for Ulysses / USP."""
+        """Every method's layer registers one handle under its node's
+        site: ``x``, the norm row, the merged ``o`` and the weights, plus
+        ``lse`` for a ring-family method or the head-layout context for
+        Ulysses / USP."""
         comm = SimCommunicator(make_cluster(WORLD))
-        method = get_method(name, **METHODS[name])
-        q, k, v = _qkv(requires_grad=True)
+        attn = _distributed_layer(name, comm)
+        x = _layer_input(requires_grad=True)
         reset_tracker()
         with use_memory_timeline() as timeline:
-            o = distributed_attention(q, k, v, method=method, comm=comm)
+            out = attn(x, norm=RMSNorm(H * DH))
         allocs = [(e.site, e.delta) for e in timeline.events()
                   if e.series == "saved" and e.kind == "alloc"]
+        rebuilds = attn.method.supports_context_rebuild
         assert allocs == [(
             "DistributedAttentionFn",
-            attention_node_saved_elems(S, H * DH, H) * 8,
+            _layer_saved_elems(S, H * DH, H, rebuilds_context=rebuilds) * 8,
         )]
         assert get_tracker().live_handles == 1
-        o.backward(np.ones(o.shape))
+        out.backward(np.ones(out.shape))
         assert get_tracker().current_saved_bytes == 0
         assert get_tracker().live_handles == 0
-        assert all(t.grad is not None for t in (q, k, v))
+        assert x.grad is not None
+        assert all(p.grad is not None for p in attn.parameters())
 
     @pytest.mark.parametrize("name", ["ulysses", "usp"])
     def test_no_handle_left_when_nothing_needs_a_gradient(self, name):
         """``Function.apply`` releases only the node's own handle when the
         output needs no gradient, so a context registered beside it would
-        stay live (67 584 bytes for this call under Ulysses)."""
+        stay live."""
         comm = SimCommunicator(make_cluster(WORLD))
-        method = get_method(name, **METHODS[name])
-        q, k, v = _qkv(requires_grad=False)
+        attn = _distributed_layer(name, comm)
+        for linear in (attn.wq, attn.wk, attn.wv, attn.wo):
+            linear.weight.requires_grad = False
         reset_tracker()
-        o = distributed_attention(q, k, v, method=method, comm=comm)
-        assert not o.requires_grad
+        out = attn(_layer_input(requires_grad=False))
+        assert not out.requires_grad
         assert get_tracker().current_saved_bytes == 0
         assert get_tracker().live_handles == 0
 
     @pytest.mark.parametrize("name", ["ulysses", "usp"])
     def test_context_gradients_match_the_ring(self, name):
-        """The context path and a ring-family method agree on the
-        gradients (the context is read, not rebuilt)."""
+        """The context path and a ring-family method (which rebuilds q, k
+        and v) agree on every gradient."""
         grads = {}
         for label in (name, "burst"):
-            comm = SimCommunicator(make_cluster(WORLD))
-            q, k, v = _qkv(requires_grad=True)
-            o = distributed_attention(
-                q, k, v, method=get_method(label, **METHODS[label]), comm=comm,
-            )
-            o.backward(np.ones(o.shape))
-            grads[label] = [t.grad for t in (q, k, v)]
+            attn = _distributed_layer(label, SimCommunicator(make_cluster(WORLD)))
+            x = _layer_input(requires_grad=True)
+            out = attn(x, norm=RMSNorm(H * DH))
+            out.backward(np.ones(out.shape))
+            grads[label] = [x.grad] + [p.grad for p in attn.parameters()]
         for want, got in zip(grads["burst"], grads[name]):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -238,74 +253,67 @@ def three_linear_projections(x, wq, wk, wv, head_dim):
     return heads(wq), heads(wk), heads(wv)
 
 
+def linear_chain(attn, x):
+    """The attention layer as the chain of ``Linear`` / head-split / RoPE
+    / attention / merge nodes it was, on ``attn``'s weights."""
+    s = x.shape[0]
+    q, k, v = three_linear_projections(
+        x, attn.wq.weight, attn.wk.weight, attn.wv.weight, attn.head_dim)
+    if attn.rope:
+        q, k = apply_rope(q), apply_rope(k)
+    o = flash_attention(q, k, v, mask=attn.mask)
+    return attn.wo(ops.reshape(ops.swapaxes(o, 0, 1), (s, -1)))
+
+
 class TestQKVProjectionSavesXOnce:
     # (S, D, heads, KV heads): the benchmark shapes, plus grouped-query
     CASES = [(2048, 64, 8, 8), (512, 256, 4, 4), (256, 64, 8, 2)]
 
-    @staticmethod
-    def _weights(d, kv, rng):
-        return [rng.normal(size=(n, d)) / np.sqrt(d) for n in (d, kv, kv)]
-
     @pytest.mark.parametrize("rope", [False, True], ids=["plain", "rope"])
     @pytest.mark.parametrize("case", CASES, ids=lambda c: "x".join(map(str, c)))
     def test_bitwise_equal_to_the_three_linears(self, case, rope):
-        """In the model's graph — a norm before, RoPE and attention after —
-        outputs and every gradient are the old nodes' bits, so ``x``'s
+        """In the model's graph — a norm before, RoPE and attention inside
+        — outputs and every gradient are the old nodes' bits, so ``x``'s
         three terms are added in the graph's order."""
         s, d, h, h_kv = case
         x_np, w_np, rng = _inputs((s, d), 5)
-        ws_np = self._weights(d, h_kv * (d // h), rng)
-        g = rng.normal(size=(s, h, d // h)).swapaxes(0, 1)
+        attn = CausalSelfAttention(d, h, rng, n_kv_heads=h_kv, rope=rope)
+        g = rng.normal(size=(s, d))
         results = []
-        for project in (three_linear_projections, ops.qkv_heads):
+        for layer in (linear_chain, CausalSelfAttention.forward):
+            for p in attn.parameters():
+                p.grad = None
             leaf = Tensor(x_np, requires_grad=True)
             w = Tensor(w_np, requires_grad=True)
-            ws = [Tensor(a, requires_grad=True) for a in ws_np]
-            q, k, v = project(ops.rms_norm(leaf, w), *ws, d // h)
-            if rope:
-                q, k = apply_rope(q), apply_rope(k)
-            o = flash_attention(q, k, v)
-            o.backward(g)
-            results.append([o.data, leaf.grad, w.grad] + [t.grad for t in ws])
+            out = layer(attn, ops.rms_norm(leaf, w))
+            out.backward(g)
+            results.append([out.data, leaf.grad, w.grad]
+                           + [p.grad for p in attn.parameters()])
         for want, got in zip(*results):
             _assert_bitwise(want, got)
 
     def test_one_handle_saves_x_once(self):
-        s, d, kv = 64, 16, 8
+        """Without a norm: ``x``, the four weights, the merged ``o`` and
+        ``lse`` — no q, k or v."""
+        s, d, h, h_kv = 64, 16, 4, 2
+        kv = h_kv * (d // h)
         x_np, _, rng = _inputs((s, d), 6)
-        ws = [Tensor(a, requires_grad=True) for a in self._weights(d, kv, rng)]
+        attn = CausalSelfAttention(d, h, rng, n_kv_heads=h_kv)
         x = Tensor(x_np, requires_grad=True)
         reset_tracker()
         with use_memory_timeline() as timeline:
-            q, k, v = ops.qkv_heads(x, *ws, 4)
+            out = attn(x)
         allocs = [(e.site, e.delta) for e in timeline.events()
-                  if e.kind == "alloc"]
-        assert allocs == [("QKVProjectionFn", (s * d + d * (d + 2 * kv)) * 8)]
-        assert (q.shape, k.shape, v.shape) == ((4, s, 4), (2, s, 4), (2, s, 4))
-        ops.add(ops.add(q.sum(), k.sum()), v.sum()).backward()
+                  if e.series == "saved" and e.kind == "alloc"]
+        elems = 2 * s * d + 2 * d * d + 2 * d * kv + h * s
+        assert allocs == [("AttentionFn", elems * 8)]
+        out.sum().backward()
         assert get_tracker().current_saved_bytes == 0
         assert get_tracker().live_handles == 0
 
-    def test_a_view_without_a_gradient_contributes_zero(self):
-        """Only ``v`` reaches the loss: ``q`` and ``k`` never run their
-        backward, and their columns of the shared gradient stay zero."""
-        s, d = 32, 8
-        x_np, _, rng = _inputs((s, d), 7)
-        ws_np = self._weights(d, d, rng)
-        grads = []
-        for project in (three_linear_projections, ops.qkv_heads):
-            x = Tensor(x_np, requires_grad=True)
-            ws = [Tensor(a, requires_grad=True) for a in ws_np]
-            _, _, v = project(x, *ws, 4)
-            v.sum().backward()
-            grads.append(x.grad)
-            assert ws[0].grad is None or not ws[0].grad.any()
-        np.testing.assert_array_equal(grads[0], grads[1])
-
     def test_a_layer_saves_the_closed_form(self):
-        """A whole attention layer behind its norm registers
-        ``attention_proj_saved_elems`` (QKV node with the norm folded in,
-        and ``wo``) beside the attention node's own set."""
+        """A whole attention layer behind its norm registers one handle of
+        ``attention_proj_saved_elems + attention_node_saved_elems``."""
         s, d, h, h_kv = 64, 16, 4, 2
         attn = CausalSelfAttention(d, h, np.random.default_rng(0), n_kv_heads=h_kv)
         x = Tensor(np.random.default_rng(1).normal(size=(s, d)), requires_grad=True)
@@ -315,12 +323,7 @@ class TestQKVProjectionSavesXOnce:
             attn(x, norm=RMSNorm(d))
         allocs = [(e.site, e.delta) for e in timeline.events()
                   if e.series == "saved" and e.kind == "alloc"]
-        assert [site for site, _ in allocs] == [
-            "QKVProjectionFn", "FlashAttentionFn", "MatMul",
-        ]
-        projections = allocs[0][1] + allocs[2][1]
-        assert projections == attention_proj_saved_elems(s, d, kv) * 8
-        assert allocs[1][1] == attention_node_saved_elems(s, d, h, kv) * 8
+        assert allocs == [("AttentionFn", _layer_saved_elems(s, d, h, kv) * 8)]
 
 
 def _timeline_allocs(timeline):
@@ -352,27 +355,20 @@ class TestNormFoldsIntoItsReader:
         s, d, h, h_kv = case
         rng = np.random.default_rng(8)
         x_np = rng.normal(size=(s, d)) * 3.0
-        ws_np = [rng.normal(size=(n, d)) / np.sqrt(d)
-                 for n in (d, h_kv * (d // h), h_kv * (d // h))]
+        attn = CausalSelfAttention(d, h, rng, n_kv_heads=h_kv, rope=rope)
         g = rng.normal(size=(s, d))
         norm = self._norm(d, rng)
         results = []
         for fold in (False, True):
-            norm.weight.grad = None
+            for p in [norm.weight, *attn.parameters()]:
+                p.grad = None
             leaf = Tensor(x_np, requires_grad=True)
-            ws = [Tensor(a, requires_grad=True) for a in ws_np]
             x = ops.mul(leaf, 1.0)
-            if fold:
-                q, k, v = ops.qkv_heads(x, *ws, d // h, norm=norm)
-            else:
-                q, k, v = ops.qkv_heads(norm(x), *ws, d // h)
-            if rope:
-                q, k = apply_rope(q), apply_rope(k)
-            o = flash_attention(q, k, v)
-            out = ops.add(x, ops.reshape(ops.swapaxes(o, 0, 1), (s, d)))
+            y = attn(x, norm=norm) if fold else attn(norm(x))
+            out = ops.add(x, y)
             out.backward(g)
             results.append([out.data, leaf.grad, norm.weight.grad]
-                           + [t.grad for t in ws])
+                           + [p.grad for p in attn.parameters()])
         for want, got in zip(*results):
             _assert_bitwise(want, got)
 
@@ -407,28 +403,26 @@ class TestNormFoldsIntoItsReader:
             _assert_bitwise(want, got)
 
     def test_each_fused_node_is_one_handle_without_the_normed_copy(self):
-        s, d, kv, hidden = 64, 16, 8, 32
+        s, d, h, h_kv, hidden = 64, 16, 4, 2, 32
         rng = np.random.default_rng(10)
         norm = self._norm(d, rng)
         x = Tensor(rng.normal(size=(s, d)), requires_grad=True)
-        qkv = [Tensor(rng.normal(size=(n, d)), requires_grad=True)
-               for n in (d, kv, kv)]
+        attn = CausalSelfAttention(d, h, rng, n_kv_heads=h_kv)
         ffn = [Tensor(rng.normal(size=shape), requires_grad=True)
                for shape in ((hidden, d), (hidden, d), (d, hidden))]
         reset_tracker()
         with use_memory_timeline() as timeline:
-            q, k, v = ops.qkv_heads(x, *qkv, 4, norm=norm)
+            a = attn(x, norm=norm)
             y = blockwise_mlp(x, *ffn, chunk_size=16, norm=norm)
             z = blockwise_mlp(x, *ffn, graph_only=True, norm=norm)
         fused_ffn = swiglu_fused_saved_bytes(s, d, hidden) + s * 8
         assert _timeline_allocs(timeline) == [
-            ("QKVProjectionFn", (s * d + s + d * (d + 2 * kv)) * 8),
+            ("AttentionFn", _layer_saved_elems(s, d, h, h_kv * (d // h)) * 8),
             ("BlockwiseMLPFn", fused_ffn),
             ("BlockwiseMLPFn", fused_ffn),
         ]
         assert get_tracker().live_handles == 3
-        loss = ops.add(ops.add(ops.add(q.sum(), k.sum()), v.sum()),
-                       ops.add(y.sum(), z.sum()))
+        loss = ops.add(a.sum(), ops.add(y.sum(), z.sum()))
         loss.backward()
         assert get_tracker().current_saved_bytes == 0
         assert get_tracker().live_handles == 0
@@ -446,7 +440,7 @@ class TestNormFoldsIntoItsReader:
         with use_memory_timeline() as timeline:
             block(x)
         sites = [site for site, _ in _timeline_allocs(timeline)]
-        assert sites[:4] == ["QKVProjectionFn", "FlashAttentionFn", "MatMul",
+        assert sites[:2] == ["AttentionFn",
                              "RMSNormFn" if chunk is None else "BlockwiseMLPFn"]
         assert sites.count("RMSNormFn") == (chunk is None)
 
