@@ -9,7 +9,8 @@ method's index layout, runs the method's distributed forward (all ring /
 all-to-all traffic logged on the engine's communicator), and gathers the
 outputs; the backward does the same for Algorithm 1 / Algorithm 2 /
 Ulysses / USP backward.  Projections, RoPE, merge and ``wo`` are the
-inherited node's.
+inherited node's, and so is a folded block tail (residual, ``norm2``,
+fused FFN): it only adds the FFN's three weights to what ``_save`` keeps.
 
 The checkpoint protocol is inherited, not mirrored: on a recomputation
 pass with a cache hit a ring-family method skips the distributed forward

@@ -38,22 +38,37 @@ class FSDPTraffic:
         return self.allgather_bytes + self.reduce_scatter_bytes
 
 
+#: The engine's parameters are float64.
+_ELEM_BYTES = 8
+
+
+def _shard_elems(param_bytes: int, world_size: int) -> int:
+    """Elements of one rank's shard: the flat parameter padded, as FSDP
+    pads it, to a multiple of the world size."""
+    return -(-param_bytes // (_ELEM_BYTES * world_size))
+
+
 def fsdp_step_traffic(
     param_bytes: int, world_size: int, gather_passes: int = 2
 ) -> FSDPTraffic:
     """Per-rank volume for one step.
 
-    Ring all-gather of all parameters costs ``(G-1)/G * param_bytes`` per
-    rank per pass; ``gather_passes = 2`` covers forward + recompute-backward
-    (1 if checkpointing is off and parameters stay resident).  The gradient
-    reduce-scatter costs the same ``(G-1)/G`` factor once.
+    Ring all-gather of all parameters moves ``G - 1`` shards per rank per
+    pass; ``gather_passes = 2`` covers forward + recompute-backward (1 if
+    checkpointing is off and parameters stay resident).  The gradient
+    reduce-scatter moves the same ``G - 1`` shards once.  A shard is
+    whole elements, the flat parameter padded to a multiple of ``G``, so
+    this is ``(G-1)/G * param_bytes`` per pass exactly when ``G`` divides
+    the element count — and always the bytes :func:`log_fsdp_traffic`
+    logs for one rank.
     """
     if world_size < 1:
         raise ValueError(f"world_size must be >= 1, got {world_size}")
-    frac = (world_size - 1) / world_size
+    shard_bytes = _shard_elems(param_bytes, world_size) * _ELEM_BYTES
+    per_pass = (world_size - 1) * shard_bytes
     return FSDPTraffic(
-        allgather_bytes=int(gather_passes * frac * param_bytes),
-        reduce_scatter_bytes=int(frac * param_bytes),
+        allgather_bytes=gather_passes * per_pass,
+        reduce_scatter_bytes=per_pass,
     )
 
 
@@ -64,13 +79,14 @@ def log_fsdp_traffic(
     """Append one step's FSDP ring transfers to the communicator log.
 
     Each collective is logged as its ring realisation: ``G - 1`` hops per
-    pass, each carrying a ``param_bytes / G`` chunk, along the global ring
-    (so node-boundary hops land on the inter-link, as on real hardware).
+    pass, each carrying one rank's padded shard of whole elements, along
+    the global ring (so node-boundary hops land on the inter-link, as on
+    real hardware).
     """
     topo: ClusterTopology = comm.topology
     g = topo.world_size
     ring = topo.global_ring()
-    chunk = param_bytes // g
+    elems = _shard_elems(param_bytes, g)
     passes = gather_passes + 1  # all-gathers + one reduce-scatter
     for _ in range(passes):
         for t in range(g - 1):
@@ -80,9 +96,9 @@ def log_fsdp_traffic(
                     continue
                 comm.log.add(
                     TransferRecord(
-                        src=src, dst=dst, nbytes=chunk, nelems=chunk // 8,
-                        link=topo.link_class(src, dst), phase=phase,
-                        tag="fsdp-ring",
+                        src=src, dst=dst, nbytes=elems * _ELEM_BYTES,
+                        nelems=elems, link=topo.link_class(src, dst),
+                        phase=phase, tag="fsdp-ring",
                     )
                 )
     return fsdp_step_traffic(param_bytes, g, gather_passes)

@@ -1,9 +1,11 @@
-"""A layer's attention half as one autograd node, with checkpoint policy
-support.
+"""A layer's attention half — or its whole block — as one autograd node,
+with checkpoint policy support.
 
 :class:`AttentionFn` runs ``norm1 → q/k/v → RoPE → attend → merge → wo``
 — everything between a block's input and its first residual ``add`` —
-as one node.  It is where the checkpointing policies of Section 3.2 act:
+as one node; handed the block's :class:`FFNTail` it runs the rest of the
+block too, ``→ +x → norm2 → SwiGLU → +h``.  It is where the
+checkpointing policies of Section 3.2 act:
 for the single-device model directly, and for the engine's distributed
 node (:class:`repro.engine.DistributedAttentionFn`) by inheritance — that
 subclass moves the whole-sequence attention product onto the cluster and
@@ -36,9 +38,23 @@ FlashAttention's bargain one level up: ``q``, ``k``, ``v`` and a second
 copy of ``O`` are ``4·S·D`` elements that three GEMMs rebuild.  A
 product that keeps its own backward context (the engine's Ulysses / USP)
 saves that context instead of ``lse``.
+
+With a block's tail folded in the node saves the same set plus the fused
+FFN's three weights (``norm2``'s is held by reference, as ``norm1``'s
+is): the mid-residual ``h = x + o·Woᵀ`` and ``norm2``'s row are one
+``(S×D)·(D×D)`` GEMM away from the saved ``x`` and ``O``, so the backward
+rebuilds them with the forward's expressions and runs the fused FFN's
+backward (:class:`~repro.nn.mlp_fn.BlockwiseMLPFn`'s expressions), the
+residual and then the attention half's, letting ``x``'s gradient terms
+leave in the order of the node chain it replaced (residual first, then
+``norm1``'s three).  A replay whose output nobody reads
+(``FFNTail.unread``) skips ``wo``, the residual, ``norm2``'s row and the
+FFN in its forward.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +70,7 @@ from repro.masks import MaskPattern
 from repro.nn.checkpoint import in_first_pass, in_recompute
 from repro.nn.function import Function
 from repro.nn.memory import get_tracker
+from repro.nn.mlp_fn import BlockwiseMLPFn
 from repro.nn.ops import PreNormFn
 from repro.nn.rope import rope_angles, rotate_half_split
 from repro.nn.tensor import Tensor
@@ -151,6 +168,31 @@ class FlashAttentionFn(Function):
         return dq, fold_kv_grad(dk, self.groups), fold_kv_grad(dv, self.groups)
 
 
+@dataclass(frozen=True)
+class FFNTail:
+    """What a block hands its attention node to fold in the rest of the
+    block: ``h = x + drop(attn)``, ``y = h + drop(ffn(norm(h)))``.
+
+    ``norm`` and ``ffn`` are the block's ``norm2`` and its SwiGLU (their
+    weights and ``mlp_chunk_size`` are read), ``masks`` the two dropout
+    masks the block drew (``None`` without dropout) and ``unread`` the
+    block's guarantee that nobody reads the node's output values (its own
+    checkpoint replay).
+    """
+
+    norm: object
+    ffn: object
+    masks: tuple | None = None
+    unread: bool = False
+
+    @property
+    def weights(self) -> tuple:
+        """The tail's parameters, in the node's input order."""
+        ffn = self.ffn
+        return (self.norm.weight, ffn.gate.weight, ffn.up.weight,
+                ffn.down.weight)
+
+
 class AttentionFn(PreNormFn, FlashAttentionFn):
     """``wo(attend(rope(q), rope(k), v))`` with ``q, k, v = n·Wqᵀ, n·Wkᵀ,
     n·Wvᵀ`` as one node, ``n`` being the input or the
@@ -161,11 +203,16 @@ class AttentionFn(PreNormFn, FlashAttentionFn):
     ``layer`` is the :class:`~repro.nn.modules.CausalSelfAttention` whose
     heads, RoPE, mask, tile edge, output cache and policy the node reads.
 
+    Applied with ``tail=FFNTail(...)`` and the tail's four parameters
+    after ``wo`` (``norm2``'s weight, then the FFN's gate, up and down)
+    it is the whole block, ``h = x + drop(wo(…))``, ``y = h +
+    drop(ffn(norm2(h)))``, with ``h`` rebuilt in the backward.
+
     The checkpoint protocol lives here once (:meth:`_product`).  A
     subclass that runs the attention product somewhere else (the
     simulated cluster) overrides :meth:`_attend` (its forward),
     :meth:`_attend_backward` (its backward) and :meth:`_save` (the context
-    it keeps), nothing else.
+    it keeps), nothing else; the block tail is inherited.
 
     Values and gradients are the bits of the node chain this replaced —
     a q/k/v projection node, three head views, RoPE, the attention node,
@@ -175,9 +222,14 @@ class AttentionFn(PreNormFn, FlashAttentionFn):
     flat array), and ``x``'s gradient terms leave in that graph's order.
     """
 
-    def forward(self, *args, eps: float | None = None, layer=None):
+    #: A folded block tail's FFN expressions (a :class:`BlockwiseMLPFn`
+    #: run inside this node) and its dropout masks; ``None`` without one.
+    ffn = None
+    masks = None
+
+    def forward(self, *args, eps: float | None = None, layer=None, tail=None):
         x, ms, weights = self._norm_inputs(args, eps)
-        wq, wk, wv, wo = weights
+        wq, wk, wv, wo = weights[:4]
         self.layer = layer
         self._use_kernels(layer.mask, 1.0 / np.sqrt(layer.head_dim),
                           layer.block_size, layer.n_heads // layer.n_kv_heads)
@@ -189,12 +241,34 @@ class AttentionFn(PreNormFn, FlashAttentionFn):
         )
         o, lse = self._product(*self._qkv(self._normed(x, ms), (wq, wk, wv)))
         merged = np.swapaxes(o, 0, 1).reshape(s, -1)
-        self._save(x, ms, weights, merged, lse)
-        return np.matmul(merged, np.swapaxes(wo, 0, 1))
+        if tail is None:
+            self._save(x, ms, weights, merged, lse)
+            return self._out(merged, wo)
+        # norm2's weight is held by reference, as norm1's is
+        self.ffn, self.masks = BlockwiseMLPFn(), tail.masks
+        self.ffn.chunk_size = tail.ffn.mlp_chunk_size
+        self.ffn_norm = weights[4], tail.norm.eps
+        ffn_weights = weights[5:]
+        self._save(x, ms, [*weights[:4], *ffn_weights], merged, lse)
+        if tail.unread:
+            # Zeros, not np.empty: a placeholder nobody reads stays finite.
+            return np.zeros(x.shape)
+        h = self._residual(x, merged, wo)
+        f = self.ffn._ffn(h, self._ffn_row(h), ffn_weights)
+        if self.masks is not None:
+            f *= self.masks[1]
+        f += h  # h + f: IEEE addition commutes, so in place is the same bits
+        return f
 
     def backward(self, g):
-        x, ms, wq, wk, wv, wo, o, *context = self.saved
+        x, ms, *saved = self.saved
+        n_weights = 4 if self.ffn is None else 7
+        weights, o = saved[:n_weights], saved[n_weights]
+        context = saved[n_weights + 1:]
+        wq, wk, wv, wo = weights[:4]
         s = x.shape[0]
+        if self.ffn is not None:
+            g_h, g, tail_grads = self._tail_backward(x, o, wo, weights[4:], g)
         # wo's MatMul, then the merge's Reshape and Swapaxes
         g_wo = np.swapaxes(np.matmul(np.swapaxes(o, 0, 1), g), 0, 1)
         g_o = np.swapaxes(np.matmul(g, wo).reshape(s, self.layer.n_heads, -1), 0, 1)
@@ -213,8 +287,52 @@ class AttentionFn(PreNormFn, FlashAttentionFn):
             gs.append(gw)
         g_n = np.matmul(gs[0], wq) + np.matmul(gs[1], wk) + np.matmul(gs[2], wv)
         nt = np.swapaxes(n, 0, 1)
-        return (*self._norm_backward(g_n, x, ms),
-                *(np.swapaxes(np.matmul(nt, gw), 0, 1) for gw in gs), g_wo)
+        x_terms = self._norm_backward(g_n, x, ms)
+        grads = (*(np.swapaxes(np.matmul(nt, gw), 0, 1) for gw in gs), g_wo)
+        if self.ffn is None:
+            return (*x_terms, *grads)
+        # the residual add's term for x leaves first, then the norm's
+        return (g_h + x_terms[0], *x_terms[1:], *grads, *tail_grads)
+
+    @staticmethod
+    def _out(merged, wo):
+        """``wo`` applied to the merged attention output."""
+        return np.matmul(merged, np.swapaxes(wo, 0, 1))
+
+    # -- a folded block tail: h = x + drop(attn); y = h + drop(ffn(norm2(h)))
+
+    def _residual(self, x, merged, wo):
+        """``h``, the block's mid-residual: the forward's expressions,
+        which the backward re-runs on the saved ``x`` and merged ``o``.
+        They run in place on ``wo``'s output (``x + a`` is ``a + x``): a
+        backward that allocated them afresh took 1.6× the page faults a
+        step on ``wide_short``."""
+        a = self._out(merged, wo)
+        if self.masks is not None:
+            a *= self.masks[0]
+        a += x
+        return a
+
+    def _ffn_row(self, h):
+        """``norm2``'s ``(S, 1)`` row of ``h``."""
+        w, eps = self.ffn_norm
+        return self.ffn._norm_inputs((h, h, h, w), eps)[1]
+
+    def _tail_backward(self, x, o, wo, ffn_weights, g):
+        """Rebuild ``h`` and ``norm2``'s row, run the fused FFN's and
+        ``norm2``'s backward; returns ``h``'s gradient, the attention
+        output's and the gradients of ``norm2``'s and the FFN's
+        weights."""
+        h = self._residual(x, o, wo)
+        g_f = g if self.masks is None else g * self.masks[1]
+        *h_terms, g_norm, g_gate, g_up, g_down = self.ffn._ffn_backward(
+            h, self._ffn_row(h), ffn_weights, g_f)
+        # h's terms in the graph's order: the residual add's, then the norm's
+        g_h = g + h_terms[0]
+        for term in h_terms[1:]:
+            g_h += term
+        g_attn = g_h if self.masks is None else g_h * self.masks[0]
+        return g_h, g_attn, (g_norm, g_gate, g_up, g_down)
 
     def _qkv(self, n, weights):
         """``(q, k, v)`` in ``(heads, S, head_dim)`` layout, RoPE applied:

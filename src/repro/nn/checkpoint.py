@@ -43,28 +43,28 @@ A replay exists to rebuild the *graph* (each node's saved state) that the
 first pass ran without; the values it recomputes matter only where some
 node saves them.  The replayed function's final output is dropped —
 :meth:`Checkpoint.backward` seeds ``out.backward`` with the upstream
-gradient and never reads ``out.data`` — so a node at the tail of the
-region whose backward needs nothing it computed (the fused FFN:
-:class:`~repro.nn.mlp_fn.BlockwiseMLPFn` saves its input, a folded norm's
-row and the weights only) can skip its forward there — and a block's FFN
-is that node in its replay whatever ``mlp_chunk_size`` says, so a
-replayed layer's FFN saves only its input: the block's mid-residual
-``h``, with ``norm2`` folded into the node (one ``(S, 1)`` row, no
-normed copy).  Whether a node *is* at the tail is a fact about
-the replayed function, not about the node: inside
-``checkpoint(lambda t: ffn2(ffn1(t)), x)`` the first FFN's output is saved
-by the second.  Hence the rule, guarded in ``tests/test_public_api.py``:
-``in_recompute`` is read by the attention-output cache protocol
+gradient and never reads ``out.data`` — so the node at the tail of the
+region may skip whatever of its forward only feeds that output.  A
+block's replay is one node (:class:`~repro.nn.attention_fn.AttentionFn`
+with the block's residual, ``norm2`` and fused FFN folded in, whatever
+``mlp_chunk_size`` says): it runs the attention product, whose ``(O,
+lse)`` it saves, and skips ``wo``, the residual, ``norm2``'s row and the
+FFN, which its backward rebuilds from the saved ``x`` and ``O`` anyway.
+Whether a node *is* at the tail is a fact about the replayed function,
+not about the node: inside ``checkpoint(lambda t: ffn2(ffn1(t)), x)`` the
+first FFN's output is saved by the second.  Hence the rule, guarded in
+``tests/test_public_api.py``: ``in_recompute`` is read by the
+attention-output cache protocol
 (:class:`~repro.nn.attention_fn.AttentionFn`, which also reads
 ``in_first_pass``) and by :class:`~repro.nn.modules.TransformerBlock`
 (which owns both the region and its tail) and by nothing else — never
 by another node or a kernel.
 
-The same reasoning covers the attention half from the other side: its
-node saves the block input ``x``, which the replay hands it anyway, and
-rebuilds ``q``, ``k`` and ``v`` from it in its backward rather than save
-them; only ``(O, lse)`` — or, for the cached rows, the whitelist —
-persists, because no GEMM rebuilds attention.
+The same reasoning covers the rest of the layer: its node saves the
+block input ``x``, which the replay hands it anyway, and rebuilds ``q``,
+``k``, ``v`` and the mid-residual ``h`` from it in its backward rather
+than save them; only ``(O, lse)`` — or, for the cached rows, the
+whitelist — persists, because no GEMM rebuilds attention.
 """
 
 from __future__ import annotations
@@ -94,9 +94,10 @@ class CheckpointPolicy:
 
     ``split_fraction`` only applies to ``sequence_level``: the fraction of
     the sequence (the front) that is recomputed rather than stored.
-    (A replayed layer's FFN is always the fused node, which rebuilds its
-    intermediates in backward; ``TransformerConfig.mlp_chunk_size`` sets
-    its chunking and whether the FFN is fused outside a replay too.)
+    (A replayed layer's FFN is always fused, folded into the layer's
+    attention node, which rebuilds its input and intermediates in
+    backward; ``TransformerConfig.mlp_chunk_size`` sets its chunking and
+    whether the FFN is fused outside a replay too.)
     """
 
     mode: CheckpointMode = CheckpointMode.NONE

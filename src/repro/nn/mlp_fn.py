@@ -13,23 +13,18 @@ four gradients are bitwise-identical to the composed path (pinned by
 ``chunk_size`` is ``mlp_chunk_size`` at the module/config layer;
 ``None`` still fuses (one node, only ``x`` saved) but computes densely.
 
-Because backward needs nothing the forward computed, the node can be
-applied ``graph_only``: it saves exactly what it always saves (same
-tracker registration, same bytes) and returns finite zeros without
-running the forward kernel.  That is only sound when *nobody reads the
-output's values* — a caller-side fact this module cannot know, so the
-node never decides it: it has no view of the checkpoint state, and the
-one caller that passes ``graph_only`` is
-:class:`~repro.nn.modules.TransformerBlock`, whose FFN is the tail of
-its own checkpointed region (see ``docs/algorithms.md`` §5).  There the
-FFN is this node even when ``mlp_chunk_size`` is ``None``: the dense
-kernels are bitwise the composed graph, which would save ``x`` twice and
-four ``(S, hidden)`` intermediates.
-
 Wherever the FFN is this node, the block's pre-FFN RMSNorm folds into it
 (:class:`~repro.nn.ops.PreNormFn`): the node saves the norm's input and
 one ``(S, 1)`` row, not the normed activations, and its backward rebuilds
 them with one elementwise pass before the FFN kernel's backward.
+
+The FFN's expressions are written here once (:meth:`BlockwiseMLPFn._ffn`
+and :meth:`BlockwiseMLPFn._ffn_backward`).  Inside a
+:class:`~repro.nn.modules.TransformerBlock` the fused FFN is not a node of
+its own: the block's attention node
+(:class:`~repro.nn.attention_fn.AttentionFn`) folds the residual and this
+FFN in and runs these two methods, rebuilding the FFN's input ``h`` in its
+backward instead of saving it.
 """
 
 from __future__ import annotations
@@ -50,21 +45,25 @@ class BlockwiseMLPFn(PreNormFn):
         self,
         *args: np.ndarray,
         chunk_size: int | None = None,
-        graph_only: bool = False,
         eps: float | None = None,
     ) -> np.ndarray:
         self.chunk_size = chunk_size
-        x, ms, (w_gate, w_up, w_down) = self._save_inputs(args, eps)
-        if graph_only:
-            # Zeros, not np.empty: the caller's add / dropout still touch
-            # the placeholder and must stay finite under np.errstate.
-            return np.zeros(x.shape[:-1] + (w_down.shape[0],), dtype=x.dtype)
-        return get_backend().mlp_forward(
-            self._normed(x, ms), w_gate, w_up, w_down, chunk_size=chunk_size
-        )
+        x, ms, weights = self._save_inputs(args, eps)
+        return self._ffn(x, ms, weights)
 
     def backward(self, grad_out: np.ndarray):
         x, ms, *weights = self.saved
+        return self._ffn_backward(x, ms, weights, grad_out)
+
+    def _ffn(self, x, ms, weights) -> np.ndarray:
+        """The FFN of ``x`` (normed when ``ms`` is a norm row)."""
+        return get_backend().mlp_forward(
+            self._normed(x, ms), *weights, chunk_size=self.chunk_size
+        )
+
+    def _ffn_backward(self, x, ms, weights, grad_out) -> tuple:
+        """``x``'s gradient terms, the norm weight's (with a norm) and the
+        three FFN weights', from the output gradient."""
         dn, *weight_grads = get_backend().mlp_backward(
             self._normed(x, ms), *weights, grad_out, chunk_size=self.chunk_size
         )
@@ -77,17 +76,11 @@ def blockwise_mlp(
     w_up: Tensor,
     w_down: Tensor,
     chunk_size: int | None = None,
-    graph_only: bool = False,
     norm=None,
 ) -> Tensor:
     """Functional wrapper: fused SwiGLU FFN through the kernel backend,
-    reading ``norm(x)`` when ``norm`` (an ``RMSNorm``) is given.
-
-    ``graph_only`` builds the node without computing its output (zeros);
-    pass it only when the output's values are provably never read.
-    """
+    reading ``norm(x)`` when ``norm`` (an ``RMSNorm``) is given."""
     inputs, kwargs = pre_norm_inputs(x, norm)
     return BlockwiseMLPFn.apply(
-        *inputs, w_gate, w_up, w_down,
-        chunk_size=chunk_size, graph_only=graph_only, **kwargs,
+        *inputs, w_gate, w_up, w_down, chunk_size=chunk_size, **kwargs,
     )

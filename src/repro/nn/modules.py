@@ -21,7 +21,7 @@ import numpy as np
 from repro.lmhead import HEAD_IMPLEMENTATIONS
 from repro.masks import CausalMask, MaskPattern
 from repro.nn import ops
-from repro.nn.attention_fn import AttentionFn
+from repro.nn.attention_fn import AttentionFn, FFNTail
 from repro.nn.checkpoint import (
     AttentionOutputCache,
     CheckpointPolicy,
@@ -151,22 +151,17 @@ class SwiGLU(Module):
     kernel backend: only ``x`` is saved for backward and the ``(S,
     hidden)`` intermediates are rematerialised in sequence chunks of that
     many rows (bitwise-identical to the composed path).  ``None`` keeps
-    the composed five-node graph wherever the output is read: it
-    computes once and saves ``x`` twice and four ``(S, hidden)``
-    intermediates.
-
-    ``forward(x, output_unread=True)`` is the caller's guarantee that
-    nothing will read the output's values (only its place in the graph).
-    Such an FFN is always the fused node, applied ``graph_only``: it skips
-    its forward kernel and saves only ``x`` and the weights, and its
-    backward re-runs two GEMMs (dense when ``mlp_chunk_size`` is
-    ``None``, bitwise the composed path).  The composed graph would run
-    three GEMMs there only to save what the fused backward rebuilds.
+    the composed five-node graph: it saves ``x`` twice and four ``(S,
+    hidden)`` intermediates.
 
     ``forward(x, norm=rms_norm_module)`` computes ``ffn(norm(x))``.  The
     fused node folds the norm in (:class:`~repro.nn.ops.PreNormFn`: it
     saves ``x`` and one ``(S, 1)`` row instead of the normed input); the
     composed graph applies it as its own node first.
+
+    Inside a :class:`TransformerBlock` a fused FFN is not called: the
+    block folds it, with ``norm2`` and both residuals, into its attention
+    node (:class:`~repro.nn.attention_fn.FFNTail`).
     """
 
     def __init__(
@@ -182,15 +177,11 @@ class SwiGLU(Module):
         self.down = Linear(hidden, dim, rng)
         self.mlp_chunk_size = mlp_chunk_size
 
-    def forward(
-        self, x: Tensor, output_unread: bool = False,
-        norm: RMSNorm | None = None,
-    ) -> Tensor:
-        if self.mlp_chunk_size is not None or output_unread:
+    def forward(self, x: Tensor, norm: RMSNorm | None = None) -> Tensor:
+        if self.mlp_chunk_size is not None:
             return blockwise_mlp(
                 x, self.gate.weight, self.up.weight, self.down.weight,
-                chunk_size=self.mlp_chunk_size, graph_only=output_unread,
-                norm=norm,
+                chunk_size=self.mlp_chunk_size, norm=norm,
             )
         if norm is not None:
             x = norm(x)
@@ -208,7 +199,10 @@ class CausalSelfAttention(Module):
     merged output and its ``lse`` and rebuilds q, k and v in its backward.
     ``forward(x, norm=rms_norm_module)`` attends over ``norm(x)`` with the
     norm folded into that node, which then saves one ``(S, 1)`` row and
-    no normed copy.  The engine's subclass swaps in its own node.
+    no normed copy.  ``forward(x, norm=…, tail=FFNTail(…))`` folds the
+    rest of a block into the same node: the residual, ``norm2`` and the
+    fused FFN (their parameters become the node's inputs after ``wo``'s).
+    The engine's subclass swaps in its own node.
     """
 
     #: The autograd node a forward builds.
@@ -250,13 +244,17 @@ class CausalSelfAttention(Module):
         self.cache = AttentionOutputCache()
         self.policy: CheckpointPolicy = CheckpointPolicy()
 
-    def forward(self, x: Tensor, norm: RMSNorm | None = None) -> Tensor:
+    def forward(
+        self, x: Tensor, norm: RMSNorm | None = None,
+        tail: FFNTail | None = None,
+    ) -> Tensor:
         # RoPE rotates by *global* position before any sequence sharding,
         # so a distributed attention product needs no position plumbing.
         inputs, kwargs = ops.pre_norm_inputs(x, norm)
         return self.node.apply(
             *inputs, self.wq.weight, self.wk.weight, self.wv.weight,
-            self.wo.weight, layer=self, **kwargs,
+            self.wo.weight, *(() if tail is None else tail.weights),
+            layer=self, tail=tail, **kwargs,
         )
 
 
@@ -268,27 +266,34 @@ class TransformerBlock(Module):
     the attention-output cache implementing the selective++/sequence-level
     whitelists.
 
-    The FFN is the tail of the checkpointed region: its output feeds only
-    the optional dropout (which saves its mask, not its input) and the
-    residual ``add`` whose result :class:`~repro.nn.checkpoint.Checkpoint`
-    drops after a replay.  So while this block's *own* checkpoint replays
-    it, the FFN's values are read by nobody and the block tells the FFN so
-    (``output_unread``) — the replay builds the fused node's graph without
-    computing it, composed FFN or not, so a replayed layer's FFN saves
-    only its input — the block's mid-residual ``h`` — one ``(S, 1)`` row
-    and the weights.  Only the block can know this; see
-    ``docs/algorithms.md`` §5.
+    A block whose FFN is fused is **one autograd node**: ``norm1 → q/k/v
+    → RoPE → attend → merge → wo → +x → norm2 → SwiGLU → +h``.  The block
+    hands its attention an :class:`~repro.nn.attention_fn.FFNTail`
+    (``norm2``, the FFN, the dropout masks) and the attention node folds
+    it in.  That node saves exactly what the attention half alone saves —
+    ``x``, ``norm1``'s ``(S, 1)`` row, the merged attention output and its
+    ``lse`` (a head-parallel method: its head-layout context) and the
+    weights, the FFN's three among them — and its backward rebuilds
+    ``h = x + o·Woᵀ`` and ``norm2``'s row with the forward's expressions
+    before the FFN's backward.  So a replayed layer keeps no ``q``, ``k``,
+    ``v``, ``h`` or normed copy at all.
 
-    Neither norm runs as a node of its own in front of a fused reader:
-    the block hands ``norm1`` to the attention and ``norm2`` to the FFN,
-    which fold each into the node reading its output (the attention node
-    and the fused FFN, :class:`~repro.nn.ops.PreNormFn`).  Those nodes
-    keep ``x`` and ``h``, which the residual ``add`` nodes need anyway,
-    not the normed copies.  Only a composed FFN applies ``norm2``
-    separately.  The attention half is one node that saves ``x``, the
-    merged attention output and its ``lse`` (a head-parallel method: its
-    head-layout context) and rebuilds q, k and v in its backward, so a
-    replayed layer keeps no q, k or v at all.
+    The FFN is fused — and the block one node — wherever
+    ``mlp_chunk_size`` is set, and in the block's own checkpoint replay
+    whatever it says.  There the FFN is the tail of the checkpointed
+    region: :class:`~repro.nn.checkpoint.Checkpoint` drops the replay's
+    output, so its values are read by nobody, and the block tells the
+    node so (``FFNTail.unread``): the node then skips ``wo``, the
+    residual, ``norm2``'s row and the FFN in its forward, which leaves a
+    replay the same GEMMs as before the fold.  Only the block can know
+    this; see ``docs/algorithms.md`` §5.  With ``mlp_chunk_size=None``
+    outside its own replay (no checkpointing, or a replayed block's
+    no-grad first pass) the block runs the attention node, the residual
+    ``add`` nodes, ``norm2`` as its own node and the composed FFN graph.
+
+    Dropout masks are drawn by the block, under its layer seed, in the
+    order the two dropouts apply them, so a replay draws the first
+    pass's masks whichever form each pass takes.
     """
 
     def __init__(
@@ -335,15 +340,23 @@ class TransformerBlock(Module):
         self.attn.policy = policy
 
     def _body(self, x: Tensor, tail_unread: bool = False) -> Tensor:
-        attn_out = self.attn(x, norm=self.norm1)
-        if self.dropout_p > 0:
-            attn_out = ops.dropout(attn_out, self.dropout_p,
-                                   training=self.training)
-        h = ops.add(x, attn_out)
-        ffn_out = self.ffn(h, output_unread=tail_unread, norm=self.norm2)
-        if self.dropout_p > 0:
-            ffn_out = ops.dropout(ffn_out, self.dropout_p,
-                                  training=self.training)
+        # The two dropout masks, in the order the block applies them.
+        masks = None
+        if self.dropout_p > 0 and self.training:
+            masks = tuple(ops.dropout_mask(x.shape, self.dropout_p)
+                          for _ in range(2))
+        tail = None
+        if self.ffn.mlp_chunk_size is not None or tail_unread:
+            tail = FFNTail(self.norm2, self.ffn, masks, unread=tail_unread)
+        out = self.attn(x, norm=self.norm1, tail=tail)
+        if tail is not None:
+            return out
+        if masks is not None:
+            out = ops.dropout(out, mask=masks[0])
+        h = ops.add(x, out)
+        ffn_out = self.ffn(h, norm=self.norm2)
+        if masks is not None:
+            ffn_out = ops.dropout(ffn_out, mask=masks[1])
         return ops.add(h, ffn_out)
 
     def forward(self, x: Tensor) -> Tensor:

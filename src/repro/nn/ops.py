@@ -342,17 +342,33 @@ class Concat(Function):
         return tuple(np.split(g, splits, axis=self.axis))
 
 
-class DropoutFn(Function):
-    """Inverted dropout: scale survivors by ``1/(1-p)`` at train time."""
+def _check_dropout_p(p: float) -> None:
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout p must be in [0, 1), got {p}")
 
-    def forward(self, a, p: float = 0.1, rng=None):
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout p must be in [0, 1), got {p}")
-        if rng is None:
-            rng = np.random.default_rng()
-        keep = 1.0 - p
-        self.mask = (rng.random(a.shape) < keep) / keep
-        return a * self.mask
+
+def dropout_mask(shape, p: float, rng=None) -> np.ndarray:
+    """Inverted dropout's mask: ``0`` for a dropped element, ``1/(1-p)``
+    for a survivor.  Without an explicit ``rng`` it is drawn from
+    :func:`repro.nn.rng.current_rng`, so a checkpoint replay under the
+    same scoped seed draws the same masks."""
+    _check_dropout_p(p)
+    if rng is None:
+        from repro.nn.rng import current_rng
+
+        rng = current_rng()
+    keep = 1.0 - p
+    return (rng.random(shape) < keep) / keep
+
+
+class DropoutFn(Function):
+    """``a * mask`` with a :func:`dropout_mask`: the mask is kept by the
+    node (it is not an activation of the graph) and read by its
+    backward."""
+
+    def forward(self, a, mask):
+        self.mask = mask
+        return a * mask
 
     def backward(self, g):
         return (g * self.mask,)
@@ -447,22 +463,21 @@ def embedding(table, ids):
     return EmbeddingLookup.apply(_wrap(table), np.asarray(ids))
 
 
-def dropout(a, p: float = 0.1, training: bool = True, rng=None):
+def dropout(a, p: float = 0.1, training: bool = True, rng=None, mask=None):
     """Inverted dropout; identity when ``training`` is False or ``p == 0``.
 
-    Without an explicit ``rng`` the mask comes from
-    :func:`repro.nn.rng.current_rng`, so dropout inside a checkpointed
-    layer replays identically during recomputation.
+    The mask is :func:`dropout_mask`'s (from
+    :func:`repro.nn.rng.current_rng` without an explicit ``rng``, so
+    dropout inside a checkpointed layer replays identically during
+    recomputation), or ``mask`` when the caller drew it.
     """
-    if not training or p == 0.0:
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout p must be in [0, 1), got {p}")
-        return _wrap(a) if not isinstance(a, Tensor) else a
-    if rng is None:
-        from repro.nn.rng import current_rng
-
-        rng = current_rng()
-    return DropoutFn.apply(_wrap(a), p=p, rng=rng)
+    a = _wrap(a)
+    if mask is None:
+        if not training or p == 0.0:
+            _check_dropout_p(p)
+            return a
+        mask = dropout_mask(a.shape, p, rng)
+    return DropoutFn.apply(a, mask=mask)
 
 
 def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:

@@ -359,12 +359,13 @@ def transformer_layer_saved_elems(
     """Elements one transformer block's graph saves end to end: the
     attention node with ``norm1`` folded in (its projections' part and
     its product's, which depends on ``rebuilds_context``) and the FFN with
-    ``norm2`` (as pinned in ``tests/test_blockwise_mlp.py``).  The fused
-    FFN folds ``norm2`` in and keeps ``h`` and one row; the composed FFN
-    reads the output of a standalone ``RMSNormFn``."""
+    ``norm2`` (as pinned in ``tests/test_blockwise_mlp.py``).  A fused FFN
+    folds into the attention node with the residual and ``norm2``: the
+    node rebuilds ``h = x + o·Woᵀ`` and ``norm2``'s row in its backward,
+    so the FFN adds only its three weights.  The composed FFN reads the
+    output of a standalone ``RMSNormFn``."""
     if fused_mlp:
-        ffn = swiglu_fused_saved_bytes(
-            seq_len, dim, ffn_hidden, bytes_per_elem=1) + seq_len
+        ffn = 3 * dim * ffn_hidden
     else:
         ffn = rms_norm_saved_elems(seq_len, dim) + swiglu_dense_saved_bytes(
             seq_len, dim, ffn_hidden, bytes_per_elem=1)
@@ -427,10 +428,10 @@ def predict_step_peak_saved_bytes(
     out-of-range ``split_fraction`` raises ``ValueError``.
 
     ``fused_mlp`` is whether the model sets ``mlp_chunk_size``.  A
-    replayed layer's FFN is the fused node either way
-    (:class:`~repro.nn.modules.SwiGLU` builds it whenever the block says
-    its output is unread), so only a policy without replays prices the
-    composed FFN.
+    replayed layer's FFN is folded into its attention node either way
+    (:class:`~repro.nn.modules.TransformerBlock` folds it whenever its
+    own replay leaves the block's output unread), so only a policy
+    without replays prices the composed FFN.
     """
     policy = CheckpointPolicy.parse(checkpoint, split_fraction)
     full_layer = transformer_layer_saved_elems(

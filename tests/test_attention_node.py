@@ -4,11 +4,14 @@ A layer's attention half — ``norm1 → q/k/v → RoPE → attend → merge →
 wo`` — is one :class:`~repro.nn.attention_fn.AttentionFn` node (the
 engine's :class:`~repro.engine.DistributedAttentionFn` on the cluster).
 Trained beside the literal transcription of the old chain
-(``tests/attention_chain.py``), every method that trains, under every
+(``tests/attention_chain.py``, inside the old block chain of
+``tests/block_chain.py``), every method that trains, under every
 checkpoint policy and both ring modes, gives the same loss bits, the
 same parameter and gradient bits (gradient layouts included), the same
 traffic and the same recompute count; only the saved bytes move, by the
-``q``/``k``/``v`` and second ``o`` a ring-family layer no longer keeps.
+``q``/``k``/``v`` and second ``o`` a ring-family layer no longer keeps
+and, where the FFN is fused (every replay), by the ``h`` and ``norm2``
+row the block's one node rebuilds.
 
 Also here: a forward under ``no_grad`` (inference) leaves the
 attention-output cache empty, and a cache entry written over releases
@@ -37,7 +40,9 @@ from repro.nn.checkpoint import AttentionOutputCache
 from repro.nn.memory import get_tracker, reset_tracker
 from repro.topology import a800_node, make_cluster
 
+from repro.nn.modules import TransformerBlock
 from tests.attention_chain import chain_forward
+from tests.block_chain import SplitPeaks, chain_body
 
 POLICIES = ("none", "full", "selective_pp", "sequence_level")
 #: Every registered method except ``selective``, which the engine rejects.
@@ -66,10 +71,16 @@ def _snapshot(model, losses):
     return {"losses": [float(v).hex() for v in losses], "params": params}
 
 
+def _install_chain(m):
+    m.setattr(CausalSelfAttention, "forward", chain_forward)
+    m.setattr(TransformerBlock, "_body", chain_body)
+
+
 def _train_engine(config, topology, steps, monkeypatch, chain):
     with monkeypatch.context() as m:
         if chain:
-            m.setattr(CausalSelfAttention, "forward", chain_forward)
+            _install_chain(m)
+        peaks = SplitPeaks(m)
         engine = BurstEngine(config, topology=topology)
         ids = np.random.default_rng(1).integers(
             0, config.model.vocab_size, config.model.max_seq_len)
@@ -77,19 +88,33 @@ def _train_engine(config, topology, steps, monkeypatch, chain):
     out = _snapshot(engine.model, [r.loss for r in results])
     out["traffic"] = list(engine.comm.log.records)
     out["recompute_flops"] = [r.recompute_flops for r in results]
-    out["peak"] = results[-1].peak_activation_bytes
+    out["peaks"] = peaks.forward[-1], peaks.replay[-1]
     return out
 
 
-def _assert_same_but_saved_bytes(chain, node, saved_layers, s, d, kv, rebuilds):
+def _assert_same_but_saved_bytes(chain, node, policy, n_layers, s, d, kv,
+                                 rebuilds, chunked=False):
+    """Everything equal but the saved bytes, which move per saved layer
+    by q, k, v and a second o (a context-rebuilding method) and by ``h``
+    and its row (a fused FFN: every replay, and a chunked model): at the
+    forward's peak without a replay, at the deepest replay's with one."""
     assert node["losses"] == chain["losses"]
     assert [p[0] for p in node["params"]] == [p[0] for p in chain["params"]]
     for want, got in zip(chain["params"], node["params"]):
         assert want == got, want[0]
     assert node["traffic"] == chain["traffic"]
     assert node["recompute_flops"] == chain["recompute_flops"]
-    moved = saved_layers * (2 * s * d + 2 * s * kv) * 8 if rebuilds else 0
-    assert chain["peak"] - node["peak"] == moved
+    per_layer = (2 * s * d + 2 * s * kv if rebuilds else 0) + (
+        s * d + s if chunked or policy != "none" else 0)
+    moved = _saved_layers(policy, n_layers) * per_layer * 8
+    (chain_fwd, chain_replay), (node_fwd, node_replay) = (
+        chain["peaks"], node["peaks"])
+    if policy == "none":
+        assert chain_fwd - node_fwd == moved
+        assert chain_replay == node_replay == 0
+    else:
+        assert chain_replay - node_replay == moved
+        assert chain_fwd == node_fwd
 
 
 TOY = dict(vocab_size=61, dim=32, n_layers=2, n_heads=4, ffn_hidden=24,
@@ -121,7 +146,7 @@ class TestEngineNodeIsTheChain:
         runs = [_train_engine(config, TOY_TOPO, 2, monkeypatch, chain)
                 for chain in (True, False)]
         _assert_same_but_saved_bytes(
-            *runs, _saved_layers(policy, 2), 64, 32, 32,
+            *runs, policy, 2, 64, 32, 32,
             METHOD_REGISTRY[method].supports_context_rebuild,
         )
 
@@ -144,7 +169,7 @@ class TestEngineNodeIsTheChain:
                 for chain in (True, False)]
         kv = 32 // 4 * extra.get("n_kv_heads", 4)
         _assert_same_but_saved_bytes(
-            *runs, _saved_layers(policy, 2), 64, 32, kv, True)
+            *runs, policy, 2, 64, 32, kv, True, chunked=variant == "chunked")
 
     @pytest.mark.parametrize("shape", ["burst_long", "wide_short"])
     def test_benchmark_shapes(self, shape, monkeypatch):
@@ -166,7 +191,8 @@ class TestEngineNodeIsTheChain:
         runs = [_train_engine(config, topo, 1, monkeypatch, chain)
                 for chain in (True, False)]
         s, d = model["max_seq_len"], model["dim"]
-        _assert_same_but_saved_bytes(*runs, 1, s, d, d, True)
+        _assert_same_but_saved_bytes(*runs, "sequence_level",
+                                     model["n_layers"], s, d, d, True)
 
 
 class TestLocalNodeIsTheChain:
@@ -185,18 +211,18 @@ class TestLocalNodeIsTheChain:
         for chain in (True, False):
             with monkeypatch.context() as m:
                 if chain:
-                    m.setattr(CausalSelfAttention, "forward", chain_forward)
+                    _install_chain(m)
+                peaks = SplitPeaks(m)
                 model = TransformerLM(config)
                 reset_tracker()
                 loss = model(ids, np.roll(ids, -1))
                 loss.backward()
             run = _snapshot(model, [loss.item()])
             run.update(traffic=[], recompute_flops=get_tracker().recompute_flops,
-                       peak=get_tracker().peak_saved_bytes)
+                       peaks=(peaks.forward[-1], peaks.replay[-1]))
             runs.append(run)
         kv = 32 // 4 * extra.get("n_kv_heads", 4)
-        _assert_same_but_saved_bytes(
-            *runs, _saved_layers(policy, 2), 64, 32, kv, True)
+        _assert_same_but_saved_bytes(*runs, policy, 2, 64, 32, kv, True)
 
     @pytest.mark.parametrize("method", ["burst", "ulysses"])
     def test_irregular_length_runs_the_local_kernels(self, method, monkeypatch):

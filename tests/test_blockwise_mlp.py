@@ -255,9 +255,10 @@ _CHECKPOINTING = [
 
 
 class TestReplayElidesTheBlockTail:
-    """A checkpoint replay of a ``TransformerBlock`` builds the fused
-    FFN's graph node without recomputing its output — nobody reads it —
-    and only the block, which knows the FFN is its tail, may decide that.
+    """A checkpoint replay of a ``TransformerBlock`` folds the fused FFN
+    into the block's node without recomputing the FFN's output — nobody
+    reads it — and only the block, which knows the FFN is its tail, may
+    decide that.
     """
 
     SEQ, DIM, HID, CHUNK = 64, 32, 64, 16
@@ -295,8 +296,9 @@ class TestReplayElidesTheBlockTail:
 
     def test_composed_ffn_replays_as_the_fused_node(self, monkeypatch):
         """With ``mlp_chunk_size=None`` the first pass stays composed (one
-        ``silu``), and the replay builds the fused node graph-only: no
-        forward kernel, one dense backward, the composed gradients."""
+        ``silu``), and the replay folds the FFN into the block's node with
+        its tail unread: no forward kernel, one dense backward, the
+        composed gradients."""
         fwd = _count_calls(monkeypatch, get_backend(), "mlp_forward")
         bwd = _count_calls(monkeypatch, get_backend(), "mlp_backward")
         silu = _count_calls(monkeypatch, ops, "silu")
@@ -311,14 +313,18 @@ class TestReplayElidesTheBlockTail:
                 assert a.tobytes() == b.tobytes(), policy
 
     def test_replayed_composed_ffn_registers_only_the_fused_node(self):
-        """In the replay the FFN's saved set is its pre-norm input ``h``,
-        ``norm2``'s ``(S, 1)`` row and the three weights under one handle,
-        ``(S·D + S + 3·D·H)·8`` bytes; no composed FFN node (``SiLU``,
-        ``Mul``, the three FFN ``MatMul`` nodes) and no standalone norm
-        registers.  ``AttentionFn`` (``norm1`` folded in) is the whole
-        attention half."""
+        """In the replay the FFN is folded into the block's one node,
+        which saves nothing of the FFN but its three weights: ``h`` and
+        ``norm2``'s ``(S, 1)`` row are rebuilt in its backward.  No
+        composed FFN node (``SiLU``, ``Mul``, the three FFN ``MatMul``
+        nodes), no ``BlockwiseMLPFn`` and no standalone norm registers;
+        ``AttentionFn`` (``norm1`` folded in) is the whole block."""
         from repro.nn.memory import reset_tracker
         from repro.obs import use_memory_timeline
+        from repro.perf.memory import (
+            attention_node_saved_elems,
+            attention_proj_saved_elems,
+        )
 
         rng = np.random.default_rng(1)
         block = TransformerBlock(
@@ -334,14 +340,11 @@ class TestReplayElidesTheBlockTail:
             if e.series == "saved" and e.kind == "alloc"
             and e.owner.get("mem_phase") == "recompute"
         ]
-        assert [site for site, _ in replayed] == [
-            "AttentionFn", "BlockwiseMLPFn",
+        attention = (attention_proj_saved_elems(self.SEQ, self.DIM)
+                     + attention_node_saved_elems(self.SEQ, self.DIM, 2))
+        assert replayed == [
+            ("AttentionFn", (attention + 3 * self.DIM * self.HID) * 8),
         ]
-        assert replayed[-1][1] == swiglu_fused_saved_bytes(
-            self.SEQ, self.DIM, self.HID
-        ) + self.SEQ * 8 == (
-            self.SEQ * self.DIM + self.SEQ + 3 * self.DIM * self.HID
-        ) * 8
         assert get_tracker().current_saved_bytes == 0
 
     def _two_ffns(self):
@@ -400,25 +403,34 @@ class TestReplayElidesTheBlockTail:
             assert np.array_equal(a, b)
 
     def test_graph_only_node_saves_what_the_computing_node_saves(self):
-        from repro.nn.mlp_fn import blockwise_mlp
+        """The block's node with its tail unread (the block's own replay)
+        saves what the computing node saves, returns zeros, and its
+        backward gives the computing node's gradients: the backward
+        rebuilds ``h`` either way."""
+        from repro.nn.attention_fn import FFNTail
 
         tracker = get_tracker()
-        ffn = self._two_ffns()[0]
-        x = Tensor(np.random.default_rng(0).normal(size=(self.SEQ, self.DIM)),
-                   requires_grad=True)
-        saved = []
-        for graph_only in (False, True):
+        block = TransformerBlock(self.DIM, 2, self.HID,
+                                 np.random.default_rng(4),
+                                 mlp_chunk_size=self.CHUNK)
+        rng = np.random.default_rng(0)
+        x_data = rng.normal(size=(self.SEQ, self.DIM))
+        dy = rng.normal(size=(self.SEQ, self.DIM))
+        saved, grads = [], []
+        for unread in (False, True):
+            block.zero_grad()
+            x = Tensor(x_data, requires_grad=True)
             base = tracker.current_saved_bytes
-            y = blockwise_mlp(x, ffn.gate.weight, ffn.up.weight,
-                              ffn.down.weight, chunk_size=self.CHUNK,
-                              graph_only=graph_only)
+            y = block.attn(x, norm=block.norm1, tail=FFNTail(
+                block.norm2, block.ffn, unread=unread))
             saved.append(tracker.current_saved_bytes - base)
             assert y.shape == (self.SEQ, self.DIM)
-            assert graph_only == (not y.data.any())
-            y.backward(np.ones_like(y.data))  # drain saves
-        assert saved[0] == saved[1] == swiglu_fused_saved_bytes(
-            self.SEQ, self.DIM, self.HID
-        )
+            assert unread == (not y.data.any())
+            y.backward(dy)  # drain saves
+            grads.append([x.grad] + [p.grad for p in block.parameters()])
+        assert saved[0] == saved[1]
+        for a, b in zip(*grads):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestChunkSizeIsValidated:

@@ -49,19 +49,20 @@ FSDP_BOUND_PINS = {
 #: replaying policy is ``full`` — and what its attention node saves: the
 #: head-layout context, where a rebuilding method saves ``4·S·D`` fewer
 #: elements per saved layer (``x``, ``o`` and ``lse``, not ``q``, ``k``,
-#: ``v`` and a second ``o``).  A replayed layer's FFN is the fused node
-#: (``x`` + weights), whatever ``mlp_chunk_size`` says, its attention half
-#: saves its input once, and each norm folds into the node reading it
-#: (only a composed FFN keeps a standalone ``norm2``).
+#: ``v`` and a second ``o``).  A replayed layer's FFN folds into its
+#: attention node whatever ``mlp_chunk_size`` says (its weights only: the
+#: node rebuilds ``h`` and ``norm2``'s row), its attention half saves its
+#: input once, and each norm folds into the node reading it (only a
+#: composed FFN keeps a standalone ``norm2``).
 CURVE_PINS = {
-    (0.25, True): {"none": 676560, "full": 169568,
-                   "selective_pp": 188576, "sequence_level": 183968},
-    (0.25, False): {"none": 811728, "full": 237152,
-                    "selective_pp": 237152, "sequence_level": 237152},
-    (0.5, True): {"none": 676560, "full": 169568,
-                  "selective_pp": 188576, "sequence_level": 179072},
-    (0.5, False): {"none": 811728, "full": 237152,
-                   "selective_pp": 237152, "sequence_level": 237152},
+    (0.25, True): {"none": 676560, "full": 152144,
+                   "selective_pp": 171152, "sequence_level": 166544},
+    (0.25, False): {"none": 811728, "full": 219728,
+                    "selective_pp": 219728, "sequence_level": 219728},
+    (0.5, True): {"none": 676560, "full": 152144,
+                  "selective_pp": 171152, "sequence_level": 161648},
+    (0.5, False): {"none": 811728, "full": 219728,
+                   "selective_pp": 219728, "sequence_level": 219728},
 }
 
 

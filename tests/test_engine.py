@@ -411,9 +411,37 @@ class TestEngineAccounting:
         assert fwd_full == 2 * fwd_ckpt
 
     def test_fsdp_traffic_formula(self):
+        # 100 elements pad to 8 shards of 13: 7 shards per rank per pass
         t = fsdp_step_traffic(param_bytes=800, world_size=8, gather_passes=2)
-        assert t.allgather_bytes == int(2 * (7 / 8) * 800)
-        assert t.reduce_scatter_bytes == int((7 / 8) * 800)
+        assert t.allgather_bytes == 2 * 7 * 13 * 8
+        assert t.reduce_scatter_bytes == 7 * 13 * 8
+        # divisible: (G-1)/G of the parameters per pass
+        t = fsdp_step_traffic(param_bytes=1024, world_size=8, gather_passes=2)
+        assert (t.allgather_bytes, t.reduce_scatter_bytes) == (1792, 896)
+
+    @pytest.mark.parametrize("world,seq", [(5, 100), (7, 112), (4, 64)])
+    def test_fsdp_log_holds_whole_elements_and_the_returned_bytes(
+        self, world, seq
+    ):
+        """A parameter count the world size does not divide used to log
+        ``param_bytes // G``-byte chunks that were not whole elements
+        (15 091 B for 1 886 elements on 5 ranks), and one rank's logged
+        bytes disagreed with the returned ``FSDPTraffic`` (181 092 vs
+        181 093).  Shards are padded to whole elements, as FSDP pads its
+        flat parameter."""
+        config = EngineConfig(model=TransformerConfig(
+            dim=24, n_layers=1, vocab_size=37, ffn_hidden=40, n_heads=4,
+            max_seq_len=seq), method="burst")
+        engine = BurstEngine(config, topology=make_cluster(world))
+        ids = np.arange(seq) % 37
+        fsdp = engine.train_step(ids, np.roll(ids, -1)).fsdp
+        records = [r for r in engine.comm.log.records if r.tag == "fsdp-ring"]
+        assert all(r.nbytes == 8 * r.nelems for r in records)
+        shard = -(-engine.param_bytes // (8 * world))
+        assert {r.nelems for r in records} == {shard}
+        for rank in range(world):
+            sent = sum(r.nbytes for r in records if r.src == rank)
+            assert sent == fsdp.total_bytes
 
     def test_fsdp_single_gpu_is_free(self):
         t = fsdp_step_traffic(param_bytes=800, world_size=1)

@@ -269,15 +269,17 @@ QUICKSTART = dict(seq_len=128, dim=32, n_layers=2, n_heads=4,
 #: name the cell only, so a declared saved-set change moves a pin without
 #: renaming its test.  A ring-family layer's attention node rebuilds q, k
 #: and v, so its cells sit ``4·S·D·8`` bytes per saved layer below the
-#: Ulysses cells, which keep their head-layout context.
+#: Ulysses cells, which keep their head-layout context.  A replayed
+#: layer's FFN folds into that node, which rebuilds ``h`` and ``norm2``'s
+#: row: ``(S·D + S)·8`` bytes below a separate fused FFN node.
 PEAK_PINS = {
     ("burst", "none"): 1_127_424,
-    ("burst", "full"): 251_904,
-    ("burst", "selective_pp"): 288_768,
-    ("burst", "sequence_level"): 270_336,
-    ("megatron-cp", "full"): 251_904,
+    ("burst", "full"): 218_112,
+    ("burst", "selective_pp"): 254_976,
+    ("burst", "sequence_level"): 236_544,
+    ("megatron-cp", "full"): 218_112,
     ("ulysses", "none"): 1_389_568,
-    ("ulysses", "sequence_level"): 382_976,
+    ("ulysses", "sequence_level"): 349_184,
 }
 
 
@@ -317,11 +319,12 @@ def test_policy_curve_matches_observed():
 
 
 @pytest.mark.parametrize("policy,expected", [
-    ("none", 472_064), ("sequence_level", 270_336),
+    ("none", 404_480), ("sequence_level", 236_544),
 ], ids=["none", "sequence_level"])
 def test_chunked_mlp_saved_bytes_match_closed_form(policy, expected):
-    """The chunked cells build the fused norm + FFN node outside a replay
-    too: every layer's FFN keeps ``h`` and one row, not ``norm2(h)``."""
+    """The chunked cells fold the norm + FFN into the attention node
+    outside a replay too: every layer's FFN keeps its weights only, not
+    ``h``, its row or ``norm2(h)``."""
     cell = _memdiff_cell("burst", policy, "unidirectional", 128, chunk=32)
     assert cell["observed"] == expected
     assert cell["predicted"]["peak_saved_bytes"] == expected
@@ -333,7 +336,7 @@ def test_chunked_mlp_saved_bytes_match_closed_form(policy, expected):
 def test_chunked_mlp_transient_site_matches_closed_form():
     cell = _memdiff_cell("burst", "sequence_level", "unidirectional", 128,
                          chunk=32)
-    assert cell["observed"] == 270_336  # fused-MLP saved set shrinks too
+    assert cell["observed"] == 236_544  # fused-MLP saved set shrinks too
     assert cell["observed"] == cell["predicted"]["peak_saved_bytes"]
     observed = _site_peak(cell["events"], "mlp.chunked_bwd")
     assert observed == swiglu_chunked_transient_bytes(128, 32, 64, 32)

@@ -604,9 +604,12 @@ class TestOnlyTheBlockElidesItsTail:
             assert id(reads[0]) in in_block
 
     def test_one_condition_picks_the_ffn_node(self):
-        """What a replayed FFN saves is decided by one condition in
-        ``SwiGLU.forward``: it alone builds the fused node and reads
-        ``output_unread``."""
+        """What a block's FFN saves is decided by one condition in
+        ``TransformerBlock._body``: it alone reads ``tail_unread`` (handed
+        down by ``seeded_body``) and builds the ``FFNTail`` that folds the
+        FFN into the attention node.  Only ``SwiGLU.forward`` builds a
+        fused FFN node of its own (a standalone module), and no source
+        keeps a graph-only FFN."""
         from pathlib import Path
 
         def builds_node(n):
@@ -618,21 +621,30 @@ class TestOnlyTheBlockElidesItsTail:
                 and n.func.value.id == "BlockwiseMLPFn"
             )
 
+        def builds_tail(n):
+            return (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id == "FFNTail")
+
         def reads_flag(n):
-            return (isinstance(n, ast.Name) and n.id == "output_unread"
+            return (isinstance(n, ast.Name) and n.id == "tail_unread"
                     and isinstance(n.ctx, ast.Load))
 
         src = Path(__file__).resolve().parents[1] / "src" / "repro"
-        found = {"builds": set(), "reads": set()}
+        found = {"builds": set(), "tails": set(), "reads": set()}
         for path in sorted(src.rglob("*.py")):
             rel = path.relative_to(src).as_posix()
-            tree = ast.parse(path.read_text())
+            text = path.read_text()
+            assert "graph_only" not in text and "output_unread" not in text, rel
+            tree = ast.parse(text)
             found["builds"].update((rel, s) for s in _scopes(tree, builds_node))
+            found["tails"].update((rel, s) for s in _scopes(tree, builds_tail))
             found["reads"].update((rel, s) for s in _scopes(tree, reads_flag))
         assert found == {
             "builds": {("nn/modules.py", "SwiGLU.forward"),
                        ("nn/mlp_fn.py", "blockwise_mlp")},
-            "reads": {("nn/modules.py", "SwiGLU.forward")},
+            "tails": {("nn/modules.py", "TransformerBlock._body")},
+            "reads": {("nn/modules.py", "TransformerBlock._body"),
+                      ("nn/modules.py", "TransformerBlock.forward.seeded_body")},
         }
 
 
@@ -844,6 +856,63 @@ class TestOneAttentionNode:
         assert defined == {"_attend", "_attend_backward", "_save"}
         assert all(name in vars(AttentionFn) for name in defined)
         assert DistributedAttentionFn.__bases__ == (AttentionFn,)
+
+
+class TestOneBlockNode:
+    """A block whose FFN is fused is one autograd node: the attention
+    node with the residual, ``norm2`` and the fused FFN folded in
+    (``nn.attention_fn.FFNTail``).  No ``Add``, dropout or
+    ``BlockwiseMLPFn`` node sits beside it, the block calls its attention
+    once, and the engine's node still replaces only the attention
+    product."""
+
+    _trees = staticmethod(TestOneModelImplementation._trees)
+
+    @pytest.mark.parametrize("engine", [False, True], ids=["local", "engine"])
+    def test_a_fused_block_applies_one_node(self, engine):
+        """With dropout on, the block's output hangs off one node whose
+        inputs are the block input and the block's parameters, in order
+        (a replay's one node: ``tests/test_blockwise_mlp.py``)."""
+        from repro.engine import BurstEngine, DistributedAttentionFn, EngineConfig
+        from repro.nn import CheckpointPolicy, Tensor, TransformerConfig, TransformerLM
+        from repro.nn.attention_fn import AttentionFn
+        from repro.topology import make_cluster
+
+        config = TransformerConfig(n_layers=1, mlp_chunk_size=8, dropout_p=0.1)
+        model = (BurstEngine(EngineConfig(model=config,
+                                          checkpoint=CheckpointPolicy()),
+                             topology=make_cluster(4)).model
+                 if engine else TransformerLM(config))
+        block = model.blocks[0]
+        x = Tensor(np.random.default_rng(0).normal(size=(32, config.dim)),
+                   requires_grad=True)
+        out = block(x)
+        fn, inputs = out._ctx
+        assert type(fn) is (DistributedAttentionFn if engine else AttentionFn)
+        assert [id(t) for t in inputs] == [id(x)] * 3 + [
+            id(p) for p in block.parameters()]
+        out.backward(np.ones(out.shape))
+
+    def test_the_block_calls_its_attention_once_and_no_ffn_node(self):
+        for rel, tree in self._trees():
+            if rel != "nn/modules.py":
+                continue
+            (body,) = [
+                f for c in ast.walk(tree)
+                if isinstance(c, ast.ClassDef) and c.name == "TransformerBlock"
+                for f in c.body
+                if isinstance(f, ast.FunctionDef) and f.name == "_body"
+            ]
+            called = [ast.unparse(n.func) for n in ast.walk(body)
+                      if isinstance(n, ast.Call)]
+            assert called.count("self.attn") == 1
+            assert not {"blockwise_mlp", "BlockwiseMLPFn.apply"} & set(called)
+
+    def test_the_engine_node_still_defines_only_its_three_methods(self):
+        from repro.engine import DistributedAttentionFn
+
+        assert {name for name, value in vars(DistributedAttentionFn).items()
+                if callable(value)} == {"_attend", "_attend_backward", "_save"}
 
 
 class TestOneRMSNorm:

@@ -19,7 +19,8 @@
   attention node and the fused FFN, :class:`~repro.nn.ops.PreNormFn`):
   each node saves the norm's input and one ``(S, 1)`` row, never the
   normed copy, and is held bitwise to the literal ``RMSNormFn`` → node
-  pair.
+  pair.  In a block the fused FFN and ``norm2`` fold further, into the
+  attention node, which then saves no more than the FFN's weights.
 """
 
 import numpy as np
@@ -372,11 +373,9 @@ class TestNormFoldsIntoItsReader:
         for want, got in zip(*results):
             _assert_bitwise(want, got)
 
-    @pytest.mark.parametrize("graph_only", [False, True],
-                             ids=["computed", "graph_only"])
     @pytest.mark.parametrize("chunk", [None, 64], ids=["dense", "chunked"])
     @pytest.mark.parametrize("case", FFN_CASES, ids=lambda c: "x".join(map(str, c)))
-    def test_ffn_node_is_the_norm_then_the_node(self, case, chunk, graph_only):
+    def test_ffn_node_is_the_norm_then_the_node(self, case, chunk):
         s, d, hidden = case
         rng = np.random.default_rng(9)
         x_np = rng.normal(size=(s, d)) * 3.0
@@ -390,11 +389,10 @@ class TestNormFoldsIntoItsReader:
             leaf = Tensor(x_np, requires_grad=True)
             ws = [Tensor(a, requires_grad=True) for a in ws_np]
             h = ops.mul(leaf, 1.0)
-            kwargs = dict(chunk_size=chunk, graph_only=graph_only)
             if fold:
-                y = blockwise_mlp(h, *ws, norm=norm, **kwargs)
+                y = blockwise_mlp(h, *ws, chunk_size=chunk, norm=norm)
             else:
-                y = blockwise_mlp(norm(h), *ws, **kwargs)
+                y = blockwise_mlp(norm(h), *ws, chunk_size=chunk)
             out = ops.add(h, y)
             out.backward(g)
             results.append([out.data, leaf.grad, norm.weight.grad]
@@ -410,16 +408,20 @@ class TestNormFoldsIntoItsReader:
         attn = CausalSelfAttention(d, h, rng, n_kv_heads=h_kv)
         ffn = [Tensor(rng.normal(size=shape), requires_grad=True)
                for shape in ((hidden, d), (hidden, d), (d, hidden))]
+        block = TransformerBlock(d, h, hidden, rng, n_kv_heads=h_kv,
+                                 mlp_chunk_size=16)
         reset_tracker()
         with use_memory_timeline() as timeline:
             a = attn(x, norm=norm)
             y = blockwise_mlp(x, *ffn, chunk_size=16, norm=norm)
-            z = blockwise_mlp(x, *ffn, graph_only=True, norm=norm)
+            z = block(x)
         fused_ffn = swiglu_fused_saved_bytes(s, d, hidden) + s * 8
+        layer = _layer_saved_elems(s, d, h, h_kv * (d // h)) * 8
         assert _timeline_allocs(timeline) == [
-            ("AttentionFn", _layer_saved_elems(s, d, h, h_kv * (d // h)) * 8),
+            ("AttentionFn", layer),
             ("BlockwiseMLPFn", fused_ffn),
-            ("BlockwiseMLPFn", fused_ffn),
+            # the block's one node: the FFN adds its weights only
+            ("AttentionFn", layer + 3 * d * hidden * 8),
         ]
         assert get_tracker().live_handles == 3
         loss = ops.add(a.sum(), ops.add(y.sum(), z.sum()))
@@ -429,8 +431,9 @@ class TestNormFoldsIntoItsReader:
 
     @pytest.mark.parametrize("chunk", [None, 16], ids=["composed", "fused"])
     def test_a_block_registers_no_standalone_norm_before_a_fused_node(self, chunk):
-        """Un-checkpointed, the attention's norm is folded in and so is a
-        fused FFN's; only a composed FFN keeps an ``RMSNormFn``."""
+        """Un-checkpointed, the attention's norm is folded in, and a fused
+        FFN folds into the attention node with its norm; only a composed
+        FFN keeps an ``RMSNormFn``."""
         s, d = 64, 16
         block = TransformerBlock(d, 2, 32, np.random.default_rng(0),
                                  mlp_chunk_size=chunk)
@@ -440,8 +443,10 @@ class TestNormFoldsIntoItsReader:
         with use_memory_timeline() as timeline:
             block(x)
         sites = [site for site, _ in _timeline_allocs(timeline)]
-        assert sites[:2] == ["AttentionFn",
-                             "RMSNormFn" if chunk is None else "BlockwiseMLPFn"]
+        if chunk is None:
+            assert sites[:2] == ["AttentionFn", "RMSNormFn"]
+        else:
+            assert sites == ["AttentionFn"]
         assert sites.count("RMSNormFn") == (chunk is None)
 
     def test_parameter_names_and_order_are_unchanged(self):
