@@ -15,7 +15,8 @@ pins ``(K_i, V_i, dK_i, dV_i)`` on their owner and circulates
 -----------------  -----------------------  ----------------------
 circulates         K, V, dK, dV             Q, dQ, dO, D, Lse
 per-hop payload    4 (N/G) d                3 (N/G) d + 2 (N/G)
-total per rank     4Nd                      3Nd + 2N   (≈ −25 %)
+paper total        4Nd                      3Nd + 2N   (≈ −25 %)
+return hop         dK, dV                   dQ
 D recomputation    every round              once, before the loop
 =================  =======================  ======================
 
@@ -63,9 +64,10 @@ def burst_attention_backward(
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
     """Algorithm 2: BurstAttention's communication-optimised backward pass.
 
-    Per-rank send volume is exactly ``3Nd + 2N·H`` elements (``H`` = number
-    of leading head slots; the paper's single-head statement is ``3Nd+2N``),
-    ~25 % below Algorithm 1's ``4Nd``.  Returns per-rank ``(dqs, dks, dvs)``.
+    Per-rank send volume is ``3Nd + 2N·H`` elements (``H`` = number of
+    leading head slots; the paper's single-head statement is ``3Nd+2N``),
+    ~25 % below Algorithm 1's ``4Nd``, less the ``(2Nd + 2N·H)/G`` the
+    return hop does not ship.  Returns per-rank ``(dqs, dks, dvs)``.
 
     One device step (lines 7–13 of Algorithm 2) takes the circulating
     query-side bundle and the pinned ``(K_i, V_i)`` to ``(dQ_j part, dK_i
@@ -88,8 +90,8 @@ def burst_attention_backward(
     parts of the bundle split across two counter-rotating streams while
     the ``dQ`` accumulator rides the full forward circulation (keeping its
     addition order, and therefore the results, bitwise identical); once
-    the reverse stream takes over, the forward bundle and the return hop
-    carry ``dQ`` alone.
+    the reverse stream takes over, the forward bundle carries ``dQ``
+    alone.
 
     ``head_slices`` is as for
     :func:`~repro.attention.ring.ring_attention_forward`: a rank's pinned

@@ -99,7 +99,9 @@ def backward_comm_elems(
     algorithm: str, seq_len: int, head_dim: int, n_q_heads: int,
     n_kv_heads: int,
 ) -> float:
-    """Per-GPU backward send volume in elements (both algorithms).
+    """The paper's per-GPU backward send volume in elements (both
+    algorithms), ``G`` whole-bundle hops; the executed count is one hop's
+    read-only share lower (the return hop ships only ``dK, dV`` / ``dQ``).
 
     * Algorithm 1: ``4 * N * h_kv * d`` (K, V, dK, dV are KV-sized).
     * Algorithm 2: ``3 * N * h_q * d + 2 * N * h_q`` (Q-sized bundle).

@@ -33,9 +33,8 @@ state is normalised to ``(O, lse)`` once, after the last step
 **Backward, Algorithm 1** (RingAttention / Megatron-CP / LoongTrain):
 ``(K_j, V_j, dK_j, dV_j)`` circulates; each rank uses its locally stored
 ``Q_i, O_i, dO_i, Lse_i`` to accumulate into the circulating ``dK_j, dV_j``
-and its own ``dQ_i``.  The bundle makes a full loop of ``G`` hops so the
-gradients return to their owners: per-rank send volume is exactly ``4Nd``
-elements.
+and its own ``dQ_i``.  After ``G - 1`` transitions only ``dK_j, dV_j``
+go home, so per-rank send volume is the paper's ``4Nd`` less ``2Nd/G``.
 
 GQA is a property of the shards, not a second code path: when ``ks``/``vs``
 carry fewer heads than ``qs`` the KV-head-sized shards circulate and the
@@ -142,9 +141,8 @@ def ring_pass(
     Returns the carried slots per rank, sent home to their owners over a
     final ``<tag>-return`` hop (``[()] * G`` and no hop when nothing is
     carried; no hop either on a one-position ring, whose bundles never
-    left home).  The unidirectional hop ships the whole bundle — that is
-    the ``4Nd`` / ``3Nd + 2N`` closed form — the bidirectional one only
-    the carried slots.
+    left home).  In either ring mode the hop ships the carried slots
+    alone: the owner reads nothing else.
     """
     check_ring_mode(ring_mode)
     g = comm.world_size
@@ -200,12 +198,10 @@ def ring_pass(
                 ro = delivered
     if not carried or steps == 1:
         return acc
-    # Final hop: send each circulating bundle home to its owner.
-    home = comm.exchange(
-        acc if flow is not None else [join(r) for r in range(g)],
-        schedule.return_permutation(), phase=phase, tag=f"{tag}-return",
+    # Final hop: the accumulators, all their owner reads, go home.
+    return comm.exchange(
+        acc, schedule.return_permutation(), phase=phase, tag=f"{tag}-return"
     )
-    return home if flow is not None else split(home)[1]
 
 
 @traced("attn.pass", "attn", algorithm="ring", direction="fwd")
@@ -304,19 +300,19 @@ def ring_attention_backward_kv(
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
     """Algorithm 1: backward pass circulating ``(K, V, dK, dV)``.
 
-    The circulating bundle is 4 shard-sized arrays; with ``G`` hops
-    (``G - 1`` transitions plus the final return-to-owner permutation) the
-    per-rank send volume is exactly ``4Nd`` elements — the baseline cost
-    BurstAttention's Algorithm 2 improves on.  Under GQA the bundle stays
-    KV-head sized (``4Nd / groups``): each step's ``dK``/``dV`` part is
-    folded back to KV heads before it joins the circulating accumulator.
+    The circulating bundle is 4 shard-sized arrays; ``G - 1`` transitions
+    and a return hop carrying ``(dK, dV)`` alone make the per-rank send
+    volume the paper's ``4Nd`` — the cost Algorithm 2 improves on — less
+    ``2Nd/G``.  Under GQA the bundle stays KV-head sized (``4Nd /
+    groups``): each step's ``dK``/``dV`` part is folded back to KV heads
+    before it joins the circulating accumulator.
 
     Under ``ring_mode="bidirectional"`` the read-only ``(K, V)`` halves of
     the bundle are delivered over two counter-rotating streams while the
     ``(dK, dV)`` accumulators keep riding the full forward circulation
     (their addition order cannot change without changing the bits); once
-    the reverse stream takes over KV delivery, the forward bundle and the
-    return hop shrink to the accumulators alone.
+    the reverse stream takes over KV delivery, the forward bundle shrinks
+    to the accumulators alone.
 
     ``head_slices`` is as for :func:`ring_attention_forward`.  Returns
     per-rank ``(dqs, dks, dvs)``.

@@ -339,8 +339,9 @@ class BundleLayout:
     ``"kv"`` (KV-wide, ``H_kv * d`` — narrower under GQA) or ``"row"`` (one
     row statistic per head, ``H_q``).  ``carried`` indexes the accumulator
     slots, which ride the full forward circulation and the return hop;
-    every other slot is read-only and may be delivered over the
-    counter-rotating stream.  ``name`` is ``"fwd"`` or the backward
+    every other slot is read-only: it may be delivered over the
+    counter-rotating stream, and it never takes the return hop, since its
+    owner does not read it back.  ``name`` is ``"fwd"`` or the backward
     algorithm, ``tag`` the pass's :class:`~repro.comm.TrafficLog` tag.
     """
 
@@ -395,13 +396,20 @@ def backward_bundle(algorithm: str) -> BundleLayout:
 
 def cheaper_backward_bundle(n_q_heads, n_kv_heads, head_dim) -> BundleLayout:
     """Adaptive selection: the KV-wide Algorithm 1 bundle unless the
-    query-wide Algorithm 2 bundle is strictly smaller (it is for MHA —
-    the paper's 25 % saving — and never for a GQA group factor >= 2)."""
+    query-wide Algorithm 2 bundle is smaller per hop (it is for MHA at
+    ``head_dim > 2`` — the paper's 25 % saving — and never for a GQA group
+    factor >= 2).  A per-hop tie (MHA at ``head_dim == 2``) goes to the
+    bundle with fewer carried elements, Algorithm 2's ``dQ``: a rank sends
+    ``(G - 1)`` whole bundles plus the carried slots home, so the smaller
+    return hop is the smaller total."""
     alg1, alg2 = (
-        bundle.elems(1, n_q_heads, n_kv_heads, head_dim)
+        tuple(
+            bundle.elems(1, n_q_heads, n_kv_heads, head_dim, which)
+            for which in ("all", "carried")
+        )
         for bundle in (ALG1_BUNDLE, ALG2_BUNDLE)
     )
-    return ALG1_BUNDLE if alg1 <= alg2 else ALG2_BUNDLE
+    return ALG1_BUNDLE if alg1 < alg2 else ALG2_BUNDLE
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Every transfer performed by :class:`repro.comm.SimCommunicator` is recorded
 as a :class:`TransferRecord`.  Tests assert paper-level invariants directly
 against these logs — e.g. that BurstAttention's backward pass moves
-``3Nd + 2N`` elements per rank while RingAttention's moves ``4Nd``.
+``3Nd + 2N`` elements per rank where RingAttention's moves ``4Nd``, each
+less the read-only slots the return hop leaves out.
 """
 
 from __future__ import annotations

@@ -131,7 +131,6 @@ def bidirectional_direction_bytes(
     seq_len: int,
     hidden: int,
     world_size: int,
-    num_steps: int | None = None,
     bytes_per_elem: int = 2,
     n_heads: int = 1,
 ) -> dict[str, dict[str, float]]:
@@ -145,20 +144,19 @@ def bidirectional_direction_bytes(
     ``R = (S - 1) // 2`` reverse moves, every pass sends
 
     * ``fwd = T_f * all + (R + 1) * carried`` — the whole bundle for the
-      forward stream's half, then the carried slots alone over the
+      forward stream's transitions, then the carried slots alone over the
       remaining ``R`` transitions and the return hop;
     * ``rev = R * read-only``
 
     of its :func:`attention_step_sizes`: nothing is carried on the ``fwd``
     pass, (dK, dV) under ``bwd_alg1``, dQ under ``bwd_alg2``.
 
-    The unidirectional totals (``4Nd`` / ``3Nd + 2N``) are recovered as
-    ``fwd + rev`` *plus* the read-only share of the skipped long way round
-    — bidirectional strictly reduces total bytes on every pass.
+    ``fwd + rev`` totals ``(S - 1) * all + carried`` (the paper's ``4Nd``
+    / ``3Nd + 2N`` less the read-only share of the return hop), which is
+    what the unidirectional pass sends too: the bidirectional mode halves
+    the serial hop chain, not the bytes.
     """
-    t_f, rev = bidirectional_split(
-        world_size if num_steps is None else num_steps
-    )
+    t_f, rev = bidirectional_split(world_size)
     size = {
         which: attention_step_sizes(
             seq_len, hidden, world_size, bytes_per_elem, n_heads, which

@@ -12,20 +12,16 @@ reduces its runs to the quantities the attribution gate compares.
 and the *exposed* communication time (makespan minus compute busy — the
 comm seconds the overlap failed to hide, Fig. 5's whole argument).
 :func:`closed_form_pass_comm` gives the serialized comm seconds of one
-unidirectional pass straight from the pass's bundle layout — the size
-:func:`repro.perf.cost.attention_step_sizes` reports at the workload's
-head count — with no simulation at all.
+unidirectional pass straight from the bytes of its hops — the whole
+bundle per transition, the carried slots on the return hop, at the
+workload's head count — with no simulation at all.
 """
 
 from __future__ import annotations
 
 from repro.perf.cost import link_time
 from repro.perf.des import Simulator
-from repro.perf.schedules.attention import (
-    attention_pass_bundle,
-    attention_pass_transitions,
-)
-from repro.topology import LinkClass
+from repro.perf.schedules.attention import attention_pass_hops
 
 __all__ = [
     "closed_form_pass_comm",
@@ -69,18 +65,17 @@ def closed_form_pass_comm(
 ) -> float:
     """Serialized comm seconds of one *unidirectional* pass, closed-form.
 
-    Prices every hop of the method's ring — the ``G - 1`` transitions and,
-    on a backward pass, the return hop — at the whole bundle the pass
-    circulates (:func:`attention_pass_bundle`; the executed size, one D and
-    one Lse row per head) — no DES involved, so an observed trace's
-    comm-busy seconds can be cross-checked against the paper's Table-1
-    cost terms independently of the overlap model.
+    Prices every hop of the method's ring as one message of the bytes it
+    ships (:func:`attention_pass_hops`): the ``G - 1`` transitions at the
+    whole bundle the pass circulates (the executed size, one D and one Lse
+    row per head) and, on a backward pass, the return hop at its carried
+    slots — no DES involved, so an observed trace's comm-busy seconds can
+    be cross-checked against the paper's Table-1 cost terms independently
+    of the overlap model.
     """
-    hops, _ = attention_pass_transitions(
+    hops, _ = attention_pass_hops(
         method, topology, workload, backward=backward, ring_window=ring_window
     )
-    payload = workload.bundle_bytes(
-        attention_pass_bundle(method, workload, backward=backward),
-        topology.world_size,
+    return sum(
+        link_time(topology, sum(messages), cls) for cls, messages in hops
     )
-    return sum(link_time(topology, payload, LinkClass(res)) for res, _ in hops)

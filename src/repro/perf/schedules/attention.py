@@ -23,10 +23,11 @@ NVLink channel ``intra``, and its NIC ``inter``:
 
 The ring-family graph has one builder, :func:`attention_pass_sim` — the
 second interpreter of the description ``attention.ring.ring_pass``
-executes: :func:`attention_pass_transitions` walks the method's own
+executes: :func:`attention_pass_hops` walks the method's own
 :class:`~repro.comm.RingSchedule` (:data:`repro.comm.ring.RING_METHODS`)
-with the executor's calls and prices each hop off the pass's
-:class:`~repro.comm.ring.BundleLayout`; :data:`METHOD_DES_FLAGS` adds only
+with the executor's calls and sizes each hop off the pass's
+:class:`~repro.comm.ring.BundleLayout`, :func:`attention_pass_transitions`
+prices them; :data:`METHOD_DES_FLAGS` adds only
 what the DES alone knows.  :func:`attention_pass_time` is the makespan,
 and the predicted trace and the observed-pass replay of :mod:`repro.obs`
 draw and re-price the same graph.  A backward pass ends with the
@@ -227,16 +228,6 @@ def _ring_row(
     return flags, flags.get("ring") or RING_METHODS[method], bidirectional
 
 
-def attention_pass_bundle(
-    method: str, workload: AttentionWorkload, *, backward: bool
-) -> BundleLayout:
-    """The bundle layout the method's pass circulates for ``workload``."""
-    if not backward:
-        return KV_BUNDLE
-    ring = _ring_row(method)[1]
-    return ring.backward or cheaper_backward_bundle(*workload.head_shape())
-
-
 def _mixed_link_class(schedule: RingSchedule) -> LinkClass:
     """Link class the DES prices a *mixed* permutation on.
 
@@ -249,7 +240,10 @@ def _mixed_link_class(schedule: RingSchedule) -> LinkClass:
     return schedule.transition_link_class(schedule.num_steps - 2)
 
 
-def attention_pass_transitions(
+_Hops = list[tuple[LinkClass, tuple[float, ...]]]
+
+
+def attention_pass_hops(
     method: str,
     topology: ClusterTopology,
     workload: AttentionWorkload,
@@ -257,40 +251,39 @@ def attention_pass_transitions(
     backward: bool,
     ring_mode: str = "unidirectional",
     ring_window: int | None = None,
-) -> tuple[list[tuple[str, float]], list[tuple[str, float]]]:
-    """Modeled ``(resource, duration)`` hops of one pass's two streams.
+) -> tuple[_Hops, _Hops]:
+    """Modeled ``(link class, message bytes)`` hops of one pass's two
+    streams — what :func:`attention_pass_transitions` prices.
 
     The forward stream lists the ring transitions in order and, on a
-    backward pass, ends with the return-to-owner hop; the reverse stream
-    is empty under the unidirectional mode.  Bidirectional passes split
-    the read-only bundle parts across the streams (``T_f = S // 2``
-    forward transitions, ``R = (S - 1) // 2`` reverse moves) while the
-    gradient accumulators ride all ``S - 1`` forward transitions and go
-    home alone — the walk ``ring_pass`` and ``BidirectionalFlow`` execute.
+    backward pass, ends with the return-to-owner hop, which ships the
+    carried slots alone in either ring mode; the reverse stream is empty
+    under the unidirectional mode.  Bidirectional passes split the
+    read-only bundle parts across the streams (``T_f = S // 2`` forward
+    transitions, ``R = (S - 1) // 2`` reverse moves) while the gradient
+    accumulators ride all ``S - 1`` forward transitions — the walk
+    ``ring_pass`` and ``BidirectionalFlow`` execute.
 
     ``ring_window`` is a knob of the burst double rings only; the other
     rows price their one schedule whatever is passed.
     """
-    flags, ring, bidirectional = _ring_row(method, ring_mode)
+    _, ring, bidirectional = _ring_row(method, ring_mode)
     if method.startswith("burst") and ring.schedule is double_ring_schedule:
         schedule = double_ring_schedule(topology, window=ring_window)
     else:
         schedule = ring.schedule(topology)
-    bundle = attention_pass_bundle(method, workload, backward=backward)
+    bundle = (
+        ring.backward or cheaper_backward_bundle(*workload.head_shape())
+    ) if backward else KV_BUNDLE
     g = topology.world_size
     n = schedule.num_steps - 1
     t_f, rev_moves = (
         bidirectional_split(schedule.num_steps) if bidirectional else (n, 0)
     )
 
-    size = {
-        which: workload.bundle_bytes(bundle, g, which)
-        for which in ("all", "carried", "read-only")
-    }
-
-    def hop(cls: LinkClass, *messages: str) -> tuple[str, float]:
-        return cls.value, sum(
-            link_time(topology, size[which], cls) for which in messages
+    def hop(cls: LinkClass, *messages: str):
+        return cls, tuple(
+            workload.bundle_bytes(bundle, g, which) for which in messages
         )
 
     # One-way Algorithm 1 sends (K, V) and (dK, dV) as two messages per
@@ -306,18 +299,29 @@ def attention_pass_transitions(
         for t in range(n if bundle.carried else t_f)
     ]
     if bundle.carried and n:
-        # Only the accumulators go home once the reverse stream has taken
-        # the read-only slots, or when the gradients drain serially.
-        alone = bidirectional or flags["serialize_gradients"]
-        fwd.append(hop(
-            _mixed_link_class(schedule), *(("carried",) if alone else whole)
-        ))
+        fwd.append(hop(_mixed_link_class(schedule), "carried"))
     rev = [
         hop(_mixed_link_class(schedule) if s == 1
             else schedule.reverse_link_class(s), "read-only")
         for s in range(1, rev_moves + 1)
     ]
     return fwd, rev
+
+
+def attention_pass_transitions(
+    method: str, topology: ClusterTopology, workload: AttentionWorkload, **kw
+) -> tuple[list[tuple[str, float]], list[tuple[str, float]]]:
+    """Modeled ``(resource, duration)`` hops of one pass's two streams:
+    each hop of :func:`attention_pass_hops` (which takes the keywords)
+    priced on its link, one :func:`~repro.perf.cost.link_time` per
+    message."""
+    return tuple(
+        [
+            (cls.value, sum(link_time(topology, b, cls) for b in messages))
+            for cls, messages in stream
+        ]
+        for stream in attention_pass_hops(method, topology, workload, **kw)
+    )
 
 
 def attention_pass_sim(

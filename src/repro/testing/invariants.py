@@ -10,18 +10,18 @@ methods through a :class:`~repro.comm.SimCommunicator`, read the
 :class:`~repro.comm.TrafficLog`, and assert
 
 * every forward hop carries exactly ``attention_step_sizes(...)["fwd"]``
-  bytes and every backward hop exactly the bundle of its algorithm
-  (``4·(S/G)·h`` for Algorithm 1, ``(3h + 2H)·(S/G)`` for Algorithm 2) —
-  the sizes of the layouts declared in :mod:`repro.comm.ring`, which is
-  also where a method's backward algorithm and schedule are looked up
+  bytes, every backward transition exactly the bundle of its algorithm
+  (``4·(S/G)·h`` for Algorithm 1, ``(3h + 2H)·(S/G)`` for Algorithm 2)
+  and every return hop exactly that bundle's carried slots — the sizes
+  of the layouts declared in :mod:`repro.comm.ring`, which is also where
+  a method's backward algorithm and schedule are looked up
   (:data:`~repro.comm.ring.RING_METHODS`);
 * per-rank totals land exactly on the paper's ``4Nd`` (flat/double ring)
-  and ``3Nd + 2N`` (burst) element counts, for any topology — including
-  the degenerate case where a rank's bundle is already home at the final
-  return permutation and sends nothing;
-* re-evaluating Table 1 with the *observed* per-hop payloads reproduces
-  ``table1_comm_times`` bit-for-bit, so the timing claims are anchored to
-  simulated bytes, not to a formula that merely resembles the code.
+  and ``3Nd + 2N`` (burst) element counts less one hop's read-only share,
+  which the return hop does not ship, for any topology;
+* re-evaluating Table 1 with the *observed* transition payloads
+  reproduces ``table1_comm_times`` bit-for-bit, so the timing claims are
+  anchored to simulated bytes, not to a formula resembling the code.
 """
 
 from __future__ import annotations
@@ -81,7 +81,8 @@ def expected_forward_elems(seq_len: int, head_dim: int, n_heads: int = 1) -> int
 def expected_backward_elems(
     algorithm: str, seq_len: int, head_dim: int, n_heads: int = 1
 ) -> int:
-    """Per-rank backward send volume in elements over a full circulation.
+    """The paper's per-rank backward send volume in elements, ``G``
+    whole-bundle hops (a rank sends one hop's read-only share less).
 
     * ``alg1``: ``4Nd`` per head slot (K, V, dK, dV circulate G hops).
     * ``alg2``: ``3Nd + 2N`` per head slot (Q, dQ, dO + the two
@@ -105,14 +106,7 @@ def _run_method(
     method = get_method(method_name, block_size=max(4, seq_len // 8))
     comm = SimCommunicator(topology)
     method.run(topology, q, k, v, mask=mask, do=do, comm=comm)
-    return method, comm.log
-
-
-def _return_fixed_points(method, topology: ClusterTopology) -> set[int]:
-    """Ranks whose circulating bundle is already home before the final
-    return permutation (the exchange records nothing for them)."""
-    perm = method.schedule(topology).return_permutation()
-    return {r for r, dst in enumerate(perm) if r == dst}
+    return comm.log
 
 
 # --- cross-checks -------------------------------------------------------------
@@ -137,37 +131,42 @@ def check_traffic_invariants(
         raise ValueError(
             f"traffic invariants cover ring-family methods, got {method_name!r}"
         )
-    algorithm = RING_METHODS[method_name].backward.name
+    bundle = RING_METHODS[method_name].backward
+    algorithm = bundle.name
     g = topology.world_size
     report = InvariantReport(
         name=f"traffic[{method_name}, G={g}, N={seq_len}, d={head_dim}, "
              f"H={n_heads}]"
     )
-    method, log = _run_method(
+    log = _run_method(
         method_name, topology, seq_len, head_dim, n_heads, mask, seed
     )
 
-    # (1) Per-hop payloads match attention_step_sizes exactly.  The cost
-    # model states sizes in bytes of one circulating bundle per transition;
-    # heads are folded into the hidden size.  Algorithm 2's "+2" rows (D,
-    # Lse) are per-head scalars, hence the (3h + 2H) generalisation.
-    sizes = attention_step_sizes(
-        seq_len, n_heads * head_dim, g, bytes_per_elem=_F64_BYTES,
-        n_heads=n_heads,
-    )
-    fwd_hop = {r.nbytes for r in log.records if r.phase == "attn-fwd"}
-    report.record(
-        fwd_hop == {int(sizes["fwd"])},
-        f"forward hop bytes {sorted(fwd_hop)} == attention_step_sizes fwd "
-        f"{sizes['fwd']:.0f}",
-    )
-    expected_bwd_hop = int(sizes[f"bwd_{algorithm}"])
-    bwd_hop = {r.nbytes for r in log.records if r.phase == "attn-bwd"}
-    report.record(
-        bwd_hop == {expected_bwd_hop},
-        f"backward hop bytes {sorted(bwd_hop)} == {expected_bwd_hop} "
-        f"({algorithm} bundle)",
-    )
+    # (1) Per-hop payloads match attention_step_sizes exactly: one whole
+    # bundle per transition, its carried slots on the return hop; heads are
+    # folded into the hidden size.  Algorithm 2's "+2" rows (D, Lse) are
+    # per-head scalars, hence the (3h + 2H) generalisation.
+    sizes = {
+        which: attention_step_sizes(
+            seq_len, n_heads * head_dim, g, bytes_per_elem=_F64_BYTES,
+            n_heads=n_heads, which=which,
+        )
+        for which in ("all", "carried")
+    }
+    hops = {}
+    for r in log.records:
+        hops.setdefault(r.tag, set()).add(r.nbytes)
+    for tag, key, which in [
+        (KV_BUNDLE.tag, "fwd", "all"),
+        (bundle.tag, f"bwd_{algorithm}", "all"),
+        (f"{bundle.tag}-return", f"bwd_{algorithm}", "carried"),
+    ]:
+        want = int(sizes[which][key])
+        report.record(
+            hops.get(tag) == {want},
+            f"{tag!r} hop bytes {sorted(hops.get(tag, ()))} == {want} "
+            f"(attention_step_sizes {key}, {which} slots)",
+        )
 
     # (2) Per-rank element totals: the paper's headline accounting.
     fwd_elems = log.per_rank_send_elems(phase="attn-fwd")
@@ -182,16 +181,15 @@ def check_traffic_invariants(
     )
 
     bwd_elems = log.per_rank_send_elems(phase="attn-bwd")
-    full = expected_backward_elems(algorithm, seq_len, head_dim, n_heads)
-    per_hop_elems = full // g
-    home = _return_fixed_points(method, topology)
+    expected = expected_backward_elems(
+        algorithm, seq_len, head_dim, n_heads
+    ) - bundle.elems(seq_len // g, n_heads, n_heads, head_dim, "read-only")
     for r in range(g):
-        expected = full - (per_hop_elems if r in home else 0)
         report.record(
             bwd_elems.get(r, 0) == expected,
             f"rank {r} backward elems {bwd_elems.get(r, 0)} == {expected} "
-            f"({'4Nd' if algorithm == 'alg1' else '3Nd + 2N'}"
-            f"{' minus skipped home return' if r in home else ''})",
+            f"({'4Nd' if algorithm == 'alg1' else '3Nd + 2N'} minus the "
+            "read-only slots the return hop leaves out)",
         )
     return report
 
@@ -206,7 +204,9 @@ def check_table1_consistency(
 
     Runs the three ring-family methods with ``H = 1`` heads of dimension
     ``hidden`` (the cost model folds heads into the hidden size), reads the
-    per-hop payload bytes each method actually put on the wire, rescales
+    per-transition payload bytes each method actually put on the wire
+    (the paper prices all ``G`` hops at the whole bundle, so the return
+    hop, which ships the carried slots alone, is not read), rescales
     them to the model's ``bytes_per_elem = 2`` (bf16 on hardware vs the
     simulator's float64), and evaluates the paper's three formulas with
     those observed payloads.  The result must equal
@@ -220,12 +220,12 @@ def check_table1_consistency(
     analytic = table1_comm_times(topology, seq_len, hidden, bytes_per_elem=2)
 
     observed_hop = {}
-    for name in RING_METHODS:
-        _, log = _run_method(
+    for name, ring in RING_METHODS.items():
+        log = _run_method(
             name, topology, seq_len, hidden, 1, mask=None, seed=seed
         )
         fwd = {r.nbytes for r in log.records if r.phase == "attn-fwd"}
-        bwd = {r.nbytes for r in log.records if r.phase == "attn-bwd"}
+        bwd = {r.nbytes for r in log.records if r.tag == ring.backward.tag}
         report.record(
             len(fwd) == 1 and len(bwd) == 1,
             f"{name}: uniform per-hop payloads (fwd {sorted(fwd)}, "

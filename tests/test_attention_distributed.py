@@ -144,17 +144,21 @@ class TestCommunicationVolumes:
         assert all(v == expected for v in per_rank.values())
 
     def test_ring_backward_volume_is_4nd(self):
-        """Algorithm 1: exactly 4Nd elements sent per GPU."""
+        """Algorithm 1: the paper's 4Nd elements sent per GPU, minus the
+        (K, V) shard the return hop leaves out — it ships dK, dV only."""
         log = self._run("megatron-cp")
         per_rank = log.per_rank_send_elems(phase="attn-bwd")
-        expected = 4 * self.N * self.D
+        expected = 4 * self.N * self.D - 2 * (self.N // self.G) * self.D
         assert all(v == expected for v in per_rank.values())
 
     def test_burst_backward_volume_is_3nd_plus_2n(self):
-        """Algorithm 2: exactly 3Nd + 2N elements sent per GPU."""
+        """Algorithm 2: the paper's 3Nd + 2N elements sent per GPU, minus
+        the (Q, dO, D, Lse) shard the return hop leaves out — it ships dQ
+        only."""
         log = self._run("burst")
         per_rank = log.per_rank_send_elems(phase="attn-bwd")
-        expected = 3 * self.N * self.D + 2 * self.N
+        shard = self.N // self.G
+        expected = 3 * self.N * self.D + 2 * self.N - (2 * self.D + 2) * shard
         assert all(v == expected for v in per_rank.values())
 
     def test_burst_saves_about_25_percent(self):

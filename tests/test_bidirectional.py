@@ -27,6 +27,7 @@ from repro.comm.ring import (
     RING_MODES,
     BidirectionalFlow,
     bidirectional_split,
+    backward_bundle,
     check_ring_mode,
     double_ring_schedule,
     global_ring_schedule,
@@ -86,14 +87,19 @@ class TestBitwiseIdentity:
                          n_heads=n_heads, n_kv_heads=n_kv_heads)
         for name in ARRAYS:
             assert np.array_equal(getattr(uni, name), getattr(bidir, name))
-        # The one-way pass moves exactly the closed form: a KV-head-sized
-        # Alg. 1 bundle, a query-sized Alg. 2 bundle (run_mode: N = 8G, d = 4).
+        # Both modes move exactly the paper's closed form — a KV-head-sized
+        # Alg. 1 bundle, a query-sized Alg. 2 bundle (run_mode: N = 8G,
+        # d = 4) — minus the read-only slots the return hop leaves out.
+        algorithm = "alg2" if method == "burst" else "alg1"
+        g = topology.world_size
         expected = backward_comm_elems(
-            "alg2" if method == "burst" else "alg1",
-            8 * topology.world_size, 4, n_heads, n_kv_heads,
+            algorithm, 8 * g, 4, n_heads, n_kv_heads
+        ) - backward_bundle(algorithm).elems(
+            8, n_heads, n_kv_heads, 4, "read-only"
         )
-        sent = uni.comm.log.per_rank_send_elems(phase="attn-bwd")
-        assert set(sent.values()) == {expected}
+        for run in (uni, bidir):
+            sent = run.comm.log.per_rank_send_elems(phase="attn-bwd")
+            assert set(sent.values()) == {expected}
 
     @pytest.mark.parametrize("method", RING_METHODS)
     def test_bidirectional_matches_dense_reference(self, method):

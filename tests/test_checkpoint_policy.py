@@ -23,24 +23,24 @@ POLICIES = ("none", "full", "selective_pp", "sequence_level")
 #: (split, policy) -> (activation_bytes, breakdown["recompute"], step_time)
 #: for LLAMA_7B at 64 K tokens on one 8-GPU node.
 ANALYTIC_PINS = {
-    (0.25, "none"): ("0x1.1000000000000p+35", "0x0.0p+0", "0x1.179d430d4f865p+2"),
-    (0.25, "full"): ("0x1.0000000000000p+31", "0x1.4d08e1847cf68p+0", "0x1.6adf7b6e6ec3fp+2"),
-    (0.25, "selective_pp"): ("0x1.0000000000000p+32", "0x1.0bdf855d31488p-1", "0x1.391933b8f5af6p+2"),
-    (0.25, "sequence_level"): ("0x1.c000000000000p+31", "0x1.24c2a937edd2cp-1", "0x1.3c3598344d40ap+2"),
-    (0.5, "none"): ("0x1.1000000000000p+35", "0x0.0p+0", "0x1.179d430d4f865p+2"),
-    (0.5, "full"): ("0x1.0000000000000p+31", "0x1.4d08e1847cf68p+0", "0x1.6adf7b6e6ec3fp+2"),
-    (0.5, "selective_pp"): ("0x1.0000000000000p+32", "0x1.0bdf855d31488p-1", "0x1.391933b8f5af6p+2"),
-    (0.5, "sequence_level"): ("0x1.8000000000000p+31", "0x1.6f6c14c82371ap-1", "0x1.458ac5a653f48p+2"),
+    (0.25, "none"): ("0x1.1000000000000p+35", "0x0.0p+0", "0x1.15e20573b6cf8p+2"),
+    (0.25, "full"): ("0x1.0000000000000p+31", "0x1.4d08e1847cf68p+0", "0x1.69243dd4d60d2p+2"),
+    (0.25, "selective_pp"): ("0x1.0000000000000p+32", "0x1.0bdf855d31488p-1", "0x1.375df61f5cf89p+2"),
+    (0.25, "sequence_level"): ("0x1.c000000000000p+31", "0x1.24c2a937edd2cp-1", "0x1.3a7a5a9ab489ep+2"),
+    (0.5, "none"): ("0x1.1000000000000p+35", "0x0.0p+0", "0x1.15e20573b6cf8p+2"),
+    (0.5, "full"): ("0x1.0000000000000p+31", "0x1.4d08e1847cf68p+0", "0x1.69243dd4d60d2p+2"),
+    (0.5, "selective_pp"): ("0x1.0000000000000p+32", "0x1.0bdf855d31488p-1", "0x1.375df61f5cf89p+2"),
+    (0.5, "sequence_level"): ("0x1.8000000000000p+31", "0x1.6f6c14c82371ap-1", "0x1.43cf880cbb3dbp+2"),
 }
 
 #: policy -> (breakdown["fsdp_exposed"], step_time) for LLAMA_7B at 4 K
 #: tokens on 32 GPUs, where the FSDP gathers outlast a layer's compute:
 #: ``none`` prices two gather passes, every replaying policy three.
 FSDP_BOUND_PINS = {
-    "none": ("0x1.f68e4521a8b6bp+0", "0x1.043ccb8eef0b7p+1"),
-    "full": ("0x1.7a017c83310b7p+1", "0x1.863ec179ec96cp+1"),
-    "selective_pp": ("0x1.7c3d38f674b56p+1", "0x1.863ec179ec96cp+1"),
-    "sequence_level": ("0x1.7bae49d9a3caep+1", "0x1.863ec179ec96cp+1"),
+    "none": ("0x1.f6a9f8fb42422p+0", "0x1.043ccb8eef0b7p+1"),
+    "full": ("0x1.7a0f566ffdd13p+1", "0x1.863ec179ec96cp+1"),
+    "selective_pp": ("0x1.7c4b12e3417b1p+1", "0x1.863ec179ec96cp+1"),
+    "sequence_level": ("0x1.7bbc23c67090ap+1", "0x1.863ec179ec96cp+1"),
 }
 
 #: (split, rebuilds_context) -> byte-exact step peaks at seq 66 (an odd

@@ -19,6 +19,7 @@ from repro.nn.checkpoint import CheckpointMode
 from repro.perf.cost import link_time
 from repro.perf.schedules.attention import (
     AttentionWorkload,
+    attention_pass_hops,
     attention_pass_time,
     attention_pass_transitions,
 )
@@ -45,14 +46,16 @@ class TestDESvsClosedForms:
     def test_burst_backward_commbound_closed_form(self):
         """Alg. 2 comm-bound: overlapped phases + the intra return hop.
         The payload is the executed bundle: Q, dQ, dO shards plus one D and
-        one Lse row per head (the paper's ``3 + 2/h`` is one head)."""
+        one Lse row per head (the paper's ``3 + 2/h`` is one head); the
+        return hop ships the dQ shard alone."""
         wl = AttentionWorkload(seq_len=1 << 20, hidden=5120, n_heads=40)
         des = attention_pass_time("burst", TOPO32, wl, backward=True,
                                   peak_flops=HUGE_FLOPS)
         payload = wl.shard_bytes(32) * (3 + 2 * 40 / 5120)
         t_intra = link_time(TOPO32, payload, LinkClass.INTRA)
         t_inter = link_time(TOPO32, payload, LinkClass.INTER)
-        expected = max(28 * t_intra, 3 * t_inter) + t_intra
+        t_return = link_time(TOPO32, wl.shard_bytes(32), LinkClass.INTRA)
+        expected = max(28 * t_intra, 3 * t_inter) + t_return
         assert des == pytest.approx(expected, rel=1e-9)
 
     def test_flat_ring_forward_commbound_matches_lockstep_sum(self):
@@ -141,6 +144,51 @@ class TestDESWalksTheExecutedSchedule:
                     for s in range(2, rev_moves + 1)
                 ]
                 assert [res for res, _ in rev] == want_rev, (window, backward)
+
+
+class TestDESPricesTheExecutedBytes:
+    """Executor == model, per hop: the payload the DES prices for each hop
+    of both streams (:func:`attention_pass_hops`, the numbers
+    :func:`attention_pass_transitions` turns into durations) is the payload
+    every rank's ``TrafficLog`` records for that hop — forward transitions,
+    reverse moves and the return hop, in order.  Bytes only: the link
+    class of the mixed permutations is a separate, known disagreement."""
+
+    @pytest.mark.parametrize("heads", [(2, 2), (4, 2)], ids=["mha", "gqa"])
+    @pytest.mark.parametrize("ring_mode", ["unidirectional", "bidirectional"])
+    @pytest.mark.parametrize("shape", [(1, 4), (2, 4), (2, 3)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("method", sorted(RING_METHODS))
+    def test_every_hop_prices_the_logged_bytes(
+        self, method, shape, ring_mode, heads
+    ):
+        nodes, gpn = shape
+        topo = make_cluster(nodes * gpn, node=a800_node(gpus_per_node=gpn))
+        g, (n_q, n_kv), d = topo.world_size, heads, 4
+        n = 4 * g
+        rng = np.random.default_rng(0)
+        q, do = (rng.normal(size=(n_q, n, d)) for _ in range(2))
+        k, v = (rng.normal(size=(n_kv, n, d)) for _ in range(2))
+        res = get_method(method, block_size=4, ring_mode=ring_mode).run(
+            topo, q, k, v, do=do
+        )
+        wl = AttentionWorkload(
+            seq_len=n, hidden=n_q * d, n_heads=n_q, bytes_per_elem=8,
+            kv_ratio=n_kv / n_q,
+        )
+        for backward, phase in ((False, "attn-fwd"), (True, "attn-bwd")):
+            model = attention_pass_hops(
+                method, topo, wl, backward=backward, ring_mode=ring_mode
+            )
+            for channel, hops in zip(("fwd", "rev"), model):
+                priced = [sum(messages) for _, messages in hops]
+                for r in range(g):
+                    logged = [
+                        rec.nbytes for rec in res.comm.log.records
+                        if rec.phase == phase and rec.channel == channel
+                        and rec.src == r
+                    ]
+                    assert logged == priced, (phase, channel, r)
 
 
 class TestSelectiveEqualsRing:

@@ -484,13 +484,16 @@ class TestDegradedClosedForms:
     def test_survivor_hop_bytes_match_degraded_closed_form(self):
         """The TrafficLog pin, post-shrink: the bundles ring methods send
         on the 3 survivors are exactly the degraded closed forms derived
-        from the healthy 4-rank world (float64 sim bytes)."""
+        from the healthy 4-rank world (float64 sim bytes); the return hop
+        ships their carried slots at the survivors' shard size."""
         from repro.attention import get_method
 
         g, n, hidden = 4, 24, 8
         shrunk = shrink_cluster(topo4(), [1])
         sizes = degraded_attention_step_sizes(n, hidden, g, failed=1,
                                               bytes_per_elem=8)
+        carried = attention_step_sizes(n, hidden, g - 1, bytes_per_elem=8,
+                                       which="carried")
         rng = np.random.default_rng(1)
         q, k, v, do = (rng.normal(size=(1, n, hidden)) for _ in range(4))
         for name, key in [("megatron-cp", "bwd_alg1"), ("burst", "bwd_alg2")]:
@@ -499,9 +502,15 @@ class TestDegradedClosedForms:
                 shrunk, q, k, v, mask=None, do=do, comm=comm
             )
             fwd = {r.nbytes for r in comm.log.records if r.phase == "attn-fwd"}
-            bwd = {r.nbytes for r in comm.log.records if r.phase == "attn-bwd"}
+            bwd = {
+                home: {r.nbytes for r in comm.log.records
+                       if r.phase == "attn-bwd"
+                       and r.tag.endswith("-return") == home}
+                for home in (False, True)
+            }
             assert fwd == {int(sizes["fwd"])}
-            assert bwd == {int(sizes[key])}
+            assert bwd == {False: {int(sizes[key])},
+                           True: {int(carried[key])}}
 
 
 # --- end-to-end elastic recovery ---------------------------------------------

@@ -25,6 +25,7 @@ from repro.attention.selective import (
     tile_dependency_matrix,
 )
 from repro.comm import SimCommunicator, double_ring_schedule
+from repro.comm.ring import ALG1_BUNDLE, ALG2_BUNDLE, backward_bundle
 from repro.kernels import attention_reference, attention_reference_backward
 from repro.masks import CausalMask, SlidingWindowMask, sliding_window_block_mask
 from repro.partition import ContiguousPartitioner, StripedPartitioner
@@ -170,7 +171,11 @@ class TestGQADistributed:
             fn(comm, sched, shards(q), shards(k), shards(v), os, lses,
                shards(do), idxs, block_size=16)
             per_rank = comm.log.per_rank_send_elems(phase="attn-bwd")
-            expected = backward_comm_elems(name, 64, 8, 8, 2)
+            # the paper's count minus the read-only slots the return hop
+            # leaves out
+            expected = backward_comm_elems(name, 64, 8, 8, 2) - (
+                backward_bundle(name).elems(64 // g, 8, 2, 8, "read-only")
+            )
             assert all(v == expected for v in per_rank.values()), name
 
 
@@ -194,6 +199,36 @@ class TestAdaptiveSelection:
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             backward_comm_elems("alg3", 1, 1, 1, 1)
+
+    def test_per_hop_pick_never_has_the_larger_executed_total(self):
+        """The pick compares one hop; a rank sends ``G - 1`` whole bundles
+        plus the carried slots home.  On this grid the per-hop pick never
+        has the larger executed total."""
+        gs = np.arange(2, 65)
+        for n_kv in range(1, 17):
+            for group in range(1, 9):
+                for d in range(3, 129):
+                    n_q = n_kv * group
+                    total = {
+                        bundle.name: (gs - 1) * bundle.elems(1, n_q, n_kv, d)
+                        + bundle.elems(1, n_q, n_kv, d, "carried")
+                        for bundle in (ALG1_BUNDLE, ALG2_BUNDLE)
+                    }
+                    picked = choose_backward_algorithm(d, n_q, n_kv)
+                    other = "alg1" if picked == "alg2" else "alg2"
+                    assert (total[picked] <= total[other]).all(), (
+                        n_kv, group, d
+                    )
+
+    @pytest.mark.parametrize("heads", [1, 4, 16])
+    def test_mha_head_dim_2_tie_goes_to_alg2(self, heads):
+        """At MHA ``head_dim = 2`` one hop ties (``8h`` elements per token
+        either way), but Alg. 2 carries only ``dQ`` (``2h``) home where
+        Alg. 1 carries ``dK, dV`` (``4h``): the tie goes to Alg. 2."""
+        alg1 = backward_comm_elems("alg1", 64, 2, heads, heads)
+        alg2 = backward_comm_elems("alg2", 64, 2, heads, heads)
+        assert alg1 == alg2 == 8 * heads * 64
+        assert choose_backward_algorithm(2, heads, heads) == "alg2"
 
 
 class TestSelectiveCommunication:

@@ -294,7 +294,8 @@ class TestStepMetricsJsonl:
 
     def test_backward_volume_pin_3nd_plus_2n(self, tmp_path):
         """Per-rank attn-bwd send volume in the JSONL equals the paper's
-        ``3Nd + 2N`` (per head) times the layer count."""
+        ``3Nd + 2N`` (per head) minus the read-only ``(2Nd + 2N) / G`` the
+        return hop leaves out, times the layer count."""
         engine, _, metrics = traced_step(tmp_path)
         line = validate_metrics_jsonl(metrics.read_text())[0]
         cfg = engine.config.model
@@ -303,14 +304,11 @@ class TestStepMetricsJsonl:
             "alg2", cfg.max_seq_len, head_dim, cfg.n_heads
         )
         g = engine.topology.world_size
-        schedule = engine.method.schedule(engine.topology)
-        home = {
-            r for r, dst in enumerate(schedule.return_permutation()) if r == dst
-        }
+        unread = (2 * head_dim + 2) * cfg.n_heads * cfg.max_seq_len // g
         per_rank = line["per_rank_send_elems"]["attn-bwd"]
-        for r in range(g):
-            expected = cfg.n_layers * (full - (full // g if r in home else 0))
-            assert per_rank[str(r)] == expected, (r, per_rank)
+        assert per_rank == {
+            str(r): cfg.n_layers * (full - unread) for r in range(g)
+        }
 
     def test_validator_rejects_bad_lines(self):
         with pytest.raises(ValueError):
