@@ -10,6 +10,7 @@ engine should switch (``choose_backward_algorithm``)."""
 import numpy as np
 
 from repro.attention import ring_attention_backward_kv, ring_attention_forward
+from repro.attention.ring import row_stats
 from repro.comm import SimCommunicator, double_ring_schedule
 from repro.experiments.extensions import ext_gqa_tradeoff
 from repro.partition import StripedPartitioner
@@ -43,8 +44,8 @@ def test_ext_gqa_numeric_backward(benchmark):
 
     def run():
         return ring_attention_backward_kv(
-            comm, sched, sh(q), sh(k), sh(v), os, lses, sh(do), idxs,
-            block_size=16,
+            comm, sched, sh(q), sh(k), sh(v), row_stats(sh(do), os), lses,
+            sh(do), idxs, block_size=16,
         )
 
     dqs, dks, dvs = benchmark.pedantic(run, rounds=3, iterations=1)

@@ -26,6 +26,13 @@ The circulation itself is :func:`repro.attention.ring.ring_pass`; this
 module fills the bundle :data:`repro.comm.ring.ALG2_BUNDLE` declares (the
 executed payload is ``3Nd + 2N·H``: one ``D`` and one ``Lse`` row per head)
 and supplies the device step.
+
+Both executed passes take ``D`` from their caller in place of ``O``,
+formed once per rank and pass (the table's last row is the paper's
+Algorithm 1, which re-derives it every round; the executed one reads the
+same rows once, with the same bits).  A head-parallel caller (USP) ships
+``D`` to head layout beside ``dO``, so no rank keeps a head-layout
+``O``.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ def burst_attention_backward(
     qs: Sequence[np.ndarray],
     ks: Sequence[np.ndarray],
     vs: Sequence[np.ndarray],
-    os: Sequence[np.ndarray],
+    ds: Sequence[np.ndarray],
     lses: Sequence[np.ndarray],
     dos: Sequence[np.ndarray],
     idxs: Sequence[np.ndarray],
@@ -67,7 +74,9 @@ def burst_attention_backward(
     Per-rank send volume is ``3Nd + 2N·H`` elements (``H`` = number of
     leading head slots; the paper's single-head statement is ``3Nd+2N``),
     ~25 % below Algorithm 1's ``4Nd``, less the ``(2Nd + 2N·H)/G`` the
-    return hop does not ship.  Returns per-rank ``(dqs, dks, dvs)``.
+    return hop does not ship.  ``ds[r]`` is rank ``r``'s ``D =
+    rowsum(dO ∘ O)`` (Alg. 2 line 2, formed by the caller), the bundle's
+    ``D`` slot.  Returns per-rank ``(dqs, dks, dvs)``.
 
     One device step (lines 7–13 of Algorithm 2) takes the circulating
     query-side bundle and the pinned ``(K_i, V_i)`` to ``(dQ_j part, dK_i
@@ -130,12 +139,10 @@ def burst_attention_backward(
                 q.copy(),
                 np.zeros_like(q),  # dQ accumulator rides the ring
                 do.copy(),
-                # D_i computed once, locally, before the ring starts
-                # (Alg. 2 line 2).
-                np.sum(do * o, axis=-1),
+                d.copy(),
                 lse.copy(),
             )
-            for q, do, o, lse in zip(qs, dos, os, lses)
+            for q, do, d, lse in zip(qs, dos, ds, lses)
         ],
         ALG2_BUNDLE.carried, tile, phase=phase, tag=ALG2_BUNDLE.tag,
         ring_mode=ring_mode,

@@ -31,7 +31,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.attention.burst import burst_attention_backward
-from repro.attention.ring import ring_attention_backward_kv, ring_attention_forward
+from repro.attention.ring import (
+    ring_attention_backward_kv,
+    ring_attention_forward,
+    row_stats,
+)
 from repro.attention.usp import USPGrid, usp_attention_backward, usp_attention_forward
 from repro.comm import RingSchedule, SimCommunicator
 from repro.comm.ring import RING_METHODS, check_ring_mode, cheaper_backward_bundle
@@ -79,11 +83,23 @@ class DistributedAttention(ABC):
 
     @abstractmethod
     def forward_shards(self, comm, qs, ks, vs, idxs, mask, scale):
-        """Run the forward pass on shards; returns ``(os, lses, ctx)``."""
+        """Run the forward pass on shards; returns ``(os, lses, ctx)``.
+
+        ``lses`` is ``None`` for a head-parallel method, whose ranks hold
+        ``lse`` in head layout only (nothing ships it back): its backward
+        reads it there, and :meth:`gather_lse` gathers it on the host."""
 
     @abstractmethod
-    def backward_shards(self, comm, ctx, dos):
-        """Run the backward pass; returns ``(dqs, dks, dvs)``."""
+    def backward_shards(self, comm, ctx, dos, os):
+        """Run the backward pass from the forward's context, the output
+        gradients and the outputs ``os`` (per rank, sequence layout: the
+        caller holds them, so no context keeps a copy); returns ``(dqs,
+        dks, dvs)``."""
+
+    def gather_lse(self, lses, ctx) -> np.ndarray:
+        """The full ``lse`` of a :meth:`forward_shards` call, gathered on
+        the host like :meth:`gather`'s outputs."""
+        return self.gather(lses, axis=-1)
 
     # -- full-array convenience API ------------------------------------------
 
@@ -157,11 +173,11 @@ class DistributedAttention(ABC):
         qs, ks, vs = self.shard(q, g), self.shard(k, g), self.shard(v, g)
         os, lses, ctx = self.forward_shards(comm, qs, ks, vs, idxs, mask, scale)
         result = AttentionResult(
-            o=self.gather(os), lse=self.gather(lses, axis=-1), comm=comm,
+            o=self.gather(os), lse=self.gather_lse(lses, ctx), comm=comm,
         )
         if do is not None:
             dos = self.shard(do, g)
-            dqs, dks, dvs = self.backward_shards(comm, ctx, dos)
+            dqs, dks, dvs = self.backward_shards(comm, ctx, dos, os)
             result.dq = self.gather(dqs)
             result.dk = self.gather(dks)
             result.dv = self.gather(dvs)
@@ -174,7 +190,6 @@ class _RingContext:
     qs: list
     ks: list
     vs: list
-    os: list
     lses: list
     idxs: list
     mask: MaskPattern | None
@@ -199,9 +214,10 @@ class _RingFamilyMethod(DistributedAttention):
     may carry fewer heads than the query shards (GQA).
     """
 
-    #: Ring-family backward needs only (q, k, v, o, lse) shards, so a
-    #: backward context can be rebuilt from full arrays — this is what lets
-    #: checkpoint policies skip the distributed forward on recomputation.
+    #: Ring-family backward needs only (q, k, v, lse) shards and the
+    #: outputs, so a backward context can be rebuilt from full arrays —
+    #: this is what lets checkpoint policies skip the distributed forward
+    #: on recomputation.
     supports_context_rebuild = True
     default_partitioner: type[Partitioner] = ZigzagPartitioner
 
@@ -219,11 +235,11 @@ class _RingFamilyMethod(DistributedAttention):
         """The ring schedule this method executes on ``topology``."""
         return self.ring.schedule(topology)
 
-    def make_context(self, comm, qs, ks, vs, os, lses, idxs, mask, scale):
+    def make_context(self, comm, qs, ks, vs, lses, idxs, mask, scale):
         """Rebuild the backward context from shards (no communication)."""
         return _RingContext(
             self.schedule(comm.topology), list(qs), list(ks), list(vs),
-            list(os), list(lses), list(idxs), mask, scale,
+            list(lses), list(idxs), mask, scale,
         )
 
     def forward_shards(self, comm, qs, ks, vs, idxs, mask, scale):
@@ -232,18 +248,18 @@ class _RingFamilyMethod(DistributedAttention):
             comm, schedule, qs, ks, vs, idxs, mask=mask, scale=scale,
             block_size=self.block_size, ring_mode=self.ring_mode,
         )
-        ctx = _RingContext(schedule, list(qs), list(ks), list(vs), os, lses,
+        ctx = _RingContext(schedule, list(qs), list(ks), list(vs), lses,
                            list(idxs), mask, scale)
         return os, lses, ctx
 
-    def backward_shards(self, comm, ctx, dos):
+    def backward_shards(self, comm, ctx, dos, os):
         q, k = ctx.qs[0], ctx.ks[0]
         bundle = self.ring.backward or cheaper_backward_bundle(
             q.shape[0], k.shape[0], q.shape[-1]
         )
         return _BACKWARD_PASSES[bundle.name](
-            comm, ctx.schedule, ctx.qs, ctx.ks, ctx.vs, ctx.os, ctx.lses,
-            dos, ctx.idxs, mask=ctx.mask, scale=ctx.scale,
+            comm, ctx.schedule, ctx.qs, ctx.ks, ctx.vs, row_stats(dos, os),
+            ctx.lses, dos, ctx.idxs, mask=ctx.mask, scale=ctx.scale,
             block_size=self.block_size, ring_mode=self.ring_mode,
         )
 
@@ -341,10 +357,21 @@ class USPMethod(DistributedAttention):
             scale=scale, block_size=self.block_size,
         )
 
-    def backward_shards(self, comm, ctx, dos):
+    def backward_shards(self, comm, ctx, dos, os):
         return usp_attention_backward(
-            comm, ctx, dos, use_burst_backward=self.use_burst_backward
+            comm, ctx, dos, row_stats(dos, os),
+            use_burst_backward=self.use_burst_backward,
         )
+
+    def gather_lse(self, lses, ctx):
+        """Each rank's ``lse_h`` is its head group over its ring group's
+        tokens: the host writes them into the full ``(H, N)``."""
+        u, hh = ctx.grid.ulysses_degree, ctx.lse_h[0].shape[0]
+        lse = np.empty((u * hh, sum(ctx.local_sizes)), ctx.lse_h[0].dtype)
+        for r, (part, idx) in enumerate(zip(ctx.lse_h, ctx.ring_idxs)):
+            ul = ctx.grid.ulysses_index(r)
+            lse[ul * hh:(ul + 1) * hh, idx] = part
+        return lse
 
 
 class UlyssesMethod(USPMethod):
@@ -392,15 +419,15 @@ class SelectiveMethod(DistributedAttention):
             comm, qs, ks, vs, idxs, mask=mask, scale=scale,
             block_size=self.block_size,
         )
-        ctx = _RingContext(None, list(qs), list(ks), list(vs), os, lses,
+        ctx = _RingContext(None, list(qs), list(ks), list(vs), lses,
                            list(idxs), mask, scale)
         return os, lses, ctx
 
-    def backward_shards(self, comm, ctx, dos):
+    def backward_shards(self, comm, ctx, dos, os):
         from repro.attention.selective import selective_attention_backward
 
         return selective_attention_backward(
-            comm, ctx.qs, ctx.ks, ctx.vs, ctx.os, ctx.lses, dos, ctx.idxs,
+            comm, ctx.qs, ctx.ks, ctx.vs, os, ctx.lses, dos, ctx.idxs,
             mask=ctx.mask, scale=ctx.scale, block_size=self.block_size,
         )
 

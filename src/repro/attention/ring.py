@@ -32,9 +32,12 @@ state is normalised to ``(O, lse)`` once, after the last step
 
 **Backward, Algorithm 1** (RingAttention / Megatron-CP / LoongTrain):
 ``(K_j, V_j, dK_j, dV_j)`` circulates; each rank uses its locally stored
-``Q_i, O_i, dO_i, Lse_i`` to accumulate into the circulating ``dK_j, dV_j``
-and its own ``dQ_i``.  After ``G - 1`` transitions only ``dK_j, dV_j``
-go home, so per-rank send volume is the paper's ``4Nd`` less ``2Nd/G``.
+``Q_i, dO_i, Lse_i`` and ``D_i = rowsum(dO_i ∘ O_i)`` to accumulate into
+the circulating ``dK_j, dV_j`` and its own ``dQ_i``.  After ``G - 1``
+transitions only ``dK_j, dV_j`` go home, so per-rank send volume is the
+paper's ``4Nd`` less ``2Nd/G``.  Both backward passes take each rank's
+``D`` in place of its output ``O``: the row statistic is all of ``O``
+either reads, and the caller forms it once per pass.
 
 GQA is a property of the shards, not a second code path: when ``ks``/``vs``
 carry fewer heads than ``qs`` the KV-head-sized shards circulate and the
@@ -98,6 +101,15 @@ def _resolve_tiles(
     if heads is not None and plan.bias_cache is not None:
         plan = plan.with_head_slice(heads)
     return False, plan
+
+
+def row_stats(
+    dos: Sequence[np.ndarray], os: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """Each rank's ``D = rowsum(dO ∘ O)`` — shaped like its ``lse`` — the
+    one statistic of ``O`` a backward pass reads, formed once per pass.
+    Its rows are the same bits in sequence or head layout."""
+    return [np.sum(do * o, axis=-1) for do, o in zip(dos, os)]
 
 
 def ring_pass(
@@ -286,7 +298,7 @@ def ring_attention_backward_kv(
     qs: Sequence[np.ndarray],
     ks: Sequence[np.ndarray],
     vs: Sequence[np.ndarray],
-    os: Sequence[np.ndarray],
+    ds: Sequence[np.ndarray],
     lses: Sequence[np.ndarray],
     dos: Sequence[np.ndarray],
     idxs: Sequence[np.ndarray],
@@ -299,6 +311,11 @@ def ring_attention_backward_kv(
     head_slices: Sequence[slice] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
     """Algorithm 1: backward pass circulating ``(K, V, dK, dV)``.
+
+    ``ds[r]`` is rank ``r``'s ``D = rowsum(dO ∘ O)`` (shaped like its
+    ``lse``).  The paper's Algorithm 1 re-derives it from ``O`` on the
+    device every round; every round reads the same rank-local rows, so
+    the pass reads it once instead — the same bits.
 
     The circulating bundle is 4 shard-sized arrays; ``G - 1`` transitions
     and a return hop carrying ``(dK, dV)`` alone make the per-rank send
@@ -331,12 +348,9 @@ def ring_attention_backward_kv(
         )
         if skip:
             return None
-        # Note: Algorithm 1 recomputes D_i = rowsum(dO_i * O_i) every
-        # round on the device — the flash kernel below does exactly
-        # that, which is the extra compute Algorithm 2 eliminates.
-        dq_part, dk_part, dv_part = get_backend().flash_backward(
+        dq_part, dk_part, dv_part = get_backend().flash_backward_tiles(
             qs[r], repeat_kv(k_j, groups), repeat_kv(v_j, groups),
-            os[r], lses[r], dos[r], scale=scale,
+            lses[r], ds[r], dos[r], scale=scale,
             block_q=block_size, block_k=block_size,
             plan=plan, workspace=workspace,
         )

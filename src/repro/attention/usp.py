@@ -12,6 +12,26 @@ data (Algorithm 1 backward, as LoongTrain uses — or Algorithm 2 when
 ``use_burst_backward`` is set, which is the "Burst inside USP" variant),
 (3) all-to-all back.
 
+Each all-to-all ships only what its receiver reads (the paper's backward
+optimisation, applied to the relayouts):
+
+==============  ============================  ===========================
+tag             ships                         why not more
+==============  ============================  ===========================
+``usp-qkv``     ``q, k, v``                   —
+``usp-out``     ``o``                         ``lse`` stays in head
+                                              layout, where the backward
+                                              reads it
+``usp-dout``    ``dO, D = rowsum(dO ∘ O)``    ``D`` is all of ``O`` the
+                                              ring backward reads, formed
+                                              in sequence layout from the
+                                              ``o`` the caller holds
+``usp-grads``   ``dq, dk, dv``                —
+==============  ============================  ===========================
+
+so the forward's context (:class:`USPContext`) keeps ``q_h``, ``k_h``,
+``v_h`` and ``lse_h`` and no head-layout output.
+
 Compared to a pure ring over ``G`` devices, the ring is only ``r`` long and
 moves ``H/u`` of the heads, cutting ring traffic by ``u×`` at the price of
 the unoverlappable all-to-alls; compared to pure Ulysses, the head count
@@ -21,7 +41,8 @@ only needs to be divisible by ``u``, not ``G``.
 rank trades its sequence shard for *all* ``N`` tokens of ``H/G`` heads,
 runs ordinary whole-sequence attention on a one-position ring — one local
 kernel call, no ring hop — and trades the outputs back.  Communication per
-rank is ``4 · (N/G) · d · (G-1)/G`` elements per pass, asymptotically
+rank is ``4 · (N/G) · d · (G-1)/G`` elements per forward (the backward
+adds ``D``'s ``(N/G) · H · (G-1)/G``), asymptotically
 ``G×`` cheaper than ring methods, but the all-to-all cannot be overlapped
 with attention compute (the compute cannot start until the collective
 completes), and the method is *infeasible whenever the head count is not
@@ -35,7 +56,7 @@ view its own head group of the shared bias tiles
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -80,13 +101,13 @@ class USPGrid:
 
 @dataclass
 class USPContext:
-    """Saved state between USP forward and backward."""
+    """Saved state between USP forward and backward: per rank, the
+    head-layout (``*_h``) arrays the ring backward reads, and metadata."""
 
     grid: USPGrid
     q_h: list[np.ndarray]
     k_h: list[np.ndarray]
     v_h: list[np.ndarray]
-    o_h: list[np.ndarray]
     lse_h: list[np.ndarray]
     ring_idxs: list[np.ndarray]
     local_sizes: list[int]
@@ -94,6 +115,11 @@ class USPContext:
     scale: float
     block_size: int | None
     head_slices: list[slice] | None
+
+
+#: The head-layout array fields of a :class:`USPContext` (each a list, one
+#: array per rank), in field order: what a node keeping the context saves.
+CONTEXT_ARRAYS = tuple(f.name for f in fields(USPContext) if f.name.endswith("_h"))
 
 
 def _seq_to_head(
@@ -106,7 +132,8 @@ def _seq_to_head(
 ) -> list[list[np.ndarray]]:
     """All-to-all sequence-sharded bundles (one per rank) inside each
     Ulysses group: rank ``r`` ends up with its head group over the whole
-    group's tokens.  Returns one list of per-rank arrays per bundle slot."""
+    group's tokens.  Every slot is ``(H, S/G, ...)`` (heads, then tokens).
+    Returns one list of per-rank arrays per bundle slot."""
     u = grid.ulysses_degree
     hh = bundles[0][0].shape[0] // u
     # Head group d of every slot goes to group position d.
@@ -119,7 +146,7 @@ def _seq_to_head(
     )
     return [
         [
-            np.concatenate([received[r][p][i] for p in range(u)], axis=-2)
+            np.concatenate([received[r][p][i] for p in range(u)], axis=1)
             for r in range(grid.world)
         ]
         for i in range(len(bundles[0]))
@@ -178,7 +205,8 @@ def usp_attention_forward(
     ``qs[r]`` is ``(H, S/G, D)`` and ``idxs[r]`` are the global positions
     of rank ``r``'s local tokens; any partition works, as a rank's head
     layout holds its group's shards in group order.  Returns seq-sharded
-    ``(os, lses, ctx)``.
+    ``(os, None, ctx)``: ``lse`` stays in the context's head layout (see
+    :meth:`repro.attention.methods.USPMethod.gather_lse`).
     """
     u = grid.ulysses_degree
     if grid.world != comm.world_size:
@@ -232,17 +260,16 @@ def usp_attention_forward(
     )
 
     # (3) head -> seq: return each peer its sequence slice of the outputs.
-    os_out, lses_out = _head_to_seq(
-        comm, grid, list(zip(o_h, lse_h)), local_sizes,
-        phase=phase, tag="usp-out",
+    (os_out,) = _head_to_seq(
+        comm, grid, list(zip(o_h)), local_sizes, phase=phase, tag="usp-out",
     )
 
     ctx = USPContext(
-        grid=grid, q_h=q_h, k_h=k_h, v_h=v_h, o_h=o_h, lse_h=lse_h,
+        grid=grid, q_h=q_h, k_h=k_h, v_h=v_h, lse_h=lse_h,
         ring_idxs=ring_idxs, local_sizes=local_sizes,
         mask=mask, scale=scale, block_size=block_size, head_slices=head_slices,
     )
-    return os_out, lses_out, ctx
+    return os_out, None, ctx
 
 
 @traced("attn.pass", "attn", algorithm="usp", direction="bwd")
@@ -250,24 +277,29 @@ def usp_attention_backward(
     comm: SimCommunicator,
     ctx: USPContext,
     dos: Sequence[np.ndarray],
+    ds: Sequence[np.ndarray],
     *,
     phase: str = "attn-bwd",
     use_burst_backward: bool = False,
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-    """USP backward pass: dO to head layout, ring backward, grads back.
+    """USP backward pass: ``(dO, D)`` to head layout, ring backward, grads
+    back.
 
-    ``use_burst_backward=False`` reproduces LoongTrain-USP (Algorithm 1 in
-    the ring); ``True`` swaps in BurstAttention's Algorithm 2.
+    ``ds[r]`` is rank ``r``'s ``D = rowsum(dO ∘ O)`` over its sequence
+    shard (``(H, S/G)``, like ``lse``): all of ``O`` either ring backward
+    reads.  ``use_burst_backward=False`` reproduces LoongTrain-USP
+    (Algorithm 1 in the ring); ``True`` swaps in BurstAttention's
+    Algorithm 2.
     """
     grid = ctx.grid
-    (do_h,) = _seq_to_head(
-        comm, grid, list(zip(dos)), phase=phase, tag="usp-dout"
+    do_h, d_h = _seq_to_head(
+        comm, grid, list(zip(dos, ds)), phase=phase, tag="usp-dout"
     )
 
     schedule = grouped_ring_schedule(comm.topology, grid.ring_groups())
     backward = burst_attention_backward if use_burst_backward else ring_attention_backward_kv
     dq_h, dk_h, dv_h = backward(
-        comm, schedule, ctx.q_h, ctx.k_h, ctx.v_h, ctx.o_h, ctx.lse_h, do_h,
+        comm, schedule, ctx.q_h, ctx.k_h, ctx.v_h, d_h, ctx.lse_h, do_h,
         ctx.ring_idxs, mask=ctx.mask, scale=ctx.scale,
         phase=phase, block_size=ctx.block_size, head_slices=ctx.head_slices,
     )

@@ -22,15 +22,21 @@ What the node saves is what its backward reads, once:
 
 * a ring-family method saves the inherited set — ``x``, the norm row,
   the merged ``o``, ``lse`` and the weights; its backward re-projects
-  q, k and v and re-shards them, with ``o`` and ``lse``, into a context
-  (no communication);
+  q, k and v and re-shards them, with ``lse``, into a context (no
+  communication);
 * a method that cannot rebuild its context (Ulysses, USP) saves, in place
   of ``lse``, the head-layout context its forward built — ``q_h``,
-  ``k_h``, ``v_h``, ``o_h``, ``lse_h`` — through the node's own
+  ``k_h``, ``v_h``, ``lse_h``
+  (:data:`~repro.attention.usp.CONTEXT_ARRAYS`) — through the node's own
   ``save_for_backward``, so the one handle is released wherever the
-  node's is.  Rebuilding that context would repeat an all-to-all.  Such a
-  method recomputes its full forward on a replay, collectives included,
-  so its layer has no output cache.
+  node's is.  Rebuilding that context would repeat an all-to-all.  Its
+  forward hands back ``o`` alone (no sequence-layout ``lse``: nothing
+  here reads one).  Such a method recomputes its full forward on a
+  replay, collectives included, so its layer has no output cache.
+
+Either way the backward hands the method the merged ``o``, re-sharded by
+tokens: each rank forms ``D = rowsum(dO ∘ O)`` from it, the one statistic
+of ``O`` a ring backward reads, so no context keeps a copy of ``O``.
 """
 
 from __future__ import annotations
@@ -38,13 +44,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attention.methods import DistributedAttention
+from repro.attention.usp import CONTEXT_ARRAYS
 from repro.comm import SimCommunicator
 from repro.masks import MaskPattern
 from repro.nn.attention_fn import AttentionFn
 from repro.nn.modules import CausalSelfAttention
-
-#: The arrays of a Ulysses / USP context (lists, one array per rank).
-_CONTEXT_ARRAYS = ("q_h", "k_h", "v_h", "o_h", "lse_h")
 
 
 class DistributedAttentionFn(AttentionFn):
@@ -69,6 +73,7 @@ class DistributedAttentionFn(AttentionFn):
         )
         if not method.supports_context_rebuild:
             self.kept_ctx = ctx
+            return method.gather(os_), None
         return method.gather(os_), method.gather(lses, axis=-1)
 
     def _save(self, x, ms, weights, o, lse):
@@ -76,7 +81,7 @@ class DistributedAttentionFn(AttentionFn):
             super()._save(x, ms, weights, o, lse)
         else:
             self.save_for_backward(x, ms, *weights, o, *(
-                arr for name in _CONTEXT_ARRAYS
+                arr for name in CONTEXT_ARRAYS
                 for arr in getattr(self.kept_ctx, name)
             ))
 
@@ -85,6 +90,7 @@ class DistributedAttentionFn(AttentionFn):
         g, s = comm.world_size, n.shape[0]
         if self.kept_ctx is not None:
             ctx, self.kept_ctx = self.kept_ctx, None
+            o = self._heads(o)
         elif s % g:
             return super()._attend_backward(n, weights, o, context, grad_out)
         else:
@@ -92,11 +98,11 @@ class DistributedAttentionFn(AttentionFn):
             ctx = method.make_context(
                 comm,
                 method.shard(q, g), method.shard(k, g), method.shard(v, g),
-                method.shard(o, g), method.shard(lse, g, axis=-1),
+                method.shard(lse, g, axis=-1),
                 method.indices(s, g), self.mask, self.scale,
             )
         dos = method.shard(np.ascontiguousarray(grad_out), g)
-        dqs, dks, dvs = method.backward_shards(comm, ctx, dos)
+        dqs, dks, dvs = method.backward_shards(comm, ctx, dos, method.shard(o, g))
         return method.gather(dqs), method.gather(dks), method.gather(dvs)
 
 

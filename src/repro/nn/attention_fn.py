@@ -391,7 +391,9 @@ class AttentionFn(PreNormFn, FlashAttentionFn):
         self.save_for_backward(x, ms, *weights, o, lse)
 
     def _attend(self, q, k, v):
-        """Whole-sequence forward; returns ``(o, lse)``."""
+        """Whole-sequence forward; returns ``(o, lse)`` (``lse`` may be
+        ``None`` for a product that keeps its own backward context, which
+        :meth:`_save` then saves in its place)."""
         return self._local_forward(q, k, v, q.shape[-2])
 
     def _attend_backward(self, n, weights, o, context, grad_out):
@@ -404,8 +406,11 @@ class AttentionFn(PreNormFn, FlashAttentionFn):
         """``(q, k, v, o, lse)`` as the forward handed them to the
         product: q/k/v re-projected, ``o`` viewed in head layout."""
         (lse,) = context
-        heads = np.swapaxes(o.reshape(o.shape[0], self.layer.n_heads, -1), 0, 1)
-        return (*self._qkv(n, weights), heads, lse)
+        return (*self._qkv(n, weights), self._heads(o), lse)
+
+    def _heads(self, o):
+        """The merged ``(S, D)`` output viewed in ``(H, S, Dh)`` layout."""
+        return np.swapaxes(o.reshape(o.shape[0], self.layer.n_heads, -1), 0, 1)
 
 
 def flash_attention(

@@ -338,11 +338,12 @@ def attention_node_saved_elems(
     ``lse`` (H·S): its backward re-projects ``q``, ``k`` and ``v`` and
     reads the merged output the projections already keep.  Ulysses / USP
     (``rebuilds_context=False``) save their head-layout context
-    ``q_h``/``k_h``/``v_h``/``o_h``/``lse_h`` — ``(q, k, v, o, lse)``
-    split by heads instead of by tokens — since rebuilding it would
-    repeat an all-to-all."""
+    ``q_h``/``k_h``/``v_h``/``lse_h`` — ``(q, k, v, lse)`` split by heads
+    instead of by tokens — since rebuilding it would repeat an
+    all-to-all.  No head-layout ``o``: their backward forms ``D =
+    rowsum(dO ∘ O)`` from the merged output too, and ships it."""
     kv = dim if kv_dim is None else kv_dim
-    context = 2 * seq_len * dim + 2 * seq_len * kv if not rebuilds_context else 0
+    context = seq_len * dim + 2 * seq_len * kv if not rebuilds_context else 0
     return context + n_heads * seq_len
 
 
@@ -423,7 +424,7 @@ def predict_step_peak_saved_bytes(
     cache rows — such a method never caches attention outputs — and what
     its attention node saves: the head-layout context, where a method
     that rebuilds its context re-projects q, k and v in the backward and
-    saves ``4·S·D`` fewer elements per saved layer (``2·S·D + 2·S·kv``
+    saves ``3·S·D`` fewer elements per saved layer (``S·D + 2·S·kv``
     under grouped-query attention).  An unknown ``checkpoint`` or an
     out-of-range ``split_fraction`` raises ``ValueError``.
 

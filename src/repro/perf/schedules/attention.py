@@ -425,6 +425,21 @@ def _all_to_all_time(
     return max(t_intra, t_inter)
 
 
+def head_parallel_relayout_bytes(
+    wl: AttentionWorkload, world: int, *, backward: bool
+) -> tuple[float, float]:
+    """Per-rank bytes of the buffers a head-parallel pass (Ulysses, USP)
+    relays out, ``(in, out)`` — what :mod:`repro.attention.usp`'s two
+    all-to-alls ship: ``q, k, v`` in and ``o`` out forward; ``dO`` and
+    ``D = rowsum(dO ∘ O)`` (``n_heads`` rows per token) in and ``dq, dk,
+    dv`` out backward.  Each all-to-all sends ``(u-1)/u`` of its buffer."""
+    shard = wl.shard_bytes(world)
+    if backward:
+        d_rows = wl.seq_len / world * wl.n_heads * wl.bytes_per_elem
+        return shard + d_rows, 3 * shard
+    return 3 * shard, shard
+
+
 def _ulysses_pass(
     topology: ClusterTopology,
     wl: AttentionWorkload,
@@ -433,15 +448,13 @@ def _ulysses_pass(
     backward: bool,
 ) -> float:
     g = topology.world_size
-    shard = wl.shard_bytes(g)
     flops = wl.fwd_flops_per_gpu(g)
-    n_in = 1 if backward else 3      # dO in; q,k,v in
-    n_out = 3 if backward else 1     # dq,dk,dv out; o out
     if backward:
         flops *= BACKWARD_FLOPS_FACTOR
     compute = matmul_time(flops, peak_flops, ATTENTION_EFFICIENCY)
-    a2a_in = _all_to_all_time(topology, n_in * shard)
-    a2a_out = _all_to_all_time(topology, n_out * shard)
+    bytes_in, bytes_out = head_parallel_relayout_bytes(wl, g, backward=backward)
+    a2a_in = _all_to_all_time(topology, bytes_in)
+    a2a_out = _all_to_all_time(topology, bytes_out)
     # Strictly serial: collective -> compute -> collective.
     return a2a_in + compute + a2a_out
 
@@ -459,7 +472,6 @@ def _usp_pass(
     while wl.n_heads % u != 0 and u > 1:
         u -= 1
     r = g // u
-    shard = wl.shard_bytes(g)
     flops = wl.fwd_flops_per_gpu(g)
     if backward:
         flops *= BACKWARD_FLOPS_FACTOR
@@ -468,10 +480,9 @@ def _usp_pass(
     # Head-first placement: the Ulysses group is contiguous (intra-node
     # when u <= gpus_per_node).
     group = list(range(u))
-    n_in = 1 if backward else 3
-    n_out = 3 if backward else 1
-    a2a = _all_to_all_time(topology, n_in * shard, group) + _all_to_all_time(
-        topology, n_out * shard, group
+    bytes_in, bytes_out = head_parallel_relayout_bytes(wl, g, backward=backward)
+    a2a = _all_to_all_time(topology, bytes_in, group) + _all_to_all_time(
+        topology, bytes_out, group
     )
 
     # Ring over r positions; each hop strides u ranks (inter-node once the

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attention.gqa import _check_groups, fold_kv_grad, repeat_kv
+from repro.attention.usp import CONTEXT_ARRAYS
 from repro.kernels import KernelWorkspace, allowed_pairs, get_backend, head_batch
 from repro.nn import ops
 from repro.nn.attention_fn import _attention_flops, _local_plan, _packed
@@ -24,8 +25,6 @@ from repro.nn.function import Function
 from repro.nn.memory import get_tracker
 from repro.nn.rope import apply_rope
 from repro.nn.tensor import _wrap, is_grad_enabled
-
-_CONTEXT_ARRAYS = ("q_h", "k_h", "v_h", "o_h", "lse_h")
 
 
 class QKVProjectionFn(ops.PreNormFn):
@@ -157,7 +156,7 @@ class DistributedAttentionFn(FlashAttentionFn):
         if self.kept_ctx is None:
             return super().backward(grad_out)
         ctx, self.kept_ctx = self.kept_ctx, None
-        return self._backward_shards(ctx, grad_out)
+        return self._backward_shards(ctx, grad_out, self.saved[0])
 
     def _sharded(self, s):
         return s % self.comm.world_size == 0
@@ -174,14 +173,15 @@ class DistributedAttentionFn(FlashAttentionFn):
         )
         if not method.supports_context_rebuild:
             self.kept_ctx = ctx
+            return method.gather(os_), None
         return method.gather(os_), method.gather(lses, axis=-1)
 
     def _save(self, q, k, v, o, lse):
         if self.kept_ctx is None:
             super()._save(q, k, v, o, lse)
         else:
-            self.save_for_backward(*(
-                arr for name in _CONTEXT_ARRAYS
+            self.save_for_backward(o, *(
+                arr for name in CONTEXT_ARRAYS
                 for arr in getattr(self.kept_ctx, name)
             ))
 
@@ -194,15 +194,16 @@ class DistributedAttentionFn(FlashAttentionFn):
         ctx = method.make_context(
             comm,
             method.shard(q, g), method.shard(k, g), method.shard(v, g),
-            method.shard(o, g), method.shard(lse, g, axis=-1),
+            method.shard(lse, g, axis=-1),
             method.indices(s, g), self.mask, self.scale,
         )
-        return self._backward_shards(ctx, grad_out)
+        return self._backward_shards(ctx, grad_out, o)
 
-    def _backward_shards(self, ctx, grad_out):
+    def _backward_shards(self, ctx, grad_out, o):
         method, comm = self.method, self.comm
-        dos = method.shard(np.ascontiguousarray(grad_out), comm.world_size)
-        dqs, dks, dvs = method.backward_shards(comm, ctx, dos)
+        g = comm.world_size
+        dos = method.shard(np.ascontiguousarray(grad_out), g)
+        dqs, dks, dvs = method.backward_shards(comm, ctx, dos, method.shard(o, g))
         return method.gather(dqs), method.gather(dks), method.gather(dvs)
 
 

@@ -176,20 +176,44 @@ class TestCommunicationVolumes:
         assert inter_dbl < inter_flat
 
     def test_ulysses_volume_scales_as_n_over_g(self):
-        """Ulysses per-rank volume ~ 4 * (N/G) * d * (G-1)/G per pass —
-        far below ring methods' O(Nd)."""
+        """Ulysses per-rank volume is 4 * (N/G) * d * (G-1)/G per forward
+        pass, exactly — far below ring methods' O(Nd)."""
         q, k, v, do = make_inputs(n=self.N, d=self.D, heads=8)
         method = get_method("ulysses", block_size=16)
         res = method.run(TOPO_2x4, q, k, v, do=do)
         log = res.comm.log
         shard_elems = 8 * (self.N // self.G) * self.D  # H * S/G * D
         per_rank_fwd = log.per_rank_send_elems(phase="attn-fwd")
-        # forward: q,k,v out + o,lse back -> (3 + 1) * shard * (G-1)/G + lse
-        lse_elems = 8 * (self.N // self.G)
-        expected_fwd = (shard_elems * 4 + lse_elems) * (self.G - 1) // self.G
+        # forward: q,k,v out + o back (lse stays in head layout)
+        expected_fwd = shard_elems * 4 * (self.G - 1) // self.G
         assert all(v == expected_fwd for v in per_rank_fwd.values())
         ring_fwd = (self.G - 1) * 2 * (self.N // self.G) * self.D * 8
         assert expected_fwd < ring_fwd
+
+    @pytest.mark.parametrize("name,kwargs", [
+        ("ulysses", {}),
+        ("usp", {"ulysses_degree": 2}),
+        ("usp", {"ulysses_degree": 2, "use_burst_backward": True}),
+    ], ids=["ulysses", "usp2-alg1", "usp2-alg2"])
+    def test_head_parallel_backward_relayouts(self, name, kwargs):
+        """A head-parallel backward's all-to-alls ship ``dO`` and ``D =
+        rowsum(dO ∘ O)`` in — ``(d + 1) · H · (N/G)`` elements per rank —
+        and ``dq``, ``dk``, ``dv`` out (``3 · d · H · (N/G)``), each times
+        ``(u-1)/u``: the part of a rank's shard that leaves it."""
+        h = 8
+        q, k, v, do = make_inputs(n=self.N, d=self.D, heads=h)
+        method = get_method(name, block_size=16, **kwargs)
+        u = method.grid(self.G).ulysses_degree
+        log = method.run(TOPO_2x4, q, k, v, mask=CausalMask(), do=do).comm.log
+        rows = h * (self.N // self.G)
+        for tag, elems in (("usp-dout", (self.D + 1) * rows),
+                           ("usp-grads", 3 * self.D * rows)):
+            sent = dict.fromkeys(range(self.G), 0)
+            for rec in log.records:
+                if rec.tag == tag:
+                    assert rec.phase == "attn-bwd"
+                    sent[rec.src] += rec.nelems
+            assert sent == dict.fromkeys(range(self.G), elems * (u - 1) // u)
 
     def test_one_position_ring_takes_no_return_hop(self):
         """USP at ``u = G`` — Ulysses — runs its ring leg on one position:
@@ -215,7 +239,9 @@ class TestScheduleEquivalence:
     """Algorithm 1 and Algorithm 2 must agree on any schedule."""
 
     def test_alg1_alg2_identical_gradients(self):
-        from repro.attention.ring import ring_attention_forward, ring_attention_backward_kv
+        from repro.attention.ring import (
+            ring_attention_backward_kv, ring_attention_forward, row_stats,
+        )
         from repro.attention.burst import burst_attention_backward
         from repro.partition import StripedPartitioner
 
@@ -234,11 +260,12 @@ class TestScheduleEquivalence:
             sched = sched_fn(topo)
             os, lses = ring_attention_forward(comm, sched, qs, ks, vs, idxs,
                                               mask=mask, block_size=16)
+            ds = row_stats(dos, os)
             dq1, dk1, dv1 = ring_attention_backward_kv(
-                comm, sched, qs, ks, vs, os, lses, dos, idxs, mask=mask,
+                comm, sched, qs, ks, vs, ds, lses, dos, idxs, mask=mask,
                 block_size=16)
             dq2, dk2, dv2 = burst_attention_backward(
-                comm, sched, qs, ks, vs, os, lses, dos, idxs, mask=mask,
+                comm, sched, qs, ks, vs, ds, lses, dos, idxs, mask=mask,
                 block_size=16)
             for a, b in zip(dq1 + dk1 + dv1, dq2 + dk2 + dv2):
                 np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-11)

@@ -10,8 +10,9 @@ checkpoint policy and both ring modes, gives the same loss bits, the
 same parameter and gradient bits (gradient layouts included), the same
 traffic and the same recompute count; only the saved bytes move, by the
 ``q``/``k``/``v`` and second ``o`` a ring-family layer no longer keeps
-and, where the FFN is fused (every replay), by the ``h`` and ``norm2``
-row the block's one node rebuilds.
+(the second ``o`` alone on Ulysses / USP, whose context it was) and,
+where the FFN is fused (every replay), by the ``h`` and ``norm2`` row
+the block's one node rebuilds.
 
 Also here: a forward under ``no_grad`` (inference) leaves the
 attention-output cache empty, and a cache entry written over releases
@@ -95,16 +96,17 @@ def _train_engine(config, topology, steps, monkeypatch, chain):
 def _assert_same_but_saved_bytes(chain, node, policy, n_layers, s, d, kv,
                                  rebuilds, chunked=False):
     """Everything equal but the saved bytes, which move per saved layer
-    by q, k, v and a second o (a context-rebuilding method) and by ``h``
-    and its row (a fused FFN: every replay, and a chunked model): at the
-    forward's peak without a replay, at the deepest replay's with one."""
+    by q, k, v and a second o (a context-rebuilding method; the second o
+    alone for a context-keeping one) and by ``h`` and its row (a fused
+    FFN: every replay, and a chunked model): at the forward's peak
+    without a replay, at the deepest replay's with one."""
     assert node["losses"] == chain["losses"]
     assert [p[0] for p in node["params"]] == [p[0] for p in chain["params"]]
     for want, got in zip(chain["params"], node["params"]):
         assert want == got, want[0]
     assert node["traffic"] == chain["traffic"]
     assert node["recompute_flops"] == chain["recompute_flops"]
-    per_layer = (2 * s * d + 2 * s * kv if rebuilds else 0) + (
+    per_layer = (2 * s * d + 2 * s * kv if rebuilds else s * d) + (
         s * d + s if chunked or policy != "none" else 0)
     moved = _saved_layers(policy, n_layers) * per_layer * 8
     (chain_fwd, chain_replay), (node_fwd, node_replay) = (

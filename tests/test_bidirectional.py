@@ -224,7 +224,7 @@ class TestSchedulePrimitives:
         lse = [np.zeros((1, 2)) for _ in x]
         idxs = [np.arange(2 * r, 2 * r + 2) for r in range(len(x))]
         with pytest.raises(ValueError, match="covers 4 steps but world size is 8"):
-            backward(comm, sched, x, x, x, x, lse, x, idxs)
+            backward(comm, sched, x, x, x, lse, lse, x, idxs)
         assert comm.log.records == []
 
     def test_reverse_traffic_lands_on_rev_channel(self):

@@ -47,9 +47,9 @@ FSDP_BOUND_PINS = {
 #: quarter, so ``round`` is exercised), dim 32, 2 layers, 4 heads.  The
 #: flag decides only the cache rows: without a context rebuild every
 #: replaying policy is ``full`` — and what its attention node saves: the
-#: head-layout context, where a rebuilding method saves ``4·S·D`` fewer
-#: elements per saved layer (``x``, ``o`` and ``lse``, not ``q``, ``k``,
-#: ``v`` and a second ``o``).  A replayed layer's FFN folds into its
+#: head-layout context ``q``, ``k``, ``v``, ``lse``, where a rebuilding
+#: method saves ``3·S·D`` fewer elements per saved layer (``lse`` alone:
+#: it rebuilds ``q``, ``k`` and ``v``; neither keeps a second ``o``).  A replayed layer's FFN folds into its
 #: attention node whatever ``mlp_chunk_size`` says (its weights only: the
 #: node rebuilds ``h`` and ``norm2``'s row), its attention half saves its
 #: input once, and each norm folds into the node reading it (only a
@@ -57,12 +57,12 @@ FSDP_BOUND_PINS = {
 CURVE_PINS = {
     (0.25, True): {"none": 676560, "full": 152144,
                    "selective_pp": 171152, "sequence_level": 166544},
-    (0.25, False): {"none": 811728, "full": 219728,
-                    "selective_pp": 219728, "sequence_level": 219728},
+    (0.25, False): {"none": 777936, "full": 202832,
+                    "selective_pp": 202832, "sequence_level": 202832},
     (0.5, True): {"none": 676560, "full": 152144,
                   "selective_pp": 171152, "sequence_level": 161648},
-    (0.5, False): {"none": 811728, "full": 219728,
-                   "selective_pp": 219728, "sequence_level": 219728},
+    (0.5, False): {"none": 777936, "full": 202832,
+                   "selective_pp": 202832, "sequence_level": 202832},
 }
 
 

@@ -22,6 +22,7 @@ from repro.perf.schedules.attention import (
     attention_pass_hops,
     attention_pass_time,
     attention_pass_transitions,
+    head_parallel_relayout_bytes,
 )
 from repro.topology import LinkClass, a800_node, make_cluster
 
@@ -189,6 +190,41 @@ class TestDESPricesTheExecutedBytes:
                         and rec.src == r
                     ]
                     assert logged == priced, (phase, channel, r)
+
+
+class TestDESPricesTheExecutedRelayouts:
+    """Executor == model for the head-parallel all-to-alls: the buffers
+    ``_ulysses_pass`` / ``_usp_pass`` price
+    (:func:`head_parallel_relayout_bytes`, of which each all-to-all sends
+    ``(u-1)/u``) are what every rank's ``TrafficLog`` records for
+    ``usp-qkv`` / ``usp-out`` forward and ``usp-dout`` / ``usp-grads``
+    backward — the ``D`` leaf included.  Bytes only: the degree rule and
+    the all-to-alls as DES tasks are separate."""
+
+    @pytest.mark.parametrize("name,kwargs", [
+        ("ulysses", {}),
+        ("usp", {"ulysses_degree": 2}),
+        ("usp", {"ulysses_degree": 2, "use_burst_backward": True}),
+    ], ids=["ulysses", "usp2-alg1", "usp2-alg2"])
+    def test_relayout_bytes_are_the_logged_bytes(self, name, kwargs):
+        topo = make_cluster(8, node=a800_node(gpus_per_node=4))
+        g, h, d = topo.world_size, 8, 4
+        n = 4 * g
+        rng = np.random.default_rng(0)
+        q, k, v, do = (rng.normal(size=(h, n, d)) for _ in range(4))
+        method = get_method(name, block_size=4, **kwargs)
+        u = method.grid(g).ulysses_degree
+        log = method.run(topo, q, k, v, do=do).comm.log
+        wl = AttentionWorkload(seq_len=n, hidden=h * d, n_heads=h,
+                               bytes_per_elem=8)
+        for backward, tags in ((False, ("usp-qkv", "usp-out")),
+                               (True, ("usp-dout", "usp-grads"))):
+            priced = head_parallel_relayout_bytes(wl, g, backward=backward)
+            for tag, buffer in zip(tags, priced):
+                for r in range(g):
+                    logged = sum(rec.nbytes for rec in log.records
+                                 if rec.tag == tag and rec.src == r)
+                    assert logged == buffer * (u - 1) / u, (tag, r)
 
 
 class TestSelectiveEqualsRing:

@@ -7,6 +7,12 @@ both streams and the return hop — and perturbs exactly that leaf.  A leaf
 whose perturbation leaves every output bit unchanged was shipped but never
 read: that is what a return hop carrying a whole backward bundle home
 looks like, when the owner reads only the carried accumulators.
+
+The head-parallel executor (Ulysses, and USP under either ring leg) is
+swept the same way: every leaf of its four all-to-alls — ``q, k, v`` in,
+``o`` out, ``dO`` and ``D`` in, ``dq, dk, dv`` out — and of its ring hops.
+An ``lse`` shipped back to sequence layout, which a training step never
+reads, is what this catches there.
 """
 
 import numpy as np
@@ -15,6 +21,7 @@ import pytest
 from repro.attention import get_method
 from repro.comm.ring import RING_METHODS, RING_MODES
 from repro.engine import BurstEngine, EngineConfig
+from repro.masks import CausalMask
 from repro.nn import CheckpointPolicy, TransformerConfig
 from repro.testing import FaultInjectingCommunicator
 from repro.topology import a800_node, make_cluster
@@ -30,6 +37,15 @@ TOPO_IDS = ["1x4", "2x3"]
 #: (query heads, KV heads): MHA and a GQA group of 2.
 HEADS = [(2, 2), (4, 2)]
 HEAD_IDS = ["mha", "gqa"]
+#: The head-parallel executor: Ulysses (USP at ``u = G``, a one-position
+#: ring) and USP at ``u = 2`` with each ring-leg backward.
+HEAD_PARALLEL = [
+    ("ulysses", {}),
+    ("usp", {"ulysses_degree": 2}),
+    ("usp", {"ulysses_degree": 2, "use_burst_backward": True}),
+]
+HEAD_PARALLEL_IDS = ["ulysses", "usp2-alg1", "usp2-alg2"]
+RELAYOUT_TAGS = {"usp-qkv", "usp-out", "usp-dout", "usp-grads"}
 
 
 class PerturbLeafComm(FaultInjectingCommunicator):
@@ -142,4 +158,57 @@ def test_train_step_reads_every_delivered_attention_leaf(method, ring_mode,
         loss = engine.train_step(ids, np.roll(ids, -1)).loss
         return [loss] + [p.grad for p in engine.model.parameters()]
 
+    assert unread(run, topology, lambda step: step, phase="attn") == []
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES, ids=TOPO_IDS)
+@pytest.mark.parametrize("method,kwargs", HEAD_PARALLEL, ids=HEAD_PARALLEL_IDS)
+def test_head_parallel_method_reads_every_delivered_leaf(method, kwargs,
+                                                         topology):
+    """``method.run`` on the head-parallel executor, causal mask: each
+    perturbed leaf — of every all-to-all, ``D`` included, and every ring
+    hop — moves some element of ``o``, ``lse``, ``dq``, ``dk`` or
+    ``dv``."""
+    g = topology.world_size
+    n, d = 2 * g, 2
+    rng = np.random.default_rng(3)
+    q, k, v, do = (rng.normal(size=(g, n, d)) for _ in range(4))
+    m = get_method(method, block_size=2, **kwargs)
+
+    def run(comm):
+        return m.run(topology, q, k, v, mask=CausalMask(), do=do, comm=comm)
+
+    def fingerprint(res):
+        return res.o, res.lse, res.dq, res.dk, res.dv
+
+    assert {t[1] for t in targets(run, topology)} >= RELAYOUT_TAGS
+    assert unread(run, topology, fingerprint) == []
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES, ids=TOPO_IDS)
+@pytest.mark.parametrize("method,kwargs", HEAD_PARALLEL, ids=HEAD_PARALLEL_IDS)
+def test_head_parallel_train_step_reads_every_delivered_attention_leaf(
+    method, kwargs, topology
+):
+    """One head-parallel ``train_step`` (causal mask, one layer, ``G``
+    heads): each perturbed attention leaf moves the loss or some
+    gradient.  The engine reads no sequence-layout ``lse``, so none may
+    be shipped."""
+    g = topology.world_size
+    config = EngineConfig(
+        model=TransformerConfig(
+            vocab_size=16, dim=2 * g, n_layers=1, n_heads=g, ffn_hidden=8,
+            max_seq_len=2 * g,
+        ),
+        method=method, method_kwargs=kwargs,
+        checkpoint=CheckpointPolicy(), fsdp=False,
+    )
+    ids = np.arange(2 * g) % 16
+
+    def run(comm):
+        engine = BurstEngine(config, comm=comm)
+        loss = engine.train_step(ids, np.roll(ids, -1)).loss
+        return [loss] + [p.grad for p in engine.model.parameters()]
+
+    assert {t[1] for t in targets(run, topology, phase="attn")} >= RELAYOUT_TAGS
     assert unread(run, topology, lambda step: step, phase="attn") == []

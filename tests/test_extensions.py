@@ -9,6 +9,7 @@ from repro.attention import (
     ring_attention_backward_kv,
     ring_attention_forward,
 )
+from repro.attention.ring import row_stats
 from repro.attention.gqa import (
     backward_comm_elems,
     choose_backward_algorithm,
@@ -128,8 +129,9 @@ class TestGQADistributed:
             else burst_attention_backward
         )
         dqs, dks, dvs = fn(
-            comm, sched, shards(q), shards(k), shards(v), os, lses,
-            shards(do), idxs, mask=mask, block_size=16,
+            comm, sched, shards(q), shards(k), shards(v),
+            row_stats(shards(do), os), lses, shards(do), idxs, mask=mask,
+            block_size=16,
         )
         dense = mask.dense(64)
         o_ref, lse_ref = gqa_attention_reference(q, k, v, mask=dense)
@@ -153,8 +155,9 @@ class TestGQADistributed:
                 block_size=16,
             )
             comm.log.clear()
-            fn(comm, sched, shards(q), shards(k), shards(v), os, lses,
-               shards(do), idxs, block_size=16)
+            fn(comm, sched, shards(q), shards(k), shards(v),
+               row_stats(shards(do), os), lses, shards(do), idxs,
+               block_size=16)
             volumes[name] = comm.log.total_elems(phase="attn-bwd")
         assert volumes["alg1"] < volumes["alg2"]
 
@@ -168,8 +171,9 @@ class TestGQADistributed:
                 block_size=16,
             )
             comm.log.clear()
-            fn(comm, sched, shards(q), shards(k), shards(v), os, lses,
-               shards(do), idxs, block_size=16)
+            fn(comm, sched, shards(q), shards(k), shards(v),
+               row_stats(shards(do), os), lses, shards(do), idxs,
+               block_size=16)
             per_rank = comm.log.per_rank_send_elems(phase="attn-bwd")
             # the paper's count minus the read-only slots the return hop
             # leaves out

@@ -268,8 +268,9 @@ QUICKSTART = dict(seq_len=128, dim=32, n_layers=2, n_heads=4,
 #: (method, policy) -> observed == predicted peak saved bytes.  The ids
 #: name the cell only, so a declared saved-set change moves a pin without
 #: renaming its test.  A ring-family layer's attention node rebuilds q, k
-#: and v, so its cells sit ``4·S·D·8`` bytes per saved layer below the
-#: Ulysses cells, which keep their head-layout context.  A replayed
+#: and v, so its cells sit ``3·S·D·8`` bytes per saved layer below the
+#: Ulysses cells, which keep their head-layout context (no head-layout
+#: ``o``: its backward ships ``D`` instead).  A replayed
 #: layer's FFN folds into that node, which rebuilds ``h`` and ``norm2``'s
 #: row: ``(S·D + S)·8`` bytes below a separate fused FFN node.
 PEAK_PINS = {
@@ -278,8 +279,8 @@ PEAK_PINS = {
     ("burst", "selective_pp"): 254_976,
     ("burst", "sequence_level"): 236_544,
     ("megatron-cp", "full"): 218_112,
-    ("ulysses", "none"): 1_389_568,
-    ("ulysses", "sequence_level"): 349_184,
+    ("ulysses", "none"): 1_324_032,
+    ("ulysses", "sequence_level"): 316_416,
 }
 
 

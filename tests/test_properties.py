@@ -10,7 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.attention.burst import burst_attention_backward
-from repro.attention.ring import ring_attention_backward_kv, ring_attention_forward
+from repro.attention.ring import (
+    ring_attention_backward_kv,
+    ring_attention_forward,
+    row_stats,
+)
 from repro.attention.verify import verify_method
 from repro.comm import SimCommunicator, double_ring_schedule, global_ring_schedule
 from repro.masks import CausalMask, SlidingWindowMask
@@ -86,11 +90,12 @@ class TestAlgorithmEquivalenceProperty:
         os, lses = ring_attention_forward(
             comm, sched, sh(q), sh(k), sh(v), idxs, mask=mask, block_size=8
         )
+        ds = row_stats(sh(do), os)
         out1 = ring_attention_backward_kv(
-            comm, sched, sh(q), sh(k), sh(v), os, lses, sh(do), idxs,
+            comm, sched, sh(q), sh(k), sh(v), ds, lses, sh(do), idxs,
             mask=mask, block_size=8)
         out2 = burst_attention_backward(
-            comm, sched, sh(q), sh(k), sh(v), os, lses, sh(do), idxs,
+            comm, sched, sh(q), sh(k), sh(v), ds, lses, sh(do), idxs,
             mask=mask, block_size=8)
         for a_list, b_list in zip(out1, out2):
             for a, b in zip(a_list, b_list):

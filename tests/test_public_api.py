@@ -1096,7 +1096,8 @@ class TestOneHeadParallelExecutor:
 
         ulysses = METHOD_REGISTRY["ulysses"]
         assert issubclass(ulysses, USPMethod)
-        assert not {"forward_shards", "backward_shards"} & set(vars(ulysses))
+        assert not {"forward_shards", "backward_shards", "gather_lse"} & set(
+            vars(ulysses))
 
         engine = ast.parse((src / "engine" / "engine.py").read_text())
         assert [
@@ -1108,3 +1109,37 @@ class TestOneHeadParallelExecutor:
                 for c in (node.left, *node.comparators)
             )
         ] == []
+
+    def test_the_kept_context_arrays_are_written_once(self):
+        """What a node keeping a Ulysses / USP context saves is named
+        once: the head-layout (``*_h``) fields of ``USPContext``, as
+        ``usp.CONTEXT_ARRAYS``.  No head-layout output is among them, no
+        other module spells the names out, and the engine's node and the
+        test oracle chain both read the one tuple."""
+        import ast
+        from pathlib import Path
+
+        from repro.attention.usp import CONTEXT_ARRAYS
+
+        assert CONTEXT_ARRAYS == ("q_h", "k_h", "v_h", "lse_h")
+        root = Path(__file__).resolve().parents[1]
+        spelled, readers = set(), set()
+        for path in sorted([*(root / "src").rglob("*.py"),
+                            *(root / "tests").rglob("*.py")]):
+            if path == Path(__file__).resolve():
+                continue
+            name = path.relative_to(root).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and any(
+                    isinstance(e, ast.Constant) and e.value in CONTEXT_ARRAYS
+                    for e in node.elts
+                ):
+                    spelled.add(name)
+                if (isinstance(node, ast.Name) and node.id == "CONTEXT_ARRAYS"
+                        and isinstance(node.ctx, ast.Load)):
+                    readers.add(name)
+        assert spelled == set()
+        assert readers == {
+            "src/repro/engine/distributed_attention.py",
+            "tests/attention_chain.py",
+        }
