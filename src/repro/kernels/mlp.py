@@ -10,11 +10,13 @@ single-device kernel for that: :func:`swiglu_mlp_forward` /
     y = (silu(x @ Wg^T) * (x @ Wu^T)) @ Wd^T
 
 chunked over the sequence axis with ``chunk_size`` rows per chunk
-(``mlp_chunk_size`` in the module/config layer), **bitwise-identical** to
-the dense composed path in :mod:`repro.nn.ops` — forward values *and* all
-four gradients.  The backward rematerialises the per-chunk intermediates
-from ``x`` (the only saved activation) instead of keeping them alive from
-the forward, which is where the memory saving comes from; weight gradients
+(``mlp_chunk_size`` in the module/config layer; ``None`` is one dense
+chunk), **bitwise-identical** to the composed five-node graph of
+:mod:`repro.nn.ops` nodes (the tests' reference, ``tests/block_chain.py``;
+the model never builds it) — forward values *and* all four gradients.
+The backward rematerialises the per-chunk intermediates from ``x`` (the
+only saved activation) instead of keeping them alive from the forward,
+which is where the memory saving comes from; weight gradients
 are still produced by the same three full-size GEMMs as the dense path so
 their K-axis accumulation order (and hence every bit) matches.
 

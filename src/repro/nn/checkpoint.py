@@ -46,10 +46,10 @@ node saves them.  The replayed function's final output is dropped —
 gradient and never reads ``out.data`` — so the node at the tail of the
 region may skip whatever of its forward only feeds that output.  A
 block's replay is one node (:class:`~repro.nn.attention_fn.AttentionFn`
-with the block's residual, ``norm2`` and fused FFN folded in, whatever
-``mlp_chunk_size`` says): it runs the attention product, whose ``(O,
-lse)`` it saves, and skips ``wo``, the residual, ``norm2``'s row and the
-FFN, which its backward rebuilds from the saved ``x`` and ``O`` anyway.
+with the block's residual, ``norm2`` and FFN folded in, as every block
+is): it runs the attention product, whose ``(O, lse)`` it saves, and
+skips ``wo``, the residual, ``norm2``'s row and the FFN, which its
+backward rebuilds from the saved ``x`` and ``O`` anyway.
 Whether a node *is* at the tail is a fact about the replayed function,
 not about the node: inside ``checkpoint(lambda t: ffn2(ffn1(t)), x)`` the
 first FFN's output is saved by the second.  Hence the rule, guarded in
@@ -94,10 +94,9 @@ class CheckpointPolicy:
 
     ``split_fraction`` only applies to ``sequence_level``: the fraction of
     the sequence (the front) that is recomputed rather than stored.
-    (A replayed layer's FFN is always fused, folded into the layer's
-    attention node, which rebuilds its input and intermediates in
-    backward; ``TransformerConfig.mlp_chunk_size`` sets its chunking and
-    whether the FFN is fused outside a replay too.)
+    (A layer's FFN is always folded into the layer's attention node,
+    which rebuilds its input and intermediates in backward;
+    ``TransformerConfig.mlp_chunk_size`` sets only its chunking.)
     """
 
     mode: CheckpointMode = CheckpointMode.NONE

@@ -1,30 +1,31 @@
 """Blockwise SwiGLU FFN as a single autograd Function.
 
-The composed :class:`~repro.nn.modules.SwiGLU` path builds five graph
-nodes (two projection matmuls, silu, mul, down matmul) and saves every
-``(S, hidden)`` intermediate for backward.  :class:`BlockwiseMLPFn` fuses
-the whole FFN into one node that saves only ``x`` and the three weights —
-the intermediates are rematerialised chunk-by-chunk in backward by the
-active kernel backend (:meth:`~repro.kernels.KernelBackend.mlp_backward`),
-which is the Blockwise-Parallel-Transformer FFN trick.  Outputs and all
-four gradients are bitwise-identical to the composed path (pinned by
+The FFN ``down(silu(gate(x)) * up(x))`` is one node,
+:class:`BlockwiseMLPFn`, that saves only ``x`` and the three weights:
+the ``(S, hidden)`` intermediates are rematerialised chunk-by-chunk in
+backward by the active kernel backend
+(:meth:`~repro.kernels.KernelBackend.mlp_backward`), which is the
+Blockwise-Parallel-Transformer FFN trick.  ``chunk_size`` is
+``mlp_chunk_size`` at the module/config layer; ``None`` computes in one
+dense chunk.  Outputs and all four gradients are bitwise-identical to the
+composed five-node graph (two projection matmuls, silu, mul, down
+matmul) for every chunk size; that graph is kept only as the tests'
+reference (``tests/block_chain.py``, pinned by
 ``tests/test_blockwise_mlp.py``).
 
-``chunk_size`` is ``mlp_chunk_size`` at the module/config layer;
-``None`` still fuses (one node, only ``x`` saved) but computes densely.
-
-Wherever the FFN is this node, the block's pre-FFN RMSNorm folds into it
+The pre-FFN RMSNorm folds into the node
 (:class:`~repro.nn.ops.PreNormFn`): the node saves the norm's input and
 one ``(S, 1)`` row, not the normed activations, and its backward rebuilds
 them with one elementwise pass before the FFN kernel's backward.
 
 The FFN's expressions are written here once (:meth:`BlockwiseMLPFn._ffn`
 and :meth:`BlockwiseMLPFn._ffn_backward`).  Inside a
-:class:`~repro.nn.modules.TransformerBlock` the fused FFN is not a node of
-its own: the block's attention node
+:class:`~repro.nn.modules.TransformerBlock` the FFN is not a node of its
+own: the block's attention node
 (:class:`~repro.nn.attention_fn.AttentionFn`) folds the residual and this
 FFN in and runs these two methods, rebuilding the FFN's input ``h`` in its
-backward instead of saving it.
+backward instead of saving it.  :class:`~repro.nn.modules.SwiGLU` called
+on its own builds this node.
 """
 
 from __future__ import annotations

@@ -146,22 +146,20 @@ def _check_mlp_chunk_size(mlp_chunk_size: int | None) -> None:
 class SwiGLU(Module):
     """LLaMA FFN: ``down(silu(gate(x)) * up(x))``.
 
-    With ``mlp_chunk_size`` set the whole FFN runs as one fused
-    :class:`~repro.nn.mlp_fn.BlockwiseMLPFn` node through the active
-    kernel backend: only ``x`` is saved for backward and the ``(S,
-    hidden)`` intermediates are rematerialised in sequence chunks of that
-    many rows (bitwise-identical to the composed path).  ``None`` keeps
-    the composed five-node graph: it saves ``x`` twice and four ``(S,
-    hidden)`` intermediates.
+    The whole FFN is one fused :class:`~repro.nn.mlp_fn.BlockwiseMLPFn`
+    node through the active kernel backend: only ``x`` is saved for
+    backward and the ``(S, hidden)`` intermediates are rematerialised in
+    sequence chunks of ``mlp_chunk_size`` rows (``None``: one dense
+    chunk).  Every chunk size gives the bits of the composed five-node
+    graph (``tests/test_blockwise_mlp.py`` holds each to them).
 
-    ``forward(x, norm=rms_norm_module)`` computes ``ffn(norm(x))``.  The
-    fused node folds the norm in (:class:`~repro.nn.ops.PreNormFn`: it
-    saves ``x`` and one ``(S, 1)`` row instead of the normed input); the
-    composed graph applies it as its own node first.
+    ``forward(x, norm=rms_norm_module)`` computes ``ffn(norm(x))`` with
+    the norm folded in (:class:`~repro.nn.ops.PreNormFn`: the node saves
+    ``x`` and one ``(S, 1)`` row instead of the normed input).
 
-    Inside a :class:`TransformerBlock` a fused FFN is not called: the
-    block folds it, with ``norm2`` and both residuals, into its attention
-    node (:class:`~repro.nn.attention_fn.FFNTail`).
+    Inside a :class:`TransformerBlock` the FFN is not called: the block
+    folds it, with ``norm2`` and both residuals, into its attention node
+    (:class:`~repro.nn.attention_fn.FFNTail`).
     """
 
     def __init__(
@@ -178,14 +176,10 @@ class SwiGLU(Module):
         self.mlp_chunk_size = mlp_chunk_size
 
     def forward(self, x: Tensor, norm: RMSNorm | None = None) -> Tensor:
-        if self.mlp_chunk_size is not None:
-            return blockwise_mlp(
-                x, self.gate.weight, self.up.weight, self.down.weight,
-                chunk_size=self.mlp_chunk_size, norm=norm,
-            )
-        if norm is not None:
-            x = norm(x)
-        return self.down(ops.mul(ops.silu(self.gate(x)), self.up(x)))
+        return blockwise_mlp(
+            x, self.gate.weight, self.up.weight, self.down.weight,
+            chunk_size=self.mlp_chunk_size, norm=norm,
+        )
 
 
 class CausalSelfAttention(Module):
@@ -266,34 +260,30 @@ class TransformerBlock(Module):
     the attention-output cache implementing the selective++/sequence-level
     whitelists.
 
-    A block whose FFN is fused is **one autograd node**: ``norm1 → q/k/v
-    → RoPE → attend → merge → wo → +x → norm2 → SwiGLU → +h``.  The block
-    hands its attention an :class:`~repro.nn.attention_fn.FFNTail`
-    (``norm2``, the FFN, the dropout masks) and the attention node folds
-    it in.  That node saves exactly what the attention half alone saves —
-    ``x``, ``norm1``'s ``(S, 1)`` row, the merged attention output and its
-    ``lse`` (a head-parallel method: its head-layout context) and the
-    weights, the FFN's three among them — and its backward rebuilds
-    ``h = x + o·Woᵀ`` and ``norm2``'s row with the forward's expressions
-    before the FFN's backward.  So a replayed layer keeps no ``q``, ``k``,
-    ``v``, ``h`` or normed copy at all.
+    Every block is **one autograd node**: ``norm1 → q/k/v → RoPE →
+    attend → merge → wo → +x → norm2 → SwiGLU → +h``.  The block hands its
+    attention an :class:`~repro.nn.attention_fn.FFNTail` (``norm2``, the
+    FFN, the dropout masks) and the attention node folds it in.  That node
+    saves exactly what the attention half alone saves — ``x``, ``norm1``'s
+    ``(S, 1)`` row, the merged attention output and its ``lse`` (a
+    head-parallel method: its head-layout context) and the weights, the
+    FFN's three among them — and its backward rebuilds ``h = x + o·Woᵀ``
+    and ``norm2``'s row with the forward's expressions before the FFN's
+    backward.  So no layer keeps ``q``, ``k``, ``v``, ``h``, a normed copy
+    or an FFN intermediate, under any policy: ``none`` saves each layer's
+    node and replays nothing.
 
-    The FFN is fused — and the block one node — wherever
-    ``mlp_chunk_size`` is set, and in the block's own checkpoint replay
-    whatever it says.  There the FFN is the tail of the checkpointed
-    region: :class:`~repro.nn.checkpoint.Checkpoint` drops the replay's
-    output, so its values are read by nobody, and the block tells the
-    node so (``FFNTail.unread``): the node then skips ``wo``, the
-    residual, ``norm2``'s row and the FFN in its forward, which leaves a
-    replay the same GEMMs as before the fold.  Only the block can know
-    this; see ``docs/algorithms.md`` §5.  With ``mlp_chunk_size=None``
-    outside its own replay (no checkpointing, or a replayed block's
-    no-grad first pass) the block runs the attention node, the residual
-    ``add`` nodes, ``norm2`` as its own node and the composed FFN graph.
+    In the block's own checkpoint replay the FFN is the tail of the
+    checkpointed region: :class:`~repro.nn.checkpoint.Checkpoint` drops
+    the replay's output, so its values are read by nobody, and the block
+    tells the node so (``FFNTail.unread``): the node then skips ``wo``,
+    the residual, ``norm2``'s row and the FFN in its forward, which leaves
+    a replay the same GEMMs as before the fold.  Only the block can know
+    this; see ``docs/algorithms.md`` §5.
 
     Dropout masks are drawn by the block, under its layer seed, in the
     order the two dropouts apply them, so a replay draws the first
-    pass's masks whichever form each pass takes.
+    pass's masks.
     """
 
     def __init__(
@@ -345,19 +335,8 @@ class TransformerBlock(Module):
         if self.dropout_p > 0 and self.training:
             masks = tuple(ops.dropout_mask(x.shape, self.dropout_p)
                           for _ in range(2))
-        tail = None
-        if self.ffn.mlp_chunk_size is not None or tail_unread:
-            tail = FFNTail(self.norm2, self.ffn, masks, unread=tail_unread)
-        out = self.attn(x, norm=self.norm1, tail=tail)
-        if tail is not None:
-            return out
-        if masks is not None:
-            out = ops.dropout(out, mask=masks[0])
-        h = ops.add(x, out)
-        ffn_out = self.ffn(h, norm=self.norm2)
-        if masks is not None:
-            ffn_out = ops.dropout(ffn_out, mask=masks[1])
-        return ops.add(h, ffn_out)
+        return self.attn(x, norm=self.norm1, tail=FFNTail(
+            self.norm2, self.ffn, masks, unread=tail_unread))
 
     def forward(self, x: Tensor) -> Tensor:
         from repro.nn.rng import draw_seed, scoped_rng
@@ -450,8 +429,8 @@ class TransformerConfig:
     #: Tile edge of the flash kernels; ``None`` derives it from the head
     #: count (:func:`repro.kernels.tile_size`).
     attn_block_size: int | None = None
-    #: Fused blockwise FFN: rematerialise the SwiGLU intermediates in
-    #: sequence chunks of this many rows (``None`` = composed dense FFN).
+    #: Rows per sequence chunk in which the fused FFN rematerialises its
+    #: SwiGLU intermediates (``None`` = one dense chunk).
     mlp_chunk_size: int | None = None
     seed: int = 0
 

@@ -255,7 +255,7 @@ class RMSNormFn(PreNormFn):
     and is bitwise the six-node composite it replaced, forward and
     gradients.  A model reaches it only where the norm's output has more
     than one reader or its reader is not a :class:`PreNormFn` (the final
-    norm, a composed FFN); elsewhere the norm is folded into its reader.
+    norm); elsewhere the norm is folded into its reader.
     """
 
     def forward(self, *args, eps: float = 1e-6):

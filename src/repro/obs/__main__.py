@@ -173,7 +173,7 @@ def _memdiff_cell(method, policy_mode, ring_mode, seq, chunk=None):
         n_heads=config.model.n_heads, ffn_hidden=config.model.ffn_hidden,
         vocab=config.model.vocab_size, checkpoint=policy_mode,
         split_fraction=config.checkpoint.split_fraction,
-        head_impl=config.head_impl, fused_mlp=(chunk is not None),
+        head_impl=config.head_impl,
         rebuilds_context=engine.method.supports_context_rebuild,
     )
     return {
@@ -217,9 +217,9 @@ def _cmd_memdiff(args: argparse.Namespace) -> int:
 
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     methods = ("burst", "megatron-cp", "ulysses")
-    # The chunked FFN's cells are the only ones whose fused norm + FFN
-    # node is built outside a replay (``none``) as well as in one; the
-    # sequence-level one also feeds the transient check below.
+    # The chunked FFN's cells run the chunked kernels the other cells'
+    # dense FFN does not; the sequence-level one also feeds the transient
+    # check below.
     chunk = 32
     grid = [(m, p, None) for m in methods for p in policies] + [
         ("burst", p, chunk) for p in ("none", "sequence_level")

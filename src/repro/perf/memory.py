@@ -223,23 +223,6 @@ def logits_memory_bytes(seq_len: int, vocab: int, bytes_per_elem: int = BYTES_BF
 BYTES_F64 = 8
 
 
-def swiglu_dense_saved_bytes(
-    seq_len: int, dim: int, hidden: int, bytes_per_elem: int = BYTES_F64
-) -> int:
-    """Bytes the composed SwiGLU graph saves for backward.
-
-    The five-node graph registers: ``x`` twice (both projection matmuls),
-    the three weights once each, and four ``(S, hidden)`` intermediates —
-    ``g`` (SiLU, which recomputes its sigmoid in backward), the silu
-    product and ``u`` (Mul), and ``h`` (down matmul).  Pinned bit-for-bit
-    against the live :class:`~repro.nn.memory.MemoryTracker` by
-    ``tests/test_blockwise_mlp.py``.
-    """
-    return (
-        2 * seq_len * dim + 3 * dim * hidden + 4 * seq_len * hidden
-    ) * bytes_per_elem
-
-
 def swiglu_fused_saved_bytes(
     seq_len: int, dim: int, hidden: int, bytes_per_elem: int = BYTES_F64
 ) -> int:
@@ -297,17 +280,19 @@ def checkpoint_memory_curve(
 # The analytic model above speaks in bf16 bytes and the paper's ~17x
 # activation factor; the functions below instead predict — to the byte —
 # what the live float64 engine's MemoryTracker registers for a whole
-# training step, generalising the PR-8 SwiGLU pins to every component.
+# training step.  A block is one node under every policy and chunk size,
+# so one per-layer saved set (``transformer_layer_saved_elems``) prices
+# both the forward's end without a replay and the deepest replay.
 # ``python -m repro.obs memdiff`` holds the tracker to these numbers.
 
 
 def rms_norm_saved_elems(seq_len: int, dim: int) -> int:
-    """Elements a standalone RMSNorm saves — the final norm, or a
-    composed FFN's ``norm2``: its one :class:`~repro.nn.ops.RMSNormFn`
-    node keeps ``x`` (SD) and the ``mean(x²) + eps`` row (S); the weight
-    is a parameter, held by reference.  A norm folded into the node that
-    reads it (:class:`~repro.nn.ops.PreNormFn`) adds only the row (S) to
-    that node, which keeps ``x`` instead of the normed copy."""
+    """Elements a standalone RMSNorm saves — the model's final norm: its
+    one :class:`~repro.nn.ops.RMSNormFn` node keeps ``x`` (SD) and the
+    ``mean(x²) + eps`` row (S); the weight is a parameter, held by
+    reference.  A norm folded into the node that reads it
+    (:class:`~repro.nn.ops.PreNormFn`) adds only the row (S) to that
+    node, which keeps ``x`` instead of the normed copy."""
     return seq_len * dim + seq_len
 
 
@@ -354,27 +339,20 @@ def transformer_layer_saved_elems(
     ffn_hidden: int,
     *,
     kv_dim: int | None = None,
-    fused_mlp: bool = False,
     rebuilds_context: bool = True,
 ) -> int:
-    """Elements one transformer block's graph saves end to end: the
+    """Elements one transformer block saves end to end: its one node, the
     attention node with ``norm1`` folded in (its projections' part and
-    its product's, which depends on ``rebuilds_context``) and the FFN with
-    ``norm2`` (as pinned in ``tests/test_blockwise_mlp.py``).  A fused FFN
-    folds into the attention node with the residual and ``norm2``: the
-    node rebuilds ``h = x + o·Woᵀ`` and ``norm2``'s row in its backward,
-    so the FFN adds only its three weights.  The composed FFN reads the
-    output of a standalone ``RMSNormFn``."""
-    if fused_mlp:
-        ffn = 3 * dim * ffn_hidden
-    else:
-        ffn = rms_norm_saved_elems(seq_len, dim) + swiglu_dense_saved_bytes(
-            seq_len, dim, ffn_hidden, bytes_per_elem=1)
+    its product's, which depends on ``rebuilds_context``) and the FFN
+    folded in with the residual and ``norm2``.  The node rebuilds ``h =
+    x + o·Woᵀ``, ``norm2``'s row and the FFN's intermediates in its
+    backward, so the FFN adds only its three weights — under every
+    checkpoint policy and chunk size."""
     return (
         attention_proj_saved_elems(seq_len, dim, kv_dim)
         + attention_node_saved_elems(
             seq_len, dim, n_heads, kv_dim, rebuilds_context=rebuilds_context)
-        + ffn
+        + 3 * dim * ffn_hidden
     )
 
 
@@ -428,16 +406,13 @@ def predict_step_peak_saved_bytes(
     under grouped-query attention).  An unknown ``checkpoint`` or an
     out-of-range ``split_fraction`` raises ``ValueError``.
 
-    ``fused_mlp`` is whether the model sets ``mlp_chunk_size``.  A
-    replayed layer's FFN is folded into its attention node either way
-    (:class:`~repro.nn.modules.TransformerBlock` folds it whenever its
-    own replay leaves the block's output unread), so only a policy
-    without replays prices the composed FFN.
+    ``fused_mlp`` is accepted and ignored: every block's FFN is folded
+    into its one node whatever ``mlp_chunk_size`` says, so the saved set
+    does not depend on it.
     """
     policy = CheckpointPolicy.parse(checkpoint, split_fraction)
     full_layer = transformer_layer_saved_elems(
         seq_len, dim, n_heads, ffn_hidden, kv_dim=kv_dim,
-        fused_mlp=fused_mlp or policy.replays,
         rebuilds_context=rebuilds_context,
     )
     # The whitelist cache pins (o, lse) rows per layer; it never engages

@@ -6,9 +6,11 @@ A literal transcription of that chain: the attention node (``norm1``
 folded in), dropout, the residual ``Add``, the fused FFN node with
 ``norm2`` folded in (``BlockwiseMLPFn``, applied graph-only — zeros, no
 forward kernel — in the block's own checkpoint replay), dropout and the
-second ``Add``; or, for a composed FFN outside a replay, ``norm2`` as its
-own node and the SwiGLU graph.  Each dropout draws its mask from the
-block's scoped generator when it runs.  :func:`chain_body` is the block's
+second ``Add``; or, for an unchunked FFN outside a replay, ``norm2`` as
+its own node and the composed five-node SwiGLU graph of ``repro.nn.ops``
+nodes, which the model no longer builds (:func:`ffn_forward` is the one
+composed FFN left, the reference every FFN kernel is held to).  Each
+dropout draws its mask from the block's scoped generator when it runs.  :func:`chain_body` is the block's
 ``_body`` that built it; a test installs it on ``TransformerBlock`` to
 train the oracle model.
 
@@ -73,6 +75,18 @@ def ffn_forward(ffn, x, output_unread, norm):
     if norm is not None:
         x = norm(x)
     return ffn.down(ops.mul(ops.silu(ffn.gate(x)), ffn.up(x)))
+
+
+def chain_ffn_saved_elems(s, d, hidden, fused):
+    """What the chain's FFN saves beyond its three weights, all of which
+    the block's one node rebuilds: a fused FFN its input ``h`` and
+    ``norm2``'s row; a composed one ``norm2``'s ``RMSNormFn`` (``h`` and
+    the row), ``norm2(h)`` twice (the two projection ``MatMul`` nodes) and
+    four ``(S, hidden)`` intermediates (``SiLU``'s input, ``Mul``'s two
+    operands and the down ``MatMul``'s input)."""
+    if fused:
+        return s * d + s
+    return 3 * s * d + s + 4 * s * hidden
 
 
 def chain_body(block, x, tail_unread=False):

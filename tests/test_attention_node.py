@@ -10,9 +10,9 @@ checkpoint policy and both ring modes, gives the same loss bits, the
 same parameter and gradient bits (gradient layouts included), the same
 traffic and the same recompute count; only the saved bytes move, by the
 ``q``/``k``/``v`` and second ``o`` a ring-family layer no longer keeps
-(the second ``o`` alone on Ulysses / USP, whose context it was) and,
-where the FFN is fused (every replay), by the ``h`` and ``norm2`` row
-the block's one node rebuilds.
+(the second ``o`` alone on Ulysses / USP, whose context it was) and by
+what the chain's FFN saved beyond its weights, which the block's one
+node rebuilds (``tests.block_chain.chain_ffn_saved_elems``).
 
 Also here: a forward under ``no_grad`` (inference) leaves the
 attention-output cache empty, and a cache entry written over releases
@@ -43,7 +43,7 @@ from repro.topology import a800_node, make_cluster
 
 from repro.nn.modules import TransformerBlock
 from tests.attention_chain import chain_forward
-from tests.block_chain import SplitPeaks, chain_body
+from tests.block_chain import SplitPeaks, chain_body, chain_ffn_saved_elems
 
 POLICIES = ("none", "full", "selective_pp", "sequence_level")
 #: Every registered method except ``selective``, which the engine rejects.
@@ -93,13 +93,20 @@ def _train_engine(config, topology, steps, monkeypatch, chain):
     return out
 
 
+TOY = dict(vocab_size=61, dim=32, n_layers=2, n_heads=4, ffn_hidden=24,
+           max_seq_len=64, seed=5)
+TOY_TOPO = make_cluster(4, node=a800_node(gpus_per_node=2))
+
+
 def _assert_same_but_saved_bytes(chain, node, policy, n_layers, s, d, kv,
-                                 rebuilds, chunked=False):
+                                 rebuilds, chunked=False,
+                                 hidden=TOY["ffn_hidden"]):
     """Everything equal but the saved bytes, which move per saved layer
     by q, k, v and a second o (a context-rebuilding method; the second o
-    alone for a context-keeping one) and by ``h`` and its row (a fused
-    FFN: every replay, and a chunked model): at the forward's peak
-    without a replay, at the deepest replay's with one."""
+    alone for a context-keeping one) and by what the chain's FFN saves
+    beyond its weights (fused in every replay and a chunked model,
+    composed otherwise): at the forward's peak without a replay, at the
+    deepest replay's with one."""
     assert node["losses"] == chain["losses"]
     assert [p[0] for p in node["params"]] == [p[0] for p in chain["params"]]
     for want, got in zip(chain["params"], node["params"]):
@@ -107,7 +114,7 @@ def _assert_same_but_saved_bytes(chain, node, policy, n_layers, s, d, kv,
     assert node["traffic"] == chain["traffic"]
     assert node["recompute_flops"] == chain["recompute_flops"]
     per_layer = (2 * s * d + 2 * s * kv if rebuilds else s * d) + (
-        s * d + s if chunked or policy != "none" else 0)
+        chain_ffn_saved_elems(s, d, hidden, chunked or policy != "none"))
     moved = _saved_layers(policy, n_layers) * per_layer * 8
     (chain_fwd, chain_replay), (node_fwd, node_replay) = (
         chain["peaks"], node["peaks"])
@@ -117,11 +124,6 @@ def _assert_same_but_saved_bytes(chain, node, policy, n_layers, s, d, kv,
     else:
         assert chain_replay - node_replay == moved
         assert chain_fwd == node_fwd
-
-
-TOY = dict(vocab_size=61, dim=32, n_layers=2, n_heads=4, ffn_hidden=24,
-           max_seq_len=64, seed=5)
-TOY_TOPO = make_cluster(4, node=a800_node(gpus_per_node=2))
 
 
 def _saved_layers(policy: str, n_layers: int) -> int:

@@ -1,17 +1,20 @@
 """One node per block, held to the chain of nodes it replaced.
 
-A block whose FFN is fused — every checkpoint replay, and every block of
-a model with ``mlp_chunk_size`` — is one autograd node: ``norm1 → q/k/v
-→ RoPE → attend → merge → wo → +x → norm2 → SwiGLU → +h``, the
-attention node (:class:`~repro.nn.attention_fn.AttentionFn`, the engine's
+Every block — under every checkpoint policy, chunked or dense — is one
+autograd node: ``norm1 → q/k/v → RoPE → attend → merge → wo → +x → norm2
+→ SwiGLU → +h``, the attention node
+(:class:`~repro.nn.attention_fn.AttentionFn`, the engine's
 :class:`~repro.engine.DistributedAttentionFn`) with the block's tail
 folded in.  Trained beside the literal transcription of the old block
 chain (``tests/block_chain.py``), every method that trains, under every
 checkpoint policy and both ring modes, gives the same loss bits, the same
 parameter and gradient bits (gradient layouts included), the same
-traffic and the same recompute count; only the saved bytes move, by the
-mid-residual ``h`` and ``norm2``'s row, ``(S·D + S)·8`` per saved fused
-layer.
+traffic and the same recompute count; only the saved bytes move, by what
+the chain's FFN saved beyond its weights (``chain_ffn_saved_elems``):
+the mid-residual ``h`` and ``norm2``'s row, ``(S·D + S)·8`` per saved
+layer where the chain fused its FFN (every replay, every chunked model),
+and also the composed FFN's ``norm2(h)`` copies and ``(S, hidden)``
+intermediates where it did not (an unchunked model under ``none``).
 """
 
 import numpy as np
@@ -35,7 +38,7 @@ from repro.perf.memory import (
 )
 from repro.topology import a800_node, make_cluster
 
-from tests.block_chain import SplitPeaks, chain_body
+from tests.block_chain import SplitPeaks, chain_body, chain_ffn_saved_elems
 from tests.test_attention_node import (
     POLICIES,
     TOY,
@@ -81,7 +84,8 @@ def _train(make, steps, monkeypatch, chain):
     return out
 
 
-def _assert_same_but_h(chain, node, policy, n_layers, s, d, fused):
+def _assert_same_but_h(chain, node, policy, n_layers, s, d, fused,
+                       hidden=TOY["ffn_hidden"]):
     assert node["losses"] == chain["losses"]
     assert [p[0] for p in node["params"]] == [p[0] for p in chain["params"]]
     for want, got in zip(chain["params"], node["params"]):
@@ -91,13 +95,15 @@ def _assert_same_but_h(chain, node, policy, n_layers, s, d, fused):
     (chain_fwd, chain_replay), (node_fwd, node_replay) = (
         chain["peaks"], node["peaks"])
     if policy == "none":
-        # every layer saved at the forward's end; only a fused FFN folds
-        assert chain_fwd - node_fwd == (n_layers * (s * d + s) * 8
-                                        if fused else 0)
+        # every layer saved at the forward's end, the chain's FFN fused
+        # only in a chunked model
+        assert chain_fwd - node_fwd == n_layers * chain_ffn_saved_elems(
+            s, d, hidden, fused) * 8
         assert chain_replay == node_replay == 0
     else:
-        # a replayed layer's FFN always folds: the deepest replay moves
-        assert chain_replay - node_replay == (s * d + s) * 8
+        # the chain's replayed FFN is fused: the deepest replay moves
+        assert chain_replay - node_replay == chain_ffn_saved_elems(
+            s, d, hidden, True) * 8
         assert chain_fwd == node_fwd
 
 
@@ -142,8 +148,10 @@ class TestEngineBlockIsTheChain:
 
     @pytest.mark.parametrize("method", ["burst", "ulysses"])
     def test_dropout_with_a_composed_ffn(self, method, monkeypatch):
-        """The first pass keeps the composed FFN; the replay folds it and
-        must draw the masks the first pass drew."""
+        """An unchunked block with dropout against the chain whose first
+        pass (and whose ``none`` step) runs the composed FFN: the node's
+        dense kernels give its bits, and the replay draws the masks the
+        first pass drew."""
         for policy in POLICIES:
             make = _engine({**TOY, "dropout_p": 0.3}, method, policy)
             runs = [_train(make, 2, monkeypatch, chain)

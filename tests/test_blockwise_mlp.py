@@ -4,8 +4,8 @@ The fused FFN's contract has two halves:
 
 * **Numerics** — ``swiglu_mlp_forward/backward`` (and the fused
   :func:`~repro.nn.mlp_fn.blockwise_mlp` node above them) are
-  bitwise-identical to the composed five-node SwiGLU graph for every
-  chunk size, including chunks that don't divide the sequence, chunks at
+  bitwise-identical to the composed five-node SwiGLU graph
+  (``tests/block_chain.py``) for every chunk size, ``None`` included, including chunks that don't divide the sequence, chunks at
   or past the sequence length, and shapes below the chunking engagement
   gates (which must fall back to the literal dense code path).
 * **Memory** — the fused node saves only ``x`` + weights; the closed
@@ -27,16 +27,16 @@ from repro.kernels import (
     uses_chunking,
 )
 from repro.kernels import get_backend
-from repro.nn import ops
 from repro.nn.checkpoint import CheckpointMode, CheckpointPolicy, checkpoint
 from repro.nn.memory import get_tracker
 from repro.nn.modules import SwiGLU, TransformerBlock, TransformerConfig, TransformerLM
 from repro.nn.tensor import Tensor
 from repro.perf.memory import (
     swiglu_chunked_transient_bytes,
-    swiglu_dense_saved_bytes,
     swiglu_fused_saved_bytes,
 )
+
+from tests.block_chain import ffn_forward
 
 
 def _weights(rng, dim, hidden):
@@ -178,11 +178,13 @@ class TestInPlaceCoreMatchesTheAllocatingExpressions:
         assert peak <= (6 * s * hid + d * hid) * 8 + 65536
 
 
-def _run_module(seq, dim, hidden, chunk, x_data, dy):
+def _run_module(seq, dim, hidden, chunk, x_data, dy, composed=False):
+    """The module's outputs and gradients; ``composed`` runs its weights
+    through the five-node reference graph instead."""
     module = SwiGLU(dim, hidden, np.random.default_rng(9),
                     mlp_chunk_size=chunk)
     x = Tensor(x_data.copy(), requires_grad=True)
-    y = module(x)
+    y = ffn_forward(module, x, False, None) if composed else module(x)
     y.backward(dy)
     return (
         y.data, x.grad, module.gate.weight.grad, module.up.weight.grad,
@@ -204,11 +206,12 @@ class TestModuleBitwise:
         rng = np.random.default_rng(seed)
         x_data = rng.normal(size=(seq, dim))
         dy = rng.normal(size=(seq, dim))
-        ref = _run_module(seq, dim, hidden, None, x_data, dy)
-        fused = _run_module(seq, dim, hidden, chunk, x_data, dy)
+        ref = _run_module(seq, dim, hidden, None, x_data, dy, composed=True)
         names = ("y", "dx", "dwg", "dwu", "dwd")
-        for name, a, b in zip(names, ref, fused):
-            assert np.array_equal(a, b), f"reference fused: {name} diverged"
+        for size in (None, chunk):
+            fused = _run_module(seq, dim, hidden, size, x_data, dy)
+            for name, a, b in zip(names, ref, fused):
+                assert np.array_equal(a, b), f"chunk={size}: {name} diverged"
 
     def test_checkpoint_replay_matches_eager(self):
         # FULL checkpointing (layer re-run in backward) composed with the
@@ -283,34 +286,20 @@ class TestReplayElidesTheBlockTail:
 
     @pytest.mark.parametrize("policy", _CHECKPOINTING, ids=lambda m: m.value)
     def test_fused_ffn_forward_runs_once_per_layer(self, monkeypatch, policy):
+        """Chunked or one dense chunk alike."""
         calls = _count_calls(monkeypatch, get_backend(), "mlp_forward")
         bwd = _count_calls(monkeypatch, get_backend(), "mlp_backward")
-        plain = self._block_grads(CheckpointMode.NONE, self.CHUNK)
-        assert (len(calls), len(bwd)) == (1, 1)
-        del calls[:], bwd[:]
-        ckpt = self._block_grads(policy, self.CHUNK)
-        assert (len(calls), len(bwd)) == (1, 1)  # forward only: no replay call
-        assert len(plain) == len(ckpt) == 11
-        for a, b in zip(plain, ckpt):
-            assert np.array_equal(a, b)
-
-    def test_composed_ffn_replays_as_the_fused_node(self, monkeypatch):
-        """With ``mlp_chunk_size=None`` the first pass stays composed (one
-        ``silu``), and the replay folds the FFN into the block's node with
-        its tail unread: no forward kernel, one dense backward, the
-        composed gradients."""
-        fwd = _count_calls(monkeypatch, get_backend(), "mlp_forward")
-        bwd = _count_calls(monkeypatch, get_backend(), "mlp_backward")
-        silu = _count_calls(monkeypatch, ops, "silu")
-        plain = self._block_grads(CheckpointMode.NONE, None)
-        assert (len(silu), len(fwd), len(bwd)) == (1, 0, 0)
-        for policy in _CHECKPOINTING:
-            del silu[:], fwd[:], bwd[:]
-            ckpt = self._block_grads(policy, None)
-            assert (len(silu), len(fwd), len(bwd)) == (1, 0, 1), policy
+        for chunk in (self.CHUNK, None):
+            del calls[:], bwd[:]
+            plain = self._block_grads(CheckpointMode.NONE, chunk)
+            assert (len(calls), len(bwd)) == (1, 1)
+            del calls[:], bwd[:]
+            ckpt = self._block_grads(policy, chunk)
+            # forward only: no replay call
+            assert (len(calls), len(bwd)) == (1, 1), chunk
             assert len(plain) == len(ckpt) == 11
             for a, b in zip(plain, ckpt):
-                assert a.tobytes() == b.tobytes(), policy
+                assert a.tobytes() == b.tobytes(), chunk
 
     def test_replayed_composed_ffn_registers_only_the_fused_node(self):
         """In the replay the FFN is folded into the block's one node,
@@ -346,6 +335,33 @@ class TestReplayElidesTheBlockTail:
             ("AttentionFn", (attention + 3 * self.DIM * self.HID) * 8),
         ]
         assert get_tracker().current_saved_bytes == 0
+
+    def test_a_none_block_registers_only_its_node(self):
+        """Without a replay (``none``) the block is the same one node, with
+        dropout too: one handle, ``AttentionFn``, of the layer's closed
+        form.  No FFN node, no standalone norm and no ``Add`` registers,
+        and the handle drains in the backward."""
+        from repro.nn.memory import reset_tracker
+        from repro.obs import use_memory_timeline
+        from repro.perf.memory import transformer_layer_saved_elems
+
+        rng = np.random.default_rng(1)
+        block = TransformerBlock(
+            self.DIM, 2, self.HID, np.random.default_rng(4),
+            policy=CheckpointPolicy(mode=CheckpointMode.NONE), dropout_p=0.2,
+        )
+        x = Tensor(rng.normal(size=(self.SEQ, self.DIM)), requires_grad=True)
+        reset_tracker()
+        with use_memory_timeline() as timeline:
+            out = block(x)
+        allocs = [(e.site, e.delta) for e in timeline.events()
+                  if e.series == "saved" and e.kind == "alloc"]
+        layer = transformer_layer_saved_elems(self.SEQ, self.DIM, 2, self.HID)
+        assert allocs == [("AttentionFn", layer * 8)]
+        assert get_tracker().live_handles == 1
+        out.backward(rng.normal(size=(self.SEQ, self.DIM)))
+        assert get_tracker().current_saved_bytes == 0
+        assert get_tracker().live_handles == 0
 
     def _two_ffns(self):
         rng = np.random.default_rng(7)
@@ -469,12 +485,11 @@ class TestMemoryPins:
         return saved
 
     def test_closed_forms_match_live_tracker(self):
-        dense = self._saved_during_forward(None)
-        fused = self._saved_during_forward(64)
-        assert dense == swiglu_dense_saved_bytes(self.SEQ, self.DIM, self.HID)
-        assert dense == 746_496  # four (S, hidden) saves: SiLU keeps only g
-        assert fused == swiglu_fused_saved_bytes(self.SEQ, self.DIM, self.HID)
-        assert dense > fused  # the point of the exercise
+        """Dense or chunked, the node saves ``x`` and the weights only."""
+        fused = swiglu_fused_saved_bytes(self.SEQ, self.DIM, self.HID)
+        assert fused == 93_696  # no (S, hidden) intermediate
+        for chunk in (None, 64):
+            assert self._saved_during_forward(chunk) == fused, chunk
 
     def test_transient_model_shrinks_with_chunk(self):
         full = swiglu_chunked_transient_bytes(self.SEQ, self.DIM, self.HID,

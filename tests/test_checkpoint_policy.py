@@ -49,19 +49,20 @@ FSDP_BOUND_PINS = {
 #: replaying policy is ``full`` — and what its attention node saves: the
 #: head-layout context ``q``, ``k``, ``v``, ``lse``, where a rebuilding
 #: method saves ``3·S·D`` fewer elements per saved layer (``lse`` alone:
-#: it rebuilds ``q``, ``k`` and ``v``; neither keeps a second ``o``).  A replayed layer's FFN folds into its
-#: attention node whatever ``mlp_chunk_size`` says (its weights only: the
-#: node rebuilds ``h`` and ``norm2``'s row), its attention half saves its
-#: input once, and each norm folds into the node reading it (only a
-#: composed FFN keeps a standalone ``norm2``).
+#: it rebuilds ``q``, ``k`` and ``v``; neither keeps a second ``o``).
+#: Every layer, replayed or not (``none``), is one node: its FFN folds
+#: into its attention node whatever ``mlp_chunk_size`` says (its weights
+#: only: the node rebuilds ``h``, ``norm2``'s row and the FFN's
+#: intermediates), its attention half saves its input once, and each
+#: norm folds into the node reading it.
 CURVE_PINS = {
-    (0.25, True): {"none": 676560, "full": 152144,
+    (0.25, True): {"none": 303792, "full": 152144,
                    "selective_pp": 171152, "sequence_level": 166544},
-    (0.25, False): {"none": 777936, "full": 202832,
+    (0.25, False): {"none": 405168, "full": 202832,
                     "selective_pp": 202832, "sequence_level": 202832},
-    (0.5, True): {"none": 676560, "full": 152144,
+    (0.5, True): {"none": 303792, "full": 152144,
                   "selective_pp": 171152, "sequence_level": 161648},
-    (0.5, False): {"none": 777936, "full": 202832,
+    (0.5, False): {"none": 405168, "full": 202832,
                    "selective_pp": 202832, "sequence_level": 202832},
 }
 

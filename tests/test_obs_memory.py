@@ -270,16 +270,17 @@ QUICKSTART = dict(seq_len=128, dim=32, n_layers=2, n_heads=4,
 #: renaming its test.  A ring-family layer's attention node rebuilds q, k
 #: and v, so its cells sit ``3·S·D·8`` bytes per saved layer below the
 #: Ulysses cells, which keep their head-layout context (no head-layout
-#: ``o``: its backward ships ``D`` instead).  A replayed
-#: layer's FFN folds into that node, which rebuilds ``h`` and ``norm2``'s
-#: row: ``(S·D + S)·8`` bytes below a separate fused FFN node.
+#: ``o``: its backward ships ``D`` instead).  Every layer's FFN, replayed
+#: or not (``none``), folds into that node, which rebuilds ``h`` and
+#: ``norm2``'s row: ``(S·D + S)·8`` bytes below a separate fused FFN
+#: node.
 PEAK_PINS = {
-    ("burst", "none"): 1_127_424,
+    ("burst", "none"): 404_480,
     ("burst", "full"): 218_112,
     ("burst", "selective_pp"): 254_976,
     ("burst", "sequence_level"): 236_544,
     ("megatron-cp", "full"): 218_112,
-    ("ulysses", "none"): 1_324_032,
+    ("ulysses", "none"): 601_088,
     ("ulysses", "sequence_level"): 316_416,
 }
 
@@ -323,14 +324,14 @@ def test_policy_curve_matches_observed():
     ("none", 404_480), ("sequence_level", 236_544),
 ], ids=["none", "sequence_level"])
 def test_chunked_mlp_saved_bytes_match_closed_form(policy, expected):
-    """The chunked cells fold the norm + FFN into the attention node
-    outside a replay too: every layer's FFN keeps its weights only, not
-    ``h``, its row or ``norm2(h)``."""
+    """The chunked cells save what the dense ones do: every layer's FFN
+    keeps its weights only, not ``h``, its row or ``norm2(h)``."""
     cell = _memdiff_cell("burst", policy, "unidirectional", 128, chunk=32)
     assert cell["observed"] == expected
     assert cell["predicted"]["peak_saved_bytes"] == expected
     assert cell["predicted"] == predict_step_peak_saved_bytes(
-        checkpoint=policy, fused_mlp=True, **QUICKSTART)
+        checkpoint=policy, **QUICKSTART)
+    assert expected == PEAK_PINS[("burst", policy)]
     assert not cell["leaks"]
 
 

@@ -565,6 +565,20 @@ def _scopes(tree, match, scope=""):
         yield from _scopes(child, match, inner)
 
 
+def _block_body():
+    """``TransformerBlock._body`` of ``nn/modules.py``, parsed."""
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "src/repro/nn/modules.py"
+    (body,) = [
+        f for c in ast.walk(ast.parse(path.read_text()))
+        if isinstance(c, ast.ClassDef) and c.name == "TransformerBlock"
+        for f in c.body
+        if isinstance(f, ast.FunctionDef) and f.name == "_body"
+    ]
+    return body
+
+
 class TestOnlyTheBlockElidesItsTail:
     """A checkpoint replay skips the fused FFN's forward because *the
     block* knows the FFN is the tail of its own checkpointed region.  The
@@ -604,12 +618,13 @@ class TestOnlyTheBlockElidesItsTail:
             assert id(reads[0]) in in_block
 
     def test_one_condition_picks_the_ffn_node(self):
-        """What a block's FFN saves is decided by one condition in
-        ``TransformerBlock._body``: it alone reads ``tail_unread`` (handed
-        down by ``seeded_body``) and builds the ``FFNTail`` that folds the
-        FFN into the attention node.  Only ``SwiGLU.forward`` builds a
-        fused FFN node of its own (a standalone module), and no source
-        keeps a graph-only FFN."""
+        """Every block folds its FFN into its attention node: the one
+        condition left is whether the node computes the FFN's output,
+        ``tail_unread`` (handed down by ``seeded_body``), which
+        ``TransformerBlock._body`` alone reads.  ``_body`` builds the
+        ``FFNTail`` under no condition and reads no ``mlp_chunk_size``.
+        Only ``SwiGLU.forward`` builds an FFN node of its own (a
+        standalone module), and no source keeps a graph-only FFN."""
         from pathlib import Path
 
         def builds_node(n):
@@ -646,6 +661,14 @@ class TestOnlyTheBlockElidesItsTail:
             "reads": {("nn/modules.py", "TransformerBlock._body"),
                       ("nn/modules.py", "TransformerBlock.forward.seeded_body")},
         }
+        body = _block_body()
+        conditional = [n for n in ast.walk(body)
+                       if isinstance(n, (ast.If, ast.IfExp, ast.BoolOp))]
+        assert not any(builds_tail(n) for c in conditional
+                       for n in ast.walk(c))
+        assert [n for n in body.body if isinstance(n, ast.Return)
+                and any(builds_tail(m) for m in ast.walk(n))]
+        assert "mlp_chunk_size" not in ast.unparse(body)
 
 
 class TestOneModelImplementation:
@@ -859,12 +882,12 @@ class TestOneAttentionNode:
 
 
 class TestOneBlockNode:
-    """A block whose FFN is fused is one autograd node: the attention
-    node with the residual, ``norm2`` and the fused FFN folded in
-    (``nn.attention_fn.FFNTail``).  No ``Add``, dropout or
-    ``BlockwiseMLPFn`` node sits beside it, the block calls its attention
-    once, and the engine's node still replaces only the attention
-    product."""
+    """Every block is one autograd node: the attention node with the
+    residual, ``norm2`` and the FFN folded in
+    (``nn.attention_fn.FFNTail``), dense or chunked.  No ``Add``, dropout
+    or ``BlockwiseMLPFn`` node sits beside it, the block calls its
+    attention once, no model source composes an FFN out of ``ops`` nodes,
+    and the engine's node still replaces only the attention product."""
 
     _trees = staticmethod(TestOneModelImplementation._trees)
 
@@ -894,19 +917,35 @@ class TestOneBlockNode:
         out.backward(np.ones(out.shape))
 
     def test_the_block_calls_its_attention_once_and_no_ffn_node(self):
-        for rel, tree in self._trees():
-            if rel != "nn/modules.py":
-                continue
-            (body,) = [
-                f for c in ast.walk(tree)
-                if isinstance(c, ast.ClassDef) and c.name == "TransformerBlock"
-                for f in c.body
-                if isinstance(f, ast.FunctionDef) and f.name == "_body"
-            ]
-            called = [ast.unparse(n.func) for n in ast.walk(body)
-                      if isinstance(n, ast.Call)]
-            assert called.count("self.attn") == 1
-            assert not {"blockwise_mlp", "BlockwiseMLPFn.apply"} & set(called)
+        called = [ast.unparse(n.func) for n in ast.walk(_block_body())
+                  if isinstance(n, ast.Call)]
+        assert called.count("self.attn") == 1
+        assert not {"blockwise_mlp", "BlockwiseMLPFn.apply"} & set(called)
+
+    def test_no_source_composes_an_ffn(self):
+        """``ops.silu`` / ``ops.mul`` (the composed SwiGLU's nodes) are
+        called nowhere under ``src/repro`` but in ``nn/ops.py`` itself
+        (and ``Tensor``'s ``*`` operator): the composed FFN lives on only
+        as the tests' reference (``tests/block_chain.py``)."""
+        def composes(n):
+            if not isinstance(n, ast.Call):
+                return False
+            func = n.func
+            if isinstance(func, ast.Name):
+                name, owner = func.id, None
+            elif (isinstance(func, ast.Attribute)
+                  and isinstance(func.value, ast.Name)):
+                name, owner = func.attr, func.value.id
+            else:
+                return False
+            return (name in ("silu", "mul") and owner in (None, "ops")
+                    or name == "apply" and owner in ("SiLU", "Mul"))
+
+        found = {
+            (rel, scope) for rel, tree in self._trees()
+            for scope in _scopes(tree, composes)
+        }
+        assert {rel for rel, _ in found} <= {"nn/ops.py"}, found
 
     def test_the_engine_node_still_defines_only_its_three_methods(self):
         from repro.engine import DistributedAttentionFn
@@ -919,8 +958,8 @@ class TestOneRMSNorm:
     """The RMSNorm expressions are written once, in ``ops.PreNormFn``
     (``RMSNormFn`` and the two nodes that fold a norm in all inherit
     them), and a block builds no standalone norm node in front of a fused
-    reader: it hands ``norm1`` / ``norm2`` to the attention and the FFN,
-    and only a composed FFN applies its norm as a node of its own."""
+    reader: it hands ``norm1`` / ``norm2`` on to its one node.  Only the
+    model's final norm is a node of its own."""
 
     @staticmethod
     def _found(match):
@@ -972,9 +1011,9 @@ class TestOneRMSNorm:
         assert self._found(applies_norm_node) == {("nn/ops.py", "rms_norm")}
         assert self._found(calls("rms_norm")) == {
             ("nn/modules.py", "RMSNorm.forward")}
-        # a norm module is called only by the composed FFN and the model's
-        # final norm; the block only hands its two norms on
-        assert self._found(calls("norm")) == {("nn/modules.py", "SwiGLU.forward")}
+        # a norm module is called only as the model's final norm; the
+        # block only hands its two norms on
+        assert self._found(calls("norm")) == set()
         assert self._found(calls("final_norm")) == {
             ("nn/modules.py", "TransformerLM.hidden_states")}
         for name in ("norm1", "norm2"):

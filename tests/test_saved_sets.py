@@ -5,7 +5,8 @@
   six-node composite it replaced, forward and both gradients, including
   the residual ``add`` that also consumes ``x`` in every block.
 * :class:`~repro.nn.ops.SiLU` saves only its input and is held bitwise to
-  the sigmoid-saving node it replaced.
+  the sigmoid-saving node it replaced (the model no longer builds it; the
+  tests' composed FFN reference does).
 * A layer's attention half is one node
   (:class:`~repro.nn.attention_fn.AttentionFn`, the engine's
   ``DistributedAttentionFn``) registering one handle: ``x`` once, the
@@ -41,7 +42,6 @@ from repro.perf.memory import (
     attention_node_saved_elems,
     attention_proj_saved_elems,
     rms_norm_saved_elems,
-    swiglu_dense_saved_bytes,
     swiglu_fused_saved_bytes,
 )
 from repro.topology import make_cluster
@@ -152,11 +152,6 @@ class TestSiLUSavesItsInput:
         allocs = [(e.site, e.delta) for e in timeline.events()
                   if e.kind == "alloc"]
         assert allocs == [("SiLU", s * hidden * 8)]
-
-    def test_composed_ffn_pin_drops_the_sigmoid(self):
-        assert swiglu_dense_saved_bytes(8, 4, 16) == (
-            2 * 8 * 4 + 3 * 4 * 16 + 4 * 8 * 16
-        ) * 8
 
 
 H, S, DH, WORLD = 4, 64, 8, 4
@@ -429,11 +424,11 @@ class TestNormFoldsIntoItsReader:
         assert get_tracker().current_saved_bytes == 0
         assert get_tracker().live_handles == 0
 
-    @pytest.mark.parametrize("chunk", [None, 16], ids=["composed", "fused"])
+    @pytest.mark.parametrize("chunk", [None, 16], ids=["dense", "fused"])
     def test_a_block_registers_no_standalone_norm_before_a_fused_node(self, chunk):
-        """Un-checkpointed, the attention's norm is folded in, and a fused
-        FFN folds into the attention node with its norm; only a composed
-        FFN keeps an ``RMSNormFn``."""
+        """Un-checkpointed, the attention's norm is folded in, and the FFN,
+        dense or chunked, folds into the attention node with its norm: no
+        ``RMSNormFn`` registers."""
         s, d = 64, 16
         block = TransformerBlock(d, 2, 32, np.random.default_rng(0),
                                  mlp_chunk_size=chunk)
@@ -442,12 +437,8 @@ class TestNormFoldsIntoItsReader:
         reset_tracker()
         with use_memory_timeline() as timeline:
             block(x)
-        sites = [site for site, _ in _timeline_allocs(timeline)]
-        if chunk is None:
-            assert sites[:2] == ["AttentionFn", "RMSNormFn"]
-        else:
-            assert sites == ["AttentionFn"]
-        assert sites.count("RMSNormFn") == (chunk is None)
+        assert [site for site, _ in _timeline_allocs(timeline)] == [
+            "AttentionFn"]
 
     def test_parameter_names_and_order_are_unchanged(self):
         """The norms stay the block's own modules, reached once each."""
