@@ -25,7 +25,9 @@ from repro.attention.methods import DistributedAttention, USPMethod
 from repro.comm import SimCommunicator
 from repro.engine.distributed_attention import DistributedCausalSelfAttention
 from repro.engine.fsdp import FSDPTraffic, log_fsdp_traffic
-from repro.nn import Adam, CheckpointPolicy, TransformerConfig, TransformerLM
+from repro.nn import (
+    Adam, CheckpointPolicy, Tensor, TransformerConfig, TransformerLM,
+)
 from repro.nn.checkpoint import CheckpointMode
 from repro.nn.memory import get_tracker, reset_tracker
 from repro.nn.schedule import clip_grad_norm
@@ -167,6 +169,20 @@ class BurstEngine:
     def param_bytes(self) -> int:
         return sum(p.nbytes for p in self.model.parameters())
 
+    def replayed_parameters(self) -> list[Tensor]:
+        """The parameters a checkpoint replay reads, which FSDP re-gathers
+        for it: every replaying block's own (its norms, projections and
+        FFN), nothing under a policy that replays nothing.
+
+        Nothing outside the blocks is read again: the embeddings' backward
+        is a scatter-add, the LM head forms its gradients in its forward
+        (Alg. 3), and the final norm's node holds its weight by reference.
+        """
+        return [
+            p for block in self.model.blocks if block.policy.replays
+            for p in block.parameters()
+        ]
+
     def train_step(self, ids: np.ndarray, targets: np.ndarray) -> StepResult:
         """One full training step: forward, backward, FSDP traffic,
         optimizer update.  Returns loss and per-step accounting."""
@@ -227,10 +243,11 @@ class BurstEngine:
             )
             fsdp = None
             if self.config.fsdp:
-                # Forward, plus the replay's re-gather when there is one.
+                # The forward's gather, the replay's re-gather of what it
+                # reads, the gradients' reduce-scatter.
                 fsdp = log_fsdp_traffic(
-                    self.comm, self.param_bytes,
-                    gather_passes=1 + self.config.checkpoint.replays,
+                    self.comm, self.param_bytes, replayed_bytes=sum(
+                        p.nbytes for p in self.replayed_parameters()),
                 )
             self.optimizer.step()
             self.step_count += 1

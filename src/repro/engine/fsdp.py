@@ -4,16 +4,19 @@ Parameters, gradients, and optimizer states are sharded ``1/G`` per rank.
 Numerically our single-process engine keeps one copy of every parameter —
 sharding changes *placement*, not values — so FSDP shows up in two places:
 
-* traffic: each training step all-gathers the parameters twice (forward
-  and backward, since gradient checkpointing re-runs layers) and
-  reduce-scatters the gradients once.  :func:`log_fsdp_traffic` appends the
-  corresponding ring-realisation transfer records to the communicator's
-  log so end-to-end traffic totals are complete;
+* traffic: each training step all-gathers every parameter for the
+  forward, re-gathers the parameters a checkpoint replay reads — the
+  replayed blocks' own, nothing outside the blocks — for the replay and
+  the backward that follows it, and reduce-scatters every gradient once.
+  :func:`log_fsdp_traffic` appends the corresponding ring-realisation
+  transfer records to the communicator's log so end-to-end traffic totals
+  are complete;
 * memory: the per-rank share of params/grads/optimizer states is computed
   by :mod:`repro.perf.memory`.
 
 The BMTrain-style implementation the paper uses overlaps these collectives
-at Transformer-block granularity; the DES schedules in :mod:`repro.perf`
+at Transformer-block granularity, and there only a checkpointed block
+gathers its weights a second time; the DES schedules in :mod:`repro.perf`
 model that overlap — here we only account volume.
 """
 
@@ -48,32 +51,48 @@ def _shard_elems(param_bytes: int, world_size: int) -> int:
     return -(-param_bytes // (_ELEM_BYTES * world_size))
 
 
+def _pass_elems(
+    param_bytes: int, replayed_bytes: int, world_size: int
+) -> tuple[int, ...]:
+    """Shard elements of each pass one step runs: the forward's all-gather
+    of every parameter, the replay's re-gather (none when nothing is
+    replayed) and the gradients' reduce-scatter."""
+    if world_size < 1:
+        raise ValueError(f"world_size must be >= 1, got {world_size}")
+    if not 0 <= replayed_bytes <= param_bytes:
+        raise ValueError(
+            f"replayed_bytes must be in [0, {param_bytes}], got {replayed_bytes}"
+        )
+    full = _shard_elems(param_bytes, world_size)
+    replayed = _shard_elems(replayed_bytes, world_size)
+    return (full, replayed, full) if replayed else (full, full)
+
+
 def fsdp_step_traffic(
-    param_bytes: int, world_size: int, gather_passes: int = 2
+    param_bytes: int, world_size: int, replayed_bytes: int = 0
 ) -> FSDPTraffic:
     """Per-rank volume for one step.
 
-    Ring all-gather of all parameters moves ``G - 1`` shards per rank per
-    pass; ``gather_passes = 2`` covers forward + recompute-backward (1 if
-    checkpointing is off and parameters stay resident).  The gradient
-    reduce-scatter moves the same ``G - 1`` shards once.  A shard is
-    whole elements, the flat parameter padded to a multiple of ``G``, so
-    this is ``(G-1)/G * param_bytes`` per pass exactly when ``G`` divides
-    the element count — and always the bytes :func:`log_fsdp_traffic`
-    logs for one rank.
+    A ring all-gather moves ``G - 1`` shards per rank per pass: one pass
+    of all ``param_bytes`` for the forward, and one of the
+    ``replayed_bytes`` a checkpoint replay reads (0 when nothing is
+    replayed and the parameters stay resident).  The gradient
+    reduce-scatter moves ``G - 1`` shards of all parameters once.  A shard
+    is whole elements, the flat parameter padded to a multiple of ``G``,
+    so a pass is ``(G-1)/G`` of its bytes exactly when ``G`` divides its
+    element count — and always the bytes :func:`log_fsdp_traffic` logs for
+    one rank.
     """
-    if world_size < 1:
-        raise ValueError(f"world_size must be >= 1, got {world_size}")
-    shard_bytes = _shard_elems(param_bytes, world_size) * _ELEM_BYTES
-    per_pass = (world_size - 1) * shard_bytes
+    *gathers, scatter = _pass_elems(param_bytes, replayed_bytes, world_size)
+    per_shard = (world_size - 1) * _ELEM_BYTES
     return FSDPTraffic(
-        allgather_bytes=gather_passes * per_pass,
-        reduce_scatter_bytes=per_pass,
+        allgather_bytes=per_shard * sum(gathers),
+        reduce_scatter_bytes=per_shard * scatter,
     )
 
 
 def log_fsdp_traffic(
-    comm: SimCommunicator, param_bytes: int, *, gather_passes: int = 2,
+    comm: SimCommunicator, param_bytes: int, *, replayed_bytes: int = 0,
     phase: str = "fsdp",
 ) -> FSDPTraffic:
     """Append one step's FSDP ring transfers to the communicator log.
@@ -81,14 +100,14 @@ def log_fsdp_traffic(
     Each collective is logged as its ring realisation: ``G - 1`` hops per
     pass, each carrying one rank's padded shard of whole elements, along
     the global ring (so node-boundary hops land on the inter-link, as on
-    real hardware).
+    real hardware).  The passes are :func:`fsdp_step_traffic`'s, in order:
+    the forward's gather, the replay's re-gather of ``replayed_bytes``,
+    the reduce-scatter.
     """
     topo: ClusterTopology = comm.topology
     g = topo.world_size
     ring = topo.global_ring()
-    elems = _shard_elems(param_bytes, g)
-    passes = gather_passes + 1  # all-gathers + one reduce-scatter
-    for _ in range(passes):
+    for elems in _pass_elems(param_bytes, replayed_bytes, g):
         for t in range(g - 1):
             for p in range(g):
                 src, dst = ring[p], ring[(p + 1) % g]
@@ -101,4 +120,4 @@ def log_fsdp_traffic(
                         phase=phase, tag="fsdp-ring",
                     )
                 )
-    return fsdp_step_traffic(param_bytes, g, gather_passes)
+    return fsdp_step_traffic(param_bytes, g, replayed_bytes)

@@ -460,7 +460,13 @@ class TransformerLM(Module):
             )
         rng = np.random.default_rng(config.seed)
         self.tok_emb = Embedding(config.vocab_size, config.dim, rng)
-        self.pos_emb = Embedding(config.max_seq_len, config.dim, rng)
+        self.pos_emb = None
+        if config.position_encoding == "rope":
+            # Positions enter by rotation, so there is no table; its draws
+            # are still taken, leaving every later weight where it was.
+            _init(rng, config.max_seq_len, config.dim)
+        else:
+            self.pos_emb = Embedding(config.max_seq_len, config.dim, rng)
 
         # One default mask for every layer: tile plans are memoised on the
         # mask instance, so layers that share it share their plans.

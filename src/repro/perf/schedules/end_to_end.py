@@ -151,7 +151,10 @@ class EndToEndModel:
         recompute = 0.0 if c is None else lin_fwd + c * c * attn_fwd
 
         layer_compute = lin_fwd + attn_fwd + lin_bwd + attn_bwd + recompute
-        # Params are gathered for forward and backward, and again per replay.
+        # Per layer, as the engine logs it: the forward's gather, the
+        # replay's re-gather when there is one, and the gradients'
+        # reduce-scatter (priced as one more gather-sized pass).  Only the
+        # blocks' parameters are priced, no embeddings or head.
         fsdp_time = self._fsdp_layer_time(2 + self.policy.replays)
         # Block-level overlap (BMTrain): FSDP hides under compute, or the
         # reverse, per layer.

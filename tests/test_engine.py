@@ -169,15 +169,18 @@ class TestTilePlansBuiltOnce:
     bytes have since fallen by the read-only slots the return hop stopped
     shipping (29807104 and 160290816 before), and the head-parallel one's
     by the ``lse`` its output all-to-all stopped shipping, less the ``D``
-    its backward's input all-to-all ships instead (22131200 before)."""
+    its backward's input all-to-all ships instead (22131200 before).  All
+    four have since fallen by the embedding tables, final norm and head
+    that FSDP's replay re-gather stopped carrying (29217280, 158160896,
+    22102528 and 29217280 before)."""
 
     #: name -> (TrafficLog records, their bytes, computed_partial,
     #: computed_full, skipped_empty, computed_pairs) of one train_step.
     PARENT = {
-        "burst_long": (408, 29217280, 258, 0, 2, 294912),
-        "wide_short": (30, 158160896, 36, 0, 0, 163840),
-        "ulysses_full": (840, 22102528, 96, 48, 48, 2359296),
-        "swa_bidir": (456, 29217280, 258, 0, 2, 294912),
+        "burst_long": (408, 27378688, 258, 0, 2, 294912),
+        "wide_short": (30, 141119488, 36, 0, 0, 163840),
+        "ulysses_full": (840, 20263936, 96, 48, 48, 2359296),
+        "swa_bidir": (456, 27378688, 258, 0, 2, 294912),
     }
 
     @pytest.mark.parametrize("name", sorted(PARENT))
@@ -415,13 +418,19 @@ class TestEngineAccounting:
         assert fwd_full == 2 * fwd_ckpt
 
     def test_fsdp_traffic_formula(self):
-        # 100 elements pad to 8 shards of 13: 7 shards per rank per pass
-        t = fsdp_step_traffic(param_bytes=800, world_size=8, gather_passes=2)
-        assert t.allgather_bytes == 2 * 7 * 13 * 8
+        # 100 elements pad to 8 shards of 13, the 60 replayed ones to 8
+        # shards of 8: 7 shards per rank per pass
+        t = fsdp_step_traffic(param_bytes=800, world_size=8, replayed_bytes=480)
+        assert t.allgather_bytes == 7 * 13 * 8 + 7 * 8 * 8
         assert t.reduce_scatter_bytes == 7 * 13 * 8
-        # divisible: (G-1)/G of the parameters per pass
-        t = fsdp_step_traffic(param_bytes=1024, world_size=8, gather_passes=2)
-        assert (t.allgather_bytes, t.reduce_scatter_bytes) == (1792, 896)
+        # divisible: (G-1)/G of each pass's bytes
+        t = fsdp_step_traffic(param_bytes=1024, world_size=8, replayed_bytes=512)
+        assert (t.allgather_bytes, t.reduce_scatter_bytes) == (896 + 448, 896)
+        # no replay, no re-gather
+        t = fsdp_step_traffic(param_bytes=1024, world_size=8)
+        assert (t.allgather_bytes, t.reduce_scatter_bytes) == (896, 896)
+        with pytest.raises(ValueError, match="replayed_bytes"):
+            fsdp_step_traffic(param_bytes=1024, world_size=8, replayed_bytes=1032)
 
     @pytest.mark.parametrize("world,seq", [(5, 100), (7, 112), (4, 64)])
     def test_fsdp_log_holds_whole_elements_and_the_returned_bytes(
@@ -441,8 +450,12 @@ class TestEngineAccounting:
         fsdp = engine.train_step(ids, np.roll(ids, -1)).fsdp
         records = [r for r in engine.comm.log.records if r.tag == "fsdp-ring"]
         assert all(r.nbytes == 8 * r.nelems for r in records)
-        shard = -(-engine.param_bytes // (8 * world))
-        assert {r.nelems for r in records} == {shard}
+        # every parameter's shard (forward gather, reduce-scatter) and the
+        # replayed blocks' shard (the replay's re-gather)
+        replayed = sum(p.nbytes for p in engine.replayed_parameters())
+        shards = [-(-nbytes // (8 * world))
+                  for nbytes in (engine.param_bytes, replayed)]
+        assert {r.nelems for r in records} == set(shards)
         for rank in range(world):
             sent = sum(r.nbytes for r in records if r.src == rank)
             assert sent == fsdp.total_bytes

@@ -100,7 +100,9 @@ class TestRemainingAccessors:
         )
         ids = np.arange(16) % 32
         res = engine.train_step(ids, np.roll(ids, -1))
-        expected = fsdp_step_traffic(engine.param_bytes, 4, gather_passes=2)
+        replayed = sum(p.nbytes for p in engine.replayed_parameters())
+        assert 0 < replayed < engine.param_bytes
+        expected = fsdp_step_traffic(engine.param_bytes, 4, replayed)
         assert res.fsdp.allgather_bytes == expected.allgather_bytes
         assert res.fsdp.reduce_scatter_bytes == expected.reduce_scatter_bytes
 
@@ -1107,6 +1109,58 @@ class TestOneCheckpointPolicyDescription:
             "mode", "split_fraction",
         ]
         assert not hasattr(CheckpointPolicy, "cached_fraction")
+
+
+class TestFSDPReGathersOneReadSet:
+    """One step's FSDP traffic is logged from one place, and the set its
+    replay re-gathers is named in one place: ``BurstEngine._step`` calls
+    ``log_fsdp_traffic`` with the bytes of
+    ``BurstEngine.replayed_parameters``, the only engine code that reads
+    whether a block replays.  ``tests/test_fsdp_read_set.py`` holds that
+    set to the parameters a replay's nodes are executed with."""
+
+    @staticmethod
+    def _scopes_of(match):
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        return sorted(
+            (path.relative_to(src).as_posix(), scope)
+            for path in sorted(src.rglob("*.py"))
+            for scope in _scopes(ast.parse(path.read_text()), match)
+        )
+
+    @staticmethod
+    def _calls(name):
+        def match(n):
+            return isinstance(n, ast.Call) and (
+                isinstance(n.func, ast.Name) and n.func.id == name
+                or isinstance(n.func, ast.Attribute) and n.func.attr == name
+            )
+
+        return match
+
+    def test_one_caller_logs_the_step_traffic(self):
+        step = [("engine/engine.py", "BurstEngine._step")]
+        assert self._scopes_of(self._calls("log_fsdp_traffic")) == step
+        assert self._scopes_of(self._calls("replayed_parameters")) == step
+
+    def test_one_place_names_the_replayed_set(self):
+        assert self._scopes_of(
+            lambda n: isinstance(n, ast.FunctionDef)
+            and n.name == "replayed_parameters"
+        ) == [("engine/engine.py", "BurstEngine")]
+        reads = [
+            (rel, scope) for rel, scope in self._scopes_of(
+                lambda n: isinstance(n, ast.Attribute) and n.attr == "replays")
+            if rel.startswith("engine/")
+        ]
+        assert reads == [("engine/engine.py", "BurstEngine.replayed_parameters")]
+        # the knob it replaced is gone, not kept beside it
+        assert self._scopes_of(
+            lambda n: isinstance(n, ast.arg) and n.arg == "gather_passes"
+            or isinstance(n, ast.keyword) and n.arg == "gather_passes"
+        ) == []
 
 
 class TestOneHeadParallelExecutor:

@@ -117,6 +117,40 @@ class TestModelIntegration:
             TransformerLM(rope_cfg(dim=6, n_heads=2))  # head_dim 3
 
 
+class TestNoPositionTable:
+    """A RoPE model builds no ``pos_emb``: nothing reads it, so it would
+    only be counted, gathered, reduce-scattered and given Adam moments.
+    Its initialiser's draws are still taken, so every other weight is the
+    one a learned-position model of the same seed has."""
+
+    def test_parameters_are_the_learned_models_but_the_table(self):
+        rope = TransformerLM(rope_cfg())
+        learned = dict(TransformerLM(
+            rope_cfg(position_encoding="learned")).named_parameters())
+        table = learned.pop("pos_emb.weight")
+        assert table.shape == (64, 16)
+        params = dict(rope.named_parameters())
+        assert list(params) == list(learned)
+        for name, p in params.items():
+            assert p.data.tobytes() == learned[name].data.tobytes(), name
+        assert rope.pos_emb is None
+
+    def test_engine_bytes_and_losses(self):
+        engine = BurstEngine(
+            EngineConfig(model=rope_cfg()),
+            topology=make_cluster(8, node=a800_node(gpus_per_node=4)),
+        )
+        assert engine.param_bytes == 43648 == 51840 - 64 * 16 * 8
+        ids = np.random.default_rng(5).integers(0, 32, size=64)
+        losses = [float(engine.train_step(ids, np.roll(ids, -1)).loss).hex()
+                  for _ in range(4)]
+        # bitwise those of a model that builds the table and never reads it
+        assert losses == [
+            "0x1.eec39cdc5712fp+1", "0x1.dce41bad563c0p+1",
+            "0x1.cee15b8b8aaa9p+1", "0x1.c25dbf7850aefp+1",
+        ]
+
+
 class TestDistributedRoPE:
     def test_distributed_rope_matches_local(self):
         ids = RNG.integers(0, 32, size=32)
@@ -126,11 +160,8 @@ class TestDistributedRoPE:
         local = TransformerLM(rope_cfg(checkpoint=ckpt))
         loss_ref = local(ids, targets)
         loss_ref.backward()
-        # pos_emb is unused under RoPE: its grad stays None in both models
-        ref = {
-            n: (p.grad.copy() if p.grad is not None else None)
-            for n, p in local.named_parameters()
-        }
+        # every parameter is read (a RoPE model has no position table)
+        ref = {n: p.grad.copy() for n, p in local.named_parameters()}
 
         engine = BurstEngine(
             EngineConfig(model=rope_cfg(), checkpoint=ckpt, fsdp=False),
@@ -140,9 +171,6 @@ class TestDistributedRoPE:
         loss.backward()
         assert loss.item() == pytest.approx(loss_ref.item(), rel=1e-10)
         for name, p in engine.model.named_parameters():
-            if ref[name] is None:
-                assert p.grad is None, name
-                continue
             np.testing.assert_allclose(p.grad, ref[name], rtol=1e-8,
                                        atol=1e-10, err_msg=name)
 
