@@ -17,9 +17,9 @@ arguments, builds a :class:`CollectiveCall` and hands it to
 :meth:`SimCommunicator._deliver` — the single place a collective can be
 intercepted.  ``_deliver`` runs the call through the communicator's *stage
 chain*, always in the order of :data:`STAGE_ORDER`, and then traces, logs
-and copies it.  The chain is empty unless one of the four stage classes was
-constructed on this communicator: the message- and rank-fault injectors
-(:mod:`repro.testing.faults`, :mod:`repro.resilience.rank_faults`),
+and copies it.  The chain is empty unless one of the three stage classes
+was constructed on this communicator: a fault injector (any
+:class:`~repro.testing.faults.FaultStage`, message or rank fault),
 :class:`~repro.comm.FailureDetector` and
 :class:`~repro.resilience.ResilientCommunicator`.
 """
@@ -59,14 +59,6 @@ COLLECTIVE_OPS = DELIVERY_OPS + (
 #: re-enters every stage below it, so a retransmit is lease-guarded,
 #: re-counted by the fault injector and logged like the first attempt.
 STAGE_ORDER = ("checksum", "lease", "fault")
-
-
-def check_op_filter(op: str | None, valid: Sequence[str]) -> None:
-    """Reject a fault-target ``op`` filter that could never match."""
-    if op is not None and op not in valid:
-        raise ValueError(
-            f"op filter {op!r} can never match; valid ops: {sorted(valid)}"
-        )
 
 
 @dataclass
@@ -110,17 +102,6 @@ class CollectiveCall:
                 sum(leaf.size for leaf in leaves),
             ))
 
-    def matches(self, op=None, phase=None, tag=None, channel=None) -> bool:
-        """The fault-targeting label predicate: ``op`` and ``channel``
-        match exactly, ``phase`` and ``tag`` as substrings; ``None``
-        matches anything."""
-        return (
-            (op is None or op == self.op)
-            and (phase is None or phase in self.phase)
-            and (tag is None or tag in self.tag)
-            and (channel is None or channel == self.channel)
-        )
-
 
 class SimCommunicator:
     """Single-process stand-in for a NCCL/MPI communicator.
@@ -134,7 +115,7 @@ class SimCommunicator:
         omitted and is available as :attr:`log`.
     """
 
-    #: Set by the four stage classes to one of :data:`STAGE_ORDER`.
+    #: Set by the three stage classes to one of :data:`STAGE_ORDER`.
     stage_kind: str | None = None
 
     def __init__(self, topology: ClusterTopology, log: TrafficLog | None = None):

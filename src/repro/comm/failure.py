@@ -11,7 +11,7 @@ is the ``lease`` stage of a communicator's chain (see
 :meth:`repro.comm.SimCommunicator._deliver`) and guards every collective:
 
 1. the stages below execute the op and — when one of them is a rank-fault
-   injector from :mod:`repro.resilience.rank_faults` — report each
+   injector from :mod:`repro.testing.faults` — report each
    participant's simulated response delay on the call record
    (:class:`OpTiming`); otherwise nothing is reported and every rank is
    assumed to answer in :data:`NOMINAL_OP_S`;
@@ -112,6 +112,23 @@ class LeaseConfig:
     def max_lease_s(self) -> float:
         """The fully escalated lease — the straggler death threshold."""
         return self.lease_at(self.max_extensions)
+
+    def failure_detection_time(self, kind: str) -> float:
+        """Worst-case simulated seconds from a ``kind`` failure to its
+        declaration:
+
+        * ``crash`` — the transport sees the reset: ``crash_notice_s``;
+        * ``hang`` — silent, so the full ``op_deadline_s`` lease expires;
+        * ``straggler`` — declared dead only after the lease has been
+          extended ``max_extensions`` times: :attr:`max_lease_s`.
+        """
+        if kind == "crash":
+            return self.crash_notice_s
+        if kind == "hang":
+            return self.op_deadline_s
+        if kind == "straggler":
+            return self.max_lease_s
+        raise ValueError(f"unknown failure kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -253,11 +270,9 @@ class FailureDetector(SimCommunicator):
             if delay == float("inf"):
                 # A crashed peer resets the connection — the transport
                 # notices fast; a hung peer stays silent for the full lease.
-                deadline = (
-                    self.lease.crash_notice_s if kind == "crash"
-                    else self.lease.op_deadline_s
+                self._declare_dead(
+                    rank, call, kind, self.lease.failure_detection_time(kind)
                 )
-                self._declare_dead(rank, call, kind, deadline)
             # Straggler: extend the lease while extensions remain.
             used = self.extensions.get(rank, 0)
             while delay > self.lease.lease_at(used):

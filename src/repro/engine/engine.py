@@ -243,11 +243,12 @@ class BurstEngine:
             )
             fsdp = None
             if self.config.fsdp:
-                # The forward's gather, the replay's re-gather of what it
-                # reads, the gradients' reduce-scatter.
+                # Per micro-batch the forward's gather and the replay's
+                # re-gather of what it reads; the gradients' reduce-scatter.
                 fsdp = log_fsdp_traffic(
                     self.comm, self.param_bytes, replayed_bytes=sum(
                         p.nbytes for p in self.replayed_parameters()),
+                    micro_batches=len(micro_batches),
                 )
             self.optimizer.step()
             self.step_count += 1

@@ -4,10 +4,11 @@ Parameters, gradients, and optimizer states are sharded ``1/G`` per rank.
 Numerically our single-process engine keeps one copy of every parameter —
 sharding changes *placement*, not values — so FSDP shows up in two places:
 
-* traffic: each training step all-gathers every parameter for the
-  forward, re-gathers the parameters a checkpoint replay reads — the
-  replayed blocks' own, nothing outside the blocks — for the replay and
-  the backward that follows it, and reduce-scatters every gradient once.
+* traffic: each micro-batch of a training step all-gathers every
+  parameter for its forward and re-gathers the parameters a checkpoint
+  replay reads — the replayed blocks' own, nothing outside the blocks —
+  for its replay and the backward that follows it; the step then
+  reduce-scatters every (accumulated) gradient once.
   :func:`log_fsdp_traffic` appends the corresponding ring-realisation
   transfer records to the communicator's log so end-to-end traffic totals
   are complete;
@@ -52,38 +53,46 @@ def _shard_elems(param_bytes: int, world_size: int) -> int:
 
 
 def _pass_elems(
-    param_bytes: int, replayed_bytes: int, world_size: int
+    param_bytes: int, replayed_bytes: int, world_size: int,
+    micro_batches: int = 1,
 ) -> tuple[int, ...]:
-    """Shard elements of each pass one step runs: the forward's all-gather
-    of every parameter, the replay's re-gather (none when nothing is
-    replayed) and the gradients' reduce-scatter."""
+    """Shard elements of each pass one step runs: per micro-batch, the
+    forward's all-gather of every parameter and the replay's re-gather
+    (none when nothing is replayed); then the gradients' reduce-scatter."""
     if world_size < 1:
         raise ValueError(f"world_size must be >= 1, got {world_size}")
+    if micro_batches < 1:
+        raise ValueError(f"micro_batches must be >= 1, got {micro_batches}")
     if not 0 <= replayed_bytes <= param_bytes:
         raise ValueError(
             f"replayed_bytes must be in [0, {param_bytes}], got {replayed_bytes}"
         )
     full = _shard_elems(param_bytes, world_size)
     replayed = _shard_elems(replayed_bytes, world_size)
-    return (full, replayed, full) if replayed else (full, full)
+    gathers = (full, replayed) if replayed else (full,)
+    return gathers * micro_batches + (full,)
 
 
 def fsdp_step_traffic(
-    param_bytes: int, world_size: int, replayed_bytes: int = 0
+    param_bytes: int, world_size: int, replayed_bytes: int = 0,
+    micro_batches: int = 1,
 ) -> FSDPTraffic:
-    """Per-rank volume for one step.
+    """Per-rank volume for one step of ``micro_batches`` micro-batches.
 
-    A ring all-gather moves ``G - 1`` shards per rank per pass: one pass
-    of all ``param_bytes`` for the forward, and one of the
-    ``replayed_bytes`` a checkpoint replay reads (0 when nothing is
-    replayed and the parameters stay resident).  The gradient
+    A ring all-gather moves ``G - 1`` shards per rank per pass.  Each
+    micro-batch runs its own forward and replay, so each gathers all
+    ``param_bytes`` once and the ``replayed_bytes`` a checkpoint replay
+    reads once more (0 when nothing is replayed and the parameters stay
+    resident).  The gradients accumulate across micro-batches, so the
     reduce-scatter moves ``G - 1`` shards of all parameters once.  A shard
     is whole elements, the flat parameter padded to a multiple of ``G``,
     so a pass is ``(G-1)/G`` of its bytes exactly when ``G`` divides its
     element count — and always the bytes :func:`log_fsdp_traffic` logs for
     one rank.
     """
-    *gathers, scatter = _pass_elems(param_bytes, replayed_bytes, world_size)
+    *gathers, scatter = _pass_elems(
+        param_bytes, replayed_bytes, world_size, micro_batches
+    )
     per_shard = (world_size - 1) * _ELEM_BYTES
     return FSDPTraffic(
         allgather_bytes=per_shard * sum(gathers),
@@ -93,7 +102,7 @@ def fsdp_step_traffic(
 
 def log_fsdp_traffic(
     comm: SimCommunicator, param_bytes: int, *, replayed_bytes: int = 0,
-    phase: str = "fsdp",
+    micro_batches: int = 1, phase: str = "fsdp",
 ) -> FSDPTraffic:
     """Append one step's FSDP ring transfers to the communicator log.
 
@@ -101,13 +110,13 @@ def log_fsdp_traffic(
     pass, each carrying one rank's padded shard of whole elements, along
     the global ring (so node-boundary hops land on the inter-link, as on
     real hardware).  The passes are :func:`fsdp_step_traffic`'s, in order:
-    the forward's gather, the replay's re-gather of ``replayed_bytes``,
-    the reduce-scatter.
+    per micro-batch the forward's gather and the replay's re-gather of
+    ``replayed_bytes``, then the reduce-scatter.
     """
     topo: ClusterTopology = comm.topology
     g = topo.world_size
     ring = topo.global_ring()
-    for elems in _pass_elems(param_bytes, replayed_bytes, g):
+    for elems in _pass_elems(param_bytes, replayed_bytes, g, micro_batches):
         for t in range(g - 1):
             for p in range(g):
                 src, dst = ring[p], ring[(p + 1) % g]
@@ -120,4 +129,4 @@ def log_fsdp_traffic(
                         phase=phase, tag="fsdp-ring",
                     )
                 )
-    return fsdp_step_traffic(param_bytes, g, replayed_bytes)
+    return fsdp_step_traffic(param_bytes, g, replayed_bytes, micro_batches)

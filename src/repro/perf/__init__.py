@@ -25,11 +25,7 @@ from repro.perf.cost import (
     CommCost,
     table1_comm_times,
     attention_step_sizes,
-    degraded_attention_step_sizes,
-    degraded_table1_comm_times,
     degraded_topology,
-    failure_detection_time,
-    rank_failure_downtime,
     matmul_time,
     causal_tile_counts,
     sliding_window_tile_counts,
@@ -40,7 +36,6 @@ from repro.perf.schedules.attention import (
     METHOD_DES_FLAGS,
     attention_pass_sim,
     attention_pass_time,
-    degraded_attention_pass_time,
 )
 from repro.perf.schedules.end_to_end import (
     EndToEndModel,
@@ -63,11 +58,7 @@ __all__ = [
     "CommCost",
     "table1_comm_times",
     "attention_step_sizes",
-    "degraded_attention_step_sizes",
-    "degraded_table1_comm_times",
     "degraded_topology",
-    "failure_detection_time",
-    "rank_failure_downtime",
     "matmul_time",
     "causal_tile_counts",
     "sliding_window_tile_counts",
@@ -76,7 +67,6 @@ __all__ = [
     "MemoryBreakdown",
     "TrainingSetup",
     "attention_pass_time",
-    "degraded_attention_pass_time",
     "EndToEndModel",
     "EndToEndResult",
     "end_to_end_step",

@@ -208,35 +208,14 @@ def table1_comm_times(
     return {"ring": ring, "double_ring": double_ring, "burst": burst}
 
 
-# --- degraded-topology closed forms -------------------------------------------
+# --- degraded topology --------------------------------------------------------
 #
 # After k rank failures an elastic run continues on G - k survivors: every
 # shard grows to S / (G - k) tokens and the ring has one fewer member per
-# failure, so predicted traffic and time shift by exact, closed-form
-# amounts.  The elastic acceptance tests pin the survivors' TrafficLog
-# against these forms the same way the healthy-run invariants pin the
-# 4Nd / 3Nd + 2N totals.
-
-
-def degraded_attention_step_sizes(
-    seq_len: int,
-    hidden: int,
-    world_size: int,
-    failed: int = 1,
-    bytes_per_elem: int = 2,
-) -> dict[str, float]:
-    """Per-step ring payload bytes after ``failed`` ranks died.
-
-    Identical formulas to :func:`attention_step_sizes`, evaluated at the
-    survivor count: shards grow from ``S/G`` to ``S/(G-k)`` tokens, so
-    every circulating bundle grows by the factor ``G / (G - k)``.
-    """
-    survivors = world_size - failed
-    if survivors < 1:
-        raise ValueError(
-            f"no survivors: world_size={world_size}, failed={failed}"
-        )
-    return attention_step_sizes(seq_len, hidden, survivors, bytes_per_elem)
+# failure.  The healthy closed forms price that run unchanged, evaluated on
+# ``degraded_topology(t, k)`` (or at the survivor count); the elastic tests
+# pin the survivors' TrafficLog against them the same way the healthy-run
+# invariants pin the 4Nd / 3Nd + 2N totals.
 
 
 def degraded_topology(topology: ClusterTopology, failed: int) -> ClusterTopology:
@@ -248,73 +227,6 @@ def degraded_topology(topology: ClusterTopology, failed: int) -> ClusterTopology
     the post-shrink node packing.
     """
     return shrink_cluster(topology, list(range(failed)))
-
-
-def degraded_table1_comm_times(
-    topology: ClusterTopology,
-    seq_len: int,
-    hidden: int,
-    failed: int = 1,
-    bytes_per_elem: int = 2,
-) -> dict[str, float]:
-    """Table 1's three formulas evaluated on the survivor topology.
-
-    The shrunk cluster has both a bigger per-step payload (``S/(G-k)``
-    shards) and a different intra/inter transition split (survivors are
-    repacked into full nodes), so degraded times are *not* a simple
-    rescaling of the healthy ones — they must be re-derived, which is
-    exactly what this does.
-    """
-    return table1_comm_times(
-        degraded_topology(topology, failed), seq_len, hidden, bytes_per_elem
-    )
-
-
-def failure_detection_time(
-    kind: str,
-    *,
-    op_deadline_s: float = 3.0,
-    escalation_factor: float = 2.0,
-    max_extensions: int = 3,
-    crash_notice_s: float = 0.5,
-) -> float:
-    """Worst-case simulated seconds from failure to declaration.
-
-    Mirrors the :class:`repro.comm.LeaseConfig` protocol (defaults match
-    its defaults; a cross-check test keeps the two in lockstep):
-
-    * ``crash`` — the transport sees the reset: ``crash_notice_s``;
-    * ``hang`` — silent, so the full ``op_deadline_s`` lease expires;
-    * ``straggler`` — declared dead only after the lease has been extended
-      ``max_extensions`` times: ``op_deadline_s * factor ** max_ext``.
-    """
-    if kind == "crash":
-        return crash_notice_s
-    if kind == "hang":
-        return op_deadline_s
-    if kind == "straggler":
-        return op_deadline_s * escalation_factor**max_extensions
-    raise ValueError(f"unknown failure kind {kind!r}")
-
-
-def rank_failure_downtime(
-    kind: str,
-    *,
-    steps_since_snapshot: int,
-    step_time_s: float,
-    replan_s: float = 0.0,
-    **lease_kwargs,
-) -> float:
-    """Closed-form lost wall-clock for one recovered rank failure.
-
-    ``detection + re-plan + replay``: the lease protocol's declaration
-    time for ``kind``, the (usually negligible) re-planning cost, and the
-    work since the last snapshot that must be recomputed on the survivors.
-    """
-    if steps_since_snapshot < 0:
-        raise ValueError("steps_since_snapshot must be >= 0")
-    detect = failure_detection_time(kind, **lease_kwargs)
-    return detect + replan_s + steps_since_snapshot * step_time_s
 
 
 # --- tile-count closed forms --------------------------------------------------

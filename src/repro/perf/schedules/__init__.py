@@ -4,7 +4,6 @@ pipeline schedules (:mod:`repro.perf.schedules.pipeline`)."""
 from repro.perf.schedules.attention import (
     AttentionWorkload,
     attention_pass_time,
-    degraded_attention_pass_time,
 )
 from repro.perf.schedules.end_to_end import (
     EndToEndModel,
@@ -15,7 +14,6 @@ from repro.perf.schedules.end_to_end import (
 __all__ = [
     "AttentionWorkload",
     "attention_pass_time",
-    "degraded_attention_pass_time",
     "EndToEndModel",
     "EndToEndResult",
     "end_to_end_step",

@@ -536,37 +536,3 @@ def attention_pass_time(
             ulysses_degree=ulysses_degree,
         )
     raise ValueError(f"unknown attention schedule {method!r}")
-
-
-def degraded_attention_pass_time(
-    method: str,
-    topology: ClusterTopology,
-    workload: AttentionWorkload,
-    failed: int = 1,
-    *,
-    backward: bool = False,
-    peak_flops: float | None = None,
-    ulysses_degree: int | None = None,
-    ring_window: int | None = None,
-    ring_mode: str = "unidirectional",
-) -> float:
-    """Pass time after elastic recovery dropped ``failed`` ranks.
-
-    Rebuilds the task graph on the survivor topology (via
-    :func:`repro.perf.cost.degraded_topology`, the same shrink rule the
-    elastic runtime applies), so the slowdown reflects both the larger
-    ``S/(G-k)`` shards and the survivors' repacked intra/inter split.
-    """
-    from repro.perf.cost import degraded_topology
-
-    return attention_pass_time(
-        method,
-        degraded_topology(topology, failed),
-        workload,
-        backward=backward,
-        peak_flops=peak_flops,
-        ulysses_degree=ulysses_degree,
-        ring_window=ring_window,
-        ring_mode=ring_mode,
-    )
-

@@ -35,14 +35,6 @@ from repro.resilience.comm import (
     RetryPolicy,
     tree_checksum,
 )
-from repro.resilience.rank_faults import (
-    RANK_FAULT_REGISTRY,
-    CrashRankComm,
-    HangRankComm,
-    RankFaultComm,
-    StragglerRankComm,
-    make_rank_fault,
-)
 
 # Chaos exports are lazy (PEP 562): the runner pulls in the full engine
 # stack, and ``python -m repro.resilience.chaos`` would otherwise import
@@ -63,7 +55,6 @@ _ELASTIC_EXPORTS = (
     "ElasticRunner",
     "FailureRecord",
     "SnapshotStore",
-    "replan_partition",
 )
 
 
@@ -87,12 +78,6 @@ __all__ = [
     "ResilientCommunicator",
     "RetryPolicy",
     "tree_checksum",
-    "RANK_FAULT_REGISTRY",
-    "RankFaultComm",
-    "CrashRankComm",
-    "HangRankComm",
-    "StragglerRankComm",
-    "make_rank_fault",
     "ChaosReport",
     "CrashResult",
     "RankFaultResult",
@@ -104,5 +89,4 @@ __all__ = [
     "ElasticRunner",
     "FailureRecord",
     "SnapshotStore",
-    "replan_partition",
 ]

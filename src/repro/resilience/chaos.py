@@ -40,8 +40,7 @@ from repro.nn import TransformerConfig
 from repro.nn.rng import set_seed
 from repro.resilience.comm import FaultMonitor, ResilientCommunicator
 from repro.resilience.elastic import ElasticRunner
-from repro.resilience.rank_faults import make_rank_fault
-from repro.testing.faults import FAULT_REGISTRY, make_fault
+from repro.testing.faults import FAULT_REGISTRY, RANK_FAULT_REGISTRY, make_fault
 from repro.topology import a800_node, make_cluster
 
 NUM_GPUS = 4
@@ -425,7 +424,7 @@ def run_rank_fault_scenario(
             kwargs = dict(rank=victim, at_step=fail_step, at_call=1)
             if kind == "straggler":
                 kwargs["slowdown_factor"] = FATAL_SLOWDOWN
-            inner = make_rank_fault(kind, topo, **kwargs)
+            inner = make_fault(kind, topo, **kwargs)
         else:
             inner = SimCommunicator(topo)
         detector = FailureDetector(inner)
@@ -521,8 +520,6 @@ def run_rank_fault_matrix(
     seed: int = 0, steps: int = 4, postmortem_dir: str | None = None
 ) -> list[RankFaultResult]:
     """The full {crash, hang, straggler} x method/ring-mode matrix."""
-    from repro.resilience.rank_faults import RANK_FAULT_REGISTRY
-
     rng = np.random.default_rng(seed)
     results = []
     for method, ring_mode in RANK_FAULT_CELLS:

@@ -201,7 +201,9 @@ class FaultEvent:
 
 @dataclass
 class FaultMonitor:
-    """Aggregates detection/recovery events with per-rank counters.
+    """Aggregates detection/recovery events with per-rank counters, and
+    mirrors every event into the global metrics registry
+    (``resilience.*`` counters) so one snapshot covers fault state too.
 
     Parameters
     ----------
@@ -215,9 +217,6 @@ class FaultMonitor:
     faults_by_rank: dict[int, int] = field(default_factory=dict)
     recoveries: list[tuple[str, int, int]] = field(default_factory=list)
     total_backoff_s: float = 0.0
-    #: mirror every event into the global metrics registry
-    #: (``resilience.*`` counters) so one snapshot covers fault state too
-    mirror_to_registry: bool = True
 
     @property
     def total_faults(self) -> int:
@@ -244,22 +243,19 @@ class FaultMonitor:
                        ranks=list(ranks), attempt=attempt, channel=channel)
         )
         self.total_backoff_s += backoff_s
-        if self.mirror_to_registry:
-            reg = get_registry()
-            reg.counter("resilience.faults").inc(op=op, channel=channel)
-            reg.counter("resilience.backoff_seconds").inc(backoff_s)
+        reg = get_registry()
+        reg.counter("resilience.faults").inc(op=op, channel=channel)
+        reg.counter("resilience.backoff_seconds").inc(backoff_s)
         for r in ranks:
             count = self.faults_by_rank.get(r, 0) + 1
             self.faults_by_rank[r] = count
-            if self.mirror_to_registry:
-                get_registry().counter("resilience.faults_by_rank").inc(rank=r)
+            reg.counter("resilience.faults_by_rank").inc(rank=r)
             if self.escalate_threshold is not None and count > self.escalate_threshold:
                 raise FaultEscalation(r, count, self.escalate_threshold)
 
     def record_recovery(self, op: str, call_index: int, attempts: int) -> None:
         self.recoveries.append((op, call_index, attempts))
-        if self.mirror_to_registry:
-            get_registry().counter("resilience.recoveries").inc(op=op)
+        get_registry().counter("resilience.recoveries").inc(op=op)
 
     def summary(self) -> str:
         per_rank = ", ".join(

@@ -9,7 +9,7 @@ month-long 1M-token runs the paper targets) recover by *re-planning*:
    in-flight ``Trainer.fit`` step on every survivor;
 2. **shrink** — :func:`repro.topology.shrink_cluster` rebuilds the
    :class:`~repro.topology.ClusterTopology` over the ``G - k`` survivors,
-   and :func:`replan_partition` re-solves the sequence partition for the
+   and the method's partitioner re-solves the sequence partition for the
    new world size (DCP-style: shard layout is a per-incarnation decision,
    not a launch-time constant) — ring schedules, including the PR-6
    bidirectional variant, re-derive from the shrunk topology when the
@@ -23,7 +23,8 @@ month-long 1M-token runs the paper targets) recover by *re-planning*:
 
 :class:`ElasticRunner` drives the loop; :class:`ElasticResult` reports the
 full history, every :class:`FailureRecord`, and the final topology whose
-traffic the degraded-topology closed forms of :mod:`repro.perf.cost` pin.
+traffic the healthy closed forms of :mod:`repro.perf.cost`, evaluated on
+the survivors, pin.
 Every recovery emits a ``failure.recover`` trace span and the
 ``resilience.rank_recoveries`` counter, completing the ``rank_failures``
 metrics family the detector opens.
@@ -35,8 +36,6 @@ import os
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
-
-import numpy as np
 
 from repro.comm import FailureDetector, LeaseConfig, RankFailure, SimCommunicator
 from repro.nn.rng import set_seed
@@ -50,22 +49,9 @@ __all__ = [
     "ElasticRunner",
     "FailureRecord",
     "SnapshotStore",
-    "replan_partition",
 ]
 
 _SNAPSHOT_RE = re.compile(r"^snapshot_(\d+)\.npz$")
-
-
-def replan_partition(
-    partitioner, seq_len: int, world_size: int
-) -> list[np.ndarray]:
-    """Re-solve the sequence partition for a (shrunk) world size.
-
-    Returns the per-rank global token indices.  Raises ``ValueError`` when
-    the sequence cannot be partitioned over the survivors — surfacing an
-    infeasible shrink as a planning error rather than a mid-step crash.
-    """
-    return partitioner.indices(seq_len, world_size)
 
 
 class SnapshotStore:
@@ -263,10 +249,10 @@ class ElasticRunner:
             comm = self.comm_factory(topology, incarnation)
             set_seed(self.seed)
             engine = self.engine_factory(topology, comm)
-            shards = replan_partition(
-                engine.method.partitioner,
-                engine.config.model.max_seq_len,
-                topology.world_size,
+            # Re-solve the partition for this world size; an infeasible
+            # shrink raises ``ValueError`` here, before any step runs.
+            shards = engine.method.partitioner.indices(
+                engine.config.model.max_seq_len, topology.world_size
             )
             result.shard_sizes = [len(s) for s in shards]
             trainer = self._make_trainer(engine)

@@ -7,9 +7,10 @@ must agree with the dense reference bit-for-nearly-bit.  This package
 makes those claims *defensible under refactoring*:
 
 * :mod:`repro.testing.faults` — configurable fault-injecting
-  :class:`~repro.comm.SimCommunicator` stages (corrupt / drop /
-  misroute / stale / duplicate), targetable at any delivery op of any
-  method by phase, tag, op, and call index.
+  :class:`~repro.comm.SimCommunicator` stages on one targeting base
+  (phase, tag, op and call index): message faults (corrupt / drop /
+  misroute / stale / duplicate) on any delivery op of any method, and
+  rank faults (crash / hang / straggler) on any collective.
 * :mod:`repro.testing.differential` — a seeded differential fuzzer that
   sweeps method × mask × topology × dtype configurations against the
   dense reference via :func:`repro.attention.verify.verify_method`, and
@@ -27,12 +28,18 @@ makes those claims *defensible under refactoring*:
 
 from repro.testing.faults import (
     FAULT_REGISTRY,
+    RANK_FAULT_REGISTRY,
     CorruptPayloadComm,
+    CrashRankComm,
     DropTransferComm,
     DuplicateDeliveryComm,
     FaultInjectingCommunicator,
+    FaultStage,
+    HangRankComm,
     MisrouteHopComm,
+    RankFaultComm,
     StaleBufferComm,
+    StragglerRankComm,
     make_fault,
 )
 from repro.testing.differential import (
@@ -76,12 +83,18 @@ def __getattr__(name):
 __all__ = [
     # faults
     "FAULT_REGISTRY",
+    "RANK_FAULT_REGISTRY",
+    "FaultStage",
     "FaultInjectingCommunicator",
     "CorruptPayloadComm",
     "DropTransferComm",
     "MisrouteHopComm",
     "StaleBufferComm",
     "DuplicateDeliveryComm",
+    "RankFaultComm",
+    "CrashRankComm",
+    "HangRankComm",
+    "StragglerRankComm",
     "make_fault",
     # differential fuzzer
     "FuzzCase",

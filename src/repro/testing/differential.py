@@ -26,8 +26,7 @@ from repro.attention import METHOD_REGISTRY
 from repro.attention.verify import MASKS, verify_method
 from repro.comm import FailureDetector, RankFailure
 from repro.comm.ring import RING_METHODS, check_ring_mode
-from repro.resilience.rank_faults import RANK_FAULT_REGISTRY, make_rank_fault
-from repro.testing.faults import make_fault
+from repro.testing.faults import FAULT_REGISTRY, RANK_FAULT_REGISTRY, make_fault
 from repro.topology import a800_node, make_cluster
 
 #: (nodes, gpus_per_node) pool — includes non-power-of-two world sizes.
@@ -232,6 +231,13 @@ def check_case(
         raise ValueError(
             "fault and rank_failure are separate axes; inject one at a time"
         )
+    if fault is not None and fault not in FAULT_REGISTRY:
+        # A rank fault without a detector changes no numerics: the
+        # sabotaged sweep would pass instead of failing.
+        raise ValueError(
+            f"fault must be one of {', '.join(sorted(FAULT_REGISTRY))}; "
+            "rank faults ride the rank_failure axis"
+        )
     comm = None
     if fault is not None:
         topo = make_cluster(
@@ -243,7 +249,7 @@ def check_case(
             case.world_size, node=a800_node(gpus_per_node=case.gpn)
         )
         comm = FailureDetector(
-            make_rank_fault(case.rank_failure, topo, rank=0, at_call=1)
+            make_fault(case.rank_failure, topo, rank=0, at_call=1)
         )
     expect_detection = case.rank_failure in ("crash", "hang")
     try:

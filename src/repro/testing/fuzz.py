@@ -18,9 +18,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.resilience.rank_faults import RANK_FAULT_REGISTRY
 from repro.testing.differential import FuzzCase, check_case, fuzz
-from repro.testing.faults import FAULT_REGISTRY
+from repro.testing.faults import FAULT_REGISTRY, RANK_FAULT_REGISTRY
 
 
 def main(argv: list[str] | None = None) -> int:

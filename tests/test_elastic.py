@@ -9,6 +9,7 @@ fault kind.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,21 +27,16 @@ from repro.nn.serialization import CheckpointError, verify_train_state
 from repro.obs.metrics import get_registry
 from repro.perf.cost import (
     attention_step_sizes,
-    degraded_attention_step_sizes,
-    degraded_table1_comm_times,
     degraded_topology,
-    failure_detection_time,
-    rank_failure_downtime,
     table1_comm_times,
 )
-from repro.resilience import (
+from repro.resilience import SnapshotStore
+from repro.testing import (
+    RANK_FAULT_REGISTRY,
     CrashRankComm,
     HangRankComm,
-    RANK_FAULT_REGISTRY,
-    SnapshotStore,
     StragglerRankComm,
-    make_rank_fault,
-    replan_partition,
+    make_fault,
 )
 from repro.topology import a800_node, make_cluster, shrink_cluster
 
@@ -87,15 +83,18 @@ class TestLeaseConfig:
             LeaseConfig(crash_notice_s=5.0)  # exceeds op_deadline_s
 
     def test_cost_model_mirrors_lease_protocol(self):
-        """`failure_detection_time` defaults stay in lockstep with
-        LeaseConfig defaults — the analytic layer and the runtime must
-        never disagree about detection latency."""
+        """The detection latency the cost model prices is the lease's own
+        method, so the analytic layer and the runtime cannot disagree."""
         lease = LeaseConfig()
-        assert failure_detection_time("crash") == lease.crash_notice_s
-        assert failure_detection_time("hang") == lease.op_deadline_s
-        assert failure_detection_time("straggler") == lease.max_lease_s
+        assert lease.failure_detection_time("crash") == 0.5
+        assert lease.failure_detection_time("hang") == 3.0
+        assert lease.failure_detection_time("straggler") == 24.0
+        tight = LeaseConfig(op_deadline_s=2.0, max_extensions=1,
+                            crash_notice_s=0.25)
+        assert [tight.failure_detection_time(k)
+                for k in ("crash", "hang", "straggler")] == [0.25, 2.0, 4.0]
         with pytest.raises(ValueError):
-            failure_detection_time("gremlin")
+            lease.failure_detection_time("gremlin")
 
 
 # --- topology shrink ----------------------------------------------------------
@@ -140,10 +139,10 @@ class TestShrinkCluster:
 class TestRankFaultInjectors:
     def test_registry_and_factory(self):
         assert set(RANK_FAULT_REGISTRY) == {"crash", "hang", "straggler"}
-        comm = make_rank_fault("crash", topo4(), rank=2)
+        comm = make_fault("crash", topo4(), rank=2)
         assert isinstance(comm, CrashRankComm)
         with pytest.raises(ValueError):
-            make_rank_fault("flood", topo4())
+            make_fault("flood", topo4())
 
     def test_victim_rank_validated(self):
         with pytest.raises(ValueError):
@@ -409,8 +408,8 @@ class TestReplanPartition:
         from repro.partition import ZigzagPartitioner
 
         part = ZigzagPartitioner()
-        healthy = replan_partition(part, 24, 4)
-        degraded = replan_partition(part, 24, 3)
+        healthy = part.indices(24, 4)
+        degraded = part.indices(24, 3)
         assert [len(s) for s in healthy] == [6, 6, 6, 6]
         assert [len(s) for s in degraded] == [8, 8, 8]
         # every token is still covered exactly once
@@ -420,7 +419,7 @@ class TestReplanPartition:
         from repro.partition import ZigzagPartitioner
 
         with pytest.raises(ValueError):
-            replan_partition(ZigzagPartitioner(), 24, 5)
+            ZigzagPartitioner().indices(24, 5)
 
 
 # --- degraded-topology closed forms -------------------------------------------
@@ -429,15 +428,14 @@ class TestReplanPartition:
 class TestDegradedClosedForms:
     def test_step_sizes_shift_to_survivor_shards(self):
         n, h, g = 1024, 64, 8
-        degraded = degraded_attention_step_sizes(n, h, g, failed=2)
-        assert degraded == attention_step_sizes(n, h, g - 2)
+        degraded = attention_step_sizes(n, h, g - 2)
         # shards grow by exactly G / (G - k)
         healthy = attention_step_sizes(n, h, g)
         assert degraded["fwd"] == pytest.approx(healthy["fwd"] * g / (g - 2))
 
     def test_no_survivors_rejected(self):
         with pytest.raises(ValueError):
-            degraded_attention_step_sizes(64, 8, 4, failed=4)
+            degraded_topology(topo4(), 4)
 
     def test_degraded_topology_matches_runtime_shrink(self):
         topo = make_cluster(8, 4)
@@ -448,50 +446,27 @@ class TestDegradedClosedForms:
         assert analytic.num_nodes == runtime.num_nodes
 
     def test_degraded_table1_rederives_on_survivors(self):
+        """Survivors are repacked into full nodes, so their Table 1 times
+        are re-derived on the shrunk topology, not the healthy ones scaled
+        by the shard growth ``G / (G - k)``."""
         topo = make_cluster(8, 4)
-        degraded = degraded_table1_comm_times(topo, 1152, 64, failed=2)
-        direct = table1_comm_times(degraded_topology(topo, 2), 1152, 64)
-        assert degraded == direct
+        degraded = table1_comm_times(degraded_topology(topo, 2), 1152, 64)
         healthy = table1_comm_times(topo, 1152, 64)
         assert degraded != healthy
-
-    def test_downtime_is_detection_plus_replay(self):
-        assert rank_failure_downtime(
-            "crash", steps_since_snapshot=3, step_time_s=2.0
-        ) == pytest.approx(0.5 + 6.0)
-        assert rank_failure_downtime(
-            "straggler", steps_since_snapshot=0, step_time_s=2.0,
-            replan_s=1.0,
-        ) == pytest.approx(24.0 + 1.0)
-        with pytest.raises(ValueError):
-            rank_failure_downtime(
-                "crash", steps_since_snapshot=-1, step_time_s=1.0
-            )
-
-    def test_degraded_pass_time_runs_on_survivor_topology(self):
-        from repro.perf.schedules import (
-            AttentionWorkload, attention_pass_time, degraded_attention_pass_time,
+        assert any(
+            degraded[m] != pytest.approx(healthy[m] * 8 / 6) for m in healthy
         )
-
-        topo = make_cluster(8, 4)
-        wl = AttentionWorkload(seq_len=4096, hidden=64, n_heads=8)
-        got = degraded_attention_pass_time("burst", topo, wl, failed=2,
-                                           backward=True)
-        want = attention_pass_time("burst", degraded_topology(topo, 2), wl,
-                                   backward=True)
-        assert got == want
 
     def test_survivor_hop_bytes_match_degraded_closed_form(self):
         """The TrafficLog pin, post-shrink: the bundles ring methods send
-        on the 3 survivors are exactly the degraded closed forms derived
-        from the healthy 4-rank world (float64 sim bytes); the return hop
-        ships their carried slots at the survivors' shard size."""
+        on the 3 survivors are exactly the healthy closed forms evaluated
+        at the survivor count (float64 sim bytes); the return hop ships
+        their carried slots at the survivors' shard size."""
         from repro.attention import get_method
 
         g, n, hidden = 4, 24, 8
         shrunk = shrink_cluster(topo4(), [1])
-        sizes = degraded_attention_step_sizes(n, hidden, g, failed=1,
-                                              bytes_per_elem=8)
+        sizes = attention_step_sizes(n, hidden, g - 1, bytes_per_elem=8)
         carried = attention_step_sizes(n, hidden, g - 1, bytes_per_elem=8,
                                        which="carried")
         rng = np.random.default_rng(1)
@@ -548,7 +523,7 @@ class TestElasticRecovery:
         def comm_factory(topo, incarnation):
             # every incarnation loses another rank: 4 -> 3 -> 2 -> ...
             return FailureDetector(
-                make_rank_fault("crash", topo, rank=0, at_step=2, at_call=1)
+                make_fault("crash", topo, rank=0, at_step=2, at_call=1)
             )
 
         runner = ElasticRunner(
@@ -597,7 +572,7 @@ class TestElasticRecovery:
 
         topo = _topology()
         comm = FailureDetector(
-            make_rank_fault("crash", topo, rank=1, at_step=1, at_call=1)
+            make_fault("crash", topo, rank=1, at_step=1, at_call=1)
         )
         engine = BurstEngine(_make_elastic_config("burst"), comm=comm)
         ids, targets = _make_batches(seed=0, seq=ELASTIC_SEQ)[0]
@@ -670,6 +645,10 @@ class TestFuzzRankFailureAxis:
                         rank_failure="crash")
         with pytest.raises(ValueError):
             check_case(case, fault="corrupt")
+        # one factory builds both families, but a rank fault is never a
+        # message-fault injection: undetected, it would pass the sweep
+        with pytest.raises(ValueError, match="rank_failure axis"):
+            check_case(replace(case, rank_failure=None), fault="crash")
 
     def test_shrinking_reaches_for_no_failure(self):
         from repro.testing.differential import FuzzCase, shrink_case

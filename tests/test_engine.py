@@ -460,6 +460,42 @@ class TestEngineAccounting:
             sent = sum(r.nbytes for r in records if r.src == rank)
             assert sent == fsdp.total_bytes
 
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_fsdp_gathers_once_per_micro_batch(self, k):
+        """Every micro-batch runs its own forward and replay, so a step of
+        ``k`` micro-batches gathers every parameter ``k`` times and
+        re-gathers the replayed set ``k`` times; the accumulated gradients
+        are reduce-scattered once.  The step used to log one micro-batch's
+        gathers whatever ``k`` was (392 448 B at ``k`` = 1, 2 and 4 on a
+        2-layer, 4-rank engine)."""
+        from repro.engine import Trainer
+
+        g = 4
+        config = EngineConfig(model=TransformerConfig(
+            dim=16, n_layers=2, vocab_size=32, ffn_hidden=24, n_heads=4,
+            max_seq_len=32), method="burst")
+        engine = BurstEngine(config, topology=make_cluster(g))
+        ids = np.random.default_rng(0).integers(0, 32, size=(k, 32))
+        Trainer(engine, grad_accumulation=k).fit(
+            [(row, np.roll(row, -1)) for row in ids], 1
+        )
+        records = [r for r in engine.comm.log.records if r.tag == "fsdp-ring"]
+        replayed = sum(p.nbytes for p in engine.replayed_parameters())
+        full, regather = (-(-b // (8 * g)) for b in (engine.param_bytes, replayed))
+        assert regather > 0
+        # one pass is g * (g - 1) hops: per micro-batch a gather and a
+        # re-gather, then one reduce-scatter
+        passes = records[::g * (g - 1)]
+        assert len(records) == len(passes) * g * (g - 1)
+        assert [r.nelems for r in passes] == [full, regather] * k + [full]
+        want = fsdp_step_traffic(engine.param_bytes, g, replayed, micro_batches=k)
+        assert want.allgather_bytes == (g - 1) * 8 * k * (full + regather)
+        assert want.reduce_scatter_bytes == (g - 1) * 8 * full
+        for rank in range(g):
+            assert sum(r.nbytes for r in records if r.src == rank) == (
+                want.total_bytes
+            )
+
     def test_fsdp_single_gpu_is_free(self):
         t = fsdp_step_traffic(param_bytes=800, world_size=1)
         assert t.total_bytes == 0

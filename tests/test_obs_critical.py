@@ -44,7 +44,7 @@ from repro.obs import (
 )
 from repro.obs.critical import step_windows
 from repro.obs.tracer import Span
-from repro.resilience.rank_faults import StragglerRankComm
+from repro.testing import StragglerRankComm
 from repro.topology import a800_node, make_cluster
 
 REPO = Path(__file__).resolve().parents[1]
@@ -342,7 +342,8 @@ class TestStragglerAttribution:
 
     def test_stage_spans_nest_in_chain_order(self):
         from repro.comm import RankFailure
-        from repro.resilience import CrashRankComm, ResilientCommunicator
+        from repro.resilience import ResilientCommunicator
+        from repro.testing import CrashRankComm
 
         topo = make_cluster(4, node=a800_node(gpus_per_node=4))
         comm = ResilientCommunicator(

@@ -1236,3 +1236,115 @@ class TestOneHeadParallelExecutor:
             "src/repro/engine/distributed_attention.py",
             "tests/attention_chain.py",
         }
+
+
+class TestOneFaultStage:
+    """One way to sabotage a collective: message faults and rank faults
+    share one targeting base, ``testing.faults.FaultStage`` (the family's
+    op set, the label filters, ``at_call``, the counters, ``describe``),
+    and one factory, ``make_fault``.  Degraded pricing is the healthy
+    pricing run on ``degraded_topology``, and the lease protocol's
+    defaults are written once, in ``LeaseConfig``."""
+
+    @staticmethod
+    def _trees():
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        return [
+            (path.relative_to(src).as_posix(), ast.parse(path.read_text()))
+            for path in sorted(src.rglob("*.py"))
+        ]
+
+    def _scopes_of(self, match):
+        return sorted(
+            (rel, scope) for rel, tree in self._trees()
+            for scope in _scopes(tree, match)
+        )
+
+    @staticmethod
+    def _defines(*names):
+        return lambda n: isinstance(n, ast.FunctionDef) and n.name in names
+
+    def test_only_the_base_targets_and_counts(self):
+        from repro.testing.faults import (
+            FAULT_REGISTRY, RANK_FAULT_REGISTRY, FaultStage,
+        )
+
+        base = [("testing/faults.py", "FaultStage")]
+        assert self._scopes_of(self._defines("_triggered", "matches")) == base
+        counters = {"calls_matched", "injections"}
+        writes = self._scopes_of(
+            lambda n: isinstance(n, ast.Attribute) and n.attr in counters
+            and isinstance(n.ctx, ast.Store)
+        )
+        assert {rel_scope[0] for rel_scope in writes} == {"testing/faults.py"}
+        assert {scope for _, scope in writes} == {
+            "FaultStage.__init__", "FaultStage._triggered",
+        }
+        for cls in {**FAULT_REGISTRY, **RANK_FAULT_REGISTRY}.values():
+            assert issubclass(cls, FaultStage)
+            # a family hooks in through ``_strike``; no class but the base
+            # runs a fault stage
+            assert cls._stage is FaultStage._stage
+
+    def test_comm_keeps_no_targeting_helper(self):
+        from repro.comm.communicator import CollectiveCall
+
+        assert not hasattr(CollectiveCall, "matches")
+        names = {"check_op_filter"}
+        assert [
+            hit for hit in self._scopes_of(
+                lambda n: isinstance(n, ast.FunctionDef) and n.name in names
+                or isinstance(n, ast.Name) and n.id in names
+            )
+            if hit[0] != "testing/faults.py"
+        ] == []
+
+    def test_one_factory_and_no_degraded_wrappers(self):
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        assert not (src / "resilience" / "rank_faults.py").exists()
+        assert self._scopes_of(self._defines("make_fault")) == [
+            ("testing/faults.py", ""),
+        ]
+        gone = ("make_rank_fault", "rank_failure_downtime", "replan_partition")
+        assert self._scopes_of(self._defines(*gone)) == []
+        degraded = sorted(
+            (rel, node.name) for rel, tree in self._trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("degraded_")
+        )
+        assert degraded == [("perf/cost.py", "degraded_topology")]
+
+    def test_the_detector_reads_the_lease_not_a_copy(self):
+        from dataclasses import fields
+
+        from repro.comm import LeaseConfig
+
+        lease = {f.name: f.default for f in fields(LeaseConfig)}
+        # no function takes a lease field as a parameter of its own
+        assert self._scopes_of(
+            lambda n: isinstance(n, ast.arg) and n.arg in lease
+        ) == []
+        assert self._scopes_of(self._defines("failure_detection_time")) == [
+            ("comm/failure.py", "LeaseConfig"),
+        ]
+        (tree,) = [t for rel, t in self._trees() if rel == "comm/failure.py"]
+        (detector,) = [
+            n for n in ast.walk(tree)
+            if isinstance(n, ast.ClassDef) and n.name == "FailureDetector"
+        ]
+        literals = {
+            n.value for n in ast.walk(detector)
+            if isinstance(n, ast.Constant) and type(n.value) in (int, float)
+        }
+        assert not literals & set(lease.values())
+        reads = {
+            n.attr for n in ast.walk(detector)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Attribute)
+            and n.value.attr == "lease"
+        }
+        assert "failure_detection_time" in reads

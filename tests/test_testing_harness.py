@@ -101,6 +101,112 @@ class TestFaultTargeting:
         assert "attn-bwd" in comm.describe()
 
 
+#: What every fault's constructor accepts, down its ``**kw`` chain, with
+#: the defaults; message faults take no ``at_step``, rank faults no
+#: ``channel``.
+_MESSAGE_KW = {"phase": None, "tag": None, "op": None, "channel": None,
+               "at_call": 1, "victim": 0, "log": None}
+_RANK_KW = {"rank": 0, "phase": None, "tag": None, "op": None,
+            "at_call": 1, "at_step": None, "log": None}
+_MESSAGE_SIG = (
+    "(topology: 'ClusterTopology', *, phase: 'str | None' = None, "
+    "tag: 'str | None' = None, op: 'str | None' = None, "
+    "channel: 'str | None' = None, at_call: 'int | None' = 1, "
+    "victim: 'int' = 0, log=None)"
+)
+_RANK_SIG = (
+    "(topology: 'ClusterTopology', *, rank: 'int' = 0, "
+    "phase: 'str | None' = None, tag: 'str | None' = None, "
+    "op: 'str | None' = None, at_call: 'int | None' = 1, "
+    "at_step: 'int | None' = None, log=None)"
+)
+FAULT_PINS = {
+    # name: (signature, keywords, describe() by default,
+    #        describe() with every filter set)
+    "corrupt": ("(topology, noise: 'float' = 0.001, **kw)",
+                {"noise": 0.001, **_MESSAGE_KW}, "corrupt(at_call=1)",
+                "corrupt(phase='attn-bwd', tag='kv', op='ring_shift', "
+                "channel='rev', at_call=3)"),
+    "drop": (_MESSAGE_SIG, _MESSAGE_KW, "drop(at_call=1)",
+             "drop(phase='attn-bwd', tag='kv', op='ring_shift', "
+             "channel='rev', at_call=3)"),
+    "misroute": (_MESSAGE_SIG, _MESSAGE_KW, "misroute(at_call=1)",
+                 "misroute(phase='attn-bwd', tag='kv', op='ring_shift', "
+                 "channel='rev', at_call=3)"),
+    "stale": (_MESSAGE_SIG, _MESSAGE_KW, "stale(at_call=1)",
+              "stale(phase='attn-bwd', tag='kv', op='ring_shift', "
+              "channel='rev', at_call=3)"),
+    "duplicate": (_MESSAGE_SIG, _MESSAGE_KW, "duplicate(at_call=1)",
+                  "duplicate(phase='attn-bwd', tag='kv', op='ring_shift', "
+                  "channel='rev', at_call=3)"),
+    "crash": (_RANK_SIG, _RANK_KW, "crash(rank=0, at_call=1)",
+              "crash(rank=2, phase='p', tag='t', op='all_gather', "
+              "at_call=3, at_step=1)"),
+    "hang": (_RANK_SIG, _RANK_KW, "hang(rank=0, at_call=1)",
+             "hang(rank=2, phase='p', tag='t', op='all_gather', "
+             "at_call=3, at_step=1)"),
+    "straggler": ("(topology, slowdown_factor: 'float' = 4.0, **kw)",
+                  {"slowdown_factor": 4.0, **_RANK_KW},
+                  "straggler(rank=0, at_call=1, slowdown=4)",
+                  "straggler(rank=2, phase='p', tag='t', op='all_gather', "
+                  "at_call=3, at_step=1, slowdown=4)"),
+}
+
+
+def _keywords(cls) -> dict:
+    """The keywords ``cls(topology, ...)`` accepts, following each
+    ``**kw`` up the MRO to the constructor that names the rest."""
+    import inspect
+
+    out = {}
+    for klass in cls.__mro__:
+        if "__init__" not in vars(klass):
+            continue
+        params = list(inspect.signature(klass.__init__).parameters.values())
+        for p in params[2:]:
+            if p.kind is not p.VAR_KEYWORD:
+                out.setdefault(p.name, p.default)
+        if not any(p.kind is p.VAR_KEYWORD for p in params):
+            return out
+    raise AssertionError(f"{cls.__name__} forwards **kw to no constructor")
+
+
+class TestEveryFaultKeepsItsConstructorAndString:
+    """The eight faults share one base, and each still takes exactly the
+    keywords it took and prints exactly the ``describe()`` it printed
+    when the message and rank families were separate classes."""
+
+    def test_the_pins_cover_both_registries(self):
+        from repro.testing import RANK_FAULT_REGISTRY
+
+        assert set(FAULT_PINS) == set(FAULT_REGISTRY) | set(RANK_FAULT_REGISTRY)
+        assert not set(FAULT_REGISTRY) & set(RANK_FAULT_REGISTRY)
+
+    @pytest.mark.parametrize("name", sorted(FAULT_PINS))
+    def test_signature_and_describe(self, name):
+        import inspect
+
+        from repro.testing import RANK_FAULT_REGISTRY
+
+        cls = {**FAULT_REGISTRY, **RANK_FAULT_REGISTRY}[name]
+        sig, keywords, plain, filtered = FAULT_PINS[name]
+        assert str(inspect.signature(cls)) == sig
+        assert _keywords(cls) == keywords
+        assert type(make_fault(name, TOPO)) is cls
+        assert make_fault(name, TOPO).describe() == plain
+        if name in FAULT_REGISTRY:
+            kw = dict(phase="attn-bwd", tag="kv", op="ring_shift",
+                      channel="rev", at_call=3)
+        else:
+            kw = dict(rank=2, phase="p", tag="t", op="all_gather",
+                      at_call=3, at_step=1)
+        assert make_fault(name, TOPO, **kw).describe() == filtered
+        with pytest.raises(TypeError):
+            make_fault(name, TOPO, **(
+                {"at_step": 1} if name in FAULT_REGISTRY else {"channel": "rev"}
+            ))
+
+
 class TestToleranceModel:
     def test_per_dtype_resolution(self):
         for dtype, tol in DTYPE_TOLERANCES.items():
