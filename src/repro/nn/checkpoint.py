@@ -188,6 +188,8 @@ class Checkpoint(Function):
     def backward(self, grad_out: np.ndarray):
         global _in_recompute
         inputs = [Tensor(r, requires_grad=True) for r in self.saved]
+        # The replayed nodes register what they keep of the inputs.
+        self.release_saved()
         prev = _in_recompute
         _in_recompute = True
         try:

@@ -136,17 +136,14 @@ def _cmd_trace_step(args: argparse.Namespace) -> int:
     )
     validate_memory_timeline(tl_payload)
     print(f"wrote {timeline_path} ({len(mem_events)} memory events)")
-    try:
-        workload = AttentionWorkload(
-            seq_len=args.seq, hidden=model.dim, n_heads=model.n_heads
-        )
-        build_predicted_trace(
-            args.method, topology, workload, predicted_path,
-            ring_mode=args.ring_mode,
-        )
-        print(f"wrote {predicted_path} (DES-predicted schedule)")
-    except ValueError as exc:
-        print(f"skipped predicted trace: {exc}")
+    workload = AttentionWorkload(
+        seq_len=args.seq, hidden=model.dim, n_heads=model.n_heads
+    )
+    build_predicted_trace(
+        args.method, topology, workload, predicted_path,
+        ring_mode=args.ring_mode,
+    )
+    print(f"wrote {predicted_path} (DES-predicted schedule)")
     return 0
 
 

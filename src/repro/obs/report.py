@@ -200,9 +200,9 @@ def predicted_ring_cells(
     ``R = (S - 1) // 2`` moves in both: a seeding exchange (priced at
     :meth:`RingSchedule.reverse_link_class`) followed by retraced tail
     transitions.  Head-parallel methods predict zero everywhere: Ulysses'
-    one-position ring makes no transition, and USP's grouped rings are
-    built by its method internally, which the structural gate does not
-    model.
+    one-position ring makes no transition, which is exact; USP's grouped
+    rings depend on a degree the traced config does not carry, so the
+    structural gate does not model them.
     """
     from repro.comm.ring import RING_METHODS, bidirectional_split
     from repro.topology import LinkClass
@@ -243,8 +243,8 @@ def build_predicted_trace(
     offset to start at the forward makespan, and embeds
     ``metadata.per_pass_cells`` — :func:`predicted_ring_cells` — for
     :func:`diff_traces`.  Under ``ring_mode="bidirectional"`` the reverse
-    stream gets its own ``intra-rev`` / ``inter-rev`` rows.  Only the
-    ring-family methods have a DES pass graph.
+    stream gets its own ``intra-rev`` / ``inter-rev`` rows, and a
+    head-parallel pass its two relayouts on the ``all-to-all`` row.
     """
     from repro.perf.schedules.attention import attention_pass_sim
 

@@ -396,8 +396,9 @@ def predict_step_peak_saved_bytes(
     layer's full body plus the final norm and the head.  With any
     checkpointing policy the forward keeps only layer inputs (+ the
     whitelist cache), and the peak is usually hit mid-backward while the
-    *last* layer replays its full body on top of all the other layers'
-    still-live inputs and caches; the prediction takes the max of both
+    *last* layer replays its full body (its own input counted once,
+    inside it) on top of all the other layers' still-live inputs and
+    caches; the prediction takes the max of both
     candidates.  ``rebuilds_context=False`` (Ulysses, USP) decides the
     cache rows — such a method never caches attention outputs — and what
     its attention node saves: the head-layout context, where a method
@@ -428,10 +429,11 @@ def predict_step_peak_saved_bytes(
         forward_peak = (
             n_layers * (seq_len * dim + cache) + norm
         ) * BYTES_F64 + head
-        # Deepest replay: layer L-1 re-registers its full body while all
-        # L inputs and the other L-1 layers' caches are still live.
+        # Deepest replay: the last layer re-registers its full body (its
+        # input among it) while the other L-1 layers' inputs and caches
+        # are still live.
         backward_peak = (
-            n_layers * seq_len * dim + (n_layers - 1) * cache + full_layer
+            (n_layers - 1) * (seq_len * dim + cache) + full_layer
         ) * BYTES_F64
     return {
         "peak_saved_bytes": max(forward_peak, backward_peak),

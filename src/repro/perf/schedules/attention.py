@@ -15,30 +15,34 @@ NVLink channel ``intra``, and its NIC ``inter``:
 * **burst**: like double ring, plus the warm-up-delayed double buffer that
   pipelines gradient communication against compute (Fig. 5 bottom), and
   Algorithm 2's smaller backward payload.
-* **ulysses**: two all-to-alls bracketing local compute; the collectives
-  cannot overlap the attention they feed ("can not overlap all-to-all
+* **usp** / **ulysses**: the executor's ``u × r`` grid
+  (:meth:`~repro.attention.methods.USPMethod.grid`; DeepSpeed-Ulysses is
+  ``u = G``, a one-position ring with no hop).  An all-to-all into head
+  layout, Algorithm 1 over the grid's strided rings with LoongTrain's
+  serial gradient drain, and an all-to-all back; the collectives cannot
+  overlap the attention they feed ("can not overlap all-to-all
   communication with computation").
-* **usp**: Ulysses inside each node (intra-link all-to-all) + a flat ring
-  of Algorithm 1 over the node-striding ring groups.
 
-The ring-family graph has one builder, :func:`attention_pass_sim` — the
-second interpreter of the description ``attention.ring.ring_pass``
-executes: :func:`attention_pass_hops` walks the method's own
-:class:`~repro.comm.RingSchedule` (:data:`repro.comm.ring.RING_METHODS`)
-with the executor's calls and sizes each hop off the pass's
-:class:`~repro.comm.ring.BundleLayout`, :func:`attention_pass_transitions`
-prices them; :data:`METHOD_DES_FLAGS` adds only
-what the DES alone knows.  :func:`attention_pass_time` is the makespan,
-and the predicted trace and the observed-pass replay of :mod:`repro.obs`
-draw and re-price the same graph.  A backward pass ends with the
-return-to-owner hop — a task like any other transfer, never a scalar
-added afterwards.
+Every method's pass graph has one builder, :func:`attention_pass_sim` —
+the second interpreter of the description the executor runs:
+:func:`attention_pass_hops` walks the method's own
+:class:`~repro.comm.RingSchedule` (:data:`repro.comm.ring.RING_METHODS`,
+or a head-parallel grid's grouped rings) with the executor's calls and
+sizes each hop off the pass's :class:`~repro.comm.ring.BundleLayout`,
+:func:`attention_pass_transitions` prices them; :data:`METHOD_DES_FLAGS`
+adds only what the DES alone knows.  :func:`attention_pass_time` is the
+makespan, and the predicted trace and the observed-pass replay of
+:mod:`repro.obs` draw and re-price the same graph.  A backward pass ends
+with the return-to-owner hop, and a head-parallel pass is bracketed by its
+two relayouts — tasks like any other transfer, never scalars added
+afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.attention.methods import UlyssesMethod, USPMethod
 from repro.comm.ring import (
     ALG1_BUNDLE,
     ALG2_BUNDLE,
@@ -51,6 +55,7 @@ from repro.comm.ring import (
     cheaper_backward_bundle,
     double_ring_schedule,
     global_ring_schedule,
+    grouped_ring_schedule,
 )
 from repro.perf.cost import link_time, matmul_time
 from repro.perf.des import Simulator
@@ -118,13 +123,15 @@ def _pipelined_ring(
     grad_dependent: bool,
     rev_transitions: list[tuple[str, float]] = (),
     steps: int | None = None,
+    after: list[str] = (),
 ) -> list[str]:
     """Ring circulation with double-buffered pipelining, over one stream
     or two counter-rotating ones — the graph twin of ``ring_pass``'s loop.
 
     ``transitions`` / ``rev_transitions`` list ``(resource, duration)`` per
     hop of the forward / reverse stream; ``steps`` compute rounds default
-    to one more than the forward transitions.
+    to one more than the forward transitions.  The first task on each
+    resource waits for the ``after`` tasks (a head-parallel relayout).
 
     * ``grad_dependent=False`` — activation pattern (Fig. 5 top): the
       circulating data needs no compute, so communication chains only on
@@ -154,16 +161,13 @@ def _pipelined_ring(
     rev_names: list[str] = []
 
     def transfer(name: str, res: str, dur: float, deps: list[str]) -> str:
-        if res in comm_prev:
-            deps = [comm_prev[res], *deps]
-        sim.add(name, dur, resources=(res,), deps=deps)
+        first = [comm_prev[res]] if res in comm_prev else after
+        sim.add(name, dur, resources=(res,), deps=[*first, *deps])
         comm_prev[res] = name
         return name
 
     for t in range(steps):
-        deps = []
-        if compute_prev:
-            deps.append(compute_prev)
+        deps = [compute_prev] if compute_prev else list(after)
         if not grad_dependent and t >= 1:
             if t < rev_serves_from:
                 if t - 1 < len(fwd_names):
@@ -211,21 +215,13 @@ METHOD_DES_FLAGS = {
 }
 
 
-def _ring_row(
-    method: str, ring_mode: str = "unidirectional"
-) -> tuple[dict, RingMethod, bool]:
-    """``(flags, ring, bidirectional)``: a ring-family method's DES flags,
-    its schedule / bundle row, and whether ``ring_mode`` is modeled — only
-    the methods the engine executes have a bidirectional mode; the
-    ablation rows price their one configuration whatever is passed."""
-    if method not in METHOD_DES_FLAGS:
-        raise ValueError(
-            f"no DES pass graph for method {method!r}; "
-            f"expected one of {sorted(METHOD_DES_FLAGS)}"
-        )
-    flags = METHOD_DES_FLAGS[method]
-    bidirectional = ring_mode == "bidirectional" and method in RING_METHODS
-    return flags, flags.get("ring") or RING_METHODS[method], bidirectional
+def default_ulysses_degree(n_heads: int, gpus_per_node: int) -> int:
+    """USP's head-parallel degree when none is given: the largest divisor
+    of ``n_heads`` that fits in one node, so the all-to-alls stay on
+    NVLink."""
+    return max(
+        u for u in range(1, min(n_heads, gpus_per_node) + 1) if n_heads % u == 0
+    )
 
 
 def _mixed_link_class(schedule: RingSchedule) -> LinkClass:
@@ -243,6 +239,57 @@ def _mixed_link_class(schedule: RingSchedule) -> LinkClass:
 _Hops = list[tuple[LinkClass, tuple[float, ...]]]
 
 
+def _pass_row(
+    method: str,
+    topology: ClusterTopology,
+    workload: AttentionWorkload,
+    *,
+    backward: bool,
+    ring_mode: str = "unidirectional",
+    ring_window: int | None = None,
+    ulysses_degree: int | None = None,
+) -> tuple[RingSchedule, BundleLayout, bool, bool, list[int] | None]:
+    """``(schedule, bundle, serialize_gradients, bidirectional, group)``:
+    what one pass of ``method`` walks — a head-parallel pass brackets it
+    with two all-to-alls in ``group`` (``None`` for the ring family).
+
+    A head-parallel method runs on the executor's own grid (``ValueError``
+    where it does not fit the world) and circulates Algorithm 1 with the
+    serial gradient drain over the grid's strided rings, LoongTrain-USP as
+    executed.  Only the ring-family methods the engine executes have a
+    bidirectional mode; the ablation rows price their one configuration
+    whatever is passed, and ``ring_window`` is a knob of the burst double
+    rings only.
+    """
+    if method in ("ulysses", "usp"):
+        grid = (
+            UlyssesMethod() if method == "ulysses" else USPMethod(
+                ulysses_degree or default_ulysses_degree(
+                    workload.n_heads, topology.gpus_per_node
+                )
+            )
+        ).grid(topology.world_size)
+        schedule = grouped_ring_schedule(topology, grid.ring_groups())
+        bundle = ALG1_BUNDLE if backward else KV_BUNDLE
+        return schedule, bundle, True, False, grid.ulysses_groups()[0]
+    if method not in METHOD_DES_FLAGS:
+        raise ValueError(
+            f"no DES pass graph for method {method!r}; expected one of "
+            f"{sorted([*METHOD_DES_FLAGS, 'ulysses', 'usp'])}"
+        )
+    flags = METHOD_DES_FLAGS[method]
+    ring = flags.get("ring") or RING_METHODS[method]
+    if method.startswith("burst") and ring.schedule is double_ring_schedule:
+        schedule = double_ring_schedule(topology, window=ring_window)
+    else:
+        schedule = ring.schedule(topology)
+    bundle = (
+        ring.backward or cheaper_backward_bundle(*workload.head_shape())
+    ) if backward else KV_BUNDLE
+    bidirectional = ring_mode == "bidirectional" and method in RING_METHODS
+    return schedule, bundle, flags["serialize_gradients"], bidirectional, None
+
+
 def attention_pass_hops(
     method: str,
     topology: ClusterTopology,
@@ -251,6 +298,7 @@ def attention_pass_hops(
     backward: bool,
     ring_mode: str = "unidirectional",
     ring_window: int | None = None,
+    ulysses_degree: int | None = None,
 ) -> tuple[_Hops, _Hops]:
     """Modeled ``(link class, message bytes)`` hops of one pass's two
     streams — what :func:`attention_pass_transitions` prices.
@@ -262,19 +310,13 @@ def attention_pass_hops(
     read-only bundle parts across the streams (``T_f = S // 2`` forward
     transitions, ``R = (S - 1) // 2`` reverse moves) while the gradient
     accumulators ride all ``S - 1`` forward transitions — the walk
-    ``ring_pass`` and ``BidirectionalFlow`` execute.
-
-    ``ring_window`` is a knob of the burst double rings only; the other
-    rows price their one schedule whatever is passed.
+    ``ring_pass`` and ``BidirectionalFlow`` execute.  A head-parallel pass
+    lists its ring leg alone (Ulysses' one-position ring has no hop).
     """
-    _, ring, bidirectional = _ring_row(method, ring_mode)
-    if method.startswith("burst") and ring.schedule is double_ring_schedule:
-        schedule = double_ring_schedule(topology, window=ring_window)
-    else:
-        schedule = ring.schedule(topology)
-    bundle = (
-        ring.backward or cheaper_backward_bundle(*workload.head_shape())
-    ) if backward else KV_BUNDLE
+    schedule, bundle, _, bidirectional, _ = _pass_row(
+        method, topology, workload, backward=backward, ring_mode=ring_mode,
+        ring_window=ring_window, ulysses_degree=ulysses_degree,
+    )
     g = topology.world_size
     n = schedule.num_steps - 1
     t_f, rev_moves = (
@@ -332,18 +374,22 @@ def attention_pass_sim(
     backward: bool,
     ring_mode: str = "unidirectional",
     ring_window: int | None = None,
+    ulysses_degree: int | None = None,
     peak_flops: float | None = None,
     prefix: str | None = None,
     fwd_durations: list[tuple[str, float]] | None = None,
     rev_durations: list[tuple[str, float]] | None = None,
 ) -> Simulator:
-    """Build and run the DES task graph of one ring-family attention pass.
+    """Build and run the DES task graph of one attention pass.
 
-    The only builder of that graph: :func:`attention_pass_time` returns its
-    makespan, :func:`repro.obs.report.build_predicted_trace` draws it and
+    The only builder of that graph, for every method:
+    :func:`attention_pass_time` returns its makespan,
+    :func:`repro.obs.report.build_predicted_trace` draws it and
     :mod:`repro.obs.critical` replays observed passes through it.  The
-    return-to-owner hop of a backward pass is the graph's last task, on
-    the link of the last transition.
+    return-to-owner hop of a backward pass is the ring's last task, on the
+    link of the last transition.  A head-parallel pass opens with its
+    relayout into head layout and closes with the one back, each priced by
+    :func:`_all_to_all_time` on :func:`head_parallel_relayout_bytes`.
 
     ``fwd_durations`` / ``rev_durations`` substitute the hop durations of
     :func:`attention_pass_transitions` position by position (e.g. priced
@@ -354,13 +400,19 @@ def attention_pass_sim(
     circulation and the serial gradient drain, and takes the return hop —
     which nothing is left to overlap — as given.
     """
-    flags, _, bidirectional = _ring_row(method, ring_mode)
-    g = topology.world_size
+    keys = dict(
+        backward=backward, ring_mode=ring_mode, ring_window=ring_window,
+        ulysses_degree=ulysses_degree,
+    )
+    schedule, _, serialize, bidirectional, group = _pass_row(
+        method, topology, workload, **keys
+    )
+    g, steps = topology.world_size, schedule.num_steps
     peak = peak_flops if peak_flops is not None else topology.node.gpu.peak_flops
     flops = workload.fwd_flops_per_gpu(g)
     if backward:
         flops *= BACKWARD_FLOPS_FACTOR
-    step_compute = matmul_time(flops / g, peak, ATTENTION_EFFICIENCY)
+    step_compute = matmul_time(flops / steps, peak, ATTENTION_EFFICIENCY)
     if prefix is None:
         prefix = "attn-bwd/" if backward else "attn-fwd/"
 
@@ -373,50 +425,60 @@ def attention_pass_sim(
         return list(modeled if given is None else given)
 
     fwd_model, rev_model = attention_pass_transitions(
-        method, topology, workload,
-        backward=backward, ring_mode=ring_mode, ring_window=ring_window,
+        method, topology, workload, **keys
     )
     fwd_list = substituted("forward hops", fwd_durations, fwd_model)
     rev_list = substituted("reverse moves", rev_durations, rev_model)
-    tail = [fwd_list.pop()] if backward and fwd_list else []  # the return hop
-
+    # the return hop, then (head-parallel) the relayout back
+    tail = [("return", *fwd_list.pop())] if backward and fwd_list else []
     sim = Simulator()
-    if backward and flags["serialize_gradients"] and not bidirectional:
-        # LoongTrain / Megatron: the (K, V) half of every transition
+    after = []
+    if group is not None:
+        a2a_in, a2a_out = (
+            _all_to_all_time(topology, buffer, group)
+            for buffer in head_parallel_relayout_bytes(
+                workload, g, backward=backward
+            )
+        )
+        after = [f"{prefix}relayout-in"]
+        sim.add(after[0], a2a_in, resources=("all-to-all",))
+        tail.append(("relayout-out", "all-to-all", a2a_out))
+    if backward and serialize and not bidirectional:
+        # LoongTrain / Megatron / USP: the (K, V) half of every transition
         # overlaps compute, the (dK, dV) half drains serially after it
         # (Table 1's +2(I·T_i + E·T_e)).
         halves = [(res, dur / 2) for res, dur in fwd_list]
-        ends = _pipelined_ring(sim, prefix, halves, step_compute, False)
-        tail = halves + tail
+        ends = _pipelined_ring(
+            sim, prefix, halves, step_compute, False, after=after
+        )
+        tail = [(f"g{t}", *half) for t, half in enumerate(halves)] + tail
     else:
         ends = _pipelined_ring(
-            sim, prefix, fwd_list, step_compute, backward, rev_list, steps=g
+            sim, prefix, fwd_list, step_compute, backward, rev_list,
+            steps=steps, after=after,
         )
-    names = [f"{prefix}g{t}" for t in range(len(tail) - 1)] + [f"{prefix}return"]
-    for name, (res, dur) in zip(names, tail):
-        sim.add(name, dur, resources=(res,), deps=ends)
-        ends = [name]
+    for name, res, dur in tail:
+        sim.add(prefix + name, dur, resources=(res,), deps=ends)
+        ends = [prefix + name]
     sim.run()
     return sim
 
 
 def _all_to_all_time(
-    topology: ClusterTopology, shard_bytes: float, group: list[int] | None = None
+    topology: ClusterTopology, shard_bytes: float, group: list[int]
 ) -> float:
-    """Time for one all-to-all of a shard-sized buffer per rank.
+    """Time for one all-to-all of a shard-sized buffer per rank in
+    ``group``.
 
     Each rank sends ``(u-1)/u`` of its shard, split across links by the
-    placement of the peers.  Without ``group``, the collective spans the
-    world (Ulysses); with a contiguous intra-node group it stays on NVLink.
+    placement of the peers.
     """
-    g = topology.world_size
-    members = group if group is not None else list(range(g))
-    u = len(members)
+    u = len(group)
     if u == 1:
         return 0.0
     chunk = shard_bytes / u
     same_node = sum(
-        1 for m in members[1:] if topology.node_of(m) == topology.node_of(members[0])
+        1 for m in group[1:] if topology.node_of(m) == topology.node_of(group[0])
     )
     cross_node = (u - 1) - same_node
     t_intra = link_time(topology, chunk * same_node, LinkClass.INTRA) if same_node else 0.0
@@ -440,76 +502,6 @@ def head_parallel_relayout_bytes(
     return 3 * shard, shard
 
 
-def _ulysses_pass(
-    topology: ClusterTopology,
-    wl: AttentionWorkload,
-    peak_flops: float,
-    *,
-    backward: bool,
-) -> float:
-    g = topology.world_size
-    flops = wl.fwd_flops_per_gpu(g)
-    if backward:
-        flops *= BACKWARD_FLOPS_FACTOR
-    compute = matmul_time(flops, peak_flops, ATTENTION_EFFICIENCY)
-    bytes_in, bytes_out = head_parallel_relayout_bytes(wl, g, backward=backward)
-    a2a_in = _all_to_all_time(topology, bytes_in)
-    a2a_out = _all_to_all_time(topology, bytes_out)
-    # Strictly serial: collective -> compute -> collective.
-    return a2a_in + compute + a2a_out
-
-
-def _usp_pass(
-    topology: ClusterTopology,
-    wl: AttentionWorkload,
-    peak_flops: float,
-    *,
-    backward: bool,
-    ulysses_degree: int | None = None,
-) -> float:
-    g = topology.world_size
-    u = ulysses_degree or min(topology.gpus_per_node, wl.n_heads)
-    while wl.n_heads % u != 0 and u > 1:
-        u -= 1
-    r = g // u
-    flops = wl.fwd_flops_per_gpu(g)
-    if backward:
-        flops *= BACKWARD_FLOPS_FACTOR
-    step_compute = matmul_time(flops / r, peak_flops, ATTENTION_EFFICIENCY)
-
-    # Head-first placement: the Ulysses group is contiguous (intra-node
-    # when u <= gpus_per_node).
-    group = list(range(u))
-    bytes_in, bytes_out = head_parallel_relayout_bytes(wl, g, backward=backward)
-    a2a = _all_to_all_time(topology, bytes_in, group) + _all_to_all_time(
-        topology, bytes_out, group
-    )
-
-    # Ring over r positions; each hop strides u ranks (inter-node once the
-    # ring leaves the node).  Ring payload: the rank now holds N/r tokens
-    # of H/u heads => same bytes as `shard * ...` per circulating buffer.
-    ring_buf = wl.seq_len / r * (wl.hidden / u) * wl.bytes_per_elem
-    hop_inter = topology.num_nodes > 1 and u >= topology.gpus_per_node
-    cls = LinkClass.INTER if hop_inter else LinkClass.INTRA
-    res = "inter" if hop_inter else "intra"
-    if backward:
-        # Algorithm 1 over the short ring: KV circulation overlaps, the
-        # gradient buffers drain serially (LoongTrain's limitation).
-        kv = [(res, link_time(topology, 2 * ring_buf, cls))] * (r - 1)
-        sim = Simulator()
-        _pipelined_ring(sim, "u", kv, step_compute, grad_dependent=False)
-        ring_time = sim.run()
-        grad_hop = link_time(topology, 2 * ring_buf, cls)
-        ring_time += r * grad_hop if r > 1 else 0.0
-    else:
-        payload = 2 * ring_buf
-        transitions = [(res, link_time(topology, payload, cls))] * (r - 1)
-        sim = Simulator()
-        _pipelined_ring(sim, "u", transitions, step_compute, grad_dependent=False)
-        ring_time = sim.run()
-    return a2a + ring_time
-
-
 def attention_pass_time(
     method: str,
     topology: ClusterTopology,
@@ -521,18 +513,10 @@ def attention_pass_time(
     ring_window: int | None = None,
     ring_mode: str = "unidirectional",
 ) -> float:
-    """Simulated wall-clock seconds for one distributed attention pass."""
-    if method in METHOD_DES_FLAGS:
-        return attention_pass_sim(
-            method, topology, workload, backward=backward,
-            peak_flops=peak_flops, ring_window=ring_window, ring_mode=ring_mode,
-        ).makespan
-    peak = peak_flops if peak_flops is not None else topology.node.gpu.peak_flops
-    if method == "ulysses":
-        return _ulysses_pass(topology, workload, peak, backward=backward)
-    if method == "usp":
-        return _usp_pass(
-            topology, workload, peak, backward=backward,
-            ulysses_degree=ulysses_degree,
-        )
-    raise ValueError(f"unknown attention schedule {method!r}")
+    """Simulated wall-clock seconds for one distributed attention pass:
+    the makespan of :func:`attention_pass_sim`'s graph."""
+    return attention_pass_sim(
+        method, topology, workload, backward=backward, peak_flops=peak_flops,
+        ulysses_degree=ulysses_degree, ring_window=ring_window,
+        ring_mode=ring_mode,
+    ).makespan

@@ -56,14 +56,14 @@ FSDP_BOUND_PINS = {
 #: intermediates), its attention half saves its input once, and each
 #: norm folds into the node reading it.
 CURVE_PINS = {
-    (0.25, True): {"none": 303792, "full": 152144,
-                   "selective_pp": 171152, "sequence_level": 166544},
-    (0.25, False): {"none": 405168, "full": 202832,
-                    "selective_pp": 202832, "sequence_level": 202832},
-    (0.5, True): {"none": 303792, "full": 152144,
-                  "selective_pp": 171152, "sequence_level": 161648},
-    (0.5, False): {"none": 405168, "full": 202832,
-                   "selective_pp": 202832, "sequence_level": 202832},
+    (0.25, True): {"none": 303792, "full": 135248,
+                   "selective_pp": 154256, "sequence_level": 149648},
+    (0.25, False): {"none": 405168, "full": 185936,
+                    "selective_pp": 185936, "sequence_level": 185936},
+    (0.5, True): {"none": 303792, "full": 135248,
+                  "selective_pp": 154256, "sequence_level": 144752},
+    (0.5, False): {"none": 405168, "full": 185936,
+                   "selective_pp": 185936, "sequence_level": 185936},
 }
 
 

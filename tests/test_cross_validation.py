@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.attention import get_method
-from repro.comm.ring import RING_METHODS, bidirectional_split, double_ring_schedule
+from repro.comm.ring import (
+    ALG1_BUNDLE,
+    KV_BUNDLE,
+    RING_METHODS,
+    bidirectional_split,
+    double_ring_schedule,
+)
 from repro.engine import BurstEngine, EngineConfig
 from repro.nn import CheckpointPolicy, TransformerConfig
 from repro.nn.checkpoint import CheckpointMode
@@ -192,14 +198,47 @@ class TestDESPricesTheExecutedBytes:
                     assert logged == priced, (phase, channel, r)
 
 
+    @pytest.mark.parametrize("name,degree", [("usp", 2), ("ulysses", None)])
+    def test_head_parallel_ring_leg_prices_the_logged_bytes(
+        self, name, degree
+    ):
+        """USP's ring leg walks its grid's strided rings (``u = 2`` on 2 x 4
+        ranks: three transitions, Algorithm 1's bundle backward, the return
+        hop); Ulysses' one-position ring ships nothing.  The relayouts'
+        records are the next class's."""
+        topo = make_cluster(8, node=a800_node(gpus_per_node=4))
+        g, h, d = topo.world_size, 8, 4
+        n = 4 * g
+        rng = np.random.default_rng(0)
+        q, k, v, do = (rng.normal(size=(h, n, d)) for _ in range(4))
+        kwargs = {"ulysses_degree": degree} if degree else {}
+        log = get_method(name, block_size=4, **kwargs).run(
+            topo, q, k, v, do=do
+        ).comm.log
+        wl = AttentionWorkload(seq_len=n, hidden=h * d, n_heads=h,
+                               bytes_per_elem=8)
+        ring_tags = (KV_BUNDLE.tag, ALG1_BUNDLE.tag, f"{ALG1_BUNDLE.tag}-return")
+        for backward, phase in ((False, "attn-fwd"), (True, "attn-bwd")):
+            fwd, rev = attention_pass_hops(
+                name, topo, wl, backward=backward, ulysses_degree=degree
+            )
+            assert rev == [] and len(fwd) == (3 + backward if degree else 0)
+            priced = [sum(messages) for _, messages in fwd]
+            for r in range(g):
+                logged = [
+                    rec.nbytes for rec in log.records
+                    if rec.phase == phase and rec.src == r
+                    and rec.tag in ring_tags
+                ]
+                assert logged == priced, (phase, r)
+
 class TestDESPricesTheExecutedRelayouts:
     """Executor == model for the head-parallel all-to-alls: the buffers
-    ``_ulysses_pass`` / ``_usp_pass`` price
+    the relayout tasks of :func:`attention_pass_sim` price
     (:func:`head_parallel_relayout_bytes`, of which each all-to-all sends
     ``(u-1)/u``) are what every rank's ``TrafficLog`` records for
     ``usp-qkv`` / ``usp-out`` forward and ``usp-dout`` / ``usp-grads``
-    backward — the ``D`` leaf included.  Bytes only: the degree rule and
-    the all-to-alls as DES tasks are separate."""
+    backward — the ``D`` leaf included."""
 
     @pytest.mark.parametrize("name,kwargs", [
         ("ulysses", {}),

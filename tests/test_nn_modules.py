@@ -134,6 +134,26 @@ class TestCheckpointMechanics:
         peak_ckpt = get_tracker().peak_saved_bytes
         assert peak_ckpt < peak_plain
 
+    def test_a_replay_counts_its_input_once(self):
+        """The replayed node saves the very array the ``Checkpoint`` node
+        holds, so the tracker's backward peak counts its bytes once."""
+        from repro.nn.function import Function
+
+        class Scale(Function):
+            def forward(self, x):
+                self.save_for_backward(x)
+                return 2.0 * x
+
+            def backward(self, g):
+                (x,) = self.saved
+                return np.full_like(x, 2.0) * g
+
+        x = Tensor(RNG.normal(size=(64, 32)), requires_grad=True)
+        reset_tracker()
+        checkpoint(Scale.apply, x).sum().backward()
+        assert get_tracker().peak_saved_bytes == x.data.nbytes
+        np.testing.assert_array_equal(x.grad, np.full((64, 32), 2.0))
+
 
 POLICIES = {
     "none": CheckpointPolicy(CheckpointMode.NONE),

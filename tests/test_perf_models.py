@@ -22,7 +22,11 @@ from repro.perf import (
 )
 from repro.perf.cost import attention_step_sizes
 from repro.perf.memory import checkpoint_memory_curve, logits_memory_bytes, ulysses_effective_degree
-from repro.perf.schedules.attention import AttentionWorkload
+from repro.perf.schedules.attention import (
+    AttentionWorkload,
+    attention_pass_hops,
+    default_ulysses_degree,
+)
 from repro.perf.schedules.pipeline import (
     gpipe_bubble_fraction,
     in_flight_microbatches,
@@ -30,7 +34,7 @@ from repro.perf.schedules.pipeline import (
     pipeline_step_time,
 )
 from repro.perf.tensor_parallel import tp_layer_comm_bytes, tp_scaling_analysis
-from repro.topology import a800_node, make_cluster
+from repro.topology import LinkClass, a800_node, make_cluster
 
 
 TOPO32 = make_cluster(32)
@@ -193,6 +197,115 @@ class TestAttentionPassTimes:
         )
         assert t == pytest.approx(expected, rel=1e-9)
 
+
+
+#: (method, model, GPUs, seq) -> ``float.hex`` of the (forward, backward)
+#: pass times the hand-written Ulysses / USP pricers gave before both
+#: became the one pass graph (8 GPUs per node, USP's default degree).
+HEAD_PARALLEL_PINS = {
+    ("ulysses", "7B", 8, 131072): ("0x1.9a435bf5db794p-4", "0x1.f7ca5de4400b9p-3"),
+    ("ulysses", "7B", 8, 1048576): ("0x1.8fb33bdb1d82bp+2", "0x1.f27fac6374b72p+3"),
+    ("ulysses", "7B", 8, 2097152): ("0x1.8ef2b247184f2p+4", "0x1.f21f377eea603p+5"),
+    ("ulysses", "7B", 16, 131072): ("0x1.e65a92189058ap-5", "0x1.0ef47a6680109p-3"),
+    ("ulysses", "7B", 16, 1048576): ("0x1.9931c6f020df5p+1", "0x1.f7415168e31a3p+2"),
+    ("ulysses", "7B", 16, 2097152): ("0x1.93b1cff90ddfdp+3", "0x1.f47ff6155b82dp+4"),
+    ("ulysses", "7B", 32, 131072): ("0x1.0943f36132a1cp-5", "0x1.1a054ef0eda9ap-4"),
+    ("ulysses", "7B", 32, 1048576): ("0x1.9eb1f03c1ac10p+0", "0x1.fa02c5e6de22ap+1"),
+    ("ulysses", "7B", 32, 2097152): ("0x1.9671b24a23ee8p+2", "0x1.f5e09729e5960p+3"),
+    ("ulysses", "7B", 64, 131072): ("0x1.14750838d175ep-6", "0x1.1fa0990cb942ep-5"),
+    ("ulysses", "7B", 64, 1048576): ("0x1.a17332df80feap-1", "0x1.fb641724904d4p+0"),
+    ("ulysses", "7B", 64, 2097152): ("0x1.97d1eef209490p+1", "0x1.f6910d73d7c93p+2"),
+    ("ulysses", "14B", 8, 131072): ("0x1.0068c9ee509d9p-3", "0x1.3addd2e8fbc02p-2"),
+    ("ulysses", "14B", 8, 1048576): ("0x1.f3a000558a1eep+2", "0x1.378fc91f12416p+4"),
+    ("ulysses", "14B", 8, 2097152): ("0x1.f2af5c39c7b1cp+4", "0x1.375382078ccfdp+6"),
+    ("ulysses", "14B", 16, 131072): ("0x1.2ff250b27df33p-4", "0x1.52ae73b1b1f28p-3"),
+    ("ulysses", "14B", 16, 1048576): ("0x1.ff7e065742351p+1", "0x1.3a88c64c5437ep+3"),
+    ("ulysses", "14B", 16, 2097152): ("0x1.f89e3762179f3p+3", "0x1.38cff6a80ac3bp+5"),
+    ("ulysses", "14B", 32, 131072): ("0x1.4b885affc6c1dp-5", "0x1.608058104ccfcp-4"),
+    ("ulysses", "14B", 32, 1048576): ("0x1.032f03d0a9d68p+1", "0x1.3c41a285d7649p+2"),
+    ("ulysses", "14B", 32, 2097152): ("0x1.fc0e05b239791p+2", "0x1.39ac582f92a17p+4"),
+    ("ulysses", "14B", 64, 131072): ("0x1.59791fd394c27p-6", "0x1.677c2a162f0b2p-5"),
+    ("ulysses", "14B", 64, 1048576): ("0x1.04e79b21e2daep+0", "0x1.3d1e5c21f34e2p+1"),
+    ("ulysses", "14B", 64, 2097152): ("0x1.fdc63859a4b92p+1", "0x1.3a1a9bd32d253p+3"),
+    ("usp", "7B", 8, 131072): ("0x1.9a435bf5db793p-4", "0x1.f7ca5de4400b9p-3"),
+    ("usp", "7B", 8, 1048576): ("0x1.8fb33bdb1d82ap+2", "0x1.f27fac6374b72p+3"),
+    ("usp", "7B", 8, 2097152): ("0x1.8ef2b247184f2p+4", "0x1.f21f377eea603p+5"),
+    ("usp", "7B", 16, 131072): ("0x1.9a4dd8509feafp-5", "0x1.27ef63057c73dp-3"),
+    ("usp", "7B", 16, 1048576): ("0x1.8fb365cc88947p+1", "0x1.fd7ee5f6b4b6ap+2"),
+    ("usp", "7B", 16, 2097152): ("0x1.8ef2bcc373139p+3", "0x1.f79eb5dfe98c9p+4"),
+    ("usp", "7B", 32, 131072): ("0x1.9a62d10628ce5p-6", "0x1.541560a2fb0f3p-4"),
+    ("usp", "7B", 32, 1048576): ("0x1.8fb3b9af5eb80p+0", "0x1.043f7eeb22e3cp+2"),
+    ("usp", "7B", 32, 2097152): ("0x1.8ef2d1bc289c7p+2", "0x1.fd1e6bd3fcfd6p+3"),
+    ("usp", "7B", 64, 131072): ("0x1.544db6e247ef3p-6", "0x1.acacdb384b788p-5"),
+    ("usp", "7B", 64, 1048576): ("0x1.8fb461750aff1p-1", "0x1.0f40c4c81d416p+1"),
+    ("usp", "7B", 64, 2097152): ("0x1.8ef2fbad93ae4p+1", "0x1.040f375d6c42bp+3"),
+    ("usp", "14B", 8, 131072): ("0x1.0068c9ee509d9p-3", "0x1.3addd2e8fbc02p-2"),
+    ("usp", "14B", 8, 1048576): ("0x1.f3a000558a1eep+2", "0x1.378fc91f12415p+4"),
+    ("usp", "14B", 8, 2097152): ("0x1.f2af5c39c7b1dp+4", "0x1.375382078ccfdp+6"),
+    ("usp", "14B", 16, 131072): ("0x1.006e081bb2d66p-4", "0x1.71e6c6ed14e07p-3"),
+    ("usp", "14B", 16, 1048576): ("0x1.f3a02a46f530ap+1", "0x1.3e6f3de6c9d76p+3"),
+    ("usp", "14B", 16, 2097152): ("0x1.f2af66b622764p+3", "0x1.3ac32d3718313p+5"),
+    ("usp", "14B", 32, 131072): ("0x1.0078847677482p-5", "0x1.a90b847b502e1p-4"),
+    ("usp", "14B", 32, 1048576): ("0x1.f3a07e29cb543p+0", "0x1.454f21d4a9f61p+2"),
+    ("usp", "14B", 32, 2097152): ("0x1.f2af7baed7ff2p+2", "0x1.3e32f4302db4bp+4"),
+    ("usp", "14B", 64, 131072): ("0x1.a8fe93ac09be4p-6", "0x1.0bd03f790cfe1p-4"),
+    ("usp", "14B", 64, 1048576): ("0x1.f3a125ef779b4p-1", "0x1.531017add3805p+1"),
+    ("usp", "14B", 64, 2097152): ("0x1.f2afa5a04310ep+1", "0x1.4512cda1b30efp+3"),
+}
+
+
+class TestHeadParallelPassGraph:
+    """Ulysses and USP are priced by the graph every method's pass is: the
+    executor's grid, Algorithm 1 over its grouped rings, and the two
+    relayouts as tasks of the graph."""
+
+    @pytest.mark.parametrize(
+        "cell", list(HEAD_PARALLEL_PINS), ids=lambda c: "-".join(map(str, c))
+    )
+    def test_pass_times_keep_the_hand_written_pricers_values(self, cell):
+        """Ulysses bit for bit; USP to rounding (its relayouts now start
+        and end the graph instead of being added to its makespan)."""
+        method, model, gpus, seq = cell
+        spec = {m.name: m for m in (LLAMA_7B, LLAMA_14B)}[model]
+        topo = make_cluster(gpus)
+        wl = AttentionWorkload(seq_len=seq, hidden=spec.hidden,
+                               n_heads=spec.n_heads)
+        for backward, pinned in zip((False, True), HEAD_PARALLEL_PINS[cell]):
+            sim = attention_pass_sim(method, topo, wl, backward=backward)
+            t = attention_pass_time(method, topo, wl, backward=backward)
+            assert t == sim.makespan
+            names = [task.name.split("/")[1] for task in sim.timeline()]
+            assert names[0] == "relayout-in" and names[-1] == "relayout-out"
+            if method == "ulysses":
+                assert names == ["relayout-in", "c0", "relayout-out"]
+                assert t.hex() == pinned
+            else:
+                assert t == pytest.approx(float.fromhex(pinned), rel=1e-12)
+
+    def test_a_strided_ring_that_leaves_the_node_is_priced_inter(self):
+        """16 GPUs x 8 per node, 4 heads: USP's default degree 4 strides
+        its rings ``[0, 4, 8, 12]`` across both nodes, so every hop is
+        inter-node (the hand-written pricer took it intra: 0.01580 s)."""
+        topo = make_cluster(16)
+        wl = AttentionWorkload(seq_len=131072, hidden=512, n_heads=4)
+        for backward in (False, True):
+            fwd, rev = attention_pass_hops("usp", topo, wl, backward=backward)
+            assert len(fwd) == 3 + backward and rev == []
+            assert {cls for cls, _ in fwd} == {LinkClass.INTER}
+        bwd = attention_pass_time("usp", topo, wl, backward=True)
+        assert bwd.hex() == "0x1.545da9eec7b70p-6"  # 0.02077 s
+
+    def test_a_grid_that_does_not_fit_the_world_is_rejected(self):
+        """12 heads on 16 GPUs x 8: the default degree 6 leaves no whole
+        ring count, which the engine rejects too."""
+        wl = AttentionWorkload(seq_len=131072, hidden=1536, n_heads=12)
+        with pytest.raises(ValueError, match="not divisible by ulysses degree 6"):
+            attention_pass_time("usp", make_cluster(16), wl)
+
+    def test_default_degree_is_the_largest_head_divisor_in_a_node(self):
+        cases = {(40, 8): 8, (12, 8): 6, (4, 8): 4, (7, 8): 7, (9, 4): 3}
+        for (heads, per_node), u in cases.items():
+            assert default_ulysses_degree(heads, per_node) == u
 
 class TestMemoryModel:
     def test_megatron_oom_from_replicated_states(self):

@@ -1348,3 +1348,73 @@ class TestOneFaultStage:
             and n.value.attr == "lease"
         }
         assert "failure_detection_time" in reads
+
+
+class TestOnePassDescription:
+    """One pass description for all five methods: ``attention_pass_sim``
+    alone builds a pass graph — Ulysses and USP included, on the
+    executor's grid — ``attention_pass_time`` is its makespan, no
+    hand-written head-parallel pricer remains, and USP's default degree is
+    written once."""
+
+    HOME = "perf/schedules/attention.py"
+
+    @staticmethod
+    def _trees():
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        return {
+            path.relative_to(src).as_posix(): ast.parse(path.read_text())
+            for path in sorted(src.rglob("*.py"))
+        }
+
+    @staticmethod
+    def _calls(*names):
+        return lambda n: (
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            and n.func.id in names
+        )
+
+    def test_only_the_sim_builds_a_pass_graph(self):
+        home = self._trees()[self.HOME]
+        builders = set(_scopes(home, self._calls("Simulator", "_pipelined_ring")))
+        assert builders == {"attention_pass_sim"}
+
+    def test_the_pass_time_is_the_graphs_makespan(self):
+        home = self._trees()[self.HOME]
+        (fn,) = [
+            n for n in home.body
+            if isinstance(n, ast.FunctionDef) and n.name == "attention_pass_time"
+        ]
+        called = {
+            n.func.id for n in ast.walk(fn)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        }
+        assert called == {"attention_pass_sim"}
+
+    def test_no_hand_written_head_parallel_pricer(self):
+        gone = {"_ulysses_pass", "_usp_pass"}
+        assert [
+            (rel, node.lineno) for rel, tree in self._trees().items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in gone
+            or isinstance(node, ast.Name) and node.id in gone
+        ] == []
+
+    def test_the_default_degree_is_written_once(self):
+        trees = self._trees()
+        defines = [
+            (rel, scope) for rel, tree in trees.items()
+            for scope in _scopes(
+                tree,
+                lambda n: isinstance(n, ast.FunctionDef)
+                and n.name == "default_ulysses_degree",
+            )
+        ]
+        assert defines == [(self.HOME, "")]
+        callers = [
+            (rel, scope) for rel, tree in trees.items()
+            for scope in _scopes(tree, self._calls("default_ulysses_degree"))
+        ]
+        assert callers == [(self.HOME, "_pass_row")]
