@@ -99,6 +99,17 @@ class USPGrid:
         return rank % self.ulysses_degree
 
 
+def default_ulysses_degree(n_heads: int, world: int, gpus_per_node: int) -> int:
+    """USP's head-parallel degree when none is given: the largest ``u``
+    that divides both ``n_heads`` (each rank holds whole heads) and the
+    world (so the ``u × r`` grid exists) and fits in one node (so the
+    all-to-alls stay on NVLink)."""
+    return max(
+        u for u in range(1, min(n_heads, world, gpus_per_node) + 1)
+        if n_heads % u == 0 and world % u == 0
+    )
+
+
 @dataclass
 class USPContext:
     """Saved state between USP forward and backward: per rank, the

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.attention import METHOD_REGISTRY, get_method
+from repro.attention.usp import default_ulysses_degree
 from repro.comm import SimCommunicator
 from repro.kernels import attention_reference, attention_reference_backward
 from repro.masks import CausalMask, FullMask, MaskPattern, SlidingWindowMask
@@ -155,10 +156,8 @@ def verify_method(
     pattern: MaskPattern = MASKS[mask](seq_len)
 
     if method_name == "usp" and "ulysses_degree" not in method_kwargs:
-        method_kwargs["ulysses_degree"] = max(
-            d for d in range(1, num_gpus + 1)
-            if num_gpus % d == 0 and n_heads % d == 0
-        )
+        method_kwargs["ulysses_degree"] = default_ulysses_degree(
+            n_heads, topo.world_size, topo.gpus_per_node)
     if block_size is None:
         block_size = max(8, seq_len // 8)
     method = get_method(method_name, block_size=block_size, **method_kwargs)

@@ -10,29 +10,27 @@ all-to-all traffic logged on the engine's communicator), and gathers the
 outputs; the backward does the same for Algorithm 1 / Algorithm 2 /
 Ulysses / USP backward.  Projections, RoPE, merge and ``wo`` are the
 inherited node's, and so is a folded block tail (residual, ``norm2``,
-fused FFN): it only adds the FFN's three weights to what ``_save`` keeps.
+fused FFN), which adds nothing to what ``_save`` keeps.
 
-The checkpoint protocol is inherited, not mirrored: on a recomputation
-pass with a cache hit a ring-family method skips the distributed forward
-entirely — *no communication happens during recompute*, which is precisely
-why selective++/sequence-level checkpointing pays off in a distributed
-setting — and rebuilds the backward context from shards instead.
+The checkpoint policy is inherited, not mirrored: a ring-family method
+keeps ``x`` and the policy's back rows of ``(o, lse)`` and its backward
+rebuilds the front rows with the local kernel — *no communication
+happens during recompute*, which is precisely why selective++ /
+sequence-level checkpointing pays off in a distributed setting — and
+re-shards q, k, v (re-projected) and ``lse`` into a context, again
+without communication.  Under ``full`` nothing is kept, and the backward
+runs the distributed forward again, collectives included, before the
+distributed backward.
 
-What the node saves is what its backward reads, once:
-
-* a ring-family method saves the inherited set — ``x``, the norm row,
-  the merged ``o``, ``lse`` and the weights; its backward re-projects
-  q, k and v and re-shards them, with ``lse``, into a context (no
-  communication);
-* a method that cannot rebuild its context (Ulysses, USP) saves, in place
-  of ``lse``, the head-layout context its forward built — ``q_h``,
-  ``k_h``, ``v_h``, ``lse_h``
-  (:data:`~repro.attention.usp.CONTEXT_ARRAYS`) — through the node's own
-  ``save_for_backward``, so the one handle is released wherever the
-  node's is.  Rebuilding that context would repeat an all-to-all.  Its
-  forward hands back ``o`` alone (no sequence-layout ``lse``: nothing
-  here reads one).  Such a method recomputes its full forward on a
-  replay, collectives included, so its layer has no output cache.
+A method that cannot rebuild its context (Ulysses, USP) hands back, from
+its forward, ``o`` alone (no sequence-layout ``lse``: nothing here reads
+one) and the head-layout context it built — ``q_h``, ``k_h``, ``v_h``,
+``lse_h`` (:data:`~repro.attention.usp.CONTEXT_ARRAYS`).  Without a
+recomputed front the node keeps that context and ``o`` through its own
+``save_for_backward``, so the one handle is released wherever the node's
+is; rebuilding it would repeat an all-to-all.  Under any other policy the
+node keeps only ``x``, and its backward re-runs the whole forward,
+collectives included, for a fresh context.
 
 Either way the backward hands the method the merged ``o``, re-sharded by
 tokens: each rank forms ``D = rowsum(dO ∘ O)`` from it, the one statistic
@@ -59,9 +57,6 @@ class DistributedAttentionFn(AttentionFn):
     local kernels instead — inference is not this repo's target.
     """
 
-    #: A Ulysses / USP forward's context, read (once) by the backward.
-    kept_ctx = None
-
     def _attend(self, q, k, v):
         method, comm = self.layer.method, self.layer.comm
         g, s = comm.world_size, q.shape[-2]
@@ -73,28 +68,30 @@ class DistributedAttentionFn(AttentionFn):
         )
         if not method.supports_context_rebuild:
             self.kept_ctx = ctx
-            return method.gather(os_), None
-        return method.gather(os_), method.gather(lses, axis=-1)
+            return method.gather(os_), None, tuple(
+                arr for name in CONTEXT_ARRAYS for arr in getattr(ctx, name))
+        return method.gather(os_), method.gather(lses, axis=-1), ()
 
-    def _save(self, x, ms, weights, o, lse):
-        if self.kept_ctx is None:
-            super()._save(x, ms, weights, o, lse)
+    def _save(self, x, o, lse, context):
+        if not context:
+            super()._save(x, o, lse, context)
+        elif self.layer.policy.replays:
+            # the backward re-runs the whole forward for a fresh context
+            self.kept_ctx, self.split = None, x.shape[0]
+            self.save_for_backward(x)
         else:
-            self.save_for_backward(x, ms, *weights, o, *(
-                arr for name in CONTEXT_ARRAYS
-                for arr in getattr(self.kept_ctx, name)
-            ))
+            self.split = 0
+            self.save_for_backward(x, o, lse, *context)
 
-    def _attend_backward(self, n, weights, o, context, grad_out):
+    def _attend_backward(self, qkv, o, lse, grad_out):
         method, comm = self.layer.method, self.layer.comm
-        g, s = comm.world_size, n.shape[0]
+        g, s = comm.world_size, o.shape[0]
         if self.kept_ctx is not None:
             ctx, self.kept_ctx = self.kept_ctx, None
-            o = self._heads(o)
         elif s % g:
-            return super()._attend_backward(n, weights, o, context, grad_out)
+            return super()._attend_backward(qkv, o, lse, grad_out)
         else:
-            q, k, v, o, lse = self._rebuild(n, weights, o, context)
+            q, k, v = qkv
             ctx = method.make_context(
                 comm,
                 method.shard(q, g), method.shard(k, g), method.shard(v, g),
@@ -102,7 +99,8 @@ class DistributedAttentionFn(AttentionFn):
                 method.indices(s, g), self.mask, self.scale,
             )
         dos = method.shard(np.ascontiguousarray(grad_out), g)
-        dqs, dks, dvs = method.backward_shards(comm, ctx, dos, method.shard(o, g))
+        dqs, dks, dvs = method.backward_shards(
+            comm, ctx, dos, method.shard(self._heads(o), g))
         return method.gather(dqs), method.gather(dks), method.gather(dvs)
 
 
@@ -118,9 +116,7 @@ class DistributedCausalSelfAttention(CausalSelfAttention):
     ``None`` (the default) each call derives its tile from the head count
     of the queries it hands the kernel (:func:`repro.kernels.tile_size`).
     The ``block_size`` argument (the model's ``attn_block_size``) is
-    validated like the base module's and otherwise not read.  A method
-    that cannot rebuild its backward context re-runs its whole forward
-    in a replay, so its layer keeps no output cache.
+    validated like the base module's and otherwise not read.
     """
 
     node = DistributedAttentionFn
@@ -141,5 +137,3 @@ class DistributedCausalSelfAttention(CausalSelfAttention):
         self.method = method
         self.comm = comm
         self.block_size = method.block_size
-        if not method.supports_context_rebuild:
-            self.cache = None

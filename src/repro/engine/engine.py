@@ -170,9 +170,13 @@ class BurstEngine:
         return sum(p.nbytes for p in self.model.parameters())
 
     def replayed_parameters(self) -> list[Tensor]:
-        """The parameters a checkpoint replay reads, which FSDP re-gathers
-        for it: every replaying block's own (its norms, projections and
-        FFN), nothing under a policy that replays nothing.
+        """The parameters FSDP re-gathers for a checkpointing backward:
+        every block's own (its norms, projections and FFN) under a
+        checkpointing policy (``CheckpointPolicy.replays``), whose node
+        rebuilds norm rows, q/k/v and attention rows from them, nothing
+        under ``none``.  The convention holds for ``selective_pp`` too,
+        although its node rebuilds no attention rows on a ring-family
+        method.
 
         Nothing outside the blocks is read again: the embeddings' backward
         is a scatter-add, the LM head forms its gradients in its forward
@@ -243,8 +247,9 @@ class BurstEngine:
             )
             fsdp = None
             if self.config.fsdp:
-                # Per micro-batch the forward's gather and the replay's
-                # re-gather of what it reads; the gradients' reduce-scatter.
+                # Per micro-batch the forward's gather and the
+                # checkpointing backward's re-gather; the gradients'
+                # reduce-scatter.
                 fsdp = log_fsdp_traffic(
                     self.comm, self.param_bytes, replayed_bytes=sum(
                         p.nbytes for p in self.replayed_parameters()),

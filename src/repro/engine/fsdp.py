@@ -5,9 +5,9 @@ Numerically our single-process engine keeps one copy of every parameter —
 sharding changes *placement*, not values — so FSDP shows up in two places:
 
 * traffic: each micro-batch of a training step all-gathers every
-  parameter for its forward and re-gathers the parameters a checkpoint
-  replay reads — the replayed blocks' own, nothing outside the blocks —
-  for its replay and the backward that follows it; the step then
+  parameter for its forward and, under a checkpointing policy,
+  re-gathers the blocks' own parameters — nothing outside the blocks —
+  for the backward that recomputes from them; the step then
   reduce-scatters every (accumulated) gradient once.
   :func:`log_fsdp_traffic` appends the corresponding ring-realisation
   transfer records to the communicator's log so end-to-end traffic totals
@@ -57,8 +57,8 @@ def _pass_elems(
     micro_batches: int = 1,
 ) -> tuple[int, ...]:
     """Shard elements of each pass one step runs: per micro-batch, the
-    forward's all-gather of every parameter and the replay's re-gather
-    (none when nothing is replayed); then the gradients' reduce-scatter."""
+    forward's all-gather of every parameter and the backward's re-gather
+    (none without checkpointing); then the gradients' reduce-scatter."""
     if world_size < 1:
         raise ValueError(f"world_size must be >= 1, got {world_size}")
     if micro_batches < 1:

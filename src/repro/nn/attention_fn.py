@@ -1,55 +1,49 @@
 """A layer's attention half — or its whole block — as one autograd node,
-with checkpoint policy support.
+which owns the layer's recompute.
 
 :class:`AttentionFn` runs ``norm1 → q/k/v → RoPE → attend → merge → wo``
 — everything between a block's input and its first residual ``add`` —
 as one node; handed the block's :class:`FFNTail` it runs the rest of the
 block too, ``→ +x → norm2 → SwiGLU → +h``.  It is where the
-checkpointing policies of Section 3.2 act:
-for the single-device model directly, and for the engine's distributed
-node (:class:`repro.engine.DistributedAttentionFn`) by inheritance — that
+checkpointing policies of Section 3.2 act: for the single-device model
+directly, and for the engine's distributed node
+(:class:`repro.engine.DistributedAttentionFn`) by inheritance — that
 subclass moves the whole-sequence attention product onto the cluster and
 keeps this protocol.
 
-* normal forward — compute ``(O, lse)`` and save what the backward reads;
-* checkpointed first pass (``no_grad``, under a checkpoint whose replay
-  will run) — additionally stash the back
-  :meth:`~repro.nn.checkpoint.CheckpointPolicy.cached_rows` of ``(O, lse)``
-  (all of it for selective++, the sequence suffix for sequence-level,
-  none for full) in the layer's
-  :class:`~repro.nn.checkpoint.AttentionOutputCache`;
-* recomputation pass — consume the cache and recompute only the front
-  rows it lacks (cheap under causal masking): none for selective++, the
-  front segment for sequence-level.  With nothing cached (full) the
-  whole-sequence pass runs again.
+What the node keeps from its forward to its backward is ``x`` and the
+back :meth:`~repro.nn.checkpoint.CheckpointPolicy.cached_rows` rows of
+``(O, lse)`` — every row under ``none`` and ``selective_pp``, the
+sequence suffix under ``sequence_level``, none under ``full`` — as a
+copy, never a view (a view would pin the whole ``O`` while the tracker
+counted the suffix).  The weights are parameters, held by reference and
+not registered.  A product that keeps its own backward context (the
+engine's Ulysses / USP) keeps that context and ``O`` without a recomputed
+front, and only ``x`` with one.
 
-Recomputed attention work is tallied in the memory tracker's
-``recompute_flops`` so the compute/memory trade-off of Fig. 7 is measured.
-Only the attention product counts there: the q/k/v GEMMs the node's
-backward re-runs (below) are not recomputed *attention*.
-
-What the node saves is ``x``, the folded norm's ``(S, 1)`` row, ``O``
-once in merged ``(S, D)`` layout (``wo``'s input), ``lse`` and the four
-weights (held by reference).  Its backward runs ``wo``'s expressions,
-rebuilds ``n``, ``q``, ``k``, ``v`` and their rotation with the forward's
-expressions — three ``(S×D)·(D×D)`` GEMMs — and runs the attention
-backward on them, then the projections' and the norm's.  That is
+The backward rebuilds ``norm1``'s row, ``n`` and ``q``, ``k``, ``v``
+with the forward's expressions — three ``(S×D)·(D×D)`` GEMMs, once — and
+then the rows it did not keep: the front rows by the local kernel (no
+communication, cheap under causal masking), or, with nothing kept, the
+whole product again, collectives included.  Those rebuilt rows (and a
+rebuilt context) are registered with the tracker while the backward
+runs, under the ``recompute`` memory phase and the ``attn.recompute``
+span, and their attention work is tallied in the tracker's
+``recompute_flops`` so the compute/memory trade-off of Fig. 7 is
+measured.  Only the attention product counts there: the q/k/v GEMMs are
+not recomputed *attention*.  Then it runs ``wo``'s expressions, the
+attention backward and the projections' and the norm's.  That is
 FlashAttention's bargain one level up: ``q``, ``k``, ``v`` and a second
-copy of ``O`` are ``4·S·D`` elements that three GEMMs rebuild.  A
-product that keeps its own backward context (the engine's Ulysses / USP)
-saves that context instead of ``lse``.
+copy of ``O`` are ``4·S·D`` elements that three GEMMs rebuild.
 
-With a block's tail folded in the node saves the same set plus the fused
-FFN's three weights (``norm2``'s is held by reference, as ``norm1``'s
-is): the mid-residual ``h = x + o·Woᵀ`` and ``norm2``'s row are one
-``(S×D)·(D×D)`` GEMM away from the saved ``x`` and ``O``, so the backward
-rebuilds them with the forward's expressions and runs the fused FFN's
-backward (:class:`~repro.nn.mlp_fn.BlockwiseMLPFn`'s expressions), the
-residual and then the attention half's, letting ``x``'s gradient terms
-leave in the order of the node chain it replaced (residual first, then
-``norm1``'s three).  A replay whose output nobody reads
-(``FFNTail.unread``) skips ``wo``, the residual, ``norm2``'s row and the
-FFN in its forward.
+With a block's tail folded in the backward also rebuilds the
+mid-residual ``h = x + o·Woᵀ`` and ``norm2``'s row — one ``(S×D)·(D×D)``
+GEMM away from ``x`` and ``O`` — and the block's two dropout masks, which
+it redraws from the block's seed, and runs the fused FFN's backward
+(:class:`~repro.nn.mlp_fn.BlockwiseMLPFn`'s expressions), the residual
+and then the attention half's, letting ``x``'s gradient terms leave in
+the order of the node chain it replaced (residual first, then
+``norm1``'s three).
 """
 
 from __future__ import annotations
@@ -67,13 +61,14 @@ from repro.kernels import (
     head_batch,
 )
 from repro.masks import MaskPattern
-from repro.nn.checkpoint import in_first_pass, in_recompute
 from repro.nn.function import Function
 from repro.nn.memory import get_tracker
 from repro.nn.mlp_fn import BlockwiseMLPFn
-from repro.nn.ops import PreNormFn
+from repro.nn.ops import PreNormFn, dropout_mask
+from repro.nn.rng import scoped_rng
 from repro.nn.rope import rope_angles, rotate_half_split
 from repro.nn.tensor import Tensor
+from repro.obs.mem import current_memory_scope, memory_scope
 from repro.obs.tracer import trace_span
 
 
@@ -140,6 +135,13 @@ class FlashAttentionFn(Function):
         self.block_size = block_size
         self.workspace = KernelWorkspace()
 
+    def release_saved(self) -> None:
+        # The scratch goes with the saved set: the graph holds a node
+        # until the whole backward has run, and a backward that rebuilt
+        # rows grew it.
+        self.workspace = None
+        super().release_saved()
+
     def _local_forward(self, q, k, v, n_q: int):
         """Local kernel on the first ``n_q`` query rows against all keys —
         the full pass (``n_q == S``) and the sequence-level front segment."""
@@ -174,16 +176,15 @@ class FFNTail:
     block: ``h = x + drop(attn)``, ``y = h + drop(ffn(norm(h)))``.
 
     ``norm`` and ``ffn`` are the block's ``norm2`` and its SwiGLU (their
-    weights and ``mlp_chunk_size`` are read), ``masks`` the two dropout
-    masks the block drew (``None`` without dropout) and ``unread`` the
-    block's guarantee that nobody reads the node's output values (its own
-    checkpoint replay).
+    weights and ``mlp_chunk_size`` are read); ``dropout`` is ``(p,
+    seed)``, the block's dropout rate and the seed it drew for this
+    forward (``None`` without dropout), from which the node draws the two
+    masks — and redraws them in its backward.
     """
 
     norm: object
     ffn: object
-    masks: tuple | None = None
-    unread: bool = False
+    dropout: tuple | None = None
 
     @property
     def weights(self) -> tuple:
@@ -201,18 +202,19 @@ class AttentionFn(PreNormFn, FlashAttentionFn):
     Applied as ``apply(x, wq, wk, wv, wo, layer=attn)`` or, with the norm
     folded in, ``apply(x, x, x, w, wq, wk, wv, wo, eps=eps, layer=attn)``;
     ``layer`` is the :class:`~repro.nn.modules.CausalSelfAttention` whose
-    heads, RoPE, mask, tile edge, output cache and policy the node reads.
+    heads, RoPE, mask, tile edge and checkpoint policy the node reads.
 
     Applied with ``tail=FFNTail(...)`` and the tail's four parameters
     after ``wo`` (``norm2``'s weight, then the FFN's gate, up and down)
     it is the whole block, ``h = x + drop(wo(…))``, ``y = h +
     drop(ffn(norm2(h)))``, with ``h`` rebuilt in the backward.
 
-    The checkpoint protocol lives here once (:meth:`_product`).  A
-    subclass that runs the attention product somewhere else (the
-    simulated cluster) overrides :meth:`_attend` (its forward),
-    :meth:`_attend_backward` (its backward) and :meth:`_save` (the context
-    it keeps), nothing else; the block tail is inherited.
+    The checkpoint policy acts here once: :meth:`_save` keeps the rows
+    the policy keeps and :meth:`_recompute` rebuilds the rest in the
+    backward.  A subclass that runs the attention product somewhere else
+    (the simulated cluster) overrides :meth:`_attend` (its forward),
+    :meth:`_attend_backward` (its backward) and :meth:`_save` (what it
+    keeps), nothing else; the block tail is inherited.
 
     Values and gradients are the bits of the node chain this replaced —
     a q/k/v projection node, three head views, RoPE, the attention node,
@@ -223,57 +225,74 @@ class AttentionFn(PreNormFn, FlashAttentionFn):
     """
 
     #: A folded block tail's FFN expressions (a :class:`BlockwiseMLPFn`
-    #: run inside this node) and its dropout masks; ``None`` without one.
+    #: run inside this node) and its ``(p, seed)`` dropout; ``None``
+    #: without one.
     ffn = None
-    masks = None
+    dropout = None
+    #: A product's own backward context (the engine's Ulysses / USP),
+    #: read by :meth:`_attend_backward` in place of re-projected q/k/v.
+    kept_ctx = None
 
     def forward(self, *args, eps: float | None = None, layer=None, tail=None):
         x, ms, weights = self._norm_inputs(args, eps)
-        wq, wk, wv, wo = weights[:4]
-        self.layer = layer
+        self.eps, self.layer = eps, layer
+        # Parameters, held by reference: the tracker counts activations.
+        self.weights = weights
+        # The backward's rebuilt rows are attributed to this forward's layer.
+        self.mem_layer = current_memory_scope().get("layer")
         self._use_kernels(layer.mask, 1.0 / np.sqrt(layer.head_dim),
                           layer.block_size, layer.n_heads // layer.n_kv_heads)
         s = x.shape[0]
-        self.blocks = _packed(s, [w.shape[0] for w in (wq, wk, wv)])
+        self.blocks = _packed(s, [w.shape[0] for w in weights[:3]])
         self.rope = (
             rope_angles(np.arange(s), layer.head_dim, layer.rope_theta)
             if layer.rope else None
         )
-        o, lse = self._product(*self._qkv(self._normed(x, ms), (wq, wk, wv)))
+        o, lse, context = self._attend(*self._qkv(self._normed(x, ms), weights[:3]))
         merged = np.swapaxes(o, 0, 1).reshape(s, -1)
+        self._save(x, merged, lse, context)
         if tail is None:
-            self._save(x, ms, weights, merged, lse)
-            return self._out(merged, wo)
-        # norm2's weight is held by reference, as norm1's is
-        self.ffn, self.masks = BlockwiseMLPFn(), tail.masks
+            return self._out(merged, weights[3])
+        self.ffn, self.dropout = BlockwiseMLPFn(), tail.dropout
         self.ffn.chunk_size = tail.ffn.mlp_chunk_size
         self.ffn_norm = weights[4], tail.norm.eps
-        ffn_weights = weights[5:]
-        self._save(x, ms, [*weights[:4], *ffn_weights], merged, lse)
-        if tail.unread:
-            # Zeros, not np.empty: a placeholder nobody reads stays finite.
-            return np.zeros(x.shape)
-        h = self._residual(x, merged, wo)
-        f = self.ffn._ffn(h, self._ffn_row(h), ffn_weights)
-        if self.masks is not None:
-            f *= self.masks[1]
+        masks = self._masks(x.shape)
+        h = self._residual(x, merged, weights[3], masks)
+        f = self.ffn._ffn(h, self._ffn_row(h), weights[5:])
+        if masks is not None:
+            f *= masks[1]
         f += h  # h + f: IEEE addition commutes, so in place is the same bits
         return f
 
     def backward(self, g):
-        x, ms, *saved = self.saved
-        n_weights = 4 if self.ffn is None else 7
-        weights, o = saved[:n_weights], saved[n_weights]
-        context = saved[n_weights + 1:]
-        wq, wk, wv, wo = weights[:4]
+        x, *kept = self.saved
+        wq, wk, wv, wo = self.weights[:4]
         s = x.shape[0]
+        # norm1's row, by the forward's expression
+        _, ms, _ = self._norm_inputs(
+            (x,) if self.eps is None else (x, x, x, self.norm_weight), self.eps)
+        qkv = handle = None
+        if self.split:
+            qkv = self._qkv(self._normed(x, ms), (wq, wk, wv))
+            o, lse, handle = self._recompute(*qkv, kept)
+            if self.kept_ctx is not None:
+                qkv = None  # the rebuilt context replaces them
+        else:
+            o, lse = kept[:2]
         if self.ffn is not None:
-            g_h, g, tail_grads = self._tail_backward(x, o, wo, weights[4:], g)
+            g_h, g, tail_grads = self._tail_backward(
+                x, o, wo, self.weights[5:], g, self._masks(x.shape))
         # wo's MatMul, then the merge's Reshape and Swapaxes
         g_wo = np.swapaxes(np.matmul(np.swapaxes(o, 0, 1), g), 0, 1)
         g_o = np.swapaxes(np.matmul(g, wo).reshape(s, self.layer.n_heads, -1), 0, 1)
+        # n and q/k/v rebuilt as late as they are read: the tail's
+        # backward runs without them when nothing was recomputed
         n = self._normed(x, ms)
-        dq, dk, dv = self._attend_backward(n, (wq, wk, wv), o, context, g_o)
+        if qkv is None and self.kept_ctx is None:
+            qkv = self._qkv(n, (wq, wk, wv))
+        dq, dk, dv = self._attend_backward(qkv, o, lse, g_o)
+        if handle is not None:
+            get_tracker().release(handle)
         if self.rope is not None:
             dq, dk = (rotate_half_split(d, *self.rope, inverse=True)
                       for d in (dq, dk))
@@ -301,15 +320,25 @@ class AttentionFn(PreNormFn, FlashAttentionFn):
 
     # -- a folded block tail: h = x + drop(attn); y = h + drop(ffn(norm2(h)))
 
-    def _residual(self, x, merged, wo):
+    def _masks(self, shape):
+        """The block's two dropout masks, in the order they apply, drawn
+        from its seed — the same bits in the forward and the backward
+        (``None`` without dropout)."""
+        if self.dropout is None:
+            return None
+        p, seed = self.dropout
+        with scoped_rng(seed):
+            return tuple(dropout_mask(shape, p) for _ in range(2))
+
+    def _residual(self, x, merged, wo, masks):
         """``h``, the block's mid-residual: the forward's expressions,
-        which the backward re-runs on the saved ``x`` and merged ``o``.
-        They run in place on ``wo``'s output (``x + a`` is ``a + x``): a
+        which the backward re-runs on ``x`` and the merged ``o``.  They
+        run in place on ``wo``'s output (``x + a`` is ``a + x``): a
         backward that allocated them afresh took 1.6× the page faults a
         step on ``wide_short``."""
         a = self._out(merged, wo)
-        if self.masks is not None:
-            a *= self.masks[0]
+        if masks is not None:
+            a *= masks[0]
         a += x
         return a
 
@@ -318,20 +347,20 @@ class AttentionFn(PreNormFn, FlashAttentionFn):
         w, eps = self.ffn_norm
         return self.ffn._norm_inputs((h, h, h, w), eps)[1]
 
-    def _tail_backward(self, x, o, wo, ffn_weights, g):
+    def _tail_backward(self, x, o, wo, ffn_weights, g, masks):
         """Rebuild ``h`` and ``norm2``'s row, run the fused FFN's and
         ``norm2``'s backward; returns ``h``'s gradient, the attention
         output's and the gradients of ``norm2``'s and the FFN's
         weights."""
-        h = self._residual(x, o, wo)
-        g_f = g if self.masks is None else g * self.masks[1]
+        h = self._residual(x, o, wo, masks)
+        g_f = g if masks is None else g * masks[1]
         *h_terms, g_norm, g_gate, g_up, g_down = self.ffn._ffn_backward(
             h, self._ffn_row(h), ffn_weights, g_f)
         # h's terms in the graph's order: the residual add's, then the norm's
         g_h = g + h_terms[0]
         for term in h_terms[1:]:
             g_h += term
-        g_attn = g_h if self.masks is None else g_h * self.masks[0]
+        g_attn = g_h if masks is None else g_h * masks[0]
         return g_h, g_attn, (g_norm, g_gate, g_up, g_down)
 
     def _qkv(self, n, weights):
@@ -349,64 +378,55 @@ class AttentionFn(PreNormFn, FlashAttentionFn):
             q, k = (rotate_half_split(t, *self.rope) for t in (q, k))
         return q, k, v
 
-    def _product(self, q, k, v):
-        """``(o, lse)`` under the layer's checkpoint policy: the replay
-        recomputes the front ``split`` rows and reads the back ``s -
-        split`` from the cache the first pass filled."""
-        cache, s = self.layer.cache, q.shape[-2]
-        heads, head_dim = q.shape[0], q.shape[-1]
-        split = s - self.layer.policy.cached_rows(s)
-        cached = cache.pop(0) if (cache is not None and in_recompute()) else None
-
-        if cached is None:
-            o, lse = self._attend(q, k, v)
-            if in_recompute():
-                get_tracker().add_recompute_flops(
-                    _attention_flops(allowed_pairs(self.mask, s, s), heads, head_dim)
-                )
-        else:
-            o, lse = cached
-            if split:
-                with trace_span("ckpt.recompute-front", phase="ckpt-recompute",
-                                split=split, seq=s):
-                    o_front, lse_front = self._local_forward(q, k, v, split)
-                get_tracker().add_recompute_flops(
-                    _attention_flops(allowed_pairs(self.mask, split, s), heads, head_dim)
-                )
-                o = np.concatenate([o_front, o], axis=-2)
-                lse = np.concatenate([lse_front, lse], axis=-1)
-
-        if cache is not None and split < s and in_first_pass() and not in_recompute():
-            # First (no-grad) pass of a checkpointed layer: whitelist the
-            # suffix the recompute pass will not recompute.
-            cache.put(0, o[..., split:, :].copy(), lse[..., split:].copy())
-        return o, lse
+    def _recompute(self, q, k, v, kept):
+        """The merged ``o`` and ``lse`` with the front :attr:`split` rows
+        rebuilt before the ``kept`` back rows — the whole product when
+        none are kept, else the local kernel on the front rows (no
+        communication) — and the tracker handle of what was rebuilt, which
+        the backward releases once the attention backward has run."""
+        s, split = q.shape[-2], self.split
+        with trace_span("attn.recompute", phase="ckpt-recompute",
+                        split=split, seq=s), \
+                memory_scope(layer=self.mem_layer, mem_phase="recompute"):
+            if split == s:
+                o, lse, context = self._attend(q, k, v)
+            else:
+                o, lse = self._local_forward(q, k, v, split)
+                context = ()
+            get_tracker().add_recompute_flops(_attention_flops(
+                allowed_pairs(self.mask, split, s), q.shape[0], q.shape[-1]))
+            handle = get_tracker().register(
+                sum(a.nbytes for a in (o, lse, *context) if a is not None),
+                site=type(self).__name__)
+        o = np.swapaxes(o, 0, 1).reshape(split, -1)
+        if split < s:
+            o = np.concatenate([o, kept[0]])
+            lse = np.concatenate([lse, kept[1]], axis=-1)
+        return o, lse, handle
 
     # -- where the attention product runs --------------------------------------
 
-    def _save(self, x, ms, weights, o, lse):
-        """Save what :meth:`backward` reads: ``x``, the norm row, the
-        weights, the merged ``o`` and ``lse`` — ``q``, ``k``, ``v`` are
-        rebuilt."""
-        self.save_for_backward(x, ms, *weights, o, lse)
+    def _save(self, x, o, lse, context):
+        """Keep ``x`` and the back ``policy.cached_rows(s)`` rows of the
+        merged ``o`` and ``lse``, copied; the front :attr:`split` rows are
+        rebuilt in the backward.  The local product has no ``context``."""
+        s = x.shape[0]
+        self.split = split = s - self.layer.policy.cached_rows(s)
+        if split:
+            o, lse = o[split:].copy(), lse[..., split:].copy()
+        self.save_for_backward(x, o, lse)
 
     def _attend(self, q, k, v):
-        """Whole-sequence forward; returns ``(o, lse)`` (``lse`` may be
-        ``None`` for a product that keeps its own backward context, which
-        :meth:`_save` then saves in its place)."""
-        return self._local_forward(q, k, v, q.shape[-2])
+        """Whole-sequence forward; returns ``(o, lse, context)``: a product
+        that keeps its own backward context returns its arrays as
+        ``context`` (``lse`` may then be ``None``)."""
+        return (*self._local_forward(q, k, v, q.shape[-2]), ())
 
-    def _attend_backward(self, n, weights, o, context, grad_out):
-        """Whole-sequence backward from the normed input ``n``, the q/k/v
-        ``weights``, the saved merged ``o`` and what :meth:`_save` kept
-        after it (``context``); returns ``(dq, dk, dv)``."""
-        return self._local_backward(*self._rebuild(n, weights, o, context), grad_out)
-
-    def _rebuild(self, n, weights, o, context):
-        """``(q, k, v, o, lse)`` as the forward handed them to the
-        product: q/k/v re-projected, ``o`` viewed in head layout."""
-        (lse,) = context
-        return (*self._qkv(n, weights), self._heads(o), lse)
+    def _attend_backward(self, qkv, o, lse, grad_out):
+        """Whole-sequence backward from the re-projected ``qkv`` (``None``
+        when :attr:`kept_ctx` holds the context), the merged ``o`` and
+        ``lse``; returns ``(dq, dk, dv)``."""
+        return self._local_backward(*qkv, self._heads(o), lse, grad_out)
 
     def _heads(self, o):
         """The merged ``(S, D)`` output viewed in ``(H, S, Dh)`` layout."""

@@ -3,68 +3,38 @@
 Policies
 --------
 ``none``
-    No checkpointing: every Function saves its backward state; maximal
-    memory, zero recomputation.
+    No checkpointing: a block's node keeps ``x`` and every row of its
+    attention output ``(O, lse)``; zero recomputation.
 ``full``
-    Classic gradient checkpointing [Chen et al. 2016]: only the layer
-    *inputs* persist; the whole layer — including attention — is re-run in
-    the backward pass.
+    Classic gradient checkpointing [Chen et al. 2016]: the node keeps only
+    ``x``, and its backward re-runs the whole attention forward.
 ``selective_pp``
-    Selective checkpointing++ [DISTFLASHATTN / LoongTrain]: like ``full``
-    but the attention outputs ``(O, lse)`` are whitelisted and stored, so
-    the expensive attention forward is never recomputed.  Costs ``O(N d)``
-    extra memory per layer — the Fig. 7 blow-up.
+    Selective checkpointing++ [DISTFLASHATTN / LoongTrain]: the attention
+    outputs ``(O, lse)`` are whitelisted and kept, so the expensive
+    attention forward is never recomputed.  The node keeps the same set
+    as under ``none``; the two stay apart because Fig. 7 labels them
+    apart (and :mod:`repro.experiments` prices them apart).
 ``sequence_level``
-    The paper's scheme: store ``(O, lse)`` only for the *latter*
+    The paper's scheme: keep ``(O, lse)`` only for the *latter*
     ``1 - split_fraction`` of the sequence (whose causal recomputation
     would be expensive) and recompute attention only for the cheap front
-    segment.  With ``split_fraction = 0.5`` this stores half of
+    segment.  With ``split_fraction = 0.5`` this keeps half of
     selective++'s whitelist while re-doing only ~25 % of the attention
     forward FLOPs.
 
-The three replaying policies are one scheme with a different front: a
-replay recomputes the attention of the first ``c`` of each layer's
-sequence and reads the back ``1 - c`` from the cache — ``full`` is
-``c = 1``, ``selective_pp`` is ``c = 0`` and ``sequence_level`` is
-``c = split_fraction``.  :attr:`CheckpointPolicy.recomputed_front` is that
-declaration; the replay, both memory models and the time model derive what
-they need from it and never branch on the mode.
+Every policy is one scheme with a different front: a block's backward
+recomputes the attention of the first ``c`` of its sequence and reads the
+back ``1 - c`` from what the forward kept — ``full`` is ``c = 1``,
+``selective_pp`` is ``c = 0`` and ``sequence_level`` is ``c =
+split_fraction``; ``none`` recomputes nothing either.
+:attr:`CheckpointPolicy.recomputed_front` is that declaration; the
+attention node (:class:`~repro.nn.attention_fn.AttentionFn`), both memory
+models and the time model derive what they need from it and never branch
+on the mode.  The node owns the recompute: it keeps the policy's rows and
+rebuilds the rest in its own backward, so no block is re-run.
 
-:class:`Checkpoint` is the Function that implements the store-inputs /
-re-run-in-backward mechanics; :func:`in_recompute` lets the attention
-node know the current forward is a recomputation so it can consult its
-output cache, and :func:`in_first_pass` that it is the first pass of a
-checkpoint whose replay will read that cache — the only pass that fills
-it (a forward under ``no_grad``, inference, never does).
-
-What a replay is for
---------------------
-A replay exists to rebuild the *graph* (each node's saved state) that the
-first pass ran without; the values it recomputes matter only where some
-node saves them.  The replayed function's final output is dropped —
-:meth:`Checkpoint.backward` seeds ``out.backward`` with the upstream
-gradient and never reads ``out.data`` — so the node at the tail of the
-region may skip whatever of its forward only feeds that output.  A
-block's replay is one node (:class:`~repro.nn.attention_fn.AttentionFn`
-with the block's residual, ``norm2`` and FFN folded in, as every block
-is): it runs the attention product, whose ``(O, lse)`` it saves, and
-skips ``wo``, the residual, ``norm2``'s row and the FFN, which its
-backward rebuilds from the saved ``x`` and ``O`` anyway.
-Whether a node *is* at the tail is a fact about the replayed function,
-not about the node: inside ``checkpoint(lambda t: ffn2(ffn1(t)), x)`` the
-first FFN's output is saved by the second.  Hence the rule, guarded in
-``tests/test_public_api.py``: ``in_recompute`` is read by the
-attention-output cache protocol
-(:class:`~repro.nn.attention_fn.AttentionFn`, which also reads
-``in_first_pass``) and by :class:`~repro.nn.modules.TransformerBlock`
-(which owns both the region and its tail) and by nothing else — never
-by another node or a kernel.
-
-The same reasoning covers the rest of the layer: its node saves the
-block input ``x``, which the replay hands it anyway, and rebuilds ``q``,
-``k``, ``v`` and the mid-residual ``h`` from it in its backward rather
-than save them; only ``(O, lse)`` — or, for the cached rows, the
-whitelist — persists, because no GEMM rebuilds attention.
+:class:`Checkpoint` is the generic store-inputs / re-run-in-backward
+Function, for any function of Tensors; no model layer applies it.
 """
 
 from __future__ import annotations
@@ -75,8 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nn.function import Function
-from repro.nn.memory import get_tracker
-from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
+from repro.nn.tensor import Tensor, no_grad
 from repro.obs.mem import memory_phase
 from repro.obs.tracer import trace_span
 
@@ -93,7 +62,7 @@ class CheckpointPolicy:
     """Layer recomputation policy.
 
     ``split_fraction`` only applies to ``sequence_level``: the fraction of
-    the sequence (the front) that is recomputed rather than stored.
+    the sequence (the front) that is recomputed rather than kept.
     (A layer's FFN is always folded into the layer's attention node,
     which rebuilds its input and intermediates in backward;
     ``TransformerConfig.mlp_chunk_size`` sets only its chunking.)
@@ -118,8 +87,8 @@ class CheckpointPolicy:
     @property
     def recomputed_front(self) -> float | None:
         """The fraction ``c`` of each layer's sequence, from the front,
-        whose attention a replay recomputes; ``None`` if the layer is
-        never replayed."""
+        whose attention the backward recomputes; ``None`` if the layer
+        recomputes nothing."""
         return {
             CheckpointMode.NONE: None,
             CheckpointMode.FULL: 1.0,
@@ -129,75 +98,43 @@ class CheckpointPolicy:
 
     @property
     def replays(self) -> bool:
-        """True when the layer keeps only its input and re-runs in backward."""
+        """True under a checkpointing policy: FSDP re-gathers the layer's
+        parameters for its backward (``BurstEngine.replayed_parameters``)."""
         return self.recomputed_front is not None
 
     def cached_rows(self, seq_len: int) -> int:
-        """Rows of ``(O, lse)`` the first pass keeps for the replay: the
-        back ``s - round(s * c)`` of the sequence (0 without a replay)."""
+        """Rows of ``(O, lse)`` a layer keeps for its backward: the back
+        ``s - round(s * c)`` of the sequence (every row without a
+        recomputed front)."""
         c = self.recomputed_front
-        return 0 if c is None else seq_len - int(round(seq_len * c))
-
-
-_in_recompute: bool = False
-_in_first_pass: bool = False
-
-
-def in_recompute() -> bool:
-    """True while a :class:`Checkpoint` node is re-running its layer.
-
-    Also true for everything that replay calls, including the *first*
-    pass of a checkpoint nested inside it — whose output is real.
-    """
-    return _in_recompute
-
-
-def in_first_pass() -> bool:
-    """True while a :class:`Checkpoint` node applied with gradients
-    enabled runs its layer's first (no-grad) pass — a pass whose replay
-    will come.  Under an outer ``no_grad`` (inference, evaluation) no
-    backward follows, so nothing is stashed for one.
-    """
-    return _in_first_pass
+        return seq_len if c is None else seq_len - int(round(seq_len * c))
 
 
 class Checkpoint(Function):
-    """Store layer inputs, re-run the layer in backward.
+    """Store the inputs, re-run ``fn`` in backward.
 
     ``fn`` maps input Tensors to a single output Tensor.  The first pass
     runs under ``no_grad`` so no intermediate state is registered; the
-    backward pass replays ``fn`` with gradients enabled (flagged via
-    :func:`in_recompute` so attention caches engage) and backpropagates
+    backward re-runs ``fn`` with gradients enabled and backpropagates
     through the fresh subgraph.
     """
 
     def forward(self, *raw_inputs, fn=None):
         if fn is None:
             raise ValueError("Checkpoint requires fn=")
-        global _in_first_pass
         self.fn = fn
         self.save_for_backward(*raw_inputs)
-        prev, _in_first_pass = _in_first_pass, is_grad_enabled()
-        try:
-            with no_grad():
-                out = fn(*[Tensor(r) for r in raw_inputs])
-        finally:
-            _in_first_pass = prev
+        with no_grad():
+            out = fn(*[Tensor(r) for r in raw_inputs])
         return out.data
 
     def backward(self, grad_out: np.ndarray):
-        global _in_recompute
         inputs = [Tensor(r, requires_grad=True) for r in self.saved]
         # The replayed nodes register what they keep of the inputs.
         self.release_saved()
-        prev = _in_recompute
-        _in_recompute = True
-        try:
-            with trace_span("ckpt.replay", phase="ckpt-recompute"):
-                with memory_phase("recompute"):
-                    out = self.fn(*inputs)
-        finally:
-            _in_recompute = prev
+        with trace_span("ckpt.replay", phase="ckpt-recompute"):
+            with memory_phase("recompute"):
+                out = self.fn(*inputs)
         out.backward(grad_out)
         return tuple(inp.grad for inp in inputs)
 
@@ -205,40 +142,3 @@ class Checkpoint(Function):
 def checkpoint(fn, *inputs: Tensor) -> Tensor:
     """Apply ``fn`` with gradient checkpointing."""
     return Checkpoint.apply(*inputs, fn=fn)
-
-
-class AttentionOutputCache:
-    """Whitelisted attention outputs that survive until backward.
-
-    Holds ``(O, lse)`` (possibly only a sequence suffix) registered with
-    the memory tracker so the extra footprint of selective++ /
-    sequence-level checkpointing is measured.  Entries are consumed by the
-    recompute pass; :meth:`clear` drops anything left (e.g. at step end).
-    A :meth:`put` over a live entry releases the entry it replaces.
-    """
-
-    def __init__(self):
-        self._store: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
-
-    def put(self, key: int, o: np.ndarray, lse: np.ndarray) -> None:
-        self.pop(key)
-        handle = get_tracker().register(
-            o.nbytes + lse.nbytes, site="attn.cache"
-        )
-        self._store[key] = (o, lse, handle)
-
-    def pop(self, key: int) -> tuple[np.ndarray, np.ndarray] | None:
-        entry = self._store.pop(key, None)
-        if entry is None:
-            return None
-        o, lse, handle = entry
-        get_tracker().release(handle)
-        return o, lse
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def clear(self) -> None:
-        for _, _, handle in self._store.values():
-            get_tracker().release(handle)
-        self._store.clear()

@@ -108,7 +108,7 @@ class MemoryTracker:
         """Record ``nbytes`` of saved activations; returns a release handle.
 
         ``site`` labels the allocation for timeline attribution (the
-        autograd Function class name, ``attn.cache``, ``head.resident``,
+        autograd Function class name, ``head.resident``,
         ...); it costs nothing when no timeline is installed.
         """
         nbytes = int(nbytes)

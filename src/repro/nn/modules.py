@@ -2,9 +2,11 @@
 
 A small LLaMA-architecture stack (RMSNorm, SwiGLU FFN, multi-head causal
 attention, tied token/position embeddings optional) sized for tests and
-examples.  The block honours a :class:`~repro.nn.checkpoint.CheckpointPolicy`
-and the LM head runs any of the three head implementations of
-:mod:`repro.lmhead` as a fused autograd node.
+examples.  Each block is one autograd node that honours a
+:class:`~repro.nn.checkpoint.CheckpointPolicy` by what it keeps for its
+backward (:mod:`repro.nn.attention_fn`), and the LM head runs any of the
+three head implementations of :mod:`repro.lmhead` as a fused autograd
+node.
 
 Activations carry no batch axis — one sequence per step, shapes ``(S, D)``
 — which is exactly the long-context regime the paper targets (a 1M-token
@@ -22,15 +24,11 @@ from repro.lmhead import HEAD_IMPLEMENTATIONS
 from repro.masks import CausalMask, MaskPattern
 from repro.nn import ops
 from repro.nn.attention_fn import AttentionFn, FFNTail
-from repro.nn.checkpoint import (
-    AttentionOutputCache,
-    CheckpointPolicy,
-    checkpoint,
-    in_recompute,
-)
+from repro.nn.checkpoint import CheckpointPolicy
 from repro.nn.function import Function
 from repro.nn.memory import get_tracker
 from repro.nn.mlp_fn import blockwise_mlp
+from repro.nn.rng import draw_seed
 from repro.nn.tensor import Tensor, is_grad_enabled
 from repro.obs.mem import memory_scope
 
@@ -189,13 +187,15 @@ class CausalSelfAttention(Module):
     :class:`~repro.masks.MaskPattern` (the sparse-attention integration).
     The whole layer — q/k/v projections, RoPE, the attention product, the
     head merge and ``wo`` — is one autograd node, :attr:`node`
-    (:class:`~repro.nn.attention_fn.AttentionFn`), which saves ``x``, the
-    merged output and its ``lse`` and rebuilds q, k and v in its backward.
+    (:class:`~repro.nn.attention_fn.AttentionFn`), which keeps ``x`` and
+    the :attr:`policy`'s rows of the merged output and its ``lse`` and
+    rebuilds q, k, v and the other rows in its backward.
     ``forward(x, norm=rms_norm_module)`` attends over ``norm(x)`` with the
-    norm folded into that node, which then saves one ``(S, 1)`` row and
-    no normed copy.  ``forward(x, norm=…, tail=FFNTail(…))`` folds the
-    rest of a block into the same node: the residual, ``norm2`` and the
-    fused FFN (their parameters become the node's inputs after ``wo``'s).
+    norm folded into that node, which rebuilds the norm's ``(S, 1)`` row
+    in its backward and keeps no normed copy.  ``forward(x, norm=…,
+    tail=FFNTail(…))`` folds the rest of a block into the same node: the
+    residual, ``norm2`` and the fused FFN (their parameters become the
+    node's inputs after ``wo``'s).
     The engine's subclass swaps in its own node.
     """
 
@@ -235,7 +235,6 @@ class CausalSelfAttention(Module):
         self.wo = Linear(dim, dim, rng)
         self.mask = mask if mask is not None else CausalMask()
         self.block_size = block_size
-        self.cache = AttentionOutputCache()
         self.policy: CheckpointPolicy = CheckpointPolicy()
 
     def forward(
@@ -255,35 +254,23 @@ class CausalSelfAttention(Module):
 class TransformerBlock(Module):
     """Pre-norm block: ``h = x + attn(norm(x)); y = h + ffn(norm(h))``.
 
-    ``policy`` selects the recomputation strategy; the block checkpoints
-    itself (storing only its input) whenever the policy requires it, with
-    the attention-output cache implementing the selective++/sequence-level
-    whitelists.
-
     Every block is **one autograd node**: ``norm1 → q/k/v → RoPE →
     attend → merge → wo → +x → norm2 → SwiGLU → +h``.  The block hands its
     attention an :class:`~repro.nn.attention_fn.FFNTail` (``norm2``, the
-    FFN, the dropout masks) and the attention node folds it in.  That node
-    saves exactly what the attention half alone saves — ``x``, ``norm1``'s
-    ``(S, 1)`` row, the merged attention output and its ``lse`` (a
-    head-parallel method: its head-layout context) and the weights, the
-    FFN's three among them — and its backward rebuilds ``h = x + o·Woᵀ``
-    and ``norm2``'s row with the forward's expressions before the FFN's
-    backward.  So no layer keeps ``q``, ``k``, ``v``, ``h``, a normed copy
-    or an FFN intermediate, under any policy: ``none`` saves each layer's
-    node and replays nothing.
+    FFN, the dropout rate and seed) and the attention node folds it in.
 
-    In the block's own checkpoint replay the FFN is the tail of the
-    checkpointed region: :class:`~repro.nn.checkpoint.Checkpoint` drops
-    the replay's output, so its values are read by nobody, and the block
-    tells the node so (``FFNTail.unread``): the node then skips ``wo``,
-    the residual, ``norm2``'s row and the FFN in its forward, which leaves
-    a replay the same GEMMs as before the fold.  Only the block can know
-    this; see ``docs/algorithms.md`` §5.
+    ``policy`` is data on that node: it keeps ``x`` and the policy's back
+    rows of ``(O, lse)`` (a head-parallel product: its context under
+    ``none``, only ``x`` otherwise), and its backward rebuilds the rest —
+    ``norm1``'s row, ``q``, ``k``, ``v``, the attention rows it did not
+    keep, ``h = x + o·Woᵀ``, ``norm2``'s row and the FFN's intermediates
+    — with the forward's expressions.  No block is checkpointed or re-run:
+    no layer keeps ``q``, ``k``, ``v``, ``h``, a normed copy or an FFN
+    intermediate under any policy.
 
-    Dropout masks are drawn by the block, under its layer seed, in the
-    order the two dropouts apply them, so a replay draws the first
-    pass's masks.
+    Dropout masks are drawn by the node from one seed the block draws per
+    forward, in the order the two dropouts apply them; the node keeps the
+    seed and redraws the same masks in its backward.
     """
 
     def __init__(
@@ -329,42 +316,17 @@ class TransformerBlock(Module):
         self.policy = policy
         self.attn.policy = policy
 
-    def _body(self, x: Tensor, tail_unread: bool = False) -> Tensor:
-        # The two dropout masks, in the order the block applies them.
-        masks = None
-        if self.dropout_p > 0 and self.training:
-            masks = tuple(ops.dropout_mask(x.shape, self.dropout_p)
-                          for _ in range(2))
-        return self.attn(x, norm=self.norm1, tail=FFNTail(
-            self.norm2, self.ffn, masks, unread=tail_unread))
+    def _body(self, x: Tensor, seed: int | None = None) -> Tensor:
+        dropout = None if seed is None else (self.dropout_p, seed)
+        return self.attn(x, norm=self.norm1,
+                         tail=FFNTail(self.norm2, self.ffn, dropout))
 
     def forward(self, x: Tensor) -> Tensor:
-        from repro.nn.rng import draw_seed, scoped_rng
-
-        # Capture the layer's stochastic seed ONCE per forward so a
-        # checkpoint recompute replays identical dropout masks.
+        # One seed per forward: the node draws both dropout masks from it
+        # and redraws them in its backward.
         seed = draw_seed() if (self.dropout_p > 0 and self.training) else None
-
-        def seeded_body(x_: Tensor) -> Tensor:
-            # True only inside this block's own Checkpoint.backward: the
-            # first pass runs under no_grad (its output is the layer's
-            # real output, also while an outer checkpoint is replaying),
-            # and an un-checkpointed body's output is always read.
-            tail_unread = (
-                self.policy.replays
-                and in_recompute()
-                and is_grad_enabled()
-            )
-            # The scope lives in the closure so a checkpoint *replay* in
-            # backward attributes its re-registered activations to this
-            # layer too, not just the original forward.
-            with memory_scope(layer=self.layer_index):
-                with scoped_rng(seed):
-                    return self._body(x_, tail_unread=tail_unread)
-
-        if self.policy.replays:
-            return checkpoint(seeded_body, x)
-        return seeded_body(x)
+        with memory_scope(layer=self.layer_index):
+            return self._body(x, seed)
 
 
 class FusedLMHeadLossFn(Function):

@@ -11,10 +11,11 @@ state around checkpoints; this module provides the equivalent:
   a *captured* seed, which stochastic ops pick up via
   :func:`current_rng`.
 
-A layer draws one seed per forward invocation and runs its body under
-``scoped_rng(seed)``; checkpoint recomputation replays the same body under
-the same seed, so every dropout mask is identical between the throwaway
-forward and the recompute.
+A block draws one seed per forward invocation; its node draws the
+dropout masks under ``scoped_rng(seed)`` in the forward and redraws them
+under the same seed in its backward, so every mask is identical between
+the two (as it is in a generic checkpoint replay of a body run under one
+scoped seed).
 """
 
 from __future__ import annotations

@@ -49,20 +49,24 @@ def _quickstart(
     """
     import numpy as np
 
+    from repro.attention.usp import default_ulysses_degree
     from repro.engine import BurstEngine, EngineConfig
     from repro.nn.checkpoint import CheckpointMode, CheckpointPolicy
     from repro.nn.modules import TransformerConfig
     from repro.topology import a800_node, make_cluster
 
+    model = TransformerConfig(
+        vocab_size=128, dim=32, n_layers=2, n_heads=4, ffn_hidden=64,
+        max_seq_len=seq, attn_block_size=32, mlp_chunk_size=chunk,
+    )
+    kwargs = {"ring_mode": ring_mode} if ring_mode != "unidirectional" else {}
+    if method == "usp":
+        kwargs["ulysses_degree"] = default_ulysses_degree(
+            model.n_heads, gpus, gpus_per_node)
     config = EngineConfig(
-        model=TransformerConfig(
-            vocab_size=128, dim=32, n_layers=2, n_heads=4, ffn_hidden=64,
-            max_seq_len=seq, attn_block_size=32, mlp_chunk_size=chunk,
-        ),
+        model=model,
         method=method,
-        method_kwargs=(
-            {"ring_mode": ring_mode} if ring_mode != "unidirectional" else {}
-        ),
+        method_kwargs=kwargs,
         checkpoint=CheckpointPolicy(CheckpointMode(policy), 0.5),
         head_impl="fused",
     )

@@ -281,79 +281,51 @@ def checkpoint_memory_curve(
 # activation factor; the functions below instead predict — to the byte —
 # what the live float64 engine's MemoryTracker registers for a whole
 # training step.  A block is one node under every policy and chunk size,
-# so one per-layer saved set (``transformer_layer_saved_elems``) prices
-# both the forward's end without a replay and the deepest replay.
-# ``python -m repro.obs memdiff`` holds the tracker to these numbers.
+# so one keep-set (``node_kept_elems``) prices both the forward's end and
+# the deepest backward.  ``python -m repro.obs memdiff`` holds the tracker
+# to these numbers.
 
 
 def rms_norm_saved_elems(seq_len: int, dim: int) -> int:
     """Elements a standalone RMSNorm saves — the model's final norm: its
     one :class:`~repro.nn.ops.RMSNormFn` node keeps ``x`` (SD) and the
     ``mean(x²) + eps`` row (S); the weight is a parameter, held by
-    reference.  A norm folded into the node that reads it
-    (:class:`~repro.nn.ops.PreNormFn`) adds only the row (S) to that
-    node, which keeps ``x`` instead of the normed copy."""
+    reference."""
     return seq_len * dim + seq_len
 
 
-def attention_proj_saved_elems(
-    seq_len: int, dim: int, kv_dim: int | None = None
-) -> int:
-    """Elements a block's attention node saves around its attention
-    product, for every method: the block input (S, D) once, the folded
-    ``norm1``'s ``mean(x²) + eps`` row (S), the merged attention output
-    (S, D) that ``wo`` reads, and ``Wq``, ``Wk``, ``Wv``, ``Wo`` (held by
-    reference).  The node is one
-    :class:`~repro.nn.attention_fn.AttentionFn`; q, k and v are rebuilt
-    in its backward, never saved."""
-    kv = dim if kv_dim is None else kv_dim
-    return 2 * seq_len * dim + seq_len + 2 * dim * dim + 2 * dim * kv
-
-
-def attention_node_saved_elems(
+def node_kept_elems(
     seq_len: int,
     dim: int,
     n_heads: int,
-    kv_dim: int | None = None,
-    rebuilds_context: bool = True,
-) -> int:
-    """Elements the attention node saves for its attention product's
-    backward, beside :func:`attention_proj_saved_elems`.  A method that
-    rebuilds its context (the ring family, the local kernel) saves only
-    ``lse`` (H·S): its backward re-projects ``q``, ``k`` and ``v`` and
-    reads the merged output the projections already keep.  Ulysses / USP
-    (``rebuilds_context=False``) save their head-layout context
-    ``q_h``/``k_h``/``v_h``/``lse_h`` — ``(q, k, v, lse)`` split by heads
-    instead of by tokens — since rebuilding it would repeat an
-    all-to-all.  No head-layout ``o``: their backward forms ``D =
-    rowsum(dO ∘ O)`` from the merged output too, and ships it."""
-    kv = dim if kv_dim is None else kv_dim
-    context = seq_len * dim + 2 * seq_len * kv if not rebuilds_context else 0
-    return context + n_heads * seq_len
-
-
-def transformer_layer_saved_elems(
-    seq_len: int,
-    dim: int,
-    n_heads: int,
-    ffn_hidden: int,
+    policy: CheckpointPolicy,
     *,
     kv_dim: int | None = None,
     rebuilds_context: bool = True,
-) -> int:
-    """Elements one transformer block saves end to end: its one node, the
-    attention node with ``norm1`` folded in (its projections' part and
-    its product's, which depends on ``rebuilds_context``) and the FFN
-    folded in with the residual and ``norm2``.  The node rebuilds ``h =
-    x + o·Woᵀ``, ``norm2``'s row and the FFN's intermediates in its
-    backward, so the FFN adds only its three weights — under every
-    checkpoint policy and chunk size."""
-    return (
-        attention_proj_saved_elems(seq_len, dim, kv_dim)
-        + attention_node_saved_elems(
-            seq_len, dim, n_heads, kv_dim, rebuilds_context=rebuilds_context)
-        + 3 * dim * ffn_hidden
-    )
+) -> tuple[int, int]:
+    """``(kept, rebuilt)``: the elements a block's one node
+    (:class:`~repro.nn.attention_fn.AttentionFn`) keeps from its forward
+    for its backward, and those its backward rebuilds and registers while
+    it runs.
+
+    A method that rebuilds its context (the ring family, the local
+    kernel) keeps ``x`` (S·D) and the back ``policy.cached_rows(S)`` rows
+    of the merged ``O`` and ``lse`` (D + H elements a row), and rebuilds
+    the other rows.  Ulysses / USP (``rebuilds_context=False``) keep ``x``,
+    ``O`` and their head-layout context ``q_h``/``k_h``/``v_h``/``lse_h``
+    (S·D + 2·S·kv + H·S) without a recomputed front, and only ``x`` with
+    one: their backward rebuilds the whole forward, context included.
+    Nothing else is registered: the weights are parameters, held by
+    reference, and the norm rows, q, k, v, ``h`` and the FFN's
+    intermediates are rebuilt in the backward — under every policy and
+    chunk size."""
+    kv = dim if kv_dim is None else kv_dim
+    x = seq_len * dim
+    if rebuilds_context:
+        rows = policy.cached_rows(seq_len)
+        return x + rows * (dim + n_heads), (seq_len - rows) * (dim + n_heads)
+    whole = 2 * seq_len * dim + 2 * seq_len * kv + n_heads * seq_len
+    return (x, whole) if policy.replays else (x + whole, 0)
 
 
 def lm_head_saved_bytes_live(
@@ -392,55 +364,33 @@ def predict_step_peak_saved_bytes(
 ) -> dict:
     """Byte-exact peak of ``MemoryTracker.peak_saved_bytes`` over one step.
 
-    Without checkpointing the peak lands at the end of the forward: every
-    layer's full body plus the final norm and the head.  With any
-    checkpointing policy the forward keeps only layer inputs (+ the
-    whitelist cache), and the peak is usually hit mid-backward while the
-    *last* layer replays its full body (its own input counted once,
-    inside it) on top of all the other layers' still-live inputs and
-    caches; the prediction takes the max of both
-    candidates.  ``rebuilds_context=False`` (Ulysses, USP) decides the
-    cache rows — such a method never caches attention outputs — and what
-    its attention node saves: the head-layout context, where a method
-    that rebuilds its context re-projects q, k and v in the backward and
-    saves ``3·S·D`` fewer elements per saved layer (``S·D + 2·S·kv``
-    under grouped-query attention).  An unknown ``checkpoint`` or an
-    out-of-range ``split_fraction`` raises ``ValueError``.
+    Every layer's node keeps :func:`node_kept_elems`'s keep-set from its
+    forward to its backward.  The forward's end holds every layer's keep,
+    the final norm and the head; the deepest backward holds every layer's
+    keep and the rows the last layer rebuilds (the head and the final
+    norm are released by then); the prediction is the max of both.
+    ``rebuilds_context=False`` is Ulysses / USP.  An unknown
+    ``checkpoint`` or an out-of-range ``split_fraction`` raises
+    ``ValueError``.
 
-    ``fused_mlp`` is accepted and ignored: every block's FFN is folded
-    into its one node whatever ``mlp_chunk_size`` says, so the saved set
-    does not depend on it.
+    ``ffn_hidden`` and ``fused_mlp`` are accepted and ignored: the node
+    keeps nothing of the FFN, whatever ``mlp_chunk_size`` says.
     """
     policy = CheckpointPolicy.parse(checkpoint, split_fraction)
-    full_layer = transformer_layer_saved_elems(
-        seq_len, dim, n_heads, ffn_hidden, kv_dim=kv_dim,
+    kept, rebuilt = node_kept_elems(
+        seq_len, dim, n_heads, policy, kv_dim=kv_dim,
         rebuilds_context=rebuilds_context,
     )
-    # The whitelist cache pins (o, lse) rows per layer; it never engages
-    # without a context rebuild.
-    rows = policy.cached_rows(seq_len) if rebuilds_context else 0
-    cache = rows * (dim + n_heads)
     norm = rms_norm_saved_elems(seq_len, dim)
     head = lm_head_saved_bytes_live(seq_len, dim, vocab, head_impl)
-    if not policy.replays:
-        forward_peak = n_layers * full_layer * BYTES_F64 + norm * BYTES_F64 + head
-        backward_peak = forward_peak
-    else:
-        forward_peak = (
-            n_layers * (seq_len * dim + cache) + norm
-        ) * BYTES_F64 + head
-        # Deepest replay: the last layer re-registers its full body (its
-        # input among it) while the other L-1 layers' inputs and caches
-        # are still live.
-        backward_peak = (
-            (n_layers - 1) * (seq_len * dim + cache) + full_layer
-        ) * BYTES_F64
+    forward_peak = (n_layers * kept + norm) * BYTES_F64 + head
+    backward_peak = (n_layers * kept + rebuilt) * BYTES_F64
     return {
         "peak_saved_bytes": max(forward_peak, backward_peak),
         "forward_peak_bytes": forward_peak,
         "backward_peak_bytes": backward_peak,
-        "per_layer_saved_bytes": full_layer * BYTES_F64,
-        "cache_bytes_per_layer": cache * BYTES_F64,
+        "kept_bytes_per_layer": kept * BYTES_F64,
+        "rebuilt_bytes_per_layer": rebuilt * BYTES_F64,
         "lm_head_bytes": head,
         "checkpoint": checkpoint,
     }

@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.attention.methods import UlyssesMethod, USPMethod
+from repro.attention.usp import default_ulysses_degree
 from repro.comm.ring import (
     ALG1_BUNDLE,
     ALG2_BUNDLE,
@@ -215,15 +216,6 @@ METHOD_DES_FLAGS = {
 }
 
 
-def default_ulysses_degree(n_heads: int, gpus_per_node: int) -> int:
-    """USP's head-parallel degree when none is given: the largest divisor
-    of ``n_heads`` that fits in one node, so the all-to-alls stay on
-    NVLink."""
-    return max(
-        u for u in range(1, min(n_heads, gpus_per_node) + 1) if n_heads % u == 0
-    )
-
-
 def _mixed_link_class(schedule: RingSchedule) -> LinkClass:
     """Link class the DES prices a *mixed* permutation on.
 
@@ -265,7 +257,8 @@ def _pass_row(
         grid = (
             UlyssesMethod() if method == "ulysses" else USPMethod(
                 ulysses_degree or default_ulysses_degree(
-                    workload.n_heads, topology.gpus_per_node
+                    workload.n_heads, topology.world_size,
+                    topology.gpus_per_node,
                 )
             )
         ).grid(topology.world_size)

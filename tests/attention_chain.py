@@ -5,10 +5,12 @@ A literal transcription of that chain: one q/k/v projection node
 (``QKVProjectionFn``, the norm folded in), three head views sharing one
 gradient buffer (``HeadsFn``), RoPE (``RoPEFn``), the attention node with
 the checkpoint cache protocol (``FlashAttentionFn``, or the engine's
-``DistributedAttentionFn``), the merge's ``Swapaxes`` / ``Reshape`` and
+``DistributedAttentionFn``, each layer's whitelist in an
+:class:`OutputCache`), the merge's ``Swapaxes`` / ``Reshape`` and
 ``wo``'s ``MatMul``.  :func:`chain_forward` is the layer ``forward`` that
-built it; a test installs it on ``CausalSelfAttention`` to train the
-oracle model.
+built it; ``tests.block_chain.install_chain`` installs it on
+``CausalSelfAttention``, with the block chain and its replay, to train
+the oracle model.
 """
 
 from __future__ import annotations
@@ -20,11 +22,33 @@ from repro.attention.usp import CONTEXT_ARRAYS
 from repro.kernels import KernelWorkspace, allowed_pairs, get_backend, head_batch
 from repro.nn import ops
 from repro.nn.attention_fn import _attention_flops, _local_plan, _packed
-from repro.nn.checkpoint import CheckpointPolicy, in_recompute
+from repro.nn.checkpoint import CheckpointPolicy
 from repro.nn.function import Function
 from repro.nn.memory import get_tracker
 from repro.nn.rope import apply_rope
 from repro.nn.tensor import _wrap, is_grad_enabled
+from tests.block_chain import replaying as in_recompute
+
+
+class OutputCache:
+    """A layer's whitelisted ``(O, lse)`` rows, registered with the
+    tracker from the first pass until the replay pops them."""
+
+    def __init__(self):
+        self._store = {}
+
+    def put(self, key, o, lse):
+        self.pop(key)
+        handle = get_tracker().register(o.nbytes + lse.nbytes, site="attn.cache")
+        self._store[key] = (o, lse, handle)
+
+    def pop(self, key):
+        entry = self._store.pop(key, None)
+        if entry is None:
+            return None
+        o, lse, handle = entry
+        get_tracker().release(handle)
+        return o, lse
 
 
 class QKVProjectionFn(ops.PreNormFn):
@@ -89,7 +113,8 @@ class FlashAttentionFn(Function):
         self.scale = scale
         self.block_size = block_size
         self.workspace = KernelWorkspace()
-        split = s - (policy or CheckpointPolicy()).cached_rows(s)
+        policy = policy or CheckpointPolicy()
+        split = s - policy.cached_rows(s) if policy.replays else s
         cached = cache.pop(0) if (cache is not None and in_recompute()) else None
         if cached is None:
             o, lse = self._attend(q, k, v)
@@ -217,15 +242,16 @@ def chain_forward(attn, x, norm=None):
         positions = np.arange(s)
         q = apply_rope(q, positions, theta=attn.rope_theta)
         k = apply_rope(k, positions, theta=attn.rope_theta)
+    cache = attn.__dict__.setdefault("chain_cache", OutputCache())
     if hasattr(attn, "method"):
         o = DistributedAttentionFn.apply(
             q, k, v, method=attn.method, comm=attn.comm, mask=attn.mask,
-            cache=attn.cache, policy=attn.policy,
+            cache=cache, policy=attn.policy,
         )
     else:
         o = FlashAttentionFn.apply(
             q, k, v, mask=attn.mask, block_size=attn.block_size,
-            cache=attn.cache, policy=attn.policy,
+            cache=cache, policy=attn.policy,
         )
     merged = ops.reshape(ops.swapaxes(o, 0, 1), (s, attn.n_heads * attn.head_dim))
     return attn.wo(merged)

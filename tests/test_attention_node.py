@@ -8,15 +8,17 @@ Trained beside the literal transcription of the old chain
 ``tests/block_chain.py``), every method that trains, under every
 checkpoint policy and both ring modes, gives the same loss bits, the
 same parameter and gradient bits (gradient layouts included), the same
-traffic and the same recompute count; only the saved bytes move, by the
-``q``/``k``/``v`` and second ``o`` a ring-family layer no longer keeps
-(the second ``o`` alone on Ulysses / USP, whose context it was) and by
-what the chain's FFN saved beyond its weights, which the block's one
-node rebuilds (``tests.block_chain.chain_ffn_saved_elems``).
+traffic and the same recompute count, though the chain replays its
+layers and the node rebuilds only the attention rows it did not keep.
+Only the saved bytes move, per saved layer: by the ``q``/``k``/``v`` and
+second ``o`` a ring-family layer no longer keeps (the second ``o`` alone
+on Ulysses / USP, whose context it was), by what the chain's FFN saved
+beyond its weights, which the block's one node rebuilds
+(``tests.block_chain.chain_ffn_saved_elems``), and by the weights and
+``norm1``'s row, which the node does not register (:func:`_unregistered`).
 
-Also here: a forward under ``no_grad`` (inference) leaves the
-attention-output cache empty, and a cache entry written over releases
-its handle.
+Also here: a forward under ``no_grad`` (inference) leaves no handle
+live.
 """
 
 import inspect
@@ -37,13 +39,11 @@ from repro.nn import (
     TransformerLM,
     no_grad,
 )
-from repro.nn.checkpoint import AttentionOutputCache
 from repro.nn.memory import get_tracker, reset_tracker
 from repro.topology import a800_node, make_cluster
 
-from repro.nn.modules import TransformerBlock
 from tests.attention_chain import chain_forward
-from tests.block_chain import SplitPeaks, chain_body, chain_ffn_saved_elems
+from tests.block_chain import SplitPeaks, chain_ffn_saved_elems, install_chain
 
 POLICIES = ("none", "full", "selective_pp", "sequence_level")
 #: Every registered method except ``selective``, which the engine rejects.
@@ -72,15 +72,10 @@ def _snapshot(model, losses):
     return {"losses": [float(v).hex() for v in losses], "params": params}
 
 
-def _install_chain(m):
-    m.setattr(CausalSelfAttention, "forward", chain_forward)
-    m.setattr(TransformerBlock, "_body", chain_body)
-
-
 def _train_engine(config, topology, steps, monkeypatch, chain):
     with monkeypatch.context() as m:
         if chain:
-            _install_chain(m)
+            install_chain(m)
         peaks = SplitPeaks(m)
         engine = BurstEngine(config, topology=topology)
         ids = np.random.default_rng(1).integers(
@@ -98,15 +93,25 @@ TOY = dict(vocab_size=61, dim=32, n_layers=2, n_heads=4, ffn_hidden=24,
 TOY_TOPO = make_cluster(4, node=a800_node(gpus_per_node=2))
 
 
+def _unregistered(s, d, kv, hidden):
+    """What the node holds but does not register, per saved layer:
+    ``norm1``'s ``(S, 1)`` row (rebuilt) and the attention and FFN
+    weights (parameters, held by reference)."""
+    return s + 2 * d * d + 2 * d * kv + 3 * d * hidden
+
+
 def _assert_same_but_saved_bytes(chain, node, policy, n_layers, s, d, kv,
                                  rebuilds, chunked=False,
                                  hidden=TOY["ffn_hidden"]):
     """Everything equal but the saved bytes, which move per saved layer
     by q, k, v and a second o (a context-rebuilding method; the second o
-    alone for a context-keeping one) and by what the chain's FFN saves
+    alone for a context-keeping one), by what the chain's FFN saves
     beyond its weights (fused in every replay and a chunked model,
-    composed otherwise): at the forward's peak without a replay, at the
-    deepest replay's with one."""
+    composed otherwise) and by :func:`_unregistered`: at the forward's
+    peak without a recomputed front, at the deepest rebuild's with one —
+    where the node rebuilds its front rows beside its kept back rows and
+    the chain replayed the whole layer.  Selective++ on a
+    context-rebuilding method rebuilds no rows."""
     assert node["losses"] == chain["losses"]
     assert [p[0] for p in node["params"]] == [p[0] for p in chain["params"]]
     for want, got in zip(chain["params"], node["params"]):
@@ -114,7 +119,8 @@ def _assert_same_but_saved_bytes(chain, node, policy, n_layers, s, d, kv,
     assert node["traffic"] == chain["traffic"]
     assert node["recompute_flops"] == chain["recompute_flops"]
     per_layer = (2 * s * d + 2 * s * kv if rebuilds else s * d) + (
-        chain_ffn_saved_elems(s, d, hidden, chunked or policy != "none"))
+        chain_ffn_saved_elems(s, d, hidden, chunked or policy != "none")
+        + _unregistered(s, d, kv, hidden))
     moved = _saved_layers(policy, n_layers) * per_layer * 8
     (chain_fwd, chain_replay), (node_fwd, node_replay) = (
         chain["peaks"], node["peaks"])
@@ -122,13 +128,16 @@ def _assert_same_but_saved_bytes(chain, node, policy, n_layers, s, d, kv,
         assert chain_fwd - node_fwd == moved
         assert chain_replay == node_replay == 0
     else:
-        assert chain_replay - node_replay == moved
         assert chain_fwd == node_fwd
+        if rebuilds and policy == "selective_pp":
+            assert node_replay == 0
+        else:
+            assert chain_replay - node_replay == moved
 
 
 def _saved_layers(policy: str, n_layers: int) -> int:
-    """Layers whose whole body is saved at the step's peak: all of them
-    without a replay, the deepest replayed one otherwise."""
+    """Layers whose whole body the chain saves at the step's peak: all of
+    them without a replay, the deepest replayed one otherwise."""
     return n_layers if policy == "none" else 1
 
 
@@ -196,7 +205,8 @@ class TestEngineNodeIsTheChain:
                 for chain in (True, False)]
         s, d = model["max_seq_len"], model["dim"]
         _assert_same_but_saved_bytes(*runs, "sequence_level",
-                                     model["n_layers"], s, d, d, True)
+                                     model["n_layers"], s, d, d, True,
+                                     hidden=model["ffn_hidden"])
 
 
 class TestLocalNodeIsTheChain:
@@ -215,7 +225,7 @@ class TestLocalNodeIsTheChain:
         for chain in (True, False):
             with monkeypatch.context() as m:
                 if chain:
-                    _install_chain(m)
+                    install_chain(m)
                 peaks = SplitPeaks(m)
                 model = TransformerLM(config)
                 reset_tracker()
@@ -251,11 +261,11 @@ class TestLocalNodeIsTheChain:
 
 
 class TestInferenceLeavesNoCache:
-    """Only a checkpoint's first pass whose replay will come fills the
-    attention-output cache.  A forward under ``no_grad`` used to fill it
-    too, under every replaying policy, and each call overwrote the entry
-    without releasing its handle: three ``logits`` calls on two layers
-    left 2 → 4 → 6 live handles."""
+    """A forward under ``no_grad`` registers nothing, so nothing is left
+    live.  (The layer replay's output cache, which a ``no_grad`` forward
+    once filled and then overwrote without releasing — three ``logits``
+    calls on two layers left 2 → 4 → 6 live handles — is gone: the node
+    keeps its rows itself.)"""
 
     @pytest.mark.parametrize("policy", ["selective_pp", "sequence_level"])
     def test_no_grad_logits(self, policy):
@@ -267,7 +277,6 @@ class TestInferenceLeavesNoCache:
             with no_grad():
                 model.logits(ids)
             assert get_tracker().live_handles == 0
-            assert all(len(b.attn.cache) == 0 for b in model.blocks)
 
     def test_generate_and_then_train(self):
         model = TransformerLM(TransformerConfig(
@@ -278,7 +287,6 @@ class TestInferenceLeavesNoCache:
         ids = np.arange(32)
         model(ids, np.roll(ids, -1)).backward()
         assert get_tracker().live_handles == 0
-        assert all(len(b.attn.cache) == 0 for b in model.blocks)
 
     def test_engine_eval_under_no_grad(self):
         config = EngineConfig(model=TransformerConfig(**TOY), method="burst")
@@ -287,17 +295,6 @@ class TestInferenceLeavesNoCache:
         engine.train_step(ids, np.roll(ids, -1))
         with no_grad():
             engine.model(ids, np.roll(ids, -1))
-        assert get_tracker().live_handles == 0
-        assert all(len(b.attn.cache) == 0 for b in engine.model.blocks)
-
-    def test_a_put_over_a_live_entry_releases_it(self):
-        cache = AttentionOutputCache()
-        reset_tracker()
-        for _ in range(2):
-            cache.put(0, np.zeros((2, 4, 3)), np.zeros((2, 4)))
-        assert get_tracker().live_handles == 1
-        assert get_tracker().current_saved_bytes == (24 + 8) * 8
-        cache.clear()
         assert get_tracker().live_handles == 0
 
 

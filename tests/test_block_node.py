@@ -5,16 +5,19 @@ autograd node: ``norm1 → q/k/v → RoPE → attend → merge → wo → +x →
 → SwiGLU → +h``, the attention node
 (:class:`~repro.nn.attention_fn.AttentionFn`, the engine's
 :class:`~repro.engine.DistributedAttentionFn`) with the block's tail
-folded in.  Trained beside the literal transcription of the old block
-chain (``tests/block_chain.py``), every method that trains, under every
-checkpoint policy and both ring modes, gives the same loss bits, the same
-parameter and gradient bits (gradient layouts included), the same
-traffic and the same recompute count; only the saved bytes move, by what
-the chain's FFN saved beyond its weights (``chain_ffn_saved_elems``):
-the mid-residual ``h`` and ``norm2``'s row, ``(S·D + S)·8`` per saved
-layer where the chain fused its FFN (every replay, every chunked model),
-and also the composed FFN's ``norm2(h)`` copies and ``(S, hidden)``
-intermediates where it did not (an unchunked model under ``none``).
+folded in, which owns the layer's recompute.  Trained beside the literal
+transcription of the old block chain and its layer replay
+(``tests/block_chain.py``, with the attention chain of
+``tests/attention_chain.py`` inside: the old replay is one mechanism with
+the old attention node's output cache), every method that trains, under
+every checkpoint policy and both ring modes, with dropout, chunked or
+dense, gives the same loss bits, the same parameter and gradient bits
+(gradient layouts included), the same traffic and the same recompute
+count; only the saved bytes move, by
+``tests.test_attention_node._assert_same_but_saved_bytes``'s terms: what
+the chain's attention and FFN nodes saved that the block's node rebuilds
+(``chain_ffn_saved_elems`` among them) and the weights and row it does
+not register.
 """
 
 import numpy as np
@@ -32,17 +35,16 @@ from repro.nn.memory import get_tracker, reset_tracker
 from repro.nn.modules import TransformerBlock
 from repro.nn.rng import set_seed
 from repro.obs import use_memory_timeline
-from repro.perf.memory import (
-    attention_node_saved_elems,
-    attention_proj_saved_elems,
-)
+from repro.perf.memory import node_kept_elems
 from repro.topology import a800_node, make_cluster
 
-from tests.block_chain import SplitPeaks, chain_body, chain_ffn_saved_elems
+from repro.attention import METHOD_REGISTRY
+from tests.block_chain import SplitPeaks, install_chain
 from tests.test_attention_node import (
     POLICIES,
     TOY,
     TOY_TOPO,
+    _assert_same_but_saved_bytes,
     _cells,
     _snapshot,
 )
@@ -53,7 +55,7 @@ def _train(make, steps, monkeypatch, chain):
     old block chain installed when ``chain``."""
     with monkeypatch.context() as m:
         if chain:
-            m.setattr(TransformerBlock, "_body", chain_body)
+            install_chain(m)
         peaks = SplitPeaks(m)
         set_seed(0)  # the same dropout masks in both runs
         engine = make()
@@ -84,27 +86,12 @@ def _train(make, steps, monkeypatch, chain):
     return out
 
 
-def _assert_same_but_h(chain, node, policy, n_layers, s, d, fused,
-                       hidden=TOY["ffn_hidden"]):
-    assert node["losses"] == chain["losses"]
-    assert [p[0] for p in node["params"]] == [p[0] for p in chain["params"]]
-    for want, got in zip(chain["params"], node["params"]):
-        assert want == got, want[0]
-    assert node["traffic"] == chain["traffic"]
-    assert node["recompute_flops"] == chain["recompute_flops"]
-    (chain_fwd, chain_replay), (node_fwd, node_replay) = (
-        chain["peaks"], node["peaks"])
-    if policy == "none":
-        # every layer saved at the forward's end, the chain's FFN fused
-        # only in a chunked model
-        assert chain_fwd - node_fwd == n_layers * chain_ffn_saved_elems(
-            s, d, hidden, fused) * 8
-        assert chain_replay == node_replay == 0
-    else:
-        # the chain's replayed FFN is fused: the deepest replay moves
-        assert chain_replay - node_replay == chain_ffn_saved_elems(
-            s, d, hidden, True) * 8
-        assert chain_fwd == node_fwd
+def _assert_same_but_h(chain, node, policy, n_layers, s, d, fused, kv=32,
+                       method="burst", hidden=TOY["ffn_hidden"]):
+    _assert_same_but_saved_bytes(
+        chain, node, policy, n_layers, s, d, kv,
+        METHOD_REGISTRY[method].supports_context_rebuild, chunked=fused,
+        hidden=hidden)
 
 
 def _engine(model, method="burst", policy="none", topology=TOY_TOPO, **kw):
@@ -126,7 +113,8 @@ class TestEngineBlockIsTheChain:
             kwargs["ring_mode"] = ring_mode
         make = _engine(TOY, method, policy, method_kwargs=kwargs)
         runs = [_train(make, 2, monkeypatch, chain) for chain in (True, False)]
-        _assert_same_but_h(*runs, policy, 2, 64, 32, fused=False)
+        _assert_same_but_h(*runs, policy, 2, 64, 32, fused=False,
+                           method=method)
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize(
@@ -144,7 +132,8 @@ class TestEngineBlockIsTheChain:
                        method_kwargs={"ring_mode": "bidirectional"})
         runs = [_train(make, 2, monkeypatch, chain) for chain in (True, False)]
         _assert_same_but_h(*runs, policy, 2, 64, 32,
-                           fused="mlp_chunk_size" in extra)
+                           fused="mlp_chunk_size" in extra,
+                           kv=8 * extra.get("n_kv_heads", 4))
 
     @pytest.mark.parametrize("method", ["burst", "ulysses"])
     def test_dropout_with_a_composed_ffn(self, method, monkeypatch):
@@ -156,7 +145,8 @@ class TestEngineBlockIsTheChain:
             make = _engine({**TOY, "dropout_p": 0.3}, method, policy)
             runs = [_train(make, 2, monkeypatch, chain)
                     for chain in (True, False)]
-            _assert_same_but_h(*runs, policy, 2, 64, 32, fused=False)
+            _assert_same_but_h(*runs, policy, 2, 64, 32, fused=False,
+                               method=method)
 
     @pytest.mark.parametrize("shape", ["burst_long", "wide_short"])
     def test_benchmark_shapes(self, shape, monkeypatch):
@@ -174,7 +164,8 @@ class TestEngineBlockIsTheChain:
         make = _engine(model, "burst", "sequence_level", topology=topo)
         runs = [_train(make, 1, monkeypatch, chain) for chain in (True, False)]
         _assert_same_but_h(*runs, "sequence_level", model["n_layers"],
-                           model["max_seq_len"], model["dim"], fused=True)
+                           model["max_seq_len"], model["dim"], fused=True,
+                           kv=model["dim"], hidden=model["ffn_hidden"])
 
 
 class TestLocalBlockIsTheChain:
@@ -192,7 +183,8 @@ class TestLocalBlockIsTheChain:
         runs = [_train(lambda: TransformerLM(config), 2, monkeypatch, chain)
                 for chain in (True, False)]
         _assert_same_but_h(*runs, policy, 2, 64, 32,
-                           fused="mlp_chunk_size" in extra)
+                           fused="mlp_chunk_size" in extra,
+                           kv=8 * extra.get("n_kv_heads", 4))
 
 
 class TestOneHandlePerBlock:
@@ -200,8 +192,9 @@ class TestOneHandlePerBlock:
     def test_a_fused_block_registers_one_handle_of_the_closed_form(
         self, engine
     ):
-        """The folded node saves ``x``, the row, the merged ``o``, ``lse``
-        and the weights (the FFN's three among them) under one handle."""
+        """Without a recomputed front the folded node keeps ``x``, the
+        merged ``o`` and ``lse`` under one handle — no weights (parameters,
+        held by reference) and no row (rebuilt)."""
         s, d, hidden, heads = 64, 32, 48, 4
         config = TransformerConfig(dim=d, n_heads=heads, ffn_hidden=hidden,
                                    n_layers=1, mlp_chunk_size=16)
@@ -218,9 +211,9 @@ class TestOneHandlePerBlock:
         allocs = [(e.site, e.delta) for e in timeline.events()
                   if e.series == "saved" and e.kind == "alloc"]
         node = "DistributedAttentionFn" if engine else "AttentionFn"
-        saved = (attention_proj_saved_elems(s, d)
-                 + attention_node_saved_elems(s, d, heads) + 3 * d * hidden)
-        assert allocs == [(node, saved * 8)]
+        kept, _ = node_kept_elems(s, d, heads, CheckpointPolicy())
+        assert kept == 2 * s * d + heads * s
+        assert allocs == [(node, kept * 8)]
         assert get_tracker().live_handles == 1
         out.backward(np.ones((s, d)))
         assert get_tracker().live_handles == 0

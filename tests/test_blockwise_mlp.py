@@ -258,10 +258,11 @@ _CHECKPOINTING = [
 
 
 class TestReplayElidesTheBlockTail:
-    """A checkpoint replay of a ``TransformerBlock`` folds the fused FFN
-    into the block's node without recomputing the FFN's output — nobody
-    reads it — and only the block, which knows the FFN is its tail, may
-    decide that.
+    """No policy re-runs a ``TransformerBlock``: the fused FFN is folded
+    into the block's node, whose backward rebuilds the attention rows it
+    did not keep and never the FFN's output.  Inside a generic
+    :func:`~repro.nn.checkpoint.checkpoint` every node still computes its
+    output, which a later node may save.
     """
 
     SEQ, DIM, HID, CHUNK = 64, 32, 64, 16
@@ -295,45 +296,41 @@ class TestReplayElidesTheBlockTail:
             assert (len(calls), len(bwd)) == (1, 1)
             del calls[:], bwd[:]
             ckpt = self._block_grads(policy, chunk)
-            # forward only: no replay call
+            # forward only: nothing is replayed
             assert (len(calls), len(bwd)) == (1, 1), chunk
             assert len(plain) == len(ckpt) == 11
             for a, b in zip(plain, ckpt):
                 assert a.tobytes() == b.tobytes(), chunk
 
     def test_replayed_composed_ffn_registers_only_the_fused_node(self):
-        """In the replay the FFN is folded into the block's one node,
-        which saves nothing of the FFN but its three weights: ``h`` and
-        ``norm2``'s ``(S, 1)`` row are rebuilt in its backward.  No
-        composed FFN node (``SiLU``, ``Mul``, the three FFN ``MatMul``
-        nodes), no ``BlockwiseMLPFn`` and no standalone norm registers;
-        ``AttentionFn`` (``norm1`` folded in) is the whole block."""
+        """Under ``full`` the block's one node rebuilds, in its backward,
+        the attention rows it kept none of — ``o`` and ``lse``, the only
+        registration in the ``recompute`` phase.  No composed FFN node
+        (``SiLU``, ``Mul``, the three FFN ``MatMul`` nodes), no
+        ``BlockwiseMLPFn`` and no standalone norm registers: ``h``,
+        ``norm2``'s row and the FFN's intermediates are rebuilt and not
+        registered."""
         from repro.nn.memory import reset_tracker
         from repro.obs import use_memory_timeline
-        from repro.perf.memory import (
-            attention_node_saved_elems,
-            attention_proj_saved_elems,
-        )
+        from repro.perf.memory import node_kept_elems
 
         rng = np.random.default_rng(1)
+        policy = CheckpointPolicy(mode=CheckpointMode.FULL)
         block = TransformerBlock(
-            self.DIM, 2, self.HID, np.random.default_rng(4),
-            policy=CheckpointPolicy(mode=CheckpointMode.FULL),
+            self.DIM, 2, self.HID, np.random.default_rng(4), policy=policy,
         )
         x = Tensor(rng.normal(size=(self.SEQ, self.DIM)), requires_grad=True)
         reset_tracker()
         with use_memory_timeline() as timeline:
             block(x).backward(rng.normal(size=(self.SEQ, self.DIM)))
-        replayed = [
+        rebuilt = [
             (e.site, e.delta) for e in timeline.events()
             if e.series == "saved" and e.kind == "alloc"
             and e.owner.get("mem_phase") == "recompute"
         ]
-        attention = (attention_proj_saved_elems(self.SEQ, self.DIM)
-                     + attention_node_saved_elems(self.SEQ, self.DIM, 2))
-        assert replayed == [
-            ("AttentionFn", (attention + 3 * self.DIM * self.HID) * 8),
-        ]
+        kept, rows = node_kept_elems(self.SEQ, self.DIM, 2, policy)
+        assert (kept, rows) == (self.SEQ * self.DIM, self.SEQ * (self.DIM + 2))
+        assert rebuilt == [("AttentionFn", rows * 8)]
         assert get_tracker().current_saved_bytes == 0
 
     def test_a_none_block_registers_only_its_node(self):
@@ -343,7 +340,7 @@ class TestReplayElidesTheBlockTail:
         and the handle drains in the backward."""
         from repro.nn.memory import reset_tracker
         from repro.obs import use_memory_timeline
-        from repro.perf.memory import transformer_layer_saved_elems
+        from repro.perf.memory import node_kept_elems
 
         rng = np.random.default_rng(1)
         block = TransformerBlock(
@@ -356,7 +353,7 @@ class TestReplayElidesTheBlockTail:
             out = block(x)
         allocs = [(e.site, e.delta) for e in timeline.events()
                   if e.series == "saved" and e.kind == "alloc"]
-        layer = transformer_layer_saved_elems(self.SEQ, self.DIM, 2, self.HID)
+        layer, _ = node_kept_elems(self.SEQ, self.DIM, 2, CheckpointPolicy())
         assert allocs == [("AttentionFn", layer * 8)]
         assert get_tracker().live_handles == 1
         out.backward(rng.normal(size=(self.SEQ, self.DIM)))
@@ -389,9 +386,9 @@ class TestReplayElidesTheBlockTail:
             assert np.array_equal(a, b)
 
     def test_block_inside_an_outer_replay_keeps_its_output(self, monkeypatch):
-        """An outer checkpoint replaying a checkpointing block runs the
-        block's *first* pass while ``in_recompute()`` is true; that pass's
-        output is read by the next block, so it must be computed."""
+        """An outer checkpoint replaying two blocks runs each block once
+        in its first pass and once in its replay; each block's output is
+        read by the next block, so it must be computed."""
         rng = np.random.default_rng(3)
         x_data = rng.normal(size=(self.SEQ, self.DIM))
         dy = rng.normal(size=(self.SEQ, self.DIM))
@@ -412,41 +409,11 @@ class TestReplayElidesTheBlockTail:
         plain = run(lambda fn, x: fn(x))
         calls = _count_calls(monkeypatch, get_backend(), "mlp_forward")
         nested = run(checkpoint)
-        # per block: the forward and the outer replay's first pass, never
-        # the block's own replay.
+        # per block: the outer first pass and the outer replay; the block
+        # itself re-runs nothing.
         assert len(calls) == 4
         for a, b in zip(plain, nested):
             assert np.array_equal(a, b)
-
-    def test_graph_only_node_saves_what_the_computing_node_saves(self):
-        """The block's node with its tail unread (the block's own replay)
-        saves what the computing node saves, returns zeros, and its
-        backward gives the computing node's gradients: the backward
-        rebuilds ``h`` either way."""
-        from repro.nn.attention_fn import FFNTail
-
-        tracker = get_tracker()
-        block = TransformerBlock(self.DIM, 2, self.HID,
-                                 np.random.default_rng(4),
-                                 mlp_chunk_size=self.CHUNK)
-        rng = np.random.default_rng(0)
-        x_data = rng.normal(size=(self.SEQ, self.DIM))
-        dy = rng.normal(size=(self.SEQ, self.DIM))
-        saved, grads = [], []
-        for unread in (False, True):
-            block.zero_grad()
-            x = Tensor(x_data, requires_grad=True)
-            base = tracker.current_saved_bytes
-            y = block.attn(x, norm=block.norm1, tail=FFNTail(
-                block.norm2, block.ffn, unread=unread))
-            saved.append(tracker.current_saved_bytes - base)
-            assert y.shape == (self.SEQ, self.DIM)
-            assert unread == (not y.data.any())
-            y.backward(dy)  # drain saves
-            grads.append([x.grad] + [p.grad for p in block.parameters()])
-        assert saved[0] == saved[1]
-        for a, b in zip(*grads):
-            assert a.tobytes() == b.tobytes()
 
 
 class TestChunkSizeIsValidated:

@@ -44,26 +44,24 @@ FSDP_BOUND_PINS = {
 }
 
 #: (split, rebuilds_context) -> byte-exact step peaks at seq 66 (an odd
-#: quarter, so ``round`` is exercised), dim 32, 2 layers, 4 heads.  The
-#: flag decides only the cache rows: without a context rebuild every
-#: replaying policy is ``full`` — and what its attention node saves: the
-#: head-layout context ``q``, ``k``, ``v``, ``lse``, where a rebuilding
-#: method saves ``3·S·D`` fewer elements per saved layer (``lse`` alone:
-#: it rebuilds ``q``, ``k`` and ``v``; neither keeps a second ``o``).
-#: Every layer, replayed or not (``none``), is one node: its FFN folds
-#: into its attention node whatever ``mlp_chunk_size`` says (its weights
-#: only: the node rebuilds ``h``, ``norm2``'s row and the FFN's
-#: intermediates), its attention half saves its input once, and each
-#: norm folds into the node reading it.
+#: quarter, so ``round`` is exercised), dim 32, 2 layers, 4 heads.  Every
+#: layer is one node that keeps ``x`` and the policy's back rows of
+#: ``(O, lse)`` — every row under ``none`` and ``selective_pp``, so the two
+#: peak alike — and registers the rows it rebuilds while its backward runs;
+#: no weights (parameters, held by reference) and no norm row, ``q``,
+#: ``k``, ``v``, ``h`` or FFN intermediate (rebuilt).  Without a context
+#: rebuild a layer keeps ``O`` and its head-layout context ``q``, ``k``,
+#: ``v``, ``lse`` under ``none`` and only ``x`` under every other policy,
+#: whose backward rebuilds the whole forward (the deepest backward binds).
 CURVE_PINS = {
-    (0.25, True): {"none": 303792, "full": 135248,
-                   "selective_pp": 154256, "sequence_level": 149648},
-    (0.25, False): {"none": 405168, "full": 185936,
-                    "selective_pp": 185936, "sequence_level": 185936},
-    (0.5, True): {"none": 303792, "full": 135248,
-                  "selective_pp": 154256, "sequence_level": 144752},
-    (0.5, False): {"none": 405168, "full": 185936,
-                   "selective_pp": 185936, "sequence_level": 185936},
+    (0.25, True): {"none": 138896, "full": 100880,
+                   "selective_pp": 138896, "sequence_level": 129680},
+    (0.25, False): {"none": 240272, "full": 103488,
+                    "selective_pp": 103488, "sequence_level": 103488},
+    (0.5, True): {"none": 138896, "full": 100880,
+                  "selective_pp": 138896, "sequence_level": 119888},
+    (0.5, False): {"none": 240272, "full": 103488,
+                   "selective_pp": 103488, "sequence_level": 103488},
 }
 
 
@@ -111,7 +109,7 @@ class TestOnePolicyOneFraction:
 
     def test_cached_rows_are_the_back_of_the_sequence(self):
         rows = {
-            "none": 0, "full": 0, "selective_pp": 66,
+            "none": 66, "full": 0, "selective_pp": 66,
             "sequence_level": 66 - round(66 * 0.25),
         }
         for name, n in rows.items():

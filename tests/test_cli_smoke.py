@@ -76,3 +76,18 @@ class TestGoldenCLI:
                        "--dir", str(tmp_path))
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert (tmp_path / "burst.npz").exists()
+
+
+class TestObsCLI:
+    def test_trace_step_usp_exits_zero(self, tmp_path):
+        """The traced quickstart takes USP's default degree (it used to
+        build ``USPMethod`` with none and die with a raw ``TypeError``),
+        and the observed schedule matches the predicted one."""
+        out = str(tmp_path)
+        proc = run_cli("repro.obs", "trace-step", "--method", "usp",
+                       "--gpus", "4", "--gpus-per-node", "4", "--out-dir", out)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert (tmp_path / "predicted.json").exists()
+        diff = run_cli("repro.obs", "diff", str(tmp_path / "trace.json"),
+                       "--predicted", str(tmp_path / "predicted.json"))
+        assert diff.returncode == 0, diff.stdout + diff.stderr

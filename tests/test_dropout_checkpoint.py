@@ -4,8 +4,15 @@ dropout masks identical, or gradients are silently wrong."""
 import numpy as np
 import pytest
 
-from repro.nn import Adam, CheckpointPolicy, TransformerConfig, TransformerLM
+from repro.nn import (
+    Adam,
+    CheckpointPolicy,
+    Tensor,
+    TransformerConfig,
+    TransformerLM,
+)
 from repro.nn.checkpoint import CheckpointMode
+from repro.nn.modules import TransformerBlock
 from repro.nn.rng import current_rng, draw_seed, scoped_rng, set_seed
 
 
@@ -118,3 +125,38 @@ class TestDropoutModel:
     def test_invalid_dropout_p(self):
         with pytest.raises(ValueError):
             TransformerLM(drop_cfg(dropout_p=1.0))
+
+
+def _arrays(value):
+    """Every numpy array reachable through tuples, lists and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+
+
+class TestTheNodeKeepsTheSeed:
+    def test_no_unregistered_mask_after_a_dropout_forward(self):
+        """The block's node keeps its dropout seed, not the two ``S×D``
+        masks the tracker would never see: after a dropout forward under
+        ``none`` every ``S×D`` array the node references is one of the
+        arrays it registered.  Its backward redraws the masks from the
+        seed (``test_checkpointed_dropout_matches_plain``)."""
+        s, d = 24, 16
+        set_seed(3)
+        block = TransformerBlock(d, 2, 40, np.random.default_rng(0),
+                                 dropout_p=0.2)
+        x = Tensor(np.random.default_rng(1).normal(size=(s, d)),
+                   requires_grad=True)
+        out = block(x)
+        node, _ = out._ctx
+        saved = [a for a in node.saved if isinstance(a, np.ndarray)]
+        held = [a for value in vars(node).values() for a in _arrays(value)
+                if a.shape == (s, d)]
+        assert any(a is x.data for a in held)
+        assert all(any(a is b for b in saved) for a in held)
+        out.backward(np.ones((s, d)))

@@ -385,13 +385,15 @@ class TestEngineAccounting:
             "none": CheckpointPolicy(CheckpointMode.NONE),
             "seq": CheckpointPolicy(CheckpointMode.SEQUENCE_LEVEL, 0.5),
             "spp": CheckpointPolicy(CheckpointMode.SELECTIVE_PP),
+            "full": CheckpointPolicy(CheckpointMode.FULL),
         }.items():
             engine = BurstEngine(
                 EngineConfig(model=model_cfg(), checkpoint=policy, fsdp=False),
                 topology=TOPO,
             )
             peaks[name] = engine.train_step(ids, targets).peak_activation_bytes
-        assert peaks["seq"] < peaks["spp"] < peaks["none"]
+        # selective++ keeps what ``none`` keeps: x and every row of (O, lse)
+        assert peaks["full"] < peaks["seq"] < peaks["spp"] == peaks["none"]
 
     def test_selective_pp_skips_recompute_comm(self):
         """With selective++ the recompute pass must not redo attention

@@ -1,15 +1,19 @@
-"""FSDP's second all-gather carries exactly what a checkpoint replay reads.
+"""FSDP's second all-gather carries exactly what a recomputing backward
+reads.
 
 A step all-gathers every parameter for the forward, re-gathers the
-parameters a replay reads, and reduce-scatters every gradient.  The
-re-gathered set is declared once, ``BurstEngine.replayed_parameters``;
-these tests hold it to the executed one: every parameter ``Tensor`` handed
-to ``Function.apply`` while a checkpoint replays (``in_recompute()``) is
-recorded, and the recorded set must be the declared set, with the bytes
-the step hands ``log_fsdp_traffic`` as its unpadded re-gather.  Nothing
-outside the blocks is read again: the embeddings' backward is a
-scatter-add, the LM head forms its gradients in its forward, and the final
-norm's node holds its weight by reference.
+parameters of the layers whose backward recomputes, and reduce-scatters
+every gradient.  The re-gathered set is declared once,
+``BurstEngine.replayed_parameters``; these tests hold it to the executed
+one: the parameter ``Tensor`` inputs of every node whose backward runs its
+recompute (``AttentionFn._recompute``) are recorded, and the recorded set
+must be the declared set, with the bytes the step hands
+``log_fsdp_traffic`` as its unpadded re-gather.  Nothing outside the
+blocks is read again: the embeddings' backward is a scatter-add, the LM
+head forms its gradients in its forward, and the final norm's node holds
+its weight by reference.  Selective++ recomputes no rows on a ring-family
+method, yet keeps its re-gather: ``CheckpointPolicy.replays`` is the
+pricing convention, kept for every checkpointing policy.
 """
 
 import numpy as np
@@ -18,23 +22,30 @@ import pytest
 import repro.engine.engine as engine_module
 from repro.engine import BurstEngine, EngineConfig
 from repro.nn import CheckpointPolicy, Tensor, TransformerConfig
-from repro.nn.checkpoint import in_recompute
+from repro.nn.attention_fn import AttentionFn
 from repro.nn.function import Function
 from repro.topology import a800_node, make_cluster
 
 
 def _record_step(monkeypatch, engine, ids, targets):
-    """Run one ``train_step``; return the parameters the replay handed to
-    a node, the ``replayed_bytes`` the step logged, and the result."""
+    """Run one ``train_step``; return the parameters of the nodes whose
+    backward recomputed, the ``replayed_bytes`` the step logged, and the
+    result."""
     params = {id(p): p for p in engine.model.parameters()}
-    read, logged = {}, []
+    inputs, read, logged = {}, {}, []
     apply = Function.__dict__["apply"].__func__
+    recompute = AttentionFn._recompute
 
     def recording_apply(cls, *args, **kwargs):
-        if in_recompute():
-            read.update((id(a), a) for a in args
-                        if isinstance(a, Tensor) and id(a) in params)
-        return apply(cls, *args, **kwargs)
+        out = apply(cls, *args, **kwargs)
+        if out._ctx is not None:
+            inputs[id(out._ctx[0])] = [a for a in args if isinstance(a, Tensor)
+                                       and id(a) in params]
+        return out
+
+    def recording_recompute(node, *args):
+        read.update((id(a), a) for a in inputs[id(node)])
+        return recompute(node, *args)
 
     log = engine_module.log_fsdp_traffic
 
@@ -43,6 +54,7 @@ def _record_step(monkeypatch, engine, ids, targets):
         return log(comm, param_bytes, **kwargs)
 
     monkeypatch.setattr(Function, "apply", classmethod(recording_apply))
+    monkeypatch.setattr(AttentionFn, "_recompute", recording_recompute)
     monkeypatch.setattr(engine_module, "log_fsdp_traffic", recording_log)
     result = engine.train_step(ids, targets)
     monkeypatch.undo()
@@ -50,11 +62,13 @@ def _record_step(monkeypatch, engine, ids, targets):
     return list(read.values()), replayed_bytes, result
 
 
-def _assert_regathers_what_the_replay_reads(monkeypatch, engine, ids, targets):
+def _assert_regathers_what_the_replay_reads(monkeypatch, engine, ids, targets,
+                                            recomputes=True):
     read, replayed_bytes, result = _record_step(monkeypatch, engine, ids, targets)
     declared = engine.replayed_parameters()
-    assert {id(p) for p in read} == {id(p) for p in declared}
-    assert sum(p.nbytes for p in read) == replayed_bytes
+    assert {id(p) for p in read} == (
+        {id(p) for p in declared} if recomputes else set())
+    assert sum(p.nbytes for p in declared) == replayed_bytes
     assert 0 < replayed_bytes < engine.param_bytes
     # what the re-gather pass logs is that set, padded to whole elements
     g = engine.topology.world_size
@@ -97,8 +111,11 @@ def _engine(policy, method="burst"):
 @pytest.mark.parametrize("policy", ["full", "selective_pp", "sequence_level"])
 def test_each_replaying_policy_regathers_the_blocks(monkeypatch, policy, method):
     engine = _engine(policy, method)
+    # selective++ keeps every row on a ring-family method: nothing to
+    # recompute, the re-gather kept by convention
     _assert_regathers_what_the_replay_reads(
-        monkeypatch, engine, IDS, np.roll(IDS, -1))
+        monkeypatch, engine, IDS, np.roll(IDS, -1),
+        recomputes=(policy, method) != ("selective_pp", "burst"))
     block_params = [p for block in engine.model.blocks
                     for p in block.parameters()]
     assert [id(p) for p in engine.replayed_parameters()] == [

@@ -187,12 +187,12 @@ def test_peak_attribution_and_leak_report_synthetic():
     events = [
         MemEvent(0.0, "saved", "alloc", 100, 100, 0, "a", {"layer": 0}),
         MemEvent(1.0, "saved", "alloc", 900, 1000, 1, "b",
-                 {"layer": 1, "span": "ckpt.replay"}),
+                 {"layer": 1, "span": "attn.recompute"}),
         MemEvent(2.0, "saved", "free", -900, 100, 1, "b", {}),
     ]
     attr = peak_attribution(events)
     assert attr["peak_bytes"] == 1000
-    assert attr["span"] == "ckpt.replay"
+    assert attr["span"] == "attn.recompute"
     assert attr["owner"]["layer"] == 1
     assert attr["live_allocations"] == 2
     assert attr["top"][0]["site"] == "b"
@@ -267,22 +267,22 @@ QUICKSTART = dict(seq_len=128, dim=32, n_layers=2, n_heads=4,
 
 #: (method, policy) -> observed == predicted peak saved bytes.  The ids
 #: name the cell only, so a declared saved-set change moves a pin without
-#: renaming its test.  A ring-family layer's attention node rebuilds q, k
-#: and v, so its cells sit ``3·S·D·8`` bytes per saved layer below the
-#: Ulysses cells, which keep their head-layout context (no head-layout
-#: ``o``: its backward ships ``D`` instead).  Every layer's FFN, replayed
-#: or not (``none``), folds into that node, which rebuilds ``h`` and
-#: ``norm2``'s row: ``(S·D + S)·8`` bytes below a separate fused FFN
-#: node.  A replaying layer's input counts once: the ``Checkpoint`` node
-#: releases its handle as the replayed node registers the same array.
+#: renaming its test.  Every layer is one node that keeps ``x`` and the
+#: policy's back rows of ``(O, lse)`` (a ring-family method: it rebuilds
+#: q, k and v) or, on Ulysses, ``O`` and its head-layout context under
+#: ``none`` and only ``x`` otherwise; its backward registers the rows it
+#: rebuilds.  No weights (parameters) and no norm row, ``h`` or FFN
+#: intermediate (rebuilt) are registered.  The ring-family cells peak at
+#: the forward's end (``none`` and ``selective_pp`` alike: both keep every
+#: row); the replaying Ulysses cell peaks in its last layer's rebuild.
 PEAK_PINS = {
-    ("burst", "none"): 404_480,
-    ("burst", "full"): 185_344,
+    ("burst", "none"): 238_592,
+    ("burst", "full"): 164_864,
     ("burst", "selective_pp"): 238_592,
-    ("burst", "sequence_level"): 203_776,
-    ("megatron-cp", "full"): 185_344,
-    ("ulysses", "none"): 601_088,
-    ("ulysses", "sequence_level"): 283_648,
+    ("burst", "sequence_level"): 201_728,
+    ("megatron-cp", "full"): 164_864,
+    ("ulysses", "none"): 435_200,
+    ("ulysses", "sequence_level"): 200_704,
 }
 
 
@@ -298,11 +298,15 @@ def test_observed_peak_matches_closed_form(method, policy):
 
 
 def test_peak_owning_span_is_deepest_replay():
-    """Checkpointed peak lands in the last layer's recompute, under the
-    ``ckpt.replay`` span — the timeline must name it."""
-    cell = _memdiff_cell("burst", "sequence_level", "unidirectional", 128)
+    """A peak bound by the backward lands in the last layer's rebuild,
+    under the node's ``attn.recompute`` span — the timeline must name it.
+    The replaying Ulysses cell is one (its backward rebuilds the whole
+    forward, context included); a ring-family cell peaks at the forward's
+    end."""
+    cell = _memdiff_cell("ulysses", "sequence_level", "unidirectional", 128)
     attr = cell["attribution"]
-    assert attr["span"] == "ckpt.replay"
+    assert attr["peak_bytes"] == PEAK_PINS[("ulysses", "sequence_level")]
+    assert attr["span"] == "attn.recompute"
     assert attr["owner"]["layer"] == 1
     assert attr["owner"]["mem_phase"] == "recompute"
     assert attr["top"], "top-K live-allocation table must not be empty"
@@ -322,11 +326,11 @@ def test_policy_curve_matches_observed():
 
 
 @pytest.mark.parametrize("policy,expected", [
-    ("none", 404_480), ("sequence_level", 203_776),
+    ("none", 238_592), ("sequence_level", 201_728),
 ], ids=["none", "sequence_level"])
 def test_chunked_mlp_saved_bytes_match_closed_form(policy, expected):
     """The chunked cells save what the dense ones do: every layer's FFN
-    keeps its weights only, not ``h``, its row or ``norm2(h)``."""
+    keeps nothing — not ``h``, its row or ``norm2(h)``."""
     cell = _memdiff_cell("burst", policy, "unidirectional", 128, chunk=32)
     assert cell["observed"] == expected
     assert cell["predicted"]["peak_saved_bytes"] == expected
@@ -339,7 +343,7 @@ def test_chunked_mlp_saved_bytes_match_closed_form(policy, expected):
 def test_chunked_mlp_transient_site_matches_closed_form():
     cell = _memdiff_cell("burst", "sequence_level", "unidirectional", 128,
                          chunk=32)
-    assert cell["observed"] == 203_776  # fused-MLP saved set shrinks too
+    assert cell["observed"] == 201_728  # the dense cell's: the FFN keeps nothing
     assert cell["observed"] == cell["predicted"]["peak_saved_bytes"]
     observed = _site_peak(cell["events"], "mlp.chunked_bwd")
     assert observed == swiglu_chunked_transient_bytes(128, 32, 64, 32)

@@ -22,10 +22,10 @@ from repro.perf import (
 )
 from repro.perf.cost import attention_step_sizes
 from repro.perf.memory import checkpoint_memory_curve, logits_memory_bytes, ulysses_effective_degree
+from repro.attention.usp import default_ulysses_degree
 from repro.perf.schedules.attention import (
     AttentionWorkload,
     attention_pass_hops,
-    default_ulysses_degree,
 )
 from repro.perf.schedules.pipeline import (
     gpipe_bubble_fraction,
@@ -296,16 +296,22 @@ class TestHeadParallelPassGraph:
         assert bwd.hex() == "0x1.545da9eec7b70p-6"  # 0.02077 s
 
     def test_a_grid_that_does_not_fit_the_world_is_rejected(self):
-        """12 heads on 16 GPUs x 8: the default degree 6 leaves no whole
-        ring count, which the engine rejects too."""
+        """12 heads on 16 GPUs x 8: an explicit degree 6 leaves no whole
+        ring count, which the engine rejects too.  The default degree is
+        4 there (it divides the world), which prices."""
         wl = AttentionWorkload(seq_len=131072, hidden=1536, n_heads=12)
         with pytest.raises(ValueError, match="not divisible by ulysses degree 6"):
-            attention_pass_time("usp", make_cluster(16), wl)
+            attention_pass_time("usp", make_cluster(16), wl, ulysses_degree=6)
+        assert attention_pass_time("usp", make_cluster(16), wl) == (
+            attention_pass_time("usp", make_cluster(16), wl, ulysses_degree=4))
 
     def test_default_degree_is_the_largest_head_divisor_in_a_node(self):
-        cases = {(40, 8): 8, (12, 8): 6, (4, 8): 4, (7, 8): 7, (9, 4): 3}
-        for (heads, per_node), u in cases.items():
-            assert default_ulysses_degree(heads, per_node) == u
+        """... that also divides the world: (heads, world, per node) -> u."""
+        cases = {(40, 32, 8): 8, (12, 24, 8): 6, (12, 16, 8): 4,
+                 (4, 16, 8): 4, (7, 7, 8): 7, (9, 12, 4): 3, (6, 8, 4): 2}
+        for (heads, world, per_node), u in cases.items():
+            assert default_ulysses_degree(heads, world, per_node) == u
+
 
 class TestMemoryModel:
     def test_megatron_oom_from_replicated_states(self):

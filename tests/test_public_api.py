@@ -2,6 +2,8 @@
 remaining accessor edges."""
 
 import ast
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -581,54 +583,133 @@ def _block_body():
     return body
 
 
-class TestOnlyTheBlockElidesItsTail:
-    """A checkpoint replay skips the fused FFN's forward because *the
-    block* knows the FFN is the tail of its own checkpointed region.  The
-    node and its kernels must stay blind to the replay state — a node-level
-    shortcut is silently wrong wherever another node saves the FFN's
-    output (``tests/test_blockwise_mlp.py`` holds that case)."""
+class TestTheNodeOwnsItsRecompute:
+    """A checkpoint policy is data on the block's node: the node keeps the
+    policy's rows of ``(O, lse)`` and rebuilds the rest in its own
+    backward.  No layer is re-run, so nothing needs to know it is inside a
+    replay: no recompute flag, no output cache, no unread tail, and no
+    autograd node that runs a model layer or a checkpoint inside itself."""
 
-    def test_in_recompute_is_read_by_the_block_and_the_attention_cache(self):
-        import ast
-        from pathlib import Path
+    SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+    FLAG = re.compile(r"recompute|replay|first_pass")
 
-        src = Path(__file__).resolve().parents[1] / "src" / "repro"
-        # its definition, and the attention-output cache that consults it
-        homes = ("nn/checkpoint.py", "nn/attention_fn.py")
-        for path in sorted(src.rglob("*.py")):
-            rel = path.relative_to(src).as_posix()
-            text = path.read_text()
-            if rel in homes:
-                continue
-            if rel != "nn/modules.py":
-                # no import, no reference, not even by name: in particular
-                # nn/mlp_fn.py and kernels/mlp.py
-                assert "in_recompute" not in text, rel
-                continue
-            tree = ast.parse(text)
-            (block,) = [
-                node for node in tree.body
-                if isinstance(node, ast.ClassDef)
-                and node.name == "TransformerBlock"
-            ]
-            in_block = {id(node) for node in ast.walk(block)}
-            reads = [
-                node for node in ast.walk(tree)
-                if isinstance(node, ast.Name) and node.id == "in_recompute"
-            ]
-            assert len(reads) == 1
-            assert id(reads[0]) in in_block
+    def _trees(self, under=""):
+        for path in sorted((self.SRC / under).rglob("*.py")):
+            yield path.relative_to(self.SRC).as_posix(), ast.parse(path.read_text())
 
-    def test_one_condition_picks_the_ffn_node(self):
-        """Every block folds its FFN into its attention node: the one
-        condition left is whether the node computes the FFN's output,
-        ``tail_unread`` (handed down by ``seeded_body``), which
-        ``TransformerBlock._body`` alone reads.  ``_body`` builds the
-        ``FFNTail`` under no condition and reads no ``mlp_chunk_size``.
-        Only ``SwiGLU.forward`` builds an FFN node of its own (a
-        standalone module), and no source keeps a graph-only FFN."""
-        from pathlib import Path
+    def test_no_module_level_recompute_flag_under_nn(self):
+        """No module under ``nn/`` holds a recompute or replay flag: no
+        module-level name or ``global`` mentions one, and the module-level
+        booleans there are the tracker's strict-release switch and the
+        ``no_grad`` state."""
+        named, flags = set(), set()
+        for rel, tree in self._trees("nn"):
+            for node in tree.body:
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AnnAssign)
+                           else [])
+                for target in targets:
+                    if not isinstance(target, ast.Name):
+                        continue
+                    named.add((rel, target.id))
+                    if (isinstance(node.value, ast.Constant)
+                            and isinstance(node.value.value, bool)):
+                        flags.add((rel, target.id))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Global):
+                    named.update((rel, name) for name in node.names)
+        assert not {n for n in named if self.FLAG.search(n[1])}, named
+        assert flags == {("nn/memory.py", "_STRICT_RELEASE"),
+                         ("nn/tensor.py", "_grad_enabled")}
 
+    def test_no_function_runs_a_module_or_checkpoint(self):
+        """No autograd ``Function``'s ``forward`` / ``backward`` calls a
+        model layer (an attribute some ``__init__`` binds to a layer, the
+        node's ``layer`` or a tail's ``norm`` / ``ffn``) or a checkpoint —
+        the generic :class:`~repro.nn.checkpoint.Checkpoint` alone re-runs
+        the function it is handed."""
+        trees = dict(self._trees())
+        classes = {c.name: c for tree in trees.values()
+                   for c in ast.walk(tree) if isinstance(c, ast.ClassDef)}
+        layers, grown = {"Module"}, True
+        functions = {"Function"}
+        while grown:
+            grown = False
+            for name, c in classes.items():
+                bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", "")
+                         for b in c.bases}
+                for family in (layers, functions):
+                    if bases & family and name not in family:
+                        family.add(name)
+                        grown = True
+        bound = {"layer", "norm", "ffn", "attn_factory"}
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                        and isinstance(node.value.func, ast.Name)
+                        and node.value.func.id in layers | {"attn_factory"}):
+                    bound.update(t.attr for t in node.targets
+                                 if isinstance(t, ast.Attribute))
+        assert {"wq", "wo", "attn", "ffn", "norm1", "gate"} <= bound
+
+        def runs_a_layer(call):
+            func = call.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else "")
+            owner = (func.value.id if isinstance(func, ast.Attribute)
+                     and isinstance(func.value, ast.Name) else None)
+            return (name in bound or name in ("checkpoint", "forward")
+                    or name == "apply" and owner == "Checkpoint")
+
+        found = {
+            (c.name, f.name, ast.unparse(n.func))
+            for c in classes.values() if c.name in functions - {"Checkpoint"}
+            for f in c.body
+            if isinstance(f, ast.FunctionDef) and f.name in ("forward", "backward")
+            for n in ast.walk(f) if isinstance(n, ast.Call) and runs_a_layer(n)
+        }
+        assert found == set()
+
+    def test_the_block_applies_no_checkpoint(self):
+        """``TransformerBlock`` names no checkpoint, and the model module
+        imports none."""
+        (tree,) = [t for rel, t in self._trees("nn") if rel == "nn/modules.py"]
+        (block,) = [c for c in tree.body if isinstance(c, ast.ClassDef)
+                    and c.name == "TransformerBlock"]
+        names = {n.id if isinstance(n, ast.Name) else n.attr
+                 for n in ast.walk(block) if isinstance(n, (ast.Name, ast.Attribute))}
+        assert not names & {"checkpoint", "Checkpoint"}
+        imported = {a.name for n in ast.walk(tree)
+                    if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert not imported & {"checkpoint", "Checkpoint"}
+
+    def test_the_replay_machinery_is_defined_nowhere(self):
+        """``AttentionOutputCache``, ``in_recompute``, ``in_first_pass``,
+        ``unread`` (or ``tail_unread``) name no class, function, argument,
+        field or variable under ``src/repro``."""
+        gone = {"AttentionOutputCache", "in_recompute", "in_first_pass",
+                "unread", "tail_unread"}
+        defined = set()
+        for rel, tree in self._trees():
+            for n in ast.walk(tree):
+                if isinstance(n, (ast.ClassDef, ast.FunctionDef)):
+                    defined.add((rel, n.name))
+                elif isinstance(n, ast.arg):
+                    defined.add((rel, n.arg))
+                elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                    defined.add((rel, n.id))
+                elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+                    defined.add((rel, n.attr))
+                elif isinstance(n, ast.keyword):
+                    defined.add((rel, n.arg))
+        assert {d for d in defined if d[1] in gone} == set()
+
+    def test_one_tail_and_one_ffn_node(self):
+        """Every block folds its FFN into its attention node, under no
+        condition: ``TransformerBlock._body`` alone builds the ``FFNTail``
+        and reads no ``mlp_chunk_size``.  Only ``SwiGLU.forward`` builds
+        an FFN node of its own (a standalone module), and no source keeps
+        a graph-only FFN."""
         def builds_node(n):
             return isinstance(n, ast.Call) and (
                 isinstance(n.func, ast.Name) and n.func.id == "blockwise_mlp"
@@ -642,26 +723,16 @@ class TestOnlyTheBlockElidesItsTail:
             return (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
                     and n.func.id == "FFNTail")
 
-        def reads_flag(n):
-            return (isinstance(n, ast.Name) and n.id == "tail_unread"
-                    and isinstance(n.ctx, ast.Load))
-
-        src = Path(__file__).resolve().parents[1] / "src" / "repro"
-        found = {"builds": set(), "tails": set(), "reads": set()}
-        for path in sorted(src.rglob("*.py")):
-            rel = path.relative_to(src).as_posix()
-            text = path.read_text()
+        found = {"builds": set(), "tails": set()}
+        for rel, tree in self._trees():
+            text = ast.unparse(tree)
             assert "graph_only" not in text and "output_unread" not in text, rel
-            tree = ast.parse(text)
             found["builds"].update((rel, s) for s in _scopes(tree, builds_node))
             found["tails"].update((rel, s) for s in _scopes(tree, builds_tail))
-            found["reads"].update((rel, s) for s in _scopes(tree, reads_flag))
         assert found == {
             "builds": {("nn/modules.py", "SwiGLU.forward"),
                        ("nn/mlp_fn.py", "blockwise_mlp")},
             "tails": {("nn/modules.py", "TransformerBlock._body")},
-            "reads": {("nn/modules.py", "TransformerBlock._body"),
-                      ("nn/modules.py", "TransformerBlock.forward.seeded_body")},
         }
         body = _block_body()
         conditional = [n for n in ast.walk(body)
@@ -747,7 +818,7 @@ class TestOneModelImplementation:
             for s in _scopes(tree, calls("_qkv"))
         }
         assert found == {("nn/attention_fn.py", "AttentionFn.forward"),
-                         ("nn/attention_fn.py", "AttentionFn._rebuild")}
+                         ("nn/attention_fn.py", "AttentionFn.backward")}
         for rel, tree in self._trees():
             names = {n.name for n in ast.walk(tree)
                      if isinstance(n, (ast.ClassDef, ast.FunctionDef))}
@@ -845,30 +916,31 @@ class TestOneAttentionNode:
         ]
 
     def test_the_cache_protocol_has_one_home(self):
-        """Popping and filling the output cache, reading the replay flags
-        and the policy's cached rows happen in ``AttentionFn._product``
-        alone (the byte-exact memory model also reads ``cached_rows``)."""
-        def protocol(n):
-            return isinstance(n, ast.Call) and (
-                isinstance(n.func, ast.Name)
-                and n.func.id in ("in_recompute", "in_first_pass")
-                or isinstance(n.func, ast.Attribute)
-                and (n.func.attr == "cached_rows"
-                     or n.func.attr in ("pop", "put")
-                     and isinstance(n.func.value, ast.Name)
-                     and n.func.value.id == "cache")
-            )
+        """What a layer keeps of ``(O, lse)`` is decided in one place:
+        ``AttentionFn._save`` alone reads the policy's cached rows (the
+        byte-exact memory model's ``node_kept_elems`` also reads them), and
+        ``AttentionFn._recompute`` alone rebuilds the rest."""
+        def reads_rows(n):
+            return (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "cached_rows")
+
+        def recomputes(n):
+            return (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr in ("_recompute", "add_recompute_flops"))
 
         found = {
             (rel, scope) for rel, tree in self._trees()
-            if rel not in ("nn/checkpoint.py",)
-            for scope in _scopes(tree, protocol)
+            for scope in _scopes(tree, reads_rows)
         }
         assert found == {
-            ("nn/attention_fn.py", "AttentionFn._product"),
-            ("nn/modules.py", "TransformerBlock.forward.seeded_body"),
-            ("perf/memory.py", "predict_step_peak_saved_bytes"),
+            ("nn/attention_fn.py", "AttentionFn._save"),
+            ("perf/memory.py", "node_kept_elems"),
         }
+        assert {
+            (rel, scope) for rel, tree in self._trees()
+            for scope in _scopes(tree, recomputes)
+        } == {("nn/attention_fn.py", "AttentionFn.backward"),
+              ("nn/attention_fn.py", "AttentionFn._recompute")}
 
     def test_the_engine_subclass_overrides_only_the_attention_product(self):
         from repro.engine import DistributedAttentionFn
@@ -1052,7 +1124,7 @@ class TestSavedActivationsRegisteredOnce:
         }
         assert callers == {
             ("nn/function.py", "Function.save_for_backward"),
-            ("nn/checkpoint.py", "AttentionOutputCache.put"),
+            ("nn/attention_fn.py", "AttentionFn._recompute"),
             ("nn/modules.py", "FusedLMHeadLossFn.forward"),
             ("obs/__main__.py", "_memdiff_inject"),
         }
@@ -1155,7 +1227,11 @@ class TestFSDPReGathersOneReadSet:
                 lambda n: isinstance(n, ast.Attribute) and n.attr == "replays")
             if rel.startswith("engine/")
         ]
-        assert reads == [("engine/engine.py", "BurstEngine.replayed_parameters")]
+        # ... and the node's keep rule for a product with its own context
+        assert reads == [
+            ("engine/distributed_attention.py", "DistributedAttentionFn._save"),
+            ("engine/engine.py", "BurstEngine.replayed_parameters"),
+        ]
         # the knob it replaced is gone, not kept beside it
         assert self._scopes_of(
             lambda n: isinstance(n, ast.arg) and n.arg == "gather_passes"
@@ -1412,9 +1488,13 @@ class TestOnePassDescription:
                 and n.name == "default_ulysses_degree",
             )
         ]
-        assert defines == [(self.HOME, "")]
-        callers = [
+        # beside the grid it picks, and read by the pricer, the dense
+        # check and the traced quickstart alike
+        assert defines == [("attention/usp.py", "")]
+        callers = {
             (rel, scope) for rel, tree in trees.items()
             for scope in _scopes(tree, self._calls("default_ulysses_degree"))
-        ]
-        assert callers == [(self.HOME, "_pass_row")]
+        }
+        assert callers == {(self.HOME, "_pass_row"),
+                           ("attention/verify.py", "verify_method"),
+                           ("obs/__main__.py", "_quickstart")}

@@ -9,19 +9,20 @@
   tests' composed FFN reference does).
 * A layer's attention half is one node
   (:class:`~repro.nn.attention_fn.AttentionFn`, the engine's
-  ``DistributedAttentionFn``) registering one handle: ``x`` once, the
-  folded norm's row, the merged output ``wo`` reads and the weights, plus
+  ``DistributedAttentionFn``) registering one handle: ``x`` once and,
+  without a recomputed front, the merged output ``wo`` reads, plus
   ``lse`` for a method that rebuilds q, k and v in its backward, or the
   head-layout context a Ulysses / USP forward built — released wherever
-  the node's handle is, including when nothing needs a gradient.  It is
+  the node's handle is, including when nothing needs a gradient.  The
+  norm's row is rebuilt and the weights, parameters, are not registered.  It is
   held bitwise to the three ``Linear`` projections, head splits, RoPE,
   attention, merge and ``wo`` it replaced.
 * A block's two RMSNorms fold into the nodes reading their outputs (the
   attention node and the fused FFN, :class:`~repro.nn.ops.PreNormFn`):
-  each node saves the norm's input and one ``(S, 1)`` row, never the
-  normed copy, and is held bitwise to the literal ``RMSNormFn`` → node
-  pair.  In a block the fused FFN and ``norm2`` fold further, into the
-  attention node, which then saves no more than the FFN's weights.
+  each node saves the norm's input (the fused FFN also one ``(S, 1)``
+  row), never the normed copy, and is held bitwise to the literal
+  ``RMSNormFn`` → node pair.  In a block the fused FFN and ``norm2`` fold
+  further, into the attention node, which then saves no more.
 """
 
 import numpy as np
@@ -38,9 +39,9 @@ from repro.nn.mlp_fn import blockwise_mlp
 from repro.nn.modules import TransformerBlock, TransformerConfig, TransformerLM
 from repro.nn.rope import apply_rope
 from repro.obs import use_memory_timeline
+from repro.nn.checkpoint import CheckpointPolicy
 from repro.perf.memory import (
-    attention_node_saved_elems,
-    attention_proj_saved_elems,
+    node_kept_elems,
     rms_norm_saved_elems,
     swiglu_fused_saved_bytes,
 )
@@ -175,18 +176,17 @@ def _layer_input(requires_grad):
 
 
 def _layer_saved_elems(s, d, h, kv=None, rebuilds_context=True):
-    """One attention node's elements, the norm folded in."""
-    return attention_proj_saved_elems(s, d, kv) + attention_node_saved_elems(
-        s, d, h, kv, rebuilds_context=rebuilds_context)
+    """One attention node's elements without a recomputed front."""
+    return node_kept_elems(s, d, h, CheckpointPolicy(), kv_dim=kv,
+                           rebuilds_context=rebuilds_context)[0]
 
 
 class TestAttentionNodeSavesOnce:
     @pytest.mark.parametrize("name", sorted(METHODS))
     def test_one_handle_of_the_node_size(self, name):
         """Every method's layer registers one handle under its node's
-        site: ``x``, the norm row, the merged ``o`` and the weights, plus
-        ``lse`` for a ring-family method or the head-layout context for
-        Ulysses / USP."""
+        site: ``x`` and the merged ``o``, plus ``lse`` for a ring-family
+        method or the head-layout context for Ulysses / USP."""
         comm = SimCommunicator(make_cluster(WORLD))
         attn = _distributed_layer(name, comm)
         x = _layer_input(requires_grad=True)
@@ -289,10 +289,9 @@ class TestQKVProjectionSavesXOnce:
             _assert_bitwise(want, got)
 
     def test_one_handle_saves_x_once(self):
-        """Without a norm: ``x``, the four weights, the merged ``o`` and
-        ``lse`` — no q, k or v."""
+        """Without a norm: ``x``, the merged ``o`` and ``lse`` — no q, k
+        or v, and no weights (parameters, held by reference)."""
         s, d, h, h_kv = 64, 16, 4, 2
-        kv = h_kv * (d // h)
         x_np, _, rng = _inputs((s, d), 6)
         attn = CausalSelfAttention(d, h, rng, n_kv_heads=h_kv)
         x = Tensor(x_np, requires_grad=True)
@@ -301,7 +300,7 @@ class TestQKVProjectionSavesXOnce:
             out = attn(x)
         allocs = [(e.site, e.delta) for e in timeline.events()
                   if e.series == "saved" and e.kind == "alloc"]
-        elems = 2 * s * d + 2 * d * d + 2 * d * kv + h * s
+        elems = 2 * s * d + h * s
         assert allocs == [("AttentionFn", elems * 8)]
         out.sum().backward()
         assert get_tracker().current_saved_bytes == 0
@@ -309,7 +308,7 @@ class TestQKVProjectionSavesXOnce:
 
     def test_a_layer_saves_the_closed_form(self):
         """A whole attention layer behind its norm registers one handle of
-        ``attention_proj_saved_elems + attention_node_saved_elems``."""
+        ``node_kept_elems``'s keep-set; the norm's row is rebuilt."""
         s, d, h, h_kv = 64, 16, 4, 2
         attn = CausalSelfAttention(d, h, np.random.default_rng(0), n_kv_heads=h_kv)
         x = Tensor(np.random.default_rng(1).normal(size=(s, d)), requires_grad=True)
@@ -415,8 +414,8 @@ class TestNormFoldsIntoItsReader:
         assert _timeline_allocs(timeline) == [
             ("AttentionFn", layer),
             ("BlockwiseMLPFn", fused_ffn),
-            # the block's one node: the FFN adds its weights only
-            ("AttentionFn", layer + 3 * d * hidden * 8),
+            # the block's one node: the FFN adds nothing
+            ("AttentionFn", layer),
         ]
         assert get_tracker().live_handles == 3
         loss = ops.add(a.sum(), ops.add(y.sum(), z.sum()))
