@@ -211,9 +211,7 @@ def ring_pass(
     if not carried or steps == 1:
         return acc
     # Final hop: the accumulators, all their owner reads, go home.
-    return comm.exchange(
-        acc, schedule.return_permutation(), phase=phase, tag=f"{tag}-return"
-    )
+    return schedule.apply_return(comm, acc, phase=phase, tag=f"{tag}-return")
 
 
 @traced("attn.pass", "attn", algorithm="ring", direction="fwd")

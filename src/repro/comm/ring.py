@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.comm.communicator import SimCommunicator
-from repro.obs.tracer import trace_span, tracing_enabled
+from repro.obs.tracer import NOOP_SPAN, trace_span, tracing_enabled
 from repro.topology import ClusterTopology, LinkClass
 
 
@@ -66,23 +66,47 @@ class RingSchedule:
         """Number of compute steps (= world size G)."""
         return len(self.transitions) + 1
 
-    def transition_link_class(self, t: int) -> LinkClass:
-        """Slowest link class used by transition ``t``.
+    def _slowest_link(self, pairs) -> LinkClass:
+        """Slowest link class over ``(src, dst)`` rank pairs.
 
-        A lockstep transition is gated by its slowest hop: a flat global
-        ring that crosses a node boundary anywhere is inter-node-bound
-        even though most of its hops ride NVLink.
+        A lockstep hop is gated by its slowest pair: a flat global ring
+        that crosses a node boundary anywhere is inter-node-bound even
+        though most of its pairs ride NVLink.  The one rule every hop is
+        classed by — a transition, the return hop and the reverse seed —
+        in the executed trace and the DES alike.
         """
-        worst = LinkClass.LOCAL
-        for ring in self.transitions[t]:
-            k = len(ring)
-            for pos in range(k):
-                cls = self.topology.link_class(ring[pos], ring[(pos + 1) % k])
-                if cls is LinkClass.INTER:
-                    return LinkClass.INTER
-                if cls is LinkClass.INTRA:
-                    worst = LinkClass.INTRA
-        return worst
+        classes = {self.topology.link_class(src, dst) for src, dst in pairs}
+        for cls in (LinkClass.INTER, LinkClass.INTRA):
+            if cls in classes:
+                return cls
+        return LinkClass.LOCAL
+
+    def transition_link_class(self, t: int) -> LinkClass:
+        """Slowest link class used by transition ``t``."""
+        return self._slowest_link(
+            (ring[pos], ring[(pos + 1) % len(ring)])
+            for ring in self.transitions[t] for pos in range(len(ring))
+        )
+
+    def return_link_class(self) -> LinkClass:
+        """Slowest link class of :meth:`return_permutation`.
+
+        The return hop and the reverse seed (its inverse) are no ring
+        shift but a permutation that may mix inner and outer pairs; both
+        cross the same rank pairs, so both take this class.
+        """
+        return self._slowest_link(enumerate(self.return_permutation()))
+
+    def _traced(self, link: Callable[[], LinkClass], **attrs):
+        """The ``ring.transition`` span of one hop, on the ``intra-ring`` /
+        ``inter-ring`` row of the DES resource its time is modelled on;
+        ``link`` is only classed while tracing."""
+        if not tracing_enabled():
+            return NOOP_SPAN
+        row = "inter-ring" if link() is LinkClass.INTER else "intra-ring"
+        return trace_span(
+            "ring.transition", phase=row, schedule=self.name, **attrs
+        )
 
     def apply(
         self,
@@ -94,21 +118,29 @@ class RingSchedule:
         tag: str = "",
     ) -> list[object]:
         """Perform transition ``t`` on per-rank buffers through ``comm``."""
-        if not tracing_enabled():
+        with self._traced(lambda: self.transition_link_class(t), step=t,
+                          logical=phase, rings=len(self.transitions[t])):
             out = list(bufs)
             for ring in self.transitions[t]:
                 out = comm.ring_shift(out, list(ring), phase=phase, tag=tag or self.name)
             return out
-        # Each transition becomes a span on the "intra-ring" / "inter-ring"
-        # row matching the DES resource its time is modeled on.
-        link = self.transition_link_class(t)
-        row = "inter-ring" if link is LinkClass.INTER else "intra-ring"
-        with trace_span("ring.transition", phase=row, schedule=self.name,
-                        step=t, logical=phase, rings=len(self.transitions[t])):
-            out = list(bufs)
-            for ring in self.transitions[t]:
-                out = comm.ring_shift(out, list(ring), phase=phase, tag=tag or self.name)
-            return out
+
+    def apply_return(
+        self,
+        comm: SimCommunicator,
+        bufs: Sequence[object],
+        *,
+        phase: str,
+        tag: str,
+    ) -> list[object]:
+        """Send each rank's buffer home after the last compute step: one
+        exchange over :meth:`return_permutation`, traced on the row of
+        :meth:`return_link_class`."""
+        with self._traced(self.return_link_class, step=self.num_steps - 1,
+                          logical=phase, rings=1, hop="return"):
+            return comm.exchange(
+                bufs, self.return_permutation(), phase=phase, tag=tag
+            )
 
     def origins(self) -> list[list[int]]:
         """``origins()[t][rank]`` = the rank whose step-0 buffer ``rank``
@@ -180,24 +212,16 @@ class RingSchedule:
     def reverse_link_class(self, s: int) -> LinkClass:
         """Slowest link class used by reverse move ``s`` (1-based).
 
-        Move 1 is the seed permutation; move ``s >= 2`` retraces base
+        Move 1 is the seed permutation, classed by
+        :meth:`return_link_class`; move ``s >= 2`` retraces base
         transition ``num_steps - s`` against its ring direction (same
         links, opposite flow), so it inherits that transition's class.
         """
         if not 1 <= s <= self.num_steps - 1:
             raise ValueError(f"reverse move {s} out of range 1..{self.num_steps - 1}")
-        if s > 1:
-            return self.transition_link_class(self.num_steps - s)
-        worst = LinkClass.LOCAL
-        for dst, src in enumerate(self.return_permutation()):
-            if src == dst:
-                continue
-            cls = self.topology.link_class(src, dst)
-            if cls is LinkClass.INTER:
-                return LinkClass.INTER
-            if cls is LinkClass.INTRA:
-                worst = LinkClass.INTRA
-        return worst
+        if s == 1:
+            return self.return_link_class()
+        return self.transition_link_class(self.num_steps - s)
 
     def apply_reverse(
         self,
@@ -217,35 +241,22 @@ class RingSchedule:
         """
         if not 1 <= s <= self.num_steps - 1:
             raise ValueError(f"reverse move {s} out of range 1..{self.num_steps - 1}")
-        if not tracing_enabled():
-            return self._apply_reverse_raw(comm, bufs, s, phase, tag)
-        link = self.reverse_link_class(s)
-        row = "inter-ring" if link is LinkClass.INTER else "intra-ring"
         rings = 1 if s == 1 else len(self.transitions[self.num_steps - s])
-        with trace_span("ring.transition", phase=row, schedule=self.name,
-                        step=self.num_steps - s, logical=phase, rings=rings,
-                        direction="rev"):
-            return self._apply_reverse_raw(comm, bufs, s, phase, tag)
-
-    def _apply_reverse_raw(
-        self,
-        comm: SimCommunicator,
-        bufs: Sequence[object],
-        s: int,
-        phase: str,
-        tag: str,
-    ) -> list[object]:
-        if s == 1:
-            return comm.exchange(
-                bufs, self.reverse_seed_permutation(), phase=phase,
-                tag=tag or self.name, channel="rev",
-            )
-        out = list(bufs)
-        for ring in self.transitions[self.num_steps - s]:
-            out = comm.ring_shift(
-                out, list(ring), phase=phase, tag=tag or self.name, reverse=True
-            )
-        return out
+        with self._traced(lambda: self.reverse_link_class(s),
+                          step=self.num_steps - s, logical=phase, rings=rings,
+                          direction="rev"):
+            if s == 1:
+                return comm.exchange(
+                    bufs, self.reverse_seed_permutation(), phase=phase,
+                    tag=tag or self.name, channel="rev",
+                )
+            out = list(bufs)
+            for ring in self.transitions[self.num_steps - s]:
+                out = comm.ring_shift(
+                    out, list(ring), phase=phase, tag=tag or self.name,
+                    reverse=True,
+                )
+            return out
 
 
 def global_ring_schedule(topology: ClusterTopology) -> RingSchedule:
@@ -423,7 +434,7 @@ class RingMethod:
 
 
 #: The one table of ring-family methods — read by ``attention.get_method``,
-#: the DES, ``repro.testing`` and ``obs.report.predicted_ring_cells``.
+#: the DES and ``repro.testing``.
 RING_METHODS = {
     "megatron-cp": RingMethod(global_ring_schedule, ALG1_BUNDLE),
     "loongtrain-double": RingMethod(double_ring_schedule, ALG1_BUNDLE),

@@ -15,8 +15,9 @@ plus the flow edges of :mod:`repro.obs.flow`) and answers three questions:
    replays the first observed attention pass through the *same* DES graph
    that prices the prediction (:func:`repro.perf.schedules.attention
    .attention_pass_sim`), substituting hop durations priced from the bytes
-   each observed ring transition — and, on a backward pass, the
-   return-to-owner exchange — actually carried, and pins the
+   each observed ``ring.transition`` actually carried — the return hop and
+   the reverse seed included, each on the link row the model prices it
+   on — and pins the
    resulting exposed-communication fraction against the modeled one — and,
    under the unidirectional mode, the replayed comm-busy seconds against
    the closed form of the pass's executed bundle layout
@@ -268,10 +269,10 @@ def _observed_hop_bytes(
     """Per-hop payload bytes of one observed ring hop.
 
     A ``ring.transition`` span wraps one ``comm.ring_shift`` per concurrent
-    ring (or one ``comm.exchange`` for the reverse seed) and the return hop
-    *is* a ``comm.exchange`` span; each logs the summed bytes over its
-    hops, so bytes-per-transfer of any comm span inside the window is the
-    circulating bundle size.  ``events`` are the pass's logical phase only.
+    ring, or one ``comm.exchange`` for the reverse seed and the return hop;
+    each logs the summed bytes over its hops, so bytes-per-transfer of any
+    comm span inside the window is the circulating bundle size.
+    ``events`` are the pass's logical phase only.
     """
     t0 = transition["ts"] - ROUNDING_SLACK_US
     t1 = transition["ts"] + transition["dur"] + ROUNDING_SLACK_US
@@ -296,18 +297,13 @@ def _price_transitions(
     topology,
     logical: str,
     channel: str,
-    *,
-    mixed: int | None = None,
 ) -> tuple[list[tuple[str, float]], list[str]]:
     """Price observed hops at their logged bytes on modeled links.
 
     Returns the ``(resource, duration)`` list to substitute into the DES
-    replay, plus any structural mismatches (observed link row disagreeing
-    with the schedule's modeled link class, or a hop containing no
-    byte-carrying comm span).  ``mixed`` is the position whose row check
-    is skipped: the reverse stream's seeding exchange or the forward
-    stream's return hop, mixed permutations the model prices at the last
-    transition's class by convention.
+    replay, plus any structural mismatches (an observed hop's link row
+    disagreeing with the modeled link class, or a hop containing no
+    byte-carrying comm span).  Every hop's row is checked.
     """
     from repro.topology import LinkClass
 
@@ -316,7 +312,7 @@ def _price_transitions(
     for i, (tr, (res, _)) in enumerate(zip(observed, modeled)):
         row = tr.get("args", {}).get("phase", "")
         kind = "inter" if row == "inter-ring" else "intra"
-        if kind != res and i != mixed:
+        if kind != res:
             problems.append(
                 f"{logical}/{channel} transition {i}: observed {kind} "
                 f"link, schedule models {res}"
@@ -376,39 +372,25 @@ def _pin_pass(
     trans = [e for e in events if e.get("name") == "ring.transition"]
     fwd_ev = [e for e in trans if e["args"].get("direction", "fwd") != "rev"]
     rev_ev = [e for e in trans if e["args"].get("direction") == "rev"]
-    ret_ev = [
-        e for e in events
-        if e.get("name") == "comm.exchange"
-        and str(e["args"].get("tag", "")).endswith("-return")
-    ]
-    # a backward pass ends its forward stream with the return hop
-    n_ret = 1 if backward and fwd_model else 0
-    n_f, n_r = len(fwd_model) - n_ret, len(rev_model)
+    # a backward pass's forward stream ends with its return hop
+    n_f, n_r = len(fwd_model), len(rev_model)
     if n_f == 0:
         pin["error"] = f"{method} models no transitions for {logical}"
         return pin
     passes = len(fwd_ev) // n_f
-    if (
-        not fwd_ev
-        or len(fwd_ev) != passes * n_f
-        or len(rev_ev) != passes * n_r
-        or len(ret_ev) != passes * n_ret
-    ):
+    if not fwd_ev or len(fwd_ev) != passes * n_f or len(rev_ev) != passes * n_r:
         pin["error"] = (
-            f"observed {len(fwd_ev)} fwd / {len(rev_ev)} rev transitions and "
-            f"{len(ret_ev)} return hop(s) for {logical}; expected equal "
-            f"multiples of {n_f} / {n_r} / {n_ret} per pass"
+            f"observed {len(fwd_ev)} fwd / {len(rev_ev)} rev hops for "
+            f"{logical}; expected equal multiples of {n_f} / {n_r} per pass"
         )
         return pin
     fwd_obs, problems = _price_transitions(
-        fwd_ev[:n_f] + ret_ev[:n_ret], fwd_model, events, topology, logical,
-        "fwd", mixed=n_f if n_ret else None,
+        fwd_ev[:n_f], fwd_model, events, topology, logical, "fwd"
     )
     rev_obs = None
     if n_r:
         rev_obs, rev_problems = _price_transitions(
-            rev_ev[:n_r], rev_model, events, topology, logical, "rev",
-            mixed=0,
+            rev_ev[:n_r], rev_model, events, topology, logical, "rev"
         )
         problems += rev_problems
     if problems:

@@ -10,13 +10,16 @@ Two consumers sit on top of the exporters in :mod:`repro.obs.export`:
 * :func:`diff_traces` — a *structural*, deterministic comparison of an
   observed trace against the DES-predicted schedule for the same config.
   Wall-clock seconds are not comparable (numpy on the host vs the modeled
-  A800 cluster), but the ring *structure* is: the method's
-  :class:`~repro.comm.RingSchedule` fixes how many intra-node and
-  inter-node transitions each stream of one attention pass performs
-  (:func:`predicted_ring_cells`), and the observed ``ring.transition``
-  spans (:func:`observed_ring_cells`) must replicate that pattern an
-  integer number of times per logical phase — the overlap structure of
-  Fig. 5, in either ring mode.
+  A800 cluster), but the ring *structure* is: the hops the DES prices
+  for one attention pass (:func:`repro.perf.schedules.attention
+  .attention_pass_hops`, a walk of the executed
+  :class:`~repro.comm.RingSchedule`) fix how many intra-node and
+  inter-node hops each stream performs — the backward's return hop and
+  the reverse seed included (:func:`predicted_ring_cells`) — and the
+  observed ``ring.transition`` spans (:func:`observed_ring_cells`) must
+  replicate that pattern an integer number of times per logical phase:
+  the overlap structure of Fig. 5, in either ring mode, for every method
+  the DES prices (USP's grouped rings included).
 
 :func:`build_predicted_trace` renders the DES graphs of the same attention
 passes (:func:`repro.perf.schedules.attention.attention_pass_sim`) through
@@ -187,44 +190,33 @@ def observed_ring_counts(payload: dict | str) -> dict[str, dict[str, int]]:
 # --------------------------------------------------------------------------
 
 def predicted_ring_cells(
-    method_name: str, topology, ring_mode: str = "unidirectional"
+    method: str, topology, workload, *, ring_mode: str = "unidirectional",
+    ring_window: int | None = None,
 ) -> dict[str, dict[str, dict[str, int]]]:
-    """Per-pass transition counts the method's own schedule builder fixes,
-    in the shape of :func:`observed_ring_cells`.
-
-    Unidirectional passes apply all ``S - 1`` transitions on the forward
-    stream and none on the reverse.  Under the bidirectional mode the
-    forward pass applies only the first ``T_f = S // 2`` on the forward
-    stream while the backward pass still applies all of them (the gradient
-    accumulators keep circulating), and the reverse stream runs
-    ``R = (S - 1) // 2`` moves in both: a seeding exchange (priced at
-    :meth:`RingSchedule.reverse_link_class`) followed by retraced tail
-    transitions.  Head-parallel methods predict zero everywhere: Ulysses'
-    one-position ring makes no transition, which is exact; USP's grouped
-    rings depend on a degree the traced config does not carry, so the
-    structural gate does not model them.
+    """Per-pass hop counts of the DES's own walk, in the shape of
+    :func:`observed_ring_cells`: every hop
+    :func:`repro.perf.schedules.attention.attention_pass_hops` lists for
+    one forward and one backward pass, by stream and link class — the
+    backward's return hop and the reverse seed included, on the class the
+    executor traces them on.  Whatever the DES prices is what is counted:
+    Ulysses' one-position ring predicts zero everywhere, USP's grouped
+    rings their grid's hops.
     """
-    from repro.comm.ring import RING_METHODS, bidirectional_split
-    from repro.topology import LinkClass
+    from repro.perf.schedules.attention import attention_pass_hops
 
-    cells = {logical: _zero_cells() for logical in RING_PHASES}
-    if method_name not in RING_METHODS:
-        return cells
-    sched = RING_METHODS[method_name].schedule(topology)
-    n = len(sched.transitions)
-    t_f, rev = n, 0
-    if ring_mode == "bidirectional":
-        t_f, rev = bidirectional_split(sched.num_steps)
-    for logical, n_fwd in zip(RING_PHASES, (t_f, n)):
-        streams = (
-            ("fwd", map(sched.transition_link_class, range(n_fwd))),
-            ("rev", map(sched.reverse_link_class, range(1, rev + 1))),
-        )
-        for direction, classes in streams:
-            for cls in classes:
-                if cls is not LinkClass.LOCAL:
-                    cells[logical][direction][cls.value] += 1
-    return cells
+    return {
+        logical: {
+            direction: {
+                kind: sum(cls.value == kind for cls, _ in hops)
+                for kind in _RING_ROWS
+            }
+            for direction, hops in zip(("fwd", "rev"), attention_pass_hops(
+                method, topology, workload, backward=backward,
+                ring_mode=ring_mode, ring_window=ring_window,
+            ))
+        }
+        for logical, backward in zip(RING_PHASES, (False, True))
+    }
 
 
 def build_predicted_trace(
@@ -260,7 +252,10 @@ def build_predicted_trace(
         "world_size": topology.world_size,
         "gpus_per_node": topology.gpus_per_node,
         "ring_mode": ring_mode,
-        "per_pass_cells": predicted_ring_cells(method, topology, ring_mode),
+        "per_pass_cells": predicted_ring_cells(
+            method, topology, workload, ring_mode=ring_mode,
+            ring_window=ring_window,
+        ),
         "modeled_makespan_s": sum(sim.makespan for sim in sims),
     }))
 

@@ -216,18 +216,6 @@ METHOD_DES_FLAGS = {
 }
 
 
-def _mixed_link_class(schedule: RingSchedule) -> LinkClass:
-    """Link class the DES prices a *mixed* permutation on.
-
-    The return-to-owner hop and the reverse stream's seeding exchange are
-    no ring shift but a permutation that may mix inner and outer hops; by
-    convention both are priced on the last transition's link.  (The
-    executor classes them by their slowest pair,
-    ``schedule.reverse_link_class(1)`` — ROADMAP open finding.)
-    """
-    return schedule.transition_link_class(schedule.num_steps - 2)
-
-
 _Hops = list[tuple[LinkClass, tuple[float, ...]]]
 
 
@@ -303,8 +291,12 @@ def attention_pass_hops(
     read-only bundle parts across the streams (``T_f = S // 2`` forward
     transitions, ``R = (S - 1) // 2`` reverse moves) while the gradient
     accumulators ride all ``S - 1`` forward transitions — the walk
-    ``ring_pass`` and ``BidirectionalFlow`` execute.  A head-parallel pass
-    lists its ring leg alone (Ulysses' one-position ring has no hop).
+    ``ring_pass`` and ``BidirectionalFlow`` execute.  Every hop sits on
+    the class the executor traces it on: a transition, a retraced reverse
+    move, and the return hop and reverse seed alike
+    (:meth:`RingSchedule.return_link_class`, their slowest pair).  A
+    head-parallel pass lists its ring leg alone (Ulysses' one-position
+    ring has no hop).
     """
     schedule, bundle, _, bidirectional, _ = _pass_row(
         method, topology, workload, backward=backward, ring_mode=ring_mode,
@@ -334,10 +326,9 @@ def attention_pass_hops(
         for t in range(n if bundle.carried else t_f)
     ]
     if bundle.carried and n:
-        fwd.append(hop(_mixed_link_class(schedule), "carried"))
+        fwd.append(hop(schedule.return_link_class(), "carried"))
     rev = [
-        hop(_mixed_link_class(schedule) if s == 1
-            else schedule.reverse_link_class(s), "read-only")
+        hop(schedule.reverse_link_class(s), "read-only")
         for s in range(1, rev_moves + 1)
     ]
     return fwd, rev
@@ -380,7 +371,7 @@ def attention_pass_sim(
     :func:`repro.obs.report.build_predicted_trace` draws it and
     :mod:`repro.obs.critical` replays observed passes through it.  The
     return-to-owner hop of a backward pass is the ring's last task, on the
-    link of the last transition.  A head-parallel pass opens with its
+    link of its slowest pair.  A head-parallel pass opens with its
     relayout into head layout and closes with the one back, each priced by
     :func:`_all_to_all_time` on :func:`head_parallel_relayout_bytes`.
 

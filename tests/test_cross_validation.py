@@ -51,17 +51,20 @@ class TestDESvsClosedForms:
         assert des == pytest.approx(max(28 * t_intra, 3 * t_inter), rel=1e-9)
 
     def test_burst_backward_commbound_closed_form(self):
-        """Alg. 2 comm-bound: overlapped phases + the intra return hop.
+        """Alg. 2 comm-bound: overlapped phases + the inter return hop.
         The payload is the executed bundle: Q, dQ, dO shards plus one D and
         one Lse row per head (the paper's ``3 + 2/h`` is one head); the
-        return hop ships the dQ shard alone."""
+        return hop ships the dQ shard alone.  After three outer shifts
+        every bundle sits one node short of home, so the return
+        permutation's slowest pair — the class the executor traces it on
+        — crosses nodes."""
         wl = AttentionWorkload(seq_len=1 << 20, hidden=5120, n_heads=40)
         des = attention_pass_time("burst", TOPO32, wl, backward=True,
                                   peak_flops=HUGE_FLOPS)
         payload = wl.shard_bytes(32) * (3 + 2 * 40 / 5120)
         t_intra = link_time(TOPO32, payload, LinkClass.INTRA)
         t_inter = link_time(TOPO32, payload, LinkClass.INTER)
-        t_return = link_time(TOPO32, wl.shard_bytes(32), LinkClass.INTRA)
+        t_return = link_time(TOPO32, wl.shard_bytes(32), LinkClass.INTER)
         expected = max(28 * t_intra, 3 * t_inter) + t_return
         assert des == pytest.approx(expected, rel=1e-9)
 
@@ -77,7 +80,8 @@ class TestDESvsClosedForms:
     def test_doublering_backward_includes_serialized_drain(self):
         """DoubleRing comm-bound backward = overlapped KV circulation +
         fully serialized gradient drain (Table 1's +2(I*T_intra +
-        E*T_inter) structure) + the return hop."""
+        E*T_inter) structure) + the return hop, which crosses nodes (its
+        slowest pair, as for burst above) and ships (dK, dV)."""
         wl = AttentionWorkload(seq_len=1 << 20, hidden=5120, n_heads=40)
         dbl = attention_pass_time("loongtrain-double", TOPO32, wl,
                                   backward=True, peak_flops=HUGE_FLOPS)
@@ -86,7 +90,7 @@ class TestDESvsClosedForms:
         t_inter = link_time(TOPO32, gr, LinkClass.INTER)
         kv_overlapped = max(28 * t_intra, 3 * t_inter)
         drain = 28 * t_intra + 3 * t_inter
-        expected = kv_overlapped + drain + t_intra  # + intra return hop
+        expected = kv_overlapped + drain + t_inter  # + inter return hop
         assert dbl == pytest.approx(expected, rel=1e-9)
 
     def test_compute_bound_limit_is_flops_time(self):
@@ -109,11 +113,20 @@ WALK_SHAPES = [(1, 1), (1, 2), (1, 4), (1, 8), (2, 2), (2, 3), (2, 4),
                (3, 3), (4, 2), (2, 8), (4, 8)]
 
 
+def _slowest(records):
+    """The slowest link a hop's ``TrafficLog`` records crossed."""
+    crossed = {rec.link for rec in records}
+    return next(
+        c for c in (LinkClass.INTER, LinkClass.INTRA, LinkClass.LOCAL)
+        if c in crossed
+    )
+
+
 class TestDESWalksTheExecutedSchedule:
     """The DES hop lists are a walk of the ``RingSchedule`` the method
-    executes — same link class at every position of both streams — with
-    the one stated exception: the two mixed permutations (return hop,
-    reverse seed) sit on the last transition's link."""
+    executes — the executor's link class at every position of both
+    streams, the return hop and the reverse seed included (their slowest
+    pair)."""
 
     @pytest.mark.parametrize("ring_mode", ["unidirectional", "bidirectional"])
     @pytest.mark.parametrize("shape", WALK_SHAPES,
@@ -144,11 +157,12 @@ class TestDESWalksTheExecutedSchedule:
                     method, topo, wl, backward=backward, ring_mode=ring_mode,
                     ring_window=window,
                 )
-                want_fwd = classes + classes[-1:] if backward else classes[:t_f]
+                home = [sched.return_link_class().value] * (n > 0)
+                want_fwd = classes + home if backward else classes[:t_f]
                 assert [res for res, _ in fwd] == want_fwd, (window, backward)
-                want_rev = classes[-1:] * min(rev_moves, 1) + [
+                want_rev = [
                     sched.reverse_link_class(s).value
-                    for s in range(2, rev_moves + 1)
+                    for s in range(1, rev_moves + 1)
                 ]
                 assert [res for res, _ in rev] == want_rev, (window, backward)
 
@@ -158,8 +172,10 @@ class TestDESPricesTheExecutedBytes:
     of both streams (:func:`attention_pass_hops`, the numbers
     :func:`attention_pass_transitions` turns into durations) is the payload
     every rank's ``TrafficLog`` records for that hop — forward transitions,
-    reverse moves and the return hop, in order.  Bytes only: the link
-    class of the mixed permutations is a separate, known disagreement."""
+    reverse moves and the return hop, in order — and the link it prices
+    the hop on is the slowest link those records crossed (a lockstep hop
+    waits for its slowest pair), the return hop and the reverse seed
+    included."""
 
     @pytest.mark.parametrize("heads", [(2, 2), (4, 2)], ids=["mha", "gqa"])
     @pytest.mark.parametrize("ring_mode", ["unidirectional", "bidirectional"])
@@ -189,13 +205,18 @@ class TestDESPricesTheExecutedBytes:
             )
             for channel, hops in zip(("fwd", "rev"), model):
                 priced = [sum(messages) for _, messages in hops]
+                logged = [
+                    [rec for rec in res.comm.log.records
+                     if rec.phase == phase and rec.channel == channel
+                     and rec.src == r]
+                    for r in range(g)
+                ]
                 for r in range(g):
-                    logged = [
-                        rec.nbytes for rec in res.comm.log.records
-                        if rec.phase == phase and rec.channel == channel
-                        and rec.src == r
-                    ]
-                    assert logged == priced, (phase, channel, r)
+                    assert [rec.nbytes for rec in logged[r]] == priced, (
+                        phase, channel, r)
+                for i, (cls, _) in enumerate(hops):
+                    assert cls is _slowest(recs[i] for recs in logged), (
+                        phase, channel, i)
 
 
     @pytest.mark.parametrize("name,degree", [("usp", 2), ("ulysses", None)])
@@ -204,8 +225,9 @@ class TestDESPricesTheExecutedBytes:
     ):
         """USP's ring leg walks its grid's strided rings (``u = 2`` on 2 x 4
         ranks: three transitions, Algorithm 1's bundle backward, the return
-        hop); Ulysses' one-position ring ships nothing.  The relayouts'
-        records are the next class's."""
+        hop), each hop on the slowest link its records crossed; Ulysses'
+        one-position ring ships nothing.  The relayouts' records are the
+        next class's."""
         topo = make_cluster(8, node=a800_node(gpus_per_node=4))
         g, h, d = topo.world_size, 8, 4
         n = 4 * g
@@ -224,13 +246,16 @@ class TestDESPricesTheExecutedBytes:
             )
             assert rev == [] and len(fwd) == (3 + backward if degree else 0)
             priced = [sum(messages) for _, messages in fwd]
+            logged = [
+                [rec for rec in log.records
+                 if rec.phase == phase and rec.src == r
+                 and rec.tag in ring_tags]
+                for r in range(g)
+            ]
             for r in range(g):
-                logged = [
-                    rec.nbytes for rec in log.records
-                    if rec.phase == phase and rec.src == r
-                    and rec.tag in ring_tags
-                ]
-                assert logged == priced, (phase, r)
+                assert [rec.nbytes for rec in logged[r]] == priced, (phase, r)
+            for i, (cls, _) in enumerate(fwd):
+                assert cls is _slowest(recs[i] for recs in logged), (phase, i)
 
 class TestDESPricesTheExecutedRelayouts:
     """Executor == model for the head-parallel all-to-alls: the buffers

@@ -224,13 +224,15 @@ class TestChromeTraceExport:
         engine, spans, _ = traced_step(tmp_path)
         payload = spans_to_chrome_json(spans)
         counts = observed_ring_counts(payload)
-        # double ring on 8 ranks / 4 per node: 6 intra + 1 inter per pass,
-        # one pass per layer per direction (recompute hits the cache and
-        # must not add ring traffic).
+        # double ring on 8 ranks / 4 per node: 6 intra + 1 inter
+        # transitions per pass, one pass per layer per direction (the
+        # node's recompute runs locally and adds no ring traffic); the
+        # backward's return hop is one more row, inter-node (its slowest
+        # pair).
         n_layers = engine.config.model.n_layers
-        for logical in ("attn-fwd", "attn-bwd"):
+        for logical, home in (("attn-fwd", 0), ("attn-bwd", 1)):
             assert counts[logical] == {
-                "intra": 6 * n_layers, "inter": 1 * n_layers
+                "intra": 6 * n_layers, "inter": (1 + home) * n_layers
             }, counts
         # ...and one `attn.pass` span per pass — with GQA shards too,
         # whichever backward the method picks for the head counts.
@@ -378,9 +380,12 @@ class TestDiff:
         """Ulysses predicts zero in every cell: a clean trace passes, one
         stray ``ring.transition`` fails."""
         from repro.obs.report import predicted_ring_cells
+        from repro.perf.schedules.attention import AttentionWorkload
 
         engine, spans, _ = traced_step(tmp_path, method="ulysses")
-        cells = predicted_ring_cells("ulysses", engine.topology)
+        cells = predicted_ring_cells(
+            "ulysses", engine.topology, AttentionWorkload(**WORKLOAD)
+        )
         assert not any(
             n for phase in cells.values() for d in phase.values()
             for n in d.values()
@@ -395,6 +400,37 @@ class TestDiff:
             name="ring.transition", phase="intra-ring", ts=spans[0].ts,
             dur=1e-6, tid=999, depth=0, rank=None,
             attrs={"logical": "attn-fwd"},
+        )
+        ok, lines = diff_traces(spans_to_chrome_json(spans + [stray]), predicted)
+        assert not ok, "\n".join(lines)
+
+    def test_usp_ring_leg_cells_are_the_des_hops(self, tmp_path):
+        """USP at ``u = 4`` on 2 x 4 ranks leaves a two-position ring
+        across the nodes: the predicted cells count the DES's own hops —
+        one inter transition per pass, plus the inter return hop on the
+        backward — and a traced step replicates them once per layer; one
+        stray transition fails."""
+        from repro.obs.report import build_predicted_trace
+        from repro.perf.schedules.attention import AttentionWorkload
+
+        engine, spans, _ = traced_step(
+            tmp_path, method="usp", ulysses_degree=4
+        )
+        predicted = build_predicted_trace(
+            "usp", engine.topology, AttentionWorkload(**WORKLOAD)
+        )
+        none = {"intra": 0, "inter": 0}
+        assert predicted["metadata"]["per_pass_cells"] == {
+            "attn-fwd": {"fwd": {"intra": 0, "inter": 1}, "rev": none},
+            "attn-bwd": {"fwd": {"intra": 0, "inter": 2}, "rev": none},
+        }
+        ok, lines = diff_traces(spans_to_chrome_json(spans), predicted)
+        assert ok, "\n".join(lines)
+        assert "attn-bwd   fwd intra=0 inter=4" in "\n".join(lines)
+        stray = Span(
+            name="ring.transition", phase="inter-ring", ts=spans[0].ts,
+            dur=1e-6, tid=999, depth=0, rank=None,
+            attrs={"logical": "attn-bwd"},
         )
         ok, lines = diff_traces(spans_to_chrome_json(spans + [stray]), predicted)
         assert not ok, "\n".join(lines)

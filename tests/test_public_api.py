@@ -261,7 +261,8 @@ class TestOneRingPassLoop:
                         ) or (
                             isinstance(f, ast.Attribute)
                             and (
-                                f.attr in ("apply_reverse", "return_permutation")
+                                f.attr in ("apply_reverse", "apply_return",
+                                           "return_permutation")
                                 or (
                                     f.attr == "apply"
                                     and isinstance(f.value, ast.Name)
@@ -1498,3 +1499,65 @@ class TestOnePassDescription:
         assert callers == {(self.HOME, "_pass_row"),
                            ("attention/verify.py", "verify_method"),
                            ("obs/__main__.py", "_quickstart")}
+
+
+class TestOneLinkRule:
+    """One hop, one link class: every hop — a transition, the return hop,
+    the reverse seed — is classed by one slowest-pair rule in
+    ``comm/ring.py``, which the executor traces by and the DES prices by;
+    no convention of the DES's own survives, no attribution check skips
+    a hop's row, and ``obs diff`` counts the DES's own hops instead of
+    walking the ring table a second time."""
+
+    _trees = staticmethod(TestOnePassDescription._trees)
+
+    def test_only_the_ring_schedule_takes_a_slowest_link(self):
+        def where(match):
+            return {
+                (rel, scope) for rel, tree in self._trees().items()
+                for scope in _scopes(tree, match)
+            }
+
+        # a function that classes rank pairs and ranks the classes
+        classes_pairs = where(
+            lambda n: isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "link_class"
+        )
+        ranks_classes = where(
+            lambda n: isinstance(n, ast.Attribute)
+            and n.attr in ("INTER", "INTRA")
+            and isinstance(n.value, ast.Name) and n.value.id == "LinkClass"
+        )
+        assert classes_pairs & ranks_classes == {
+            ("comm/ring.py", "RingSchedule._slowest_link")
+        }
+
+    def test_no_mixed_hop_convention_or_skip(self):
+        found = [
+            (rel, node.lineno) for rel, tree in self._trees().items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "_mixed_link_class"
+            or isinstance(node, ast.Name) and node.id == "_mixed_link_class"
+            or isinstance(node, ast.arg) and node.arg == "mixed"
+        ]
+        assert found == []
+
+    def test_the_diff_counts_the_des_hops(self):
+        report = self._trees()["obs/report.py"]
+        walked = {"RING_METHODS", "bidirectional_split"}
+        assert [
+            node.lineno for node in ast.walk(report)
+            if isinstance(node, ast.ImportFrom)
+            and walked & {a.name for a in node.names}
+            or isinstance(node, ast.Name) and node.id in walked
+            or isinstance(node, ast.Attribute) and node.attr in walked
+        ] == []
+        imports = {
+            a.name for node in ast.walk(report)
+            if isinstance(node, ast.ImportFrom)
+            and node.module == "repro.perf.schedules.attention"
+            for a in node.names
+        }
+        assert "attention_pass_hops" in imports
