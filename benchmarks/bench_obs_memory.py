@@ -9,7 +9,8 @@ double as a smoke test (a broken one exits non-zero):
 
 * observed peak saved bytes equals
   :func:`repro.perf.memory.predict_step_peak_saved_bytes` byte-for-byte,
-* the leak report is empty (the saved series drains by step end),
+* the leak report is empty on both series (the saved activations and
+  the kernel scratch drain by step end),
 * the tracked/untracked wall ratio stays under the committed ceiling —
   the timeline fast path is two module-global reads, so instrumentation
   must stay invisible next to the numpy kernels.
@@ -33,7 +34,7 @@ from repro.nn.checkpoint import CheckpointMode, CheckpointPolicy
 from repro.nn.memory import get_tracker
 from repro.nn.modules import TransformerConfig
 from repro.obs import MemoryBudget, use_memory_budget, use_memory_timeline
-from repro.obs.mem import leak_report
+from repro.obs.mem import TRANSIENT, leak_report
 from repro.perf.memory import predict_step_peak_saved_bytes
 from repro.topology import a800_node, make_cluster
 
@@ -108,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
             seq_len=args.seq, dim=32, n_layers=2, n_heads=4, ffn_hidden=64,
             vocab=128, checkpoint=policy, head_impl="fused",
         )["peak_saved_bytes"]
-        leaks = leak_report(events)
+        leaks = leak_report(events) + leak_report(events, TRANSIENT)
         ratio = tracked_s / plain_s
         ok = observed == predicted and not leaks and ratio < OVERHEAD_CEILING
         failed = failed or not ok
@@ -157,7 +158,8 @@ def main(argv: list[str] | None = None) -> int:
                 "predicted_peak_bytes": "perf.memory closed form; gated ==",
                 "timeline_events": "MemEvents recorded for the step "
                                    "(informational)",
-                "leaks": "unreleased saved handles at step end; gated 0",
+                "leaks": "unreleased saved and transient handles at step "
+                         "end; gated 0",
             },
             "results": results,
         }

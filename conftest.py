@@ -3,9 +3,10 @@
 Loads the chaos-recovery runner as a plugin so its session-scoped
 ``chaos_report`` fixture (one shared fault-injection + crash-resume run)
 is available to every test module, and turns double-releases of memory
-handles from silent no-ops into :class:`repro.nn.memory.ReleaseError`
-for the whole suite — accounting bugs should fail tests, not just bump
-the ``memory.release_errors`` counter they bump in production.
+handles, saved and transient alike, into
+:class:`repro.obs.mem.ReleaseError` for the whole suite — accounting bugs
+should fail tests, not just bump the ``memory.release_errors`` counter
+they bump in production.
 """
 
 import pytest

@@ -149,6 +149,7 @@ def burst_attention_backward(
     )
     for kv in pinned:
         kv.release()
+    workspace.release()
     return (
         [dq for (dq,) in home],
         [fold_kv_grad(kv.dk, groups) for kv in pinned],

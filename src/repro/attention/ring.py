@@ -286,6 +286,7 @@ def ring_attention_forward(
         ring_mode=ring_mode,
     )
     os, lses = zip(*(state.finish() for state in states))
+    workspace.release()
     return list(os), list(lses)
 
 
@@ -362,4 +363,5 @@ def ring_attention_backward_kv(
         ALG1_BUNDLE.carried, tile, phase=phase, tag=ALG1_BUNDLE.tag,
         ring_mode=ring_mode,
     )
+    workspace.release()
     return dqs, [dk for dk, _ in home], [dv for _, dv in home]

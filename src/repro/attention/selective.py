@@ -103,6 +103,7 @@ def selective_attention_forward(
         o_i, lse_i = state.finish()
         os.append(o_i)
         lses.append(lse_i)
+    workspace.release()
     return os, lses
 
 
@@ -166,6 +167,7 @@ def selective_attention_backward(
             if i != j:
                 dq_part = comm.send(j, i, dq_part, phase=phase, tag="sel-dq")
             dqs[i] += dq_part
+    workspace.release()
     return dqs, dks, dvs
 
 

@@ -651,7 +651,9 @@ class KernelWorkspace:
     a view of the name's buffer, which only ever grows to the largest
     request — run widths vary with the mask, and a buffer per shape would
     multiply the scratch.  All writes fully overwrite a view before it is
-    read, so reuse never leaks state.
+    read, so reuse never leaks state.  Each buffer is on the transient
+    watermark until a larger one replaces it or the owner releases the
+    workspace (:meth:`release`).
     """
 
     def __init__(self):
@@ -664,10 +666,6 @@ class KernelWorkspace:
         if flat is None or flat.size < n:
             from repro.obs.mem import transient_alloc, transient_free
 
-            # Account the growth on the transient watermark series.  The
-            # buffer lives for the workspace's lifetime, so its handle is
-            # released only once a larger buffer has replaced it
-            # (reset_transients() drops it otherwise).
             stale = self._handles.get(name)
             flat = self._bufs[name] = np.empty(n, dtype=np.float64)
             self._handles[name] = transient_alloc(
@@ -687,6 +685,15 @@ class KernelWorkspace:
                 a.shape[-2], b.shape[-1]
             )
         return np.matmul(a, b, out=self.buf(name, shape))
+
+    def release(self) -> None:
+        """The owner is done with it: every buffer leaves the watermark."""
+        from repro.obs.mem import transient_free
+
+        for handle in self._handles.values():
+            transient_free(handle)
+        self._bufs.clear()
+        self._handles.clear()
 
     @property
     def nbytes(self) -> int:

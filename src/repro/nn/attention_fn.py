@@ -139,6 +139,7 @@ class FlashAttentionFn(Function):
         # The scratch goes with the saved set: the graph holds a node
         # until the whole backward has run, and a backward that rebuilt
         # rows grew it.
+        self.workspace.release()
         self.workspace = None
         super().release_saved()
 

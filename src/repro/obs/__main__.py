@@ -151,12 +151,27 @@ def _cmd_trace_step(args: argparse.Namespace) -> int:
     return 0
 
 
+def _predicted_peak(engine, seq: int) -> dict:
+    """The closed-form step peak of saved bytes for the quickstart engine."""
+    from repro.perf.memory import predict_step_peak_saved_bytes
+
+    config = engine.config
+    return predict_step_peak_saved_bytes(
+        seq_len=seq, dim=config.model.dim, n_layers=config.model.n_layers,
+        n_heads=config.model.n_heads, ffn_hidden=config.model.ffn_hidden,
+        vocab=config.model.vocab_size, checkpoint=config.checkpoint.mode.value,
+        split_fraction=config.checkpoint.split_fraction,
+        head_impl=config.head_impl,
+        rebuilds_context=engine.method.supports_context_rebuild,
+    )
+
+
 def _memdiff_cell(method, policy_mode, ring_mode, seq, chunk=None):
     """Run one traced step; observed and predicted peak saved bytes plus
-    the timeline analysis."""
+    the timeline analysis.  ``leaks`` lists the handles of either series
+    left live at step end."""
     from repro.nn.memory import get_tracker
-    from repro.obs.mem import leak_report, peak_attribution
-    from repro.perf.memory import predict_step_peak_saved_bytes
+    from repro.obs.mem import TRANSIENT, leak_report, peak_attribution
 
     # The quickstart model has 4 heads; Ulysses needs heads % world == 0,
     # so its cells run on a 4-GPU cluster (saved bytes are world-
@@ -167,38 +182,25 @@ def _memdiff_cell(method, policy_mode, ring_mode, seq, chunk=None):
         policy=policy_mode, chunk=chunk, gpus=4 if method == "ulysses" else 8,
     )
     spans, timeline, events = _traced_fit(engine, batch)
-    observed = get_tracker().peak_saved_bytes
-    config = engine.config
-    predicted = predict_step_peak_saved_bytes(
-        seq_len=seq, dim=config.model.dim, n_layers=config.model.n_layers,
-        n_heads=config.model.n_heads, ffn_hidden=config.model.ffn_hidden,
-        vocab=config.model.vocab_size, checkpoint=policy_mode,
-        split_fraction=config.checkpoint.split_fraction,
-        head_impl=config.head_impl,
-        rebuilds_context=engine.method.supports_context_rebuild,
-    )
     return {
-        "observed": observed,
-        "predicted": predicted,
+        "observed": get_tracker().peak_saved_bytes,
+        "predicted": _predicted_peak(engine, seq),
         "attribution": peak_attribution(events),
-        "leaks": leak_report(events),
+        "leaks": leak_report(events) + leak_report(events, TRANSIENT),
         "events": events,
         "timeline": timeline,
         "spans": spans,
-        "model": config.model,
+        "model": engine.config.model,
     }
 
 
 def _site_peak(events, prefix: str) -> int:
     """Max concurrent bytes of timeline allocations whose site starts
     with ``prefix`` (replays the transient series for one subsystem)."""
-    current = peak = 0
-    for ev in events:
-        if not ev.site.startswith(prefix):
-            continue
-        current += ev.delta
-        peak = max(peak, current)
-    return peak
+    from repro.obs.mem import replay
+
+    mine = [ev for ev in events if ev.site.startswith(prefix)]
+    return max((running for *_, running in replay(mine)), default=0)
 
 
 def _cmd_memdiff(args: argparse.Namespace) -> int:
@@ -357,14 +359,17 @@ def _memdiff_inject(args: argparse.Namespace, seq: int) -> int:
     from repro.obs.tracer import use_tracing
 
     engine, batch = _quickstart("burst", "unidirectional", seq)
+    # By default the budget is the step's closed-form saved peak: the
+    # step breaches it as soon as any scratch is live beside that peak.
+    limit = args.budget_bytes
+    if limit is None:
+        limit = _predicted_peak(engine, seq)["peak_saved_bytes"]
     recorder = FlightRecorder(out_dir=args.out_dir, prefix="oom-")
     bundle_path = None
     with recorder, use_tracing():
         with use_memory_timeline() as timeline:
             if args.inject == "budget":
-                budget = MemoryBudget(
-                    limit_bytes=args.budget_bytes, raise_on_breach=True
-                )
+                budget = MemoryBudget(limit_bytes=limit, raise_on_breach=True)
                 try:
                     Trainer(engine=engine, memory_budget=budget).fit(
                         [batch], steps=1
@@ -576,8 +581,9 @@ def main(argv: list[str] | None = None) -> int:
              "with a validated oom/v1 bundle",
     )
     p.add_argument(
-        "--budget-bytes", type=int, default=512_000,
-        help="MemoryBudget limit for --inject budget",
+        "--budget-bytes", type=int, default=None,
+        help="MemoryBudget limit for --inject budget (default: the step's "
+             "closed-form peak saved bytes)",
     )
     p.set_defaults(fn=_cmd_memdiff)
 

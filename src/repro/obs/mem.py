@@ -1,36 +1,33 @@
-"""Memory observability: allocation timelines, attribution, budget watchdog.
+"""Memory observability: the handle ledger, timelines, attribution, budget.
 
-The time half of the observability layer (tracer → Chrome trace → critical
-path) got built first; this module is the memory half.  It turns the
-single current/peak gauge pair of :class:`repro.nn.memory.MemoryTracker`
-into an *observable* signal:
+This module is the memory half of the observability layer (the tracer is
+the time half):
 
+* **One ledger.**  :class:`Ledger` holds one watermark series' live
+  handles, its current / peak gauges and its reset floor, under one
+  release rule.  ``saved`` is the autograd persistent set (what
+  checkpointing trades against recomputation):
+  :class:`repro.nn.memory.MemoryTracker` is its ledger plus
+  ``recompute_flops``.  ``transient`` is kernel scratch, the ledger
+  :func:`transient_alloc` / :func:`transient_free` name: workspace
+  buffers (their owner releases them at the end of a pass, or with a
+  node's saved set), softmax states, pinned key operands and the chunked
+  SwiGLU backward's working set.
 * **Timeline.**  While a :class:`MemoryTimeline` is installed
-  (:func:`use_memory_timeline`), every tracker ``register``/``release``
-  and every kernel transient allocation lands here as a timestamped
-  :class:`MemEvent` carrying the post-event watermark and an *owner*
-  record — the enclosing tracer span, the layer index, the memory phase
-  (``fwd``/``bwd``/``recompute``) and the attention method, supplied by
-  :func:`memory_scope` context managers instrumented through the model
-  and trainer.  Timestamps share the tracer's epoch whenever tracing is
-  on, so the exported Chrome counter tracks (``"ph": "C"``) line up under
-  the span rows in Perfetto.
-* **Two series.**  ``saved`` is the autograd persistent set (what
-  checkpointing trades against recomputation); ``transient`` is kernel
-  scratch — :class:`~repro.kernels.tileplan.KernelWorkspace`
-  buffers and the chunked SwiGLU backward's working set — so observed
-  transients can be pinned against
-  :func:`repro.perf.memory.swiglu_chunked_transient_bytes`.
-* **Attribution.**  :func:`peak_attribution` sweeps a timeline to name
-  the span/layer/phase owning the global peak plus a top-K table of the
-  allocations live at that instant; :func:`leak_report` pairs allocation
-  lifetimes and lists handles never released (the saved series must
-  drain to zero by step end).
+  (:func:`use_memory_timeline`), every ledger move lands as a
+  timestamped :class:`MemEvent` carrying the post-event watermark and an
+  *owner* record — span, layer, memory phase, method — pushed by
+  :func:`memory_scope`.  Timestamps share the tracer's epoch, so the
+  Chrome counter tracks (``"ph": "C"``) line up under the span rows.
+* **Attribution.**  :func:`replay` walks a timeline once; from that walk
+  :func:`peak_attribution` names the owner of a series' peak and the
+  allocations live at it, :func:`leak_report` lists the handles left
+  live (both series drain by step end), and the validator checks the
+  running watermark.
 * **Budget watchdog.**  :class:`MemoryBudget` watches the combined
-  watermark and, on first crossing, dumps an ``oom/v1`` post-mortem
-  bundle through the active :class:`~repro.obs.flightrec.FlightRecorder`
-  (same machinery, same validation) — the admission-control primitive
-  the roadmap's serving engine consumes.
+  (saved + transient) watermark and, on first crossing, dumps an
+  ``oom/v1`` post-mortem bundle through the active
+  :class:`~repro.obs.flightrec.FlightRecorder`.
 
 Layering: this module imports only the two bottom-layer obs modules
 (:mod:`repro.obs.tracer`, :mod:`repro.obs.metrics`) plus stdlib, so
@@ -47,17 +44,19 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.tracer import get_tracer
 
 __all__ = [
     "MEMDIFF_SCHEMA",
     "MEMORY_TIMELINE_SCHEMA",
     "OOM_SCHEMA",
+    "Ledger",
     "MemEvent",
     "MemoryBudget",
     "MemoryBudgetExceeded",
     "MemoryTimeline",
+    "ReleaseError",
     "current_memory_scope",
     "leak_report",
     "memory_counter_events",
@@ -65,7 +64,9 @@ __all__ = [
     "memory_scope",
     "observe",
     "peak_attribution",
+    "replay",
     "reset_transients",
+    "set_strict_release",
     "timeline_json",
     "transient_alloc",
     "transient_free",
@@ -231,7 +232,6 @@ def current_memory_scope() -> dict[str, Any]:
 _LOCK = threading.RLock()
 _TIMELINE: MemoryTimeline | None = None
 _BUDGET: "MemoryBudget | None" = None
-_CURRENT = {SAVED: 0, TRANSIENT: 0}
 
 
 @contextmanager
@@ -264,14 +264,10 @@ def use_memory_budget(budget: "MemoryBudget") -> Iterator["MemoryBudget"]:
 
 
 def observe(
-    series: str,
-    kind: str,
-    delta: int,
-    current: int,
-    handle: int,
-    site: str = "",
+    ledger: "Ledger", kind: str, delta: int, handle: int, site: str = ""
 ) -> None:
-    """Record one watermark sample; called by the tracker and kernels.
+    """Record one move of ``ledger``; called by :meth:`Ledger.register`
+    and :meth:`Ledger.release`.
 
     The disabled fast path is two module-global reads — instrumented
     allocation paths pay nothing while no timeline or budget is
@@ -281,101 +277,183 @@ def observe(
     budget = _BUDGET
     if timeline is None and budget is None:
         return
-    _CURRENT[series] = current
     owner = current_memory_scope()
     if timeline is not None:
         timeline.record(
             MemEvent(
                 ts=timeline.now(),
-                series=series,
+                series=ledger.series,
                 kind=kind,
                 delta=delta,
-                current=current,
+                current=ledger.current_bytes,
                 handle=handle,
                 site=site,
                 owner=owner,
             )
         )
     if budget is not None and kind == "alloc":
+        # saved + transient: the ledger that moved and the other series'
+        # process ledger
         budget.check(
-            _CURRENT[SAVED] + _CURRENT[TRANSIENT],
-            series=series,
+            ledger.current_bytes + sum(
+                other.current_bytes for series, other in _PROCESS.items()
+                if series != ledger.series
+            ),
+            series=ledger.series,
             owner=owner,
             timeline=timeline,
         )
 
 
+# --- the handle ledger --------------------------------------------------------
+
+_STRICT_RELEASE = False
+
+
+def set_strict_release(enabled: bool) -> bool:
+    """Make release misuse raise (tests) instead of just counting.
+
+    Returns the previous setting so callers can restore it.
+    """
+    global _STRICT_RELEASE
+    prev = _STRICT_RELEASE
+    _STRICT_RELEASE = bool(enabled)
+    return prev
+
+
+class ReleaseError(KeyError):
+    """A handle was released twice, or was never issued."""
+
+
+#: the current / peak gauges of each series
+_GAUGES = {
+    SAVED: ("memory.current_saved_bytes", "memory.peak_saved_bytes"),
+    TRANSIENT: ("memory.transient_bytes", "memory.peak_transient_bytes"),
+}
+
+#: the ledger of each series built on the process registry
+_PROCESS: dict[str, "Ledger"] = {}
+
+
+class Ledger:
+    """The live handles of one watermark series, and its gauges.
+
+    One release rule: releasing a handle that is not live counts
+    ``memory.release_errors`` (raising :class:`ReleaseError` under strict
+    release), unless it was issued before the last :meth:`reset` — then
+    the reset orphaned it, and its release is silent teardown.  Every
+    move reaches :func:`observe` under the ledger's lock, so concurrent
+    graphs cannot tear the watermark.
+    """
+
+    def __init__(self, series: str, registry: MetricsRegistry):
+        self.series = series
+        current, peak = _GAUGES[series]
+        self._current = registry.gauge(current)
+        self._peak = registry.gauge(peak)
+        self._release_errors = registry.counter("memory.release_errors")
+        self._live: dict[int, tuple[int, str]] = {}
+        self._next_handle = 0
+        self._reset_floor = 0
+        self._lock = threading.RLock()
+        if registry is get_registry():
+            _PROCESS[series] = self
+
+    @property
+    def current_bytes(self) -> int:
+        return int(self._current.value())
+
+    @property
+    def peak_bytes(self) -> int:
+        return int(self._peak.value())
+
+    @property
+    def live_handles(self) -> int:
+        """Number of handles not yet released."""
+        with self._lock:
+            return len(self._live)
+
+    def register(self, nbytes: int, site: str = "") -> int:
+        """Record ``nbytes``; returns a release handle.  ``site`` labels
+        the allocation on a timeline (a Function's class name,
+        ``workspace.s``, ...)."""
+        nbytes = int(nbytes)
+        with self._lock:
+            handle = self._next_handle
+            self._next_handle += 1
+            self._live[handle] = (nbytes, site)
+            current = self.current_bytes + nbytes
+            self._current.set(float(current))
+            if current > self._peak.value():
+                self._peak.set(float(current))
+            observe(self, "alloc", nbytes, handle, site)
+        return handle
+
+    def release(self, handle: int) -> None:
+        with self._lock:
+            entry = self._live.pop(handle, None)
+            if entry is None:
+                if handle < self._reset_floor:
+                    return  # orphaned by reset(): legal teardown
+                self._release_errors.inc()
+                if _STRICT_RELEASE:
+                    raise ReleaseError(
+                        f"{self.series} handle {handle} released twice or "
+                        "never issued"
+                    )
+                return
+            nbytes, site = entry
+            self._current.set(float(self.current_bytes - nbytes))
+            observe(self, "free", -nbytes, handle, site)
+
+    def reset(self) -> None:
+        """Zero the gauges; every handle issued so far falls below the
+        floor."""
+        with self._lock:
+            self._current.set(0.0)
+            self._peak.set(0.0)
+            self._live.clear()
+            self._reset_floor = self._next_handle
+
+
 # --- transient working sets ---------------------------------------------------
 
-_TRANSIENT_LOCK = threading.RLock()
-_TRANSIENT_LIVE: dict[int, tuple[int, str]] = {}
-_TRANSIENT_NEXT = 0
-
-
-def _transient_gauges():
-    registry = get_registry()
-    return (
-        registry.gauge("memory.transient_bytes"),
-        registry.gauge("memory.peak_transient_bytes"),
-    )
-
-
-def transient_alloc(nbytes: int, site: str = "kernel") -> int:
-    """Account a kernel scratch allocation; returns a release handle.
-
-    Backed by the ``memory.transient_bytes`` / ``memory.peak_transient_bytes``
-    gauges and recorded on the active timeline as the ``transient``
-    series.  Thread-safe, like the tracker it mirrors.
-    """
-    global _TRANSIENT_NEXT
-    current_g, peak_g = _transient_gauges()
-    with _TRANSIENT_LOCK:
-        handle = _TRANSIENT_NEXT
-        _TRANSIENT_NEXT += 1
-        _TRANSIENT_LIVE[handle] = (int(nbytes), site)
-        current = int(current_g.value()) + int(nbytes)
-        current_g.set(float(current))
-        if current > peak_g.value():
-            peak_g.set(float(current))
-        observe(TRANSIENT, "alloc", int(nbytes), current, handle, site)
-    return handle
-
-
-def transient_free(handle: int) -> None:
-    """Release a :func:`transient_alloc` handle (unknown handles ignored:
-    workspaces may outlive a per-step :func:`reset_transients`)."""
-    current_g, _ = _transient_gauges()
-    with _TRANSIENT_LOCK:
-        entry = _TRANSIENT_LIVE.pop(handle, None)
-        if entry is None:
-            return
-        nbytes, site = entry
-        current = int(current_g.value()) - nbytes
-        current_g.set(float(current))
-        observe(TRANSIENT, "free", -nbytes, current, handle, site)
+_TRANSIENTS = Ledger(TRANSIENT, get_registry())
+transient_alloc = _TRANSIENTS.register
+transient_free = _TRANSIENTS.release
+reset_transients = _TRANSIENTS.reset
 
 
 @contextmanager
 def transient_scope(nbytes: int, site: str = "kernel") -> Iterator[None]:
     """Account ``nbytes`` of scratch for the duration of the block."""
-    handle = transient_alloc(nbytes, site)
+    handle = _TRANSIENTS.register(nbytes, site)
     try:
         yield
     finally:
-        transient_free(handle)
-
-
-def reset_transients() -> None:
-    """Zero the transient gauges and live set (between steps/experiments)."""
-    current_g, peak_g = _transient_gauges()
-    with _TRANSIENT_LOCK:
-        _TRANSIENT_LIVE.clear()
-        current_g.set(0.0)
-        peak_g.set(0.0)
-        _CURRENT[TRANSIENT] = 0
+        _TRANSIENTS.release(handle)
 
 
 # --- timeline analysis --------------------------------------------------------
+
+
+def replay(
+    events: Sequence[MemEvent | dict],
+) -> Iterator[tuple[MemEvent, dict[int, MemEvent], int]]:
+    """Walk a timeline in order: yield each event with its series' live
+    allocations (handle → alloc event, updated in place) and running
+    byte count after it — the one walk every timeline analysis reads."""
+    live: dict[str, dict[int, MemEvent]] = {}
+    running: dict[str, int] = {}
+    for e in events:
+        ev = _as_event(e)
+        handles = live.setdefault(ev.series, {})
+        if ev.kind == "alloc":
+            handles[ev.handle] = ev
+        else:
+            handles.pop(ev.handle, None)
+        running[ev.series] = running.get(ev.series, 0) + ev.delta
+        yield ev, handles, running[ev.series]
 
 
 def peak_attribution(
@@ -389,17 +467,11 @@ def peak_attribution(
     a top-K table of the allocations live at the peak grouped by
     ``(site, layer, mem_phase)``.
     """
-    evs = [_as_event(e) for e in events if _as_event(e).series == series]
-    live: dict[int, MemEvent] = {}
     peak_bytes = 0
     peak_event: MemEvent | None = None
     peak_live: dict[int, MemEvent] = {}
-    for ev in evs:
-        if ev.kind == "alloc":
-            live[ev.handle] = ev
-        else:
-            live.pop(ev.handle, None)
-        if ev.current > peak_bytes:
+    for ev, live, _ in replay(events):
+        if ev.series == series and ev.current > peak_bytes:
             peak_bytes = ev.current
             peak_event = ev
             peak_live = dict(live)
@@ -440,18 +512,14 @@ def leak_report(
     """Allocation-lifetime pairing: handles never released, largest first.
 
     By the end of a training step the autograd backward must have
-    released every saved-activation handle, so a non-empty report on the
-    ``saved`` series is a leak (and ``memdiff`` fails on it).
+    released every saved-activation handle and every kernel workspace
+    its scratch, so a non-empty report on either series is a leak (and
+    ``memdiff`` fails on it).
     """
     live: dict[int, MemEvent] = {}
-    for e in events:
-        ev = _as_event(e)
-        if ev.series != series:
-            continue
-        if ev.kind == "alloc":
-            live[ev.handle] = ev
-        else:
-            live.pop(ev.handle, None)
+    for ev, handles, _ in replay(events):
+        if ev.series == series:
+            live = handles
     return [
         {
             "handle": ev.handle,
@@ -544,7 +612,7 @@ def validate_memory_timeline(payload: str | dict) -> dict[str, Any]:
     events = doc["events"]
     if not isinstance(events, list):
         raise ValueError("memory timeline carries no 'events' list")
-    running: dict[str, int] = {}
+
     for i, ev in enumerate(events):
         if not isinstance(ev, dict):
             raise ValueError(f"event #{i} is not an object")
@@ -560,14 +628,13 @@ def validate_memory_timeline(payload: str | dict) -> dict[str, Any]:
                 f"event #{i}: negative watermark {ev['current']} "
                 f"on series {ev['series']!r}"
             )
-        expect = running.get(ev["series"], 0) + ev["delta"]
-        if expect != ev["current"]:
+    for i, (ev, _, expect) in enumerate(replay(events)):
+        if expect != ev.current:
             raise ValueError(
-                f"event #{i}: series {ev['series']!r} watermark "
-                f"{ev['current']} does not replay (expected {expect}) — "
+                f"event #{i}: series {ev.series!r} watermark "
+                f"{ev.current} does not replay (expected {expect}) — "
                 "timeline truncated or reordered"
             )
-        running[ev["series"]] = ev["current"]
     if doc.get("truncated", 0) and not events:
         raise ValueError("memory timeline dropped every event")
     return doc

@@ -294,3 +294,50 @@ class TestFuzzerAxis:
 
     def test_registry_exports_modes(self):
         assert RING_MODES == ("unidirectional", "bidirectional")
+
+
+class TestBenchGate:
+    """``benchmarks/bench_bidir_ring.py --check`` holds a run to the
+    committed ``BENCH_bidir_ring.json`` and leaves it as it was when the
+    run fails; ``--smoke`` runs the committed 4×4 rows at their sizes."""
+
+    @staticmethod
+    def _baseline(tmp_path, off_by_one: bool):
+        import json
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "BENCH_bidir_ring.json"
+        doc = json.loads(path.read_text())
+        if off_by_one:
+            row = next(r for r in doc["results"] if r["name"] == "burst@4x4")
+            row["fwd_elems"] += 1
+        out = tmp_path / "BENCH_bidir_ring.json"
+        out.write_text(json.dumps(doc, indent=2) + "\n")
+        return out
+
+    @staticmethod
+    def _check(tmp_path) -> int:
+        from benchmarks.bench_bidir_ring import main
+
+        return main(["--smoke", "--repeats", "1", "--check",
+                     "--out", str(tmp_path)])
+
+    def test_smoke_check_holds_the_committed_rows(self, tmp_path):
+        from benchmarks.bench_bidir_ring import _cases
+
+        self._baseline(tmp_path, off_by_one=True)
+        assert self._check(tmp_path) == 1
+        smoke = {c["name"]: c["seq"] for c in _cases(smoke=True)}
+        full = {c["name"]: c["seq"] for c in _cases(smoke=False)}
+        assert smoke == {k: v for k, v in full.items() if k in smoke}
+
+    def test_failed_check_leaves_the_baseline(self, tmp_path):
+        path = self._baseline(tmp_path, off_by_one=True)
+        before = path.read_bytes()
+        assert self._check(tmp_path) == 1
+        assert self._check(tmp_path) == 1
+        assert path.read_bytes() == before
+
+    def test_smoke_check_passes_on_the_committed_file(self, tmp_path):
+        self._baseline(tmp_path, off_by_one=False)
+        assert self._check(tmp_path) == 0

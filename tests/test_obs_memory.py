@@ -43,7 +43,12 @@ from repro.obs import (
     validate_memory_timeline,
     validate_oom_postmortem,
 )
-from repro.obs.__main__ import _memdiff_cell, _site_peak
+from repro.obs.__main__ import (
+    _memdiff_cell,
+    _quickstart,
+    _site_peak,
+    _traced_fit,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.memory import (
     predict_checkpoint_policy_curve,
@@ -350,6 +355,29 @@ def test_chunked_mlp_transient_site_matches_closed_form():
     assert observed == 327_680
 
 
+@pytest.mark.parametrize("method", ["burst", "ulysses"])
+def test_kernel_scratch_drains_by_step_end(method):
+    """Every workspace, softmax state and pinned operand a step allocates
+    leaves the transient series once its pass or node is done."""
+    engine, batch = _quickstart(
+        method, "unidirectional", 128, gpus=4 if method == "ulysses" else 8)
+    _, _, events = _traced_fit(engine, batch)
+    assert any(e.series == "transient" for e in events)
+    assert leak_report(events, series="transient") == []
+    assert get_registry().gauge("memory.transient_bytes").value() == 0.0
+
+
+def test_memdiff_cell_counts_unreleased_scratch(monkeypatch):
+    """The gate's leak count covers the transient series: a workspace its
+    owner never releases is a leak."""
+    from repro.kernels import KernelWorkspace
+
+    monkeypatch.setattr(KernelWorkspace, "release", lambda self: None)
+    cell = _memdiff_cell("burst", "sequence_level", "unidirectional", 128)
+    assert cell["leaks"]
+    assert all(leak["site"].startswith("workspace.") for leak in cell["leaks"])
+
+
 def test_transient_scope_accounting():
     reset_tracker()
     with use_memory_timeline() as timeline:
@@ -404,7 +432,9 @@ def test_budget_raise_on_breach():
 
 
 def test_trainer_memory_budget_integration():
-    """Trainer(memory_budget=...) aborts the step on breach."""
+    """Trainer(memory_budget=...) aborts the step on breach.  The budget is
+    the step's closed-form saved peak: the scratch live beside it is what
+    breaches."""
     import numpy as np
 
     from repro.engine import BurstEngine, EngineConfig
@@ -425,11 +455,15 @@ def test_trainer_memory_budget_integration():
     engine = BurstEngine(config, make_cluster(8, node=a800_node(gpus_per_node=4)))
     rng = np.random.default_rng(0)
     batch = (rng.integers(0, 128, 128), rng.integers(0, 128, 128))
-    budget = MemoryBudget(limit_bytes=512_000, raise_on_breach=True)
+    limit = predict_step_peak_saved_bytes(
+        seq_len=128, dim=32, n_layers=2, n_heads=4, ffn_hidden=64, vocab=128,
+    )["peak_saved_bytes"]
+    assert limit == 201_728
+    budget = MemoryBudget(limit_bytes=limit, raise_on_breach=True)
     trainer = Trainer(engine=engine, memory_budget=budget)
     with pytest.raises(MemoryBudgetExceeded):
         trainer.fit([batch], steps=1)
-    assert budget.watermark_bytes > 512_000
+    assert budget.watermark_bytes > limit
 
 
 def test_oom_bundle_validation_rejects_tampering(tmp_path):
@@ -523,4 +557,6 @@ def test_cli_memdiff_budget_breach_fails_loudly(tmp_path):
     bundles = list(tmp_path.glob("oom-*.json"))
     assert len(bundles) == 1
     doc = validate_oom_postmortem(bundles[0].read_text())
+    # the default budget: the step's closed-form saved peak
+    assert doc["budget"]["limit_bytes"] == 201_728
     assert doc["budget"]["watermark_bytes"] > doc["budget"]["limit_bytes"]

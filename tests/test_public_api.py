@@ -600,9 +600,9 @@ class TestTheNodeOwnsItsRecompute:
 
     def test_no_module_level_recompute_flag_under_nn(self):
         """No module under ``nn/`` holds a recompute or replay flag: no
-        module-level name or ``global`` mentions one, and the module-level
-        booleans there are the tracker's strict-release switch and the
-        ``no_grad`` state."""
+        module-level name or ``global`` mentions one, and the one
+        module-level boolean there is the ``no_grad`` state (the
+        strict-release switch lives with the ledger, in ``obs/mem.py``)."""
         named, flags = set(), set()
         for rel, tree in self._trees("nn"):
             for node in tree.body:
@@ -620,8 +620,7 @@ class TestTheNodeOwnsItsRecompute:
                 if isinstance(node, ast.Global):
                     named.update((rel, name) for name in node.names)
         assert not {n for n in named if self.FLAG.search(n[1])}, named
-        assert flags == {("nn/memory.py", "_STRICT_RELEASE"),
-                         ("nn/tensor.py", "_grad_enabled")}
+        assert flags == {("nn/tensor.py", "_grad_enabled")}
 
     def test_no_function_runs_a_module_or_checkpoint(self):
         """No autograd ``Function``'s ``forward`` / ``backward`` calls a
@@ -1107,9 +1106,11 @@ class TestSavedActivationsRegisteredOnce:
     node's state is.  Besides it only the attention-output cache, the LM
     head's resident footprint and the memory gate's injected leak
     register; a second handle beside a node's is not released by
-    ``Function.apply`` when the output needs no gradient."""
+    ``Function.apply`` when the output needs no gradient.  The transient
+    series' one caller is its scope entry point (``transient_alloc`` is
+    the ledger's own ``register``)."""
 
-    def test_register_is_called_from_four_places(self):
+    def test_register_is_called_from_five_places(self):
         from pathlib import Path
 
         def register_call(n):
@@ -1128,6 +1129,7 @@ class TestSavedActivationsRegisteredOnce:
             ("nn/attention_fn.py", "AttentionFn._recompute"),
             ("nn/modules.py", "FusedLMHeadLossFn.forward"),
             ("obs/__main__.py", "_memdiff_inject"),
+            ("obs/mem.py", "transient_scope"),
         }
 
 
@@ -1561,3 +1563,86 @@ class TestOneLinkRule:
             for a in node.names
         }
         assert "attention_pass_hops" in imports
+
+
+class TestOneMemoryLedger:
+    """One memory ledger: the saved and transient series are two instances
+    of ``obs/mem.py``'s ``Ledger`` — one handle counter, one live-handle
+    dict, one release rule — and every timeline analysis (peak
+    attribution, the leak report, the validator's running sum, the
+    memdiff site peak) reads the one ``replay`` walk of a timeline."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+    def _where(self, match):
+        return {
+            (path.relative_to(self.SRC).as_posix(), scope)
+            for path in sorted(self.SRC.rglob("*.py"))
+            for scope in _scopes(ast.parse(path.read_text()), match)
+        }
+
+    @staticmethod
+    def _named(node, *words):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else "")
+        return any(w in name.lower() for w in words)
+
+    def test_one_handle_counter(self):
+        """Handles are issued by one counter: ``Ledger.register``."""
+        counts = self._where(
+            lambda n: isinstance(n, ast.AugAssign)
+            and isinstance(n.op, ast.Add)
+            and self._named(n.target, "next", "handle")
+        )
+        assert counts == {("obs/mem.py", "Ledger.register")}
+
+    def test_one_live_handle_dict(self):
+        """Only the ledger and the replay key a dict by handle."""
+        keyed = self._where(
+            lambda n: isinstance(n, ast.Assign) and any(
+                isinstance(t, ast.Subscript)
+                and self._named(t.slice, "handle")
+                for t in n.targets
+            )
+        )
+        assert keyed == {("obs/mem.py", "Ledger.register"),
+                         ("obs/mem.py", "replay")}
+
+    def test_one_walk_of_alloc_and_free_events(self):
+        """A loop that branches on an event's kind or keeps a running sum
+        of its deltas is the replay (the peak table's per-group byte
+        cells sum the live set the replay hands over)."""
+
+        def reads_event(n):
+            if isinstance(n, ast.Compare):
+                return isinstance(n.ops[0], (ast.Eq, ast.NotEq)) and any(
+                    isinstance(c, ast.Constant) and c.value in ("alloc", "free")
+                    for c in (n.left, *n.comparators)
+                )
+            added = (
+                (n.left, n.right) if isinstance(n, ast.BinOp)
+                else (n.value,) if isinstance(n, ast.AugAssign)
+                and isinstance(n.target, ast.Name) else ()
+            )
+            return isinstance(getattr(n, "op", None), ast.Add) and any(
+                self._named(a, "delta")
+                or isinstance(a, ast.Subscript)
+                and isinstance(a.slice, ast.Constant) and a.slice.value == "delta"
+                for a in added
+            )
+
+        walks = self._where(
+            lambda n: isinstance(n, (ast.For, ast.comprehension))
+            and any(reads_event(c) for c in ast.walk(n))
+        )
+        assert walks == {("obs/mem.py", "replay")}
+
+    def test_the_two_series_are_ledgers(self):
+        from repro.nn.memory import MemoryTracker, get_tracker
+        from repro.obs import mem
+
+        assert issubclass(MemoryTracker, mem.Ledger)
+        assert get_tracker().series == mem.SAVED
+        assert mem.transient_alloc.__self__.series == mem.TRANSIENT
+        assert mem.transient_free.__self__ is mem.transient_alloc.__self__
+        assert mem.reset_transients.__self__ is mem.transient_alloc.__self__
