@@ -20,7 +20,8 @@ pass under both ring modes and records:
 Writes ``BENCH_bidir_ring.json`` at the repo root; ``--check`` fails on
 any gate violation against the committed file, and then leaves that file
 as it was.  ``--smoke`` runs the committed 4×4 rows alone, at the same
-sizes, so CI's smoke check holds them to the committed counts.
+sizes, so CI's smoke check holds them to the committed counts; it writes
+``BENCH_bidir_ring_smoke.json`` and never touches the committed file.
 """
 
 from __future__ import annotations
@@ -244,10 +245,13 @@ def main(argv: list[str] | None = None) -> int:
 
     out_dir = args.out or repo_root()
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "BENCH_bidir_ring.json"
+    baseline_path = out_dir / "BENCH_bidir_ring.json"
+    path = out_dir / (
+        "BENCH_bidir_ring_smoke.json" if args.smoke else baseline_path.name
+    )
     baseline = None
-    if args.check and path.exists():
-        baseline = json.loads(path.read_text()).get("results")
+    if args.check and baseline_path.exists():
+        baseline = json.loads(baseline_path.read_text()).get("results")
 
     results = [_run_case(c, args.repeats) for c in _cases(args.smoke)]
     problems = check_results(results, baseline, args.tolerance) if args.check else []

@@ -19,8 +19,9 @@ to compare the two:
   that both the tracer's spans (``pid`` 2) and the DES timelines
   (``pid`` 1) go through, so Perfetto shows predicted and observed
   timelines side by side; per-step JSONL metrics lines from the
-  :class:`~repro.engine.Trainer`; and the schema-table preamble shared
-  by every ``validate_*`` function of this package.
+  :class:`~repro.engine.Trainer`; and the one artifact checker,
+  :func:`check_artifact`, which holds every artifact this package writes
+  to its entry of the one schema table, ``ARTIFACT_SCHEMAS``.
 * :mod:`repro.obs.flow` — producer→consumer flow events derived from
   communicator spans, exported as Chrome-trace ``s``/``f`` pairs so
   Perfetto draws the cross-rank causal arrows.
@@ -30,7 +31,7 @@ to compare the two:
   against the DES-predicted critical path and closed-form comm costs.
 * :mod:`repro.obs.flightrec` — a flight recorder (bounded span ring
   buffer installed as a tracer sink) that failure handlers dump as a
-  validated ``postmortem/v1`` bundle.
+  ``postmortem/v1`` bundle.
 * :mod:`repro.obs.mem` — the memory half: allocation timelines fed by
   every tracker register/release and kernel transient, per-span peak
   attribution and leak reports, Chrome counter tracks, and the
@@ -61,24 +62,20 @@ from repro.obs.metrics import (
     get_registry,
 )
 from repro.obs.export import (
+    check_artifact,
     spans_to_chrome_json,
-    validate_chrome_trace,
-    validate_metrics_jsonl,
     write_step_metrics,
 )
 from repro.obs.flow import (
     FlowEdge,
     derive_flows,
     flow_key,
-    validate_flow_events,
 )
 from repro.obs.report import (
     diff_json,
     diff_traces,
     load_trace,
     report_json,
-    validate_diff_json,
-    validate_report_json,
 )
 from repro.obs.critical import (
     attribute_steps,
@@ -87,13 +84,11 @@ from repro.obs.critical import (
     critical_spans,
     render_attribution,
     straggler_ranking,
-    validate_attribution_json,
 )
 from repro.obs.flightrec import (
     FlightRecorder,
     get_active_recorder,
     notify_failure,
-    validate_postmortem,
 )
 from repro.obs.mem import (
     MemEvent,
@@ -112,9 +107,6 @@ from repro.obs.mem import (
     transient_scope,
     use_memory_budget,
     use_memory_timeline,
-    validate_memdiff_json,
-    validate_memory_timeline,
-    validate_oom_postmortem,
 )
 
 __all__ = [
@@ -132,6 +124,7 @@ __all__ = [
     "Tracer",
     "attribute_steps",
     "attribute_trace",
+    "check_artifact",
     "check_conservation",
     "critical_spans",
     "derive_flows",
@@ -163,15 +156,5 @@ __all__ = [
     "use_memory_budget",
     "use_memory_timeline",
     "use_tracing",
-    "validate_attribution_json",
-    "validate_chrome_trace",
-    "validate_diff_json",
-    "validate_flow_events",
-    "validate_memdiff_json",
-    "validate_memory_timeline",
-    "validate_metrics_jsonl",
-    "validate_oom_postmortem",
-    "validate_postmortem",
-    "validate_report_json",
     "write_step_metrics",
 ]

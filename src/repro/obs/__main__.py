@@ -5,10 +5,11 @@
 * ``trace-step`` — run a tiny traced training step (2 layers, burst
   attention, sequence-level selective checkpointing, fused LM head by
   default) and write the observed Chrome trace, the step-metrics JSONL,
-  and the DES-predicted trace for the same configuration side by side.
-* ``report`` — schema-validate an observed trace and print the
-  time-by-phase / comm-volume / tile / recompute summary.  Exits
-  non-zero on malformed or zero-span traces.
+  the memory timeline and the DES-predicted trace for the same
+  configuration side by side.
+* ``report`` — check an observed trace and print the time-by-phase /
+  comm-volume / tile / recompute summary.  Exits 1 with an ``error:``
+  line on a damaged or zero-span trace.
 * ``diff`` — structurally compare an observed trace against the
   DES-predicted schedule (see :func:`repro.obs.report.diff_traces`);
   exits non-zero when the ring structure deviates.
@@ -19,9 +20,15 @@
   the DES-predicted critical path and the ``repro.perf.cost`` closed
   forms.  Exits non-zero when conservation, a pin, or a straggler check
   fails.
+* ``memdiff`` — gate each method × checkpoint-policy cell's observed
+  peak saved bytes against the closed forms of :mod:`repro.perf.memory`
+  byte for byte; exits 1 on a drift or a leak.  ``--inject leak`` /
+  ``--inject budget`` seed a failure, and the command must then exit
+  non-zero with a checked ``oom/v1`` bundle (exit 0: undetected).
 
 ``report`` and ``diff`` accept ``--json`` for machine-readable output
-(schemas ``obs-report/v1`` / ``obs-diff/v1``).
+(schemas ``obs-report/v1`` / ``obs-diff/v1``).  Every artifact read or
+written is held to :func:`repro.obs.export.check_artifact`.
 """
 
 from __future__ import annotations
@@ -30,6 +37,41 @@ import argparse
 import json
 import os
 import sys
+
+from repro.obs.critical import attribute_trace, render_attribution
+from repro.obs.export import (
+    ATTRIBUTION_SCHEMA,
+    DIFF_JSON_SCHEMA,
+    MEMDIFF_SCHEMA,
+    MEMORY_TIMELINE_SCHEMA,
+    OOM_SCHEMA,
+    REPORT_JSON_SCHEMA,
+    TRACE_SCHEMA,
+    check_artifact,
+    spans_to_chrome_json,
+)
+from repro.obs.flightrec import FlightRecorder
+from repro.obs.mem import (
+    TRANSIENT,
+    MemoryBudget,
+    MemoryBudgetExceeded,
+    dump_oom_postmortem,
+    leak_report,
+    peak_attribution,
+    replay,
+    timeline_json,
+    use_memory_timeline,
+)
+from repro.obs.report import (
+    build_predicted_trace,
+    diff_json,
+    diff_traces,
+    load_metrics,
+    load_trace,
+    render_report,
+    report_json,
+)
+from repro.obs.tracer import use_tracing
 
 
 def _quickstart(
@@ -83,8 +125,6 @@ def _traced_fit(engine, batch, steps: int = 1, **trainer_kwargs):
     """Train under the tracer and a memory timeline; returns
     ``(spans, timeline, memory events)``."""
     from repro.engine.trainer import Trainer
-    from repro.obs.mem import use_memory_timeline
-    from repro.obs.tracer import use_tracing
 
     with use_tracing() as tracer:
         with use_memory_timeline() as timeline:
@@ -94,9 +134,6 @@ def _traced_fit(engine, batch, steps: int = 1, **trainer_kwargs):
 
 
 def _cmd_trace_step(args: argparse.Namespace) -> int:
-    from repro.obs.export import spans_to_chrome_json, validate_chrome_trace
-    from repro.obs.mem import timeline_json, validate_memory_timeline
-    from repro.obs.report import build_predicted_trace
     from repro.perf.schedules.attention import AttentionWorkload
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -130,7 +167,7 @@ def _cmd_trace_step(args: argparse.Namespace) -> int:
             "ring_mode": args.ring_mode,
         },
     )
-    validate_chrome_trace(payload)
+    check_artifact(payload, TRACE_SCHEMA)
     print(f"wrote {trace_path} ({len(spans)} spans)")
     print(f"wrote {metrics_path} ({args.steps} step record(s))")
     tl_payload = timeline_json(
@@ -138,7 +175,7 @@ def _cmd_trace_step(args: argparse.Namespace) -> int:
         metadata={"method": args.method, "seq_len": args.seq,
                   "steps": args.steps},
     )
-    validate_memory_timeline(tl_payload)
+    check_artifact(tl_payload, MEMORY_TIMELINE_SCHEMA)
     print(f"wrote {timeline_path} ({len(mem_events)} memory events)")
     workload = AttentionWorkload(
         seq_len=args.seq, hidden=model.dim, n_heads=model.n_heads
@@ -171,7 +208,6 @@ def _memdiff_cell(method, policy_mode, ring_mode, seq, chunk=None):
     the timeline analysis.  ``leaks`` lists the handles of either series
     left live at step end."""
     from repro.nn.memory import get_tracker
-    from repro.obs.mem import TRANSIENT, leak_report, peak_attribution
 
     # The quickstart model has 4 heads; Ulysses needs heads % world == 0,
     # so its cells run on a 4-GPU cluster (saved bytes are world-
@@ -197,19 +233,11 @@ def _memdiff_cell(method, policy_mode, ring_mode, seq, chunk=None):
 def _site_peak(events, prefix: str) -> int:
     """Max concurrent bytes of timeline allocations whose site starts
     with ``prefix`` (replays the transient series for one subsystem)."""
-    from repro.obs.mem import replay
-
     mine = [ev for ev in events if ev.site.startswith(prefix)]
     return max((running for *_, running in replay(mine)), default=0)
 
 
 def _cmd_memdiff(args: argparse.Namespace) -> int:
-    from repro.obs.mem import (
-        MEMDIFF_SCHEMA,
-        timeline_json,
-        validate_memdiff_json,
-        validate_memory_timeline,
-    )
     from repro.perf.memory import swiglu_chunked_transient_bytes
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -218,13 +246,12 @@ def _cmd_memdiff(args: argparse.Namespace) -> int:
     if args.inject:
         return _memdiff_inject(args, seq)
 
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     methods = ("burst", "megatron-cp", "ulysses")
     # The chunked FFN's cells run the chunked kernels the other cells'
     # dense FFN does not; the sequence-level one also feeds the transient
     # check below.
     chunk = 32
-    grid = [(m, p, None) for m in methods for p in policies] + [
+    grid = [(m, p, None) for m in methods for p in args.policies] + [
         ("burst", p, chunk) for p in ("none", "sequence_level")
     ]
     failed = False
@@ -303,13 +330,11 @@ def _cmd_memdiff(args: argparse.Namespace) -> int:
     payload = timeline_json(
         first_cell["timeline"],
         timeline_path,
-        metadata={"method": "burst", "policy": policies[0], "seq_len": seq,
-                  "ring_mode": args.ring_mode},
+        metadata={"method": "burst", "policy": args.policies[0],
+                  "seq_len": seq, "ring_mode": args.ring_mode},
     )
-    validate_memory_timeline(payload)
+    check_artifact(payload, MEMORY_TIMELINE_SCHEMA)
     print(f"wrote {timeline_path} ({len(first_cell['events'])} events)")
-
-    from repro.obs.export import spans_to_chrome_json, validate_chrome_trace
 
     trace_path = os.path.join(args.out_dir, "memory-trace.json")
     trace_payload = spans_to_chrome_json(
@@ -318,7 +343,7 @@ def _cmd_memdiff(args: argparse.Namespace) -> int:
                   "ring_mode": args.ring_mode},
         memory_events=first_cell["events"],
     )
-    validate_chrome_trace(trace_payload)
+    check_artifact(trace_payload, TRACE_SCHEMA)
     print(f"wrote {trace_path} (spans + memory counter tracks)")
 
     doc = {
@@ -333,7 +358,7 @@ def _cmd_memdiff(args: argparse.Namespace) -> int:
         },
         "ok": not failed,
     }
-    validate_memdiff_json(doc)
+    check_artifact(doc, MEMDIFF_SCHEMA)
     doc_path = os.path.join(args.out_dir, "memdiff.json")
     with open(doc_path, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -347,16 +372,6 @@ def _memdiff_inject(args: argparse.Namespace, seq: int) -> int:
     """Seeded failure scenarios: must exit non-zero with an oom/v1 bundle."""
     from repro.engine.trainer import Trainer
     from repro.nn.memory import get_tracker
-    from repro.obs.flightrec import FlightRecorder
-    from repro.obs.mem import (
-        MemoryBudget,
-        MemoryBudgetExceeded,
-        dump_oom_postmortem,
-        leak_report,
-        use_memory_timeline,
-        validate_oom_postmortem,
-    )
-    from repro.obs.tracer import use_tracing
 
     engine, batch = _quickstart("burst", "unidirectional", seq)
     # By default the budget is the step's closed-form saved peak: the
@@ -408,20 +423,12 @@ def _memdiff_inject(args: argparse.Namespace, seq: int) -> int:
         print("error: no oom/v1 bundle was written", file=sys.stderr)
         return 0
     with open(bundle_path) as fh:
-        validate_oom_postmortem(fh.read())
+        check_artifact(fh.read(), OOM_SCHEMA)
     print(f"validated oom/v1 bundle: {bundle_path}")
     return 1
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.obs.report import (
-        load_metrics,
-        load_trace,
-        render_report,
-        report_json,
-        validate_report_json,
-    )
-
     try:
         payload = load_trace(args.trace)
     except (OSError, ValueError) as exc:
@@ -438,26 +445,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
             return 1
     if args.json:
         doc = report_json(payload, records, critical=args.critical)
-        validate_report_json(doc)
+        check_artifact(doc, REPORT_JSON_SCHEMA)
         print(json.dumps(doc, indent=2))
         return 0
     print(render_report(payload, records))
     if args.critical:
-        from repro.obs.critical import attribute_trace, render_attribution
-
         print()
         print(render_attribution(attribute_trace(payload)))
     return 0
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    from repro.obs.report import (
-        diff_json,
-        diff_traces,
-        load_trace,
-        validate_diff_json,
-    )
-
     try:
         ok, lines = diff_traces(
             load_trace(args.trace), load_trace(args.predicted)
@@ -467,7 +465,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         return 1
     if args.json:
         doc = diff_json(ok, lines)
-        validate_diff_json(doc)
+        check_artifact(doc, DIFF_JSON_SCHEMA)
         print(json.dumps(doc, indent=2))
     else:
         print("\n".join(lines))
@@ -475,13 +473,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_attribute(args: argparse.Namespace) -> int:
-    from repro.obs.critical import (
-        attribute_trace,
-        render_attribution,
-        validate_attribution_json,
-    )
-    from repro.obs.report import load_trace
-
     try:
         payload = load_trace(args.trace)
         doc = attribute_trace(
@@ -490,13 +481,26 @@ def _cmd_attribute(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    validate_attribution_json(doc)
+    check_artifact(doc, ATTRIBUTION_SCHEMA)
     if args.json is not None:
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=2)
         print(f"wrote {args.json}")
     print(render_attribution(doc))
     return 0 if doc["ok"] else 1
+
+
+def _policies(text: str) -> list[str]:
+    """``--policies``: a non-empty comma-separated list of checkpoint modes."""
+    from repro.nn.checkpoint import CheckpointMode
+
+    policies = [p.strip() for p in text.split(",") if p.strip()]
+    modes = [m.value for m in CheckpointMode]
+    if not policies or not set(policies) <= set(modes):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of {modes}, got {text!r}"
+        )
+    return policies
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -567,7 +571,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seq", type=int, default=128)
     p.add_argument(
-        "--policies", default="sequence_level,full",
+        "--policies", default="sequence_level,full", type=_policies,
         help="comma-separated checkpoint policies gated per method",
     )
     p.add_argument(

@@ -35,12 +35,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Any
 
-from repro.obs.export import load_artifact
+from repro.obs.export import ATTRIBUTION_SCHEMA
 from repro.obs.flow import ROUNDING_SLACK_US
 from repro.obs.report import as_payload, merged_intervals, x_events
 
 __all__ = [
-    "ATTRIBUTION_SCHEMA",
     "COMM_PHASES",
     "COMPUTE_PHASES",
     "CONSERVATION_RTOL",
@@ -51,7 +50,6 @@ __all__ = [
     "render_attribution",
     "step_windows",
     "straggler_ranking",
-    "validate_attribution_json",
 ]
 
 #: Span phases whose occupancy counts as computation.
@@ -62,8 +60,6 @@ COMM_PHASES = frozenset({"comm", "intra-ring", "inter-ring"})
 
 #: Relative tolerance of the bucket-conservation gate.
 CONSERVATION_RTOL = 1e-9
-
-ATTRIBUTION_SCHEMA = "obs-attribution/v1"
 
 #: Span names carrying simulated stall seconds (``args.sim_wait_s``).
 _STALL_SPANS = ("lease.wait", "failure.detect")
@@ -509,21 +505,6 @@ def attribute_trace(
     doc["pin_ok"] = pin_ok
     doc["straggler_ok"] = straggler_ok
     doc["ok"] = bool(cons_ok and pin_ok and straggler_ok)
-    return doc
-
-
-def validate_attribution_json(doc: str | dict) -> dict:
-    """Schema-check an attribution document; raise ``ValueError``."""
-    doc = load_artifact(doc, ATTRIBUTION_SCHEMA)
-    if not isinstance(doc["ok"], bool):
-        raise ValueError("attribution JSON 'ok' is not a bool")
-    for key in ("steps", "stragglers", "critical_spans"):
-        if not isinstance(doc[key], list):
-            raise ValueError(f"attribution JSON {key!r} is not a list")
-    if not isinstance(doc["conservation"], dict) or "ok" not in doc["conservation"]:
-        raise ValueError("attribution JSON 'conservation' lacks 'ok'")
-    if not isinstance(doc["pins"], dict):
-        raise ValueError("attribution JSON 'pins' is not an object")
     return doc
 
 

@@ -29,22 +29,14 @@ import os
 from collections import deque
 from typing import Any
 
-from repro.obs.export import (
-    load_artifact,
-    spans_to_chrome_json,
-    validate_chrome_trace,
-)
+from repro.obs.export import POSTMORTEM_SCHEMA, spans_to_chrome_json
 from repro.obs.tracer import Span, get_tracer
 
 __all__ = [
-    "POSTMORTEM_SCHEMA",
     "FlightRecorder",
     "get_active_recorder",
     "notify_failure",
-    "validate_postmortem",
 ]
-
-POSTMORTEM_SCHEMA = "postmortem/v1"
 
 #: innermost-last stack of installed recorders
 _ACTIVE: list["FlightRecorder"] = []
@@ -131,8 +123,9 @@ class FlightRecorder:
         :class:`~repro.comm.failure.FailureDetector` whose lease state is
         embedded.  Derived bundle flavours (``oom/v1``) pass their own
         ``schema`` tag plus ``extra`` top-level blocks; everything else —
-        ring buffer, metrics snapshot, critical path, validation — is
-        shared machinery.
+        ring buffer, metrics snapshot, critical path — is
+        shared machinery.  :func:`repro.obs.export.check_artifact`
+        checks either flavour.
         """
         from repro.obs.critical import critical_spans
         from repro.obs.metrics import get_registry
@@ -212,38 +205,3 @@ def notify_failure(
     if rec is None:
         return None
     return rec.dump(reason=reason, detector=detector)
-
-
-def validate_postmortem(
-    payload: str | dict, schema: str = POSTMORTEM_SCHEMA
-) -> dict[str, Any]:
-    """Strictly validate a post-mortem bundle; raise ``ValueError``.
-
-    Accepts the bundle JSON text or the parsed dict.  Checks the schema
-    tag (``schema`` selects the expected flavour — ``oom/v1`` bundles are
-    validated through :func:`repro.obs.mem.validate_oom_postmortem`,
-    which calls back here), required keys, a structured ``reason`` (must
-    name a ``kind``), span-count consistency, and — when spans were
-    captured — runs the full Chrome-trace validation over the embedded
-    trace.
-    """
-    doc = load_artifact(payload, schema)
-    reason = doc["reason"]
-    if not isinstance(reason, dict) or not reason.get("kind"):
-        raise ValueError("post-mortem reason must be an object with a 'kind'")
-    trace = doc["trace"]
-    if not isinstance(trace, dict) or not isinstance(
-        trace.get("traceEvents"), list
-    ):
-        raise ValueError("post-mortem trace is not a Chrome-trace document")
-    n_x = sum(1 for e in trace["traceEvents"] if e.get("ph") == "X")
-    if n_x != doc["n_spans"]:
-        raise ValueError(
-            f"post-mortem records n_spans={doc['n_spans']} but the trace "
-            f"carries {n_x} duration events"
-        )
-    if doc["n_spans"] > 0:
-        validate_chrome_trace(trace)
-    if not isinstance(doc["critical_path"], list):
-        raise ValueError("post-mortem critical_path is not a list")
-    return doc

@@ -12,9 +12,10 @@ walks.
 :func:`derive_flows` builds those edges from finished :class:`Span`
 records; the Chrome-trace exporter renders each edge as an ``s``/``f``
 event pair (Perfetto draws them as arrows between the producing and the
-consuming slice); :func:`validate_flow_events` enforces the pairing
-contract — every flow id appears exactly once as ``s`` and once as ``f``,
-and never travels backwards in time.
+consuming slice); the Chrome-trace schema of
+:func:`repro.obs.export.check_artifact` enforces the pairing contract —
+every flow id appears exactly once as ``s`` and once as ``f``, and never
+travels backwards in time.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "derive_flows",
     "flow_chrome_events",
     "flow_key",
-    "validate_flow_events",
 ]
 
 
@@ -116,41 +116,3 @@ def flow_chrome_events(
             "pid": pid, "tid": dst_tid,
         })
     return events
-
-
-def validate_flow_events(
-    events: Sequence[dict[str, Any]],
-) -> dict[int | str, tuple[dict, dict]]:
-    """Check ``s``/``f`` pairing; raise ``ValueError`` on damage.
-
-    Every flow id must appear exactly once as a start (``s``) and once as
-    a finish (``f``), both events must carry ``name``/``id``/``ts``/
-    ``pid``/``tid``, and the finish may not precede its start (flows point
-    forward in time).  Returns ``{id: (s_event, f_event)}``.
-    """
-    starts: dict[Any, dict] = {}
-    finishes: dict[Any, dict] = {}
-    for i, ev in enumerate(events):
-        ph = ev.get("ph")
-        if ph not in ("s", "f"):
-            continue
-        for field in ("name", "id", "ts", "pid", "tid"):
-            if field not in ev:
-                raise ValueError(f"flow event #{i} ({ph!r}) missing {field!r}")
-        bucket = starts if ph == "s" else finishes
-        if ev["id"] in bucket:
-            raise ValueError(f"flow id {ev['id']!r} has duplicate {ph!r} events")
-        bucket[ev["id"]] = ev
-    dangling = sorted(set(starts) ^ set(finishes), key=repr)
-    if dangling:
-        raise ValueError(f"dangling flow ids (unpaired s/f): {dangling}")
-    pairs: dict[Any, tuple[dict, dict]] = {}
-    for fid, s_ev in starts.items():
-        f_ev = finishes[fid]
-        if f_ev["ts"] < s_ev["ts"] - ROUNDING_SLACK_US:
-            raise ValueError(
-                f"flow id {fid!r} travels backwards in time: "
-                f"f at {f_ev['ts']} before s at {s_ev['ts']}"
-            )
-        pairs[fid] = (s_ev, f_ev)
-    return pairs

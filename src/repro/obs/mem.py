@@ -22,16 +22,16 @@ the time half):
 * **Attribution.**  :func:`replay` walks a timeline once; from that walk
   :func:`peak_attribution` names the owner of a series' peak and the
   allocations live at it, :func:`leak_report` lists the handles left
-  live (both series drain by step end), and the validator checks the
-  running watermark.
+  live (both series drain by step end), and the timeline schema's rule
+  (:func:`repro.obs.export.check_artifact`) checks the running watermark.
 * **Budget watchdog.**  :class:`MemoryBudget` watches the combined
   (saved + transient) watermark and, on first crossing, dumps an
   ``oom/v1`` post-mortem bundle through the active
   :class:`~repro.obs.flightrec.FlightRecorder`.
 
-Layering: this module imports only the two bottom-layer obs modules
-(:mod:`repro.obs.tracer`, :mod:`repro.obs.metrics`) plus stdlib, so
-``repro.nn.memory`` and ``repro.kernels`` can call into it without
+Layering: this module imports the tracer, the metrics registry and the
+schema tags of :mod:`repro.obs.export` plus stdlib, none of which imports
+``repro.nn`` or ``repro.kernels``, so those can call into it without
 cycles; the flight recorder is imported lazily at dump time.
 """
 
@@ -44,13 +44,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
+from repro.obs.export import MEMORY_TIMELINE_SCHEMA, OOM_SCHEMA
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.tracer import get_tracer
 
 __all__ = [
-    "MEMDIFF_SCHEMA",
-    "MEMORY_TIMELINE_SCHEMA",
-    "OOM_SCHEMA",
     "Ledger",
     "MemEvent",
     "MemoryBudget",
@@ -73,21 +71,11 @@ __all__ = [
     "transient_scope",
     "use_memory_budget",
     "use_memory_timeline",
-    "validate_memdiff_json",
-    "validate_memory_timeline",
-    "validate_oom_postmortem",
 ]
-
-MEMORY_TIMELINE_SCHEMA = "memory-timeline/v1"
-OOM_SCHEMA = "oom/v1"
-MEMDIFF_SCHEMA = "obs-memdiff/v1"
 
 #: the two watermark series
 SAVED = "saved"
 TRANSIENT = "transient"
-
-#: keys the ``budget`` block of an ``oom/v1`` bundle must carry
-OOM_BUDGET_KEYS = ("limit_bytes", "watermark_bytes", "series")
 
 
 @dataclass
@@ -127,7 +115,7 @@ class MemoryTimeline:
 
     Older events are never dropped silently mid-stream: once ``capacity``
     is reached further events only bump ``truncated`` (the exporter and
-    validator surface the count), keeping the retained prefix replayable.
+    the checker surface the count), keeping the retained prefix replayable.
     """
 
     def __init__(self, capacity: int = 200_000):
@@ -555,7 +543,7 @@ def memory_counter_events(
     One counter track per series (``memory.saved_bytes`` /
     ``memory.transient_bytes``); Perfetto draws them as area charts under
     the span rows of the same pid.  Samples carry the owning step in
-    ``args`` when the scope recorded one, which the strict validator uses
+    ``args`` when the scope recorded one, which the trace schema's rule uses
     to pin each sample inside its ``train.step`` span.
     """
     out: list[dict[str, Any]] = []
@@ -583,7 +571,7 @@ def timeline_json(
     *,
     metadata: dict[str, Any] | None = None,
 ) -> str:
-    """Serialise a timeline as a validated ``memory-timeline/v1`` artifact."""
+    """Serialise a timeline as a ``memory-timeline/v1`` artifact."""
     doc: dict[str, Any] = {
         "schema": MEMORY_TIMELINE_SCHEMA,
         "capacity": timeline.capacity,
@@ -597,47 +585,6 @@ def timeline_json(
         with open(path, "w") as fh:
             fh.write(payload)
     return payload
-
-
-def validate_memory_timeline(payload: str | dict) -> dict[str, Any]:
-    """Strictly validate a ``memory-timeline/v1`` document; raise on damage.
-
-    Checks the schema tag, per-event fields, non-negative watermarks, and
-    that each series' watermark replays exactly (``current`` equals the
-    running sum of ``delta``) — a truncated or reordered timeline fails.
-    """
-    from repro.obs.export import load_artifact
-
-    doc = load_artifact(payload, MEMORY_TIMELINE_SCHEMA)
-    events = doc["events"]
-    if not isinstance(events, list):
-        raise ValueError("memory timeline carries no 'events' list")
-
-    for i, ev in enumerate(events):
-        if not isinstance(ev, dict):
-            raise ValueError(f"event #{i} is not an object")
-        for key in ("ts", "series", "kind", "delta", "current", "handle"):
-            if key not in ev:
-                raise ValueError(f"event #{i} missing {key!r}")
-        if ev["series"] not in (SAVED, TRANSIENT):
-            raise ValueError(f"event #{i} has unknown series {ev['series']!r}")
-        if ev["kind"] not in ("alloc", "free"):
-            raise ValueError(f"event #{i} has unknown kind {ev['kind']!r}")
-        if ev["current"] < 0:
-            raise ValueError(
-                f"event #{i}: negative watermark {ev['current']} "
-                f"on series {ev['series']!r}"
-            )
-    for i, (ev, _, expect) in enumerate(replay(events)):
-        if expect != ev.current:
-            raise ValueError(
-                f"event #{i}: series {ev.series!r} watermark "
-                f"{ev.current} does not replay (expected {expect}) — "
-                "timeline truncated or reordered"
-            )
-    if doc.get("truncated", 0) and not events:
-        raise ValueError("memory timeline dropped every event")
-    return doc
 
 
 # --- budget watchdog ----------------------------------------------------------
@@ -747,61 +694,3 @@ def dump_oom_postmortem(
         "leaks": leak_report(events) if events else [],
     }
     return rec.dump(path, reason=reason, schema=OOM_SCHEMA, extra=extra)
-
-
-#: keys every ``obs-memdiff/v1`` cell must carry
-MEMDIFF_CELL_KEYS = (
-    "method",
-    "policy",
-    "observed_peak_bytes",
-    "predicted_peak_bytes",
-    "match",
-    "peak_span",
-    "leaks",
-)
-
-
-def validate_memdiff_json(doc: dict) -> dict:
-    """Validate an ``obs-memdiff/v1`` document; raise ``ValueError``."""
-    from repro.obs.export import load_artifact
-
-    doc = load_artifact(doc, MEMDIFF_SCHEMA)
-    cells = doc["cells"]
-    if not isinstance(cells, list) or not cells:
-        raise ValueError("memdiff document carries no cells")
-    for i, cell in enumerate(cells):
-        missing = [k for k in MEMDIFF_CELL_KEYS if k not in cell]
-        if missing:
-            raise ValueError(f"memdiff cell #{i} missing keys: {missing}")
-        if cell["match"] and (
-            cell["observed_peak_bytes"] != cell["predicted_peak_bytes"]
-        ):
-            raise ValueError(
-                f"memdiff cell #{i} claims match but "
-                f"{cell['observed_peak_bytes']} != "
-                f"{cell['predicted_peak_bytes']}"
-            )
-    return doc
-
-
-def validate_oom_postmortem(payload: str | dict) -> dict[str, Any]:
-    """Validate an ``oom/v1`` bundle (superset of ``postmortem/v1``)."""
-    from repro.obs.flightrec import validate_postmortem
-
-    doc = validate_postmortem(payload, schema=OOM_SCHEMA)
-    budget = doc.get("budget")
-    if not isinstance(budget, dict):
-        raise ValueError("oom bundle missing its 'budget' block")
-    missing = [k for k in OOM_BUDGET_KEYS if k not in budget]
-    if missing:
-        raise ValueError(f"oom bundle budget block missing keys: {missing}")
-    if budget["limit_bytes"] is not None and (
-        budget["watermark_bytes"] is None
-        or budget["watermark_bytes"] <= budget["limit_bytes"]
-    ):
-        raise ValueError(
-            "oom bundle watermark does not exceed its budget — not a breach"
-        )
-    if "leaks" not in doc:
-        raise ValueError("oom bundle missing its 'leaks' list")
-    return doc

@@ -33,10 +33,12 @@ from __future__ import annotations
 import json
 
 from repro.obs.export import (
-    load_artifact,
+    DIFF_JSON_SCHEMA,
+    METRICS_SCHEMA,
+    REPORT_JSON_SCHEMA,
+    TRACE_SCHEMA,
+    check_artifact,
     sims_to_chrome_json,
-    validate_chrome_trace,
-    validate_metrics_jsonl,
 )
 from repro.utils.format import format_bytes
 
@@ -52,9 +54,9 @@ _RING_ROWS = {"intra": "intra-ring", "inter": "inter-ring"}
 # --------------------------------------------------------------------------
 
 def load_trace(path: str) -> dict:
-    """Read and schema-validate a Chrome trace JSON file."""
+    """Read and check a Chrome trace JSON file."""
     with open(path) as fh:
-        return validate_chrome_trace(json.load(fh))
+        return check_artifact(fh.read(), TRACE_SCHEMA)
 
 
 def as_payload(payload: dict | str) -> dict:
@@ -375,19 +377,14 @@ def render_report(payload: dict | str, metrics_records: list[dict] | None = None
 
 
 def load_metrics(path: str) -> list[dict]:
-    """Read and validate a step-metrics JSONL file."""
+    """Read and check a step-metrics JSONL file."""
     with open(path) as fh:
-        text = fh.read()
-    return validate_metrics_jsonl(text)
+        return check_artifact(fh.read(), METRICS_SCHEMA)["records"]
 
 
 # --------------------------------------------------------------------------
 # machine-readable (JSON) summaries
 # --------------------------------------------------------------------------
-
-REPORT_JSON_SCHEMA = "obs-report/v1"
-DIFF_JSON_SCHEMA = "obs-diff/v1"
-
 
 def report_json(
     payload: dict | str,
@@ -426,28 +423,9 @@ def report_json(
     return doc
 
 
-def validate_report_json(doc: str | dict) -> dict:
-    """Schema-check a ``report --json`` document; raise ``ValueError``."""
-    doc = load_artifact(doc, REPORT_JSON_SCHEMA)
-    if not isinstance(doc["spans"], int) or doc["spans"] < 1:
-        raise ValueError("report JSON has no spans")
-    for key in ("time_by_phase_us", "ring_transitions"):
-        if not isinstance(doc[key], dict):
-            raise ValueError(f"report JSON {key!r} is not an object")
-    return doc
-
-
 def diff_json(ok: bool, lines: list[str]) -> dict:
     """Machine-readable counterpart of :func:`diff_traces` output."""
     return {"schema": DIFF_JSON_SCHEMA, "ok": bool(ok), "lines": list(lines)}
-
-
-def validate_diff_json(doc: str | dict) -> dict:
-    """Schema-check a ``diff --json`` document; raise ``ValueError``."""
-    doc = load_artifact(doc, DIFF_JSON_SCHEMA)
-    if not isinstance(doc["ok"], bool) or not isinstance(doc["lines"], list):
-        raise ValueError("diff JSON ok/lines have wrong types")
-    return doc
 
 
 # --------------------------------------------------------------------------

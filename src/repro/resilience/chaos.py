@@ -501,14 +501,14 @@ def run_rank_fault_scenario(
 
 
 def _check_postmortem(path: str | None, victim: int) -> bool:
-    """Validate a dumped bundle and require the victim on its critical path."""
-    from repro.obs import validate_postmortem
+    """Check a dumped bundle and require the victim on its critical path."""
+    from repro.obs.export import POSTMORTEM_SCHEMA, check_artifact
 
     if path is None:
         return False
     try:
         with open(path) as fh:
-            bundle = validate_postmortem(fh.read())
+            bundle = check_artifact(fh.read(), POSTMORTEM_SCHEMA)
     except (OSError, ValueError):
         return False
     return any(

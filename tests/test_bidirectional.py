@@ -299,7 +299,8 @@ class TestFuzzerAxis:
 class TestBenchGate:
     """``benchmarks/bench_bidir_ring.py --check`` holds a run to the
     committed ``BENCH_bidir_ring.json`` and leaves it as it was when the
-    run fails; ``--smoke`` runs the committed 4×4 rows at their sizes."""
+    run fails; ``--smoke`` runs the committed 4×4 rows at their sizes and
+    writes its own ``BENCH_bidir_ring_smoke.json``."""
 
     @staticmethod
     def _baseline(tmp_path, off_by_one: bool):
@@ -339,5 +340,8 @@ class TestBenchGate:
         assert path.read_bytes() == before
 
     def test_smoke_check_passes_on_the_committed_file(self, tmp_path):
-        self._baseline(tmp_path, off_by_one=False)
+        path = self._baseline(tmp_path, off_by_one=False)
+        before = path.read_bytes()
         assert self._check(tmp_path) == 0
+        assert path.read_bytes() == before
+        assert (tmp_path / "BENCH_bidir_ring_smoke.json").exists()

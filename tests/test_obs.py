@@ -25,14 +25,13 @@ from repro.nn.modules import TransformerConfig
 from repro.obs import (
     NOOP_SPAN,
     MetricsRegistry,
+    check_artifact,
     get_registry,
     get_tracer,
     spans_to_chrome_json,
     trace_span,
     tracing_enabled,
     use_tracing,
-    validate_chrome_trace,
-    validate_metrics_jsonl,
 )
 from repro.obs.report import diff_traces, observed_ring_counts, time_by_phase
 from repro.obs.tracer import Span
@@ -201,7 +200,7 @@ class TestChromeTraceExport:
         _, spans, _ = traced_step(tmp_path)
         path = tmp_path / "trace.json"
         payload = spans_to_chrome_json(spans, str(path), metadata={"m": 1})
-        validate_chrome_trace(payload)  # raises on any schema violation
+        check_artifact(payload, "chrome-trace")  # raises on any violation
         on_disk = json.loads(path.read_text())
         assert on_disk["metadata"] == {"m": 1}
         events = [e for e in on_disk["traceEvents"] if e["ph"] == "X"]
@@ -256,18 +255,18 @@ class TestChromeTraceExport:
 
     def test_validator_rejects_malformed(self):
         with pytest.raises(ValueError):
-            validate_chrome_trace({"traceEvents": []})  # zero spans
+            check_artifact({"traceEvents": []}, "chrome-trace")  # zero spans
         with pytest.raises(ValueError):
-            validate_chrome_trace({"traceEvents": [
+            check_artifact({"traceEvents": [
                 {"ph": "X", "name": "a", "ts": 0, "pid": 1, "tid": 1},
-            ]})  # missing dur
+            ]}, "chrome-trace")  # missing dur
         with pytest.raises(ValueError):
-            validate_chrome_trace({"traceEvents": [
+            check_artifact({"traceEvents": [
                 {"ph": "X", "name": "a", "ts": 0.0, "dur": 10.0,
                  "pid": 1, "tid": 1, "args": {}},
                 {"ph": "X", "name": "b", "ts": 5.0, "dur": 10.0,
                  "pid": 1, "tid": 1, "args": {}},
-            ]})  # overlapping, not nested, same thread
+            ]}, "chrome-trace")  # overlapping, not nested, same thread
 
     def test_time_by_phase_unions_nested_spans(self, tmp_path):
         _, spans, _ = traced_step(tmp_path)
@@ -282,7 +281,9 @@ class TestChromeTraceExport:
 class TestStepMetricsJsonl:
     def test_jsonl_matches_traffic_log_exactly(self, tmp_path):
         engine, _, metrics = traced_step(tmp_path)
-        records = validate_metrics_jsonl(metrics.read_text())
+        records = check_artifact(
+            metrics.read_text(), "step-metrics"
+        )["records"]
         assert len(records) == 1
         line = records[0]
         log = engine.comm.log
@@ -299,7 +300,9 @@ class TestStepMetricsJsonl:
         ``3Nd + 2N`` (per head) minus the read-only ``(2Nd + 2N) / G`` the
         return hop leaves out, times the layer count."""
         engine, _, metrics = traced_step(tmp_path)
-        line = validate_metrics_jsonl(metrics.read_text())[0]
+        line = check_artifact(
+            metrics.read_text(), "step-metrics"
+        )["records"][0]
         cfg = engine.config.model
         head_dim = cfg.dim // cfg.n_heads
         full = expected_backward_elems(
@@ -314,11 +317,72 @@ class TestStepMetricsJsonl:
 
     def test_validator_rejects_bad_lines(self):
         with pytest.raises(ValueError):
-            validate_metrics_jsonl("")
+            check_artifact("", "step-metrics")
         with pytest.raises(ValueError):
-            validate_metrics_jsonl('{"step": 0}')  # missing comm keys
+            check_artifact('{"step": 0}', "step-metrics")  # missing comm keys
         with pytest.raises(ValueError):
-            validate_metrics_jsonl("not json")
+            check_artifact("not json", "step-metrics")
+
+
+_SPAN = {"name": "a", "ph": "X", "ts": 0.0, "dur": 5.0, "pid": 1, "tid": 1,
+         "args": {}}
+_ALLOC = {"ts": 0.0, "series": "saved", "kind": "alloc", "delta": 1,
+          "current": 1, "handle": 0}
+
+#: case -> (table key, damaged document, the error it must raise)
+DAMAGED = {
+    "trace-dur-is-a-string": (
+        "chrome-trace", {"traceEvents": [dict(_SPAN, dur="5")]},
+        r"trace event #0 \('a'\) 'dur' is str",
+    ),
+    "trace-args-is-a-list": (
+        "chrome-trace", {"traceEvents": [dict(_SPAN, args=[])]},
+        r"trace event #0 \('a'\) 'args' is list",
+    ),
+    "trace-event-is-not-an-object": (
+        "chrome-trace", {"traceEvents": [_SPAN, 3]},
+        r"trace event #1 is not an object",
+    ),
+    "memdiff-cell-is-not-an-object": (
+        "obs-memdiff/v1",
+        {"schema": "obs-memdiff/v1", "cells": [3], "curve": {},
+         "transient": {}, "ok": True},
+        r"memdiff cell #0 is not an object",
+    ),
+    "timeline-current-is-a-string": (
+        "memory-timeline/v1",
+        {"schema": "memory-timeline/v1", "events": [dict(_ALLOC, current="1")]},
+        r"timeline event #0 'current' is str",
+    ),
+}
+
+
+class TestDamagedArtifacts:
+    """A damaged artifact is one ``ValueError`` from ``check_artifact``, and
+    the CLI turns a damaged trace into an ``error:`` line and exit 1."""
+
+    @pytest.mark.parametrize("case", sorted(DAMAGED))
+    def test_check_artifact_raises(self, case):
+        schema, doc, match = DAMAGED[case]
+        with pytest.raises(ValueError, match=match):
+            check_artifact(json.dumps(doc), schema)
+
+    @pytest.mark.parametrize("command", ["report", "diff", "attribute"])
+    @pytest.mark.parametrize(
+        "case", sorted(c for c in DAMAGED if c.startswith("trace-"))
+    )
+    def test_cli_exits_1_with_an_error_line(
+        self, tmp_path, capsys, case, command
+    ):
+        from repro.obs.__main__ import main
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(DAMAGED[case][1]))
+        extra = ["--predicted", str(bad)] if command == "diff" else []
+        assert main([command, str(bad), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:"), err
+        assert "Traceback" not in err
 
 
 RING_MODES = ["unidirectional", "bidirectional"]
@@ -456,7 +520,7 @@ class TestDiff:
         predicted = build_predicted_trace(
             method, topology, wl, ring_mode=ring_mode
         )
-        validate_chrome_trace(predicted)
+        check_artifact(predicted, "chrome-trace")
         assert predicted["metadata"]["modeled_makespan_s"] == (
             attention_pass_time(method, topology, wl, ring_mode=ring_mode)
             + attention_pass_time(

@@ -36,11 +36,8 @@ from repro.obs import (
     notify_failure,
     spans_to_chrome_json,
     straggler_ranking,
+    check_artifact,
     use_tracing,
-    validate_attribution_json,
-    validate_chrome_trace,
-    validate_flow_events,
-    validate_postmortem,
 )
 from repro.obs.critical import step_windows
 from repro.obs.tracer import Span
@@ -152,30 +149,39 @@ class TestFlowEvents:
         payload = traced_payload("burst", "unidirectional")
         flows = [e for e in payload["traceEvents"] if e.get("ph") in ("s", "f")]
         assert flows, "traced step produced no flow events"
-        pairs = validate_flow_events(flows)
-        assert len(pairs) == len(flows) // 2
+        check_artifact(payload, "chrome-trace")
+        starts = sorted(e["id"] for e in flows if e["ph"] == "s")
+        assert starts == sorted(e["id"] for e in flows if e["ph"] == "f")
+        assert len(starts) == len(set(starts)) == len(flows) // 2
+
+    @staticmethod
+    def _trace(*flows):
+        """A one-span trace carrying ``flows``."""
+        span = {"name": "a", "ph": "X", "ts": 0.0, "dur": 10.0,
+                "pid": 2, "tid": 1}
+        return {"traceEvents": [span, *flows]}
 
     def test_dangling_start_rejected(self):
         ev = {"name": "dep", "ph": "s", "id": 7, "ts": 1.0, "pid": 2, "tid": 1}
         with pytest.raises(ValueError, match="dangling"):
-            validate_flow_events([ev])
+            check_artifact(self._trace(ev), "chrome-trace")
 
     def test_duplicate_id_rejected(self):
         s = {"name": "dep", "ph": "s", "id": 1, "ts": 1.0, "pid": 2, "tid": 1}
         f = {"name": "dep", "ph": "f", "id": 1, "ts": 2.0, "pid": 2, "tid": 1}
         with pytest.raises(ValueError, match="duplicate"):
-            validate_flow_events([s, dict(s), f])
+            check_artifact(self._trace(s, dict(s), f), "chrome-trace")
 
     def test_backwards_flow_rejected(self):
         s = {"name": "dep", "ph": "s", "id": 1, "ts": 5.0, "pid": 2, "tid": 1}
         f = {"name": "dep", "ph": "f", "id": 1, "ts": 1.0, "pid": 2, "tid": 1}
         with pytest.raises(ValueError, match="backwards"):
-            validate_flow_events([s, f])
+            check_artifact(self._trace(s, f), "chrome-trace")
 
     def test_missing_field_rejected(self):
         s = {"name": "dep", "ph": "s", "id": 1, "ts": 1.0, "pid": 2}
         with pytest.raises(ValueError, match="missing"):
-            validate_flow_events([s])
+            check_artifact(self._trace(s), "chrome-trace")
 
 
 class TestAttributionBuckets:
@@ -239,14 +245,14 @@ class TestAttributionBuckets:
             {"name": "b", "ph": "X", "ts": 5.0, "dur": 10.0, "pid": 2, "tid": 1},
         ]}
         with pytest.raises(ValueError, match="overlaps"):
-            validate_chrome_trace(payload)
+            check_artifact(payload, "chrome-trace")
 
 
 class TestExposedCommPins:
     @pytest.mark.parametrize("method,ring_mode", PINNED_CELLS)
     def test_pins_hold_on_healthy_run(self, method, ring_mode):
         doc = attribute_trace(traced_payload(method, ring_mode))
-        validate_attribution_json(doc)
+        check_artifact(doc, "obs-attribution/v1")
         assert doc["conservation_ok"]
         assert doc["straggler_ok"]
         for logical in ("attn-fwd", "attn-bwd"):
@@ -397,7 +403,7 @@ class TestFlightRecorder:
         rec = FlightRecorder(capacity=8, out_dir=str(tmp_path), prefix="t-")
         rec(_span("work", "compute", 0.0, 1e-6))
         path = rec.dump(reason={"kind": "test", "rank": 0})
-        bundle = validate_postmortem(Path(path).read_text())
+        bundle = check_artifact(Path(path).read_text(), "postmortem/v1")
         assert bundle["n_spans"] == 1
         assert bundle["reason"]["kind"] == "test"
         assert bundle["capacity"] == 8
@@ -408,7 +414,7 @@ class TestFlightRecorder:
         path = rec.dump(reason={"kind": "test"})
         text = Path(path).read_text()
         with pytest.raises(ValueError, match="truncated or corrupt"):
-            validate_postmortem(text[: len(text) // 2])
+            check_artifact(text[: len(text) // 2], "postmortem/v1")
 
     def test_reason_must_name_kind(self, tmp_path):
         rec = FlightRecorder(capacity=8, out_dir=str(tmp_path))
@@ -416,7 +422,7 @@ class TestFlightRecorder:
         bundle = json.loads(Path(path).read_text())
         bundle["reason"] = {}
         with pytest.raises(ValueError, match="kind"):
-            validate_postmortem(bundle)
+            check_artifact(bundle, "postmortem/v1")
 
     def test_span_count_mismatch_rejected(self, tmp_path):
         rec = FlightRecorder(capacity=8, out_dir=str(tmp_path))
@@ -425,7 +431,7 @@ class TestFlightRecorder:
         bundle = json.loads(Path(path).read_text())
         bundle["n_spans"] = 99
         with pytest.raises(ValueError, match="n_spans"):
-            validate_postmortem(bundle)
+            check_artifact(bundle, "postmortem/v1")
 
 
 class TestChaosPostmortem:
@@ -438,7 +444,9 @@ class TestChaosPostmortem:
         assert result.postmortem is not None
         assert result.postmortem_ok
         assert result.ok, result.summary()
-        bundle = validate_postmortem(Path(result.postmortem).read_text())
+        bundle = check_artifact(
+            Path(result.postmortem).read_text(), "postmortem/v1"
+        )
         assert bundle["reason"]["rank"] == 1
         assert bundle["lease"] is not None
         assert bundle["lease"]["config"]["max_extensions"] is not None
@@ -466,14 +474,12 @@ class TestJsonCli:
         return out
 
     def test_report_json_validates(self, traced_dir):
-        from repro.obs import validate_report_json
-
         proc = run_cli(
             "repro.obs", "report", str(traced_dir / "trace.json"),
             "--metrics", str(traced_dir / "metrics.jsonl"), "--json",
         )
         assert proc.returncode == 0, proc.stderr
-        doc = validate_report_json(json.loads(proc.stdout))
+        doc = check_artifact(proc.stdout, "obs-report/v1")
         assert doc["schema"] == "obs-report/v1"
         assert doc["spans"] > 0
         assert doc["metrics"] is not None
@@ -497,14 +503,12 @@ class TestJsonCli:
         assert "conservation: OK" in proc.stdout
 
     def test_diff_json_validates(self, traced_dir):
-        from repro.obs import validate_diff_json
-
         proc = run_cli(
             "repro.obs", "diff", str(traced_dir / "trace.json"),
             "--predicted", str(traced_dir / "predicted.json"), "--json",
         )
         assert proc.returncode == 0, proc.stderr
-        doc = validate_diff_json(json.loads(proc.stdout))
+        doc = check_artifact(proc.stdout, "obs-diff/v1")
         assert doc["ok"] is True
         assert doc["lines"]
 
@@ -515,7 +519,7 @@ class TestJsonCli:
             "--json", str(out),
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        doc = validate_attribution_json(out.read_text())
+        doc = check_artifact(out.read_text(), "obs-attribution/v1")
         assert doc["ok"] is True
         assert doc["pins"]["attn-fwd"]["closed_form_ok"]
 

@@ -4,7 +4,7 @@ The pin tests run *real* training steps on the quickstart model and
 require the observed peak saved bytes to equal the closed forms of
 :mod:`repro.perf.memory` **byte-for-byte** per method × checkpoint
 policy — the same gate ``python -m repro.obs memdiff`` enforces in CI.
-Adversarial tests feed the validators damaged artifacts — truncated
+Adversarial tests feed ``check_artifact`` damaged artifacts — truncated
 timelines, negative watermarks, counter samples outside their step span,
 tampered oom bundles — and require a loud ``ValueError``.
 """
@@ -28,6 +28,7 @@ from repro.obs import (
     MemEvent,
     MemoryBudget,
     MemoryBudgetExceeded,
+    check_artifact,
     dump_oom_postmortem,
     get_registry,
     leak_report,
@@ -38,10 +39,6 @@ from repro.obs import (
     transient_scope,
     use_memory_budget,
     use_memory_timeline,
-    validate_chrome_trace,
-    validate_memdiff_json,
-    validate_memory_timeline,
-    validate_oom_postmortem,
 )
 from repro.obs.__main__ import (
     _memdiff_cell,
@@ -137,7 +134,7 @@ def test_timeline_records_and_validates():
     events = timeline.events()
     assert [e.kind for e in events] == ["alloc", "alloc", "free", "free"]
     assert [e.current for e in events] == [1000, 1500, 500, 0]
-    doc = validate_memory_timeline(timeline_json(timeline))
+    doc = check_artifact(timeline_json(timeline), "memory-timeline/v1")
     assert doc["schema"] == "memory-timeline/v1"
     assert len(doc["events"]) == 4
 
@@ -150,28 +147,30 @@ def test_timeline_truncation_keeps_prefix_replayable():
             tracker.release(h)
     assert len(timeline) == 3
     assert timeline.truncated == 5  # 8 events total, 3 retained
-    validate_memory_timeline(timeline_json(timeline))  # prefix still replays
+    check_artifact(timeline_json(timeline), "memory-timeline/v1")  # prefix still replays
 
 
 def test_validate_timeline_rejects_damage():
     with pytest.raises(ValueError, match="truncated or corrupt"):
-        validate_memory_timeline('{"schema": "memory-timeline/v1", "ev')
+        check_artifact('{"schema": "memory-timeline/v1", "ev', "memory-timeline/v1")
     with pytest.raises(ValueError, match="schema"):
-        validate_memory_timeline({"schema": "nope/v1", "events": []})
+        check_artifact(
+            {"schema": "nope/v1", "events": []}, "memory-timeline/v1"
+        )
     base = {
         "ts": 0.0, "series": "saved", "kind": "alloc",
         "delta": 100, "current": 100, "handle": 0,
     }
     with pytest.raises(ValueError, match="negative watermark"):
-        validate_memory_timeline({
+        check_artifact({
             "schema": "memory-timeline/v1",
             "events": [dict(base, delta=-100, current=-100, kind="free")],
-        })
+        }, "memory-timeline/v1")
     with pytest.raises(ValueError, match="does not replay"):
-        validate_memory_timeline({
+        check_artifact({
             "schema": "memory-timeline/v1",
             "events": [base, dict(base, handle=1, current=150)],
-        })
+        }, "memory-timeline/v1")
 
 
 def test_memory_scope_attribution_innermost_wins():
@@ -221,7 +220,7 @@ def test_counter_events_validate_inside_step_span():
         {"name": "memory.saved_bytes", "ph": "C", "ts": 50.0,
          "pid": 2, "tid": 0, "args": {"bytes": 1024, "step": 0}},
     ]}
-    validate_chrome_trace(doc)
+    check_artifact(doc, "chrome-trace")
 
 
 def test_counter_sample_outside_step_span_rejected():
@@ -231,7 +230,7 @@ def test_counter_sample_outside_step_span_rejected():
          "pid": 2, "tid": 0, "args": {"bytes": 1024, "step": 0}},
     ]}
     with pytest.raises(ValueError, match="outside its step-0 span"):
-        validate_chrome_trace(doc)
+        check_artifact(doc, "chrome-trace")
 
 
 def test_negative_counter_sample_rejected():
@@ -241,7 +240,7 @@ def test_negative_counter_sample_rejected():
          "pid": 2, "tid": 0, "args": {"bytes": -5}},
     ]}
     with pytest.raises(ValueError, match="negative counter sample"):
-        validate_chrome_trace(doc)
+        check_artifact(doc, "chrome-trace")
 
 
 def test_counter_event_needs_numeric_args():
@@ -252,14 +251,14 @@ def test_counter_event_needs_numeric_args():
              "pid": 2, "tid": 0, "args": bad_args},
         ]}
         with pytest.raises(ValueError, match="numeric args"):
-            validate_chrome_trace(doc)
+            check_artifact(doc, "chrome-trace")
     doc = {"traceEvents": [
         _step_span(step=0),
         {"name": "memory.saved_bytes", "ph": "C", "ts": 50.0,
          "pid": 2, "tid": 0},
     ]}
-    with pytest.raises(ValueError, match="missing 'args'"):
-        validate_chrome_trace(doc)
+    with pytest.raises(ValueError, match=r"missing keys: \['args'\]"):
+        check_artifact(doc, "chrome-trace")
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +318,7 @@ def test_peak_owning_span_is_deepest_replay():
     payload = spans_to_chrome_json(
         cell["spans"], memory_events=cell["events"]
     )
-    doc = validate_chrome_trace(payload)
+    doc = check_artifact(payload, "chrome-trace")
     assert any(e.get("ph") == "C" for e in doc["traceEvents"])
 
 
@@ -410,7 +409,7 @@ def test_budget_breach_dumps_validated_oom_bundle(tmp_path):
                 assert budget.bundle_path == first_bundle
     assert first_bundle is not None
     with open(first_bundle) as fh:
-        doc = validate_oom_postmortem(fh.read())
+        doc = check_artifact(fh.read(), "oom/v1")
     assert doc["budget"]["limit_bytes"] == 1000
     assert doc["budget"]["watermark_bytes"] > 1000
     # the bundle snapshots the timeline at breach time: two live allocs
@@ -473,16 +472,16 @@ def test_oom_bundle_validation_rejects_tampering(tmp_path):
         )
     with open(path) as fh:
         doc = json.load(fh)
-    validate_oom_postmortem(dict(doc))
+    check_artifact(dict(doc), "oom/v1")
     bad = dict(doc)
     bad["budget"] = dict(doc["budget"], limit_bytes=5000, watermark_bytes=100)
     with pytest.raises(ValueError, match="watermark"):
-        validate_oom_postmortem(bad)
+        check_artifact(bad, "oom/v1")
     bad = {k: v for k, v in doc.items() if k != "budget"}
     with pytest.raises(ValueError, match="budget"):
-        validate_oom_postmortem(bad)
+        check_artifact(bad, "oom/v1")
     with pytest.raises(ValueError, match="schema"):
-        validate_oom_postmortem(dict(doc, schema="postmortem/v1"))
+        check_artifact(dict(doc, schema="postmortem/v1"), "oom/v1")
 
 
 def test_validate_memdiff_rejects_damage():
@@ -493,18 +492,20 @@ def test_validate_memdiff_rejects_damage():
     }
     good = {"schema": "obs-memdiff/v1", "cells": [cell], "curve": {},
             "transient": {}, "ok": True}
-    validate_memdiff_json(good)
+    check_artifact(good, "obs-memdiff/v1")
     with pytest.raises(ValueError, match="schema"):
-        validate_memdiff_json(dict(good, schema="nope"))
+        check_artifact(dict(good, schema="nope"), "obs-memdiff/v1")
     with pytest.raises(ValueError, match="no cells"):
-        validate_memdiff_json(dict(good, cells=[]))
+        check_artifact(dict(good, cells=[]), "obs-memdiff/v1")
     with pytest.raises(ValueError, match="missing keys"):
-        validate_memdiff_json(
-            dict(good, cells=[{k: v for k, v in cell.items() if k != "leaks"}])
+        check_artifact(
+            dict(good, cells=[{k: v for k, v in cell.items() if k != "leaks"}]),
+            "obs-memdiff/v1",
         )
     with pytest.raises(ValueError, match="claims match"):
-        validate_memdiff_json(
-            dict(good, cells=[dict(cell, observed_peak_bytes=2)])
+        check_artifact(
+            dict(good, cells=[dict(cell, observed_peak_bytes=2)]),
+            "obs-memdiff/v1",
         )
 
 
@@ -525,7 +526,7 @@ def test_cli_memdiff_gate_passes(tmp_path):
     proc = _run_memdiff(tmp_path, "--policies", "sequence_level")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     with open(tmp_path / "memdiff.json") as fh:
-        doc = validate_memdiff_json(json.load(fh))
+        doc = check_artifact(json.load(fh), "obs-memdiff/v1")
     assert doc["ok"]
     assert {c["method"] for c in doc["cells"]} == {
         "burst", "megatron-cp", "ulysses"
@@ -536,7 +537,23 @@ def test_cli_memdiff_gate_passes(tmp_path):
     }
     assert doc["transient"]["match"]
     with open(tmp_path / "memory-timeline.json") as fh:
-        validate_memory_timeline(fh.read())
+        check_artifact(fh.read(), "memory-timeline/v1")
+
+
+@pytest.mark.parametrize("policies", ["", "bogus"])
+def test_cli_memdiff_rejects_bad_policies_before_any_step(
+    tmp_path, capsys, policies
+):
+    """An empty or unknown ``--policies`` list is a usage error (exit 2)
+    raised while parsing: no cell runs and no output directory appears."""
+    from repro.obs.__main__ import main
+
+    out = tmp_path / "mem"
+    with pytest.raises(SystemExit) as exc:
+        main(["memdiff", "--out-dir", str(out), "--policies", policies])
+    assert exc.value.code == 2
+    assert "argument --policies" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_memdiff_seeded_leak_fails_loudly(tmp_path):
@@ -545,7 +562,7 @@ def test_cli_memdiff_seeded_leak_fails_loudly(tmp_path):
     assert "leak detected" in proc.stdout
     bundles = list(tmp_path.glob("oom-*.json"))
     assert len(bundles) == 1
-    doc = validate_oom_postmortem(bundles[0].read_text())
+    doc = check_artifact(bundles[0].read_text(), "oom/v1")
     assert doc["reason"]["kind"] == "seeded-leak"
     assert any(l["site"] == "injected.leak" for l in doc["leaks"])
 
@@ -556,7 +573,7 @@ def test_cli_memdiff_budget_breach_fails_loudly(tmp_path):
     assert "budget breach detected" in proc.stdout
     bundles = list(tmp_path.glob("oom-*.json"))
     assert len(bundles) == 1
-    doc = validate_oom_postmortem(bundles[0].read_text())
+    doc = check_artifact(bundles[0].read_text(), "oom/v1")
     # the default budget: the step's closed-form saved peak
     assert doc["budget"]["limit_bytes"] == 201_728
     assert doc["budget"]["watermark_bytes"] > doc["budget"]["limit_bytes"]

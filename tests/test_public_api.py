@@ -1646,3 +1646,52 @@ class TestOneMemoryLedger:
         assert mem.transient_alloc.__self__.series == mem.TRANSIENT
         assert mem.transient_free.__self__ is mem.transient_alloc.__self__
         assert mem.reset_transients.__self__ is mem.transient_alloc.__self__
+
+
+class TestOneArtifactChecker:
+    """One artifact checker: ``ARTIFACT_SCHEMAS`` declares every artifact's
+    shape and ``check_artifact`` holds a payload to it — no hand-written
+    ``validate_*`` walk or ``load_artifact`` preamble is left under
+    ``repro.obs``, and every schema tag is spelled in the table's module
+    alone (its writers import it)."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+    def test_no_validator_or_preamble_is_defined(self):
+        defined = {
+            (path.relative_to(self.SRC).as_posix(), name)
+            for path in sorted((self.SRC / "obs").rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            for name in (
+                [node.name] if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                )
+                else [t.id for t in node.targets if isinstance(t, ast.Name)]
+                if isinstance(node, ast.Assign) else []
+            )
+            if name.startswith("validate_") or name == "load_artifact"
+        }
+        assert defined == set()
+
+    def test_every_schema_tag_is_spelled_in_the_table_module(self):
+        from repro.obs.export import ARTIFACT_SCHEMAS, check_artifact
+
+        home = check_artifact.__module__.replace(".", "/") + ".py"
+        tag = re.compile(r"[\w.-]+/v\d+")
+        spelled = {
+            (path.relative_to(self.SRC.parent).as_posix(), node.value)
+            for path in sorted(self.SRC.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and tag.fullmatch(node.value)
+        }
+        assert spelled, "no schema tag found"
+        assert {where for where, _ in spelled} == {home}
+        tagged = {k for k, s in ARTIFACT_SCHEMAS.items() if s.tagged}
+        assert {value for _, value in spelled} == tagged
+
+    def test_the_package_exports_the_checker_alone(self):
+        import repro.obs
+
+        assert "check_artifact" in repro.obs.__all__
+        assert [n for n in repro.obs.__all__ if n.startswith("validate_")] == []
