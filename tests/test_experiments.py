@@ -1,6 +1,8 @@
 """Tests for the paper-experiment harness: every table/figure regenerates
 and exhibits the paper's qualitative result."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
@@ -18,6 +20,9 @@ from repro.experiments import (
     tab04_internode,
     tab05_intranode,
 )
+
+
+GOLDEN = Path(__file__).parent / "golden" / "experiments.txt"
 
 
 class TestHarnessMechanics:
@@ -40,6 +45,14 @@ class TestHarnessMechanics:
         d = res.to_dict()
         assert d["id"] == "fig02"
         assert len(d["rows"]) == len(res.rows)
+
+    def test_cli_output_matches_golden(self, capsys):
+        """`python -m repro.experiments` prints every cell byte for byte as
+        the committed golden; a pricing change shows up as its diff."""
+        from repro.experiments.__main__ import main
+
+        assert main([]) == 0
+        assert capsys.readouterr().out == GOLDEN.read_text()
 
     def test_column_accessor(self):
         res = fig02_attention_share()
