@@ -17,14 +17,20 @@ def test_fig07_split_fraction_sweep(benchmark, record_table):
     """Ablation: the DESIGN.md-called-out split-point sweep — cached
     fraction scales linearly between full (split 1.0) and selective++
     (split 0.0)."""
+    from repro.engine import EngineConfig
     from repro.models import LLAMA_7B
-    from repro.perf.memory import checkpoint_memory_curve
+    from repro.nn.checkpoint import CheckpointMode, CheckpointPolicy
+    from repro.perf.memory import MemoryModel, TrainingSetup
+    from repro.topology import make_cluster
 
     def sweep():
+        topo = make_cluster(32)
         return {
-            frac: checkpoint_memory_curve(
-                LLAMA_7B, [262144], 32, "sequence_level", split_fraction=frac
-            )[0]
+            frac: MemoryModel().activation_bytes(TrainingSetup(
+                EngineConfig(model=LLAMA_7B, checkpoint=CheckpointPolicy(
+                    CheckpointMode.SEQUENCE_LEVEL, frac)),
+                topo, 262144,
+            ))
             for frac in (0.25, 0.5, 0.75)
         }
 

@@ -8,9 +8,11 @@ a practitioner would run before committing to a parallelism strategy.
 Run:  python examples/long_context_scaling.py
 """
 
+from dataclasses import replace
+
 from repro.experiments import BASELINE_CONFIGS, METHOD_LABELS
-from repro.models import LLAMA_14B
-from repro.perf import end_to_end_step
+from repro.models import LLAMA_14B, model_name, n_params
+from repro.perf import EndToEndModel, TrainingSetup
 from repro.topology import make_cluster
 from repro.utils import format_table
 
@@ -22,17 +24,15 @@ METHODS = ["megatron-cp", "ulysses", "loongtrain-double", "usp", "burst"]
 def main() -> None:
     topology = make_cluster(32)
     print(f"cluster: {topology.describe()}")
-    print(f"model:   {LLAMA_14B.name} ({LLAMA_14B.n_params / 1e9:.1f}B params)\n")
+    print(f"model:   {model_name(LLAMA_14B)} "
+          f"({n_params(LLAMA_14B) / 1e9:.1f}B params)\n")
 
     rows = []
     for seq in SEQ_LENS:
         for method in METHODS:
-            cfg = dict(BASELINE_CONFIGS[method])
-            fsdp = cfg.pop("fsdp")
+            config = replace(BASELINE_CONFIGS[method], model=LLAMA_14B)
             try:
-                r = end_to_end_step(
-                    LLAMA_14B, topology, seq, method=method, fsdp=fsdp, **cfg
-                )
+                r = EndToEndModel().step(TrainingSetup(config, topology, seq))
             except ValueError as exc:
                 rows.append([f"{seq // 1024}K", METHOD_LABELS[method],
                              "infeasible", "-", "-", str(exc)[:40]])
@@ -48,8 +48,8 @@ def main() -> None:
     ))
 
     print("\nwhere the time goes at 1M tokens (BurstEngine):")
-    r = end_to_end_step(LLAMA_14B, topology, 1048576, method="burst",
-                        checkpoint="sequence_level", head_mode="fused")
+    burst = replace(BASELINE_CONFIGS["burst"], model=LLAMA_14B)
+    r = EndToEndModel().step(TrainingSetup(burst, topology, 1048576))
     for part, seconds in sorted(r.breakdown.items(), key=lambda kv: -kv[1]):
         share = seconds / r.step_time * 100
         print(f"  {part:15s} {seconds:7.2f}s  {share:5.1f}%")

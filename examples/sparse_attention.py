@@ -64,15 +64,18 @@ def main() -> None:
     print(f"\nbarrier-bounded speedup of block-wise balance: {speedup:.2f}x")
 
     # 3. projected training throughput (Table 3 model)
+    from repro.engine import EngineConfig
     from repro.models import LLAMA_14B
-    from repro.perf import end_to_end_step
+    from repro.perf import EndToEndModel, TrainingSetup
 
+    # burst, sequence-level checkpointing, fused head (the engine defaults)
+    config = EngineConfig(model=LLAMA_14B, method="burst", num_gpus=8)
     topo8 = make_cluster(8)
-    kw = dict(method="burst", checkpoint="sequence_level", head_mode="fused",
-              optimizer_offload=True)
-    dense = end_to_end_step(LLAMA_14B, topo8, 262144, **kw)
-    swa = end_to_end_step(LLAMA_14B, topo8, 262144,
-                          sparsity=2 * 32768 / 262144, **kw)
+    dense, swa = (
+        EndToEndModel().step(TrainingSetup(
+            config, topo8, 262144, optimizer_offload=True, sparsity=sparsity))
+        for sparsity in (1.0, 2 * 32768 / 262144)
+    )
     print(f"\nprojected 14B training on 8 x A800 at 256K tokens:")
     print(f"  causal attention: {dense.tgs:7.1f} tokens/s/GPU")
     print(f"  32K-window SWA:   {swa.tgs:7.1f} tokens/s/GPU "

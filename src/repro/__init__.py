@@ -23,9 +23,9 @@ __version__ = "1.0.0"
 from repro.attention import get_method  # noqa: E402
 from repro.engine import BurstEngine, EngineConfig, Trainer  # noqa: E402
 from repro.masks import CausalMask, SlidingWindowMask  # noqa: E402
-from repro.models import LLAMA_7B, LLAMA_14B, ModelSpec  # noqa: E402
+from repro.models import LLAMA_7B, LLAMA_14B  # noqa: E402
 from repro.nn import TransformerConfig, TransformerLM  # noqa: E402
-from repro.perf import end_to_end_step  # noqa: E402
+from repro.perf import EndToEndModel, TrainingSetup  # noqa: E402
 from repro.topology import make_cluster  # noqa: E402
 
 __all__ = [
@@ -37,9 +37,9 @@ __all__ = [
     "SlidingWindowMask",
     "LLAMA_7B",
     "LLAMA_14B",
-    "ModelSpec",
     "TransformerConfig",
     "TransformerLM",
-    "end_to_end_step",
+    "EndToEndModel",
+    "TrainingSetup",
     "make_cluster",
 ]

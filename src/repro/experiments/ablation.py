@@ -3,26 +3,35 @@ balance)."""
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, fmt
-from repro.models import LLAMA_14B, ModelSpec
-from repro.perf import end_to_end_step
+from dataclasses import replace
+
+from repro.engine import EngineConfig
+from repro.experiments.common import (
+    BASELINE_CONFIGS, FULL, SELECTIVE_PP, SEQUENCE_LEVEL, ExperimentResult, fmt,
+)
+from repro.models import LLAMA_14B, model_name
+from repro.nn.modules import TransformerConfig
+from repro.perf import EndToEndModel, TrainingSetup
 from repro.topology import make_cluster
 
 
-#: Table 2 rows: cumulative optimisation stack on 14B / 1M / 32 x A800.
-#: (label, attention schedule, checkpoint policy, head mode)
+#: Table 2 rows: cumulative optimisation stack on 14B / 1M / 32 x A800,
+#: as (label, the configuration whose method, policy and head it prices).
 TAB02_ROWS = [
-    ("base (flat ring, Alg.1)", "megatron-cp", "full", "naive"),
-    ("+ backward comm opt (Alg.2)", "burst-flat", "full", "naive"),
-    ("+ topology-aware ring", "burst", "full", "naive"),
-    ("+ fused LM head & loss", "burst", "full", "fused"),
-    ("+ sequence-level ckpt", "burst", "sequence_level", "fused"),
-    ("selective++ instead", "burst", "selective_pp", "fused"),
+    (label, EngineConfig(method=method, checkpoint=ckpt, head_impl=head))
+    for label, method, ckpt, head in [
+        ("base (flat ring, Alg.1)", "megatron-cp", FULL, "naive"),
+        ("+ backward comm opt (Alg.2)", "burst-flat", FULL, "naive"),
+        ("+ topology-aware ring", "burst", FULL, "naive"),
+        ("+ fused LM head & loss", "burst", FULL, "fused"),
+        ("+ sequence-level ckpt", "burst", SEQUENCE_LEVEL, "fused"),
+        ("selective++ instead", "burst", SELECTIVE_PP, "fused"),
+    ]
 ]
 
 
 def tab02_ablation(
-    model: ModelSpec = LLAMA_14B,
+    model: TransformerConfig = LLAMA_14B,
     num_gpus: int = 32,
     seq_len: int = 1 << 20,
 ) -> ExperimentResult:
@@ -36,9 +45,9 @@ def tab02_ablation(
     topo = make_cluster(num_gpus)
     rows = []
     base_tgs = None
-    for label, method, ckpt, head in TAB02_ROWS:
-        r = end_to_end_step(model, topo, seq_len, method=method,
-                            checkpoint=ckpt, head_mode=head)
+    for label, config in TAB02_ROWS:
+        r = EndToEndModel().step(
+            TrainingSetup(replace(config, model=model), topo, seq_len))
         if base_tgs is None:
             base_tgs = r.tgs
         rows.append([
@@ -47,7 +56,7 @@ def tab02_ablation(
         ])
     return ExperimentResult(
         exp_id="tab02",
-        title=f"Ablation: {model.name}, {seq_len // (1 << 20)}M tokens, "
+        title=f"Ablation: {model_name(model)}, {seq_len // (1 << 20)}M tokens, "
               f"{num_gpus} x A800",
         headers=["configuration", "MFU_%", "TGS", "mem_GB", "vs_base"],
         rows=rows,
@@ -56,7 +65,7 @@ def tab02_ablation(
 
 
 def tab02_split_sweep(
-    model: ModelSpec = LLAMA_14B,
+    model: TransformerConfig = LLAMA_14B,
     num_gpus: int = 32,
     seq_len: int = 1 << 20,
     fractions: list[float] | None = None,
@@ -72,18 +81,16 @@ def tab02_split_sweep(
     topo = make_cluster(num_gpus)
     rows = []
     for frac in fractions or [0.125, 0.25, 0.5, 0.75, 0.875]:
-        r = end_to_end_step(
-            model, topo, seq_len, method="burst",
-            checkpoint="sequence_level", split_fraction=frac,
-            head_mode="fused",
-        )
+        config = replace(BASELINE_CONFIGS["burst"], model=model,
+                         checkpoint=replace(SEQUENCE_LEVEL, split_fraction=frac))
+        r = EndToEndModel().step(TrainingSetup(config, topo, seq_len))
         rows.append([
             f"{frac:.3f}", fmt(r.tgs, 2), fmt(r.mfu * 100, 2),
             fmt(r.memory.total_gb, 2),
         ])
     return ExperimentResult(
         exp_id="tab02-split",
-        title=f"Sequence-level checkpoint split sweep: {model.name}, "
+        title=f"Sequence-level checkpoint split sweep: {model_name(model)}, "
               f"{seq_len // (1 << 20)}M, {num_gpus} x A800",
         headers=["recomputed_fraction", "TGS", "MFU_%", "mem_GB"],
         rows=rows,
@@ -93,7 +100,7 @@ def tab02_split_sweep(
 
 
 def tab03_sparse(
-    model: ModelSpec = LLAMA_14B,
+    model: TransformerConfig = LLAMA_14B,
     num_gpus: int = 8,
     seq_len: int = 262144,
     window: int = 32768,
@@ -109,12 +116,13 @@ def tab03_sparse(
       ``2w/N`` of the causal pairs remain, ~3.7x faster.
     """
     topo = make_cluster(num_gpus)
-    kw = dict(method="burst", checkpoint="sequence_level", head_mode="fused",
-              optimizer_offload=True)
-    masking = end_to_end_step(model, topo, seq_len, workload_balanced=False, **kw)
-    causal = end_to_end_step(model, topo, seq_len, **kw)
-    swa = end_to_end_step(model, topo, seq_len,
-                          sparsity=2 * window / seq_len, **kw)
+    config = replace(BASELINE_CONFIGS["burst"], model=model)
+    masking, causal, swa = (
+        EndToEndModel().step(TrainingSetup(
+            config, topo, seq_len, optimizer_offload=True, **pricing))
+        for pricing in (dict(workload_balanced=False), {},
+                        dict(sparsity=2 * window / seq_len))
+    )
     rows = [
         ["Attention Masking", fmt(masking.tgs, 2), "1.00x"],
         ["Causal Attention", fmt(causal.tgs, 2),
@@ -124,7 +132,7 @@ def tab03_sparse(
     ]
     return ExperimentResult(
         exp_id="tab03",
-        title=f"Sparse workload balance: {model.name}, "
+        title=f"Sparse workload balance: {model_name(model)}, "
               f"{seq_len // 1024}K tokens, {num_gpus} x A800",
         headers=["implementation", "TGS", "speedup"],
         rows=rows,

@@ -3,8 +3,10 @@
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, METHOD_LABELS, fmt
-from repro.models import LLAMA_14B, ModelSpec
+from repro.engine import EngineConfig
+from repro.experiments.common import FULL, ExperimentResult, METHOD_LABELS, fmt
+from repro.models import LLAMA_14B, model_name
+from repro.nn.modules import TransformerConfig
 from repro.perf.cost import table1_comm_times
 from repro.perf.memory import MemoryModel, TrainingSetup
 from repro.perf.schedules.attention import AttentionWorkload, attention_pass_time
@@ -49,7 +51,7 @@ def tab01_comm_time(
 
 def fig14_attention_perf(
     num_gpus: int = 32,
-    model: ModelSpec = LLAMA_14B,
+    model: TransformerConfig = LLAMA_14B,
     seq_lens: list[int] | None = None,
 ) -> ExperimentResult:
     """Fig. 14: fwd+bwd time of one distributed attention layer vs
@@ -65,15 +67,16 @@ def fig14_attention_perf(
     mm = MemoryModel()
     rows = []
     for s in seqs:
-        wl = AttentionWorkload(seq_len=s, hidden=model.hidden,
+        wl = AttentionWorkload(seq_len=s, hidden=model.dim,
                                n_heads=model.n_heads)
         row: list[object] = [f"{s // 1024}K"]
         times = {}
         for m in methods:
             # Megatron's replicated-state OOM kicks in past 256K.
             if m == "megatron-cp":
-                setup = TrainingSetup(model=model, seq_len=s, world=num_gpus,
-                                      method=m, fsdp=False)
+                setup = TrainingSetup(EngineConfig(
+                    model=model, method=m, fsdp=False, checkpoint=FULL,
+                ), topo, s)
                 if mm.breakdown(setup).oom:
                     row.append("OOM")
                     continue
@@ -90,7 +93,7 @@ def fig14_attention_perf(
         rows.append(row)
     return ExperimentResult(
         exp_id="fig14",
-        title=f"Attention fwd+bwd time (ms), {model.name} config, "
+        title=f"Attention fwd+bwd time (ms), {model_name(model)} config, "
               f"{num_gpus} x A100",
         headers=["seq_len", "Megatron-CP", "DoubleRing", "USP", "Burst",
                  "slowdown vs Burst"],

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.engine import EngineConfig
+from repro.nn.checkpoint import CheckpointMode, CheckpointPolicy
 from repro.utils.format import format_table
 
 
@@ -58,13 +60,24 @@ class ExperimentResult:
         return [row[idx] for row in self.rows]
 
 
-#: Per-method end-to-end configuration used in Fig. 12 / Fig. 13.
-BASELINE_CONFIGS: dict[str, dict] = {
-    "megatron-cp": dict(fsdp=False, checkpoint="full", head_mode="naive"),
-    "ulysses": dict(fsdp=True, checkpoint="full", head_mode="naive"),
-    "loongtrain-double": dict(fsdp=True, checkpoint="full", head_mode="naive"),
-    "usp": dict(fsdp=True, checkpoint="full", head_mode="naive"),
-    "burst": dict(fsdp=True, checkpoint="sequence_level", head_mode="fused"),
+#: The checkpoint policies the cells run.
+FULL = CheckpointPolicy(CheckpointMode.FULL)
+SELECTIVE_PP = CheckpointPolicy(CheckpointMode.SELECTIVE_PP)
+#: The paper's operating point: the front half of each layer recomputed.
+SEQUENCE_LEVEL = CheckpointPolicy(CheckpointMode.SEQUENCE_LEVEL, 0.5)
+
+#: Per-method end-to-end configuration used in Fig. 12 / Fig. 13; a cell
+#: sets its ``model`` with ``dataclasses.replace``.
+BASELINE_CONFIGS: dict[str, EngineConfig] = {
+    "megatron-cp": EngineConfig(method="megatron-cp", fsdp=False,
+                                checkpoint=FULL, head_impl="naive"),
+    "ulysses": EngineConfig(method="ulysses", checkpoint=FULL,
+                            head_impl="naive"),
+    "loongtrain-double": EngineConfig(method="loongtrain-double",
+                                      checkpoint=FULL, head_impl="naive"),
+    "usp": EngineConfig(method="usp", checkpoint=FULL, head_impl="naive"),
+    "burst": EngineConfig(method="burst", checkpoint=SEQUENCE_LEVEL,
+                          head_impl="fused"),
 }
 
 METHOD_LABELS = {

@@ -3,19 +3,23 @@ across the full method x model x cluster grid."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.experiments.common import (
     BASELINE_CONFIGS,
+    SELECTIVE_PP,
     ExperimentResult,
     METHOD_LABELS,
     fmt,
 )
-from repro.models import LLAMA_7B, LLAMA_14B, ModelSpec
-from repro.perf import end_to_end_step
+from repro.models import LLAMA_7B, LLAMA_14B, model_name
+from repro.nn.modules import TransformerConfig
+from repro.perf import EndToEndModel, TrainingSetup
 from repro.topology import make_cluster
 
 
 #: The paper's evaluation grid: (model, GPUs, sequence length).
-FIG12_GRID: list[tuple[ModelSpec, int, int]] = [
+FIG12_GRID: list[tuple[TransformerConfig, int, int]] = [
     (LLAMA_7B, 32, 2 << 20),    # 7B, 2M on 32 x A800
     (LLAMA_14B, 32, 1 << 20),   # 14B, 1M on 32 x A800
     (LLAMA_7B, 64, 4 << 20),    # 7B, 4M on 64 x A800
@@ -25,12 +29,11 @@ FIG12_GRID: list[tuple[ModelSpec, int, int]] = [
 METHODS = ["megatron-cp", "ulysses", "loongtrain-double", "usp", "burst"]
 
 
-def _cell(model: ModelSpec, num_gpus: int, seq: int, method: str):
-    topo = make_cluster(num_gpus)
-    cfg = dict(BASELINE_CONFIGS[method])
-    fsdp = cfg.pop("fsdp")
+def _cell(model: TransformerConfig, num_gpus: int, seq: int, method: str):
+    config = replace(BASELINE_CONFIGS[method], model=model)
     try:
-        return end_to_end_step(model, topo, seq, method=method, fsdp=fsdp, **cfg)
+        return EndToEndModel().step(
+            TrainingSetup(config, make_cluster(num_gpus), seq))
     except ValueError:
         return None  # infeasible (e.g. Ulysses head divisibility)
 
@@ -47,7 +50,7 @@ def fig12_end_to_end(grid=None) -> ExperimentResult:
         for method in METHODS:
             r = _cell(model, gpus, seq, method)
             label = METHOD_LABELS[method]
-            cell = f"{model.name}/{gpus}GPU/{seq // (1 << 20)}M"
+            cell = f"{model_name(model)}/{gpus}GPU/{seq // (1 << 20)}M"
             if r is None:
                 rows.append([cell, label, "infeasible", "-", "-"])
             elif r.oom:
@@ -73,13 +76,10 @@ def fig13_peak_memory(grid=None) -> ExperimentResult:
     footprint stays nearly flat as GPUs and sequence scale together —
     near-linear scaling along the sequence dimension.
     """
-    from repro.perf import end_to_end_step
-    from repro.topology import make_cluster
-
     rows = []
     burst_vs_tuned: list[float] = []
     for model, gpus, seq in grid or FIG12_GRID:
-        cell = f"{model.name}/{gpus}GPU/{seq // (1 << 20)}M"
+        cell = f"{model_name(model)}/{gpus}GPU/{seq // (1 << 20)}M"
         totals = {}
         for method in METHODS:
             r = _cell(model, gpus, seq, method)
@@ -93,10 +93,11 @@ def fig13_peak_memory(grid=None) -> ExperimentResult:
         # LoongTrain as shipped runs selective checkpointing++ (its
         # speed-tuned mode) — the configuration the paper's 26.4%/24.2%
         # savings are measured against.
-        tuned = end_to_end_step(
-            model, make_cluster(gpus), seq, method="usp",
-            checkpoint="selective_pp", head_mode="naive",
-        )
+        tuned = EndToEndModel().step(TrainingSetup(
+            replace(BASELINE_CONFIGS["usp"], model=model,
+                    checkpoint=SELECTIVE_PP),
+            make_cluster(gpus), seq,
+        ))
         rows.append([cell, "LoongTrain-USP (selective++)",
                      fmt(tuned.memory.total_gb, 1),
                      "OOM" if tuned.oom else "ok"])

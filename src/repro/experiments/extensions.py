@@ -13,7 +13,8 @@ from repro.attention.gqa import backward_comm_elems, choose_backward_algorithm
 from repro.attention.selective import selective_vs_ring_volume
 from repro.experiments.common import ExperimentResult
 from repro.masks import SlidingWindowMask
-from repro.models import LLAMA_14B, ModelSpec
+from repro.models import LLAMA_14B, model_name
+from repro.nn.modules import TransformerConfig
 from repro.partition import ContiguousPartitioner
 from repro.perf.schedules.pipeline import gpipe_bubble_fraction, pipeline_efficiency
 from repro.perf.tensor_parallel import tp_scaling_analysis
@@ -79,7 +80,7 @@ def ext_selective_comm(
     )
 
 
-def ext_tp_scaling(model: ModelSpec = LLAMA_14B) -> ExperimentResult:
+def ext_tp_scaling(model: TransformerConfig = LLAMA_14B) -> ExperimentResult:
     """Pure tensor parallelism at long context: activations are not
     sequence-sharded, so a 14B model OOMs long before 1M tokens at any TP
     degree — the quantitative motivation for context parallelism."""
@@ -94,7 +95,7 @@ def ext_tp_scaling(model: ModelSpec = LLAMA_14B) -> ExperimentResult:
         ])
     return ExperimentResult(
         exp_id="ext-tp",
-        title=f"Pure tensor parallelism at long context ({model.name}, "
+        title=f"Pure tensor parallelism at long context ({model_name(model)}, "
               "TP=8, full ckpt)",
         headers=["seq_len", "all-reduce GB/layer", "activations GB/GPU",
                  "80GB"],

@@ -3,16 +3,22 @@ memory), Fig. 8 (LM-head logits memory)."""
 
 from __future__ import annotations
 
+from repro.engine import EngineConfig
 from repro.experiments.common import ExperimentResult, fmt
-from repro.models import LLAMA2_VOCAB, LLAMA3_VOCAB, LLAMA_7B, ModelSpec
-from repro.perf.memory import checkpoint_memory_curve, logits_memory_bytes
+from repro.models import (
+    LLAMA2_VOCAB, LLAMA3_VOCAB, LLAMA_7B, attention_fraction, model_name,
+)
+from repro.nn.checkpoint import CheckpointPolicy
+from repro.nn.modules import TransformerConfig
+from repro.perf.memory import GB, MemoryModel, TrainingSetup, logits_memory_bytes
+from repro.topology import make_cluster
 
 
 DEFAULT_SEQS = [8192, 32768, 131072, 524288, 1048576]
 
 
 def fig02_attention_share(
-    model: ModelSpec = LLAMA_7B, seq_lens: list[int] | None = None
+    model: TransformerConfig = LLAMA_7B, seq_lens: list[int] | None = None
 ) -> ExperimentResult:
     """Fig. 2: share of end-to-end training time spent in attention.
 
@@ -24,11 +30,11 @@ def fig02_attention_share(
     seqs = seq_lens or DEFAULT_SEQS
     rows = []
     for s in seqs:
-        share = model.attention_fraction(s)
+        share = attention_fraction(model, s)
         rows.append([f"{s // 1024}K", fmt(share * 100, 1)])
     return ExperimentResult(
         exp_id="fig02",
-        title=f"Attention share of training time ({model.name} model)",
+        title=f"Attention share of training time ({model_name(model)} model)",
         headers=["seq_len", "attention_%"],
         rows=rows,
         notes=["FLOPs-proportional share; paper measures wall-clock on A800"],
@@ -36,7 +42,7 @@ def fig02_attention_share(
 
 
 def fig07_checkpoint_memory(
-    model: ModelSpec = LLAMA_7B,
+    model: TransformerConfig = LLAMA_7B,
     world: int = 32,
     seq_lens: list[int] | None = None,
 ) -> ExperimentResult:
@@ -47,16 +53,21 @@ def fig07_checkpoint_memory(
     removes half of selective++'s overhead, the paper's "50% reduction".
     """
     seqs = seq_lens or DEFAULT_SEQS
-    policies = ["full", "sequence_level", "selective_pp", "none"]
-    curves = {p: checkpoint_memory_curve(model, seqs, world, p) for p in policies}
-    rows = []
-    for i, s in enumerate(seqs):
-        rows.append(
-            [f"{s // 1024}K"] + [fmt(curves[p][i]) for p in policies]
-        )
+    configs = [
+        EngineConfig(model=model, checkpoint=CheckpointPolicy.parse(p))
+        for p in ("full", "sequence_level", "selective_pp", "none")
+    ]
+    topo = make_cluster(world)
+    rows = [
+        [f"{s // 1024}K"] + [
+            fmt(MemoryModel().activation_bytes(TrainingSetup(c, topo, s)) / GB)
+            for c in configs
+        ]
+        for s in seqs
+    ]
     return ExperimentResult(
         exp_id="fig07",
-        title=f"Stored activations per GPU (GB), {model.name} on {world} GPUs",
+        title=f"Stored activations per GPU (GB), {model_name(model)} on {world} GPUs",
         headers=["seq_len", "full_ckpt", "sequence_level", "selective_pp", "no_ckpt"],
         rows=rows,
         notes=[

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, fmt
-from repro.models import LLAMA_14B, ModelSpec
-from repro.perf import end_to_end_step
+from dataclasses import replace
+
+from repro.experiments.common import BASELINE_CONFIGS, ExperimentResult, fmt
+from repro.models import LLAMA_14B, model_name
+from repro.nn.modules import TransformerConfig
+from repro.perf import EndToEndModel, TrainingSetup
 from repro.topology import make_cluster
 
 
 def tab04_internode(
-    model: ModelSpec = LLAMA_14B,
+    model: TransformerConfig = LLAMA_14B,
     node_counts: list[int] | None = None,
     seq_per_gpu: int = 32768,
 ) -> ExperimentResult:
@@ -21,20 +24,20 @@ def tab04_internode(
     per GPU stays stable — near-linear sequence-dimension scaling.
     Optimizer offload is off (states fit once sharded over >=16 GPUs).
     """
+    config = replace(BASELINE_CONFIGS["burst"], model=model)
     rows = []
     for nodes in node_counts or [2, 4, 8]:
         gpus = nodes * 8
         seq = gpus * seq_per_gpu
-        topo = make_cluster(gpus)
-        r = end_to_end_step(model, topo, seq, method="burst",
-                            checkpoint="sequence_level", head_mode="fused")
+        r = EndToEndModel().step(
+            TrainingSetup(config, make_cluster(gpus), seq))
         rows.append([
             nodes, f"{seq // (1 << 20)}M" if seq >= 1 << 20 else f"{seq // 1024}K",
             fmt(r.mfu * 100, 1), fmt(r.tgs, 2), fmt(r.memory.total_gb, 2),
         ])
     return ExperimentResult(
         exp_id="tab04",
-        title=f"Inter-node scalability: {model.name}, 8 x A800 per node, "
+        title=f"Inter-node scalability: {model_name(model)}, 8 x A800 per node, "
               f"{seq_per_gpu // 1024}K tokens/GPU",
         headers=["nodes", "sequence", "MFU_%", "TGS", "mem_GB"],
         rows=rows,
@@ -43,7 +46,7 @@ def tab04_internode(
 
 
 def tab05_intranode(
-    model: ModelSpec = LLAMA_14B,
+    model: TransformerConfig = LLAMA_14B,
     cp_sizes: list[int] | None = None,
     seq_per_gpu: int = 32768,
 ) -> ExperimentResult:
@@ -55,20 +58,19 @@ def tab05_intranode(
     at higher arithmetic intensity than the small per-GPU batch pieces),
     crossing 50% of the ideal at CP >= 4; memory stays roughly stable.
     """
+    config = replace(BASELINE_CONFIGS["burst"], model=model)
     rows = []
     for cp in cp_sizes or [1, 2, 4, 8]:
         seq = cp * seq_per_gpu
-        topo = make_cluster(cp)
-        r = end_to_end_step(model, topo, seq, method="burst",
-                            checkpoint="sequence_level", head_mode="fused",
-                            optimizer_offload=True)
+        r = EndToEndModel().step(TrainingSetup(
+            config, make_cluster(cp), seq, optimizer_offload=True))
         rows.append([
             cp, f"{seq // 1024}K", fmt(r.mfu * 100, 2), fmt(r.tgs, 2),
             fmt(r.memory.total_gb, 2),
         ])
     return ExperimentResult(
         exp_id="tab05",
-        title=f"Intra-node scalability: {model.name}, context-parallel size "
+        title=f"Intra-node scalability: {model_name(model)}, context-parallel size "
               "on 8 x A800 (optimizer offload on)",
         headers=["CP", "sequence", "MFU_%", "TGS", "mem_GB"],
         rows=rows,

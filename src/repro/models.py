@@ -1,103 +1,91 @@
-"""Model-scale descriptors for the paper's evaluation models.
+"""The paper's evaluation models as :class:`TransformerConfig` values.
 
 The experiments use LLaMA-architecture Transformers at two scales:
 
 * **7B** — 32 layers, 32 heads, 4096 hidden, 32K vocab;
 * **14B** — 40 layers, 40 heads, 5120 hidden, 120K vocab.
 
-These descriptors drive the analytic FLOPs and memory models; they are
-*not* instantiated as numpy weights (the numeric engine uses tiny configs).
+These are the configuration the engine runs, at sizes it never
+instantiates: the analytic FLOPs and memory models read their shapes (the
+numeric engine uses tiny configs).  :func:`n_params` counts exactly what
+:class:`TransformerLM` would allocate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.nn.modules import TransformerConfig
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """Architecture description sufficient for FLOPs/memory accounting."""
-
-    name: str
-    n_layers: int
-    n_heads: int
-    hidden: int
-    vocab: int
-    ffn_hidden: int | None = None  # defaults to LLaMA's 8/3 * hidden
-    n_kv_heads: int | None = None  # GQA; defaults to MHA
-
-    @property
-    def kv_heads(self) -> int:
-        return self.n_kv_heads if self.n_kv_heads is not None else self.n_heads
-
-    @property
-    def kv_ratio(self) -> float:
-        """KV width relative to query width (1.0 for MHA)."""
-        return self.kv_heads / self.n_heads
-
-    @property
-    def head_dim(self) -> int:
-        return self.hidden // self.n_heads
-
-    @property
-    def ffn(self) -> int:
-        if self.ffn_hidden is not None:
-            return self.ffn_hidden
-        # LLaMA SwiGLU sizing: 2/3 * 4h rounded to a multiple of 256.
-        raw = int(8 * self.hidden / 3)
-        return ((raw + 255) // 256) * 256
-
-    @property
-    def n_params(self) -> int:
-        """Parameter count: embeddings + per-layer attention/FFN/norms + head."""
-        kv_dim = int(self.hidden * self.kv_ratio)
-        per_layer = (
-            2 * self.hidden * self.hidden      # Wq, Wo
-            + 2 * self.hidden * kv_dim         # Wk, Wv (GQA-narrow)
-            + 3 * self.hidden * self.ffn       # gate, up, down
-            + 2 * self.hidden                  # two RMSNorms
-        )
-        embeddings = self.vocab * self.hidden
-        head = self.vocab * self.hidden
-        return self.n_layers * per_layer + embeddings + head + self.hidden
-
-    def flops_per_token(self, seq_len: int, causal: bool = True) -> float:
-        """Training FLOPs per token (fwd + bwd) at sequence length ``seq_len``.
-
-        Uses the standard ``6 * params`` for matmul parameters plus the
-        attention term ``12 * hidden * seq_len * causal_factor`` per token
-        (QK^T and PV, forward 2 matmuls + backward 4, halved for causal).
-        """
-        kv_dim = int(self.hidden * self.kv_ratio)
-        dense_params = self.n_layers * (
-            2 * self.hidden * self.hidden + 2 * self.hidden * kv_dim
-            + 3 * self.hidden * self.ffn
-        ) + self.vocab * self.hidden
-        linear = 6.0 * dense_params
-        causal_factor = 0.5 if causal else 1.0
-        attn = self.n_layers * 12.0 * self.hidden * seq_len * causal_factor
-        return linear + attn
-
-    def attention_fraction(self, seq_len: int, causal: bool = True) -> float:
-        """Share of training time spent in attention matmuls (Fig. 2)."""
-        total = self.flops_per_token(seq_len, causal)
-        causal_factor = 0.5 if causal else 1.0
-        attn = self.n_layers * 12.0 * self.hidden * seq_len * causal_factor
-        return attn / total
+def _llama(n_layers: int, n_heads: int, dim: int, vocab: int, ffn: int,
+           n_kv_heads: int | None = None) -> TransformerConfig:
+    return TransformerConfig(
+        vocab_size=vocab, dim=dim, n_layers=n_layers, n_heads=n_heads,
+        n_kv_heads=n_kv_heads, position_encoding="rope", ffn_hidden=ffn,
+    )
 
 
-LLAMA_7B = ModelSpec(name="7B", n_layers=32, n_heads=32, hidden=4096, vocab=32_000)
-LLAMA_14B = ModelSpec(name="14B", n_layers=40, n_heads=40, hidden=5120, vocab=120_000)
+#: LLaMA SwiGLU widths: 2/3 * 4h rounded up to a multiple of 256.
+LLAMA_7B = _llama(32, 32, 4096, 32_000, 11_008)
+LLAMA_14B = _llama(40, 40, 5120, 120_000, 13_824)
 
 #: LLaMA-3-70B-style GQA model (64 query heads sharing 8 KV heads) — used
 #: by the GQA extension analyses, not by the paper's own experiments.
-LLAMA_70B_GQA = ModelSpec(
-    name="70B-gqa", n_layers=80, n_heads=64, hidden=8192, vocab=128_256,
-    ffn_hidden=28_672, n_kv_heads=8,
-)
+LLAMA_70B_GQA = _llama(80, 64, 8192, 128_256, 28_672, n_kv_heads=8)
 
 #: Vocabulary comparison for Fig. 8 (LLaMA-1/2 32K vs LLaMA-3 128K).
 LLAMA2_VOCAB = 32_000
 LLAMA3_VOCAB = 128_256
 
-MODEL_SPECS = {"7B": LLAMA_7B, "14B": LLAMA_14B}
+#: Name -> configuration; experiment titles read their labels from here.
+PAPER_MODELS = {"7B": LLAMA_7B, "14B": LLAMA_14B, "70B-gqa": LLAMA_70B_GQA}
+
+
+def model_name(config: TransformerConfig) -> str:
+    """The paper's label of ``config`` (``"7B"``, ``"14B"``, ...), or its
+    parameter count in billions for a configuration the table lacks."""
+    for name, known in PAPER_MODELS.items():
+        if known == config:
+            return name
+    return f"{n_params(config) / 1e9:.1f}B"
+
+
+def kv_ratio(config: TransformerConfig) -> float:
+    """KV width relative to query width (1.0 for MHA)."""
+    return (config.n_kv_heads or config.n_heads) / config.n_heads
+
+
+def _block_matmul_params(config: TransformerConfig) -> int:
+    """One block's projection weights: Wq, Wo, the GQA-narrow Wk, Wv, and
+    the FFN's gate, up and down."""
+    h = config.dim
+    kv_dim = h // config.n_heads * (config.n_kv_heads or config.n_heads)
+    return 2 * h * h + 2 * h * kv_dim + 3 * h * config.ffn_hidden
+
+
+def n_params(config: TransformerConfig) -> int:
+    """Parameter count: embeddings (and a learned position table) +
+    per-layer attention/FFN/norms + final norm + head."""
+    h = config.dim
+    per_layer = _block_matmul_params(config) + 2 * h  # + two RMSNorms
+    positions = 0 if config.position_encoding == "rope" else config.max_seq_len * h
+    embeddings = config.vocab_size * h
+    head = config.vocab_size * h
+    return config.n_layers * per_layer + embeddings + positions + head + h
+
+
+def _attention_flops_per_token(config: TransformerConfig, seq_len: int) -> float:
+    # QK^T and PV: forward 2 matmuls + backward 4, halved for causal.
+    return config.n_layers * 12.0 * config.dim * seq_len * 0.5
+
+
+def flops_per_token(config: TransformerConfig, seq_len: int) -> float:
+    """Causal training FLOPs per token (fwd + bwd) at sequence length
+    ``seq_len``: the standard ``6 * params`` over the matmul parameters
+    (blocks and head) plus the attention term."""
+    dense = config.n_layers * _block_matmul_params(config) + config.vocab_size * config.dim
+    return 6.0 * dense + _attention_flops_per_token(config, seq_len)
+
+
+def attention_fraction(config: TransformerConfig, seq_len: int) -> float:
+    """Share of training time spent in attention matmuls (Fig. 2)."""
+    return _attention_flops_per_token(config, seq_len) / flops_per_token(config, seq_len)

@@ -258,6 +258,7 @@ def _cmd_memdiff(args: argparse.Namespace) -> int:
     cells = []
     first_cell = None
     chunked = {}
+    burst = {}  # policy -> the grid's dense-FFN burst cell
     print(f"{'cell':<34} {'observed':>10} {'predicted':>10}  peak span")
     for method, policy, mlp_chunk in grid:
         cell = _memdiff_cell(method, policy, args.ring_mode, seq,
@@ -266,6 +267,8 @@ def _cmd_memdiff(args: argparse.Namespace) -> int:
             first_cell = cell
         if mlp_chunk is not None:
             chunked[policy] = cell
+        elif method == "burst":
+            burst[policy] = cell
         predicted = cell["predicted"]["peak_saved_bytes"]
         match = cell["observed"] == predicted
         clean = not cell["leaks"]
@@ -300,10 +303,12 @@ def _cmd_memdiff(args: argparse.Namespace) -> int:
             "leaks": len(cell["leaks"]),
         })
 
-    # Observed checkpoint-policy curve (Fig. 7, measured not asserted).
+    # Observed checkpoint-policy curve (Fig. 7, measured not asserted);
+    # a policy the grid already ran is not run again.
     curve = {}
     for policy in ("none", "full", "selective_pp", "sequence_level"):
-        cell = _memdiff_cell("burst", policy, args.ring_mode, seq)
+        cell = burst.get(policy) or _memdiff_cell(
+            "burst", policy, args.ring_mode, seq)
         curve[policy] = {
             "observed": cell["observed"],
             "predicted": cell["predicted"]["peak_saved_bytes"],

@@ -40,7 +40,6 @@ from repro.perf.schedules.attention import (
 from repro.perf.schedules.end_to_end import (
     EndToEndModel,
     EndToEndResult,
-    end_to_end_step,
 )
 from repro.perf.criticalpath import (
     closed_form_pass_comm,
@@ -69,5 +68,4 @@ __all__ = [
     "attention_pass_time",
     "EndToEndModel",
     "EndToEndResult",
-    "end_to_end_step",
 ]

@@ -25,9 +25,15 @@ shards the sequence only 8-way — the Fig. 13 OOM at 1M tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.models import ModelSpec
+from repro.models import n_params
 from repro.nn.checkpoint import CheckpointPolicy
+
+if TYPE_CHECKING:
+    from repro.engine import EngineConfig
+    from repro.nn.modules import TransformerConfig
+    from repro.topology import ClusterTopology
 
 
 #: Stored activation elements per layer per token without checkpointing,
@@ -57,33 +63,45 @@ def ulysses_effective_degree(n_heads: int, world: int) -> int:
     return best
 
 
+#: The LM heads the models price, spelt as ``EngineConfig.head_impl``.
+PRICED_HEADS = ("naive", "tiled-recompute", "fused")
+
+
 @dataclass(frozen=True)
 class TrainingSetup:
-    """One cell of the paper's evaluation grid."""
+    """One cell of the paper's evaluation grid: the configuration the
+    engine runs (model, method, ``fsdp``, checkpoint policy, head), the
+    cluster it runs on (world size, GPU memory) and the sequence length,
+    plus the inputs only pricing has."""
 
-    model: ModelSpec
+    config: EngineConfig
+    topology: ClusterTopology
     seq_len: int
-    world: int
-    method: str = "burst"
-    fsdp: bool = True
-    #: ZeRO stage refinement: None derives 3 from ``fsdp=True`` / 0 from
-    #: ``False``; explicit 1/2/3 shard optimizer / +grads / +params.
+    #: ZeRO stage refinement: None derives 3 from ``config.fsdp=True`` / 0
+    #: from ``False``; explicit 1/2/3 shard optimizer / +grads / +params.
     zero_stage: int | None = None
     optimizer_offload: bool = False
-    checkpoint: str = "full"  # none | full | selective_pp | sequence_level
-    split_fraction: float = 0.5
-    head_mode: str = "fused"  # naive | tiled | fused
-    gpu_memory_bytes: float = 80 * GB
-    #: ``checkpoint`` / ``split_fraction``, parsed (or ``ValueError``) once.
-    policy: CheckpointPolicy = field(init=False, repr=False, compare=False)
+    #: Fraction of the causal pairs attention computes (SWA etc.).
+    sparsity: float = 1.0
+    #: Zigzag/striped balance; without it barriers erase any sparsity.
+    workload_balanced: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "policy", CheckpointPolicy.parse(
-            self.checkpoint, self.split_fraction))
+        if self.config.head_impl not in PRICED_HEADS:
+            raise ValueError(f"head impl {self.config.head_impl!r} is not "
+                             f"priced (priced: {', '.join(PRICED_HEADS)})")
+
+    @property
+    def model(self) -> TransformerConfig:
+        return self.config.model
+
+    @property
+    def world(self) -> int:
+        return self.topology.world_size
 
     def local_seq(self) -> float:
         """Tokens resident per GPU after sequence sharding."""
-        if self.method == "ulysses":
+        if self.config.method == "ulysses":
             degree = ulysses_effective_degree(self.model.n_heads, self.world)
             return self.seq_len / degree
         return self.seq_len / self.world
@@ -137,21 +155,19 @@ class MemoryModel:
         """Stored activations: per layer per token, the layer input plus
         the cached back ``1 - c`` of the attention output (in hidden units),
         or every activation when the layer is not replayed."""
-        c = setup.policy.recomputed_front
+        c = setup.config.checkpoint.recomputed_front
         factor = FULL_ACTIVATION_FACTOR if c is None else 1.0 + (1.0 - c)
-        per_layer = factor * setup.local_seq() * setup.model.hidden
+        per_layer = factor * setup.local_seq() * setup.model.dim
         return per_layer * setup.model.n_layers * BYTES_BF16
 
     def lm_head_bytes(self, setup: TrainingSetup) -> float:
         s_loc = setup.local_seq()
-        v = setup.model.vocab
-        if setup.head_mode == "naive":
-            return s_loc * v * BYTES_BF16  # materialised logits (Fig. 8)
-        if setup.head_mode == "tiled":
+        if setup.config.head_impl == "naive":
+            # materialised logits (Fig. 8)
+            return s_loc * setup.model.vocab_size * BYTES_BF16
+        if setup.config.head_impl == "tiled-recompute":
             return s_loc * 4  # fp32 lse row statistics
-        if setup.head_mode == "fused":
-            return 0.0
-        raise ValueError(f"unknown head mode {setup.head_mode!r}")
+        return 0.0  # fused
 
     def state_bytes(self, setup: TrainingSetup) -> tuple[float, float, float]:
         """(params, grads, optimizer) per GPU.
@@ -162,10 +178,10 @@ class MemoryModel:
         shards stream there as they are produced, so on-GPU gradient
         memory is roughly one layer's worth rather than the full model.
         """
-        n = setup.model.n_params
+        n = n_params(setup.model)
         stage = setup.zero_stage
         if stage is None:
-            stage = 3 if setup.fsdp else 0
+            stage = 3 if setup.config.fsdp else 0
         if stage not in (0, 1, 2, 3):
             raise ValueError(f"zero_stage must be 0..3, got {stage}")
         g = setup.world
@@ -181,7 +197,7 @@ class MemoryModel:
     def transient_bytes(self, setup: TrainingSetup) -> float:
         """One layer's live working set plus communication buffers."""
         s_loc = setup.local_seq()
-        h = setup.model.hidden
+        h = setup.model.dim
         layer_live = FULL_ACTIVATION_FACTOR * s_loc * h * BYTES_BF16
         # Triple-buffered ring communication (compute/intra/inter) of a
         # K+V-sized bundle, or all-to-all staging for Ulysses.
@@ -197,20 +213,18 @@ class MemoryModel:
             activations=self.activation_bytes(setup),
             lm_head=self.lm_head_bytes(setup),
             transient=self.transient_bytes(setup),
-            budget=setup.gpu_memory_bytes,
+            budget=setup.topology.node.gpu.memory_bytes,
         )
-        if setup.method == "ulysses":
+        if setup.config.method == "ulysses":
             eff = ulysses_effective_degree(setup.model.n_heads, setup.world)
             if eff < setup.world:
                 bd.notes.append(
                     f"Ulysses degree limited to {eff} by {setup.model.n_heads} heads"
                 )
-        if not setup.fsdp:
+        if not setup.config.fsdp:
             bd.notes.append("no FSDP: replicated parameters and optimizer states")
         if bd.oom:
-            bd.notes.append(
-                f"OOM: {bd.total_gb:.1f} GB > {setup.gpu_memory_bytes / GB:.0f} GB"
-            )
+            bd.notes.append(f"OOM: {bd.total_gb:.1f} GB > {bd.budget / GB:.0f} GB")
         return bd
 
 
@@ -258,21 +272,6 @@ def swiglu_chunked_transient_bytes(
     """
     chunk = seq_len if chunk_size is None else min(chunk_size, seq_len)
     return (3 * seq_len * hidden + 8 * chunk * hidden) * bytes_per_elem
-
-
-def checkpoint_memory_curve(
-    model: ModelSpec, seq_lens: list[int], world: int, policy: str,
-    split_fraction: float = 0.5,
-) -> list[float]:
-    """Fig. 7's quantity: stored-activation GB vs sequence length."""
-    mm = MemoryModel()
-    return [
-        mm.activation_bytes(TrainingSetup(
-            model=model, seq_len=s, world=world, checkpoint=policy,
-            split_fraction=split_fraction,
-        )) / GB
-        for s in seq_lens
-    ]
 
 
 # --- byte-exact closed forms for the live numpy engine -----------------------

@@ -8,7 +8,6 @@ from repro.perf.schedules.attention import (
 from repro.perf.schedules.end_to_end import (
     EndToEndModel,
     EndToEndResult,
-    end_to_end_step,
 )
 
 __all__ = [
@@ -16,5 +15,4 @@ __all__ = [
     "attention_pass_time",
     "EndToEndModel",
     "EndToEndResult",
-    "end_to_end_step",
 ]

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.models import ModelSpec
+from repro.nn.modules import TransformerConfig
 from repro.perf.memory import FULL_ACTIVATION_FACTOR, BYTES_BF16, GB
-from repro.topology import ClusterTopology, LinkClass
 
 
 def tp_layer_comm_bytes(seq_len: int, hidden: int,
@@ -42,7 +41,7 @@ class TPScalingRow:
 
 
 def tp_scaling_analysis(
-    model: ModelSpec,
+    model: TransformerConfig,
     seq_lens: list[int],
     tp_degree: int = 8,
     checkpointing: bool = True,
@@ -57,12 +56,12 @@ def tp_scaling_analysis(
     """
     rows = []
     for s in seq_lens:
-        comm = tp_layer_comm_bytes(s, model.hidden) / GB
+        comm = tp_layer_comm_bytes(s, model.dim) / GB
         stored_factor = 1.0 if checkpointing else FULL_ACTIVATION_FACTOR
-        stored = model.n_layers * stored_factor * s * model.hidden * BYTES_BF16
+        stored = model.n_layers * stored_factor * s * model.dim * BYTES_BF16
         transient = (
             FULL_ACTIVATION_FACTOR / 2 * (1 + 1 / tp_degree)
-            * s * model.hidden * BYTES_BF16
+            * s * model.dim * BYTES_BF16
         )
         act_gb = (stored + transient) / GB
         rows.append(

@@ -5,10 +5,13 @@ Every pinned value is exact (``float.hex`` for floats): the models'
 per-policy arithmetic may be restructured, never changed.
 """
 
+from dataclasses import fields
+
 import pytest
 
+from repro.engine import EngineConfig
 from repro.models import LLAMA_7B
-from repro.nn.checkpoint import CheckpointPolicy
+from repro.nn.checkpoint import CheckpointMode, CheckpointPolicy
 from repro.perf import MemoryModel, TrainingSetup
 from repro.perf.memory import (
     predict_checkpoint_policy_curve,
@@ -19,6 +22,14 @@ from repro.topology import make_cluster
 
 
 POLICIES = ("none", "full", "selective_pp", "sequence_level")
+
+
+def setup_7b(policy: str, world: int, seq_len: int, split: float = 0.5):
+    """LLAMA_7B under ``policy`` (burst, FSDP, fused head) on ``world``
+    GPUs at ``seq_len`` tokens."""
+    config = EngineConfig(model=LLAMA_7B,
+                          checkpoint=CheckpointPolicy.parse(policy, split))
+    return TrainingSetup(config, make_cluster(world), seq_len)
 
 #: (split, policy) -> (activation_bytes, breakdown["recompute"], step_time)
 #: for LLAMA_7B at 64 K tokens on one 8-GPU node.
@@ -73,19 +84,16 @@ class TestModelsArePinned:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_activation_bytes_and_step_time(self, policy, split):
         act, recompute, step_time = ANALYTIC_PINS[(split, policy)]
-        setup = TrainingSetup(model=LLAMA_7B, seq_len=65536, world=8,
-                              checkpoint=policy, split_fraction=split)
+        setup = setup_7b(policy, 8, 65536, split)
         assert MemoryModel().activation_bytes(setup).hex() == act
-        res = EndToEndModel(model=LLAMA_7B, topology=make_cluster(8),
-                            checkpoint=policy, split_fraction=split).step(65536)
+        res = EndToEndModel().step(setup)
         assert res.breakdown["recompute"].hex() == recompute
         assert res.step_time.hex() == step_time
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_fsdp_gather_passes(self, policy):
         exposed, step_time = FSDP_BOUND_PINS[policy]
-        res = EndToEndModel(model=LLAMA_7B, topology=make_cluster(32),
-                            checkpoint=policy).step(4096)
+        res = EndToEndModel().step(setup_7b(policy, 32, 4096))
         assert res.breakdown["fsdp_exposed"].hex() == exposed
         assert res.step_time.hex() == step_time
 
@@ -134,25 +142,30 @@ class TestInvalidPoliciesRaiseWhereTheyEnter:
             predict_step_peak_saved_bytes(checkpoint="selctive_pp", **SMALL)
 
     @pytest.mark.parametrize("kw", [
-        dict(checkpoint="selctive_pp"),
-        dict(checkpoint="sequence_level", split_fraction=1.5),
+        dict(mode="selctive_pp"),
+        dict(mode="sequence_level", split_fraction=1.5),
     ], ids=["typo", "split"])
-    def test_training_setup_rejects_on_construction(self, kw):
+    def test_a_policy_rejects_on_construction(self, kw):
+        """The pricing reads the policy the engine runs, so a bad one
+        fails where it is made, before any setup holds it."""
         with pytest.raises(ValueError):
-            TrainingSetup(model=LLAMA_7B, seq_len=65536, world=8, **kw)
+            CheckpointPolicy.parse(kw.pop("mode"), **kw)
 
-    @pytest.mark.parametrize("kw", [
-        dict(checkpoint="selctive_pp"),
-        dict(checkpoint="sequence_level", split_fraction=1.5),
-    ], ids=["typo", "split"])
-    def test_end_to_end_model_rejects_on_construction(self, kw):
-        with pytest.raises(ValueError):
-            EndToEndModel(model=LLAMA_7B, topology=make_cluster(8), **kw)
+    @pytest.mark.parametrize("head_impl", ["vocab-parallel", "tiled"])
+    def test_training_setup_rejects_on_construction(self, head_impl):
+        """A head the models do not price (or the pre-engine spelling of
+        ``tiled-recompute``) is a ``ValueError`` when the setup is made,
+        not a ``KeyError`` mid-pricing."""
+        config = EngineConfig(model=LLAMA_7B, head_impl=head_impl)
+        with pytest.raises(ValueError, match="not priced"):
+            TrainingSetup(config, make_cluster(8), 65536)
 
     def test_setup_resolves_its_policy_once(self):
-        setup = TrainingSetup(model=LLAMA_7B, seq_len=65536, world=8,
-                              checkpoint="sequence_level", split_fraction=0.25)
-        assert setup.policy == CheckpointPolicy.parse("sequence_level", 0.25)
-        assert setup == TrainingSetup(model=LLAMA_7B, seq_len=65536, world=8,
-                                      checkpoint="sequence_level",
-                                      split_fraction=0.25)
+        """The one policy is the config's: the setup keeps no checkpoint
+        field of its own, and the models read ``config.checkpoint``."""
+        names = {f.name for f in fields(TrainingSetup)}
+        assert not names & {"checkpoint", "split_fraction", "policy"}
+        quarter = CheckpointPolicy(CheckpointMode.SEQUENCE_LEVEL, 0.25)
+        setup = setup_7b("sequence_level", 8, 65536, 0.25)
+        assert setup.config.checkpoint == quarter
+        assert setup == setup_7b("sequence_level", 8, 65536, 0.25)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.engine import BurstEngine, EngineConfig
 from repro.masks import CausalMask, SlidingWindowMask
-from repro.models import LLAMA_7B
+from repro.models import LLAMA_7B, LLAMA_14B
 from repro.nn import Adam, CheckpointPolicy, TransformerConfig, TransformerLM
 from repro.nn.checkpoint import CheckpointMode
 from repro.perf.memory import MemoryModel, TrainingSetup
@@ -89,7 +89,7 @@ class TestLayerMaskSchedule:
 class TestZeroStages:
     def _bd(self, stage, offload=False):
         return MemoryModel().breakdown(TrainingSetup(
-            model=LLAMA_7B, seq_len=262144, world=32,
+            EngineConfig(model=LLAMA_7B), make_cluster(32), 262144,
             zero_stage=stage, optimizer_offload=offload,
         ))
 
@@ -110,10 +110,12 @@ class TestZeroStages:
 
     def test_default_derivation_from_fsdp(self):
         mm = MemoryModel()
-        fsdp = mm.breakdown(TrainingSetup(model=LLAMA_7B, seq_len=65536,
-                                          world=8, fsdp=True))
-        stage3 = mm.breakdown(TrainingSetup(model=LLAMA_7B, seq_len=65536,
-                                            world=8, zero_stage=3))
+        topo = make_cluster(8)
+        fsdp = mm.breakdown(TrainingSetup(
+            EngineConfig(model=LLAMA_7B, fsdp=True), topo, 65536))
+        stage3 = mm.breakdown(TrainingSetup(
+            EngineConfig(model=LLAMA_7B, fsdp=False), topo, 65536,
+            zero_stage=3))
         assert fsdp.total == stage3.total
 
     def test_invalid_stage(self):
@@ -124,11 +126,10 @@ class TestZeroStages:
         """Even ZeRO-1 leaves replicated 14B bf16 params+grads at ~56 GB —
         tight but no longer the 250 GB catastrophe; the paper's Megatron
         setup (stage 0) is the one that OOMs on states alone."""
-        from repro.models import LLAMA_14B
-
-        s0 = MemoryModel().breakdown(TrainingSetup(
-            model=LLAMA_14B, seq_len=1 << 20, world=32, zero_stage=0))
-        s1 = MemoryModel().breakdown(TrainingSetup(
-            model=LLAMA_14B, seq_len=1 << 20, world=32, zero_stage=1))
+        config, topo = EngineConfig(model=LLAMA_14B), make_cluster(32)
+        s0 = MemoryModel().breakdown(
+            TrainingSetup(config, topo, 1 << 20, zero_stage=0))
+        s1 = MemoryModel().breakdown(
+            TrainingSetup(config, topo, 1 << 20, zero_stage=1))
         assert s0.params + s0.grads + s0.optimizer > 200e9
         assert s1.optimizer < 6e9

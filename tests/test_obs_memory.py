@@ -540,6 +540,32 @@ def test_cli_memdiff_gate_passes(tmp_path):
         check_artifact(fh.read(), "memory-timeline/v1")
 
 
+def test_cli_memdiff_runs_each_cell_once(tmp_path, monkeypatch):
+    """The checkpoint curve reads the grid's dense-FFN burst cells: with
+    every policy in ``--policies`` the 12 grid cells and the 2 chunked
+    ones are all the traced steps a run takes (the curve used to re-run
+    4 of them), and each runs once."""
+    import repro.obs.__main__ as cli
+
+    calls = []
+    run = cli._memdiff_cell
+
+    def counted(*args, **kwargs):
+        calls.append((args, tuple(sorted(kwargs.items()))))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_memdiff_cell", counted)
+    assert cli.main([
+        "memdiff", "--out-dir", str(tmp_path),
+        "--policies", "none,full,selective_pp,sequence_level",
+    ]) == 0
+    assert len(calls) == 14
+    assert len(set(calls)) == len(calls)
+    doc = json.loads((tmp_path / "memdiff.json").read_text())
+    assert list(doc["curve"]) == ["none", "full", "selective_pp",
+                                  "sequence_level"]
+
+
 @pytest.mark.parametrize("policies", ["", "bogus"])
 def test_cli_memdiff_rejects_bad_policies_before_any_step(
     tmp_path, capsys, policies

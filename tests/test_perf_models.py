@@ -8,20 +8,27 @@ OOMs happen, how scaling behaves).
 
 import pytest
 
-from repro.models import LLAMA_7B, LLAMA_14B, MODEL_SPECS
+import dataclasses
+
+from repro.engine import EngineConfig
+from repro.models import (
+    LLAMA_7B, LLAMA_14B, LLAMA_70B_GQA, PAPER_MODELS, attention_fraction,
+    flops_per_token, kv_ratio, n_params,
+)
+from repro.nn import CheckpointPolicy, TransformerConfig, TransformerLM
 from repro.perf import (
     METHOD_DES_FLAGS,
+    EndToEndModel,
     MemoryModel,
     TrainingSetup,
     attention_pass_sim,
     attention_pass_time,
-    end_to_end_step,
     matmul_time,
     summarize_sim,
     table1_comm_times,
 )
 from repro.perf.cost import attention_step_sizes
-from repro.perf.memory import checkpoint_memory_curve, logits_memory_bytes, ulysses_effective_degree
+from repro.perf.memory import GB, logits_memory_bytes, ulysses_effective_degree
 from repro.attention.usp import default_ulysses_degree
 from repro.perf.schedules.attention import (
     AttentionWorkload,
@@ -42,34 +49,69 @@ TOPO8 = make_cluster(8)
 SEQ_1M = 1 << 20
 
 
+def cell(model, topology, seq_len, method="burst", checkpoint="full",
+         head_impl="fused", fsdp=True, **pricing):
+    """One priced cell of ``model`` run by ``method`` on ``topology``."""
+    config = EngineConfig(model=model, method=method, fsdp=fsdp,
+                          checkpoint=CheckpointPolicy.parse(checkpoint),
+                          head_impl=head_impl)
+    return TrainingSetup(config, topology, seq_len, **pricing)
+
+
+def step(*args, **kwargs):
+    return EndToEndModel().step(cell(*args, **kwargs))
+
+
 class TestModelSpecs:
     def test_param_counts_match_names(self):
-        assert LLAMA_7B.n_params == pytest.approx(7e9, rel=0.08)
-        assert LLAMA_14B.n_params == pytest.approx(14e9, rel=0.08)
+        assert n_params(LLAMA_7B) == pytest.approx(7e9, rel=0.08)
+        assert n_params(LLAMA_14B) == pytest.approx(14e9, rel=0.08)
 
     def test_70b_gqa_spec(self):
-        from repro.models import LLAMA_70B_GQA
-
-        assert LLAMA_70B_GQA.n_params == pytest.approx(70e9, rel=0.05)
-        assert LLAMA_70B_GQA.kv_ratio == pytest.approx(1 / 8)
+        assert n_params(LLAMA_70B_GQA) == pytest.approx(70e9, rel=0.05)
+        assert kv_ratio(LLAMA_70B_GQA) == pytest.approx(1 / 8)
         # GQA narrows the KV projections: fewer params than the MHA twin
-        import dataclasses
-
         mha_twin = dataclasses.replace(LLAMA_70B_GQA, n_kv_heads=None)
-        assert LLAMA_70B_GQA.n_params < mha_twin.n_params
+        assert n_params(LLAMA_70B_GQA) < n_params(mha_twin)
+
+    def test_paper_configs_carry_llama_ffn_widths(self):
+        """LLaMA's SwiGLU sizing, 8/3 * h rounded up to a multiple of 256
+        (7B: LLaMA-1's actual 11 008), is written into each config."""
+        for config in (LLAMA_7B, LLAMA_14B):
+            assert config.ffn_hidden == -(-int(8 * config.dim / 3) // 256) * 256
+        assert LLAMA_7B.ffn_hidden == 11008
+        assert PAPER_MODELS["14B"] is LLAMA_14B
+
+    @pytest.mark.parametrize("n_kv_heads", [None, 2], ids=["mha", "gqa"])
+    @pytest.mark.parametrize("position_encoding", ["rope", "learned"])
+    def test_n_params_counts_the_instantiated_model(
+        self, position_encoding, n_kv_heads
+    ):
+        """The analytic count is what ``TransformerLM`` allocates; learned
+        positions add their ``max_seq_len x dim`` table."""
+        config = TransformerConfig(
+            vocab_size=96, dim=32, n_layers=2, n_heads=4,
+            n_kv_heads=n_kv_heads, max_seq_len=128,
+            position_encoding=position_encoding,
+        )
+        model = TransformerLM(config)
+        assert n_params(config) == sum(p.data.size for p in model.parameters())
+        rope = dataclasses.replace(config, position_encoding="rope")
+        positions = 0 if position_encoding == "rope" else 128 * 32
+        assert n_params(config) == n_params(rope) + positions
 
     def test_attention_fraction_grows_with_sequence(self):
         """Fig. 2: attention share grows from minor to dominant."""
-        f8k = LLAMA_7B.attention_fraction(8192)
-        f128k = LLAMA_7B.attention_fraction(131072)
-        f1m = LLAMA_7B.attention_fraction(SEQ_1M)
+        f8k = attention_fraction(LLAMA_7B, 8192)
+        f128k = attention_fraction(LLAMA_7B, 131072)
+        f1m = attention_fraction(LLAMA_7B, SEQ_1M)
         assert f8k < 0.25
         assert f128k > 0.5       # past 128K attention dominates
         assert f1m > 0.9
         assert f8k < f128k < f1m
 
     def test_flops_per_token_monotone(self):
-        assert LLAMA_7B.flops_per_token(SEQ_1M) > LLAMA_7B.flops_per_token(8192)
+        assert flops_per_token(LLAMA_7B, SEQ_1M) > flops_per_token(LLAMA_7B, 8192)
 
 
 class TestCostFormulas:
@@ -266,9 +308,9 @@ class TestHeadParallelPassGraph:
         """Ulysses bit for bit; USP to rounding (its relayouts now start
         and end the graph instead of being added to its makespan)."""
         method, model, gpus, seq = cell
-        spec = {m.name: m for m in (LLAMA_7B, LLAMA_14B)}[model]
+        spec = PAPER_MODELS[model]
         topo = make_cluster(gpus)
-        wl = AttentionWorkload(seq_len=seq, hidden=spec.hidden,
+        wl = AttentionWorkload(seq_len=seq, hidden=spec.dim,
                                n_heads=spec.n_heads)
         for backward, pinned in zip((False, True), HEAD_PARALLEL_PINS[cell]):
             sim = attention_pass_sim(method, topo, wl, backward=backward)
@@ -316,8 +358,8 @@ class TestHeadParallelPassGraph:
 class TestMemoryModel:
     def test_megatron_oom_from_replicated_states(self):
         """Fig. 13: Megatron-CP (no FSDP) exceeds 80 GB on states alone."""
-        setup = TrainingSetup(model=LLAMA_14B, seq_len=SEQ_1M, world=32,
-                              method="megatron-cp", fsdp=False)
+        setup = cell(LLAMA_14B, TOPO32, SEQ_1M, method="megatron-cp",
+                     fsdp=False)
         bd = MemoryModel().breakdown(setup)
         assert bd.oom
         assert bd.params + bd.grads + bd.optimizer > 80e9
@@ -325,35 +367,34 @@ class TestMemoryModel:
     def test_ulysses_14b_oom_from_head_limit(self):
         """Fig. 13: 40 heads on 32 GPUs -> degree 8 -> 4x activations -> OOM."""
         assert ulysses_effective_degree(40, 32) == 8
-        setup = TrainingSetup(model=LLAMA_14B, seq_len=SEQ_1M, world=32,
-                              method="ulysses", checkpoint="full",
-                              head_mode="naive")
+        setup = cell(LLAMA_14B, TOPO32, SEQ_1M, method="ulysses",
+                     head_impl="naive")
         assert MemoryModel().breakdown(setup).oom
 
     def test_ulysses_7b_fits(self):
         assert ulysses_effective_degree(32, 32) == 32
-        setup = TrainingSetup(model=LLAMA_7B, seq_len=2 * SEQ_1M, world=32,
-                              method="ulysses", checkpoint="full",
-                              head_mode="naive")
+        setup = cell(LLAMA_7B, TOPO32, 2 * SEQ_1M, method="ulysses",
+                     head_impl="naive")
         assert not MemoryModel().breakdown(setup).oom
 
     def test_burst_saves_vs_best_baseline_14b(self):
         """Fig. 13 headline: ~24% saving at 14B/1M/32 GPUs."""
         mm = MemoryModel()
-        burst = mm.breakdown(TrainingSetup(
-            model=LLAMA_14B, seq_len=SEQ_1M, world=32,
-            checkpoint="sequence_level", head_mode="fused"))
-        baseline = mm.breakdown(TrainingSetup(
-            model=LLAMA_14B, seq_len=SEQ_1M, world=32,
-            checkpoint="selective_pp", head_mode="naive"))
+        burst = mm.breakdown(cell(LLAMA_14B, TOPO32, SEQ_1M,
+                                  checkpoint="sequence_level"))
+        baseline = mm.breakdown(cell(LLAMA_14B, TOPO32, SEQ_1M,
+                                     checkpoint="selective_pp",
+                                     head_impl="naive"))
         saving = 1 - burst.total / baseline.total
         assert 0.15 < saving < 0.45
 
     def test_checkpoint_curve_ordering(self):
         """Fig. 7: full < sequence-level < selective++ < none, linear in S."""
         seqs = [65536, 131072, 262144]
+        mm = MemoryModel()
         curves = {
-            p: checkpoint_memory_curve(LLAMA_7B, seqs, 32, p)
+            p: [mm.activation_bytes(cell(LLAMA_7B, TOPO32, s, checkpoint=p)) / GB
+                for s in seqs]
             for p in ("full", "sequence_level", "selective_pp", "none")
         }
         for i in range(len(seqs)):
@@ -372,36 +413,34 @@ class TestMemoryModel:
         assert m3 > 250e9  # hundreds of GB at 1M tokens
 
     def test_offload_removes_optimizer_memory(self):
-        on = MemoryModel().breakdown(TrainingSetup(
-            model=LLAMA_14B, seq_len=262144, world=8, optimizer_offload=True))
-        off = MemoryModel().breakdown(TrainingSetup(
-            model=LLAMA_14B, seq_len=262144, world=8, optimizer_offload=False))
+        on = MemoryModel().breakdown(
+            cell(LLAMA_14B, TOPO8, 262144, optimizer_offload=True))
+        off = MemoryModel().breakdown(
+            cell(LLAMA_14B, TOPO8, 262144, optimizer_offload=False))
         assert on.optimizer == 0
         assert off.optimizer > 0
         assert on.total < off.total
 
     def test_memory_as_dict(self):
-        bd = MemoryModel().breakdown(TrainingSetup(
-            model=LLAMA_7B, seq_len=262144, world=8))
+        bd = MemoryModel().breakdown(cell(LLAMA_7B, TOPO8, 262144))
         d = bd.as_dict()
         assert set(d) >= {"params_gb", "activations_gb", "total_gb", "oom"}
 
 
 class TestEndToEndShapes:
-    BASE = dict(checkpoint="full", head_mode="naive")
+    BASE = dict(checkpoint="full", head_impl="naive")
+    BURST = dict(method="burst", checkpoint="sequence_level")
 
     def test_fig12_burst_speedup_over_usp(self):
         """Headline: ~1.2x end-to-end speedup over LoongTrain-USP."""
-        usp = end_to_end_step(LLAMA_14B, TOPO32, SEQ_1M, method="usp", **self.BASE)
-        burst = end_to_end_step(LLAMA_14B, TOPO32, SEQ_1M, method="burst",
-                                checkpoint="sequence_level", head_mode="fused")
+        usp = step(LLAMA_14B, TOPO32, SEQ_1M, method="usp", **self.BASE)
+        burst = step(LLAMA_14B, TOPO32, SEQ_1M, **self.BURST)
         speedup = burst.tgs / usp.tgs
         assert 1.10 < speedup < 1.35
 
     def test_fig12_burst_mfu_near_paper(self):
         """Paper Table 2 row 5: MFU 47.7%, TGS 108.8 (14B, 1M, 32 GPUs)."""
-        r = end_to_end_step(LLAMA_14B, TOPO32, SEQ_1M, method="burst",
-                            checkpoint="sequence_level", head_mode="fused")
+        r = step(LLAMA_14B, TOPO32, SEQ_1M, **self.BURST)
         assert 0.40 < r.mfu < 0.55
         assert 90 < r.tgs < 125
 
@@ -410,9 +449,7 @@ class TestEndToEndShapes:
         mfus = []
         for nodes in (2, 4, 8):
             topo = make_cluster(nodes * 8)
-            r = end_to_end_step(LLAMA_14B, topo, nodes * 8 * 32768,
-                                method="burst", checkpoint="sequence_level",
-                                head_mode="fused")
+            r = step(LLAMA_14B, topo, nodes * 8 * 32768, **self.BURST)
             mfus.append(r.mfu)
         assert max(mfus) - min(mfus) < 0.02
 
@@ -420,9 +457,8 @@ class TestEndToEndShapes:
         tgs = {}
         for nodes in (2, 4):
             topo = make_cluster(nodes * 8)
-            tgs[nodes] = end_to_end_step(
-                LLAMA_14B, topo, nodes * 8 * 32768, method="burst",
-                checkpoint="sequence_level", head_mode="fused").tgs
+            tgs[nodes] = step(
+                LLAMA_14B, topo, nodes * 8 * 32768, **self.BURST).tgs
         assert tgs[2] / tgs[4] == pytest.approx(2.0, rel=0.1)
 
     def test_table5_mfu_rises_with_cp(self):
@@ -430,22 +466,18 @@ class TestEndToEndShapes:
         mfus = []
         for cp in (1, 2, 4, 8):
             topo = make_cluster(cp)
-            r = end_to_end_step(LLAMA_14B, topo, cp * 32768, method="burst",
-                                checkpoint="sequence_level", head_mode="fused",
-                                optimizer_offload=True)
+            r = step(LLAMA_14B, topo, cp * 32768, optimizer_offload=True,
+                     **self.BURST)
             mfus.append(r.mfu)
         assert mfus == sorted(mfus)
         assert mfus[-1] > 0.40
 
     def test_table3_sparse_speedups(self):
         """Causal balance ~1.7-2x; SWA ~3.5-5x over unbalanced masking."""
-        kw = dict(checkpoint="sequence_level", head_mode="fused",
-                  optimizer_offload=True)
-        masking = end_to_end_step(LLAMA_14B, TOPO8, 262144, method="burst",
-                                  workload_balanced=False, **kw)
-        causal = end_to_end_step(LLAMA_14B, TOPO8, 262144, method="burst", **kw)
-        swa = end_to_end_step(LLAMA_14B, TOPO8, 262144, method="burst",
-                              sparsity=2 * 32768 / 262144, **kw)
+        kw = dict(optimizer_offload=True, **self.BURST)
+        masking = step(LLAMA_14B, TOPO8, 262144, workload_balanced=False, **kw)
+        causal = step(LLAMA_14B, TOPO8, 262144, **kw)
+        swa = step(LLAMA_14B, TOPO8, 262144, sparsity=2 * 32768 / 262144, **kw)
         assert 1.5 < causal.tgs / masking.tgs < 2.2
         assert 3.0 < swa.tgs / masking.tgs < 5.5
 
@@ -460,8 +492,8 @@ class TestEndToEndShapes:
             ("burst", "sequence_level", "fused"),
         ]
         tgs = [
-            end_to_end_step(LLAMA_14B, TOPO32, SEQ_1M, method=m,
-                            checkpoint=c, head_mode=h).tgs
+            step(LLAMA_14B, TOPO32, SEQ_1M, method=m, checkpoint=c,
+                 head_impl=h).tgs
             for m, c, h in rows
         ]
         for a, b in zip(tgs, tgs[1:]):
@@ -469,16 +501,13 @@ class TestEndToEndShapes:
         assert tgs[-1] / tgs[0] > 1.3  # paper: 1.4x base -> full stack
 
     def test_ablation_spp_trades_memory_for_speed(self):
-        seq = end_to_end_step(LLAMA_14B, TOPO32, SEQ_1M, method="burst",
-                              checkpoint="sequence_level", head_mode="fused")
-        spp = end_to_end_step(LLAMA_14B, TOPO32, SEQ_1M, method="burst",
-                              checkpoint="selective_pp", head_mode="fused")
+        seq = step(LLAMA_14B, TOPO32, SEQ_1M, **self.BURST)
+        spp = step(LLAMA_14B, TOPO32, SEQ_1M, checkpoint="selective_pp")
         assert spp.tgs > seq.tgs
         assert spp.memory.total > seq.memory.total
 
     def test_breakdown_sums_consistently(self):
-        r = end_to_end_step(LLAMA_14B, TOPO32, SEQ_1M, method="burst",
-                            checkpoint="sequence_level", head_mode="fused")
+        r = step(LLAMA_14B, TOPO32, SEQ_1M, **self.BURST)
         assert sum(r.breakdown.values()) <= r.step_time * 1.001
         assert r.breakdown["attention_bwd"] > r.breakdown["attention_fwd"]
 

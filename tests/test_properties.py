@@ -18,6 +18,7 @@ from repro.attention.ring import (
 from repro.attention.verify import verify_method
 from repro.comm import SimCommunicator, double_ring_schedule, global_ring_schedule
 from repro.masks import CausalMask, SlidingWindowMask
+from repro.engine import EngineConfig
 from repro.models import LLAMA_7B
 from repro.partition import StripedPartitioner, ZigzagPartitioner
 from repro.perf.des import Simulator
@@ -273,10 +274,9 @@ class TestMemoryModelProperties:
     )
     def test_activation_memory_linear_in_sequence(self, seq, world):
         mm = MemoryModel()
-        a = mm.activation_bytes(TrainingSetup(model=LLAMA_7B, seq_len=seq,
-                                              world=world))
-        b = mm.activation_bytes(TrainingSetup(model=LLAMA_7B, seq_len=2 * seq,
-                                              world=world))
+        config, topo = EngineConfig(model=LLAMA_7B), make_cluster(world)
+        a = mm.activation_bytes(TrainingSetup(config, topo, seq))
+        b = mm.activation_bytes(TrainingSetup(config, topo, 2 * seq))
         assert b == pytest.approx(2 * a, rel=1e-9)
 
     @settings(deadline=None, max_examples=15)
@@ -284,13 +284,13 @@ class TestMemoryModelProperties:
         seq=st.sampled_from([65536, 262144]),
         world=st.sampled_from([8, 32]),
         offload=st.booleans(),
-        head=st.sampled_from(["naive", "tiled", "fused"]),
+        head=st.sampled_from(["naive", "tiled-recompute", "fused"]),
     )
     def test_total_decomposes_and_positive(self, seq, world, offload, head):
         mm = MemoryModel()
         bd = mm.breakdown(TrainingSetup(
-            model=LLAMA_7B, seq_len=seq, world=world,
-            optimizer_offload=offload, head_mode=head,
+            EngineConfig(model=LLAMA_7B, head_impl=head), make_cluster(world),
+            seq, optimizer_offload=offload,
         ))
         parts = (bd.params + bd.grads + bd.optimizer + bd.activations
                  + bd.lm_head + bd.transient)
@@ -301,8 +301,10 @@ class TestMemoryModelProperties:
     @given(seq=st.sampled_from([65536, 262144]))
     def test_fused_head_never_worse(self, seq):
         mm = MemoryModel()
-        fused = mm.breakdown(TrainingSetup(model=LLAMA_7B, seq_len=seq,
-                                           world=8, head_mode="fused"))
-        naive = mm.breakdown(TrainingSetup(model=LLAMA_7B, seq_len=seq,
-                                           world=8, head_mode="naive"))
+        fused, naive = (
+            mm.breakdown(TrainingSetup(
+                EngineConfig(model=LLAMA_7B, head_impl=head), make_cluster(8),
+                seq))
+            for head in ("fused", "naive")
+        )
         assert fused.total <= naive.total

@@ -58,13 +58,14 @@ class TestReadmeSnippets:
         assert res.traffic is res.comm.log
 
     def test_perf_snippet(self):
+        from repro.engine import EngineConfig
         from repro.models import LLAMA_14B
-        from repro.perf import end_to_end_step
+        from repro.perf import EndToEndModel, TrainingSetup
         from repro.topology import make_cluster
 
-        r = end_to_end_step(LLAMA_14B, make_cluster(32), 1 << 20,
-                            method="burst", checkpoint="sequence_level",
-                            head_mode="fused")
+        config = EngineConfig(model=LLAMA_14B, method="burst", num_gpus=32)
+        r = EndToEndModel().step(
+            TrainingSetup(config, make_cluster(32), 1 << 20))
         # the README's headline numbers
         assert r.tgs == pytest.approx(106.1, rel=0.02)
         assert r.mfu == pytest.approx(0.465, rel=0.02)
@@ -107,14 +108,6 @@ class TestRemainingAccessors:
         expected = fsdp_step_traffic(engine.param_bytes, 4, replayed)
         assert res.fsdp.allgather_bytes == expected.allgather_bytes
         assert res.fsdp.reduce_scatter_bytes == expected.reduce_scatter_bytes
-
-    def test_model_spec_ffn_sizing(self):
-        from repro.models import LLAMA_7B, ModelSpec
-
-        assert LLAMA_7B.ffn == 11008  # LLaMA-1 7B's actual FFN width
-        explicit = ModelSpec(name="x", n_layers=1, n_heads=2, hidden=64,
-                             vocab=10, ffn_hidden=123)
-        assert explicit.ffn == 123
 
     def test_trace_timeline_sorted(self):
         from repro.perf.des import Simulator
@@ -1695,3 +1688,79 @@ class TestOneArtifactChecker:
 
         assert "check_artifact" in repro.obs.__all__
         assert [n for n in repro.obs.__all__ if n.startswith("validate_")] == []
+
+
+class TestOneRunDescription:
+    """One run description: the A800 pricing models read the
+    ``EngineConfig`` the engine runs.  The paper's models are
+    ``TransformerConfig`` values (no ``ModelSpec``), a ``TrainingSetup`` is
+    that config on a topology at a sequence length plus the four inputs
+    only pricing has, ``EndToEndModel`` prices a setup it is handed, and
+    no pricing dataclass restates the checkpoint policy or the head."""
+
+    _trees = staticmethod(TestOnePassDescription._trees)
+
+    def _perf(self):
+        return {
+            rel: tree for rel, tree in self._trees().items()
+            if rel.startswith("perf/")
+        }
+
+    def test_model_spec_is_defined_nowhere(self):
+        assert [
+            (rel, node.lineno) for rel, tree in self._trees().items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "ModelSpec"
+            or isinstance(node, ast.Name) and node.id == "ModelSpec"
+            or isinstance(node, ast.alias) and node.name == "ModelSpec"
+        ] == []
+
+    def test_no_pricing_dataclass_restates_the_policy_or_the_head(self):
+        def restated(stmt):
+            if not isinstance(stmt, ast.AnnAssign):
+                return False
+            name = getattr(stmt.target, "id", None)
+            if name in ("head_mode", "split_fraction"):
+                return True
+            return name == "checkpoint" and ast.unparse(stmt.annotation) == "str"
+
+        assert [
+            (rel, cls.name, stmt.target.id)
+            for rel, tree in self._perf().items()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body if restated(stmt)
+        ] == []
+
+    def test_one_policy_parse_under_perf(self):
+        """The step benchmark's worker hands ``predict_step_peak_saved_bytes``
+        policy strings; nothing else under ``perf/`` parses one."""
+        parses = [
+            (rel, scope) for rel, tree in self._perf().items()
+            for scope in _scopes(
+                tree,
+                lambda n: isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute) and n.func.attr == "parse"
+                and getattr(n.func.value, "id", None) == "CheckpointPolicy",
+            )
+        ]
+        assert parses == [("perf/memory.py", "predict_step_peak_saved_bytes")]
+
+    def test_the_step_prices_the_setup_it_is_handed(self):
+        from dataclasses import fields, is_dataclass
+
+        from repro.perf import EndToEndModel, TrainingSetup
+
+        builds = [
+            (rel, scope) for rel, tree in self._perf().items()
+            for scope in _scopes(
+                tree,
+                lambda n: isinstance(n, ast.Call)
+                and getattr(n.func, "id", None) == "TrainingSetup",
+            )
+        ]
+        assert builds == []
+        assert not is_dataclass(EndToEndModel)
+        assert [f.name for f in fields(TrainingSetup)] == [
+            "config", "topology", "seq_len", "zero_stage",
+            "optimizer_offload", "sparsity", "workload_balanced",
+        ]
