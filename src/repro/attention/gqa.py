@@ -15,9 +15,9 @@ The crossover is at ``g = 4/3``: for any real GQA model (g >= 2), the
 "unoptimised" Algorithm 1 moves **less** data than BurstAttention's
 rewrite.  :func:`choose_backward_algorithm` implements the resulting
 adaptive selection, and :func:`backward_comm_elems` exposes the closed
-forms the extension benchmark (``bench_ext_gqa.py``) sweeps — both are
-calls on the bundle layouts declared in :mod:`repro.comm.ring`, the ones
-the ring passes circulate.
+forms the ``ext-gqa`` experiment (``python -m repro.experiments ext-gqa``)
+sweeps — both are calls on the bundle layouts declared in
+:mod:`repro.comm.ring`, the ones the ring passes circulate.
 
 Numerics: :func:`gqa_attention_reference` is the dense oracle.  There is
 no GQA ring kernel: the ring-family passes (:mod:`repro.attention.ring`,

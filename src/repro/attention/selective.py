@@ -18,8 +18,8 @@ natural answer:
 With block-balanced partitions the dependency matrix is sparse exactly
 when the mask is block-sparse, so communication volume scales with the
 mask's live bandwidth (``O(N·w/G)`` for a window ``w``) instead of
-``O(N)`` — verified against the ring volumes in the tests and swept in
-``benchmarks/bench_ext_selective.py``.
+``O(N)`` — verified against the ring volumes in the tests and swept by
+``python -m repro.experiments ext-selective``.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Paper-experiment harness: one function per table / figure.
 
 Every entry regenerates the rows of one element of the paper's evaluation
-section from the repository's models (DES schedules, cost formulas, memory
-model).  ``run_all()`` produces the full set; the ``benchmarks/`` tree
-wraps each entry in pytest-benchmark and EXPERIMENTS.md records
-paper-vs-measured values.
+section (or one extension analysis) from the repository's models (DES
+schedules, cost formulas, memory model).  ``run_all()`` produces the full
+set, ``python -m repro.experiments <id>`` prints one, and ``CLAIMS`` holds
+the paper's values and the bounds the model's cells must meet.
 """
 
+from repro.experiments.claims import CLAIMS, check_claim
 from repro.experiments.common import (
     BASELINE_CONFIGS,
     ExperimentResult,
@@ -47,14 +48,15 @@ EXPERIMENTS = {
 ALL_EXPERIMENTS = {**EXPERIMENTS, **EXTENSION_EXPERIMENTS}
 
 
-def run_all(include_extensions: bool = False) -> dict[str, ExperimentResult]:
-    """Regenerate every table and figure; returns results keyed by id."""
-    registry = ALL_EXPERIMENTS if include_extensions else EXPERIMENTS
-    return {key: fn() for key, fn in registry.items()}
+def run_all() -> dict[str, ExperimentResult]:
+    """Regenerate every table, figure and extension; results keyed by id."""
+    return {key: fn() for key, fn in ALL_EXPERIMENTS.items()}
 
 
 __all__ = [
     "BASELINE_CONFIGS",
+    "CLAIMS",
+    "check_claim",
     "ExperimentResult",
     "METHOD_LABELS",
     "EXPERIMENTS",

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.engine import EngineConfig
+from repro.experiments.claims import paper
 from repro.experiments.common import (
     BASELINE_CONFIGS, FULL, SELECTIVE_PP, SEQUENCE_LEVEL, ExperimentResult, fmt,
 )
@@ -35,13 +36,7 @@ def tab02_ablation(
     num_gpus: int = 32,
     seq_len: int = 1 << 20,
 ) -> ExperimentResult:
-    """Table 2: contribution of each BurstEngine optimisation.
-
-    Expected shape: TGS rises monotonically down the stack (~1.4x base ->
-    full); the fused head cuts memory without hurting TGS; sequence-level
-    checkpointing buys a large TGS jump for a moderate memory increase,
-    while selective++ (the last row) is faster still but stores more.
-    """
+    """Table 2: contribution of each BurstEngine optimisation."""
     topo = make_cluster(num_gpus)
     rows = []
     base_tgs = None
@@ -60,7 +55,7 @@ def tab02_ablation(
               f"{num_gpus} x A800",
         headers=["configuration", "MFU_%", "TGS", "mem_GB", "vs_base"],
         rows=rows,
-        notes=["paper row TGS: 83.79 / 87.48 / 95.06 / 94.81 / 108.82 / 117.83"],
+        notes=["paper row TGS: " + " / ".join(map(fmt, paper("tab02:tgs-rises")))],
     )
 
 
@@ -74,11 +69,11 @@ def tab02_split_sweep(
 
     ``split_fraction`` is the share of each layer's sequence that is
     *recomputed* (the front); ``1 - split`` is stored.  Small fractions
-    approach selective++ (fast, heavy); large ones approach full
-    checkpointing (slow, light).  The paper picks 0.5; the sweep shows the
-    memory-throughput frontier it sits on.
+    approach selective++, large ones full checkpointing: the sweep is the
+    memory-throughput frontier the paper's operating point sits on.
     """
     topo = make_cluster(num_gpus)
+    split = SEQUENCE_LEVEL.split_fraction
     rows = []
     for frac in fractions or [0.125, 0.25, 0.5, 0.75, 0.875]:
         config = replace(BASELINE_CONFIGS["burst"], model=model,
@@ -94,8 +89,8 @@ def tab02_split_sweep(
               f"{seq_len // (1 << 20)}M, {num_gpus} x A800",
         headers=["recomputed_fraction", "TGS", "MFU_%", "mem_GB"],
         rows=rows,
-        notes=["paper's operating point: 0.5 (half of selective++'s memory, "
-               "~25% of full's attention recompute)"],
+        notes=[f"paper's operating point: {split} (half of selective++'s memory, "
+               f"~{split * split:.0%} of full's attention recompute)"],
     )
 
 
@@ -111,9 +106,9 @@ def tab03_sparse(
       partition and no balance: barriers make every step as slow as the
       slowest device, erasing the mask's savings (dense-cost attention);
     * **causal attention** — zigzag/striped balance: each device does the
-      causal half-work, ~1.7x faster;
+      causal half-work;
     * **SWA** — block-wise balanced sliding window (32K window): only
-      ``2w/N`` of the causal pairs remain, ~3.7x faster.
+      ``2w/N`` of the causal pairs remain.
     """
     topo = make_cluster(num_gpus)
     config = replace(BASELINE_CONFIGS["burst"], model=model)
@@ -136,5 +131,7 @@ def tab03_sparse(
               f"{seq_len // 1024}K tokens, {num_gpus} x A800",
         headers=["implementation", "TGS", "speedup"],
         rows=rows,
-        notes=["paper: 227.58 / 393.44 (1.72x) / 837.79 (3.68x)"],
+        notes=["paper: {} / {} ({}x) / {} ({}x)".format(*map(fmt, (
+            *paper("tab03:balance-raises-tgs")[:2], paper("tab03:speedups")[0],
+            paper("tab03:balance-raises-tgs")[2], paper("tab03:speedups")[1])))],
     )

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 from repro.engine import EngineConfig
+from repro.experiments.claims import paper
 from repro.experiments.common import FULL, ExperimentResult, METHOD_LABELS, fmt
 from repro.models import LLAMA_14B, model_name
 from repro.nn.modules import TransformerConfig
@@ -100,7 +101,8 @@ def fig14_attention_perf(
         rows=rows,
         notes=[
             "DeepSpeed-Ulysses infeasible: 40 heads % 32 GPUs != 0",
-            "paper reports 1.05x over USP and 1.33x over DoubleRing at 1M; "
+            f"paper reports {paper('fig14:usp-gap-at-1m'):.2f}x over USP and "
+            f"{paper('fig14:doublering-gap-at-1m'):.2f}x over DoubleRing at 1M; "
             "this model reproduces the ordering with a smaller DoubleRing gap",
         ],
     )

@@ -2,8 +2,8 @@
 
 Each experiment function returns an :class:`ExperimentResult` whose rows
 regenerate one table or figure of the paper; ``format()`` renders the
-paper-style text table and ``to_dict()`` a JSON-friendly record that
-EXPERIMENTS.md and the benchmarks consume.
+paper-style text table and ``to_dict()`` a JSON-friendly record of the
+same cells.
 
 Baseline configuration conventions (used across Fig. 12/13/14):
 

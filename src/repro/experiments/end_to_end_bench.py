@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro.experiments.claims import paper
 from repro.experiments.common import (
     BASELINE_CONFIGS,
     SELECTIVE_PP,
@@ -39,12 +40,7 @@ def _cell(model: TransformerConfig, num_gpus: int, seq: int, method: str):
 
 
 def fig12_end_to_end(grid=None) -> ExperimentResult:
-    """Fig. 12: end-to-end training throughput (TGS) and MFU.
-
-    Expected shape (as in the paper): BurstEngine wins every cell
-    (~1.15-1.25x over LoongTrain-USP); Megatron-CP OOMs everywhere (no
-    FSDP); DeepSpeed-Ulysses OOMs for 14B (head-count limit).
-    """
+    """Fig. 12: end-to-end training throughput (TGS) and MFU."""
     rows = []
     for model, gpus, seq in grid or FIG12_GRID:
         for method in METHODS:
@@ -69,13 +65,7 @@ def fig12_end_to_end(grid=None) -> ExperimentResult:
 
 
 def fig13_peak_memory(grid=None) -> ExperimentResult:
-    """Fig. 13: peak per-GPU memory for the same grid.
-
-    BurstEngine is lowest everywhere (fused head + sequence-level
-    checkpointing); at 64 GPUs it is the only system that fits, and its
-    footprint stays nearly flat as GPUs and sequence scale together —
-    near-linear scaling along the sequence dimension.
-    """
+    """Fig. 13: peak per-GPU memory for the same grid."""
     rows = []
     burst_vs_tuned: list[float] = []
     for model, gpus, seq in grid or FIG12_GRID:
@@ -90,9 +80,8 @@ def fig13_peak_memory(grid=None) -> ExperimentResult:
             totals[method] = r.memory.total_gb
             rows.append([cell, label, fmt(r.memory.total_gb, 1),
                          "OOM" if r.oom else "ok"])
-        # LoongTrain as shipped runs selective checkpointing++ (its
-        # speed-tuned mode) — the configuration the paper's 26.4%/24.2%
-        # savings are measured against.
+        # LoongTrain as shipped runs selective++ (its speed-tuned mode): the
+        # configuration the paper's savings are measured against.
         tuned = EndToEndModel().step(TrainingSetup(
             replace(BASELINE_CONFIGS["usp"], model=model,
                     checkpoint=SELECTIVE_PP),
@@ -103,18 +92,16 @@ def fig13_peak_memory(grid=None) -> ExperimentResult:
                      "OOM" if tuned.oom else "ok"])
         if "burst" in totals and not tuned.oom:
             burst_vs_tuned.append(1 - totals["burst"] / tuned.memory.total_gb)
-    notes = []
-    if burst_vs_tuned:
-        notes.append(
-            "BurstEngine saves "
-            + ", ".join(f"{s * 100:.1f}%" for s in burst_vs_tuned)
-            + " vs speed-tuned (selective++) LoongTrain-USP per setting "
-            "(paper: 26.4% at 7B/32GPU, 24.2% at 14B/32GPU)"
-        )
     return ExperimentResult(
         exp_id="fig13",
         title="Peak memory per GPU (GB)",
         headers=["setting", "method", "mem_GB", "fits_80GB"],
         rows=rows,
-        notes=notes,
+        notes=[
+            "BurstEngine saves "
+            + ", ".join(f"{s * 100:.1f}%" for s in burst_vs_tuned)
+            + " vs speed-tuned (selective++) LoongTrain-USP per setting "
+            "(paper: {:.1f}% at 7B/32GPU, {:.1f}% at 14B/32GPU)".format(
+                *paper("fig13:saving-pct")[:2])
+        ] if burst_vs_tuned else [],
     )

@@ -1,10 +1,9 @@
 """Extension experiments (beyond the paper's tables and figures).
 
-Three analyses quantifying this repository's extensions; the matching
-``benchmarks/bench_ext_*.py`` files wrap them in pytest-benchmark and the
-CLI renders them alongside the paper set::
+Four analyses quantifying this repository's extensions; the CLI renders
+them alongside the paper set and ``CLAIMS`` holds their bounds::
 
-    python -m repro.experiments ext-gqa ext-selective ext-tp
+    python -m repro.experiments ext-gqa ext-selective ext-tp ext-pp
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ memory), Fig. 8 (LM-head logits memory)."""
 from __future__ import annotations
 
 from repro.engine import EngineConfig
-from repro.experiments.common import ExperimentResult, fmt
+from repro.experiments.common import FULL, SELECTIVE_PP, SEQUENCE_LEVEL, ExperimentResult, fmt
 from repro.models import (
     LLAMA2_VOCAB, LLAMA3_VOCAB, LLAMA_7B, attention_fraction, model_name,
 )
@@ -23,9 +23,8 @@ def fig02_attention_share(
     """Fig. 2: share of end-to-end training time spent in attention.
 
     Attention FLOPs grow linearly in sequence length per token while the
-    dense layers are constant, so the share crosses 50% around 64K tokens
-    for a 7B model and exceeds 90% past 512K — the motivation for
-    attention-centric distributed optimisation.
+    dense layers are constant — the motivation for attention-centric
+    distributed optimisation.
     """
     seqs = seq_lens or DEFAULT_SEQS
     rows = []
@@ -46,16 +45,11 @@ def fig07_checkpoint_memory(
     world: int = 32,
     seq_lens: list[int] | None = None,
 ) -> ExperimentResult:
-    """Fig. 7: total stored-activation memory by checkpointing strategy.
-
-    All curves are linear in sequence length; selective++ stores ~2x the
-    full-checkpointing baseline, sequence-level (0.5 split) 1.5x — i.e. it
-    removes half of selective++'s overhead, the paper's "50% reduction".
-    """
+    """Fig. 7: total stored-activation memory by checkpointing strategy."""
     seqs = seq_lens or DEFAULT_SEQS
     configs = [
-        EngineConfig(model=model, checkpoint=CheckpointPolicy.parse(p))
-        for p in ("full", "sequence_level", "selective_pp", "none")
+        EngineConfig(model=model, checkpoint=policy) for policy in
+        (FULL, SEQUENCE_LEVEL, SELECTIVE_PP, CheckpointPolicy.parse("none"))
     ]
     topo = make_cluster(world)
     rows = [
@@ -72,7 +66,8 @@ def fig07_checkpoint_memory(
         rows=rows,
         notes=[
             "sequence-level stores (1 + 1 - split) x layer-input bytes: "
-            "half of selective++'s whitelist overhead at split=0.5",
+            "half of selective++'s whitelist overhead at "
+            f"split={SEQUENCE_LEVEL.split_fraction}",
         ],
     )
 

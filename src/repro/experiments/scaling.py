@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro.experiments.claims import paper
 from repro.experiments.common import BASELINE_CONFIGS, ExperimentResult, fmt
 from repro.models import LLAMA_14B, model_name
 from repro.nn.modules import TransformerConfig
@@ -18,10 +19,6 @@ def tab04_internode(
 ) -> ExperimentResult:
     """Table 4: scaling node count with 32K tokens per GPU.
 
-    Expected shape: MFU stays flat (>45%) as nodes and sequence grow
-    together, TGS halves per doubling (per-GPU work doubles with total
-    sequence length while throughput per token is constant), and memory
-    per GPU stays stable — near-linear sequence-dimension scaling.
     Optimizer offload is off (states fit once sharded over >=16 GPUs).
     """
     config = replace(BASELINE_CONFIGS["burst"], model=model)
@@ -41,7 +38,9 @@ def tab04_internode(
               f"{seq_per_gpu // 1024}K tokens/GPU",
         headers=["nodes", "sequence", "MFU_%", "TGS", "mem_GB"],
         rows=rows,
-        notes=["paper: 53.1/223.25/63.13 | 53.2/118.36/53.96 | 52.7/60.49/50.96"],
+        notes=["paper: " + " | ".join(f"{fmt(m, 1)}/{fmt(t)}/{fmt(g)}" for m, t, g in zip(
+            paper("tab04:mfu-under-paper"), paper("tab04:tgs-halves"),
+            paper("tab04:mem-falls")))],
     )
 
 
@@ -53,10 +52,9 @@ def tab05_intranode(
     """Table 5: context-parallel size 1..8 inside one 8 x A800 node.
 
     Optimizer offload is ON (the paper enables it because optimizer
-    states are huge at small world sizes).  Expected shape: MFU *rises*
-    with CP size (longer sequences raise the attention share, which runs
-    at higher arithmetic intensity than the small per-GPU batch pieces),
-    crossing 50% of the ideal at CP >= 4; memory stays roughly stable.
+    states are huge at small world sizes).  MFU rises with CP size: longer
+    sequences raise the attention share, which runs at higher arithmetic
+    intensity than the small per-GPU batch pieces.
     """
     config = replace(BASELINE_CONFIGS["burst"], model=model)
     rows = []
@@ -74,5 +72,6 @@ def tab05_intranode(
               "on 8 x A800 (optimizer offload on)",
         headers=["CP", "sequence", "MFU_%", "TGS", "mem_GB"],
         rows=rows,
-        notes=["paper: 47.34/1201.14 | 48.85/928.24 | 50.55/639.43 | 51.90/393.44"],
+        notes=["paper: " + " | ".join(f"{fmt(m)}/{fmt(t)}" for m, t in zip(
+            paper("tab05:mfu-under-paper"), paper("tab05:tgs-near-paper")))],
     )

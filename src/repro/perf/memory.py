@@ -77,8 +77,9 @@ class TrainingSetup:
     config: EngineConfig
     topology: ClusterTopology
     seq_len: int
-    #: ZeRO stage refinement: None derives 3 from ``config.fsdp=True`` / 0
-    #: from ``False``; explicit 1/2/3 shard optimizer / +grads / +params.
+    #: ZeRO stage: 1/2/3 shard the optimizer / +grads / +params (3 is
+    #: FSDP, whose layers gather); None resolves to 3 if ``config.fsdp``
+    #: else 0.
     zero_stage: int | None = None
     optimizer_offload: bool = False
     #: Fraction of the causal pairs attention computes (SWA etc.).
@@ -87,6 +88,10 @@ class TrainingSetup:
     workload_balanced: bool = True
 
     def __post_init__(self) -> None:
+        if self.zero_stage is None:
+            object.__setattr__(self, "zero_stage", 3 if self.config.fsdp else 0)
+        if self.zero_stage not in (0, 1, 2, 3):
+            raise ValueError(f"zero_stage must be 0..3, got {self.zero_stage}")
         if self.config.head_impl not in PRICED_HEADS:
             raise ValueError(f"head impl {self.config.head_impl!r} is not "
                              f"priced (priced: {', '.join(PRICED_HEADS)})")
@@ -178,12 +183,7 @@ class MemoryModel:
         shards stream there as they are produced, so on-GPU gradient
         memory is roughly one layer's worth rather than the full model.
         """
-        n = n_params(setup.model)
-        stage = setup.zero_stage
-        if stage is None:
-            stage = 3 if setup.config.fsdp else 0
-        if stage not in (0, 1, 2, 3):
-            raise ValueError(f"zero_stage must be 0..3, got {stage}")
+        n, stage = n_params(setup.model), setup.zero_stage
         g = setup.world
         params = n * BYTES_BF16 / (g if stage >= 3 else 1)
         if setup.optimizer_offload:
@@ -221,7 +221,7 @@ class MemoryModel:
                 bd.notes.append(
                     f"Ulysses degree limited to {eff} by {setup.model.n_heads} heads"
                 )
-        if not setup.config.fsdp:
+        if setup.zero_stage == 0:
             bd.notes.append("no FSDP: replicated parameters and optimizer states")
         if bd.oom:
             bd.notes.append(f"OOM: {bd.total_gb:.1f} GB > {bd.budget / GB:.0f} GB")

@@ -91,9 +91,9 @@ class EndToEndModel:
         return fwd, bwd
 
     def _fsdp_layer_time(self, setup: TrainingSetup, passes: int) -> float:
-        """Ring all-gather of one layer's parameter shard."""
+        """Ring all-gather of one layer's parameter shard (ZeRO-3 only)."""
         topo = setup.topology
-        if not setup.config.fsdp or topo.world_size == 1:
+        if setup.zero_stage < 3 or topo.world_size == 1:
             return 0.0
         layer_bytes = _block_weights(setup.model) * BYTES_BF16
         g = topo.world_size
@@ -108,7 +108,7 @@ class EndToEndModel:
         return matmul_time(flops, setup.topology.node.gpu.peak_flops, GEMM_EFFICIENCY)
 
     def _optimizer_time(self, setup: TrainingSetup) -> float:
-        shard = setup.topology.world_size if setup.config.fsdp else 1
+        shard = setup.topology.world_size if setup.zero_stage >= 1 else 1
         n = n_params(setup.model)
         state_bytes = n * 12 / shard
         if setup.optimizer_offload:

@@ -42,6 +42,10 @@ ANALYTIC_PINS = {
     (0.5, "full"): ("0x1.0000000000000p+31", "0x1.4d08e1847cf68p+0", "0x1.69243dd4d60d2p+2"),
     (0.5, "selective_pp"): ("0x1.0000000000000p+32", "0x1.0bdf855d31488p-1", "0x1.375df61f5cf89p+2"),
     (0.5, "sequence_level"): ("0x1.8000000000000p+31", "0x1.6f6c14c82371ap-1", "0x1.43cf880cbb3dbp+2"),
+    (0.75, "none"): ("0x1.1000000000000p+35", "0x0.0p+0", "0x1.15e20573b6cf8p+2"),
+    (0.75, "full"): ("0x1.0000000000000p+31", "0x1.4d08e1847cf68p+0", "0x1.69243dd4d60d2p+2"),
+    (0.75, "selective_pp"): ("0x1.0000000000000p+32", "0x1.0bdf855d31488p-1", "0x1.375df61f5cf89p+2"),
+    (0.75, "sequence_level"): ("0x1.4000000000000p+31", "0x1.ebdbc80dd2250p-1", "0x1.535d7e7571142p+2"),
 }
 
 #: policy -> (breakdown["fsdp_exposed"], step_time) for LLAMA_7B at 4 K
@@ -80,7 +84,7 @@ CURVE_PINS = {
 
 
 class TestModelsArePinned:
-    @pytest.mark.parametrize("split", [0.25, 0.5])
+    @pytest.mark.parametrize("split", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("policy", POLICIES)
     def test_activation_bytes_and_step_time(self, policy, split):
         act, recompute, step_time = ANALYTIC_PINS[(split, policy)]

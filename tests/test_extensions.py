@@ -29,7 +29,7 @@ from repro.comm import SimCommunicator, double_ring_schedule
 from repro.comm.ring import ALG1_BUNDLE, ALG2_BUNDLE, backward_bundle
 from repro.kernels import attention_reference, attention_reference_backward
 from repro.masks import CausalMask, SlidingWindowMask, sliding_window_block_mask
-from repro.partition import ContiguousPartitioner, StripedPartitioner
+from repro.partition import BlockwisePartitioner, ContiguousPartitioner, StripedPartitioner
 from repro.topology import a800_node, make_cluster
 
 
@@ -258,9 +258,12 @@ class TestSelectiveCommunication:
         assert savings == pytest.approx(1 - 7 / 56)
 
     def test_striped_partition_kills_savings(self):
-        """Balance vs locality trade-off: striped shards touch everything."""
-        idxs = StripedPartitioner().indices(self.N, 8)
-        assert communication_savings(SlidingWindowMask(16), idxs) == 0.0
+        """Balance vs locality trade-off: striped and blockwise shards touch
+        everything, where contiguous ones save most of the ring."""
+        for part in (StripedPartitioner(), BlockwisePartitioner(block_size=self.N // 8)):
+            idxs = part.indices(self.N, 8)
+            assert communication_savings(SlidingWindowMask(16), idxs) == 0.0
+            assert communication_savings(SlidingWindowMask(self.N // 8), idxs) == 0.0
 
     @pytest.mark.parametrize(
         "mask", [None, CausalMask(), SlidingWindowMask(16)],

@@ -8,6 +8,7 @@ from repro.masks import CausalMask, SlidingWindowMask
 from repro.models import LLAMA_7B, LLAMA_14B
 from repro.nn import Adam, CheckpointPolicy, TransformerConfig, TransformerLM
 from repro.nn.checkpoint import CheckpointMode
+from repro.perf import EndToEndModel
 from repro.perf.memory import MemoryModel, TrainingSetup
 from repro.topology import a800_node, make_cluster
 
@@ -119,8 +120,21 @@ class TestZeroStages:
         assert fsdp.total == stage3.total
 
     def test_invalid_stage(self):
-        with pytest.raises(ValueError):
-            self._bd(4)
+        with pytest.raises(ValueError, match="zero_stage must be 0..3"):
+            TrainingSetup(EngineConfig(model=LLAMA_7B), make_cluster(32), 262144,
+                          zero_stage=4)
+
+    def test_one_stage_shards_memory_and_time(self):
+        """A ``zero_stage`` beside ``fsdp=False`` is the stage the time model
+        reads too: the optimizer step shards 32-way with the states and the
+        layers gather, so the step prices as the FSDP config's does."""
+        topo = make_cluster(32)
+        stage3, fsdp = (EndToEndModel().step(TrainingSetup(
+            EngineConfig(model=LLAMA_14B, fsdp=fsdp), topo, 1 << 20, zero_stage=stage))
+            for fsdp, stage in ((False, 3), (True, None)))
+        assert stage3.breakdown["optimizer"] == pytest.approx(0.00256, rel=1e-3)
+        assert stage3.step_time == fsdp.step_time
+        assert stage3.memory.total == fsdp.memory.total
 
     def test_stage1_alone_insufficient_for_megatron_case(self):
         """Even ZeRO-1 leaves replicated 14B bf16 params+grads at ~56 GB —

@@ -122,6 +122,7 @@ class TestCostAccounting:
         naive = naive_lm_head_loss(h, w, y)
         tiled = tiled_lm_head_loss(h, w, y, block_seq=8, block_vocab=16)
         fused = fused_lm_head_loss(h, w, y, block_seq=8, block_vocab=16)
+        assert fused.stats.peak_resident_bytes == 0
         assert fused.stats.peak_resident_bytes < tiled.stats.peak_resident_bytes
         assert tiled.stats.peak_resident_bytes < naive.stats.peak_resident_bytes
         assert naive.stats.peak_resident_bytes == 64 * 128 * 8

@@ -1764,3 +1764,57 @@ class TestOneRunDescription:
             "config", "topology", "seq_len", "zero_stage",
             "optimizer_offload", "sparsity", "workload_balanced",
         ]
+
+
+class TestOnePaperClaimsTable:
+    """The paper's claims as one table: ``CLAIMS`` is the one place a paper
+    value or a bound on an experiment's cells is written, every experiment
+    has a row, ``python -m repro.experiments <id>`` is the one way to
+    regenerate a figure (no pytest-benchmark wrapper restates it), and no
+    note spells a paper value the table holds."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_no_figure_wrapper_or_record_table(self):
+        wrappers = [
+            path.name for pattern in ("bench_fig*", "bench_tab*", "bench_ext_*")
+            for path in (self.ROOT / "benchmarks").rglob(pattern + ".py")
+        ]
+        named = [
+            (path.relative_to(self.ROOT).as_posix(), node.lineno)
+            for top in ("src", "tests", "benchmarks", "examples")
+            for path in sorted((self.ROOT / top).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if "record_table" in (getattr(node, "id", None), getattr(node, "name", None),
+                                  getattr(node, "arg", None))
+        ]
+        assert (wrappers, named) == ([], [])
+
+    def test_every_experiment_has_a_row(self):
+        from repro.experiments import ALL_EXPERIMENTS, CLAIMS
+
+        assert len(ALL_EXPERIMENTS) == 16
+        assert set(ALL_EXPERIMENTS) == {claim.exp for claim in CLAIMS}
+        assert len({claim.id for claim in CLAIMS}) == len(CLAIMS)
+        assert all(c.deviation is None or c.deviation.startswith(
+            ("attributed: ", "not explained: ")) for c in CLAIMS)
+
+    def test_no_note_spells_a_paper_value(self):
+        from repro.experiments import CLAIMS
+
+        values = {
+            repr(v) for claim in CLAIMS if claim.paper is not None
+            for v in (claim.paper if isinstance(claim.paper, tuple) else (claim.paper,))
+            if v is not None
+        }
+        spelled = [
+            (path.name, node.lineno, value)
+            for path in sorted((self.ROOT / "src/repro/experiments").glob("*.py"))
+            for call in ast.walk(ast.parse(path.read_text()))
+            if isinstance(call, ast.Call)
+            for kw in call.keywords if kw.arg == "notes"
+            for node in ast.walk(kw.value)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for value in values if value in node.value
+        ]
+        assert values and spelled == []
