@@ -1,7 +1,8 @@
-"""Vocab-parallel LM head as an engine-installable autograd node.
+"""Vocab-parallel LM head as the engine's head node.
 
-Wraps :func:`repro.lmhead.distributed.vocab_parallel_fused_loss` so the
-end-to-end engine can shard the vocabulary matrix across ranks
+Runs :func:`repro.lmhead.distributed.vocab_parallel_fused_loss` inside
+the model's final-norm + head + loss node so the end-to-end engine can
+shard the vocabulary matrix across ranks
 (``EngineConfig(head_impl="vocab-parallel")``): the Algorithm-3 tile loop
 runs per vocab shard, two small all-reduces (row LSEs and dH partials)
 merge the shards, and the logged traffic is independent of the vocabulary
@@ -14,37 +15,20 @@ import numpy as np
 
 from repro.comm import SimCommunicator
 from repro.lmhead.distributed import shard_vocab, vocab_parallel_fused_loss
-from repro.nn.function import Function
-from repro.nn.tensor import Tensor
+from repro.nn.modules import FusedLMHeadLossFn
 
 
-class VocabParallelHeadLossFn(Function):
-    """Scalar CE loss with the vocab matrix sharded across the cluster."""
+class VocabParallelHeadLossFn(FusedLMHeadLossFn):
+    """Scalar CE loss with the vocab matrix sharded across the cluster;
+    the final norm folds in as in every head node (only :meth:`_head`
+    differs)."""
 
-    def forward(self, h, w, targets=None, comm: SimCommunicator = None,
-                block_seq: int = 128):
+    def _head(self, n, w, targets, comm: SimCommunicator = None,
+              block_seq: int = 128):
         if comm is None:
             raise ValueError("vocab-parallel head requires comm=")
-        shards = shard_vocab(w, comm.world_size)
         loss, dh, dw_shards = vocab_parallel_fused_loss(
-            comm, h, shards, np.asarray(targets), block_seq=block_seq
+            comm, n, shard_vocab(w, comm.world_size), np.asarray(targets),
+            block_seq=block_seq,
         )
-        self.save_for_backward(dh, np.concatenate(dw_shards, axis=0))
-        return np.asarray(loss)
-
-    def backward(self, grad_out):
-        dh, dw = self.saved
-        g = float(grad_out)
-        return g * dh, g * dw
-
-
-def install_vocab_parallel_head(model, comm: SimCommunicator,
-                                block_seq: int = 128) -> None:
-    """Point ``model.head_fn`` at the distributed head."""
-
-    def head_fn(h: Tensor, weight: Tensor, targets: np.ndarray) -> Tensor:
-        return VocabParallelHeadLossFn.apply(
-            h, weight, targets=targets, comm=comm, block_seq=block_seq
-        )
-
-    model.head_fn = head_fn
+        return loss, dh, np.concatenate(dw_shards, axis=0), 0

@@ -117,9 +117,10 @@ class BurstEngine:
 
         self.model = TransformerLM(model_cfg, attn_factory=attn_factory)
         if config.head_impl == "vocab-parallel":
-            from repro.engine.distributed_head import install_vocab_parallel_head
+            from repro.engine.distributed_head import VocabParallelHeadLossFn
 
-            install_vocab_parallel_head(self.model, self.comm)
+            self.model.head_node = VocabParallelHeadLossFn
+            self.model.head_kwargs = {"comm": self.comm}
         self.optimizer = Adam(self.model.parameters(), lr=config.lr)
         self.step_count = 0
 
@@ -179,8 +180,8 @@ class BurstEngine:
         method.
 
         Nothing outside the blocks is read again: the embeddings' backward
-        is a scatter-add, the LM head forms its gradients in its forward
-        (Alg. 3), and the final norm's node holds its weight by reference.
+        is a scatter-add, and the head node forms its gradients and the
+        final norm's folded into it in its forward (Alg. 3).
         """
         return [
             p for block in self.model.blocks if block.policy.replays

@@ -55,10 +55,6 @@ class ExperimentResult:
             "notes": self.notes,
         }
 
-    def column(self, name: str) -> list[object]:
-        idx = self.headers.index(name)
-        return [row[idx] for row in self.rows]
-
 
 #: The checkpoint policies the cells run.
 FULL = CheckpointPolicy(CheckpointMode.FULL)

@@ -25,7 +25,6 @@ from repro.masks import CausalMask, MaskPattern
 from repro.nn import ops
 from repro.nn.attention_fn import AttentionFn, FFNTail
 from repro.nn.checkpoint import CheckpointPolicy
-from repro.nn.function import Function
 from repro.nn.memory import get_tracker
 from repro.nn.mlp_fn import blockwise_mlp
 from repro.nn.rng import draw_seed
@@ -329,33 +328,51 @@ class TransformerBlock(Module):
             return self._body(x, seed)
 
 
-class FusedLMHeadLossFn(Function):
-    """Autograd node running one of the :mod:`repro.lmhead` implementations.
+class FusedLMHeadLossFn(ops.PreNormFn):
+    """The final RMSNorm, the LM head and the loss as one autograd node.
 
-    All three implementations already produce ``(loss, dH, dW)``; the node
-    saves the gradients and scales them by the upstream gradient.  The
-    implementation's *resident* footprint (full logits for naive, Lse for
-    tiled, nothing for fused) is registered with the tracker so measured
-    peaks reflect the head choice — this is the Fig. 8 / Table 2 effect.
+    Applied as ``apply(x, x, x, final_norm.weight, lm_head.weight,
+    targets=…, eps=…, impl=…)`` on the last block's output ``x``.  Every
+    head implementation produces ``(loss, dH, dW)`` in its forward
+    (:meth:`_head`), so the node runs it on ``n = norm(x)`` and, still in
+    the forward, turns ``dH`` into ``x``'s gradient and the norm weight's
+    with the norm's backward (:meth:`~repro.nn.ops.PreNormFn._norm_backward`),
+    adding ``x``'s three terms in the order the graph added them.  It
+    saves those gradients — ``dx`` (S·D), ``dW`` (V·D) and the norm
+    weight's (D) — not the norm's input and row, and its backward only
+    scales them by the upstream gradient: bitwise the ``RMSNormFn`` →
+    head pair it replaced when that gradient is a power of two (one
+    scalar multiply commutes exactly with the norm's backward then), and
+    within rounding otherwise.
+
+    The implementation's *resident* footprint (full logits for naive,
+    Lse for tiled, nothing for fused) is registered with the tracker so
+    measured peaks reflect the head choice — the Fig. 8 / Table 2 effect.
     """
 
-    def forward(self, h, w, targets=None, impl="fused", reduction="mean", **kw):
-        fn = HEAD_IMPLEMENTATIONS[impl]
-        res = fn(h, w, targets, reduction=reduction, **kw)
-        self.save_for_backward(res.dh, res.dw)
+    def forward(self, *args, targets=None, eps: float, **kw):
+        x, ms, (w,) = self._norm_inputs(args, eps)
+        loss, dn, dw, resident = self._head(self._normed(x, ms), w, targets, **kw)
+        dx, half, _, dw_norm = self._norm_backward(dn, x, ms)
+        dx += half
+        dx += half
+        self.save_for_backward(dx, dw_norm, dw)
         # Registering under no_grad would leak the handle: eval passes
         # never run backward, so nothing would ever release it.
         self._resident = None
         if is_grad_enabled():
-            self._resident = get_tracker().register(
-                res.stats.peak_resident_bytes, site="head.resident"
-            )
-        return np.asarray(res.loss)
+            self._resident = get_tracker().register(resident, site="head.resident")
+        return np.asarray(loss)
+
+    def _head(self, n, w, targets, impl="fused", **kw):
+        """``(loss, dH, dW, resident bytes)`` of the head on ``n``."""
+        res = HEAD_IMPLEMENTATIONS[impl](n, w, targets, **kw)
+        return res.loss, res.dh, res.dw, res.stats.peak_resident_bytes
 
     def backward(self, grad_out):
-        dh, dw = self.saved
+        dx, dw_norm, dw = self.saved
         g = float(grad_out)
-        return g * dh, g * dw
+        return g * dx, None, None, g * dw_norm, g * dw
 
     def release_saved(self) -> None:
         # Runs right after backward (and on graph drop), covering every
@@ -403,18 +420,23 @@ class TransformerConfig:
 class TransformerLM(Module):
     """Tiny LLaMA-style language model for end-to-end training tests.
 
-    ``forward(ids, targets)`` returns the scalar loss Tensor (the LM head
-    and loss are always fused into one node — the head implementation
-    string picks naive / tiled-recompute / fused cost behaviour while the
-    numerics are identical).
+    ``forward(ids, targets)`` returns the scalar loss Tensor: the final
+    norm, the LM head and the loss are one node, :attr:`head_node`
+    (:class:`FusedLMHeadLossFn`), which reads the last block's output
+    with ``final_norm`` folded in; the head implementation string picks
+    naive / tiled-recompute / fused cost behaviour while the numerics are
+    identical.  Only :meth:`logits` (inference) calls ``final_norm``.
     """
+
+    #: The final-norm + head + loss node a training forward builds; the
+    #: engine swaps in its vocab-parallel node.
+    head_node = FusedLMHeadLossFn
 
     def __init__(self, config: TransformerConfig, attn_factory=None):
         self.config = config
-        #: Optional override for the head+loss computation, called as
-        #: ``head_fn(h, weight, targets) -> Tensor`` (scalar loss).  The
-        #: engine uses this to install distributed (vocab-parallel) heads.
-        self.head_fn = None
+        #: What :attr:`head_node` is applied with besides ``targets`` and
+        #: ``eps``.
+        self.head_kwargs = {"impl": config.head_impl}
         if config.layer_masks is not None and len(config.layer_masks) != config.n_layers:
             raise ValueError(
                 f"layer_masks has {len(config.layer_masks)} entries for "
@@ -464,6 +486,7 @@ class TransformerLM(Module):
             block.set_policy(policy)
 
     def hidden_states(self, ids: np.ndarray) -> Tensor:
+        """The last block's output, before ``final_norm``."""
         s = len(ids)
         if s > self.config.max_seq_len:
             raise ValueError(
@@ -476,21 +499,19 @@ class TransformerLM(Module):
         for i, block in enumerate(self.blocks):
             with memory_scope(layer=i):
                 x = block(x)
-        with memory_scope(layer="final_norm"):
-            return self.final_norm(x)
+        return x
 
     def forward(self, ids: np.ndarray, targets: np.ndarray) -> Tensor:
-        h = self.hidden_states(ids)
-        if self.head_fn is not None:
-            return self.head_fn(h, self.lm_head.weight, np.asarray(targets))
-        return FusedLMHeadLossFn.apply(
-            h, self.lm_head.weight, targets=np.asarray(targets),
-            impl=self.config.head_impl,
+        inputs, kwargs = ops.pre_norm_inputs(self.hidden_states(ids),
+                                             self.final_norm)
+        return self.head_node.apply(
+            *inputs, self.lm_head.weight, targets=np.asarray(targets),
+            **kwargs, **self.head_kwargs,
         )
 
     def logits(self, ids: np.ndarray) -> Tensor:
         """Full logits (inference / tests only — the Fig. 8 memory wall)."""
-        return self.lm_head(self.hidden_states(ids))
+        return self.lm_head(self.final_norm(self.hidden_states(ids)))
 
     def generate(
         self,

@@ -90,8 +90,12 @@ class PreNormFn(Function):
     norm's (:meth:`_norm_backward`).  So a norm followed by its only
     reader costs one saved ``(S, D)`` array, not two, and values and
     gradients are the two nodes' bits.  The folded readers are a block's
-    attention node (:class:`~repro.nn.attention_fn.AttentionFn`) and the
-    fused FFN (:class:`~repro.nn.mlp_fn.BlockwiseMLPFn`).
+    attention node (:class:`~repro.nn.attention_fn.AttentionFn`), the
+    fused FFN (:class:`~repro.nn.mlp_fn.BlockwiseMLPFn`) and the model's
+    head node (:class:`~repro.nn.modules.FusedLMHeadLossFn`), which runs
+    the norm's backward in its forward and saves ``x``'s gradient
+    instead of ``x`` and the row (the pair's bits when the upstream
+    gradient is a power of two).
 
     The RMSNorm expressions are written here once: :class:`RMSNormFn`
     is this node with nothing after the norm.  Its forward runs the op
@@ -253,9 +257,9 @@ class RMSNormFn(PreNormFn):
 
     It saves ``x`` and the ``(S, 1)`` row ``ms`` (``S·D + S`` elements)
     and is bitwise the six-node composite it replaced, forward and
-    gradients.  A model reaches it only where the norm's output has more
-    than one reader or its reader is not a :class:`PreNormFn` (the final
-    norm); elsewhere the norm is folded into its reader.
+    gradients.  No training forward of the model reaches it: every norm
+    folds into the node that reads it (only inference,
+    ``TransformerLM.logits``, calls the final norm as a module).
     """
 
     def forward(self, *args, eps: float = 1e-6):

@@ -285,14 +285,6 @@ def swiglu_chunked_transient_bytes(
 # to these numbers.
 
 
-def rms_norm_saved_elems(seq_len: int, dim: int) -> int:
-    """Elements a standalone RMSNorm saves — the model's final norm: its
-    one :class:`~repro.nn.ops.RMSNormFn` node keeps ``x`` (SD) and the
-    ``mean(x²) + eps`` row (S); the weight is a parameter, held by
-    reference."""
-    return seq_len * dim + seq_len
-
-
 def node_kept_elems(
     seq_len: int,
     dim: int,
@@ -330,15 +322,19 @@ def node_kept_elems(
 def lm_head_saved_bytes_live(
     seq_len: int, dim: int, vocab: int, head_impl: str = "fused"
 ) -> int:
-    """Bytes the LM-head loss node registers: the saved ``(dH, dW)``
-    gradients plus the implementation's resident footprint (full logits
-    for naive, lse rows for tiled-recompute, nothing for fused — the
-    Fig. 8 effect, measured)."""
-    saved = (seq_len * dim + vocab * dim) * BYTES_F64
+    """Bytes the final-norm + LM-head loss node registers
+    (:class:`~repro.nn.modules.FusedLMHeadLossFn`): the gradients it
+    produces in its forward — the last block output's (S·D), the head
+    weight's (V·D) and the final norm weight's (D) — plus the
+    implementation's resident footprint (full logits for naive, lse rows
+    for tiled-recompute, nothing for fused — the Fig. 8 effect,
+    measured).  The vocab-parallel head registers the fused one's."""
+    saved = (seq_len * dim + vocab * dim + dim) * BYTES_F64
     resident = {
         "naive": seq_len * vocab * BYTES_F64,
         "tiled-recompute": seq_len * BYTES_F64,
         "fused": 0,
+        "vocab-parallel": 0,
     }
     try:
         return saved + resident[head_impl]
@@ -364,10 +360,12 @@ def predict_step_peak_saved_bytes(
     """Byte-exact peak of ``MemoryTracker.peak_saved_bytes`` over one step.
 
     Every layer's node keeps :func:`node_kept_elems`'s keep-set from its
-    forward to its backward.  The forward's end holds every layer's keep,
-    the final norm and the head; the deepest backward holds every layer's
-    keep and the rows the last layer rebuilds (the head and the final
-    norm are released by then); the prediction is the max of both.
+    forward to its backward.  The forward's end holds every layer's keep
+    and the head node's gradients (:func:`lm_head_saved_bytes_live`; the
+    final norm is folded into that node and keeps nothing of its own);
+    the deepest backward holds every layer's keep and the rows the last
+    layer rebuilds (the head node is released by then); the prediction
+    is the max of both.
     ``rebuilds_context=False`` is Ulysses / USP.  An unknown
     ``checkpoint`` or an out-of-range ``split_fraction`` raises
     ``ValueError``.
@@ -380,9 +378,8 @@ def predict_step_peak_saved_bytes(
         seq_len, dim, n_heads, policy, kv_dim=kv_dim,
         rebuilds_context=rebuilds_context,
     )
-    norm = rms_norm_saved_elems(seq_len, dim)
     head = lm_head_saved_bytes_live(seq_len, dim, vocab, head_impl)
-    forward_peak = (n_layers * kept + norm) * BYTES_F64 + head
+    forward_peak = n_layers * kept * BYTES_F64 + head
     backward_peak = (n_layers * kept + rebuilt) * BYTES_F64
     return {
         "peak_saved_bytes": max(forward_peak, backward_peak),

@@ -71,14 +71,16 @@ FSDP_BOUND_PINS = {
 #: rebuild a layer keeps ``O`` and its head-layout context ``q``, ``k``,
 #: ``v``, ``lse`` under ``none`` and only ``x`` under every other policy,
 #: whose backward rebuilds the whole forward (the deepest backward binds).
+#: The forward's end adds the head node's gradients, the final norm
+#: folded in: ``(S·D + V·D + D)·8`` bytes.
 CURVE_PINS = {
-    (0.25, True): {"none": 138896, "full": 100880,
-                   "selective_pp": 138896, "sequence_level": 129680},
-    (0.25, False): {"none": 240272, "full": 103488,
+    (0.25, True): {"none": 121728, "full": 83712,
+                   "selective_pp": 121728, "sequence_level": 112512},
+    (0.25, False): {"none": 223104, "full": 103488,
                     "selective_pp": 103488, "sequence_level": 103488},
-    (0.5, True): {"none": 138896, "full": 100880,
-                  "selective_pp": 138896, "sequence_level": 119888},
-    (0.5, False): {"none": 240272, "full": 103488,
+    (0.5, True): {"none": 121728, "full": 83712,
+                  "selective_pp": 121728, "sequence_level": 102720},
+    (0.5, False): {"none": 223104, "full": 103488,
                    "selective_pp": 103488, "sequence_level": 103488},
 }
 

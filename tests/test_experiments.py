@@ -50,13 +50,6 @@ class TestHarnessMechanics:
         assert main([]) == 0
         assert capsys.readouterr().out == GOLDEN.read_text()
 
-    def test_column_accessor(self):
-        res = fig02_attention_share()
-        col = res.column("seq_len")
-        assert col[0] == "8K"
-        with pytest.raises(ValueError):
-            res.column("nope")
-
 
 @cache
 def _result(exp_id):

@@ -279,13 +279,15 @@ QUICKSTART = dict(seq_len=128, dim=32, n_layers=2, n_heads=4,
 #: intermediate (rebuilt) are registered.  The ring-family cells peak at
 #: the forward's end (``none`` and ``selective_pp`` alike: both keep every
 #: row); the replaying Ulysses cell peaks in its last layer's rebuild.
+#: The forward's end adds the head node's gradients, the final norm
+#: folded in (no ``RMSNormFn`` registers).
 PEAK_PINS = {
-    ("burst", "none"): 238_592,
-    ("burst", "full"): 164_864,
-    ("burst", "selective_pp"): 238_592,
-    ("burst", "sequence_level"): 201_728,
-    ("megatron-cp", "full"): 164_864,
-    ("ulysses", "none"): 435_200,
+    ("burst", "none"): 205_056,
+    ("burst", "full"): 131_328,
+    ("burst", "selective_pp"): 205_056,
+    ("burst", "sequence_level"): 168_192,
+    ("megatron-cp", "full"): 131_328,
+    ("ulysses", "none"): 401_664,
     ("ulysses", "sequence_level"): 200_704,
 }
 
@@ -330,7 +332,7 @@ def test_policy_curve_matches_observed():
 
 
 @pytest.mark.parametrize("policy,expected", [
-    ("none", 238_592), ("sequence_level", 201_728),
+    ("none", 205_056), ("sequence_level", 168_192),
 ], ids=["none", "sequence_level"])
 def test_chunked_mlp_saved_bytes_match_closed_form(policy, expected):
     """The chunked cells save what the dense ones do: every layer's FFN
@@ -347,7 +349,7 @@ def test_chunked_mlp_saved_bytes_match_closed_form(policy, expected):
 def test_chunked_mlp_transient_site_matches_closed_form():
     cell = _memdiff_cell("burst", "sequence_level", "unidirectional", 128,
                          chunk=32)
-    assert cell["observed"] == 201_728  # the dense cell's: the FFN keeps nothing
+    assert cell["observed"] == 168_192  # the dense cell's: the FFN keeps nothing
     assert cell["observed"] == cell["predicted"]["peak_saved_bytes"]
     observed = _site_peak(cell["events"], "mlp.chunked_bwd")
     assert observed == swiglu_chunked_transient_bytes(128, 32, 64, 32)
@@ -457,7 +459,7 @@ def test_trainer_memory_budget_integration():
     limit = predict_step_peak_saved_bytes(
         seq_len=128, dim=32, n_layers=2, n_heads=4, ffn_hidden=64, vocab=128,
     )["peak_saved_bytes"]
-    assert limit == 201_728
+    assert limit == 168_192
     budget = MemoryBudget(limit_bytes=limit, raise_on_breach=True)
     trainer = Trainer(engine=engine, memory_budget=budget)
     with pytest.raises(MemoryBudgetExceeded):
@@ -601,5 +603,5 @@ def test_cli_memdiff_budget_breach_fails_loudly(tmp_path):
     assert len(bundles) == 1
     doc = check_artifact(bundles[0].read_text(), "oom/v1")
     # the default budget: the step's closed-form saved peak
-    assert doc["budget"]["limit_bytes"] == 201_728
+    assert doc["budget"]["limit_bytes"] == 168_192
     assert doc["budget"]["watermark_bytes"] > doc["budget"]["limit_bytes"]

@@ -1023,10 +1023,11 @@ class TestOneBlockNode:
 
 class TestOneRMSNorm:
     """The RMSNorm expressions are written once, in ``ops.PreNormFn``
-    (``RMSNormFn`` and the two nodes that fold a norm in all inherit
-    them), and a block builds no standalone norm node in front of a fused
-    reader: it hands ``norm1`` / ``norm2`` on to its one node.  Only the
-    model's final norm is a node of its own."""
+    (``RMSNormFn`` and the three nodes that fold a norm in all inherit
+    them), and no training forward builds a standalone norm node in front
+    of a fused reader: a block hands ``norm1`` / ``norm2`` on to its one
+    node and the model hands ``final_norm`` on to its head node.  Only
+    inference (``TransformerLM.logits``) calls a norm module."""
 
     @staticmethod
     def _found(match):
@@ -1078,11 +1079,11 @@ class TestOneRMSNorm:
         assert self._found(applies_norm_node) == {("nn/ops.py", "rms_norm")}
         assert self._found(calls("rms_norm")) == {
             ("nn/modules.py", "RMSNorm.forward")}
-        # a norm module is called only as the model's final norm; the
-        # block only hands its two norms on
+        # a norm module is called only by inference; the block hands its
+        # two norms on, the training forward the final one
         assert self._found(calls("norm")) == set()
         assert self._found(calls("final_norm")) == {
-            ("nn/modules.py", "TransformerLM.hidden_states")}
+            ("nn/modules.py", "TransformerLM.logits")}
         for name in ("norm1", "norm2"):
             assert self._found(calls(name)) == set()
         handed_on = self._found(
@@ -1091,6 +1092,41 @@ class TestOneRMSNorm:
             and n.value.attr in ("norm1", "norm2")
         )
         assert handed_on == {("nn/modules.py", "TransformerBlock._body")}
+        final_handed_on = self._found(
+            lambda n: calls("pre_norm_inputs")(n) and any(
+                isinstance(a, ast.Attribute) and a.attr == "final_norm"
+                for a in n.args)
+        )
+        assert final_handed_on == {("nn/modules.py", "TransformerLM.forward")}
+
+    def test_the_head_folds_the_final_norm_once(self):
+        """The head node's norm backward is ``PreNormFn._norm_backward``,
+        called by each folding node and defined nowhere else, and the
+        engine's vocab-parallel head inherits the fold: it replaces only
+        the step that produces ``(loss, dH, dW)``."""
+        from repro.engine.distributed_head import VocabParallelHeadLossFn
+        from repro.nn.modules import FusedLMHeadLossFn
+        from repro.nn.ops import PreNormFn
+
+        def defines(name):
+            return lambda n: isinstance(n, ast.FunctionDef) and n.name == name
+
+        def calls_norm_backward(n):
+            return (isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "_norm_backward")
+
+        assert self._found(defines("_norm_backward")) == {("nn/ops.py", "PreNormFn")}
+        assert self._found(calls_norm_backward) == {
+            ("nn/ops.py", "RMSNormFn.backward"),
+            ("nn/attention_fn.py", "AttentionFn.backward"),
+            ("nn/mlp_fn.py", "BlockwiseMLPFn._ffn_backward"),
+            ("nn/modules.py", "FusedLMHeadLossFn.forward"),
+        }
+        assert issubclass(FusedLMHeadLossFn, PreNormFn)
+        assert issubclass(VocabParallelHeadLossFn, FusedLMHeadLossFn)
+        assert {name for name, value in vars(VocabParallelHeadLossFn).items()
+                if callable(value)} == {"_head"}
 
 
 class TestSavedActivationsRegisteredOnce:

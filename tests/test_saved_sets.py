@@ -23,6 +23,14 @@
   row), never the normed copy, and is held bitwise to the literal
   ``RMSNormFn`` → node pair.  In a block the fused FFN and ``norm2`` fold
   further, into the attention node, which then saves no more.
+* The model's final norm folds into the LM-head node
+  (:class:`~repro.nn.modules.FusedLMHeadLossFn`, the engine's
+  ``VocabParallelHeadLossFn``), which saves the gradients it produced in
+  its forward — ``x``'s, the head weight's and the norm weight's — and is
+  held to the ``RMSNormFn`` → head chain of ``tests/head_chain.py``: bit
+  for bit at a power-of-two upstream gradient, within a declared drift
+  otherwise.  A training step's measured peak is
+  ``predict_step_peak_saved_bytes``'s, to the byte.
 """
 
 import numpy as np
@@ -30,22 +38,29 @@ import pytest
 
 from repro.attention import get_method
 from repro.comm import SimCommunicator
-from repro.engine import DistributedCausalSelfAttention
+from repro.engine import BurstEngine, DistributedCausalSelfAttention, EngineConfig
+from repro.engine.distributed_head import VocabParallelHeadLossFn
 from repro.nn import CausalSelfAttention, RMSNorm, Tensor, ops
 from repro.nn.attention_fn import flash_attention
 from repro.nn.function import Function
 from repro.nn.memory import get_tracker, reset_tracker
 from repro.nn.mlp_fn import blockwise_mlp
-from repro.nn.modules import TransformerBlock, TransformerConfig, TransformerLM
+from repro.nn.modules import (
+    FusedLMHeadLossFn,
+    TransformerBlock,
+    TransformerConfig,
+    TransformerLM,
+)
 from repro.nn.rope import apply_rope
 from repro.obs import use_memory_timeline
 from repro.nn.checkpoint import CheckpointPolicy
 from repro.perf.memory import (
     node_kept_elems,
-    rms_norm_saved_elems,
+    predict_step_peak_saved_bytes,
     swiglu_fused_saved_bytes,
 )
 from repro.topology import make_cluster
+from tests.head_chain import chain_head_loss
 
 SHAPES = [(2048, 64), (512, 256)]
 
@@ -127,7 +142,6 @@ class TestRMSNormMatchesTheComposite:
         allocs = [(e.site, e.delta) for e in timeline.events()
                   if e.kind == "alloc"]
         assert allocs == [("RMSNormFn", (s * d + s) * 8)]
-        assert rms_norm_saved_elems(s, d) == s * d + s
         out.sum().backward()
         assert get_tracker().current_saved_bytes == 0
 
@@ -454,3 +468,116 @@ class TestNormFoldsIntoItsReader:
         ]
         params = model.parameters()
         assert len({id(p) for p in params}) == len(params)
+
+
+HEAD_IMPLS = ["naive", "tiled-recompute", "fused", "vocab-parallel"]
+#: The bytes each head implementation keeps resident besides the node's
+#: gradients, at (S, V): full logits, the lse rows, nothing.
+RESIDENT = {"naive": lambda s, v: s * v * 8, "tiled-recompute": lambda s, v: s * 8,
+            "fused": lambda s, v: 0, "vocab-parallel": lambda s, v: 0}
+
+
+def _head_apply(impl, x, norm, w, targets, comm):
+    """The folded head node on ``x`` — the engine's for vocab-parallel."""
+    inputs, kwargs = ops.pre_norm_inputs(x, norm)
+    if impl == "vocab-parallel":
+        node, kwargs = VocabParallelHeadLossFn, {**kwargs, "comm": comm}
+    else:
+        node, kwargs = FusedLMHeadLossFn, {**kwargs, "impl": impl}
+    return node.apply(*inputs, w, targets=targets, **kwargs)
+
+
+class TestFinalNormFoldsIntoTheHead:
+    """The head node reads the last block's output through ``final_norm``
+    and runs the norm's backward in its forward; its backward only
+    scales the saved gradients by the upstream ``g``.  Against the
+    ``RMSNormFn`` → head chain, which scaled ``dH`` before the norm's
+    backward, that is the same bits when ``g`` is a power of two (the
+    engine's ``1/k`` for 1, 2 or 4 micro-batches)."""
+
+    S, D, V = 256, 64, 128  # burst_long's smoke shapes
+
+    def _run(self, impl, g, fold):
+        rng = np.random.default_rng(11)
+        x_np = rng.normal(size=(self.S, self.D)) * 3.0
+        norm = RMSNorm(self.D)
+        norm.weight.data = 1.0 + 0.1 * rng.normal(size=self.D)
+        w = Tensor(rng.normal(size=(self.V, self.D)) / 8, requires_grad=True)
+        targets = rng.integers(0, self.V, size=self.S)
+        comm = SimCommunicator(make_cluster(4))
+        x = Tensor(x_np, requires_grad=True)
+        if fold:
+            loss = _head_apply(impl, x, norm, w, targets, comm)
+        else:
+            loss = chain_head_loss(x, norm, w, targets, impl=impl, comm=comm)
+        loss.backward(np.asarray(g))
+        return [loss.data, x.grad, norm.weight.grad, w.grad]
+
+    @pytest.mark.parametrize("g", [1.0, 0.5, 0.25], ids=["g1", "g1/2", "g1/4"])
+    @pytest.mark.parametrize("impl", HEAD_IMPLS)
+    def test_the_head_node_is_the_norm_then_the_head(self, impl, g):
+        """Loss, ``x``'s gradient, ``final_norm.weight``'s and
+        ``lm_head.weight``'s: the chain's bits."""
+        for want, got in zip(self._run(impl, g, False), self._run(impl, g, True)):
+            _assert_bitwise(want, got)
+
+    @pytest.mark.parametrize("impl", HEAD_IMPLS)
+    def test_three_micro_batches_drift_within_rounding(self, impl):
+        """At ``g = 1/3`` the norm's two gradients round differently
+        (scaled after the norm's backward, not before it).  Max relative
+        drift, ``max|Δ| / max|chain|``, measured at these shapes: ``x``
+        2.9e-16, ``final_norm.weight`` 1.0e-15 (9.6e-16 vocab-parallel);
+        the loss and ``lm_head.weight``'s gradient stay bitwise."""
+        chain, fold = self._run(impl, 1 / 3, False), self._run(impl, 1 / 3, True)
+        for i in (0, 3):
+            _assert_bitwise(chain[i], fold[i])
+        drift = [float(np.abs(a - b).max() / np.abs(a).max())
+                 for a, b in zip(chain[1:3], fold[1:3])]
+        assert 0 < drift[0] <= 2 * np.finfo(float).eps
+        assert 0 < drift[1] <= 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("impl", ["naive", "tiled-recompute", "fused"])
+    def test_a_training_forward_registers_no_norm_node(self, impl):
+        """The head node registers ``(S·D + V·D + D)·8`` bytes and its
+        implementation's resident footprint; no ``RMSNormFn`` registers."""
+        cfg = TransformerConfig(vocab_size=48, dim=16, n_layers=2, n_heads=2,
+                                ffn_hidden=32, max_seq_len=32, head_impl=impl)
+        model = TransformerLM(cfg)
+        ids = np.arange(32) % 48
+        reset_tracker()
+        with use_memory_timeline() as timeline:
+            loss = model(ids, np.roll(ids, -1))
+        s, d, v = 32, 16, 48
+        assert _timeline_allocs(timeline) == [
+            ("AttentionFn", _layer_saved_elems(s, d, 2) * 8),
+            ("AttentionFn", _layer_saved_elems(s, d, 2) * 8),
+            ("FusedLMHeadLossFn", (s * d + v * d + d) * 8),
+            ("head.resident", RESIDENT[impl](s, v)),
+        ]
+        loss.backward()
+        assert get_tracker().current_saved_bytes == 0
+        assert get_tracker().live_handles == 0
+
+    @pytest.mark.parametrize("method", ["burst", "ulysses"])
+    @pytest.mark.parametrize(
+        "checkpoint", ["none", "full", "selective_pp", "sequence_level"])
+    @pytest.mark.parametrize("impl", HEAD_IMPLS)
+    def test_closed_form_is_the_measured_peak(self, impl, checkpoint, method):
+        """A training step's tracker peak is the closed form's, delta 0,
+        with the keyword signature the step benchmark calls it with."""
+        cfg = TransformerConfig(vocab_size=64, dim=32, n_layers=2, n_heads=4,
+                                ffn_hidden=64, max_seq_len=64)
+        engine = BurstEngine(
+            EngineConfig(model=cfg, method=method, head_impl=impl,
+                         checkpoint=CheckpointPolicy.parse(checkpoint)),
+            topology=make_cluster(4),
+        )
+        ids = np.arange(64) % 64
+        measured = engine.train_step(ids, np.roll(ids, -1)).peak_activation_bytes
+        predicted = predict_step_peak_saved_bytes(
+            seq_len=64, dim=32, n_layers=2, n_heads=4, ffn_hidden=64,
+            vocab=64, checkpoint=checkpoint, split_fraction=0.5,
+            head_impl=impl, fused_mlp=False,
+            rebuilds_context=engine.method.supports_context_rebuild,
+        )["peak_saved_bytes"]
+        assert measured == predicted
