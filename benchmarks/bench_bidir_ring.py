@@ -38,7 +38,7 @@ from repro.attention.methods import get_method
 from repro.masks import CausalMask
 from repro.perf.cost import bidirectional_direction_bytes
 from repro.perf.schedules.attention import AttentionWorkload, attention_pass_time
-from repro.topology import make_cluster
+from repro.topology import a800_node, make_cluster
 
 
 def repo_root() -> Path:
@@ -67,7 +67,7 @@ def _cases(smoke: bool) -> list[dict]:
 def _run_case(case: dict, repeats: int) -> dict:
     g, gpn = case["gpus"], case["gpus_per_node"]
     n, h, d = case["seq"], case["heads"], case["head_dim"]
-    topo = make_cluster(g, gpn)
+    topo = make_cluster(g, node=a800_node(gpus_per_node=gpn))
     rng = np.random.default_rng(7)
     q = rng.standard_normal((h, n, d))
     k = rng.standard_normal((h, n, d))

@@ -69,7 +69,7 @@ def main() -> None:
     from repro.perf import EndToEndModel, TrainingSetup
 
     # burst, sequence-level checkpointing, fused head (the engine defaults)
-    config = EngineConfig(model=LLAMA_14B, method="burst", num_gpus=8)
+    config = EngineConfig(model=LLAMA_14B, method="burst")
     topo8 = make_cluster(8)
     dense, swa = (
         EndToEndModel().step(TrainingSetup(

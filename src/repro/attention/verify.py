@@ -4,7 +4,9 @@ the dense reference on a random problem.
 Public API used by tests, CI, and downstream users adding new methods::
 
     from repro.attention.verify import verify_method
-    report = verify_method("burst", num_gpus=8, seq_len=128, mask="causal")
+    from repro.topology import make_cluster
+    report = verify_method("burst", topology=make_cluster(8), seq_len=128,
+                           mask="causal")
     assert report.passed, report.summary()
 
 Also runnable directly::
@@ -29,7 +31,7 @@ from repro.attention.usp import default_ulysses_degree
 from repro.comm import SimCommunicator
 from repro.kernels import attention_reference, attention_reference_backward
 from repro.masks import CausalMask, FullMask, MaskPattern, SlidingWindowMask
-from repro.topology import a800_node, make_cluster
+from repro.topology import ClusterTopology, a800_node, make_cluster
 from repro.utils.lowprec import quantize_bf16
 
 
@@ -96,8 +98,7 @@ class VerificationReport:
 
 def verify_method(
     method_name: str,
-    num_gpus: int = 8,
-    gpus_per_node: int = 4,
+    topology: ClusterTopology | None = None,
     seq_len: int = 64,
     head_dim: int = 8,
     n_heads: int = 8,
@@ -114,6 +115,8 @@ def verify_method(
 
     Parameters beyond the original problem shape:
 
+    topology:
+        The cluster the method runs on; defaults to two 4-GPU A800 nodes.
     n_kv_heads:
         When set, K/V are generated with this many heads (GQA); the dense
         reference repeats them per query group and folds the KV gradients
@@ -124,21 +127,22 @@ def verify_method(
         via :data:`DTYPE_TOLERANCES`.
     comm:
         Optional communicator to run the method through — the hook the
-        fault-injection harness (:mod:`repro.testing.faults`) uses.  Its
-        topology must match ``num_gpus`` / ``gpus_per_node``.
+        fault-injection harness (:mod:`repro.testing.faults`) uses.  The
+        run adopts its topology; a ``topology`` passed beside it must be
+        that same one.
     """
     if mask not in MASKS:
         raise ValueError(f"unknown mask {mask!r}; options: {sorted(MASKS)}")
     tolerance = resolve_tolerance(dtype, tolerance)
-    topo = (
-        comm.topology
-        if comm is not None
-        else make_cluster(num_gpus, node=a800_node(gpus_per_node=gpus_per_node))
-    )
-    if topo.world_size != num_gpus:
-        raise ValueError(
-            f"comm topology has world size {topo.world_size}, expected {num_gpus}"
-        )
+    if comm is not None:
+        if topology is not None and topology is not comm.topology:
+            raise ValueError(
+                "pass either topology or comm; the provided comm is bound "
+                "to a different topology"
+            )
+        topology = comm.topology
+    elif topology is None:
+        topology = make_cluster(8, node=a800_node(gpus_per_node=4))
     rng = np.random.default_rng(seed)
     if n_kv_heads is not None and (
         n_kv_heads < 1 or n_heads % n_kv_heads != 0
@@ -157,11 +161,11 @@ def verify_method(
 
     if method_name == "usp" and "ulysses_degree" not in method_kwargs:
         method_kwargs["ulysses_degree"] = default_ulysses_degree(
-            n_heads, topo.world_size, topo.gpus_per_node)
+            n_heads, topology.world_size, topology.gpus_per_node)
     if block_size is None:
         block_size = max(8, seq_len // 8)
     method = get_method(method_name, block_size=block_size, **method_kwargs)
-    res = method.run(topo, q, k, v, mask=pattern, do=do, comm=comm)
+    res = method.run(topology, q, k, v, mask=pattern, do=do, comm=comm)
 
     from repro.attention.gqa import fold_kv_grad, repeat_kv
 

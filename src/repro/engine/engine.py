@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.attention import get_method
 from repro.attention.methods import DistributedAttention, USPMethod
+from repro.attention.usp import default_ulysses_degree
 from repro.comm import SimCommunicator
 from repro.engine.distributed_attention import DistributedCausalSelfAttention
 from repro.engine.fsdp import FSDPTraffic, log_fsdp_traffic
@@ -31,7 +32,7 @@ from repro.nn import (
 from repro.nn.checkpoint import CheckpointMode
 from repro.nn.memory import get_tracker, reset_tracker
 from repro.nn.schedule import clip_grad_norm
-from repro.topology import ClusterTopology, make_cluster
+from repro.topology import ClusterTopology
 
 
 @dataclass
@@ -52,8 +53,6 @@ class EngineConfig:
     model: TransformerConfig = field(default_factory=TransformerConfig)
     method: str = "burst"
     method_kwargs: dict = field(default_factory=dict)
-    num_gpus: int = 8
-    gpus_per_node: int = 8
     checkpoint: CheckpointPolicy = field(
         default_factory=lambda: CheckpointPolicy(CheckpointMode.SEQUENCE_LEVEL, 0.5)
     )
@@ -87,24 +86,29 @@ class BurstEngine:
         comm: SimCommunicator | None = None,
     ):
         self.config = config
-        if comm is not None:
-            # Custom communicator (fault-injecting, resilient, …): the
-            # engine adopts its topology so the two can never disagree.
-            if topology is not None and topology is not comm.topology:
-                raise ValueError(
-                    "pass either topology or comm; the provided comm is "
-                    "bound to a different topology"
+        # The run's world: the topology, or a custom communicator's
+        # (fault-injecting, resilient, …), which the engine adopts so the
+        # two can never disagree.  The config carries no GPU count.
+        if comm is None:
+            if topology is None:
+                raise TypeError(
+                    "BurstEngine needs its world: pass topology= (e.g. "
+                    "make_cluster(8)) or comm="
                 )
-            self.topology = comm.topology
-            self.comm = comm
-        else:
-            self.topology = topology if topology is not None else make_cluster(
-                config.num_gpus, gpus_per_node=config.gpus_per_node
+            comm = SimCommunicator(topology)
+        elif topology is not None and topology is not comm.topology:
+            raise ValueError(
+                "pass either topology or comm; the provided comm is "
+                "bound to a different topology"
             )
-            self.comm = SimCommunicator(self.topology)
-        self.method: DistributedAttention = get_method(
-            config.method, **config.method_kwargs
-        )
+        self.topology, self.comm = comm.topology, comm
+        kwargs = config.method_kwargs
+        if config.method == "usp" and "ulysses_degree" not in kwargs:
+            # The pricer's degree rule, so every priced USP config builds.
+            kwargs = {**kwargs, "ulysses_degree": default_ulysses_degree(
+                config.model.n_heads, self.topology.world_size,
+                self.topology.gpus_per_node)}
+        self.method: DistributedAttention = get_method(config.method, **kwargs)
         self._validate()
 
         model_cfg = config.resolved_model()

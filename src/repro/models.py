@@ -54,7 +54,7 @@ def kv_ratio(config: TransformerConfig) -> float:
     return (config.n_kv_heads or config.n_heads) / config.n_heads
 
 
-def _block_matmul_params(config: TransformerConfig) -> int:
+def block_matmul_params(config: TransformerConfig) -> int:
     """One block's projection weights: Wq, Wo, the GQA-narrow Wk, Wv, and
     the FFN's gate, up and down."""
     h = config.dim
@@ -66,7 +66,7 @@ def n_params(config: TransformerConfig) -> int:
     """Parameter count: embeddings (and a learned position table) +
     per-layer attention/FFN/norms + final norm + head."""
     h = config.dim
-    per_layer = _block_matmul_params(config) + 2 * h  # + two RMSNorms
+    per_layer = block_matmul_params(config) + 2 * h  # + two RMSNorms
     positions = 0 if config.position_encoding == "rope" else config.max_seq_len * h
     embeddings = config.vocab_size * h
     head = config.vocab_size * h
@@ -82,7 +82,7 @@ def flops_per_token(config: TransformerConfig, seq_len: int) -> float:
     """Causal training FLOPs per token (fwd + bwd) at sequence length
     ``seq_len``: the standard ``6 * params`` over the matmul parameters
     (blocks and head) plus the attention term."""
-    dense = config.n_layers * _block_matmul_params(config) + config.vocab_size * config.dim
+    dense = config.n_layers * block_matmul_params(config) + config.vocab_size * config.dim
     return 6.0 * dense + _attention_flops_per_token(config, seq_len)
 
 

@@ -415,6 +415,14 @@ class TransformerConfig:
 
     def __post_init__(self) -> None:
         _check_mlp_chunk_size(self.mlp_chunk_size)
+        # "vocab-parallel" is the engine's own head node
+        # (repro.engine.distributed_head), which it swaps in.
+        heads = (*HEAD_IMPLEMENTATIONS, "vocab-parallel")
+        if self.head_impl not in heads:
+            raise ValueError(
+                f"unknown head_impl {self.head_impl!r}; choices: "
+                f"{', '.join(heads)}"
+            )
 
 
 class TransformerLM(Module):

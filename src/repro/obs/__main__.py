@@ -91,7 +91,6 @@ def _quickstart(
     """
     import numpy as np
 
-    from repro.attention.usp import default_ulysses_degree
     from repro.engine import BurstEngine, EngineConfig
     from repro.nn.checkpoint import CheckpointMode, CheckpointPolicy
     from repro.nn.modules import TransformerConfig
@@ -102,9 +101,6 @@ def _quickstart(
         max_seq_len=seq, attn_block_size=32, mlp_chunk_size=chunk,
     )
     kwargs = {"ring_mode": ring_mode} if ring_mode != "unidirectional" else {}
-    if method == "usp":
-        kwargs["ulysses_degree"] = default_ulysses_degree(
-            model.n_heads, gpus, gpus_per_node)
     config = EngineConfig(
         model=model,
         method=method,

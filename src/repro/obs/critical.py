@@ -479,9 +479,8 @@ def attribute_trace(
         from repro.perf.schedules.attention import AttentionWorkload
         from repro.topology import a800_node, make_cluster
 
-        gpn = int(meta["gpus_per_node"])
         topology = make_cluster(
-            int(meta["world_size"]), gpn, node=a800_node(gpn)
+            int(meta["world_size"]), node=a800_node(int(meta["gpus_per_node"]))
         )
         # The SPMD engine computes in float64, so pricing the closed forms
         # at 8 bytes/elem makes healthy observed bytes match them exactly.

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.models import flops_per_token, kv_ratio, n_params
-from repro.nn.modules import TransformerConfig
+from repro.models import block_matmul_params, flops_per_token, kv_ratio, n_params
 from repro.perf.cost import link_time, matmul_time
 from repro.perf.memory import (
     BYTES_BF16, MemoryBreakdown, MemoryModel, TrainingSetup,
@@ -60,12 +59,6 @@ class EndToEndResult:
         return self.memory.oom
 
 
-def _block_weights(m: TransformerConfig) -> int:
-    """A block's dense weights as priced: Wq, Wk, Wv, Wo at full width and
-    the FFN's gate, up and down."""
-    return 4 * m.dim * m.dim + 3 * m.dim * m.ffn_hidden
-
-
 class EndToEndModel:
     """Step-time composer: prices one :class:`TrainingSetup` cell."""
 
@@ -81,8 +74,7 @@ class EndToEndModel:
             sparsity=setup.sparsity if setup.workload_balanced else 2.0,
             kv_ratio=kv_ratio(m),
         )
-        degree = (setup.config.method_kwargs.get("ulysses_degree")
-                  if method == "usp" else None)
+        degree = setup.config.method_kwargs.get("ulysses_degree")
         fwd, bwd = (
             attention_pass_time(method, setup.topology, wl, backward=b,
                                 ulysses_degree=degree)
@@ -95,7 +87,7 @@ class EndToEndModel:
         topo = setup.topology
         if setup.zero_stage < 3 or topo.world_size == 1:
             return 0.0
-        layer_bytes = _block_weights(setup.model) * BYTES_BF16
+        layer_bytes = block_matmul_params(setup.model) * BYTES_BF16
         g = topo.world_size
         cls = LinkClass.INTER if topo.num_nodes > 1 else LinkClass.INTRA
         per_gather = (g - 1) * link_time(topo, layer_bytes / g, cls)
@@ -127,7 +119,7 @@ class EndToEndModel:
         policy = setup.config.checkpoint
 
         lin_fwd = matmul_time(
-            2.0 * _block_weights(m) * s_local, peak, GEMM_EFFICIENCY)
+            2.0 * block_matmul_params(m) * s_local, peak, GEMM_EFFICIENCY)
         lin_bwd = LINEAR_BWD_FACTOR * lin_fwd
         attn_fwd, attn_bwd = self._attention_times(setup)
 

@@ -69,8 +69,7 @@ def _make_engine(
             vocab_size=32, dim=16, n_layers=1, n_heads=4, ffn_hidden=24,
             max_seq_len=32, attn_block_size=8, seed=1,
         ),
-        method=method, method_kwargs=method_kwargs,
-        num_gpus=NUM_GPUS, gpus_per_node=NUM_GPUS, lr=3e-3,
+        method=method, method_kwargs=method_kwargs, lr=3e-3,
     )
     if comm is not None:
         return BurstEngine(config, comm=comm)
@@ -332,8 +331,7 @@ def _make_elastic_config(
             vocab_size=32, dim=24, n_layers=1, n_heads=12, ffn_hidden=24,
             max_seq_len=ELASTIC_SEQ, attn_block_size=4, seed=1,
         ),
-        method=method, method_kwargs=method_kwargs,
-        num_gpus=NUM_GPUS, gpus_per_node=NUM_GPUS, lr=3e-3,
+        method=method, method_kwargs=method_kwargs, lr=3e-3,
     )
 
 

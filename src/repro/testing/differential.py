@@ -238,16 +238,11 @@ def check_case(
             f"fault must be one of {', '.join(sorted(FAULT_REGISTRY))}; "
             "rank faults ride the rank_failure axis"
         )
+    topo = make_cluster(case.world_size, node=a800_node(gpus_per_node=case.gpn))
     comm = None
     if fault is not None:
-        topo = make_cluster(
-            case.world_size, node=a800_node(gpus_per_node=case.gpn)
-        )
         comm = make_fault(fault, topo, **fault_kwargs)
     elif case.rank_failure is not None:
-        topo = make_cluster(
-            case.world_size, node=a800_node(gpus_per_node=case.gpn)
-        )
         comm = FailureDetector(
             make_fault(case.rank_failure, topo, rank=0, at_call=1)
         )
@@ -255,8 +250,7 @@ def check_case(
     try:
         report = verify_method(
             case.method,
-            num_gpus=case.world_size,
-            gpus_per_node=case.gpn,
+            topology=topo,
             seq_len=case.seq_len,
             head_dim=case.head_dim,
             n_heads=case.n_heads,

@@ -34,8 +34,8 @@ from repro.topology import a800_node, make_cluster
 #: One canonical problem per method.  Small enough that all six fixtures
 #: total a few hundred KB; shaped so every method's constraints hold
 #: (ulysses needs H % G == 0, usp a degree dividing both).
-_BASE = dict(num_gpus=4, gpus_per_node=2, seq_len=32, head_dim=4,
-             n_heads=4, seed=2024, block_size=8)
+_BASE = dict(topology=make_cluster(4, node=a800_node(gpus_per_node=2)),
+             seq_len=32, head_dim=4, n_heads=4, seed=2024, block_size=8)
 GOLDEN_CASES: dict[str, dict] = {
     name: dict(_BASE) for name in METHOD_REGISTRY
 }
@@ -69,9 +69,6 @@ def default_golden_dir() -> Path:
 def compute_golden(method_name: str) -> dict[str, np.ndarray]:
     """Run the method on its canonical problem; returns the five outputs."""
     case = GOLDEN_CASES[method_name]
-    topo = make_cluster(
-        case["num_gpus"], node=a800_node(gpus_per_node=case["gpus_per_node"])
-    )
     rng = np.random.default_rng(case["seed"])
     shape = (case["n_heads"], case["seq_len"], case["head_dim"])
     kv_shape = (case.get("n_kv_heads", case["n_heads"]),) + shape[1:]
@@ -82,7 +79,7 @@ def compute_golden(method_name: str) -> dict[str, np.ndarray]:
         case.get("method", method_name), block_size=case["block_size"],
         **case.get("method_kwargs", {}),
     )
-    res = method.run(topo, q, k, v, mask=CausalMask(), do=do)
+    res = method.run(case["topology"], q, k, v, mask=CausalMask(), do=do)
     return {name: np.asarray(getattr(res, name)) for name in ARRAYS}
 
 

@@ -168,16 +168,17 @@ def shrink_cluster(
     return ClusterTopology(num_nodes=survivors // per_node, node=node)
 
 
-def make_cluster(num_gpus: int, gpus_per_node: int = 8, node: NodeSpec | None = None) -> ClusterTopology:
-    """Build a cluster of ``num_gpus`` GPUs packed into full nodes.
+def make_cluster(num_gpus: int, node: NodeSpec | None = None) -> ClusterTopology:
+    """Build a cluster of ``num_gpus`` GPUs packed into full nodes of
+    ``node`` (the paper's 8-GPU A800 node by default).
 
-    ``num_gpus`` smaller than ``gpus_per_node`` yields a single partial node
+    ``num_gpus`` smaller than the node width yields a single partial node
     (the single-node scalability setting of Table 5).
     """
     if num_gpus < 1:
         raise ValueError(f"num_gpus must be >= 1, got {num_gpus}")
     if node is None:
-        node = a800_node(gpus_per_node=min(gpus_per_node, num_gpus))
+        node = a800_node()
     if num_gpus <= node.gpus_per_node:
         num_nodes = 1
         if num_gpus != node.gpus_per_node:

@@ -104,7 +104,7 @@ class TestBitwiseIdentity:
     @pytest.mark.parametrize("method", RING_METHODS)
     def test_bidirectional_matches_dense_reference(self, method):
         report = verify_method(
-            method, num_gpus=4, gpus_per_node=2, seq_len=32, n_heads=4,
+            method, topology=topo(2, 2), seq_len=32, n_heads=4,
             ring_mode="bidirectional",
         )
         assert report.passed, report.summary()

@@ -108,7 +108,7 @@ class TestShrinkCluster:
         assert shrunk.num_nodes == 1
 
     def test_multi_node_shrink(self):
-        topo = make_cluster(8, 4)
+        topo = make_cluster(8, node=a800_node(gpus_per_node=4))
         shrunk = shrink_cluster(topo, [0, 5])
         assert shrunk.world_size == 6
         # 6 survivors repack as 2 nodes x 3 (largest width <= 4 dividing 6)
@@ -317,11 +317,12 @@ def snapshotting_trainer(tmp_path):
     from repro.engine import BurstEngine, Trainer
     from repro.nn.rng import set_seed
     from repro.resilience.chaos import (
-        ELASTIC_SEQ, _make_batches, _make_elastic_config,
+        ELASTIC_SEQ, _make_batches, _make_elastic_config, _topology,
     )
 
     set_seed(0)
-    trainer = Trainer(BurstEngine(_make_elastic_config("burst")), clip_norm=1.0)
+    trainer = Trainer(BurstEngine(_make_elastic_config("burst"), _topology()),
+                      clip_norm=1.0)
     trainer.fit(_make_batches(seed=0, seq=ELASTIC_SEQ), 2)
     return trainer
 
@@ -438,7 +439,7 @@ class TestDegradedClosedForms:
             degraded_topology(topo4(), 4)
 
     def test_degraded_topology_matches_runtime_shrink(self):
-        topo = make_cluster(8, 4)
+        topo = make_cluster(8, node=a800_node(gpus_per_node=4))
         analytic = degraded_topology(topo, 2)
         runtime = shrink_cluster(topo, [3, 6])
         assert analytic.world_size == runtime.world_size == 6
@@ -449,7 +450,7 @@ class TestDegradedClosedForms:
         """Survivors are repacked into full nodes, so their Table 1 times
         are re-derived on the shrunk topology, not the healthy ones scaled
         by the shard growth ``G / (G - k)``."""
-        topo = make_cluster(8, 4)
+        topo = make_cluster(8, node=a800_node(gpus_per_node=4))
         degraded = table1_comm_times(degraded_topology(topo, 2), 1152, 64)
         healthy = table1_comm_times(topo, 1152, 64)
         assert degraded != healthy

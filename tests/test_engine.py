@@ -6,8 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.attention.usp import default_ulysses_degree
 from repro.comm import SimCommunicator
 from repro.engine import BurstEngine, EngineConfig, fsdp_step_traffic
+from repro.experiments import BASELINE_CONFIGS
 from repro.kernels import counters
 from repro.masks import ALiBiMask, CausalMask
 from repro.nn import CheckpointPolicy, TransformerConfig, TransformerLM, Adam
@@ -353,6 +355,32 @@ def test_train_step_never_forms_a_mask_wider_than_a_tile(name, monkeypatch):
     engine, ids, targets = _smoke_engine(name)
     engine.train_step(ids, targets)
     assert seen and max(seen) <= MAX_TILE
+
+
+class TestOneWorld:
+    """The topology (or the communicator's) is a run's only GPU count."""
+
+    def test_an_engine_without_a_world_is_a_type_error(self):
+        with pytest.raises(TypeError, match="topology=.*comm="):
+            BurstEngine(EngineConfig(model=model_cfg()))
+
+    def test_a_comm_on_another_topology_is_rejected(self):
+        with pytest.raises(ValueError, match="different topology"):
+            BurstEngine(EngineConfig(model=model_cfg()), topology=TOPO,
+                        comm=SimCommunicator(make_cluster(8)))
+
+    @pytest.mark.parametrize("name", sorted(BASELINE_CONFIGS))
+    def test_every_priced_baseline_trains(self, name):
+        """Each configuration Figs. 12 / 13 price builds an engine on a
+        2×4 cluster and trains a step; USP takes the pricer's degree."""
+        config = replace(BASELINE_CONFIGS[name], model=model_cfg(
+            vocab_size=64, dim=32, n_heads=8, max_seq_len=64))
+        engine = BurstEngine(config, topology=TOPO)
+        ids, targets = batch(s=64, vocab=64)
+        assert np.isfinite(engine.train_step(ids, targets).loss)
+        if name == "usp":
+            assert engine.method.ulysses_degree == default_ulysses_degree(8, 8, 4)
+            assert "ulysses_degree" not in config.method_kwargs
 
 
 class TestEngineAccounting:

@@ -93,12 +93,12 @@ class TestFaultsAreDetected:
 
     def test_verify_method_flags_noisy_tolerance(self):
         """The verification report fails when errors exceed tolerance."""
-        report = verify_method("burst", num_gpus=4, gpus_per_node=4,
+        report = verify_method("burst", topology=TOPO,
                                seq_len=32, n_heads=4, tolerance=1e-30)
         assert not report.passed  # float64 noise > 1e-30
         assert "FAIL" in report.summary()
 
     def test_verify_method_passes_at_sane_tolerance(self):
-        report = verify_method("burst", num_gpus=4, gpus_per_node=4,
+        report = verify_method("burst", topology=TOPO,
                                seq_len=32, n_heads=4)
         assert report.passed

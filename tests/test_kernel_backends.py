@@ -99,7 +99,7 @@ class TestRegistry:
         from repro.comm.ring import global_ring_schedule
         from repro.topology import make_cluster
 
-        topo = make_cluster(2, gpus_per_node=2)
+        topo = make_cluster(2)
         rng = np.random.default_rng(0)
         qs, ks, vs = (
             [rng.normal(size=(2, 8, 4)) for _ in range(2)] for _ in range(3)

@@ -276,3 +276,9 @@ class TestEndToEndTraining:
         ids, targets = batch(s=16)
         with pytest.raises(ValueError):
             model(ids, targets)
+
+    def test_unknown_head_impl_rejected_on_construction(self):
+        """A misspelt head fails where the config is made, naming the
+        choices, not as a ``KeyError`` at the first training forward."""
+        with pytest.raises(ValueError, match="'fsued'.*fused.*vocab-parallel"):
+            small_config(head_impl="fsued")

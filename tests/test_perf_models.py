@@ -511,6 +511,21 @@ class TestEndToEndShapes:
         assert sum(r.breakdown.values()) <= r.step_time * 1.001
         assert r.breakdown["attention_bwd"] > r.breakdown["attention_fwd"]
 
+    def test_gqa_linears_price_the_narrow_kv_projections(self):
+        """A block's linears are priced over the weights ``n_params``
+        counts: under GQA, Wk and Wv at the KV width (855 638 016 per
+        70B block, not the 973 078 528 of four full-width projections)."""
+        from repro.perf.schedules.end_to_end import GEMM_EFFICIENCY
+
+        gqa = step(LLAMA_70B_GQA, TOPO32, SEQ_1M, **self.BURST)
+        per_layer = matmul_time(2.0 * 855_638_016 * SEQ_1M / 32,
+                                TOPO32.node.gpu.peak_flops, GEMM_EFFICIENCY)
+        assert gqa.breakdown["linear_fwd"] == pytest.approx(
+            LLAMA_70B_GQA.n_layers * per_layer, rel=1e-12)
+        mha = step(dataclasses.replace(LLAMA_70B_GQA, n_kv_heads=None),
+                   TOPO32, SEQ_1M, **self.BURST)
+        assert gqa.breakdown["linear_fwd"] < mha.breakdown["linear_fwd"]
+
 
 class TestScalingAnalysis:
     def test_comm_scales_linearly_with_sequence(self):

@@ -25,6 +25,9 @@ from repro.perf.des import Simulator
 from repro.perf.memory import MemoryModel, TrainingSetup
 from repro.topology import a800_node, make_cluster
 
+#: Two 2-GPU nodes: the dense-reference checks' cluster.
+TWO_BY_TWO = make_cluster(4, node=a800_node(gpus_per_node=2))
+
 
 topo_shapes = st.sampled_from([(1, 4), (2, 2), (2, 4), (4, 2), (3, 3)])
 
@@ -108,7 +111,7 @@ class TestAlgorithmEquivalenceProperty:
         seed=st.integers(0, 1000),
     )
     def test_verify_method_random_seeds(self, method, seed):
-        report = verify_method(method, num_gpus=4, gpus_per_node=2,
+        report = verify_method(method, topology=TWO_BY_TWO,
                                seq_len=32, n_heads=4, seed=seed)
         assert report.passed, report.summary()
 
@@ -129,7 +132,8 @@ class TestAlgorithmEquivalenceProperty:
         nodes, gpn = shape
         g = nodes * gpn
         report = verify_method(
-            method, num_gpus=g, gpus_per_node=gpn, seq_len=2 * g * mult,
+            method, topology=make_cluster(g, node=a800_node(gpus_per_node=gpn)),
+            seq_len=2 * g * mult,
             n_heads=2, head_dim=4, mask=mask, seed=seed, block_size=8,
         )
         assert report.passed, report.summary()
@@ -144,7 +148,7 @@ class TestAlgorithmEquivalenceProperty:
     def test_verify_gqa_head_ratios(self, method, heads, mask, seed):
         n_heads, n_kv_heads = heads
         report = verify_method(
-            method, num_gpus=4, gpus_per_node=2, seq_len=32,
+            method, topology=TWO_BY_TWO, seq_len=32,
             n_heads=n_heads, n_kv_heads=n_kv_heads, head_dim=4, mask=mask,
             seed=seed, block_size=8,
         )
@@ -169,7 +173,8 @@ class TestAlgorithmEquivalenceProperty:
         nodes, gpn = shape
         g = nodes * gpn
         report = verify_method(
-            method, num_gpus=g, gpus_per_node=gpn, seq_len=2 * g * mult,
+            method, topology=make_cluster(g, node=a800_node(gpus_per_node=gpn)),
+            seq_len=2 * g * mult,
             n_heads=2, head_dim=4, mask=mask, seed=seed, block_size=8,
             ring_mode="bidirectional",
         )
@@ -186,7 +191,7 @@ class TestAlgorithmEquivalenceProperty:
                                                   seed):
         n_heads, n_kv_heads = heads
         report = verify_method(
-            method, num_gpus=4, gpus_per_node=2, seq_len=32,
+            method, topology=TWO_BY_TWO, seq_len=32,
             n_heads=n_heads, n_kv_heads=n_kv_heads, head_dim=4, mask=mask,
             seed=seed, block_size=8, ring_mode="bidirectional",
         )

@@ -63,7 +63,7 @@ class TestReadmeSnippets:
         from repro.perf import EndToEndModel, TrainingSetup
         from repro.topology import make_cluster
 
-        config = EngineConfig(model=LLAMA_14B, method="burst", num_gpus=32)
+        config = EngineConfig(model=LLAMA_14B, method="burst")
         r = EndToEndModel().step(
             TrainingSetup(config, make_cluster(32), 1 << 20))
         # the README's headline numbers
@@ -1521,7 +1521,8 @@ class TestOnePassDescription:
             )
         ]
         # beside the grid it picks, and read by the pricer, the dense
-        # check and the traced quickstart alike
+        # check and the engine alike (the engine fills a USP config's
+        # missing degree, so none of its callers does)
         assert defines == [("attention/usp.py", "")]
         callers = {
             (rel, scope) for rel, tree in trees.items()
@@ -1529,7 +1530,7 @@ class TestOnePassDescription:
         }
         assert callers == {(self.HOME, "_pass_row"),
                            ("attention/verify.py", "verify_method"),
-                           ("obs/__main__.py", "_quickstart")}
+                           ("engine/engine.py", "BurstEngine.__init__")}
 
 
 class TestOneLinkRule:
@@ -1732,7 +1733,11 @@ class TestOneRunDescription:
     ``TransformerConfig`` values (no ``ModelSpec``), a ``TrainingSetup`` is
     that config on a topology at a sequence length plus the four inputs
     only pricing has, ``EndToEndModel`` prices a setup it is handed, and
-    no pricing dataclass restates the checkpoint policy or the head."""
+    no pricing dataclass restates the checkpoint policy or the head.  The
+    topology is the run's only GPU count: no ``EngineConfig`` field,
+    ``make_cluster`` node width or ``verify_method`` world restates it."""
+
+    ROOT = Path(__file__).resolve().parents[1]
 
     _trees = staticmethod(TestOnePassDescription._trees)
 
@@ -1800,6 +1805,44 @@ class TestOneRunDescription:
             "config", "topology", "seq_len", "zero_stage",
             "optimizer_offload", "sparsity", "workload_balanced",
         ]
+
+    def _defined(self, rel, kind, name):
+        (node,) = [
+            n for n in ast.walk(self._trees()[rel])
+            if isinstance(n, kind) and n.name == name
+        ]
+        return node
+
+    def test_the_engine_config_carries_no_gpu_count(self):
+        cls = self._defined("engine/engine.py", ast.ClassDef, "EngineConfig")
+        assert [
+            stmt.target.id for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+        ] == ["model", "method", "method_kwargs", "checkpoint", "head_impl",
+              "fsdp", "lr"]
+
+    def test_no_function_takes_a_gpu_count_beside_the_topology(self):
+        def params(rel, name):
+            fn = self._defined(rel, ast.FunctionDef, name)
+            return [a.arg for a in fn.args.args + fn.args.kwonlyargs]
+
+        # the node spec is the one way to give a node width
+        assert params("topology/cluster.py", "make_cluster") == ["num_gpus", "node"]
+        verify = params("attention/verify.py", "verify_method")
+        assert "topology" in verify
+        assert not {"num_gpus", "gpus_per_node"} & set(verify)
+
+    def test_no_engine_config_is_handed_a_gpu_count(self):
+        def called(node):
+            return isinstance(node, ast.Call) and "EngineConfig" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+        assert [
+            (path.relative_to(self.ROOT).as_posix(), node.lineno)
+            for top in ("src", "examples", "benchmarks")
+            for path in sorted((self.ROOT / top).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text())) if called(node)
+            for kw in node.keywords if kw.arg in ("num_gpus", "gpus_per_node")
+        ] == []
 
 
 class TestOnePaperClaimsTable:

@@ -64,7 +64,7 @@ class TestRecoveryMatrix:
         inner = make_fault(fault_name, topo4(), at_call=2)
         comm = ResilientCommunicator(inner)
         report = verify_method(
-            method, num_gpus=4, gpus_per_node=4, seq_len=32, n_heads=4,
+            method, seq_len=32, n_heads=4,
             comm=comm,
         )
         assert inner.injections >= 1, "fault never fired"
@@ -78,7 +78,7 @@ class TestRecoveryMatrix:
         corrupt the run (so the matrix above is not vacuous)."""
         inner = make_fault(fault_name, topo4(), at_call=2)
         report = verify_method(
-            "burst", num_gpus=4, gpus_per_node=4, seq_len=32, n_heads=4,
+            "burst", seq_len=32, n_heads=4,
             comm=inner,
         )
         assert not report.passed
@@ -94,7 +94,7 @@ class TestBidirectionalRecovery:
         inner = make_fault(fault_name, topo4(), at_call=1, channel="rev")
         comm = ResilientCommunicator(inner)
         report = verify_method(
-            "burst", num_gpus=4, gpus_per_node=4, seq_len=32, n_heads=4,
+            "burst", seq_len=32, n_heads=4,
             comm=comm, ring_mode="bidirectional",
         )
         assert inner.injections >= 1, "reverse-channel fault never fired"
@@ -108,7 +108,7 @@ class TestBidirectionalRecovery:
         the bidirectional run, so the matrix above is not vacuous."""
         inner = make_fault(fault_name, topo4(), at_call=1, channel="rev")
         report = verify_method(
-            "burst", num_gpus=4, gpus_per_node=4, seq_len=32, n_heads=4,
+            "burst", seq_len=32, n_heads=4,
             comm=inner, ring_mode="bidirectional",
         )
         assert not report.passed
@@ -120,7 +120,7 @@ class TestBidirectionalRecovery:
         inner = make_fault("corrupt", topo4(), at_call=2)
         comm = ResilientCommunicator(inner)
         report = verify_method(
-            method, num_gpus=4, gpus_per_node=4, seq_len=32, n_heads=4,
+            method, seq_len=32, n_heads=4,
             comm=comm, ring_mode="bidirectional",
         )
         assert inner.injections >= 1
@@ -136,7 +136,7 @@ class TestStructuredFailure:
         )
         with pytest.raises(CommFailure) as exc_info:
             verify_method(
-                "burst", num_gpus=4, gpus_per_node=4, seq_len=32, n_heads=4,
+                "burst", seq_len=32, n_heads=4,
                 comm=comm,
             )
         failure = exc_info.value
@@ -155,7 +155,7 @@ class TestStructuredFailure:
         retransmission lands the delivery the buffer missed."""
         comm = ResilientCommunicator(make_fault("stale", topo4(), at_call=None))
         report = verify_method(
-            "burst", num_gpus=4, gpus_per_node=4, seq_len=32, n_heads=4,
+            "burst", seq_len=32, n_heads=4,
             comm=comm,
         )
         assert report.passed
@@ -165,10 +165,10 @@ class TestStructuredFailure:
         """Retransmissions are real traffic: the recovered run logs more
         bytes than the clean one."""
         clean = SimCommunicator(topo4())
-        verify_method("burst", num_gpus=4, gpus_per_node=4, seq_len=32,
+        verify_method("burst", seq_len=32,
                       n_heads=4, comm=clean)
         faulty = ResilientCommunicator(make_fault("corrupt", topo4(), at_call=1))
-        verify_method("burst", num_gpus=4, gpus_per_node=4, seq_len=32,
+        verify_method("burst", seq_len=32,
                       n_heads=4, comm=faulty)
         assert faulty.log.total_bytes() > clean.log.total_bytes()
 
@@ -192,7 +192,7 @@ class TestFaultMonitor:
         )
         with pytest.raises(FaultEscalation) as exc_info:
             verify_method(
-                "burst", num_gpus=4, gpus_per_node=4, seq_len=32, n_heads=4,
+                "burst", seq_len=32, n_heads=4,
                 comm=comm,
             )
         assert exc_info.value.count == 3
@@ -256,7 +256,7 @@ def tiny_engine(comm=None):
             vocab_size=32, dim=16, n_layers=1, n_heads=4, ffn_hidden=24,
             max_seq_len=32, attn_block_size=8, seed=1,
         ),
-        num_gpus=4, gpus_per_node=4, lr=3e-3,
+        lr=3e-3,
     )
     if comm is not None:
         return BurstEngine(config, comm=comm)
@@ -447,7 +447,7 @@ class TestChannelContext:
         )
         with pytest.raises(CommFailure) as exc_info:
             verify_method(
-                "burst", num_gpus=4, gpus_per_node=4, seq_len=32, n_heads=4,
+                "burst", seq_len=32, n_heads=4,
                 comm=comm, ring_mode="bidirectional",
             )
         failure = exc_info.value
@@ -461,7 +461,7 @@ class TestChannelContext:
         )
         with pytest.raises(CommFailure) as exc_info:
             verify_method(
-                "burst", num_gpus=4, gpus_per_node=4, seq_len=32, n_heads=4,
+                "burst", seq_len=32, n_heads=4,
                 comm=comm,
             )
         assert exc_info.value.channel == "fwd"

@@ -31,7 +31,7 @@ from repro.topology import a800_node, make_cluster
 
 
 TOPO = make_cluster(4, node=a800_node(gpus_per_node=2))
-PROBLEM = dict(num_gpus=4, gpus_per_node=2, seq_len=32, n_heads=4, head_dim=4)
+PROBLEM = dict(topology=TOPO, seq_len=32, n_heads=4, head_dim=4)
 
 
 def run_verify(comm):
@@ -58,6 +58,13 @@ class TestEveryFaultDetectedForEveryMethod:
         """No false positives: an honest communicator verifies clean."""
         report = verify_method(method, comm=SimCommunicator(TOPO), **PROBLEM)
         assert report.passed, report.summary()
+
+    def test_a_comm_on_another_topology_is_rejected(self):
+        """The run's world is the communicator's; a different topology
+        beside it is an error, not silently dropped."""
+        comm = SimCommunicator(make_cluster(4))
+        with pytest.raises(ValueError, match="different topology"):
+            verify_method("burst", comm=comm, **PROBLEM)
 
 
 class TestFaultTargeting:

@@ -712,7 +712,7 @@ class TestSkipAccounting:
         from repro.topology import make_cluster
 
         g, n, h, d = 4, 64, 2, 8
-        topo = make_cluster(g, gpus_per_node=g)
+        topo = make_cluster(g)
         comm = SimCommunicator(topo)
         schedule = global_ring_schedule(topo)
         part = ContiguousPartitioner()
