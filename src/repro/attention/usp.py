@@ -13,24 +13,13 @@ data (Algorithm 1 backward, as LoongTrain uses — or Algorithm 2 when
 (3) all-to-all back.
 
 Each all-to-all ships only what its receiver reads (the paper's backward
-optimisation, applied to the relayouts):
-
-==============  ============================  ===========================
-tag             ships                         why not more
-==============  ============================  ===========================
-``usp-qkv``     ``q, k, v``                   —
-``usp-out``     ``o``                         ``lse`` stays in head
-                                              layout, where the backward
-                                              reads it
-``usp-dout``    ``dO, D = rowsum(dO ∘ O)``    ``D`` is all of ``O`` the
-                                              ring backward reads, formed
-                                              in sequence layout from the
-                                              ``o`` the caller holds
-``usp-grads``   ``dq, dk, dv``                —
-==============  ============================  ===========================
-
-so the forward's context (:class:`USPContext`) keeps ``q_h``, ``k_h``,
-``v_h`` and ``lse_h`` and no head-layout output.
+optimisation, applied to the relayouts), as its layout in
+:mod:`repro.comm.ring` declares: ``q, k, v`` in and ``o`` out forward
+(``lse`` stays in head layout, where the backward reads it); ``dO`` and
+``D = rowsum(dO ∘ O)`` in — all of ``O`` the ring backward reads, formed
+in sequence layout from the ``o`` the caller holds — and ``dq, dk, dv``
+out backward.  So the forward's context (:class:`USPContext`) keeps
+``q_h``, ``k_h``, ``v_h`` and ``lse_h`` and no head-layout output.
 
 Compared to a pure ring over ``G`` devices, the ring is only ``r`` long and
 moves ``H/u`` of the heads, cutting ring traffic by ``u×`` at the price of
@@ -64,6 +53,9 @@ import numpy as np
 from repro.attention.burst import burst_attention_backward
 from repro.attention.ring import ring_attention_backward_kv, ring_attention_forward
 from repro.comm import SimCommunicator, grouped_ring_schedule
+from repro.comm.ring import (
+    DOUT_RELAYOUT, GRADS_RELAYOUT, OUT_RELAYOUT, QKV_RELAYOUT, BundleLayout,
+)
 from repro.masks import MaskPattern
 from repro.obs.tracer import traced
 
@@ -133,67 +125,44 @@ class USPContext:
 CONTEXT_ARRAYS = tuple(f.name for f in fields(USPContext) if f.name.endswith("_h"))
 
 
-def _seq_to_head(
+def _relayout(
     comm: SimCommunicator,
     grid: USPGrid,
+    layout: BundleLayout,
     bundles: Sequence[tuple[np.ndarray, ...]],
     *,
+    to_heads: bool,
     phase: str,
-    tag: str,
+    local_sizes: Sequence[int] = (),
 ) -> list[list[np.ndarray]]:
-    """All-to-all sequence-sharded bundles (one per rank) inside each
-    Ulysses group: rank ``r`` ends up with its head group over the whole
-    group's tokens.  Every slot is ``(H, S/G, ...)`` (heads, then tokens).
-    Returns one list of per-rank arrays per bundle slot."""
-    u = grid.ulysses_degree
-    hh = bundles[0][0].shape[0] // u
-    # Head group d of every slot goes to group position d.
-    chunks = [
-        [tuple(a[d * hh : (d + 1) * hh] for a in bundles[r]) for d in range(u)]
-        for r in range(grid.world)
-    ]
-    received = comm.group_all_to_all(
-        chunks, grid.ulysses_groups(), phase=phase, tag=tag
-    )
-    return [
-        [
-            np.concatenate([received[r][p][i] for p in range(u)], axis=1)
-            for r in range(grid.world)
-        ]
-        for i in range(len(bundles[0]))
-    ]
+    """All-to-all ``layout``'s bundles (one per rank, every slot heads
+    first, then tokens) inside each Ulysses group.
 
-
-def _head_to_seq(
-    comm: SimCommunicator,
-    grid: USPGrid,
-    bundles: Sequence[tuple[np.ndarray, ...]],
-    local_sizes: Sequence[int],
-    *,
-    phase: str,
-    tag: str,
-) -> list[list[np.ndarray]]:
-    """The inverse of :func:`_seq_to_head`: every rank returns each group
-    peer its sequence slice (``local_sizes`` tokens) of the head-layout
-    bundles.  Returns one list of per-rank arrays per bundle slot."""
+    ``to_heads``: from sequence to head layout — head group ``d`` of every
+    slot goes to group position ``d``, so rank ``r`` ends up with its head
+    group over the whole group's tokens.  Otherwise the inverse: every rank
+    returns each group peer ``p`` its ``local_sizes[p]`` tokens.  Returns
+    one list of per-rank arrays per slot."""
+    if any(len(bundle) != len(layout.slots) for bundle in bundles):
+        raise ValueError(
+            f"{layout.tag} relays {layout.slots}; got bundles of "
+            f"{sorted({len(bundle) for bundle in bundles})} slots"
+        )
     u = grid.ulysses_degree
+    groups = grid.ulysses_groups()
+    split, join = (0, 1) if to_heads else (1, 0)
     chunks = []
     for r in range(grid.world):
-        group = grid.ulysses_groups()[grid.ring_index(r)]
-        bounds = np.cumsum([0] + [local_sizes[p] for p in group])
-        chunks.append([
-            tuple(a[:, bounds[p] : bounds[p + 1]] for a in bundles[r])
-            for p in range(u)
-        ])
-    received = comm.group_all_to_all(
-        chunks, grid.ulysses_groups(), phase=phase, tag=tag
-    )
+        cuts = u if to_heads else np.cumsum(
+            [local_sizes[p] for p in groups[grid.ring_index(r)]])[:-1]
+        chunks.append(list(zip(*(np.split(a, cuts, split) for a in bundles[r]))))
+    received = comm.group_all_to_all(chunks, groups, phase=phase, tag=layout.tag)
     return [
         [
-            np.concatenate([received[r][p][i] for p in range(u)], axis=0)
+            np.concatenate([received[r][p][i] for p in range(u)], axis=join)
             for r in range(grid.world)
         ]
-        for i in range(len(bundles[0]))
+        for i in range(len(layout.slots))
     ]
 
 
@@ -254,8 +223,9 @@ def usp_attention_forward(
     local_sizes = [q.shape[-2] for q in qs]
 
     # (1) seq -> head inside each Ulysses group.
-    q_h, k_h, v_h = _seq_to_head(
-        comm, grid, list(zip(qs, ks, vs)), phase=phase, tag="usp-qkv"
+    q_h, k_h, v_h = _relayout(
+        comm, grid, QKV_RELAYOUT, list(zip(qs, ks, vs)), to_heads=True,
+        phase=phase,
     )
     groups = grid.ulysses_groups()
     ring_idxs = [
@@ -271,8 +241,9 @@ def usp_attention_forward(
     )
 
     # (3) head -> seq: return each peer its sequence slice of the outputs.
-    (os_out,) = _head_to_seq(
-        comm, grid, list(zip(o_h)), local_sizes, phase=phase, tag="usp-out",
+    (os_out,) = _relayout(
+        comm, grid, OUT_RELAYOUT, list(zip(o_h)), to_heads=False,
+        phase=phase, local_sizes=local_sizes,
     )
 
     ctx = USPContext(
@@ -303,8 +274,9 @@ def usp_attention_backward(
     Algorithm 2.
     """
     grid = ctx.grid
-    do_h, d_h = _seq_to_head(
-        comm, grid, list(zip(dos, ds)), phase=phase, tag="usp-dout"
+    do_h, d_h = _relayout(
+        comm, grid, DOUT_RELAYOUT, list(zip(dos, ds)), to_heads=True,
+        phase=phase,
     )
 
     schedule = grouped_ring_schedule(comm.topology, grid.ring_groups())
@@ -314,8 +286,8 @@ def usp_attention_backward(
         ctx.ring_idxs, mask=ctx.mask, scale=ctx.scale,
         phase=phase, block_size=ctx.block_size, head_slices=ctx.head_slices,
     )
-    dqs, dks, dvs = _head_to_seq(
-        comm, grid, list(zip(dq_h, dk_h, dv_h)), ctx.local_sizes,
-        phase=phase, tag="usp-grads",
+    dqs, dks, dvs = _relayout(
+        comm, grid, GRADS_RELAYOUT, list(zip(dq_h, dk_h, dv_h)),
+        to_heads=False, phase=phase, local_sizes=ctx.local_sizes,
     )
     return dqs, dks, dvs

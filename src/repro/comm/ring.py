@@ -24,9 +24,15 @@ guarantees they agree on who talks to whom at every step.
 *What* circulates is declared here too: one :class:`BundleLayout` per pass
 names the slots in wire order, marks the carried accumulators and sizes
 every hop, and :data:`RING_METHODS` pairs each ring-family method with its
-schedule builder and backward bundle.  ``attention.ring.ring_pass``
-executes that description, ``perf.schedules.attention`` prices it, and no
-other module multiplies shard sizes by hand.
+schedule builder and backward bundle.  The four all-to-alls of a
+head-parallel pass (DeepSpeed-Ulysses, USP) are layouts too, per rank:
+``3Nd/G`` in (:data:`QKV_RELAYOUT`) and ``Nd/G`` out
+(:data:`OUT_RELAYOUT`) forward, ``(Nd + N·H)/G`` in
+(:data:`DOUT_RELAYOUT`) and ``3Nd/G`` out (:data:`GRADS_RELAYOUT`)
+backward, of which each all-to-all sends ``(u-1)/u``.
+``attention.ring.ring_pass`` and ``attention.usp`` execute that
+description, ``perf.schedules.attention`` prices it, and no other module
+multiplies shard sizes by hand.
 """
 
 from __future__ import annotations
@@ -343,7 +349,8 @@ def double_ring_schedule(
 
 @dataclass(frozen=True)
 class BundleLayout:
-    """The bundle one ring-family pass circulates.
+    """The bundle one ring-family pass circulates, or one head-parallel
+    all-to-all relays.
 
     ``slots`` names the tuple leaves in wire order and ``widths`` gives each
     slot's per-token width class: ``"q"`` (query-wide, ``H_q * d``),
@@ -353,7 +360,8 @@ class BundleLayout:
     every other slot is read-only: it may be delivered over the
     counter-rotating stream, and it never takes the return hop, since its
     owner does not read it back.  ``name`` is ``"fwd"`` or the backward
-    algorithm, ``tag`` the pass's :class:`~repro.comm.TrafficLog` tag.
+    algorithm (a relayout's: its payload), ``tag`` the pass's
+    :class:`~repro.comm.TrafficLog` tag.
     """
 
     name: str
@@ -395,6 +403,14 @@ ALG2_BUNDLE = BundleLayout(
     "alg2", "q+grads", ("Q", "dQ", "dO", "D", "Lse"),
     ("q", "q", "q", "row", "row"), (1,),
 )
+
+
+#: The head-parallel relayouts, into head layout and back: forward (``lse``
+#: stays in head layout) and backward (``D = rowsum(dO ∘ O)``, not ``O``).
+QKV_RELAYOUT = BundleLayout("qkv", "usp-qkv", ("Q", "K", "V"), ("q",) * 3, ())
+OUT_RELAYOUT = BundleLayout("out", "usp-out", ("O",), ("q",), ())
+DOUT_RELAYOUT = BundleLayout("dout", "usp-dout", ("dO", "D"), ("q", "row"), ())
+GRADS_RELAYOUT = BundleLayout("grads", "usp-grads", ("dQ", "dK", "dV"), ("q",) * 3, ())
 
 
 def backward_bundle(algorithm: str) -> BundleLayout:

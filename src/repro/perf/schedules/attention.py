@@ -34,8 +34,8 @@ adds only what the DES alone knows.  :func:`attention_pass_time` is the
 makespan, and the predicted trace and the observed-pass replay of
 :mod:`repro.obs` draw and re-price the same graph.  A backward pass ends
 with the return-to-owner hop, and a head-parallel pass is bracketed by its
-two relayouts — tasks like any other transfer, never scalars added
-afterwards.
+two relayouts, sized off their own layouts — tasks like any other
+transfer, never scalars added afterwards.
 """
 
 from __future__ import annotations
@@ -47,7 +47,11 @@ from repro.attention.usp import default_ulysses_degree
 from repro.comm.ring import (
     ALG1_BUNDLE,
     ALG2_BUNDLE,
+    DOUT_RELAYOUT,
+    GRADS_RELAYOUT,
     KV_BUNDLE,
+    OUT_RELAYOUT,
+    QKV_RELAYOUT,
     RING_METHODS,
     BundleLayout,
     RingMethod,
@@ -96,10 +100,6 @@ class AttentionWorkload:
 
     def fwd_flops_per_gpu(self, world: int) -> float:
         return 4.0 * self.total_pairs() * self.hidden / world
-
-    def shard_bytes(self, world: int) -> float:
-        """One query-width shard-sized buffer in bytes."""
-        return self.seq_len / world * self.hidden * self.bytes_per_elem
 
     def head_shape(self) -> tuple[float, float, float]:
         """``(n_q_heads, n_kv_heads, head_dim)`` as a bundle layout sizes
@@ -373,7 +373,8 @@ def attention_pass_sim(
     return-to-owner hop of a backward pass is the ring's last task, on the
     link of its slowest pair.  A head-parallel pass opens with its
     relayout into head layout and closes with the one back, each priced by
-    :func:`_all_to_all_time` on :func:`head_parallel_relayout_bytes`.
+    :func:`_all_to_all_time` on its layout's bytes, what the executor
+    ships (:data:`~repro.comm.ring.QKV_RELAYOUT` and its three siblings).
 
     ``fwd_durations`` / ``rev_durations`` substitute the hop durations of
     :func:`attention_pass_transitions` position by position (e.g. priced
@@ -419,9 +420,10 @@ def attention_pass_sim(
     after = []
     if group is not None:
         a2a_in, a2a_out = (
-            _all_to_all_time(topology, buffer, group)
-            for buffer in head_parallel_relayout_bytes(
-                workload, g, backward=backward
+            _all_to_all_time(topology, workload.bundle_bytes(layout, g), group)
+            for layout in (
+                (DOUT_RELAYOUT, GRADS_RELAYOUT) if backward
+                else (QKV_RELAYOUT, OUT_RELAYOUT)
             )
         )
         after = [f"{prefix}relayout-in"]
@@ -449,18 +451,18 @@ def attention_pass_sim(
 
 
 def _all_to_all_time(
-    topology: ClusterTopology, shard_bytes: float, group: list[int]
+    topology: ClusterTopology, buffer_bytes: float, group: list[int]
 ) -> float:
-    """Time for one all-to-all of a shard-sized buffer per rank in
+    """Time for one all-to-all of a ``buffer_bytes`` buffer per rank in
     ``group``.
 
-    Each rank sends ``(u-1)/u`` of its shard, split across links by the
+    Each rank sends ``(u-1)/u`` of its buffer, split across links by the
     placement of the peers.
     """
     u = len(group)
     if u == 1:
         return 0.0
-    chunk = shard_bytes / u
+    chunk = buffer_bytes / u
     same_node = sum(
         1 for m in group[1:] if topology.node_of(m) == topology.node_of(group[0])
     )
@@ -469,21 +471,6 @@ def _all_to_all_time(
     t_inter = link_time(topology, chunk * cross_node, LinkClass.INTER) if cross_node else 0.0
     # Sends to different peers proceed in parallel over disjoint links.
     return max(t_intra, t_inter)
-
-
-def head_parallel_relayout_bytes(
-    wl: AttentionWorkload, world: int, *, backward: bool
-) -> tuple[float, float]:
-    """Per-rank bytes of the buffers a head-parallel pass (Ulysses, USP)
-    relays out, ``(in, out)`` — what :mod:`repro.attention.usp`'s two
-    all-to-alls ship: ``q, k, v`` in and ``o`` out forward; ``dO`` and
-    ``D = rowsum(dO ∘ O)`` (``n_heads`` rows per token) in and ``dq, dk,
-    dv`` out backward.  Each all-to-all sends ``(u-1)/u`` of its buffer."""
-    shard = wl.shard_bytes(world)
-    if backward:
-        d_rows = wl.seq_len / world * wl.n_heads * wl.bytes_per_elem
-        return shard + d_rows, 3 * shard
-    return 3 * shard, shard
 
 
 def attention_pass_time(

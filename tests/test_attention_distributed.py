@@ -215,6 +215,19 @@ class TestCommunicationVolumes:
                     sent[rec.src] += rec.nelems
             assert sent == dict.fromkeys(range(self.G), elems * (u - 1) // u)
 
+    def test_a_relayout_rejects_a_bundle_that_is_not_its_layout(self):
+        """The one relayout function checks every rank's bundle against
+        its layout's slots before anything ships."""
+        from repro.attention.usp import USPGrid, _relayout
+        from repro.comm.ring import DOUT_RELAYOUT
+
+        comm = SimCommunicator(TOPO_2x4)
+        do = np.zeros((8, 4, 2))
+        with pytest.raises(ValueError, match=r"usp-dout relays \('dO', 'D'\)"):
+            _relayout(comm, USPGrid(4, 2), DOUT_RELAYOUT, [(do,)] * self.G,
+                      to_heads=True, phase="attn-bwd")
+        assert comm.log.records == []
+
     def test_one_position_ring_takes_no_return_hop(self):
         """USP at ``u = G`` — Ulysses — runs its ring leg on one position:
         a forward + backward pass is its four group all-to-alls and no

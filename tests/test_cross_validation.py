@@ -12,9 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.attention import get_method
+from repro.attention.usp import default_ulysses_degree
 from repro.comm.ring import (
     ALG1_BUNDLE,
+    DOUT_RELAYOUT,
+    GRADS_RELAYOUT,
     KV_BUNDLE,
+    OUT_RELAYOUT,
+    QKV_RELAYOUT,
     RING_METHODS,
     bidirectional_split,
     double_ring_schedule,
@@ -26,9 +31,9 @@ from repro.perf.cost import link_time
 from repro.perf.schedules.attention import (
     AttentionWorkload,
     attention_pass_hops,
+    attention_pass_sim,
     attention_pass_time,
     attention_pass_transitions,
-    head_parallel_relayout_bytes,
 )
 from repro.topology import LinkClass, a800_node, make_cluster
 
@@ -38,6 +43,10 @@ HUGE_FLOPS = 1e30  # compute ~ 0: the comm-bound limit
 
 
 class TestDESvsClosedForms:
+    #: One query-width shard of the 1M-token, 5120-wide workload on 32
+    #: GPUs, in bytes (two per element).
+    SHARD = (1 << 20) / 32 * 5120 * 2
+
     def test_burst_forward_commbound_matches_overlapped_phase_cost(self):
         """With zero compute, the burst forward pass's DES makespan equals
         the fully-overlapped Table-1 phase term max(I*T_intra, E*T_inter)
@@ -45,7 +54,7 @@ class TestDESvsClosedForms:
         and 3 inter on 4 nodes x 8 GPUs."""
         wl = AttentionWorkload(seq_len=1 << 20, hidden=5120, n_heads=40)
         des = attention_pass_time("burst", TOPO32, wl, peak_flops=HUGE_FLOPS)
-        payload = 2 * wl.shard_bytes(32)
+        payload = 2 * self.SHARD
         t_intra = link_time(TOPO32, payload, LinkClass.INTRA)
         t_inter = link_time(TOPO32, payload, LinkClass.INTER)
         assert des == pytest.approx(max(28 * t_intra, 3 * t_inter), rel=1e-9)
@@ -61,10 +70,10 @@ class TestDESvsClosedForms:
         wl = AttentionWorkload(seq_len=1 << 20, hidden=5120, n_heads=40)
         des = attention_pass_time("burst", TOPO32, wl, backward=True,
                                   peak_flops=HUGE_FLOPS)
-        payload = wl.shard_bytes(32) * (3 + 2 * 40 / 5120)
+        payload = self.SHARD * (3 + 2 * 40 / 5120)
         t_intra = link_time(TOPO32, payload, LinkClass.INTRA)
         t_inter = link_time(TOPO32, payload, LinkClass.INTER)
-        t_return = link_time(TOPO32, wl.shard_bytes(32), LinkClass.INTER)
+        t_return = link_time(TOPO32, self.SHARD, LinkClass.INTER)
         expected = max(28 * t_intra, 3 * t_inter) + t_return
         assert des == pytest.approx(expected, rel=1e-9)
 
@@ -73,7 +82,7 @@ class TestDESvsClosedForms:
         wl = AttentionWorkload(seq_len=1 << 20, hidden=5120, n_heads=40)
         des = attention_pass_time("megatron-cp", TOPO32, wl,
                                   peak_flops=HUGE_FLOPS)
-        payload = 2 * wl.shard_bytes(32)
+        payload = 2 * self.SHARD
         hop = link_time(TOPO32, payload, LinkClass.INTER)
         assert des == pytest.approx(31 * hop, rel=0.02)
 
@@ -85,7 +94,7 @@ class TestDESvsClosedForms:
         wl = AttentionWorkload(seq_len=1 << 20, hidden=5120, n_heads=40)
         dbl = attention_pass_time("loongtrain-double", TOPO32, wl,
                                   backward=True, peak_flops=HUGE_FLOPS)
-        gr = 2 * wl.shard_bytes(32)
+        gr = 2 * self.SHARD
         t_intra = link_time(TOPO32, gr, LinkClass.INTRA)
         t_inter = link_time(TOPO32, gr, LinkClass.INTER)
         kv_overlapped = max(28 * t_intra, 3 * t_inter)
@@ -258,37 +267,54 @@ class TestDESPricesTheExecutedBytes:
                 assert cls is _slowest(recs[i] for recs in logged), (phase, i)
 
 class TestDESPricesTheExecutedRelayouts:
-    """Executor == model for the head-parallel all-to-alls: the buffers
-    the relayout tasks of :func:`attention_pass_sim` price
-    (:func:`head_parallel_relayout_bytes`, of which each all-to-all sends
-    ``(u-1)/u``) are what every rank's ``TrafficLog`` records for
-    ``usp-qkv`` / ``usp-out`` forward and ``usp-dout`` / ``usp-grads``
-    backward — the ``D`` leaf included."""
+    """Executor == model for the head-parallel all-to-alls: every rank's
+    ``TrafficLog`` records, under each relayout layout's tag, ``(u-1)/u``
+    of the layout's bytes (the ``D`` leaf included), and the
+    ``relayout-in`` / ``relayout-out`` tasks of :func:`attention_pass_sim`
+    last what rank 0's logged sends take on their links."""
 
     @pytest.mark.parametrize("name,kwargs", [
         ("ulysses", {}),
         ("usp", {"ulysses_degree": 2}),
         ("usp", {"ulysses_degree": 2, "use_burst_backward": True}),
-    ], ids=["ulysses", "usp2-alg1", "usp2-alg2"])
+        ("usp", {}),
+    ], ids=["ulysses", "usp2-alg1", "usp2-alg2", "usp-default"])
     def test_relayout_bytes_are_the_logged_bytes(self, name, kwargs):
         topo = make_cluster(8, node=a800_node(gpus_per_node=4))
         g, h, d = topo.world_size, 8, 4
         n = 4 * g
+        if name == "usp":
+            # the default degree on 2 x 4 is u = 4: a ring leg across nodes
+            kwargs = {"ulysses_degree": default_ulysses_degree(
+                h, g, topo.gpus_per_node), **kwargs}
         rng = np.random.default_rng(0)
         q, k, v, do = (rng.normal(size=(h, n, d)) for _ in range(4))
         method = get_method(name, block_size=4, **kwargs)
         u = method.grid(g).ulysses_degree
+        assert u == {"ulysses": 8}.get(name, kwargs.get("ulysses_degree"))
         log = method.run(topo, q, k, v, do=do).comm.log
         wl = AttentionWorkload(seq_len=n, hidden=h * d, n_heads=h,
                                bytes_per_elem=8)
-        for backward, tags in ((False, ("usp-qkv", "usp-out")),
-                               (True, ("usp-dout", "usp-grads"))):
-            priced = head_parallel_relayout_bytes(wl, g, backward=backward)
-            for tag, buffer in zip(tags, priced):
+        for backward, layouts in ((False, (QKV_RELAYOUT, OUT_RELAYOUT)),
+                                  (True, (DOUT_RELAYOUT, GRADS_RELAYOUT))):
+            sim = attention_pass_sim(name, topo, wl, backward=backward,
+                                     ulysses_degree=kwargs.get("ulysses_degree"))
+            prefix = "attn-bwd/" if backward else "attn-fwd/"
+            for task, layout in zip(("relayout-in", "relayout-out"), layouts):
+                sent = [[rec for rec in log.records
+                         if rec.tag == layout.tag and rec.src == r]
+                        for r in range(g)]
                 for r in range(g):
-                    logged = sum(rec.nbytes for rec in log.records
-                                 if rec.tag == tag and rec.src == r)
-                    assert logged == buffer * (u - 1) / u, (tag, r)
+                    assert sum(rec.nbytes for rec in sent[r]) == (
+                        wl.bundle_bytes(layout, g) * (u - 1) / u
+                    ), (layout.tag, r)
+                per_link = {}
+                for rec in sent[0]:
+                    per_link[rec.link] = per_link.get(rec.link, 0) + rec.nbytes
+                assert sim.tasks[prefix + task].duration == max(
+                    link_time(topo, nbytes, cls)
+                    for cls, nbytes in per_link.items()
+                ), layout.tag
 
 
 class TestSelectiveEqualsRing:

@@ -6,9 +6,10 @@ of the paper's evaluation must come out of the models (who wins, where
 OOMs happen, how scaling behaves).
 """
 
-import pytest
-
 import dataclasses
+from pathlib import Path
+
+import pytest
 
 from repro.engine import EngineConfig
 from repro.models import (
@@ -30,6 +31,7 @@ from repro.perf import (
 from repro.perf.cost import attention_step_sizes
 from repro.perf.memory import GB, logits_memory_bytes, ulysses_effective_degree
 from repro.attention.usp import default_ulysses_degree
+from repro.comm.ring import RING_METHODS, RING_MODES
 from repro.perf.schedules.attention import (
     AttentionWorkload,
     attention_pass_hops,
@@ -355,6 +357,45 @@ class TestHeadParallelPassGraph:
             assert default_ulysses_degree(heads, world, per_node) == u
 
 
+DES_GOLDEN = Path(__file__).parent / "golden" / "des_pass_times.txt"
+
+
+def des_pass_time_lines():
+    """One ``method cluster seq direction ring_mode hex`` line per cell of
+    the DES pass-time golden: every ring-family method in both ring modes,
+    Ulysses, and USP at degrees 2, 4 and 8, forward and backward, on 2x4
+    and 4x8 A800 ranks, for the 7B attention shape at 128K and 1M tokens.
+    Regenerate with ``PYTHONPATH=src python -m tests.test_perf_models >
+    tests/golden/des_pass_times.txt``."""
+    clusters = {
+        "2x4": make_cluster(8, node=a800_node(gpus_per_node=4)),
+        "4x8": make_cluster(32, node=a800_node(gpus_per_node=8)),
+    }
+    rows = [(m, m, {"ring_mode": mode}) for m in RING_METHODS
+            for mode in RING_MODES]
+    rows += [("ulysses", "ulysses", {})]
+    rows += [(f"usp-u{u}", "usp", {"ulysses_degree": u}) for u in (2, 4, 8)]
+    for label, method, kw in rows:
+        for name, topo in clusters.items():
+            for seq in (131072, 1 << 20):
+                wl = AttentionWorkload(seq_len=seq, hidden=LLAMA_7B.dim,
+                                       n_heads=LLAMA_7B.n_heads)
+                for backward in (False, True):
+                    t = attention_pass_time(method, topo, wl,
+                                            backward=backward, **kw)
+                    yield " ".join((
+                        label, name, str(seq), "bwd" if backward else "fwd",
+                        kw.get("ring_mode", "unidirectional"), t.hex(),
+                    ))
+
+
+class TestPassTimeGolden:
+    def test_pass_times_match_the_golden_bit_for_bit(self):
+        """Every cell's ``attention_pass_time`` is ``float.hex``-equal to
+        the committed golden; a pricing change shows up as its diff."""
+        assert list(des_pass_time_lines()) == DES_GOLDEN.read_text().splitlines()
+
+
 class TestMemoryModel:
     def test_megatron_oom_from_replicated_states(self):
         """Fig. 13: Megatron-CP (no FSDP) exceeds 80 GB on states alone."""
@@ -597,3 +638,7 @@ class TestScheduleModels:
         collapses to ~1/P — the reason the paper shards the sequence."""
         eff = pipeline_efficiency(8, 1, 1.0)
         assert eff == pytest.approx(1 / 8, rel=0.05)
+
+
+if __name__ == "__main__":
+    print("\n".join(des_pass_time_lines()))

@@ -1462,8 +1462,9 @@ class TestOnePassDescription:
     """One pass description for all five methods: ``attention_pass_sim``
     alone builds a pass graph — Ulysses and USP included, on the
     executor's grid — ``attention_pass_time`` is its makespan, no
-    hand-written head-parallel pricer remains, and USP's default degree is
-    written once."""
+    hand-written head-parallel pricer remains, one relayout function runs
+    every all-to-all of a declared relayout layout, and USP's default
+    degree is written once."""
 
     HOME = "perf/schedules/attention.py"
 
@@ -1502,13 +1503,38 @@ class TestOnePassDescription:
         assert called == {"attention_pass_sim"}
 
     def test_no_hand_written_head_parallel_pricer(self):
-        gone = {"_ulysses_pass", "_usp_pass"}
+        """... nor relayout sizing or a relayout per direction."""
+        gone = {"_ulysses_pass", "_usp_pass", "head_parallel_relayout_bytes",
+                "_seq_to_head", "_head_to_seq"}
         assert [
             (rel, node.lineno) for rel, tree in self._trees().items()
             for node in ast.walk(tree)
             if isinstance(node, ast.FunctionDef) and node.name in gone
             or isinstance(node, ast.Name) and node.id in gone
         ] == []
+
+    def test_one_relayout_function_runs_the_all_to_alls(self):
+        callers = {
+            (rel, scope) for rel, tree in self._trees().items()
+            for scope in _scopes(
+                tree,
+                lambda n: isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "group_all_to_all",
+            )
+        }
+        assert callers == {("attention/usp.py", "_relayout")}
+
+    def test_the_relayout_tags_are_declared_once(self):
+        """Each relayout's tag is written in its layout alone; the
+        executor and the pricer take it from there."""
+        tags = {"usp-qkv", "usp-out", "usp-dout", "usp-grads"}
+        found = [
+            (rel, node.value) for rel, tree in self._trees().items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in tags
+        ]
+        assert sorted(found) == [("comm/ring.py", tag) for tag in sorted(tags)]
 
     def test_the_default_degree_is_written_once(self):
         trees = self._trees()
