@@ -7,7 +7,13 @@ loop handles one run — a stretch of adjacent sub-tiles of one class that
 :func:`~repro.kernels.tileplan.run_width` keys) and, under a partial
 mask, trimmed to the keys some query row sees — because an iteration's
 cost at small head dimensions is mostly fixed: a handful of NumPy calls
-whose inner loops are one score row long.  Both directions follow
+whose inner loops are one score row long.  A run is row groups x key
+window: a *banded* run (:func:`~repro.kernels.tileplan.banded_runs`)
+splits its query block into equal row groups, each reading its own key
+window at a constant stride, and is one batched GEMM over heads x groups
+against strided views of the key operands (no copy); the operands carry a
+zero margin of ``plan.margin`` keys for the edge windows.  Both directions
+follow
 FlashAttention-2, done with in-place arithmetic on one score tile ``S``
 (the GEMM's output buffer) per run, and both let the row statistics ride
 the GEMMs as one extra column instead of a pass over the tile:
@@ -105,10 +111,12 @@ from repro.kernels.tileplan import (
     KernelWorkspace,
     TilePlan,
     _block_bounds,
+    banded_runs,
     head_batch,
     key_runs,
     run_width,
     tile_size,
+    window_pad,
 )
 from repro.obs.mem import transient_alloc, transient_free
 from repro.obs.metrics import get_registry
@@ -141,16 +149,17 @@ def _key_loops(
     block_q: int | None,
     block_k: int | None,
 ):
-    """The work of one invocation: ``(q0, q1, runs)`` per query block,
-    ``runs`` yielding ``(k0, k1, mask_tile, bias_tile)`` per iteration of
-    its key loop.
+    """The work of one invocation: ``(pad, loops)``, ``loops`` yielding
+    ``(q0, q1, groups, runs)`` per query block and ``runs`` ``(k0, stride,
+    width, groups, mask_tile, bias_tile)`` per iteration of its key loop;
+    the key operands are laid out with ``pad`` zero keys on either side.
 
     With a plan these are its precomputed runs (tallied here, once).  On
     the dense path the geometry is the explicit blocks or the derived tile
     size, and the runs are what :func:`~repro.kernels.tileplan.key_runs`
-    forms from the ``any()`` / ``all()`` of each sub-tile of the
+    and :func:`~repro.kernels.tileplan.banded_runs` form from the
     broadcastable ``mask``, with ``mask``/``bias`` sliced to the run —
-    the same function the plan was built by.
+    the functions the plan was built by.
     """
     sq, sk = q.shape[-2], k.shape[-2]
     if plan is not None:
@@ -160,19 +169,34 @@ def _key_loops(
             )
         plan.check_geometry(sq, sk)
         plan.tally()
-        for qi in range(plan.n_q_blocks):
-            yield *plan.q_range(qi), (
-                (k0, k1, m, plan.bias_tile(qi, k0, k1))
-                for k0, k1, m in plan.row(qi)
-            )
-        return
+
+        def loops():
+            for qi in range(plan.n_q_blocks):
+                row = plan.row(qi)
+                yield *plan.q_range(qi), row[0][3] if row else 1, (
+                    (*run, plan.bias_tile(qi, run[0], run[0] + run[2]))
+                    for run in row
+                )
+
+        return plan.margin, loops()
     batch = head_batch(q)
     block_q = tile_size(block_q, batch, sq)
     block_k = tile_size(block_k, batch, sk)
     k_bounds = _block_bounds(sk, block_k)
     max_keys = run_width(batch, block_q, block_k, sq, sk)
-    for q0, q1 in _block_bounds(sq, block_q):
-        yield q0, q1, _dense_runs(mask, bias, q0, q1, k_bounds, max_keys)
+    blocks = [
+        (q0, q1, _dense_runs(mask, bias, q0, q1, k_bounds, max_keys))
+        for q0, q1 in _block_bounds(sq, block_q)
+    ]
+    return window_pad([runs for _, _, runs in blocks], sk), [
+        (q0, q1, runs[0][3] if runs else 1, [
+            (*run, None if bias is None else bias[
+                ..., q0:q1, run[0]:run[0] + run[2]
+            ])
+            for run in runs
+        ])
+        for q0, q1, runs in blocks
+    ]
 
 
 def _dense_runs(
@@ -184,8 +208,8 @@ def _dense_runs(
     max_keys: int,
 ):
     """The dense path's key loop for query rows ``[q0, q1)``: each
-    sub-tile classified by its ``any()`` / ``all()``, then merged and
-    trimmed exactly as a plan's are."""
+    sub-tile classified by its ``any()`` / ``all()``, then merged, trimmed
+    and banded exactly as a plan's are (never under a bias)."""
     if mask is None:
         states = [FULL] * len(k_bounds)
     else:
@@ -197,11 +221,15 @@ def _dense_runs(
         ]
 
     def mask_of(j0: int, j1: int) -> np.ndarray:
-        stretch = rows[..., k_bounds[j0][0]:k_bounds[j1 - 1][1]]
-        return stretch.astype(bool, copy=False)
+        return visible(k_bounds[j0][0], k_bounds[j1 - 1][1])
 
-    for k0, k1, m in key_runs(states, k_bounds, max_keys, mask_of):
-        yield k0, k1, m, None if bias is None else bias[..., q0:q1, k0:k1]
+    def visible(a: int, b: int) -> np.ndarray:
+        return rows[..., a:b].astype(bool, copy=False)
+
+    return banded_runs(
+        key_runs(states, k_bounds, max_keys, mask_of), q1 - q0, max_keys,
+        None if bias is not None else visible,
+    )
 
 
 def _scratch(
@@ -215,9 +243,10 @@ def _scratch(
 def _augment(
     ws: KernelWorkspace | None,
     x: np.ndarray,
-    last: np.ndarray | float,
+    last: np.ndarray | float | None,
     name: str,
     transposed: bool = False,
+    pad: int = 0,
 ) -> np.ndarray:
     """``[x | last]``: ``x`` with one more column — or, ``transposed``,
     ``[x | last]^T`` written C-contiguous, the right-hand operand a run
@@ -225,15 +254,72 @@ def _augment(
     one.  A GEMM against the augmented operand carries a row statistic
     along — ``P [V | 1]`` ends in ``rowsum P``, ``[Q~ | -lse] [K | 1]^T``
     is ``S - lse`` and ``[dO | -D] [V | 1]^T`` is ``dP - D`` — for one
-    more column of a product instead of a pass over the score tile."""
-    rows, cols = x.shape[-2], x.shape[-1] + 1
+    more column of a product instead of a pass over the score tile.
+    ``last=None`` adds no column; ``pad`` zero rows go before and after
+    ``x``'s, the margin a banded run's edge windows read (masked)."""
+    rows = x.shape[-2] + 2 * pad
+    cols = x.shape[-1] + (last is not None)
     out = _scratch(
         ws, name, x.shape[:-2] + ((cols, rows) if transposed else (rows, cols))
     )
     wide = np.swapaxes(out, -1, -2) if transposed else out
-    wide[..., :-1] = x
-    wide[..., -1] = last
+    if pad:
+        wide[..., :pad, :] = 0.0
+        wide[..., rows - pad:, :] = 0.0
+    body = wide[..., pad:rows - pad, :]
+    if last is None:
+        body[...] = x
+    else:
+        body[..., :-1] = x
+        body[..., -1] = last
     return out
+
+
+def _grouped(x: np.ndarray, groups: int) -> np.ndarray:
+    """``(..., rows, c)`` as ``(..., groups, rows / groups, c)`` — a view;
+    ``x`` itself for one group."""
+    if groups == 1:
+        return x
+    return x.reshape(x.shape[:-2] + (groups, -1, x.shape[-1]))
+
+
+def _window(
+    x: np.ndarray, k0: int, stride: int, width: int, groups: int, axis: int
+) -> np.ndarray:
+    """Keys ``[k0 + g * stride, k0 + g * stride + width)`` of ``x`` along
+    ``axis`` (-1: a transposed operand's columns, -2: rows), stacked over
+    ``g`` before the last two axes — a strided view, never a copy; the
+    plain slice for one group."""
+    if groups == 1:
+        if axis == -1:
+            return x[..., k0:k0 + width]
+        return x[..., k0:k0 + width, :]
+    shape = list(x.shape[-2:])
+    shape[axis] = width
+    shape = x.shape[:-2] + (groups, *shape)
+    strides = x.strides[:-2] + (stride * x.strides[axis], *x.strides[-2:])
+    if x.flags.c_contiguous:  # a laid-out operand: the cheap constructor
+        return np.ndarray(shape, x.dtype, x, k0 * x.strides[axis], strides)
+    return np.lib.stride_tricks.as_strided(
+        x[..., k0:] if axis == -1 else x[..., k0:, :], shape, strides,
+        writeable=False,
+    )
+
+
+def _band(
+    x: np.ndarray, groups: int, stride: int, width: int
+) -> np.ndarray:
+    """The banded run inside a dense ``(..., rows, span)`` tile ``x`` (C
+    layout): row group ``g`` and columns ``[g * stride, g * stride +
+    width)``, as the ``(..., groups, rows / groups, width)`` view a batched
+    GEMM writes."""
+    *lead, rows, span = x.shape
+    item = x.itemsize
+    return np.ndarray(
+        (*lead, groups, rows // groups, width), x.dtype, x, 0,
+        x.strides[:-2] + ((rows // groups * span + stride) * item,
+                          span * item, item),
+    )
 
 
 def _max_row_norm(x: np.ndarray) -> float:
@@ -248,13 +334,21 @@ def _matmul(
     return np.matmul(a, b) if ws is None else ws.matmul(a, b, name)
 
 
-def _exp_visible(x: np.ndarray, m: np.ndarray | None) -> None:
+def _exp_visible(
+    x: np.ndarray, m: np.ndarray | None, bounded: bool = False
+) -> None:
     """In place: ``exp(x)`` where ``m`` (everywhere without one), exactly 0
     elsewhere.  Masked scores are never exponentiated — no ``-inf`` is
     written and none reaches ``exp``, whose special-value path costs about
-    three times the plain one per element."""
+    three times the plain one per element — unless the call is
+    ``bounded`` (:data:`EXP_BUDGET`): then every score is a small finite
+    number, and one plain ``exp`` over the tile and a multiply by the mask
+    cost less than ``exp``'s masked loop."""
     if m is None:
         np.exp(x, out=x)
+    elif bounded:
+        np.exp(x, out=x)
+        np.multiply(x, m, out=x)
     else:
         np.exp(x, out=x, where=m)
         np.copyto(x, 0.0, where=np.logical_not(m))
@@ -410,17 +504,18 @@ def _forward_accumulate(
     bounded = state.stays_bounded(k, biased)
     if bounded:
         _bounded_calls.inc()
-    k_t = _scratch(ws, "fwd-kt", k.shape[:-2] + (k.shape[-1], k.shape[-2]))
-    k_t[...] = np.swapaxes(k, -1, -2)
-    v1 = _augment(ws, v, 1.0, "fwd-v1")
-    for q0, q1, runs in _key_loops(
-        plan, state.q, k, mask, bias, block_q, block_k
-    ):
-        q_blk = state.q[..., q0:q1, :]
-        m_run = state.m[..., q0:q1, :]
-        acc = state.acc[..., q0:q1, :]
-        for k0, k1, m, b in runs:
-            s = _matmul(ws, q_blk, k_t[..., k0:k1], "fwd-s")
+    pad, loops = _key_loops(plan, state.q, k, mask, bias, block_q, block_k)
+    k_t = _augment(ws, k, None, "fwd-kt", transposed=True, pad=pad)
+    v1 = _augment(ws, v, 1.0, "fwd-v1", pad=pad)
+    for q0, q1, groups, runs in loops:
+        q_blk = _grouped(state.q[..., q0:q1, :], groups)
+        m_run = _grouped(state.m[..., q0:q1, :], groups)
+        acc = _grouped(state.acc[..., q0:q1, :], groups)
+        for k0, stride, width, _, m, b in runs:
+            s = _matmul(
+                ws, q_blk, _window(k_t, pad + k0, stride, width, groups, -1),
+                "fwd-s",
+            )
             if not bounded:
                 if b is not None:
                     s += b
@@ -435,8 +530,11 @@ def _forward_accumulate(
                 s -= m_safe
                 acc *= np.exp(m_run - m_safe)
                 m_run[...] = m_new
-            _exp_visible(s, m)
-            acc += _matmul(ws, s, v1[..., k0:k1, :], "fwd-pv")
+            _exp_visible(s, m, bounded)
+            acc += _matmul(
+                ws, s, _window(v1, pad + k0, stride, width, groups, -2),
+                "fwd-pv",
+            )
 
 
 def flash_attention_backward(
@@ -479,9 +577,16 @@ class PinnedKV:
     call without one builds its own from workspace scratch.  Outside a
     workspace the augmented operands are accounted on the transient
     watermark (site ``flash.pinned-kv``) until :meth:`release`.
+
+    The operands carry ``pad`` zero keys on either side; a call whose
+    plan's banded runs overhang the shard further lays them out again,
+    wider (:meth:`fit`), with ``K`` itself among them — the ``dQ`` GEMM's
+    strided windows read it.
     """
 
-    __slots__ = ("k1_t", "v1_t", "dk", "dv", "_handle")
+    __slots__ = (
+        "k1_t", "v1_t", "k", "k_norm", "margin", "dk", "dv", "_src", "_handle"
+    )
 
     def __init__(
         self,
@@ -489,16 +594,28 @@ class PinnedKV:
         v: np.ndarray,
         workspace: KernelWorkspace | None = None,
     ):
-        self.k1_t = _augment(workspace, k, 1.0, "bwd-k1", transposed=True)
-        self.v1_t = _augment(workspace, v, 1.0, "bwd-v1", transposed=True)
+        self._src, self.margin, self._handle = (k, v, workspace), -1, None
+        self.fit(0)
+        self.k_norm = _max_row_norm(k)
         self.dk = np.zeros_like(k)
         self.dv = np.zeros_like(v)
-        self._handle = (
-            transient_alloc(
-                self.k1_t.nbytes + self.v1_t.nbytes, site="flash.pinned-kv"
+
+    def fit(self, pad: int) -> None:
+        """Lay the operands out with at least ``pad`` zero keys a side."""
+        if pad <= self.margin:
+            return
+        k, v, ws = self._src
+        self.release()
+        self.k1_t = _augment(ws, k, 1.0, "bwd-k1", transposed=True, pad=pad)
+        self.v1_t = _augment(ws, v, 1.0, "bwd-v1", transposed=True, pad=pad)
+        self.k = _augment(ws, k, None, "bwd-k", pad=pad) if pad else k
+        self.margin = pad
+        if ws is None:
+            self._handle = transient_alloc(
+                self.k1_t.nbytes + self.v1_t.nbytes
+                + (self.k.nbytes if pad else 0),
+                site="flash.pinned-kv",
             )
-            if workspace is None else None
-        )
 
     def release(self) -> None:
         """End of the pass: the augmented operands leave the watermark."""
@@ -582,31 +699,60 @@ def _backward_tiles(
     # decided once per call and costs nothing when no row is dead.
     dead_rows = np.isneginf(lse)
     zero_dead = dead_rows.any()
-    q_lse = _augment(ws, q, -np.where(dead_rows, 0.0, lse), "bwd-q1")
+    neg_lse = -np.where(dead_rows, 0.0, lse)
+    q_lse = _augment(ws, q, neg_lse, "bwd-q1")
     q_s = q_lse[..., :-1]
     q_s *= scale
     do_d = _augment(ws, do, -d_stat, "bwd-do1")
+    pad, loops = _key_loops(plan, q, k, mask, bias, block_q, block_k)
+    # Bounded as the forward is: no logit minus lse — masked ones too —
+    # can overflow exp, so every tile takes the plain one.
+    bounded = bias is None and (plan is None or plan.bias_cache is None) and (
+        _max_row_norm(q_s) * pinned.k_norm + neg_lse.max(initial=0.0)
+        <= EXP_BUDGET
+    )
+    pinned.fit(pad)
+    pad, k_rows = pinned.margin, pinned.k
     k1_t, v1_t, dk, dv = pinned.k1_t, pinned.v1_t, pinned.dk, pinned.dv
     dq = np.zeros_like(q)
-    for q0, q1, runs in _key_loops(plan, q, k, mask, bias, block_q, block_k):
-        q_blk, q_lse_blk = q_s[..., q0:q1, :], q_lse[..., q0:q1, :]
-        do_blk, do_d_blk = do[..., q0:q1, :], do_d[..., q0:q1, :]
-        dq_blk = dq[..., q0:q1, :]
-        dead = dead_rows[..., q0:q1, None]
-        for k0, k1, m, b in runs:
-            p = _matmul(ws, q_lse_blk, k1_t[..., k0:k1], "bwd-s")
+    layout = None  # the band the dense P / dS buffers are zero around
+    for q0, q1, groups, runs in loops:
+        q_rows, do_rows = q_s[..., q0:q1, :], do[..., q0:q1, :]
+        q_lse_blk = _grouped(q_lse[..., q0:q1, :], groups)
+        do_d_blk = _grouped(do_d[..., q0:q1, :], groups)
+        dq_blk = _grouped(dq[..., q0:q1, :], groups)
+        dead = _grouped(dead_rows[..., q0:q1, None], groups)
+        for k0, stride, width, _, m, b in runs:
+            win = (pad + k0, stride, width, groups)
+            span = (groups - 1) * stride + width
+            p = _matmul(ws, q_lse_blk, _window(k1_t, *win, -1), "bwd-s")
             if b is not None:
                 p += b
-            _exp_visible(p, m)
+            _exp_visible(p, m, bounded)
             if zero_dead:
                 np.copyto(p, 0.0, where=dead)
-            dv_run = _matmul(ws, p.swapaxes(-1, -2), do_blk, "bwd-dv")
-            ds = _matmul(ws, do_d_blk, v1_t[..., k0:k1], "bwd-dp")
+            ds = _matmul(ws, do_d_blk, _window(v1_t, *win, -1), "bwd-dp")
             ds *= p
-            dq_blk += _matmul(ws, ds, k[..., k0:k1, :], "bwd-dq")
+            dq_blk += _matmul(ws, ds, _window(k_rows, *win, -2), "bwd-dq")
+            if groups > 1:
+                # dV and dK: one GEMM each over the span, from P and dS
+                # copied into dense (rows, span) tiles zero off the band.
+                if layout != (q1 - q0, groups, stride, width):
+                    layout = (q1 - q0, groups, stride, width)
+                    shape = q_rows.shape[:-1] + (span,)
+                    dense = [
+                        _scratch(ws, f"bwd-{x}-band", shape) for x in "sp"
+                    ]
+                    for x in dense:
+                        x[...] = 0.0
+                for x, tile in zip(dense, (p, ds)):
+                    _band(x, groups, stride, width)[...] = tile
+                p, ds = dense
+            dv_run = _matmul(ws, p.swapaxes(-1, -2), do_rows, "bwd-dv")
             # Q~ carries the softmax scale, so dk needs no per-run rescale.
-            dk_run = _matmul(ws, ds.swapaxes(-1, -2), q_blk, "bwd-dk")
-            dv[..., k0:k1, :] += dv_run
-            dk[..., k0:k1, :] += dk_run
+            dk_run = _matmul(ws, ds.swapaxes(-1, -2), q_rows, "bwd-dk")
+            lo, hi = max(k0, 0), min(k0 + span, k.shape[-2])
+            dv[..., lo:hi, :] += dv_run[..., lo - k0:hi - k0, :]
+            dk[..., lo:hi, :] += dk_run[..., lo - k0:hi - k0, :]
     dq *= scale
     return dq

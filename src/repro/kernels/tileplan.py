@@ -24,7 +24,12 @@ the mask structure *into* the kernel:
   :func:`run_width` and, when ``partial``, trimmed to the key columns some
   query row sees.  The unit of kernel work follows the mask, not a square
   grid; a kernel iteration has a fixed cost (a few short NumPy calls) that
-  a run pays once.  The classification, and every tile counter, is
+  a run pays once.  A run is *row groups x key window*: where a query
+  block's rows split into equal groups that each read one window of a
+  common width at a constant stride (a sliding-window block mask on
+  blockwise or striped shards), :func:`banded_runs` records the block as
+  one banded run ``(k0, stride, width, groups, mask)``; every other run
+  is the one-group case.  The classification, and every tile counter, is
   untouched by how its tiles are walked.
 * :class:`KernelWorkspace` keeps one grow-only scratch buffer per name
   (score, probability, grad tiles) so a ring pass reuses one set of
@@ -187,6 +192,11 @@ SCORE_TILE_ELEMS = 1 << 16
 #: 128 rows, 128 keys for 8 heads x 64 rows.  2x and 4x were measured and
 #: are no faster on the whole-sequence calls and cost peak RSS.
 RUN_TILE_ELEMS = SCORE_TILE_ELEMS
+#: Fewest query rows in one row group of a banded run
+#: (:func:`banded_runs`): below it a group's GEMMs and its ``dK`` / ``dV``
+#: adds cost more than the pairs they save (one-row groups made the
+#: ``swa_bidir`` smoke step 25 % slower).
+MIN_GROUP = 8
 
 
 def head_batch(q: np.ndarray) -> int:
@@ -259,6 +269,75 @@ def key_runs(states, k_bounds, max_keys: int, mask_of) -> list[tuple]:
         first, stop = int(seen[0]), int(seen[-1]) + 1
         runs.append((k0 + first, k0 + stop, m[..., first:stop]))
     return runs
+
+
+def banded_runs(
+    runs: list[tuple], n_rows: int, max_keys: int, visible=None
+) -> list[tuple]:
+    """One query block's key loop as ``(k0, stride, width, groups, mask)``
+    runs: row group ``g`` (``n_rows / groups`` rows) reads the keys
+    ``[k0 + g * stride, k0 + g * stride + width)``.
+
+    ``runs`` is the block's :func:`key_runs` list, each a one-group run.
+    When ``visible(a, b)`` — the block's boolean tile over keys ``[a, b)``
+    — is given and some run is ``PARTIAL``, every split of the rows into
+    groups of ``h >= MIN_GROUP`` rows (``n_rows / 2^t``) is tried with the
+    stride that gives the narrowest common window; the split that forms
+    the fewest pairs replaces ``runs`` by one *banded* run when it forms
+    fewer than they do, at most ``max_keys`` keys wide.  Its mask is the
+    ``(..., groups, h, width)`` tile (window keys outside ``[a, b)`` —
+    past either end of the shard, too — are ``False``), ``None`` when
+    every pair is visible.  The plan and the dense oracle both band here.
+    """
+    one = [(k0, 0, k1 - k0, 1, m) for k0, k1, m in runs]
+    if visible is None or all(m is None for _, _, m in runs):
+        return one
+    a, b = runs[0][0], runs[-1][1]
+    vis = visible(a, b)
+    vis = np.broadcast_to(vis, vis.shape[:-2] + (n_rows, b - a))
+    seen = vis.any(axis=tuple(range(vis.ndim - 2)))
+    formed, best = n_rows * sum(k1 - k0 for k0, k1, _ in runs), None
+    h = n_rows // 2
+    while h >= MIN_GROUP:
+        if n_rows % h == 0:
+            grouped = seen.reshape(n_rows // h, h, b - a).any(axis=1)
+            live = np.flatnonzero(grouped.any(axis=1))
+            lo = grouped[live].argmax(axis=1)
+            hi = b - a - grouped[live, ::-1].argmax(axis=1)
+            strides = np.arange(1, b - a + 1)[:, None]
+            start = (lo - strides * live).min(axis=1)
+            width = (hi - strides * live).max(axis=1) - start
+            t = int(width.argmin())
+            if width[t] <= max_keys and n_rows * width[t] < formed:
+                formed = n_rows * int(width[t])
+                best = (a + int(start[t]), t + 1, int(width[t]), h)
+        h //= 2
+    if best is None:
+        return one
+    k0, stride, width, h = best
+    groups = n_rows // h
+    m = np.zeros(vis.shape[:-2] + (groups, h, width), dtype=bool)
+    for g in range(groups):
+        lo = k0 + g * stride
+        c0, c1 = max(a - lo, 0), min(b - lo, width)
+        if c1 > c0:
+            m[..., g, :, c0:c1] = vis[
+                ..., g * h:(g + 1) * h, lo + c0 - a:lo + c1 - a
+            ]
+    return [(k0, stride, width, groups, None if m.all() else m)]
+
+
+def window_pad(rows, n_keys: int) -> int:
+    """Keys the banded runs of ``rows`` reach past either end of
+    ``[0, n_keys)`` — the zero margin a kernel lays its key operands out
+    with, 0 on a plan without bands."""
+    return max(
+        [0] + [
+            max(-k0, k0 + (groups - 1) * stride + width - n_keys)
+            for row in rows for k0, stride, width, groups, _ in row
+            if groups > 1
+        ]
+    )
 
 
 # --- bias tile cache ----------------------------------------------------------
@@ -403,7 +482,8 @@ class TilePlan:
     head_slice: slice | None = None
     _q_bounds: list[tuple[int, int]] = field(default_factory=list, repr=False)
     _k_bounds: list[tuple[int, int]] = field(default_factory=list, repr=False)
-    #: Per q-block, the runs a kernel walks: ``(k0, k1, mask or None)``.
+    #: Per q-block, the runs a kernel walks (:func:`banded_runs`):
+    #: ``(k0, stride, width, groups, mask or None)``.
     _rows: list[list[tuple]] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
@@ -422,17 +502,20 @@ class TilePlan:
             len(self.q_idx) * len(self.k_idx) - skipped, skipped,
             sum(len(row) for row in self._rows),
             sum(
-                rows * (k1 - k0)
-                for rows, row in zip(q_len, self._rows) for k0, k1, _ in row
+                rows * run[2]
+                for rows, row in zip(q_len, self._rows) for run in row
             ),
         )
         #: (query, key) pairs the mask allows over this shard pair: the
         #: area of every ``FULL`` run plus the popcount of every
         #: ``PARTIAL`` run's boolean tile (trimmed columns allow nothing).
         self.allowed_pairs = sum(
-            rows * (k1 - k0) if m is None else int(np.count_nonzero(m))
-            for rows, row in zip(q_len, self._rows) for k0, k1, m in row
+            rows * run[2] if run[4] is None else int(np.count_nonzero(run[4]))
+            for rows, row in zip(q_len, self._rows) for run in row
         )
+        #: Zero key columns the kernels lay their operands out with on
+        #: either side (:func:`window_pad`).
+        self.margin = window_pad(self._rows, len(self.k_idx))
 
     @classmethod
     def build(
@@ -497,8 +580,9 @@ class TilePlan:
         boolean tile it would run under and downgraded when that tile is
         all-``False`` / all-``True`` — ``PARTIAL`` means partial.  The
         dense shard-pair mask is never materialised; the boolean tiles of
-        a ``PARTIAL`` run are joined, trimmed (:func:`key_runs`) and
-        interned by content."""
+        a ``PARTIAL`` run are joined, trimmed (:func:`key_runs`), banded
+        where that forms fewer pairs (:func:`banded_runs`, never under a
+        bias) and interned by content."""
         q_bounds = _block_bounds(len(q_idx), block_q)
         k_bounds = _block_bounds(len(k_idx), block_k)
         states = np.full((len(q_bounds), len(k_bounds)), FULL, dtype=np.int8)
@@ -521,6 +605,10 @@ class TilePlan:
                         else:
                             tiles[(i, j)] = tile
                     states[i, j] = state
+        has_bias = (
+            mask is not None
+            and mask.bias_block(q_idx[:1], k_idx[:1]) is not None
+        )
         rows = []
         for i, row_states in enumerate(states.tolist()):
             def joined(j0: int, j1: int) -> np.ndarray:
@@ -528,18 +616,28 @@ class TilePlan:
                     [tiles[(i, j)] for j in range(j0, j1)], axis=-1
                 )
 
+            def visible(a: int, b: int) -> np.ndarray:
+                # from the classified sub-tiles: no tile wider than one edge
+                out = np.zeros((q_bounds[i][1] - q_bounds[i][0], b - a), bool)
+                for j, (k0, k1) in enumerate(k_bounds):
+                    lo, hi = max(k0, a), min(k1, b)
+                    if hi > lo and row_states[j] != EMPTY:
+                        out[:, lo - a:hi - a] = (
+                            True if row_states[j] == FULL
+                            else tiles[(i, j)][:, lo - k0:hi - k0]
+                        )
+                return out
+
+            runs = key_runs(row_states, k_bounds, run_keys, joined)
             rows.append([
-                (k0, k1, m if m is None else table.intern(
-                    np.ascontiguousarray(m)
+                (*run[:4], run[4] if run[4] is None else table.intern(
+                    np.ascontiguousarray(run[4])
                 ))
-                for k0, k1, m in key_runs(
-                    row_states, k_bounds, run_keys, joined
+                for run in banded_runs(
+                    runs, q_bounds[i][1] - q_bounds[i][0], run_keys,
+                    None if has_bias or mask is None else visible,
                 )
             ])
-        has_bias = (
-            mask is not None
-            and mask.bias_block(q_idx[:1], k_idx[:1]) is not None
-        )
         return cls(
             mask=mask, q_idx=q_idx, k_idx=k_idx,
             block_q=block_q, block_k=block_k, run_keys=run_keys,
@@ -576,11 +674,14 @@ class TilePlan:
     def state(self, i: int, j: int) -> int:
         return int(self.states[i, j])
 
-    def row(self, i: int) -> list[tuple[int, int, np.ndarray | None]]:
-        """The runs of q-block ``i`` (:func:`key_runs`), in key order:
-        ``(k0, k1, boolean tile)``.  The tile is ``None`` on a ``FULL``
-        run; a ``PARTIAL`` run's is read-only and shared with every plan
-        of the same mask that has a run of the same content."""
+    def row(self, i: int) -> list[tuple]:
+        """The runs of q-block ``i`` (:func:`banded_runs`), in key order:
+        ``(k0, stride, width, groups, boolean tile)`` — row group ``g``
+        reads keys from ``k0 + g * stride``; a run of :func:`key_runs` is
+        the one-group case ``(k0, 0, k1 - k0, 1, tile)``.  The tile is
+        ``None`` when every pair is visible; otherwise it is read-only and
+        shared with every plan of the same mask that has a run of the same
+        content."""
         return self._rows[i]
 
     def bias_tile(self, i: int, k0: int, k1: int) -> np.ndarray | None:

@@ -182,8 +182,8 @@ class TestFoldedRowStatistics:
         idx = np.arange(self.N)
         plan = TilePlan.build(mask, idx, idx, self.BLOCK, self.BLOCK, **kw)
         widths = [
-            k1 - k0 for i in range(plan.n_q_blocks)
-            for k0, k1, _ in plan.row(i)
+            width for i in range(plan.n_q_blocks)
+            for _, _, width, _, _ in plan.row(i)
         ]
         assert max(widths) > self.BLOCK  # a run wider than one tile
         return plan
@@ -639,8 +639,8 @@ class TestBoundedForward:
         dense = CausalMask().dense(self.N)
         plan = self._plan(CausalMask(), np.arange(self.N))
         runs = [run for i in range(plan.n_q_blocks) for run in plan.row(i)]
-        assert any(m is not None for _, _, m in runs)
-        assert any(k1 - k0 > self.BLOCK for k0, k1, _ in runs)
+        assert any(run[4] is not None for run in runs)
+        assert any(run[2] > self.BLOCK for run in runs)
         before = _bounded_calls()
         with np.errstate(all="raise"):
             planned = flash_attention_forward(

@@ -42,6 +42,7 @@ from repro.masks import (
 )
 from repro.partition import (
     BlockwisePartitioner,
+    ContiguousPartitioner,
     StripedPartitioner,
     ZigzagPartitioner,
 )
@@ -71,10 +72,42 @@ def _run_both(q, k, v, do, mask, q_idx, k_idx, block_q, block_k):
     return (o0, l0, *g0), (o1, l1, *g1), plan
 
 
+def _runs(plan, i):
+    """Query block ``i``'s runs as ``(k0, k1, mask)``: a banded run
+    ``(k0, stride, width, groups, mask)`` reads as its first group's
+    window."""
+    return [(k0, k0 + width, m) for k0, _, width, _, m in plan.row(i)]
+
+
+def _check_band(plan, i):
+    """A banded row: one run, equal row groups, every key a row sees
+    inside its group's window, the mask exactly the visibility there and
+    ``False`` past either end of the shard."""
+    (k0, stride, width, groups, m), = plan.row(i)
+    q0, q1 = plan.q_range(i)
+    visible = plan.mask.block(plan.q_idx[q0:q1], plan.k_idx)
+    h, n_k = (q1 - q0) // groups, len(plan.k_idx)
+    assert groups * h == q1 - q0 and groups > 1 and stride >= 1
+    covered = np.zeros_like(visible)
+    for g in range(groups):
+        lo = k0 + g * stride
+        keys = np.arange(lo, lo + width)
+        inside = (keys >= 0) & (keys < n_k)
+        want = np.zeros((h, width), dtype=bool)
+        want[:, inside] = visible[g * h:(g + 1) * h, keys[inside]]
+        got = np.ones((h, width), dtype=bool) if m is None else m[g]
+        np.testing.assert_array_equal(got, want)
+        covered[g * h:(g + 1) * h, keys[inside]] = True
+    assert not (visible & ~covered).any()
+    assert -k0 <= plan.margin and k0 + (groups - 1) * stride + width <= n_k + plan.margin
+
+
 def _check_row(plan, i, batch):
     """Every property a query block's run list promises."""
     from repro.kernels.tileplan import RUN_TILE_ELEMS
 
+    if any(run[3] > 1 for run in plan.row(i)):
+        return _check_band(plan, i)
     q0, q1 = plan.q_range(i)
     q_sub = plan.q_idx[q0:q1]
     visible = plan.mask.block(q_sub, plan.k_idx)
@@ -83,7 +116,7 @@ def _check_row(plan, i, batch):
         tile_of[slice(*plan.k_range(j))] = j
     covered = np.zeros(len(plan.k_idx), dtype=bool)
     end = 0
-    for k0, k1, m in plan.row(i):
+    for k0, k1, m in _runs(plan, i):
         assert end <= k0 < k1  # in key order, disjoint, non-empty
         end = k1
         covered[k0:k1] = True
@@ -115,7 +148,7 @@ def _check_plan(plan, batch=1):
     for i in range(plan.n_q_blocks):
         _check_row(plan, i, batch)
         # Maximal: two FULL runs that touch could not have been one.
-        runs = plan.row(i)
+        runs = _runs(plan, i)
         for (a0, a1, am), (b0, b1, bm) in zip(runs, runs[1:]):
             if am is None and bm is None and a1 == b0:
                 first = min(
@@ -166,7 +199,7 @@ class TestKeyRuns:
                     assert plan.run_keys == (64 if batch == 1 else 32)
                     _check_plan(plan, batch)
                     for i in range(plan.n_q_blocks):
-                        for _, _, m in plan.row(i):
+                        for _, _, m in _runs(plan, i):
                             if m is not None:
                                 key = (m.shape, m.tobytes())
                                 assert interned.setdefault(key, m) is m
@@ -196,10 +229,11 @@ class TestKeyRuns:
         _check_plan(plan)
         for i in range(2, plan.n_q_blocks):
             q0, q1 = plan.q_range(i)
-            runs = plan.row(i)
-            # visible keys of the block: [q0 - 23, q1)
-            assert runs[0][0] == q0 - 23 and runs[-1][1] == q1
-            assert sum(k1 - k0 for k0, k1, _ in runs) == 16 + 23
+            # visible keys of the block: [q0 - 23, q1), read as two 8-row
+            # groups of one 31-key window each (one 39-key run before bands)
+            (k0, stride, width, groups, _), = plan.row(i)
+            assert (k0, stride, width, groups) == (q0 - 23, 8, 31, 2)
+            assert k0 + stride + width == q1
         counters.reset()
         plan.tally()
         assert counters.key_runs < plan.num_full + plan.num_partial
@@ -214,7 +248,7 @@ class TestKeyRuns:
         assert again is plan
         for i in range(plan.n_q_blocks):
             assert view.row(i) is plan.row(i)
-        k0, k1, _ = plan.row(1)[0]
+        k0, k1, _ = _runs(plan, 1)[0]
         np.testing.assert_array_equal(
             view.bias_tile(1, k0, k1), plan.bias_tile(1, k0, k1)[2:4]
         )
@@ -402,7 +436,7 @@ class TestPlanMemo:
         plan_a = TilePlan.build(a, idx, idx, 8, 8)
         plan_b = TilePlan.build(b, idx, idx, 8, 8)
         assert plan_a is not plan_b
-        assert plan_a.row(0)[0][2] is not plan_b.row(0)[0][2]
+        assert plan_a.row(0)[0][4] is not plan_b.row(0)[0][4]
         np.testing.assert_array_equal(plan_a.states, plan_b.states)
 
     def test_table_dies_with_its_mask(self):
@@ -412,7 +446,7 @@ class TestPlanMemo:
         plan.bias_tile(1, 0, 8)
         refs = [
             weakref.ref(o)
-            for o in (mask, plan, plan.bias_cache, plan.row(0)[0][2])
+            for o in (mask, plan, plan.bias_cache, plan.row(0)[0][4])
         ]
         del mask, plan
         gc.collect()
@@ -432,10 +466,10 @@ class TestPlanMemo:
                 n_partial += plan.num_partial
                 tiles |= {
                     id(m) for i in range(plan.n_q_blocks)
-                    for _, _, m in plan.row(i) if m is not None
+                    for _, _, m in _runs(plan, i) if m is not None
                 }
         assert n_partial > 2 and len(tiles) <= 2
-        assert not plan.row(0)[0][2].flags.writeable
+        assert not plan.row(0)[0][4].flags.writeable
 
     def test_rows_list_exactly_the_non_empty_sub_tiles(self):
         """A row lists *runs* — merged, column-trimmed stretches of its
@@ -453,7 +487,7 @@ class TestPlanMemo:
         # trimmed to the window's 32 keys (16 on the first row).
         assert (plan.num_full, plan.num_partial) == (0, 11)
         assert n_runs == 8
-        assert [(k0, k1) for k0, k1, _ in plan.row(0) + plan.row(4)] == [
+        assert [(k0, k1) for k0, k1, _ in _runs(plan, 0) + _runs(plan, 4)] == [
             (0, 16), (48, 80)
         ]
         counters.reset()
@@ -481,7 +515,7 @@ class TestPlanMemo:
         gc.collect()
         live = {
             id(m) for p in table.plans.values()
-            for i in range(p.n_q_blocks) for _, _, m in p.row(i)
+            for i in range(p.n_q_blocks) for _, _, m in _runs(p, i)
             if m is not None
         }
         assert {id(t) for t in table.tiles.values()} == live
@@ -684,6 +718,88 @@ class TestPlanNumericsMatchDense:
         )
         for a, b in zip(dense_out, plan_out):
             np.testing.assert_array_equal(a, b)
+
+
+class TestBandedRuns:
+    """A sliding-window block mask on blockwise or striped shards bands:
+    each query block's row groups read one window each, planned == dense
+    bitwise and both at 1e-12 of the reference; causal and ALiBi plans
+    never band."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 10_000),
+        g=st.sampled_from([2, 4, 8]),
+        per_rank=st.sampled_from([1, 2, 4, 8]),
+        window=st.integers(1, 5),
+        causal=st.booleans(),
+        blockwise=st.booleans(),
+        r1=st.integers(0, 7),
+        r2=st.integers(0, 7),
+    )
+    def test_planned_equals_dense_and_reference(
+        self, seed, g, per_rank, window, causal, blockwise, r1, r2
+    ):
+        from repro.kernels import (
+            attention_reference,
+            attention_reference_backward,
+        )
+
+        block = g * per_rank
+        n = 16 * block
+        mask = sliding_window_block_mask(n, block, window, causal=causal)
+        part = BlockwisePartitioner(block) if blockwise else StripedPartitioner()
+        idxs = part.indices(n, g)
+        q_idx, k_idx = idxs[r1 % g], idxs[r2 % g]
+        rng = np.random.default_rng(seed)
+        q, k, v, do = (rng.normal(size=(2, 16 * per_rank, 8)) for _ in range(4))
+        dense_out, plan_out, plan = _run_both(
+            q, k, v, do, mask, q_idx, k_idx, 16, 16
+        )
+        for a, b in zip(dense_out, plan_out):
+            np.testing.assert_array_equal(a, b)
+        _check_plan(plan, batch=1)
+        dense = mask.block(q_idx, k_idx)
+        o, lse = attention_reference(q, k, v, mask=dense)
+        want = (o, lse, *attention_reference_backward(
+            q, k, v, o, lse, do, mask=dense
+        ))
+        for got, ref in zip(plan_out, want):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_swa_bidir_shard_pairs_band_at_full_length(self):
+        """The benchmark's sparse workload: 8 tokens of every 64-token
+        block per rank, 4-block causal window — 8-row groups, stride 8,
+        one band per query block, a quarter of the 88-key runs' pairs
+        left out of every interior block."""
+        n, g = 2048, 8
+        mask = sliding_window_block_mask(n, 64, 4)
+        idxs = BlockwisePartitioner(64).indices(n, g)
+        for r, j in ((3, 3), (3, 4), (0, 7)):
+            plan = TilePlan.build(mask, idxs[r], idxs[j], 64, 64, batch=8)
+            for i in range(plan.n_q_blocks):
+                (k0, stride, width, groups, _), = plan.row(i)
+                assert (stride, groups) == (8, 8) and width in (31, 32)
+            assert plan.margin == 24
+
+    @pytest.mark.parametrize(
+        "mask", [CausalMask(), ALiBiMask(2)], ids=["causal", "alibi"]
+    )
+    @pytest.mark.parametrize(
+        "partitioner",
+        [ZigzagPartitioner(), StripedPartitioner(), ContiguousPartitioner()],
+        ids=["zigzag", "striped", "contiguous"],
+    )
+    def test_causal_and_alibi_plans_never_band(self, mask, partitioner):
+        idxs = partitioner.indices(512, 4)
+        for q_idx in idxs:
+            for k_idx in idxs:
+                plan = TilePlan.build(mask, q_idx, k_idx, 32, 32, batch=8)
+                assert plan.margin == 0
+                assert all(
+                    run[1:4:2] == (0, 1)
+                    for i in range(plan.n_q_blocks) for run in plan.row(i)
+                )
 
 
 class TestSkipAccounting:
