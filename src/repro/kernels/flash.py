@@ -11,9 +11,10 @@ whose inner loops are one score row long.  A run is row groups x key
 window: a *banded* run (:func:`~repro.kernels.tileplan.banded_runs`)
 splits its query block into equal row groups, each reading its own key
 window at a constant stride, and is one batched GEMM over heads x groups
-against strided views of the key operands (no copy); the operands carry a
-zero margin of ``plan.margin`` keys for the edge windows.  Both directions
-follow
+against strided views of the key operands (no copy), which carry a zero
+margin of ``plan.margin`` keys for the edge windows; the backward sums
+the groups' overlapping ``[dK | dV]`` windows key-major, one add per
+window stride.  Both directions follow
 FlashAttention-2, done with in-place arithmetic on one score tile ``S``
 (the GEMM's output buffer) per run, and both let the row statistics ride
 the GEMMs as one extra column instead of a pass over the tile:
@@ -58,10 +59,13 @@ Every key operand reaches BLAS C-contiguous: the forward writes ``K^T``
 once per call and :class:`PinnedKV` writes ``[K | 1]^T`` / ``[V | 1]^T``,
 so a run's operand is a column slice of a row-major matrix (a plain NN
 product) instead of a transposed view, which OpenBLAS multiplies 1.3–2x
-slower at head dim 8.
+slower at head dim 8 (the one exception: a band's ``dQ`` GEMM reads its
+``K`` windows off ``[K | 1]^T``, as narrow as the band's 8-row groups).
 
 Masked scores are never exponentiated (``exp(..., where=mask)``, then
-zeroed), so no ``-inf`` enters the tile arithmetic.  A query row with no
+zeroed) unless the call is bounded (:data:`EXP_BUDGET`, where every score
+is a small finite number: one plain ``exp``, then a multiply by the
+mask), so no ``-inf`` enters the tile arithmetic.  A query row with no
 visible key is handled on row-sized vectors only: its ``l`` comes out of
 the GEMM as exactly 0 — every visible key's weight is a normal number, so
 ``l == 0`` is what decides a dead row — and is divided as 1, its ``-lse``
@@ -221,14 +225,12 @@ def _dense_runs(
         ]
 
     def mask_of(j0: int, j1: int) -> np.ndarray:
-        return visible(k_bounds[j0][0], k_bounds[j1 - 1][1])
-
-    def visible(a: int, b: int) -> np.ndarray:
-        return rows[..., a:b].astype(bool, copy=False)
+        stretch = rows[..., k_bounds[j0][0]:k_bounds[j1 - 1][1]]
+        return stretch.astype(bool, copy=False)
 
     return banded_runs(
         key_runs(states, k_bounds, max_keys, mask_of), q1 - q0, max_keys,
-        None if bias is not None else visible,
+        bias is None,
     )
 
 
@@ -264,62 +266,54 @@ def _augment(
     )
     wide = np.swapaxes(out, -1, -2) if transposed else out
     if pad:
-        wide[..., :pad, :] = 0.0
-        wide[..., rows - pad:, :] = 0.0
-    body = wide[..., pad:rows - pad, :]
-    if last is None:
-        body[...] = x
-    else:
-        body[..., :-1] = x
-        body[..., -1] = last
+        wide[..., :pad, :] = wide[..., rows - pad:, :] = 0.0
+    wide[..., pad:rows - pad, :x.shape[-1]] = x
+    if last is not None:
+        wide[..., pad:rows - pad, -1] = last
     return out
 
 
-def _grouped(x: np.ndarray, groups: int) -> np.ndarray:
-    """``(..., rows, c)`` as ``(..., groups, rows / groups, c)`` — a view;
-    ``x`` itself for one group."""
+def _grouped(groups: int, *xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each ``(..., rows, c)`` as ``(..., groups, rows / groups, c)`` — a
+    view; the arrays themselves for one group."""
     if groups == 1:
-        return x
-    return x.reshape(x.shape[:-2] + (groups, -1, x.shape[-1]))
+        return xs
+    return tuple(
+        x.reshape(x.shape[:-2] + (groups, -1, x.shape[-1])) for x in xs
+    )
 
 
 def _window(
     x: np.ndarray, k0: int, stride: int, width: int, groups: int, axis: int
 ) -> np.ndarray:
-    """Keys ``[k0 + g * stride, k0 + g * stride + width)`` of ``x`` along
-    ``axis`` (-1: a transposed operand's columns, -2: rows), stacked over
-    ``g`` before the last two axes — a strided view, never a copy; the
-    plain slice for one group."""
+    """Keys ``[k0 + g * stride, +width)`` of a laid-out (C-contiguous)
+    operand along ``axis`` (-1: columns, -2: rows), stacked over ``g``
+    before the last two axes: a strided view; a slice for one group."""
     if groups == 1:
         if axis == -1:
             return x[..., k0:k0 + width]
         return x[..., k0:k0 + width, :]
     shape = list(x.shape[-2:])
     shape[axis] = width
-    shape = x.shape[:-2] + (groups, *shape)
     strides = x.strides[:-2] + (stride * x.strides[axis], *x.strides[-2:])
-    if x.flags.c_contiguous:  # a laid-out operand: the cheap constructor
-        return np.ndarray(shape, x.dtype, x, k0 * x.strides[axis], strides)
-    return np.lib.stride_tricks.as_strided(
-        x[..., k0:] if axis == -1 else x[..., k0:, :], shape, strides,
-        writeable=False,
-    )
-
-
-def _band(
-    x: np.ndarray, groups: int, stride: int, width: int
-) -> np.ndarray:
-    """The banded run inside a dense ``(..., rows, span)`` tile ``x`` (C
-    layout): row group ``g`` and columns ``[g * stride, g * stride +
-    width)``, as the ``(..., groups, rows / groups, width)`` view a batched
-    GEMM writes."""
-    *lead, rows, span = x.shape
-    item = x.itemsize
     return np.ndarray(
-        (*lead, groups, rows // groups, width), x.dtype, x, 0,
-        x.strides[:-2] + ((rows // groups * span + stride) * item,
-                          span * item, item),
+        x.shape[:-2] + (groups, *shape), x.dtype, x, k0 * x.strides[axis],
+        strides,
     )
+
+
+def _fold_windows(acc: np.ndarray, x: np.ndarray, k0: int, stride: int):
+    """``acc[k0 + g * stride + t] += x[g, t]`` over every group ``g`` and
+    window key ``t`` (both key-major): ``ceil(width / stride)`` adds, each
+    of the ``j``-th stride of every window (no two of which overlap)."""
+    groups, width = x.shape[:2]
+    chunks = -(-width // stride)
+    out = acc[k0:k0 + (groups + chunks - 1) * stride]
+    out = out.reshape((-1, stride) + out.shape[1:])
+    for j in range(chunks):
+        part = x[:, j * stride:(j + 1) * stride]
+        view = out[j:j + groups, :part.shape[1]]
+        view += part
 
 
 def _max_row_norm(x: np.ndarray) -> float:
@@ -508,9 +502,10 @@ def _forward_accumulate(
     k_t = _augment(ws, k, None, "fwd-kt", transposed=True, pad=pad)
     v1 = _augment(ws, v, 1.0, "fwd-v1", pad=pad)
     for q0, q1, groups, runs in loops:
-        q_blk = _grouped(state.q[..., q0:q1, :], groups)
-        m_run = _grouped(state.m[..., q0:q1, :], groups)
-        acc = _grouped(state.acc[..., q0:q1, :], groups)
+        q_blk, m_run, acc = _grouped(
+            groups, state.q[..., q0:q1, :], state.m[..., q0:q1, :],
+            state.acc[..., q0:q1, :],
+        )
         for k0, stride, width, _, m, b in runs:
             s = _matmul(
                 ws, q_blk, _window(k_t, pad + k0, stride, width, groups, -1),
@@ -578,15 +573,13 @@ class PinnedKV:
     workspace the augmented operands are accounted on the transient
     watermark (site ``flash.pinned-kv``) until :meth:`release`.
 
-    The operands carry ``pad`` zero keys on either side; a call whose
+    The operands carry ``margin`` zero keys on either side: a call whose
     plan's banded runs overhang the shard further lays them out again,
-    wider (:meth:`fit`), with ``K`` itself among them — the ``dQ`` GEMM's
-    strided windows read it.
+    wider (:meth:`fit`).
     """
 
-    __slots__ = (
-        "k1_t", "v1_t", "k", "k_norm", "margin", "dk", "dv", "_src", "_handle"
-    )
+    __slots__ = ("k1_t", "v1_t", "k_norm", "margin", "dk", "dv", "_src",
+                 "_handle")
 
     def __init__(
         self,
@@ -596,7 +589,7 @@ class PinnedKV:
     ):
         self._src, self.margin, self._handle = (k, v, workspace), -1, None
         self.fit(0)
-        self.k_norm = _max_row_norm(k)
+        self.k_norm = None  # max ||K_j||, at the first band that asks
         self.dk = np.zeros_like(k)
         self.dv = np.zeros_like(v)
 
@@ -608,13 +601,10 @@ class PinnedKV:
         self.release()
         self.k1_t = _augment(ws, k, 1.0, "bwd-k1", transposed=True, pad=pad)
         self.v1_t = _augment(ws, v, 1.0, "bwd-v1", transposed=True, pad=pad)
-        self.k = _augment(ws, k, None, "bwd-k", pad=pad) if pad else k
         self.margin = pad
         if ws is None:
             self._handle = transient_alloc(
-                self.k1_t.nbytes + self.v1_t.nbytes
-                + (self.k.nbytes if pad else 0),
-                site="flash.pinned-kv",
+                self.k1_t.nbytes + self.v1_t.nbytes, site="flash.pinned-kv"
             )
 
     def release(self) -> None:
@@ -700,59 +690,76 @@ def _backward_tiles(
     dead_rows = np.isneginf(lse)
     zero_dead = dead_rows.any()
     neg_lse = -np.where(dead_rows, 0.0, lse)
-    q_lse = _augment(ws, q, neg_lse, "bwd-q1")
+    q_lse = _augment(ws, q * scale, neg_lse, "bwd-q1")
     q_s = q_lse[..., :-1]
-    q_s *= scale
     do_d = _augment(ws, do, -d_stat, "bwd-do1")
     pad, loops = _key_loops(plan, q, k, mask, bias, block_q, block_k)
-    # Bounded as the forward is: no logit minus lse — masked ones too —
-    # can overflow exp, so every tile takes the plain one.
-    bounded = bias is None and (plan is None or plan.bias_cache is None) and (
-        _max_row_norm(q_s) * pinned.k_norm + neg_lse.max(initial=0.0)
-        <= EXP_BUDGET
-    )
+    bounded = None  # decided at the first band, which is never biased
     pinned.fit(pad)
-    pad, k_rows = pinned.margin, pinned.k
+    pad = pinned.margin
     k1_t, v1_t, dk, dv = pinned.k1_t, pinned.v1_t, pinned.dk, pinned.dv
     dq = np.zeros_like(q)
-    layout = None  # the band the dense P / dS buffers are zero around
+    folds = None
     for q0, q1, groups, runs in loops:
-        q_rows, do_rows = q_s[..., q0:q1, :], do[..., q0:q1, :]
-        q_lse_blk = _grouped(q_lse[..., q0:q1, :], groups)
-        do_d_blk = _grouped(do_d[..., q0:q1, :], groups)
-        dq_blk = _grouped(dq[..., q0:q1, :], groups)
-        dead = _grouped(dead_rows[..., q0:q1, None], groups)
+        q_blk, q_lse_blk, do_blk, do_d_blk, dq_blk, dead = _grouped(
+            groups, *(x[..., q0:q1, :] for x in (
+                q_s, q_lse, do, do_d, dq, dead_rows[..., None]
+            ))
+        )
         for k0, stride, width, _, m, b in runs:
-            win = (pad + k0, stride, width, groups)
-            span = (groups - 1) * stride + width
-            p = _matmul(ws, q_lse_blk, _window(k1_t, *win, -1), "bwd-s")
+            k1_win = _window(k1_t, pad + k0, stride, width, groups, -1)
+            p = _matmul(ws, q_lse_blk, k1_win, "bwd-s")
             if b is not None:
                 p += b
-            _exp_visible(p, m, bounded)
+            if groups > 1 and bounded is None:
+                # as the forward's (EXP_BUDGET): no score minus lse, masked
+                # ones too, overflows exp, so a band takes the plain one
+                if pinned.k_norm is None:
+                    pinned.k_norm = _max_row_norm(k)
+                bounded = scale * _max_row_norm(q) * pinned.k_norm + (
+                    neg_lse.max(initial=0.0)
+                ) <= EXP_BUDGET
+            _exp_visible(p, m, groups > 1 and bounded)
             if zero_dead:
                 np.copyto(p, 0.0, where=dead)
-            ds = _matmul(ws, do_d_blk, _window(v1_t, *win, -1), "bwd-dp")
+            v1_win = _window(v1_t, pad + k0, stride, width, groups, -1)
+            ds = _matmul(ws, do_d_blk, v1_win, "bwd-dp")
             ds *= p
-            dq_blk += _matmul(ws, ds, _window(k_rows, *win, -2), "bwd-dq")
-            if groups > 1:
-                # dV and dK: one GEMM each over the span, from P and dS
-                # copied into dense (rows, span) tiles zero off the band.
-                if layout != (q1 - q0, groups, stride, width):
-                    layout = (q1 - q0, groups, stride, width)
-                    shape = q_rows.shape[:-1] + (span,)
-                    dense = [
-                        _scratch(ws, f"bwd-{x}-band", shape) for x in "sp"
-                    ]
-                    for x in dense:
-                        x[...] = 0.0
-                for x, tile in zip(dense, (p, ds)):
-                    _band(x, groups, stride, width)[...] = tile
-                p, ds = dense
-            dv_run = _matmul(ws, p.swapaxes(-1, -2), do_rows, "bwd-dv")
+            # A band reads its K windows off [K | 1]^T, transposed.
+            k_win = (
+                k[..., k0:k0 + width, :] if groups == 1
+                else k1_win.swapaxes(-1, -2)[..., :-1]
+            )
+            dq_blk += _matmul(ws, ds, k_win, "bwd-dq")
             # Q~ carries the softmax scale, so dk needs no per-run rescale.
-            dk_run = _matmul(ws, ds.swapaxes(-1, -2), q_rows, "bwd-dk")
-            lo, hi = max(k0, 0), min(k0 + span, k.shape[-2])
-            dv[..., lo:hi, :] += dv_run[..., lo - k0:hi - k0, :]
-            dk[..., lo:hi, :] += dk_run[..., lo - k0:hi - k0, :]
+            if groups == 1:
+                dv[..., k0:k0 + width, :] += _matmul(
+                    ws, p.swapaxes(-1, -2), do_blk, "bwd-dv"
+                )
+                dk[..., k0:k0 + width, :] += _matmul(
+                    ws, ds.swapaxes(-1, -2), q_blk, "bwd-dk"
+                )
+                continue
+            # A band's overlapping windows are summed key-major, as
+            # [dK | dV] rows over the keys and the margin (contiguous
+            # adds), and added into the accumulators once per call.
+            if folds is None:
+                n, split = k.shape[-2], dk.shape[-1]
+                lead = dk.shape[:-2] + (split + dv.shape[-1],)
+                # key-major (keys, ..., [dK | dV]) to (..., keys, [dK | dV])
+                to_rows = (*range(2, dk.ndim), 0, 1, dk.ndim)
+                folds = _scratch(ws, "bwd-dkv-fold", (n + 2 * pad,) + lead)
+                folds[...] = 0.0
+            dkv = _scratch(ws, "bwd-dkv", (groups, width) + lead)
+            rows = dkv.transpose(to_rows)
+            np.matmul(ds.swapaxes(-1, -2), q_blk, out=rows[..., :split])
+            np.matmul(p.swapaxes(-1, -2), do_blk, out=rows[..., split:])
+            _fold_windows(folds, dkv, pad + k0, stride)
+    if folds is not None:
+        folds = folds[pad:pad + n].transpose(
+            (*range(1, dk.ndim - 1), 0, dk.ndim - 1)
+        )
+        dk += folds[..., :split]
+        dv += folds[..., split:]
     dq *= scale
     return dq

@@ -192,11 +192,6 @@ SCORE_TILE_ELEMS = 1 << 16
 #: 128 rows, 128 keys for 8 heads x 64 rows.  2x and 4x were measured and
 #: are no faster on the whole-sequence calls and cost peak RSS.
 RUN_TILE_ELEMS = SCORE_TILE_ELEMS
-#: Fewest query rows in one row group of a banded run
-#: (:func:`banded_runs`): below it a group's GEMMs and its ``dK`` / ``dV``
-#: adds cost more than the pairs they save (one-row groups made the
-#: ``swa_bidir`` smoke step 25 % slower).
-MIN_GROUP = 8
 
 
 def head_batch(q: np.ndarray) -> int:
@@ -272,33 +267,35 @@ def key_runs(states, k_bounds, max_keys: int, mask_of) -> list[tuple]:
 
 
 def banded_runs(
-    runs: list[tuple], n_rows: int, max_keys: int, visible=None
+    runs: list[tuple], n_rows: int, max_keys: int, band: bool = True
 ) -> list[tuple]:
     """One query block's key loop as ``(k0, stride, width, groups, mask)``
-    runs: row group ``g`` (``n_rows / groups`` rows) reads the keys
-    ``[k0 + g * stride, k0 + g * stride + width)``.
+    runs: row group ``g`` reads keys ``[k0 + g * stride, +width)``.
 
-    ``runs`` is the block's :func:`key_runs` list, each a one-group run.
-    When ``visible(a, b)`` — the block's boolean tile over keys ``[a, b)``
-    — is given and some run is ``PARTIAL``, every split of the rows into
-    groups of ``h >= MIN_GROUP`` rows (``n_rows / 2^t``) is tried with the
-    stride that gives the narrowest common window; the split that forms
-    the fewest pairs replaces ``runs`` by one *banded* run when it forms
-    fewer than they do, at most ``max_keys`` keys wide.  Its mask is the
-    ``(..., groups, h, width)`` tile (window keys outside ``[a, b)`` —
-    past either end of the shard, too — are ``False``), ``None`` when
-    every pair is visible.  The plan and the dense oracle both band here.
+    ``runs`` (:func:`key_runs`) become one-group runs — or, with ``band``
+    and every run ``PARTIAL`` (no band narrows a ``FULL`` run), one
+    *banded* run: of the splits into groups of ``n_rows / 2^t`` rows, each
+    at the stride giving the narrowest common window at most ``max_keys``
+    wide, the one forming the fewest pairs among those that save at least
+    a ``MIN_TILE x MIN_TILE`` tile of pairs per group (a group's fixed
+    cost: its GEMM calls and its share of the backward's window sums; at
+    one token per mask block per rank no split does).  Its mask is
+    ``(..., groups, h, width)``, ``False`` outside the runs' tiles.  The
+    plan and the dense oracle both band here.
     """
     one = [(k0, 0, k1 - k0, 1, m) for k0, k1, m in runs]
-    if visible is None or all(m is None for _, _, m in runs):
+    if not band or not runs or any(m is None for *_, m in runs):
         return one
     a, b = runs[0][0], runs[-1][1]
-    vis = visible(a, b)
-    vis = np.broadcast_to(vis, vis.shape[:-2] + (n_rows, b - a))
-    seen = vis.any(axis=tuple(range(vis.ndim - 2)))
-    formed, best = n_rows * sum(k1 - k0 for k0, k1, _ in runs), None
+    lead = np.broadcast_shapes(*(m.shape[:-2] for *_, m in runs))
+    vis = np.zeros(lead + (n_rows, b - a), dtype=bool)
+    for k0, k1, m in runs:
+        vis[..., k0 - a:k1 - a] = m
+    seen = vis.any(axis=tuple(range(len(lead))))
+    unbanded = n_rows * sum(k1 - k0 for k0, k1, _ in runs)
+    formed, best = unbanded, None
     h = n_rows // 2
-    while h >= MIN_GROUP:
+    while h >= 1:
         if n_rows % h == 0:
             grouped = seen.reshape(n_rows // h, h, b - a).any(axis=1)
             live = np.flatnonzero(grouped.any(axis=1))
@@ -308,32 +305,35 @@ def banded_runs(
             start = (lo - strides * live).min(axis=1)
             width = (hi - strides * live).max(axis=1) - start
             t = int(width.argmin())
-            if width[t] <= max_keys and n_rows * width[t] < formed:
-                formed = n_rows * int(width[t])
+            pairs = n_rows * int(width[t])
+            if width[t] <= max_keys and pairs < formed and (
+                unbanded - pairs >= n_rows // h * MIN_TILE ** 2
+            ):
+                formed = pairs
                 best = (a + int(start[t]), t + 1, int(width[t]), h)
         h //= 2
     if best is None:
         return one
     k0, stride, width, h = best
-    groups = n_rows // h
-    m = np.zeros(vis.shape[:-2] + (groups, h, width), dtype=bool)
-    for g in range(groups):
-        lo = k0 + g * stride
-        c0, c1 = max(a - lo, 0), min(b - lo, width)
-        if c1 > c0:
-            m[..., g, :, c0:c1] = vis[
-                ..., g * h:(g + 1) * h, lo + c0 - a:lo + c1 - a
-            ]
-    return [(k0, stride, width, groups, None if m.all() else m)]
+    # A live group's window lies within `width` keys of [a, b); a dead
+    # group's rows are all False wherever its (clipped) window falls.
+    pad = np.zeros(lead + (n_rows, width), dtype=bool)
+    vis = np.concatenate([pad, vis, pad], axis=-1)
+    m = np.stack([
+        vis[..., g * h:(g + 1) * h, c:c + width]
+        for g in range(n_rows // h)
+        for c in [min(max(k0 + g * stride - a + width, 0), b - a + width)]
+    ], axis=-3)
+    return [(k0, stride, width, n_rows // h, None if m.all() else m)]
 
 
 def window_pad(rows, n_keys: int) -> int:
-    """Keys the banded runs of ``rows`` reach past either end of
-    ``[0, n_keys)`` — the zero margin a kernel lays its key operands out
-    with, 0 on a plan without bands."""
+    """Keys the banded runs of ``rows`` reach past ``[0, n_keys)`` (their
+    windows are summed back in whole strides): the zero margin the kernels
+    lay key operands out with, 0 without bands."""
     return max(
         [0] + [
-            max(-k0, k0 + (groups - 1) * stride + width - n_keys)
+            max(-k0, k0 + (groups - 1 - -width // stride) * stride - n_keys)
             for row in rows for k0, stride, width, groups, _ in row
             if groups > 1
         ]
@@ -451,7 +451,7 @@ def allowed_pairs(mask: MaskPattern | None, n_q: int, n_k: int) -> int:
     if count is None:
         count = table.allowed[(n_q, n_k)] = TilePlan._classify(
             mask, np.arange(n_q), np.arange(n_k),
-            MAX_TILE, MAX_TILE, MAX_TILE, table,
+            MAX_TILE, MAX_TILE, MAX_TILE, table, band=False,
         ).allowed_pairs
     return count
 
@@ -572,6 +572,7 @@ class TilePlan:
         block_k: int,
         run_keys: int,
         table: _PlanTable | None,
+        band: bool = True,
     ) -> "TilePlan":
         """Classify every sub-tile from the pattern's ``tile_state``: the
         whole shard pair first (an ``empty`` or ``full`` pair needs no
@@ -581,8 +582,9 @@ class TilePlan:
         all-``False`` / all-``True`` — ``PARTIAL`` means partial.  The
         dense shard-pair mask is never materialised; the boolean tiles of
         a ``PARTIAL`` run are joined, trimmed (:func:`key_runs`), banded
-        where that forms fewer pairs (:func:`banded_runs`, never under a
-        bias) and interned by content."""
+        where that forms fewer pairs (:func:`banded_runs`; never under a
+        bias, nor with ``band=False``: a count of the allowed pairs needs
+        no bands) and interned by content."""
         q_bounds = _block_bounds(len(q_idx), block_q)
         k_bounds = _block_bounds(len(k_idx), block_k)
         states = np.full((len(q_bounds), len(k_bounds)), FULL, dtype=np.int8)
@@ -616,18 +618,6 @@ class TilePlan:
                     [tiles[(i, j)] for j in range(j0, j1)], axis=-1
                 )
 
-            def visible(a: int, b: int) -> np.ndarray:
-                # from the classified sub-tiles: no tile wider than one edge
-                out = np.zeros((q_bounds[i][1] - q_bounds[i][0], b - a), bool)
-                for j, (k0, k1) in enumerate(k_bounds):
-                    lo, hi = max(k0, a), min(k1, b)
-                    if hi > lo and row_states[j] != EMPTY:
-                        out[:, lo - a:hi - a] = (
-                            True if row_states[j] == FULL
-                            else tiles[(i, j)][:, lo - k0:hi - k0]
-                        )
-                return out
-
             runs = key_runs(row_states, k_bounds, run_keys, joined)
             rows.append([
                 (*run[:4], run[4] if run[4] is None else table.intern(
@@ -635,7 +625,7 @@ class TilePlan:
                 ))
                 for run in banded_runs(
                     runs, q_bounds[i][1] - q_bounds[i][0], run_keys,
-                    None if has_bias or mask is None else visible,
+                    band and not has_bias,
                 )
             ])
         return cls(
@@ -676,9 +666,7 @@ class TilePlan:
 
     def row(self, i: int) -> list[tuple]:
         """The runs of q-block ``i`` (:func:`banded_runs`), in key order:
-        ``(k0, stride, width, groups, boolean tile)`` — row group ``g``
-        reads keys from ``k0 + g * stride``; a run of :func:`key_runs` is
-        the one-group case ``(k0, 0, k1 - k0, 1, tile)``.  The tile is
+        ``(k0, stride, width, groups, boolean tile)``.  The tile is
         ``None`` when every pair is visible; otherwise it is read-only and
         shared with every plan of the same mask that has a run of the same
         content."""

@@ -238,9 +238,9 @@ class TestKeyRunCounters:
         "burst_long": (262, 262, 283136, 286720),
         "wide_short": (36, 36, 146944, 163840),
         "ulysses_full": (144, 144, 2359296, 2359296),
-        # banded: row groups that each read their own key window (278016
-        # pairs before bands)
-        "swa_bidir": (260, 262, 94720, 286720),
+        # 278016 pairs before banded runs: the step's 128 x 256 plan
+        # (64-row blocks) forms only its band
+        "swa_bidir": (260, 262, 266752, 286720),
     }
 
     @pytest.mark.parametrize("name", sorted(WANT))

@@ -99,7 +99,9 @@ def _check_band(plan, i):
         np.testing.assert_array_equal(got, want)
         covered[g * h:(g + 1) * h, keys[inside]] = True
     assert not (visible & ~covered).any()
-    assert -k0 <= plan.margin and k0 + (groups - 1) * stride + width <= n_k + plan.margin
+    # the kernels' backward sums the windows back in whole strides
+    reach = k0 + (groups - 1 - -width // stride) * stride
+    assert -k0 <= plan.margin and reach <= n_k + plan.margin
 
 
 def _check_row(plan, i, batch):
@@ -229,11 +231,10 @@ class TestKeyRuns:
         _check_plan(plan)
         for i in range(2, plan.n_q_blocks):
             q0, q1 = plan.q_range(i)
-            # visible keys of the block: [q0 - 23, q1), read as two 8-row
-            # groups of one 31-key window each (one 39-key run before bands)
-            (k0, stride, width, groups, _), = plan.row(i)
-            assert (k0, stride, width, groups) == (q0 - 23, 8, 31, 2)
-            assert k0 + stride + width == q1
+            runs = _runs(plan, i)
+            # visible keys of the block: [q0 - 23, q1)
+            assert runs[0][0] == q0 - 23 and runs[-1][1] == q1
+            assert sum(k1 - k0 for k0, k1, _ in runs) == 16 + 23
         counters.reset()
         plan.tally()
         assert counters.key_runs < plan.num_full + plan.num_partial
@@ -521,6 +522,26 @@ class TestPlanMemo:
         assert {id(t) for t in table.tiles.values()} == live
         assert table.bias._nbytes <= table.bias.MAX_BYTES
 
+    def test_window_masks_are_interned_across_the_ring(self):
+        """All 64 shard pairs of the full-length ``swa_bidir`` ring band;
+        their 256 runs share 4 interned ``(groups, rows, width)`` masks —
+        the plan table holds one ring's windows in 8 KiB."""
+        n, g = 2048, 8
+        mask = sliding_window_block_mask(n, 64, 4)
+        idxs = BlockwisePartitioner(64).indices(n, g)
+        plans = [
+            TilePlan.build(mask, a, b, 64, 64, batch=8)
+            for a in idxs for b in idxs
+        ]
+        runs = [
+            run for p in plans for i in range(p.n_q_blocks) for run in p.row(i)
+        ]
+        assert len(runs) == 256 and all(run[3] == 8 for run in runs)
+        tiles = mask._tile_plans.tiles
+        assert {id(run[4]) for run in runs} == {id(t) for t in tiles.values()}
+        assert len(tiles) == 4
+        assert sum(t.nbytes for t in tiles.values()) <= 4 * 64 * 32
+
     def test_bias_cache_evicts_past_its_byte_budget(self, monkeypatch):
         from repro.kernels import BiasTileCache
 
@@ -736,9 +757,10 @@ class TestBandedRuns:
         blockwise=st.booleans(),
         r1=st.integers(0, 7),
         r2=st.integers(0, 7),
+        tile=st.sampled_from([16, 32, 64]),
     )
     def test_planned_equals_dense_and_reference(
-        self, seed, g, per_rank, window, causal, blockwise, r1, r2
+        self, seed, g, per_rank, window, causal, blockwise, r1, r2, tile
     ):
         from repro.kernels import (
             attention_reference,
@@ -748,13 +770,17 @@ class TestBandedRuns:
         block = g * per_rank
         n = 16 * block
         mask = sliding_window_block_mask(n, block, window, causal=causal)
-        part = BlockwisePartitioner(block) if blockwise else StripedPartitioner()
+        part = (
+            BlockwisePartitioner(block) if blockwise
+            else StripedPartitioner()
+        )
         idxs = part.indices(n, g)
         q_idx, k_idx = idxs[r1 % g], idxs[r2 % g]
         rng = np.random.default_rng(seed)
-        q, k, v, do = (rng.normal(size=(2, 16 * per_rank, 8)) for _ in range(4))
+        shape = (2, 16 * per_rank, 8)
+        q, k, v, do = (rng.normal(size=shape) for _ in range(4))
         dense_out, plan_out, plan = _run_both(
-            q, k, v, do, mask, q_idx, k_idx, 16, 16
+            q, k, v, do, mask, q_idx, k_idx, tile, tile
         )
         for a, b in zip(dense_out, plan_out):
             np.testing.assert_array_equal(a, b)
@@ -781,6 +807,127 @@ class TestBandedRuns:
                 (k0, stride, width, groups, _), = plan.row(i)
                 assert (stride, groups) == (8, 8) and width in (31, 32)
             assert plan.margin == 24
+
+    @staticmethod
+    def _banded_pair(r, j, heads=2, block=64):
+        """A shard pair of a 4-block causal window on blockwise shards of
+        8 tokens per 32-token block, whose every query block bands."""
+        n, g = 512, 4
+        mask = sliding_window_block_mask(n, 32, 4)
+        idxs = BlockwisePartitioner(32).indices(n, g)
+        plan = TilePlan.build(mask, idxs[r], idxs[j], block, block)
+        for i in range(plan.n_q_blocks):
+            _check_band(plan, i)
+        rng = np.random.default_rng(10 * r + j)
+        shapes = [(heads, len(idxs[x]), 8) for x in (r, r, j, j)]
+        q, do, k, v = (rng.normal(size=shape) for shape in shapes)
+        return mask, idxs[r], idxs[j], plan, q, k, v, do
+
+    @staticmethod
+    def _check_reference(mask, q_idx, k_idx, got, q, k, v, do, tol=1e-12):
+        from repro.kernels import (
+            attention_reference,
+            attention_reference_backward,
+        )
+
+        dense = mask.block(q_idx, k_idx)
+        o, lse = attention_reference(q, k, v, mask=dense)
+        want = (o, lse, *attention_reference_backward(
+            q, k, v, o, lse, do, mask=dense
+        ))
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=tol, atol=tol)
+
+    def test_rows_with_no_visible_key_on_a_band(self):
+        """Token 1 (shard 1's first query) precedes every key of shard 2
+        under the token-causal window, so it meets no key: ``lse = -inf``,
+        ``o = 0`` and no gradient, inside a banded run's first group."""
+        mask, q_idx, k_idx, plan, q, k, v, do = self._banded_pair(1, 2)
+        dense_out, plan_out, _ = _run_both(
+            q, k, v, do, mask, q_idx, k_idx, 64, 64
+        )
+        for a, b in zip(dense_out, plan_out):
+            np.testing.assert_array_equal(a, b)
+        o, lse, dq = plan_out[:3]
+        dead = ~mask.block(q_idx, k_idx).any(axis=1)
+        assert dead[0] and dead.sum() == 1 and plan.row(0)[0][3] > 1
+        np.testing.assert_array_equal(np.isneginf(lse), np.broadcast_to(
+            dead, lse.shape
+        ))
+        assert not o[:, dead].any() and not dq[:, dead].any()
+        self._check_reference(mask, q_idx, k_idx, plan_out, q, k, v, do)
+
+    def test_running_max_and_masked_exp_on_a_band(self):
+        """Logits past ``EXP_BUDGET``: the forward takes the running max
+        over the grouped tiles and the backward exponentiates under the
+        mask; planned == dense still, and both match the reference."""
+        from repro.kernels.flash import EXP_BUDGET, _bounded_calls
+        from repro.kernels.flash import _max_row_norm
+
+        mask, q_idx, k_idx, plan, q, k, v, do = self._banded_pair(2, 1)
+        q, k = q * 40.0, k * 3.0
+        bound = _max_row_norm(q) / np.sqrt(8) * _max_row_norm(k)
+        assert bound > EXP_BUDGET
+        before = _bounded_calls.value
+        dense_out, plan_out, _ = _run_both(
+            q, k, v, do, mask, q_idx, k_idx, 64, 64
+        )
+        assert _bounded_calls.value == before
+        for a, b in zip(dense_out, plan_out):
+            np.testing.assert_array_equal(a, b)
+        self._check_reference(
+            mask, q_idx, k_idx, plan_out, q, k, v, do, tol=1e-9
+        )
+
+    def test_repeat_kv_operands_and_head_sliced_plans(self):
+        """GQA hands the kernels ``repeat_kv``-expanded keys (here read
+        through a non-contiguous view) and Ulysses-style callers a
+        head-sliced plan; a band reads both as it reads any key operand."""
+        from repro.attention.gqa import repeat_kv
+
+        mask, q_idx, k_idx, plan, q, k, v, do = self._banded_pair(
+            3, 3, heads=4
+        )
+        k, v = (
+            np.concatenate([repeat_kv(x[:2], 2)] * 2, axis=-1)[..., :8]
+            for x in (k, v)
+        )
+        assert not k.flags.c_contiguous
+        dense_out, plan_out, _ = _run_both(
+            q, k, v, do, mask, q_idx, k_idx, 64, 64
+        )
+        for a, b in zip(dense_out, plan_out):
+            np.testing.assert_array_equal(a, b)
+        self._check_reference(mask, q_idx, k_idx, plan_out, q, k, v, do)
+        view = plan.with_head_slice(slice(2, 4))
+        o, lse = flash_attention_forward(q[2:], k[2:], v[2:], plan=view)
+        np.testing.assert_array_equal(o, plan_out[0][2:])
+        np.testing.assert_array_equal(lse, plan_out[1][2:])
+        grads = flash_attention_backward(
+            q[2:], k[2:], v[2:], o, lse, do[2:], plan=view
+        )
+        for got, want in zip(grads, plan_out[2:]):
+            np.testing.assert_array_equal(got, want[2:])
+
+    def test_uneven_query_blocks_band(self):
+        """48-row tiles over 128-token shards: 48-, 48- and 32-row query
+        blocks and a 32-key last tile.  The first block's rows all start
+        at key 0 (nothing to band); the others band as 12- and 16-row
+        groups."""
+        mask, q_idx, k_idx, _, q, k, v, do = self._banded_pair(2, 2)
+        dense_out, plan_out, plan = _run_both(
+            q, k, v, do, mask, q_idx, k_idx, 48, 48
+        )
+        assert [plan.q_range(i) for i in range(3)] == [
+            (0, 48), (48, 96), (96, 128)
+        ]
+        assert [run[1:4] for i in range(3) for run in plan.row(i)] == [
+            (0, 48, 1), (12, 40, 4), (16, 40, 2)
+        ]
+        for a, b in zip(dense_out, plan_out):
+            np.testing.assert_array_equal(a, b)
+        _check_plan(plan)
+        self._check_reference(mask, q_idx, k_idx, plan_out, q, k, v, do)
 
     @pytest.mark.parametrize(
         "mask", [CausalMask(), ALiBiMask(2)], ids=["causal", "alibi"]
